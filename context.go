@@ -37,7 +37,7 @@ func (mo *Model) SolveContext(ctx context.Context) (*Solution, error) {
 	}
 	popts := core.PowerOptions{
 		Tol: mo.effectiveTol(), MaxIter: mo.maxIter,
-		Start: core.FitnessStart(mo.land.l),
+		Start: mo.fitnessStart(op),
 		Dev:   mo.dev,
 		Monitor: func(iter int, lambda, residual float64) bool {
 			return ctx.Err() == nil

@@ -259,12 +259,20 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		}
 	}
 
+	start := opts.Start
 	if gear == SolvePower {
+		// A warm Start aliasing the power scratch iterate (the sweep's
+		// continuation pattern) is consumed by the gear: an escalation
+		// continues from the gear's last iterate instead.
+		consumed := len(start) == n && len(work.Power.x) == n && &start[0] == &work.Power.x[0]
 		pres, err := PowerIteration(opR, PowerOptions{
-			Tol: tol, MaxIter: opts.MaxIter, Start: opts.Start,
+			Tol: tol, MaxIter: opts.MaxIter, Start: start,
 			Shift: opts.PowerShift, Dev: opts.Dev, Work: work.Power,
 			Observer: opts.Observer,
 		})
+		if consumed {
+			start = pres.Vector
+		}
 		res.Method = SolvePower
 		res.Lambda, res.Vector = pres.Lambda, pres.Vector
 		res.Iterations += pres.Iterations
@@ -288,10 +296,10 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	// The Krylov/Chebyshev gears run in the Symmetric formulation: stage
 	// the Right-form start as x_S = F^½·x_R.
 	symStart := work.symBuf(n)
-	if opts.Start != nil && len(opts.Start) == n {
-		copy(symStart, opts.Start)
+	if start != nil && len(start) == n {
+		copy(symStart, start)
 	} else {
-		copy(symStart, FitnessStart(opS.F))
+		opS.fitnessStartInto(symStart)
 	}
 	if err := ConvertEigenvector(symStart, Right, Symmetric, opS.F); err != nil {
 		return res, err
@@ -404,7 +412,7 @@ func adaptiveLanczos(opS *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork
 	if opts.Start != nil && len(opts.Start) == n {
 		copy(symStart, opts.Start)
 	} else {
-		copy(symStart, FitnessStart(opS.F))
+		opS.fitnessStartInto(symStart)
 	}
 	if err := ConvertEigenvector(symStart, Right, Symmetric, opS.F); err != nil {
 		return *res, err

@@ -1,0 +1,504 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/dense"
+	"repro/internal/device"
+	"repro/internal/landscape"
+	"repro/internal/mutation"
+	"repro/internal/rng"
+	"repro/internal/vec"
+)
+
+// The power iteration runs each step as one operator application and two
+// fused passes (DESIGN.md §5.10). These tests keep the unfused loop — shift
+// by AXPY, Dot, residual, Norm2 and a normalize pass per iteration, on an
+// operator that scales by F in a pass of its own — as the reference, and
+// require the fused loop to reproduce it bit for bit: λ, residual,
+// iteration count, iterate, error and the full Observer/Monitor call
+// sequence, on every exit path.
+
+// unfusedFmmpOp is the Right-form Fmmp operator with the fitness scale as
+// a separate Mul pass ahead of the butterfly.
+type unfusedFmmpOp struct {
+	q   *mutation.Process
+	f   []float64
+	dev *device.Device
+}
+
+func (op *unfusedFmmpOp) Dim() int { return op.q.Dim() }
+
+func (op *unfusedFmmpOp) Apply(dst, src []float64) {
+	mulInto(op.dev, dst, src, op.f)
+	if op.dev != nil {
+		op.q.ApplyDevice(op.dev, dst)
+	} else {
+		op.q.Apply(dst)
+	}
+}
+
+// unfusedPowerIteration is the power loop before the fused step, with the
+// span and metrics hooks left out (they only watch).
+func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
+	n := op.Dim()
+	tol := opts.Tol
+	if tol <= 0 {
+		tol = 1e-13
+	}
+	maxIter := opts.MaxIter
+	if maxIter <= 0 {
+		maxIter = 500000
+	}
+	checkEvery := opts.CheckEvery
+	if checkEvery <= 0 {
+		checkEvery = 1
+	}
+	stallChecks := opts.StallChecks
+	if stallChecks == 0 {
+		stallChecks = 100
+	}
+	mu := opts.Shift
+	dev := opts.Dev
+
+	var x, w []float64
+	if opts.Work != nil {
+		x, w = opts.Work.vectors(n)
+	} else {
+		x = make([]float64, n)
+		w = make([]float64, n)
+	}
+	if opts.Start != nil {
+		if len(opts.Start) != n {
+			return PowerResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
+		}
+		copy(x, opts.Start)
+	} else {
+		vec.Fill(x, 1)
+	}
+	nrm := norm2(dev, x)
+	if nrm == 0 {
+		return PowerResult{}, errors.New("core: start vector is zero")
+	}
+	scale(dev, x, 1/nrm)
+	if opts.Observer != nil {
+		opts.Observer.Event(EventStart, 0, mu, 0)
+	}
+	done := func(res *PowerResult, event string, iter int, r float64) {
+		orientPositive(x)
+		res.Vector = x
+		if opts.Observer != nil {
+			opts.Observer.Event(event, iter, res.Lambda, r)
+		}
+	}
+	res := PowerResult{Vector: x}
+	bestResidual := math.Inf(1)
+	bestIter := 0
+	stalled := 0
+	for iter := 1; iter <= maxIter; iter++ {
+		op.Apply(w, x)
+		if mu != 0 {
+			axpyInto(dev, -mu, x, w)
+		}
+		res.Iterations = iter
+		lamShifted := dot(dev, x, w)
+		res.Lambda = lamShifted + mu
+		if iter%checkEvery == 0 || iter == maxIter {
+			r := residual(dev, w, x, lamShifted)
+			res.Residual = r
+			if opts.Observer != nil {
+				opts.Observer.Step(iter, res.Lambda, r)
+			}
+			if r < bestResidual*(1-1e-6) {
+				bestResidual = r
+				bestIter = iter
+				stalled = 0
+			} else {
+				stalled++
+			}
+			if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
+				done(&res, EventAborted, iter, r)
+				return res, &ConvergenceError{
+					Reason: ErrNoConvergence, Method: SolveKindPower,
+					Detail:     fmt.Sprintf("aborted by monitor at iteration %d", iter),
+					Iterations: iter, Residual: r, BestResidual: bestResidual,
+					SinceImprovement: iter - bestIter, Shift: mu, Tol: tol,
+				}
+			}
+			if r <= tol {
+				res.Converged = true
+				done(&res, EventConverged, iter, r)
+				return res, nil
+			}
+			if stallChecks > 0 && stalled >= stallChecks {
+				done(&res, EventStagnated, iter, r)
+				return res, &ConvergenceError{
+					Reason: ErrStagnated, Method: SolveKindPower,
+					Iterations: iter, Residual: r, BestResidual: bestResidual,
+					SinceImprovement: iter - bestIter, Shift: mu, Tol: tol,
+				}
+			}
+		}
+		nrm = norm2(dev, w)
+		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
+			done(&res, EventBreakdown, iter, res.Residual)
+			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
+		}
+		inv := 1 / nrm
+		if dev != nil {
+			dev.LaunchRange(n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					x[i] = w[i] * inv
+				}
+			})
+		} else {
+			for i := range x {
+				x[i] = w[i] * inv
+			}
+		}
+	}
+	done(&res, EventBudgetExhausted, res.Iterations, res.Residual)
+	return res, &ConvergenceError{
+		Reason: ErrNoConvergence, Method: SolveKindPower,
+		Iterations: res.Iterations, Residual: res.Residual, BestResidual: bestResidual,
+		SinceImprovement: res.Iterations - bestIter, Shift: mu, Tol: tol,
+	}
+}
+
+// callLog records every Observer and Monitor callback of a solve.
+type callLog struct{ calls []string }
+
+func (c *callLog) Step(iter int, lambda, residual float64) {
+	c.add("step", iter, lambda, residual)
+}
+
+func (c *callLog) Event(event string, iter int, lambda, residual float64) {
+	c.add(event, iter, lambda, residual)
+}
+
+func (c *callLog) add(kind string, iter int, lambda, residual float64) {
+	c.calls = append(c.calls, fmt.Sprintf("%s %d %x %x", kind, iter, math.Float64bits(lambda), math.Float64bits(residual)))
+}
+
+// breakingOp overflows the operator's output from application `after` on,
+// forcing the breakdown exit.
+type breakingOp struct {
+	Operator
+	after, applied int
+}
+
+func (b *breakingOp) Apply(dst, src []float64) {
+	b.Operator.Apply(dst, src)
+	if b.applied++; b.applied >= b.after {
+		vec.Fill(dst, math.Inf(1))
+	}
+}
+
+// exitPath configures one way out of the power loop.
+type exitPath struct {
+	name  string
+	opts  func(*PowerOptions, *callLog)
+	wrap  func(Operator) Operator
+	check func(error) bool
+}
+
+var exitPaths = []exitPath{
+	{name: "converged", opts: func(o *PowerOptions, _ *callLog) { o.Tol = 1e-10 },
+		check: func(err error) bool { return err == nil }},
+	{name: "stagnated", opts: func(o *PowerOptions, _ *callLog) { o.Tol = 1e-30; o.StallChecks = 4 },
+		check: func(err error) bool { return errors.Is(err, ErrStagnated) }},
+	{name: "aborted", opts: func(o *PowerOptions, l *callLog) {
+		o.Tol = 1e-30
+		o.Monitor = func(iter int, lambda, residual float64) bool {
+			l.add("monitor", iter, lambda, residual)
+			return iter < 7
+		}
+	}, check: func(err error) bool { return errors.Is(err, ErrNoConvergence) }},
+	{name: "budget", opts: func(o *PowerOptions, _ *callLog) { o.Tol = 1e-30; o.MaxIter = 8 },
+		check: func(err error) bool { return errors.Is(err, ErrNoConvergence) }},
+	{name: "breakdown", opts: func(o *PowerOptions, _ *callLog) { o.Tol = 1e-30 },
+		wrap: func(op Operator) Operator { return &breakingOp{Operator: op, after: 5} },
+		check: func(err error) bool {
+			var ce *ConvergenceError
+			return err != nil && !errors.As(err, &ce)
+		}},
+}
+
+// namedProcess is one mutation process of the suite.
+type namedProcess struct {
+	name string
+	q    *mutation.Process
+}
+
+// fusedTestProcesses returns the mutation processes of the suite at chain
+// length nu: uniform, per-site and grouped (a dense group on the low bits,
+// so the fitness scale takes the unfused fallback; and a group after a
+// fused run).
+func fusedTestProcesses(t *testing.T, r *rng.Source, nu int) []namedProcess {
+	t.Helper()
+	factors := make([]mutation.Factor2, nu)
+	for i := range factors {
+		c0, c1 := 0.002+0.02*r.Float64(), 0.002+0.02*r.Float64()
+		factors[i] = mutation.Factor2{A: 1 - c0, B: c1, C: c0, D: 1 - c1}
+	}
+	perSite, err := mutation.NewPerSite(factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := []namedProcess{
+		{"uniform", mutation.MustUniform(nu, 0.004+0.01*r.Float64())},
+		{"per-site", perSite},
+	}
+	if nu >= 2 {
+		procs = append(procs, namedProcess{"grouped-first", groupedTestProcess(t, r, nu, 0)})
+	}
+	if nu >= 3 {
+		procs = append(procs, namedProcess{"grouped-mid", groupedTestProcess(t, r, nu, 1)})
+	}
+	return procs
+}
+
+// groupedTestProcess puts a 2-bit dense group at bit `at` and single-bit
+// near-identity factors elsewhere.
+func groupedTestProcess(t *testing.T, r *rng.Source, nu, at int) *mutation.Process {
+	t.Helper()
+	var ms []*dense.Matrix
+	for bit := 0; bit < nu; {
+		size := 2
+		if bit == at {
+			size = 4
+		}
+		m := dense.NewMatrix(size, size)
+		for c := 0; c < size; c++ {
+			sum := 0.0
+			for i := 0; i < size; i++ {
+				v := 0.01 * r.Float64()
+				if i == c {
+					v = 1
+				}
+				m.Set(i, c, v)
+				sum += v
+			}
+			for i := 0; i < size; i++ {
+				m.Set(i, c, m.At(i, c)/sum)
+			}
+		}
+		ms = append(ms, m)
+		bit += size / 2
+	}
+	q, err := mutation.NewGrouped(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// comparePower requires two solves to agree bit for bit.
+func comparePower(t *testing.T, label string, got, want PowerResult, gotErr, wantErr error, gotLog, wantLog *callLog) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+	}
+	if !sameBits(got.Lambda, want.Lambda) || !sameBits(got.Residual, want.Residual) ||
+		got.Iterations != want.Iterations || got.Converged != want.Converged {
+		t.Fatalf("%s: (λ %v, R %v, %d iters, converged %v), reference (λ %v, R %v, %d iters, converged %v)",
+			label, got.Lambda, got.Residual, got.Iterations, got.Converged,
+			want.Lambda, want.Residual, want.Iterations, want.Converged)
+	}
+	if len(got.Vector) != len(want.Vector) {
+		t.Fatalf("%s: vector length %d, reference %d", label, len(got.Vector), len(want.Vector))
+	}
+	for i := range got.Vector {
+		if !sameBits(got.Vector[i], want.Vector[i]) {
+			t.Fatalf("%s: x[%d] = %v, reference %v", label, i, got.Vector[i], want.Vector[i])
+		}
+	}
+	if fmt.Sprint(gotLog.calls) != fmt.Sprint(wantLog.calls) {
+		t.Fatalf("%s: callbacks\n%v\nreference\n%v", label, gotLog.calls, wantLog.calls)
+	}
+}
+
+func TestFusedPowerIterationBitIdenticalToUnfused(t *testing.T) {
+	r := rng.New(1212)
+	devs := []struct {
+		name string
+		dev  *device.Device
+	}{
+		{"serial", nil},
+		{"1-worker", device.New(1)},
+		{"2-workers", device.New(2, device.WithGrain(64))},
+		{"3-workers", device.New(3, device.WithGrain(64))},
+	}
+	taken := map[string]int{}
+	sizes := []int{1, 2, 11, 12, 13, 16}
+	if raceDetector || testing.Short() {
+		sizes = []int{1, 2, 11} // still N < B and N > B at the default tile
+	}
+	for _, nu := range sizes {
+		l, err := landscape.NewRandom(nu, 5, 1, r.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu := ConservativeShift(mutation.MustUniform(nu, 0.01), l)
+		// ν = 16 runs on the serial path and the 3-worker device only, and
+		// its converged and stagnated solves end on the budget instead: the
+		// loop body is the same, and those exits and devices are covered at
+		// the smaller sizes.
+		iterCap := 150
+		if nu == 16 {
+			iterCap = 12
+		}
+		for _, p := range fusedTestProcesses(t, r, nu) {
+			for _, d := range devs {
+				if nu == 16 && d.name != "serial" && d.name != "3-workers" {
+					continue
+				}
+				fused, err := NewFmmpOperator(p.q, l, Right, d.dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := &unfusedFmmpOp{q: p.q, f: fused.Fitness(), dev: d.dev}
+				for _, c := range []struct {
+					mu    float64
+					every int
+				}{{0, 1}, {mu, 1}, {mu, 3}} {
+					for _, path := range exitPaths {
+						label := fmt.Sprintf("ν=%d %s %s µ=%g every=%d %s", nu, p.name, d.name, c.mu, c.every, path.name)
+						run := func(op Operator, solve func(Operator, PowerOptions) (PowerResult, error)) (PowerResult, error, *callLog) {
+							log := &callLog{}
+							opts := PowerOptions{Start: fused.FitnessStart(), Dev: d.dev, Shift: c.mu, CheckEvery: c.every, Observer: log}
+							path.opts(&opts, log)
+							if opts.MaxIter == 0 || opts.MaxIter > iterCap {
+								opts.MaxIter = iterCap
+							}
+							if path.wrap != nil {
+								op = path.wrap(op)
+							}
+							res, err := solve(op, opts)
+							return res, err, log
+						}
+						got, gotErr, gotLog := run(fused, PowerIteration)
+						want, wantErr, wantLog := run(ref, unfusedPowerIteration)
+						if path.check(wantErr) {
+							taken[path.name]++
+						}
+						comparePower(t, label, got, want, gotErr, wantErr, gotLog, wantLog)
+					}
+				}
+			}
+		}
+	}
+	// Tiny problems can converge exactly before a forced exit triggers;
+	// every path must still be exercised somewhere in the matrix.
+	for _, path := range exitPaths {
+		if taken[path.name] == 0 {
+			t.Errorf("exit path %s never taken", path.name)
+		}
+	}
+	t.Logf("exit paths taken: %v", taken)
+}
+
+// TestFusedPowerIterationWorkWarmStart runs the sweep's continuation
+// pattern — Work-backed solves whose Start aliases the scratch iterate —
+// through both loops: the fused loop swaps its buffers every iteration and
+// repoints the Work at exit, so its result must still alias the scratch
+// iterate and match the reference bit for bit.
+func TestFusedPowerIterationWorkWarmStart(t *testing.T) {
+	r := rng.New(77)
+	const nu = 12
+	l, err := landscape.NewRandom(nu, 5, 1, r.Uint64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []*device.Device{nil, device.New(2, device.WithGrain(64))} {
+		fusedWork, refWork := NewPowerWork(1<<nu), NewPowerWork(1<<nu)
+		var fusedStart, refStart []float64
+		for i, p := range []float64{0.004, 0.006, 0.008, 0.01} {
+			q := mutation.MustUniform(nu, p)
+			fused, err := NewFmmpOperator(q, l, Right, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &unfusedFmmpOp{q: q, f: fused.Fitness(), dev: dev}
+			if i == 0 {
+				fusedStart, refStart = fused.FitnessStart(), fused.FitnessStart()
+			}
+			mu := ConservativeShift(q, l)
+			got, gotErr := PowerIteration(fused, PowerOptions{Tol: 1e-11, Start: fusedStart, Shift: mu, Dev: dev, Work: fusedWork})
+			want, wantErr := unfusedPowerIteration(ref, PowerOptions{Tol: 1e-11, Start: refStart, Shift: mu, Dev: dev, Work: refWork})
+			comparePower(t, fmt.Sprintf("dev=%v p=%g", dev, p), got, want, gotErr, wantErr, &callLog{}, &callLog{})
+			if &got.Vector[0] != &fusedWork.x[0] {
+				t.Fatalf("p=%g: result does not alias the scratch iterate", p)
+			}
+			fusedStart, refStart = got.Vector, want.Vector
+		}
+	}
+}
+
+// TestAdaptiveEscalationContinuesFromPowerIterate: a warm Start that
+// aliases the power scratch iterate is consumed by the power gear, so when
+// that gear fails the Chebyshev gear starts from the power gear's last
+// iterate. The fused loop leaves that iterate in either scratch buffer
+// (odd and even budgets cover both); the escalation must not depend on
+// which. The reference runs the Chebyshev gear directly from that iterate.
+func TestAdaptiveEscalationContinuesFromPowerIterate(t *testing.T) {
+	const nu = 11
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := 1 - math.Pow(2, -1.0/nu)
+	q := mutation.MustUniform(nu, 0.9*pc)
+	opR, err := NewFmmpOperator(q, l, Right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opS, err := NewFmmpOperator(q, l, Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu := ConservativeShift(q, l)
+	for _, budget := range []int{60, 61} {
+		opts := func(method SolveMethod, start []float64, work *AdaptiveWork) AdaptiveOptions {
+			return AdaptiveOptions{Method: method, Tol: 1e-12, PowerShift: mu, PowerIterLimit: 1 << 20,
+				MaxIter: budget, Start: start, Work: work}
+		}
+		// Warm start aliasing the scratch iterate, as in a sweep chain.
+		work := NewAdaptiveWork(1 << nu)
+		warm, err := PowerIteration(opR, PowerOptions{Tol: 1e-6, Start: opR.FitnessStart(), Shift: mu, Work: work.Power})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := vec.Clone(warm.Vector)
+		got, err := AdaptiveSolve(opR, opS, opts(SolveAuto, warm.Vector, work))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Escalations != 1 || got.Method != SolveChebyshev {
+			t.Fatalf("budget %d: %d escalations to %v, want the power gear to escalate to Chebyshev once", budget, got.Escalations, got.Method)
+		}
+		// Reference: the failed power gear, then Chebyshev from its iterate.
+		failed, err := PowerIteration(opR, PowerOptions{Tol: 1e-12, MaxIter: budget, Start: start, Shift: mu})
+		if !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("budget %d: reference power gear returned %v", budget, err)
+		}
+		want, err := AdaptiveSolve(opR, opS, opts(SolveChebyshev, failed.Vector, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got.Lambda, want.Lambda) || got.Iterations != want.Iterations+budget {
+			t.Fatalf("budget %d: (λ %v, %d iters), reference (λ %v, %d + %d iters)",
+				budget, got.Lambda, got.Iterations, want.Lambda, want.Iterations, budget)
+		}
+		for i := range got.Vector {
+			if !sameBits(got.Vector[i], want.Vector[i]) {
+				t.Fatalf("budget %d: x[%d] = %v, reference %v", budget, i, got.Vector[i], want.Vector[i])
+			}
+		}
+	}
+}

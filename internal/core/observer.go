@@ -79,7 +79,6 @@ func notifyMethod(o Observer, kind string) {
 // dominates; the BLAS-1 phases are the O(N) overhead around it).
 const (
 	PhaseMatvec         = "matvec"
-	PhaseShift          = "shift"
 	PhaseRayleigh       = "rayleigh"
 	PhaseResidual       = "residual"
 	PhaseNormalize      = "normalize"

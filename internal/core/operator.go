@@ -112,12 +112,10 @@ func (op *FmmpOperator) Apply(dst, src []float64) {
 		panic("core: FmmpOperator.Apply dimension mismatch")
 	}
 	switch op.Form {
-	case Right: // Q·F: scale then transform
-		mulInto(op.Dev, dst, src, op.fdiag)
-		op.applyQ(dst)
+	case Right: // Q·F: the scale rides along the first tile pass
+		op.Q.ApplyScaled(op.Dev, dst, src, op.fdiag)
 	case Symmetric: // F^½·Q·F^½
-		mulInto(op.Dev, dst, src, op.fsqrt)
-		op.applyQ(dst)
+		op.Q.ApplyScaled(op.Dev, dst, src, op.fsqrt)
 		mulInto(op.Dev, dst, dst, op.fsqrt)
 	case Left: // F·Q: transform then scale
 		if &dst[0] != &src[0] {
@@ -140,6 +138,21 @@ func (op *FmmpOperator) applyQ(v []float64) {
 
 // Fitness returns the materialized fitness diagonal (read-only).
 func (op *FmmpOperator) Fitness() []float64 { return op.fdiag }
+
+// FitnessStart returns the paper's starting vector diag(F)/‖diag(F)‖₁ built
+// from the operator's materialized diagonal: bit-identical to
+// FitnessStart(op.F) without materializing the landscape a second time.
+func (op *FmmpOperator) FitnessStart() []float64 {
+	s := make([]float64, len(op.fdiag))
+	op.fitnessStartInto(s)
+	return s
+}
+
+// fitnessStartInto writes the fitness start into dst (length Dim()).
+func (op *FmmpOperator) fitnessStartInto(dst []float64) {
+	copy(dst, op.fdiag)
+	vec.Normalize1(dst)
+}
 
 // ---------------------------------------------------------------------------
 // Xmvp-backed operator (the baseline of [10])

@@ -177,27 +177,30 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	bestIter := 0 // iteration at which bestResidual last improved
 	lastCheck := 0
 	stalled := 0
+	// Each iteration is one operator application and two fused passes over
+	// x and w = W·x (DESIGN.md §5.10); neither pass materializes the shifted
+	// product t = (W − µI)·x. Pass B writes the next iterate t/‖t‖ into w,
+	// and x and w swap at the end of the iteration, so every exit before the
+	// swap still returns the iterate whose λ and residual it reports.
 	for iter := 1; iter <= maxIter; iter++ {
 		ph := beginPhase(sr, PhaseMatvec)
 		op.Apply(w, x)
 		span.End(ph, int64(iter), 0)
-		if mu != 0 {
-			ph = beginPhase(sr, PhaseShift)
-			axpyInto(dev, -mu, x, w) // w ← (W − µI)·x
-			span.End(ph, int64(iter), 0)
-		}
 		res.Iterations = iter
-		// Rayleigh quotient of the *shifted* operator for unit x.
+		// Pass A: Rayleigh quotient of the *shifted* operator for unit x,
+		// and ‖t‖ for the normalization.
 		ph = beginPhase(sr, PhaseRayleigh)
-		lamShifted := dot(dev, x, w)
+		lamShifted, nrm := shiftedDotNorm2(dev, x, w, mu)
 		span.End(ph, int64(iter), 0)
 		res.Lambda = lamShifted + mu
+		// Pass B: the residual of the shifted pair, which equals that of
+		// the unshifted pair (Wx − λx = (W−µI)x − (λ−µ)x), and w ← t/‖t‖.
+		// A check-free iteration discards the residual; it rides on the
+		// same stream.
+		ph = beginPhase(sr, PhaseResidual)
+		r := shiftedResidualScale(dev, x, w, mu, lamShifted, 1/nrm)
+		span.End(ph, int64(iter), 0)
 		if iter%checkEvery == 0 || iter == maxIter {
-			// Residual of the shifted pair equals that of the unshifted
-			// pair: Wx − λx = (W−µI)x − (λ−µ)x.
-			ph = beginPhase(sr, PhaseResidual)
-			r := residual(dev, w, x, lamShifted)
-			span.End(ph, int64(iter), 0)
 			res.Residual = r
 			if sh != nil {
 				sh.o.SolveStep(SolveKindPower, iter-lastCheck)
@@ -214,7 +217,7 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 				stalled++
 			}
 			if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
-				finish(dev, &res, x)
+				finish(&res, x, opts.Work)
 				powerDone(sh, sp, opts.Observer, SolveKindPower, EventAborted, n, iter, res.Lambda, r)
 				return res, &ConvergenceError{
 					Reason: ErrNoConvergence, Method: SolveKindPower,
@@ -225,12 +228,12 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 			}
 			if r <= tol {
 				res.Converged = true
-				finish(dev, &res, x)
+				finish(&res, x, opts.Work)
 				powerDone(sh, sp, opts.Observer, SolveKindPower, EventConverged, n, iter, res.Lambda, r)
 				return res, nil
 			}
 			if stallChecks > 0 && stalled >= stallChecks {
-				finish(dev, &res, x)
+				finish(&res, x, opts.Work)
 				powerDone(sh, sp, opts.Observer, SolveKindPower, EventStagnated, n, iter, res.Lambda, r)
 				return res, &ConvergenceError{
 					Reason: ErrStagnated, Method: SolveKindPower,
@@ -239,35 +242,14 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 				}
 			}
 		}
-		ph = beginPhase(sr, PhaseNormalize)
-		nrm = norm2(dev, w)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			span.End(ph, int64(iter), 0)
-			finish(dev, &res, x)
+			finish(&res, x, opts.Work)
 			powerDone(sh, sp, opts.Observer, SolveKindPower, EventBreakdown, n, iter, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
 		}
-		inv := 1 / nrm
-		// x ← w/‖w‖. The device closure captures branch-local copies of
-		// the vectors: capturing x/w directly would make them escape and
-		// cost two heap allocations per solve even on the serial path
-		// (escape analysis is static), breaking the zero-alloc guarantee
-		// of Work-backed sweep solves.
-		if dev != nil {
-			xd, wd := x, w
-			dev.LaunchRange(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					xd[i] = wd[i] * inv
-				}
-			})
-		} else {
-			for i := range x {
-				x[i] = w[i] * inv
-			}
-		}
-		span.End(ph, int64(iter), 0)
+		x, w = w, x
 	}
-	finish(dev, &res, x)
+	finish(&res, x, opts.Work)
 	powerDone(sh, sp, opts.Observer, SolveKindPower, EventBudgetExhausted, n, res.Iterations, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindPower,
@@ -298,10 +280,15 @@ func beginPhase(sr span.Recorder, name string) span.Handle {
 	return sr.Begin(span.LayerCore, name)
 }
 
-func finish(dev *device.Device, res *PowerResult, x []float64) {
+// finish orients the final iterate and repoints the Work scratch so the
+// next solve's vectors(n) call hands the caller-visible Vector back as the
+// iterate (the per-iteration swap may have exchanged x and w).
+func finish(res *PowerResult, x []float64, work *PowerWork) {
 	orientPositive(x)
 	res.Vector = x
-	_ = dev
+	if work != nil && &work.x[0] != &x[0] {
+		work.x, work.w = x, work.x
+	}
 }
 
 // orientPositive flips x so its absolutely largest entry is positive.
@@ -383,6 +370,20 @@ func scale(dev *device.Device, x []float64, a float64) {
 	} else {
 		vec.Scale(x, a)
 	}
+}
+
+func shiftedDotNorm2(dev *device.Device, x, w []float64, mu float64) (dot, norm float64) {
+	if dev != nil {
+		return dev.ShiftedDotNorm2(x, w, mu)
+	}
+	return vec.ShiftedDotNorm2(x, w, mu)
+}
+
+func shiftedResidualScale(dev *device.Device, x, w []float64, mu, lambda, c float64) float64 {
+	if dev != nil {
+		return dev.ShiftedResidualScale(x, w, mu, lambda, c)
+	}
+	return vec.ShiftedResidualScale(x, w, mu, lambda, c)
 }
 
 func residual(dev *device.Device, w, x []float64, lambda float64) float64 {

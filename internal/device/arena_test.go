@@ -181,7 +181,7 @@ func TestNodeArenaClampsAndPersists(t *testing.T) {
 func TestBatchPartBoundsPartitionChunks(t *testing.T) {
 	for _, nchunks := range []int{1, 2, 7, 31, 32, 33, 1000} {
 		for _, nparts := range []int{1, 2, 5, maxBatchParts} {
-			b := &batch{nchunks: nchunks, nparts: nparts}
+			b := &batch{launch: launch{nchunks: nchunks}, nparts: nparts}
 			prev := 0
 			for p := 0; p < nparts; p++ {
 				lo, hi := b.partBounds(p)

@@ -133,7 +133,7 @@ func (d *Device) LaunchRange(n int, kernel func(lo, hi int)) {
 
 	chunk, nchunks := d.plan(n, d.grain)
 	d.chunksTotal.Add(int64(nchunks))
-	d.run(LaunchKindRange, n, chunk, nchunks, kernel)
+	d.run(LaunchKindRange, launch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks})
 }
 
 // LaunchStages dispatches a fused group of `stages` dependent butterfly
@@ -157,64 +157,64 @@ func (d *Device) LaunchStages(stages, n, weight int, kernel func(lo, hi int)) {
 	}
 	chunk, nchunks := d.plan(n, d.grain/weight)
 	d.chunksTotal.Add(int64(nchunks))
-	d.run(LaunchKindStages, n, chunk, nchunks, kernel)
+	d.run(LaunchKindStages, launch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks})
 }
 
-// run executes a planned launch with the configured dispatch. kind is the
+// run executes a planned launch with the configured dispatch and returns
+// the per-chunk partials of a reduce launch (nil otherwise). kind is the
 // launch family reported to an installed LaunchObserver and the name of the
 // device-layer span; with neither hook installed the only instrumentation
 // cost is the two atomic loads.
-func (d *Device) run(kind string, n, chunk, nchunks int, kernel func(lo, hi int)) {
+func (d *Device) run(kind string, l launch) [][2]float64 {
 	h := launchObs.Load()
 	sr := span.Installed()
 	if h == nil && sr == nil {
-		d.dispatch(n, chunk, nchunks, kernel, false)
-		return
+		sums, _ := d.dispatch(l, false)
+		return sums
 	}
 	var sp span.Handle
 	if sr != nil {
 		sp = sr.Begin(span.LayerDevice, kind)
 	}
 	start := time.Now()
-	wait := d.dispatch(n, chunk, nchunks, kernel, true)
+	sums, wait := d.dispatch(l, true)
 	if sr != nil {
 		// The barrier tail is reported post hoc inside the still-open
 		// launch span, so it shows as the launch's child in the profile.
 		if wait > 0 {
-			sr.Record(span.LayerDevice, SpanQueueWait, wait, int64(nchunks), 0)
+			sr.Record(span.LayerDevice, SpanQueueWait, wait, int64(l.nchunks), 0)
 		}
-		span.End(sp, int64(n), int64(nchunks))
+		span.End(sp, int64(l.n), int64(l.nchunks))
 	}
 	if h != nil {
-		h.o.Launch(kind, n, nchunks, time.Since(start), wait)
+		h.o.Launch(kind, l.n, l.nchunks, time.Since(start), wait)
 	}
+	return sums
 }
 
-// dispatch runs a planned launch; with measureWait it returns the barrier
-// tail the submitting goroutine spent waiting on pool workers.
-func (d *Device) dispatch(n, chunk, nchunks int, kernel func(lo, hi int), measureWait bool) time.Duration {
-	if nchunks == 1 || d.workers == 1 {
-		kernel(0, n)
-		return 0
+// dispatch runs a planned launch and returns a reduce launch's partials;
+// with measureWait it also returns the barrier tail the submitting
+// goroutine spent waiting on pool workers. The batch is allocated only for
+// multi-chunk grids, so a single-chunk launch costs no allocation.
+func (d *Device) dispatch(l launch, measureWait bool) ([][2]float64, time.Duration) {
+	if l.nchunks == 1 || d.workers == 1 {
+		l.kernel(0, l.n)
+		return nil, 0
 	}
+	b := newBatch(l)
 	if d.spawn {
 		var wg sync.WaitGroup
-		wg.Add(nchunks)
-		for c := 0; c < nchunks; c++ {
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			go func(lo, hi int) {
+		wg.Add(b.nchunks)
+		for c := 0; c < b.nchunks; c++ {
+			go func() {
 				defer wg.Done()
-				kernel(lo, hi)
-			}(lo, hi)
+				b.exec(c)
+			}()
 		}
 		wg.Wait()
-		return 0
+		return b.sums, 0
 	}
-	return runPooled(&batch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks}, d.workers-1, measureWait)
+	return b.sums, runPooled(b, d.workers-1, measureWait)
 }
 
 // Reduce computes the combination of f(0) … f(n−1) under the associative
@@ -237,17 +237,16 @@ func (d *Device) Reduce(n int, identity float64, f func(i int) float64, combine 
 		}
 		return acc
 	}
-	partial := make([]float64, nchunks)
-	d.run(LaunchKindReduce, n, chunk, nchunks, func(lo, hi int) {
+	sums := d.run(LaunchKindReduce, launch{reduce: func(lo, hi int) (float64, float64) {
 		acc := identity
 		for i := lo; i < hi; i++ {
 			acc = combine(acc, f(i))
 		}
-		partial[lo/chunk] = acc
-	})
+		return acc, 0
+	}, n: n, chunk: chunk, nchunks: nchunks})
 	acc := identity
-	for _, p := range partial {
-		acc = combine(acc, p)
+	for _, s := range sums {
+		acc = combine(acc, s[0])
 	}
 	return acc
 }

@@ -53,17 +53,65 @@ import (
 // per chunk, far below the kernel work per chunk (≥ grain elements).
 const maxBatchParts = 32
 
-// batch is one kernel launch in flight: a grid of nchunks contiguous
-// chunks, split into nparts contiguous parts claimed via per-part atomic
-// cursors by however many workers join in.
-type batch struct {
+// launch is one planned kernel launch: a grid of n logical threads in
+// nchunks contiguous chunks of chunk threads. Exactly one of kernel and
+// reduce is set; a reduce launch always has nchunks > 1 (single-chunk
+// reductions run on the caller without a launch).
+type launch struct {
 	kernel  func(lo, hi int)
+	reduce  func(lo, hi int) (float64, float64)
 	n       int
 	chunk   int
 	nchunks int
-	nparts  int
-	wg      sync.WaitGroup
-	parts   [maxBatchParts]atomic.Int64
+}
+
+// batch is one kernel launch in flight: the launch's chunks, split into
+// nparts contiguous parts claimed via per-part atomic cursors by however
+// many workers join in.
+type batch struct {
+	launch
+	nparts int
+	wg     sync.WaitGroup
+	parts  [maxBatchParts]atomic.Int64
+	// sums[c] receives chunk c's two partials in a reduce launch.
+	sums [][2]float64
+}
+
+// reduceBatch is a reduce launch's batch with inline partial storage, so a
+// reduction over up to maxBatchParts chunks costs the same single heap
+// object as a plain launch.
+type reduceBatch struct {
+	batch
+	buf [maxBatchParts][2]float64
+}
+
+// newBatch allocates the in-flight state of a multi-chunk launch.
+func newBatch(l launch) *batch {
+	if l.reduce == nil {
+		return &batch{launch: l}
+	}
+	rb := &reduceBatch{batch: batch{launch: l}}
+	if n := uint(l.nchunks); n <= uint(len(rb.buf)) {
+		rb.sums = rb.buf[:n]
+	} else {
+		rb.sums = make([][2]float64, l.nchunks)
+	}
+	return &rb.batch
+}
+
+// exec runs chunk c of the batch.
+func (b *batch) exec(c int) {
+	lo := c * b.chunk
+	hi := lo + b.chunk
+	if hi > b.n {
+		hi = b.n
+	}
+	if b.reduce == nil {
+		b.kernel(lo, hi)
+		return
+	}
+	s, t := b.reduce(lo, hi)
+	b.sums[c] = [2]float64{s, t}
 }
 
 // partBounds returns the chunk-index range [lo, hi) of part p.
@@ -94,12 +142,7 @@ func (b *batch) runPart(home int) {
 			} else {
 				stolen++
 			}
-			clo := c * b.chunk
-			chi := clo + b.chunk
-			if chi > b.n {
-				chi = b.n
-			}
-			b.kernel(clo, chi)
+			b.exec(c)
 			b.wg.Done()
 		}
 	}

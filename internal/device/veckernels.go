@@ -3,10 +3,16 @@ package device
 import "math"
 
 // This file provides the device-parallel twins of the internal/vec kernels.
-// The power iteration needs only a handful of BLAS-1 operations besides the
-// matrix–vector product; the paper notes (Section 4) that vector summation
-// parallelizes well enough that it has "almost no influence on the overall
-// execution time", and these kernels reproduce that behaviour.
+// The paper notes (Section 4) that vector summation parallelizes well
+// enough that it has "almost no influence on the overall execution time".
+// With the blocked butterflies that no longer holds: each BLAS-1 call is a
+// full-vector stream like a butterfly pass, and a CPU profile of ν = 20
+// power solves on two workers put 52% of the time in the vector work
+// around the matvec (x⊙f, shift, Rayleigh quotient, residual, norm,
+// normalize) against 37% in the butterfly. The power iteration therefore
+// runs its vector tail as two fused passes, ShiftedDotNorm2 and
+// ShiftedResidualScale (DESIGN.md §5.10); the single-operation kernels stay
+// for the other solvers.
 //
 // They sit inside every power/Lanczos iteration, so they are written to the
 // same kernel-floor discipline as the butterfly stages (see DESIGN.md §5.6):
@@ -26,35 +32,39 @@ import "math"
 // any chunked/parallel reduction already performed — and the solver
 // tolerances (≥1e-9) absorb it; tests pin the fixed-schedule bit-identity.
 
-// reduceChunks reduces chunkFn over the device's chunk partition of [0, n),
-// combining the per-chunk partials with combine in ascending chunk order.
-func (d *Device) reduceChunks(n int, identity float64, chunkFn func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
+// reduceChunks reduces chunkFn, which returns two independent partials per
+// chunk, over the device's chunk partition of [0, n): each component is
+// folded from identity with combine in ascending chunk order. The partials
+// live in the launch's own batch, so a reduction allocates no more than a
+// LaunchRange.
+func (d *Device) reduceChunks(n int, identity float64, chunkFn func(lo, hi int) (float64, float64), combine func(a, b float64) float64) (float64, float64) {
 	if n <= 0 {
-		return identity
+		return identity, identity
 	}
 	d.reduceLaunches.Add(1)
 	chunk, nchunks := d.plan(n, d.grain)
 	if nchunks == 1 || d.workers == 1 {
-		return combine(identity, chunkFn(0, n))
+		a, b := chunkFn(0, n)
+		return combine(identity, a), combine(identity, b)
 	}
-	partial := make([]float64, nchunks)
-	d.run(LaunchKindReduce, n, chunk, nchunks, func(lo, hi int) {
-		partial[lo/chunk] = chunkFn(lo, hi)
-	})
-	acc := identity
-	for _, p := range partial {
-		acc = combine(acc, p)
+	sums := d.run(LaunchKindReduce, launch{reduce: chunkFn, n: n, chunk: chunk, nchunks: nchunks})
+	a, b := identity, identity
+	for _, s := range sums {
+		a, b = combine(a, s[0]), combine(b, s[1])
 	}
-	return acc
+	return a, b
 }
 
 func addf(a, b float64) float64 { return a + b }
 
-// dotChunk is Σ x[k]·y[k] over one chunk in the documented 4-lane order.
-// The caller guarantees len(y) ≥ len(x); the re-slice makes the prover see
-// it, so the loop body runs without bounds checks.
+// chunk2 returns the [lo, hi) chunk of two equal-length operands.
+func chunk2(x, y []float64, lo, hi int) ([]float64, []float64) {
+	return x[lo:hi], y[lo:hi]
+}
+
+// dotChunk is Σ x[k]·y[k] over the common prefix of x and y in the
+// documented 4-lane order.
 func dotChunk(x, y []float64) float64 {
-	y = y[:len(x)]
 	var s0, s1, s2, s3 float64
 	// Slice-advance loops: constant indexes on shrinking slices are the one
 	// form the go1.24 prover eliminates completely (counter loops keep a
@@ -79,9 +89,10 @@ func (d *Device) Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("device: Dot length mismatch")
 	}
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return dotChunk(x[lo:hi], y[lo:hi])
+	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		return dotChunk(chunk2(x, y, lo, hi)), 0
 	}, addf)
+	return s
 }
 
 // sumChunk is Σ x[k] over one chunk in the documented 4-lane order.
@@ -104,9 +115,10 @@ func sumChunk(x []float64) float64 {
 
 // Sum returns Σ xᵢ computed with a parallel reduction.
 func (d *Device) Sum(x []float64) float64 {
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return sumChunk(x[lo:hi])
+	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		return sumChunk(x[lo:hi]), 0
 	}, addf)
+	return s
 }
 
 // norm1Chunk is Σ |x[k]| over one chunk in the documented 4-lane order.
@@ -129,9 +141,10 @@ func norm1Chunk(x []float64) float64 {
 
 // Norm1 returns ‖x‖₁ computed with a parallel reduction.
 func (d *Device) Norm1(x []float64) float64 {
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return norm1Chunk(x[lo:hi])
+	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		return norm1Chunk(x[lo:hi]), 0
 	}, addf)
+	return s
 }
 
 // norm2SqChunk is Σ x[k]² over one chunk in the documented 4-lane order.
@@ -157,9 +170,10 @@ func norm2SqChunk(x []float64) float64 {
 // √MaxFloat64; quasispecies concentration vectors are bounded by 1 so this
 // is not a concern on solver paths.
 func (d *Device) Norm2(x []float64) float64 {
-	return math.Sqrt(d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return norm2SqChunk(x[lo:hi])
-	}, addf))
+	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		return norm2SqChunk(x[lo:hi]), 0
+	}, addf)
+	return math.Sqrt(s)
 }
 
 // normInfChunk is max |x[k]| over one chunk. Max is associative and
@@ -184,15 +198,15 @@ func normInfChunk(x []float64) float64 {
 
 // NormInf returns ‖x‖∞ computed with a parallel max-reduction.
 func (d *Device) NormInf(x []float64) float64 {
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return normInfChunk(x[lo:hi])
+	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		return normInfChunk(x[lo:hi]), 0
 	}, math.Max)
+	return s
 }
 
-// residSqChunk is Σ (w[k] − λ·x[k])² over one chunk in the documented
-// 4-lane order.
+// residSqChunk is Σ (w[k] − λ·x[k])² over the common prefix of w and x in
+// the documented 4-lane order.
 func residSqChunk(w, x []float64, lambda float64) float64 {
-	x = x[:len(w)]
 	var s0, s1, s2, s3 float64
 	for len(w) >= 4 && len(x) >= 4 {
 		r0 := w[0] - lambda*x[0]
@@ -220,9 +234,151 @@ func (d *Device) ResidualNorm2(w, x []float64, lambda float64) float64 {
 	if len(w) != len(x) {
 		panic("device: ResidualNorm2 length mismatch")
 	}
-	return math.Sqrt(d.reduceChunks(len(w), 0, func(lo, hi int) float64 {
-		return residSqChunk(w[lo:hi], x[lo:hi], lambda)
-	}, addf))
+	s, _ := d.reduceChunks(len(w), 0, func(lo, hi int) (float64, float64) {
+		ws, xs := chunk2(w, x, lo, hi)
+		return residSqChunk(ws, xs, lambda), 0
+	}, addf)
+	return math.Sqrt(s)
+}
+
+// The two passes of the fused power step (DESIGN.md §5.10). Both read the
+// shifted product t = w − µ·x on the fly instead of materializing it: the
+// power iteration used to run AXPY (w ← w − µx), Dot, ResidualNorm2, Norm2
+// and a normalize launch, five streams over the vectors per iteration; the
+// passes cover the same arithmetic in two. Each accumulator sees exactly the
+// operations, in exactly the order, of the kernel it replaces — the same
+// chunk plan, the same 4-lane split, the same ascending partial combine —
+// so the results are bit-identical to the unfused sequence. µ = 0 reads
+// t = w without forming w + 0·x, as the unfused sequence skips the AXPY.
+
+// shiftedDotNorm2Chunk returns (Σ x[k]·t[k], Σ t[k]²) for t = w + a·x over
+// the common prefix of x and w, each in the documented 4-lane order.
+func shiftedDotNorm2Chunk(x, w []float64, a float64) (float64, float64) {
+	var d0, d1, d2, d3, q0, q1, q2, q3 float64
+	if a == 0 {
+		for len(x) >= 4 && len(w) >= 4 {
+			t0, t1, t2, t3 := w[0], w[1], w[2], w[3]
+			d0 += x[0] * t0
+			d1 += x[1] * t1
+			d2 += x[2] * t2
+			d3 += x[3] * t3
+			q0 += t0 * t0
+			q1 += t1 * t1
+			q2 += t2 * t2
+			q3 += t3 * t3
+			x, w = x[4:], w[4:]
+		}
+	} else {
+		for len(x) >= 4 && len(w) >= 4 {
+			t0 := w[0] + a*x[0]
+			t1 := w[1] + a*x[1]
+			t2 := w[2] + a*x[2]
+			t3 := w[3] + a*x[3]
+			d0 += x[0] * t0
+			d1 += x[1] * t1
+			d2 += x[2] * t2
+			d3 += x[3] * t3
+			q0 += t0 * t0
+			q1 += t1 * t1
+			q2 += t2 * t2
+			q3 += t3 * t3
+			x, w = x[4:], w[4:]
+		}
+	}
+	d := ((d0 + d1) + d2) + d3
+	q := ((q0 + q1) + q2) + q3
+	for len(x) > 0 && len(w) > 0 {
+		t := w[0]
+		if a != 0 {
+			t += a * x[0]
+		}
+		d += x[0] * t
+		q += t * t
+		x, w = x[1:], w[1:]
+	}
+	return d, q
+}
+
+// ShiftedDotNorm2 is pass A of the fused power step: for t = w − µ·x it
+// returns x·t and ‖t‖₂ in one read-only pass, bit-identical to AXPY(−µ, x,
+// w) (skipped for µ = 0) followed by Dot(x, w) and Norm2(w).
+func (d *Device) ShiftedDotNorm2(x, w []float64, mu float64) (dot, norm float64) {
+	if len(x) != len(w) {
+		panic("device: ShiftedDotNorm2 length mismatch")
+	}
+	a := -mu
+	dot, sq := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		xs, ws := chunk2(x, w, lo, hi)
+		return shiftedDotNorm2Chunk(xs, ws, a)
+	}, addf)
+	return dot, math.Sqrt(sq)
+}
+
+// shiftedResidualScaleChunk returns Σ (t[k] − λ·x[k])² for t = w + a·x over
+// the common prefix of x and w in the documented 4-lane order, and
+// overwrites w with c·t.
+func shiftedResidualScaleChunk(x, w []float64, a, lambda, c float64) float64 {
+	var s0, s1, s2, s3 float64
+	if a == 0 {
+		for len(x) >= 4 && len(w) >= 4 {
+			t0, t1, t2, t3 := w[0], w[1], w[2], w[3]
+			r0 := t0 - lambda*x[0]
+			r1 := t1 - lambda*x[1]
+			r2 := t2 - lambda*x[2]
+			r3 := t3 - lambda*x[3]
+			s0 += r0 * r0
+			s1 += r1 * r1
+			s2 += r2 * r2
+			s3 += r3 * r3
+			w[0], w[1], w[2], w[3] = t0*c, t1*c, t2*c, t3*c
+			x, w = x[4:], w[4:]
+		}
+	} else {
+		for len(x) >= 4 && len(w) >= 4 {
+			t0 := w[0] + a*x[0]
+			t1 := w[1] + a*x[1]
+			t2 := w[2] + a*x[2]
+			t3 := w[3] + a*x[3]
+			r0 := t0 - lambda*x[0]
+			r1 := t1 - lambda*x[1]
+			r2 := t2 - lambda*x[2]
+			r3 := t3 - lambda*x[3]
+			s0 += r0 * r0
+			s1 += r1 * r1
+			s2 += r2 * r2
+			s3 += r3 * r3
+			w[0], w[1], w[2], w[3] = t0*c, t1*c, t2*c, t3*c
+			x, w = x[4:], w[4:]
+		}
+	}
+	s := ((s0 + s1) + s2) + s3
+	for len(x) > 0 && len(w) > 0 {
+		t := w[0]
+		if a != 0 {
+			t += a * x[0]
+		}
+		r := t - lambda*x[0]
+		s += r * r
+		w[0] = t * c
+		x, w = x[1:], w[1:]
+	}
+	return s
+}
+
+// ShiftedResidualScale is pass B of the fused power step: for t = w − µ·x
+// it returns ‖t − λ·x‖₂ and overwrites w ← c·t in the same pass,
+// bit-identical to AXPY(−µ, x, w) (skipped for µ = 0), ResidualNorm2(w, x,
+// λ) and Scale(w, c).
+func (d *Device) ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
+	if len(x) != len(w) {
+		panic("device: ShiftedResidualScale length mismatch")
+	}
+	a := -mu
+	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+		xs, ws := chunk2(x, w, lo, hi)
+		return shiftedResidualScaleChunk(xs, ws, a, lambda, c), 0
+	}, addf)
+	return math.Sqrt(s)
 }
 
 // Scale multiplies x by a in place with a parallel kernel. The 4-wide

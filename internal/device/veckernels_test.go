@@ -96,6 +96,71 @@ func TestReductionsCloseToSerialVec(t *testing.T) {
 	}
 }
 
+// TestFusedPowerPassesBitIdenticalToUnfused pins the fused power-step
+// passes against the kernel sequence they replace, on every device shape
+// and on lengths with ragged chunk and lane tails: pass A ≡ AXPY(−µ) then
+// Dot and Norm2; pass B ≡ AXPY(−µ) then ResidualNorm2 and Scale. µ = 0
+// skips the AXPY, as the power iteration does.
+func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
+	r := rng.New(19)
+	for _, n := range []int{1, 3, 4, 7, 1000, 4099, 100003} {
+		x, w := randVec(r, n), randVec(r, n)
+		for name, d := range devices() {
+			for _, mu := range []float64{0, 0.37} {
+				t0 := append([]float64(nil), w...)
+				if mu != 0 {
+					d.AXPY(-mu, x, t0)
+				}
+				wantDot, wantNorm := d.Dot(x, t0), d.Norm2(t0)
+				gotDot, gotNorm := d.ShiftedDotNorm2(x, w, mu)
+				if gotDot != wantDot || gotNorm != wantNorm {
+					t.Fatalf("%s n=%d µ=%g: pass A = (%v, %v), unfused (%v, %v)", name, n, mu, gotDot, gotNorm, wantDot, wantNorm)
+				}
+				lambda, c := 0.29, 1/wantNorm
+				wantRes := d.ResidualNorm2(t0, x, lambda)
+				d.Scale(t0, c)
+				got := append([]float64(nil), w...)
+				if gotRes := d.ShiftedResidualScale(x, got, mu, lambda, c); gotRes != wantRes {
+					t.Fatalf("%s n=%d µ=%g: pass B residual %v, unfused %v", name, n, mu, gotRes, wantRes)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(t0[i]) {
+						t.Fatalf("%s n=%d µ=%g: pass B wrote %v at %d, unfused %v", name, n, mu, got[i], i, t0[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReductionsAllocateNoMoreThanALaunch: a reduction keeps its chunk
+// partials in the launch's own batch, so Dot, Norm2, ResidualNorm2 and the
+// fused passes allocate no more than a plain LaunchRange kernel (Scale).
+func TestReductionsAllocateNoMoreThanALaunch(t *testing.T) {
+	r := rng.New(23)
+	const n = 1 << 15
+	x, w := randVec(r, n), randVec(r, n)
+	for _, workers := range []int{1, 2, 3} {
+		d := New(workers)
+		launch := testing.AllocsPerRun(20, func() { d.Scale(x, 1) })
+		for name, f := range map[string]func(){
+			"Dot":                  func() { sink = d.Dot(x, w) },
+			"Norm2":                func() { sink = d.Norm2(x) },
+			"ResidualNorm2":        func() { sink = d.ResidualNorm2(w, x, 0.5) },
+			"ShiftedDotNorm2":      func() { sink, _ = d.ShiftedDotNorm2(x, w, 0.5) },
+			"ShiftedResidualScale": func() { sink = d.ShiftedResidualScale(x, w, 0, 0.5, 1) },
+		} {
+			got := testing.AllocsPerRun(20, f)
+			if got > launch {
+				t.Errorf("%d workers: %s allocates %.0f objects per call, a LaunchRange %.0f", workers, name, got, launch)
+			}
+			t.Logf("%d workers: %s %.0f allocs, LaunchRange %.0f", workers, name, got, launch)
+		}
+	}
+}
+
+var sink float64
+
 func TestElementwiseKernelsBitIdenticalToVec(t *testing.T) {
 	r := rng.New(17)
 	for _, n := range []int{0, 1, 3, 4, 5, 1000, 99991} {

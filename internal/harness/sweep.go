@@ -208,7 +208,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 	if tol <= 0 {
 		tol = core.DefaultTolerance(l)
 	}
-	cold := core.FitnessStart(l) // shared read-only across slots
+	cold := baseOp.FitnessStart() // shared read-only across slots
 	workers := batch.Workers(opts.Workers)
 	works := make([]*core.PowerWork, workers)
 	var aworks []*core.AdaptiveWork

@@ -115,6 +115,16 @@ func splitStages(n, off0, nStages, tb int) (B, nSmall int) {
 // the small strides and fused row-block passes for the large ones. The
 // result is bit-identical to applying the stages one full pass at a time.
 func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
+	applyStagesBlockedScaled(v, nil, nil, off0, fs, tb, fuse)
+}
+
+// applyStagesBlockedScaled is applyStagesBlocked on v ← src ⊙ scale when
+// scale is non-nil: each tile is scaled on its way into the tile pass, so
+// the diagonal costs no pass of its own. The elementwise products are those
+// of a separate Mul pass, so the result is bit-identical to Mul followed by
+// applyStagesBlocked. src may alias v. A non-nil scale needs a tile pass:
+// the caller guarantees fs[0] is tile-local (off0 = 0 and len(v) ≥ 2).
+func applyStagesBlockedScaled(v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int) {
 	n := len(v)
 	if n == 0 || len(fs) == 0 {
 		return
@@ -129,7 +139,7 @@ func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
 	if nSmall > 0 {
 		small := fs[:nSmall]
 		for t := 0; t < n; t += B {
-			tileStages(v[t:t+B], off0, small)
+			tileStages(scaledTile(v, src, scale, t, t+B), off0, small)
 		}
 	}
 	for s := nSmall; s < len(fs); {
@@ -142,11 +152,12 @@ func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
 	}
 }
 
-// applyStagesBlockedDevice is applyStagesBlocked with each fused pass
-// dispatched as one device launch: tiles (resp. row groups) are mutually
-// independent across the whole stage group, so a single barrier per group
-// replaces the per-stage barrier of Algorithm 2.
-func applyStagesBlockedDevice(d *device.Device, v []float64, off0 int, fs []Factor2, tb, fuse int) {
+// applyStagesBlockedDevice is applyStagesBlockedScaled with each fused
+// pass dispatched as one device launch: tiles (resp. row groups) are
+// mutually independent across the whole stage group, so a single barrier per
+// group replaces the per-stage barrier of Algorithm 2. With a non-nil scale
+// the tile launch scales each tile before its stages.
+func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int) {
 	n := len(v)
 	if n == 0 || len(fs) == 0 {
 		return
@@ -162,7 +173,7 @@ func applyStagesBlockedDevice(d *device.Device, v []float64, off0 int, fs []Fact
 		small := fs[:nSmall]
 		d.LaunchStages(nSmall, n/B, B, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
-				tileStages(v[t*B:(t+1)*B], off0, small)
+				tileStages(scaledTile(v, src, scale, t*B, (t+1)*B), off0, small)
 			}
 		})
 	}
@@ -183,6 +194,32 @@ func applyStagesBlockedDevice(d *device.Device, v []float64, off0 int, fs []Fact
 			}
 		})
 		s += m
+	}
+}
+
+// scaledTile returns the tile v[lo:hi], first overwritten with
+// src[lo:hi] ⊙ scale[lo:hi] when scale is non-nil.
+func scaledTile(v, src, scale []float64, lo, hi int) []float64 {
+	tile := v[lo:hi]
+	if scale != nil {
+		mulTile(tile, src[lo:hi], scale[lo:hi])
+	}
+	return tile
+}
+
+// mulTile computes dst ← src ⊙ scale over the common prefix of the three
+// slices, one multiply per element exactly as vec.Mul. src may alias dst.
+func mulTile(dst, src, scale []float64) {
+	for len(dst) >= 4 && len(src) >= 4 && len(scale) >= 4 {
+		dst[0] = src[0] * scale[0]
+		dst[1] = src[1] * scale[1]
+		dst[2] = src[2] * scale[2]
+		dst[3] = src[3] * scale[3]
+		dst, src, scale = dst[4:], src[4:], scale[4:]
+	}
+	for len(dst) > 0 && len(src) > 0 && len(scale) > 0 {
+		dst[0] = src[0] * scale[0]
+		dst, src, scale = dst[1:], src[1:], scale[1:]
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/span"
+	"repro/internal/vec"
 )
 
 // This file implements the paper's central contribution: the fast mutation
@@ -25,6 +26,41 @@ import (
 // result is bit-identical to ApplyNaive. It panics if len(v) != 2^ν.
 func (q *Process) Apply(v []float64) {
 	q.checkDim(len(v))
+	q.apply(v, nil, nil)
+}
+
+// ApplyScaled computes dst ← Q·(src ⊙ d), the Q·F product of the Right
+// formulation: the diagonal scale is applied to each tile inside the first
+// tile pass instead of in a pass of its own, on the serial path (dev ==
+// nil, as Apply) and on the device (as ApplyDevice). The cross-stage
+// groups are unchanged. The result is bit-identical to Mul(dst, src, d)
+// followed by Apply(dst) resp. ApplyDevice(dev, dst). dst may alias src.
+func (q *Process) ApplyScaled(dev *device.Device, dst, src, d []float64) {
+	q.checkDim(len(dst))
+	q.checkDim(len(src))
+	q.checkDim(len(d))
+	if len(q.segs) == 0 || q.segs[0].grp >= 0 {
+		// A grouped first factor gathers strided elements instead of
+		// sweeping tiles, so the scale gets its own pass.
+		if dev != nil {
+			dev.Mul(dst, src, d)
+			q.ApplyDevice(dev, dst)
+		} else {
+			vec.Mul(dst, src, d)
+			q.Apply(dst)
+		}
+		return
+	}
+	if dev != nil {
+		q.applyDevice(dev, dst, src, d)
+	} else {
+		q.apply(dst, src, d)
+	}
+}
+
+// apply is Apply on v ← src ⊙ scale when scale is non-nil; the caller
+// guarantees the first segment is a blocked one in that case.
+func (q *Process) apply(v, src, scale []float64) {
 	h := kernelObs.Load()
 	sr := span.Installed()
 	var sp span.Handle
@@ -45,7 +81,8 @@ func (q *Process) Apply(v []float64) {
 			gsp = sr.Begin(span.LayerMutation, KindStageGroup)
 		}
 		if s.grp < 0 {
-			applyStagesBlocked(v, s.off0, s.fs, tb, fuseStages)
+			applyStagesBlockedScaled(v, src, scale, s.off0, s.fs, tb, fuseStages)
+			src, scale = nil, nil
 			span.End(gsp, int64(len(s.fs)), 1)
 			if h != nil {
 				h.span(KindStageGroup, len(s.fs), 1, t0)
@@ -127,6 +164,12 @@ func (q *Process) recurse(v []float64, level int) []float64 {
 // the serial blocked path bit-identically.
 func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	q.checkDim(len(v))
+	q.applyDevice(d, v, nil, nil)
+}
+
+// applyDevice is ApplyDevice on v ← src ⊙ scale when scale is non-nil; the
+// caller guarantees the first segment is a blocked one in that case.
+func (q *Process) applyDevice(d *device.Device, v, src, scale []float64) {
 	h := kernelObs.Load()
 	sp := span.Begin(span.LayerMutation, KindApplyDevice)
 	if h != nil {
@@ -135,7 +178,8 @@ func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	tb := TileBits()
 	for _, s := range q.segs {
 		if s.grp < 0 {
-			applyStagesBlockedDevice(d, v, s.off0, s.fs, tb, fuseStages)
+			applyStagesBlockedDevice(d, v, src, scale, s.off0, s.fs, tb, fuseStages)
+			src, scale = nil, nil
 		} else {
 			q.applyGroupDevice(d, q.groups[s.grp], v)
 		}

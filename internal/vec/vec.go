@@ -90,20 +90,62 @@ func Norm1(x []float64) float64 {
 func Norm2(x []float64) float64 {
 	var scale, ssq float64 = 0, 1
 	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = scaledSq(scale, ssq, v)
 	}
 	return scale * math.Sqrt(ssq)
+}
+
+// scaledSq folds v into Norm2's scaled sum of squares: ‖·‖₂ = scale·√ssq.
+func scaledSq(scale, ssq, v float64) (float64, float64) {
+	if v == 0 {
+		return scale, ssq
+	}
+	a := math.Abs(v)
+	if scale < a {
+		r := scale / a
+		return a, 1 + ssq*r*r
+	}
+	r := a / scale
+	return scale, ssq + r*r
+}
+
+// ShiftedDotNorm2 returns x·t and ‖t‖₂ for t = w − µ·x in one read-only
+// pass: pass A of the power iteration's fused step, serial twin of
+// device.ShiftedDotNorm2. It is bit-identical to AXPY(−µ, x, w) (skipped
+// for µ = 0) followed by Dot(x, w) and Norm2(w): the dot is the same strict
+// left fold and the norm the same scaled accumulation.
+func ShiftedDotNorm2(x, w []float64, mu float64) (dot, norm float64) {
+	checkLen("ShiftedDotNorm2", len(x), len(w))
+	a := -mu
+	var s, scale, ssq float64 = 0, 0, 1
+	for i, t := range w {
+		if a != 0 {
+			t += a * x[i]
+		}
+		s += x[i] * t
+		scale, ssq = scaledSq(scale, ssq, t)
+	}
+	return s, scale * math.Sqrt(ssq)
+}
+
+// ShiftedResidualScale returns ‖t − λ·x‖₂ for t = w − µ·x and overwrites
+// w ← c·t in the same pass: pass B of the power iteration's fused step,
+// serial twin of device.ShiftedResidualScale. It is bit-identical to
+// AXPY(−µ, x, w) (skipped for µ = 0), the strict left fold
+// √Σ(wᵢ − λ·xᵢ)² and Scale(w, c).
+func ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
+	checkLen("ShiftedResidualScale", len(x), len(w))
+	a := -mu
+	var s float64
+	for i, t := range w {
+		if a != 0 {
+			t += a * x[i]
+		}
+		r := t - lambda*x[i]
+		s += r * r
+		w[i] = t * c
+	}
+	return math.Sqrt(s)
 }
 
 // NormInf returns ‖x‖∞ = max|xᵢ|.

@@ -22,6 +22,45 @@ func randVec(r *rng.Source, n int) []float64 {
 	return v
 }
 
+// TestFusedPowerPassesBitIdenticalToUnfused pins the serial power-step
+// passes against the sequence they replace: pass A ≡ AXPY(−µ) then Dot and
+// Norm2; pass B ≡ AXPY(−µ), the strict residual fold and Scale. Zeros and
+// a magnitude jump exercise every branch of the scaled norm.
+func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
+	r := rng.New(29)
+	for _, n := range []int{1, 2, 5, 1000} {
+		x, w := randVec(r, n), randVec(r, n)
+		w[0], w[n/2] = 0, 1e200*w[n/2]
+		for _, mu := range []float64{0, 0.41} {
+			t0 := Clone(w)
+			if mu != 0 {
+				AXPY(-mu, x, t0)
+			}
+			wantDot, wantNorm := Dot(x, t0), Norm2(t0)
+			if gotDot, gotNorm := ShiftedDotNorm2(x, w, mu); gotDot != wantDot || gotNorm != wantNorm {
+				t.Fatalf("n=%d µ=%g: pass A = (%v, %v), unfused (%v, %v)", n, mu, gotDot, gotNorm, wantDot, wantNorm)
+			}
+			lambda, c := 0.23, 1/wantNorm
+			var s float64
+			for i, ti := range t0 {
+				e := ti - lambda*x[i]
+				s += e * e
+			}
+			wantRes := math.Sqrt(s)
+			Scale(t0, c)
+			got := Clone(w)
+			if gotRes := ShiftedResidualScale(x, got, mu, lambda, c); gotRes != wantRes {
+				t.Fatalf("n=%d µ=%g: pass B residual %v, unfused %v", n, mu, gotRes, wantRes)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(t0[i]) {
+					t.Fatalf("n=%d µ=%g: pass B wrote %v at %d, unfused %v", n, mu, got[i], i, t0[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDot(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, -5, 6}

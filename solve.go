@@ -357,7 +357,7 @@ func (mo *Model) solvePower() (*Solution, error) {
 }
 
 func (mo *Model) solveWithOperator(op core.Operator, method Method) (*Solution, error) {
-	start, err := mo.startVector(core.Right)
+	start, err := mo.startVector(core.Right, op)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +384,7 @@ func (mo *Model) solveLanczos() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	start, err := mo.startVector(core.Symmetric)
+	start, err := mo.startVector(core.Symmetric, op)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +419,7 @@ func (mo *Model) solveArnoldi() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	start, err := mo.startVector(core.Right)
+	start, err := mo.startVector(core.Right, op)
 	if err != nil {
 		return nil, err
 	}
@@ -434,13 +434,13 @@ func (mo *Model) solveArnoldi() (*Solution, error) {
 
 // startVector returns the starting iterate in the requested formulation:
 // a converted copy of the WithStart vector when one was set, else the
-// fitness start.
-func (mo *Model) startVector(form core.Formulation) ([]float64, error) {
+// fitness start of op's problem.
+func (mo *Model) startVector(form core.Formulation, op core.Operator) ([]float64, error) {
 	if mo.start == nil {
 		// The fitness start serves every formulation as-is (any positive
 		// vector is an admissible iterate); converting it here would
 		// perturb long-standing bit-identical baselines.
-		return core.FitnessStart(mo.land.l), nil
+		return mo.fitnessStart(op), nil
 	}
 	if len(mo.start) != mo.Dim() {
 		return nil, fmt.Errorf("%w: start vector length %d, want %d",
@@ -452,6 +452,16 @@ func (mo *Model) startVector(form core.Formulation) ([]float64, error) {
 		return nil, err
 	}
 	return x, nil
+}
+
+// fitnessStart returns the fitness start, built from op's materialized
+// diagonal when op is an Fmmp operator so the landscape is materialized
+// once per operator rather than again for every solve.
+func (mo *Model) fitnessStart(op core.Operator) []float64 {
+	if fop, ok := op.(*core.FmmpOperator); ok {
+		return fop.FitnessStart()
+	}
+	return core.FitnessStart(mo.land.l)
 }
 
 // effectiveTol returns the user's tolerance, or the floating-point-floor
