@@ -10,14 +10,17 @@ import (
 )
 
 // The adaptive critical-window engine: a per-sweep-point method selector
-// over the solver gears of this package. Far from the error threshold the
-// shifted power iteration is unbeatable (2·N memory, one matvec per step);
-// as p approaches p_c the spectral gap collapses exponentially and the
-// selector shifts gears — Chebyshev-filtered restarts (quadratic rate
-// improvement, still 3·N memory), then shift-invert Lanczos with
-// warm-started shifts µ carried along the p-sweep. Selection is driven by
-// an online gap estimate: a k-step Lanczos probe (RitzGap) whose Ritz
-// values bound λ₀ and λ₁ from below by Cauchy interlacing.
+// over the solver gears of this package. Where the gap is wide the shifted
+// power iteration is cheapest (2·N memory, one matvec per step); as p
+// approaches p_c the spectral gap collapses exponentially and
+// Chebyshev-filtered restarts (quadratic rate improvement, still 3·N
+// memory) take over, with shift-invert Lanczos and warm-started shifts µ
+// carried along the p-sweep as the last gear. Selection is driven by an
+// online gap estimate: a k-step Lanczos probe (RitzGap) whose Ritz values
+// bound λ₀ and λ₁ from below by Cauchy interlacing, and from which both
+// the power and the Chebyshev gear's matvec counts are predicted; auto runs
+// the cheaper one. A gear that stalls falls back to power if power has not
+// run yet, then to the shift-invert ladder.
 //
 // Everything here is deterministic — probes use fixed starts, thresholds
 // are pure arithmetic, escalation is a fixed ladder — so batched sweeps
@@ -32,7 +35,8 @@ const (
 	// SolvePower is the (optionally shifted) power iteration — the paper's
 	// baseline and the right tool away from the critical window.
 	SolvePower SolveMethod = iota
-	// SolveAuto probes the gap at each point and picks the cheapest gear.
+	// SolveAuto probes the gap at each point and runs the gear predicted
+	// to need the fewest matvecs.
 	SolveAuto
 	// SolveChebyshev forces Chebyshev-filtered restarts.
 	SolveChebyshev
@@ -149,9 +153,6 @@ type AdaptiveOptions struct {
 	// ProbeSteps is the Lanczos probe length of the auto selector.
 	// Default 24.
 	ProbeSteps int
-	// PowerIterLimit is the probe-predicted power iteration count above
-	// which auto abandons the power gear. Default 3000.
-	PowerIterLimit int
 }
 
 // AdaptiveResult is the outcome of an adaptive solve.
@@ -179,6 +180,33 @@ type AdaptiveResult struct {
 	// are its Ritz values when it did.
 	Probed         bool
 	Theta0, Theta1 float64
+	// PredictedMatVecs is the cost the selector predicted when it chose the
+	// first gear: the probe plus that gear's predicted matvecs. It stays
+	// the first gear's prediction across escalations, so Iterations over
+	// PredictedMatVecs measures the misprediction. 0 when the first gear
+	// has no predictor (shift-invert, Lanczos).
+	PredictedMatVecs int
+}
+
+// predictEps is the error reduction both gear predictors are asked for.
+const predictEps = 1e-10
+
+// selectGear is the auto selector's cost rule on a resolved probe pair
+// (θ₀, θ₁): it predicts the power gear's matvecs (PredictIterations at the
+// shifted rate (θ₁−µ)/(θ₀−µ), one matvec per iteration) and the Chebyshev
+// gear's (PredictChebyshevMatVecs), and picks power only when it is
+// predicted no dearer. It returns the chosen gear and its prediction.
+func selectGear(theta0, theta1, mu float64) (SolveMethod, int) {
+	rate := theta1 / theta0
+	if mu > 0 && mu < theta1 {
+		rate = (theta1 - mu) / (theta0 - mu)
+	}
+	power, perr := PredictIterations(rate, predictEps)
+	cheb, cerr := PredictChebyshevMatVecs(theta0, theta1, defaultChebDegree, predictEps)
+	if perr == nil && (cerr != nil || power <= cheb) {
+		return SolvePower, power
+	}
+	return SolveChebyshev, cheb // 0 when neither predictor applies
 }
 
 // AdaptiveSolve computes the dominant eigenpair with the requested gear
@@ -209,10 +237,6 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	if probeSteps <= 0 {
 		probeSteps = 24
 	}
-	powerLimit := opts.PowerIterLimit
-	if powerLimit <= 0 {
-		powerLimit = 3000
-	}
 
 	res := AdaptiveResult{}
 	switch opts.Method {
@@ -223,7 +247,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	case SolveChebyshev, SolveShiftInvert, SolveAuto:
 		// All three need the probe: forced Chebyshev needs filter edges,
 		// forced shift-invert needs a λ₀ bound for its shift ladder, and
-		// auto needs the rate estimate.
+		// auto needs the rate estimates.
 	default:
 		return res, fmt.Errorf("core: unknown solve method %v", opts.Method)
 	}
@@ -240,74 +264,33 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	resolved := probeErr == nil && sep > 1e-10*math.Abs(theta0)
 
 	gear := opts.Method
-	if gear == SolveAuto {
+	predicted := 0
+	switch {
+	case gear == SolveAuto && resolved:
+		gear, predicted = selectGear(theta0, theta1, opts.PowerShift)
+	case gear == SolveAuto:
 		gear = SolveShiftInvert // the unresolved-probe default: deepest window
-		if resolved {
-			rate := theta1 / theta0
-			if mu := opts.PowerShift; mu > 0 && mu < theta1 {
-				rate = (theta1 - mu) / (theta0 - mu)
-			}
-			if rate < 1 {
-				if iters, err := PredictIterations(rate, 1e-10); err == nil && iters <= powerLimit {
-					gear = SolvePower
-				} else {
-					gear = SolveChebyshev
-				}
-			} else {
-				gear = SolveChebyshev
-			}
-		}
+	case gear == SolveChebyshev && resolved:
+		predicted, _ = PredictChebyshevMatVecs(theta0, theta1, defaultChebDegree, predictEps)
+	}
+	if predicted > 0 {
+		res.PredictedMatVecs = probeSteps + predicted
 	}
 
 	start := opts.Start
-	if gear == SolvePower {
-		// A warm Start aliasing the power scratch iterate (the sweep's
-		// continuation pattern) is consumed by the gear: an escalation
-		// continues from the gear's last iterate instead.
-		consumed := len(start) == n && len(work.Power.x) == n && &start[0] == &work.Power.x[0]
-		pres, err := PowerIteration(opR, PowerOptions{
-			Tol: tol, MaxIter: opts.MaxIter, Start: start,
-			Shift: opts.PowerShift, Dev: opts.Dev, Work: work.Power,
-			Observer: opts.Observer,
-		})
-		if consumed {
-			start = pres.Vector
+	powerTried := gear == SolvePower
+	if powerTried {
+		next, escalate, err := powerGear(opR, opts, work, tol, start, &res)
+		if !escalate {
+			return res, err
 		}
-		res.Method = SolvePower
-		res.Lambda, res.Vector = pres.Lambda, pres.Vector
-		res.Iterations += pres.Iterations
-		res.Residual, res.Converged = pres.Residual, pres.Converged
-		if err != nil {
-			// Inside a misjudged window the power gear stalls; escalate
-			// instead of failing the sweep point.
-			if opts.Method == SolveAuto && (errors.Is(err, ErrStagnated) || errors.Is(err, ErrNoConvergence)) {
-				res.Escalations++
-				gear = SolveChebyshev
-			} else {
-				finishAdaptive(&res, opts.State)
-				return res, err
-			}
-		} else {
-			finishAdaptive(&res, opts.State)
-			return res, nil
-		}
+		start, gear = next, SolveChebyshev
 	}
 
-	// The Krylov/Chebyshev gears run in the Symmetric formulation: stage
-	// the Right-form start as x_S = F^½·x_R.
+	// The Krylov/Chebyshev gears run in the Symmetric formulation.
 	symStart := work.symBuf(n)
-	if start != nil && len(start) == n {
-		copy(symStart, start)
-	} else {
-		opS.fitnessStartInto(symStart)
-	}
-	if err := ConvertEigenvector(symStart, Right, Symmetric, opS.F); err != nil {
+	if err := stageSymmetric(symStart, opS, start); err != nil {
 		return res, err
-	}
-	if nrm := vec.Norm2(symStart); nrm > 0 {
-		vec.Scale(symStart, 1/nrm)
-	} else {
-		vec.Fill(symStart, 1)
 	}
 
 	if gear == SolveChebyshev && resolved {
@@ -318,7 +301,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 			work.cheb = NewChebyshevWork(n)
 		}
 		cres, err := ChebyshevIteration(opS, ChebyshevOptions{
-			Tol: tol, UpperEdge: theta1 + 0.5*sep, MaxMatVecs: opts.MaxIter,
+			Tol: tol, UpperEdge: chebyshevEdge(theta0, theta1), MaxMatVecs: opts.MaxIter,
 			Start: symStart, Dev: opts.Dev, Work: work.cheb, Observer: opts.Observer,
 		})
 		res.Iterations += cres.MatVecs
@@ -334,10 +317,23 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		if !(errors.Is(err, ErrStagnated) || errors.Is(err, ErrNoConvergence)) {
 			return res, err
 		}
-		// Mis-set edge or tighter window than the probe suggested:
-		// escalate, reusing the partial iterate as the next start.
+		// Mis-set edge or tighter window than the probe suggested.
 		res.Escalations++
-		copy(symStart, cres.Vector)
+		if opts.Method == SolveAuto && !powerTried {
+			// Power has not run at this point: try it from the original
+			// warm start, which the Chebyshev attempt left untouched, before
+			// paying for shift-invert.
+			next, escalate, err := powerGear(opR, opts, work, tol, opts.Start, &res)
+			if !escalate {
+				return res, err
+			}
+			if err := stageSymmetric(symStart, opS, next); err != nil {
+				return res, err
+			}
+		} else {
+			// Shift-invert continues from the partial iterate.
+			copy(symStart, cres.Vector)
+		}
 		gear = SolveShiftInvert
 	} else if gear == SolveChebyshev {
 		// Forced Chebyshev with an unresolved probe cannot set safe edges.
@@ -407,20 +403,9 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 
 // adaptiveLanczos runs the forced restarted-Lanczos gear.
 func adaptiveLanczos(opS *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol float64, res *AdaptiveResult) (AdaptiveResult, error) {
-	n := opS.Dim()
-	symStart := work.symBuf(n)
-	if opts.Start != nil && len(opts.Start) == n {
-		copy(symStart, opts.Start)
-	} else {
-		opS.fitnessStartInto(symStart)
-	}
-	if err := ConvertEigenvector(symStart, Right, Symmetric, opS.F); err != nil {
+	symStart := work.symBuf(opS.Dim())
+	if err := stageSymmetric(symStart, opS, opts.Start); err != nil {
 		return *res, err
-	}
-	if nrm := vec.Norm2(symStart); nrm > 0 {
-		vec.Scale(symStart, 1/nrm)
-	} else {
-		vec.Fill(symStart, 1)
 	}
 	lres, err := Lanczos(opS, LanczosOptions{Tol: tol, Start: symStart, Observer: opts.Observer})
 	res.Iterations += lres.MatVecs
@@ -434,6 +419,58 @@ func adaptiveLanczos(opS *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork
 	}
 	finishAdaptive(res, opts.State)
 	return *res, nil
+}
+
+// powerGear runs the Right-form power gear from start and books it into
+// res. A start aliasing the power scratch iterate (the sweep's continuation
+// pattern) is consumed by the gear, so next — the Right-form start of the
+// gear that follows — is then the power gear's last iterate, and start
+// otherwise. escalate reports that an auto solve moves past a stalled or
+// exhausted power gear; on every other outcome the point is finished and
+// err is its result.
+func powerGear(opR *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol float64, start []float64, res *AdaptiveResult) (next []float64, escalate bool, err error) {
+	n := opR.Dim()
+	consumed := len(start) == n && len(work.Power.x) == n && &start[0] == &work.Power.x[0]
+	pres, err := PowerIteration(opR, PowerOptions{
+		Tol: tol, MaxIter: opts.MaxIter, Start: start,
+		Shift: opts.PowerShift, Dev: opts.Dev, Work: work.Power,
+		Observer: opts.Observer,
+	})
+	if consumed {
+		start = pres.Vector
+	}
+	res.Method = SolvePower
+	res.Lambda, res.Vector = pres.Lambda, pres.Vector
+	res.Iterations += pres.Iterations
+	res.Residual, res.Converged = pres.Residual, pres.Converged
+	// Inside a misjudged window the power gear stalls; escalate instead of
+	// failing the sweep point.
+	if err != nil && opts.Method == SolveAuto && (errors.Is(err, ErrStagnated) || errors.Is(err, ErrNoConvergence)) {
+		res.Escalations++
+		return start, true, nil
+	}
+	finishAdaptive(res, opts.State)
+	return start, false, err
+}
+
+// stageSymmetric writes the unit Symmetric-form start x_S = F^½·x_R/‖·‖
+// for the Right-form start into dst; a nil or mis-sized start selects the
+// fitness start.
+func stageSymmetric(dst []float64, opS *FmmpOperator, start []float64) error {
+	if len(start) == len(dst) {
+		copy(dst, start)
+	} else {
+		opS.fitnessStartInto(dst)
+	}
+	if err := ConvertEigenvector(dst, Right, Symmetric, opS.F); err != nil {
+		return err
+	}
+	if nrm := vec.Norm2(dst); nrm > 0 {
+		vec.Scale(dst, 1/nrm)
+	} else {
+		vec.Fill(dst, 1)
+	}
+	return nil
 }
 
 // acceptSymmetric converts a Symmetric-form eigenvector into the Right

@@ -242,3 +242,156 @@ func TestParseSolveMethod(t *testing.T) {
 		}
 	}
 }
+
+// The auto selector's cost rule on synthetic probe pairs: power runs only
+// when its predicted matvecs are no more than Chebyshev's.
+func TestSelectGearCostRule(t *testing.T) {
+	cases := []struct {
+		name               string
+		theta0, theta1, mu float64
+		wantGear           SolveMethod
+		wantPredicted      int
+	}{
+		// Rate 0.25: 17 power steps against one 31-matvec restart.
+		{"wide gap, power wins", 2, 0.5, 0, SolvePower, 17},
+		// Rate 0.99: thousands of power steps, six restarts.
+		{"narrow gap, chebyshev wins", 1, 0.99, 0, SolveChebyshev, 186},
+		// The ν=11, 0.3·p_c single peak: unshifted rate 0.625 costs 49
+		// steps, the shift cuts it to 23 and power wins.
+		{"unshifted rate loses", 1.6, 1, 0, SolveChebyshev, 31},
+		{"shift makes power win", 1.6, 1, 0.66, SolvePower, 23},
+		// 31 power steps against one 31-matvec restart: ties go to power.
+		{"tie goes to power", 2, 0.94, 0, SolvePower, 31},
+		// A shift at or above θ₁ is ignored (the shifted rate would be
+		// meaningless), so this is the narrow-gap case again.
+		{"shift above theta1 ignored", 1, 0.99, 0.995, SolveChebyshev, 186},
+	}
+	for _, c := range cases {
+		gear, predicted := selectGear(c.theta0, c.theta1, c.mu)
+		if gear != c.wantGear || predicted != c.wantPredicted {
+			t.Errorf("%s: selectGear(%g, %g, %g) = %v, %d; want %v, %d",
+				c.name, c.theta0, c.theta1, c.mu, gear, predicted, c.wantGear, c.wantPredicted)
+		}
+	}
+	if cheb, _ := PredictChebyshevMatVecs(2, 0.94, defaultChebDegree, predictEps); cheb != 31 {
+		t.Errorf("tie case: Chebyshev predicts %d matvecs, want 31", cheb)
+	}
+}
+
+func TestPredictChebyshevMatVecs(t *testing.T) {
+	for _, degree := range []int{1, 7, 30} {
+		prev := 0
+		// Closing the gap from θ₁/θ₀ = 0.05 to 0.9999 never makes the
+		// Chebyshev gear cheaper, and every count is whole restarts.
+		for s := 0.05; s < 0.9999; s = 1 - (1-s)*0.8 {
+			got, err := PredictChebyshevMatVecs(1, s, degree, 1e-10)
+			if err != nil {
+				t.Fatalf("degree %d, θ₁ = %g: %v", degree, s, err)
+			}
+			if got%(degree+1) != 0 {
+				t.Errorf("degree %d, θ₁ = %g: %d matvecs is not whole restarts of %d", degree, s, got, degree+1)
+			}
+			if got < prev {
+				t.Errorf("degree %d: prediction fell from %d to %d as θ₁ rose to %g", degree, prev, got, s)
+			}
+			prev = got
+		}
+		if prev <= degree+1 {
+			t.Errorf("degree %d: the narrowest gap still predicts one restart (%d)", degree, prev)
+		}
+	}
+	// A tighter eps never costs less.
+	loose, _ := PredictChebyshevMatVecs(1, 0.99, 30, 1e-6)
+	tight, _ := PredictChebyshevMatVecs(1, 0.99, 30, 1e-12)
+	if tight < loose {
+		t.Errorf("eps 1e-12 predicts %d matvecs, eps 1e-6 %d", tight, loose)
+	}
+	for _, bad := range []struct {
+		theta0, theta1 float64
+		degree         int
+		eps            float64
+	}{
+		{1, 1, 30, 1e-10},  // no gap: γ = 1
+		{1, -3, 30, 1e-10}, // edge below the lower end a = 0
+		{1, 0.5, 0, 1e-10}, // no degree
+		{1, 0.5, 30, 0},    // eps outside (0, 1)
+		{1, 0.5, 30, 1},
+	} {
+		if n, err := PredictChebyshevMatVecs(bad.theta0, bad.theta1, bad.degree, bad.eps); err == nil {
+			t.Errorf("PredictChebyshevMatVecs(%g, %g, %d, %g) = %d, want an error", bad.theta0, bad.theta1, bad.degree, bad.eps, n)
+		}
+	}
+}
+
+// gearLog records the solver kinds an adaptive solve runs, in order.
+type gearLog struct{ kinds []string }
+
+func (g *gearLog) Step(int, float64, float64)          {}
+func (g *gearLog) Event(string, int, float64, float64) {}
+func (g *gearLog) Method(kind string)                  { g.kinds = append(g.kinds, kind) }
+
+// Above the threshold the Symmetric-form residual of a ν=11 single peak
+// floors near 2e-14 while the Right-form residual reaches 4e-16, so at
+// Tol 1e-15 the Chebyshev gear auto picks stalls and the power gear it
+// falls back to converges — without any shift-invert attempt.
+func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
+	const nu, tol = 11, 1e-15
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := 1 - math.Pow(2, -1.0/nu)
+	q := mutation.MustUniform(nu, 1.1*pc)
+	opR, _ := NewFmmpOperator(q, l, Right, nil)
+	opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
+	mu := ConservativeShift(q, l)
+	start := opR.FitnessStart()
+
+	// The two gears on their own, from the same start.
+	theta0, theta1, err := RitzGap(opS, 24, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	symStart := make([]float64, 1<<nu)
+	if err := stageSymmetric(symStart, opS, start); err != nil {
+		t.Fatal(err)
+	}
+	cheb, err := ChebyshevIteration(opS, ChebyshevOptions{Tol: tol, UpperEdge: chebyshevEdge(theta0, theta1), Start: symStart})
+	if !errors.Is(err, ErrStagnated) {
+		t.Fatalf("Chebyshev gear on its own returned %v, want ErrStagnated", err)
+	}
+	want, err := PowerIteration(opR, PowerOptions{Tol: tol, Start: start, Shift: mu})
+	if err != nil {
+		t.Fatalf("power gear on its own: %v", err)
+	}
+
+	gears := &gearLog{}
+	state := &MethodState{}
+	got, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
+		Method: SolveAuto, Tol: tol, PowerShift: mu, Start: start,
+		Observer: gears, State: state,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Method != SolvePower || got.Escalations != 1 || got.Mu != 0 {
+		t.Fatalf("auto finished on %v after %d escalations (µ = %g), want power after 1", got.Method, got.Escalations, got.Mu)
+	}
+	if len(gears.kinds) != 2 || gears.kinds[0] != SolveKindChebyshev || gears.kinds[1] != SolveKindPower {
+		t.Fatalf("gear sequence %v, want [chebyshev power]", gears.kinds)
+	}
+	if got.Iterations != 24+cheb.MatVecs+want.Iterations {
+		t.Errorf("%d matvecs, want probe 24 + Chebyshev %d + power %d", got.Iterations, cheb.MatVecs, want.Iterations)
+	}
+	if _, predicted := selectGear(theta0, theta1, mu); got.PredictedMatVecs != 24+predicted {
+		t.Errorf("predicted %d matvecs, want probe 24 + Chebyshev %d", got.PredictedMatVecs, predicted)
+	}
+	if !sameBits(got.Lambda, want.Lambda) || state.LastMethod != SolvePower || state.PrevLambda != got.Lambda {
+		t.Errorf("λ %v (state %+v), power gear alone %v", got.Lambda, *state, want.Lambda)
+	}
+	for i := range got.Vector {
+		if !sameBits(got.Vector[i], want.Vector[i]) {
+			t.Fatalf("x[%d] = %v, power gear alone %v", i, got.Vector[i], want.Vector[i])
+		}
+	}
+}

@@ -113,7 +113,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	}
 	deg := opts.Degree
 	if deg <= 0 {
-		deg = 30
+		deg = defaultChebDegree
 	}
 	maxMatVecs := opts.MaxMatVecs
 	if maxMatVecs <= 0 {
@@ -158,6 +158,9 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	// Interval map: λ ↦ (2λ − (b+a))/(b−a) sends [a, b] to [−1, 1].
 	center := (b + a) / 2
 	halfWidth := (b - a) / 2
+	// The per-step overflow norm is only needed when the filter's growth is
+	// not bounded well below the rescale threshold (see chebGrowthBound).
+	stepNorm := !(2*chebGrowthBound(op, center, halfWidth, deg) < chebRescale)
 
 	sh := solveObs.Load()
 	sr := span.Installed()
@@ -198,7 +201,10 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			// x ← 2·A'·z − x, then swap roles of x and z.
 			chebMap2(dev, x, w, z, center, halfWidth)
 			x, z = z, x
-			if m := norm2(dev, x); m > 1e100 || (m < 1e-100 && m > 0) {
+			if !stepNorm {
+				continue
+			}
+			if m := norm2(dev, x); m > chebRescale || (m < 1/chebRescale && m > 0) {
 				inv := 1 / m
 				scale(dev, x, inv)
 				scale(dev, z, inv)
@@ -265,6 +271,42 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
 		Shift: b, Tol: tol,
 	}
+}
+
+const (
+	// defaultChebDegree is the filter degree per restart when
+	// ChebyshevOptions.Degree is unset; the adaptive engine's cost model
+	// predicts with the same degree.
+	defaultChebDegree = 30
+	// chebRescale is the recurrence's overflow guard: an iterate whose norm
+	// leaves [1/chebRescale, chebRescale] is rescaled jointly with its
+	// predecessor.
+	chebRescale = 1e100
+)
+
+// chebGrowthBound bounds ‖T_j(A')·x‖ over unit x and j ≤ deg, with
+// A' = (op − center)/halfWidth, or returns +Inf when op has no cheap
+// spectral bound. The uniform-mutation Symmetric Fmmp operator is positive
+// semidefinite with λ ≤ f_max (UpperBoundLambda), so A' has its spectrum in
+// [−g, g] with g = max(f_max − center, center)/halfWidth, and |T_j| ≤
+// T_deg(max(1, g)) there. The underflow side of the guard goes with it:
+// with b < λ₀ the dominant component of z_j grows by T_j(γ) ≥ 1, so ‖z_j‖
+// falls below 1/chebRescale only for a start orthogonal to it, and inside
+// [−1, 1] the |T_j(t)| = |cos(j·acos t)| of a generic start do not vanish
+// together.
+func chebGrowthBound(op Operator, center, halfWidth float64, deg int) float64 {
+	fop, ok := op.(*FmmpOperator)
+	if !ok || fop.Form != Symmetric {
+		return math.Inf(1)
+	}
+	if _, uniform := fop.Q.Uniform(); !uniform {
+		return math.Inf(1)
+	}
+	g := math.Max(UpperBoundLambda(fop.F)-center, center) / halfWidth
+	if g <= 1 {
+		return 1
+	}
+	return math.Cosh(float64(deg) * math.Acosh(g))
 }
 
 // finishCheb orients the final iterate and repoints the Work scratch so the

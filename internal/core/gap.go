@@ -296,3 +296,35 @@ func PredictIterations(rate, eps float64) (int, error) {
 	}
 	return int(math.Ceil(math.Log(eps) / math.Log(rate))), nil
 }
+
+// chebyshevEdge is the adaptive engine's Chebyshev filter edge
+// b = θ₁ + ½(θ₀−θ₁) for a resolved probe pair: by interlacing θ₀ ≤ λ₀, so
+// b < λ₀ always, and b ≥ λ₁ once the probe has converged to λ₁ from below.
+func chebyshevEdge(theta0, theta1 float64) float64 {
+	return theta1 + 0.5*(theta0-theta1)
+}
+
+// PredictChebyshevMatVecs estimates the matrix–vector products the
+// Chebyshev gear needs to shrink the eigenvector error by factor eps, from
+// the same probe pair (θ₀, θ₁) the power prediction uses. The filter runs
+// on [a, b] = [0, chebyshevEdge(θ₀, θ₁)], which maps θ₀ to
+// γ = (2θ₀ − a − b)/(b − a) > 1; T_d(γ) ≈ ½·e^(d·acosh γ), so each matvec
+// shrinks the error by e^(−acosh γ). The count is rounded up to whole
+// restarts of degree filter matvecs plus the restart's Rayleigh matvec.
+func PredictChebyshevMatVecs(theta0, theta1 float64, degree int, eps float64) (int, error) {
+	if degree < 1 {
+		return 0, fmt.Errorf("core: Chebyshev degree %d < 1", degree)
+	}
+	if !(eps > 0 && eps < 1) {
+		return 0, fmt.Errorf("core: eps %g outside (0, 1)", eps)
+	}
+	const a = 0.0
+	b := chebyshevEdge(theta0, theta1)
+	gamma := (2*theta0 - a - b) / (b - a)
+	if !(b > a && gamma > 1) {
+		return 0, fmt.Errorf("core: probe pair (%g, %g) sets no Chebyshev filter", theta0, theta1)
+	}
+	matvecs := math.Ceil(math.Log(eps) / -math.Acosh(gamma))
+	restarts := max(1, int(math.Ceil(matvecs/float64(degree))))
+	return restarts * (degree + 1), nil
+}

@@ -48,8 +48,11 @@ type CriticalPoint struct {
 	FracPC     float64 `json:"frac_pc"` // p / p_c
 	Method     string  `json:"method"`
 	Iterations int     `json:"iterations"` // matvecs: probe + every gear attempt
-	Warm       bool    `json:"warm"`
-	Gamma0     float64 `json:"gamma0"` // master-class concentration
+	// Predicted is the selector's predicted matvecs (probe + first gear);
+	// 0 when that gear has no predictor.
+	Predicted int     `json:"predicted"`
+	Warm      bool    `json:"warm"`
+	Gamma0    float64 `json:"gamma0"` // master-class concentration
 }
 
 // CriticalBenchVariant is one measured sweep configuration.
@@ -183,7 +186,8 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 		res.Grid[i] = CriticalPoint{
 			P: ps[i], FracPC: ps[i] / pc,
 			Method: serialStats.Methods[i], Iterations: serialStats.Iterations[i],
-			Warm: serialStats.Warm[i], Gamma0: serial[i].Gamma[0],
+			Predicted: serialStats.Predicted[i],
+			Warm:      serialStats.Warm[i], Gamma0: serial[i].Gamma[0],
 		}
 	}
 
@@ -217,12 +221,12 @@ func (r *CriticalBenchResult) WriteTSV(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(w, "p\tfrac_pc\tmethod\titerations\twarm\tgamma0"); err != nil {
+	if _, err := fmt.Fprintln(w, "p\tfrac_pc\tmethod\titerations\tpredicted\twarm\tgamma0"); err != nil {
 		return err
 	}
 	for _, pt := range r.Grid {
-		if _, err := fmt.Fprintf(w, "%.8g\t%.4f\t%s\t%d\t%v\t%.8g\n",
-			pt.P, pt.FracPC, pt.Method, pt.Iterations, pt.Warm, pt.Gamma0); err != nil {
+		if _, err := fmt.Fprintf(w, "%.8g\t%.4f\t%s\t%d\t%d\t%v\t%.8g\n",
+			pt.P, pt.FracPC, pt.Method, pt.Iterations, pt.Predicted, pt.Warm, pt.Gamma0); err != nil {
 			return err
 		}
 	}

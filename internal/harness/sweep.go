@@ -73,6 +73,11 @@ type SweepStats struct {
 	// the classic paths, total matrix–vector products (probe included) on
 	// the adaptive path.
 	Iterations []int
+	// Predicted[i] is the adaptive selector's predicted cost at point i:
+	// the probe plus the first gear's predicted matvecs, 0 where that gear
+	// has no predictor (core.AdaptiveResult.PredictedMatVecs). Nil on
+	// sweeps that run no selector.
+	Predicted []int
 	// Warm[i] reports whether point i was warm-started.
 	Warm []bool
 	// Methods[i] names the solve method that produced point i ("power",
@@ -221,6 +226,9 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 		Iterations: make([]int, len(ps)), Warm: make([]bool, len(ps)),
 		Methods: make([]string, len(ps)),
 	}
+	if adaptive {
+		stats.Predicted = make([]int, len(ps))
+	}
 	chains := batch.Chains(len(ps), opts.ChainLen)
 	stats.Chains = len(chains)
 	// Escalations accumulate per chain and are summed after the run, so the
@@ -287,6 +295,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 					return fmt.Errorf("p = %g: %w", p, err)
 				}
 				stats.Iterations[i] = res.Iterations
+				stats.Predicted[i] = res.PredictedMatVecs
 				stats.Methods[i] = res.Method.String()
 				escalations[ci] += res.Escalations
 				if opts.Progress != nil {

@@ -242,11 +242,10 @@ func TestAdaptiveSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	q := mutation.MustUniform(nu, 0.01)
 	pc := 1 - math.Pow(2, -1/float64(nu))
-	// A grid that crosses p_c. On the cold sweep the point just past p_c
-	// stalls the power gear and escalates to Chebyshev; warm continuation
-	// legitimately keeps every point on power (the previous eigenvector is
-	// already inside the dominant subspace), so the downshift assertion is
-	// cold-only.
+	// A grid that crosses p_c. The cost rule keeps the wide-gap end
+	// (0.6·p_c) on the power gear and runs Chebyshev through the window,
+	// cold or warm, so the check covers both gears and the chain state
+	// handed between them.
 	ps := sweepGrid(0.6*pc, 1.2*pc, 8)
 	for _, warm := range []bool{false, true} {
 		ref, stats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{
@@ -256,16 +255,12 @@ func TestAdaptiveSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("warm=%v: %v", warm, err)
 		}
 		for i, m := range stats.Methods {
-			if m == "" {
-				t.Fatalf("warm=%v: point %d has no recorded method", warm, i)
+			if m == "" || stats.Predicted[i] <= 0 {
+				t.Fatalf("warm=%v: point %d has method %q, predicted %d", warm, i, m, stats.Predicted[i])
 			}
 		}
-		counts := stats.MethodCounts()
-		if counts["power"] == 0 {
-			t.Errorf("warm=%v: no point far from the threshold used the power gear (%v)", warm, counts)
-		}
-		if !warm && counts["power"] == len(ps) {
-			t.Errorf("cold sweep: the selector never downshifted crossing p_c (%v)", counts)
+		if counts := stats.MethodCounts(); stats.Methods[0] != "power" || counts["chebyshev"] == 0 {
+			t.Errorf("warm=%v: gears %v, want power at 0.6·p_c and Chebyshev in the window", warm, stats.Methods)
 		}
 		for _, workers := range []int{2, 3} {
 			got, gstats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{
@@ -276,9 +271,9 @@ func TestAdaptiveSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 			requireIdentical(t, "adaptive sweep", ref, got)
 			for i := range stats.Methods {
-				if stats.Methods[i] != gstats.Methods[i] {
-					t.Fatalf("workers=%d warm=%v: point %d method %q vs %q",
-						workers, warm, i, stats.Methods[i], gstats.Methods[i])
+				if stats.Methods[i] != gstats.Methods[i] || stats.Predicted[i] != gstats.Predicted[i] {
+					t.Fatalf("workers=%d warm=%v: point %d method %q (predicted %d) vs %q (%d)", workers, warm, i,
+						stats.Methods[i], stats.Predicted[i], gstats.Methods[i], gstats.Predicted[i])
 				}
 			}
 			if stats.Escalations != gstats.Escalations {
@@ -287,6 +282,47 @@ func TestAdaptiveSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The ν=17 critical grid at offset 0.628 of a grid step is the one
+// bench/README.md reports failing (shift-invert ladder exhausted on the
+// chain starting at 0.99655·p_c), which is why the benchmark keeps to other
+// offsets. The sweep must complete and pass the benchmark's own checks:
+// ΣΓ = 1 at every point and Γ₀ non-increasing in p.
+func TestAdaptiveSweepCriticalOffsetRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ν=17 critical sweep runs in long mode")
+	}
+	const nu, points, sigma, offset = 17, 32, 2.0, 0.628
+	l, err := landscape.NewSinglePeak(nu, sigma, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := 1 - math.Pow(sigma, -1/float64(nu))
+	step := (1.08 - 0.90) / float64(points-1)
+	ps := make([]float64, points)
+	for i := range ps {
+		ps[i] = (0.90 + step*(float64(i)+offset)) * pc
+	}
+	pts, stats, err := ThresholdSweepFullOpts(mutation.MustUniform(nu, ps[0]), l, ps, SweepOptions{
+		Workers: 2, WarmStart: true, Method: core.SolveAuto,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range pts {
+		var sum float64
+		for _, g := range pt.Gamma {
+			sum += g
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("p = %g: ΣΓ = %.17g", pt.P, sum)
+		}
+		if i > 0 && pt.Gamma[0] > pts[i-1].Gamma[0]*(1+1e-9) {
+			t.Errorf("Γ₀ rises from %.17g at p = %g to %.17g at p = %g", pts[i-1].Gamma[0], pts[i-1].P, pt.Gamma[0], pt.P)
+		}
+	}
+	t.Logf("gears %v, %d matvecs, %d escalations", stats.MethodCounts(), stats.TotalIterations(), stats.Escalations)
 }
 
 // Inside the critical window the auto selector and a forced shift-invert
