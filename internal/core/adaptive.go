@@ -252,8 +252,10 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		return res, fmt.Errorf("core: unknown solve method %v", opts.Method)
 	}
 
-	theta0, theta1, probeErr := RitzGap(opS, probeSteps, nil, work.probeWork())
-	res.Iterations += probeSteps
+	// Book the steps the probe built: fewer than probeSteps when the
+	// dimension clamps it or the Krylov space closes early.
+	theta0, theta1, probeMatVecs, probeErr := ritzGap(opS, probeSteps, nil, work.probeWork())
+	res.Iterations += probeMatVecs
 	if probeErr != nil && !errors.Is(probeErr, ErrGapUnresolved) {
 		return res, probeErr
 	}
@@ -274,7 +276,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		predicted, _ = PredictChebyshevMatVecs(theta0, theta1, defaultChebDegree, predictEps)
 	}
 	if predicted > 0 {
-		res.PredictedMatVecs = probeSteps + predicted
+		res.PredictedMatVecs = probeMatVecs + predicted
 	}
 
 	start := opts.Start

@@ -220,9 +220,17 @@ func EstimateGap(op Operator, mu float64, opts PowerOptions) (*SpectralGap, erro
 // deterministic start SecondEigenpair uses. If the Krylov space degenerates
 // before two Ritz values exist, a *GapUnresolvedError is returned.
 func RitzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, theta1 float64, err error) {
+	theta0, theta1, _, err = ritzGap(op, k, start, work)
+	return theta0, theta1, err
+}
+
+// ritzGap is RitzGap that also returns the number of Lanczos steps it
+// built — its matvec count, which is below k when k is clamped to the
+// dimension or the Krylov space closes early.
+func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, theta1 float64, built int, err error) {
 	n := op.Dim()
 	if k < 2 {
-		return 0, 0, fmt.Errorf("core: RitzGap needs k ≥ 2 Lanczos steps, got %d", k)
+		return 0, 0, 0, fmt.Errorf("core: RitzGap needs k ≥ 2 Lanczos steps, got %d", k)
 	}
 	if k > n {
 		k = n
@@ -232,37 +240,44 @@ func RitzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, the
 	if work == nil {
 		work = NewKrylovWork(n)
 	}
-	basis, alpha, beta, w := work.krylov(n, k)
+	basis, alpha, beta, _ := work.krylov(n, k)
 	q := basis[0]
 	if start != nil {
 		if len(start) != n {
 			span.End(sp, int64(n), int64(k))
-			return 0, 0, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
+			return 0, 0, 0, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
 		}
 		copy(q, start)
 	} else {
-		for i := range q {
-			q[i] = 1 + 0.5*math.Sin(float64(3*i+1))
-		}
+		ritzStart(q)
 	}
 	if vec.Norm2(q) == 0 {
 		span.End(sp, int64(n), int64(k))
-		return 0, 0, errors.New("core: start vector is zero")
+		return 0, 0, 0, errors.New("core: start vector is zero")
 	}
 	vec.Normalize2(q)
-	built := lanczosSteps(op, basis, alpha, beta, w, k, nil)
+	built = work.lanczosSteps(op, k, nil)
 	span.End(sp, int64(n), int64(built))
 	if built < 2 {
-		return alpha[0], alpha[0], &GapUnresolvedError{
+		// beta[0] is this probe's own norm: the breakdown step's, or 0.
+		return alpha[0], alpha[0], built, &GapUnresolvedError{
 			Reason: "unconverged_ritz", Lambda0: alpha[0], Lambda1: alpha[0],
 			Separation: 0, Resolution: math.Abs(beta[0]),
 		}
 	}
 	vals, err := tridiagEigenvalues(alpha[:built], beta[:built-1])
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, built, err
 	}
-	return vals[0], vals[1], nil
+	return vals[0], vals[1], built, nil
+}
+
+// ritzStart writes RitzGap's default start (unnormalized): deterministic,
+// with broad spectral overlap.
+func ritzStart(q []float64) {
+	for i := range q {
+		q[i] = 1 + 0.5*math.Sin(float64(3*i+1))
+	}
 }
 
 // tridiagEigenvalues returns the eigenvalues of the symmetric tridiagonal

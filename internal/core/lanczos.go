@@ -45,9 +45,10 @@ type LanczosResult struct {
 }
 
 // Lanczos computes the dominant eigenpair of the *symmetric* operator op
-// (use the Symmetric formulation of Eq. 4) by restarted Lanczos with full
-// reorthogonalization of the small basis. It returns the partial result
-// with ErrNoConvergence when the restart budget is exhausted.
+// (use the Symmetric formulation of Eq. 4) by restarted Lanczos with
+// partial reorthogonalization of the small basis (krylov.go). It returns
+// the partial result with ErrNoConvergence when the restart budget is
+// exhausted.
 func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	n := op.Dim()
 	tol := opts.Tol
@@ -80,13 +81,8 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	}
 	vec.Normalize2(q)
 
-	basis := make([][]float64, m)
-	for i := range basis {
-		basis[i] = device.AllocVector(n)
-	}
-	alpha := make([]float64, m)
-	beta := make([]float64, m) // beta[j] couples basis[j] and basis[j+1]
-	w := device.AllocVector(n)
+	kw := NewKrylovWork(n)
+	basis, alpha, beta, w := kw.krylov(n, m) // beta[j] couples basis[j] and basis[j+1]
 
 	// Same hook discipline as PowerIteration: hoisted loads, no deferred
 	// closures, every exit path reports through powerDone.
@@ -110,7 +106,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		res.Restarts = restart + 1
 		copy(basis[0], q)
 		ph := beginPhase(sr, PhaseMatvec)
-		k := lanczosSteps(op, basis, alpha, beta, w, m, &res.MatVecs)
+		k := kw.lanczosSteps(op, m, &res.MatVecs)
 		span.End(ph, int64(res.Restarts), int64(k))
 		// Dominant eigenpair of the k×k tridiagonal T.
 		ph = beginPhase(sr, PhaseTridiag)

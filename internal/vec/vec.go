@@ -148,6 +148,45 @@ func ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
 	return math.Sqrt(s)
 }
 
+// LanczosTail is the fused vector tail of one Lanczos step: it overwrites
+// w ← w − α·v − β·u and returns Σwᵢ² of the result from the same pass. A
+// nil u drops the β term (the first step). Each element is updated as
+// AXPY(−α, v, w) followed by AXPY(−β, u, w) would update it; the sum of
+// squares is unscaled, accumulated in four lanes combined as
+// ((s0+s1)+s2)+s3 with the tail folded on in index order, so a caller that
+// needs the full floating-point range falls back to Norm2 when the sum
+// leaves it.
+func LanczosTail(w, v, u []float64, alpha, beta float64) float64 {
+	checkLen("LanczosTail", len(w), len(v))
+	if u == nil {
+		u, beta = v, 0
+	}
+	checkLen("LanczosTail", len(w), len(u))
+	var s0, s1, s2, s3 float64
+	// Slice-advance loop: constant indexes on shrinking slices, which the
+	// prover clears of bounds checks (scripts/check_bce.sh).
+	for len(w) >= 4 && len(v) >= 4 && len(u) >= 4 {
+		t0 := w[0] - alpha*v[0] - beta*u[0]
+		t1 := w[1] - alpha*v[1] - beta*u[1]
+		t2 := w[2] - alpha*v[2] - beta*u[2]
+		t3 := w[3] - alpha*v[3] - beta*u[3]
+		w[0], w[1], w[2], w[3] = t0, t1, t2, t3
+		s0 += t0 * t0
+		s1 += t1 * t1
+		s2 += t2 * t2
+		s3 += t3 * t3
+		w, v, u = w[4:], v[4:], u[4:]
+	}
+	s := ((s0 + s1) + s2) + s3
+	for len(w) > 0 && len(v) > 0 && len(u) > 0 {
+		t := w[0] - alpha*v[0] - beta*u[0]
+		w[0] = t
+		s += t * t
+		w, v, u = w[1:], v[1:], u[1:]
+	}
+	return s
+}
+
 // NormInf returns ‖x‖∞ = max|xᵢ|.
 func NormInf(x []float64) float64 {
 	var m float64

@@ -61,6 +61,43 @@ func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 	}
 }
 
+// TestLanczosTailMatchesAXPYs pins the fused Lanczos tail against the two
+// AXPYs it replaces, element for element, and its sum of squares against
+// the documented 4-lane order; a nil u drops the β term.
+func TestLanczosTailMatchesAXPYs(t *testing.T) {
+	r := rng.New(31)
+	for _, n := range []int{1, 3, 4, 7, 1001} {
+		w, v, u := randVec(r, n), randVec(r, n), randVec(r, n)
+		for _, prev := range [][]float64{nil, u} {
+			const alpha, beta = 0.37, -1.9
+			want := Clone(w)
+			AXPY(-alpha, v, want)
+			if prev != nil {
+				AXPY(-beta, prev, want)
+			}
+			var lanes [4]float64
+			body := n - n%4
+			for i, x := range want[:body] {
+				lanes[i%4] += x * x
+			}
+			wantSq := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
+			for _, x := range want[body:] {
+				wantSq += x * x
+			}
+			got := Clone(w)
+			gotSq := LanczosTail(got, v, prev, alpha, beta)
+			if gotSq != wantSq {
+				t.Fatalf("n=%d u=%v: Σw² = %v, want %v", n, prev != nil, gotSq, wantSq)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d u=%v: w[%d] = %v, AXPYs give %v", n, prev != nil, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDot(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, -5, 6}
