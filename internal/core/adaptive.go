@@ -194,15 +194,16 @@ const predictEps = 1e-10
 // selectGear is the auto selector's cost rule on a resolved probe pair
 // (θ₀, θ₁): it predicts the power gear's matvecs (PredictIterations at the
 // shifted rate (θ₁−µ)/(θ₀−µ), one matvec per iteration) and the Chebyshev
-// gear's (PredictChebyshevMatVecs), and picks power only when it is
-// predicted no dearer. It returns the chosen gear and its prediction.
-func selectGear(theta0, theta1, mu float64) (SolveMethod, int) {
+// gear's (PredictChebyshevMatVecs over the lower filter edge the gear will
+// use), and picks power only when it is predicted no dearer. It returns the
+// chosen gear and its prediction.
+func selectGear(theta0, theta1, mu, lower float64) (SolveMethod, int) {
 	rate := theta1 / theta0
 	if mu > 0 && mu < theta1 {
 		rate = (theta1 - mu) / (theta0 - mu)
 	}
 	power, perr := PredictIterations(rate, predictEps)
-	cheb, cerr := PredictChebyshevMatVecs(theta0, theta1, defaultChebDegree, predictEps)
+	cheb, cerr := PredictChebyshevMatVecs(theta0, theta1, lower, defaultChebDegree, predictEps)
 	if perr == nil && (cerr != nil || power <= cheb) {
 		return SolvePower, power
 	}
@@ -267,13 +268,14 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 
 	gear := opts.Method
 	predicted := 0
+	lower := ConservativeShift(opS.Q, opS.F) // the Chebyshev filter's provable lower edge
 	switch {
 	case gear == SolveAuto && resolved:
-		gear, predicted = selectGear(theta0, theta1, opts.PowerShift)
+		gear, predicted = selectGear(theta0, theta1, opts.PowerShift, lower)
 	case gear == SolveAuto:
 		gear = SolveShiftInvert // the unresolved-probe default: deepest window
 	case gear == SolveChebyshev && resolved:
-		predicted, _ = PredictChebyshevMatVecs(theta0, theta1, defaultChebDegree, predictEps)
+		predicted, _ = PredictChebyshevMatVecs(theta0, theta1, lower, defaultChebDegree, predictEps)
 	}
 	if predicted > 0 {
 		res.PredictedMatVecs = probeMatVecs + predicted
@@ -296,14 +298,14 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	}
 
 	if gear == SolveChebyshev && resolved {
-		// Safe filter edge: θ₁ ≤ λ₁ and θ₀ ≤ λ₀ (interlacing), so
+		// Safe filter edges: θ₁ ≤ λ₁ and θ₀ ≤ λ₀ (interlacing), so
 		// b = θ₁ + ½(θ₀−θ₁) < θ₀ ≤ λ₀ always separates once the probe has
-		// converged to λ₁ from below.
+		// converged to λ₁ from below, and a = ConservativeShift ≤ λ_min.
 		if work.cheb == nil {
 			work.cheb = NewChebyshevWork(n)
 		}
 		cres, err := ChebyshevIteration(opS, ChebyshevOptions{
-			Tol: tol, UpperEdge: chebyshevEdge(theta0, theta1), MaxMatVecs: opts.MaxIter,
+			Tol: tol, LowerEdge: lower, UpperEdge: chebyshevEdge(theta0, theta1), MaxMatVecs: opts.MaxIter,
 			Start: symStart, Dev: opts.Dev, Work: work.cheb, Observer: opts.Observer,
 		})
 		res.Iterations += cres.MatVecs

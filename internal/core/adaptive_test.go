@@ -247,33 +247,40 @@ func TestParseSolveMethod(t *testing.T) {
 // when its predicted matvecs are no more than Chebyshev's.
 func TestSelectGearCostRule(t *testing.T) {
 	cases := []struct {
-		name               string
-		theta0, theta1, mu float64
-		wantGear           SolveMethod
-		wantPredicted      int
+		name                      string
+		theta0, theta1, mu, lower float64
+		wantGear                  SolveMethod
+		wantPredicted             int
 	}{
 		// Rate 0.25: 17 power steps against one 31-matvec restart.
-		{"wide gap, power wins", 2, 0.5, 0, SolvePower, 17},
+		{"wide gap, power wins", 2, 0.5, 0, 0, SolvePower, 17},
 		// Rate 0.99: thousands of power steps, six restarts.
-		{"narrow gap, chebyshev wins", 1, 0.99, 0, SolveChebyshev, 186},
+		{"narrow gap, chebyshev wins", 1, 0.99, 0, 0, SolveChebyshev, 186},
 		// The ν=11, 0.3·p_c single peak: unshifted rate 0.625 costs 49
 		// steps, the shift cuts it to 23 and power wins.
-		{"unshifted rate loses", 1.6, 1, 0, SolveChebyshev, 31},
-		{"shift makes power win", 1.6, 1, 0.66, SolvePower, 23},
+		{"unshifted rate loses", 1.6, 1, 0, 0, SolveChebyshev, 31},
+		{"shift makes power win", 1.6, 1, 0.66, 0, SolvePower, 23},
 		// 31 power steps against one 31-matvec restart: ties go to power.
-		{"tie goes to power", 2, 0.94, 0, SolvePower, 31},
+		{"tie goes to power", 2, 0.94, 0, 0, SolvePower, 31},
 		// A shift at or above θ₁ is ignored (the shifted rate would be
 		// meaningless), so this is the narrow-gap case again.
-		{"shift above theta1 ignored", 1, 0.99, 0.995, SolveChebyshev, 186},
+		{"shift above theta1 ignored", 1, 0.99, 0.995, 0, SolveChebyshev, 186},
+		// Rate 0.8 shifted by 0.4 costs 57 power steps. Over [0, 0.9] the
+		// filter needs two restarts (62); the lower edge 0.4 narrows the
+		// interval to [0.4, 0.9] and one restart (31) suffices.
+		{"no lower edge, power wins", 1, 0.8, 0.4, 0, SolvePower, 57},
+		{"lower edge makes chebyshev win", 1, 0.8, 0.4, 0.4, SolveChebyshev, 31},
+		// The lower edge shrinks the narrow-gap case from 6 restarts to 4.
+		{"narrow gap with lower edge", 1, 0.99, 0, 0.5, SolveChebyshev, 124},
 	}
 	for _, c := range cases {
-		gear, predicted := selectGear(c.theta0, c.theta1, c.mu)
+		gear, predicted := selectGear(c.theta0, c.theta1, c.mu, c.lower)
 		if gear != c.wantGear || predicted != c.wantPredicted {
-			t.Errorf("%s: selectGear(%g, %g, %g) = %v, %d; want %v, %d",
-				c.name, c.theta0, c.theta1, c.mu, gear, predicted, c.wantGear, c.wantPredicted)
+			t.Errorf("%s: selectGear(%g, %g, %g, %g) = %v, %d; want %v, %d",
+				c.name, c.theta0, c.theta1, c.mu, c.lower, gear, predicted, c.wantGear, c.wantPredicted)
 		}
 	}
-	if cheb, _ := PredictChebyshevMatVecs(2, 0.94, defaultChebDegree, predictEps); cheb != 31 {
+	if cheb, _ := PredictChebyshevMatVecs(2, 0.94, 0, defaultChebDegree, predictEps); cheb != 31 {
 		t.Errorf("tie case: Chebyshev predicts %d matvecs, want 31", cheb)
 	}
 }
@@ -284,7 +291,7 @@ func TestPredictChebyshevMatVecs(t *testing.T) {
 		// Closing the gap from θ₁/θ₀ = 0.05 to 0.9999 never makes the
 		// Chebyshev gear cheaper, and every count is whole restarts.
 		for s := 0.05; s < 0.9999; s = 1 - (1-s)*0.8 {
-			got, err := PredictChebyshevMatVecs(1, s, degree, 1e-10)
+			got, err := PredictChebyshevMatVecs(1, s, 0, degree, 1e-10)
 			if err != nil {
 				t.Fatalf("degree %d, θ₁ = %g: %v", degree, s, err)
 			}
@@ -301,10 +308,23 @@ func TestPredictChebyshevMatVecs(t *testing.T) {
 		}
 	}
 	// A tighter eps never costs less.
-	loose, _ := PredictChebyshevMatVecs(1, 0.99, 30, 1e-6)
-	tight, _ := PredictChebyshevMatVecs(1, 0.99, 30, 1e-12)
+	loose, _ := PredictChebyshevMatVecs(1, 0.99, 0, 30, 1e-6)
+	tight, _ := PredictChebyshevMatVecs(1, 0.99, 0, 30, 1e-12)
 	if tight < loose {
 		t.Errorf("eps 1e-12 predicts %d matvecs, eps 1e-6 %d", tight, loose)
+	}
+	// Raising the lower edge toward b narrows the interval and never costs
+	// more; a negative edge counts as 0.
+	prev := math.MaxInt
+	for _, lower := range []float64{-1, 0, 0.2, 0.5, 0.9, 0.99} {
+		got, err := PredictChebyshevMatVecs(1, 0.99, lower, 1, 1e-10)
+		if err != nil {
+			t.Fatalf("lower edge %g: %v", lower, err)
+		}
+		if got > prev {
+			t.Errorf("lower edge %g predicts %d matvecs, more than %d below it", lower, got, prev)
+		}
+		prev = got
 	}
 	for _, bad := range []struct {
 		theta0, theta1 float64
@@ -317,9 +337,13 @@ func TestPredictChebyshevMatVecs(t *testing.T) {
 		{1, 0.5, 30, 0},    // eps outside (0, 1)
 		{1, 0.5, 30, 1},
 	} {
-		if n, err := PredictChebyshevMatVecs(bad.theta0, bad.theta1, bad.degree, bad.eps); err == nil {
-			t.Errorf("PredictChebyshevMatVecs(%g, %g, %d, %g) = %d, want an error", bad.theta0, bad.theta1, bad.degree, bad.eps, n)
+		if n, err := PredictChebyshevMatVecs(bad.theta0, bad.theta1, 0, bad.degree, bad.eps); err == nil {
+			t.Errorf("PredictChebyshevMatVecs(%g, %g, 0, %d, %g) = %d, want an error", bad.theta0, bad.theta1, bad.degree, bad.eps, n)
 		}
+	}
+	// A lower edge at or above b = 0.75 leaves no interval.
+	if n, err := PredictChebyshevMatVecs(1, 0.5, 0.75, 30, 1e-10); err == nil {
+		t.Errorf("lower edge at b: %d matvecs, want an error", n)
 	}
 }
 
@@ -356,7 +380,9 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	if err := stageSymmetric(symStart, opS, start); err != nil {
 		t.Fatal(err)
 	}
-	cheb, err := ChebyshevIteration(opS, ChebyshevOptions{Tol: tol, UpperEdge: chebyshevEdge(theta0, theta1), Start: symStart})
+	cheb, err := ChebyshevIteration(opS, ChebyshevOptions{
+		Tol: tol, LowerEdge: ConservativeShift(opS.Q, opS.F), UpperEdge: chebyshevEdge(theta0, theta1), Start: symStart,
+	})
 	if !errors.Is(err, ErrStagnated) {
 		t.Fatalf("Chebyshev gear on its own returned %v, want ErrStagnated", err)
 	}
@@ -383,7 +409,7 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	if got.Iterations != 24+cheb.MatVecs+want.Iterations {
 		t.Errorf("%d matvecs, want probe 24 + Chebyshev %d + power %d", got.Iterations, cheb.MatVecs, want.Iterations)
 	}
-	if _, predicted := selectGear(theta0, theta1, mu); got.PredictedMatVecs != 24+predicted {
+	if _, predicted := selectGear(theta0, theta1, mu, ConservativeShift(opS.Q, opS.F)); got.PredictedMatVecs != 24+predicted {
 		t.Errorf("predicted %d matvecs, want probe 24 + Chebyshev %d", got.PredictedMatVecs, predicted)
 	}
 	if !sameBits(got.Lambda, want.Lambda) || state.LastMethod != SolvePower || state.PrevLambda != got.Lambda {

@@ -14,7 +14,7 @@ import (
 // critical-window engine. One restart applies the degree-d Chebyshev
 // polynomial T_d mapped onto a damping interval [a, b] with b < λ₀: every
 // eigencomponent inside [a, b] is suppressed to |T_d| ≤ 1 while the
-// dominant one is amplified by T_d(2λ₀/(b−a) − (b+a)/(b−a)) ≈ cosh(d·√γ)
+// dominant one is amplified by T_d(γ) ≈ ½·e^(d·acosh γ), γ = (2λ₀ − a − b)/(b − a)
 // — a quadratic speedup in the effective rate over the plain power method
 // for the same number of matrix–vector products, with the same 3·N memory
 // footprint (no Krylov basis to store, which is what makes it usable at
@@ -26,18 +26,41 @@ import (
 // pair. If b turns out ≥ λ₀ the filter damps the dominant component too;
 // the stall guard detects the flat residual and returns ErrStagnated so
 // the adaptive layer can re-probe or escalate.
+//
+// The lower edge a must stay at or below λ_min, or the components below a
+// grow with |T_d| > 1. The larger a valid a, the narrower the interval and
+// the larger γ: the adaptive gear uses the paper's Section 3 bound
+// λ_min ≥ (1−2p)^ν·f_min (ConservativeShift, which holds for the Symmetric
+// form too), about 0.24 instead of 0 near p_c at ν = 17.
+//
+// Each restart is the filter's degree-d recurrence followed by one Rayleigh
+// matvec; both count against MaxMatVecs. The first restart runs the full
+// Degree; later ones are sized to the residual (chebRestartDegree): with
+// the Rayleigh quotient λ in place of λ₀, about ln(r/tol)/acosh γ steps
+// reach the tolerance, so the last restart stops short instead of running
+// all Degree steps. For the Fmmp operator each recurrence step
+// z_{j+1} = 2·A′z_j − z_{j−1} is a single mutation call whose last butterfly
+// pass also applies the trailing √f scale and the three-term update
+// (FmmpOperator.applyThreeTerm), bit-identical to Apply followed by chebMap2.
 
 // ChebyshevOptions configures the Chebyshev-filtered iteration.
 type ChebyshevOptions struct {
 	// Tol is the residual threshold on ‖W·x − λ·x‖₂. Default 1e-13.
 	Tol float64
-	// Degree is the filter polynomial degree per restart (matrix–vector
-	// products per restart). Default 30.
+	// Degree is the maximum filter polynomial degree per restart (filter
+	// matrix–vector products per restart, before its Rayleigh matvec).
+	// The first restart runs it in full; later restarts run fewer steps
+	// when the residual shows fewer suffice. Default 30.
 	Degree int
-	// MaxMatVecs caps the total operator applications. Default 500000.
+	// MaxMatVecs caps the total operator applications, filter and Rayleigh
+	// matvecs together; a restart starts only when at least one filter
+	// step and its Rayleigh matvec fit. Default 500000.
 	MaxMatVecs int
-	// LowerEdge is the damping interval's lower end a; for the PSD
-	// quasispecies operators 0 is always valid. Values < 0 are clamped.
+	// LowerEdge is the damping interval's lower end a, which must not
+	// exceed λ_min. 0 is valid for the positive semidefinite quasispecies
+	// operators; for the Symmetric operator of a uniform process
+	// ConservativeShift(Q, F) is a larger valid edge (see the file
+	// comment) and what the adaptive gear passes. Values < 0 are clamped.
 	LowerEdge float64
 	// UpperEdge is the damping interval's upper end b, with λ₁ ≤ b < λ₀
 	// required for amplification (see the file comment). Mandatory.
@@ -92,7 +115,7 @@ type ChebyshevResult struct {
 	Vector []float64
 	// MatVecs is the number of operator applications performed.
 	MatVecs int
-	// Restarts is the number of degree-d filter applications.
+	// Restarts is the number of filter applications.
 	Restarts int
 	// Residual is the final ‖W·x − λ·x‖₂.
 	Residual float64
@@ -176,30 +199,40 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		opts.Observer.Event(EventStart, 0, b, 0)
 	}
 
-	res := ChebyshevResult{Vector: x}
+	// The uniform Fmmp operator runs each recurrence step as one fused call
+	// (see FmmpOperator.applyThreeTerm); other operators apply, then map.
+	fop, fused := op.(*FmmpOperator)
+	twoOverE := 2 / halfWidth
+
+	res := ChebyshevResult{Vector: x, Residual: math.Inf(1)}
 	bestResidual := math.Inf(1)
 	stalled := 0
+	improvedAt := 0 // res.MatVecs at the last residual improvement
 	lastMatVecs := 0
-	for res.MatVecs < maxMatVecs {
+	steps := deg
+	// A restart is at least one filter matvec plus its Rayleigh matvec, and
+	// both must fit in the budget.
+	for maxMatVecs-res.MatVecs >= 2 {
 		res.Restarts++
-		// One degree-deg filter application via the three-term recurrence
+		// One filter application via the three-term recurrence
 		// z_{j+1} = 2·A'·z_j − z_{j−1} with A' = (W − c·I)/e, rescaling both
 		// iterates jointly whenever they grow (the recurrence is linear, so
 		// a joint rescale only changes the overall normalization).
-		steps := deg
-		if remaining := maxMatVecs - res.MatVecs; steps > remaining {
-			steps = remaining
-		}
+		steps = min(steps, maxMatVecs-res.MatVecs-1)
 		ph := beginPhase(sr, PhaseChebPoly)
 		// z ← A'·x (degree 1), previous iterate is x (degree 0).
 		op.Apply(w, x)
 		res.MatVecs++
 		chebMap(dev, z, w, x, center, halfWidth, nil)
 		for j := 1; j < steps; j++ {
-			op.Apply(w, z)
-			res.MatVecs++
 			// x ← 2·A'·z − x, then swap roles of x and z.
-			chebMap2(dev, x, w, z, center, halfWidth)
+			if fused {
+				fop.applyThreeTerm(w, z, x, twoOverE, center)
+			} else {
+				op.Apply(w, z)
+				chebMap2(dev, x, w, z, center, halfWidth)
+			}
+			res.MatVecs++
 			x, z = z, x
 			if !stepNorm {
 				continue
@@ -253,6 +286,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		if r < bestResidual*(1-1e-6) {
 			bestResidual = r
 			stalled = 0
+			improvedAt = res.MatVecs
 		} else if stalled++; stallRestarts > 0 && stalled >= stallRestarts {
 			finishCheb(&res, x, opts.Work)
 			powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventStagnated, n, res.MatVecs, lambda, r)
@@ -260,17 +294,36 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 				Reason: ErrStagnated, Method: SolveKindChebyshev,
 				Detail:     fmt.Sprintf("damping interval [%g, %g] may not separate λ₁ from λ₀", a, b),
 				Iterations: res.MatVecs, Residual: r, BestResidual: bestResidual,
-				SinceImprovement: stalled * deg, Shift: b, Tol: tol,
+				SinceImprovement: res.MatVecs - improvedAt, Shift: b, Tol: tol,
 			}
 		}
+		steps = chebRestartDegree(deg, lambda, r, tol, a, b)
 	}
 	finishCheb(&res, x, opts.Work)
 	powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindChebyshev,
 		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
-		Shift: b, Tol: tol,
+		SinceImprovement: res.MatVecs - improvedAt, Shift: b, Tol: tol,
 	}
+}
+
+// chebRestartDegree is the filter degree of the next restart: the filter
+// amplifies λ's component over the damped ones by T_d(γ) ≈ ½·e^(d·acosh γ),
+// γ = (2λ − a − b)/(b − a), so shrinking the residual r to tol needs about
+// ln(r/tol)/acosh γ steps; two more cover the ½ and the rounding. The cap
+// never exceeds deg, and a λ inside the damping interval (γ ≤ 1, a mis-set
+// edge) keeps deg.
+func chebRestartDegree(deg int, lambda, r, tol, a, b float64) int {
+	gamma := (2*lambda - a - b) / (b - a)
+	if !(gamma > 1 && r > tol) {
+		return deg
+	}
+	need := math.Ceil(math.Log(tol/r)/-math.Acosh(gamma)) + 2
+	if need < float64(deg) {
+		return int(need)
+	}
+	return deg
 }
 
 const (
@@ -286,14 +339,15 @@ const (
 
 // chebGrowthBound bounds ‖T_j(A')·x‖ over unit x and j ≤ deg, with
 // A' = (op − center)/halfWidth, or returns +Inf when op has no cheap
-// spectral bound. The uniform-mutation Symmetric Fmmp operator is positive
-// semidefinite with λ ≤ f_max (UpperBoundLambda), so A' has its spectrum in
-// [−g, g] with g = max(f_max − center, center)/halfWidth, and |T_j| ≤
-// T_deg(max(1, g)) there. The underflow side of the guard goes with it:
-// with b < λ₀ the dominant component of z_j grows by T_j(γ) ≥ 1, so ‖z_j‖
-// falls below 1/chebRescale only for a start orthogonal to it, and inside
-// [−1, 1] the |T_j(t)| = |cos(j·acos t)| of a generic start do not vanish
-// together.
+// spectral bound. The uniform-mutation Symmetric Fmmp operator has its
+// spectrum in [µ, f_max] with µ = ConservativeShift ≥ 0 and
+// f_max = UpperBoundLambda, so A' has its spectrum in
+// [−g, g] with g = max(f_max − center, center − µ)/halfWidth, and
+// |T_j| ≤ T_deg(max(1, g)) there. The underflow side of the guard goes
+// with it: with b < λ₀ the dominant component of z_j grows by T_j(γ) ≥ 1,
+// so ‖z_j‖ falls below 1/chebRescale only for a start orthogonal to it,
+// and inside [−1, 1] the |T_j(t)| = |cos(j·acos t)| of a generic start do
+// not vanish together.
 func chebGrowthBound(op Operator, center, halfWidth float64, deg int) float64 {
 	fop, ok := op.(*FmmpOperator)
 	if !ok || fop.Form != Symmetric {
@@ -302,7 +356,7 @@ func chebGrowthBound(op Operator, center, halfWidth float64, deg int) float64 {
 	if _, uniform := fop.Q.Uniform(); !uniform {
 		return math.Inf(1)
 	}
-	g := math.Max(UpperBoundLambda(fop.F)-center, center) / halfWidth
+	g := math.Max(UpperBoundLambda(fop.F)-center, center-ConservativeShift(fop.Q, fop.F)) / halfWidth
 	if g <= 1 {
 		return 1
 	}

@@ -17,7 +17,9 @@ import (
 // matvec and restart counts, iterate and error, bit for bit.
 
 // perStepNormChebyshev is ChebyshevIteration with the overflow norm taken
-// after every recurrence step, with the span and metrics hooks left out.
+// after every recurrence step and every step run as Apply + chebMap2 (never
+// the fused three-term call), with the span and metrics hooks left out. It
+// keeps the same budget reservation and residual-sized restart degrees.
 func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, error) {
 	n := op.Dim()
 	tol := opts.Tol
@@ -43,16 +45,17 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 	copy(x, opts.Start)
 	scale(dev, x, 1/norm2(dev, x))
 	center, halfWidth := (b+a)/2, (b-a)/2
-	res := ChebyshevResult{}
+	res := ChebyshevResult{Residual: math.Inf(1)}
 	bestResidual := math.Inf(1)
 	stalled := 0
 	finish := func() {
 		orientPositive(x)
 		res.Vector = x
 	}
-	for res.MatVecs < maxMatVecs {
+	steps := deg
+	for maxMatVecs-res.MatVecs >= 2 {
 		res.Restarts++
-		steps := min(deg, maxMatVecs-res.MatVecs)
+		steps = min(steps, maxMatVecs-res.MatVecs-1)
 		op.Apply(w, x)
 		res.MatVecs++
 		chebMap(dev, z, w, x, center, halfWidth, nil)
@@ -90,6 +93,12 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 			finish()
 			return res, ErrStagnated
 		}
+		// The residual-sized restart rule: ⌈ln(tol/r)/−acosh γ⌉ + 2 steps at
+		// most, γ from the current Rayleigh quotient.
+		steps = deg
+		if gamma := (2*res.Lambda - a - b) / (b - a); gamma > 1 {
+			steps = min(deg, int(math.Ceil(math.Log(tol/res.Residual)/-math.Acosh(gamma)))+2)
+		}
 	}
 	finish()
 	return res, ErrNoConvergence
@@ -101,17 +110,21 @@ type opaqueOp struct{ Operator }
 
 func TestChebyshevSkippedStepNormBitIdentical(t *testing.T) {
 	type variant struct {
-		name string
-		op   func(opS *FmmpOperator) Operator
-		edge func(theta0, theta1 float64) float64
-		opts ChebyshevOptions
-		skip bool // whether the per-step norm is skipped
+		name     string
+		op       func(opS *FmmpOperator) Operator
+		edge     func(theta0, theta1 float64) float64
+		opts     ChebyshevOptions
+		provable bool // LowerEdge = ConservativeShift, as the adaptive gear runs
+		skip     bool // whether the per-step norm is skipped
 	}
 	probeEdge := chebyshevEdge
 	variants := []variant{
 		{name: "default", edge: probeEdge, skip: true},
 		{name: "budget", edge: probeEdge, opts: ChebyshevOptions{MaxMatVecs: 45}, skip: true},
+		{name: "budget-40", edge: probeEdge, opts: ChebyshevOptions{MaxMatVecs: 40}, provable: true, skip: true},
 		{name: "lower-edge", edge: probeEdge, opts: ChebyshevOptions{LowerEdge: 0.1}, skip: true},
+		{name: "provable-lower-edge", edge: probeEdge, provable: true, skip: true},
+		{name: "degree-7", edge: probeEdge, opts: ChebyshevOptions{Degree: 7}, provable: true, skip: true},
 		{name: "mis-set-edge", edge: func(t0, _ float64) float64 { return 1.01 * t0 }, skip: true},
 		// T_300(g) overflows the rescale threshold: the per-step norm stays
 		// and does rescale.
@@ -145,6 +158,9 @@ func TestChebyshevSkippedStepNormBitIdentical(t *testing.T) {
 						}
 						opts := v.opts
 						opts.Tol, opts.UpperEdge, opts.Start, opts.Dev = 1e-12, v.edge(theta0, theta1), start, dev
+						if v.provable {
+							opts.LowerEdge = ConservativeShift(opS.Q, opS.F)
+						}
 						a := math.Max(opts.LowerEdge, 0)
 						deg := opts.Degree
 						if deg == 0 {

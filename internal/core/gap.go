@@ -322,22 +322,26 @@ func chebyshevEdge(theta0, theta1 float64) float64 {
 // PredictChebyshevMatVecs estimates the matrix–vector products the
 // Chebyshev gear needs to shrink the eigenvector error by factor eps, from
 // the same probe pair (θ₀, θ₁) the power prediction uses. The filter runs
-// on [a, b] = [0, chebyshevEdge(θ₀, θ₁)], which maps θ₀ to
-// γ = (2θ₀ − a − b)/(b − a) > 1; T_d(γ) ≈ ½·e^(d·acosh γ), so each matvec
-// shrinks the error by e^(−acosh γ). The count is rounded up to whole
-// restarts of degree filter matvecs plus the restart's Rayleigh matvec.
-func PredictChebyshevMatVecs(theta0, theta1 float64, degree int, eps float64) (int, error) {
+// on [a, b] = [lower, chebyshevEdge(θ₀, θ₁)], with lower the provable lower
+// spectral edge the gear is given (ConservativeShift; 0 when none is known).
+// The map sends θ₀ to γ = (2θ₀ − a − b)/(b − a) > 1; T_d(γ) ≈ ½·e^(d·acosh γ),
+// so each matvec shrinks the error by e^(−acosh γ), and a larger a, a
+// narrower interval, means a larger γ and fewer matvecs. The count is
+// rounded up to whole restarts of degree filter matvecs plus the restart's
+// Rayleigh matvec; the gear's residual-sized last restart usually needs
+// fewer, so this is an upper estimate.
+func PredictChebyshevMatVecs(theta0, theta1, lower float64, degree int, eps float64) (int, error) {
 	if degree < 1 {
 		return 0, fmt.Errorf("core: Chebyshev degree %d < 1", degree)
 	}
 	if !(eps > 0 && eps < 1) {
 		return 0, fmt.Errorf("core: eps %g outside (0, 1)", eps)
 	}
-	const a = 0.0
+	a := math.Max(lower, 0)
 	b := chebyshevEdge(theta0, theta1)
 	gamma := (2*theta0 - a - b) / (b - a)
 	if !(b > a && gamma > 1) {
-		return 0, fmt.Errorf("core: probe pair (%g, %g) sets no Chebyshev filter", theta0, theta1)
+		return 0, fmt.Errorf("core: probe pair (%g, %g) over lower edge %g sets no Chebyshev filter", theta0, theta1, a)
 	}
 	matvecs := math.Ceil(math.Log(eps) / -math.Acosh(gamma))
 	restarts := max(1, int(math.Ceil(matvecs/float64(degree))))

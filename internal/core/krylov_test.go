@@ -306,7 +306,7 @@ func TestAdaptiveBooksProbeMatVecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gear, predicted := selectGear(theta0, theta1, mu)
+	gear, predicted := selectGear(theta0, theta1, mu, ConservativeShift(opS.Q, opS.F))
 	if res.Method != SolvePower || gear != SolvePower {
 		t.Fatalf("auto ran %v (selected %v), want power", res.Method, gear)
 	}

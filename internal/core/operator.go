@@ -111,28 +111,31 @@ func (op *FmmpOperator) Apply(dst, src []float64) {
 	if len(dst) != op.Dim() || len(src) != op.Dim() {
 		panic("core: FmmpOperator.Apply dimension mismatch")
 	}
-	switch op.Form {
-	case Right: // Q·F: the scale rides along the first tile pass
-		op.Q.ApplyScaled(op.Dev, dst, src, op.fdiag)
-	case Symmetric: // F^½·Q·F^½
-		op.Q.ApplyScaled(op.Dev, dst, src, op.fsqrt)
-		mulInto(op.Dev, dst, dst, op.fsqrt)
-	case Left: // F·Q: transform then scale
-		if &dst[0] != &src[0] {
-			copyInto(op.Dev, dst, src)
-		}
-		op.applyQ(dst)
-		mulInto(op.Dev, dst, dst, op.fdiag)
-	default:
-		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
-	}
+	op.apply(dst, src, mutation.Epilogue{})
 }
 
-func (op *FmmpOperator) applyQ(v []float64) {
-	if op.Dev != nil {
-		op.Q.ApplyDevice(op.Dev, v)
-	} else {
-		op.Q.Apply(v)
+// applyThreeTerm computes w ← W·z and, in the same last butterfly pass, the
+// Chebyshev three-term step out ← s·(w − c·z) − out: bit-identical to Apply
+// followed by chebMap2 with s = 2/e. w, z and out must be distinct.
+func (op *FmmpOperator) applyThreeTerm(w, z, out []float64, s, c float64) {
+	op.apply(w, z, mutation.Epilogue{Out: out, Z: z, S: s, C: c})
+}
+
+// apply is one mutation call per formulation: the leading diagonal rides in
+// the first tile pass, the trailing one and ep's three-term step in the last
+// butterfly pass.
+func (op *FmmpOperator) apply(dst, src []float64, ep mutation.Epilogue) {
+	switch op.Form {
+	case Right: // Q·F
+		op.Q.ApplyFused(op.Dev, dst, src, op.fdiag, ep)
+	case Symmetric: // F^½·Q·F^½
+		ep.Post = op.fsqrt
+		op.Q.ApplyFused(op.Dev, dst, src, op.fsqrt, ep)
+	case Left: // F·Q
+		ep.Post = op.fdiag
+		op.Q.ApplyFused(op.Dev, dst, src, nil, ep)
+	default:
+		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
 	}
 }
 

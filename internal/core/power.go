@@ -310,6 +310,15 @@ func orientPositive(x []float64) {
 // subtracting µ keeps λ₀ − µ the dominant eigenvalue. A positive lower
 // bound on f_min (from Landscape.Bounds) yields a smaller, still-valid
 // shift.
+//
+// The bound holds for the Symmetric form W_S = F^½·Q·F^½ as well, where it
+// is the Chebyshev filter's lower edge: for p ≤ ½, Q is a Kronecker product
+// of 2×2 factors with eigenvalues 1 and 1−2p, so its spectrum is
+// {(1−2p)^k : 0 ≤ k ≤ ν} and
+//
+//	xᵀW_S·x = (F^½x)ᵀQ(F^½x) ≥ (1−2p)^ν·‖F^½x‖² ≥ (1−2p)^ν·f_min·‖x‖².
+//
+// Without a uniform rate it returns 0.
 func ConservativeShift(q *mutation.Process, f landscape.Landscape) float64 {
 	p, ok := q.Uniform()
 	if !ok {

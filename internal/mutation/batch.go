@@ -139,7 +139,7 @@ func applyStagesBlockedBatch(vs [][]float64, off0 int, fs []Factor2, tb, fuse in
 				crossGroupDual(vs[kv], vs[kv+1], B, base, rb0, group)
 			}
 			if kv < len(vs) {
-				crossGroup(vs[kv], B, base, rb0, group)
+				crossGroup(vs[kv], B, base, rb0, group, nil)
 			}
 		}
 		s += m
@@ -276,7 +276,7 @@ func applyStagesBlockedBatchDevice(d *device.Device, vs [][]float64, off0 int, f
 			for id := lo; id < hi; id++ {
 				v, bb := vs[id/nBases], id%nBases
 				base := ((bb &^ lowMask) << uint(m)) | (bb & lowMask)
-				crossGroup(v, B, base, rb0, group)
+				crossGroup(v, B, base, rb0, group, nil)
 			}
 		})
 		s += m

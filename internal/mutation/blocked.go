@@ -115,7 +115,7 @@ func splitStages(n, off0, nStages, tb int) (B, nSmall int) {
 // the small strides and fused row-block passes for the large ones. The
 // result is bit-identical to applying the stages one full pass at a time.
 func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
-	applyStagesBlockedScaled(v, nil, nil, off0, fs, tb, fuse)
+	applyStagesBlockedScaled(v, nil, nil, off0, fs, tb, fuse, nil)
 }
 
 // applyStagesBlockedScaled is applyStagesBlocked on v ← src ⊙ scale when
@@ -124,7 +124,11 @@ func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
 // of a separate Mul pass, so the result is bit-identical to Mul followed by
 // applyStagesBlocked. src may alias v. A non-nil scale needs a tile pass:
 // the caller guarantees fs[0] is tile-local (off0 = 0 and len(v) ≥ 2).
-func applyStagesBlockedScaled(v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int) {
+//
+// A non-nil ep runs inside the last pass: on each column chunk of the last
+// cross-stage group, or on each tile when the tile pass is the last pass.
+// Elementwise, so bit-identical to running it as a pass afterwards.
+func applyStagesBlockedScaled(v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int, ep *Epilogue) {
 	n := len(v)
 	if n == 0 || len(fs) == 0 {
 		return
@@ -137,9 +141,12 @@ func applyStagesBlockedScaled(v, src, scale []float64, off0 int, fs []Factor2, t
 	}
 	B, nSmall := splitStages(n, off0, len(fs), tb)
 	if nSmall > 0 {
-		small := fs[:nSmall]
+		small, tileEp := fs[:nSmall], lastPass(ep, nSmall == len(fs))
 		for t := 0; t < n; t += B {
 			tileStages(scaledTile(v, src, scale, t, t+B), off0, small)
+			if tileEp != nil {
+				tileEp.run(v, t, t+B)
+			}
 		}
 	}
 	for s := nSmall; s < len(fs); {
@@ -147,17 +154,26 @@ func applyStagesBlockedScaled(v, src, scale []float64, off0 int, fs []Factor2, t
 		if m > fuse {
 			m = fuse
 		}
-		crossStages(v, B, off0+s, fs[s:s+m])
+		crossStages(v, B, off0+s, fs[s:s+m], lastPass(ep, s+m == len(fs)))
 		s += m
 	}
+}
+
+// lastPass returns ep for the last pass of a segment and nil otherwise.
+func lastPass(ep *Epilogue, last bool) *Epilogue {
+	if last {
+		return ep
+	}
+	return nil
 }
 
 // applyStagesBlockedDevice is applyStagesBlockedScaled with each fused
 // pass dispatched as one device launch: tiles (resp. row groups) are
 // mutually independent across the whole stage group, so a single barrier per
 // group replaces the per-stage barrier of Algorithm 2. With a non-nil scale
-// the tile launch scales each tile before its stages.
-func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int) {
+// the tile launch scales each tile before its stages; a non-nil ep runs in
+// the last launch, on its tiles or column chunks.
+func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int, ep *Epilogue) {
 	n := len(v)
 	if n == 0 || len(fs) == 0 {
 		return
@@ -170,10 +186,13 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 	}
 	B, nSmall := splitStages(n, off0, len(fs), tb)
 	if nSmall > 0 {
-		small := fs[:nSmall]
+		small, tileEp := fs[:nSmall], lastPass(ep, nSmall == len(fs))
 		d.LaunchStages(nSmall, n/B, B, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
 				tileStages(scaledTile(v, src, scale, t*B, (t+1)*B), off0, small)
+				if tileEp != nil {
+					tileEp.run(v, t*B, (t+1)*B)
+				}
 			}
 		})
 	}
@@ -187,10 +206,11 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 		rb0 := k0 - log2(B)
 		lowMask := 1<<uint(rb0) - 1
 		nBases := (n >> uint(log2(B))) >> uint(m)
+		groupEp := lastPass(ep, s+m == len(fs))
 		d.LaunchStages(m, nBases, B<<uint(m), func(lo, hi int) {
 			for bb := lo; bb < hi; bb++ {
 				base := ((bb &^ lowMask) << uint(m)) | (bb & lowMask)
-				crossGroup(v, B, base, rb0, group)
+				crossGroup(v, B, base, rb0, group, groupEp)
 			}
 		})
 		s += m
@@ -537,22 +557,25 @@ func tilePairUnitDiff(tile []float64, stride int, b1, b2 float64) {
 
 // crossStages applies a fused group of large-stride stages — fs[i] on bit
 // k0+i with 2^k0 ≥ B — by enumerating the independent groups of 2^len(fs)
-// interacting rows of the (n/B)×B row matrix.
-func crossStages(v []float64, B, k0 int, fs []Factor2) {
+// interacting rows of the (n/B)×B row matrix; a non-nil ep runs on each
+// finished column chunk (see crossGroup).
+func crossStages(v []float64, B, k0 int, fs []Factor2, ep *Epilogue) {
 	m := len(fs)
 	rb0 := k0 - log2(B)
 	lowMask := 1<<uint(rb0) - 1
 	nBases := (len(v) >> uint(log2(B))) >> uint(m)
 	for bb := 0; bb < nBases; bb++ {
 		base := ((bb &^ lowMask) << uint(m)) | (bb & lowMask)
-		crossGroup(v, B, base, rb0, fs)
+		crossGroup(v, B, base, rb0, fs, ep)
 	}
 }
 
 // crossGroup applies the fused stages to one interacting set of 2^m rows
 // (row t of the set has index baseRow | t<<rb0), sweeping column chunks so
-// the working set of the whole group stays cache-resident.
-func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2) {
+// the working set of the whole group stays cache-resident. A non-nil ep
+// (the last group of a transform only) runs on each row's chunk once all
+// the group's stages have been applied to it, while it is still in cache.
+func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 	m := len(fs)
 	size := 1 << uint(m)
 	var rp [1 << maxFuseStages][]float64
@@ -599,6 +622,12 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2) {
 		}
 		if s < m {
 			crossStage(rp[:size], c0, c1, s, &fs[s])
+		}
+		if ep != nil {
+			for t := 0; t < size; t++ {
+				lo := (baseRow|t<<uint(rb0))*B + c0
+				ep.run(v, lo, lo+c1-c0)
+			}
 		}
 	}
 }

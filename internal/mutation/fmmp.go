@@ -26,41 +26,74 @@ import (
 // result is bit-identical to ApplyNaive. It panics if len(v) != 2^ν.
 func (q *Process) Apply(v []float64) {
 	q.checkDim(len(v))
-	q.apply(v, nil, nil)
+	q.apply(v, nil, nil, nil)
 }
 
-// ApplyScaled computes dst ← Q·(src ⊙ d), the Q·F product of the Right
-// formulation: the diagonal scale is applied to each tile inside the first
-// tile pass instead of in a pass of its own, on the serial path (dev ==
-// nil, as Apply) and on the device (as ApplyDevice). The cross-stage
-// groups are unchanged. The result is bit-identical to Mul(dst, src, d)
-// followed by Apply(dst) resp. ApplyDevice(dev, dst). dst may alias src.
-func (q *Process) ApplyScaled(dev *device.Device, dst, src, d []float64) {
+// ApplyFused computes dst ← Q·(src ⊙ pre) and then the elementwise tail ep
+// (see Epilogue), on the serial path (dev == nil, as Apply) or on the device
+// (as ApplyDevice). The scale pre rides in the first tile pass and ep in the
+// last butterfly pass, so neither costs a pass of its own; a nil pre means
+// dst ← Q·src. The result is bit-identical to Mul(dst, src, pre), then
+// Apply(dst) resp. ApplyDevice(dev, dst), then ep as separate passes. dst may
+// alias src.
+func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epilogue) {
 	q.checkDim(len(dst))
 	q.checkDim(len(src))
-	q.checkDim(len(d))
-	if len(q.segs) == 0 || q.segs[0].grp >= 0 {
+	if pre != nil {
+		q.checkDim(len(pre))
+	}
+	if ep.Post != nil {
+		q.checkDim(len(ep.Post))
+	}
+	if ep.Out != nil {
+		q.checkDim(len(ep.Out))
+		q.checkDim(len(ep.Z))
+	}
+	first := len(q.segs) > 0 && q.segs[0].grp < 0
+	switch {
+	case pre != nil && !first:
 		// A grouped first factor gathers strided elements instead of
 		// sweeping tiles, so the scale gets its own pass.
 		if dev != nil {
-			dev.Mul(dst, src, d)
-			q.ApplyDevice(dev, dst)
+			dev.Mul(dst, src, pre)
 		} else {
-			vec.Mul(dst, src, d)
-			q.Apply(dst)
+			vec.Mul(dst, src, pre)
 		}
-		return
+		pre = nil
+	case pre == nil && &dst[0] != &src[0]:
+		if dev != nil {
+			dev.Copy(dst, src)
+		} else {
+			copy(dst, src)
+		}
 	}
+	// Likewise a grouped last factor leaves the epilogue a pass of its own.
+	fuseTail := ep.active() && len(q.segs) > 0 && q.segs[len(q.segs)-1].grp < 0
 	if dev != nil {
-		q.applyDevice(dev, dst, src, d)
+		// The launch closures retain the epilogue, so it gets a heap copy;
+		// &ep must not reach them, or the serial path would allocate too.
+		var tail *Epilogue
+		if fuseTail {
+			tail = new(Epilogue)
+			*tail = ep
+		}
+		q.applyDevice(dev, dst, src, pre, tail)
 	} else {
-		q.apply(dst, src, d)
+		var tail *Epilogue
+		if fuseTail {
+			tail = &ep
+		}
+		q.apply(dst, src, pre, tail)
+	}
+	if ep.active() && !fuseTail {
+		ep.runPass(dev, dst)
 	}
 }
 
-// apply is Apply on v ← src ⊙ scale when scale is non-nil; the caller
-// guarantees the first segment is a blocked one in that case.
-func (q *Process) apply(v, src, scale []float64) {
+// apply is Apply on v ← src ⊙ scale when scale is non-nil, with ep fused
+// into the last segment's last pass when non-nil; the caller guarantees the
+// first (resp. last) segment is a blocked one in those cases.
+func (q *Process) apply(v, src, scale []float64, ep *Epilogue) {
 	h := kernelObs.Load()
 	sr := span.Installed()
 	var sp span.Handle
@@ -71,7 +104,7 @@ func (q *Process) apply(v, src, scale []float64) {
 		defer h.span(KindApply, q.nu, 1, time.Now())
 	}
 	tb := TileBits()
-	for _, s := range q.segs {
+	for i, s := range q.segs {
 		var t0 time.Time
 		if h != nil {
 			t0 = time.Now()
@@ -81,7 +114,7 @@ func (q *Process) apply(v, src, scale []float64) {
 			gsp = sr.Begin(span.LayerMutation, KindStageGroup)
 		}
 		if s.grp < 0 {
-			applyStagesBlockedScaled(v, src, scale, s.off0, s.fs, tb, fuseStages)
+			applyStagesBlockedScaled(v, src, scale, s.off0, s.fs, tb, fuseStages, lastPass(ep, i == len(q.segs)-1))
 			src, scale = nil, nil
 			span.End(gsp, int64(len(s.fs)), 1)
 			if h != nil {
@@ -164,21 +197,21 @@ func (q *Process) recurse(v []float64, level int) []float64 {
 // the serial blocked path bit-identically.
 func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	q.checkDim(len(v))
-	q.applyDevice(d, v, nil, nil)
+	q.applyDevice(d, v, nil, nil, nil)
 }
 
-// applyDevice is ApplyDevice on v ← src ⊙ scale when scale is non-nil; the
-// caller guarantees the first segment is a blocked one in that case.
-func (q *Process) applyDevice(d *device.Device, v, src, scale []float64) {
+// applyDevice is ApplyDevice on v ← src ⊙ scale when scale is non-nil, with
+// ep fused into the last launch when non-nil; see apply.
+func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, ep *Epilogue) {
 	h := kernelObs.Load()
 	sp := span.Begin(span.LayerMutation, KindApplyDevice)
 	if h != nil {
 		defer h.span(KindApplyDevice, q.nu, 1, time.Now())
 	}
 	tb := TileBits()
-	for _, s := range q.segs {
+	for i, s := range q.segs {
 		if s.grp < 0 {
-			applyStagesBlockedDevice(d, v, src, scale, s.off0, s.fs, tb, fuseStages)
+			applyStagesBlockedDevice(d, v, src, scale, s.off0, s.fs, tb, fuseStages, lastPass(ep, i == len(q.segs)-1))
 			src, scale = nil, nil
 		} else {
 			q.applyGroupDevice(d, q.groups[s.grp], v)
