@@ -19,8 +19,11 @@ import (
 // online gap estimate: a k-step Lanczos probe (RitzGap) whose Ritz values
 // bound λ₀ and λ₁ from below by Cauchy interlacing, and from which both
 // the power and the Chebyshev gear's matvec counts are predicted; auto runs
-// the cheaper one. A gear that stalls falls back to power if power has not
-// run yet, then to the shift-invert ladder.
+// the cheaper one. A Chebyshev gear that runs first starts from the probe's
+// top Ritz vector (the Ritz handoff). A Chebyshev iterate that stalls is
+// accepted if it passes the power gear's Right-form test; otherwise a gear
+// that stalls falls back to power if power has not run yet, then to the
+// shift-invert ladder.
 //
 // Everything here is deterministic — probes use fixed starts, thresholds
 // are pure arithmetic, escalation is a fixed ladder — so batched sweeps
@@ -138,7 +141,12 @@ type AdaptiveOptions struct {
 	// ConservativeShift); it also sharpens the probe's rate prediction.
 	PowerShift float64
 	// Start is the Right-form warm start; may alias Work.Power's iterate
-	// (the continuation pattern). Nil cold-starts each gear.
+	// (the continuation pattern). It feeds the power gear, the power
+	// fallback after a stalled Chebyshev gear, and shift-invert and
+	// Lanczos; a Chebyshev gear after a failed power gear continues from
+	// that gear's last iterate. A Chebyshev gear that runs first starts from
+	// the gap probe's top Ritz vector instead. Nil cold-starts each gear
+	// that would use it.
 	Start []float64
 	// Dev selects device-parallel BLAS-1 operations; nil runs serially.
 	Dev *device.Device
@@ -255,11 +263,12 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 
 	// Book the steps the probe built: fewer than probeSteps when the
 	// dimension clamps it or the Krylov space closes early.
-	theta0, theta1, probeMatVecs, probeErr := ritzGap(opS, probeSteps, nil, work.probeWork())
-	res.Iterations += probeMatVecs
+	probe, probeErr := ritzGap(opS, probeSteps, nil, work.probeWork())
+	res.Iterations += probe.built
 	if probeErr != nil && !errors.Is(probeErr, ErrGapUnresolved) {
 		return res, probeErr
 	}
+	theta0, theta1 := probe.theta0, probe.theta1
 	res.Probed, res.Theta0, res.Theta1 = true, theta0, theta1
 	// The probe resolves the pair when its Ritz separation clears the
 	// floating-point floor of θ₀ by a safe factor.
@@ -278,7 +287,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		predicted, _ = PredictChebyshevMatVecs(theta0, theta1, lower, defaultChebDegree, predictEps)
 	}
 	if predicted > 0 {
-		res.PredictedMatVecs = probeMatVecs + predicted
+		res.PredictedMatVecs = probe.built + predicted
 	}
 
 	start := opts.Start
@@ -291,9 +300,16 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		start, gear = next, SolveChebyshev
 	}
 
-	// The Krylov/Chebyshev gears run in the Symmetric formulation.
+	// The Krylov/Chebyshev gears run in the Symmetric formulation. A
+	// Chebyshev gear that runs first takes the probe's top Ritz vector (the
+	// Ritz handoff), which is often converged already; every other gear
+	// starts from the staged Right-form start.
 	symStart := work.symBuf(n)
-	if err := stageSymmetric(symStart, opS, start); err != nil {
+	var handoff *ritzProbe
+	if gear == SolveChebyshev && resolved && !powerTried {
+		work.probe.ritzVector(symStart, probe.y)
+		handoff = &probe
+	} else if err := stageSymmetric(symStart, opS, start); err != nil {
 		return res, err
 	}
 
@@ -307,6 +323,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		cres, err := ChebyshevIteration(opS, ChebyshevOptions{
 			Tol: tol, LowerEdge: lower, UpperEdge: chebyshevEdge(theta0, theta1), MaxMatVecs: opts.MaxIter,
 			Start: symStart, Dev: opts.Dev, Work: work.cheb, Observer: opts.Observer,
+			startRitz: handoff,
 		})
 		res.Iterations += cres.MatVecs
 		if err == nil {
@@ -320,6 +337,9 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		}
 		if !(errors.Is(err, ErrStagnated) || errors.Is(err, ErrNoConvergence)) {
 			return res, err
+		}
+		if ok, cerr := acceptRightForm(opR, opS, opts, work, tol, cres.Vector, &res); ok || cerr != nil {
+			return res, cerr
 		}
 		// Mis-set edge or tighter window than the probe suggested.
 		res.Escalations++
@@ -482,18 +502,60 @@ func stageSymmetric(dst []float64, opS *FmmpOperator, start []float64) error {
 // contract as the power gear (and remains a valid warm start).
 func acceptSymmetric(res *AdaptiveResult, work *AdaptiveWork, opS *FmmpOperator, symVec []float64) error {
 	x, _ := work.Power.vectors(len(symVec))
-	copy(x, symVec)
-	if err := ConvertEigenvector(x, Symmetric, Right, opS.F); err != nil {
+	if err := rightForm(x, opS, symVec); err != nil {
 		return err
 	}
-	nrm := vec.Norm2(x)
+	res.Vector = x
+	return nil
+}
+
+// rightForm writes the unit, positively oriented Right-form vector of the
+// Symmetric-form symVec into dst.
+func rightForm(dst []float64, opS *FmmpOperator, symVec []float64) error {
+	copy(dst, symVec)
+	if err := ConvertEigenvector(dst, Symmetric, Right, opS.F); err != nil {
+		return err
+	}
+	nrm := vec.Norm2(dst)
 	if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 		return errors.New("core: eigenvector collapsed in formulation conversion")
 	}
-	vec.Scale(x, 1/nrm)
-	orientPositive(x)
-	res.Vector = x
+	vec.Scale(dst, 1/nrm)
+	orientPositive(dst)
 	return nil
+}
+
+// acceptRightForm applies the power gear's own convergence test to the
+// iterate a Chebyshev gear gave up on: converted to the Right form x, one
+// opR matvec, then ‖W_R·x − λx‖ ≤ tol with λ the shifted Rayleigh quotient,
+// through the power step's fused passes. The Symmetric residual the gear
+// monitors can floor just above a tol the Right form meets, and the
+// Right-form residual is what the power gear would accept. On success the
+// point is finished with x, staged so Vector aliases the power iterate; on
+// refusal nothing but scratch has changed. x is built in the power product
+// buffer and W_R·x in the Chebyshev one, so a warm start aliasing the power
+// iterate survives for the fallback.
+func acceptRightForm(opR, opS *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol float64, symVec []float64, res *AdaptiveResult) (bool, error) {
+	n := len(symVec)
+	_, x := work.Power.vectors(n)
+	_, _, w := work.cheb.vectors(n)
+	if err := rightForm(x, opS, symVec); err != nil {
+		return false, err
+	}
+	opR.Apply(w, x)
+	res.Iterations++
+	mu := opts.PowerShift
+	lamShifted, nrm := shiftedDotNorm2(opts.Dev, x, w, mu)
+	r := shiftedResidualScale(opts.Dev, x, w, mu, lamShifted, 1/nrm)
+	if !(r <= tol) {
+		return false, nil
+	}
+	work.Power.x, work.Power.w = x, work.Power.x
+	res.Method = SolveChebyshev
+	res.Lambda, res.Vector = lamShifted+mu, x
+	res.Residual, res.Converged = r, true
+	finishAdaptive(res, opts.State)
+	return true, nil
 }
 
 // finishAdaptive records the accepted solve into the chain state.

@@ -356,8 +356,10 @@ func (g *gearLog) Method(kind string)                  { g.kinds = append(g.kind
 
 // Above the threshold the Symmetric-form residual of a ν=11 single peak
 // floors near 2e-14 while the Right-form residual reaches 4e-16, so at
-// Tol 1e-15 the Chebyshev gear auto picks stalls and the power gear it
-// falls back to converges — without any shift-invert attempt.
+// Tol 1e-15 the Chebyshev gear auto picks stalls, its iterate fails the
+// Right-form check too, and the power gear it falls back to converges —
+// without any shift-invert attempt. The warm start aliases the power
+// iterate, as in a sweep chain: the Right-form check must leave it intact.
 func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	const nu, tol = 11, 1e-15
 	l, err := landscape.NewSinglePeak(nu, 2, 1)
@@ -371,30 +373,44 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	mu := ConservativeShift(q, l)
 	start := opR.FitnessStart()
 
-	// The two gears on their own, from the same start.
-	theta0, theta1, err := RitzGap(opS, 24, nil, nil)
+	// The gears on their own: Chebyshev from the probe's Ritz vector, the
+	// Right-form check of its iterate, power from the warm start.
+	kw := NewKrylovWork(1 << nu)
+	p, err := ritzGap(opS, 24, nil, kw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	symStart := make([]float64, 1<<nu)
-	if err := stageSymmetric(symStart, opS, start); err != nil {
-		t.Fatal(err)
-	}
+	theta0, theta1 := p.theta0, p.theta1
+	ritz := make([]float64, 1<<nu)
+	kw.ritzVector(ritz, p.y)
 	cheb, err := ChebyshevIteration(opS, ChebyshevOptions{
-		Tol: tol, LowerEdge: ConservativeShift(opS.Q, opS.F), UpperEdge: chebyshevEdge(theta0, theta1), Start: symStart,
+		Tol: tol, LowerEdge: ConservativeShift(opS.Q, opS.F), UpperEdge: chebyshevEdge(theta0, theta1),
+		Start: ritz, startRitz: &p,
 	})
 	if !errors.Is(err, ErrStagnated) {
 		t.Fatalf("Chebyshev gear on its own returned %v, want ErrStagnated", err)
+	}
+	x, w := make([]float64, 1<<nu), make([]float64, 1<<nu)
+	if err := rightForm(x, opS, cheb.Vector); err != nil {
+		t.Fatal(err)
+	}
+	opR.Apply(w, x)
+	lam, nrm := shiftedDotNorm2(nil, x, w, mu)
+	if r := shiftedResidualScale(nil, x, w, mu, lam, 1/nrm); r <= tol {
+		t.Fatalf("the stalled iterate's Right-form residual %g meets tol %g; the check would accept it", r, tol)
 	}
 	want, err := PowerIteration(opR, PowerOptions{Tol: tol, Start: start, Shift: mu})
 	if err != nil {
 		t.Fatalf("power gear on its own: %v", err)
 	}
 
+	work := NewAdaptiveWork(1 << nu)
+	warm, _ := work.Power.vectors(1 << nu)
+	copy(warm, start)
 	gears := &gearLog{}
 	state := &MethodState{}
 	got, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
-		Method: SolveAuto, Tol: tol, PowerShift: mu, Start: start,
+		Method: SolveAuto, Tol: tol, PowerShift: mu, Start: warm, Work: work,
 		Observer: gears, State: state,
 	})
 	if err != nil {
@@ -406,8 +422,8 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	if len(gears.kinds) != 2 || gears.kinds[0] != SolveKindChebyshev || gears.kinds[1] != SolveKindPower {
 		t.Fatalf("gear sequence %v, want [chebyshev power]", gears.kinds)
 	}
-	if got.Iterations != 24+cheb.MatVecs+want.Iterations {
-		t.Errorf("%d matvecs, want probe 24 + Chebyshev %d + power %d", got.Iterations, cheb.MatVecs, want.Iterations)
+	if got.Iterations != 24+cheb.MatVecs+1+want.Iterations {
+		t.Errorf("%d matvecs, want probe 24 + Chebyshev %d + Right-form check 1 + power %d", got.Iterations, cheb.MatVecs, want.Iterations)
 	}
 	if _, predicted := selectGear(theta0, theta1, mu, ConservativeShift(opS.Q, opS.F)); got.PredictedMatVecs != 24+predicted {
 		t.Errorf("predicted %d matvecs, want probe 24 + Chebyshev %d", got.PredictedMatVecs, predicted)

@@ -38,7 +38,9 @@ import (
 // Degree; later ones are sized to the residual (chebRestartDegree): with
 // the Rayleigh quotient λ in place of λ₀, about ln(r/tol)/acosh γ steps
 // reach the tolerance, so the last restart stops short instead of running
-// all Degree steps. For the Fmmp operator each recurrence step
+// all Degree steps. A start that is the gap probe's top Ritz vector comes
+// with θ₀ and a residual estimate, so its first restart is sized the same
+// way. For the Fmmp operator each recurrence step
 // z_{j+1} = 2·A′z_j − z_{j−1} is a single mutation call whose last butterfly
 // pass also applies the trailing √f scale and the three-term update
 // (FmmpOperator.applyThreeTerm), bit-identical to Apply followed by chebMap2.
@@ -49,8 +51,9 @@ type ChebyshevOptions struct {
 	Tol float64
 	// Degree is the maximum filter polynomial degree per restart (filter
 	// matrix–vector products per restart, before its Rayleigh matvec).
-	// The first restart runs it in full; later restarts run fewer steps
-	// when the residual shows fewer suffice. Default 30.
+	// The first restart runs it in full (unless Start is the probe's Ritz
+	// vector, see startRitz); later restarts run fewer steps when the
+	// residual shows fewer suffice. Default 30.
 	Degree int
 	// MaxMatVecs caps the total operator applications, filter and Rayleigh
 	// matvecs together; a restart starts only when at least one filter
@@ -80,6 +83,11 @@ type ChebyshevOptions struct {
 	// Work supplies reusable scratch; the returned Vector aliases its
 	// iterate. Nil allocates fresh scratch.
 	Work *ChebyshevWork
+	// startRitz, when set, marks Start as the top Ritz vector of this gap
+	// probe, whose Ritz value θ₀ and residual estimate size the first
+	// restart by chebRestartDegree like a later one, instead of the full
+	// Degree. Only AdaptiveSolve sets it (the Ritz handoff).
+	startRitz *ritzProbe
 }
 
 // ChebyshevWork is the reusable scratch of the Chebyshev iteration: the
@@ -210,6 +218,9 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	improvedAt := 0 // res.MatVecs at the last residual improvement
 	lastMatVecs := 0
 	steps := deg
+	if e := opts.startRitz; e != nil {
+		steps = chebRestartDegree(deg, e.theta0, e.residual, tol, a, b)
+	}
 	// A restart is at least one filter matvec plus its Rayleigh matvec, and
 	// both must fit in the budget.
 	for maxMatVecs-res.MatVecs >= 2 {
@@ -313,11 +324,16 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 // γ = (2λ − a − b)/(b − a), so shrinking the residual r to tol needs about
 // ln(r/tol)/acosh γ steps; two more cover the ½ and the rounding. The cap
 // never exceeds deg, and a λ inside the damping interval (γ ≤ 1, a mis-set
-// edge) keeps deg.
+// edge) keeps deg. An r already at or below tol — only a Ritz-vector start
+// carries one — gets a single step, so the restart's Rayleigh matvec
+// measures the explicit residual that decides acceptance.
 func chebRestartDegree(deg int, lambda, r, tol, a, b float64) int {
 	gamma := (2*lambda - a - b) / (b - a)
-	if !(gamma > 1 && r > tol) {
+	if !(gamma > 1) {
 		return deg
+	}
+	if r <= tol {
+		return 1
 	}
 	need := math.Ceil(math.Log(tol/r)/-math.Acosh(gamma)) + 2
 	if need < float64(deg) {

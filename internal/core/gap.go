@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dense"
 	"repro/internal/device"
 	"repro/internal/span"
 	"repro/internal/vec"
@@ -220,17 +219,34 @@ func EstimateGap(op Operator, mu float64, opts PowerOptions) (*SpectralGap, erro
 // deterministic start SecondEigenpair uses. If the Krylov space degenerates
 // before two Ritz values exist, a *GapUnresolvedError is returned.
 func RitzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, theta1 float64, err error) {
-	theta0, theta1, _, err = ritzGap(op, k, start, work)
-	return theta0, theta1, err
+	p, err := ritzGap(op, k, start, work)
+	return p.theta0, p.theta1, err
 }
 
-// ritzGap is RitzGap that also returns the number of Lanczos steps it
-// built — its matvec count, which is below k when k is clamped to the
-// dimension or the Krylov space closes early.
-func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, theta1 float64, built int, err error) {
+// ritzProbe is what the adaptive engine keeps of a gap probe: the two
+// leading Ritz values, the steps built, and enough of the top Ritz pair
+// (θ₀, x) to hand it to a gear.
+type ritzProbe struct {
+	theta0, theta1 float64
+	// built is the number of Lanczos steps run — the probe's matvec count,
+	// below k when k is clamped to the dimension or the Krylov space closes
+	// early.
+	built int
+	// residual estimates ‖W·x − θ₀·x‖ for the top Ritz vector x = V·y by
+	// the Lanczos residual identity β_k·|y_{k−1}|, exact in exact
+	// arithmetic; β_k is the breakdown β when the Krylov space closed.
+	residual float64
+	// y holds x's coordinates in the probe basis (KrylovWork.ritzVector
+	// assembles x).
+	y []float64
+}
+
+// ritzGap is RitzGap that also returns the top Ritz pair's coordinates and
+// residual estimate and the number of Lanczos steps it built.
+func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (ritzProbe, error) {
 	n := op.Dim()
 	if k < 2 {
-		return 0, 0, 0, fmt.Errorf("core: RitzGap needs k ≥ 2 Lanczos steps, got %d", k)
+		return ritzProbe{}, fmt.Errorf("core: RitzGap needs k ≥ 2 Lanczos steps, got %d", k)
 	}
 	if k > n {
 		k = n
@@ -240,12 +256,12 @@ func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, the
 	if work == nil {
 		work = NewKrylovWork(n)
 	}
-	basis, alpha, beta, _ := work.krylov(n, k)
+	basis, alpha, beta, w := work.krylov(n, k)
 	q := basis[0]
 	if start != nil {
 		if len(start) != n {
 			span.End(sp, int64(n), int64(k))
-			return 0, 0, 0, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
+			return ritzProbe{}, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
 		}
 		copy(q, start)
 	} else {
@@ -253,23 +269,37 @@ func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, the
 	}
 	if vec.Norm2(q) == 0 {
 		span.End(sp, int64(n), int64(k))
-		return 0, 0, 0, errors.New("core: start vector is zero")
+		return ritzProbe{}, errors.New("core: start vector is zero")
 	}
 	vec.Normalize2(q)
-	built = work.lanczosSteps(op, k, nil)
+	built := work.lanczosSteps(op, k, nil)
 	span.End(sp, int64(n), int64(built))
+	p := ritzProbe{built: built}
 	if built < 2 {
 		// beta[0] is this probe's own norm: the breakdown step's, or 0.
-		return alpha[0], alpha[0], built, &GapUnresolvedError{
+		p.theta0, p.theta1 = alpha[0], alpha[0]
+		return p, &GapUnresolvedError{
 			Reason: "unconverged_ritz", Lambda0: alpha[0], Lambda1: alpha[0],
 			Separation: 0, Resolution: math.Abs(beta[0]),
 		}
 	}
-	vals, err := tridiagEigenvalues(alpha[:built], beta[:built-1])
+	vals, y, err := tridiagEigenpairs(alpha[:built], beta[:built-1])
 	if err != nil {
-		return 0, 0, built, err
+		return p, err
 	}
-	return vals[0], vals[1], built, nil
+	p.theta0, p.theta1, p.y = vals[0], vals[1], y
+	next := math.Abs(beta[built-1]) // the breakdown β when the space closed
+	if built == k {
+		// The last step stopped after α: one fused tail on its w gives the
+		// β_k the recurrence would have produced next.
+		ssq := vec.LanczosTail(w, basis[k-1], basis[k-2], alpha[k-1], beta[k-2])
+		next = math.Sqrt(ssq)
+		if !(ssq >= 0x1p-900 && ssq <= 0x1p900) {
+			next = vec.Norm2(w)
+		}
+	}
+	p.residual = next * math.Abs(y[built-1])
+	return p, nil
 }
 
 // ritzStart writes RitzGap's default start (unnormalized): deterministic,
@@ -278,25 +308,6 @@ func ritzStart(q []float64) {
 	for i := range q {
 		q[i] = 1 + 0.5*math.Sin(float64(3*i+1))
 	}
-}
-
-// tridiagEigenvalues returns the eigenvalues of the symmetric tridiagonal
-// matrix with diagonal alpha and off-diagonal beta, sorted descending.
-func tridiagEigenvalues(alpha, beta []float64) ([]float64, error) {
-	k := len(alpha)
-	t := dense.NewMatrix(k, k)
-	for j := 0; j < k; j++ {
-		t.Set(j, j, alpha[j])
-		if j+1 < k {
-			t.Set(j, j+1, beta[j])
-			t.Set(j+1, j, beta[j])
-		}
-	}
-	vals, _, err := dense.JacobiEigen(t, 1e-15)
-	if err != nil {
-		return nil, fmt.Errorf("core: tridiagonal eigensolve failed: %w", err)
-	}
-	return vals, nil
 }
 
 // PredictIterations estimates the number of power-iteration steps needed

@@ -25,17 +25,26 @@ import (
 // step reorthogonalizes against the whole basis only when the estimate
 // crosses √ε — and then once more at the next step, because the vector
 // the recurrence pairs it with still carries the lost components — instead
-// of every step: a 24-step probe near p_c makes about 260 vector passes
-// instead of about 720. The shift-invert outer loop keeps full
-// reorthogonalization (silanczos.go): its inner CG solves are accurate only
-// to innerTol ≫ ε, outside what the ω model assumes.
+// of every step. A reorthogonalization is one blocked classical
+// Gram–Schmidt pass (orthogonalize): two chunked sweeps over w instead of
+// modified Gram–Schmidt's two per basis vector. Counting every N-vector a
+// BLAS-1 call reads or writes as one stream, a 24-step probe of the ν = 17,
+// σ = 2 single peak over [0.90, 1.08]·p_c (about 5 of 23 steps
+// reorthogonalize) streams about 340 vectors: 186 for the recurrence and
+// about 150 for the reorthogonalizations, which modified Gram–Schmidt
+// made about 340, and every-step full reorthogonalization about 1 400. The
+// residual estimate of the probe's top Ritz pair adds 4 streams, and
+// assembling its Ritz vector for the Ritz handoff about 27. The
+// shift-invert outer loop keeps full reorthogonalization (silanczos.go):
+// its inner CG solves are accurate only to innerTol ≫ ε, outside what the
+// ω model assumes.
 
 // KrylovWork is reusable scratch for Lanczos-style solves: a basis of up to
 // k vectors of dimension n, the tridiagonal coefficients, one product
-// vector, and the three ω rows of the partial-reorthogonalization
-// recurrence. Allocate once per solve slot (NewKrylovWork) and share it
-// across the probes and Krylov solves of a sweep chain — repeated solves
-// of the same (n, k) then allocate nothing.
+// vector, the three ω rows of the partial-reorthogonalization recurrence
+// and its Gram–Schmidt coefficients. Allocate once per solve slot
+// (NewKrylovWork) and share it across the probes and Krylov solves of a
+// sweep chain — repeated solves of the same (n, k) then allocate nothing.
 type KrylovWork struct {
 	basis [][]float64
 	alpha []float64
@@ -44,6 +53,8 @@ type KrylovWork struct {
 	// omega holds the ω rows j−1, j and j+1 of the current step, k+1
 	// entries each; lanczosSteps rotates them.
 	omega [3][]float64
+	// coef holds the Gram–Schmidt coefficients of a reorthogonalization.
+	coef []float64
 	// reorths counts the steps of the last lanczosSteps run that
 	// reorthogonalized.
 	reorths int
@@ -84,7 +95,33 @@ func (kw *KrylovWork) krylov(n, k int) (basis [][]float64, alpha, beta, w []floa
 			kw.omega[i] = make([]float64, k+1)
 		}
 	}
+	if len(kw.coef) < k {
+		kw.coef = make([]float64, k)
+	}
 	return kw.basis[:k], kw.alpha[:k], kw.beta[:k], kw.w
+}
+
+// ritzVector writes the Ritz vector Σ_j y[j]·basis[j] of the last
+// recurrence into dst, in one pass over the basis (vec.Combine).
+func (kw *KrylovWork) ritzVector(dst, y []float64) {
+	vec.Fill(dst, 0)
+	vec.Combine(dst, kw.basis, y)
+}
+
+// orthogonalize removes from w its components along basis by one blocked
+// classical Gram–Schmidt pass: vec.DotEach computes every coefficient
+// c_t = v_tᵀw in one chunked pass over w, and vec.Combine subtracts
+// Σ c_t·v_t in a second. Modified Gram–Schmidt instead reads and writes all
+// of w once per basis vector. Every coefficient here comes from the same w,
+// which costs accuracy when w loses most of its norm; the "twice is
+// enough" repeat in lanczosSteps covers exactly that case.
+func (kw *KrylovWork) orthogonalize(basis [][]float64, w []float64) {
+	c := kw.coef[:len(basis)]
+	vec.DotEach(c, basis, w)
+	for t := range c {
+		c[t] = -c[t]
+	}
+	vec.Combine(w, basis, c)
 }
 
 const (
@@ -157,17 +194,14 @@ func (kw *KrylovWork) lanczosSteps(op Operator, k int, matvecs *int) int {
 			reorth = !(omegaRow(next, cur, prev, alpha, beta, j, b, normT, nf) <= semiOrth)
 		}
 		if reorth {
-			// Modified Gram–Schmidt against the whole basis, run a second
-			// time when the pass removes most of w: a pass that shrinks w
-			// by more than 1/√2 can leave components of order
+			// Gram–Schmidt against the whole basis, run a second time when
+			// the pass removes most of w: a pass that shrinks w by more
+			// than 1/√2 can leave components of order
 			// ε·‖w_before‖/‖w_after‖ ("twice is enough"). That happens
 			// when a restart starts from an almost converged Ritz vector.
 			for pass := 0; pass < 2; pass++ {
 				before := b
-				for t := 0; t <= j; t++ {
-					c := vec.Dot(basis[t], w)
-					vec.AXPY(-c, basis[t], w)
-				}
+				kw.orthogonalize(basis[:j+1], w)
 				b = vec.Norm2(w)
 				if b > before/math.Sqrt2 {
 					break

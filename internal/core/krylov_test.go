@@ -68,7 +68,7 @@ func referenceRitz(t *testing.T, op Operator, k int, start []float64) (float64, 
 		probeStart(basis[0])
 	}
 	built := fullReorthSteps(op, basis, alpha, beta, w, k)
-	vals, err := tridiagEigenvalues(alpha[:built], beta[:built-1])
+	vals, _, err := tridiagEigenpairs(alpha[:built], beta[:built-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,16 @@ func orthLoss(basis [][]float64) float64 {
 // basis to be semi-orthogonal. It returns the reorthogonalized step count.
 func checkProbe(t *testing.T, label string, op Operator, k int, kw *KrylovWork) int {
 	t.Helper()
-	theta0, theta1, built, err := ritzGap(op, k, nil, kw)
+	p, err := ritzGap(op, k, nil, kw)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	ref0, ref1 := referenceRitz(t, op, k, nil)
-	if math.Abs(theta0-ref0) > 1e-12*math.Abs(ref0) || math.Abs(theta1-ref1) > 1e-12*math.Abs(ref1) {
-		t.Errorf("%s: θ = (%.17g, %.17g), full reorthogonalization (%.17g, %.17g)", label, theta0, theta1, ref0, ref1)
+	if math.Abs(p.theta0-ref0) > 1e-12*math.Abs(ref0) || math.Abs(p.theta1-ref1) > 1e-12*math.Abs(ref1) {
+		t.Errorf("%s: θ = (%.17g, %.17g), full reorthogonalization (%.17g, %.17g)", label, p.theta0, p.theta1, ref0, ref1)
 	}
-	if loss := orthLoss(kw.basis[:built]); loss > semiOrth {
-		t.Errorf("%s: max|VᵀV − I| = %.3g after %d steps (%d reorthogonalized), want ≤ √ε", label, loss, built, kw.reorths)
+	if loss := orthLoss(kw.basis[:p.built]); loss > semiOrth {
+		t.Errorf("%s: max|VᵀV − I| = %.3g after %d steps (%d reorthogonalized), want ≤ √ε", label, loss, p.built, kw.reorths)
 	}
 	return kw.reorths
 }
@@ -153,6 +153,53 @@ func TestRitzGapMatchesFullReorthogonalization(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkProbe(t, fmt.Sprintf("ν=%d random landscape at p=%g", nu, p), opS, 24, kw)
+		}
+	}
+}
+
+// One blocked pass is classical Gram–Schmidt: every coefficient comes from
+// the w it was given, so it matches w − Σ (v_tᵀw)·v_t computed term by term
+// to rounding, and a second pass leaves w orthogonal to the basis to ε. The
+// chunked passes must also cover a dimension that is not a whole number of
+// their 512-entry chunks.
+func TestOrthogonalizeIsClassicalGramSchmidt(t *testing.T) {
+	r := rng.New(7)
+	for _, n := range []int{5, 512, 3*512 + 17} {
+		const k = 9
+		kw := NewKrylovWork(n)
+		basis, _, _, _ := kw.krylov(n, k)
+		basis = basis[:min(k, n-1)] // leave w a component outside the span
+		for j := range basis {
+			for i := range basis[j] {
+				basis[j][i] = r.Float64() - 0.5
+			}
+			for i := 0; i < j; i++ {
+				vec.AXPY(-vec.Dot(basis[i], basis[j]), basis[i], basis[j])
+			}
+			vec.Normalize2(basis[j])
+		}
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = r.Float64() - 0.5
+		}
+		// Mostly along the basis, as when the Lanczos trigger fires.
+		for j, v := range basis {
+			vec.AXPY(float64(j+1), v, w)
+		}
+		want := vec.Clone(w)
+		for _, v := range basis {
+			vec.AXPY(-vec.Dot(v, w), v, want)
+		}
+		kw.orthogonalize(basis, w)
+		if d := vec.DistInf(w, want); d > 1e-13 {
+			t.Errorf("n=%d: one pass differs from classical Gram–Schmidt by %.3g", n, d)
+		}
+		kw.orthogonalize(basis, w)
+		nw := vec.Norm2(w)
+		for j, v := range basis {
+			if c := math.Abs(vec.Dot(v, w)) / nw; c > 1e-15 {
+				t.Errorf("n=%d: after two passes |v_%dᵀw|/‖w‖ = %.3g", n, j, c)
+			}
 		}
 	}
 }
@@ -294,12 +341,13 @@ func TestAdaptiveBooksProbeMatVecs(t *testing.T) {
 	opR, _ := NewFmmpOperator(q, l, Right, nil)
 	opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
 	counted := &countOp{Operator: opS}
-	theta0, theta1, built, err := ritzGap(counted, 24, nil, nil)
+	p, err := ritzGap(counted, 24, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built != 1<<nu || counted.n != 1<<nu {
-		t.Fatalf("probe built %d steps with %d matvecs, want %d", built, counted.n, 1<<nu)
+	theta0, theta1 := p.theta0, p.theta1
+	if p.built != 1<<nu || counted.n != 1<<nu {
+		t.Fatalf("probe built %d steps with %d matvecs, want %d", p.built, counted.n, 1<<nu)
 	}
 	mu := ConservativeShift(q, l)
 	res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{Method: SolveAuto, Tol: 1e-12, PowerShift: mu})

@@ -118,10 +118,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		}
 		res.Lambda = vals[0]
 		// Ritz vector y = V·e₀ mapped back: x = Σ_j ritz[j]·basis[j].
-		vec.Fill(q, 0)
-		for j := 0; j < k; j++ {
-			vec.AXPY(ritz[j], basis[j], q)
-		}
+		kw.ritzVector(q, ritz)
 		vec.Normalize2(q)
 		// Explicit residual of the Ritz pair.
 		ph = beginPhase(sr, PhaseResidual)

@@ -187,6 +187,109 @@ func LanczosTail(w, v, u []float64, alpha, beta float64) float64 {
 	return s
 }
 
+// combineChunk is the chunk length of Combine's and DotEach's passes: 512
+// entries (4 KiB) of the shared vector stay in L1 while the matching chunk
+// of every basis vector streams past.
+const combineChunk = 512
+
+// DotEach sets c[t] = basis[t]ᵀw for t < len(c) in one pass over w, the
+// transpose of Combine: w is walked in chunks of combineChunk entries, and
+// each chunk is dotted with every basis vector while it is cache-resident.
+// The order differs from Dot: each chunk's products are summed in four
+// lanes combined as ((s0+s1)+s2)+s3, with the chunk's tail folded on in
+// index order, and the chunk sums are added to c[t] in chunk order. Dot's
+// single accumulator chain is latency bound; the four independent lanes
+// take about half its time in the Lanczos reorthogonalization. It panics if
+// basis has fewer than len(c) vectors or one of them differs in length
+// from w.
+func DotEach(c []float64, basis [][]float64, w []float64) {
+	if len(basis) < len(c) {
+		panic(fmt.Sprintf("vec: DotEach has %d coefficients for %d vectors", len(c), len(basis)))
+	}
+	for _, b := range basis[:len(c)] {
+		checkLen("DotEach", len(w), len(b))
+	}
+	for t := range c {
+		c[t] = 0
+	}
+	for lo := 0; len(w) > 0; {
+		m := min(len(w), combineChunk)
+		d := w[:m]
+		for t := range c {
+			// Always true after the length checks above (see Combine).
+			if b := basis[t]; uint(lo) <= uint(len(b)) {
+				c[t] += dotChunk(b[lo:], d)
+			}
+		}
+		w, lo = w[m:], lo+m
+	}
+}
+
+// dotChunk is DotEach's per-chunk dot product over the first len(y) entries
+// of x, in four lanes.
+func dotChunk(x, y []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 && len(y) >= 4 {
+		s0 += x[0] * y[0]
+		s1 += x[1] * y[1]
+		s2 += x[2] * y[2]
+		s3 += x[3] * y[3]
+		x, y = x[4:], y[4:]
+	}
+	s := ((s0 + s1) + s2) + s3
+	for len(x) > 0 && len(y) > 0 {
+		s += x[0] * y[0]
+		x, y = x[1:], y[1:]
+	}
+	return s
+}
+
+// Combine adds Σ_t c[t]·basis[t] to dst, for t < len(c), in one pass over
+// dst. Each element is updated exactly as the AXPY sequence
+// AXPY(c[0], basis[0], dst), AXPY(c[1], basis[1], dst), … would update it:
+// the same operations in the same order. Only the traversal differs: dst is
+// walked in chunks of combineChunk entries, and each chunk receives all
+// len(c) terms while it is cache-resident. It panics if basis has fewer
+// than len(c) vectors or one of them differs in length from dst.
+func Combine(dst []float64, basis [][]float64, c []float64) {
+	if len(basis) < len(c) {
+		panic(fmt.Sprintf("vec: Combine has %d coefficients for %d vectors", len(c), len(basis)))
+	}
+	for _, b := range basis[:len(c)] {
+		checkLen("Combine", len(dst), len(b))
+	}
+	// Slice-advance over dst; lo is the chunk's offset into every term.
+	for lo := 0; len(dst) > 0; {
+		m := min(len(dst), combineChunk)
+		d := dst[:m]
+		for t, a := range c {
+			// Always true after the length checks above; it lets the prover
+			// clear b[lo:], which runs past the chunk (axpyChunk stops at
+			// len(d)).
+			if b := basis[t]; uint(lo) <= uint(len(b)) {
+				axpyChunk(a, b[lo:], d)
+			}
+		}
+		dst, lo = dst[m:], lo+m
+	}
+}
+
+// axpyChunk is AXPY's per-element update y ← y + a·x over one chunk, in the
+// slice-advance idiom the prover clears of bounds checks.
+func axpyChunk(a float64, x, y []float64) {
+	for len(x) >= 4 && len(y) >= 4 {
+		y[0] += a * x[0]
+		y[1] += a * x[1]
+		y[2] += a * x[2]
+		y[3] += a * x[3]
+		x, y = x[4:], y[4:]
+	}
+	for len(x) > 0 && len(y) > 0 {
+		y[0] += a * x[0]
+		x, y = x[1:], y[1:]
+	}
+}
+
 // NormInf returns ‖x‖∞ = max|xᵢ|.
 func NormInf(x []float64) float64 {
 	var m float64

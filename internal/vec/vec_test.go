@@ -98,6 +98,98 @@ func TestLanczosTailMatchesAXPYs(t *testing.T) {
 	}
 }
 
+// TestCombineMatchesAXPYs pins Combine element for element against the
+// sequential AXPY loop it replaces, from a zeroed and from a live dst, for
+// dimensions around the chunk length and term counts up to a probe basis.
+// The ±0 and magnitude-jump entries make any change in the per-element
+// operation order visible.
+func TestCombineMatchesAXPYs(t *testing.T) {
+	r := rng.New(37)
+	for _, n := range []int{1, 3, 4, 7, combineChunk - 1, combineChunk, combineChunk + 1, 2*combineChunk + 13} {
+		for _, k := range []int{0, 1, 2, 5, 24} {
+			basis := make([][]float64, k+1) // one vector more than terms
+			for j := range basis {
+				basis[j] = randVec(r, n)
+			}
+			if k > 0 {
+				basis[0][0], basis[k-1][n-1] = 0, 1e150*basis[k-1][n-1]
+			}
+			c := randVec(r, k)
+			for _, live := range []bool{false, true} {
+				dst := make([]float64, n)
+				if live {
+					dst = randVec(r, n)
+					dst[n/2] = math.Copysign(0, -1)
+				}
+				want := Clone(dst)
+				for j, a := range c {
+					AXPY(a, basis[j], want)
+				}
+				Combine(dst, basis, c)
+				for i := range dst {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d k=%d live=%v: dst[%d] = %v, AXPY loop %v", n, k, live, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDotEachOrder pins DotEach's documented order: per chunk, four lanes
+// ((s0+s1)+s2)+s3 plus the chunk's tail in index order, chunk sums added in
+// chunk order; it agrees with Dot to rounding.
+func TestDotEachOrder(t *testing.T) {
+	r := rng.New(41)
+	for _, n := range []int{1, 6, combineChunk, 2*combineChunk + 13} {
+		w := randVec(r, n)
+		basis := [][]float64{randVec(r, n), randVec(r, n), randVec(r, n)}
+		c := []float64{7, 7} // overwritten; the third vector has no coefficient
+		DotEach(c, basis, w)
+		for j := range c {
+			var want float64
+			for lo := 0; lo < n; lo += combineChunk {
+				x, y := basis[j][lo:min(lo+combineChunk, n)], w[lo:min(lo+combineChunk, n)]
+				var lanes [4]float64
+				body := len(x) - len(x)%4
+				for i := range x[:body] {
+					lanes[i%4] += x[i] * y[i]
+				}
+				s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
+				for i := body; i < len(x); i++ {
+					s += x[i] * y[i]
+				}
+				want += s
+			}
+			if math.Float64bits(c[j]) != math.Float64bits(want) {
+				t.Fatalf("n=%d: c[%d] = %v, documented order %v", n, j, c[j], want)
+			}
+			if !almost(c[j], Dot(basis[j], w), 1e-12) {
+				t.Errorf("n=%d: c[%d] = %v, Dot %v", n, j, c[j], Dot(basis[j], w))
+			}
+		}
+	}
+}
+
+func TestCombineAndDotEachPanicOnMismatch(t *testing.T) {
+	x, short := make([]float64, 4), make([]float64, 3)
+	for name, fn := range map[string]func(){
+		"Combine length":       func() { Combine(x, [][]float64{x, short}, []float64{1, 1}) },
+		"Combine coefficients": func() { Combine(x, [][]float64{x}, []float64{1, 1}) },
+		"DotEach length":       func() { DotEach([]float64{0, 0}, [][]float64{x, short}, x) },
+		"DotEach coefficients": func() { DotEach([]float64{0, 0}, [][]float64{x}, x) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s mismatch must panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func TestDot(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, -5, 6}
