@@ -16,7 +16,8 @@ import (
 // Chebyshev-filtered restarts (quadratic rate improvement, still 3·N
 // memory) take over, with shift-invert Lanczos and warm-started shifts µ
 // carried along the p-sweep as the last gear. Selection is driven by an
-// online gap estimate: a k-step Lanczos probe (RitzGap) whose Ritz values
+// online gap estimate: a Lanczos probe (RitzGap) of at most k steps, which
+// stops once its top Ritz pair meets the tolerance, whose Ritz values
 // bound λ₀ and λ₁ from below by Cauchy interlacing, and from which both
 // the power and the Chebyshev gear's matvec counts are predicted; auto runs
 // the cheaper one. A Chebyshev gear that runs first starts from the probe's
@@ -25,7 +26,8 @@ import (
 // that stalls falls back to power if power has not run yet, then to the
 // shift-invert ladder.
 //
-// Everything here is deterministic — probes use fixed starts, thresholds
+// Everything here is deterministic — a probe starts from a fixed vector at
+// a chain head and from the chain's own warm start after it, thresholds
 // are pure arithmetic, escalation is a fixed ladder — so batched sweeps
 // stay bit-identical at every worker count (the batch layer's contract).
 
@@ -141,7 +143,9 @@ type AdaptiveOptions struct {
 	// ConservativeShift); it also sharpens the probe's rate prediction.
 	PowerShift float64
 	// Start is the Right-form warm start; may alias Work.Power's iterate
-	// (the continuation pattern). It feeds the power gear, the power
+	// (the continuation pattern). On a warm chain point (State.HavePrev) it
+	// also seeds the gap probe, in its Symmetric form F^½·Start; a chain
+	// head probes from a fixed start. It feeds the power gear, the power
 	// fallback after a stalled Chebyshev gear, and shift-invert and
 	// Lanczos; a Chebyshev gear after a failed power gear continues from
 	// that gear's last iterate. A Chebyshev gear that runs first starts from
@@ -158,9 +162,14 @@ type AdaptiveOptions struct {
 	// State, when non-nil, carries selector state along a warm-start chain
 	// and is updated in place on success.
 	State *MethodState
-	// ProbeSteps is the Lanczos probe length of the auto selector.
-	// Default 24.
+	// ProbeSteps caps the Lanczos gap probe. The probe stops earlier, before
+	// its next matvec, once its top Ritz pair is resolved and the pair's
+	// residual estimate is at most Tol. Default 24.
 	ProbeSteps int
+	// fullProbe runs the probe as the engine did before it was warm and
+	// self-stopping: from the fixed start, all ProbeSteps steps. Tests
+	// compare against it.
+	fullProbe bool
 }
 
 // AdaptiveResult is the outcome of an adaptive solve.
@@ -177,6 +186,9 @@ type AdaptiveResult struct {
 	// Iterations is the total matrix–vector product count across the
 	// probe and every gear attempt.
 	Iterations int
+	// ProbeMatVecs is the part of Iterations the gap probe took: the
+	// Lanczos steps it built, ProbeSteps when it ran to the cap.
+	ProbeMatVecs int
 	// Residual is the accepted gear's final residual (in its own
 	// formulation).
 	Residual float64
@@ -261,19 +273,28 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 		return res, fmt.Errorf("core: unknown solve method %v", opts.Method)
 	}
 
-	// Book the steps the probe built: fewer than probeSteps when the
-	// dimension clamps it or the Krylov space closes early.
-	probe, probeErr := ritzGap(opS, probeSteps, nil, work.probeWork())
+	// The probe starts on a warm chain point from the warm start in its
+	// Symmetric form F^½·Start, staged straight into the probe basis, and at
+	// a chain head from the fixed ritzStart vector. It stops once its top
+	// Ritz pair meets tol. Book the steps it built: fewer than probeSteps
+	// when it stops, the dimension clamps it or the Krylov space closes.
+	var seed, weight []float64
+	stop := tol
+	if st := opts.State; st != nil && st.HavePrev && len(opts.Start) == n {
+		seed, weight = opts.Start, opS.fsqrt
+	}
+	if opts.fullProbe {
+		seed, weight, stop = nil, nil, 0
+	}
+	probe, probeErr := ritzGap(opS, probeSteps, seed, weight, stop, work.probeWork())
 	res.Iterations += probe.built
+	res.ProbeMatVecs = probe.built
 	if probeErr != nil && !errors.Is(probeErr, ErrGapUnresolved) {
 		return res, probeErr
 	}
 	theta0, theta1 := probe.theta0, probe.theta1
 	res.Probed, res.Theta0, res.Theta1 = true, theta0, theta1
-	// The probe resolves the pair when its Ritz separation clears the
-	// floating-point floor of θ₀ by a safe factor.
-	sep := theta0 - theta1
-	resolved := probeErr == nil && sep > 1e-10*math.Abs(theta0)
+	resolved := probeErr == nil && ritzResolved(theta0, theta1)
 
 	gear := opts.Method
 	predicted := 0
@@ -309,8 +330,8 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	if gear == SolveChebyshev && resolved && !powerTried {
 		work.probe.ritzVector(symStart, probe.y)
 		handoff = &probe
-	} else if err := stageSymmetric(symStart, opS, start); err != nil {
-		return res, err
+	} else {
+		stageSymmetric(symStart, opS, start)
 	}
 
 	if gear == SolveChebyshev && resolved {
@@ -351,9 +372,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 			if !escalate {
 				return res, err
 			}
-			if err := stageSymmetric(symStart, opS, next); err != nil {
-				return res, err
-			}
+			stageSymmetric(symStart, opS, next)
 		} else {
 			// Shift-invert continues from the partial iterate.
 			copy(symStart, cres.Vector)
@@ -428,9 +447,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 // adaptiveLanczos runs the forced restarted-Lanczos gear.
 func adaptiveLanczos(opS *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol float64, res *AdaptiveResult) (AdaptiveResult, error) {
 	symStart := work.symBuf(opS.Dim())
-	if err := stageSymmetric(symStart, opS, opts.Start); err != nil {
-		return *res, err
-	}
+	stageSymmetric(symStart, opS, opts.Start)
 	lres, err := Lanczos(opS, LanczosOptions{Tol: tol, Start: symStart, Observer: opts.Observer})
 	res.Iterations += lres.MatVecs
 	res.Method = SolveLanczos
@@ -479,22 +496,20 @@ func powerGear(opR *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol 
 
 // stageSymmetric writes the unit Symmetric-form start x_S = F^½·x_R/‖·‖
 // for the Right-form start into dst; a nil or mis-sized start selects the
-// fitness start.
-func stageSymmetric(dst []float64, opS *FmmpOperator, start []float64) error {
+// fitness start. The product with the operator's √f is ConvertEigenvector's
+// (math.Pow(f, ½) is math.Sqrt(f)) without its per-element landscape calls.
+func stageSymmetric(dst []float64, opS *FmmpOperator, start []float64) {
 	if len(start) == len(dst) {
-		copy(dst, start)
+		vec.Mul(dst, start, opS.fsqrt)
 	} else {
 		opS.fitnessStartInto(dst)
-	}
-	if err := ConvertEigenvector(dst, Right, Symmetric, opS.F); err != nil {
-		return err
+		vec.Mul(dst, dst, opS.fsqrt)
 	}
 	if nrm := vec.Norm2(dst); nrm > 0 {
 		vec.Scale(dst, 1/nrm)
 	} else {
 		vec.Fill(dst, 1)
 	}
-	return nil
 }
 
 // acceptSymmetric converts a Symmetric-form eigenvector into the Right

@@ -373,12 +373,17 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	mu := ConservativeShift(q, l)
 	start := opR.FitnessStart()
 
-	// The gears on their own: Chebyshev from the probe's Ritz vector, the
-	// Right-form check of its iterate, power from the warm start.
+	// The gears on their own: Chebyshev from the Ritz vector of the
+	// self-stopping probe, the Right-form check of its iterate, power from
+	// the warm start. The probe's estimate meets 1e-15 after 22 steps, which
+	// the Symmetric residual itself cannot reach.
 	kw := NewKrylovWork(1 << nu)
-	p, err := ritzGap(opS, 24, nil, kw)
+	p, err := ritzGap(opS, 24, nil, nil, tol, kw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.built != 22 || !(p.residual <= tol) {
+		t.Fatalf("probe built %d steps to estimate %g; want a stop at 22 with tol %g met", p.built, p.residual, tol)
 	}
 	theta0, theta1 := p.theta0, p.theta1
 	ritz := make([]float64, 1<<nu)
@@ -422,11 +427,12 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 	if len(gears.kinds) != 2 || gears.kinds[0] != SolveKindChebyshev || gears.kinds[1] != SolveKindPower {
 		t.Fatalf("gear sequence %v, want [chebyshev power]", gears.kinds)
 	}
-	if got.Iterations != 24+cheb.MatVecs+1+want.Iterations {
-		t.Errorf("%d matvecs, want probe 24 + Chebyshev %d + Right-form check 1 + power %d", got.Iterations, cheb.MatVecs, want.Iterations)
+	if got.Iterations != p.built+cheb.MatVecs+1+want.Iterations || got.ProbeMatVecs != p.built {
+		t.Errorf("%d matvecs (probe %d), want probe %d + Chebyshev %d + Right-form check 1 + power %d",
+			got.Iterations, got.ProbeMatVecs, p.built, cheb.MatVecs, want.Iterations)
 	}
-	if _, predicted := selectGear(theta0, theta1, mu, ConservativeShift(opS.Q, opS.F)); got.PredictedMatVecs != 24+predicted {
-		t.Errorf("predicted %d matvecs, want probe 24 + Chebyshev %d", got.PredictedMatVecs, predicted)
+	if _, predicted := selectGear(theta0, theta1, mu, ConservativeShift(opS.Q, opS.F)); got.PredictedMatVecs != p.built+predicted {
+		t.Errorf("predicted %d matvecs, want probe %d + Chebyshev %d", got.PredictedMatVecs, p.built, predicted)
 	}
 	if !sameBits(got.Lambda, want.Lambda) || state.LastMethod != SolvePower || state.PrevLambda != got.Lambda {
 		t.Errorf("λ %v (state %+v), power gear alone %v", got.Lambda, *state, want.Lambda)

@@ -219,7 +219,7 @@ func EstimateGap(op Operator, mu float64, opts PowerOptions) (*SpectralGap, erro
 // deterministic start SecondEigenpair uses. If the Krylov space degenerates
 // before two Ritz values exist, a *GapUnresolvedError is returned.
 func RitzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, theta1 float64, err error) {
-	p, err := ritzGap(op, k, start, work)
+	p, err := ritzGap(op, k, start, nil, 0, work)
 	return p.theta0, p.theta1, err
 }
 
@@ -229,12 +229,13 @@ func RitzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, the
 type ritzProbe struct {
 	theta0, theta1 float64
 	// built is the number of Lanczos steps run — the probe's matvec count,
-	// below k when k is clamped to the dimension or the Krylov space closes
-	// early.
+	// below k when k is clamped to the dimension, the Krylov space closes
+	// early or a self-stopping probe met its tolerance.
 	built int
 	// residual estimates ‖W·x − θ₀·x‖ for the top Ritz vector x = V·y by
-	// the Lanczos residual identity β_k·|y_{k−1}|, exact in exact
-	// arithmetic; β_k is the breakdown β when the Krylov space closed.
+	// the Lanczos residual identity β_built·|y_{built−1}|, exact in exact
+	// arithmetic; β_built is the breakdown β when the Krylov space closed,
+	// and the next β when the probe stopped early.
 	residual float64
 	// y holds x's coordinates in the probe basis (KrylovWork.ritzVector
 	// assembles x).
@@ -242,14 +243,22 @@ type ritzProbe struct {
 }
 
 // ritzGap is RitzGap that also returns the top Ritz pair's coordinates and
-// residual estimate and the number of Lanczos steps it built.
-func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (ritzProbe, error) {
+// residual estimate and the number of Lanczos steps it built. With weight
+// non-nil the probe starts from start ⊙ weight, staged straight into the
+// basis: the Symmetric form F^½·x_R of a Right-form warm start x_R when
+// weight is √f. With stop > 0, k is a cap: the probe ends before its next
+// matvec once its top Ritz pair is resolved and its residual estimate is at
+// most stop (KrylovWork.ritzConverged).
+func ritzGap(op Operator, k int, start, weight []float64, stop float64, work *KrylovWork) (ritzProbe, error) {
 	n := op.Dim()
 	if k < 2 {
 		return ritzProbe{}, fmt.Errorf("core: RitzGap needs k ≥ 2 Lanczos steps, got %d", k)
 	}
 	if k > n {
 		k = n
+	}
+	if start != nil && len(start) != n {
+		return ritzProbe{}, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
 	}
 	sr := span.Installed()
 	sp := beginPhase(sr, PhaseGapProbe)
@@ -258,21 +267,23 @@ func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (ritzProbe, 
 	}
 	basis, alpha, beta, w := work.krylov(n, k)
 	q := basis[0]
-	if start != nil {
-		if len(start) != n {
-			span.End(sp, int64(n), int64(k))
-			return ritzProbe{}, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
-		}
-		copy(q, start)
-	} else {
+	switch {
+	case start == nil:
 		ritzStart(q)
+	case weight != nil:
+		vec.Mul(q, start, weight)
+	default:
+		copy(q, start)
 	}
-	if vec.Norm2(q) == 0 {
+	// One norm for the zero check and the normalization: the same
+	// operations as vec.Normalize2.
+	nrm := vec.Norm2(q)
+	if nrm == 0 {
 		span.End(sp, int64(n), int64(k))
 		return ritzProbe{}, errors.New("core: start vector is zero")
 	}
-	vec.Normalize2(q)
-	built := work.lanczosSteps(op, k, nil)
+	vec.Scale(q, 1/nrm)
+	built := work.lanczosSteps(op, k, stop, nil)
 	span.End(sp, int64(n), int64(built))
 	p := ritzProbe{built: built}
 	if built < 2 {
@@ -288,15 +299,12 @@ func ritzGap(op Operator, k int, start []float64, work *KrylovWork) (ritzProbe, 
 		return p, err
 	}
 	p.theta0, p.theta1, p.y = vals[0], vals[1], y
-	next := math.Abs(beta[built-1]) // the breakdown β when the space closed
+	// The breakdown β when the space closed, the next β after an early stop.
+	next := math.Abs(beta[built-1])
 	if built == k {
 		// The last step stopped after α: one fused tail on its w gives the
 		// β_k the recurrence would have produced next.
-		ssq := vec.LanczosTail(w, basis[k-1], basis[k-2], alpha[k-1], beta[k-2])
-		next = math.Sqrt(ssq)
-		if !(ssq >= 0x1p-900 && ssq <= 0x1p900) {
-			next = vec.Norm2(w)
-		}
+		next = normFromSq(vec.LanczosTail(w, basis[k-1], basis[k-2], alpha[k-1], beta[k-2]), w)
 	}
 	p.residual = next * math.Abs(y[built-1])
 	return p, nil

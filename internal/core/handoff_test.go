@@ -43,7 +43,7 @@ func TestRitzResidualEstimateMatchesMeasured(t *testing.T) {
 		_, fmax := op.F.Bounds()
 		floor := 8 * 0x1p-52 * fmax * math.Sqrt(float64(op.Dim()))
 		for _, k := range []int{8, 24} {
-			p, err := ritzGap(op, k, nil, kw)
+			p, err := ritzGap(op, k, nil, nil, 0, kw)
 			if err != nil {
 				t.Fatalf("%s, k=%d: %v", label, k, err)
 			}
@@ -110,7 +110,7 @@ func TestAdaptiveChebyshevStartsFromRitzVector(t *testing.T) {
 	lower := ConservativeShift(opS.Q, opS.F)
 
 	kw := NewKrylovWork(opS.Dim())
-	p, err := ritzGap(opS, probeSteps, nil, kw)
+	p, err := ritzGap(opS, probeSteps, nil, nil, 0, kw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +157,13 @@ func TestAdaptiveChebyshevStartsFromRitzVector(t *testing.T) {
 	}
 }
 
-// At ν = 10, σ = 2 the probe's Krylov space closes to rounding at step 20
-// (β ≈ 1e-13 at about 1e-13·θ₀): the Ritz pair is already converged, the
-// estimate is at rounding level, and the handoff finishes the point with
-// one filter step and its Rayleigh check. A space that closes exactly — a
-// breakdown, built < k — hands off with its breakdown β: the estimate is 0
-// and the Ritz vector is an eigenvector.
+// At ν = 10, σ = 2 the probe's Krylov space closes to rounding around step
+// 20 (β ≈ 1e-13 at about 1e-13·θ₀): the 24-step probe's Ritz pair is
+// converged and its estimate at rounding level. The self-stopping probe
+// meets tol no later than that closing step, and the handoff finishes the
+// point with one filter step and its Rayleigh check. A space that closes
+// exactly — a breakdown, built < k — hands off with its breakdown β: the
+// estimate is 0 and the Ritz vector is an eigenvector.
 func TestRitzHandoffEarlyClosingKrylovSpace(t *testing.T) {
 	const nu, sigma = 10, 2.0
 	l, err := landscape.NewSinglePeak(nu, sigma, 1)
@@ -176,19 +177,26 @@ func TestRitzHandoffEarlyClosingKrylovSpace(t *testing.T) {
 		q := mutation.MustUniform(nu, frac*pc)
 		opR, _ := NewFmmpOperator(q, l, Right, nil)
 		opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
-		p, err := ritzGap(opS, 24, nil, kw)
+		full, err := ritzGap(opS, 24, nil, nil, 0, kw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		closed := -1
-		for j, b := range kw.beta[:p.built-1] {
-			if b < 1e-12*p.theta0 {
+		for j, b := range kw.beta[:full.built-1] {
+			if b < 1e-12*full.theta0 {
 				closed = j
 				break
 			}
 		}
-		if closed < 0 || p.residual > tol {
-			t.Fatalf("%g·p_c: no step closes the space (first β below 1e-12·θ₀: %d), estimate %g", frac, closed, p.residual)
+		if closed < 0 || full.residual > tol {
+			t.Fatalf("%g·p_c: no step closes the space (first β below 1e-12·θ₀: %d), estimate %g", frac, closed, full.residual)
+		}
+		p, err := ritzGap(opS, 24, nil, nil, tol, kw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.built > closed+1 || !(p.residual <= tol) {
+			t.Fatalf("%g·p_c: the self-stopping probe built %d steps to estimate %g; the space closes at step %d", frac, p.built, p.residual, closed+1)
 		}
 		res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
 			Method: SolveAuto, Tol: tol, Start: opR.FitnessStart(), PowerShift: ConservativeShift(q, l),
@@ -196,8 +204,9 @@ func TestRitzHandoffEarlyClosingKrylovSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Method != SolveChebyshev || res.Iterations != p.built+2 || !(res.Residual <= tol) {
-			t.Errorf("%g·p_c: %v, %d matvecs, residual %g; want Chebyshev with probe %d + 2", frac, res.Method, res.Iterations, res.Residual, p.built)
+		if res.Method != SolveChebyshev || res.Iterations != p.built+2 || res.ProbeMatVecs != p.built || !(res.Residual <= tol) {
+			t.Errorf("%g·p_c: %v, %d matvecs (probe %d), residual %g; want Chebyshev with probe %d + 2",
+				frac, res.Method, res.Iterations, res.ProbeMatVecs, res.Residual, p.built)
 		}
 	}
 
@@ -205,7 +214,7 @@ func TestRitzHandoffEarlyClosingKrylovSpace(t *testing.T) {
 	// the Krylov space after two steps with β = 0.
 	op := diagOp{[]float64{2, 2, 1, 1}}
 	kw = NewKrylovWork(4)
-	p, err := ritzGap(op, 24, []float64{1, 1, 1, 1}, kw)
+	p, err := ritzGap(op, 24, []float64{1, 1, 1, 1}, nil, 0, kw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +253,7 @@ func TestAdaptiveRightFormCheckAcceptsStalledChebyshev(t *testing.T) {
 	tol := DefaultTolerance(l)
 
 	kw := NewKrylovWork(opS.Dim())
-	p, err := ritzGap(opS, 24, nil, kw)
+	p, err := ritzGap(opS, 24, nil, nil, 0, kw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func orthLoss(basis [][]float64) float64 {
 // basis to be semi-orthogonal. It returns the reorthogonalized step count.
 func checkProbe(t *testing.T, label string, op Operator, k int, kw *KrylovWork) int {
 	t.Helper()
-	p, err := ritzGap(op, k, nil, kw)
+	p, err := ritzGap(op, k, nil, nil, 0, kw)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -237,7 +237,7 @@ func restartCycles(t *testing.T, op Operator, m, cycles int) {
 	start := make([]float64, n)
 	for cycle := 0; cycle < cycles; cycle++ {
 		copy(start, basis[0])
-		k := kw.lanczosSteps(op, m, nil)
+		k := kw.lanczosSteps(op, m, 0, nil)
 		if k != m {
 			t.Fatalf("n=%d cycle %d built %d of %d steps", n, cycle, k, m)
 		}
@@ -333,40 +333,48 @@ type countOp struct {
 
 func (c *countOp) Apply(dst, src []float64) { c.n++; c.Operator.Apply(dst, src) }
 
-// At ν = 4 the 24-step probe clamps to the dimension 16: the adaptive solve
-// books the 16 matvecs the probe ran, not the 24 it asked for.
+// At ν = 4 a 24-step probe clamps to the dimension 16, and the
+// self-stopping probe at tol 1e-12 stops before that: the adaptive solve
+// books the matvecs the probe ran, not the 24 it was allowed.
 func TestAdaptiveBooksProbeMatVecs(t *testing.T) {
-	const nu = 4
+	const nu, tol = 4, 1e-12
 	q, l, _ := criticalProblem(t, nu, 0.3)
 	opR, _ := NewFmmpOperator(q, l, Right, nil)
 	opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
 	counted := &countOp{Operator: opS}
-	p, err := ritzGap(counted, 24, nil, nil)
+	full, err := ritzGap(counted, 24, nil, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	theta0, theta1 := p.theta0, p.theta1
-	if p.built != 1<<nu || counted.n != 1<<nu {
-		t.Fatalf("probe built %d steps with %d matvecs, want %d", p.built, counted.n, 1<<nu)
+	if full.built != 1<<nu || counted.n != 1<<nu {
+		t.Fatalf("probe built %d steps with %d matvecs, want %d", full.built, counted.n, 1<<nu)
+	}
+	counted.n = 0
+	p, err := ritzGap(counted, 24, nil, nil, tol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.built >= 1<<nu || counted.n != p.built {
+		t.Fatalf("self-stopping probe built %d steps with %d matvecs, want fewer than %d", p.built, counted.n, 1<<nu)
 	}
 	mu := ConservativeShift(q, l)
-	res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{Method: SolveAuto, Tol: 1e-12, PowerShift: mu})
+	res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{Method: SolveAuto, Tol: tol, PowerShift: mu})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gear, predicted := selectGear(theta0, theta1, mu, ConservativeShift(opS.Q, opS.F))
+	gear, predicted := selectGear(p.theta0, p.theta1, mu, ConservativeShift(opS.Q, opS.F))
 	if res.Method != SolvePower || gear != SolvePower {
 		t.Fatalf("auto ran %v (selected %v), want power", res.Method, gear)
 	}
-	alone, err := PowerIteration(opR, PowerOptions{Tol: 1e-12, Shift: mu})
+	alone, err := PowerIteration(opR, PowerOptions{Tol: tol, Shift: mu})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations != 1<<nu+alone.Iterations {
-		t.Errorf("%d matvecs, want probe %d + power %d", res.Iterations, 1<<nu, alone.Iterations)
+	if res.Iterations != p.built+alone.Iterations || res.ProbeMatVecs != p.built {
+		t.Errorf("%d matvecs (probe %d), want probe %d + power %d", res.Iterations, res.ProbeMatVecs, p.built, alone.Iterations)
 	}
-	if res.PredictedMatVecs != 1<<nu+predicted {
-		t.Errorf("predicted %d matvecs, want probe %d + power %d", res.PredictedMatVecs, 1<<nu, predicted)
+	if res.PredictedMatVecs != p.built+predicted {
+		t.Errorf("predicted %d matvecs, want probe %d + power %d", res.PredictedMatVecs, p.built, predicted)
 	}
 }
 
@@ -375,9 +383,15 @@ func TestLanczosStepsZeroAllocs(t *testing.T) {
 	opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
 	kw := NewKrylovWork(opS.Dim())
 	basis, _, _, _ := kw.krylov(opS.Dim(), 24)
+	// The second run asks the self-stopping test at every step: a stop
+	// tolerance of 1e-300 is never met.
 	allocs := testing.AllocsPerRun(5, func() {
 		probeStart(basis[0])
-		kw.lanczosSteps(opS, 24, nil)
+		kw.lanczosSteps(opS, 24, 0, nil)
+		probeStart(basis[0])
+		if built := kw.lanczosSteps(opS, 24, 1e-300, nil); built != 24 {
+			t.Fatalf("the recurrence stopped after %d steps at tolerance 1e-300", built)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("lanczosSteps on a warm KrylovWork allocates %v per run", allocs)

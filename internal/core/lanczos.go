@@ -106,7 +106,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		res.Restarts = restart + 1
 		copy(basis[0], q)
 		ph := beginPhase(sr, PhaseMatvec)
-		k := kw.lanczosSteps(op, m, &res.MatVecs)
+		k := kw.lanczosSteps(op, m, 0, &res.MatVecs)
 		span.End(ph, int64(res.Restarts), int64(k))
 		// Dominant eigenpair of the k×k tridiagonal T.
 		ph = beginPhase(sr, PhaseTridiag)

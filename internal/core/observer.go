@@ -92,8 +92,8 @@ const (
 	// PhaseInnerSolve is one inner CG solve of (µI − W)·y = v inside the
 	// shift-invert Lanczos iteration.
 	PhaseInnerSolve = "inner_solve"
-	// PhaseGapProbe is the k-step Lanczos probe that feeds the adaptive
-	// method selector's online gap estimate.
+	// PhaseGapProbe is the Lanczos probe of at most k steps that feeds the
+	// adaptive method selector's online gap estimate.
 	PhaseGapProbe = "gap_probe"
 	// PhaseShiftFactor is one LU factorization of (M − λI) inside the
 	// reduced-path Rayleigh-quotient iteration (errorclass emits it under

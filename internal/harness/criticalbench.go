@@ -53,6 +53,10 @@ type CriticalPoint struct {
 	Predicted int     `json:"predicted"`
 	Warm      bool    `json:"warm"`
 	Gamma0    float64 `json:"gamma0"` // master-class concentration
+	// Probe is the part of Iterations the gap probe took: 24 at the cap,
+	// fewer where its top Ritz pair met the tolerance first. A slow point
+	// with a capped probe is the probe's cost; otherwise the gear's.
+	Probe int `json:"probe"`
 }
 
 // CriticalBenchVariant is one measured sweep configuration.
@@ -188,6 +192,7 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 			Method: serialStats.Methods[i], Iterations: serialStats.Iterations[i],
 			Predicted: serialStats.Predicted[i],
 			Warm:      serialStats.Warm[i], Gamma0: serial[i].Gamma[0],
+			Probe: serialStats.Probe[i],
 		}
 	}
 
@@ -221,12 +226,12 @@ func (r *CriticalBenchResult) WriteTSV(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(w, "p\tfrac_pc\tmethod\titerations\tpredicted\twarm\tgamma0"); err != nil {
+	if _, err := fmt.Fprintln(w, "p\tfrac_pc\tmethod\titerations\tpredicted\twarm\tgamma0\tprobe"); err != nil {
 		return err
 	}
 	for _, pt := range r.Grid {
-		if _, err := fmt.Fprintf(w, "%.8g\t%.4f\t%s\t%d\t%d\t%v\t%.8g\n",
-			pt.P, pt.FracPC, pt.Method, pt.Iterations, pt.Predicted, pt.Warm, pt.Gamma0); err != nil {
+		if _, err := fmt.Fprintf(w, "%.8g\t%.4f\t%s\t%d\t%d\t%v\t%.8g\t%d\n",
+			pt.P, pt.FracPC, pt.Method, pt.Iterations, pt.Predicted, pt.Warm, pt.Gamma0, pt.Probe); err != nil {
 			return err
 		}
 	}

@@ -78,6 +78,11 @@ type SweepStats struct {
 	// has no predictor (core.AdaptiveResult.PredictedMatVecs). Nil on
 	// sweeps that run no selector.
 	Predicted []int
+	// Probe[i] is the part of Iterations[i] the adaptive selector's gap
+	// probe took (core.AdaptiveResult.ProbeMatVecs): at the 24-step cap, or
+	// fewer where the probe met the tolerance first. Nil on sweeps that run
+	// no selector.
+	Probe []int
 	// Warm[i] reports whether point i was warm-started.
 	Warm []bool
 	// Methods[i] names the solve method that produced point i ("power",
@@ -228,6 +233,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 	}
 	if adaptive {
 		stats.Predicted = make([]int, len(ps))
+		stats.Probe = make([]int, len(ps))
 	}
 	chains := batch.Chains(len(ps), opts.ChainLen)
 	stats.Chains = len(chains)
@@ -296,6 +302,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 				}
 				stats.Iterations[i] = res.Iterations
 				stats.Predicted[i] = res.PredictedMatVecs
+				stats.Probe[i] = res.ProbeMatVecs
 				stats.Methods[i] = res.Method.String()
 				escalations[ci] += res.Escalations
 				if opts.Progress != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -257,8 +258,8 @@ func TestAdaptiveSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("warm=%v: %v", warm, err)
 		}
 		for i, m := range stats.Methods {
-			if m == "" || stats.Predicted[i] <= 0 {
-				t.Fatalf("warm=%v: point %d has method %q, predicted %d", warm, i, m, stats.Predicted[i])
+			if m == "" || stats.Predicted[i] <= 0 || stats.Probe[i] < 2 || stats.Probe[i] > 24 {
+				t.Fatalf("warm=%v: point %d has method %q, predicted %d, probe %d", warm, i, m, stats.Predicted[i], stats.Probe[i])
 			}
 		}
 		if counts := stats.MethodCounts(); stats.Methods[0] != "power" || counts["chebyshev"] == 0 {
@@ -273,9 +274,9 @@ func TestAdaptiveSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 			requireIdentical(t, "adaptive sweep", ref, got)
 			for i := range stats.Methods {
-				if stats.Methods[i] != gstats.Methods[i] || stats.Predicted[i] != gstats.Predicted[i] {
-					t.Fatalf("workers=%d warm=%v: point %d method %q (predicted %d) vs %q (%d)", workers, warm, i,
-						stats.Methods[i], stats.Predicted[i], gstats.Methods[i], gstats.Predicted[i])
+				if stats.Methods[i] != gstats.Methods[i] || stats.Predicted[i] != gstats.Predicted[i] || stats.Probe[i] != gstats.Probe[i] {
+					t.Fatalf("workers=%d warm=%v: point %d method %q (predicted %d, probe %d) vs %q (%d, %d)", workers, warm, i,
+						stats.Methods[i], stats.Predicted[i], stats.Probe[i], gstats.Methods[i], gstats.Predicted[i], gstats.Probe[i])
 				}
 			}
 			if stats.Escalations != gstats.Escalations {
@@ -455,9 +456,21 @@ func TestRunCriticalBenchShort(t *testing.T) {
 		if pt.Iterations <= 0 {
 			t.Errorf("grid point %d has no iteration count", i)
 		}
+		if pt.Probe < 2 || pt.Probe > 24 || pt.Probe >= pt.Iterations {
+			t.Errorf("grid point %d: probe %d of %d matvecs", i, pt.Probe, pt.Iterations)
+		}
 	}
 	if res.Grid[0].FracPC >= 1 || res.Grid[len(res.Grid)-1].FracPC <= 1 {
 		t.Errorf("grid [%.3f, %.3f]·p_c does not cross the threshold",
 			res.Grid[0].FracPC, res.Grid[len(res.Grid)-1].FracPC)
+	}
+	// The probe column comes last, so readers keyed on the earlier columns
+	// (CI greps the header up to predicted) keep working.
+	var sb strings.Builder
+	if err := res.WriteTSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\np\tfrac_pc\tmethod\titerations\tpredicted\twarm\tgamma0\tprobe\n") {
+		t.Errorf("point header missing or reordered:\n%s", sb.String())
 	}
 }

@@ -245,19 +245,26 @@ func dotChunk(x, y []float64) float64 {
 }
 
 // Combine adds Σ_t c[t]·basis[t] to dst, for t < len(c), in one pass over
-// dst. Each element is updated exactly as the AXPY sequence
-// AXPY(c[0], basis[0], dst), AXPY(c[1], basis[1], dst), … would update it:
-// the same operations in the same order. Only the traversal differs: dst is
-// walked in chunks of combineChunk entries, and each chunk receives all
-// len(c) terms while it is cache-resident. It panics if basis has fewer
-// than len(c) vectors or one of them differs in length from dst.
-func Combine(dst []float64, basis [][]float64, c []float64) {
+// dst, and returns Σdstᵢ² of the result. Each element is updated exactly as
+// the AXPY sequence AXPY(c[0], basis[0], dst), AXPY(c[1], basis[1], dst), …
+// would update it: the same operations in the same order. Only the
+// traversal differs: dst is walked in chunks of combineChunk entries, and
+// each chunk receives all len(c) terms, then has its squares summed, while
+// it is cache-resident. The sum is LanczosTail's: unscaled, in four lanes by
+// index mod 4 combined as ((s0+s1)+s2)+s3, with the last len(dst) mod 4
+// entries folded on in index order, so a caller that needs the full
+// floating-point range falls back to Norm2 when the sum leaves it. It panics
+// if basis has fewer than len(c) vectors or one of them differs in length
+// from dst.
+func Combine(dst []float64, basis [][]float64, c []float64) float64 {
 	if len(basis) < len(c) {
 		panic(fmt.Sprintf("vec: Combine has %d coefficients for %d vectors", len(c), len(basis)))
 	}
 	for _, b := range basis[:len(c)] {
 		checkLen("Combine", len(dst), len(b))
 	}
+	tail := dst[len(dst)&^3:] // the last len(dst) mod 4 entries
+	var s0, s1, s2, s3 float64
 	// Slice-advance over dst; lo is the chunk's offset into every term.
 	for lo := 0; len(dst) > 0; {
 		m := min(len(dst), combineChunk)
@@ -270,8 +277,22 @@ func Combine(dst []float64, basis [][]float64, c []float64) {
 				axpyChunk(a, b[lo:], d)
 			}
 		}
+		// combineChunk is a multiple of 4, so every chunk's lanes line up
+		// with the index mod 4, and only the last chunk has a tail.
+		for len(d) >= 4 {
+			s0 += d[0] * d[0]
+			s1 += d[1] * d[1]
+			s2 += d[2] * d[2]
+			s3 += d[3] * d[3]
+			d = d[4:]
+		}
 		dst, lo = dst[m:], lo+m
 	}
+	s := ((s0 + s1) + s2) + s3
+	for _, x := range tail {
+		s += x * x
+	}
+	return s
 }
 
 // axpyChunk is AXPY's per-element update y ← y + a·x over one chunk, in the

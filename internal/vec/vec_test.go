@@ -61,6 +61,22 @@ func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 	}
 }
 
+// laneSumSq is the documented sum-of-squares order of LanczosTail and
+// Combine: four lanes by index mod 4 combined as ((s0+s1)+s2)+s3, then the
+// last len(x) mod 4 entries in index order.
+func laneSumSq(x []float64) float64 {
+	var lanes [4]float64
+	body := len(x) - len(x)%4
+	for i, v := range x[:body] {
+		lanes[i%4] += v * v
+	}
+	s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
+	for _, v := range x[body:] {
+		s += v * v
+	}
+	return s
+}
+
 // TestLanczosTailMatchesAXPYs pins the fused Lanczos tail against the two
 // AXPYs it replaces, element for element, and its sum of squares against
 // the documented 4-lane order; a nil u drops the β term.
@@ -75,15 +91,7 @@ func TestLanczosTailMatchesAXPYs(t *testing.T) {
 			if prev != nil {
 				AXPY(-beta, prev, want)
 			}
-			var lanes [4]float64
-			body := n - n%4
-			for i, x := range want[:body] {
-				lanes[i%4] += x * x
-			}
-			wantSq := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
-			for _, x := range want[body:] {
-				wantSq += x * x
-			}
+			wantSq := laneSumSq(want)
 			got := Clone(w)
 			gotSq := LanczosTail(got, v, prev, alpha, beta)
 			if gotSq != wantSq {
@@ -100,9 +108,10 @@ func TestLanczosTailMatchesAXPYs(t *testing.T) {
 
 // TestCombineMatchesAXPYs pins Combine element for element against the
 // sequential AXPY loop it replaces, from a zeroed and from a live dst, for
-// dimensions around the chunk length and term counts up to a probe basis.
-// The ±0 and magnitude-jump entries make any change in the per-element
-// operation order visible.
+// dimensions around the chunk length and term counts up to a probe basis,
+// and its Σdst² bit for bit against LanczosTail's order. The ±0 and
+// magnitude-jump entries make any change in the per-element operation
+// order visible.
 func TestCombineMatchesAXPYs(t *testing.T) {
 	r := rng.New(37)
 	for _, n := range []int{1, 3, 4, 7, combineChunk - 1, combineChunk, combineChunk + 1, 2*combineChunk + 13} {
@@ -125,11 +134,14 @@ func TestCombineMatchesAXPYs(t *testing.T) {
 				for j, a := range c {
 					AXPY(a, basis[j], want)
 				}
-				Combine(dst, basis, c)
+				gotSq := Combine(dst, basis, c)
 				for i := range dst {
 					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("n=%d k=%d live=%v: dst[%d] = %v, AXPY loop %v", n, k, live, i, dst[i], want[i])
 					}
+				}
+				if wantSq := laneSumSq(want); math.Float64bits(gotSq) != math.Float64bits(wantSq) {
+					t.Fatalf("n=%d k=%d live=%v: Σdst² = %v, LanczosTail's order %v", n, k, live, gotSq, wantSq)
 				}
 			}
 		}

@@ -46,7 +46,11 @@ BENCH_critical.tsv	Adaptive critical-window sweep at ν=18 crossing p_c: per-poi
 +the Ritz handoff (the Chebyshev gear starts from the gap probe's top Ritz
 +vector) and the Right-form check of a stalled Chebyshev iterate: 500
 +matvecs, no escalation, the 0.93·p_c point Chebyshev at 55, no point
-+above 2× its prediction.
++above 2× its prediction; then after the warm, self-stopping gap probe
++(seeded from the chain's warm start, stopped once its top Ritz pair
++meets tol; new last column probe): 330 matvecs, every gear kept, the
++0.93·p_c point 55 → 61, the 1.02·p_c chain head unchanged at 40, the
++other 11 points cheaper.
 BENCH_critical.json	JSON form of BENCH_critical.tsv.
 PERF_ledger.jsonl	Append-only perf ledger gated advisorily in CI (qs-perf record/check).
 +Entries: the pre-AVX2 solve/critical baselines, a kernels-floor-nu14-*
@@ -59,9 +63,10 @@ PERF_ledger.jsonl	Append-only perf ledger gated advisorily in CI (qs-perf record
 +(gap_probe 70% → 40% of wall, 1146 matvecs as under the cost-ranked gear
 +rule, which had cut them from 5166) on the 2-CPU host; the entry after it
 +re-records it with the cheaper Chebyshev gear (945 matvecs, wall
-+0.132 → 0.122 s, Chebyshev at all 9 points); the last re-records it
++0.132 → 0.122 s, Chebyshev at all 9 points); the next re-records it
 +with the Ritz handoff (234 matvecs, 26 per point; wall 0.122 → 0.047 s;
-+gap_probe 92% of wall). Records carry
++gap_probe 92% of wall); the last with the warm, self-stopping probe
++(169 matvecs; wall 0.047 → 0.041 s; gap_probe 92% of wall). Records carry
 +run_id/flight_bundle when written with qs-perf record -flight
 +(DESIGN.md §5.8).
 EOF
