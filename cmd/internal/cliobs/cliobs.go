@@ -1,0 +1,148 @@
+// Package cliobs is the observability flag set the solver CLIs share —
+// -debug-addr, -spans, -span-out, -hwc, -flight, -flight-dir and
+// -telemetry — with the code that starts what the flags ask for and, via
+// Run.Finish, reports on it when the run ends. Tool-specific checks (such
+// as qs-threshold's "requires -full") stay in the tools.
+package cliobs
+
+import (
+	"cmp"
+	"flag"
+	"fmt"
+	"os"
+
+	quasispecies "repro"
+	"repro/internal/obs"
+)
+
+// Flags are the parsed observability flags.
+type Flags struct {
+	DebugAddr string
+	Spans     bool
+	SpanOut   string
+	HWC       bool
+	Flight    bool
+	FlightDir string
+	Telemetry bool
+}
+
+// Help overrides the help text of the flags whose wording depends on the
+// tool; an empty field keeps the default.
+type Help struct {
+	Spans, SpanOut, HWC, Flight, Telemetry string
+}
+
+// Register defines the observability flags on the default flag set; call
+// it before flag.Parse.
+func Register(h Help) *Flags {
+	f := &Flags{}
+	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
+	flag.BoolVar(&f.Spans, "spans", false, cmp.Or(h.Spans, "profile the run with hierarchical spans and print the per-phase time table to stderr"))
+	flag.StringVar(&f.SpanOut, "span-out", "", cmp.Or(h.SpanOut, "write the span timeline as Chrome trace-event JSON to this file (implies -spans)"))
+	flag.BoolVar(&f.HWC, "hwc", false, cmp.Or(h.HWC, "attribute hardware counters (perf_event_open: IPC, cache misses) to the span profile (implies -spans; extras via QS_HWC_EVENTS)"))
+	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure"))
+	flag.StringVar(&f.FlightDir, "flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
+	flag.BoolVar(&f.Telemetry, "telemetry", false, cmp.Or(h.Telemetry, "sample resource telemetry (RSS, NUMA placement, arena occupancy) at 1 Hz; served on /debug/telemetry and by qs-top"))
+	return f
+}
+
+// Profiling reports whether a span profile was asked for: -spans, or
+// -span-out and -hwc, which imply it.
+func (f *Flags) Profiling() bool { return f.Spans || f.SpanOut != "" || f.HWC }
+
+// Run is the observability of one tool run.
+type Run struct {
+	tool  string
+	flags *Flags
+	srv   *obs.DebugServer
+	tm    *quasispecies.Telemetry
+	fl    *quasispecies.Flight
+	prof  *quasispecies.SpanProfile
+}
+
+// Start starts the resource sampler (-telemetry) and the debug server
+// (-debug-addr). tool prefixes every line the run prints to stderr and
+// names the tool in flight manifests.
+func (f *Flags) Start(tool string) (*Run, error) {
+	r := &Run{tool: tool, flags: f}
+	if f.Telemetry {
+		r.tm = quasispecies.StartTelemetry(quasispecies.TelemetryOptions{})
+	}
+	if f.DebugAddr != "" {
+		srv, err := obs.StartDebugServer(f.DebugAddr)
+		if err != nil {
+			return nil, err
+		}
+		r.srv = srv
+		r.logf("debug server on http://%s (/metrics, /debug/vars, /debug/pprof)", srv.Addr())
+	}
+	return r, nil
+}
+
+// StartFlight starts a flight recording of the run described by opts when
+// -flight is set (the tool name and bundle directory come from the run)
+// and returns it; it returns nil without -flight.
+func (r *Run) StartFlight(opts quasispecies.FlightOptions) *quasispecies.Flight {
+	if !r.flags.Flight {
+		return nil
+	}
+	opts.Dir, opts.Tool = r.flags.FlightDir, r.tool
+	r.fl = quasispecies.StartFlight(opts)
+	r.logf("flight recording run %s (bundles under %s)", r.fl.RunID(), r.flags.FlightDir)
+	return r.fl
+}
+
+// StartSpans starts the span profile when one was asked for.
+func (r *Run) StartSpans() {
+	if !r.flags.Profiling() {
+		return
+	}
+	r.prof = quasispecies.StartSpanProfileOpts(quasispecies.SpanProfileOptions{HWC: r.flags.HWC})
+	if r.flags.HWC && !r.prof.HWCActive() {
+		r.logf("hardware counters unavailable, continuing with wall-time spans only (%s)", r.prof.HWCReason())
+	}
+}
+
+// Finish ends the run's observability. It stops the span profile, prints
+// its per-phase table and writes the -span-out Chrome trace; dumps a
+// flight bundle when err is non-nil; prints the telemetry notice; and
+// stops the flight recorder, the sampler and the debug server. The profile
+// is reported even when the run failed — where the time went is most
+// interesting then.
+func (r *Run) Finish(err error) {
+	if r.prof != nil {
+		r.prof.Stop()
+		r.logf("span profile (per-phase times):")
+		if werr := r.prof.WriteTable(os.Stderr); werr != nil {
+			r.logf("%v", werr)
+		}
+		if out := r.flags.SpanOut; out != "" {
+			if werr := r.prof.WriteChromeTraceFile(out); werr != nil {
+				r.logf("%v", werr)
+			} else {
+				r.logf("span timeline written to %s (open in ui.perfetto.dev)", out)
+			}
+		}
+	}
+	if r.fl != nil {
+		if err != nil {
+			if dir, ok := r.fl.DumpOnError(err); ok {
+				r.logf("diagnostic bundle dumped to %s", dir)
+			}
+		}
+		r.fl.Stop()
+	}
+	if r.tm != nil {
+		if n := r.tm.Notice(); n != "" {
+			r.logf("%s", n)
+		}
+		r.tm.Stop()
+	}
+	if r.srv != nil {
+		r.srv.Close()
+	}
+}
+
+func (r *Run) logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, r.tool+": "+format+"\n", args...)
+}

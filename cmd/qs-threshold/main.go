@@ -25,6 +25,7 @@ import (
 	"os"
 
 	quasispecies "repro"
+	"repro/cmd/internal/cliobs"
 	"repro/internal/obs"
 )
 
@@ -43,43 +44,31 @@ func main() {
 		full    = flag.Bool("full", false, "solve the full 2^ν eigenproblem per point instead of the exact class reduction")
 		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert | lanczos (auto adapts per point: power far from the threshold, Krylov gears inside the critical window)")
 
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 		traceFile  = flag.String("trace", "", "write per-point convergence traces to this file (.tsv or .jsonl; requires -full)")
 		traceEvery = flag.Int("trace-every", 1, "keep every Nth residual check per point in the trace")
 		progress   = flag.Bool("progress", false, "print one line per solved point to stderr")
-		spans      = flag.Bool("spans", false, "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)")
-		spanOut    = flag.String("span-out", "", "write the span timeline as Chrome trace-event JSON to this file (implies -spans)")
-		hwcFlag    = flag.Bool("hwc", false, "attribute hardware counters (perf_event_open: IPC, cache misses) to the span profile (implies -spans; requires -full; extras via QS_HWC_EVENTS)")
-		flight     = flag.Bool("flight", false, "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)")
-		flightDir  = flag.String("flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
-		telemetry  = flag.Bool("telemetry", false, "sample resource telemetry (RSS, NUMA placement, arena occupancy, points/sec) at 1 Hz; served on /debug/telemetry and by qs-top")
 	)
+	obsFlags := cliobs.Register(cliobs.Help{
+		Spans:     "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)",
+		HWC:       "attribute hardware counters (perf_event_open: IPC, cache misses) to the span profile (implies -spans; requires -full; extras via QS_HWC_EVENTS)",
+		Flight:    "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)",
+		Telemetry: "sample resource telemetry (RSS, NUMA placement, arena occupancy, points/sec) at 1 Hz; served on /debug/telemetry and by qs-top",
+	})
 	flag.Parse()
 
-	var tm *quasispecies.Telemetry
-	if *telemetry {
-		tm = quasispecies.StartTelemetry(quasispecies.TelemetryOptions{})
-		defer tm.Stop()
-	}
-
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr)
-		exitOn(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "qs-threshold: debug server on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr())
-	}
-	if (*spans || *spanOut != "" || *hwcFlag) && !*full {
+	run, err := obsFlags.Start("qs-threshold")
+	exitOn(err)
+	if obsFlags.Profiling() && !*full {
 		exitOn(fmt.Errorf("-spans profiles the full-space solver; add -full (the class reduction has no instrumented phases)"))
 	}
 	if *traceFile != "" && !*full {
 		exitOn(fmt.Errorf("-trace records full-space convergence traces; add -full (the class reduction is exact and does not iterate per point)"))
 	}
-	if *flight && !*full {
+	if obsFlags.Flight && !*full {
 		exitOn(fmt.Errorf("-flight watches the full-space solver; add -full (the class reduction is exact and has nothing to stall)"))
 	}
 
 	var l quasispecies.Landscape
-	var err error
 	switch *land {
 	case "singlepeak":
 		l, err = quasispecies.SinglePeak(*nu, *f0, *f1)
@@ -107,22 +96,17 @@ func main() {
 			exitOn(err)
 			fmt.Printf("first-order theory 1 - sigma^(-1/nu) = %.6f\n", theory)
 		}
+		run.Finish(nil)
 		return
 	}
 
-	var fl *quasispecies.Flight
-	if *flight {
-		fl = quasispecies.StartFlight(quasispecies.FlightOptions{
-			Dir: *flightDir, Tool: "qs-threshold",
-			Nu: *nu, Method: *method, Workers: *workers, PGrid: ps,
-		})
-		defer fl.Stop()
-		fmt.Fprintf(os.Stderr, "qs-threshold: flight recording run %s (bundles under %s)\n", fl.RunID(), *flightDir)
-	}
+	fl := run.StartFlight(quasispecies.FlightOptions{
+		Nu: *nu, Method: *method, Workers: *workers, PGrid: ps,
+	})
 
 	obs.RecordSweepStart(len(ps))
-	opts := quasispecies.SweepOptions{Workers: *workers, WarmStart: *warm, Method: *method, HWC: *hwcFlag}
-	if *progress || *debugAddr != "" || fl != nil {
+	opts := quasispecies.SweepOptions{Workers: *workers, WarmStart: *warm, Method: *method, HWC: obsFlags.HWC}
+	if *progress || obsFlags.DebugAddr != "" || fl != nil {
 		pr := *progress
 		opts.Progress = func(i int, p float64, iters int, warmStarted bool, solveMethod string) {
 			obs.RecordSweepPoint(p, iters, warmStarted)
@@ -165,33 +149,14 @@ func main() {
 		}
 	}
 
-	var sprof *quasispecies.SpanProfile
-	if *spans || *spanOut != "" || *hwcFlag {
-		sprof = quasispecies.StartSpanProfileOpts(quasispecies.SpanProfileOptions{HWC: *hwcFlag})
-		if *hwcFlag && !sprof.HWCActive() {
-			fmt.Fprintf(os.Stderr, "qs-threshold: hardware counters unavailable, continuing with wall-time spans only (%s)\n", sprof.HWCReason())
-		}
-	}
+	run.StartSpans()
 	var pts []quasispecies.ThresholdPoint
 	if *full {
 		pts, err = quasispecies.ThresholdCurveFullWith(l, ps, opts)
 	} else {
 		pts, err = quasispecies.ThresholdCurveWith(l, ps, opts)
 	}
-	if sprof != nil {
-		sprof.Stop()
-		fmt.Fprintln(os.Stderr, "qs-threshold: span profile (per-phase times):")
-		if werr := sprof.WriteTable(os.Stderr); werr != nil {
-			fmt.Fprintln(os.Stderr, "qs-threshold:", werr)
-		}
-		if *spanOut != "" {
-			if werr := sprof.WriteChromeTraceFile(*spanOut); werr != nil {
-				fmt.Fprintln(os.Stderr, "qs-threshold:", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "qs-threshold: span timeline written to %s (open in ui.perfetto.dev)\n", *spanOut)
-			}
-		}
-	}
+	run.Finish(err)
 	if trace != nil {
 		// Write the trace even on failure: a stagnation trace of the point
 		// that failed is exactly what the file is for.
@@ -200,16 +165,6 @@ func main() {
 		} else {
 			fmt.Fprintf(os.Stderr, "qs-threshold: convergence trace written to %s (%d rows)\n",
 				*traceFile, len(trace.Rows()))
-		}
-	}
-	if err != nil && fl != nil {
-		if dir, ok := fl.DumpOnError(err); ok {
-			fmt.Fprintf(os.Stderr, "qs-threshold: diagnostic bundle dumped to %s\n", dir)
-		}
-	}
-	if tm != nil {
-		if n := tm.Notice(); n != "" {
-			fmt.Fprintf(os.Stderr, "qs-threshold: %s\n", n)
 		}
 	}
 	exitOn(err)

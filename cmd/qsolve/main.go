@@ -17,6 +17,7 @@ import (
 	"time"
 
 	quasispecies "repro"
+	"repro/cmd/internal/cliobs"
 	"repro/internal/obs"
 )
 
@@ -41,47 +42,24 @@ func main() {
 		save    = flag.String("save", "", "write the solved distribution to this checkpoint file")
 		load    = flag.String("load", "", "skip solving; analyze the checkpoint file instead")
 
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 		traceFile  = flag.String("trace", "", "write the solve's convergence trace to this file (.tsv or .jsonl)")
 		traceEvery = flag.Int("trace-every", 1, "keep every Nth residual check in the trace")
-		spans      = flag.Bool("spans", false, "profile the solve with hierarchical spans and print the per-phase time table")
-		spanOut    = flag.String("span-out", "", "write the span timeline as Chrome trace-event JSON to this file (implies -spans; load in Perfetto)")
-		hwcFlag    = flag.Bool("hwc", false, "attribute hardware counters (perf_event_open: IPC, cache misses) to the span profile (implies -spans; extras via QS_HWC_EVENTS)")
-		flight     = flag.Bool("flight", false, "flight-record the run: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure")
-		flightDir  = flag.String("flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
-		telemetry  = flag.Bool("telemetry", false, "sample resource telemetry (RSS, NUMA placement, arena occupancy) at 1 Hz; served on /debug/telemetry and by qs-top")
 	)
+	obsFlags := cliobs.Register(cliobs.Help{
+		Spans:   "profile the solve with hierarchical spans and print the per-phase time table",
+		SpanOut: "write the span timeline as Chrome trace-event JSON to this file (implies -spans; load in Perfetto)",
+	})
 	flag.Parse()
 
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr)
-		exitOn(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "qsolve: debug server on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr())
-	}
-	var tm *quasispecies.Telemetry
-	if *telemetry {
-		tm = quasispecies.StartTelemetry(quasispecies.TelemetryOptions{})
-		defer func() {
-			if n := tm.Notice(); n != "" {
-				fmt.Fprintf(os.Stderr, "qsolve: %s\n", n)
-			}
-			tm.Stop()
-		}()
-	}
-
-	var fl *quasispecies.Flight
-	if *flight {
-		fl = quasispecies.StartFlight(quasispecies.FlightOptions{
-			Dir: *flightDir, Tool: "qsolve",
-			Nu: *nu, Method: *method, Workers: *workers, PGrid: []float64{*p},
-		})
-		defer fl.Stop()
-		fmt.Fprintf(os.Stderr, "qsolve: flight recording run %s (bundles under %s)\n", fl.RunID(), *flightDir)
-	}
+	run, err := obsFlags.Start("qsolve")
+	exitOn(err)
+	fl := run.StartFlight(quasispecies.FlightOptions{
+		Nu: *nu, Method: *method, Workers: *workers, PGrid: []float64{*p},
+	})
 
 	if *load != "" {
 		sol, err := quasispecies.LoadSolutionFile(*load)
+		run.Finish(err)
 		exitOn(err)
 		fmt.Printf("loaded checkpoint %s: ν=%d λ=%.15g residual=%.3g\n",
 			*load, len(sol.Gamma)-1, sol.Lambda, sol.Residual)
@@ -132,31 +110,10 @@ func main() {
 	model, err := quasispecies.New(mut, l, modelOpts...)
 	exitOn(err)
 
-	var sprof *quasispecies.SpanProfile
-	if *spans || *spanOut != "" || *hwcFlag {
-		sprof = quasispecies.StartSpanProfileOpts(quasispecies.SpanProfileOptions{HWC: *hwcFlag})
-		if *hwcFlag && !sprof.HWCActive() {
-			fmt.Fprintf(os.Stderr, "qsolve: hardware counters unavailable, continuing with wall-time spans only (%s)\n", sprof.HWCReason())
-		}
-	}
+	run.StartSpans()
 	start := time.Now()
 	sol, err := model.Solve()
-	if sprof != nil {
-		sprof.Stop()
-		// Like the convergence trace, the profile is reported even when the
-		// solve failed — where the time went is most interesting then.
-		fmt.Fprintln(os.Stderr, "\nspan profile (per-phase times):")
-		if werr := sprof.WriteTable(os.Stderr); werr != nil {
-			fmt.Fprintln(os.Stderr, "qsolve:", werr)
-		}
-		if *spanOut != "" {
-			if werr := sprof.WriteChromeTraceFile(*spanOut); werr != nil {
-				fmt.Fprintln(os.Stderr, "qsolve:", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "qsolve: span timeline written to %s (open in ui.perfetto.dev)\n", *spanOut)
-			}
-		}
-	}
+	run.Finish(err)
 	if trace != nil {
 		// Write the trace even when the solve failed — a stagnation trace
 		// is exactly what the file is for.
@@ -165,11 +122,6 @@ func main() {
 		} else {
 			fmt.Fprintf(os.Stderr, "qsolve: convergence trace written to %s (%d rows)\n",
 				*traceFile, len(trace.Rows()))
-		}
-	}
-	if err != nil && fl != nil {
-		if dir, ok := fl.DumpOnError(err); ok {
-			fmt.Fprintf(os.Stderr, "qsolve: diagnostic bundle dumped to %s\n", dir)
 		}
 	}
 	exitOn(err)

@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/span"
@@ -37,38 +36,16 @@ import (
 
 // Batch-layer span names (internal/span): SpanRun covers a whole Run call,
 // SpanTask one task execution (its End args are slot and task index, so the
-// exported trace shows slot occupancy over time).
+// exported trace shows slot occupancy over time). SpanTaskFailed is a
+// zero-length post-hoc record inside the task span of a task that returned
+// an error: it carries no time, only the failure for the qs_batch_*
+// metrics. The span recorder is the scheduler's only observer; the
+// disabled cost is one atomic pointer load per Run.
 const (
-	SpanRun  = "run"
-	SpanTask = "task"
+	SpanRun        = "run"
+	SpanTask       = "task"
+	SpanTaskFailed = "task_failed"
 )
-
-// Observer receives scheduler lifecycle callbacks: run boundaries and
-// per-task start/done events with slot attribution, the source of the
-// qs_batch_* occupancy and task-latency metrics. The hook is nil by
-// default (disabled cost: one atomic pointer load per Run); TaskStart and
-// TaskDone arrive concurrently from the worker goroutines, so
-// implementations must be safe for concurrent use.
-type Observer interface {
-	RunStart(tasks, workers int)
-	TaskStart(slot, task int)
-	TaskDone(slot, task int, d time.Duration, failed bool)
-	RunDone(tasks int, d time.Duration)
-}
-
-type observerHook struct{ o Observer }
-
-var schedObs atomic.Pointer[observerHook]
-
-// SetObserver installs o as the process-wide scheduler observer (nil
-// uninstalls). Call at startup, not concurrently with running batches.
-func SetObserver(o Observer) {
-	if o == nil {
-		schedObs.Store(nil)
-		return
-	}
-	schedObs.Store(&observerHook{o: o})
-}
 
 // PanicHook receives a task panic caught in a scheduler worker: the task
 // index, the recovered value, and the worker's stack at the panic site.
@@ -95,7 +72,7 @@ func SetPanicHook(h PanicHook) {
 // runHooked executes task(i, s) with a recover bracket that feeds the
 // panic hook and then re-panics. Split from runOne so the nil-hook path
 // never pays for the deferred closure.
-func runHooked(hook PanicHook, h *observerHook, task func(i int, s *Slot) error, i int, s *Slot) (err error) {
+func runHooked(hook PanicHook, task func(i int, s *Slot) error, i int, s *Slot) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 64<<10)
@@ -104,25 +81,13 @@ func runHooked(hook PanicHook, h *observerHook, task func(i int, s *Slot) error,
 			panic(r)
 		}
 	}()
-	if h == nil {
-		return task(i, s)
-	}
-	return h.runTask(task, i, s)
+	return task(i, s)
 }
 
-// runTask executes one task under the observer's start/done bracket.
-func (h *observerHook) runTask(task func(i int, s *Slot) error, i int, s *Slot) error {
-	h.o.TaskStart(s.id, i)
-	start := time.Now()
-	err := task(i, s)
-	h.o.TaskDone(s.id, i, time.Since(start), err != nil)
-	return err
-}
-
-// Live scheduler counters for the telemetry sampler: unlike the Observer
-// hook these are always on (a task is a whole eigensolve, so two atomic
-// adds per task are free) and therefore readable even when no metrics
-// observer was installed. Planned accumulates the task count of every Run;
+// Live scheduler counters for the telemetry sampler: unlike the spans
+// these are always on (a task is a whole eigensolve, so two atomic adds per
+// task are free) and therefore readable even when no span recorder was
+// installed. Planned accumulates the task count of every Run;
 // done/planned is the sweep's chain-progress signal.
 var live struct {
 	inflight atomic.Int64
@@ -217,17 +182,12 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 	if workers > n {
 		workers = n
 	}
-	h := schedObs.Load()
 	sr := span.Installed()
 	var sp span.Handle
 	if sr != nil {
 		sp = sr.Begin(span.LayerBatch, SpanRun)
 	}
 	live.planned.Add(int64(n))
-	if h != nil {
-		h.o.RunStart(n, workers)
-		defer func(start time.Time) { h.o.RunDone(n, time.Since(start)) }(time.Now())
-	}
 	if workers == 1 {
 		// Serial fast path: no goroutines, no synchronization — the
 		// reference execution the parallel path is tested against.
@@ -235,7 +195,7 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 		var firstErr error
 		firstIdx := n
 		for i := 0; i < n; i++ {
-			err := runOne(h, sr, task, i, s)
+			err := runOne(sr, task, i, s)
 			if err != nil && i < firstIdx {
 				firstErr, firstIdx = fmt.Errorf("batch: task %d: %w", i, err), i
 			}
@@ -263,7 +223,7 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 				if i >= n {
 					return
 				}
-				if err := runOne(h, sr, task, i, slot); err != nil {
+				if err := runOne(sr, task, i, slot); err != nil {
 					mu.Lock()
 					if i < firstIdx {
 						firstErr, firstIdx = fmt.Errorf("batch: task %d: %w", i, err), i
@@ -278,10 +238,10 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 	return firstErr
 }
 
-// runOne executes task(i, s), bracketed by the observer and a task span
-// when installed. Worker goroutines open their task spans on their own
+// runOne executes task(i, s), bracketed by a task span when a recorder is
+// installed. Worker goroutines open their task spans on their own
 // goroutine, so each worker is its own track in the exported trace.
-func runOne(h *observerHook, sr span.Recorder, task func(i int, s *Slot) error, i int, s *Slot) error {
+func runOne(sr span.Recorder, task func(i int, s *Slot) error, i int, s *Slot) error {
 	var sp span.Handle
 	if sr != nil {
 		sp = sr.Begin(span.LayerBatch, SpanTask)
@@ -293,11 +253,12 @@ func runOne(h *observerHook, sr span.Recorder, task func(i int, s *Slot) error, 
 	}()
 	var err error
 	if ph := panicHook.Load(); ph != nil {
-		err = runHooked(ph.h, h, task, i, s)
-	} else if h == nil {
-		err = task(i, s)
+		err = runHooked(ph.h, task, i, s)
 	} else {
-		err = h.runTask(task, i, s)
+		err = task(i, s)
+	}
+	if err != nil && sr != nil {
+		sr.Record(span.LayerBatch, SpanTaskFailed, 0, int64(s.id), int64(i))
 	}
 	span.End(sp, int64(s.id), int64(i))
 	return err

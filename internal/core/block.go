@@ -192,15 +192,8 @@ func BlockPowerIteration(op Operator, k int, opts PowerOptions) (*BlockPowerResu
 		return nil, err
 	}
 
-	sh := solveObs.Load()
 	sr := span.Installed()
-	var sp span.Handle
-	if sr != nil {
-		sp = sr.Begin(span.LayerCore, SolveKindBlockPower)
-	}
-	if sh != nil {
-		sh.o.SolveStart(SolveKindBlockPower, n)
-	}
+	sp := beginSpan(sr, SolveKindBlockPower)
 	if opts.Observer != nil {
 		notifyMethod(opts.Observer, SolveKindBlockPower)
 		opts.Observer.Event(EventStart, 0, 0, 0)
@@ -213,12 +206,12 @@ func BlockPowerIteration(op Operator, k int, opts PowerOptions) (*BlockPowerResu
 	bestIter := 0
 	worst := 0.0
 	for iter := 1; iter <= maxIter; iter++ {
-		ph := beginPhase(sr, PhaseMatvec)
+		ph := beginSpan(sr, PhaseMatvec)
 		batchApply(op, W, X)
 		span.End(ph, int64(iter), int64(k))
 		res.Iterations = iter
 		worst = 0.0
-		ph = beginPhase(sr, PhaseResidual)
+		ph = beginSpan(sr, PhaseResidual)
 		for j := 0; j < k; j++ {
 			theta := vec.Dot(X[j], W[j]) // Rayleigh quotient, ‖X[j]‖₂ = 1
 			res.Lambdas[j] = theta
@@ -233,8 +226,8 @@ func BlockPowerIteration(op Operator, k int, opts PowerOptions) (*BlockPowerResu
 			}
 		}
 		span.End(ph, int64(iter), int64(k))
-		if sh != nil {
-			sh.o.SolveStep(SolveKindBlockPower, 1)
+		if sr != nil {
+			sr.Check(1, worst, "")
 		}
 		if opts.Observer != nil {
 			// Step reports the dominant estimate and the worst residual of
@@ -249,11 +242,11 @@ func BlockPowerIteration(op Operator, k int, opts PowerOptions) (*BlockPowerResu
 			res.Converged = true
 			break
 		}
-		ph = beginPhase(sr, PhaseOrthonormalize)
+		ph = beginSpan(sr, PhaseOrthonormalize)
 		err := orthonormalize(W)
 		span.End(ph, int64(iter), int64(k))
 		if err != nil {
-			powerDone(sh, sp, opts.Observer, SolveKindBlockPower, EventBreakdown, n, iter, res.Lambdas[0], worst)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, iter, res.Lambdas[0], worst)
 			return res, fmt.Errorf("core: block iteration broke down at step %d: %w", iter, err)
 		}
 		X, W = W, X
@@ -263,14 +256,14 @@ func BlockPowerIteration(op Operator, k int, opts PowerOptions) (*BlockPowerResu
 	}
 	res.Vectors = X
 	if !res.Converged {
-		powerDone(sh, sp, opts.Observer, SolveKindBlockPower, EventBudgetExhausted, n, res.Iterations, res.Lambdas[0], worst)
+		powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.Iterations, res.Lambdas[0], worst)
 		return res, &ConvergenceError{
 			Reason: ErrNoConvergence, Method: SolveKindBlockPower,
 			Iterations: res.Iterations, Residual: maxSlice(res.Residuals), BestResidual: bestWorst,
 			SinceImprovement: res.Iterations - bestIter, Shift: opts.Shift, Tol: tol,
 		}
 	}
-	powerDone(sh, sp, opts.Observer, SolveKindBlockPower, EventConverged, n, res.Iterations, res.Lambdas[0], worst)
+	powerDone(sr, sp, opts.Observer, EventConverged, n, res.Iterations, res.Lambdas[0], worst)
 	return res, nil
 }
 

@@ -193,15 +193,8 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	// not bounded well below the rescale threshold (see chebGrowthBound).
 	stepNorm := !(2*chebGrowthBound(op, center, halfWidth, deg) < chebRescale)
 
-	sh := solveObs.Load()
 	sr := span.Installed()
-	var sp span.Handle
-	if sr != nil {
-		sp = sr.Begin(span.LayerCore, SolveKindChebyshev)
-	}
-	if sh != nil {
-		sh.o.SolveStart(SolveKindChebyshev, n)
-	}
+	sp := beginSpan(sr, SolveKindChebyshev)
 	if opts.Observer != nil {
 		notifyMethod(opts.Observer, SolveKindChebyshev)
 		opts.Observer.Event(EventStart, 0, b, 0)
@@ -230,7 +223,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		// iterates jointly whenever they grow (the recurrence is linear, so
 		// a joint rescale only changes the overall normalization).
 		steps = min(steps, maxMatVecs-res.MatVecs-1)
-		ph := beginPhase(sr, PhaseChebPoly)
+		ph := beginSpan(sr, PhaseChebPoly)
 		// z ← A'·x (degree 1), previous iterate is x (degree 0).
 		op.Apply(w, x)
 		res.MatVecs++
@@ -259,30 +252,30 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		x, z = z, x
 		span.End(ph, int64(res.Restarts), int64(steps))
 
-		ph = beginPhase(sr, PhaseNormalize)
+		ph = beginSpan(sr, PhaseNormalize)
 		nrm = norm2(dev, x)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			span.End(ph, int64(res.Restarts), 0)
 			finishCheb(&res, x, opts.Work)
-			powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
 		}
 		scale(dev, x, 1/nrm)
 		span.End(ph, int64(res.Restarts), 0)
 
 		// Rayleigh quotient and explicit residual of the filtered iterate.
-		ph = beginPhase(sr, PhaseRayleigh)
+		ph = beginSpan(sr, PhaseRayleigh)
 		op.Apply(w, x)
 		res.MatVecs++
 		lambda := dot(dev, x, w)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Lambda = lambda
-		ph = beginPhase(sr, PhaseResidual)
+		ph = beginSpan(sr, PhaseResidual)
 		r := residual(dev, w, x, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
-		if sh != nil {
-			sh.o.SolveStep(SolveKindChebyshev, res.MatVecs-lastMatVecs)
+		if sr != nil {
+			sr.Check(int64(res.MatVecs-lastMatVecs), r, "")
 		}
 		lastMatVecs = res.MatVecs
 		if opts.Observer != nil {
@@ -291,7 +284,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		if r <= tol {
 			res.Converged = true
 			finishCheb(&res, x, opts.Work)
-			powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventConverged, n, res.MatVecs, lambda, r)
+			powerDone(sr, sp, opts.Observer, EventConverged, n, res.MatVecs, lambda, r)
 			return res, nil
 		}
 		if r < bestResidual*(1-1e-6) {
@@ -300,7 +293,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			improvedAt = res.MatVecs
 		} else if stalled++; stallRestarts > 0 && stalled >= stallRestarts {
 			finishCheb(&res, x, opts.Work)
-			powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventStagnated, n, res.MatVecs, lambda, r)
+			powerDone(sr, sp, opts.Observer, EventStagnated, n, res.MatVecs, lambda, r)
 			return res, &ConvergenceError{
 				Reason: ErrStagnated, Method: SolveKindChebyshev,
 				Detail:     fmt.Sprintf("damping interval [%g, %g] may not separate λ₁ from λ₀", a, b),
@@ -311,7 +304,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		steps = chebRestartDegree(deg, lambda, r, tol, a, b)
 	}
 	finishCheb(&res, x, opts.Work)
-	powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
+	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindChebyshev,
 		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,

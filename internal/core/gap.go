@@ -261,7 +261,7 @@ func ritzGap(op Operator, k int, start, weight []float64, stop float64, work *Kr
 		return ritzProbe{}, fmt.Errorf("core: start vector length %d, want %d", len(start), n)
 	}
 	sr := span.Installed()
-	sp := beginPhase(sr, PhaseGapProbe)
+	sp := beginSpan(sr, PhaseGapProbe)
 	if work == nil {
 		work = NewKrylovWork(n)
 	}

@@ -84,17 +84,10 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	kw := NewKrylovWork(n)
 	basis, alpha, beta, w := kw.krylov(n, m) // beta[j] couples basis[j] and basis[j+1]
 
-	// Same hook discipline as PowerIteration: hoisted loads, no deferred
+	// Same hook discipline as PowerIteration: a hoisted load, no deferred
 	// closures, every exit path reports through powerDone.
-	sh := solveObs.Load()
 	sr := span.Installed()
-	var sp span.Handle
-	if sr != nil {
-		sp = sr.Begin(span.LayerCore, SolveKindLanczos)
-	}
-	if sh != nil {
-		sh.o.SolveStart(SolveKindLanczos, n)
-	}
+	sp := beginSpan(sr, SolveKindLanczos)
 	if opts.Observer != nil {
 		notifyMethod(opts.Observer, SolveKindLanczos)
 		opts.Observer.Event(EventStart, 0, 0, 0)
@@ -105,15 +98,15 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copy(basis[0], q)
-		ph := beginPhase(sr, PhaseMatvec)
+		ph := beginSpan(sr, PhaseMatvec)
 		k := kw.lanczosSteps(op, m, 0, &res.MatVecs)
 		span.End(ph, int64(res.Restarts), int64(k))
 		// Dominant eigenpair of the k×k tridiagonal T.
-		ph = beginPhase(sr, PhaseTridiag)
+		ph = beginSpan(sr, PhaseTridiag)
 		vals, ritz, err := tridiagEigenpairs(alpha[:k], beta[:max(k-1, 0)])
 		span.End(ph, int64(res.Restarts), int64(k))
 		if err != nil {
-			powerDone(sh, sp, opts.Observer, SolveKindLanczos, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, err
 		}
 		res.Lambda = vals[0]
@@ -121,7 +114,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		kw.ritzVector(q, ritz)
 		vec.Normalize2(q)
 		// Explicit residual of the Ritz pair.
-		ph = beginPhase(sr, PhaseResidual)
+		ph = beginSpan(sr, PhaseResidual)
 		op.Apply(w, q)
 		res.MatVecs++
 		var rs float64
@@ -131,8 +124,8 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		}
 		res.Residual = math.Sqrt(rs)
 		span.End(ph, int64(res.Restarts), 0)
-		if sh != nil {
-			sh.o.SolveStep(SolveKindLanczos, res.MatVecs-lastMatVecs)
+		if sr != nil {
+			sr.Check(int64(res.MatVecs-lastMatVecs), res.Residual, "")
 		}
 		lastMatVecs = res.MatVecs
 		if opts.Observer != nil {
@@ -142,13 +135,13 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 			res.Converged = true
 			orientPositive(q)
 			res.Vector = q
-			powerDone(sh, sp, opts.Observer, SolveKindLanczos, EventConverged, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventConverged, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, nil
 		}
 	}
 	orientPositive(q)
 	res.Vector = q
-	powerDone(sh, sp, opts.Observer, SolveKindLanczos, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
+	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
 	return res, fmt.Errorf("%w after %d restarts (residual %g, tol %g)",
 		ErrNoConvergence, res.Restarts, res.Residual, tol)
 }

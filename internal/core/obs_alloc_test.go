@@ -1,28 +1,32 @@
-package core
+package core_test
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/obs"
 	"repro/internal/span"
 	"repro/internal/vec"
 )
 
 // Zero-overhead contract of the observability hooks (see internal/obs):
-// with no observer installed, the solver hot paths must not allocate and
-// must produce bit-identical results whether or not instrumentation ran
-// before. The alloc guards below are the enforcement.
+// with no span recorder installed, the solver hot paths must not allocate
+// and must produce bit-identical results whether or not instrumentation
+// ran before. The alloc guards below are the enforcement. The file is an
+// external test package so the solves can run under the real qs_* metric
+// subscriber of internal/obs.
 
-func obsTestOperator(t *testing.T, nu int, p float64) *FmmpOperator {
+func obsTestOperator(t *testing.T, nu int, p float64) *core.FmmpOperator {
 	t.Helper()
 	q := mutation.MustUniform(nu, p)
 	l, err := landscape.NewSinglePeak(nu, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := NewFmmpOperator(q, l, Right, nil)
+	op, err := core.NewFmmpOperator(q, l, core.Right, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,31 +63,22 @@ func TestApplyBatchDoesNotAllocateWithHooksDisabled(t *testing.T) {
 func TestPowerIterationDoesNotAllocateWithHooksDisabled(t *testing.T) {
 	op := obsTestOperator(t, 10, 0.01)
 	n := op.Dim()
-	work := NewPowerWork(n)
+	work := core.NewPowerWork(n)
 	start := make([]float64, n)
 	vec.Fill(start, 1)
-	opts := PowerOptions{Tol: 1e-10, Work: work, Start: start}
+	opts := core.PowerOptions{Tol: 1e-10, Work: work, Start: start}
 	// Warm up once so lazily grown scratch settles before counting.
-	if _, err := PowerIteration(op, opts); err != nil {
+	if _, err := core.PowerIteration(op, opts); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := PowerIteration(op, opts); err != nil {
+		if _, err := core.PowerIteration(op, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("PowerIteration allocates %.0f objects per solve with Work supplied and hooks disabled", allocs)
 	}
-}
-
-// countingSolveObserver is a minimal SolveObserver for the bit-identity test.
-type countingSolveObserver struct{ starts, steps, dones int }
-
-func (c *countingSolveObserver) SolveStart(kind string, dim int)  { c.starts++ }
-func (c *countingSolveObserver) SolveStep(kind string, iters int) { c.steps++ }
-func (c *countingSolveObserver) SolveDone(kind string, iters int, residual float64, outcome string) {
-	c.dones++
 }
 
 // recordingObserver is a minimal Observer for the bit-identity test.
@@ -94,17 +89,29 @@ func (r *recordingObserver) Event(event string, iter int, lambda, residual float
 	r.events++
 }
 
-// TestInstrumentationIsBitIdentical runs the same solve bare, under a full
-// observer stack, and bare again, and requires the three results to agree
-// to the last bit: instrumentation must only watch, never steer.
+// metricValue reads one qs_* value from the default registry.
+func metricValue(t *testing.T, name string) float64 {
+	t.Helper()
+	v, ok := obs.Default().Value(name)
+	if !ok {
+		t.Fatalf("metric %s is not registered", name)
+	}
+	return v
+}
+
+// TestInstrumentationIsBitIdentical runs the same solve bare, under the
+// full observer stack — a convergence observer plus the qs_* metric
+// subscriber on the span hook — and bare again, and requires the three
+// results to agree to the last bit: instrumentation must only watch, never
+// steer.
 func TestInstrumentationIsBitIdentical(t *testing.T) {
 	op := obsTestOperator(t, 10, 0.02)
 	n := op.Dim()
 	start := make([]float64, n)
 	vec.Fill(start, 1)
 
-	solve := func(observer Observer) PowerResult {
-		res, err := PowerIteration(op, PowerOptions{Tol: 1e-11, Start: start, Observer: observer})
+	solve := func(observer core.Observer) core.PowerResult {
+		res, err := core.PowerIteration(op, core.PowerOptions{Tol: 1e-11, Start: start, Observer: observer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,15 +122,25 @@ func TestInstrumentationIsBitIdentical(t *testing.T) {
 
 	bare := solve(nil)
 
-	so := &countingSolveObserver{}
-	SetSolveObserver(so)
+	obs.EnableSolverMetrics()
+	metrics := []string{
+		`qs_power_solves_total{kind="power"}`,
+		"qs_power_residual_checks_total",
+		`qs_power_outcomes_total{outcome="converged"}`,
+	}
+	before := make([]float64, len(metrics))
+	for i, name := range metrics {
+		before[i] = metricValue(t, name)
+	}
 	ro := &recordingObserver{}
 	instrumented := solve(ro)
-	SetSolveObserver(nil)
+	// Metrics stay subscribed once enabled; uninstall the recorder itself
+	// so the last solve runs bare again.
+	span.SetRecorder(nil)
 
 	bareAgain := solve(nil)
 
-	for name, got := range map[string]PowerResult{"instrumented": instrumented, "bare-again": bareAgain} {
+	for name, got := range map[string]core.PowerResult{"instrumented": instrumented, "bare-again": bareAgain} {
 		if got.Lambda != bare.Lambda || got.Iterations != bare.Iterations || got.Residual != bare.Residual {
 			t.Errorf("%s solve diverged: λ %v vs %v, iters %d vs %d, residual %v vs %v",
 				name, got.Lambda, bare.Lambda, got.Iterations, bare.Iterations, got.Residual, bare.Residual)
@@ -134,8 +151,10 @@ func TestInstrumentationIsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if so.starts != 1 || so.dones != 1 || so.steps == 0 {
-		t.Errorf("solve observer saw starts=%d steps=%d dones=%d", so.starts, so.steps, so.dones)
+	for i, want := range []float64{1, float64(instrumented.Iterations), 1} {
+		if got := metricValue(t, metrics[i]) - before[i]; got != want {
+			t.Errorf("%s moved by %g, want %g", metrics[i], got, want)
+		}
 	}
 	if ro.steps != instrumented.Iterations {
 		t.Errorf("observer steps = %d, want one per residual check (%d)", ro.steps, instrumented.Iterations)
@@ -152,8 +171,9 @@ type countingSpanHandle struct{ r *countingSpanRecorder }
 func (h *countingSpanHandle) End(a1, a2 int64) { h.r.ends++ }
 
 type countingSpanRecorder struct {
-	begins, ends, records int
-	byName                map[string]int
+	begins, ends, records, checks int
+	outcome                       string
+	byName                        map[string]int
 }
 
 func (r *countingSpanRecorder) Begin(layer, name string) span.Handle {
@@ -169,6 +189,13 @@ func (r *countingSpanRecorder) Record(layer, name string, d time.Duration, a1, a
 	r.records++
 }
 
+func (r *countingSpanRecorder) Check(iters int64, residual float64, outcome string) {
+	r.checks++
+	if outcome != "" {
+		r.outcome = outcome
+	}
+}
+
 // TestSpanRecorderIsBitIdentical runs the same solve bare, under a span
 // recorder, and bare again: spans must only watch, never steer, and the
 // recorder must see the full phase structure.
@@ -181,10 +208,10 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu := ConservativeShift(mutation.MustUniform(10, 0.02), l)
+	mu := core.ConservativeShift(mutation.MustUniform(10, 0.02), l)
 
-	solve := func() PowerResult {
-		res, err := PowerIteration(op, PowerOptions{Tol: 1e-11, Start: start, Shift: mu})
+	solve := func() core.PowerResult {
+		res, err := core.PowerIteration(op, core.PowerOptions{Tol: 1e-11, Start: start, Shift: mu})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +229,7 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 
 	bareAgain := solve()
 
-	for name, got := range map[string]PowerResult{"spanned": spanned, "bare-again": bareAgain} {
+	for name, got := range map[string]core.PowerResult{"spanned": spanned, "bare-again": bareAgain} {
 		if got.Lambda != bare.Lambda || got.Iterations != bare.Iterations || got.Residual != bare.Residual {
 			t.Errorf("%s solve diverged: λ %v vs %v, iters %d vs %d, residual %v vs %v",
 				name, got.Lambda, bare.Lambda, got.Iterations, bare.Iterations, got.Residual, bare.Residual)
@@ -223,8 +250,8 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 	// The fused power step records pass A under rayleigh and pass B under
 	// residual; the shift and normalization have no passes of their own.
 	for phase, want := range map[string]int{
-		PhaseMatvec: iters, PhaseRayleigh: iters, PhaseResidual: iters,
-		"shift": 0, PhaseNormalize: 0,
+		core.PhaseMatvec: iters, core.PhaseRayleigh: iters, core.PhaseResidual: iters,
+		"shift": 0, core.PhaseNormalize: 0,
 	} {
 		if got := sr.byName["core/"+phase]; got != want {
 			t.Errorf("%s spans = %d, want %d", phase, got, want)
@@ -233,6 +260,10 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 	if got := sr.byName["mutation/apply"]; got != iters {
 		t.Errorf("mutation apply spans = %d, want %d", got, iters)
 	}
+	// One residual check per iteration, then the outcome.
+	if sr.checks != iters+1 || sr.outcome != core.EventConverged {
+		t.Errorf("residual checks = %d (outcome %q), want %d ending %q", sr.checks, sr.outcome, iters+1, core.EventConverged)
+	}
 }
 
 // TestConvergenceErrorDiagnostics forces a stall and checks the enriched
@@ -240,15 +271,15 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 func TestConvergenceErrorDiagnostics(t *testing.T) {
 	op := obsTestOperator(t, 8, 0.04)
 	l, _ := landscape.NewSinglePeak(8, 2, 1)
-	mu := ConservativeShift(mutation.MustUniform(8, 0.04), l)
-	_, err := PowerIteration(op, PowerOptions{
+	mu := core.ConservativeShift(mutation.MustUniform(8, 0.04), l)
+	_, err := core.PowerIteration(op, core.PowerOptions{
 		Tol: 1e-30, MaxIter: 200, Shift: mu, StallChecks: -1, // negative disables the stall guard
 	})
-	ce, ok := err.(*ConvergenceError)
+	ce, ok := err.(*core.ConvergenceError)
 	if !ok {
-		t.Fatalf("err = %T (%v), want *ConvergenceError", err, err)
+		t.Fatalf("err = %T (%v), want *core.ConvergenceError", err, err)
 	}
-	if ce.Reason != ErrNoConvergence {
+	if ce.Reason != core.ErrNoConvergence {
 		t.Errorf("Reason = %v", ce.Reason)
 	}
 	if ce.Iterations != 200 || ce.Shift != mu || ce.Tol != 1e-30 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Observability hooks for the eigensolvers. Two independent mechanisms:
 //
@@ -12,13 +9,15 @@ import (
 //     events, exactly the stream needed to plot stalls near the error
 //     threshold where the spectral gap collapses. obs.TraceRecorder
 //     satisfies it structurally.
-//   - SetSolveObserver installs a process-wide metrics hook fed by every
-//     power/block-power solve (counts, iteration deltas, outcomes) — the
-//     source of the qs_power_* metric families.
+//   - The process-wide span recorder (internal/span): every solve opens a
+//     core-layer span named by its SolveKind*, reports each residual check
+//     and its final outcome through Recorder.Check, and wraps its iteration
+//     phases in spans. internal/obs feeds the qs_power_* metric families
+//     from that stream.
 //
 // Both are nil by default; the disabled cost is a nil check (Observer) and
-// one atomic pointer load per solve plus one per residual check
-// (SolveObserver). No allocations either way — guarded by the alloc tests.
+// one atomic pointer load per solve (span). No allocations either way —
+// guarded by the alloc tests.
 
 // Observer receives one solve's convergence trace. Step is called after
 // every residual evaluation; Event marks lifecycle transitions using the
@@ -29,7 +28,8 @@ type Observer interface {
 	Event(event string, iter int, lambda, residual float64)
 }
 
-// Lifecycle events reported to Observer.Event and SolveObserver.SolveDone.
+// Lifecycle events reported to Observer.Event and, as the outcome of the
+// final span.Recorder.Check, to the span recorder.
 const (
 	// EventStart opens a solve; lambda carries the shift µ in use.
 	EventStart = "start"
@@ -47,8 +47,8 @@ const (
 	EventAborted = "aborted"
 )
 
-// Solve kinds reported to the SolveObserver. The span profiler reuses them
-// as the names of the core-layer solve spans.
+// Solve kinds: the names of the core-layer solve spans, and the method
+// stamped on convergence traces and errors.
 const (
 	SolveKindPower       = "power"
 	SolveKindBlockPower  = "block_power"
@@ -100,31 +100,6 @@ const (
 	// the core layer with this name).
 	PhaseShiftFactor = "shift_factor"
 )
-
-// SolveObserver is the process-wide eigensolver metrics hook. SolveStep
-// receives the iterations performed since the previous residual check, so
-// accumulating it yields a live iteration counter mid-solve. Callbacks
-// arrive concurrently from batched sweep workers; implementations must be
-// safe for concurrent use.
-type SolveObserver interface {
-	SolveStart(kind string, dim int)
-	SolveStep(kind string, iters int)
-	SolveDone(kind string, iters int, residual float64, outcome string)
-}
-
-type solveHook struct{ o SolveObserver }
-
-var solveObs atomic.Pointer[solveHook]
-
-// SetSolveObserver installs o as the process-wide solve observer (nil
-// uninstalls). Call at startup, not concurrently with running solves.
-func SetSolveObserver(o SolveObserver) {
-	if o == nil {
-		solveObs.Store(nil)
-		return
-	}
-	solveObs.Store(&solveHook{o: o})
-}
 
 // ConvergenceError carries the diagnostics of a failed (or stagnated)
 // power iteration: everything needed to understand a stall near the

@@ -156,18 +156,11 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		return PowerResult{}, errors.New("core: start vector is zero")
 	}
 	scale(dev, x, 1/nrm)
-	// Both hooks are hoisted: one atomic load each per solve, then plain
-	// nil checks in the loop. The solve span closes in powerDone so every
-	// exit path ends it without a deferred closure (which would allocate).
-	sh := solveObs.Load()
+	// The span hook is hoisted: one atomic load per solve, then plain nil
+	// checks in the loop. The solve span closes in powerDone so every exit
+	// path ends it without a deferred closure (which would allocate).
 	sr := span.Installed()
-	var sp span.Handle
-	if sr != nil {
-		sp = sr.Begin(span.LayerCore, SolveKindPower)
-	}
-	if sh != nil {
-		sh.o.SolveStart(SolveKindPower, n)
-	}
+	sp := beginSpan(sr, SolveKindPower)
 	if opts.Observer != nil {
 		notifyMethod(opts.Observer, SolveKindPower)
 		opts.Observer.Event(EventStart, 0, mu, 0)
@@ -183,13 +176,13 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	// and x and w swap at the end of the iteration, so every exit before the
 	// swap still returns the iterate whose λ and residual it reports.
 	for iter := 1; iter <= maxIter; iter++ {
-		ph := beginPhase(sr, PhaseMatvec)
+		ph := beginSpan(sr, PhaseMatvec)
 		op.Apply(w, x)
 		span.End(ph, int64(iter), 0)
 		res.Iterations = iter
 		// Pass A: Rayleigh quotient of the *shifted* operator for unit x,
 		// and ‖t‖ for the normalization.
-		ph = beginPhase(sr, PhaseRayleigh)
+		ph = beginSpan(sr, PhaseRayleigh)
 		lamShifted, nrm := shiftedDotNorm2(dev, x, w, mu)
 		span.End(ph, int64(iter), 0)
 		res.Lambda = lamShifted + mu
@@ -197,13 +190,13 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		// the unshifted pair (Wx − λx = (W−µI)x − (λ−µ)x), and w ← t/‖t‖.
 		// A check-free iteration discards the residual; it rides on the
 		// same stream.
-		ph = beginPhase(sr, PhaseResidual)
+		ph = beginSpan(sr, PhaseResidual)
 		r := shiftedResidualScale(dev, x, w, mu, lamShifted, 1/nrm)
 		span.End(ph, int64(iter), 0)
 		if iter%checkEvery == 0 || iter == maxIter {
 			res.Residual = r
-			if sh != nil {
-				sh.o.SolveStep(SolveKindPower, iter-lastCheck)
+			if sr != nil {
+				sr.Check(int64(iter-lastCheck), r, "")
 			}
 			lastCheck = iter
 			if opts.Observer != nil {
@@ -218,7 +211,7 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 			}
 			if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
 				finish(&res, x, opts.Work)
-				powerDone(sh, sp, opts.Observer, SolveKindPower, EventAborted, n, iter, res.Lambda, r)
+				powerDone(sr, sp, opts.Observer, EventAborted, n, iter, res.Lambda, r)
 				return res, &ConvergenceError{
 					Reason: ErrNoConvergence, Method: SolveKindPower,
 					Detail:     fmt.Sprintf("aborted by monitor at iteration %d", iter),
@@ -229,12 +222,12 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 			if r <= tol {
 				res.Converged = true
 				finish(&res, x, opts.Work)
-				powerDone(sh, sp, opts.Observer, SolveKindPower, EventConverged, n, iter, res.Lambda, r)
+				powerDone(sr, sp, opts.Observer, EventConverged, n, iter, res.Lambda, r)
 				return res, nil
 			}
 			if stallChecks > 0 && stalled >= stallChecks {
 				finish(&res, x, opts.Work)
-				powerDone(sh, sp, opts.Observer, SolveKindPower, EventStagnated, n, iter, res.Lambda, r)
+				powerDone(sr, sp, opts.Observer, EventStagnated, n, iter, res.Lambda, r)
 				return res, &ConvergenceError{
 					Reason: ErrStagnated, Method: SolveKindPower,
 					Iterations: iter, Residual: r, BestResidual: bestResidual,
@@ -244,13 +237,13 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		}
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			finish(&res, x, opts.Work)
-			powerDone(sh, sp, opts.Observer, SolveKindPower, EventBreakdown, n, iter, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, iter, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
 		}
 		x, w = w, x
 	}
 	finish(&res, x, opts.Work)
-	powerDone(sh, sp, opts.Observer, SolveKindPower, EventBudgetExhausted, n, res.Iterations, res.Lambda, res.Residual)
+	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.Iterations, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindPower,
 		Iterations: res.Iterations, Residual: res.Residual, BestResidual: bestResidual,
@@ -258,22 +251,24 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	}
 }
 
-// powerDone emits the end-of-solve notifications to all three hook
-// mechanisms, closing the solve span last so the observer callbacks are
-// charged to it. sp is nil when spans were disabled at solve start.
-func powerDone(sh *solveHook, sp span.Handle, obs Observer, kind, outcome string, dim, iter int, lambda, residual float64) {
+// powerDone emits the end-of-solve notifications: the convergence
+// observer's outcome event and the span recorder's final residual check,
+// then closes the solve span last so the callbacks are charged to it. sr
+// and sp are nil when no recorder was installed at solve start.
+func powerDone(sr span.Recorder, sp span.Handle, obs Observer, outcome string, dim, iter int, lambda, residual float64) {
 	if obs != nil {
 		obs.Event(outcome, iter, lambda, residual)
 	}
-	if sh != nil {
-		sh.o.SolveDone(kind, iter, residual, outcome)
+	if sr != nil {
+		sr.Check(0, residual, outcome)
 	}
 	span.End(sp, int64(dim), int64(iter))
 }
 
-// beginPhase opens a core-layer phase span when a recorder was installed at
-// solve start; the disabled path is a single nil check, no calls.
-func beginPhase(sr span.Recorder, name string) span.Handle {
+// beginSpan opens a core-layer span — a solve or one of its phases — when a
+// recorder was installed at solve start; the disabled path is a single nil
+// check, no calls.
+func beginSpan(sr span.Recorder, name string) span.Handle {
 	if sr == nil {
 		return nil
 	}

@@ -185,15 +185,8 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 	}
 	scale(dev, q, 1/nrm)
 
-	sh := solveObs.Load()
 	sr := span.Installed()
-	var sp span.Handle
-	if sr != nil {
-		sp = sr.Begin(span.LayerCore, SolveKindShiftInvert)
-	}
-	if sh != nil {
-		sh.o.SolveStart(SolveKindShiftInvert, n)
-	}
+	sp := beginSpan(sr, SolveKindShiftInvert)
 	if opts.Observer != nil {
 		notifyMethod(opts.Observer, SolveKindShiftInvert)
 		opts.Observer.Event(EventStart, 0, mu, 0)
@@ -208,7 +201,7 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		badShift := false
 		for j := 0; j < m; j++ {
 			// One outer step: w ← (µI − S)⁻¹ · basis[j] by inner CG.
-			ph := beginPhase(sr, PhaseInnerSolve)
+			ph := beginSpan(sr, PhaseInnerSolve)
 			ok := innerCG(op, dev, w, basis[j], mu, innerTol, innerMaxIter, cgR, cgP, cgAp, &res.MatVecs, &res.InnerIters)
 			span.End(ph, int64(res.Restarts), int64(j))
 			if !ok {
@@ -248,27 +241,27 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 			}
 		}
 		if badShift {
-			siDone(sh, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("%w: µ = %g", ErrBadShift, mu)
 		}
 		if k == 0 {
-			siDone(sh, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, errors.New("core: shift-invert Lanczos built an empty basis")
 		}
 		// Dominant Ritz pair of the k×k tridiagonal (of the transformed
 		// operator; its top eigenvalue θ maps back as λ = µ − 1/θ).
-		ph := beginPhase(sr, PhaseTridiag)
+		ph := beginSpan(sr, PhaseTridiag)
 		vals, vecs, err := tridiagEigenpairs(alpha[:k], beta[:max(k-1, 0)])
 		span.End(ph, int64(res.Restarts), int64(k))
 		if err != nil {
-			siDone(sh, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, err
 		}
 		theta := vals[0]
 		if theta <= 0 {
 			// The transformed operator is SPD when µ > λ₀; a non-positive
 			// dominant Ritz value means the shift is unusable.
-			siDone(sh, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("%w: transformed Ritz value θ = %g ≤ 0 at µ = %g", ErrBadShift, theta, mu)
 		}
 		res.Lambda = mu - 1/theta
@@ -279,12 +272,12 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		}
 		nrm = norm2(dev, q)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			siDone(sh, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: shift-invert Ritz vector collapsed at restart %d", res.Restarts)
 		}
 		scale(dev, q, 1/nrm)
 		// Explicit residual on the original operator.
-		ph = beginPhase(sr, PhaseResidual)
+		ph = beginSpan(sr, PhaseResidual)
 		op.Apply(w, q)
 		res.MatVecs++
 		lambda := dot(dev, q, w) // Rayleigh quotient beats µ − 1/θ once close
@@ -292,8 +285,8 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		r := residual(dev, w, q, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
-		if sh != nil {
-			sh.o.SolveStep(SolveKindShiftInvert, res.MatVecs-lastMatVecs)
+		if sr != nil {
+			sr.Check(int64(res.MatVecs-lastMatVecs), r, "")
 		}
 		lastMatVecs = res.MatVecs
 		if opts.Observer != nil {
@@ -303,22 +296,18 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 			res.Converged = true
 			orientPositive(q)
 			res.Vector = q
-			siDone(sh, sp, opts.Observer, EventConverged, n, res.MatVecs, lambda, r)
+			powerDone(sr, sp, opts.Observer, EventConverged, n, res.MatVecs, lambda, r)
 			return res, nil
 		}
 	}
 	orientPositive(q)
 	res.Vector = q
-	siDone(sh, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
+	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindShiftInvert,
 		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: res.Residual,
 		Shift: mu, Tol: tol,
 	}
-}
-
-func siDone(sh *solveHook, sp span.Handle, obs Observer, outcome string, dim, iters int, lambda, residual float64) {
-	powerDone(sh, sp, obs, SolveKindShiftInvert, outcome, dim, iters, lambda, residual)
 }
 
 // innerCG solves (µI − S)·y = rhs to relative tolerance rtol by conjugate

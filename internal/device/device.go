@@ -162,33 +162,20 @@ func (d *Device) LaunchStages(stages, n, weight int, kernel func(lo, hi int)) {
 
 // run executes a planned launch with the configured dispatch and returns
 // the per-chunk partials of a reduce launch (nil otherwise). kind is the
-// launch family reported to an installed LaunchObserver and the name of the
-// device-layer span; with neither hook installed the only instrumentation
-// cost is the two atomic loads.
+// name of the device-layer launch span; with no span recorder installed the
+// only instrumentation cost is one atomic load.
 func (d *Device) run(kind string, l launch) [][2]float64 {
-	h := launchObs.Load()
 	sr := span.Installed()
-	if h == nil && sr == nil {
+	if sr == nil {
 		sums, _ := d.dispatch(l, false)
 		return sums
 	}
-	var sp span.Handle
-	if sr != nil {
-		sp = sr.Begin(span.LayerDevice, kind)
-	}
-	start := time.Now()
+	sp := sr.Begin(span.LayerDevice, kind)
 	sums, wait := d.dispatch(l, true)
-	if sr != nil {
-		// The barrier tail is reported post hoc inside the still-open
-		// launch span, so it shows as the launch's child in the profile.
-		if wait > 0 {
-			sr.Record(span.LayerDevice, SpanQueueWait, wait, int64(l.nchunks), 0)
-		}
-		span.End(sp, int64(l.n), int64(l.nchunks))
-	}
-	if h != nil {
-		h.o.Launch(kind, l.n, l.nchunks, time.Since(start), wait)
-	}
+	// The barrier tail is reported post hoc inside the still-open launch
+	// span, so it shows as the launch's child in the profile.
+	sr.Record(span.LayerDevice, SpanQueueWait, wait, int64(l.nchunks), 0)
+	span.End(sp, int64(l.n), int64(l.nchunks))
 	return sums
 }
 

@@ -1,47 +1,21 @@
 package device
 
-import (
-	"sync/atomic"
-	"time"
-)
+// Span names of the kernel-launch runtime (internal/span, layer "device").
+// The span recorder is the runtime's only instrumentation hook: with none
+// installed a launch pays one atomic pointer load. internal/obs feeds the
+// qs_device_* metric families from these spans.
 
-// Observability hook for the kernel-launch runtime. Nil by default; the
-// disabled cost per launch is one atomic pointer load. internal/obs
-// installs an observer that feeds the qs_device_* metric families.
-
-// Launch kinds reported to the LaunchObserver. The span profiler reuses
-// them as the names of the device-layer launch spans.
+// Launch kinds, the names of the device-layer launch spans.
 const (
 	LaunchKindRange  = "range"  // Launch / LaunchRange dispatches
 	LaunchKindStages = "stages" // fused stage-group dispatches (LaunchStages)
 	LaunchKindReduce = "reduce" // reduction launches
 )
 
-// SpanQueueWait is the device-layer span reported post hoc for the barrier
-// tail the submitting goroutine spent blocked on pool workers.
+// SpanQueueWait is the device-layer span reported post hoc, inside every
+// observed launch, for the barrier tail the submitting goroutine spent
+// blocked on pool workers after exhausting the chunk queue — the pool's
+// queue-wait/straggler signal. It is zero for single-chunk and spawn
+// dispatches; a zero-length record carries no time and only counts the
+// launch for the queue-wait histogram.
 const SpanQueueWait = "queue_wait"
-
-// LaunchObserver receives one callback per completed kernel launch that
-// actually dispatched (n > 0, after planning). total is the wall time of
-// the whole launch including the submitting goroutine's own share of the
-// work; wait is the tail the submitter spent blocked on the batch barrier
-// after exhausting the chunk queue — the pool's queue-wait/straggler
-// signal (0 for single-chunk and spawn dispatches). Callbacks can arrive
-// concurrently; implementations must be safe for concurrent use.
-type LaunchObserver interface {
-	Launch(kind string, n, chunks int, total, wait time.Duration)
-}
-
-type launchHook struct{ o LaunchObserver }
-
-var launchObs atomic.Pointer[launchHook]
-
-// SetLaunchObserver installs o as the process-wide launch observer (nil
-// uninstalls). Call at startup, not concurrently with running launches.
-func SetLaunchObserver(o LaunchObserver) {
-	if o == nil {
-		launchObs.Store(nil)
-		return
-	}
-	launchObs.Store(&launchHook{o: o})
-}

@@ -227,7 +227,7 @@ func poolWorkers() []*poolWorker {
 // stealing), the caller joins the batch itself on part 0, and the barrier
 // is the batch's own WaitGroup. With measureWait it returns how long the
 // caller was blocked on that barrier after finishing its own chunks — the
-// straggler/queue-wait tail reported to a LaunchObserver.
+// straggler/queue-wait tail reported as the queue_wait span.
 func runPooled(b *batch, helpers int, measureWait bool) time.Duration {
 	b.wg.Add(b.nchunks)
 	if helpers > b.nchunks-1 {

@@ -1,8 +1,6 @@
 package mutation
 
 import (
-	"time"
-
 	"repro/internal/device"
 	"repro/internal/span"
 )
@@ -41,9 +39,6 @@ func (q *Process) ApplyBatch(vs [][]float64) {
 		return
 	}
 	sp := span.Begin(span.LayerMutation, KindApplyBatch)
-	if h := kernelObs.Load(); h != nil {
-		defer h.span(KindApplyBatch, q.nu, len(vs), time.Now())
-	}
 	tb := TileBits()
 	for _, s := range q.segs {
 		if s.grp < 0 {
@@ -76,9 +71,6 @@ func (q *Process) ApplyBatchDevice(d *device.Device, vs [][]float64) {
 		return
 	}
 	sp := span.Begin(span.LayerMutation, KindApplyBatchDevice)
-	if h := kernelObs.Load(); h != nil {
-		defer h.span(KindApplyBatchDevice, q.nu, len(vs), time.Now())
-	}
 	tb := TileBits()
 	for _, s := range q.segs {
 		if s.grp < 0 {

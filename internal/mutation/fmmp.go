@@ -2,7 +2,6 @@ package mutation
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/span"
@@ -94,21 +93,13 @@ func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epi
 // into the last segment's last pass when non-nil; the caller guarantees the
 // first (resp. last) segment is a blocked one in those cases.
 func (q *Process) apply(v, src, scale []float64, ep *Epilogue) {
-	h := kernelObs.Load()
 	sr := span.Installed()
 	var sp span.Handle
 	if sr != nil {
 		sp = sr.Begin(span.LayerMutation, KindApply)
 	}
-	if h != nil {
-		defer h.span(KindApply, q.nu, 1, time.Now())
-	}
 	tb := TileBits()
 	for i, s := range q.segs {
-		var t0 time.Time
-		if h != nil {
-			t0 = time.Now()
-		}
 		var gsp span.Handle
 		if sr != nil {
 			gsp = sr.Begin(span.LayerMutation, KindStageGroup)
@@ -117,15 +108,9 @@ func (q *Process) apply(v, src, scale []float64, ep *Epilogue) {
 			applyStagesBlockedScaled(v, src, scale, s.off0, s.fs, tb, fuseStages, lastPass(ep, i == len(q.segs)-1))
 			src, scale = nil, nil
 			span.End(gsp, int64(len(s.fs)), 1)
-			if h != nil {
-				h.span(KindStageGroup, len(s.fs), 1, t0)
-			}
 		} else {
 			q.applyGroupSerial(q.groups[s.grp], v)
 			span.End(gsp, int64(q.groups[s.grp].bitsLen), 1)
-			if h != nil {
-				h.span(KindStageGroup, q.groups[s.grp].bitsLen, 1, t0)
-			}
 		}
 	}
 	span.End(sp, int64(q.nu), 1)
@@ -203,11 +188,7 @@ func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 // applyDevice is ApplyDevice on v ← src ⊙ scale when scale is non-nil, with
 // ep fused into the last launch when non-nil; see apply.
 func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, ep *Epilogue) {
-	h := kernelObs.Load()
 	sp := span.Begin(span.LayerMutation, KindApplyDevice)
-	if h != nil {
-		defer h.span(KindApplyDevice, q.nu, 1, time.Now())
-	}
 	tb := TileBits()
 	for i, s := range q.segs {
 		if s.grp < 0 {

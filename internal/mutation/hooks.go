@@ -1,18 +1,11 @@
 package mutation
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// Observability hook for the butterfly kernels. The hook is nil by
-// default; the disabled cost in every Apply variant is a single atomic
-// pointer load (no timing calls, no allocations — guarded by the
-// alloc/bit-identity tests). internal/obs installs an observer that feeds
-// the qs_kernel_* metric families.
-
-// Kernel pass kinds reported to the KernelObserver. The span profiler
-// reuses them as the names of the mutation-layer spans.
+// Span names of the butterfly kernels (internal/span, layer "mutation").
+// The span recorder is the kernels' only instrumentation hook: with none
+// installed each Apply variant pays one atomic pointer load (no timing
+// calls, no allocations — guarded by the alloc/bit-identity tests).
+// internal/obs feeds the qs_kernel_* metric families from the apply and
+// stage-group spans.
 const (
 	KindApply            = "apply"              // Process.Apply (serial blocked)
 	KindApplyDevice      = "apply_device"       // Process.ApplyDevice
@@ -22,35 +15,3 @@ const (
 	KindApplyInverse     = "apply_inverse"      // Process.ApplyInverse
 	KindShiftInvert      = "shift_invert"       // Process.ApplyShiftInvert[Device]
 )
-
-// KernelObserver receives one callback per completed kernel span. For the
-// apply kinds, stages is the total butterfly stage count ν and vectors the
-// batch width; for KindStageGroup, stages is the stage count of that fused
-// pass. Callbacks may arrive concurrently from device workers and batch
-// slots; implementations must be safe for concurrent use and fast — they
-// sit directly on the solver hot path when enabled.
-type KernelObserver interface {
-	KernelApply(kind string, stages, vectors int, d time.Duration)
-}
-
-type kernelHook struct{ o KernelObserver }
-
-var kernelObs atomic.Pointer[kernelHook]
-
-// SetKernelObserver installs o as the process-wide kernel observer
-// (nil uninstalls). Not intended to be toggled concurrently with running
-// kernels: like SetTileBits, call it at startup.
-func SetKernelObserver(o KernelObserver) {
-	if o == nil {
-		kernelObs.Store(nil)
-		return
-	}
-	kernelObs.Store(&kernelHook{o: o})
-}
-
-// span reports a completed span that began at start. Used via
-// `defer h.span(kind, stages, vectors, time.Now())`, which stays
-// allocation-free (open-coded defer with value arguments).
-func (h *kernelHook) span(kind string, stages, vectors int, start time.Time) {
-	h.o.KernelApply(kind, stages, vectors, time.Since(start))
-}

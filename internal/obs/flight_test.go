@@ -92,8 +92,15 @@ func TestFlightWatchdogStallEscalation(t *testing.T) {
 		o.Step(i, 2.0, 1e-3) // flat residual: no improvement
 	}
 
+	// A bundle is listed as soon as its directory is claimed; dump.json is
+	// written last, so wait for it before reading the bundle.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(f.Bundles()) == 0 && time.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
+		if b := f.Bundles(); len(b) > 0 {
+			if _, err := os.Stat(filepath.Join(b[0], "dump.json")); err == nil {
+				break
+			}
+		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	bundles := f.Bundles()

@@ -248,8 +248,8 @@ func Serve(addr string) (*DebugServer, error) {
 }
 
 // StartDebugServer is the one-call tool entry point behind the shared
-// -debug-addr flag: it installs the solver metric hooks (EnableSolverMetrics)
-// and starts the debug server.
+// -debug-addr flag: it enables the solver metrics (EnableSolverMetrics) and
+// starts the debug server.
 func StartDebugServer(addr string) (*DebugServer, error) {
 	EnableSolverMetrics()
 	return Serve(addr)

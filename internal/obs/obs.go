@@ -1,19 +1,26 @@
 // Package obs is the solver's zero-dependency observability layer: a
 // process-wide metrics registry (atomic counters, gauges, bounded
 // histograms) with Prometheus-text and expvar exposition, an HTTP debug
-// server bundling /metrics, /debug/vars and net/http/pprof, and a
-// convergence-trace recorder for the power iterations.
+// server bundling /metrics, /debug/vars and net/http/pprof, the span
+// profiler, the flight recorder, and a convergence-trace recorder for the
+// power iterations.
 //
-// Design contract (enforced by tests in internal/core and
-// internal/mutation): when no observer is installed the solver hot paths
-// pay exactly one atomic pointer load per kernel pass — no allocations, no
-// timing calls, bit-identical numerics. All instrumentation hooks in the
-// solver packages (mutation, device, batch, core) are nil by default and
-// are only populated by EnableSolverMetrics or by an explicit
-// PowerOptions.Observer.
+// One hook, many subscribers: the solver packages (mutation, device,
+// batch, core) report only to the internal/span recorder. obs installs
+// that recorder (hook.go) and fans its events out to the span profiler
+// and to the qs_* metric families (wire.go); the flight recorder reads
+// the profiler's span stream. The per-solve convergence trace stays a
+// separate, explicit PowerOptions.Observer.
 //
-// The package itself depends only on the standard library; wire.go is the
-// single place where it reaches into the solver packages to install hooks.
+// Design contract (enforced by tests in internal/core, internal/mutation
+// and here): with nothing subscribed the solver hot paths pay exactly one
+// atomic pointer load per instrumented site — no allocations, no timing
+// calls, bit-identical numerics; with metrics enabled and no profile
+// recording they still allocate nothing.
+//
+// The solver packages never import obs. It reaches into them only for
+// their exported span names and always-on counters (wire.go) and for the
+// batch panic hook the flight recorder installs.
 package obs
 
 import (

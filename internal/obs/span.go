@@ -10,7 +10,6 @@ import (
 	rttrace "runtime/trace"
 
 	"repro/internal/hwc"
-	"repro/internal/span"
 )
 
 // Hierarchical span profiler: answers "where does the time go inside one
@@ -86,9 +85,10 @@ type spanAgg struct {
 // buffer trades completeness of the exported timeline for bounded memory.
 const DefaultMaxSpanEvents = 1 << 20
 
-// SpanProfiler records the solver's span stream. Create with
-// StartSpanProfiler (which installs it as the process-wide recorder) or
-// NewSpanProfiler + span.SetRecorder. Safe for concurrent use.
+// SpanProfiler records the solver's span stream. StartSpanProfiler
+// attaches it to the recorder obs installs on the span hook (hook.go);
+// NewSpanProfiler alone gives an unattached profiler to feed with Record.
+// Safe for concurrent use.
 type SpanProfiler struct {
 	epoch time.Time
 
@@ -147,22 +147,25 @@ func NewSpanProfiler(maxEvents int) *SpanProfiler {
 	return p
 }
 
-// StartSpanProfiler creates a profiler and installs it as the process-wide
-// span recorder. Call Stop to uninstall and freeze it.
+// StartSpanProfiler creates a profiler and attaches it to the span
+// recorder, superseding any profile recording before. Call Stop to detach
+// and freeze it.
 func StartSpanProfiler(maxEvents int) *SpanProfiler {
 	p := NewSpanProfiler(maxEvents)
-	span.SetRecorder(p)
+	subscribe(func(f *fanout) { f.prof = p })
 	return p
 }
 
-// Stop uninstalls the profiler (if it is the installed recorder), ends its
+// Stop detaches the profiler (if it is the attached one), ends its
 // runtime/trace task and freezes the recording's wall time. Safe to call
 // more than once; already-open spans may still End into the profiler
 // afterwards and are accounted normally.
 func (p *SpanProfiler) Stop() {
-	if span.Installed() == span.Recorder(p) {
-		span.SetRecorder(nil)
-	}
+	subscribe(func(f *fanout) {
+		if f.prof == p {
+			f.prof = nil
+		}
+	})
 	p.mu.Lock()
 	if p.stopped == 0 {
 		p.stopped = time.Since(p.epoch)
@@ -212,6 +215,7 @@ func (p *SpanProfiler) Dropped() int64 {
 
 type activeSpan struct {
 	p           *SpanProfiler
+	site        *metricSite // the span's qs_* sink, nil when metrics are off
 	layer, name string
 	gid         int64
 	start       time.Time
@@ -227,9 +231,9 @@ type activeSpan struct {
 	hwChild [hwc.MaxEvents]float64
 }
 
-// Begin implements span.Recorder.
-func (p *SpanProfiler) Begin(layer, name string) span.Handle {
-	a := &activeSpan{p: p, layer: layer, name: name, gid: goid(), start: time.Now()}
+// begin opens a span on the calling goroutine; its End also feeds site.
+func (p *SpanProfiler) begin(layer, name string, site *metricSite) *activeSpan {
+	a := &activeSpan{p: p, site: site, layer: layer, name: name, gid: goid(), start: time.Now()}
 	if p.ctx != nil && rttrace.IsEnabled() {
 		a.region = rttrace.StartRegion(p.ctx, layer+":"+name)
 	}
@@ -259,6 +263,9 @@ func (a *activeSpan) End(a1, a2 int64) {
 	}
 	end := time.Now()
 	d := end.Sub(a.start)
+	if a.site != nil {
+		a.site.end(d, a1, a2)
+	}
 	var delta [hwc.MaxEvents]float64
 	if hwValid {
 		hwValid = hwc.Delta(&a.hwBegin, &hwDelta, &delta)
@@ -299,8 +306,8 @@ func (a *activeSpan) End(a1, a2 int64) {
 	p.mu.Unlock()
 }
 
-// Record implements span.Recorder: a completed leaf span of duration d
-// ending now, charged as a child of the calling goroutine's open span.
+// Record reports a completed leaf span of duration d ending now, charged
+// as a child of the calling goroutine's open span.
 func (p *SpanProfiler) Record(layer, name string, d time.Duration, a1, a2 int64) {
 	if d < 0 {
 		d = 0

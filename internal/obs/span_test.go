@@ -209,12 +209,16 @@ func TestSpanWriteTable(t *testing.T) {
 
 func TestStopUninstallsRecorder(t *testing.T) {
 	p := StartSpanProfiler(0)
-	if !span.Enabled() {
-		t.Fatal("recorder not installed by StartSpanProfiler")
+	if !span.Enabled() || InstalledProfiler() != p {
+		t.Fatal("profiler not attached to the installed recorder by StartSpanProfiler")
 	}
 	p.Stop()
-	if span.Enabled() {
-		t.Fatal("recorder still installed after Stop")
+	if InstalledProfiler() != nil {
+		t.Fatal("profiler still attached after Stop")
+	}
+	// With metrics enabled the recorder stays installed for them alone.
+	if span.Enabled() != (subscribers.met != nil) {
+		t.Fatalf("recorder installed = %v after Stop, metrics subscribed = %v", span.Enabled(), subscribers.met != nil)
 	}
 	if p.Wall() <= 0 {
 		t.Errorf("wall = %v", p.Wall())

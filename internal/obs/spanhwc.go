@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/hwc"
-	"repro/internal/span"
 )
 
 // Hardware-counter attribution for the span profiler: when a live
@@ -123,21 +122,13 @@ func (p *SpanProfiler) HWCDropped() int64 {
 }
 
 // StartSpanProfilerHWC creates a profiler with the process-wide shared
-// counter session attached and installs it as the span recorder. On
-// hosts without usable counters it degrades to a plain StartSpanProfiler
-// whose HWCReason names the single cause.
+// counter session attached and attaches it to the span recorder. On hosts
+// without usable counters it degrades to a plain StartSpanProfiler whose
+// HWCReason names the single cause.
 func StartSpanProfilerHWC(maxEvents int) *SpanProfiler {
 	p := NewSpanProfiler(maxEvents)
 	p.AttachHWC(hwc.Shared())
-	span.SetRecorder(p)
-	return p
-}
-
-// InstalledProfiler returns the currently installed span recorder if it
-// is a SpanProfiler (the live profile the debug endpoints serve), nil
-// otherwise.
-func InstalledProfiler() *SpanProfiler {
-	p, _ := span.Installed().(*SpanProfiler)
+	subscribe(func(f *fanout) { f.prof = p })
 	return p
 }
 

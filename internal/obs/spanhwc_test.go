@@ -36,7 +36,7 @@ func TestHWCAttachDegraded(t *testing.T) {
 		t.Errorf("reason = %q", p2.HWCReason())
 	}
 	// The profiler still records time normally.
-	span.SetRecorder(p2)
+	subscribe(func(f *fanout) { f.prof = p2 })
 	span.End(span.Begin(span.LayerCore, "matvec"), 1, 0)
 	p2.Stop()
 	if st := spanStat(t, p2, span.LayerCore, "matvec"); st.Count != 1 || st.HWCSamples != 0 {
@@ -110,7 +110,7 @@ func TestHWCSpanPathBothWorlds(t *testing.T) {
 		p.hw = s
 		p.hwEvents = nil
 	}
-	span.SetRecorder(p)
+	subscribe(func(f *fanout) { f.prof = p })
 	outer := span.Begin(span.LayerCore, "power")
 	inner := span.Begin(span.LayerMutation, "apply")
 	for i := 0; i < 1000; i++ {
@@ -232,7 +232,9 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	}
 
 	// No profiler installed: active=false, not an error.
-	span.SetRecorder(nil)
+	if p := InstalledProfiler(); p != nil {
+		p.Stop()
+	}
 	code, body := get("/debug/spans")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/spans status = %d", code)

@@ -9,97 +9,76 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/mutation"
+	"repro/internal/span"
 )
 
-// wire.go is the single place where obs reaches into the solver packages:
+// wire.go is where obs reaches into the solver packages for metrics:
 // EnableSolverMetrics builds the qs_* metric families in the default
-// registry and installs one observer per hook point (mutation kernels,
-// device launches, batch scheduler, eigensolvers). The solver packages
-// never import obs — each exposes a nil-by-default observer interface that
-// this file populates.
+// registry and subscribes them to the span recorder (hook.go), keyed by
+// the span names the solver packages export; ReadSolverResources polls
+// their always-on counters. The solver packages never import obs.
 
-// kernelMetrics feeds the qs_kernel_* families from mutation kernel spans.
-type kernelMetrics struct {
-	applies map[string]*Counter
-	seconds map[string]*Histogram
-	stages  *Counter
-	vectors *Counter
+// metricSite is what the spans of one site (layer, name) move in the qs_*
+// families; a nil field is a family the site does not feed.
+type metricSite struct {
+	started  *Counter   // +1 at Begin
+	inflight *Gauge     // +1 at Begin, −1 at End
+	done     *Counter   // +1 at End, or per post-hoc Record
+	seconds  *Histogram // the span's duration
+	sum1     *Counter   // running sum of the first End argument
+	sum2     *Counter   // running sum of the second End argument
 }
 
-func (m *kernelMetrics) KernelApply(kind string, stages, vectors int, d time.Duration) {
-	if c := m.applies[kind]; c != nil {
-		c.Inc()
+func (s *metricSite) begin() {
+	if s.started != nil {
+		s.started.Inc()
 	}
-	if h := m.seconds[kind]; h != nil {
-		h.Observe(d.Seconds())
+	if s.inflight != nil {
+		s.inflight.Add(1)
 	}
-	m.stages.Add(int64(stages))
-	m.vectors.Add(int64(vectors))
 }
 
-// launchMetrics feeds the qs_device_* families from device launch spans.
-type launchMetrics struct {
-	launches map[string]*Counter
-	chunks   *Counter
-	seconds  *Histogram
-	wait     *Histogram
+// timed reports whether the site reads anything when its span ends; a
+// site that only counts its Begin needs no handle and no clock.
+func (s *metricSite) timed() bool {
+	return s.inflight != nil || s.done != nil || s.seconds != nil || s.sum1 != nil || s.sum2 != nil
 }
 
-func (m *launchMetrics) Launch(kind string, n, chunks int, total, wait time.Duration) {
-	if c := m.launches[kind]; c != nil {
-		c.Inc()
+func (s *metricSite) end(d time.Duration, a1, a2 int64) {
+	if s.inflight != nil {
+		s.inflight.Add(-1)
 	}
-	m.chunks.Add(int64(chunks))
-	m.seconds.Observe(total.Seconds())
-	m.wait.Observe(wait.Seconds())
-}
-
-// schedMetrics feeds the qs_batch_* families from scheduler callbacks.
-type schedMetrics struct {
-	runs     *Counter
-	tasks    *Counter
-	failures *Counter
-	inflight *Gauge
-	taskSec  *Histogram
-	runSec   *Histogram
-}
-
-func (m *schedMetrics) RunStart(tasks, workers int) { m.runs.Inc() }
-
-func (m *schedMetrics) TaskStart(slot, task int) { m.inflight.Add(1) }
-
-func (m *schedMetrics) TaskDone(slot, task int, d time.Duration, failed bool) {
-	m.inflight.Add(-1)
-	m.tasks.Inc()
-	if failed {
-		m.failures.Inc()
+	if s.done != nil {
+		s.done.Inc()
 	}
-	m.taskSec.Observe(d.Seconds())
+	if s.seconds != nil {
+		s.seconds.Observe(d.Seconds())
+	}
+	if s.sum1 != nil {
+		s.sum1.Add(a1)
+	}
+	if s.sum2 != nil {
+		s.sum2.Add(a2)
+	}
 }
 
-func (m *schedMetrics) RunDone(tasks int, d time.Duration) { m.runSec.Observe(d.Seconds()) }
-
-// solveMetrics feeds the qs_power_* families from eigensolver callbacks.
-type solveMetrics struct {
-	solves   map[string]*Counter
+// solverMetrics is the span subscriber behind the qs_kernel_*,
+// qs_device_*, qs_batch_* and qs_power_* families: the span sites they
+// read, and the residual-check counters of the solve spans.
+type solverMetrics struct {
+	sites    map[spanKey]*metricSite
 	iters    *Counter
 	checks   *Counter
 	outcomes map[string]*Counter
 	lastRes  *GaugeFloat
 }
 
-func (m *solveMetrics) SolveStart(kind string, dim int) {
-	if c := m.solves[kind]; c != nil {
-		c.Inc()
+func (m *solverMetrics) check(iters int64, residual float64, outcome string) {
+	if outcome == "" {
+		m.iters.Add(iters)
+		m.checks.Inc()
+		return
 	}
-}
-
-func (m *solveMetrics) SolveStep(kind string, iters int) {
-	m.iters.Add(int64(iters))
-	m.checks.Inc()
-}
-
-func (m *solveMetrics) SolveDone(kind string, iters int, residual float64, outcome string) {
 	if c := m.outcomes[outcome]; c != nil {
 		c.Inc()
 	}
@@ -162,7 +141,7 @@ type ArenaSnapshot struct {
 
 // SolverResources is one pull of the always-on device/batch counters — the
 // solver-side half of a sampler tick. All fields are readable whether or
-// not any observer hook was ever installed.
+// not a span recorder was ever installed.
 type SolverResources struct {
 	Arenas []ArenaSnapshot `json:"arenas,omitempty"`
 
@@ -254,73 +233,77 @@ func UpdateResourceGauges(mem MemStatus, rt RuntimeStatus, numa *NUMAStatus, res
 }
 
 // EnableSolverMetrics registers the qs_* metric families in the default
-// registry and installs the solver observers (mutation kernels, device
-// launches, batch scheduler, eigensolvers). Idempotent; call once at tool
-// startup — StartDebugServer calls it for you.
+// registry and subscribes them to the solver's span recorder (mutation
+// kernels, device launches, batch scheduler, eigensolvers). Idempotent;
+// call once at tool startup — StartDebugServer calls it for you.
 func EnableSolverMetrics() {
 	wire.once.Do(func() {
 		r := Default()
 		sb := SecondsBuckets()
-
-		km := &kernelMetrics{
-			applies: map[string]*Counter{},
-			seconds: map[string]*Histogram{},
-			stages:  r.Counter("qs_kernel_stages_total", "Butterfly stages executed by instrumented kernel passes."),
-			vectors: r.Counter("qs_kernel_vectors_total", "Vectors processed by instrumented kernel passes."),
-		}
-		for _, kind := range []string{
-			mutation.KindApply, mutation.KindApplyDevice,
-			mutation.KindApplyBatch, mutation.KindApplyBatchDevice,
-			mutation.KindStageGroup,
-		} {
-			km.applies[kind] = r.Counter(
-				`qs_kernel_applies_total{kind="`+kind+`"}`,
-				"Mutation kernel passes by kind (apply, apply_device, apply_batch, apply_batch_device, stage_group).")
-			km.seconds[kind] = r.Histogram(
-				`qs_kernel_apply_seconds{kind="`+kind+`"}`,
-				"Wall time of mutation kernel passes by kind.", sb)
-		}
-		mutation.SetKernelObserver(km)
-
-		lm := &launchMetrics{
-			launches: map[string]*Counter{},
-			chunks:   r.Counter("qs_device_chunks_total", "Chunks dispatched by observed device launches."),
-			seconds:  r.Histogram("qs_device_launch_seconds", "Wall time of device kernel launches.", sb),
-			wait:     r.Histogram("qs_device_queue_wait_seconds", "Barrier tail the submitter spent waiting on pool workers.", sb),
-		}
-		for _, kind := range []string{
-			device.LaunchKindRange, device.LaunchKindStages, device.LaunchKindReduce,
-		} {
-			lm.launches[kind] = r.Counter(
-				`qs_device_launches_total{kind="`+kind+`"}`,
-				"Device kernel launches by kind (range, stages, reduce).")
-		}
-		device.SetLaunchObserver(lm)
-
-		bm := &schedMetrics{
-			runs:     r.Counter("qs_batch_runs_total", "Batched scheduler runs started."),
-			tasks:    r.Counter("qs_batch_tasks_total", "Scheduler tasks completed."),
-			failures: r.Counter("qs_batch_task_failures_total", "Scheduler tasks that returned an error."),
-			inflight: r.Gauge("qs_batch_tasks_inflight", "Scheduler tasks currently executing (slot occupancy)."),
-			taskSec:  r.Histogram("qs_batch_task_seconds", "Wall time of individual scheduler tasks.", sb),
-			runSec:   r.Histogram("qs_batch_run_seconds", "Wall time of whole scheduler runs.", sb),
-		}
-		batch.SetObserver(bm)
-
-		sm := &solveMetrics{
-			solves:   map[string]*Counter{},
+		sm := &solverMetrics{
+			sites:    map[spanKey]*metricSite{},
 			iters:    r.Counter("qs_power_iterations_total", "Power-iteration steps performed (accumulated at residual checks)."),
 			checks:   r.Counter("qs_power_residual_checks_total", "Residual evaluations performed."),
 			outcomes: map[string]*Counter{},
 			lastRes:  r.GaugeFloat("qs_power_last_residual", "Residual reported by the most recently finished solve."),
 		}
+
+		stages := r.Counter("qs_kernel_stages_total", "Butterfly stages executed by instrumented kernel passes.")
+		vectors := r.Counter("qs_kernel_vectors_total", "Vectors processed by instrumented kernel passes.")
+		for _, kind := range []string{
+			mutation.KindApply, mutation.KindApplyDevice,
+			mutation.KindApplyBatch, mutation.KindApplyBatchDevice,
+			mutation.KindStageGroup,
+		} {
+			sm.sites[spanKey{span.LayerMutation, kind}] = &metricSite{
+				done: r.Counter(
+					`qs_kernel_applies_total{kind="`+kind+`"}`,
+					"Mutation kernel passes by kind (apply, apply_device, apply_batch, apply_batch_device, stage_group)."),
+				seconds: r.Histogram(
+					`qs_kernel_apply_seconds{kind="`+kind+`"}`,
+					"Wall time of mutation kernel passes by kind.", sb),
+				sum1: stages, sum2: vectors,
+			}
+		}
+
+		chunks := r.Counter("qs_device_chunks_total", "Chunks dispatched by observed device launches.")
+		launchSec := r.Histogram("qs_device_launch_seconds", "Wall time of device kernel launches.", sb)
+		for _, kind := range []string{
+			device.LaunchKindRange, device.LaunchKindStages, device.LaunchKindReduce,
+		} {
+			sm.sites[spanKey{span.LayerDevice, kind}] = &metricSite{
+				done: r.Counter(
+					`qs_device_launches_total{kind="`+kind+`"}`,
+					"Device kernel launches by kind (range, stages, reduce)."),
+				seconds: launchSec, sum2: chunks,
+			}
+		}
+		sm.sites[spanKey{span.LayerDevice, device.SpanQueueWait}] = &metricSite{
+			seconds: r.Histogram("qs_device_queue_wait_seconds", "Barrier tail the submitter spent waiting on pool workers.", sb),
+		}
+
+		sm.sites[spanKey{span.LayerBatch, batch.SpanRun}] = &metricSite{
+			started: r.Counter("qs_batch_runs_total", "Batched scheduler runs started."),
+			seconds: r.Histogram("qs_batch_run_seconds", "Wall time of whole scheduler runs.", sb),
+		}
+		sm.sites[spanKey{span.LayerBatch, batch.SpanTask}] = &metricSite{
+			inflight: r.Gauge("qs_batch_tasks_inflight", "Scheduler tasks currently executing (slot occupancy)."),
+			done:     r.Counter("qs_batch_tasks_total", "Scheduler tasks completed."),
+			seconds:  r.Histogram("qs_batch_task_seconds", "Wall time of individual scheduler tasks.", sb),
+		}
+		sm.sites[spanKey{span.LayerBatch, batch.SpanTaskFailed}] = &metricSite{
+			done: r.Counter("qs_batch_task_failures_total", "Scheduler tasks that returned an error."),
+		}
+
 		for _, kind := range []string{
 			core.SolveKindPower, core.SolveKindBlockPower,
 			core.SolveKindLanczos, core.SolveKindShiftInvert, core.SolveKindChebyshev,
 		} {
-			sm.solves[kind] = r.Counter(
-				`qs_power_solves_total{kind="`+kind+`"}`,
-				"Eigensolves started by kind (power, block_power, lanczos, shift_invert, chebyshev).")
+			sm.sites[spanKey{span.LayerCore, kind}] = &metricSite{
+				started: r.Counter(
+					`qs_power_solves_total{kind="`+kind+`"}`,
+					"Eigensolves started by kind (power, block_power, lanczos, shift_invert, chebyshev)."),
+			}
 		}
 		for _, outcome := range []string{
 			core.EventConverged, core.EventStagnated, core.EventBudgetExhausted,
@@ -330,7 +313,7 @@ func EnableSolverMetrics() {
 				`qs_power_outcomes_total{outcome="`+outcome+`"}`,
 				"Eigensolve terminations by outcome.")
 		}
-		core.SetSolveObserver(sm)
+		subscribe(func(f *fanout) { f.met = sm })
 
 		wire.sweep = &sweepMetrics{
 			points:   r.Counter("qs_sweep_points_total", "Sweep points solved."),

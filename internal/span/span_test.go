@@ -19,8 +19,8 @@ func (h *fakeHandle) End(a1, a2 int64) {
 }
 
 type fakeRecorder struct {
-	begins, ends, records int
-	last                  *fakeHandle
+	begins, ends, records, checks int
+	last                          *fakeHandle
 }
 
 func (r *fakeRecorder) Begin(layer, name string) Handle {
@@ -32,6 +32,8 @@ func (r *fakeRecorder) Begin(layer, name string) Handle {
 func (r *fakeRecorder) Record(layer, name string, d time.Duration, a1, a2 int64) {
 	r.records++
 }
+
+func (r *fakeRecorder) Check(iters int64, residual float64, outcome string) { r.checks++ }
 
 func TestDisabledBeginReturnsNil(t *testing.T) {
 	SetRecorder(nil)

@@ -133,8 +133,8 @@ func ensureHWC() {
 	}
 }
 
-// Stop uninstalls the recorder and freezes the profile's wall clock. Safe
-// to call more than once.
+// Stop detaches the profile from the span hook and freezes its wall
+// clock. Safe to call more than once.
 func (sp *SpanProfile) Stop() { sp.p.Stop() }
 
 // Wall returns the profiled wall time (start to Stop, or to now while

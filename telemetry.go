@@ -39,7 +39,7 @@ type TelemetryOptions struct {
 type Telemetry struct{ s *obs.Sampler }
 
 // StartTelemetry starts (or returns the already-running) process-wide
-// resource sampler. It enables the solver metric hooks first, so the qs_*
+// resource sampler. It enables the solver metrics first, so the qs_*
 // resource gauges the sampler refreshes appear on /metrics too.
 func StartTelemetry(opts TelemetryOptions) *Telemetry {
 	s := obs.StartResourceSampler(obs.SamplerConfig{
