@@ -384,7 +384,7 @@ func BenchmarkAblationShiftInvertQ(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel ablations: cache-blocked vs naive butterflies, pool vs spawn dispatch
+// Kernel ablations: cache-blocked vs naive butterflies
 
 // BenchmarkKernelFmmpBlockedVsNaive compares the production cache-blocked
 // stage-fused butterfly kernel against the literal one-pass-per-stage loop
@@ -429,34 +429,6 @@ func BenchmarkKernelFWHTBlockedVsNaive(b *testing.B) {
 				mutation.FWHT(v)
 			}
 		})
-	}
-}
-
-// BenchmarkKernelPoolVsSpawn compares the persistent worker-pool dispatch
-// with fused stage-group launches (the production path) against the legacy
-// goroutine-per-chunk spawn dispatch with one launch per butterfly stage —
-// the software analogue of kernel-launch overhead on the card.
-func BenchmarkKernelPoolVsSpawn(b *testing.B) {
-	for _, nu := range []int{16, 20} {
-		q := mutation.MustUniform(nu, 0.01)
-		v := make([]float64, q.Dim())
-		vec.Fill(v, 1)
-		for _, workers := range []int{2, 4} {
-			spawnDev := device.New(workers, device.WithSpawnDispatch())
-			poolDev := device.New(workers)
-			b.Run(fmt.Sprintf("spawn-naive/nu%d/workers%d", nu, workers), func(b *testing.B) {
-				b.SetBytes(int64(8 * q.Dim()))
-				for i := 0; i < b.N; i++ {
-					q.ApplyDeviceNaive(spawnDev, v)
-				}
-			})
-			b.Run(fmt.Sprintf("pool-blocked/nu%d/workers%d", nu, workers), func(b *testing.B) {
-				b.SetBytes(int64(8 * q.Dim()))
-				for i := 0; i < b.N; i++ {
-					q.ApplyDevice(poolDev, v)
-				}
-			})
-		}
 	}
 }
 

@@ -9,26 +9,16 @@
 // conservative shift µ = (1−2p)^ν·f_min cuts the iteration count by about
 // ten percent and more on random landscapes.
 //
-// With -kernels it runs the kernel-runtime ablation instead: blocked vs
-// naive serial butterflies and pool vs spawn parallel dispatch on one Q·v
-// product per ν (see kernels.go); -json additionally writes the table as a
-// machine-readable baseline.
-//
-// With -sweep it benchmarks the batched sweep engine instead: one
-// full-pipeline threshold sweep at -nu under serial/parallel × cold/warm
-// scheduling, with a bit-identity cross-check (see sweep.go); -method
-// changes the per-point eigensolver and the variant rows then tally points
-// by the gear that solved them.
-//
 // With -critical it benchmarks the adaptive critical-window engine: a sweep
-// straddling p_c with -method auto gear selection, a parallel bit-identity
-// cross-check, and the capped power baseline (see critical.go).
+// straddling p_c with auto gear selection, a parallel bit-identity
+// cross-check, and the capped power baseline (see critical.go); -json
+// additionally writes the result as a machine-readable baseline.
+//
+// Kernel, sweep and solve timings live in the bench/ module.
 //
 //	qs-solverbench -numin 10 -numax 22 -workers 0 > fig3.tsv
 //	qs-solverbench -shift-study -nu 16
-//	qs-solverbench -kernels -numin 14 -numax 22 -json results/BENCH_kernels.json
-//	qs-solverbench -sweep -nu 18 -points 16 -workers 4 -json results/BENCH_sweep.json
-//	qs-solverbench -critical -nu 18 -points 13 -workers 4 -json results/BENCH_critical.json
+//	qs-solverbench -critical -nu 18 -points 13 -json results/BENCH_critical.json
 package main
 
 import (
@@ -39,7 +29,6 @@ import (
 
 	quasispecies "repro"
 	"repro/cmd/internal/cliobs"
-	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/harness"
 	"repro/internal/mutation"
@@ -52,7 +41,7 @@ func main() {
 		p          = flag.Float64("p", 0.01, "error rate")
 		c          = flag.Float64("c", 5, "random landscape c")
 		sigma      = flag.Float64("sigma", 1, "random landscape σ")
-		tolExact   = flag.Float64("tol", 1e-13, "residual tolerance for the exact methods")
+		tolExact   = flag.Float64("tol", 1e-13, "residual tolerance for the exact methods (-critical: unset = floating-point floor)")
 		tolApprox  = flag.Float64("tol-approx", 1e-10, "residual tolerance for Xmvp(5)")
 		maxFull    = flag.Int("maxfull", 13, "largest ν measured for Pi(Xmvp(ν)) (larger are extrapolated)")
 		maxSparse  = flag.Int("maxsparse", 20, "largest ν measured for Pi(Xmvp(5))")
@@ -61,15 +50,11 @@ func main() {
 		shiftStudy = flag.Bool("shift-study", false, "run the shifted-vs-plain iteration comparison instead")
 		nu         = flag.Int("nu", 16, "chain length for -shift-study")
 		seeds      = flag.Int("seeds", 8, "number of random landscapes for -shift-study")
-		kernels    = flag.Bool("kernels", false, "run the kernel ablation (blocked vs naive, pool vs spawn) instead")
 		tile       = flag.Int("tile", 0, "log2 of the kernel tile size in float64 elements (0 = default)")
-		reps       = flag.Int("reps", 5, "repetitions per measurement for -kernels (best-of)")
-		jsonPath   = flag.String("json", "", "with -kernels or -sweep: also write the results as JSON to this file")
-		sweep      = flag.Bool("sweep", false, "run the batched sweep benchmark (serial/parallel × cold/warm threshold sweep) instead")
-		points     = flag.Int("points", 16, "sweep points for -sweep and -critical")
-		sweepSigma = flag.Float64("sweep-sigma", 2, "single-peak superiority f0/f1 for -sweep and -critical")
-		method     = flag.String("method", "", "per-point eigensolver for -sweep: power (default) | auto | chebyshev | shiftinvert | lanczos")
-		critical   = flag.Bool("critical", false, "run the adaptive critical-window benchmark (sweep straddling p_c with -method auto, plus the capped power baseline) instead")
+		jsonPath   = flag.String("json", "", "with -critical: also write the results as JSON to this file")
+		points     = flag.Int("points", 16, "sweep points for -critical")
+		sweepSigma = flag.Float64("sweep-sigma", 2, "single-peak superiority f0/f1 for -critical")
+		critical   = flag.Bool("critical", false, "run the adaptive critical-window benchmark (sweep straddling p_c with auto gear selection, plus the capped power baseline) instead")
 		fracMin    = flag.Float64("fracmin", 0.90, "lower grid edge for -critical, in units of p_c")
 		fracMax    = flag.Float64("fracmax", 1.08, "upper grid edge for -critical, in units of p_c")
 	)
@@ -82,12 +67,8 @@ func main() {
 	exitOn(err)
 	mode := "fig3"
 	switch {
-	case *kernels:
-		mode = "kernels"
 	case *critical:
 		mode = "critical"
-	case *sweep:
-		mode = "sweep"
 	case *shiftStudy:
 		mode = "shift-study"
 	}
@@ -96,33 +77,17 @@ func main() {
 
 	w := bufio.NewWriter(os.Stdout)
 	bench := func() error {
-		if *kernels {
-			if *nuMin < 1 || *nuMax < *nuMin || *nuMax > 28 {
-				return fmt.Errorf("invalid ν range [%d, %d]", *nuMin, *nuMax)
-			}
-			return runKernelBench(w, *nuMin, *nuMax, *workers, *reps, *p, *jsonPath)
-		}
-
-		if *sweep || *critical {
+		if *critical {
 			// -workers here is the solve-level concurrency of the batch
-			// engine, not device workers; -tol 0 selects the floating-point
-			// floor default. Sweep-point grid straddles the error threshold.
-			sweepWorkers := *workers
-			if sweepWorkers == 0 {
-				sweepWorkers = 4
-			}
-			tol := *tolExact
-			if tol == 1e-13 { // flag default: let the engine pick the floor
-				tol = 0
-			}
-			if *critical {
-				return runCriticalBench(w, *nu, *points, sweepWorkers, *sweepSigma, *fracMin, *fracMax, tol, *jsonPath)
-			}
-			solveMethod, err := core.ParseSolveMethod(*method)
-			if err != nil {
-				return err
-			}
-			return runSweepBench(w, *nu, *points, sweepWorkers, *sweepSigma, tol, solveMethod, *jsonPath)
+			// engine, not device workers (0 = all cores). An unset -tol
+			// selects the engine's floating-point floor default.
+			tol := 0.0
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "tol" {
+					tol = *tolExact
+				}
+			})
+			return runCriticalBench(w, *nu, *points, *workers, *sweepSigma, *fracMin, *fracMax, tol, *jsonPath)
 		}
 
 		if *shiftStudy {

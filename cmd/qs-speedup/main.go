@@ -35,9 +35,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "parallel device workers (0 = all cores)")
 		seed      = flag.Uint64("seed", 1, "random landscape seed")
 		modelBW   = flag.Float64("model-bandwidth", 144, "also emit a roofline-modeled Pi(Fmmp) curve for a device with this memory bandwidth in GB/s (0 disables; 144 = the paper's Tesla C2050)")
-		sweep     = flag.Bool("sweep", false, "append a batched-sweep section: serial/parallel × cold/warm threshold sweep speedups")
-		sweepNu   = flag.Int("sweep-nu", 14, "chain length for the -sweep section")
-		sweepPts  = flag.Int("sweep-points", 16, "sweep points for the -sweep section")
 	)
 	flag.Parse()
 	if *nuMin < 1 || *nuMax < *nuMin || *nuMax > 28 {
@@ -111,21 +108,6 @@ func main() {
 	fmt.Fprintln(w, "#")
 	fmt.Fprintln(w, "# underlying wall times [s]:")
 	exitOn(harness.WriteSeriesTSV(w, append(cpuSeries, gpuSeries...)))
-
-	if *sweep {
-		// Solve-level speedups of the batched sweep engine, complementing
-		// the kernel-level speedups above.
-		sw := *workers
-		if sw == 0 {
-			sw = 4
-		}
-		res, err := harness.RunSweepBench(harness.SweepBenchConfig{
-			Nu: *sweepNu, Points: *sweepPts, Workers: sw,
-		})
-		exitOn(err)
-		fmt.Fprintln(w, "#")
-		exitOn(res.WriteTSV(w))
-	}
 }
 
 func exitOn(err error) {

@@ -6,16 +6,15 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/perf"
 )
 
 // Flight recording: the black box of a solver run, behind the -flight
 // flag of every CLI. StartFlight stamps a run manifest (run ID, build
 // revision, flag set, GOMAXPROCS, NUMA topology, AVX2/HWC availability,
-// p-grid), threads the run ID through span profiles, trace rows, ledger
-// entries and /metrics, retains recent history in bounded rings, and
-// starts the numerical-health watchdog. On stalls, NaN residuals, slow
-// phases, solver errors, worker panics, or SIGUSR1/SIGQUIT, a diagnostic
+// p-grid), threads the run ID through span profiles, trace rows and
+// /metrics, retains recent history in bounded rings, and starts the
+// numerical-health watchdog. On stalls, NaN residuals, solver errors,
+// worker panics, or SIGUSR1/SIGQUIT, a diagnostic
 // bundle — manifest, ring dumps, goroutine dump, profile table, Chrome
 // trace — lands as a tar-friendly directory under FlightOptions.Dir.
 //
@@ -24,8 +23,7 @@ import (
 // bit-identical either way.
 
 // FlightOptions configures StartFlight. The zero value works: bundles
-// under "flight-bundles", watchdog defaults, baseline from the committed
-// PERF ledger when present.
+// under "flight-bundles", watchdog defaults.
 type FlightOptions struct {
 	// Dir receives diagnostic bundles ("" selects "flight-bundles").
 	Dir string
@@ -49,12 +47,6 @@ type FlightOptions struct {
 	WatchdogInterval time.Duration
 	// TraceEvery thins Step rows entering the trace ring (0 selects 16).
 	TraceEvery int
-	// LedgerPath/LedgerLabel locate the PERF-ledger baseline for the
-	// slow-phase detector; "" selects the committed ledger
-	// (results/PERF_ledger.jsonl) when the file exists, and a missing or
-	// unreadable ledger just disables the detector.
-	LedgerPath  string
-	LedgerLabel string
 	// DisableSignals skips the SIGUSR1/SIGQUIT bundle-dump handler.
 	DisableSignals bool
 }
@@ -100,35 +92,10 @@ func StartFlight(opts FlightOptions) *Flight {
 			Interval:    opts.WatchdogInterval,
 			StallWall:   opts.StallWall,
 			StallChecks: opts.StallChecks,
-			Baseline:    flightBaseline(opts.LedgerPath, opts.LedgerLabel),
 		},
 		DisableSignals: opts.DisableSignals,
 	})
 	return fl
-}
-
-// flightBaseline loads the slow-phase baseline shares from the PERF
-// ledger: the latest record for label (any when ""), phases as fractions
-// of its wall time. Missing or unreadable ledgers disable the detector.
-func flightBaseline(path, label string) []obs.PhaseShare {
-	if path == "" {
-		path = perf.DefaultLedgerPath
-	}
-	recs, err := perf.Read(path)
-	if err != nil || len(recs) == 0 {
-		return nil
-	}
-	rec, ok := perf.Latest(recs, label)
-	if !ok || rec.WallSeconds <= 0 {
-		return nil
-	}
-	out := make([]obs.PhaseShare, 0, len(rec.Phases))
-	for _, p := range rec.Phases {
-		out = append(out, obs.PhaseShare{
-			Layer: p.Layer, Name: p.Name, Share: p.TotalSeconds / rec.WallSeconds,
-		})
-	}
-	return out
 }
 
 // RunID returns the run identifier stamped in the manifest.

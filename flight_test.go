@@ -15,7 +15,6 @@ import (
 	"repro/internal/landscape"
 	"repro/internal/mutation"
 	"repro/internal/obs"
-	"repro/internal/perf"
 )
 
 // TestFlightStallAcceptance is the flight recorder's end-to-end check: a
@@ -24,8 +23,7 @@ import (
 // eigenvector with an unattainable tolerance, so the residual sits at the
 // floating-point floor from the first check — and the watchdog must
 // notice, emit a structured warning, and dump a diagnostic bundle whose
-// run ID matches the manifest, the span profile, the trace rows, and a
-// qs-perf ledger entry.
+// run ID matches the manifest, the span profile and the trace rows.
 func TestFlightStallAcceptance(t *testing.T) {
 	const nu = 14
 	pc := 1 - math.Pow(2, -1/float64(nu))
@@ -62,9 +60,6 @@ func TestFlightStallAcceptance(t *testing.T) {
 		StallChecks:      3,
 		StallWall:        -1 * time.Second,
 		TraceEvery:       1,
-		// A ledger path that does not exist: the slow-phase detector must
-		// degrade to disabled, not interfere with the stall assertions.
-		LedgerPath: filepath.Join(tmp, "no-ledger.jsonl"),
 	})
 	defer fl.Stop()
 
@@ -122,7 +117,7 @@ func TestFlightStallAcceptance(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Run-ID consistency: manifest ↔ span profile ↔ trace rows ↔ ledger.
+	// Run-ID consistency: manifest ↔ span profile ↔ trace rows.
 	man, err := obs.ReadManifestFile(filepath.Join(stallDir, "manifest.json"))
 	if err != nil {
 		t.Fatalf("bundle manifest: %v", err)
@@ -169,24 +164,6 @@ func TestFlightStallAcceptance(t *testing.T) {
 		if fi, err := os.Stat(filepath.Join(stallDir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("bundle %s missing or empty (err=%v)", name, err)
 		}
-	}
-
-	// The ledger leg: a record stamped with this run (what qs-perf record
-	// -flight writes) must read back naming the same manifest.
-	ledger := filepath.Join(tmp, "ledger.jsonl")
-	if err := perf.Append(ledger, perf.Record{
-		Time: time.Now().UTC().Format(time.RFC3339), Label: "flight-acceptance",
-		RunID: fl.RunID(), FlightBundle: stallDir, Nu: nu,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := perf.Read(ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := perf.Latest(recs, "flight-acceptance")
-	if !ok || rec.RunID != man.RunID || rec.FlightBundle != stallDir {
-		t.Fatalf("ledger entry = %+v, want run %q bundle %q", rec, man.RunID, stallDir)
 	}
 }
 

@@ -20,15 +20,12 @@
 //
 // A Device with one worker executes everything on the calling goroutine,
 // giving a serial twin with identical semantics for testing. Launch
-// statistics are recorded so benchmarks can report grid sizes. The legacy
-// goroutine-per-chunk dispatch is kept behind WithSpawnDispatch so the
-// pool-vs-spawn cost can be measured rather than asserted.
+// statistics are recorded so benchmarks can report grid sizes.
 package device
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,7 +39,6 @@ import (
 type Device struct {
 	workers int
 	grain   int
-	spawn   bool // legacy goroutine-per-chunk dispatch (benchmarks only)
 
 	launches       atomic.Int64
 	threadsTotal   atomic.Int64
@@ -65,14 +61,6 @@ func WithGrain(g int) Option {
 			d.grain = g
 		}
 	}
-}
-
-// WithSpawnDispatch selects the legacy dispatch that spawns one goroutine
-// per chunk on every launch instead of reusing the persistent worker pool.
-// It exists so benchmarks can quantify the per-launch scheduling cost the
-// pool removes; solver code should never use it.
-func WithSpawnDispatch() Option {
-	return func(d *Device) { d.spawn = true }
 }
 
 // New returns a Device with the given number of workers. workers <= 0
@@ -189,18 +177,6 @@ func (d *Device) dispatch(l launch, measureWait bool) ([][2]float64, time.Durati
 		return nil, 0
 	}
 	b := newBatch(l)
-	if d.spawn {
-		var wg sync.WaitGroup
-		wg.Add(b.nchunks)
-		for c := 0; c < b.nchunks; c++ {
-			go func() {
-				defer wg.Done()
-				b.exec(c)
-			}()
-		}
-		wg.Wait()
-		return b.sums, 0
-	}
 	return b.sums, runPooled(b, d.workers-1, measureWait)
 }
 
@@ -277,9 +253,5 @@ func (d *Device) ResetStats() {
 
 // String describes the device, e.g. "device(8 workers, grain 4096)".
 func (d *Device) String() string {
-	mode := ""
-	if d.spawn {
-		mode = ", spawn dispatch"
-	}
-	return fmt.Sprintf("device(%d workers, grain %d%s)", d.workers, d.grain, mode)
+	return fmt.Sprintf("device(%d workers, grain %d)", d.workers, d.grain)
 }

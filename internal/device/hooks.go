@@ -15,7 +15,7 @@ const (
 // SpanQueueWait is the device-layer span reported post hoc, inside every
 // observed launch, for the barrier tail the submitting goroutine spent
 // blocked on pool workers after exhausting the chunk queue — the pool's
-// queue-wait/straggler signal. It is zero for single-chunk and spawn
-// dispatches; a zero-length record carries no time and only counts the
+// queue-wait/straggler signal. It is zero for single-chunk dispatches; a
+// zero-length record carries no time and only counts the
 // launch for the queue-wait histogram.
 const SpanQueueWait = "queue_wait"

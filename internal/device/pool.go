@@ -10,11 +10,11 @@ import (
 
 // This file implements the persistent worker pool behind every Device.
 //
-// The original runtime spawned fresh goroutines for every kernel launch —
-// log₂N launches per matvec, thousands of matvecs per solve — so the
-// scheduler cost of goroutine creation was paid millions of times per run.
-// Real devices do not re-create their multiprocessors per launch; they keep
-// them parked and hand them work. The pool reproduces that: a process-wide
+// Spawning fresh goroutines for every kernel launch — log₂N launches per
+// matvec, thousands of matvecs per solve — would pay the scheduler cost of
+// goroutine creation millions of times per run. Real devices do not
+// re-create their multiprocessors per launch; they keep them parked and
+// hand them work. The pool reproduces that: a process-wide
 // set of GOMAXPROCS long-lived workers, woken with one pointer-sized send
 // per launch, and work-stealing chunk claiming so load balances without
 // per-chunk goroutines.

@@ -11,8 +11,8 @@ import (
 
 // Tests for the persistent worker-pool dispatch and the fused stage-group
 // launch API. The pool is process-wide and lazily started; these tests
-// exercise coverage, nesting, concurrent submitters and the spawn/pool
-// equivalence the benchmarks rely on.
+// exercise coverage, nesting, concurrent submitters and the fixed chunk
+// order of pooled results.
 
 func TestLaunchStagesCoversAllItems(t *testing.T) {
 	for name, d := range devices() {
@@ -64,12 +64,15 @@ func TestLaunchStagesWeightScalesGrain(t *testing.T) {
 	}
 }
 
-func TestSpawnDispatchMatchesPool(t *testing.T) {
+// TestPoolDispatchMatchesChunkReference checks pooled LaunchRange and
+// ReduceSum on 6 workers against a serial reference over the same plan
+// partition: every element written once, and the reduction equal bit for
+// bit to the chunk partials summed in chunk order.
+func TestPoolDispatchMatchesChunkReference(t *testing.T) {
 	r := rng.New(21)
 	n := 100000
 	x := randVec(r, n)
 	pooled := New(6, WithGrain(32))
-	spawned := New(6, WithGrain(32), WithSpawnDispatch())
 
 	yp, ys := make([]float64, n), make([]float64, n)
 	pooled.LaunchRange(n, func(lo, hi int) {
@@ -77,17 +80,27 @@ func TestSpawnDispatchMatchesPool(t *testing.T) {
 			yp[i] = 3*x[i] + 1
 		}
 	})
-	spawned.LaunchRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ys[i] = 3*x[i] + 1
-		}
-	})
-	if vec.DistInf(yp, ys) != 0 {
-		t.Error("pool and spawn dispatch produced different results")
+	for i := range ys {
+		ys[i] = 3*x[i] + 1
 	}
-	if got, want := pooled.ReduceSum(n, func(i int) float64 { return x[i] }),
-		spawned.ReduceSum(n, func(i int) float64 { return x[i] }); got != want {
-		t.Errorf("pooled ReduceSum = %v, spawn = %v (must be bit-identical)", got, want)
+	if vec.DistInf(yp, ys) != 0 {
+		t.Error("pooled LaunchRange differs from the serial loop")
+	}
+
+	chunk, nchunks := pooled.plan(n, pooled.grain)
+	if nchunks < 2 {
+		t.Fatalf("plan gave %d chunk(s); the test needs a multi-chunk reduction", nchunks)
+	}
+	want := 0.0
+	for c := 0; c < nchunks; c++ {
+		partial := 0.0
+		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
+			partial += x[i]
+		}
+		want += partial
+	}
+	if got := pooled.ReduceSum(n, func(i int) float64 { return x[i] }); got != want {
+		t.Errorf("pooled ReduceSum = %v, chunk-order reference = %v (must be bit-identical)", got, want)
 	}
 }
 

@@ -82,8 +82,7 @@ func AllArenaStats() []ArenaStats {
 }
 
 // ArenaTotals sums the buckets: total slab capacity, live occupancy, and
-// the largest per-bucket high-water (the memory-regression signal qs-perf
-// stamps into ledger entries).
+// the largest per-bucket high-water.
 func ArenaTotals() (footprint, used, highWater int64) {
 	for idx := range arenaAcct {
 		a := &arenaAcct[idx]

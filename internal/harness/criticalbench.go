@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -30,7 +31,7 @@ type CriticalBenchConfig struct {
 	// threshold p_c = 1 − σ^(−1/ν) (defaults 0.90 and 1.08: through the
 	// window, not around it).
 	FracMin, FracMax float64
-	Workers          int // parallel worker count (default 4)
+	Workers          int // parallel worker count (default runtime.GOMAXPROCS(0))
 	Tol              float64
 	// MaxIter caps matrix–vector products per adaptive gear attempt
 	// (0 = solver defaults).
@@ -40,6 +41,28 @@ type CriticalBenchConfig struct {
 	// whole benchmark — that failure is the benchmark's point.
 	PowerMaxIter int
 	Dev          *device.Device
+}
+
+// HostInfo records the execution environment of a benchmark run so stored
+// result files stay interpretable: timings from a 1-core CI runner and a
+// 32-core workstation must not be compared as if equivalent.
+type HostInfo struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// CollectHostInfo snapshots the current process's execution environment.
+func CollectHostInfo() HostInfo {
+	return HostInfo{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 }
 
 // CriticalPoint is one solved grid point of the adaptive sweep.
@@ -116,7 +139,7 @@ func (cfg *CriticalBenchConfig) defaults() error {
 		cfg.FracMin, cfg.FracMax = 0.90, 1.08
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.PowerMaxIter <= 0 {
 		cfg.PowerMaxIter = 20000
@@ -211,6 +234,24 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 	}
 	res.PowerCrossed = err == nil
 	return res, nil
+}
+
+// pointsIdentical reports bit-for-bit equality of two sweep results.
+func pointsIdentical(a, b []ThresholdPoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].P != b[i].P || len(a[i].Gamma) != len(b[i].Gamma) {
+			return false
+		}
+		for k := range a[i].Gamma {
+			if a[i].Gamma[k] != b[i].Gamma[k] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // WriteTSV renders the benchmark as tab-separated values: per-point rows of

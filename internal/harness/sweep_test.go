@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -208,25 +212,6 @@ func TestThresholdSweepFullOptsWithDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, "device sweep", ref, got)
-	}
-}
-
-func TestRunSweepBenchShort(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness exercised in long mode")
-	}
-	res, err := RunSweepBench(SweepBenchConfig{Nu: 8, Points: 6, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.BitIdentical {
-		t.Error("parallel sweeps deviated from serial")
-	}
-	if len(res.Variants) != 4 {
-		t.Fatalf("%d variants, want 4", len(res.Variants))
-	}
-	if res.WarmIterReductionPct <= 0 {
-		t.Errorf("warm start saved %.1f%% iterations, want > 0", res.WarmIterReductionPct)
 	}
 }
 
@@ -472,5 +457,56 @@ func TestRunCriticalBenchShort(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "\np\tfrac_pc\tmethod\titerations\tpredicted\twarm\tgamma0\tprobe\n") {
 		t.Errorf("point header missing or reordered:\n%s", sb.String())
+	}
+
+	// Workers 0 means every core the process may use, in the config and in
+	// the parallel variant's record.
+	res, err = RunCriticalBench(CriticalBenchConfig{Nu: 8, Points: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := runtime.GOMAXPROCS(0); res.Workers != want || res.Variants[1].Workers != want {
+		t.Errorf("Workers 0 recorded %d (parallel variant %d), want GOMAXPROCS %d",
+			res.Workers, res.Variants[1].Workers, want)
+	}
+}
+
+// No committed benchmark record may claim a variant with more workers than
+// the gomaxprocs of the host that recorded it: such a "parallel" timing
+// measures oversubscription, not a speedup.
+func TestCommittedBenchWorkersWithinHost(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "results", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed results/BENCH_*.json")
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Result struct {
+				Host     HostInfo `json:"host"`
+				Variants []struct {
+					Name    string `json:"name"`
+					Workers int    `json:"workers"`
+				} `json:"variants"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		host := doc.Result.Host.GOMAXPROCS
+		if host <= 0 {
+			t.Errorf("%s: no host gomaxprocs recorded", f)
+		}
+		for _, v := range doc.Result.Variants {
+			if v.Workers > host {
+				t.Errorf("%s: variant %s claims %d workers on a host with gomaxprocs=%d", f, v.Name, v.Workers, host)
+			}
+		}
 	}
 }

@@ -194,7 +194,8 @@ func TestBlockedApplyInverseRoundTrip(t *testing.T) {
 // TestBlockedDeviceBitIdenticalAcrossWorkers asserts the determinism
 // contract of the parallel kernels: because butterflies are element-
 // independent and reductions combine in fixed chunk order, every worker
-// count (and the spawn dispatch) must produce bit-identical vectors.
+// count must produce bit-identical vectors, for the blocked kernels and for
+// the per-stage device kernel of Algorithm 2 alike.
 func TestBlockedDeviceBitIdenticalAcrossWorkers(t *testing.T) {
 	r := rng.New(12)
 	devs := []*device.Device{
@@ -202,7 +203,6 @@ func TestBlockedDeviceBitIdenticalAcrossWorkers(t *testing.T) {
 		device.New(2, device.WithGrain(1)),
 		device.New(3, device.WithGrain(2)),
 		device.New(8, device.WithGrain(1)),
-		device.New(4, device.WithGrain(1), device.WithSpawnDispatch()),
 	}
 	for _, nu := range []int{1, 5, 10, 12} {
 		p := 0.001 + 0.499*r.Float64()
@@ -221,9 +221,11 @@ func TestBlockedDeviceBitIdenticalAcrossWorkers(t *testing.T) {
 						t.Errorf("ν=%d tileBits=%d %v: ApplyDevice not bit-identical to serial", nu, tb, d)
 					}
 					got = vec.Clone(v)
-					q.ApplyDeviceNaive(d, got)
+					for _, g := range q.groups {
+						q.applyGroupDeviceNaive(d, g, got)
+					}
 					if vec.DistInf(got, wantNaive) != 0 {
-						t.Errorf("ν=%d tileBits=%d %v: ApplyDeviceNaive not bit-identical to serial naive", nu, tb, d)
+						t.Errorf("ν=%d tileBits=%d %v: device naive kernel not bit-identical to serial naive", nu, tb, d)
 					}
 				}
 			})

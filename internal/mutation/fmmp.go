@@ -201,18 +201,6 @@ func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, ep *Epi
 	span.End(sp, int64(q.nu), 1)
 }
 
-// ApplyDeviceNaive computes v ← Q·v with the literal device-parallel
-// kernel of Algorithm 2: per stage one kernel launch with N/2 logical
-// threads and the branch-free index computation j = 2·ID − (ID & (i−1)).
-// The host stage loop is the implicit barrier between launches. Kept as
-// the dispatch-cost baseline for the pool-vs-spawn benchmarks.
-func (q *Process) ApplyDeviceNaive(d *device.Device, v []float64) {
-	q.checkDim(len(v))
-	for _, g := range q.groups {
-		q.applyGroupDeviceNaive(d, g, v)
-	}
-}
-
 // applyGroupSerial applies one Kronecker factor to v on the calling
 // goroutine with one pass per stage.
 func (q *Process) applyGroupSerial(g group, v []float64) {
@@ -279,7 +267,9 @@ func (q *Process) applyGroupDevice(d *device.Device, g group, v []float64) {
 }
 
 // applyGroupDeviceNaive applies one Kronecker factor with one device
-// launch per stage over the independent logical threads of the stage.
+// launch per stage over the independent logical threads of the stage: the
+// literal device-parallel kernel of Algorithm 2, with N/2 logical threads
+// and the branch-free index computation j = 2·ID − (ID & (i−1)).
 func (q *Process) applyGroupDeviceNaive(d *device.Device, g group, v []float64) {
 	if g.bitsLen == 1 {
 		stride := 1 << uint(g.offset)

@@ -21,11 +21,10 @@ import (
 // hot paths — the most recent span events, thinned convergence-trace
 // rows, method/escalation decisions, and periodic metric snapshots, and a
 // numerical-health watchdog goroutine scans the live solves for
-// iteration-progress stalls, NaN/Inf residuals, and phases running far
-// over their committed PERF-ledger share. Escalation is a ladder: metrics
-// counter → structured warning line → diagnostic bundle dump (manifest +
-// ring contents + goroutine dump + profile table + Chrome trace) into a
-// tar-friendly directory. Bundles are also dumped on ConvergenceError /
+// iteration-progress stalls and NaN/Inf residuals. Escalation is a
+// ladder: metrics counter → structured warning line → diagnostic bundle
+// dump (manifest + ring contents + goroutine dump + profile table + Chrome
+// trace) into a tar-friendly directory. Bundles are also dumped on ConvergenceError /
 // GapUnresolvedError (DumpOnError), worker panics (the batch recover
 // hook), SIGQUIT/SIGUSR1 (flight_signal_unix.go), and on demand.
 //
@@ -117,15 +116,6 @@ func (r *ring[T]) totals() (retained int, allTime int64) {
 	return r.count, r.total
 }
 
-// PhaseShare is one committed baseline share: the fraction of wall time a
-// span site is expected to take (from the PERF ledger). The watchdog's
-// slow-phase detector flags live shares far above it.
-type PhaseShare struct {
-	Layer string  `json:"layer"`
-	Name  string  `json:"name"`
-	Share float64 `json:"share"`
-}
-
 // WatchdogConfig tunes the numerical-health watchdog.
 type WatchdogConfig struct {
 	// Interval between health scans; 0 selects 500ms, < 0 disables the
@@ -138,18 +128,11 @@ type WatchdogConfig struct {
 	// the last improvement; 0 selects 5000, < 0 disables the criterion.
 	StallChecks int
 	// WarnAfter and DumpAfter are the escalation rungs, in consecutive
-	// detections (watchdog ticks for stalls/slow phases): the counter
+	// detections (watchdog ticks for stalls): the counter
 	// increments on every detection, the structured warning fires at
 	// WarnAfter (0 selects 2), the bundle dump at DumpAfter (0 selects 4).
 	WarnAfter int
 	DumpAfter int
-	// Baseline holds the committed per-phase shares the slow-phase
-	// detector compares against; empty disables it. SlowFactor is the
-	// multiple of the baseline share that flags a phase (0 selects 3);
-	// MinShare ignores phases below this live share (0 selects 0.05).
-	Baseline   []PhaseShare
-	SlowFactor float64
-	MinShare   float64
 	// Log receives structured warning lines (JSON objects); nil writes
 	// them to stderr.
 	Log func(line string)
@@ -220,17 +203,11 @@ func (c *FlightConfig) fill() {
 	if w.DumpAfter == 0 {
 		w.DumpAfter = 4
 	}
-	if w.SlowFactor == 0 {
-		w.SlowFactor = 3
-	}
-	if w.MinShare == 0 {
-		w.MinShare = 0.05
-	}
 }
 
 // BundleReasons is the fixed label set of qs_flight_bundles_total.
 var BundleReasons = []string{
-	"stall", "nan", "slow_phase", "convergence_error", "gap_unresolved",
+	"stall", "nan", "convergence_error", "gap_unresolved",
 	"panic", "signal", "manual", "other",
 }
 
@@ -246,20 +223,18 @@ type FlightRecorder struct {
 	decisions *ring[Decision]
 	metrics   *ring[MetricSnapshot]
 
-	mu        sync.Mutex
-	solves    map[*FlightSolveRecorder]struct{}
-	bundles   []string
-	seq       int
-	onceDump  map[string]bool // reason → dumped (ladder reasons dump once per run)
-	slowTicks int
-	slowWarn  bool
+	mu       sync.Mutex
+	solves   map[*FlightSolveRecorder]struct{}
+	bundles  []string
+	seq      int
+	onceDump map[string]bool // reason → dumped (ladder reasons dump once per run)
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	mStalls, mNaNs, mSlow *Counter
-	mBundles              map[string]*Counter
+	mStalls, mNaNs *Counter
+	mBundles       map[string]*Counter
 }
 
 var activeFlight atomic.Pointer[FlightRecorder]
@@ -287,7 +262,6 @@ func StartFlight(m *Manifest, cfg FlightConfig) *FlightRecorder {
 		stopCh:    make(chan struct{}),
 		mStalls:   r.Counter("qs_flight_watchdog_stalls_total", "Watchdog stall detections (one per scan of a stalled solve)."),
 		mNaNs:     r.Counter("qs_flight_watchdog_nan_total", "Watchdog NaN/Inf residual detections."),
-		mSlow:     r.Counter("qs_flight_watchdog_slow_phases_total", "Watchdog slow-phase detections against the PERF-ledger baseline."),
 		mBundles:  make(map[string]*Counter, len(BundleReasons)),
 	}
 	for _, reason := range BundleReasons {
@@ -558,8 +532,7 @@ func (f *FlightRecorder) dumpOnce(reason string, extra map[string]any) {
 }
 
 // watchdogLoop is the health scan: every Interval it checks live solves
-// for stalls and the installed profiler for slow phases, climbing the
-// escalation ladder per detector.
+// for stalls, climbing the escalation ladder per solve.
 func (f *FlightRecorder) watchdogLoop() {
 	defer f.wg.Done()
 	t := time.NewTicker(f.cfg.Watchdog.Interval)
@@ -570,7 +543,6 @@ func (f *FlightRecorder) watchdogLoop() {
 			return
 		case <-t.C:
 			f.scanSolves()
-			f.scanPhases()
 		}
 	}
 }
@@ -623,72 +595,6 @@ func (f *FlightRecorder) scanSolves() {
 		if dump {
 			f.dumpOnce("stall", map[string]any{"label": label, "iter": iter})
 		}
-	}
-}
-
-func (f *FlightRecorder) scanPhases() {
-	w := f.cfg.Watchdog
-	if len(w.Baseline) == 0 {
-		return
-	}
-	p := InstalledProfiler()
-	if p == nil {
-		return
-	}
-	wall := p.Wall().Seconds()
-	if wall <= 0 {
-		return
-	}
-	stats := p.Stats()
-	type slow struct {
-		layer, name      string
-		share, baseShare float64
-	}
-	var worst *slow
-	for _, base := range w.Baseline {
-		if base.Share <= 0 {
-			continue
-		}
-		for _, s := range stats {
-			if s.Layer != base.Layer || s.Name != base.Name {
-				continue
-			}
-			share := s.Total.Seconds() / wall
-			if share >= w.MinShare && share > base.Share*w.SlowFactor {
-				if worst == nil || share/base.Share > worst.share/worst.baseShare {
-					worst = &slow{base.Layer, base.Name, share, base.Share}
-				}
-			}
-			break
-		}
-	}
-	f.mu.Lock()
-	if worst != nil {
-		f.slowTicks++
-	} else {
-		f.slowTicks = 0
-	}
-	ticks := f.slowTicks
-	warned := f.slowWarn
-	if worst != nil && ticks >= w.WarnAfter {
-		f.slowWarn = true
-	}
-	f.mu.Unlock()
-	if worst == nil {
-		return
-	}
-	f.mSlow.Inc()
-	if ticks >= w.WarnAfter && !warned {
-		f.warn(map[string]any{
-			"kind": "slow_phase", "label": worst.layer + "/" + worst.name,
-			"share": fmt.Sprintf("%.4f", worst.share), "baseline_share": fmt.Sprintf("%.4f", worst.baseShare),
-		})
-	}
-	if ticks >= w.DumpAfter {
-		f.dumpOnce("slow_phase", map[string]any{
-			"phase": worst.layer + "/" + worst.name,
-			"share": worst.share, "baseline_share": worst.baseShare,
-		})
 	}
 }
 

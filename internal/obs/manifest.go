@@ -22,8 +22,8 @@ import (
 // version, VCS revision, dirty tree), which machine shape (GOMAXPROCS,
 // NUMA node map), which fast paths were live (AVX2, hardware counters —
 // and if not, why), and which workload (tool, flags, p-grid). Its RunID is
-// threaded through span profiles, trace rows, perf-ledger entries and
-// /metrics, so every artifact of a run names the same identity.
+// threaded through span profiles, trace rows, flight bundles and /metrics,
+// so every artifact of a run names the same identity.
 
 // ManifestSchema is the current manifest schema version. Bump it when a
 // field changes meaning; readers must tolerate unknown fields (plain

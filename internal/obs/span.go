@@ -136,8 +136,8 @@ func NewSpanProfiler(maxEvents int) *SpanProfiler {
 		stats:   make(map[spanKey]*spanAgg),
 	}
 	// A profiler born during a flight belongs to that run: stamp the run ID
-	// so later-installed profiles (per-rep -spans, qs-perf reps) still name
-	// their manifest.
+	// so later-installed profiles (e.g. per-rep -spans) still name their
+	// manifest.
 	if fl := ActiveFlight(); fl != nil {
 		p.runID = fl.RunID()
 	}

@@ -142,7 +142,7 @@ func writeTelemetryTable(w interface{ Write([]byte) (int, error) }, s *Sampler, 
 }
 
 // FormatBytes renders a byte count with a binary-prefix unit, the human
-// format shared by the telemetry table, qs-top and qs-perf list.
+// format shared by the telemetry table and qs-top.
 func FormatBytes(b int64) string {
 	const kib = 1024.0
 	v := float64(b)

@@ -26,17 +26,10 @@ shift_study.tsv	Section 3 claim: iteration counts with/without the conservative 
 accuracy.tsv	Xmvp(dmax) accuracy decay vs dmax (qs-accuracy).
 gap.tsv	Spectral gap of W vs p at ν=12: critical slowing down (qs-gap).
 TRACE_threshold_nu14.tsv	Per-iteration convergence trace of one near-threshold solve (qs-threshold -trace).
-BENCH_kernels.tsv	Kernel ablation baseline: blocked vs naive butterflies, pool vs spawn
-+dispatch (qs-solverbench -kernels). Regenerated after the AVX2 kernel
-+floor (DESIGN.md §5.6): t_blocked is a 2.85× geomean speedup over the
-+previous committed baseline on the same host (per-ν 2.2–4.4×).
-BENCH_kernels.json	JSON form of BENCH_kernels.tsv.
-BENCH_sweep.tsv	Batched sweep engine: serial/parallel × cold/warm, bit-identity checked (qs-solverbench -sweep).
-BENCH_sweep.json	JSON form of BENCH_sweep.tsv.
 BENCH_critical.tsv	Adaptive critical-window sweep at ν=18 crossing p_c: per-point gear,
 +iterations and the selector's predicted matvecs, serial/parallel
 +bit-identity, capped power baseline that fails to cross (qs-solverbench
-+-critical -nu 18 -points 13 -workers 4). Regenerated on the 2-CPU host
++-critical -nu 18 -points 13). Regenerated on the 2-CPU host
 +after the cost-ranked gear rule (2522 matvecs, was 6669), then after the
 +partially reorthogonalized gap probe: 2367 matvecs, the 0.93·p_c
 +Chebyshev→power fallback point 684 → 529, the other 12 points unchanged;
@@ -50,25 +43,10 @@ BENCH_critical.tsv	Adaptive critical-window sweep at ν=18 crossing p_c: per-poi
 +(seeded from the chain's warm start, stopped once its top Ritz pair
 +meets tol; new last column probe): 330 matvecs, every gear kept, the
 +0.93·p_c point 55 → 61, the 1.02·p_c chain head unchanged at 40, the
-+other 11 points cheaper.
++other 11 points cheaper. Last regenerated at the default -workers 0
++(all cores): the parallel variant now runs 2 workers on the 2-CPU host,
++not 4; every point row is unchanged.
 BENCH_critical.json	JSON form of BENCH_critical.tsv.
-PERF_ledger.jsonl	Append-only perf ledger gated advisorily in CI (qs-perf record/check).
-+Entries: the pre-AVX2 solve/critical baselines, a kernels-floor-nu14-*
-+entry recording the solve workload on the AVX2 kernel floor (mutation
-+phases −50%/−60% vs the pre-AVX2 singlepeak entry; `qs-perf compare`
-+prints the per-phase before/after), and re-recorded singlepeak-nu14-*
-+and critical-nu14-auto-w2 baselines so the share-of-wall gate measures
-+against the new floor. The last critical-nu14-auto-w2 entry re-records
-+the critical workload with the partially reorthogonalized gap probe
-+(gap_probe 70% → 40% of wall, 1146 matvecs as under the cost-ranked gear
-+rule, which had cut them from 5166) on the 2-CPU host; the entry after it
-+re-records it with the cheaper Chebyshev gear (945 matvecs, wall
-+0.132 → 0.122 s, Chebyshev at all 9 points); the next re-records it
-+with the Ritz handoff (234 matvecs, 26 per point; wall 0.122 → 0.047 s;
-+gap_probe 92% of wall); the last with the warm, self-stopping probe
-+(169 matvecs; wall 0.047 → 0.041 s; gap_probe 92% of wall). Records carry
-+run_id/flight_bundle when written with qs-perf record -flight
-+(DESIGN.md §5.8).
 EOF
 )
 
