@@ -41,6 +41,50 @@ func (op *unfusedFmmpOp) Apply(dst, src []float64) {
 	}
 }
 
+// The unfused reference sums in the 4-lane order of vec's reduction
+// contract on the serial path too — the order the serial passes share with
+// a 1-worker device — and through the device's own reductions otherwise.
+
+// laneSum is Σ f(k) for k < n in the 4-lane order: lane ℓ sums k ≡ ℓ mod 4,
+// the lanes combine as ((s0+s1)+s2)+s3, and the tail folds on in index
+// order.
+func laneSum(n int, f func(k int) float64) float64 {
+	var lane [4]float64
+	body := n &^ 3
+	for k := 0; k < body; k++ {
+		lane[k%4] += f(k)
+	}
+	s := ((lane[0] + lane[1]) + lane[2]) + lane[3]
+	for k := body; k < n; k++ {
+		s += f(k)
+	}
+	return s
+}
+
+func refDot(dev *device.Device, x, y []float64) float64 {
+	if dev != nil {
+		return dev.Dot(x, y)
+	}
+	return laneSum(len(x), func(k int) float64 { return x[k] * y[k] })
+}
+
+func refNorm2(dev *device.Device, x []float64) float64 {
+	if dev != nil {
+		return dev.Norm2(x)
+	}
+	return vec.NormFromSumSq(laneSum(len(x), func(k int) float64 { return x[k] * x[k] }), nil, x, 0)
+}
+
+func refResidual(dev *device.Device, w, x []float64, lambda float64) float64 {
+	if dev != nil {
+		return dev.ResidualNorm2(w, x, lambda)
+	}
+	return math.Sqrt(laneSum(len(w), func(k int) float64 {
+		r := w[k] - lambda*x[k]
+		return r * r
+	}))
+}
+
 // unfusedPowerIteration is the power loop before the fused step, with the
 // span and metrics hooks left out (they only watch).
 func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
@@ -79,7 +123,7 @@ func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) 
 	} else {
 		vec.Fill(x, 1)
 	}
-	nrm := norm2(dev, x)
+	nrm := refNorm2(dev, x)
 	if nrm == 0 {
 		return PowerResult{}, errors.New("core: start vector is zero")
 	}
@@ -104,10 +148,10 @@ func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) 
 			axpyInto(dev, -mu, x, w)
 		}
 		res.Iterations = iter
-		lamShifted := dot(dev, x, w)
+		lamShifted := refDot(dev, x, w)
 		res.Lambda = lamShifted + mu
 		if iter%checkEvery == 0 || iter == maxIter {
-			r := residual(dev, w, x, lamShifted)
+			r := refResidual(dev, w, x, lamShifted)
 			res.Residual = r
 			if opts.Observer != nil {
 				opts.Observer.Step(iter, res.Lambda, r)
@@ -142,7 +186,7 @@ func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) 
 				}
 			}
 		}
-		nrm = norm2(dev, w)
+		nrm = refNorm2(dev, w)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			done(&res, EventBreakdown, iter, res.Residual)
 			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
@@ -401,6 +445,50 @@ func TestFusedPowerIterationBitIdenticalToUnfused(t *testing.T) {
 		}
 	}
 	t.Logf("exit paths taken: %v", taken)
+}
+
+// TestPowerIterationSerialMatchesOneWorkerDevice: the serial passes sum in
+// the device's 4-lane order and apply the same range check, and a 1-worker
+// device reduces in one chunk, so a serial solve (Dev nil) and a solve on a
+// 1-worker device agree bit for bit — λ, residual, iteration count, iterate
+// and every Observer callback — from a fitness start, shifted and not, on
+// every exit path.
+func TestPowerIterationSerialMatchesOneWorkerDevice(t *testing.T) {
+	r := rng.New(1214)
+	one := device.New(1)
+	for _, nu := range []int{1, 5, 11, 12, 13} {
+		l, err := landscape.NewRandom(nu, 5, 1, r.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range fusedTestProcesses(t, r, nu) {
+			serialOp, err := NewFmmpOperator(p.q, l, Right, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devOp, err := NewFmmpOperator(p.q, l, Right, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mu := range []float64{0, ConservativeShift(p.q, l)} {
+				for _, path := range exitPaths {
+					run := func(op Operator, dev *device.Device) (PowerResult, error, *callLog) {
+						log := &callLog{}
+						opts := PowerOptions{Start: serialOp.FitnessStart(), Dev: dev, Shift: mu, Observer: log, MaxIter: 150}
+						path.opts(&opts, log)
+						if path.wrap != nil {
+							op = path.wrap(op)
+						}
+						res, err := PowerIteration(op, opts)
+						return res, err, log
+					}
+					got, gotErr, gotLog := run(serialOp, nil)
+					want, wantErr, wantLog := run(devOp, one)
+					comparePower(t, fmt.Sprintf("ν=%d %s µ=%g %s", nu, p.name, mu, path.name), got, want, gotErr, wantErr, gotLog, wantLog)
+				}
+			}
+		}
+	}
 }
 
 // TestFusedPowerIterationWorkWarmStart runs the sweep's continuation

@@ -304,7 +304,7 @@ func ritzGap(op Operator, k int, start, weight []float64, stop float64, work *Kr
 	if built == k {
 		// The last step stopped after α: one fused tail on its w gives the
 		// β_k the recurrence would have produced next.
-		next = normFromSq(vec.LanczosTail(w, basis[k-1], basis[k-2], alpha[k-1], beta[k-2]), w)
+		next = vec.NormFromSumSq(vec.LanczosTail(w, basis[k-1], basis[k-2], alpha[k-1], beta[k-2]), nil, w, 0)
 	}
 	p.residual = next * math.Abs(y[built-1])
 	return p, nil

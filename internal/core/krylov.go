@@ -126,17 +126,7 @@ func (kw *KrylovWork) orthogonalize(basis [][]float64, w []float64) float64 {
 	for t := range c {
 		c[t] = -c[t]
 	}
-	return normFromSq(vec.Combine(w, basis, c), w)
-}
-
-// normFromSq is ‖w‖ from the unscaled Σwᵢ² a fused pass returned:
-// √ssq, or the scaled vec.Norm2(w) when the sum under- or overflowed (left
-// [2⁻⁹⁰⁰, 2⁹⁰⁰], or is 0 or NaN), so the breakdown test sees the true norm.
-func normFromSq(ssq float64, w []float64) float64 {
-	if ssq >= 0x1p-900 && ssq <= 0x1p900 {
-		return math.Sqrt(ssq)
-	}
-	return vec.Norm2(w)
+	return vec.NormFromSumSq(vec.Combine(w, basis, c), nil, w, 0)
 }
 
 const (
@@ -197,7 +187,7 @@ func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *in
 		if j > 0 {
 			u, bPrev = basis[j-1], beta[j-1]
 		}
-		b := normFromSq(vec.LanczosTail(w, v, u, alpha[j], bPrev), w)
+		b := vec.NormFromSumSq(vec.LanczosTail(w, v, u, alpha[j], bPrev), nil, w, 0)
 		normT = max(normT, math.Abs(alpha[j])+b+bPrev)
 		reorth := repeat
 		if !repeat && b >= breakdownNorm {
@@ -231,11 +221,7 @@ func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *in
 		if stop > 0 && j > 0 && kw.ritzConverged(j+1, stop) {
 			return j + 1
 		}
-		inv := 1 / b
-		dst := basis[j+1]
-		for i, x := range w {
-			dst[i] = x * inv
-		}
+		vec.ScaleTo(basis[j+1], w, 1/b)
 		prev, cur, next = cur, next, prev
 	}
 	return k

@@ -151,7 +151,10 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	} else {
 		vec.Fill(x, 1)
 	}
-	nrm := norm2(dev, x)
+	// Pass A's norm with t = x: the 4-lane sum and range check of the
+	// iteration's own passes, so a serial solve and a 1-worker device solve
+	// start from the same bits.
+	_, nrm := shiftedDotNorm2(dev, x, x, 0)
 	if nrm == 0 {
 		return PowerResult{}, errors.New("core: start vector is zero")
 	}

@@ -1,36 +1,45 @@
 package device
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/vec"
+)
 
 // This file provides the device-parallel twins of the internal/vec kernels.
-// The paper notes (Section 4) that vector summation parallelizes well
-// enough that it has "almost no influence on the overall execution time".
-// With the blocked butterflies that no longer holds: each BLAS-1 call is a
-// full-vector stream like a butterfly pass, and a CPU profile of ν = 20
-// power solves on two workers put 52% of the time in the vector work
-// around the matvec (x⊙f, shift, Rayleigh quotient, residual, norm,
-// normalize) against 37% in the butterfly. The power iteration therefore
-// runs its vector tail as two fused passes, ShiftedDotNorm2 and
-// ShiftedResidualScale (DESIGN.md §5.10); the single-operation kernels stay
-// for the other solvers.
+// The paper (Section 4) expects the vector summations to have "almost no
+// influence on the overall execution time". Measured here they have a
+// large one. With the blocked butterflies each BLAS-1 call is a full-vector
+// stream like a butterfly pass: a CPU profile of ν = 20 power solves on two
+// workers put 52% of the time in the vector work around the matvec (x⊙f,
+// shift, Rayleigh quotient, residual, norm, normalize) against 37% in the
+// butterfly, so the power iteration runs its vector tail as two fused
+// passes, ShiftedDotNorm2 and ShiftedResidualScale (DESIGN.md §5.10). With
+// the butterflies on AVX2 the passes were the larger cost of small solves
+// too: serial ν = 12 power sweeps spent 55–60% of their CPU in the two
+// passes against 37–40% in the operator while the pass bodies were scalar
+// Go, and 19–21% against 72–73% on vec's AVX2 kernels (DESIGN.md §5.6).
 //
 // They sit inside every power/Lanczos iteration, so they are written to the
 // same kernel-floor discipline as the butterfly stages (see DESIGN.md §5.6):
 // each launch dispatches CHUNK bodies, not per-element closures — the old
-// ReduceSum(func(i)…) form paid an indirect call per element — and each
-// chunk body is a bounds-check-eliminated loop unrolled 4-wide.
+// ReduceSum(func(i)…) form paid an indirect call per element. Dot and the
+// two power passes reduce over vec's 4-lane kernels (vec.DotLanes,
+// vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq), with their AVX2 bodies;
+// the other chunk bodies here are bounds-check-eliminated Go loops unrolled
+// 4-wide in the same order.
 //
-// SUMMATION ORDER (the reduction contract): a reduction over [0, n) is
-// split into the device's chunks; within a chunk [lo, hi), accumulator
-// lane ℓ ∈ {0,1,2,3} sums elements lo+ℓ, lo+ℓ+4, lo+ℓ+8, …, the lanes
-// combine as ((s0+s1)+s2)+s3, and the ≤ 3 tail elements fold onto that in
-// index order. Chunk partials combine in ascending chunk order. The result
-// is therefore a pure function of (operands, n, chunk size): bit-identical
-// across runs and across schedules for a fixed Device, independent of
-// which worker executes which chunk. It differs from a strict serial left
-// fold by the usual O(ε·Σ|xᵢyᵢ|) regrouping error — the same reassociation
-// any chunked/parallel reduction already performed — and the solver
-// tolerances (≥1e-9) absorb it; tests pin the fixed-schedule bit-identity.
+// SUMMATION ORDER: every reduction splits [0, n) into the device's chunks,
+// sums each chunk in the 4-lane order of vec's reduction contract
+// (internal/vec/lanes.go) and combines the chunk partials in ascending
+// chunk order. The result is therefore a pure function of (operands, n,
+// chunk size): bit-identical across runs and across schedules for a fixed
+// Device, independent of which worker executes which chunk, and on a
+// 1-worker Device (one chunk) bit-identical to the serial vec kernel. It
+// differs from a strict serial left fold by the usual O(ε·Σ|xᵢyᵢ|)
+// regrouping error — the same reassociation any chunked/parallel reduction
+// already performed — and the solver tolerances (≥1e-9) absorb it; tests
+// pin the fixed-schedule bit-identity.
 
 // reduceChunks reduces chunkFn, which returns two independent partials per
 // chunk, over the device's chunk partition of [0, n): each component is
@@ -62,35 +71,13 @@ func chunk2(x, y []float64, lo, hi int) ([]float64, []float64) {
 	return x[lo:hi], y[lo:hi]
 }
 
-// dotChunk is Σ x[k]·y[k] over the common prefix of x and y in the
-// documented 4-lane order.
-func dotChunk(x, y []float64) float64 {
-	var s0, s1, s2, s3 float64
-	// Slice-advance loops: constant indexes on shrinking slices are the one
-	// form the go1.24 prover eliminates completely (counter loops keep a
-	// check per iteration — see scripts/check_bce.sh).
-	for len(x) >= 4 && len(y) >= 4 {
-		s0 += x[0] * y[0]
-		s1 += x[1] * y[1]
-		s2 += x[2] * y[2]
-		s3 += x[3] * y[3]
-		x, y = x[4:], y[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 && len(y) > 0 {
-		s += x[0] * y[0]
-		x, y = x[1:], y[1:]
-	}
-	return s
-}
-
 // Dot returns xᵀy computed with a parallel reduction.
 func (d *Device) Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("device: Dot length mismatch")
 	}
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return dotChunk(chunk2(x, y, lo, hi)), 0
+		return vec.DotLanes(chunk2(x, y, lo, hi)), 0
 	}, addf)
 	return s
 }
@@ -165,15 +152,15 @@ func norm2SqChunk(x []float64) float64 {
 	return s
 }
 
-// Norm2 returns ‖x‖₂ computed with a parallel reduction over squares.
-// Unlike the serially scaled vec.Norm2 it can overflow for entries near
-// √MaxFloat64; quasispecies concentration vectors are bounded by 1 so this
-// is not a concern on solver paths.
+// Norm2 returns ‖x‖₂ computed with a parallel reduction over squares. A
+// sum that leaves [2⁻⁹⁰⁰, 2⁹⁰⁰] is recomputed by the scaled vec.Norm2
+// (vec.NormFromSumSq), so it neither over- nor underflows where vec.Norm2
+// does not.
 func (d *Device) Norm2(x []float64) float64 {
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
 		return norm2SqChunk(x[lo:hi]), 0
 	}, addf)
-	return math.Sqrt(s)
+	return vec.NormFromSumSq(s, nil, x, 0)
 }
 
 // normInfChunk is max |x[k]| over one chunk. Max is associative and
@@ -247,57 +234,10 @@ func (d *Device) ResidualNorm2(w, x []float64, lambda float64) float64 {
 // and a normalize launch, five streams over the vectors per iteration; the
 // passes cover the same arithmetic in two. Each accumulator sees exactly the
 // operations, in exactly the order, of the kernel it replaces — the same
-// chunk plan, the same 4-lane split, the same ascending partial combine —
-// so the results are bit-identical to the unfused sequence. µ = 0 reads
-// t = w without forming w + 0·x, as the unfused sequence skips the AXPY.
-
-// shiftedDotNorm2Chunk returns (Σ x[k]·t[k], Σ t[k]²) for t = w + a·x over
-// the common prefix of x and w, each in the documented 4-lane order.
-func shiftedDotNorm2Chunk(x, w []float64, a float64) (float64, float64) {
-	var d0, d1, d2, d3, q0, q1, q2, q3 float64
-	if a == 0 {
-		for len(x) >= 4 && len(w) >= 4 {
-			t0, t1, t2, t3 := w[0], w[1], w[2], w[3]
-			d0 += x[0] * t0
-			d1 += x[1] * t1
-			d2 += x[2] * t2
-			d3 += x[3] * t3
-			q0 += t0 * t0
-			q1 += t1 * t1
-			q2 += t2 * t2
-			q3 += t3 * t3
-			x, w = x[4:], w[4:]
-		}
-	} else {
-		for len(x) >= 4 && len(w) >= 4 {
-			t0 := w[0] + a*x[0]
-			t1 := w[1] + a*x[1]
-			t2 := w[2] + a*x[2]
-			t3 := w[3] + a*x[3]
-			d0 += x[0] * t0
-			d1 += x[1] * t1
-			d2 += x[2] * t2
-			d3 += x[3] * t3
-			q0 += t0 * t0
-			q1 += t1 * t1
-			q2 += t2 * t2
-			q3 += t3 * t3
-			x, w = x[4:], w[4:]
-		}
-	}
-	d := ((d0 + d1) + d2) + d3
-	q := ((q0 + q1) + q2) + q3
-	for len(x) > 0 && len(w) > 0 {
-		t := w[0]
-		if a != 0 {
-			t += a * x[0]
-		}
-		d += x[0] * t
-		q += t * t
-		x, w = x[1:], w[1:]
-	}
-	return d, q
-}
+// chunk plan, the same 4-lane split, the same ascending partial combine, the
+// same range check — so the results are bit-identical to the unfused
+// sequence. µ = 0 reads t = w without forming w + 0·x, as the unfused
+// sequence skips the AXPY.
 
 // ShiftedDotNorm2 is pass A of the fused power step: for t = w − µ·x it
 // returns x·t and ‖t‖₂ in one read-only pass, bit-identical to AXPY(−µ, x,
@@ -306,63 +246,11 @@ func (d *Device) ShiftedDotNorm2(x, w []float64, mu float64) (dot, norm float64)
 	if len(x) != len(w) {
 		panic("device: ShiftedDotNorm2 length mismatch")
 	}
-	a := -mu
 	dot, sq := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
 		xs, ws := chunk2(x, w, lo, hi)
-		return shiftedDotNorm2Chunk(xs, ws, a)
+		return vec.ShiftedDotSumSq(xs, ws, mu)
 	}, addf)
-	return dot, math.Sqrt(sq)
-}
-
-// shiftedResidualScaleChunk returns Σ (t[k] − λ·x[k])² for t = w + a·x over
-// the common prefix of x and w in the documented 4-lane order, and
-// overwrites w with c·t.
-func shiftedResidualScaleChunk(x, w []float64, a, lambda, c float64) float64 {
-	var s0, s1, s2, s3 float64
-	if a == 0 {
-		for len(x) >= 4 && len(w) >= 4 {
-			t0, t1, t2, t3 := w[0], w[1], w[2], w[3]
-			r0 := t0 - lambda*x[0]
-			r1 := t1 - lambda*x[1]
-			r2 := t2 - lambda*x[2]
-			r3 := t3 - lambda*x[3]
-			s0 += r0 * r0
-			s1 += r1 * r1
-			s2 += r2 * r2
-			s3 += r3 * r3
-			w[0], w[1], w[2], w[3] = t0*c, t1*c, t2*c, t3*c
-			x, w = x[4:], w[4:]
-		}
-	} else {
-		for len(x) >= 4 && len(w) >= 4 {
-			t0 := w[0] + a*x[0]
-			t1 := w[1] + a*x[1]
-			t2 := w[2] + a*x[2]
-			t3 := w[3] + a*x[3]
-			r0 := t0 - lambda*x[0]
-			r1 := t1 - lambda*x[1]
-			r2 := t2 - lambda*x[2]
-			r3 := t3 - lambda*x[3]
-			s0 += r0 * r0
-			s1 += r1 * r1
-			s2 += r2 * r2
-			s3 += r3 * r3
-			w[0], w[1], w[2], w[3] = t0*c, t1*c, t2*c, t3*c
-			x, w = x[4:], w[4:]
-		}
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 && len(w) > 0 {
-		t := w[0]
-		if a != 0 {
-			t += a * x[0]
-		}
-		r := t - lambda*x[0]
-		s += r * r
-		w[0] = t * c
-		x, w = x[1:], w[1:]
-	}
-	return s
+	return dot, vec.NormFromSumSq(sq, x, w, mu)
 }
 
 // ShiftedResidualScale is pass B of the fused power step: for t = w − µ·x
@@ -373,10 +261,9 @@ func (d *Device) ShiftedResidualScale(x, w []float64, mu, lambda, c float64) flo
 	if len(x) != len(w) {
 		panic("device: ShiftedResidualScale length mismatch")
 	}
-	a := -mu
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
 		xs, ws := chunk2(x, w, lo, hi)
-		return shiftedResidualScaleChunk(xs, ws, a, lambda, c), 0
+		return vec.ShiftedResidualSumSq(xs, ws, mu, lambda, c), 0
 	}, addf)
 	return math.Sqrt(s)
 }

@@ -31,8 +31,8 @@ func TestChunkKernelsMatchDocumentedOrder(t *testing.T) {
 	r := rng.New(7)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 1023, 4096} {
 		x, y := randVec(r, n), randVec(r, n)
-		if got, want := dotChunk(x, y), refFourLane(n, func(k int) float64 { return x[k] * y[k] }); got != want {
-			t.Errorf("n=%d: dotChunk = %v, want %v (order contract)", n, got, want)
+		if got, want := vec.DotLanes(x, y), refFourLane(n, func(k int) float64 { return x[k] * y[k] }); got != want {
+			t.Errorf("n=%d: vec.DotLanes = %v, want %v (order contract)", n, got, want)
 		}
 		if got, want := sumChunk(x), refFourLane(n, func(k int) float64 { return x[k] }); got != want {
 			t.Errorf("n=%d: sumChunk = %v, want %v", n, got, want)
@@ -92,6 +92,28 @@ func TestReductionsCloseToSerialVec(t *testing.T) {
 		want = math.Sqrt(want)
 		if got := d.ResidualNorm2(x, y, 0.25); math.Abs(got-want) > 1e-9*want+1e-12 {
 			t.Errorf("%s: ResidualNorm2 = %v, want ≈ %v", name, got, want)
+		}
+	}
+}
+
+// TestNorm2RangeCheckMatchesSerial: a 1e200 entry overflows the plain sum
+// of squares, and the range check then recomputes the norm scaled, so
+// Norm2 and pass A's norm through a 2-worker device equal the serial
+// vec.Norm2 and vec.ShiftedDotNorm2 bit for bit instead of reading +Inf.
+func TestNorm2RangeCheckMatchesSerial(t *testing.T) {
+	r := rng.New(29)
+	const n = 100003 // two chunks at the default grain
+	x, w := randVec(r, n), randVec(r, n)
+	w[n/2] = 1e200
+	d := New(2)
+	if got, want := d.Norm2(w), vec.Norm2(w); math.Float64bits(got) != math.Float64bits(want) || math.IsInf(got, 0) {
+		t.Errorf("2-worker Norm2 = %v, serial %v", got, want)
+	}
+	for _, mu := range []float64{0, 0.37} {
+		_, got := d.ShiftedDotNorm2(x, w, mu)
+		_, want := vec.ShiftedDotNorm2(x, w, mu)
+		if math.Float64bits(got) != math.Float64bits(want) || math.IsInf(got, 0) {
+			t.Errorf("µ=%g: 2-worker pass A norm = %v, serial %v", mu, got, want)
 		}
 	}
 }

@@ -73,14 +73,8 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 		proc{"grouped-first", groupedProcess(t, r, []int{2, 1, 1, 1, 3, 1})},
 		proc{"grouped-mid", groupedProcess(t, r, []int{1, 1, 3, 1, 2})})
 
-	avx := []bool{useAVX2}
-	if avx2Detected {
-		avx = []bool{true, false}
-	}
-	was := useAVX2
-	defer func() { useAVX2 = was }()
-	for _, useAVX := range avx {
-		useAVX2 = useAVX
+	for _, useAVX := range avxModes(t) {
+		vec.SetAVX2(useAVX)
 		for _, p := range procs {
 			q, n := p.q, p.q.Dim()
 			src, d := randVector(r, n), randVector(r, n)
@@ -176,14 +170,8 @@ func TestApplyFusedEpilogueBitIdentical(t *testing.T) {
 		proc{"grouped-last", groupedProcess(t, r, []int{1, 1, 3, 1, 2})},
 		proc{"grouped-first", groupedProcess(t, r, []int{2, 1, 1, 1, 3, 1})})
 
-	avx := []bool{useAVX2}
-	if avx2Detected {
-		avx = []bool{true, false}
-	}
-	was := useAVX2
-	defer func() { useAVX2 = was }()
-	for _, useAVX := range avx {
-		useAVX2 = useAVX
+	for _, useAVX := range avxModes(t) {
+		vec.SetAVX2(useAVX)
 		for _, p := range procs {
 			q, n := p.q, p.q.Dim()
 			src, pre, post := randVector(r, n), randVector(r, n), randVector(r, n)

@@ -2,8 +2,6 @@
 
 package mutation
 
-import "os"
-
 // The hot butterfly kernels dispatch to the AVX2 assembly in avx_amd64.s
 // when the CPU supports it: Go's compiler never auto-vectorizes, so the
 // 4-wide Go loops execute one scalar FP op per element while the machine
@@ -16,38 +14,9 @@ import "os"
 // (blocked FWHT ≡ naive, fused ≡ radix-2) run against whichever path is
 // active.
 //
-// QS_NOAVX2=1 forces the pure-Go kernels (diagnostics / A-B timing).
-
-// avx2Detected reports hardware+OS support; useAVX2 is the dispatch gate
-// (mutable so tests can compare both paths on one host).
-var (
-	avx2Detected = detectAVX2()
-	useAVX2      = avx2Detected && os.Getenv("QS_NOAVX2") == ""
-)
-
-// detectAVX2 is the standard CPUID/XGETBV dance: AVX needs OSXSAVE and
-// XMM+YMM state enabled by the OS in XCR0, AVX2 is leaf-7 EBX bit 5.
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c, _ := cpuid(1, 0)
-	const osxsaveBit = 1 << 27
-	const avxBit = 1 << 28
-	if c&osxsaveBit == 0 || c&avxBit == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	if xcr0&0x6 != 0x6 { // XMM and YMM state
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
-}
-
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
+// The dispatch gate is internal/vec's (vec.UseAVX2): one CPUID/XGETBV
+// check for the butterflies and the vector kernels around them, and
+// QS_NOAVX2=1 forces the pure-Go bodies of both.
 
 // The assembly kernels. n counts float64 elements and must be a positive
 // multiple of 4 (quad forms) resp. of 4·stride (tile forms, stride ≥ 4 a

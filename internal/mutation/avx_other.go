@@ -4,12 +4,7 @@ package mutation
 
 // Non-amd64 builds always take the pure-Go kernel paths; the stubs below
 // exist only to satisfy the dispatch call sites, which are all guarded by
-// useAVX2.
-
-var (
-	avx2Detected = false
-	useAVX2      = false
-)
+// vec.UseAVX2.
 
 func avxQuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64) {
 	panic("mutation: avxQuadS called without AVX2")

@@ -3,7 +3,21 @@ package mutation
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/vec"
 )
+
+// avxModes returns the kernel paths this host can run — AVX2 and pure Go
+// where AVX2 was detected, pure Go elsewhere — and restores the dispatch
+// gate when the test ends.
+func avxModes(t *testing.T) []bool {
+	was := vec.SetAVX2(true)
+	t.Cleanup(func() { vec.SetAVX2(was) })
+	if vec.UseAVX2() {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
 
 // TestAVX2KernelsBitIdenticalToScalar toggles the AVX2 dispatch gate and
 // asserts the assembly and pure-Go kernel paths produce bit-identical
@@ -13,11 +27,9 @@ import (
 // and odd-stage code shapes. Skipped on hosts without AVX2, where only the
 // Go path exists.
 func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
-	if !avx2Detected {
+	if len(avxModes(t)) == 1 {
 		t.Skip("host has no AVX2; single code path")
 	}
-	was := useAVX2
-	defer func() { useAVX2 = was }()
 
 	rng := rand.New(rand.NewSource(71))
 	for _, nu := range []int{2, 3, 5, 8, 11, 13, 14, 15} {
@@ -32,9 +44,9 @@ func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 		check := func(name string, transform func([]float64)) {
 			a := append([]float64(nil), v...)
 			b := append([]float64(nil), v...)
-			useAVX2 = true
+			vec.SetAVX2(true)
 			transform(a)
-			useAVX2 = false
+			vec.SetAVX2(false)
 			transform(b)
 			for i := range a {
 				if a[i] != b[i] {

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/device"
+	"repro/internal/vec"
 )
 
 // This file implements the cache-blocked, stage-fused form of the butterfly
@@ -222,25 +223,9 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 func scaledTile(v, src, scale []float64, lo, hi int) []float64 {
 	tile := v[lo:hi]
 	if scale != nil {
-		mulTile(tile, src[lo:hi], scale[lo:hi])
+		vec.Mul(tile, src[lo:hi], scale[lo:hi])
 	}
 	return tile
-}
-
-// mulTile computes dst ← src ⊙ scale over the common prefix of the three
-// slices, one multiply per element exactly as vec.Mul. src may alias dst.
-func mulTile(dst, src, scale []float64) {
-	for len(dst) >= 4 && len(src) >= 4 && len(scale) >= 4 {
-		dst[0] = src[0] * scale[0]
-		dst[1] = src[1] * scale[1]
-		dst[2] = src[2] * scale[2]
-		dst[3] = src[3] * scale[3]
-		dst, src, scale = dst[4:], src[4:], scale[4:]
-	}
-	for len(dst) > 0 && len(src) > 0 && len(scale) > 0 {
-		dst[0] = src[0] * scale[0]
-		dst, src, scale = dst[1:], src[1:], scale[1:]
-	}
 }
 
 // Butterfly kinds selected per stage by factor shape; the reduced forms
@@ -445,7 +430,7 @@ func tileStage(tile []float64, stride int, f *Factor2) {
 // tilePairStochastic applies two consecutive stochastic stages (strides
 // stride and 2·stride, off-diagonal entries b1 and b2) in one radix-4 pass.
 func tilePairStochastic(tile []float64, stride int, b1, b2 float64) {
-	if useAVX2 && stride >= 4 && len(tile) >= 4*stride {
+	if vec.UseAVX2() && stride >= 4 && len(tile) >= 4*stride {
 		// Same block/column traversal and per-element op sequence, four
 		// butterflies per instruction (avx_amd64.s); the Go loop below
 		// likewise leaves any partial trailing block untouched.
@@ -505,7 +490,7 @@ func tilePairStochastic(tile []float64, stride int, b1, b2 float64) {
 // tilePairUnitDiff is tilePairStochastic for two unit-difference stages
 // (the inverse factors of Eq. 12).
 func tilePairUnitDiff(tile []float64, stride int, b1, b2 float64) {
-	if useAVX2 && stride >= 4 && len(tile) >= 4*stride {
+	if vec.UseAVX2() && stride >= 4 && len(tile) >= 4*stride {
 		avxTilePairU(&tile[0], len(tile)&^(4*stride-1), stride, b1, b2)
 		return
 	}
@@ -636,7 +621,7 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 // across four gathered row chunks: column i of the four rows is one
 // butterfly, and the column loop runs 4-wide.
 func crossQuadStochastic(r0, r1, r2, r3 []float64, b1, b2 float64) {
-	if useAVX2 {
+	if vec.UseAVX2() {
 		n := min(len(r0), len(r1), len(r2), len(r3)) &^ 3
 		if n > 0 {
 			avxQuadS(&r0[0], &r1[0], &r2[0], &r3[0], n, b1, b2)
@@ -662,7 +647,7 @@ func crossQuadStochastic(r0, r1, r2, r3 []float64, b1, b2 float64) {
 
 // crossQuadUnitDiff is crossQuadStochastic for the unit-difference kind.
 func crossQuadUnitDiff(r0, r1, r2, r3 []float64, b1, b2 float64) {
-	if useAVX2 {
+	if vec.UseAVX2() {
 		n := min(len(r0), len(r1), len(r2), len(r3)) &^ 3
 		if n > 0 {
 			avxQuadU(&r0[0], &r1[0], &r2[0], &r3[0], n, b1, b2)

@@ -1,6 +1,9 @@
 package mutation
 
-import "repro/internal/device"
+import (
+	"repro/internal/device"
+	"repro/internal/vec"
+)
 
 // Epilogue is an elementwise tail that ApplyFused runs on the product
 // v = Q·(src ⊙ pre) inside the last butterfly pass, on each tile or column
@@ -31,7 +34,7 @@ func (ep *Epilogue) run(v []float64, lo, hi int) {
 	vs := v[lo:hi]
 	switch {
 	case ep.Out == nil:
-		mulTile(vs, vs, ep.Post[lo:hi])
+		vec.Mul(vs, vs, ep.Post[lo:hi])
 	case ep.Post == nil:
 		threeTerm(ep.Out[lo:hi], vs, ep.Z[lo:hi], ep.S, ep.C)
 	default:

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bits"
 	"repro/internal/device"
 	"repro/internal/span"
+	"repro/internal/vec"
 )
 
 // This file implements the spectral machinery of Section 2: the fast
@@ -179,7 +180,7 @@ func fwhtTile(tile []float64) {
 		stride = 4
 	}
 	for ; 4*stride <= len(tile); stride *= 4 {
-		if useAVX2 {
+		if vec.UseAVX2() {
 			// stride ≥ 4 here (the contiguous first pass already ran), so
 			// the whole radix-4 pass vectorizes (avx_amd64.s).
 			avxTileHad(&tile[0], len(tile)&^(4*stride-1), stride)
@@ -303,7 +304,7 @@ func fwhtCrossGroup(v []float64, B, baseRow, rb0, m int) {
 // fwhtCrossQuad applies a fused pair of Hadamard stages radix-4 across four
 // gathered row chunks, 4 columns (independent butterflies) per iteration.
 func fwhtCrossQuad(r0, r1, r2, r3 []float64) {
-	if useAVX2 {
+	if vec.UseAVX2() {
 		n := min(len(r0), len(r1), len(r2), len(r3)) &^ 3
 		if n > 0 {
 			avxQuadH(&r0[0], &r1[0], &r2[0], &r3[0], n)

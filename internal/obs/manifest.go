@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/hwc"
-	"repro/internal/mutation"
+	"repro/internal/vec"
 )
 
 // Run manifest: the schema-versioned identity record of one solver run.
@@ -120,7 +120,7 @@ func NewManifest(w ManifestWorkload) *Manifest {
 
 		Nu: w.Nu, Method: w.Method, Workers: w.Workers, PGrid: w.PGrid,
 	}
-	m.AVX2, m.AVX2Reason = mutation.AVX2()
+	m.AVX2, m.AVX2Reason = vec.AVX2()
 	m.HWC, m.HWCReason = hwc.Available()
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		m.Module = bi.Main.Path

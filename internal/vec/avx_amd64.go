@@ -1,0 +1,71 @@
+//go:build amd64
+
+package vec
+
+import "os"
+
+// Go never auto-vectorizes, so a 4-lane Go loop executes one scalar FP op
+// per element while the machine's 4-lane float64 units sit idle. The
+// kernels therefore dispatch to the AVX2 assembly in avx_amd64.s when the
+// CPU and OS support it; QS_NOAVX2=1 forces the Go bodies (diagnostics and
+// A/B timing). internal/mutation's butterflies read the same gate.
+
+// avx2Detected reports hardware and OS support; useAVX2 is the dispatch
+// gate (SetAVX2 lets tests compare both paths on one host).
+var (
+	avx2Detected = detectAVX2()
+	useAVX2      = avx2Detected && os.Getenv("QS_NOAVX2") == ""
+)
+
+// detectAVX2 is the standard CPUID/XGETBV dance: AVX needs OSXSAVE and
+// XMM+YMM state enabled by the OS in XCR0, AVX2 is leaf-7 EBX bit 5.
+func detectAVX2() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, _, c, _ := cpuid(1, 0)
+	const osxsaveBit = 1 << 27
+	const avxBit = 1 << 28
+	if c&osxsaveBit == 0 || c&avxBit == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	if xcr0&0x6 != 0x6 { // XMM and YMM state
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+// The assembly kernels. n counts float64 elements and must be a positive
+// multiple of 4; the Go callers guarantee it and fold the tail themselves.
+// go:noescape keeps the operands off the heap, so the kernels stay
+// allocation-free.
+
+//go:noescape
+func avxDot(x, y *float64, n int) float64
+
+//go:noescape
+func avxShiftedDotSumSq(x, w *float64, n int, a float64) (dot, ssq float64)
+
+//go:noescape
+func avxShiftedResidualSumSq(x, w *float64, n int, a, lambda, c float64) float64
+
+//go:noescape
+func avxLanczosTail(w, v, u *float64, n int, alpha, beta float64) float64
+
+//go:noescape
+func avxSumSqLanes(acc *[4]float64, x *float64, n int)
+
+//go:noescape
+func avxAXPY(a float64, x, y *float64, n int)
+
+//go:noescape
+func avxScaleTo(dst, src *float64, n int, a float64)
+
+//go:noescape
+func avxMul(dst, x, y *float64, n int)

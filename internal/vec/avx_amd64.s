@@ -1,0 +1,273 @@
+//go:build amd64
+
+#include "textflag.h"
+
+// AVX2 bodies of the 4-lane kernels in lanes.go (see DESIGN.md §5.6). Each
+// routine applies the SAME per-element operation sequence as its Go body,
+// four elements per instruction, with only VMULPD/VADDPD/VSUBPD, which
+// round each lane exactly like the scalar MULSD/ADDSD/SUBSD; no FMA is
+// emitted, and operand order differs from the Go expressions only by the
+// commutativity of + and ·, which IEEE-754 rounds identically. A sum keeps
+// its four lanes in ONE YMM accumulator, lane ℓ summing elements ℓ, ℓ+4, …,
+// so every result is BIT-IDENTICAL to the Go body. n is a positive
+// multiple of 4 (element count); AX walks the byte offset up to CX = 8·n.
+
+// HSUM leaves ((y0+y1)+y2)+y3 of the four lanes of Y in the low lane of X,
+// Y's XMM half, with T1 and T2 as scratch: the lane combine of the
+// reduction contract.
+#define HSUM(Y, X, T1, T2) \
+	VEXTRACTF128 $1, Y, T1; \
+	VUNPCKHPD    X, X, T2; \
+	VADDSD       T2, X, X; \
+	VADDSD       T1, X, X; \
+	VUNPCKHPD    T1, T1, T1; \
+	VADDSD       T1, X, X
+
+// func avxDot(x, y *float64, n int) float64
+// Σ x·y: lanes in Y0.
+TEXT ·avxDot(SB), NOSPLIT, $0-32
+	MOVQ   x+0(FP), SI
+	MOVQ   y+8(FP), DI
+	MOVQ   n+16(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+
+dotLoop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  (DI)(AX*1), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     dotLoop
+	HSUM(Y0, X0, X1, X2)
+	VMOVSD  X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func avxShiftedDotSumSq(x, w *float64, n int, a float64) (dot, ssq float64)
+// Pass A: t = w + a·x (t = w when a = ±0), Σ x·t in Y0, Σ t·t in Y1.
+TEXT ·avxShiftedDotSumSq(SB), NOSPLIT, $0-48
+	MOVQ         x+0(FP), SI
+	MOVQ         w+8(FP), DI
+	MOVQ         n+16(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VXORPD       Y0, Y0, Y0
+	VXORPD       Y1, Y1, Y1
+	VBROADCASTSD a+24(FP), Y7
+	VUCOMISD     X1, X7     // a == 0 (either sign, not NaN): read t = w
+	JPS          pasShifted
+	JNE          pasShifted
+
+pasLoop:
+	VMOVUPD (SI)(AX*1), Y2
+	VMOVUPD (DI)(AX*1), Y3
+	VMULPD  Y3, Y2, Y4
+	VADDPD  Y4, Y0, Y0
+	VMULPD  Y3, Y3, Y5
+	VADDPD  Y5, Y1, Y1
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     pasLoop
+	JMP     pasDone
+
+pasShifted:
+	VMOVUPD (SI)(AX*1), Y2
+	VMULPD  Y2, Y7, Y3
+	VADDPD  (DI)(AX*1), Y3, Y3
+	VMULPD  Y3, Y2, Y4
+	VADDPD  Y4, Y0, Y0
+	VMULPD  Y3, Y3, Y5
+	VADDPD  Y5, Y1, Y1
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     pasShifted
+
+pasDone:
+	HSUM(Y0, X0, X2, X3)
+	HSUM(Y1, X1, X2, X3)
+	VMOVSD X0, dot+32(FP)
+	VMOVSD X1, ssq+40(FP)
+	VZEROUPPER
+	RET
+
+// func avxShiftedResidualSumSq(x, w *float64, n int, a, lambda, c float64) float64
+// Pass B: t = w + a·x (t = w when a = ±0), Σ (t − λ·x)² in Y0, w ← t·c.
+TEXT ·avxShiftedResidualSumSq(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), SI
+	MOVQ         w+8(FP), DI
+	MOVQ         n+16(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VXORPD       Y0, Y0, Y0
+	VBROADCASTSD a+24(FP), Y7
+	VBROADCASTSD lambda+32(FP), Y6
+	VBROADCASTSD c+40(FP), Y5
+	VUCOMISD     X0, X7
+	JPS          pbsShifted
+	JNE          pbsShifted
+
+pbsLoop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMULPD  Y1, Y6, Y3
+	VSUBPD  Y3, Y2, Y3
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y3, Y0, Y0
+	VMULPD  Y5, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     pbsLoop
+	JMP     pbsDone
+
+pbsShifted:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  Y1, Y7, Y2
+	VADDPD  (DI)(AX*1), Y2, Y2
+	VMULPD  Y1, Y6, Y3
+	VSUBPD  Y3, Y2, Y3
+	VMULPD  Y3, Y3, Y3
+	VADDPD  Y3, Y0, Y0
+	VMULPD  Y5, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     pbsShifted
+
+pbsDone:
+	HSUM(Y0, X0, X1, X2)
+	VMOVSD X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func avxLanczosTail(w, v, u *float64, n int, alpha, beta float64) float64
+// t = (w − α·v) − β·u, w ← t, Σ t·t in Y0.
+TEXT ·avxLanczosTail(SB), NOSPLIT, $0-56
+	MOVQ         w+0(FP), DI
+	MOVQ         v+8(FP), SI
+	MOVQ         u+16(FP), DX
+	MOVQ         n+24(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VXORPD       Y0, Y0, Y0
+	VBROADCASTSD alpha+32(FP), Y6
+	VBROADCASTSD beta+40(FP), Y7
+
+ltLoop:
+	VMULPD  (SI)(AX*1), Y6, Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VSUBPD  Y1, Y2, Y2
+	VMULPD  (DX)(AX*1), Y7, Y3
+	VSUBPD  Y3, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*1)
+	VMULPD  Y2, Y2, Y2
+	VADDPD  Y2, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     ltLoop
+	HSUM(Y0, X0, X1, X2)
+	VMOVSD  X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func avxSumSqLanes(acc *[4]float64, x *float64, n int)
+// acc[ℓ] += Σ x·x over lane ℓ; the lanes stay uncombined.
+TEXT ·avxSumSqLanes(SB), NOSPLIT, $0-24
+	MOVQ    acc+0(FP), DX
+	MOVQ    x+8(FP), SI
+	MOVQ    n+16(FP), CX
+	SHLQ    $3, CX
+	XORQ    AX, AX
+	VMOVUPD (DX), Y0
+
+ssLoop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  Y1, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     ssLoop
+	VMOVUPD Y0, (DX)
+	VZEROUPPER
+	RET
+
+// func avxAXPY(a float64, x, y *float64, n int)
+// y ← y + a·x.
+TEXT ·avxAXPY(SB), NOSPLIT, $0-32
+	VBROADCASTSD a+0(FP), Y7
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+
+axLoop:
+	VMULPD  (SI)(AX*1), Y7, Y1
+	VADDPD  (DI)(AX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     axLoop
+	VZEROUPPER
+	RET
+
+// func avxScaleTo(dst, src *float64, n int, a float64)
+// dst ← src·a.
+TEXT ·avxScaleTo(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD a+24(FP), Y7
+	SHLQ         $3, CX
+	XORQ         AX, AX
+
+stLoop:
+	VMULPD  (SI)(AX*1), Y7, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     stLoop
+	VZEROUPPER
+	RET
+
+// func avxMul(dst, x, y *float64, n int)
+// dst ← x ⊙ y; each iteration loads before it stores, so dst may alias x
+// or y.
+TEXT ·avxMul(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+
+mulLoop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  (DX)(AX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     mulLoop
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxIn+0(FP), AX
+	MOVL ecxIn+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	MOVL   DX, edx+4(FP)
+	RET

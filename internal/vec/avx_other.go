@@ -1,0 +1,44 @@
+//go:build !amd64
+
+package vec
+
+// Non-amd64 builds always take the Go kernel bodies; the stubs below exist
+// only to satisfy the dispatch call sites, which are all guarded by
+// useAVX2.
+
+var (
+	avx2Detected = false
+	useAVX2      = false
+)
+
+func avxDot(x, y *float64, n int) float64 {
+	panic("vec: avxDot called without AVX2")
+}
+
+func avxShiftedDotSumSq(x, w *float64, n int, a float64) (dot, ssq float64) {
+	panic("vec: avxShiftedDotSumSq called without AVX2")
+}
+
+func avxShiftedResidualSumSq(x, w *float64, n int, a, lambda, c float64) float64 {
+	panic("vec: avxShiftedResidualSumSq called without AVX2")
+}
+
+func avxLanczosTail(w, v, u *float64, n int, alpha, beta float64) float64 {
+	panic("vec: avxLanczosTail called without AVX2")
+}
+
+func avxSumSqLanes(acc *[4]float64, x *float64, n int) {
+	panic("vec: avxSumSqLanes called without AVX2")
+}
+
+func avxAXPY(a float64, x, y *float64, n int) {
+	panic("vec: avxAXPY called without AVX2")
+}
+
+func avxScaleTo(dst, src *float64, n int, a float64) {
+	panic("vec: avxScaleTo called without AVX2")
+}
+
+func avxMul(dst, x, y *float64, n int) {
+	panic("vec: avxMul called without AVX2")
+}

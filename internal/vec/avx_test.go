@@ -1,0 +1,132 @@
+package vec
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// kernelCases runs every kernel with an AVX2 body on fresh copies of the
+// operands and returns, per kernel, everything it produced: returned sums
+// and every element it wrote.
+func kernelCases(x, y, z []float64) map[string]func() []float64 {
+	cases := map[string]func() []float64{
+		"DotLanes": func() []float64 { return []float64{DotLanes(x, y)} },
+		"LanczosTail": func() []float64 {
+			w := Clone(y)
+			return append(w, LanczosTail(w, x, z, 0.37, -1.9))
+		},
+		"LanczosTail/nil u": func() []float64 {
+			w := Clone(y)
+			return append(w, LanczosTail(w, x, nil, 0.37, -1.9))
+		},
+		"Combine": func() []float64 {
+			dst := Clone(y)
+			return append(dst, Combine(dst, [][]float64{x, z}, []float64{0.3, -0.7}))
+		},
+		"DotEach": func() []float64 {
+			c := make([]float64, 2)
+			DotEach(c, [][]float64{x, z}, y)
+			return c
+		},
+		"AXPY": func() []float64 {
+			dst := Clone(y)
+			AXPY(0.7, x, dst)
+			return dst
+		},
+		"ScaleTo": func() []float64 {
+			dst := make([]float64, len(x))
+			ScaleTo(dst, x, 0.3)
+			return dst
+		},
+		"Mul": func() []float64 {
+			dst := make([]float64, len(x))
+			Mul(dst, x, y)
+			return dst
+		},
+		"Mul/in place": func() []float64 {
+			dst := Clone(x)
+			Mul(dst, dst, y)
+			return dst
+		},
+	}
+	for _, mu := range []float64{0, 0.41} {
+		cases[fmt.Sprintf("ShiftedDotSumSq/µ=%g", mu)] = func() []float64 {
+			dot, ssq := ShiftedDotSumSq(x, y, mu)
+			return []float64{dot, ssq}
+		}
+		cases[fmt.Sprintf("ShiftedResidualSumSq/µ=%g", mu)] = func() []float64 {
+			w := Clone(y)
+			return append(w, ShiftedResidualSumSq(x, w, mu, 0.37, 1.3))
+		}
+	}
+	return cases
+}
+
+// TestAVX2KernelsBitIdenticalToGo toggles the dispatch gate and requires
+// every AVX2 body to reproduce its Go body bit for bit: every length from 0
+// to 67, so each body length meets each tail length, plus 2¹² and 2¹⁷; the
+// power passes at µ = 0 and µ ≠ 0; and Mul with dst aliasing its first
+// operand, the epilogue's in-place post-scale. A −0 entry checks that µ = 0
+// reads w itself. Skipped on hosts without AVX2, where only the Go bodies
+// exist.
+func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
+	was := SetAVX2(true)
+	defer SetAVX2(was)
+	if !UseAVX2() {
+		t.Skip("host has no AVX2; single code path")
+	}
+	r := rng.New(53)
+	var lengths []int
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 1<<12, 1<<17)
+	for _, n := range lengths {
+		x, y, z := randVec(r, n), randVec(r, n), randVec(r, n)
+		if n > 0 {
+			y[n/3] = math.Copysign(0, -1)
+		}
+		for name, kernel := range kernelCases(x, y, z) {
+			SetAVX2(true)
+			avx := kernel()
+			SetAVX2(false)
+			gold := kernel()
+			for i := range gold {
+				if math.Float64bits(avx[i]) != math.Float64bits(gold[i]) {
+					t.Fatalf("%s n=%d: output %d is %v on AVX2, %v in Go", name, n, i, avx[i], gold[i])
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsDoNotAllocate: the assembly keeps its operands off the heap
+// (go:noescape), so the kernels — and the power passes, LanczosTail,
+// Combine and DotEach built on them — allocate nothing, on either path.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	r := rng.New(59)
+	const n = 1<<12 + 3
+	x, w, z := randVec(r, n), randVec(r, n), randVec(r, n)
+	basis, c := [][]float64{x, z}, []float64{1e-3, -1e-3}
+	was := SetAVX2(true)
+	defer SetAVX2(was)
+	for _, avx := range []bool{true, false} {
+		SetAVX2(avx)
+		for name, f := range map[string]func(){
+			"ShiftedDotNorm2":      func() { ShiftedDotNorm2(x, w, 0.41) },
+			"ShiftedResidualScale": func() { ShiftedResidualScale(x, w, 0.41, 0.3, 1) },
+			"LanczosTail":          func() { LanczosTail(w, x, z, 1e-3, 1e-3) },
+			"Combine":              func() { Combine(w, basis, c) },
+			"DotEach":              func() { DotEach(c, basis, w) },
+			"ScaleTo":              func() { ScaleTo(z, x, 1) },
+			"Mul":                  func() { Mul(z, x, w) },
+		} {
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("avx=%v: %s allocates %v objects per call", UseAVX2(), name, allocs)
+			}
+		}
+	}
+}

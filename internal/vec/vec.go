@@ -4,9 +4,10 @@
 // quasispecies state vectors have N = 2^ν entries and every avoidable copy
 // matters at large chain lengths.
 //
-// Serial implementations live in this file; parallel twins driven by the
-// device runtime are provided by the device package so that this package
-// stays dependency-free and trivially testable.
+// Serial implementations live in this file and the 4-lane kernel set, with
+// its AVX2 bodies and the summation-order contract, in lanes.go; the device
+// package reduces over the same kernels per chunk, so this package stays
+// dependency-free and trivially testable.
 package vec
 
 import (
@@ -110,81 +111,46 @@ func scaledSq(scale, ssq, v float64) (float64, float64) {
 }
 
 // ShiftedDotNorm2 returns x·t and ‖t‖₂ for t = w − µ·x in one read-only
-// pass: pass A of the power iteration's fused step, serial twin of
-// device.ShiftedDotNorm2. It is bit-identical to AXPY(−µ, x, w) (skipped
-// for µ = 0) followed by Dot(x, w) and Norm2(w): the dot is the same strict
-// left fold and the norm the same scaled accumulation.
+// pass: pass A of the power iteration's fused step (ShiftedDotSumSq), with
+// the norm through NormFromSumSq's range check. A 1-worker
+// device.ShiftedDotNorm2 returns the same bits.
 func ShiftedDotNorm2(x, w []float64, mu float64) (dot, norm float64) {
 	checkLen("ShiftedDotNorm2", len(x), len(w))
-	a := -mu
-	var s, scale, ssq float64 = 0, 0, 1
-	for i, t := range w {
-		if a != 0 {
-			t += a * x[i]
-		}
-		s += x[i] * t
-		scale, ssq = scaledSq(scale, ssq, t)
-	}
-	return s, scale * math.Sqrt(ssq)
+	dot, ssq := ShiftedDotSumSq(x, w, mu)
+	return dot, NormFromSumSq(ssq, x, w, mu)
 }
 
 // ShiftedResidualScale returns ‖t − λ·x‖₂ for t = w − µ·x and overwrites
-// w ← c·t in the same pass: pass B of the power iteration's fused step,
-// serial twin of device.ShiftedResidualScale. It is bit-identical to
-// AXPY(−µ, x, w) (skipped for µ = 0), the strict left fold
-// √Σ(wᵢ − λ·xᵢ)² and Scale(w, c).
+// w ← c·t in the same pass: pass B of the power iteration's fused step
+// (ShiftedResidualSumSq). A 1-worker device.ShiftedResidualScale returns
+// the same bits.
 func ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
 	checkLen("ShiftedResidualScale", len(x), len(w))
-	a := -mu
-	var s float64
-	for i, t := range w {
-		if a != 0 {
-			t += a * x[i]
-		}
-		r := t - lambda*x[i]
-		s += r * r
-		w[i] = t * c
-	}
-	return math.Sqrt(s)
+	return math.Sqrt(ShiftedResidualSumSq(x, w, mu, lambda, c))
 }
 
-// LanczosTail is the fused vector tail of one Lanczos step: it overwrites
-// w ← w − α·v − β·u and returns Σwᵢ² of the result from the same pass. A
-// nil u drops the β term (the first step). Each element is updated as
-// AXPY(−α, v, w) followed by AXPY(−β, u, w) would update it; the sum of
-// squares is unscaled, accumulated in four lanes combined as
-// ((s0+s1)+s2)+s3 with the tail folded on in index order, so a caller that
-// needs the full floating-point range falls back to Norm2 when the sum
-// leaves it.
-func LanczosTail(w, v, u []float64, alpha, beta float64) float64 {
-	checkLen("LanczosTail", len(w), len(v))
-	if u == nil {
-		u, beta = v, 0
+// NormFromSumSq returns ‖t‖₂ for t = w − µ·x from Σtᵢ², summed unscaled by
+// a 4-lane pass: √ssq while the sum lies in [2⁻⁹⁰⁰, 2⁹⁰⁰], and otherwise —
+// it under- or overflowed, or is 0 or NaN — Norm2's scaled accumulation
+// over t formed on the fly, which is Norm2 of the materialized t. x is not
+// read when µ = 0 and may then be nil. It is the one range check of the
+// 4-lane norms, serial and device alike, so callers that need the full
+// floating-point range (a breakdown test, a normalization) see the true
+// norm.
+func NormFromSumSq(ssq float64, x, w []float64, mu float64) float64 {
+	if ssq >= 0x1p-900 && ssq <= 0x1p900 {
+		return math.Sqrt(ssq)
 	}
-	checkLen("LanczosTail", len(w), len(u))
-	var s0, s1, s2, s3 float64
-	// Slice-advance loop: constant indexes on shrinking slices, which the
-	// prover clears of bounds checks (scripts/check_bce.sh).
-	for len(w) >= 4 && len(v) >= 4 && len(u) >= 4 {
-		t0 := w[0] - alpha*v[0] - beta*u[0]
-		t1 := w[1] - alpha*v[1] - beta*u[1]
-		t2 := w[2] - alpha*v[2] - beta*u[2]
-		t3 := w[3] - alpha*v[3] - beta*u[3]
-		w[0], w[1], w[2], w[3] = t0, t1, t2, t3
-		s0 += t0 * t0
-		s1 += t1 * t1
-		s2 += t2 * t2
-		s3 += t3 * t3
-		w, v, u = w[4:], v[4:], u[4:]
+	a := -mu
+	if a == 0 {
+		return Norm2(w)
 	}
-	s := ((s0 + s1) + s2) + s3
-	for len(w) > 0 && len(v) > 0 && len(u) > 0 {
-		t := w[0] - alpha*v[0] - beta*u[0]
-		w[0] = t
-		s += t * t
-		w, v, u = w[1:], v[1:], u[1:]
+	var scale, q float64 = 0, 1
+	for len(x) > 0 && len(w) > 0 {
+		scale, q = scaledSq(scale, q, w[0]+a*x[0])
+		x, w = x[1:], w[1:]
 	}
-	return s
+	return scale * math.Sqrt(q)
 }
 
 // combineChunk is the chunk length of Combine's and DotEach's passes: 512
@@ -195,9 +161,9 @@ const combineChunk = 512
 // DotEach sets c[t] = basis[t]ᵀw for t < len(c) in one pass over w, the
 // transpose of Combine: w is walked in chunks of combineChunk entries, and
 // each chunk is dotted with every basis vector while it is cache-resident.
-// The order differs from Dot: each chunk's products are summed in four
-// lanes combined as ((s0+s1)+s2)+s3, with the chunk's tail folded on in
-// index order, and the chunk sums are added to c[t] in chunk order. Dot's
+// The order differs from Dot: each chunk's products are summed in the
+// 4-lane order (DotLanes), and the chunk sums are added to c[t] in chunk
+// order. Dot's
 // single accumulator chain is latency bound; the four independent lanes
 // take about half its time in the Lanczos reorthogonalization. It panics if
 // basis has fewer than len(c) vectors or one of them differs in length
@@ -218,30 +184,11 @@ func DotEach(c []float64, basis [][]float64, w []float64) {
 		for t := range c {
 			// Always true after the length checks above (see Combine).
 			if b := basis[t]; uint(lo) <= uint(len(b)) {
-				c[t] += dotChunk(b[lo:], d)
+				c[t] += DotLanes(b[lo:], d)
 			}
 		}
 		w, lo = w[m:], lo+m
 	}
-}
-
-// dotChunk is DotEach's per-chunk dot product over the first len(y) entries
-// of x, in four lanes.
-func dotChunk(x, y []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 && len(y) >= 4 {
-		s0 += x[0] * y[0]
-		s1 += x[1] * y[1]
-		s2 += x[2] * y[2]
-		s3 += x[3] * y[3]
-		x, y = x[4:], y[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 && len(y) > 0 {
-		s += x[0] * y[0]
-		x, y = x[1:], y[1:]
-	}
-	return s
 }
 
 // Combine adds Σ_t c[t]·basis[t] to dst, for t < len(c), in one pass over
@@ -250,10 +197,9 @@ func dotChunk(x, y []float64) float64 {
 // would update it: the same operations in the same order. Only the
 // traversal differs: dst is walked in chunks of combineChunk entries, and
 // each chunk receives all len(c) terms, then has its squares summed, while
-// it is cache-resident. The sum is LanczosTail's: unscaled, in four lanes by
-// index mod 4 combined as ((s0+s1)+s2)+s3, with the last len(dst) mod 4
-// entries folded on in index order, so a caller that needs the full
-// floating-point range falls back to Norm2 when the sum leaves it. It panics
+// it is cache-resident. The sum is LanczosTail's: unscaled, in the 4-lane
+// order over all of dst, so a caller that needs the full floating-point
+// range passes it through NormFromSumSq. It panics
 // if basis has fewer than len(c) vectors or one of them differs in length
 // from dst.
 func Combine(dst []float64, basis [][]float64, c []float64) float64 {
@@ -264,51 +210,28 @@ func Combine(dst []float64, basis [][]float64, c []float64) float64 {
 		checkLen("Combine", len(dst), len(b))
 	}
 	tail := dst[len(dst)&^3:] // the last len(dst) mod 4 entries
-	var s0, s1, s2, s3 float64
+	var lanes [4]float64
 	// Slice-advance over dst; lo is the chunk's offset into every term.
 	for lo := 0; len(dst) > 0; {
 		m := min(len(dst), combineChunk)
 		d := dst[:m]
 		for t, a := range c {
 			// Always true after the length checks above; it lets the prover
-			// clear b[lo:], which runs past the chunk (axpyChunk stops at
-			// len(d)).
+			// clear b[lo:], which runs past the chunk (axpy stops at len(d)).
 			if b := basis[t]; uint(lo) <= uint(len(b)) {
-				axpyChunk(a, b[lo:], d)
+				axpy(a, b[lo:], d)
 			}
 		}
 		// combineChunk is a multiple of 4, so every chunk's lanes line up
 		// with the index mod 4, and only the last chunk has a tail.
-		for len(d) >= 4 {
-			s0 += d[0] * d[0]
-			s1 += d[1] * d[1]
-			s2 += d[2] * d[2]
-			s3 += d[3] * d[3]
-			d = d[4:]
-		}
+		sumSqLanes(&lanes, d)
 		dst, lo = dst[m:], lo+m
 	}
-	s := ((s0 + s1) + s2) + s3
+	s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
 	for _, x := range tail {
 		s += x * x
 	}
 	return s
-}
-
-// axpyChunk is AXPY's per-element update y ← y + a·x over one chunk, in the
-// slice-advance idiom the prover clears of bounds checks.
-func axpyChunk(a float64, x, y []float64) {
-	for len(x) >= 4 && len(y) >= 4 {
-		y[0] += a * x[0]
-		y[1] += a * x[1]
-		y[2] += a * x[2]
-		y[3] += a * x[3]
-		x, y = x[4:], y[4:]
-	}
-	for len(x) > 0 && len(y) > 0 {
-		y[0] += a * x[0]
-		x, y = x[1:], y[1:]
-	}
 }
 
 // NormInf returns ‖x‖∞ = max|xᵢ|.
@@ -332,9 +255,7 @@ func Scale(x []float64, a float64) {
 // AXPY computes y ← a·x + y in place. It panics if the lengths differ.
 func AXPY(a float64, x, y []float64) {
 	checkLen("AXPY", len(x), len(y))
-	for i, xv := range x {
-		y[i] += a * xv
-	}
+	axpy(a, x, y)
 }
 
 // Copy copies src into dst. It panics if the lengths differ.
@@ -347,15 +268,6 @@ func Copy(dst, src []float64) {
 func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
-	}
-}
-
-// Mul computes dst ← x ⊙ y elementwise. dst may alias x or y.
-func Mul(dst, x, y []float64) {
-	checkLen("Mul", len(x), len(y))
-	checkLen("Mul", len(dst), len(x))
-	for i := range dst {
-		dst[i] = x[i] * y[i]
 	}
 }
 

@@ -22,31 +22,59 @@ func randVec(r *rng.Source, n int) []float64 {
 	return v
 }
 
+// laneSum is Σ f(k) for k < n in the documented 4-lane order: four lanes by
+// index mod 4 combined as ((s0+s1)+s2)+s3, then the last n mod 4 terms in
+// index order.
+func laneSum(n int, f func(k int) float64) float64 {
+	var lanes [4]float64
+	body := n - n%4
+	for k := 0; k < body; k++ {
+		lanes[k%4] += f(k)
+	}
+	s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
+	for k := body; k < n; k++ {
+		s += f(k)
+	}
+	return s
+}
+
+// laneSumSq is the 4-lane sum of squares of LanczosTail, Combine and the
+// power passes.
+func laneSumSq(x []float64) float64 {
+	return laneSum(len(x), func(k int) float64 { return x[k] * x[k] })
+}
+
 // TestFusedPowerPassesBitIdenticalToUnfused pins the serial power-step
-// passes against the sequence they replace: pass A ≡ AXPY(−µ) then Dot and
-// Norm2; pass B ≡ AXPY(−µ), the strict residual fold and Scale. Zeros and
-// a magnitude jump exercise every branch of the scaled norm.
+// passes against the sequence they replace, in the 4-lane order: pass A ≡
+// AXPY(−µ), then the 4-lane dot and the square root of the 4-lane sum of
+// squares; pass B ≡ AXPY(−µ), the 4-lane residual sum and Scale. The data
+// are of normal range, so no sum takes the range fallback and every lane
+// shows in the bits: a strict left fold gives different ones, which the
+// first check asserts for this data. Lengths cover every
+// tail, and a −0 entry checks that µ = 0 reads w itself.
 func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 	r := rng.New(29)
-	for _, n := range []int{1, 2, 5, 1000} {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 1000, 1001} {
 		x, w := randVec(r, n), randVec(r, n)
-		w[0], w[n/2] = 0, 1e200*w[n/2]
+		w[n/2] = math.Copysign(0, -1)
 		for _, mu := range []float64{0, 0.41} {
 			t0 := Clone(w)
 			if mu != 0 {
 				AXPY(-mu, x, t0)
 			}
-			wantDot, wantNorm := Dot(x, t0), Norm2(t0)
+			wantDot := laneSum(n, func(k int) float64 { return x[k] * t0[k] })
+			wantNorm := math.Sqrt(laneSumSq(t0))
+			if n == 1000 && (wantDot == Dot(x, t0) || laneSumSq(t0) == Dot(t0, t0)) {
+				t.Fatalf("µ=%g: the data cannot tell the 4-lane order from a left fold", mu)
+			}
 			if gotDot, gotNorm := ShiftedDotNorm2(x, w, mu); gotDot != wantDot || gotNorm != wantNorm {
 				t.Fatalf("n=%d µ=%g: pass A = (%v, %v), unfused (%v, %v)", n, mu, gotDot, gotNorm, wantDot, wantNorm)
 			}
 			lambda, c := 0.23, 1/wantNorm
-			var s float64
-			for i, ti := range t0 {
-				e := ti - lambda*x[i]
-				s += e * e
-			}
-			wantRes := math.Sqrt(s)
+			wantRes := math.Sqrt(laneSum(n, func(k int) float64 {
+				e := t0[k] - lambda*x[k]
+				return e * e
+			}))
 			Scale(t0, c)
 			got := Clone(w)
 			if gotRes := ShiftedResidualScale(x, got, mu, lambda, c); gotRes != wantRes {
@@ -61,20 +89,37 @@ func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 	}
 }
 
-// laneSumSq is the documented sum-of-squares order of LanczosTail and
-// Combine: four lanes by index mod 4 combined as ((s0+s1)+s2)+s3, then the
-// last len(x) mod 4 entries in index order.
-func laneSumSq(x []float64) float64 {
-	var lanes [4]float64
-	body := len(x) - len(x)%4
-	for i, v := range x[:body] {
-		lanes[i%4] += v * v
+// TestPowerPassNormRangeFallback: when pass A's Σt² leaves [2⁻⁹⁰⁰, 2⁹⁰⁰] —
+// an entry near 1e200 overflows it, entries near 1e-200 underflow it — the
+// norm is Norm2's scaled accumulation over t, so it equals Norm2 of the
+// materialized t bit for bit and stays finite and nonzero.
+func TestPowerPassNormRangeFallback(t *testing.T) {
+	r := rng.New(43)
+	for _, n := range []int{1, 5, 1000} {
+		for _, huge := range []bool{true, false} {
+			x, w := randVec(r, n), randVec(r, n)
+			if huge {
+				w[n/2] *= 1e200
+			} else {
+				Scale(x, 1e-200)
+				Scale(w, 1e-200)
+			}
+			for _, mu := range []float64{0, 0.41} {
+				t0 := Clone(w)
+				if mu != 0 {
+					AXPY(-mu, x, t0)
+				}
+				if _, ssq := ShiftedDotSumSq(x, w, mu); ssq >= 0x1p-900 && ssq <= 0x1p900 {
+					t.Fatalf("n=%d huge=%v µ=%g: Σt² = %v is in range; the fallback is not exercised", n, huge, mu, ssq)
+				}
+				want := Norm2(t0)
+				_, got := ShiftedDotNorm2(x, w, mu)
+				if math.Float64bits(got) != math.Float64bits(want) || !(got > 0) || math.IsInf(got, 0) {
+					t.Fatalf("n=%d huge=%v µ=%g: pass A norm %v, Norm2 of t %v", n, huge, mu, got, want)
+				}
+			}
+		}
 	}
-	s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
-	for _, v := range x[body:] {
-		s += v * v
-	}
-	return s
 }
 
 // TestLanczosTailMatchesAXPYs pins the fused Lanczos tail against the two
@@ -162,16 +207,7 @@ func TestDotEachOrder(t *testing.T) {
 			var want float64
 			for lo := 0; lo < n; lo += combineChunk {
 				x, y := basis[j][lo:min(lo+combineChunk, n)], w[lo:min(lo+combineChunk, n)]
-				var lanes [4]float64
-				body := len(x) - len(x)%4
-				for i := range x[:body] {
-					lanes[i%4] += x[i] * y[i]
-				}
-				s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
-				for i := body; i < len(x); i++ {
-					s += x[i] * y[i]
-				}
-				want += s
+				want += laneSum(len(x), func(k int) float64 { return x[k] * y[k] })
 			}
 			if math.Float64bits(c[j]) != math.Float64bits(want) {
 				t.Fatalf("n=%d: c[%d] = %v, documented order %v", n, j, c[j], want)

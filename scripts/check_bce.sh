@@ -7,9 +7,9 @@
 # per-stage factor loads, data-dependent gathers (Xmvp's v[i^mask]), panic
 # guards — checks that execute once per block or launch, not once per element.
 # The per-element inner loops of blocked.go / fwht.go / xmvp.go /
-# veckernels.go are written in the slice-advance idiom (constant indexes on a
-# shrinking slice), which the go1.24 prover discharges completely, so NO
-# finding in this lint sits inside a hot element loop.
+# veckernels.go / vec's lanes.go are written in the slice-advance idiom
+# (constant indexes on a shrinking slice), which the go1.24 prover discharges
+# completely, so NO finding in this lint sits inside a hot element loop.
 #
 # A new finding means an edit re-introduced a bounds check — rewrite the loop
 # (see DESIGN.md §5.6) or, if the check is genuinely amortized, regenerate
