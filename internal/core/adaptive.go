@@ -525,11 +525,13 @@ func acceptSymmetric(res *AdaptiveResult, work *AdaptiveWork, opS *FmmpOperator,
 }
 
 // rightForm writes the unit, positively oriented Right-form vector of the
-// Symmetric-form symVec into dst.
+// Symmetric-form symVec into dst. The product with F^(−½) goes through the
+// operator's cached √f: ConvertEigenvector's factor math.Pow(f, −½) is
+// 1/math.Sqrt(f), so the bits are the same without its per-element
+// landscape calls.
 func rightForm(dst []float64, opS *FmmpOperator, symVec []float64) error {
-	copy(dst, symVec)
-	if err := ConvertEigenvector(dst, Symmetric, Right, opS.F); err != nil {
-		return err
+	for i, v := range symVec {
+		dst[i] = v * (1 / opS.fsqrt[i])
 	}
 	nrm := vec.Norm2(dst)
 	if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {

@@ -39,11 +39,13 @@ import (
 // the Rayleigh quotient λ in place of λ₀, about ln(r/tol)/acosh γ steps
 // reach the tolerance, so the last restart stops short instead of running
 // all Degree steps. A start that is the gap probe's top Ritz vector comes
-// with θ₀ and a residual estimate, so its first restart is sized the same
-// way. For the Fmmp operator each recurrence step
-// z_{j+1} = 2·A′z_j − z_{j−1} is a single mutation call whose last butterfly
-// pass also applies the trailing √f scale and the three-term update
-// (FmmpOperator.applyThreeTerm), bit-identical to Apply followed by chebMap2.
+// with θ₀ and a residual estimate: an estimate at or below the tolerance
+// is checked by one Rayleigh matvec and the explicit residual before any
+// filter step, and otherwise sizes the first restart the same way. For the
+// Fmmp operator each recurrence step z_{j+1} = 2·A′z_j − z_{j−1} is a
+// single mutation call whose last butterfly pass also applies the trailing
+// √f scale and the three-term update (FmmpOperator.applyThreeTerm),
+// bit-identical to Apply followed by chebMap2.
 
 // ChebyshevOptions configures the Chebyshev-filtered iteration.
 type ChebyshevOptions struct {
@@ -84,9 +86,11 @@ type ChebyshevOptions struct {
 	// iterate. Nil allocates fresh scratch.
 	Work *ChebyshevWork
 	// startRitz, when set, marks Start as the top Ritz vector of this gap
-	// probe, whose Ritz value θ₀ and residual estimate size the first
-	// restart by chebRestartDegree like a later one, instead of the full
-	// Degree. Only AdaptiveSolve sets it (the Ritz handoff).
+	// probe. An estimate at or below Tol runs no filter first: the vector is
+	// checked by the Rayleigh matvec and explicit residual alone. Otherwise
+	// the Ritz value θ₀ and the estimate size the first restart by
+	// chebRestartDegree like a later one, instead of the full Degree. Only
+	// AdaptiveSolve sets it (the Ritz handoff).
 	startRitz *ritzProbe
 }
 
@@ -210,61 +214,72 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	stalled := 0
 	improvedAt := 0 // res.MatVecs at the last residual improvement
 	lastMatVecs := 0
-	steps := deg
+	// A Ritz-vector start whose estimate already meets tol is checked as it
+	// is, by the Rayleigh matvec and explicit residual alone; one that fails
+	// the check goes on to filter restarts sized from (λ, r).
+	steps, filter := deg, true
 	if e := opts.startRitz; e != nil {
-		steps = chebRestartDegree(deg, e.theta0, e.residual, tol, a, b)
+		if e.residual <= tol {
+			filter = false
+		} else {
+			steps = chebRestartDegree(deg, e.theta0, e.residual, tol, a, b)
+		}
 	}
 	// A restart is at least one filter matvec plus its Rayleigh matvec, and
 	// both must fit in the budget.
 	for maxMatVecs-res.MatVecs >= 2 {
-		res.Restarts++
-		// One filter application via the three-term recurrence
-		// z_{j+1} = 2·A'·z_j − z_{j−1} with A' = (W − c·I)/e, rescaling both
-		// iterates jointly whenever they grow (the recurrence is linear, so
-		// a joint rescale only changes the overall normalization).
-		steps = min(steps, maxMatVecs-res.MatVecs-1)
-		ph := beginSpan(sr, PhaseChebPoly)
-		// z ← A'·x (degree 1), previous iterate is x (degree 0).
-		op.Apply(w, x)
-		res.MatVecs++
-		chebMap(dev, z, w, x, center, halfWidth, nil)
-		for j := 1; j < steps; j++ {
-			// x ← 2·A'·z − x, then swap roles of x and z.
-			if fused {
-				fop.applyThreeTerm(w, z, x, twoOverE, center)
-			} else {
-				op.Apply(w, z)
-				chebMap2(dev, x, w, z, center, halfWidth)
-			}
+		if filter {
+			res.Restarts++
+			// One filter application via the three-term recurrence
+			// z_{j+1} = 2·A'·z_j − z_{j−1} with A' = (W − c·I)/e, rescaling
+			// both iterates jointly whenever they grow (the recurrence is
+			// linear, so a joint rescale only changes the overall
+			// normalization).
+			steps = min(steps, maxMatVecs-res.MatVecs-1)
+			ph := beginSpan(sr, PhaseChebPoly)
+			// z ← A'·x (degree 1), previous iterate is x (degree 0).
+			op.Apply(w, x)
 			res.MatVecs++
+			chebMap(dev, z, w, x, center, halfWidth, nil)
+			for j := 1; j < steps; j++ {
+				// x ← 2·A'·z − x, then swap roles of x and z.
+				if fused {
+					fop.applyThreeTerm(w, z, x, twoOverE, center)
+				} else {
+					op.Apply(w, z)
+					chebMap2(dev, x, w, z, center, halfWidth)
+				}
+				res.MatVecs++
+				x, z = z, x
+				if !stepNorm {
+					continue
+				}
+				if m := norm2(dev, x); m > chebRescale || (m < 1/chebRescale && m > 0) {
+					inv := 1 / m
+					scale(dev, x, inv)
+					scale(dev, z, inv)
+				}
+			}
+			// The in-loop swap leaves the newest iterate z_steps in z; swap
+			// once more so x names the filtered vector.
 			x, z = z, x
-			if !stepNorm {
-				continue
-			}
-			if m := norm2(dev, x); m > chebRescale || (m < 1/chebRescale && m > 0) {
-				inv := 1 / m
-				scale(dev, x, inv)
-				scale(dev, z, inv)
-			}
-		}
-		// The in-loop swap leaves the newest iterate z_steps in z; swap once
-		// more so x names the filtered vector.
-		x, z = z, x
-		span.End(ph, int64(res.Restarts), int64(steps))
+			span.End(ph, int64(res.Restarts), int64(steps))
 
-		ph = beginSpan(sr, PhaseNormalize)
-		nrm = norm2(dev, x)
-		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
+			ph = beginSpan(sr, PhaseNormalize)
+			nrm = norm2(dev, x)
+			if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
+				span.End(ph, int64(res.Restarts), 0)
+				finishCheb(&res, x, opts.Work)
+				powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+				return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
+			}
+			scale(dev, x, 1/nrm)
 			span.End(ph, int64(res.Restarts), 0)
-			finishCheb(&res, x, opts.Work)
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
-			return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
 		}
-		scale(dev, x, 1/nrm)
-		span.End(ph, int64(res.Restarts), 0)
+		filter = true
 
-		// Rayleigh quotient and explicit residual of the filtered iterate.
-		ph = beginSpan(sr, PhaseRayleigh)
+		// Rayleigh quotient and explicit residual of the iterate.
+		ph := beginSpan(sr, PhaseRayleigh)
 		op.Apply(w, x)
 		res.MatVecs++
 		lambda := dot(dev, x, w)
@@ -317,16 +332,13 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 // γ = (2λ − a − b)/(b − a), so shrinking the residual r to tol needs about
 // ln(r/tol)/acosh γ steps; two more cover the ½ and the rounding. The cap
 // never exceeds deg, and a λ inside the damping interval (γ ≤ 1, a mis-set
-// edge) keeps deg. An r already at or below tol — only a Ritz-vector start
-// carries one — gets a single step, so the restart's Rayleigh matvec
-// measures the explicit residual that decides acceptance.
+// edge) keeps deg. It is only asked for r above tol: a restart whose r
+// meets tol has converged, and a Ritz-vector start whose estimate does is
+// checked without a filter step.
 func chebRestartDegree(deg int, lambda, r, tol, a, b float64) int {
 	gamma := (2*lambda - a - b) / (b - a)
 	if !(gamma > 1) {
 		return deg
-	}
-	if r <= tol {
-		return 1
 	}
 	need := math.Ceil(math.Log(tol/r)/-math.Acosh(gamma)) + 2
 	if need < float64(deg) {

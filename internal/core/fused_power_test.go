@@ -75,14 +75,12 @@ func refNorm2(dev *device.Device, x []float64) float64 {
 	return vec.NormFromSumSq(laneSum(len(x), func(k int) float64 { return x[k] * x[k] }), nil, x, 0)
 }
 
+// refResidual materializes r = w − λx and takes √(r·r) with no range
+// check, as pass B does.
 func refResidual(dev *device.Device, w, x []float64, lambda float64) float64 {
-	if dev != nil {
-		return dev.ResidualNorm2(w, x, lambda)
-	}
-	return math.Sqrt(laneSum(len(w), func(k int) float64 {
-		r := w[k] - lambda*x[k]
-		return r * r
-	}))
+	r := vec.Clone(w)
+	axpyInto(dev, -lambda, x, r)
+	return math.Sqrt(refDot(dev, r, r))
 }
 
 // unfusedPowerIteration is the power loop before the fused step, with the

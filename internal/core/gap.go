@@ -73,12 +73,7 @@ func SecondEigenpair(op Operator, dominant []float64, opts PowerOptions) (PowerR
 		deflate(w, dominant)
 		lambda := vec.Dot(x, w)
 		res.Lambda = lambda
-		var rs float64
-		for i, wi := range w {
-			r := wi - lambda*x[i]
-			rs += r * r
-		}
-		res.Residual = math.Sqrt(rs)
+		res.Residual = residual(nil, w, x, lambda)
 		if res.Residual <= tol {
 			res.Converged = true
 			break
@@ -302,9 +297,11 @@ func ritzGap(op Operator, k int, start, weight []float64, stop float64, work *Kr
 	// The breakdown β when the space closed, the next β after an early stop.
 	next := math.Abs(beta[built-1])
 	if built == k {
-		// The last step stopped after α: one fused tail on its w gives the
-		// β_k the recurrence would have produced next.
-		next = vec.NormFromSumSq(vec.LanczosTail(w, basis[k-1], basis[k-2], alpha[k-1], beta[k-2]), nil, w, 0)
+		// The last step stopped after α: the step's fused tail, written
+		// over its w, gives the β_k the recurrence would have produced next.
+		s := work.scale
+		sv := s[k-1]
+		next = vec.NormFromSumSq(vec.LanczosTail(w, w, basis[k-1], basis[k-2], sv, alpha[k-1]*sv, beta[k-2]*s[k-2]), nil, w, 0)
 	}
 	p.residual = next * math.Abs(y[built-1])
 	return p, nil

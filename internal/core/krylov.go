@@ -26,31 +26,42 @@ import (
 // crosses √ε — and then once more at the next step, because the vector
 // the recurrence pairs it with still carries the lost components — instead
 // of every step. A reorthogonalization is one blocked classical
-// Gram–Schmidt pass (orthogonalize): two chunked sweeps over w instead of
-// modified Gram–Schmidt's two per basis vector, the second of which also
-// returns ‖w‖. Counting every N-vector a BLAS-1 call reads or writes as
-// one stream, a 24-step probe of the ν = 17, σ = 2 single peak over
-// [0.90, 1.08]·p_c (about 5 of 23 steps reorthogonalize) streams about 335
-// vectors: 186 for the recurrence (8 a step) and about 150 for the
-// reorthogonalizations (2j + 5 at step j), which modified Gram–Schmidt
-// made about 340, and every-step full reorthogonalization about 1 400. The
-// residual estimate of the probe's top Ritz pair adds 4 streams, and
-// assembling its Ritz vector for the Ritz handoff about 27. The adaptive
-// engine's probe stops early (ritzConverged, no streams at all): on a warm
-// chain point of those grids after about 18 steps, with about 140 streams
-// for the recurrence and still about 5 reorthogonalizations. The
-// shift-invert outer loop keeps full reorthogonalization (silanczos.go):
-// its inner CG solves are accurate only to innerTol ≫ ε, outside what the
-// ω model assumes.
+// Gram–Schmidt pass (orthogonalize): two chunked sweeps over the new
+// vector instead of modified Gram–Schmidt's two per basis vector, the
+// second of which also returns its norm.
+//
+// The basis is stored unnormalized, as the step's fused tail writes it, with
+// the scale s_t = 1/‖basis[t]‖ kept per vector: the normalization pass is
+// folded into the next step's coefficients, the Gram–Schmidt coefficients
+// and the Ritz-vector coefficients. Counting every N-vector a BLAS-1 call
+// reads or writes as one stream, a step makes 6 outside the matvec: α
+// reads 2, and the tail reads w, v_j and v_{j−1} and writes v_{j+1}. A
+// 24-step probe of the ν = 17, σ = 2 single peak over [0.90, 1.08]·p_c
+// (about 5 of 23 steps reorthogonalize) streams about 290 vectors: 140 for
+// the recurrence and about 150 for the reorthogonalizations (2j + 5 at
+// step j), which modified Gram–Schmidt made about 340, and every-step full
+// reorthogonalization about 1 400. The residual estimate of the probe's
+// top Ritz pair adds 4 streams, and assembling its Ritz vector for the Ritz
+// handoff about 27. The adaptive engine's probe stops early
+// (ritzConverged, no streams at all), and skips the Gram–Schmidt pass of
+// the step it stops on: on a warm chain point of those grids after about
+// 18 steps, with about 105 streams for the recurrence and about 4
+// reorthogonalizations. The shift-invert outer loop keeps a normalized
+// basis and full reorthogonalization (silanczos.go): its inner CG solves
+// are accurate only to innerTol ≫ ε, outside what the ω model assumes.
 
 // KrylovWork is reusable scratch for Lanczos-style solves: a basis of up to
-// k vectors of dimension n, the tridiagonal coefficients, one product
-// vector, the three ω rows of the partial-reorthogonalization recurrence
-// and its Gram–Schmidt coefficients. Allocate once per solve slot
-// (NewKrylovWork) and share it across the probes and Krylov solves of a
-// sweep chain — repeated solves of the same (n, k) then allocate nothing.
+// k vectors of dimension n with their scales, the tridiagonal
+// coefficients, one product vector, the three ω rows of the
+// partial-reorthogonalization recurrence and its Gram–Schmidt
+// coefficients. Allocate once per solve slot (NewKrylovWork) and share it
+// across the probes and Krylov solves of a sweep chain — repeated solves of
+// the same (n, k) then allocate nothing.
 type KrylovWork struct {
 	basis [][]float64
+	// scale holds s_t = 1/‖basis[t]‖ for the unnormalized basis that
+	// lanczosSteps builds: the unit Lanczos vector is v_t = s_t·basis[t].
+	scale []float64
 	alpha []float64
 	beta  []float64
 	w     []float64
@@ -85,6 +96,9 @@ func (kw *KrylovWork) krylov(n, k int) (basis [][]float64, alpha, beta, w []floa
 			kw.basis[i] = device.AllocVector(n)
 		}
 	}
+	if len(kw.scale) < k {
+		kw.scale = make([]float64, k)
+	}
 	if len(kw.alpha) < k {
 		kw.alpha = make([]float64, k)
 	}
@@ -105,26 +119,32 @@ func (kw *KrylovWork) krylov(n, k int) (basis [][]float64, alpha, beta, w []floa
 	return kw.basis[:k], kw.alpha[:k], kw.beta[:k], kw.w
 }
 
-// ritzVector writes the Ritz vector Σ_j y[j]·basis[j] of the last
-// recurrence into dst, in one pass over the basis (vec.Combine).
+// ritzVector writes the Ritz vector Σ_j y[j]·v_j = Σ_j (y[j]·s_j)·basis[j]
+// of the last recurrence into dst, in one pass over the basis
+// (vec.Combine).
 func (kw *KrylovWork) ritzVector(dst, y []float64) {
+	c := kw.coef[:len(y)]
+	for j, yj := range y {
+		c[j] = yj * kw.scale[j]
+	}
 	vec.Fill(dst, 0)
-	vec.Combine(dst, kw.basis, y)
+	vec.Combine(dst, kw.basis, c)
 }
 
-// orthogonalize removes from w its components along basis by one blocked
-// classical Gram–Schmidt pass and returns ‖w‖ of the result: vec.DotEach
-// computes every coefficient c_t = v_tᵀw in one chunked pass over w, and
-// vec.Combine subtracts Σ c_t·v_t in a second, summing the squares of the
-// values it writes. Modified Gram–Schmidt instead reads and writes all of w
-// once per basis vector. Every coefficient here comes from the same w,
+// orthogonalize removes from w its components along the unit vectors
+// v_t = s_t·basis[t] by one blocked classical Gram–Schmidt pass and returns
+// ‖w‖ of the result: vec.DotEach computes every basis[t]ᵀw in one chunked
+// pass over w, scaled by s_t² to the coefficient v_tᵀw·s_t of basis[t], and
+// vec.Combine subtracts Σ c_t·basis[t] in a second, summing the squares of
+// the values it writes. Modified Gram–Schmidt instead reads and writes all
+// of w once per basis vector. Every coefficient here comes from the same w,
 // which costs accuracy when w loses most of its norm; the "twice is
 // enough" repeat in lanczosSteps covers exactly that case.
 func (kw *KrylovWork) orthogonalize(basis [][]float64, w []float64) float64 {
 	c := kw.coef[:len(basis)]
 	vec.DotEach(c, basis, w)
-	for t := range c {
-		c[t] = -c[t]
+	for t, st := range kw.scale[:len(c)] {
+		c[t] *= -(st * st)
 	}
 	return vec.NormFromSumSq(vec.Combine(w, basis, c), nil, w, 0)
 }
@@ -137,34 +157,51 @@ const (
 	semiOrth = 0x1p-26
 	// breakdownNorm is the ‖w‖ below which the Krylov space has closed.
 	breakdownNorm = 1e-300
+	// scaleRange bounds the β whose inverse becomes a basis scale s_t: an
+	// unnormalized vector of norm β outside [1/scaleRange, scaleRange] is
+	// normalized instead, so s_t² and the entries the next step forms stay
+	// far from over- and underflow.
+	scaleRange = 0x1p200
 )
 
 // lanczosSteps runs up to k steps of the symmetric Lanczos recurrence on
 // op, starting from the unit vector already stored in basis[0] of the
-// buffers krylov(op.Dim(), k) returns. It fills alpha[0:built] and
-// beta[0:built-1] (beta[j] couples basis[j] and basis[j+1]) and returns
-// built ≤ k, stopping early when the Krylov space closes (an invariant
-// subspace: ‖w‖ below 1e-300) or, when stop > 0, before the next matvec
-// once the top Ritz pair of T_built is resolved and its residual estimate
-// is at most stop (ritzConverged). beta[built-1] is then that step's own
-// norm, the β the next step would have used, and 0 after a full run.
-// matvecs, when non-nil, is incremented once per operator application.
+// buffers krylov(op.Dim(), k) returns. It fills alpha[0:built],
+// beta[0:built-1] (beta[j] couples v_j and v_{j+1}) and the basis scales
+// kw.scale[0:built], and returns built ≤ k, stopping early when the Krylov
+// space closes (an invariant subspace: ‖w‖ below 1e-300) or, when stop > 0,
+// before the next matvec once the top Ritz pair of T_built is resolved and
+// its residual estimate is at most stop (ritzConverged). beta[built-1] is
+// then that step's own norm, the β the next step would have used, and 0
+// after a full run. matvecs, when non-nil, is incremented once per operator
+// application.
 //
-// Step j applies op, takes α_j = v_jᵀw, and in one fused pass forms
-// w ← w − α_j·v_j − β_{j−1}·v_{j−1} with its squared norm. Simon's
-// recurrence then predicts the next row of ω from the previous two:
+// basis[j] holds ṽ_j = v_j/s_j. Step j applies op to it, w = W·ṽ_j, takes
+// α_j = s_j²·ṽ_jᵀw, and in one fused pass writes the three-term residual
+// of the unit v_j,
+//
+//	ṽ_{j+1} = s_j·w − (α_j·s_j)·ṽ_j − (β_{j−1}·s_{j−1})·ṽ_{j−1},
+//
+// straight into basis[j+1] with its squared norm β_j²; then s_{j+1} = 1/β_j.
+// Simon's recurrence predicts the next row of ω from the previous two:
 //
 //	β_j·ω_{j+1,t} = β_t·ω_{j,t+1} + (α_t−α_j)·ω_{j,t} + β_{t−1}·ω_{j,t−1} − β_{j−1}·ω_{j−1,t} ± ε√n‖T‖
 //	β_j·ω_{j+1,j} = ε·n·‖T‖,  ω_{t,t} = 1,
 //
 // with the roundoff term signed to grow |ω| and ‖T‖ the running maximum
-// of |α_j| + β_j + β_{j−1}. When max_t |ω_{j+1,t}| exceeds √ε, w is
+// of |α_j| + β_j + β_{j−1}. When max_t |ω_{j+1,t}| exceeds √ε, ṽ_{j+1} is
 // reorthogonalized against the whole basis at this step and the next, and
-// those ω rows reset to ε. The last step stops after α: its w is never
-// used. The ω rows live in kw, so a warm KrylovWork allocates nothing.
+// those ω rows reset to ε — except on a step the stop test ends: the
+// pre-pass β_j bounds the post-pass one from above, and T_{j+1}, its Ritz
+// coordinates and the basis they combine do not depend on it, so a stop on
+// the pre-pass estimate skips the pass. The last step stops after α: its w
+// is never used. The ω rows live in kw, so a warm KrylovWork allocates
+// nothing.
 func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *int) int {
 	n := op.Dim()
 	basis, alpha, beta, w := kw.krylov(n, k)
+	s := kw.scale[:k]
+	s[0] = 1
 	prev, cur, next := kw.omega[0], kw.omega[1], kw.omega[2]
 	cur[0] = 1
 	kw.reorths = 0
@@ -172,37 +209,44 @@ func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *in
 	var normT float64
 	repeat := false // the step after a reorthogonalization repeats it
 	for j := 0; j < k; j++ {
-		v := basis[j]
+		v, sv := basis[j], s[j]
 		op.Apply(w, v)
 		if matvecs != nil {
 			*matvecs++
 		}
-		alpha[j] = vec.Dot(v, w)
+		alpha[j] = sv * sv * vec.Dot(v, w)
 		if j+1 == k {
 			beta[j] = 0
 			return k
 		}
 		var u []float64
-		var bPrev float64
+		var bPrev, uCoef float64
 		if j > 0 {
 			u, bPrev = basis[j-1], beta[j-1]
+			uCoef = bPrev * s[j-1]
 		}
-		b := vec.NormFromSumSq(vec.LanczosTail(w, v, u, alpha[j], bPrev), nil, w, 0)
+		r := basis[j+1]
+		b := vec.NormFromSumSq(vec.LanczosTail(r, w, v, u, sv, alpha[j]*sv, uCoef), nil, r, 0)
 		normT = max(normT, math.Abs(alpha[j])+b+bPrev)
 		reorth := repeat
 		if !repeat && b >= breakdownNorm {
 			// NaN estimates count as lost orthogonality.
 			reorth = !(omegaRow(next, cur, prev, alpha, beta, j, b, normT, nf) <= semiOrth)
 		}
+		beta[j] = b
+		stopping := stop > 0 && j > 0
 		if reorth {
+			if stopping && kw.ritzConverged(j+1, stop) {
+				return j + 1
+			}
 			// Gram–Schmidt against the whole basis, run a second time when
-			// the pass removes most of w: a pass that shrinks w by more
-			// than 1/√2 can leave components of order
-			// ε·‖w_before‖/‖w_after‖ ("twice is enough"). That happens
-			// when a restart starts from an almost converged Ritz vector.
+			// the pass removes most of the vector: a pass that shrinks it by
+			// more than 1/√2 can leave components of order
+			// ε·‖before‖/‖after‖ ("twice is enough"). That happens when a
+			// restart starts from an almost converged Ritz vector.
 			for pass := 0; pass < 2; pass++ {
 				before := b
-				b = kw.orthogonalize(basis[:j+1], w)
+				b = kw.orthogonalize(basis[:j+1], r)
 				if b > before/math.Sqrt2 {
 					break
 				}
@@ -213,15 +257,20 @@ func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *in
 			next[j+1] = 1
 			repeat = !repeat
 			kw.reorths++
+			beta[j] = b
 		}
-		beta[j] = b
 		if b < breakdownNorm {
 			return j + 1 // invariant subspace found
 		}
-		if stop > 0 && j > 0 && kw.ritzConverged(j+1, stop) {
+		if stopping && kw.ritzConverged(j+1, stop) {
 			return j + 1
 		}
-		vec.ScaleTo(basis[j+1], w, 1/b)
+		if b > 1/scaleRange && b < scaleRange {
+			s[j+1] = 1 / b
+		} else {
+			vec.Scale(r, 1/b)
+			s[j+1] = 1
+		}
 		prev, cur, next = cur, next, prev
 	}
 	return k

@@ -75,6 +75,17 @@ func referenceRitz(t *testing.T, op Operator, k int, start []float64) (float64, 
 	return vals[0], vals[1]
 }
 
+// unitBasis returns the first k unit Lanczos vectors v_t = s_t·basis[t] of
+// the unnormalized basis lanczosSteps left in kw.
+func unitBasis(kw *KrylovWork, k int) [][]float64 {
+	v := make([][]float64, k)
+	for t := range v {
+		v[t] = vec.Clone(kw.basis[t])
+		vec.Scale(v[t], kw.scale[t])
+	}
+	return v
+}
+
 // orthLoss returns max |VᵀV − I| over the basis vectors.
 func orthLoss(basis [][]float64) float64 {
 	worst := 0.0
@@ -92,7 +103,8 @@ func orthLoss(basis [][]float64) float64 {
 
 // checkProbe runs a k-step probe on kw and requires its Ritz values to
 // match the full-reorthogonalization reference to 1e-12 relative and its
-// basis to be semi-orthogonal. It returns the reorthogonalized step count.
+// normalized basis s_t·ṽ_t to be semi-orthogonal. It returns the
+// reorthogonalized step count.
 func checkProbe(t *testing.T, label string, op Operator, k int, kw *KrylovWork) int {
 	t.Helper()
 	p, err := ritzGap(op, k, nil, nil, 0, kw)
@@ -103,7 +115,7 @@ func checkProbe(t *testing.T, label string, op Operator, k int, kw *KrylovWork) 
 	if math.Abs(p.theta0-ref0) > 1e-12*math.Abs(ref0) || math.Abs(p.theta1-ref1) > 1e-12*math.Abs(ref1) {
 		t.Errorf("%s: θ = (%.17g, %.17g), full reorthogonalization (%.17g, %.17g)", label, p.theta0, p.theta1, ref0, ref1)
 	}
-	if loss := orthLoss(kw.basis[:p.built]); loss > semiOrth {
+	if loss := orthLoss(unitBasis(kw, p.built)); loss > semiOrth {
 		t.Errorf("%s: max|VᵀV − I| = %.3g after %d steps (%d reorthogonalized), want ≤ √ε", label, loss, p.built, kw.reorths)
 	}
 	return kw.reorths
@@ -157,7 +169,8 @@ func TestRitzGapMatchesFullReorthogonalization(t *testing.T) {
 	}
 }
 
-// One blocked pass is classical Gram–Schmidt: every coefficient comes from
+// One blocked pass is classical Gram–Schmidt against the unit vectors
+// v_t = s_t·basis[t] of an unnormalized basis: every coefficient comes from
 // the w it was given, so it matches w − Σ (v_tᵀw)·v_t computed term by term
 // to rounding, and a second pass leaves w orthogonal to the basis to ε. The
 // chunked passes must also cover a dimension that is not a whole number of
@@ -169,25 +182,33 @@ func TestOrthogonalizeIsClassicalGramSchmidt(t *testing.T) {
 		kw := NewKrylovWork(n)
 		basis, _, _, _ := kw.krylov(n, k)
 		basis = basis[:min(k, n-1)] // leave w a component outside the span
+		unit := make([][]float64, len(basis))
 		for j := range basis {
-			for i := range basis[j] {
-				basis[j][i] = r.Float64() - 0.5
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = r.Float64() - 0.5
 			}
-			for i := 0; i < j; i++ {
-				vec.AXPY(-vec.Dot(basis[i], basis[j]), basis[i], basis[j])
+			for _, u := range unit[:j] {
+				vec.AXPY(-vec.Dot(u, v), u, v)
 			}
-			vec.Normalize2(basis[j])
+			vec.Normalize2(v)
+			unit[j] = v
+			// Stored as a Lanczos step leaves it: unnormalized, with its scale.
+			g := math.Ldexp(1+r.Float64(), int(r.Uint64n(41))-20)
+			copy(basis[j], v)
+			vec.Scale(basis[j], g)
+			kw.scale[j] = 1 / g
 		}
 		w := make([]float64, n)
 		for i := range w {
 			w[i] = r.Float64() - 0.5
 		}
 		// Mostly along the basis, as when the Lanczos trigger fires.
-		for j, v := range basis {
+		for j, v := range unit {
 			vec.AXPY(float64(j+1), v, w)
 		}
 		want := vec.Clone(w)
-		for _, v := range basis {
+		for _, v := range unit {
 			vec.AXPY(-vec.Dot(v, w), v, want)
 		}
 		kw.orthogonalize(basis, w)
@@ -196,7 +217,7 @@ func TestOrthogonalizeIsClassicalGramSchmidt(t *testing.T) {
 		}
 		kw.orthogonalize(basis, w)
 		nw := vec.Norm2(w)
-		for j, v := range basis {
+		for j, v := range unit {
 			if c := math.Abs(vec.Dot(v, w)) / nw; c > 1e-15 {
 				t.Errorf("n=%d: after two passes |v_%dᵀw|/‖w‖ = %.3g", n, j, c)
 			}
@@ -227,7 +248,7 @@ func TestLanczosRestartCycleStaysSemiOrthogonal(t *testing.T) {
 
 // restartCycles runs cycles m-step Lanczos cycles, each started from the
 // previous cycle's leading Ritz vector as Lanczos forms it, and checks every
-// cycle's basis and leading Ritz value.
+// cycle's normalized basis and leading Ritz value.
 func restartCycles(t *testing.T, op Operator, m, cycles int) {
 	t.Helper()
 	n := op.Dim()
@@ -241,7 +262,7 @@ func restartCycles(t *testing.T, op Operator, m, cycles int) {
 		if k != m {
 			t.Fatalf("n=%d cycle %d built %d of %d steps", n, cycle, k, m)
 		}
-		if loss := orthLoss(basis[:k]); loss > semiOrth {
+		if loss := orthLoss(unitBasis(kw, k)); loss > semiOrth {
 			t.Errorf("n=%d cycle %d: max|VᵀV − I| = %.3g, want ≤ √ε", n, cycle, loss)
 		}
 		if cycle > 0 && kw.reorths == 0 {
@@ -255,10 +276,7 @@ func restartCycles(t *testing.T, op Operator, m, cycles int) {
 			t.Errorf("n=%d cycle %d: θ₀ = %.17g, full reorthogonalization %.17g", n, cycle, vals[0], ref0)
 		}
 		// The next cycle's start, as Lanczos forms it.
-		vec.Fill(start, 0)
-		for j := 0; j < k; j++ {
-			vec.AXPY(y[j], basis[j], start)
-		}
+		kw.ritzVector(start, y)
 		vec.Normalize2(start)
 		copy(basis[0], start)
 	}
@@ -301,6 +319,80 @@ func TestLanczosReorthogonalizationTrigger(t *testing.T) {
 		if fires := reorths > 0; fires != c.wantFires {
 			t.Errorf("%s: %d steps reorthogonalized, want firing %v", c.name, reorths, c.wantFires)
 		}
+	}
+}
+
+// The unnormalized basis stays away from over- and underflow: for an
+// operator scaled by 2^±400 the β are far outside [2⁻²⁰⁰, 2²⁰⁰], where
+// α_j's dot of a norm-β vector with its product would reach 2^±1200, and
+// the recurrence normalizes those vectors instead. Its Ritz values are then
+// the unscaled operator's times the scale, to rounding.
+func TestLanczosStepsOperatorScaleInvariant(t *testing.T) {
+	const n = 512
+	base := geometric(n, 1, 0.99)
+	base[1] = 1 - 1e-3
+	ref0, ref1, err := RitzGap(diagOp{base}, 24, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []int{400, -400} {
+		d := make([]float64, n)
+		for i, v := range base {
+			d[i] = math.Ldexp(v, e)
+		}
+		theta0, theta1, err := RitzGap(diagOp{d}, 24, nil, nil)
+		if err != nil {
+			t.Fatalf("2^%d: %v", e, err)
+		}
+		want0, want1 := math.Ldexp(ref0, e), math.Ldexp(ref1, e)
+		if math.Abs(theta0-want0) > 1e-12*want0 || math.Abs(theta1-want1) > 1e-12*want1 {
+			t.Errorf("2^%d: θ = (%g, %g), want (%g, %g)", e, theta0, theta1, want0, want1)
+		}
+	}
+}
+
+// A probe that stops on a step due to reorthogonalize stops before the
+// Gram–Schmidt pass: T_m does not depend on that step's β, and the pre-pass
+// β bounds the post-pass one. Against the same recurrence run one step
+// further without the stop test, the stopping probe has the same α and β
+// through T_m bit for bit and reorthogonalized the same steps except,
+// where it stopped on one, that last one.
+func TestProbeStopSkipsGramSchmidt(t *testing.T) {
+	l, pc := singlePeakPC(t, 12, 2)
+	tol := DefaultTolerance(l)
+	skipped := 0
+	kw, ref := NewKrylovWork(1<<12), NewKrylovWork(1<<12)
+	for _, frac := range []float64{0.5, 0.8, 0.9, 0.95, 0.98, 1.0, 1.02, 1.05, 1.1} {
+		op, _ := NewFmmpOperator(mutation.MustUniform(12, frac*pc), l, Symmetric, nil)
+		p, err := ritzGap(op, 24, nil, nil, tol, kw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.built >= 24 {
+			continue
+		}
+		m := p.built
+		if _, err := ritzGap(op, m+1, nil, nil, 0, ref); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < m; j++ {
+			if !sameBits(kw.alpha[j], ref.alpha[j]) || j < m-1 && !sameBits(kw.beta[j], ref.beta[j]) {
+				t.Fatalf("%g·p_c: T_%d differs from the reference at %d", frac, m, j)
+			}
+		}
+		switch kw.reorths {
+		case ref.reorths:
+		case ref.reorths - 1:
+			skipped++
+			if !(kw.beta[m-1] >= ref.beta[m-1]) {
+				t.Errorf("%g·p_c: pre-pass β %g below the post-pass %g", frac, kw.beta[m-1], ref.beta[m-1])
+			}
+		default:
+			t.Errorf("%g·p_c: %d steps reorthogonalized, %d without the stop", frac, kw.reorths, ref.reorths)
+		}
+	}
+	if skipped == 0 {
+		t.Error("no probe stopped on a reorthogonalizing step; the test proved nothing")
 	}
 }
 
@@ -384,13 +476,17 @@ func TestLanczosStepsZeroAllocs(t *testing.T) {
 	kw := NewKrylovWork(opS.Dim())
 	basis, _, _, _ := kw.krylov(opS.Dim(), 24)
 	// The second run asks the self-stopping test at every step: a stop
-	// tolerance of 1e-300 is never met.
+	// tolerance of 1e-300 is never met. The third stops.
 	allocs := testing.AllocsPerRun(5, func() {
 		probeStart(basis[0])
 		kw.lanczosSteps(opS, 24, 0, nil)
 		probeStart(basis[0])
 		if built := kw.lanczosSteps(opS, 24, 1e-300, nil); built != 24 {
 			t.Fatalf("the recurrence stopped after %d steps at tolerance 1e-300", built)
+		}
+		probeStart(basis[0])
+		if built := kw.lanczosSteps(opS, 24, 1e-6, nil); built >= 24 {
+			t.Fatalf("the recurrence ran all %d steps at tolerance 1e-6", built)
 		}
 	})
 	if allocs != 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/device"
 	"repro/internal/span"
@@ -117,12 +116,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		ph = beginSpan(sr, PhaseResidual)
 		op.Apply(w, q)
 		res.MatVecs++
-		var rs float64
-		for i, wi := range w {
-			r := wi - res.Lambda*q[i]
-			rs += r * r
-		}
-		res.Residual = math.Sqrt(rs)
+		res.Residual = residual(nil, w, q, res.Lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		if sr != nil {
 			sr.Check(int64(res.MatVecs-lastMatVecs), res.Residual, "")

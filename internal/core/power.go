@@ -151,10 +151,7 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	} else {
 		vec.Fill(x, 1)
 	}
-	// Pass A's norm with t = x: the 4-lane sum and range check of the
-	// iteration's own passes, so a serial solve and a 1-worker device solve
-	// start from the same bits.
-	_, nrm := shiftedDotNorm2(dev, x, x, 0)
+	nrm := norm2(dev, x)
 	if nrm == 0 {
 		return PowerResult{}, errors.New("core: start vector is zero")
 	}
@@ -393,14 +390,9 @@ func shiftedResidualScale(dev *device.Device, x, w []float64, mu, lambda, c floa
 	return vec.ShiftedResidualScale(x, w, mu, lambda, c)
 }
 
+// residual is ‖w − λx‖₂ in one read-only pass: pass A's norm with µ = λ,
+// serial or on dev (ResidualNorm2), so the two agree bit for bit.
 func residual(dev *device.Device, w, x []float64, lambda float64) float64 {
-	if dev != nil {
-		return dev.ResidualNorm2(w, x, lambda)
-	}
-	var s float64
-	for i, wi := range w {
-		r := wi - lambda*x[i]
-		s += r * r
-	}
-	return math.Sqrt(s)
+	_, r := shiftedDotNorm2(dev, x, w, lambda)
+	return r
 }

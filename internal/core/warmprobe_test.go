@@ -205,17 +205,13 @@ func singlePeakPC(t *testing.T, nu int, sigma float64) (landscape.Landscape, flo
 // warm start that is (nearly) an exact eigenvector. Each sweep runs with no
 // escalation, keeps every point's gear, costs no point more matvecs, and
 // moves Γ₀ by at most 1e-9; every step of every probe also passes
-// checkStopRule. The two measured exceptions are listed per case:
-//   - Where the warm start is an exact eigenvector — every warm point of
-//     the uniform landscape, the second of two equal p — the warm probe
-//     stops after two steps with a θ₁ far from λ₁. The gap then looks wide
-//     and auto may pick power, which finishes from the warm start at once:
-//     such points move from Chebyshev to power and cost 3 matvecs, not 26.
-//   - On ν = 18 the 0.93·p_c point costs 77 matvecs against 55 (61 in
-//     BENCH_critical, whose grid differs in the last bits). The Chebyshev
-//     gear from the shorter probe's Ritz vector floors at a Symmetric
-//     residual just above tol, and its stall guard spends 58 matvecs of
-//     small restarts before the Right-form check accepts it.
+// checkStopRule. The one measured exception is listed per case: where the
+// warm start is an exact eigenvector — every warm point of the uniform
+// landscape, the second of two equal p — the warm probe stops after two
+// steps with a θ₁ far from λ₁. The gap then looks wide and auto may pick
+// power, which finishes from the warm start at once: such points move from
+// Chebyshev to power and cost 3 matvecs instead of a full probe and its
+// handoff.
 //
 // The ν ≥ 16 cases, the critical-nu17 grids among them, are skipped under
 // -short, and the race detector runs only the ν ≤ 12 cases.
@@ -226,9 +222,6 @@ func TestWarmProbeRobustness(t *testing.T) {
 		ps       []float64
 		chainLen int
 		heavy    bool
-		// dearer lists points allowed to cost more than with the full probe,
-		// with the exact counts (full, warm) measured.
-		dearer map[int][2]int
 		// exact marks the points whose warm start is an exact eigenvector;
 		// moved is how many of them move from Chebyshev to power.
 		exact func(i int) bool
@@ -250,7 +243,7 @@ func TestWarmProbeRobustness(t *testing.T) {
 		dup = append(dup, p, p)
 	}
 	add(tcase{name: "ν=12 σ=2 duplicate p", l: l12b, ps: dup, chainLen: 8,
-		exact: func(i int) bool { return i%2 == 1 }, moved: 4})
+		exact: func(i int) bool { return i%2 == 1 }, moved: 6})
 	fine := make([]float64, 16)
 	for i := range fine {
 		fine[i] = (0.98 + 1e-4*float64(i)) * pc12b
@@ -281,8 +274,7 @@ func TestWarmProbeRobustness(t *testing.T) {
 		add(tcase{name: fmt.Sprintf("critical-nu17 grid, offset %g", off), l: l17, ps: fracGrid(pc17, 0.9, 1.08, 32, off), chainLen: 8, heavy: true})
 	}
 	l18, pc18 := singlePeakPC(t, 18, 2)
-	add(tcase{name: "ν=18 σ=2, 13 points", l: l18, ps: fracGrid(pc18, 0.9, 1.08, 13, 0), chainLen: 8, heavy: true,
-		dearer: map[int][2]int{2: {55, 77}}})
+	add(tcase{name: "ν=18 σ=2, 13 points", l: l18, ps: fracGrid(pc18, 0.9, 1.08, 13, 0), chainLen: 8, heavy: true})
 
 	for _, c := range cases {
 		if c.heavy && testing.Short() || raceDetector && c.l.ChainLen() > 12 {
@@ -307,11 +299,7 @@ func TestWarmProbeRobustness(t *testing.T) {
 				case g.method != r.method:
 					t.Errorf("%s: %v, full probe %v", label, g.method, r.method)
 				}
-				if d, ok := c.dearer[i]; ok {
-					if r.iterations != d[0] || g.iterations != d[1] {
-						t.Errorf("%s: %d matvecs against %d with the full probe, measured %d against %d", label, g.iterations, r.iterations, d[1], d[0])
-					}
-				} else if g.iterations > r.iterations {
+				if g.iterations > r.iterations {
 					t.Errorf("%s: %d matvecs, %d with the full probe", label, g.iterations, r.iterations)
 				}
 				if d := math.Abs(g.gamma0 - r.gamma0); d > 1e-9 {

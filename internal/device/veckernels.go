@@ -23,11 +23,11 @@ import (
 // They sit inside every power/Lanczos iteration, so they are written to the
 // same kernel-floor discipline as the butterfly stages (see DESIGN.md §5.6):
 // each launch dispatches CHUNK bodies, not per-element closures — the old
-// ReduceSum(func(i)…) form paid an indirect call per element. Dot and the
-// two power passes reduce over vec's 4-lane kernels (vec.DotLanes,
-// vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq), with their AVX2 bodies;
-// the other chunk bodies here are bounds-check-eliminated Go loops unrolled
-// 4-wide in the same order.
+// ReduceSum(func(i)…) form paid an indirect call per element. Dot, Norm2,
+// ResidualNorm2 and the two power passes reduce over vec's 4-lane kernels
+// (vec.DotLanes, vec.SumSq, vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq),
+// with their AVX2 bodies; the other chunk bodies here (Sum, Norm1, NormInf)
+// are bounds-check-eliminated Go loops unrolled 4-wide in the same order.
 //
 // SUMMATION ORDER: every reduction splits [0, n) into the device's chunks,
 // sums each chunk in the 4-lane order of vec's reduction contract
@@ -35,11 +35,11 @@ import (
 // chunk order. The result is therefore a pure function of (operands, n,
 // chunk size): bit-identical across runs and across schedules for a fixed
 // Device, independent of which worker executes which chunk, and on a
-// 1-worker Device (one chunk) bit-identical to the serial vec kernel. It
-// differs from a strict serial left fold by the usual O(ε·Σ|xᵢyᵢ|)
-// regrouping error — the same reassociation any chunked/parallel reduction
-// already performed — and the solver tolerances (≥1e-9) absorb it; tests
-// pin the fixed-schedule bit-identity.
+// 1-worker Device (one chunk) bit-identical to the serial vec kernel: a
+// serial dot, norm or residual equals a 1-worker device one. More chunks
+// regroup the sum at chunk boundaries, an O(ε·Σ|xᵢyᵢ|) difference the
+// solver tolerances (≥1e-9) absorb; tests pin the fixed-schedule
+// bit-identity.
 
 // reduceChunks reduces chunkFn, which returns two independent partials per
 // chunk, over the device's chunk partition of [0, n): each component is
@@ -134,31 +134,12 @@ func (d *Device) Norm1(x []float64) float64 {
 	return s
 }
 
-// norm2SqChunk is Σ x[k]² over one chunk in the documented 4-lane order.
-func norm2SqChunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += x[0] * x[0]
-		s1 += x[1] * x[1]
-		s2 += x[2] * x[2]
-		s3 += x[3] * x[3]
-		x = x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 {
-		s += x[0] * x[0]
-		x = x[1:]
-	}
-	return s
-}
-
-// Norm2 returns ‖x‖₂ computed with a parallel reduction over squares. A
-// sum that leaves [2⁻⁹⁰⁰, 2⁹⁰⁰] is recomputed by the scaled vec.Norm2
-// (vec.NormFromSumSq), so it neither over- nor underflows where vec.Norm2
-// does not.
+// Norm2 returns ‖x‖₂ computed with a parallel reduction over vec.SumSq. A
+// sum that leaves [2⁻⁹⁰⁰, 2⁹⁰⁰] is recomputed scaled (vec.NormFromSumSq), so
+// it neither over- nor underflows.
 func (d *Device) Norm2(x []float64) float64 {
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return norm2SqChunk(x[lo:hi]), 0
+		return vec.SumSq(x[lo:hi]), 0
 	}, addf)
 	return vec.NormFromSumSq(s, nil, x, 0)
 }
@@ -191,41 +172,12 @@ func (d *Device) NormInf(x []float64) float64 {
 	return s
 }
 
-// residSqChunk is Σ (w[k] − λ·x[k])² over the common prefix of w and x in
-// the documented 4-lane order.
-func residSqChunk(w, x []float64, lambda float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(w) >= 4 && len(x) >= 4 {
-		r0 := w[0] - lambda*x[0]
-		r1 := w[1] - lambda*x[1]
-		r2 := w[2] - lambda*x[2]
-		r3 := w[3] - lambda*x[3]
-		s0 += r0 * r0
-		s1 += r1 * r1
-		s2 += r2 * r2
-		s3 += r3 * r3
-		w, x = w[4:], x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(w) > 0 && len(x) > 0 {
-		r := w[0] - lambda*x[0]
-		s += r * r
-		w, x = w[1:], x[1:]
-	}
-	return s
-}
-
 // ResidualNorm2 returns ‖w − λx‖₂, the power-iteration residual
-// R(λ̃, x̃) of the paper, in one fused parallel pass over the operands.
+// R(λ̃, x̃) of the paper, in one read-only parallel pass: pass A's norm with
+// µ = λ, whose t = w + (−λ)·x is w − λ·x bit for bit.
 func (d *Device) ResidualNorm2(w, x []float64, lambda float64) float64 {
-	if len(w) != len(x) {
-		panic("device: ResidualNorm2 length mismatch")
-	}
-	s, _ := d.reduceChunks(len(w), 0, func(lo, hi int) (float64, float64) {
-		ws, xs := chunk2(w, x, lo, hi)
-		return residSqChunk(ws, xs, lambda), 0
-	}, addf)
-	return math.Sqrt(s)
+	_, r := d.ShiftedDotNorm2(x, w, lambda)
+	return r
 }
 
 // The two passes of the fused power step (DESIGN.md §5.10). Both read the

@@ -40,15 +40,17 @@ func TestChunkKernelsMatchDocumentedOrder(t *testing.T) {
 		if got, want := norm1Chunk(x), refFourLane(n, func(k int) float64 { return math.Abs(x[k]) }); got != want {
 			t.Errorf("n=%d: norm1Chunk = %v, want %v", n, got, want)
 		}
-		if got, want := norm2SqChunk(x), refFourLane(n, func(k int) float64 { return x[k] * x[k] }); got != want {
-			t.Errorf("n=%d: norm2SqChunk = %v, want %v", n, got, want)
+		if got, want := vec.SumSq(x), refFourLane(n, func(k int) float64 { return x[k] * x[k] }); got != want {
+			t.Errorf("n=%d: vec.SumSq = %v, want %v", n, got, want)
 		}
+		// The residual chunk is pass A's Σt² with µ = λ: t = x + (−λ)·y is
+		// x − λ·y bit for bit.
 		lambda := 0.37
-		if got, want := residSqChunk(x, y, lambda), refFourLane(n, func(k int) float64 {
+		if _, got := vec.ShiftedDotSumSq(y, x, lambda); got != refFourLane(n, func(k int) float64 {
 			r := x[k] - lambda*y[k]
 			return r * r
-		}); got != want {
-			t.Errorf("n=%d: residSqChunk = %v, want %v", n, got, want)
+		}) {
+			t.Errorf("n=%d: residual chunk = %v, want the 4-lane Σ(x − λy)²", n, got)
 		}
 		// Max is exactly order-independent; still must equal the serial max.
 		if got, want := normInfChunk(x), vec.NormInf(x); got != want {
@@ -92,6 +94,31 @@ func TestReductionsCloseToSerialVec(t *testing.T) {
 		want = math.Sqrt(want)
 		if got := d.ResidualNorm2(x, y, 0.25); math.Abs(got-want) > 1e-9*want+1e-12 {
 			t.Errorf("%s: ResidualNorm2 = %v, want ≈ %v", name, got, want)
+		}
+	}
+}
+
+// TestSerialMatchesOneWorkerDevice: a 1-worker Device reduces over one
+// chunk, so its Dot, Norm2 and ResidualNorm2 are the serial vec.Dot,
+// vec.Norm2 and pass A's norm with µ = λ (the serial residual) bit for bit,
+// on lengths with every lane tail, across several default chunks, and on a
+// norm that takes the range fallback.
+func TestSerialMatchesOneWorkerDevice(t *testing.T) {
+	r := rng.New(31)
+	d := New(1)
+	for _, n := range []int{1, 3, 4, 7, 1000, 4099, 100003} {
+		x, y := randVec(r, n), randVec(r, n)
+		huge := append([]float64(nil), x...)
+		huge[n/2] = 1e200
+		for name, pair := range map[string][2]float64{
+			"Dot":            {d.Dot(x, y), vec.Dot(x, y)},
+			"Norm2":          {d.Norm2(x), vec.Norm2(x)},
+			"Norm2 fallback": {d.Norm2(huge), vec.Norm2(huge)},
+			"ResidualNorm2":  {d.ResidualNorm2(x, y, 0.37), func() float64 { _, r := vec.ShiftedDotNorm2(y, x, 0.37); return r }()},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Errorf("n=%d: 1-worker %s = %v, serial %v", n, name, pair[0], pair[1])
+			}
 		}
 	}
 }

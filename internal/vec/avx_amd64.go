@@ -56,16 +56,13 @@ func avxShiftedDotSumSq(x, w *float64, n int, a float64) (dot, ssq float64)
 func avxShiftedResidualSumSq(x, w *float64, n int, a, lambda, c float64) float64
 
 //go:noescape
-func avxLanczosTail(w, v, u *float64, n int, alpha, beta float64) float64
+func avxLanczosTail(dst, w, v, u *float64, n int, c, alpha, beta float64) float64
 
 //go:noescape
 func avxSumSqLanes(acc *[4]float64, x *float64, n int)
 
 //go:noescape
 func avxAXPY(a float64, x, y *float64, n int)
-
-//go:noescape
-func avxScaleTo(dst, src *float64, n int, a float64)
 
 //go:noescape
 func avxMul(dst, x, y *float64, n int)

@@ -142,33 +142,36 @@ pbsDone:
 	VZEROUPPER
 	RET
 
-// func avxLanczosTail(w, v, u *float64, n int, alpha, beta float64) float64
-// t = (w − α·v) − β·u, w ← t, Σ t·t in Y0.
-TEXT ·avxLanczosTail(SB), NOSPLIT, $0-56
-	MOVQ         w+0(FP), DI
-	MOVQ         v+8(FP), SI
-	MOVQ         u+16(FP), DX
-	MOVQ         n+24(FP), CX
+// func avxLanczosTail(dst, w, v, u *float64, n int, c, alpha, beta float64) float64
+// t = (c·w − α·v) − β·u, dst ← t, Σ t·t in Y0. Each iteration loads w
+// before it stores dst, so dst may alias w.
+TEXT ·avxLanczosTail(SB), NOSPLIT, $0-72
+	MOVQ         dst+0(FP), R8
+	MOVQ         w+8(FP), DI
+	MOVQ         v+16(FP), SI
+	MOVQ         u+24(FP), DX
+	MOVQ         n+32(FP), CX
 	SHLQ         $3, CX
 	XORQ         AX, AX
 	VXORPD       Y0, Y0, Y0
-	VBROADCASTSD alpha+32(FP), Y6
-	VBROADCASTSD beta+40(FP), Y7
+	VBROADCASTSD c+40(FP), Y5
+	VBROADCASTSD alpha+48(FP), Y6
+	VBROADCASTSD beta+56(FP), Y7
 
 ltLoop:
+	VMULPD  (DI)(AX*1), Y5, Y2
 	VMULPD  (SI)(AX*1), Y6, Y1
-	VMOVUPD (DI)(AX*1), Y2
 	VSUBPD  Y1, Y2, Y2
 	VMULPD  (DX)(AX*1), Y7, Y3
 	VSUBPD  Y3, Y2, Y2
-	VMOVUPD Y2, (DI)(AX*1)
+	VMOVUPD Y2, (R8)(AX*1)
 	VMULPD  Y2, Y2, Y2
 	VADDPD  Y2, Y0, Y0
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JNE     ltLoop
 	HSUM(Y0, X0, X1, X2)
-	VMOVSD  X0, ret+48(FP)
+	VMOVSD  X0, ret+64(FP)
 	VZEROUPPER
 	RET
 
@@ -210,25 +213,6 @@ axLoop:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JNE     axLoop
-	VZEROUPPER
-	RET
-
-// func avxScaleTo(dst, src *float64, n int, a float64)
-// dst ← src·a.
-TEXT ·avxScaleTo(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y7
-	SHLQ         $3, CX
-	XORQ         AX, AX
-
-stLoop:
-	VMULPD  (SI)(AX*1), Y7, Y1
-	VMOVUPD Y1, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, CX
-	JNE     stLoop
 	VZEROUPPER
 	RET
 

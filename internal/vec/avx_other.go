@@ -23,7 +23,7 @@ func avxShiftedResidualSumSq(x, w *float64, n int, a, lambda, c float64) float64
 	panic("vec: avxShiftedResidualSumSq called without AVX2")
 }
 
-func avxLanczosTail(w, v, u *float64, n int, alpha, beta float64) float64 {
+func avxLanczosTail(dst, w, v, u *float64, n int, c, alpha, beta float64) float64 {
 	panic("vec: avxLanczosTail called without AVX2")
 }
 
@@ -33,10 +33,6 @@ func avxSumSqLanes(acc *[4]float64, x *float64, n int) {
 
 func avxAXPY(a float64, x, y *float64, n int) {
 	panic("vec: avxAXPY called without AVX2")
-}
-
-func avxScaleTo(dst, src *float64, n int, a float64) {
-	panic("vec: avxScaleTo called without AVX2")
 }
 
 func avxMul(dst, x, y *float64, n int) {

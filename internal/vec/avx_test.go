@@ -14,13 +14,18 @@ import (
 func kernelCases(x, y, z []float64) map[string]func() []float64 {
 	cases := map[string]func() []float64{
 		"DotLanes": func() []float64 { return []float64{DotLanes(x, y)} },
+		"SumSq":    func() []float64 { return []float64{SumSq(y)} },
 		"LanczosTail": func() []float64 {
+			dst := make([]float64, len(y))
+			return append(dst, LanczosTail(dst, y, x, z, 1.3, 0.37, -1.9))
+		},
+		"LanczosTail/dst aliases w": func() []float64 {
 			w := Clone(y)
-			return append(w, LanczosTail(w, x, z, 0.37, -1.9))
+			return append(w, LanczosTail(w, w, x, z, 0.7, 0.37, -1.9))
 		},
 		"LanczosTail/nil u": func() []float64 {
 			w := Clone(y)
-			return append(w, LanczosTail(w, x, nil, 0.37, -1.9))
+			return append(w, LanczosTail(w, w, x, nil, 1, 0.37, -1.9))
 		},
 		"Combine": func() []float64 {
 			dst := Clone(y)
@@ -34,11 +39,6 @@ func kernelCases(x, y, z []float64) map[string]func() []float64 {
 		"AXPY": func() []float64 {
 			dst := Clone(y)
 			AXPY(0.7, x, dst)
-			return dst
-		},
-		"ScaleTo": func() []float64 {
-			dst := make([]float64, len(x))
-			ScaleTo(dst, x, 0.3)
 			return dst
 		},
 		"Mul": func() []float64 {
@@ -68,9 +68,10 @@ func kernelCases(x, y, z []float64) map[string]func() []float64 {
 // TestAVX2KernelsBitIdenticalToGo toggles the dispatch gate and requires
 // every AVX2 body to reproduce its Go body bit for bit: every length from 0
 // to 67, so each body length meets each tail length, plus 2¹² and 2¹⁷; the
-// power passes at µ = 0 and µ ≠ 0; and Mul with dst aliasing its first
-// operand, the epilogue's in-place post-scale. A −0 entry checks that µ = 0
-// reads w itself. Skipped on hosts without AVX2, where only the Go bodies
+// power passes at µ = 0 and µ ≠ 0; LanczosTail with c ≠ 1, into a separate
+// dst and with dst aliasing w, as the Lanczos step and the probe's last
+// tail call it; and Mul with dst aliasing its first operand, the epilogue's
+// in-place post-scale. A −0 entry checks that µ = 0 reads w itself. Skipped on hosts without AVX2, where only the Go bodies
 // exist.
 func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
 	was := SetAVX2(true)
@@ -104,8 +105,9 @@ func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
 }
 
 // TestKernelsDoNotAllocate: the assembly keeps its operands off the heap
-// (go:noescape), so the kernels — and the power passes, LanczosTail,
-// Combine and DotEach built on them — allocate nothing, on either path.
+// (go:noescape), so the kernels — and Dot, Norm2, the power passes,
+// LanczosTail, Combine and DotEach built on them — allocate nothing, on
+// either path.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(59)
 	const n = 1<<12 + 3
@@ -116,12 +118,13 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	for _, avx := range []bool{true, false} {
 		SetAVX2(avx)
 		for name, f := range map[string]func(){
+			"Dot":                  func() { Dot(x, w) },
+			"Norm2":                func() { Norm2(x) },
 			"ShiftedDotNorm2":      func() { ShiftedDotNorm2(x, w, 0.41) },
 			"ShiftedResidualScale": func() { ShiftedResidualScale(x, w, 0.41, 0.3, 1) },
-			"LanczosTail":          func() { LanczosTail(w, x, z, 1e-3, 1e-3) },
+			"LanczosTail":          func() { LanczosTail(w, w, x, z, 1, 1e-3, 1e-3) },
 			"Combine":              func() { Combine(w, basis, c) },
 			"DotEach":              func() { DotEach(c, basis, w) },
-			"ScaleTo":              func() { ScaleTo(z, x, 1) },
 			"Mul":                  func() { Mul(z, x, w) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {

@@ -1,17 +1,20 @@
 package vec
 
 // The 4-lane kernel set: the BLAS-1 work around every matvec — the power
-// step's two passes, the per-chunk dot of DotEach and device.Dot, the
-// per-chunk AXPY of Combine, LanczosTail, the Lanczos normalization and the
-// elementwise product of the butterfly tile pass — each with a Go body here
-// and an AVX2 body in avx_amd64.s.
+// step's two passes (pass A is also the residual ‖w − λx‖ of every other
+// solver), the dot of Dot, DotEach and device.Dot, the sum of squares of
+// Norm2 and device.Norm2, the per-chunk AXPY of Combine, LanczosTail and
+// the elementwise product of the butterfly tile pass — each with a Go body
+// here and an AVX2 body in avx_amd64.s.
 //
 // SUMMATION ORDER (the reduction contract): a sum over a slice is
 // accumulated in four lanes, lane ℓ ∈ {0,1,2,3} summing elements ℓ, ℓ+4,
 // ℓ+8, …; the lanes combine as ((s0+s1)+s2)+s3, and the ≤ 3 tail elements
-// fold onto that in index order. The device reductions apply it to each
-// chunk of their partition and add the chunk partials in ascending chunk
-// order, so a 1-worker Device, whose partition is one chunk, computes
+// fold onto that in index order. Every dot, norm and residual in the module
+// sums in this order; there is no strict left fold and no scaled loop
+// outside NormFromSumSq's range fallback. The device reductions apply it to
+// each chunk of their partition and add the chunk partials in ascending
+// chunk order, so a 1-worker Device, whose partition is one chunk, computes
 // exactly what the serial call computes.
 //
 // The AVX2 bodies hold the four lanes of a sum in one YMM register and use
@@ -192,13 +195,15 @@ func ShiftedResidualSumSq(x, w []float64, mu, lambda, c float64) float64 {
 	return s
 }
 
-// LanczosTail is the fused vector tail of one Lanczos step: it overwrites
-// w ← w − α·v − β·u and returns Σwᵢ² of the result from the same pass. A
-// nil u drops the β term (the first step). Each element is updated as
+// LanczosTail is the fused vector tail of one Lanczos step: it writes
+// dst ← c·w − α·v − β·u and returns Σdstᵢ² of the result from the same
+// pass. dst may alias w; a nil u drops the β term (the first step). Each
+// element is t = ((c·w) − α·v) − β·u, so with c = 1 it is updated as
 // AXPY(−α, v, w) followed by AXPY(−β, u, w) would update it; the sum of
 // squares is unscaled, in the 4-lane order, so a caller that needs the full
 // floating-point range passes it through NormFromSumSq.
-func LanczosTail(w, v, u []float64, alpha, beta float64) float64 {
+func LanczosTail(dst, w, v, u []float64, c, alpha, beta float64) float64 {
+	checkLen("LanczosTail", len(dst), len(w))
 	checkLen("LanczosTail", len(w), len(v))
 	if u == nil {
 		u, beta = v, 0
@@ -206,36 +211,54 @@ func LanczosTail(w, v, u []float64, alpha, beta float64) float64 {
 	checkLen("LanczosTail", len(w), len(u))
 	var s float64
 	if n := min(len(w), len(v), len(u)) &^ 3; useAVX2 && n > 0 {
-		s = avxLanczosTail(&w[0], &v[0], &u[0], n, alpha, beta)
-		w, v, u = w[n:], v[n:], u[n:]
+		s = avxLanczosTail(&dst[0], &w[0], &v[0], &u[0], n, c, alpha, beta)
+		dst, w, v, u = dst[n:], w[n:], v[n:], u[n:]
 	} else {
 		var s0, s1, s2, s3 float64
-		for len(w) >= 4 && len(v) >= 4 && len(u) >= 4 {
-			t0 := w[0] - alpha*v[0] - beta*u[0]
-			t1 := w[1] - alpha*v[1] - beta*u[1]
-			t2 := w[2] - alpha*v[2] - beta*u[2]
-			t3 := w[3] - alpha*v[3] - beta*u[3]
-			w[0], w[1], w[2], w[3] = t0, t1, t2, t3
+		for len(dst) >= 4 && len(w) >= 4 && len(v) >= 4 && len(u) >= 4 {
+			t0 := c*w[0] - alpha*v[0] - beta*u[0]
+			t1 := c*w[1] - alpha*v[1] - beta*u[1]
+			t2 := c*w[2] - alpha*v[2] - beta*u[2]
+			t3 := c*w[3] - alpha*v[3] - beta*u[3]
+			dst[0], dst[1], dst[2], dst[3] = t0, t1, t2, t3
 			s0 += t0 * t0
 			s1 += t1 * t1
 			s2 += t2 * t2
 			s3 += t3 * t3
-			w, v, u = w[4:], v[4:], u[4:]
+			dst, w, v, u = dst[4:], w[4:], v[4:], u[4:]
 		}
 		s = ((s0 + s1) + s2) + s3
 	}
-	for len(w) > 0 && len(v) > 0 && len(u) > 0 {
-		t := w[0] - alpha*v[0] - beta*u[0]
-		w[0] = t
+	for len(dst) > 0 && len(w) > 0 && len(v) > 0 && len(u) > 0 {
+		t := c*w[0] - alpha*v[0] - beta*u[0]
+		dst[0] = t
 		s += t * t
-		w, v, u = w[1:], v[1:], u[1:]
+		dst, w, v, u = dst[1:], w[1:], v[1:], u[1:]
+	}
+	return s
+}
+
+// SumSq returns Σxᵢ² in the 4-lane order, unscaled: Norm2's sum before its
+// range check, and device.Norm2's per-chunk sum.
+func SumSq(x []float64) float64 {
+	var lanes [4]float64
+	sumSqLanes(&lanes, x)
+	return foldSq(&lanes, x[len(x)&^3:])
+}
+
+// foldSq combines the four lane sums of squares in acc and folds the
+// squares of the ≤ 3 tail elements onto them in index order.
+func foldSq(acc *[4]float64, tail []float64) float64 {
+	s := ((acc[0] + acc[1]) + acc[2]) + acc[3]
+	for _, x := range tail {
+		s += x * x
 	}
 	return s
 }
 
 // sumSqLanes adds the squares of the 4-aligned prefix of x to the four
-// lane sums in acc, lane ℓ taking elements ℓ, ℓ+4, …: Combine's sum of
-// squares, whose lanes run on across its chunks.
+// lane sums in acc, lane ℓ taking elements ℓ, ℓ+4, …: SumSq's, and
+// Combine's, whose lanes run on across its chunks.
 func sumSqLanes(acc *[4]float64, x []float64) {
 	if n := len(x) &^ 3; useAVX2 && n > 0 {
 		avxSumSqLanes(acc, &x[0], n)
@@ -269,27 +292,6 @@ func axpy(a float64, x, y []float64) {
 	for len(x) > 0 && len(y) > 0 {
 		y[0] += a * x[0]
 		x, y = x[1:], y[1:]
-	}
-}
-
-// ScaleTo computes dst ← a·src, one multiply per element exactly as Scale:
-// the Lanczos normalization. It panics if the lengths differ.
-func ScaleTo(dst, src []float64, a float64) {
-	checkLen("ScaleTo", len(dst), len(src))
-	if n := len(dst) &^ 3; useAVX2 && n > 0 {
-		avxScaleTo(&dst[0], &src[0], n, a)
-		dst, src = dst[n:], src[n:]
-	}
-	for len(dst) >= 4 && len(src) >= 4 {
-		dst[0] = src[0] * a
-		dst[1] = src[1] * a
-		dst[2] = src[2] * a
-		dst[3] = src[3] * a
-		dst, src = dst[4:], src[4:]
-	}
-	for len(dst) > 0 && len(src) > 0 {
-		dst[0] = src[0] * a
-		dst, src = dst[1:], src[1:]
 	}
 }
 

@@ -15,30 +15,11 @@ import (
 	"math"
 )
 
-// Dot returns the Euclidean inner product xᵀy. It panics if the lengths
-// differ.
+// Dot returns the Euclidean inner product xᵀy in the 4-lane order
+// (DotLanes). It panics if the lengths differ.
 func Dot(x, y []float64) float64 {
 	checkLen("Dot", len(x), len(y))
-	var s float64
-	for i, xv := range x {
-		s += xv * y[i]
-	}
-	return s
-}
-
-// DotKahan returns xᵀy using Kahan–Babuška compensated accumulation.
-// At N = 2^25 entries the plain left-to-right sum can lose several digits;
-// residual-based stopping tests with τ = 1e−15 need the compensated form.
-func DotKahan(x, y []float64) float64 {
-	checkLen("DotKahan", len(x), len(y))
-	var s, c float64
-	for i, xv := range x {
-		t := xv*y[i] - c
-		u := s + t
-		c = (u - s) - t
-		s = u
-	}
-	return s
+	return DotLanes(x, y)
 }
 
 // Sum returns the plain sum of the entries of x.
@@ -62,22 +43,6 @@ func SumKahan(x []float64) float64 {
 	return s
 }
 
-// SumPairwise returns the sum of x using recursive pairwise splitting,
-// which has O(log n) error growth and vectorizes well. The base case is
-// unrolled plain summation.
-func SumPairwise(x []float64) float64 {
-	const base = 128
-	if len(x) <= base {
-		var s float64
-		for _, v := range x {
-			s += v
-		}
-		return s
-	}
-	half := len(x) / 2
-	return SumPairwise(x[:half]) + SumPairwise(x[half:])
-}
-
 // Norm1 returns ‖x‖₁ = Σ|xᵢ|.
 func Norm1(x []float64) float64 {
 	var s float64
@@ -87,16 +52,14 @@ func Norm1(x []float64) float64 {
 	return s
 }
 
-// Norm2 returns ‖x‖₂ with scaling to avoid premature overflow/underflow.
+// Norm2 returns ‖x‖₂: the 4-lane sum of squares (SumSq) through
+// NormFromSumSq's range check, so it neither over- nor underflows.
 func Norm2(x []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, v := range x {
-		scale, ssq = scaledSq(scale, ssq, v)
-	}
-	return scale * math.Sqrt(ssq)
+	return NormFromSumSq(SumSq(x), nil, x, 0)
 }
 
-// scaledSq folds v into Norm2's scaled sum of squares: ‖·‖₂ = scale·√ssq.
+// scaledSq folds v into NormFromSumSq's scaled sum of squares:
+// ‖·‖₂ = scale·√ssq.
 func scaledSq(scale, ssq, v float64) (float64, float64) {
 	if v == 0 {
 		return scale, ssq
@@ -131,24 +94,26 @@ func ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
 
 // NormFromSumSq returns ‖t‖₂ for t = w − µ·x from Σtᵢ², summed unscaled by
 // a 4-lane pass: √ssq while the sum lies in [2⁻⁹⁰⁰, 2⁹⁰⁰], and otherwise —
-// it under- or overflowed, or is 0 or NaN — Norm2's scaled accumulation
-// over t formed on the fly, which is Norm2 of the materialized t. x is not
-// read when µ = 0 and may then be nil. It is the one range check of the
-// 4-lane norms, serial and device alike, so callers that need the full
-// floating-point range (a breakdown test, a normalization) see the true
-// norm.
+// it under- or overflowed, or is 0 or NaN — a scaled accumulation over t
+// formed on the fly (‖t‖₂ = scale·√q, one division per element). x is not
+// read when µ = 0 and may then be nil. It is the one range check of every
+// norm in the module, serial and device alike, so callers that need the
+// full floating-point range (a breakdown test, a normalization) see the
+// true norm.
 func NormFromSumSq(ssq float64, x, w []float64, mu float64) float64 {
 	if ssq >= 0x1p-900 && ssq <= 0x1p900 {
 		return math.Sqrt(ssq)
 	}
-	a := -mu
-	if a == 0 {
-		return Norm2(w)
-	}
 	var scale, q float64 = 0, 1
-	for len(x) > 0 && len(w) > 0 {
-		scale, q = scaledSq(scale, q, w[0]+a*x[0])
-		x, w = x[1:], w[1:]
+	if a := -mu; a != 0 {
+		for len(x) > 0 && len(w) > 0 {
+			scale, q = scaledSq(scale, q, w[0]+a*x[0])
+			x, w = x[1:], w[1:]
+		}
+	} else {
+		for _, v := range w {
+			scale, q = scaledSq(scale, q, v)
+		}
 	}
 	return scale * math.Sqrt(q)
 }
@@ -161,11 +126,9 @@ const combineChunk = 512
 // DotEach sets c[t] = basis[t]ᵀw for t < len(c) in one pass over w, the
 // transpose of Combine: w is walked in chunks of combineChunk entries, and
 // each chunk is dotted with every basis vector while it is cache-resident.
-// The order differs from Dot: each chunk's products are summed in the
-// 4-lane order (DotLanes), and the chunk sums are added to c[t] in chunk
-// order. Dot's
-// single accumulator chain is latency bound; the four independent lanes
-// take about half its time in the Lanczos reorthogonalization. It panics if
+// Each chunk's products are summed in the 4-lane order (DotLanes), and the
+// chunk sums are added to c[t] in chunk order, so c[t] is Dot(basis[t], w)
+// regrouped at chunk boundaries. It panics if
 // basis has fewer than len(c) vectors or one of them differs in length
 // from w.
 func DotEach(c []float64, basis [][]float64, w []float64) {
@@ -227,11 +190,7 @@ func Combine(dst []float64, basis [][]float64, c []float64) float64 {
 		sumSqLanes(&lanes, d)
 		dst, lo = dst[m:], lo+m
 	}
-	s := ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3]
-	for _, x := range tail {
-		s += x * x
-	}
-	return s
+	return foldSq(&lanes, tail)
 }
 
 // NormInf returns ‖x‖∞ = max|xᵢ|.
@@ -295,41 +254,6 @@ func Normalize2(x []float64) float64 {
 	return n
 }
 
-// MaxIndex returns the index of the largest entry of x (first on ties)
-// and that entry. It panics on an empty vector.
-func MaxIndex(x []float64) (int, float64) {
-	if len(x) == 0 {
-		panic("vec: MaxIndex of empty vector")
-	}
-	idx, best := 0, x[0]
-	for i, v := range x[1:] {
-		if v > best {
-			idx, best = i+1, v
-		}
-	}
-	return idx, best
-}
-
-// Min returns the smallest entry of x. It panics on an empty vector.
-func Min(x []float64) float64 {
-	if len(x) == 0 {
-		panic("vec: Min of empty vector")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest entry of x. It panics on an empty vector.
-func Max(x []float64) float64 {
-	_, m := MaxIndex(x)
-	return m
-}
-
 // DistInf returns ‖x − y‖∞. It panics if the lengths differ.
 func DistInf(x, y []float64) float64 {
 	checkLen("DistInf", len(x), len(y))
@@ -357,16 +281,6 @@ func Dist2(x, y []float64) float64 {
 func AllFinite(x []float64) bool {
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllPositive reports whether every entry of x is strictly positive.
-func AllPositive(x []float64) bool {
-	for _, v := range x {
-		if v <= 0 {
 			return false
 		}
 	}

@@ -38,10 +38,40 @@ func laneSum(n int, f func(k int) float64) float64 {
 	return s
 }
 
-// laneSumSq is the 4-lane sum of squares of LanczosTail, Combine and the
-// power passes.
+// laneSumSq is the 4-lane sum of squares of Norm2, LanczosTail, Combine
+// and the power passes.
 func laneSumSq(x []float64) float64 {
 	return laneSum(len(x), func(k int) float64 { return x[k] * x[k] })
+}
+
+// leftFold is Σ f(k) for k < n as one accumulator chain, the order no
+// kernel uses.
+func leftFold(n int, f func(k int) float64) float64 {
+	var s float64
+	for k := 0; k < n; k++ {
+		s += f(k)
+	}
+	return s
+}
+
+// scaledNorm is ‖x‖₂ by the scaled accumulation ‖x‖₂ = scale·√q, one
+// division per element: NormFromSumSq's range fallback, written out.
+func scaledNorm(x []float64) float64 {
+	var scale, q float64 = 0, 1
+	for _, v := range x {
+		if v == 0 {
+			continue
+		}
+		a := math.Abs(v)
+		if scale < a {
+			r := scale / a
+			scale, q = a, 1+q*r*r
+		} else {
+			r := a / scale
+			q += r * r
+		}
+	}
+	return scale * math.Sqrt(q)
 }
 
 // TestFusedPowerPassesBitIdenticalToUnfused pins the serial power-step
@@ -64,7 +94,8 @@ func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 			}
 			wantDot := laneSum(n, func(k int) float64 { return x[k] * t0[k] })
 			wantNorm := math.Sqrt(laneSumSq(t0))
-			if n == 1000 && (wantDot == Dot(x, t0) || laneSumSq(t0) == Dot(t0, t0)) {
+			if n == 1000 && (wantDot == leftFold(n, func(k int) float64 { return x[k] * t0[k] }) ||
+				laneSumSq(t0) == leftFold(n, func(k int) float64 { return t0[k] * t0[k] })) {
 				t.Fatalf("µ=%g: the data cannot tell the 4-lane order from a left fold", mu)
 			}
 			if gotDot, gotNorm := ShiftedDotNorm2(x, w, mu); gotDot != wantDot || gotNorm != wantNorm {
@@ -91,7 +122,7 @@ func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 
 // TestPowerPassNormRangeFallback: when pass A's Σt² leaves [2⁻⁹⁰⁰, 2⁹⁰⁰] —
 // an entry near 1e200 overflows it, entries near 1e-200 underflow it — the
-// norm is Norm2's scaled accumulation over t, so it equals Norm2 of the
+// norm is the scaled accumulation over t, so it equals Norm2 of the
 // materialized t bit for bit and stays finite and nonzero.
 func TestPowerPassNormRangeFallback(t *testing.T) {
 	r := rng.New(43)
@@ -122,9 +153,11 @@ func TestPowerPassNormRangeFallback(t *testing.T) {
 	}
 }
 
-// TestLanczosTailMatchesAXPYs pins the fused Lanczos tail against the two
-// AXPYs it replaces, element for element, and its sum of squares against
-// the documented 4-lane order; a nil u drops the β term.
+// TestLanczosTailMatchesAXPYs pins the fused Lanczos tail, element for
+// element, and its sum of squares against the documented 4-lane order: in
+// place with c = 1 it is the two AXPYs it replaces; into a separate dst
+// with c ≠ 1 it writes ((c·w) − α·v) − β·u and leaves w alone. A nil u
+// drops the β term.
 func TestLanczosTailMatchesAXPYs(t *testing.T) {
 	r := rng.New(31)
 	for _, n := range []int{1, 3, 4, 7, 1001} {
@@ -136,15 +169,32 @@ func TestLanczosTailMatchesAXPYs(t *testing.T) {
 			if prev != nil {
 				AXPY(-beta, prev, want)
 			}
-			wantSq := laneSumSq(want)
 			got := Clone(w)
-			gotSq := LanczosTail(got, v, prev, alpha, beta)
-			if gotSq != wantSq {
+			gotSq := LanczosTail(got, got, v, prev, 1, alpha, beta)
+			if wantSq := laneSumSq(want); gotSq != wantSq {
 				t.Fatalf("n=%d u=%v: Σw² = %v, want %v", n, prev != nil, gotSq, wantSq)
 			}
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d u=%v: w[%d] = %v, AXPYs give %v", n, prev != nil, i, got[i], want[i])
+				}
+			}
+
+			const c = 1.7
+			for i := range want {
+				want[i] = c*w[i] - alpha*v[i]
+				if prev != nil {
+					want[i] -= beta * prev[i]
+				}
+			}
+			dst, w0 := make([]float64, n), Clone(w)
+			gotSq = LanczosTail(dst, w, v, prev, c, alpha, beta)
+			if wantSq := laneSumSq(want); gotSq != wantSq {
+				t.Fatalf("n=%d u=%v c=%g: Σdst² = %v, want %v", n, prev != nil, c, gotSq, wantSq)
+			}
+			for i := range dst {
+				if dst[i] != want[i] || w[i] != w0[i] {
+					t.Fatalf("n=%d u=%v c=%g: dst[%d] = %v, want %v (w %v → %v)", n, prev != nil, c, i, dst[i], want[i], w0[i], w[i])
 				}
 			}
 		}
@@ -195,7 +245,8 @@ func TestCombineMatchesAXPYs(t *testing.T) {
 
 // TestDotEachOrder pins DotEach's documented order: per chunk, four lanes
 // ((s0+s1)+s2)+s3 plus the chunk's tail in index order, chunk sums added in
-// chunk order; it agrees with Dot to rounding.
+// chunk order; it agrees with Dot to rounding, and exactly within one
+// chunk.
 func TestDotEachOrder(t *testing.T) {
 	r := rng.New(41)
 	for _, n := range []int{1, 6, combineChunk, 2*combineChunk + 13} {
@@ -212,7 +263,7 @@ func TestDotEachOrder(t *testing.T) {
 			if math.Float64bits(c[j]) != math.Float64bits(want) {
 				t.Fatalf("n=%d: c[%d] = %v, documented order %v", n, j, c[j], want)
 			}
-			if !almost(c[j], Dot(basis[j], w), 1e-12) {
+			if !almost(c[j], Dot(basis[j], w), 1e-12) || n <= combineChunk && c[j] != Dot(basis[j], w) {
 				t.Errorf("n=%d: c[%d] = %v, Dot %v", n, j, c[j], Dot(basis[j], w))
 			}
 		}
@@ -244,13 +295,12 @@ func TestDot(t *testing.T) {
 	if got := Dot(x, y); got != 12 {
 		t.Errorf("Dot = %g, want 12", got)
 	}
-}
-
-func TestDotKahanMatchesDot(t *testing.T) {
+	// Dot sums in the 4-lane order, not as a left fold.
 	r := rng.New(1)
-	x, y := randVec(r, 10001), randVec(r, 10001)
-	if !almost(Dot(x, y), DotKahan(x, y), 1e-9) {
-		t.Errorf("Dot = %g vs DotKahan = %g", Dot(x, y), DotKahan(x, y))
+	x, y = randVec(r, 1001), randVec(r, 1001)
+	prod := func(k int) float64 { return x[k] * y[k] }
+	if got, want := Dot(x, y), laneSum(len(x), prod); got != want || got == leftFold(len(x), prod) {
+		t.Errorf("Dot = %v, 4-lane order %v, left fold %v", got, want, leftFold(len(x), prod))
 	}
 }
 
@@ -271,9 +321,8 @@ func TestKahanBeatsNaiveOnAdversarialSum(t *testing.T) {
 func TestSumVariants(t *testing.T) {
 	r := rng.New(2)
 	x := randVec(r, 4097)
-	a, b, c := Sum(x), SumKahan(x), SumPairwise(x)
-	if !almost(a, b, 1e-10) || !almost(a, c, 1e-10) {
-		t.Errorf("sums disagree: %g %g %g", a, b, c)
+	if a, b := Sum(x), SumKahan(x); !almost(a, b, 1e-10) {
+		t.Errorf("sums disagree: %g %g", a, b)
 	}
 }
 
@@ -299,6 +348,36 @@ func TestNorm2NoOverflow(t *testing.T) {
 	y := []float64{1e-300, 1e-300}
 	if Norm2(y) == 0 {
 		t.Error("Norm2 underflowed to zero")
+	}
+}
+
+// TestNorm2RangeFallback: Norm2 is √ of the 4-lane sum of squares while
+// that sum lies in [2⁻⁹⁰⁰, 2⁹⁰⁰]; a 1e200 entry overflows it and entries
+// near 1e-200 underflow it, and the norm is then the scaled accumulation,
+// bit for bit, finite and nonzero. A NaN entry gives NaN.
+func TestNorm2RangeFallback(t *testing.T) {
+	r := rng.New(47)
+	for _, n := range []int{1, 5, 1000} {
+		x := randVec(r, n)
+		if got, want := Norm2(x), math.Sqrt(laneSumSq(x)); got != want {
+			t.Fatalf("n=%d: Norm2 = %v in range, √ of the 4-lane sum %v", n, got, want)
+		}
+		huge, tiny := Clone(x), Clone(x)
+		huge[n/2] = 1e200
+		Scale(tiny, 1e-200)
+		for name, v := range map[string][]float64{"1e200": huge, "1e-200": tiny} {
+			if ssq := SumSq(v); ssq >= 0x1p-900 && ssq <= 0x1p900 {
+				t.Fatalf("n=%d %s: Σx² = %v is in range; the fallback is not exercised", n, name, ssq)
+			}
+			got, want := Norm2(v), scaledNorm(v)
+			if math.Float64bits(got) != math.Float64bits(want) || !(got > 0) || math.IsInf(got, 0) {
+				t.Fatalf("n=%d %s: Norm2 = %v, scaled accumulation %v", n, name, got, want)
+			}
+		}
+		x[n-1] = math.NaN()
+		if got := Norm2(x); !math.IsNaN(got) {
+			t.Fatalf("n=%d: Norm2 with a NaN entry = %v", n, got)
+		}
 	}
 }
 
@@ -385,17 +464,6 @@ func TestNormalizePanicsOnZero(t *testing.T) {
 	}
 }
 
-func TestMaxMinIndex(t *testing.T) {
-	x := []float64{-1, 7, 3, 7}
-	i, v := MaxIndex(x)
-	if i != 1 || v != 7 {
-		t.Errorf("MaxIndex = (%d,%g)", i, v)
-	}
-	if Min(x) != -1 || Max(x) != 7 {
-		t.Errorf("Min/Max wrong")
-	}
-}
-
 func TestDistances(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{1, 4, 0}
@@ -413,9 +481,6 @@ func TestPredicates(t *testing.T) {
 	}
 	if AllFinite([]float64{1, math.NaN()}) || AllFinite([]float64{math.Inf(1)}) {
 		t.Error("AllFinite false positive")
-	}
-	if !AllPositive([]float64{1, 2}) || AllPositive([]float64{1, 0}) {
-		t.Error("AllPositive wrong")
 	}
 	if !AllNonNegative([]float64{0, -1e-16}, 1e-12) {
 		t.Error("AllNonNegative must tolerate tiny negatives")
