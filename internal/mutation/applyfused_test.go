@@ -106,6 +106,11 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 	}
 }
 
+// TestApplyScaledDoesNotAllocate: the serial ApplyFused allocates nothing,
+// with a pre scale, with an epilogue and with a nil pre out of place (the
+// copy the first tile pass reads through). On a 2-worker device a launch
+// allocates its closure, so there the pre scale and the folded copy must
+// add nothing to what ApplyDevice allocates for the same launches.
 func TestApplyScaledDoesNotAllocate(t *testing.T) {
 	q := MustUniform(12, 0.01)
 	n := q.Dim()
@@ -115,10 +120,21 @@ func TestApplyScaledDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(nil, dst, src, d, Epilogue{}) }); allocs != 0 {
 		t.Errorf("serial ApplyFused allocates %.0f objects per call", allocs)
 	}
+	if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(nil, dst, src, nil, Epilogue{}) }); allocs != 0 {
+		t.Errorf("serial ApplyFused with a nil pre out of place allocates %.0f objects per call", allocs)
+	}
 	out, z := make([]float64, n), make([]float64, n)
 	ep := Epilogue{Post: d, Out: out, Z: z, S: 0.5, C: 0.25}
 	if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(nil, dst, src, d, ep) }); allocs != 0 {
 		t.Errorf("serial ApplyFused with an epilogue allocates %.0f objects per call", allocs)
+	}
+
+	dev := device.New(2)
+	launches := testing.AllocsPerRun(10, func() { q.ApplyDevice(dev, dst) })
+	for name, pre := range map[string][]float64{"pre": d, "nil pre": nil} {
+		if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(dev, dst, src, pre, Epilogue{}) }); allocs > launches {
+			t.Errorf("2-worker ApplyFused (%s) allocates %.0f objects per call, ApplyDevice %.0f", name, allocs, launches)
+		}
 	}
 }
 

@@ -40,3 +40,17 @@ func avxTilePairU(p *float64, n, stride int, b1, b2 float64)
 
 //go:noescape
 func avxTileHad(p *float64, n, stride int)
+
+// The stochastic first-pass kernel: dst[:n] ← src[:n] (⊙ scale[:n] when
+// scale is non-nil), then one (pairs = 1) or two (pairs = 2) radix-4 stage
+// pairs at strides 1–2 and 4–8. n is a positive multiple of 16; dst may
+// equal src.
+//
+//go:noescape
+func avxFirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64)
+
+// The stochastic radix-2 cross body: one stage across two row chunks of n
+// elements, n a positive multiple of 4.
+//
+//go:noescape
+func avxPairS(u, w *float64, n int, b float64)

@@ -29,3 +29,11 @@ func avxTilePairU(p *float64, n, stride int, b1, b2 float64) {
 func avxTileHad(p *float64, n, stride int) {
 	panic("mutation: avxTileHad called without AVX2")
 }
+
+func avxFirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64) {
+	panic("mutation: avxFirstS called without AVX2")
+}
+
+func avxPairS(u, w *float64, n int, b float64) {
+	panic("mutation: avxPairS called without AVX2")
+}

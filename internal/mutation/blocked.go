@@ -119,12 +119,14 @@ func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
 	applyStagesBlockedScaled(v, nil, nil, off0, fs, tb, fuse, nil)
 }
 
-// applyStagesBlockedScaled is applyStagesBlocked on v ← src ⊙ scale when
-// scale is non-nil: each tile is scaled on its way into the tile pass, so
-// the diagonal costs no pass of its own. The elementwise products are those
-// of a separate Mul pass, so the result is bit-identical to Mul followed by
-// applyStagesBlocked. src may alias v. A non-nil scale needs a tile pass:
-// the caller guarantees fs[0] is tile-local (off0 = 0 and len(v) ≥ 2).
+// applyStagesBlockedScaled is applyStagesBlocked on v ← src ⊙ scale, or on
+// v ← src when scale is nil and src is not: the first tile pass reads each
+// tile from src (see firstTile), so neither the diagonal nor the copy costs
+// a pass of its own. The elementwise products are those of a separate Mul
+// pass, so the result is bit-identical to Mul (or copy) followed by
+// applyStagesBlocked. A nil src means v is its own input; src may alias v. A
+// non-nil src needs a tile pass: the caller guarantees fs[0] is tile-local
+// (off0 = 0 and len(v) ≥ 2).
 //
 // A non-nil ep runs inside the last pass: on each column chunk of the last
 // cross-stage group, or on each tile when the tile pass is the last pass.
@@ -144,7 +146,7 @@ func applyStagesBlockedScaled(v, src, scale []float64, off0 int, fs []Factor2, t
 	if nSmall > 0 {
 		small, tileEp := fs[:nSmall], lastPass(ep, nSmall == len(fs))
 		for t := 0; t < n; t += B {
-			tileStages(scaledTile(v, src, scale, t, t+B), off0, small)
+			firstTile(v, src, scale, t, t+B, off0, small)
 			if tileEp != nil {
 				tileEp.run(v, t, t+B)
 			}
@@ -171,9 +173,9 @@ func lastPass(ep *Epilogue, last bool) *Epilogue {
 // applyStagesBlockedDevice is applyStagesBlockedScaled with each fused
 // pass dispatched as one device launch: tiles (resp. row groups) are
 // mutually independent across the whole stage group, so a single barrier per
-// group replaces the per-stage barrier of Algorithm 2. With a non-nil scale
-// the tile launch scales each tile before its stages; a non-nil ep runs in
-// the last launch, on its tiles or column chunks.
+// group replaces the per-stage barrier of Algorithm 2. With a non-nil src
+// the tile launch reads each tile from it (see firstTile); a non-nil ep runs
+// in the last launch, on its tiles or column chunks.
 func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 int, fs []Factor2, tb, fuse int, ep *Epilogue) {
 	n := len(v)
 	if n == 0 || len(fs) == 0 {
@@ -190,7 +192,7 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 		small, tileEp := fs[:nSmall], lastPass(ep, nSmall == len(fs))
 		d.LaunchStages(nSmall, n/B, B, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
-				tileStages(scaledTile(v, src, scale, t*B, (t+1)*B), off0, small)
+				firstTile(v, src, scale, t*B, (t+1)*B, off0, small)
 				if tileEp != nil {
 					tileEp.run(v, t*B, (t+1)*B)
 				}
@@ -218,14 +220,60 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 	}
 }
 
-// scaledTile returns the tile v[lo:hi], first overwritten with
-// src[lo:hi] ⊙ scale[lo:hi] when scale is non-nil.
-func scaledTile(v, src, scale []float64, lo, hi int) []float64 {
+// firstTile runs the tile pass on v[lo:hi]: when src is non-nil the tile is
+// first loaded from src[lo:hi], times scale[lo:hi] when scale is non-nil;
+// then the tile-local stages small (small[i] on bit off0+i) are applied.
+// firstPass takes the load and the leading stages into one AVX2 sweep where
+// it can, and tileStages continues from the first stage it left.
+func firstTile(v, src, scale []float64, lo, hi, off0 int, small []Factor2) {
 	tile := v[lo:hi]
-	if scale != nil {
-		vec.Mul(tile, src[lo:hi], scale[lo:hi])
+	in, sc := tile, []float64(nil)
+	if src != nil {
+		in = src[lo:hi]
 	}
-	return tile
+	if scale != nil {
+		sc = scale[lo:hi]
+	}
+	if done, rest := firstPass(tile, in, sc, off0, small); done > 0 {
+		tileStages(tile, done, rest)
+		return
+	}
+	switch {
+	case sc != nil:
+		vec.Mul(tile, in, sc)
+	case src != nil:
+		copy(tile, in)
+	}
+	tileStages(tile, off0, small)
+}
+
+// firstPass is the AVX2 first tile pass (avxFirstS): tile ← in, times sc
+// when sc is non-nil, then stages 0–1 and, when stages 2 and 3 are
+// stochastic too, stages 2–3, all in registers per 16-element block. It
+// returns the number of stages applied and the stages left, or 0 when it
+// does not apply: without AVX2, off the first bit, on a tile that is not a
+// whole number of blocks, or when stages 0 and 1 are not both stochastic.
+// Every element goes through the same Mul and bfly4s sequence as on the Go
+// path, so the two are bit-identical.
+func firstPass(tile, in, sc []float64, off0 int, fs []Factor2) (done int, rest []Factor2) {
+	if !vec.UseAVX2() || off0 != 0 || len(tile) < 16 || len(tile)&15 != 0 || len(in) != len(tile) || len(fs) < 2 {
+		return 0, fs
+	}
+	if butterflyKind(&fs[0]) != kindStochastic || butterflyKind(&fs[1]) != kindStochastic {
+		return 0, fs
+	}
+	pairs, b3, b4 := 1, 0.0, 0.0
+	done, rest = 2, fs[2:]
+	if len(fs) >= 4 && butterflyKind(&fs[2]) == kindStochastic && butterflyKind(&fs[3]) == kindStochastic {
+		pairs, b3, b4 = 2, fs[2].B, fs[3].B
+		done, rest = 4, fs[4:]
+	}
+	var scp *float64
+	if len(sc) > 0 {
+		scp = &sc[0]
+	}
+	avxFirstS(&tile[0], &in[0], scp, len(tile), pairs, fs[0].B, fs[1].B, b3, b4)
+	return done, rest
 }
 
 // Butterfly kinds selected per stage by factor shape; the reduced forms
@@ -672,7 +720,9 @@ func crossQuadUnitDiff(r0, r1, r2, r3 []float64, b1, b2 float64) {
 }
 
 // crossStage applies one radix-2 stage (row bit s) over the column chunk
-// [c0, c1) of the gathered rows.
+// [c0, c1) of the gathered rows. On AVX2 the stochastic kind runs four
+// butterflies per instruction (avxPairS) with the Go loop on the sub-vector
+// tail.
 func crossStage(rp [][]float64, c0, c1, s int, f *Factor2) {
 	bit := 1 << uint(s)
 	switch butterflyKind(f) {
@@ -683,6 +733,10 @@ func crossStage(rp [][]float64, c0, c1, s int, f *Factor2) {
 				continue
 			}
 			u, w := rp[t][c0:c1], rp[t|bit][c0:c1]
+			if n := len(u) &^ 3; vec.UseAVX2() && n > 0 && n <= len(w) {
+				avxPairS(&u[0], &w[0], n, b)
+				u, w = u[n:], w[n:]
+			}
 			for len(u) >= 4 && len(w) >= 4 {
 				t1a, t2a := u[0], w[0]
 				t1b, t2b := u[1], w[1]

@@ -30,9 +30,10 @@ func (q *Process) Apply(v []float64) {
 
 // ApplyFused computes dst ← Q·(src ⊙ pre) and then the elementwise tail ep
 // (see Epilogue), on the serial path (dev == nil, as Apply) or on the device
-// (as ApplyDevice). The scale pre rides in the first tile pass and ep in the
-// last butterfly pass, so neither costs a pass of its own; a nil pre means
-// dst ← Q·src. The result is bit-identical to Mul(dst, src, pre), then
+// (as ApplyDevice). The first tile pass reads src and scales it by pre, and
+// ep rides in the last butterfly pass, so neither the scale, the copy into
+// dst nor the tail costs a pass of its own; a nil pre means dst ← Q·src.
+// The result is bit-identical to Mul(dst, src, pre), then
 // Apply(dst) resp. ApplyDevice(dev, dst), then ep as separate passes. dst may
 // alias src.
 func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epilogue) {
@@ -48,23 +49,23 @@ func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epi
 		q.checkDim(len(ep.Out))
 		q.checkDim(len(ep.Z))
 	}
-	first := len(q.segs) > 0 && q.segs[0].grp < 0
-	switch {
-	case pre != nil && !first:
+	switch first := len(q.segs) > 0 && q.segs[0].grp < 0; {
+	case pre == nil && &dst[0] == &src[0]:
+		src = nil
+	case !first:
 		// A grouped first factor gathers strided elements instead of
-		// sweeping tiles, so the scale gets its own pass.
-		if dev != nil {
+		// sweeping tiles, so the scale or the copy gets its own pass.
+		switch {
+		case pre != nil && dev != nil:
 			dev.Mul(dst, src, pre)
-		} else {
+		case pre != nil:
 			vec.Mul(dst, src, pre)
-		}
-		pre = nil
-	case pre == nil && &dst[0] != &src[0]:
-		if dev != nil {
+		case dev != nil:
 			dev.Copy(dst, src)
-		} else {
+		default:
 			copy(dst, src)
 		}
+		src, pre = nil, nil
 	}
 	// Likewise a grouped last factor leaves the epilogue a pass of its own.
 	fuseTail := ep.active() && len(q.segs) > 0 && q.segs[len(q.segs)-1].grp < 0
@@ -89,9 +90,10 @@ func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epi
 	}
 }
 
-// apply is Apply on v ← src ⊙ scale when scale is non-nil, with ep fused
-// into the last segment's last pass when non-nil; the caller guarantees the
-// first (resp. last) segment is a blocked one in those cases.
+// apply is Apply on v ← src ⊙ scale (v ← src when only scale is nil) when
+// src is non-nil, with ep fused into the last segment's last pass when
+// non-nil; the caller guarantees the first (resp. last) segment is a
+// blocked one in those cases.
 func (q *Process) apply(v, src, scale []float64, ep *Epilogue) {
 	sr := span.Installed()
 	var sp span.Handle
@@ -185,8 +187,8 @@ func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	q.applyDevice(d, v, nil, nil, nil)
 }
 
-// applyDevice is ApplyDevice on v ← src ⊙ scale when scale is non-nil, with
-// ep fused into the last launch when non-nil; see apply.
+// applyDevice is ApplyDevice on v ← src ⊙ scale (or v ← src) when src is
+// non-nil, with ep fused into the last launch when non-nil; see apply.
 func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, ep *Epilogue) {
 	sp := span.Begin(span.LayerMutation, KindApplyDevice)
 	tb := TileBits()
