@@ -44,22 +44,6 @@ func TestOperatorApplyDoesNotAllocateWithHooksDisabled(t *testing.T) {
 	}
 }
 
-func TestApplyBatchDoesNotAllocateWithHooksDisabled(t *testing.T) {
-	op := obsTestOperator(t, 10, 0.01)
-	n := op.Dim()
-	const k = 3
-	dst := make([][]float64, k)
-	src := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		dst[j] = make([]float64, n)
-		src[j] = make([]float64, n)
-		vec.Fill(src[j], 1+float64(j))
-	}
-	if allocs := testing.AllocsPerRun(10, func() { op.ApplyBatch(dst, src) }); allocs != 0 {
-		t.Errorf("FmmpOperator.ApplyBatch allocates %.0f objects per call with hooks disabled", allocs)
-	}
-}
-
 func TestPowerIterationDoesNotAllocateWithHooksDisabled(t *testing.T) {
 	op := obsTestOperator(t, 10, 0.01)
 	n := op.Dim()

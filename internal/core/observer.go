@@ -51,7 +51,6 @@ const (
 // stamped on convergence traces and errors.
 const (
 	SolveKindPower       = "power"
-	SolveKindBlockPower  = "block_power"
 	SolveKindLanczos     = "lanczos"
 	SolveKindShiftInvert = "shift_invert"
 	SolveKindChebyshev   = "chebyshev"
@@ -78,11 +77,10 @@ func notifyMethod(o Observer, kind string) {
 // table — the breakdown the paper's cost model talks about (matvec
 // dominates; the BLAS-1 phases are the O(N) overhead around it).
 const (
-	PhaseMatvec         = "matvec"
-	PhaseRayleigh       = "rayleigh"
-	PhaseResidual       = "residual"
-	PhaseNormalize      = "normalize"
-	PhaseOrthonormalize = "orthonormalize"
+	PhaseMatvec    = "matvec"
+	PhaseRayleigh  = "rayleigh"
+	PhaseResidual  = "residual"
+	PhaseNormalize = "normalize"
 	// PhaseTridiag is the small projected eigensolve of the Krylov methods
 	// (tridiagonal for Lanczos/shift-invert, the probe's Ritz extraction).
 	PhaseTridiag = "tridiag"
@@ -110,7 +108,7 @@ type ConvergenceError struct {
 	// Reason is the sentinel cause: ErrNoConvergence or ErrStagnated.
 	Reason error
 	// Method names the eigensolver gear that failed (a SolveKind*
-	// constant: "power", "block_power", "chebyshev", "shift_invert", …);
+	// constant: "power", "lanczos", "chebyshev", "shift_invert");
 	// "" for errors predating the field.
 	Method string
 	// Detail is an optional context note (e.g. the Monitor abort).

@@ -310,3 +310,39 @@ func TestAllFormulationsShareSpectrum(t *testing.T) {
 		}
 	}
 }
+
+func TestWithProcessSharesLandscape(t *testing.T) {
+	const nu = 6
+	l := randLandscape(rng.New(9), nu)
+	q1 := mutation.MustUniform(nu, 0.01)
+	q2 := mutation.MustUniform(nu, 0.02)
+	op1, err := NewFmmpOperator(q1, l, Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op2, err := op1.WithProcess(q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewFmmpOperator(q2, l, Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(10)
+	x := make([]float64, op2.Dim())
+	for i := range x {
+		x[i] = r.Float64() + 0.1
+	}
+	got := make([]float64, op2.Dim())
+	ref := make([]float64, op2.Dim())
+	op2.Apply(got, x)
+	want.Apply(ref, x)
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Fatalf("entry %d: WithProcess operator deviates", i)
+		}
+	}
+	if _, err := op1.WithProcess(mutation.MustUniform(nu+1, 0.01)); err == nil {
+		t.Error("chain-length mismatch must be rejected")
+	}
+}

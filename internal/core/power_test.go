@@ -411,3 +411,42 @@ func TestPowerIterationNonUniformProcess(t *testing.T) {
 		t.Errorf("eigenvector deviates by %g", d)
 	}
 }
+
+func TestPowerWorkReuseAndWarmStartAlias(t *testing.T) {
+	const nu = 7
+	q := mutation.MustUniform(nu, 0.012)
+	l := randLandscape(rng.New(8), nu)
+	op, _ := NewFmmpOperator(q, l, Symmetric, nil)
+
+	cold, err := PowerIteration(op, PowerOptions{Tol: 1e-11, Start: FitnessStart(l)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	work := NewPowerWork(op.Dim())
+	first, err := PowerIteration(op, PowerOptions{Tol: 1e-11, Start: FitnessStart(l), Work: work})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first.Vector[0] != &work.x[0] {
+		t.Fatal("result vector must alias the scratch iterate")
+	}
+	for i := range cold.Vector {
+		if first.Vector[i] != cold.Vector[i] {
+			t.Fatal("scratch-backed solve deviates from allocating solve")
+		}
+	}
+
+	// Warm start where Start aliases the scratch iterate itself — the
+	// continuation pattern of the sweep engine.
+	warm, err := PowerIteration(op, PowerOptions{Tol: 1e-11, Start: first.Vector, Work: work})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(warm.Lambda-cold.Lambda) > 1e-10 {
+		t.Errorf("warm λ = %.15g, cold λ = %.15g", warm.Lambda, cold.Lambda)
+	}
+	if warm.Iterations >= cold.Iterations {
+		t.Errorf("warm restart took %d iterations, cold took %d", warm.Iterations, cold.Iterations)
+	}
+}

@@ -84,17 +84,6 @@ func TestXmvpApplyDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestApplyInverseDoesNotAllocate(t *testing.T) {
-	q := MustUniform(10, 0.01)
-	v := make([]float64, q.Dim())
-	vec.Fill(v, 1)
-	// The inverse factors are precomputed on the Process, so the whole call
-	// must be allocation free.
-	if allocs := testing.AllocsPerRun(10, func() { q.ApplyInverse(v) }); allocs != 0 {
-		t.Errorf("ApplyInverse allocates %.0f objects per call", allocs)
-	}
-}
-
 func TestApplyShiftInvertDoesNotAllocate(t *testing.T) {
 	q := MustUniform(10, 0.01)
 	v := make([]float64, q.Dim())

@@ -11,7 +11,7 @@ import (
 )
 
 // processOfKind builds a single-bit process whose every factor has the
-// requested butterfly kind; unit-difference factors are not stochastic, so
+// requested butterfly kind; random general factors are not stochastic, so
 // the constructors would reject them and the process is assembled directly.
 func processOfKind(r *rng.Source, kind, nu int) *Process {
 	fs := factorsForKind(r, kind, nu)
@@ -65,7 +65,7 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 	}
 	var procs []proc
 	for _, nu := range []int{1, 2, 5, 11, 12, 13} {
-		for kind, name := range []string{kindGeneral: "general", kindStochastic: "stochastic", kindUnitDiff: "unit-diff"} {
+		for kind, name := range []string{kindGeneral: "general", kindStochastic: "stochastic"} {
 			procs = append(procs, proc{name: name, q: processOfKind(r, kind, nu)})
 		}
 	}
@@ -178,7 +178,7 @@ func TestApplyFusedEpilogueBitIdentical(t *testing.T) {
 	}
 	var procs []proc
 	for _, nu := range []int{1, 2, 11, 12, 13, 16, 17} {
-		for kind, name := range []string{kindGeneral: "general", kindStochastic: "stochastic", kindUnitDiff: "unit-diff"} {
+		for kind, name := range []string{kindGeneral: "general", kindStochastic: "stochastic"} {
 			procs = append(procs, proc{name: name, q: processOfKind(r, kind, nu)})
 		}
 	}

@@ -27,16 +27,10 @@ package mutation
 func avxQuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
 
 //go:noescape
-func avxQuadU(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
-
-//go:noescape
 func avxQuadH(r0, r1, r2, r3 *float64, n int)
 
 //go:noescape
 func avxTilePairS(p *float64, n, stride int, b1, b2 float64)
-
-//go:noescape
-func avxTilePairU(p *float64, n, stride int, b1, b2 float64)
 
 //go:noescape
 func avxTileHad(p *float64, n, stride int)

@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // AVX2 butterfly kernels (see DESIGN.md §5.6). Each routine applies the
-// SAME per-element operation sequence as its scalar twin (bfly4s / bfly4u /
-// bfly4h in blocked.go / fwht.go), just four butterflies per instruction:
+// SAME per-element operation sequence as its scalar twin (bfly4s / bfly4h
+// in blocked.go / fwht.go), just four butterflies per instruction:
 // only VADDPD/VSUBPD/VMULPD are used — which round per lane exactly like
 // the scalar ADDSD/SUBSD/MULSD — and no FMA is ever emitted (the Go spec
 // does not license contraction and neither do we), so every result is
@@ -25,13 +25,6 @@
 	VADDPD T, U, U; \
 	VSUBPD T, W, W
 
-// Unit-difference (a−b = 1):  s = b·(u+w); u += s; w += s.
-#define BFLY2U(U, W, B, T) \
-	VADDPD W, U, T; \
-	VMULPD B, T, T; \
-	VADDPD T, U, U; \
-	VADDPD T, W, W
-
 // Two fused stochastic stages with factors B1, B2, the sequence of bfly4s:
 // stage B1 on the pairs (e0,e1), (e2,e3), then stage B2 on (e0,e2), (e1,e3).
 #define BFLYS(B1, B2) \
@@ -39,13 +32,6 @@
 	BFLY2S(Y2, Y3, B1, Y5); \
 	BFLY2S(Y0, Y2, B2, Y4); \
 	BFLY2S(Y1, Y3, B2, Y5)
-
-// Two fused unit-difference stages, the sequence of bfly4u.
-#define BFLYU(B1, B2) \
-	BFLY2U(Y0, Y1, B1, Y4); \
-	BFLY2U(Y2, Y3, B1, Y5); \
-	BFLY2U(Y0, Y2, B2, Y4); \
-	BFLY2U(Y1, Y3, B2, Y5)
 
 // Two fused Hadamard stages, the sequence of bfly4h:
 // e0,e1 = e0+e1, e0−e1;  e2,e3 = e2+e3, e2−e3;
@@ -100,35 +86,6 @@ qsLoop:
 	ADDQ $32, R11
 	SUBQ $32, CX
 	JNZ  qsLoop
-	VZEROUPPER
-	RET
-
-// func avxQuadU(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
-TEXT ·avxQuadU(SB), NOSPLIT, $0-56
-	MOVQ r0+0(FP), R8
-	MOVQ r1+8(FP), R9
-	MOVQ r2+16(FP), R10
-	MOVQ r3+24(FP), R11
-	MOVQ n+32(FP), CX
-	VBROADCASTSD b1+40(FP), Y6
-	VBROADCASTSD b2+48(FP), Y7
-	SHLQ $3, CX
-quLoop:
-	VMOVUPD (R8), Y0
-	VMOVUPD (R9), Y1
-	VMOVUPD (R10), Y2
-	VMOVUPD (R11), Y3
-	BFLYU(Y6, Y7)
-	VMOVUPD Y0, (R8)
-	VMOVUPD Y1, (R9)
-	VMOVUPD Y2, (R10)
-	VMOVUPD Y3, (R11)
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $32, CX
-	JNZ  quLoop
 	VZEROUPPER
 	RET
 
@@ -201,46 +158,6 @@ tpsCol:
 	LEAQ (DI)(DX*4), DI
 	JMP  tpsBlock
 tpsDone:
-	VZEROUPPER
-	RET
-
-// func avxTilePairU(p *float64, n, stride int, b1, b2 float64)
-TEXT ·avxTilePairU(SB), NOSPLIT, $0-40
-	MOVQ p+0(FP), DI
-	MOVQ n+8(FP), SI
-	MOVQ stride+16(FP), DX
-	VBROADCASTSD b1+24(FP), Y6
-	VBROADCASTSD b2+32(FP), Y7
-	SHLQ $3, DX
-	SHLQ $3, SI
-	ADDQ DI, SI
-tpuBlock:
-	CMPQ DI, SI
-	JGE  tpuDone
-	MOVQ DI, R8
-	LEAQ (DI)(DX*1), R9
-	LEAQ (DI)(DX*2), R10
-	LEAQ (R9)(DX*2), R11
-	MOVQ DX, CX
-tpuCol:
-	VMOVUPD (R8), Y0
-	VMOVUPD (R9), Y1
-	VMOVUPD (R10), Y2
-	VMOVUPD (R11), Y3
-	BFLYU(Y6, Y7)
-	VMOVUPD Y0, (R8)
-	VMOVUPD Y1, (R9)
-	VMOVUPD Y2, (R10)
-	VMOVUPD Y3, (R11)
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $32, CX
-	JNZ  tpuCol
-	LEAQ (DI)(DX*4), DI
-	JMP  tpuBlock
-tpuDone:
 	VZEROUPPER
 	RET
 

@@ -25,10 +25,9 @@ func avxModes(t *testing.T) []bool {
 // TestAVX2KernelsBitIdenticalToScalar toggles the AVX2 dispatch gate and
 // asserts the assembly and pure-Go kernel paths produce bit-identical
 // results for every transform that dispatches to assembly: Apply
-// (stochastic pairs), ApplyInverse (unit-difference pairs) and FWHT
-// (Hadamard pairs), across sizes that exercise the first-pass, tile pair,
-// cross quad and lone cross stage code shapes; then ApplyFused (see
-// checkApplyFusedAVX2MatchesGo). Skipped on hosts without AVX2, where only
+// (stochastic pairs) and FWHT (Hadamard pairs), across sizes that exercise
+// the first-pass, tile pair, cross quad and lone cross stage code shapes;
+// then ApplyFused (see checkApplyFusedAVX2MatchesGo). Skipped on hosts without AVX2, where only
 // the Go path exists.
 func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 	if len(avxModes(t)) == 1 {
@@ -42,7 +41,7 @@ func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		p := 231.0 / 1024 // dyadic, so both reduced kinds trigger exactly
+		p := 231.0 / 1024 // dyadic, so the stochastic kind triggers exactly
 
 		q := MustUniform(nu, p)
 		check := func(name string, transform func([]float64)) {
@@ -60,7 +59,6 @@ func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 			}
 		}
 		check("Apply", q.Apply)
-		check("ApplyInverse", q.ApplyInverse)
 		check("FWHT", FWHT)
 	}
 	checkApplyFusedAVX2MatchesGo(t)
@@ -70,11 +68,10 @@ func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 // the Go kernels and compares the two, so a bug shared by ApplyFused and
 // Apply under one gate still shows. It covers a pre scale and none, in place
 // and out of place, serial and 2 device workers, tiles from below the
-// first-pass kernel's 16-element block to the default, stochastic,
-// unit-difference (which the kernel leaves to the Go path) and mixed-kind
-// runs (a general second stage pair leaves the kernel its radix-4-only
-// form), and inputs with −0, subnormals, NaN
-// and ±Inf and src·pre products that round. Go does not pin NaN payloads,
+// first-pass kernel's 16-element block to the default, stochastic and
+// mixed-kind runs (a general second stage pair leaves the kernel its
+// radix-4-only form), and inputs with −0, subnormals, NaN and ±Inf and
+// src·pre products that round. Go does not pin NaN payloads,
 // so any two NaNs compare equal; every other value must match bit for bit.
 func checkApplyFusedAVX2MatchesGo(t *testing.T) {
 	t.Helper()
@@ -90,7 +87,7 @@ func checkApplyFusedAVX2MatchesGo(t *testing.T) {
 			special float64
 		}{
 			{"stochastic", processOfKind(r, kindStochastic, nu), math.NaN()},
-			{"unit-diff", processOfKind(r, kindUnitDiff, nu), math.Inf(1)},
+			{"general", processOfKind(r, kindGeneral, nu), math.Inf(1)},
 			{"mixed", mixedKindProcess(r, nu), math.Inf(-1)},
 		}
 		for _, p := range procs {

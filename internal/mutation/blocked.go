@@ -27,13 +27,12 @@ import (
 //
 // On top of the traversal change the production kernels strength-reduce the
 // butterfly arithmetic: every mutation factor is symmetric ([[a,b],[b,a]]),
-// and for the stochastic (a+b = 1) and inverse (a−b = 1) shapes the pair
-// update needs ONE multiply instead of four:
+// and for the stochastic shape (a+b = 1) the pair update needs ONE multiply
+// instead of four:
 //
 //	d = b·(t2−t1)  ⇒  (a·t1+b·t2, b·t1+a·t2) = (t1+d, t2−d)   for a+b = 1
-//	u = b·(t1+t2)  ⇒  (a·t1+b·t2, b·t1+a·t2) = (t1+u, t2+u)   for a−b = 1
 //
-// The reduced forms are exact in real arithmetic and round differently by at
+// The reduced form is exact in real arithmetic and rounds differently by at
 // most a few ULPs per stage, so blocked vs naive is compared under a tight
 // tolerance (≤ 1 ULP of ‖v‖∞ per stage). Within the blocked family the
 // dataflow is deterministic and worker-independent: every butterfly output
@@ -276,25 +275,18 @@ func firstPass(tile, in, sc []float64, off0 int, fs []Factor2) (done int, rest [
 	return done, rest
 }
 
-// Butterfly kinds selected per stage by factor shape; the reduced forms
-// save three of the four multiplies of the general 2×2 update.
+// Butterfly kinds selected per stage by factor shape; the reduced form
+// saves three of the four multiplies of the general 2×2 update.
 const (
 	kindGeneral    = iota // arbitrary [[a,b],[c,d]]
 	kindStochastic        // symmetric with a+b = 1 (mutation factors)
-	kindUnitDiff          // symmetric with a−b = 1 (inverse factors)
 )
 
-// butterflyKind classifies f. The reduced forms require the defining
+// butterflyKind classifies f. The reduced form requires the defining
 // identity to hold exactly in float64; anything else takes the general path.
 func butterflyKind(f *Factor2) int {
-	if f.C != f.B || f.D != f.A {
-		return kindGeneral
-	}
-	if f.A+f.B == 1 {
+	if f.C == f.B && f.D == f.A && f.A+f.B == 1 {
 		return kindStochastic
-	}
-	if f.A-f.B == 1 {
-		return kindUnitDiff
 	}
 	return kindGeneral
 }
@@ -302,11 +294,11 @@ func butterflyKind(f *Factor2) int {
 // ---------------------------------------------------------------------------
 // straight-line butterfly bodies
 //
-// bfly4s / bfly4u are the radix-4 pair updates of the stochastic and
-// unit-difference kinds as pure register functions: four elements in, both
-// stages applied, four out. The operation sequence is exactly that of two
-// radix-2 passes (first-stage pair (e0,e1), (e2,e3); second-stage pair
-// (e0,e2), (e1,e3)), which is the sequence every correctness test pins.
+// bfly4s is the radix-4 pair update of the stochastic kind as a pure
+// register function: four elements in, both stages applied, four out. The
+// operation sequence is exactly that of two radix-2 passes (first-stage
+// pair (e0,e1), (e2,e3); second-stage pair (e0,e2), (e1,e3)), which is the
+// sequence every correctness test pins.
 
 func bfly4s(e0, e1, e2, e3, b1, b2 float64) (float64, float64, float64, float64) {
 	d := b1 * (e1 - e0)
@@ -320,21 +312,9 @@ func bfly4s(e0, e1, e2, e3, b1, b2 float64) (float64, float64, float64, float64)
 	return e0, e1, e2, e3
 }
 
-func bfly4u(e0, e1, e2, e3, b1, b2 float64) (float64, float64, float64, float64) {
-	u := b1 * (e0 + e1)
-	e0, e1 = e0+u, e1+u
-	u = b1 * (e2 + e3)
-	e2, e3 = e2+u, e3+u
-	u = b2 * (e0 + e2)
-	e0, e2 = e0+u, e2+u
-	u = b2 * (e1 + e3)
-	e1, e3 = e1+u, e3+u
-	return e0, e1, e2, e3
-}
-
 // tileStages applies stages fs (fs[i] on bit off0+i, all with
 // 2·stride ≤ len(tile)) inside one cache-resident tile. Consecutive stage
-// PAIRS of the same reduced kind run as one radix-4 pass: four elements are
+// PAIRS of the stochastic kind run as one radix-4 pass: four elements are
 // loaded into registers, both stages applied, four stored — halving the
 // load/store and loop traffic of the L1-resident sweep. The per-element
 // rounding sequence is exactly that of two radix-2 passes, so the fusion is
@@ -348,8 +328,6 @@ func tileStages(tile []float64, off0 int, fs []Factor2) {
 		switch {
 		case k1 == kindStochastic && k2 == kindStochastic:
 			tilePairStochastic(tile, stride, f1.B, f2.B)
-		case k1 == kindUnitDiff && k2 == kindUnitDiff:
-			tilePairUnitDiff(tile, stride, f1.B, f2.B)
 		default:
 			tileStage(tile, stride, f1)
 			tileStage(tile, 2*stride, f2)
@@ -401,43 +379,6 @@ func tileStage(tile []float64, stride int, f *Factor2) {
 				d := b * (t2 - t1)
 				u[0] = t1 + d
 				w[0] = t2 - d
-				u, w = u[1:], w[1:]
-			}
-		}
-	case kindUnitDiff:
-		b := f.B
-		if stride == 1 {
-			for t := tile; len(t) >= 2; t = t[2:] {
-				t1, t2 := t[0], t[1]
-				uu := b * (t1 + t2)
-				t[0] = t1 + uu
-				t[1] = t2 + uu
-			}
-			return
-		}
-		for j := 0; j+2*stride <= len(tile); j += 2 * stride {
-			u := tile[j : j+stride : j+stride]
-			w := tile[j+stride : j+2*stride : j+2*stride]
-			for len(u) >= 4 && len(w) >= 4 {
-				t1a, t2a := u[0], w[0]
-				t1b, t2b := u[1], w[1]
-				t1c, t2c := u[2], w[2]
-				t1d, t2d := u[3], w[3]
-				ua := b * (t1a + t2a)
-				ub := b * (t1b + t2b)
-				uc := b * (t1c + t2c)
-				ud := b * (t1d + t2d)
-				u[0], w[0] = t1a+ua, t2a+ua
-				u[1], w[1] = t1b+ub, t2b+ub
-				u[2], w[2] = t1c+uc, t2c+uc
-				u[3], w[3] = t1d+ud, t2d+ud
-				u, w = u[4:], w[4:]
-			}
-			for len(u) > 0 && len(w) > 0 {
-				t1, t2 := u[0], w[0]
-				uu := b * (t1 + t2)
-				u[0] = t1 + uu
-				w[0] = t2 + uu
 				u, w = u[1:], w[1:]
 			}
 		}
@@ -535,59 +476,6 @@ func tilePairStochastic(tile []float64, stride int, b1, b2 float64) {
 	}
 }
 
-// tilePairUnitDiff is tilePairStochastic for two unit-difference stages
-// (the inverse factors of Eq. 12).
-func tilePairUnitDiff(tile []float64, stride int, b1, b2 float64) {
-	if vec.UseAVX2() && stride >= 4 && len(tile) >= 4*stride {
-		avxTilePairU(&tile[0], len(tile)&^(4*stride-1), stride, b1, b2)
-		return
-	}
-	if stride == 1 {
-		t := tile
-		for len(t) >= 8 {
-			a0, a1, a2, a3 := bfly4u(t[0], t[1], t[2], t[3], b1, b2)
-			c0, c1, c2, c3 := bfly4u(t[4], t[5], t[6], t[7], b1, b2)
-			t[0], t[1], t[2], t[3] = a0, a1, a2, a3
-			t[4], t[5], t[6], t[7] = c0, c1, c2, c3
-			t = t[8:]
-		}
-		if len(t) >= 4 {
-			t[0], t[1], t[2], t[3] = bfly4u(t[0], t[1], t[2], t[3], b1, b2)
-		}
-		return
-	}
-	if stride == 2 {
-		for t := tile; len(t) >= 8; t = t[8:] {
-			a0, a1, a2, a3 := bfly4u(t[0], t[2], t[4], t[6], b1, b2)
-			c0, c1, c2, c3 := bfly4u(t[1], t[3], t[5], t[7], b1, b2)
-			t[0], t[2], t[4], t[6] = a0, a1, a2, a3
-			t[1], t[3], t[5], t[7] = c0, c1, c2, c3
-		}
-		return
-	}
-	for j := 0; j+4*stride <= len(tile); j += 4 * stride {
-		s0 := tile[j : j+stride : j+stride]
-		s1 := tile[j+stride : j+2*stride : j+2*stride]
-		s2 := tile[j+2*stride : j+3*stride : j+3*stride]
-		s3 := tile[j+3*stride : j+4*stride : j+4*stride]
-		for len(s0) >= 4 && len(s1) >= 4 && len(s2) >= 4 && len(s3) >= 4 {
-			a0, a1, a2, a3 := bfly4u(s0[0], s1[0], s2[0], s3[0], b1, b2)
-			c0, c1, c2, c3 := bfly4u(s0[1], s1[1], s2[1], s3[1], b1, b2)
-			e0, e1, e2, e3 := bfly4u(s0[2], s1[2], s2[2], s3[2], b1, b2)
-			g0, g1, g2, g3 := bfly4u(s0[3], s1[3], s2[3], s3[3], b1, b2)
-			s0[0], s1[0], s2[0], s3[0] = a0, a1, a2, a3
-			s0[1], s1[1], s2[1], s3[1] = c0, c1, c2, c3
-			s0[2], s1[2], s2[2], s3[2] = e0, e1, e2, e3
-			s0[3], s1[3], s2[3], s3[3] = g0, g1, g2, g3
-			s0, s1, s2, s3 = s0[4:], s1[4:], s2[4:], s3[4:]
-		}
-		for len(s0) > 0 && len(s1) > 0 && len(s2) > 0 && len(s3) > 0 {
-			s0[0], s1[0], s2[0], s3[0] = bfly4u(s0[0], s1[0], s2[0], s3[0], b1, b2)
-			s0, s1, s2, s3 = s0[1:], s1[1:], s2[1:], s3[1:]
-		}
-	}
-}
-
 // crossStages applies a fused group of large-stride stages — fs[i] on bit
 // k0+i with 2^k0 ≥ B — by enumerating the independent groups of 2^len(fs)
 // interacting rows of the (n/B)×B row matrix; a non-nil ep runs on each
@@ -622,8 +510,8 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 		if c1 > B {
 			c1 = B
 		}
-		// Stage pairs of the same reduced kind run radix-4 over the chunk
-		// (see tileStages); odd or mixed-kind stages fall back to radix-2.
+		// Stage pairs of the stochastic kind run radix-4 over the chunk
+		// (see tileStages); odd or general stages fall back to radix-2.
 		s := 0
 		for ; s+1 < m; s += 2 {
 			f1, f2 := &fs[s], &fs[s+1]
@@ -637,15 +525,6 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 						continue
 					}
 					crossQuadStochastic(rp[t][c0:c1], rp[t|bit1][c0:c1],
-						rp[t|bit2][c0:c1], rp[t|bit1|bit2][c0:c1], b1, b2)
-				}
-			case k1 == kindUnitDiff && k2 == kindUnitDiff:
-				b1, b2 := f1.B, f2.B
-				for t := 0; t < size; t++ {
-					if t&(bit1|bit2) != 0 {
-						continue
-					}
-					crossQuadUnitDiff(rp[t][c0:c1], rp[t|bit1][c0:c1],
 						rp[t|bit2][c0:c1], rp[t|bit1|bit2][c0:c1], b1, b2)
 				}
 			default:
@@ -693,32 +572,6 @@ func crossQuadStochastic(r0, r1, r2, r3 []float64, b1, b2 float64) {
 	}
 }
 
-// crossQuadUnitDiff is crossQuadStochastic for the unit-difference kind.
-func crossQuadUnitDiff(r0, r1, r2, r3 []float64, b1, b2 float64) {
-	if vec.UseAVX2() {
-		n := min(len(r0), len(r1), len(r2), len(r3)) &^ 3
-		if n > 0 {
-			avxQuadU(&r0[0], &r1[0], &r2[0], &r3[0], n, b1, b2)
-			r0, r1, r2, r3 = r0[n:], r1[n:], r2[n:], r3[n:]
-		}
-	}
-	for len(r0) >= 4 && len(r1) >= 4 && len(r2) >= 4 && len(r3) >= 4 {
-		a0, a1, a2, a3 := bfly4u(r0[0], r1[0], r2[0], r3[0], b1, b2)
-		c0, c1, c2, c3 := bfly4u(r0[1], r1[1], r2[1], r3[1], b1, b2)
-		e0, e1, e2, e3 := bfly4u(r0[2], r1[2], r2[2], r3[2], b1, b2)
-		g0, g1, g2, g3 := bfly4u(r0[3], r1[3], r2[3], r3[3], b1, b2)
-		r0[0], r1[0], r2[0], r3[0] = a0, a1, a2, a3
-		r0[1], r1[1], r2[1], r3[1] = c0, c1, c2, c3
-		r0[2], r1[2], r2[2], r3[2] = e0, e1, e2, e3
-		r0[3], r1[3], r2[3], r3[3] = g0, g1, g2, g3
-		r0, r1, r2, r3 = r0[4:], r1[4:], r2[4:], r3[4:]
-	}
-	for len(r0) > 0 && len(r1) > 0 && len(r2) > 0 && len(r3) > 0 {
-		r0[0], r1[0], r2[0], r3[0] = bfly4u(r0[0], r1[0], r2[0], r3[0], b1, b2)
-		r0, r1, r2, r3 = r0[1:], r1[1:], r2[1:], r3[1:]
-	}
-}
-
 // crossStage applies one radix-2 stage (row bit s) over the column chunk
 // [c0, c1) of the gathered rows. On AVX2 the stochastic kind runs four
 // butterflies per instruction (avxPairS) with the Go loop on the sub-vector
@@ -757,36 +610,6 @@ func crossStage(rp [][]float64, c0, c1, s int, f *Factor2) {
 				d := b * (t2 - t1)
 				u[0] = t1 + d
 				w[0] = t2 - d
-				u, w = u[1:], w[1:]
-			}
-		}
-	case kindUnitDiff:
-		b := f.B
-		for t := 0; t < len(rp); t++ {
-			if t&bit != 0 {
-				continue
-			}
-			u, w := rp[t][c0:c1], rp[t|bit][c0:c1]
-			for len(u) >= 4 && len(w) >= 4 {
-				t1a, t2a := u[0], w[0]
-				t1b, t2b := u[1], w[1]
-				t1c, t2c := u[2], w[2]
-				t1d, t2d := u[3], w[3]
-				ua := b * (t1a + t2a)
-				ub := b * (t1b + t2b)
-				uc := b * (t1c + t2c)
-				ud := b * (t1d + t2d)
-				u[0], w[0] = t1a+ua, t2a+ua
-				u[1], w[1] = t1b+ub, t2b+ub
-				u[2], w[2] = t1c+uc, t2c+uc
-				u[3], w[3] = t1d+ud, t2d+ud
-				u, w = u[4:], w[4:]
-			}
-			for len(u) > 0 && len(w) > 0 {
-				t1, t2 := u[0], w[0]
-				uu := b * (t1 + t2)
-				u[0] = t1 + uu
-				w[0] = t2 + uu
 				u, w = u[1:], w[1:]
 			}
 		}

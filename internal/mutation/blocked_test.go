@@ -172,25 +172,6 @@ func TestBlockedFWHTMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestBlockedApplyInverseRoundTrip(t *testing.T) {
-	r := rng.New(11)
-	for _, nu := range []int{1, 4, 9, 12} {
-		p := 0.001 + 0.4*r.Float64()
-		q := MustUniform(nu, p)
-		v := randVector(r, q.Dim())
-		for _, tb := range tileSizes(nu) {
-			withTileBits(t, tb, func() {
-				w := vec.Clone(v)
-				q.Apply(w)
-				q.ApplyInverse(w)
-				if d := vec.DistInf(w, v); d > 1e-8 {
-					t.Errorf("ν=%d p=%g tileBits=%d: Q⁻¹·Q·v deviates by %g", nu, p, tb, d)
-				}
-			})
-		}
-	}
-}
-
 // TestBlockedDeviceBitIdenticalAcrossWorkers asserts the determinism
 // contract of the parallel kernels: because butterflies are element-
 // independent and reductions combine in fixed chunk order, every worker

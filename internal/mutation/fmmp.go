@@ -109,13 +109,13 @@ func (q *Process) apply(v, src, scale []float64, ep *Epilogue) {
 		if s.grp < 0 {
 			applyStagesBlockedScaled(v, src, scale, s.off0, s.fs, tb, fuseStages, lastPass(ep, i == len(q.segs)-1))
 			src, scale = nil, nil
-			span.End(gsp, int64(len(s.fs)), 1)
+			span.End(gsp, int64(len(s.fs)), 0)
 		} else {
 			q.applyGroupSerial(q.groups[s.grp], v)
-			span.End(gsp, int64(q.groups[s.grp].bitsLen), 1)
+			span.End(gsp, int64(q.groups[s.grp].bitsLen), 0)
 		}
 	}
-	span.End(sp, int64(q.nu), 1)
+	span.End(sp, int64(q.nu), 0)
 }
 
 // ApplyNaive computes v ← Q·v with the literal stage loop of Algorithm 1:
@@ -200,7 +200,7 @@ func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, ep *Epi
 			q.applyGroupDevice(d, q.groups[s.grp], v)
 		}
 	}
-	span.End(sp, int64(q.nu), 1)
+	span.End(sp, int64(q.nu), 0)
 }
 
 // applyGroupSerial applies one Kronecker factor to v on the calling

@@ -364,27 +364,6 @@ func EigenvectorEntry(nu int, i, j uint64) float64 {
 	return sign / math.Sqrt(float64(bits.SpaceSize(nu)))
 }
 
-// ApplyInverse computes v ← Q⁻¹·v in place in Θ(N·log₂N) time using the
-// Kronecker representation of the inverse (Eq. 12):
-// Q(ν)⁻¹ = (1−2p)^(−ν) ⊗ᵢ [[1−p, −p], [−p, 1−p]],
-// executed by the blocked butterfly kernels with the precomputed inverse
-// factors (allocation-free). Only valid for uniform processes with p < ½
-// (Q is singular at p = ½).
-func (q *Process) ApplyInverse(v []float64) {
-	q.requireUniform("ApplyInverse")
-	q.checkDim(len(v))
-	if q.p >= 0.5 {
-		panic("mutation: Q is singular at p = 1/2; ApplyInverse undefined")
-	}
-	sp := span.Begin(span.LayerMutation, KindApplyInverse)
-	applyStagesBlocked(v, 0, q.invFactors, TileBits(), fuseStages)
-	scale := math.Pow(1-2*q.p, -float64(q.nu))
-	for i := range v {
-		v[i] *= scale
-	}
-	span.End(sp, int64(q.nu), 1)
-}
-
 // fillShiftInvertSpectrum fills q.siInv with (Λ−µI)⁻¹ per Hamming weight,
 // or reports the eigenvalue µ collides with.
 func (q *Process) fillShiftInvertSpectrum(mu float64) error {
@@ -424,7 +403,7 @@ func (q *Process) ApplyShiftInvert(v []float64, mu float64) error {
 		v[i] *= inv[bits.Weight(uint64(i))] * scale
 	}
 	FWHT(v)
-	span.End(sp, int64(q.nu), 1)
+	span.End(sp, int64(q.nu), 0)
 	return nil
 }
 
@@ -446,7 +425,7 @@ func (q *Process) ApplyShiftInvertDevice(d *device.Device, v []float64, mu float
 		}
 	})
 	FWHTDevice(d, v)
-	span.End(sp, int64(q.nu), 1)
+	span.End(sp, int64(q.nu), 0)
 	return nil
 }
 

@@ -163,57 +163,6 @@ func TestQPositiveDefiniteForSmallP(t *testing.T) {
 	}
 }
 
-func TestApplyInverseRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		nu := 1 + int(r.Uint64n(10))
-		p := 0.001 + 0.4*r.Float64() // stay away from the singular p = ½
-		q := MustUniform(nu, p)
-		v := randVector(r, q.Dim())
-		w := vec.Clone(v)
-		q.ApplyInverse(w)
-		q.Apply(w)
-		return vec.DistInf(w, v) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestApplyInverseRowSums(t *testing.T) {
-	// Eq. 12: absolute row/column sums of Q⁻¹ are all (1−2p)^(−ν).
-	const nu, p = 6, 0.03
-	q := MustUniform(nu, p)
-	n := q.Dim()
-	want := math.Pow(1-2*p, -float64(nu))
-	// Column sums of |Q⁻¹| via applying to basis vectors.
-	e := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		q.ApplyInverse(e)
-		var s float64
-		for _, v := range e {
-			s += math.Abs(v)
-		}
-		if math.Abs(s-want)/want > 1e-10 {
-			t.Fatalf("‖Q⁻¹ e_%d‖₁ = %g, want %g", c, s, want)
-		}
-	}
-}
-
-func TestApplyInverseSingularAtHalf(t *testing.T) {
-	q := MustUniform(3, 0.5)
-	defer func() {
-		if recover() == nil {
-			t.Error("ApplyInverse at p = 1/2 must panic")
-		}
-	}()
-	q.ApplyInverse(make([]float64, 8))
-}
-
 func TestShiftInvertRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -275,9 +224,8 @@ func TestSpectralOpsRequireUniform(t *testing.T) {
 		t.Skip("random factors accidentally uniform")
 	}
 	for name, fn := range map[string]func(){
-		"Eigenvalues":  func() { q.Eigenvalues() },
-		"ApplyInverse": func() { q.ApplyInverse(make([]float64, 4)) },
-		"ShiftInvert":  func() { _ = q.ApplyShiftInvert(make([]float64, 4), -1) },
+		"Eigenvalues": func() { q.Eigenvalues() },
+		"ShiftInvert": func() { _ = q.ApplyShiftInvert(make([]float64, 4), -1) },
 	} {
 		func() {
 			defer func() {

@@ -5,13 +5,11 @@ package mutation
 // installed each Apply variant pays one atomic pointer load (no timing
 // calls, no allocations — guarded by the alloc/bit-identity tests).
 // internal/obs feeds the qs_kernel_* metric families from the apply and
-// stage-group spans.
+// stage-group spans. Each span ends with its stage count as the first
+// argument; the second is always 0 (one vector per pass).
 const (
-	KindApply            = "apply"              // Process.Apply (serial blocked)
-	KindApplyDevice      = "apply_device"       // Process.ApplyDevice
-	KindApplyBatch       = "apply_batch"        // Process.ApplyBatch
-	KindApplyBatchDevice = "apply_batch_device" // Process.ApplyBatchDevice
-	KindStageGroup       = "stage_group"        // one fused stage-group pass within an Apply
-	KindApplyInverse     = "apply_inverse"      // Process.ApplyInverse
-	KindShiftInvert      = "shift_invert"       // Process.ApplyShiftInvert[Device]
+	KindApply       = "apply"        // Process.Apply (serial blocked)
+	KindApplyDevice = "apply_device" // Process.ApplyDevice
+	KindStageGroup  = "stage_group"  // one fused stage-group pass within an Apply
+	KindShiftInvert = "shift_invert" // Process.ApplyShiftInvert[Device]
 )

@@ -7,19 +7,19 @@ import (
 	"repro/internal/vec"
 )
 
-// Property tests for the kernel floor (blocked.go, fwht.go, batch.go): the
-// unrolled, bounds-check-eliminated, radix-4-fused stage engines against
-// the literal naive references, across every butterfly kind, all small ν,
-// and odd tile sizes that force ragged main-loop/tail splits everywhere.
+// Property tests for the kernel floor (blocked.go, fwht.go): the unrolled,
+// bounds-check-eliminated, radix-4-fused stage engines against the literal
+// naive references, across both butterfly kinds, all small ν, and odd tile
+// sizes that force ragged main-loop/tail splits everywhere.
 //
 // Contract under test (see DESIGN.md §5.6):
 //   - general factors: the blocked engine is BIT-IDENTICAL to the naive
 //     stage loop (same literal a·t1 + b·t2 per element, any traversal);
-//   - stochastic / unit-diff factors: the strength-reduced forms match the
-//     naive literal butterfly within naiveTol (≈ ULPs per stage);
+//   - stochastic factors: the strength-reduced form matches the naive
+//     literal butterfly within naiveTol (≈ ULPs per stage);
 //   - radix-4 fusion is BIT-IDENTICAL to the two radix-2 reduced stages it
 //     replaces, at every stride and tail shape;
-//   - FWHT is BIT-IDENTICAL to FWHTNaive; ApplyBatch to per-vector Apply.
+//   - FWHT is BIT-IDENTICAL to FWHTNaive.
 
 // naiveStageLoop is the literal Algorithm-1 stage loop for an arbitrary
 // factor list: stage s applies fs[s] at stride 2^(off0+s) with the
@@ -53,10 +53,6 @@ func reducedStageLoop(v []float64, off0 int, fs []Factor2) {
 					d := f.B * (t2 - t1)
 					v[k] = t1 + d
 					v[k+stride] = t2 - d
-				case kindUnitDiff:
-					u := f.B * (t1 + t2)
-					v[k] = t1 + u
-					v[k+stride] = t2 + u
 				default:
 					v[k] = f.A*t1 + f.B*t2
 					v[k+stride] = f.C*t1 + f.D*t2
@@ -67,10 +63,10 @@ func reducedStageLoop(v []float64, off0 int, fs []Factor2) {
 }
 
 // factorsForKind builds nu single-bit factors of the requested butterfly
-// kind with randomized entries. The reduced kinds use dyadic rates
-// p = k/1024 so the defining identities (a+b = 1 resp. a−b = 1) hold
-// EXACTLY in float64 — butterflyKind demands exact identities, arbitrary
-// rates would silently fall back to the general path.
+// kind with randomized entries. The stochastic kind uses dyadic rates
+// p = k/1024 so the defining identity a+b = 1 holds EXACTLY in float64 —
+// butterflyKind demands it exactly, arbitrary rates would silently fall
+// back to the general path.
 func factorsForKind(r *rng.Source, kind, nu int) []Factor2 {
 	fs := make([]Factor2, nu)
 	for i := range fs {
@@ -78,11 +74,9 @@ func factorsForKind(r *rng.Source, kind, nu int) []Factor2 {
 		switch kind {
 		case kindStochastic:
 			fs[i] = Factor2{A: 1 - p, B: p, C: p, D: 1 - p}
-		case kindUnitDiff:
-			fs[i] = Factor2{A: 1 + p, B: p, C: p, D: 1 + p}
 		default:
-			// Random entries; the reduced-form identities hold with
-			// probability ~0, and butterflyKind demands them exactly.
+			// Random entries; the stochastic identity holds with
+			// probability ~0, and butterflyKind demands it exactly.
 			fs[i] = Factor2{A: 2*r.Float64() - 1, B: 2*r.Float64() - 1,
 				C: 2*r.Float64() - 1, D: 2*r.Float64() - 1}
 		}
@@ -97,20 +91,8 @@ func factorsForKind(r *rng.Source, kind, nu int) []Factor2 {
 // line up with the 4-wide unrolls or the radix-4 pairing evenly.
 var oddTileBits = []int{1, 3, 5, 7, 9, 13}
 
-// ulpTol is naiveTol scaled to whichever of input and output has the
-// larger magnitude: unit-diff factors have row sums 1+2p > 1, so the
-// running magnitude (and with it the per-stage ULP) can grow across
-// stages, unlike the row-stochastic case naiveTol was written for.
-func ulpTol(nStages int, in, out []float64) float64 {
-	tol := naiveTol(nStages, in)
-	if t2 := naiveTol(nStages, out); t2 > tol {
-		tol = t2
-	}
-	return tol
-}
-
 // dyadicRate returns a random rate k/1024 ∈ (0, 0.5): dyadic, so the
-// butterfly-kind identities a+b = 1 and a−b = 1 hold exactly in float64.
+// stochastic identity a+b = 1 holds exactly in float64.
 func dyadicRate(r *rng.Source) float64 {
 	return float64(1+r.Uint64n(511)) / 1024
 }
@@ -118,7 +100,7 @@ func dyadicRate(r *rng.Source) float64 {
 func TestStageEngineMatchesNaiveAllKindsOddTiles(t *testing.T) {
 	r := rng.New(2026)
 	for nu := 1; nu <= 14; nu++ {
-		for _, kind := range []int{kindGeneral, kindStochastic, kindUnitDiff} {
+		for _, kind := range []int{kindGeneral, kindStochastic} {
 			fs := factorsForKind(r, kind, nu)
 			v := randVector(r, 1<<uint(nu))
 			for _, tb := range oddTileBits {
@@ -132,7 +114,7 @@ func TestStageEngineMatchesNaiveAllKindsOddTiles(t *testing.T) {
 						if d != 0 {
 							t.Fatalf("ν=%d kind=general tb=%d fuse=%d: blocked differs from naive by %g, want bit-identity", nu, tb, fuse, d)
 						}
-					} else if tol := ulpTol(nu, v, want); d > tol {
+					} else if tol := naiveTol(nu, v); d > tol {
 						t.Fatalf("ν=%d kind=%d tb=%d fuse=%d: blocked deviates from naive by %g (tol %g)", nu, kind, tb, fuse, d, tol)
 					}
 				}
@@ -147,17 +129,15 @@ func TestStageEngineBitIdenticalToReducedLoop(t *testing.T) {
 	// without changing any result bits.
 	r := rng.New(404)
 	for nu := 1; nu <= 14; nu++ {
-		for _, kind := range []int{kindStochastic, kindUnitDiff} {
-			fs := factorsForKind(r, kind, nu)
-			v := randVector(r, 1<<uint(nu))
-			for _, tb := range oddTileBits {
-				got := vec.Clone(v)
-				applyStagesBlocked(got, 0, fs, tb, fuseStages)
-				want := vec.Clone(v)
-				reducedStageLoop(want, 0, fs)
-				if d := vec.DistInf(got, want); d != 0 {
-					t.Fatalf("ν=%d kind=%d tb=%d: fused engine differs from reduced radix-2 loop by %g, want bit-identity", nu, kind, tb, d)
-				}
+		fs := factorsForKind(r, kindStochastic, nu)
+		v := randVector(r, 1<<uint(nu))
+		for _, tb := range oddTileBits {
+			got := vec.Clone(v)
+			applyStagesBlocked(got, 0, fs, tb, fuseStages)
+			want := vec.Clone(v)
+			reducedStageLoop(want, 0, fs)
+			if d := vec.DistInf(got, want); d != 0 {
+				t.Fatalf("ν=%d tb=%d: fused engine differs from reduced radix-2 loop by %g, want bit-identity", nu, tb, d)
 			}
 		}
 	}
@@ -177,8 +157,6 @@ func TestRadix4PairBitIdenticalToTwoStages(t *testing.T) {
 			p2 := dyadicRate(r)
 			fs1 := Factor2{A: 1 - p1, B: p1, C: p1, D: 1 - p1}
 			fs2 := Factor2{A: 1 - p2, B: p2, C: p2, D: 1 - p2}
-			fu1 := Factor2{A: 1 + p1, B: p1, C: p1, D: 1 + p1}
-			fu2 := Factor2{A: 1 + p2, B: p2, C: p2, D: 1 + p2}
 			v := randVector(r, tileLen)
 
 			got := vec.Clone(v)
@@ -188,15 +166,6 @@ func TestRadix4PairBitIdenticalToTwoStages(t *testing.T) {
 			tileStage(want, 2*stride, &fs2)
 			if vec.DistInf(got, want) != 0 {
 				t.Fatalf("tileLen=%d stride=%d: tilePairStochastic not bit-identical to two tileStage calls", tileLen, stride)
-			}
-
-			got = vec.Clone(v)
-			tilePairUnitDiff(got, stride, fu1.B, fu2.B)
-			want = vec.Clone(v)
-			tileStage(want, stride, &fu1)
-			tileStage(want, 2*stride, &fu2)
-			if vec.DistInf(got, want) != 0 {
-				t.Fatalf("tileLen=%d stride=%d: tilePairUnitDiff not bit-identical to two tileStage calls", tileLen, stride)
 			}
 		}
 	}
@@ -224,44 +193,6 @@ func TestCrossQuadBitIdenticalToTwoCrossStages(t *testing.T) {
 		for i := range got {
 			if vec.DistInf(got[i], want[i]) != 0 {
 				t.Fatalf("cols=%d row %d: crossQuadStochastic not bit-identical to two crossStage calls", cols, i)
-			}
-		}
-
-		fu1 := Factor2{A: 1 + p1, B: p1, C: p1, D: 1 + p1}
-		fu2 := Factor2{A: 1 + p2, B: p2, C: p2, D: 1 + p2}
-		got, want = rows(), rows()
-		crossQuadUnitDiff(got[0], got[1], got[2], got[3], p1, p2)
-		crossStage(want, 0, cols, 0, &fu1)
-		crossStage(want, 0, cols, 1, &fu2)
-		for i := range got {
-			if vec.DistInf(got[i], want[i]) != 0 {
-				t.Fatalf("cols=%d row %d: crossQuadUnitDiff not bit-identical to two crossStage calls", cols, i)
-			}
-		}
-	}
-}
-
-func TestApplyBatchBitIdenticalAllNuOddTiles(t *testing.T) {
-	r := rng.New(555)
-	for nu := 1; nu <= 14; nu++ {
-		q := MustUniform(nu, 0.001+0.4*r.Float64())
-		for _, K := range []int{2, 3, 5} {
-			for _, tb := range []int{1, 3, 7, 13} {
-				withTileBits(t, tb, func() {
-					vs := make([][]float64, K)
-					want := make([][]float64, K)
-					for k := 0; k < K; k++ {
-						vs[k] = randVector(r, q.Dim())
-						want[k] = vec.Clone(vs[k])
-					}
-					q.ApplyBatch(vs)
-					for k := 0; k < K; k++ {
-						q.Apply(want[k])
-						if d := vec.DistInf(vs[k], want[k]); d != 0 {
-							t.Fatalf("ν=%d K=%d tb=%d vector %d: ApplyBatch differs from Apply by %g, want bit-identity", nu, K, tb, k, d)
-						}
-					}
-				})
 			}
 		}
 	}
@@ -296,7 +227,7 @@ func FuzzStageEngine(f *testing.F) {
 		nu := 1 + int(nuB)%14
 		tb := 1 + int(tbB)%16
 		fuse := 1 + int(fuseB)%maxFuseStages
-		kind := int(kindB) % 3
+		kind := int(kindB) % 2
 		r := rng.New(seed)
 		fs := factorsForKind(r, kind, nu)
 		v := randVector(r, 1<<uint(nu))
@@ -309,7 +240,7 @@ func FuzzStageEngine(f *testing.F) {
 			if d != 0 {
 				t.Fatalf("ν=%d tb=%d fuse=%d: general blocked differs from naive by %g", nu, tb, fuse, d)
 			}
-		} else if tol := ulpTol(nu, v, want); d > tol {
+		} else if tol := naiveTol(nu, v); d > tol {
 			t.Fatalf("ν=%d tb=%d fuse=%d kind=%d: deviation %g exceeds tol %g", nu, tb, fuse, kind, d, tol)
 		}
 	})

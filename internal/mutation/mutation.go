@@ -139,9 +139,6 @@ type Process struct {
 	// grpIn/grpOut are the gather/scatter scratch of the grouped-factor
 	// path, sized to the largest group (nil without grouped factors).
 	grpIn, grpOut []float64
-	// invFactors are the ν identical Kronecker factors of Q⁻¹ (Eq. 12),
-	// precomputed so ApplyInverse is allocation-free (uniform only).
-	invFactors []Factor2
 	// siInv is the (Λ−µI)⁻¹ spectrum scratch of ApplyShiftInvert*,
 	// refilled per call (uniform only).
 	siInv []float64
@@ -182,10 +179,6 @@ func (q *Process) finalize() {
 		q.grpOut = make([]float64, 1<<uint(maxGroupBits))
 	}
 	if q.uniform {
-		q.invFactors = make([]Factor2, q.nu)
-		for k := range q.invFactors {
-			q.invFactors[k] = Factor2{A: 1 - q.p, B: -q.p, C: -q.p, D: 1 - q.p}
-		}
 		q.siInv = make([]float64, q.nu+1)
 	}
 }

@@ -187,6 +187,48 @@ func TestPerSiteMatchesDense(t *testing.T) {
 	}
 }
 
+// TestPerSiteFactorShapesMatchDense runs one accepted factor of each shape
+// through Apply and the dense Q·v. The near-identity factor has a−b = 1
+// exactly and a+b = 1+2⁻⁴³, inside NewPerSite's 1e-12 stochasticity
+// tolerance: it is the one public input that is not a+b = 1 yet symmetric
+// with a unit difference, and it takes the general butterfly.
+func TestPerSiteFactorShapesMatchDense(t *testing.T) {
+	const eps = 0x1p-44
+	if a, b := 1+eps, eps; a-b != 1 || a+b == 1 {
+		t.Fatalf("a−b = %v, a+b = %v: want exactly 1 and not 1", a-b, a+b)
+	}
+	for _, tc := range []struct {
+		name string
+		f    Factor2
+		kind int
+	}{
+		{"uniform", UniformFactor(0.1), kindStochastic},
+		{"asymmetric", Factor2{A: 0.9, B: 0.3, C: 0.1, D: 0.7}, kindGeneral},
+		{"near-identity unit difference", Factor2{A: 1 + eps, B: eps, C: eps, D: 1 + eps}, kindGeneral},
+	} {
+		if k := butterflyKind(&tc.f); k != tc.kind {
+			t.Errorf("%s: butterflyKind = %d, want %d", tc.name, k, tc.kind)
+		}
+		const nu = 6
+		fs := make([]Factor2, nu)
+		for i := range fs {
+			fs[i] = tc.f
+		}
+		q, err := NewPerSite(fs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		v := randVector(rng.New(6), q.Dim())
+		want := make([]float64, q.Dim())
+		q.Dense().MatVec(want, v)
+		got := vec.Clone(v)
+		q.Apply(got)
+		if d := vec.DistInf(got, want); d > naiveTol(nu, want) {
+			t.Errorf("%s: Apply deviates from dense Q·v by %g", tc.name, d)
+		}
+	}
+}
+
 func TestPerSiteUniformDetection(t *testing.T) {
 	q, err := NewPerSite([]Factor2{UniformFactor(0.1), UniformFactor(0.1)})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hwc"
 	"repro/internal/span"
 )
@@ -46,7 +47,7 @@ func spanArgNames(layer, name string) (string, string) {
 	case span.LayerFacade:
 		return "dim", ""
 	case span.LayerMutation:
-		return "stages", "vectors"
+		return "stages", ""
 	case span.LayerDevice:
 		if name == "queue_wait" {
 			return "chunks", ""
@@ -59,8 +60,10 @@ func spanArgNames(layer, name string) (string, string) {
 		return "slot", "task"
 	case span.LayerCore:
 		switch name {
-		case "power", "block_power":
-			return "dim", "iters"
+		case core.SolveKindPower, core.SolveKindLanczos, core.SolveKindShiftInvert, core.SolveKindChebyshev:
+			return "dim", "matvecs"
+		case core.PhaseGapProbe:
+			return "dim", "steps"
 		}
 		return "iter", ""
 	}

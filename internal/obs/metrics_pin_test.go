@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/batch"
@@ -44,15 +47,13 @@ func metricDeltas(t *testing.T, names ...string) func() map[string]float64 {
 var kernelFamilies = func() []string {
 	var out []string
 	for _, kind := range []string{
-		mutation.KindApply, mutation.KindApplyDevice,
-		mutation.KindApplyBatch, mutation.KindApplyBatchDevice,
-		mutation.KindStageGroup,
+		mutation.KindApply, mutation.KindApplyDevice, mutation.KindStageGroup,
 	} {
 		out = append(out,
 			`qs_kernel_applies_total{kind="`+kind+`"}`,
 			`qs_kernel_apply_seconds{kind="`+kind+`"}`)
 	}
-	return append(out, "qs_kernel_stages_total", "qs_kernel_vectors_total")
+	return append(out, "qs_kernel_stages_total")
 }()
 
 // segmentPlan returns how many fused passes one serial Apply of q makes
@@ -128,8 +129,7 @@ func pinSolverMetrics(t *testing.T) {
 			`qs_kernel_apply_seconds{kind="stage_group"}`:  iters * float64(passes),
 			// Every apply span adds ν, and its stage-group spans add the
 			// stages they fuse: ν again in total.
-			"qs_kernel_stages_total":  iters * float64(nu+stages),
-			"qs_kernel_vectors_total": iters * float64(1+passes),
+			"qs_kernel_stages_total": iters * float64(nu+stages),
 		}
 		for _, n := range names {
 			if d[n] != want[n] {
@@ -169,14 +169,16 @@ func pinSolverMetrics(t *testing.T) {
 		}
 	})
 
-	t.Run("inverse apply is not a kernel pass", func(t *testing.T) {
+	t.Run("shift-invert apply is not a kernel pass", func(t *testing.T) {
 		delta := metricDeltas(t, kernelFamilies...)
 		v := make([]float64, q.Dim())
 		vec.Fill(v, 1)
-		q.ApplyInverse(v)
+		if err := q.ApplyShiftInvert(v, 2); err != nil {
+			t.Fatal(err)
+		}
 		for n, dv := range delta() {
 			if dv != 0 {
-				t.Errorf("ApplyInverse moved %s by %g", n, dv)
+				t.Errorf("ApplyShiftInvert moved %s by %g", n, dv)
 			}
 		}
 	})
@@ -209,4 +211,32 @@ func pinSolverMetrics(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMetricsExpositionGolden renders the /metrics exposition of a fresh
+// registry holding the qs_* families the span subscriber feeds, with the
+// values stripped, and compares its HELP/TYPE lines and series keys with
+// testdata/metrics.golden. A family added, renamed or dropped shows up as a
+// diff against the committed file.
+func TestMetricsExpositionGolden(t *testing.T) {
+	r := NewRegistry()
+	newSolverMetrics(r)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		got.WriteString(line + "\n")
+	}
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("exposition differs from testdata/metrics.golden; current rendering:\n%s", got.String())
+	}
 }

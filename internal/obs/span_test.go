@@ -3,11 +3,15 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/landscape"
+	"repro/internal/mutation"
 	"repro/internal/span"
 )
 
@@ -143,49 +147,100 @@ func TestSpanConcurrentGoroutinesGetDistinctTracks(t *testing.T) {
 	}
 }
 
-func TestWriteChromeTraceIsValidJSON(t *testing.T) {
-	p := StartSpanProfiler(0)
-	defer p.Stop()
-	outer := span.Begin(span.LayerCore, "power")
-	inner := span.Begin(span.LayerMutation, "apply")
-	span.End(inner, 14, 1)
-	span.End(outer, 16384, 0)
-	p.Stop()
+// chromeTraceEvent is one parsed event of WriteChromeTrace's output.
+type chromeTraceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	PID  int            `json:"pid"`
+	TID  int64          `json:"tid"`
+	Args map[string]any `json:"args"`
+}
 
+// readChromeTrace exports p's spans and parses them back.
+func readChromeTrace(t *testing.T, p *SpanProfiler) []chromeTraceEvent {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := p.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			TS   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			PID  int            `json:"pid"`
-			TID  int64          `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []chromeTraceEvent `json:"traceEvents"`
+		DisplayTimeUnit string             `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if len(tr.TraceEvents) != 2 {
-		t.Fatalf("events = %d, want 2", len(tr.TraceEvents))
+	return tr.TraceEvents
+}
+
+func TestWriteChromeTraceIsValidJSON(t *testing.T) {
+	p := StartSpanProfiler(0)
+	defer p.Stop()
+	outer := span.Begin(span.LayerCore, "power")
+	inner := span.Begin(span.LayerMutation, "apply")
+	span.End(inner, 14, 0)
+	span.End(outer, 16384, 0)
+	p.Stop()
+
+	events := readChromeTrace(t, p)
+	if len(events) != 2 {
+		t.Fatalf("events = %d, want 2", len(events))
 	}
-	for _, ev := range tr.TraceEvents {
+	for _, ev := range events {
 		if ev.Ph != "X" || ev.PID != 1 || ev.TID == 0 || ev.TS < 0 || ev.Dur < 0 {
 			t.Errorf("malformed event: %+v", ev)
 		}
 	}
-	// Named args: the mutation apply span carries stages/vectors.
-	for _, ev := range tr.TraceEvents {
+	// Named args: the mutation apply span carries its stage count only.
+	for _, ev := range events {
 		if ev.Cat == "mutation" {
-			if ev.Args["stages"] != float64(14) || ev.Args["vectors"] != float64(1) {
+			if ev.Args["stages"] != float64(14) || len(ev.Args) != 1 {
 				t.Errorf("mutation args = %v", ev.Args)
 			}
+		}
+	}
+
+	// A real Lanczos solve and gap probe: the solve span closes with
+	// (dim, matvecs) and the probe with (dim, steps built).
+	const nu, probeSteps = 8, 6
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := core.NewFmmpOperator(mutation.MustUniform(nu, 0.02), l, core.Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = StartSpanProfiler(0)
+	res, err := core.Lanczos(op, core.LanczosOptions{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := core.RitzGap(op, probeSteps, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	want := map[string]map[string]any{
+		core.SolveKindLanczos: {"dim": float64(op.Dim()), "matvecs": float64(res.MatVecs)},
+		core.PhaseGapProbe:    {"dim": float64(op.Dim()), "steps": float64(probeSteps)},
+	}
+	seen := map[string]bool{}
+	for _, ev := range readChromeTrace(t, p) {
+		args, ok := want[ev.Name]
+		if ev.Cat != span.LayerCore || !ok {
+			continue
+		}
+		seen[ev.Name] = true
+		if !reflect.DeepEqual(ev.Args, args) {
+			t.Errorf("%s args = %v, want %v", ev.Name, ev.Args, args)
+		}
+	}
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("no %s span in the trace", name)
 		}
 	}
 }

@@ -238,112 +238,116 @@ func UpdateResourceGauges(mem MemStatus, rt RuntimeStatus, numa *NUMAStatus, res
 // call once at tool startup — StartDebugServer calls it for you.
 func EnableSolverMetrics() {
 	wire.once.Do(func() {
-		r := Default()
-		sb := SecondsBuckets()
-		sm := &solverMetrics{
-			sites:    map[spanKey]*metricSite{},
-			iters:    r.Counter("qs_power_iterations_total", "Power-iteration steps performed (accumulated at residual checks)."),
-			checks:   r.Counter("qs_power_residual_checks_total", "Residual evaluations performed."),
-			outcomes: map[string]*Counter{},
-			lastRes:  r.GaugeFloat("qs_power_last_residual", "Residual reported by the most recently finished solve."),
-		}
-
-		stages := r.Counter("qs_kernel_stages_total", "Butterfly stages executed by instrumented kernel passes.")
-		vectors := r.Counter("qs_kernel_vectors_total", "Vectors processed by instrumented kernel passes.")
-		for _, kind := range []string{
-			mutation.KindApply, mutation.KindApplyDevice,
-			mutation.KindApplyBatch, mutation.KindApplyBatchDevice,
-			mutation.KindStageGroup,
-		} {
-			sm.sites[spanKey{span.LayerMutation, kind}] = &metricSite{
-				done: r.Counter(
-					`qs_kernel_applies_total{kind="`+kind+`"}`,
-					"Mutation kernel passes by kind (apply, apply_device, apply_batch, apply_batch_device, stage_group)."),
-				seconds: r.Histogram(
-					`qs_kernel_apply_seconds{kind="`+kind+`"}`,
-					"Wall time of mutation kernel passes by kind.", sb),
-				sum1: stages, sum2: vectors,
-			}
-		}
-
-		chunks := r.Counter("qs_device_chunks_total", "Chunks dispatched by observed device launches.")
-		launchSec := r.Histogram("qs_device_launch_seconds", "Wall time of device kernel launches.", sb)
-		for _, kind := range []string{
-			device.LaunchKindRange, device.LaunchKindStages, device.LaunchKindReduce,
-		} {
-			sm.sites[spanKey{span.LayerDevice, kind}] = &metricSite{
-				done: r.Counter(
-					`qs_device_launches_total{kind="`+kind+`"}`,
-					"Device kernel launches by kind (range, stages, reduce)."),
-				seconds: launchSec, sum2: chunks,
-			}
-		}
-		sm.sites[spanKey{span.LayerDevice, device.SpanQueueWait}] = &metricSite{
-			seconds: r.Histogram("qs_device_queue_wait_seconds", "Barrier tail the submitter spent waiting on pool workers.", sb),
-		}
-
-		sm.sites[spanKey{span.LayerBatch, batch.SpanRun}] = &metricSite{
-			started: r.Counter("qs_batch_runs_total", "Batched scheduler runs started."),
-			seconds: r.Histogram("qs_batch_run_seconds", "Wall time of whole scheduler runs.", sb),
-		}
-		sm.sites[spanKey{span.LayerBatch, batch.SpanTask}] = &metricSite{
-			inflight: r.Gauge("qs_batch_tasks_inflight", "Scheduler tasks currently executing (slot occupancy)."),
-			done:     r.Counter("qs_batch_tasks_total", "Scheduler tasks completed."),
-			seconds:  r.Histogram("qs_batch_task_seconds", "Wall time of individual scheduler tasks.", sb),
-		}
-		sm.sites[spanKey{span.LayerBatch, batch.SpanTaskFailed}] = &metricSite{
-			done: r.Counter("qs_batch_task_failures_total", "Scheduler tasks that returned an error."),
-		}
-
-		for _, kind := range []string{
-			core.SolveKindPower, core.SolveKindBlockPower,
-			core.SolveKindLanczos, core.SolveKindShiftInvert, core.SolveKindChebyshev,
-		} {
-			sm.sites[spanKey{span.LayerCore, kind}] = &metricSite{
-				started: r.Counter(
-					`qs_power_solves_total{kind="`+kind+`"}`,
-					"Eigensolves started by kind (power, block_power, lanczos, shift_invert, chebyshev)."),
-			}
-		}
-		for _, outcome := range []string{
-			core.EventConverged, core.EventStagnated, core.EventBudgetExhausted,
-			core.EventBreakdown, core.EventAborted,
-		} {
-			sm.outcomes[outcome] = r.Counter(
-				`qs_power_outcomes_total{outcome="`+outcome+`"}`,
-				"Eigensolve terminations by outcome.")
-		}
+		sm, sweep, resource := newSolverMetrics(Default())
 		subscribe(func(f *fanout) { f.met = sm })
-
-		wire.sweep = &sweepMetrics{
-			points:   r.Counter("qs_sweep_points_total", "Sweep points solved."),
-			iters:    r.Counter("qs_sweep_iterations_total", "Power iterations accumulated over sweep points."),
-			warmHits: r.Counter("qs_sweep_warm_hits_total", "Sweep points solved from a warm-start seed."),
-			lastP:    r.GaugeFloat("qs_sweep_last_p", "Mutation probability of the most recently solved sweep point."),
-			planned:  r.Counter("qs_sweep_points_planned_total", "Sweep points announced by sweep drivers before solving."),
-		}
-
-		wire.resource = &resourceMetrics{
-			r:          r,
-			memRSS:     r.Gauge("qs_mem_rss_bytes", "Resident set size (VmRSS), refreshed by the resource sampler."),
-			memPeak:    r.Gauge("qs_mem_rss_peak_bytes", "Peak resident set size (VmHWM)."),
-			memHuge:    r.Gauge("qs_mem_anon_huge_bytes", "RSS backed by transparent huge pages (AnonHugePages)."),
-			hugeRatio:  r.GaugeFloat("qs_mem_huge_ratio", "Share of RSS backed by transparent huge pages."),
-			heap:       r.Gauge("qs_runtime_heap_bytes", "Go heap object bytes (runtime/metrics)."),
-			goroutines: r.Gauge("qs_runtime_goroutines", "Live goroutine count."),
-			gcPause:    r.GaugeFloat("qs_runtime_gc_pause_seconds", "Approximate cumulative GC stop-the-world pause seconds."),
-			arenaFoot:  map[int]*Gauge{},
-			arenaUsed:  map[int]*Gauge{},
-			arenaHi:    map[int]*Gauge{},
-			numaBytes:  map[int]*Gauge{},
-			poolQueue:  r.Gauge("qs_device_pool_queue_depth", "Batches sitting unclaimed in pool worker queues."),
-			poolSteals: r.Gauge("qs_device_pool_chunks_stolen", "Cumulative chunks executed from a non-home part (work stealing)."),
-			poolClaims: r.Gauge("qs_device_pool_chunks_claimed", "Cumulative chunks executed from a participant's home part."),
-			inflight:   r.Gauge("qs_batch_live_inflight", "Scheduler tasks currently executing (always-on counter, no observer needed)."),
-			planned:    r.Gauge("qs_batch_tasks_planned", "Scheduler tasks ever submitted across all runs."),
-			progress:   r.GaugeFloat("qs_batch_chain_progress", "Completed fraction of all submitted scheduler tasks."),
-		}
+		wire.sweep, wire.resource = sweep, resource
 	})
+}
+
+// newSolverMetrics registers the qs_* families in r: the span subscriber's
+// sites and the sweep and resource gauges behind RecordSweep* and
+// UpdateResourceGauges.
+func newSolverMetrics(r *Registry) (*solverMetrics, *sweepMetrics, *resourceMetrics) {
+	sb := SecondsBuckets()
+	sm := &solverMetrics{
+		sites:    map[spanKey]*metricSite{},
+		iters:    r.Counter("qs_power_iterations_total", "Power-iteration steps performed (accumulated at residual checks)."),
+		checks:   r.Counter("qs_power_residual_checks_total", "Residual evaluations performed."),
+		outcomes: map[string]*Counter{},
+		lastRes:  r.GaugeFloat("qs_power_last_residual", "Residual reported by the most recently finished solve."),
+	}
+
+	stages := r.Counter("qs_kernel_stages_total", "Butterfly stages executed by instrumented kernel passes.")
+	for _, kind := range []string{
+		mutation.KindApply, mutation.KindApplyDevice, mutation.KindStageGroup,
+	} {
+		sm.sites[spanKey{span.LayerMutation, kind}] = &metricSite{
+			done: r.Counter(
+				`qs_kernel_applies_total{kind="`+kind+`"}`,
+				"Mutation kernel passes by kind (apply, apply_device, stage_group)."),
+			seconds: r.Histogram(
+				`qs_kernel_apply_seconds{kind="`+kind+`"}`,
+				"Wall time of mutation kernel passes by kind.", sb),
+			sum1: stages,
+		}
+	}
+
+	chunks := r.Counter("qs_device_chunks_total", "Chunks dispatched by observed device launches.")
+	launchSec := r.Histogram("qs_device_launch_seconds", "Wall time of device kernel launches.", sb)
+	for _, kind := range []string{
+		device.LaunchKindRange, device.LaunchKindStages, device.LaunchKindReduce,
+	} {
+		sm.sites[spanKey{span.LayerDevice, kind}] = &metricSite{
+			done: r.Counter(
+				`qs_device_launches_total{kind="`+kind+`"}`,
+				"Device kernel launches by kind (range, stages, reduce)."),
+			seconds: launchSec, sum2: chunks,
+		}
+	}
+	sm.sites[spanKey{span.LayerDevice, device.SpanQueueWait}] = &metricSite{
+		seconds: r.Histogram("qs_device_queue_wait_seconds", "Barrier tail the submitter spent waiting on pool workers.", sb),
+	}
+
+	sm.sites[spanKey{span.LayerBatch, batch.SpanRun}] = &metricSite{
+		started: r.Counter("qs_batch_runs_total", "Batched scheduler runs started."),
+		seconds: r.Histogram("qs_batch_run_seconds", "Wall time of whole scheduler runs.", sb),
+	}
+	sm.sites[spanKey{span.LayerBatch, batch.SpanTask}] = &metricSite{
+		inflight: r.Gauge("qs_batch_tasks_inflight", "Scheduler tasks currently executing (slot occupancy)."),
+		done:     r.Counter("qs_batch_tasks_total", "Scheduler tasks completed."),
+		seconds:  r.Histogram("qs_batch_task_seconds", "Wall time of individual scheduler tasks.", sb),
+	}
+	sm.sites[spanKey{span.LayerBatch, batch.SpanTaskFailed}] = &metricSite{
+		done: r.Counter("qs_batch_task_failures_total", "Scheduler tasks that returned an error."),
+	}
+
+	for _, kind := range []string{
+		core.SolveKindPower, core.SolveKindLanczos,
+		core.SolveKindShiftInvert, core.SolveKindChebyshev,
+	} {
+		sm.sites[spanKey{span.LayerCore, kind}] = &metricSite{
+			started: r.Counter(
+				`qs_power_solves_total{kind="`+kind+`"}`,
+				"Eigensolves started by kind (power, lanczos, shift_invert, chebyshev)."),
+		}
+	}
+	for _, outcome := range []string{
+		core.EventConverged, core.EventStagnated, core.EventBudgetExhausted,
+		core.EventBreakdown, core.EventAborted,
+	} {
+		sm.outcomes[outcome] = r.Counter(
+			`qs_power_outcomes_total{outcome="`+outcome+`"}`,
+			"Eigensolve terminations by outcome.")
+	}
+	sweep := &sweepMetrics{
+		points:   r.Counter("qs_sweep_points_total", "Sweep points solved."),
+		iters:    r.Counter("qs_sweep_iterations_total", "Power iterations accumulated over sweep points."),
+		warmHits: r.Counter("qs_sweep_warm_hits_total", "Sweep points solved from a warm-start seed."),
+		lastP:    r.GaugeFloat("qs_sweep_last_p", "Mutation probability of the most recently solved sweep point."),
+		planned:  r.Counter("qs_sweep_points_planned_total", "Sweep points announced by sweep drivers before solving."),
+	}
+
+	resource := &resourceMetrics{
+		r:          r,
+		memRSS:     r.Gauge("qs_mem_rss_bytes", "Resident set size (VmRSS), refreshed by the resource sampler."),
+		memPeak:    r.Gauge("qs_mem_rss_peak_bytes", "Peak resident set size (VmHWM)."),
+		memHuge:    r.Gauge("qs_mem_anon_huge_bytes", "RSS backed by transparent huge pages (AnonHugePages)."),
+		hugeRatio:  r.GaugeFloat("qs_mem_huge_ratio", "Share of RSS backed by transparent huge pages."),
+		heap:       r.Gauge("qs_runtime_heap_bytes", "Go heap object bytes (runtime/metrics)."),
+		goroutines: r.Gauge("qs_runtime_goroutines", "Live goroutine count."),
+		gcPause:    r.GaugeFloat("qs_runtime_gc_pause_seconds", "Approximate cumulative GC stop-the-world pause seconds."),
+		arenaFoot:  map[int]*Gauge{},
+		arenaUsed:  map[int]*Gauge{},
+		arenaHi:    map[int]*Gauge{},
+		numaBytes:  map[int]*Gauge{},
+		poolQueue:  r.Gauge("qs_device_pool_queue_depth", "Batches sitting unclaimed in pool worker queues."),
+		poolSteals: r.Gauge("qs_device_pool_chunks_stolen", "Cumulative chunks executed from a non-home part (work stealing)."),
+		poolClaims: r.Gauge("qs_device_pool_chunks_claimed", "Cumulative chunks executed from a participant's home part."),
+		inflight:   r.Gauge("qs_batch_live_inflight", "Scheduler tasks currently executing (always-on counter, no observer needed)."),
+		planned:    r.Gauge("qs_batch_tasks_planned", "Scheduler tasks ever submitted across all runs."),
+		progress:   r.GaugeFloat("qs_batch_chain_progress", "Completed fraction of all submitted scheduler tasks."),
+	}
+	return sm, sweep, resource
 }
 
 // RecordSweepStart announces a sweep of n points before any of them solve,
