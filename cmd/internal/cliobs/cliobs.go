@@ -1,8 +1,8 @@
 // Package cliobs is the observability flag set the solver CLIs share —
-// -debug-addr, -spans, -span-out, -hwc, -flight, -flight-dir and
-// -telemetry — with the code that starts what the flags ask for and, via
-// Run.Finish, reports on it when the run ends. Tool-specific checks (such
-// as qs-threshold's "requires -full") stay in the tools.
+// -debug-addr, -spans, -span-out, -flight, -flight-dir and -telemetry —
+// with the code that starts what the flags ask for and, via Run.Finish,
+// reports on it when the run ends. Tool-specific checks (such as
+// qs-threshold's "requires -full") stay in the tools.
 package cliobs
 
 import (
@@ -20,7 +20,6 @@ type Flags struct {
 	DebugAddr string
 	Spans     bool
 	SpanOut   string
-	HWC       bool
 	Flight    bool
 	FlightDir string
 	Telemetry bool
@@ -29,7 +28,7 @@ type Flags struct {
 // Help overrides the help text of the flags whose wording depends on the
 // tool; an empty field keeps the default.
 type Help struct {
-	Spans, SpanOut, HWC, Flight, Telemetry string
+	Spans, SpanOut, Flight, Telemetry string
 }
 
 // Register defines the observability flags on the default flag set; call
@@ -39,16 +38,15 @@ func Register(h Help) *Flags {
 	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 	flag.BoolVar(&f.Spans, "spans", false, cmp.Or(h.Spans, "profile the run with hierarchical spans and print the per-phase time table to stderr"))
 	flag.StringVar(&f.SpanOut, "span-out", "", cmp.Or(h.SpanOut, "write the span timeline as Chrome trace-event JSON to this file (implies -spans)"))
-	flag.BoolVar(&f.HWC, "hwc", false, cmp.Or(h.HWC, "attribute hardware counters (perf_event_open: IPC, cache misses) to the span profile (implies -spans; extras via QS_HWC_EVENTS)"))
 	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure"))
 	flag.StringVar(&f.FlightDir, "flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
-	flag.BoolVar(&f.Telemetry, "telemetry", false, cmp.Or(h.Telemetry, "sample resource telemetry (RSS, NUMA placement, arena occupancy) at 1 Hz; served on /debug/telemetry and by qs-top"))
+	flag.BoolVar(&f.Telemetry, "telemetry", false, cmp.Or(h.Telemetry, "sample resource telemetry (RSS, NUMA placement, arena occupancy) at 1 Hz; served on /debug/telemetry"))
 	return f
 }
 
 // Profiling reports whether a span profile was asked for: -spans, or
-// -span-out and -hwc, which imply it.
-func (f *Flags) Profiling() bool { return f.Spans || f.SpanOut != "" || f.HWC }
+// -span-out, which implies it.
+func (f *Flags) Profiling() bool { return f.Spans || f.SpanOut != "" }
 
 // Run is the observability of one tool run.
 type Run struct {
@@ -97,10 +95,7 @@ func (r *Run) StartSpans() {
 	if !r.flags.Profiling() {
 		return
 	}
-	r.prof = quasispecies.StartSpanProfileOpts(quasispecies.SpanProfileOptions{HWC: r.flags.HWC})
-	if r.flags.HWC && !r.prof.HWCActive() {
-		r.logf("hardware counters unavailable, continuing with wall-time spans only (%s)", r.prof.HWCReason())
-	}
+	r.prof = quasispecies.StartSpanProfile(0)
 }
 
 // Finish ends the run's observability. It stops the span profile, prints

@@ -50,9 +50,8 @@ func main() {
 	)
 	obsFlags := cliobs.Register(cliobs.Help{
 		Spans:     "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)",
-		HWC:       "attribute hardware counters (perf_event_open: IPC, cache misses) to the span profile (implies -spans; requires -full; extras via QS_HWC_EVENTS)",
 		Flight:    "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)",
-		Telemetry: "sample resource telemetry (RSS, NUMA placement, arena occupancy, points/sec) at 1 Hz; served on /debug/telemetry and by qs-top",
+		Telemetry: "sample resource telemetry (RSS, NUMA placement, arena occupancy, points/sec) at 1 Hz; served on /debug/telemetry",
 	})
 	flag.Parse()
 
@@ -105,7 +104,7 @@ func main() {
 	})
 
 	obs.RecordSweepStart(len(ps))
-	opts := quasispecies.SweepOptions{Workers: *workers, WarmStart: *warm, Method: *method, HWC: obsFlags.HWC}
+	opts := quasispecies.SweepOptions{Workers: *workers, WarmStart: *warm, Method: *method}
 	if *progress || obsFlags.DebugAddr != "" || fl != nil {
 		pr := *progress
 		opts.Progress = func(i int, p float64, iters int, warmStarted bool, solveMethod string) {

@@ -10,7 +10,7 @@ import (
 
 // Flight recording: the black box of a solver run, behind the -flight
 // flag of every CLI. StartFlight stamps a run manifest (run ID, build
-// revision, flag set, GOMAXPROCS, NUMA topology, AVX2/HWC availability,
+// revision, flag set, GOMAXPROCS, NUMA topology, AVX2 availability,
 // p-grid), threads the run ID through span profiles, trace rows and
 // /metrics, retains recent history in bounded rings, and starts the
 // numerical-health watchdog. On stalls, NaN residuals, solver errors,

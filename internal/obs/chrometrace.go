@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hwc"
 	"repro/internal/span"
 )
 
@@ -79,15 +78,9 @@ func (p *SpanProfiler) WriteChromeTrace(w io.Writer) error {
 	p.mu.Lock()
 	rows := make([]SpanRow, len(p.rows))
 	copy(rows, p.rows)
-	var hwrows []hwcSample
-	if p.hw != nil {
-		hwrows = make([]hwcSample, len(p.hwrows))
-		copy(hwrows, p.hwrows)
-	}
 	p.mu.Unlock()
-	names := p.hwNames()
 	events := make([]chromeEvent, 0, len(rows))
-	for i, r := range rows {
+	for _, r := range rows {
 		ev := chromeEvent{
 			Name: r.Name, Cat: r.Layer, Ph: "X",
 			TS: usec(r.Start), Dur: usec(r.Dur),
@@ -101,18 +94,6 @@ func (p *SpanProfiler) WriteChromeTrace(w io.Writer) error {
 			}
 			if n2 != "" && r.A2 != 0 {
 				ev.Args[n2] = r.A2
-			}
-		}
-		if i < len(hwrows) && hwrows[i].valid {
-			if ev.Args == nil {
-				ev.Args = map[string]any{}
-			}
-			for j, name := range names {
-				ev.Args[name] = int64(hwrows[i].v[j])
-			}
-			if cycles := hwrows[i].v[hwc.IdxCycles]; cycles > 0 {
-				ipc := hwrows[i].v[hwc.IdxInstructions] / cycles
-				ev.Args["ipc"] = float64(int64(ipc*100)) / 100
 			}
 		}
 		events = append(events, ev)
@@ -129,13 +110,6 @@ func (p *SpanProfiler) WriteChromeTrace(w io.Writer) error {
 	}
 	if d := p.Dropped(); d > 0 {
 		tr.OtherData["dropped_events"] = d
-	}
-	if p.HWCActive() {
-		tr.OtherData["hwc_events"] = names
-		tr.OtherData["hwc_samples"] = p.HWCSamples()
-		if d := p.HWCDropped(); d > 0 {
-			tr.OtherData["hwc_dropped"] = d
-		}
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -164,32 +138,17 @@ func (p *SpanProfiler) WriteChromeTraceFile(path string) error {
 // leaf-most layers sums to the instrumented share of wall time.
 func (p *SpanProfiler) WriteTable(w io.Writer) error {
 	stats := p.Stats()
-	hw := p.HWCActive()
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%-9s %-20s %10s %14s %14s %12s",
+	fmt.Fprintf(bw, "%-9s %-20s %10s %14s %14s %12s\n",
 		"layer", "span", "count", "total", "self", "avg")
-	if hw {
-		fmt.Fprintf(bw, " %6s %7s %12s %12s", "ipc", "miss%", "miss/op", "cyc/op")
-	}
-	fmt.Fprintln(bw)
 	for _, s := range stats {
 		avg := time.Duration(0)
 		if s.Count > 0 {
 			avg = s.Total / time.Duration(s.Count)
 		}
-		fmt.Fprintf(bw, "%-9s %-20s %10d %14s %14s %12s",
+		fmt.Fprintf(bw, "%-9s %-20s %10d %14s %14s %12s\n",
 			s.Layer, s.Name, s.Count,
 			fmtDur(s.Total), fmtDur(s.Self), fmtDur(avg))
-		if hw {
-			if s.HWCSamples > 0 {
-				fmt.Fprintf(bw, " %6.2f %6.1f%% %12s %12s",
-					s.IPC(), 100*s.CacheMissRate(),
-					fmtCount(s.MissesPerOp()), fmtCount(s.CyclesPerOp()))
-			} else {
-				fmt.Fprintf(bw, " %6s %7s %12s %12s", "-", "-", "-", "-")
-			}
-		}
-		fmt.Fprintln(bw)
 	}
 	fmt.Fprintf(bw, "wall %s", fmtDur(p.Wall()))
 	if id := p.RunID(); id != "" {
@@ -198,28 +157,8 @@ func (p *SpanProfiler) WriteTable(w io.Writer) error {
 	if d := p.Dropped(); d > 0 {
 		fmt.Fprintf(bw, "   (%d span events dropped past the %d-event buffer; aggregates exact)", d, p.maxRows)
 	}
-	if hw {
-		fmt.Fprintf(bw, "   hwc: %d spans attributed", p.HWCSamples())
-		if d := p.HWCDropped(); d > 0 {
-			fmt.Fprintf(bw, ", %d dropped (thread migration)", d)
-		}
-	}
 	fmt.Fprintln(bw)
 	return bw.Flush()
-}
-
-// fmtCount renders a per-op counter magnitude compactly (1.2k, 3.4M).
-func fmtCount(v float64) string {
-	switch {
-	case v >= 1e9:
-		return fmt.Sprintf("%.2fG", v/1e9)
-	case v >= 1e6:
-		return fmt.Sprintf("%.2fM", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.2fk", v/1e3)
-	default:
-		return fmt.Sprintf("%.0f", v)
-	}
 }
 
 // fmtDur rounds a duration for table display without losing short spans.

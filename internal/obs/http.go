@@ -25,9 +25,6 @@ func Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = Default().WritePrometheus(w)
-		if p := InstalledProfiler(); p != nil {
-			_ = p.WriteHWCPrometheus(w)
-		}
 	})
 	mux.HandleFunc("/debug/spans", serveSpans)
 	mux.HandleFunc("/debug/flight", serveFlight)
@@ -128,30 +125,21 @@ func serveFlight(w http.ResponseWriter, r *http.Request) {
 }
 
 // spansPayload is the /debug/spans JSON shape: the live profiler's exact
-// per-site aggregate plus its wall clock and hardware-counter status.
+// per-site aggregate plus its wall clock.
 type spansPayload struct {
-	Active     bool       `json:"active"`
-	RunID      string     `json:"run_id,omitempty"`
-	WallNs     int64      `json:"wall_ns,omitempty"`
-	Dropped    int64      `json:"dropped_events,omitempty"`
-	HWCActive  bool       `json:"hwc_active,omitempty"`
-	HWCReason  string     `json:"hwc_reason,omitempty"`
-	HWCEvents  []string   `json:"hwc_events,omitempty"`
-	HWCSamples int64      `json:"hwc_samples,omitempty"`
-	HWCDropped int64      `json:"hwc_dropped,omitempty"`
-	Spans      []spanJSON `json:"spans"`
+	Active  bool       `json:"active"`
+	RunID   string     `json:"run_id,omitempty"`
+	WallNs  int64      `json:"wall_ns,omitempty"`
+	Dropped int64      `json:"dropped_events,omitempty"`
+	Spans   []spanJSON `json:"spans"`
 }
 
 type spanJSON struct {
-	Layer      string        `json:"layer"`
-	Name       string        `json:"span"`
-	Count      int64         `json:"count"`
-	TotalNs    int64         `json:"total_ns"`
-	SelfNs     int64         `json:"self_ns"`
-	HWCSamples int64         `json:"hwc_samples,omitempty"`
-	IPC        float64       `json:"ipc,omitempty"`
-	MissRate   float64       `json:"cache_miss_rate,omitempty"`
-	Counters   []CounterStat `json:"counters,omitempty"`
+	Layer   string `json:"layer"`
+	Name    string `json:"span"`
+	Count   int64  `json:"count"`
+	TotalNs int64  `json:"total_ns"`
+	SelfNs  int64  `json:"self_ns"`
 }
 
 // serveSpans serves the live span-profile table: JSON by default,
@@ -163,7 +151,7 @@ func serveSpans(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if p == nil {
-			fmt.Fprintln(w, "no span profiler installed (run with -spans or -hwc)")
+			fmt.Fprintln(w, "no span profiler installed (run with -spans)")
 			return
 		}
 		_ = p.WriteTable(w)
@@ -176,18 +164,10 @@ func serveSpans(w http.ResponseWriter, r *http.Request) {
 		payload.RunID = p.RunID()
 		payload.WallNs = p.Wall().Nanoseconds()
 		payload.Dropped = p.Dropped()
-		payload.HWCActive = p.HWCActive()
-		payload.HWCReason = p.HWCReason()
-		payload.HWCEvents = p.HWCEventNames()
-		payload.HWCSamples = p.HWCSamples()
-		payload.HWCDropped = p.HWCDropped()
 		for _, s := range p.Stats() {
 			payload.Spans = append(payload.Spans, spanJSON{
 				Layer: s.Layer, Name: s.Name, Count: s.Count,
 				TotalNs: s.Total.Nanoseconds(), SelfNs: s.Self.Nanoseconds(),
-				HWCSamples: s.HWCSamples,
-				IPC:        s.IPC(), MissRate: s.CacheMissRate(),
-				Counters: s.HWC,
 			})
 		}
 	}
@@ -201,19 +181,6 @@ var expvarOnce sync.Once
 func publishExpvar() {
 	expvarOnce.Do(func() {
 		expvar.Publish("qs_solver", expvar.Func(func() any { return Default().Snapshot() }))
-		expvar.Publish("qs_hwc", expvar.Func(func() any {
-			p := InstalledProfiler()
-			if p == nil {
-				return map[string]any{"active": false}
-			}
-			return map[string]any{
-				"active":  p.HWCActive(),
-				"reason":  p.HWCReason(),
-				"events":  p.HWCEventNames(),
-				"samples": p.HWCSamples(),
-				"dropped": p.HWCDropped(),
-			}
-		}))
 	})
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/hwc"
 	"repro/internal/vec"
 )
 
@@ -20,10 +19,10 @@ import (
 // A manifest is stamped once at solve/sweep start and answers, months
 // later, the questions a bare trace file cannot: which binary (module
 // version, VCS revision, dirty tree), which machine shape (GOMAXPROCS,
-// NUMA node map), which fast paths were live (AVX2, hardware counters —
-// and if not, why), and which workload (tool, flags, p-grid). Its RunID is
-// threaded through span profiles, trace rows, flight bundles and /metrics,
-// so every artifact of a run names the same identity.
+// NUMA node map), which fast paths were live (AVX2 — and if not, why),
+// and which workload (tool, flags, p-grid). Its RunID is threaded through
+// span profiles, trace rows, flight bundles and /metrics, so every
+// artifact of a run names the same identity.
 
 // ManifestSchema is the current manifest schema version. Bump it when a
 // field changes meaning; readers must tolerate unknown fields (plain
@@ -65,8 +64,6 @@ type Manifest struct {
 	// Fast-path availability with degradation reasons.
 	AVX2       bool   `json:"avx2"`
 	AVX2Reason string `json:"avx2_reason,omitempty"`
-	HWC        bool   `json:"hwc"`
-	HWCReason  string `json:"hwc_reason,omitempty"`
 
 	// Workload parameters (zero values when not applicable to the tool).
 	Nu      int       `json:"nu,omitempty"`
@@ -100,8 +97,7 @@ type ManifestWorkload struct {
 }
 
 // NewManifest stamps a manifest for a new run: a fresh RunID plus the
-// build, host, and fast-path probes. Probing hardware counters opens the
-// process-wide perf_event_open session (the same one -hwc uses).
+// build, host, and fast-path probes.
 func NewManifest(w ManifestWorkload) *Manifest {
 	m := &Manifest{
 		Schema: ManifestSchema,
@@ -121,7 +117,6 @@ func NewManifest(w ManifestWorkload) *Manifest {
 		Nu: w.Nu, Method: w.Method, Workers: w.Workers, PGrid: w.PGrid,
 	}
 	m.AVX2, m.AVX2Reason = vec.AVX2()
-	m.HWC, m.HWCReason = hwc.Available()
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		m.Module = bi.Main.Path
 		m.Version = bi.Main.Version

@@ -25,12 +25,9 @@ func TestNewManifestStampsIdentity(t *testing.T) {
 	if m.NumCPU < 1 || m.GOMAXPROCS < 1 {
 		t.Fatalf("host shape not probed: %+v", m)
 	}
-	// The fast-path probes must state a reason whenever unavailable.
+	// The fast-path probe must state a reason whenever unavailable.
 	if !m.AVX2 && m.AVX2Reason == "" {
 		t.Error("AVX2 unavailable without a degradation reason")
-	}
-	if !m.HWC && m.HWCReason == "" {
-		t.Error("HWC unavailable without a degradation reason")
 	}
 }
 

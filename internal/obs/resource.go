@@ -10,11 +10,10 @@ import (
 )
 
 // Resource introspection for the telemetry sampler: Go runtime state via
-// runtime/metrics plus Linux procfs memory/NUMA files. Mirrors the
-// internal/hwc degradation contract — every failure mode (non-Linux host,
-// missing or unreadable /proc file, kernel without smaps_rollup) collapses
-// to a status with Available == false and ONE human-readable Reason, and
-// callers never branch on platform. The parsers take raw file contents so
+// runtime/metrics plus Linux procfs memory/NUMA files. Every failure mode
+// (non-Linux host, missing or unreadable /proc file, kernel without
+// smaps_rollup) collapses to a status with Available == false and ONE
+// human-readable Reason, and callers never branch on platform. The parsers take raw file contents so
 // they are fixture-testable on every OS.
 
 // MemStatus is one read of the process' memory placement: current and peak

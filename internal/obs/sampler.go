@@ -136,7 +136,7 @@ func newSampler(cfg SamplerConfig) *Sampler {
 }
 
 // run ticks until Stop. The first tick is immediate so short-lived tools
-// (qs-top -once against a fresh process, CI smokes) see data right away.
+// (a curl against a fresh process, CI smokes) see data right away.
 func (s *Sampler) run() {
 	defer close(s.done)
 	tick := time.NewTicker(s.period)

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	rttrace "runtime/trace"
-
-	"repro/internal/hwc"
 )
 
 // Hierarchical span profiler: answers "where does the time go inside one
@@ -61,13 +59,6 @@ type SpanStat struct {
 	// Self is Total minus the time spent in nested child spans — the
 	// site's own share, the column that sums to wall time across sites.
 	Self time.Duration
-
-	// HWCSamples counts the spans of this site whose hardware-counter
-	// deltas were attributed (0 when no counter session is attached or
-	// every span migrated threads). HWC holds the per-event totals, in
-	// session event order; nil without samples.
-	HWCSamples int64
-	HWC        []CounterStat
 }
 
 type spanKey struct{ layer, name string }
@@ -76,7 +67,6 @@ type spanAgg struct {
 	count int64
 	total time.Duration
 	self  time.Duration
-	hw    *hwcAgg // non-nil once the site has a valid counter sample
 }
 
 // DefaultMaxSpanEvents bounds the event buffer of a SpanProfiler:
@@ -92,15 +82,6 @@ const DefaultMaxSpanEvents = 1 << 20
 type SpanProfiler struct {
 	epoch time.Time
 
-	// hw is the attached hardware-counter session (AttachHWC), nil for a
-	// wall-time-only profile. hwEvents caches its event names (Sample
-	// order) and hwReason the degradation cause when attachment was
-	// requested but counters are unavailable. All immutable once recording
-	// starts.
-	hw       *hwc.Session
-	hwEvents []string
-	hwReason string
-
 	mu      sync.Mutex
 	runID   string
 	rows    []SpanRow
@@ -109,14 +90,6 @@ type SpanProfiler struct {
 	cur     map[int64]*activeSpan // per-goroutine innermost open span
 	stats   map[spanKey]*spanAgg
 	stopped time.Duration // wall time frozen by Stop (0 while running)
-
-	// hwrows holds each buffered row's counter deltas (index-aligned with
-	// rows; only populated while hw is live). hwcSamples / hwcDropped
-	// count spans whose deltas were attributed vs discarded (thread
-	// migration, read failure).
-	hwrows     []hwcSample
-	hwcSamples int64
-	hwcDropped int64
 
 	ctx  context.Context // runtime/trace task context (nil without a trace)
 	task *rttrace.Task
@@ -222,13 +195,6 @@ type activeSpan struct {
 	parent      *activeSpan
 	child       time.Duration // time attributed to nested children
 	region      *rttrace.Region
-
-	// Hardware-counter state (used only when the profiler has a live hwc
-	// session): the group sample at Begin and the counter deltas already
-	// attributed to nested children, mirroring the child time accumulator.
-	hwBegin hwc.Sample
-	hwOK    bool
-	hwChild [hwc.MaxEvents]float64
 }
 
 // begin opens a span on the calling goroutine; its End also feeds site.
@@ -236,12 +202,6 @@ func (p *SpanProfiler) begin(layer, name string, site *metricSite) *activeSpan {
 	a := &activeSpan{p: p, site: site, layer: layer, name: name, gid: goid(), start: time.Now()}
 	if p.ctx != nil && rttrace.IsEnabled() {
 		a.region = rttrace.StartRegion(p.ctx, layer+":"+name)
-	}
-	if p.hw != nil {
-		// Counter reads are syscalls; keep them outside the mutex. Read
-		// AFTER the timestamp so the window never includes the lock wait
-		// of a sibling's End.
-		a.hwOK = p.hw.ReadSelf(&a.hwBegin)
 	}
 	p.mu.Lock()
 	a.parent = p.cur[a.gid]
@@ -256,19 +216,9 @@ func (a *activeSpan) End(a1, a2 int64) {
 		a.region.End()
 	}
 	p := a.p
-	var hwDelta hwc.Sample
-	hwValid := false
-	if p.hw != nil && a.hwOK {
-		hwValid = p.hw.ReadSelf(&hwDelta)
-	}
-	end := time.Now()
-	d := end.Sub(a.start)
+	d := time.Since(a.start)
 	if a.site != nil {
 		a.site.end(d, a1, a2)
-	}
-	var delta [hwc.MaxEvents]float64
-	if hwValid {
-		hwValid = hwc.Delta(&a.hwBegin, &hwDelta, &delta)
 	}
 	p.mu.Lock()
 	if p.cur[a.gid] == a {
@@ -281,28 +231,11 @@ func (a *activeSpan) End(a1, a2 int64) {
 	if a.parent != nil {
 		a.parent.child += d
 	}
-	self := d - a.child
-	agg := p.account(a.layer, a.name, d, self)
-	if p.hw != nil {
-		if hwValid {
-			p.hwcSamples++
-			if a.parent != nil {
-				for i := range delta {
-					a.parent.hwChild[i] += delta[i]
-				}
-			}
-			p.accountHW(agg, &delta, &a.hwChild)
-		} else {
-			// Migrated or unreadable: attributing another thread's
-			// counters would be worse than a counted gap. The span's
-			// counts stay inside the nearest same-thread ancestor's self.
-			p.hwcDropped++
-		}
-	}
+	p.account(a.layer, a.name, d, d-a.child)
 	p.push(SpanRow{
 		Layer: a.layer, Name: a.name, TID: a.gid,
 		Start: a.start.Sub(p.epoch), Dur: d, A1: a1, A2: a2,
-	}, &delta, hwValid)
+	})
 	p.mu.Unlock()
 }
 
@@ -325,12 +258,12 @@ func (p *SpanProfiler) Record(layer, name string, d time.Duration, a1, a2 int64)
 	p.push(SpanRow{
 		Layer: layer, Name: name, TID: gid,
 		Start: end.Add(-d).Sub(p.epoch), Dur: d, A1: a1, A2: a2,
-	}, nil, false)
+	})
 	p.mu.Unlock()
 }
 
 // account and push run under p.mu.
-func (p *SpanProfiler) account(layer, name string, total, self time.Duration) *spanAgg {
+func (p *SpanProfiler) account(layer, name string, total, self time.Duration) {
 	k := spanKey{layer, name}
 	agg := p.stats[k]
 	if agg == nil {
@@ -340,10 +273,9 @@ func (p *SpanProfiler) account(layer, name string, total, self time.Duration) *s
 	agg.count++
 	agg.total += total
 	agg.self += self
-	return agg
 }
 
-func (p *SpanProfiler) push(r SpanRow, delta *[hwc.MaxEvents]float64, hwValid bool) {
+func (p *SpanProfiler) push(r SpanRow) {
 	// Tee into the flight recorder's span ring before the buffer-bound
 	// check: the ring overwrites its oldest entries, so it keeps the most
 	// recent spans even after the profiler buffer filled. The disabled
@@ -356,14 +288,6 @@ func (p *SpanProfiler) push(r SpanRow, delta *[hwc.MaxEvents]float64, hwValid bo
 		return
 	}
 	p.rows = append(p.rows, r)
-	if p.hw != nil {
-		var hr hwcSample
-		if hwValid {
-			hr.valid = true
-			hr.v = *delta
-		}
-		p.hwrows = append(p.hwrows, hr)
-	}
 }
 
 // Rows returns a copy of the buffered span events in completion order.
@@ -379,18 +303,12 @@ func (p *SpanProfiler) Rows() []SpanRow {
 // descending (ties by layer, name).
 func (p *SpanProfiler) Stats() []SpanStat {
 	p.mu.Lock()
-	names := p.hwNames()
 	out := make([]SpanStat, 0, len(p.stats))
 	for k, a := range p.stats {
-		st := SpanStat{
+		out = append(out, SpanStat{
 			Layer: k.layer, Name: k.name,
 			Count: a.count, Total: a.total, Self: a.self,
-		}
-		if a.hw != nil {
-			st.HWCSamples = a.hw.samples
-			st.HWC = a.hw.counterStats(names)
-		}
-		out = append(out, st)
+		})
 	}
 	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

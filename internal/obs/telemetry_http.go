@@ -9,10 +9,10 @@ import (
 )
 
 // /debug/telemetry: the HTTP view of the resource sampler. JSON by default
-// (full series with windowed aggregates — the qs-top wire format), an
-// aligned sparkline table with ?format=text for humans with curl. With no
-// sampler running it reports active=false rather than an error, so smoke
-// probes can hit it unconditionally.
+// (full series with windowed aggregates), an aligned sparkline table with
+// ?format=text for humans with curl. With no sampler running it reports
+// active=false rather than an error, so smoke probes can hit it
+// unconditionally.
 
 // telemetryPayload is the /debug/telemetry JSON shape.
 type telemetryPayload struct {
@@ -100,8 +100,9 @@ func serveTelemetry(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(payload)
 }
 
-// writeTelemetryTable renders the sampler as an aligned sparkline table —
-// shared by ?format=text and (via the JSON payload) mirrored in qs-top.
+// writeTelemetryTable renders the sampler as the ?format=text table: the
+// memory and task state lines, then one row per series whose every column,
+// the TREND sparkline included, covers the points at or after cutoff.
 func writeTelemetryTable(w interface{ Write([]byte) (int, error) }, s *Sampler, cutoff time.Time) error {
 	st := s.State()
 	fmt.Fprintf(w, "resource telemetry — period %s, up %s\n",
@@ -109,22 +110,32 @@ func writeTelemetryTable(w interface{ Write([]byte) (int, error) }, s *Sampler, 
 	if n := s.Notice(); n != "" {
 		fmt.Fprintf(w, "notice: %s\n", n)
 	}
-	if st != nil && st.Mem.Available {
-		fmt.Fprintf(w, "rss %s (peak %s), thp %s (%.0f%%)\n",
-			FormatBytes(st.Mem.RSSBytes), FormatBytes(st.Mem.PeakRSSBytes),
-			FormatBytes(st.Mem.AnonHugeBytes), 100*st.Mem.HugeRatio)
+	if st != nil {
+		if st.Mem.Available {
+			fmt.Fprintf(w, "rss %s (peak %s), thp %s (%.0f%%)\n",
+				formatBytes(st.Mem.RSSBytes), formatBytes(st.Mem.PeakRSSBytes),
+				formatBytes(st.Mem.AnonHugeBytes), 100*st.Mem.HugeRatio)
+		} else {
+			fmt.Fprintf(w, "mem unavailable: %s\n", st.Mem.Reason)
+		}
+		if sv := st.Solver; sv.BatchPlanned > 0 {
+			fmt.Fprintf(w, "tasks %d/%d (%d in flight)\n", sv.BatchDone, sv.BatchPlanned, sv.BatchInflight)
+		}
 	}
 	fmt.Fprintf(w, "%-28s %12s %12s %12s %10s  %s\n",
 		"SERIES", "LAST", "MIN", "MAX", "RATE/S", "TREND")
+	cutNS := cutoff.UnixNano()
 	for _, ts := range s.Series() {
-		stw, ok := ts.Window(cutoff)
+		pts := ts.Snapshot()
+		stw, ok := aggregate(pts, cutNS)
 		if !ok {
 			continue
 		}
-		pts := ts.Snapshot()
-		vals := make([]float64, len(pts))
-		for i, p := range pts {
-			vals[i] = p.V
+		vals := make([]float64, 0, stw.Points)
+		for _, p := range pts {
+			if p.T >= cutNS {
+				vals = append(vals, p.V)
+			}
 		}
 		rate := "-"
 		if ts.Kind() == SeriesCumulative {
@@ -136,14 +147,13 @@ func writeTelemetryTable(w interface{ Write([]byte) (int, error) }, s *Sampler, 
 			formatUnitValue(ts.Unit(), stw.Min),
 			formatUnitValue(ts.Unit(), stw.Max),
 			rate,
-			Sparkline(vals, 24))
+			sparkline(vals, 24))
 	}
 	return nil
 }
 
-// FormatBytes renders a byte count with a binary-prefix unit, the human
-// format shared by the telemetry table and qs-top.
-func FormatBytes(b int64) string {
+// formatBytes renders a byte count with a binary-prefix unit.
+func formatBytes(b int64) string {
 	const kib = 1024.0
 	v := float64(b)
 	switch {
@@ -161,7 +171,7 @@ func FormatBytes(b int64) string {
 func formatUnitValue(unit string, v float64) string {
 	switch unit {
 	case "bytes":
-		return FormatBytes(int64(v))
+		return formatBytes(int64(v))
 	case "s":
 		return fmt.Sprintf("%.4gs", v)
 	default:

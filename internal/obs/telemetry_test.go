@@ -172,3 +172,73 @@ func TestHealthzMemorySummary(t *testing.T) {
 		t.Fatal("no RSS and no reason")
 	}
 }
+
+// tableRow returns the text-table line of the named series.
+func tableRow(t *testing.T, table, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(table, "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			return line
+		}
+	}
+	t.Fatalf("no %s row in table:\n%s", name, table)
+	return ""
+}
+
+// TestTelemetryTableTrendHonorsWindow: ?window= restricts every column,
+// the TREND sparkline included, to the points at or after the cutoff.
+func TestTelemetryTableTrendHonorsWindow(t *testing.T) {
+	s := newSampler(SamplerConfig{Capacity: 16})
+	ts := s.Get("runtime.goroutines")
+	base := time.Now()
+	for i, v := range []float64{100, 0, 100, 0} {
+		ts.Append(base.Add(time.Duration(i-10)*time.Second), v)
+	}
+	for i, v := range []float64{1, 2, 3} {
+		ts.Append(base.Add(time.Duration(i-2)*time.Second), v)
+	}
+	var sb strings.Builder
+	if err := writeTelemetryTable(&sb, s, base.Add(-5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	row := tableRow(t, sb.String(), "runtime.goroutines")
+	if want := "  " + sparkline([]float64{1, 2, 3}, 24); !strings.HasSuffix(row, want) {
+		t.Fatalf("TREND covers points outside the window:\n%q\nwant suffix %q", row, want)
+	}
+	if f := strings.Fields(row); f[1] != "3" || f[2] != "1" || f[3] != "3" {
+		t.Fatalf("LAST/MIN/MAX = %v, want 3 1 3", f[1:4])
+	}
+}
+
+// TestTelemetryTableStateLines: the text table reports a memory read
+// failure by its reason and the scheduler's task progress once tasks
+// are planned.
+func TestTelemetryTableStateLines(t *testing.T) {
+	s := newSampler(SamplerConfig{Capacity: 16})
+	s.last.Store(&SamplerState{
+		Mem:    MemStatus{Reason: "no /proc/self/status"},
+		Solver: SolverResources{BatchPlanned: 10, BatchDone: 4, BatchInflight: 2},
+	})
+	var sb strings.Builder
+	if err := writeTelemetryTable(&sb, s, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\nmem unavailable: no /proc/self/status\n",
+		"\ntasks 4/10 (2 in flight)\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("table lacks %q:\n%s", want, sb.String())
+		}
+	}
+
+	// No planned tasks: no tasks line.
+	s.last.Store(&SamplerState{Mem: MemStatus{Available: true, RSSBytes: 1 << 20, PeakRSSBytes: 2 << 20}})
+	sb.Reset()
+	if err := writeTelemetryTable(&sb, s, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "tasks ") || !strings.Contains(sb.String(), "\nrss 1.0MiB (peak 2.0MiB)") {
+		t.Fatalf("table with no planned tasks:\n%s", sb.String())
+	}
+}

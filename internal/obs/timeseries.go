@@ -16,11 +16,11 @@ import (
 // recent Capacity (timestamp, value) points with a lock-free single-writer
 // append — the sampler tick stores two atomics per point — and serves
 // windowed aggregate queries (min/max/mean/quantile, and for cumulative
-// series a per-second rate) to /debug/telemetry, qs-top and the
-// flight-recorder bundles. Readers never block the writer: a snapshot
-// re-validates the append cursor after copying and drops any points the
-// writer overwrote mid-read, so a scrape racing a tick loses at most the
-// oldest points of the window, never coherence.
+// series a per-second rate) to /debug/telemetry and the flight-recorder
+// bundles. Readers never block the writer: a snapshot re-validates the
+// append cursor after copying and drops any points the writer overwrote
+// mid-read, so a scrape racing a tick loses at most the oldest points of
+// the window, never coherence.
 
 // SeriesKind distinguishes how a series' values aggregate over a window.
 type SeriesKind int
@@ -285,10 +285,10 @@ func WriteSeriesJSONL(w io.Writer, series []*TimeSeries) error {
 	return bw.Flush()
 }
 
-// Sparkline renders vals as a fixed-width Unicode block sparkline, the
-// ?format=text and qs-top cell renderer. Width ≤ 0 selects len(vals);
-// longer inputs are tail-truncated, shorter ones left-padded with spaces.
-func Sparkline(vals []float64, width int) string {
+// sparkline renders vals as a fixed-width Unicode block sparkline, the
+// ?format=text cell renderer. Width ≤ 0 selects len(vals); longer inputs
+// are tail-truncated, shorter ones left-padded with spaces.
+func sparkline(vals []float64, width int) string {
 	const blocks = "▁▂▃▄▅▆▇█"
 	if width <= 0 {
 		width = len(vals)

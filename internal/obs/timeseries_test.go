@@ -177,20 +177,20 @@ func TestWriteSeriesJSONL(t *testing.T) {
 // TestSparkline pins the renderer's shape rules: fixed width, left padding,
 // flat series map to the lowest block.
 func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil, 0); got != "" {
+	if got := sparkline(nil, 0); got != "" {
 		t.Fatalf("empty = %q", got)
 	}
-	got := Sparkline([]float64{0, 7}, 2)
+	got := sparkline([]float64{0, 7}, 2)
 	if got != "▁█" {
 		t.Fatalf("ramp = %q, want ▁█", got)
 	}
-	if got := Sparkline([]float64{5, 5, 5}, 3); got != "▁▁▁" {
+	if got := sparkline([]float64{5, 5, 5}, 3); got != "▁▁▁" {
 		t.Fatalf("flat = %q, want ▁▁▁", got)
 	}
-	if got := Sparkline([]float64{1}, 4); got != "   ▁" {
+	if got := sparkline([]float64{1}, 4); got != "   ▁" {
 		t.Fatalf("padded = %q", got)
 	}
-	if got := Sparkline([]float64{0, 1, 2, 3}, 2); got != "▁█" {
+	if got := sparkline([]float64{0, 1, 2, 3}, 2); got != "▁█" {
 		t.Fatalf("truncated = %q, want tail ▁█", got)
 	}
 }

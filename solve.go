@@ -72,7 +72,6 @@ type Model struct {
 	xmvpRadius int
 	start      []float64
 	observer   SolveObserver
-	hwc        bool
 	dev        *device.Device
 
 	// Operator cache: the Fmmp operators (and their landscape diagonals)
@@ -218,19 +217,6 @@ func WithObserver(o SolveObserver) Option {
 	}
 }
 
-// WithHWC enables hardware-counter attribution for the model's solves:
-// when a span profile is recording, Solve attaches the process-wide
-// perf_event_open counter session to it (see SpanProfileOptions.HWC), so
-// the per-phase table gains IPC and cache-miss columns. On hosts without
-// usable counters this is a documented no-op (HWCReason on the profile
-// names the cause) and solver numerics are bit-identical either way.
-func WithHWC(enabled bool) Option {
-	return func(mo *Model) error {
-		mo.hwc = enabled
-		return nil
-	}
-}
-
 // New assembles a model from a mutation process and a fitness landscape
 // of the same chain length.
 func New(m Mutation, l Landscape, opts ...Option) (*Model, error) {
@@ -298,9 +284,6 @@ func (mo *Model) Solve() (*Solution, error) {
 	// The facade span brackets everything a solve does — operator build,
 	// eigensolve, concentration post-processing — so the per-phase table
 	// accounts setup time that the core-layer solve span cannot see.
-	if mo.hwc {
-		ensureHWC()
-	}
 	sp := span.Begin(span.LayerFacade, "solve")
 	sol, err := mo.solve()
 	span.End(sp, int64(mo.Dim()), 0)

@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/hwc"
 	"repro/internal/obs"
 )
 
@@ -44,18 +43,6 @@ type PhaseTime struct {
 	Count int64
 	Total time.Duration
 	Self  time.Duration
-
-	// Hardware-counter attribution, populated only when the profile was
-	// started with HWC enabled on a host with usable counters (see
-	// SpanProfileOptions). HWCSamples counts the spans whose counter
-	// deltas were attributed to this site; IPC is self instructions per
-	// cycle; CacheMissRate is self cache-misses per cache-reference;
-	// MissesPerOp / CyclesPerOp are count-normalized self values.
-	HWCSamples    int64
-	IPC           float64
-	CacheMissRate float64
-	MissesPerOp   float64
-	CyclesPerOp   float64
 }
 
 // SpanProfile is a running or stopped span recording. Create with
@@ -65,72 +52,12 @@ type SpanProfile struct {
 	p *obs.SpanProfiler
 }
 
-// SpanProfileOptions configures a span profile beyond the buffer bound.
-type SpanProfileOptions struct {
-	// MaxEvents bounds the buffered timeline events (≤ 0 selects the
-	// default of ~1M); the aggregate table stays exact past the bound.
-	MaxEvents int
-	// HWC attaches the process-wide hardware-counter session
-	// (perf_event_open counter groups: cycles, instructions, cache
-	// references/misses, branch misses, plus QS_HWC_EVENTS extras), so
-	// every phase additionally reports IPC and cache-miss attribution.
-	// On hosts without usable counters (perf_event_paranoid denial, no
-	// PMU, non-Linux) the profile degrades to wall-time-only and
-	// HWCReason names the single cause; solver numerics are bit-identical
-	// either way.
-	HWC bool
-}
-
 // StartSpanProfile installs the process-wide span recorder and starts
 // recording. maxEvents bounds the buffered timeline events (≤ 0 selects the
 // default of ~1M); the aggregate table stays exact past the bound. Only one
 // profile records at a time — starting a new one supersedes the previous.
 func StartSpanProfile(maxEvents int) *SpanProfile {
-	return StartSpanProfileOpts(SpanProfileOptions{MaxEvents: maxEvents})
-}
-
-// StartSpanProfileOpts is StartSpanProfile with options (hardware-counter
-// attribution).
-func StartSpanProfileOpts(opts SpanProfileOptions) *SpanProfile {
-	if opts.HWC {
-		return &SpanProfile{p: obs.StartSpanProfilerHWC(opts.MaxEvents)}
-	}
-	return &SpanProfile{p: obs.StartSpanProfiler(opts.MaxEvents)}
-}
-
-// HWCActive reports whether hardware counters are being attributed to
-// this profile's phases.
-func (sp *SpanProfile) HWCActive() bool { return sp.p.HWCActive() }
-
-// HWCReason returns why hardware counters are unavailable when they were
-// requested but could not be enabled ("" when active or never requested).
-func (sp *SpanProfile) HWCReason() string { return sp.p.HWCReason() }
-
-// HWCEventNames returns the live counter event names in column order.
-func (sp *SpanProfile) HWCEventNames() []string { return sp.p.HWCEventNames() }
-
-// HWCSamples returns how many spans had counter deltas attributed;
-// HWCDropped how many were discarded (OS-thread migration mid-span).
-func (sp *SpanProfile) HWCSamples() int64 { return sp.p.HWCSamples() }
-
-// HWCDropped returns the count of spans whose counter deltas were
-// discarded rather than misattributed.
-func (sp *SpanProfile) HWCDropped() int64 { return sp.p.HWCDropped() }
-
-// HWCAvailable reports whether hardware counters are usable on this host,
-// with the degradation reason when they are not (perf_event_paranoid
-// denial, no PMU, unsupported platform). Probing opens the process-wide
-// counter session.
-func HWCAvailable() (bool, string) { return hwc.Available() }
-
-// ensureHWC upgrades the installed span profiler with the process-wide
-// counter session (WithHWC / SweepOptions.HWC). Callers invoke it on
-// their own goroutine before the instrumented work fans out, so the
-// attach happens-before every span the work records.
-func ensureHWC() {
-	if p := obs.InstalledProfiler(); p != nil && !p.HWCActive() {
-		p.AttachHWC(hwc.Shared())
-	}
+	return &SpanProfile{p: obs.StartSpanProfiler(maxEvents)}
 }
 
 // Stop detaches the profile from the span hook and freezes its wall
@@ -151,11 +78,6 @@ func (sp *SpanProfile) Phases() []PhaseTime {
 	for i, s := range stats {
 		out[i] = PhaseTime{
 			Layer: s.Layer, Name: s.Name, Count: s.Count, Total: s.Total, Self: s.Self,
-			HWCSamples:    s.HWCSamples,
-			IPC:           s.IPC(),
-			CacheMissRate: s.CacheMissRate(),
-			MissesPerOp:   s.MissesPerOp(),
-			CyclesPerOp:   s.CyclesPerOp(),
 		}
 	}
 	return out

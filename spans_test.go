@@ -171,90 +171,3 @@ func TestSpanProfileBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestHWCProfileBitIdenticalAndDegrades covers the -hwc acceptance
-// contract at the facade: a counter-attributed solve is bit-identical to
-// a plain profiled solve, and on hosts without usable counters the
-// profile degrades to wall-time-only with a single reason.
-func TestHWCProfileBitIdenticalAndDegrades(t *testing.T) {
-	run := func(hwcOn bool) (*Solution, *SpanProfile) {
-		mut, _ := UniformMutation(10, 0.05)
-		land, _ := SinglePeak(10, 2, 1)
-		model, err := New(mut, land, WithMethod(MethodFmmp), WithHWC(hwcOn))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof := StartSpanProfileOpts(SpanProfileOptions{HWC: hwcOn})
-		sol, err := model.Solve()
-		prof.Stop()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sol, prof
-	}
-	plain, _ := run(false)
-	counted, prof := run(true)
-	if plain.Lambda != counted.Lambda || plain.Iterations != counted.Iterations || plain.Residual != counted.Residual {
-		t.Fatalf("hwc solve diverged: λ %v vs %v, iters %d vs %d, residual %v vs %v",
-			plain.Lambda, counted.Lambda, plain.Iterations, counted.Iterations, plain.Residual, counted.Residual)
-	}
-	for i := range plain.Concentrations {
-		if plain.Concentrations[i] != counted.Concentrations[i] {
-			t.Fatalf("concentration %d differs: %v vs %v", i, plain.Concentrations[i], counted.Concentrations[i])
-		}
-	}
-
-	ok, reason := HWCAvailable()
-	if prof.HWCActive() != ok {
-		t.Fatalf("profile HWCActive=%v but HWCAvailable=%v (%s)", prof.HWCActive(), ok, reason)
-	}
-	if !ok {
-		if prof.HWCReason() == "" {
-			t.Error("degraded profile reports no reason")
-		}
-		t.Logf("degraded host: %s", prof.HWCReason())
-		return
-	}
-	// Live counters: the hot phases carry IPC once at least one span was
-	// attributed on a stable thread.
-	if prof.HWCSamples() == 0 {
-		t.Skip("all spans migrated threads; nothing attributed this run")
-	}
-	if p, found := phase(prof.Phases(), "core", "matvec"); found && p.HWCSamples > 0 {
-		if p.IPC <= 0 || p.IPC > 16 {
-			t.Errorf("matvec IPC = %g, outside plausible range", p.IPC)
-		}
-	}
-}
-
-// TestSweepHWCOptionIsPassive checks SweepOptions.HWC changes no numbers:
-// a full-space sweep with the option set matches one without, point for
-// point, bit for bit.
-func TestSweepHWCOptionIsPassive(t *testing.T) {
-	land, err := SinglePeak(8, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := []float64{0.01, 0.03, 0.05}
-	run := func(hwcOn bool) []ThresholdPoint {
-		prof := StartSpanProfileOpts(SpanProfileOptions{HWC: false})
-		defer prof.Stop()
-		pts, err := ThresholdCurveFullWith(land, ps, SweepOptions{HWC: hwcOn, WarmStart: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	plain := run(false)
-	counted := run(true)
-	for i := range plain {
-		if plain[i].P != counted[i].P {
-			t.Fatalf("point %d p differs", i)
-		}
-		for k := range plain[i].Gamma {
-			if plain[i].Gamma[k] != counted[i].Gamma[k] {
-				t.Fatalf("point %d Γ_%d differs: %v vs %v", i, k, plain[i].Gamma[k], counted[i].Gamma[k])
-			}
-		}
-	}
-}

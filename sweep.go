@@ -46,13 +46,6 @@ type SweepOptions struct {
 	// "shiftinvert", "lanczos"). Reduced sweeps map every non-power method
 	// onto the dense shift-invert (RQI) path.
 	Method string
-	// HWC attaches the process-wide hardware-counter session to the
-	// recording span profile before the sweep fans out, so its per-phase
-	// table gains IPC and cache-miss attribution (see
-	// SpanProfileOptions.HWC). No-op without a recording profile or on
-	// hosts without usable counters; sweep results are bit-identical
-	// either way.
-	HWC bool
 }
 
 // ThresholdCurve sweeps the error rate p over the given values for a
@@ -67,9 +60,6 @@ func ThresholdCurve(l Landscape, ps []float64) ([]ThresholdPoint, error) {
 // warm-started along the grid. The returned curves are bit-identical to
 // the serial sweep at every worker count.
 func ThresholdCurveWith(l Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, error) {
-	if opts.HWC {
-		ensureHWC()
-	}
 	if !l.valid() {
 		return nil, fmt.Errorf("%w: use the package constructors for Landscape", ErrInvalidModel)
 	}
@@ -94,9 +84,6 @@ func ThresholdCurveWith(l Landscape, ps []float64, opts SweepOptions) ([]Thresho
 // qs-threshold's -full mode. Works for any landscape; convergence traces
 // attach via opts.Observe.
 func ThresholdCurveFullWith(l Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, error) {
-	if opts.HWC {
-		ensureHWC()
-	}
 	if !l.valid() {
 		return nil, fmt.Errorf("%w: use the package constructors for Landscape", ErrInvalidModel)
 	}
@@ -150,9 +137,6 @@ func LocateErrorThreshold(l Landscape, lo, hi, tol float64) (float64, error) {
 // bracket points evaluated concurrently per round (k-section search),
 // shrinking the bracket by a factor Workers+1 per round instead of 2.
 func LocateErrorThresholdWith(l Landscape, lo, hi, tol float64, opts SweepOptions) (float64, error) {
-	if opts.HWC {
-		ensureHWC()
-	}
 	if !l.valid() {
 		return 0, fmt.Errorf("%w: use the package constructors for Landscape", ErrInvalidModel)
 	}

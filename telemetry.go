@@ -15,8 +15,8 @@ import (
 // high-water per NUMA node, pool queue depth and steal totals) and batch
 // scheduler progress (inflight, done, points/sec), retaining each signal
 // in a fixed-capacity ring. The rings feed /debug/telemetry on the debug
-// mux (JSON, or ?format=text for a sparkline table), the qs-top live
-// dashboard, and flight-recorder bundles (telemetry.jsonl).
+// mux (JSON, or ?format=text for a sparkline table) and flight-recorder
+// bundles (telemetry.jsonl).
 //
 // The sampler follows the solver's nil-by-default discipline: nothing is
 // polled until StartTelemetry runs, and even then every read is procfs or
