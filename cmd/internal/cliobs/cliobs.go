@@ -40,7 +40,7 @@ func Register(h Help) *Flags {
 	flag.StringVar(&f.SpanOut, "span-out", "", cmp.Or(h.SpanOut, "write the span timeline as Chrome trace-event JSON to this file (implies -spans)"))
 	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure"))
 	flag.StringVar(&f.FlightDir, "flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
-	flag.BoolVar(&f.Telemetry, "telemetry", false, cmp.Or(h.Telemetry, "sample resource telemetry (RSS, NUMA placement, arena occupancy) at 1 Hz; served on /debug/telemetry"))
+	flag.BoolVar(&f.Telemetry, "telemetry", false, cmp.Or(h.Telemetry, "sample resource telemetry (RSS, NUMA placement) at 1 Hz; served on /debug/telemetry"))
 	return f
 }
 

@@ -42,7 +42,7 @@ func main() {
 		workers = flag.Int("workers", 1, "concurrent eigensolves (0/1 serial, -1 all cores); results are bit-identical at any count")
 		warm    = flag.Bool("warm", false, "warm-start each solve from the previous error rate's solution")
 		full    = flag.Bool("full", false, "solve the full 2^ν eigenproblem per point instead of the exact class reduction")
-		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert | lanczos (auto adapts per point: power far from the threshold, Krylov gears inside the critical window)")
+		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert (auto adapts per point: power far from the threshold, Krylov gears inside the critical window)")
 
 		traceFile  = flag.String("trace", "", "write per-point convergence traces to this file (.tsv or .jsonl; requires -full)")
 		traceEvery = flag.Int("trace-every", 1, "keep every Nth residual check per point in the trace")
@@ -51,7 +51,7 @@ func main() {
 	obsFlags := cliobs.Register(cliobs.Help{
 		Spans:     "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)",
 		Flight:    "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)",
-		Telemetry: "sample resource telemetry (RSS, NUMA placement, arena occupancy, points/sec) at 1 Hz; served on /debug/telemetry",
+		Telemetry: "sample resource telemetry (RSS, NUMA placement, points/sec) at 1 Hz; served on /debug/telemetry",
 	})
 	flag.Parse()
 

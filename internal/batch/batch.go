@@ -15,8 +15,9 @@
 //     invariance of the blocked kernels (see internal/mutation), a sweep
 //     is bit-identical at every worker count.
 //   - Bounded memory. At most `workers` tasks are in flight, and each
-//     in-flight task borrows a Slot of reusable scratch vectors, so a
-//     500-point sweep allocates the scratch of `workers` solves, not 500.
+//     task is told the index of the worker running it, so callers can keep
+//     one scratch set per worker index: a 500-point sweep allocates the
+//     scratch of `workers` solves, not 500.
 //   - Warm-start friendliness. Continuation along a monotone sweep is
 //     inherently sequential, so the unit of scheduling for warm-started
 //     sweeps is a fixed-length chain of consecutive points (see Chains);
@@ -30,13 +31,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/device"
 	"repro/internal/span"
 )
 
 // Batch-layer span names (internal/span): SpanRun covers a whole Run call,
-// SpanTask one task execution (its End args are slot and task index, so the
-// exported trace shows slot occupancy over time). SpanTaskFailed is a
+// SpanTask one task execution (its End args are worker and task index, so
+// the exported trace shows worker occupancy over time). SpanTaskFailed is a
 // zero-length post-hoc record inside the task span of a task that returned
 // an error: it carries no time, only the failure for the qs_batch_*
 // metrics. The span recorder is the scheduler's only observer; the
@@ -69,10 +69,10 @@ func SetPanicHook(h PanicHook) {
 	panicHook.Store(&panicHookHolder{h: h})
 }
 
-// runHooked executes task(i, s) with a recover bracket that feeds the
+// runHooked executes task(i, worker) with a recover bracket that feeds the
 // panic hook and then re-panics. Split from runOne so the nil-hook path
 // never pays for the deferred closure.
-func runHooked(hook PanicHook, task func(i int, s *Slot) error, i int, s *Slot) (err error) {
+func runHooked(hook PanicHook, task func(i, worker int) error, i, worker int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 64<<10)
@@ -81,7 +81,7 @@ func runHooked(hook PanicHook, task func(i int, s *Slot) error, i int, s *Slot) 
 			panic(r)
 		}
 	}()
-	return task(i, s)
+	return task(i, worker)
 }
 
 // Live scheduler counters for the telemetry sampler: unlike the spans
@@ -118,63 +118,16 @@ func Workers(n int) int {
 	return n
 }
 
-// Slot is the reusable per-worker scratch of a batched run. Each of the
-// `workers` goroutines owns one Slot for the whole run and hands it to
-// every task it executes, so tasks can keep Θ(N) vectors (power-iteration
-// iterates, warm-start seeds) alive across the tasks of one worker without
-// re-allocating per task. Vectors come from a slot-owned device.Arena —
-// cache-line aligned, huge-page advised, and packed per worker, so the
-// whole scratch of one worker is a handful of contiguous slabs whose pages
-// are first-touched (hence NUMA-placed) by the goroutine that sweeps them.
-type Slot struct {
-	id      int
-	workers int
-	arena   *device.Arena
-	bufs    map[int][]float64
-}
-
-// ID returns the slot's index in [0, workers).
-func (s *Slot) ID() int { return s.id }
-
-// Vec returns the slot-owned float64 buffer with the given key, sized to
-// n. The buffer is reused across tasks (contents are arbitrary on entry);
-// it is grown or reshaped only when n changes. When any key is reshaped
-// the slot's arena is recycled wholesale: all keys are dropped and
-// re-grabbed at their next request, which keeps the arena from leaking
-// abandoned sizes across a sweep that changes ν.
-func (s *Slot) Vec(key, n int) []float64 {
-	if s.bufs == nil {
-		// Attribute the slot's arena to the worker's NUMA node so the
-		// telemetry's per-node occupancy matches first-touch placement.
-		s.arena = device.NewWorkerArena(s.id, s.workers)
-		s.bufs = make(map[int][]float64)
-	}
-	b, ok := s.bufs[key]
-	if ok && len(b) == n {
-		return b
-	}
-	if ok {
-		// Reshape: recycle every grab (they alias the recycled slabs, and
-		// the Vec contract already says contents are arbitrary on entry).
-		s.arena.Reset()
-		clear(s.bufs)
-	}
-	b = s.arena.Alloc(n)
-	for i := range b {
-		b[i] = 0
-	}
-	s.bufs[key] = b
-	return b
-}
-
-// Run executes task(i, slot) for every i in [0, n) over min(workers, n)
-// goroutines. Tasks are claimed from a shared queue in index order; each
-// goroutine reuses one Slot for all tasks it executes. Run returns after
+// Run executes task(i, worker) for every i in [0, n) over min(workers, n)
+// goroutines. Tasks are claimed from a shared queue in index order; worker
+// is the index in [0, min(workers, n)) of the goroutine running the task,
+// and no two tasks run concurrently with the same worker index, so a
+// caller may index per-worker scratch by it without locks. Run returns after
 // every launched task finished. If tasks fail, the error of the
 // lowest-indexed failing task is returned (deterministic regardless of
 // scheduling); remaining queued tasks are still executed, so the caller's
 // result slice is fully populated for the indices that succeeded.
-func Run(n, workers int, task func(i int, s *Slot) error) error {
+func Run(n, workers int, task func(i, worker int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -191,11 +144,10 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 	if workers == 1 {
 		// Serial fast path: no goroutines, no synchronization — the
 		// reference execution the parallel path is tested against.
-		s := &Slot{id: 0, workers: 1}
 		var firstErr error
 		firstIdx := n
 		for i := 0; i < n; i++ {
-			err := runOne(sr, task, i, s)
+			err := runOne(sr, task, i, 0)
 			if err != nil && i < firstIdx {
 				firstErr, firstIdx = fmt.Errorf("batch: task %d: %w", i, err), i
 			}
@@ -213,7 +165,7 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(slot *Slot) {
+		go func(worker int) {
 			defer wg.Done()
 			for {
 				mu.Lock()
@@ -223,7 +175,7 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 				if i >= n {
 					return
 				}
-				if err := runOne(sr, task, i, slot); err != nil {
+				if err := runOne(sr, task, i, worker); err != nil {
 					mu.Lock()
 					if i < firstIdx {
 						firstErr, firstIdx = fmt.Errorf("batch: task %d: %w", i, err), i
@@ -231,17 +183,17 @@ func Run(n, workers int, task func(i int, s *Slot) error) error {
 					mu.Unlock()
 				}
 			}
-		}(&Slot{id: w, workers: workers})
+		}(w)
 	}
 	wg.Wait()
 	span.End(sp, int64(n), int64(workers))
 	return firstErr
 }
 
-// runOne executes task(i, s), bracketed by a task span when a recorder is
-// installed. Worker goroutines open their task spans on their own
-// goroutine, so each worker is its own track in the exported trace.
-func runOne(sr span.Recorder, task func(i int, s *Slot) error, i int, s *Slot) error {
+// runOne executes task(i, worker), bracketed by a task span when a
+// recorder is installed. Worker goroutines open their task spans on their
+// own goroutine, so each worker is its own track in the exported trace.
+func runOne(sr span.Recorder, task func(i, worker int) error, i, worker int) error {
 	var sp span.Handle
 	if sr != nil {
 		sp = sr.Begin(span.LayerBatch, SpanTask)
@@ -253,14 +205,14 @@ func runOne(sr span.Recorder, task func(i int, s *Slot) error, i int, s *Slot) e
 	}()
 	var err error
 	if ph := panicHook.Load(); ph != nil {
-		err = runHooked(ph.h, task, i, s)
+		err = runHooked(ph.h, task, i, worker)
 	} else {
-		err = task(i, s)
+		err = task(i, worker)
 	}
 	if err != nil && sr != nil {
-		sr.Record(span.LayerBatch, SpanTaskFailed, 0, int64(s.id), int64(i))
+		sr.Record(span.LayerBatch, SpanTaskFailed, 0, int64(worker), int64(i))
 	}
-	span.End(sp, int64(s.id), int64(i))
+	span.End(sp, int64(worker), int64(i))
 	return err
 }
 

@@ -2,6 +2,8 @@ package batch
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +14,7 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		const n = 53
 		counts := make([]atomic.Int32, n)
-		err := Run(n, workers, func(i int, s *Slot) error {
+		err := Run(n, workers, func(i, _ int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -36,7 +38,7 @@ func TestRunDeterministicResultOrdering(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		got := make([]int, n)
-		if err := Run(n, workers, func(i int, s *Slot) error {
+		if err := Run(n, workers, func(i, _ int) error {
 			got[i] = i * i
 			return nil
 		}); err != nil {
@@ -53,7 +55,7 @@ func TestRunDeterministicResultOrdering(t *testing.T) {
 func TestRunReturnsLowestIndexedError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := Run(20, workers, func(i int, s *Slot) error {
+		err := Run(20, workers, func(i, _ int) error {
 			if i == 7 || i == 13 {
 				return sentinel
 			}
@@ -69,37 +71,49 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 }
 
 func TestRunBoundsSlots(t *testing.T) {
-	// At most `workers` distinct slots may ever be observed.
+	// At most `workers` distinct worker indices may ever be observed.
 	const n, workers = 64, 3
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	if err := Run(n, workers, func(i int, s *Slot) error {
+	if err := Run(n, workers, func(i, worker int) error {
 		mu.Lock()
-		seen[s.ID()] = true
+		seen[worker] = true
 		mu.Unlock()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) > workers {
-		t.Errorf("observed %d slots, want ≤ %d", len(seen), workers)
+		t.Errorf("observed %d worker indices, want ≤ %d", len(seen), workers)
 	}
 }
 
-func TestSlotVecReuse(t *testing.T) {
-	s := &Slot{}
-	a := s.Vec(0, 100)
-	b := s.Vec(0, 100)
-	if &a[0] != &b[0] {
-		t.Error("same key and size must return the same buffer")
-	}
-	c := s.Vec(1, 100)
-	if &a[0] == &c[0] {
-		t.Error("distinct keys must return distinct buffers")
-	}
-	d := s.Vec(0, 50)
-	if len(d) != 50 {
-		t.Errorf("resized buffer has length %d", len(d))
+// TestRunWorkerIndexExclusive checks the contract callers index per-worker
+// scratch by: every worker index lies in [0, min(workers, n)), and no two
+// running tasks ever share one. Each task claims its index's busy flag on
+// entry and releases it on exit; a failed claim means two tasks overlapped
+// on one index. The serial path reports worker 0.
+func TestRunWorkerIndexExclusive(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{1, 1}, {17, 1}, {64, 3}, {5, 8}, {40, 4}} {
+		limit := min(c.workers, c.n)
+		busy := make([]atomic.Bool, limit)
+		err := Run(c.n, c.workers, func(i, worker int) error {
+			if worker < 0 || worker >= limit {
+				return fmt.Errorf("worker index %d outside [0, %d)", worker, limit)
+			}
+			if c.workers == 1 && worker != 0 {
+				return fmt.Errorf("serial path reported worker %d", worker)
+			}
+			if !busy[worker].CompareAndSwap(false, true) {
+				return fmt.Errorf("worker index %d shared by concurrent tasks", worker)
+			}
+			runtime.Gosched()
+			busy[worker].Store(false)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d workers=%d: %v", c.n, c.workers, err)
+		}
 	}
 }
 

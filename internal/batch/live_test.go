@@ -15,7 +15,7 @@ func TestLiveStatsTrackRuns(t *testing.T) {
 	inflight0, done0, planned0 := LiveStats()
 
 	var sawInflight atomic.Bool
-	err := Run(5, 2, func(i int, s *Slot) error {
+	err := Run(5, 2, func(i, _ int) error {
 		if in, _, _ := LiveStats(); in > inflight0 {
 			sawInflight.Store(true)
 		}
@@ -42,7 +42,7 @@ func TestLiveStatsTrackRuns(t *testing.T) {
 	// Failing tasks still count as done — progress must reach 100% even on
 	// a partially failed sweep, or the dashboard shows a stuck chain.
 	boom := errors.New("boom")
-	if err := Run(3, 1, func(i int, s *Slot) error { return boom }); !errors.Is(err, boom) {
+	if err := Run(3, 1, func(i, _ int) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v", err)
 	}
 	inflight2, done2, planned2 := LiveStats()

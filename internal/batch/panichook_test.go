@@ -23,7 +23,7 @@ func TestPanicHookObservesAndRepanics(t *testing.T) {
 	var repanicked any
 	func() {
 		defer func() { repanicked = recover() }()
-		_ = Run(3, 1, func(i int, s *Slot) error {
+		_ = Run(3, 1, func(i, _ int) error {
 			if i == 1 {
 				panic("task one exploded")
 			}
@@ -48,7 +48,7 @@ func TestPanicHookObservesAndRepanics(t *testing.T) {
 func TestPanicHookNilPathUnchanged(t *testing.T) {
 	SetPanicHook(nil)
 	var ran int
-	err := Run(4, 1, func(i int, s *Slot) error {
+	err := Run(4, 1, func(i, _ int) error {
 		ran++
 		if i == 2 {
 			return fmt.Errorf("task %d failed", i)

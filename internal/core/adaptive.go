@@ -47,8 +47,6 @@ const (
 	SolveChebyshev
 	// SolveShiftInvert forces shift-invert Lanczos.
 	SolveShiftInvert
-	// SolveLanczos forces the restarted Lanczos solver.
-	SolveLanczos
 )
 
 func (m SolveMethod) String() string {
@@ -61,8 +59,6 @@ func (m SolveMethod) String() string {
 		return "chebyshev"
 	case SolveShiftInvert:
 		return "shiftinvert"
-	case SolveLanczos:
-		return "lanczos"
 	default:
 		return fmt.Sprintf("SolveMethod(%d)", int(m))
 	}
@@ -80,10 +76,8 @@ func ParseSolveMethod(s string) (SolveMethod, error) {
 		return SolveChebyshev, nil
 	case "shiftinvert", "shift-invert", "shift_invert", "si":
 		return SolveShiftInvert, nil
-	case "lanczos":
-		return SolveLanczos, nil
 	default:
-		return SolvePower, fmt.Errorf("core: unknown solve method %q (want auto, power, chebyshev, shiftinvert or lanczos)", s)
+		return SolvePower, fmt.Errorf("core: unknown solve method %q (want auto, power, chebyshev or shiftinvert)", s)
 	}
 }
 
@@ -104,7 +98,7 @@ type MethodState struct {
 // Reset clears the state (chain head).
 func (s *MethodState) Reset() { *s = MethodState{} }
 
-// AdaptiveWork is the per-slot scratch of adaptive solves: the power
+// AdaptiveWork is the per-worker scratch of adaptive solves: the power
 // iterate pair (which also stages the Right-form result every gear
 // returns), plus lazily allocated Chebyshev, shift-invert, and probe
 // scratch — power-only sweeps never pay for the Krylov buffers.
@@ -146,8 +140,8 @@ type AdaptiveOptions struct {
 	// (the continuation pattern). On a warm chain point (State.HavePrev) it
 	// also seeds the gap probe, in its Symmetric form F^½·Start; a chain
 	// head probes from a fixed start. It feeds the power gear, the power
-	// fallback after a stalled Chebyshev gear, and shift-invert and
-	// Lanczos; a Chebyshev gear after a failed power gear continues from
+	// fallback after a stalled Chebyshev gear, and shift-invert; a
+	// Chebyshev gear after a failed power gear continues from
 	// that gear's last iterate. A Chebyshev gear that runs first starts from
 	// the gap probe's top Ritz vector instead. Nil cold-starts each gear
 	// that would use it.
@@ -157,7 +151,7 @@ type AdaptiveOptions struct {
 	// Observer, when non-nil, receives the convergence trace of every gear
 	// attempt of this point.
 	Observer Observer
-	// Work supplies reusable per-slot scratch. Nil allocates fresh.
+	// Work supplies reusable per-worker scratch. Nil allocates fresh.
 	Work *AdaptiveWork
 	// State, when non-nil, carries selector state along a warm-start chain
 	// and is updated in place on success.
@@ -204,7 +198,7 @@ type AdaptiveResult struct {
 	// first gear: the probe plus that gear's predicted matvecs. It stays
 	// the first gear's prediction across escalations, so Iterations over
 	// PredictedMatVecs measures the misprediction. 0 when the first gear
-	// has no predictor (shift-invert, Lanczos).
+	// has no predictor (shift-invert).
 	PredictedMatVecs int
 }
 
@@ -233,15 +227,23 @@ func selectGear(theta0, theta1, mu, lower float64) (SolveMethod, int) {
 // AdaptiveSolve computes the dominant eigenpair with the requested gear
 // (or the auto selector). opR and opS are the Right and Symmetric
 // formulations of the same (Q, F) problem — share diagonals via
-// FmmpOperator.WithProcess; the power gear runs on opR (bit-identical to
-// the historical sweep path), the Krylov/Chebyshev gears on opS.
+// FmmpOperator.WithProcess; the power gear runs on opR, the
+// Krylov/Chebyshev gears on opS. SolvePower runs only the power gear, as
+// PowerIteration with Shift = PowerShift, and never touches opS, which may
+// then be nil.
 func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult, error) {
 	n := opR.Dim()
-	if opS.Dim() != n {
-		return AdaptiveResult{}, fmt.Errorf("core: formulation dimensions differ (%d vs %d)", n, opS.Dim())
-	}
-	if opS.Form != Symmetric {
-		return AdaptiveResult{}, fmt.Errorf("core: adaptive solve needs the Symmetric formulation, got %v", opS.Form)
+	switch opts.Method {
+	case SolvePower:
+	case SolveChebyshev, SolveShiftInvert, SolveAuto:
+		if opS.Dim() != n {
+			return AdaptiveResult{}, fmt.Errorf("core: formulation dimensions differ (%d vs %d)", n, opS.Dim())
+		}
+		if opS.Form != Symmetric {
+			return AdaptiveResult{}, fmt.Errorf("core: adaptive solve needs the Symmetric formulation, got %v", opS.Form)
+		}
+	default:
+		return AdaptiveResult{}, fmt.Errorf("core: unknown solve method %v", opts.Method)
 	}
 	work := opts.Work
 	if work == nil {
@@ -254,23 +256,18 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	if tol <= 0 {
 		tol = 1e-13
 	}
+	res := AdaptiveResult{}
+	if opts.Method == SolvePower {
+		_, _, err := powerGear(opR, opts, work, tol, opts.Start, &res)
+		return res, err
+	}
+
+	// The other three gears need the probe: forced Chebyshev needs filter
+	// edges, forced shift-invert needs a λ₀ bound for its shift ladder, and
+	// auto needs the rate estimates.
 	probeSteps := opts.ProbeSteps
 	if probeSteps <= 0 {
 		probeSteps = 24
-	}
-
-	res := AdaptiveResult{}
-	switch opts.Method {
-	case SolvePower:
-		return res, errors.New("core: AdaptiveSolve does not implement the plain power path; call PowerIteration directly")
-	case SolveLanczos:
-		return adaptiveLanczos(opS, opts, work, tol, &res)
-	case SolveChebyshev, SolveShiftInvert, SolveAuto:
-		// All three need the probe: forced Chebyshev needs filter edges,
-		// forced shift-invert needs a λ₀ bound for its shift ladder, and
-		// auto needs the rate estimates.
-	default:
-		return res, fmt.Errorf("core: unknown solve method %v", opts.Method)
 	}
 
 	// The probe starts on a warm chain point from the warm start in its
@@ -442,24 +439,6 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	res.Method = SolveShiftInvert
 	res.Mu = mu
 	return res, fmt.Errorf("core: adaptive shift-invert ladder exhausted: %w", lastErr)
-}
-
-// adaptiveLanczos runs the forced restarted-Lanczos gear.
-func adaptiveLanczos(opS *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol float64, res *AdaptiveResult) (AdaptiveResult, error) {
-	symStart := work.symBuf(opS.Dim())
-	stageSymmetric(symStart, opS, opts.Start)
-	lres, err := Lanczos(opS, LanczosOptions{Tol: tol, Start: symStart, Observer: opts.Observer})
-	res.Iterations += lres.MatVecs
-	res.Method = SolveLanczos
-	res.Lambda, res.Residual, res.Converged = lres.Lambda, lres.Residual, lres.Converged
-	if err != nil {
-		return *res, err
-	}
-	if cerr := acceptSymmetric(res, work, opS, lres.Vector); cerr != nil {
-		return *res, cerr
-	}
-	finishAdaptive(res, opts.State)
-	return *res, nil
 }
 
 // powerGear runs the Right-form power gear from start and books it into

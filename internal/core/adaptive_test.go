@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
 )
@@ -143,12 +145,74 @@ func TestAdaptiveSolveAutoFarFromThresholdPicksPower(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSolvePowerMatchesPowerIteration: SolvePower is PowerIteration
+// with Shift = PowerShift and every other option passed through, and it
+// needs no Symmetric operator. Cold, then warm from a start aliasing
+// Work.Power's iterate (the sweep's continuation pattern), λ, the vector
+// bits, the iteration count, the residual and the observer's call log
+// equal a direct PowerIteration that reuses its own PowerWork the same way.
+func TestAdaptiveSolvePowerMatchesPowerIteration(t *testing.T) {
+	const nu = 8
+	l, err := landscape.NewSinglePeak(nu, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []*device.Device{nil, device.New(2, device.WithGrain(64))} {
+		work := NewAdaptiveWork(1 << nu)
+		pw := NewPowerWork(1 << nu)
+		var start, startRef []float64 // nil: cold
+		for _, p := range []float64{0.05, 0.06} {
+			q := mutation.MustUniform(nu, p)
+			opR, err := NewFmmpOperator(q, l, Right, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu := ConservativeShift(q, l)
+			gotLog, wantLog := &callLog{}, &callLog{}
+			got, err := AdaptiveSolve(opR, nil, AdaptiveOptions{
+				Method: SolvePower, Tol: 1e-12, MaxIter: 100000, PowerShift: mu,
+				Start: start, Dev: dev, Observer: gotLog, Work: work,
+			})
+			if err != nil {
+				t.Fatalf("p = %g: %v", p, err)
+			}
+			want, err := PowerIteration(opR, PowerOptions{
+				Tol: 1e-12, MaxIter: 100000, Shift: mu,
+				Start: startRef, Dev: dev, Observer: wantLog, Work: pw,
+			})
+			if err != nil {
+				t.Fatalf("p = %g: PowerIteration: %v", p, err)
+			}
+			if got.Method != SolvePower || got.Probed || got.ProbeMatVecs != 0 || got.Escalations != 0 {
+				t.Fatalf("p = %g: %+v ran more than the power gear", p, got)
+			}
+			if !sameBits(got.Lambda, want.Lambda) || got.Iterations != want.Iterations ||
+				!sameBits(got.Residual, want.Residual) || got.Converged != want.Converged {
+				t.Fatalf("p = %g: λ %v, %d iterations, residual %v; PowerIteration %v, %d, %v",
+					p, got.Lambda, got.Iterations, got.Residual, want.Lambda, want.Iterations, want.Residual)
+			}
+			for i := range want.Vector {
+				if !sameBits(got.Vector[i], want.Vector[i]) {
+					t.Fatalf("p = %g: x[%d] = %v, PowerIteration %v", p, i, got.Vector[i], want.Vector[i])
+				}
+			}
+			if strings.Join(gotLog.calls, "\n") != strings.Join(wantLog.calls, "\n") {
+				t.Fatalf("p = %g: observer saw %d calls, PowerIteration's %d", p, len(gotLog.calls), len(wantLog.calls))
+			}
+			if &got.Vector[0] != &work.Power.x[0] {
+				t.Fatalf("p = %g: Vector does not alias Work.Power's iterate", p)
+			}
+			start, startRef = got.Vector, want.Vector
+		}
+	}
+}
+
 func TestAdaptiveSolveGearsAgreeNearThreshold(t *testing.T) {
 	q, l, _ := criticalProblem(t, 8, 0.98)
 	want, wantVec := referenceLambda(t, q, l)
 	opR, _ := NewFmmpOperator(q, l, Right, nil)
 	opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
-	for _, m := range []SolveMethod{SolveAuto, SolveChebyshev, SolveShiftInvert, SolveLanczos} {
+	for _, m := range []SolveMethod{SolveAuto, SolveChebyshev, SolveShiftInvert} {
 		res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
 			Method: m, Tol: 1e-12, Start: FitnessStart(l),
 			PowerShift: ConservativeShift(q, l),
@@ -223,7 +287,7 @@ func TestParseSolveMethod(t *testing.T) {
 		{"shiftinvert", SolveShiftInvert, true},
 		{"shift-invert", SolveShiftInvert, true},
 		{"shift_invert", SolveShiftInvert, true},
-		{"lanczos", SolveLanczos, true},
+		{"lanczos", SolvePower, false},
 		{"newton", SolvePower, false},
 	}
 	for _, c := range cases {
@@ -235,7 +299,7 @@ func TestParseSolveMethod(t *testing.T) {
 			t.Errorf("ParseSolveMethod(%q) accepted", c.in)
 		}
 	}
-	for _, m := range []SolveMethod{SolvePower, SolveAuto, SolveChebyshev, SolveShiftInvert, SolveLanczos} {
+	for _, m := range []SolveMethod{SolvePower, SolveAuto, SolveChebyshev, SolveShiftInvert} {
 		back, err := ParseSolveMethod(m.String())
 		if err != nil || back != m {
 			t.Errorf("round-trip %v → %q → %v, %v", m, m.String(), back, err)

@@ -15,9 +15,8 @@ package device
 //     budget.
 //
 // First-touch placement is the third leg: pages are physically allocated on
-// the node of the CPU that first writes them, so Device.AllocVector faults
-// the pages in with the same sticky worker→chunk map the stage kernels use,
-// and repeated passes find their rows node-local.
+// the node of the CPU that first writes them, and AllocVector faults them
+// in on the allocating goroutine.
 
 import "unsafe"
 
@@ -62,29 +61,11 @@ func IsAligned(v []float64) bool {
 
 // AllocVector returns an aligned, huge-page-advised vector of n float64s,
 // first-touched serially by the calling goroutine (its pages land on the
-// caller's NUMA node). Use Device.AllocVector when the vector will be swept
-// by pool workers.
+// caller's NUMA node). The solver's Θ(N) vectors all come from here.
 func AllocVector(n int) []float64 {
 	v := AlignedFloat64s(n)
 	for i := range v {
 		v[i] = 0
-	}
-	return v
-}
-
-// AllocVector returns an aligned, huge-page-advised vector of n float64s
-// whose pages are first-touched by the device's workers under the same
-// sticky chunk→worker map every kernel launch uses, so on NUMA hosts each
-// page is faulted onto the node of the worker that will sweep it.
-func (d *Device) AllocVector(n int) []float64 {
-	v := AlignedFloat64s(n)
-	if n > 0 {
-		d.LaunchRange(n, func(lo, hi int) {
-			s := v[lo:hi]
-			for i := range s {
-				s[i] = 0
-			}
-		})
 	}
 	return v
 }

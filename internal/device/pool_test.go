@@ -171,3 +171,22 @@ func TestPoolDispatchDoesNotLoseChunksUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+func TestBatchPartBoundsPartitionChunks(t *testing.T) {
+	for _, nchunks := range []int{1, 2, 7, 31, 32, 33, 1000} {
+		for _, nparts := range []int{1, 2, 5, maxBatchParts} {
+			b := &batch{launch: launch{nchunks: nchunks}, nparts: nparts}
+			prev := 0
+			for p := 0; p < nparts; p++ {
+				lo, hi := b.partBounds(p)
+				if lo != prev || hi < lo {
+					t.Fatalf("nchunks=%d nparts=%d: part %d = [%d,%d), prev end %d", nchunks, nparts, p, lo, hi, prev)
+				}
+				prev = hi
+			}
+			if prev != nchunks {
+				t.Fatalf("nchunks=%d nparts=%d: parts cover %d chunks", nchunks, nparts, prev)
+			}
+		}
+	}
+}

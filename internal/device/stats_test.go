@@ -2,113 +2,6 @@ package device
 
 import "testing"
 
-func TestArenaStatIdxMapping(t *testing.T) {
-	cases := []struct{ node, idx int }{
-		{-1, 0}, {-7, 0}, // unattributed bucket
-		{0, 1}, {1, 2},
-		{maxStatNodes - 1, maxStatNodes},
-		{maxStatNodes, maxStatNodes},     // folds into the last bucket
-		{maxStatNodes + 9, maxStatNodes}, // ditto
-	}
-	for _, c := range cases {
-		if got := arenaStatIdx(c.node); got != c.idx {
-			t.Errorf("arenaStatIdx(%d) = %d, want %d", c.node, got, c.idx)
-		}
-	}
-}
-
-// TestArenaAccountingThroughAllocReset checks the always-on occupancy
-// counters the telemetry sampler polls: Alloc adds the rounded bump step to
-// used (and slab growth to footprint), Reset retracts exactly the arena's
-// own contribution, and the high-water only ever rises. All assertions are
-// deltas against the process-wide totals, since other tests in the package
-// share the buckets.
-func TestArenaAccountingThroughAllocReset(t *testing.T) {
-	foot0, used0, _ := ArenaTotals()
-
-	a := NewArena(1024)
-	if v := a.Alloc(64); len(v) != 64 {
-		t.Fatalf("Alloc(64) len = %d", len(v))
-	}
-	foot1, used1, hi1 := ArenaTotals()
-	if foot1-foot0 != 1024 {
-		t.Fatalf("footprint delta = %d, want 1024 (one slab)", foot1-foot0)
-	}
-	if used1-used0 != 64 {
-		t.Fatalf("used delta = %d, want 64", used1-used0)
-	}
-
-	// 100 floats round up to a whole number of cache lines (13 lines = 104).
-	a.Alloc(100)
-	_, used2, _ := ArenaTotals()
-	if used2-used1 != 104 {
-		t.Fatalf("rounded bump delta = %d, want 104", used2-used1)
-	}
-
-	// Oversized grab gets a dedicated slab of exactly the rounded size.
-	a.Alloc(2048)
-	foot3, used3, _ := ArenaTotals()
-	if foot3-foot1 != 2048 {
-		t.Fatalf("oversized slab footprint delta = %d, want 2048", foot3-foot1)
-	}
-	if used3-used2 != 2048 {
-		t.Fatalf("oversized used delta = %d, want 2048", used3-used2)
-	}
-
-	a.Reset()
-	foot4, used4, hi4 := ArenaTotals()
-	if used4 != used0 {
-		t.Fatalf("Reset did not retract: used = %d, want %d", used4, used0)
-	}
-	if foot4 != foot3 {
-		t.Fatalf("Reset released slabs: footprint %d → %d", foot3, foot4)
-	}
-	if hi4 < hi1 {
-		t.Fatalf("high-water regressed: %d → %d", hi1, hi4)
-	}
-
-	// Unattributed arenas surface as the Node == -1 bucket.
-	found := false
-	for _, st := range AllArenaStats() {
-		if st.Node == -1 {
-			found = true
-			if st.FootprintFloats < 1024 {
-				t.Fatalf("unattributed footprint = %d", st.FootprintFloats)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no unattributed bucket in AllArenaStats after growth")
-	}
-}
-
-// TestWorkerArenaAttributesToNode: NewWorkerArena books its occupancy under
-// the worker's NUMA node, not the unattributed bucket.
-func TestWorkerArenaAttributesToNode(t *testing.T) {
-	node := Topo().NodeOf(0, 1)
-	idx := arenaStatIdx(node)
-	used0 := arenaAcct[idx].used.Load()
-
-	a := NewWorkerArena(0, 1)
-	if a.statIdx != idx {
-		t.Fatalf("statIdx = %d, want %d (node %d)", a.statIdx, idx, node)
-	}
-	a.Alloc(64)
-	if delta := arenaAcct[idx].used.Load() - used0; delta != 64 {
-		t.Fatalf("node bucket used delta = %d, want 64", delta)
-	}
-	a.Reset()
-	if delta := arenaAcct[idx].used.Load() - used0; delta != 0 {
-		t.Fatalf("node bucket not retracted: delta = %d", delta)
-	}
-
-	// A degenerate pool size is clamped rather than trusted.
-	b := NewWorkerArena(0, 0)
-	if b.statIdx != arenaStatIdx(Topo().NodeOf(0, 1)) {
-		t.Fatalf("clamped statIdx = %d", b.statIdx)
-	}
-}
-
 // TestPoolStatsNowIsPassive: reading pool stats never starts the pool, and
 // the chunk counters are monotone.
 func TestPoolStatsNowIsPassive(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 // This file discovers the machine topology the pool pins against. Real NUMA
 // machines expose their node → CPU map under /sys/devices/system/node; on
 // single-socket boxes (and on non-Linux hosts, where the directory does not
-// exist) detection degrades to one node holding every CPU, and all
-// node-keyed behaviour — worker pinning, node arenas — collapses to the
-// per-P fallback without any special casing at the call sites.
+// exist) detection degrades to one node holding every CPU, and node-keyed
+// worker pinning collapses to the per-P fallback without any special
+// casing at the call sites.
 
 // Topology is the detected node → CPU map of the host.
 type Topology struct {

@@ -167,3 +167,64 @@ func TestDetectTopologyMalformed(t *testing.T) {
 		})
 	}
 }
+
+func TestParseCPUList(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+	}{
+		{"0", []int{0}},
+		{"0-3", []int{0, 1, 2, 3}},
+		{"0-1,4-5", []int{0, 1, 4, 5}},
+		{"7,3", []int{3, 7}},
+		{"", nil},
+		{"x", nil},
+		{"3-1", nil},
+	}
+	for _, c := range cases {
+		got := parseCPUList(c.in)
+		if len(got) != len(c.want) {
+			t.Errorf("parseCPUList(%q) = %v, want %v", c.in, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("parseCPUList(%q) = %v, want %v", c.in, got, c.want)
+				break
+			}
+		}
+	}
+}
+
+func TestDetectTopologyFromFakeSysfs(t *testing.T) {
+	dir := t.TempDir()
+	for node, cpulist := range map[string]string{"node0": "0-1", "node1": "2-3"} {
+		if err := os.MkdirAll(filepath.Join(dir, node), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, node, "cpulist"), []byte(cpulist+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo := detectTopology(dir)
+	if topo.Nodes() != 2 {
+		t.Fatalf("detected %d nodes, want 2", topo.Nodes())
+	}
+	if len(topo.NodeCPUs[0]) != 2 || topo.NodeCPUs[0][0] != 0 || topo.NodeCPUs[1][0] != 2 {
+		t.Errorf("wrong cpu map: %v", topo.NodeCPUs)
+	}
+	// Workers split into contiguous per-node blocks.
+	if topo.NodeOf(0, 4) != 0 || topo.NodeOf(1, 4) != 0 || topo.NodeOf(2, 4) != 1 || topo.NodeOf(3, 4) != 1 {
+		t.Error("NodeOf must assign contiguous worker blocks to nodes")
+	}
+}
+
+func TestDetectTopologyFallback(t *testing.T) {
+	topo := detectTopology("/definitely/not/a/sysfs/path")
+	if topo.Nodes() != 1 {
+		t.Fatalf("missing sysfs must fall back to 1 node, got %d", topo.Nodes())
+	}
+	if topo.NodeOf(5, 8) != 0 {
+		t.Error("single-node topology must map every worker to node 0")
+	}
+}

@@ -16,30 +16,11 @@ import (
 // Figure 1: error-threshold curves
 
 // ThresholdPoint is one column of Figure 1: the cumulative class
-// concentrations at a given error rate.
+// concentrations at a given error rate. ThresholdSweepOpts and
+// ThresholdSweepFullOpts (sweep.go) compute the curves.
 type ThresholdPoint struct {
 	P     float64
 	Gamma []float64 // [Γ0] … [Γν]
-}
-
-// ThresholdSweep computes the Figure 1 curves for a class-based landscape:
-// for each error rate the dominant eigenvector is computed and accumulated
-// into the error classes. The exact Section 5.1 reduction is used, which
-// the reproduction tests verify against the full Pi(Fmmp) solve. It is
-// the serial-cold form of ThresholdSweepOpts (see sweep.go).
-func ThresholdSweep(l landscape.Landscape, ps []float64) ([]ThresholdPoint, error) {
-	out, _, err := ThresholdSweepOpts(l, ps, SweepOptions{Workers: 1})
-	return out, err
-}
-
-// ThresholdSweepFull is ThresholdSweep through the full 2^ν Pi(Fmmp)
-// pipeline — usable for any landscape, at Θ(N) memory per solve. It is
-// the serial-cold form of ThresholdSweepFullOpts; the tolerance is
-// core.DefaultTolerance(l), the attainable floating-point floor of the
-// landscape, rather than a fixed constant.
-func ThresholdSweepFull(q *mutation.Process, l landscape.Landscape, ps []float64, dev *device.Device) ([]ThresholdPoint, error) {
-	out, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, Dev: dev})
-	return out, err
 }
 
 // ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ func TestThresholdSweepSinglePeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := ThresholdSweep(l, []float64{0.005, 0.08})
+	pts, _, err := ThresholdSweepOpts(l, []float64{0.005, 0.08}, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestThresholdSweepSinglePeak(t *testing.T) {
 
 func TestThresholdSweepRejectsUnstructured(t *testing.T) {
 	l, _ := landscape.NewRandom(8, 5, 1, 1)
-	if _, err := ThresholdSweep(l, []float64{0.01}); err == nil {
+	if _, _, err := ThresholdSweepOpts(l, []float64{0.01}, SweepOptions{Workers: 1}); err == nil {
 		t.Error("unstructured landscape must be rejected")
 	}
 }
@@ -145,16 +145,16 @@ func TestThresholdSweepFullMatchesReduced(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := []float64{0.01, 0.05}
-	reduced, err := ThresholdSweep(l, ps)
+	reduced, _, err := ThresholdSweepOpts(l, ps, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := mutation.MustUniform(nu, 0.01)
-	fullSerial, err := ThresholdSweepFull(q, l, ps, nil)
+	fullSerial, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullDev, err := ThresholdSweepFull(q, l, ps, device.New(4, device.WithGrain(16)))
+	fullDev, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, Dev: device.New(4, device.WithGrain(16))})
 	if err != nil {
 		t.Fatal(err)
 	}

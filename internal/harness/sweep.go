@@ -15,7 +15,7 @@ import (
 // This file is the batched sweep engine: the Figure 1 error-rate sweeps
 // and the threshold search re-expressed over the internal/batch work-queue
 // scheduler, with warm-start continuation along monotone p-chains and
-// per-slot scratch reuse.
+// per-worker scratch reuse.
 //
 // Determinism contract: the sweep is partitioned into fixed-length
 // continuation chains (batch.Chains) whose layout depends only on the
@@ -75,19 +75,20 @@ type SweepStats struct {
 	Iterations []int
 	// Predicted[i] is the adaptive selector's predicted cost at point i:
 	// the probe plus the first gear's predicted matvecs, 0 where that gear
-	// has no predictor (core.AdaptiveResult.PredictedMatVecs). Nil on
-	// sweeps that run no selector.
+	// has no predictor (core.AdaptiveResult.PredictedMatVecs). Full-space
+	// sweeps always allocate it; it reads 0 on power points and is nil on
+	// reduced sweeps.
 	Predicted []int
 	// Probe[i] is the part of Iterations[i] the adaptive selector's gap
 	// probe took (core.AdaptiveResult.ProbeMatVecs): at the 24-step cap, or
-	// fewer where the probe met the tolerance first. Nil on sweeps that run
-	// no selector.
+	// fewer where the probe met the tolerance first. Full-space sweeps
+	// always allocate it; it reads 0 on power points and is nil on reduced
+	// sweeps.
 	Probe []int
 	// Warm[i] reports whether point i was warm-started.
 	Warm []bool
 	// Methods[i] names the solve method that produced point i ("power",
-	// "chebyshev", "shiftinvert", …). Nil for sweeps predating the
-	// adaptive engine's instrumentation.
+	// "chebyshev" or "shiftinvert").
 	Methods []string
 	// Escalations is the total number of abandoned gear attempts across
 	// the sweep (adaptive path only).
@@ -127,11 +128,13 @@ func (s *SweepStats) WarmPoints() int {
 	return n
 }
 
-// ThresholdSweepOpts is ThresholdSweep on the batch engine: the reduced
-// Section 5.1 solves of a Figure 1 sweep scheduled over opts.Workers
-// concurrent slots, with warm-start continuation along each chain (the
-// reduced iteration runs on M = QΓᵀ·diag(ϕ), so a neighbor's Gamma vector
-// is the exact warm start).
+// ThresholdSweepOpts computes the Figure 1 curves for a class-based
+// landscape: for each error rate the dominant eigenvector, accumulated
+// into the error classes. It runs the exact Section 5.1 reduction, which
+// the reproduction tests verify against the full Pi(Fmmp) solve, scheduled
+// over opts.Workers concurrent workers, with warm-start continuation along
+// each chain (the reduced iteration runs on M = QΓᵀ·diag(ϕ), so a
+// neighbor's Gamma vector is the exact warm start).
 func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, *SweepStats, error) {
 	phi, ok := landscape.ClassBased(l)
 	if !ok {
@@ -154,7 +157,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 	}
 	chains := batch.Chains(len(ps), opts.ChainLen)
 	stats.Chains = len(chains)
-	err := batch.Run(len(chains), opts.Workers, func(ci int, _ *batch.Slot) error {
+	err := batch.Run(len(chains), opts.Workers, func(ci, _ int) error {
 		var prev []float64
 		for i := chains[ci].Lo; i < chains[ci].Hi; i++ {
 			red, err := errorclass.New(phi, ps[i])
@@ -191,24 +194,24 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 	return out, stats, nil
 }
 
-// ThresholdSweepFullOpts is ThresholdSweepFull on the batch engine: full
-// 2^ν Pi(Fmmp) solves scheduled over opts.Workers slots. Each slot owns
-// one reusable core.PowerWork, so memory stays at Workers·Θ(N) however
-// long the sweep; each point's operator shares the landscape diagonals of
-// a base operator (FmmpOperator.WithProcess) and, within a chain, is
-// warm-started from the previous point's eigenvector held in the slot
-// scratch.
+// ThresholdSweepFullOpts is the Figure 1 sweep through the full 2^ν
+// Pi(Fmmp) pipeline — usable for any landscape — on the batch engine: one
+// core.AdaptiveSolve per point, scheduled over opts.Workers workers. Each
+// worker owns one reusable core.AdaptiveWork, so memory stays at
+// Workers·Θ(N) however long the sweep; each point's operator shares the
+// landscape diagonals of a base operator (FmmpOperator.WithProcess) and,
+// within a chain, is warm-started from the previous point's eigenvector
+// held in the worker's scratch.
 func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, *SweepStats, error) {
 	baseOp, err := core.NewFmmpOperator(q, l, core.Right, opts.Dev)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The adaptive gears (Chebyshev, shift-invert, Lanczos) run in the
-	// Symmetric formulation; build the base operator once and share its
-	// landscape diagonals across the sweep like the Right one.
-	adaptive := opts.Method != core.SolvePower
+	// The Krylov/Chebyshev gears run in the Symmetric formulation; build
+	// its base operator once and share its landscape diagonals across the
+	// sweep like the Right one. Power sweeps never touch it.
 	var baseOpS *core.FmmpOperator
-	if adaptive {
+	if opts.Method != core.SolvePower {
 		baseOpS, err = core.NewFmmpOperator(q, l, core.Symmetric, opts.Dev)
 		if err != nil {
 			return nil, nil, err
@@ -218,43 +221,25 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 	if tol <= 0 {
 		tol = core.DefaultTolerance(l)
 	}
-	cold := baseOp.FitnessStart() // shared read-only across slots
-	workers := batch.Workers(opts.Workers)
-	works := make([]*core.PowerWork, workers)
-	var aworks []*core.AdaptiveWork
-	if adaptive {
-		aworks = make([]*core.AdaptiveWork, workers)
-	}
+	cold := baseOp.FitnessStart() // shared read-only across workers
+	works := make([]*core.AdaptiveWork, batch.Workers(opts.Workers))
 
 	out := make([]ThresholdPoint, len(ps))
 	stats := &SweepStats{
-		Iterations: make([]int, len(ps)), Warm: make([]bool, len(ps)),
+		Iterations: make([]int, len(ps)), Predicted: make([]int, len(ps)),
+		Probe: make([]int, len(ps)), Warm: make([]bool, len(ps)),
 		Methods: make([]string, len(ps)),
-	}
-	if adaptive {
-		stats.Predicted = make([]int, len(ps))
-		stats.Probe = make([]int, len(ps))
 	}
 	chains := batch.Chains(len(ps), opts.ChainLen)
 	stats.Chains = len(chains)
 	// Escalations accumulate per chain and are summed after the run, so the
 	// total never depends on worker interleaving.
 	escalations := make([]int, len(chains))
-	err = batch.Run(len(chains), opts.Workers, func(ci int, s *batch.Slot) error {
-		var work *core.PowerWork
-		var awork *core.AdaptiveWork
-		if adaptive {
-			awork = aworks[s.ID()]
-			if awork == nil {
-				awork = core.NewAdaptiveWork(q.Dim())
-				aworks[s.ID()] = awork
-			}
-		} else {
-			work = works[s.ID()]
-			if work == nil {
-				work = core.NewPowerWork(q.Dim())
-				works[s.ID()] = work
-			}
+	err = batch.Run(len(chains), opts.Workers, func(ci, worker int) error {
+		work := works[worker]
+		if work == nil {
+			work = core.NewAdaptiveWork(q.Dim())
+			works[worker] = work
 		}
 		// Selector state is chain-local: a fresh zero value per chain keeps
 		// warm shifts (and with them the whole gear sequence) independent of
@@ -271,75 +256,55 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 			if err != nil {
 				return err
 			}
+			var opS *core.FmmpOperator
+			if baseOpS != nil {
+				if opS, err = baseOpS.WithProcess(qp); err != nil {
+					return err
+				}
+			}
 			start := cold
 			if opts.WarmStart && prev != nil {
-				start = prev // aliases the slot scratch; the solvers self-copy
+				start = prev // aliases the worker's scratch; the solvers self-copy
 				stats.Warm[i] = true
 			}
 			var observer core.Observer
 			if opts.Observe != nil {
 				observer = opts.Observe(i, p)
 			}
-			var x []float64
-			if adaptive {
-				opS, err := baseOpS.WithProcess(qp)
-				if err != nil {
-					return err
-				}
-				res, err := core.AdaptiveSolve(op, opS, core.AdaptiveOptions{
-					Method:     opts.Method,
-					Tol:        tol,
-					MaxIter:    opts.MaxIter,
-					PowerShift: core.ConservativeShift(qp, l),
-					Start:      start,
-					Dev:        opts.Dev,
-					Observer:   observer,
-					Work:       awork,
-					State:      &state,
-				})
-				if err != nil {
-					return fmt.Errorf("p = %g: %w", p, err)
-				}
-				stats.Iterations[i] = res.Iterations
-				stats.Predicted[i] = res.PredictedMatVecs
-				stats.Probe[i] = res.ProbeMatVecs
-				stats.Methods[i] = res.Method.String()
-				escalations[ci] += res.Escalations
-				if opts.Progress != nil {
-					opts.Progress(i, p, res.Iterations, stats.Warm[i], stats.Methods[i])
-				}
-				x = res.Vector
-			} else {
-				res, err := core.PowerIteration(op, core.PowerOptions{
-					Tol:      tol,
-					MaxIter:  opts.MaxIter,
-					Start:    start,
-					Shift:    core.ConservativeShift(qp, l),
-					Dev:      opts.Dev,
-					Work:     work,
-					Observer: observer,
-				})
-				if err != nil {
-					return fmt.Errorf("p = %g: %w", p, err)
-				}
-				stats.Iterations[i] = res.Iterations
-				stats.Methods[i] = core.SolvePower.String()
-				if opts.Progress != nil {
-					opts.Progress(i, p, res.Iterations, stats.Warm[i], stats.Methods[i])
-				}
-				x = res.Vector
+			res, err := core.AdaptiveSolve(op, opS, core.AdaptiveOptions{
+				Method:     opts.Method,
+				Tol:        tol,
+				MaxIter:    opts.MaxIter,
+				PowerShift: core.ConservativeShift(qp, l),
+				Start:      start,
+				Dev:        opts.Dev,
+				Observer:   observer,
+				Work:       work,
+				State:      &state,
+			})
+			if err != nil {
+				return fmt.Errorf("p = %g: %w", p, err)
 			}
-			// x aliases the slot scratch; normalizing it to concentrations
-			// in place keeps its direction, so it stays a valid warm start.
-			if err := core.Concentrations(x); err != nil {
+			stats.Iterations[i] = res.Iterations
+			stats.Predicted[i] = res.PredictedMatVecs
+			stats.Probe[i] = res.ProbeMatVecs
+			stats.Methods[i] = res.Method.String()
+			escalations[ci] += res.Escalations
+			if opts.Progress != nil {
+				opts.Progress(i, p, res.Iterations, stats.Warm[i], stats.Methods[i])
+			}
+			// res.Vector aliases the worker's scratch; normalizing it to
+			// concentrations in place keeps its direction, so it stays a
+			// valid warm start.
+			if err := core.Concentrations(res.Vector); err != nil {
 				return err
 			}
-			gamma, err := core.ClassConcentrations(l.ChainLen(), x)
+			gamma, err := core.ClassConcentrations(l.ChainLen(), res.Vector)
 			if err != nil {
 				return err
 			}
 			out[i] = ThresholdPoint{P: p, Gamma: gamma}
-			prev = x
+			prev = res.Vector
 		}
 		return nil
 	})
@@ -352,9 +317,11 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 	return out, stats, nil
 }
 
-// LocateThresholdOpts locates p_max like LocateThreshold but evaluates
-// opts.Workers interior points of the bracket concurrently per round
-// (k-section search): each round shrinks the bracket by a factor k+1
+// LocateThresholdOpts locates the error rate p_max at which the master
+// class concentration [Γ0] of a class-based landscape falls below the
+// order criterion (100 × its uniform share 2^(−ν)), to within tol. It
+// evaluates opts.Workers interior points of the bracket concurrently per
+// round (k-section search): each round shrinks the bracket by a factor k+1
 // instead of 2, so the round count drops from log₂(Δ/tol) to
 // log_{k+1}(Δ/tol) while every round costs one parallel batch of reduced
 // solves. Workers ≤ 1 reproduces plain bisection exactly.
@@ -412,7 +379,7 @@ func LocateThresholdOpts(l landscape.Landscape, lo, hi, tol float64, opts SweepO
 		for j := 0; j < k; j++ {
 			mids[j] = lo + float64(j+1)*h
 		}
-		err := batch.Run(k, k, func(j int, _ *batch.Slot) error {
+		err := batch.Run(k, k, func(j, _ int) error {
 			om, err := ordered(mids[j])
 			if err != nil {
 				return err

@@ -128,35 +128,71 @@ func TestWarmStartMatchesColdWithinTolerance(t *testing.T) {
 	}
 }
 
-// The legacy entry points must agree with the engine they now wrap.
-func TestLegacySweepWrappersMatchOpts(t *testing.T) {
+// A power sweep runs each point through core.AdaptiveSolve, and must be
+// bit-identical to a plain core.PowerIteration chain: one PowerWork reused
+// across points, Shift = ConservativeShift, each warm start the previous
+// point's concentrations in place. Power points report no prediction and
+// no probe.
+func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 	const nu = 7
 	l, err := landscape.NewSinglePeak(nu, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := mutation.MustUniform(nu, 0.02)
-	ps := sweepGrid(0.01, 0.08, 5)
-
-	legacy, err := ThresholdSweep(l, ps)
-	if err != nil {
-		t.Fatal(err)
+	ps := sweepGrid(0.01, 0.08, 11)
+	const chainLen = 4
+	for _, warm := range []bool{false, true} {
+		baseOp, err := core.NewFmmpOperator(q, l, core.Right, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := core.DefaultTolerance(l)
+		work := core.NewPowerWork(q.Dim())
+		want := make([]ThresholdPoint, len(ps))
+		wantIters := make([]int, len(ps))
+		for lo := 0; lo < len(ps); lo += chainLen {
+			var prev []float64
+			for i := lo; i < min(lo+chainLen, len(ps)); i++ {
+				qp := mutation.MustUniform(nu, ps[i])
+				op, err := baseOp.WithProcess(qp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := baseOp.FitnessStart()
+				if warm && prev != nil {
+					start = prev
+				}
+				res, err := core.PowerIteration(op, core.PowerOptions{
+					Tol: tol, Start: start, Shift: core.ConservativeShift(qp, l), Work: work,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := core.Concentrations(res.Vector); err != nil {
+					t.Fatal(err)
+				}
+				gamma, err := core.ClassConcentrations(nu, res.Vector)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i], wantIters[i], prev = ThresholdPoint{P: ps[i], Gamma: gamma}, res.Iterations, res.Vector
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			got, stats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: workers, WarmStart: warm, ChainLen: chainLen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, "power sweep", want, got)
+			for i := range ps {
+				if stats.Iterations[i] != wantIters[i] || stats.Methods[i] != "power" || stats.Predicted[i] != 0 || stats.Probe[i] != 0 {
+					t.Fatalf("warm=%v workers=%d point %d: %d iterations (%s, predicted %d, probe %d), PowerIteration %d",
+						warm, workers, i, stats.Iterations[i], stats.Methods[i], stats.Predicted[i], stats.Probe[i], wantIters[i])
+				}
+			}
+		}
 	}
-	opts, _, err := ThresholdSweepOpts(l, ps, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "reduced wrapper", legacy, opts)
-
-	legacyFull, err := ThresholdSweepFull(q, l, ps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optsFull, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "full wrapper", legacyFull, optsFull)
 }
 
 func TestLocateThresholdOptsMatchesBisection(t *testing.T) {
@@ -165,7 +201,7 @@ func TestLocateThresholdOptsMatchesBisection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := LocateThreshold(l, 0.001, 0.4, 1e-4)
+	want, err := LocateThresholdOpts(l, 0.001, 0.4, 1e-4, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

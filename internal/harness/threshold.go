@@ -3,15 +3,13 @@ package harness
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/landscape"
 )
 
 // Error-threshold location. Figure 1 shows the phenomenon; this file
 // turns it into a number: the critical error rate p_max at which the
-// ordered quasispecies collapses, located by bisection on the master-class
-// concentration, plus the classical first-order theory value to compare
-// against.
+// ordered quasispecies collapses, located by k-section on the master-class
+// concentration (LocateThresholdOpts, sweep.go), plus the classical
+// first-order theory value to compare against.
 
 // TheoreticalThreshold returns the textbook estimate of the error
 // threshold for a single-peak landscape with superiority σ = f₀/f_base:
@@ -27,14 +25,4 @@ func TheoreticalThreshold(sigma float64, nu int) (float64, error) {
 		return 0, fmt.Errorf("harness: ν = %d must be positive", nu)
 	}
 	return 1 - math.Pow(sigma, -1/float64(nu)), nil
-}
-
-// LocateThreshold bisects the error rate at which the master class
-// concentration [Γ0] of a class-based landscape falls below the
-// order criterion (factor × its uniform share 2^(−ν)). It returns the
-// located p_max to within tol. It is the single-probe form of
-// LocateThresholdOpts (see sweep.go), which evaluates several bracket
-// points per round concurrently.
-func LocateThreshold(l landscape.Landscape, lo, hi, tol float64) (float64, error) {
-	return LocateThresholdOpts(l, lo, hi, tol, SweepOptions{Workers: 1})
 }

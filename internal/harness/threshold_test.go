@@ -33,7 +33,7 @@ func TestLocateThresholdMatchesPaperAndTheory(t *testing.T) {
 	// first-order theory gives 0.0341. Bisection on the solved model must
 	// land nearby.
 	l, _ := landscape.NewSinglePeak(20, 2, 1)
-	located, err := LocateThreshold(l, 0.005, 0.08, 1e-5)
+	located, err := LocateThresholdOpts(l, 0.005, 0.08, 1e-5, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestLocateThresholdScalesWithSigma(t *testing.T) {
 	// Doubling σ raises the threshold roughly like ln σ.
 	l2, _ := landscape.NewSinglePeak(16, 2, 1)
 	l4, _ := landscape.NewSinglePeak(16, 4, 1)
-	p2, err := LocateThreshold(l2, 0.005, 0.2, 1e-4)
+	p2, err := LocateThresholdOpts(l2, 0.005, 0.2, 1e-4, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := LocateThreshold(l4, 0.005, 0.2, 1e-4)
+	p4, err := LocateThresholdOpts(l4, 0.005, 0.2, 1e-4, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,24 +70,24 @@ func TestLocateThresholdScalesWithSigma(t *testing.T) {
 
 func TestLocateThresholdBracketValidation(t *testing.T) {
 	l, _ := landscape.NewSinglePeak(12, 2, 1)
-	if _, err := LocateThreshold(l, 0.2, 0.4, 1e-4); err == nil {
+	if _, err := LocateThresholdOpts(l, 0.2, 0.4, 1e-4, SweepOptions{Workers: 1}); err == nil {
 		t.Error("already-disordered lower bracket must error")
 	}
-	if _, err := LocateThreshold(l, 0.001, 0.002, 1e-4); err == nil {
+	if _, err := LocateThresholdOpts(l, 0.001, 0.002, 1e-4, SweepOptions{Workers: 1}); err == nil {
 		t.Error("still-ordered upper bracket must error")
 	}
-	if _, err := LocateThreshold(l, -1, 0.1, 1e-4); err == nil {
+	if _, err := LocateThresholdOpts(l, -1, 0.1, 1e-4, SweepOptions{Workers: 1}); err == nil {
 		t.Error("invalid bracket must error")
 	}
 	// No threshold for the linear landscape within a sensible bracket: the
 	// decay is smooth, but the criterion still crosses somewhere — verify
 	// the function simply works and returns increasing-p order.
 	lin, _ := landscape.NewLinear(12, 2, 1)
-	if _, err := LocateThreshold(lin, 0.0005, 0.45, 1e-4); err != nil {
+	if _, err := LocateThresholdOpts(lin, 0.0005, 0.45, 1e-4, SweepOptions{Workers: 1}); err != nil {
 		t.Logf("linear landscape: %v (acceptable: criterion may not bracket)", err)
 	}
 	rl, _ := landscape.NewRandom(8, 5, 1, 1)
-	if _, err := LocateThreshold(rl, 0.001, 0.1, 1e-4); err == nil {
+	if _, err := LocateThresholdOpts(rl, 0.001, 0.1, 1e-4, SweepOptions{Workers: 1}); err == nil {
 		t.Error("unstructured landscape must be rejected")
 	}
 }

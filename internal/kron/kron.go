@@ -118,7 +118,7 @@ func (s *System) Solve(opts SolveOptions) (*Result, error) {
 		workers = 1
 	}
 	res := &Result{system: s, Lambda: 1, Factors: make([]FactorResult, len(s.factors))}
-	err := batch.Run(len(s.factors), workers, func(i int, _ *batch.Slot) error {
+	err := batch.Run(len(s.factors), workers, func(i, _ int) error {
 		f := s.factors[i]
 		op, err := core.NewFmmpOperator(f.Q, f.F, core.Right, nil)
 		if err != nil {

@@ -188,7 +188,7 @@ func pinSolverMetrics(t *testing.T) {
 			"qs_batch_runs_total", "qs_batch_tasks_total",
 			"qs_batch_task_failures_total", "qs_batch_task_seconds",
 			"qs_batch_run_seconds", "qs_batch_tasks_inflight")
-		err := batch.Run(4, 2, func(i int, _ *batch.Slot) error {
+		err := batch.Run(4, 2, func(i, _ int) error {
 			if i == 2 {
 				return errors.New("task failed on purpose")
 			}

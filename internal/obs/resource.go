@@ -34,7 +34,7 @@ type MemStatus struct {
 
 // NUMAStatus is one read of /proc/self/numa_maps: how the process' pages
 // are placed across NUMA nodes — the verification signal for first-touch
-// arena placement.
+// placement.
 type NUMAStatus struct {
 	Available bool   `json:"available"`
 	Reason    string `json:"reason,omitempty"`

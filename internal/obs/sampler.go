@@ -63,7 +63,6 @@ type Sampler struct {
 	sHeap, sGoroutines, sGCPause *TimeSeries
 	sPoints, sIters, sResidual   *TimeSeries
 	sInflight, sDone             *TimeSeries
-	sArenaUsed, sArenaHi         *TimeSeries
 	sQueue, sSteals              *TimeSeries
 	numaSeries                   map[int]*TimeSeries // sampler-goroutine only
 }
@@ -128,8 +127,6 @@ func newSampler(cfg SamplerConfig) *Sampler {
 	s.sResidual = add("power.last_residual", "1", SeriesGauge)
 	s.sInflight = add("batch.inflight", "1", SeriesGauge)
 	s.sDone = add("batch.done_total", "1", SeriesCumulative)
-	s.sArenaUsed = add("arena.used_floats", "float64s", SeriesGauge)
-	s.sArenaHi = add("arena.highwater_floats", "float64s", SeriesGauge)
 	s.sQueue = add("pool.queue_depth", "1", SeriesGauge)
 	s.sSteals = add("pool.steals_total", "1", SeriesCumulative)
 	return s
@@ -199,15 +196,6 @@ func (s *Sampler) tick(k int) {
 
 	s.sInflight.Append(now, float64(res.BatchInflight))
 	s.sDone.Append(now, float64(res.BatchDone))
-	var used, hi int64
-	for _, a := range res.Arenas {
-		used += a.UsedFloats
-		if a.HighWaterFloats > hi {
-			hi = a.HighWaterFloats
-		}
-	}
-	s.sArenaUsed.Append(now, float64(used))
-	s.sArenaHi.Append(now, float64(hi))
 	s.sQueue.Append(now, float64(res.PoolQueueDepth))
 	s.sSteals.Append(now, float64(res.PoolStolen))
 

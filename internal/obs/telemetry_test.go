@@ -79,7 +79,7 @@ func TestTelemetryEndpointLifecycle(t *testing.T) {
 	}
 	// The acceptance bar: ≥ 3 distinct non-empty series. Runtime + solver
 	// series fill on every OS; on Linux the mem.* series join them.
-	for _, name := range []string{"runtime.heap_bytes", "runtime.goroutines", "arena.used_floats", "batch.inflight"} {
+	for _, name := range []string{"runtime.heap_bytes", "runtime.goroutines", "batch.done_total", "batch.inflight"} {
 		if !nonEmpty[name] {
 			t.Errorf("series %s has no points", name)
 		}

@@ -96,7 +96,7 @@ type sweepMetrics struct {
 
 // resourceMetrics backs UpdateResourceGauges: pull-based qs_* gauges the
 // telemetry sampler refreshes once per tick, covering process memory,
-// Go runtime state, arena occupancy and pool pressure. Per-node families
+// Go runtime state, NUMA placement and pool pressure. Per-node families
 // are registered lazily at the first tick that sees the node.
 type resourceMetrics struct {
 	r *Registry
@@ -110,9 +110,6 @@ type resourceMetrics struct {
 	goroutines *Gauge
 	gcPause    *GaugeFloat
 
-	arenaFoot map[int]*Gauge
-	arenaUsed map[int]*Gauge
-	arenaHi   map[int]*Gauge
 	numaBytes map[int]*Gauge
 
 	poolQueue  *Gauge
@@ -130,21 +127,10 @@ var wire struct {
 	resource *resourceMetrics
 }
 
-// ArenaSnapshot mirrors device.ArenaStats without exposing the device
-// package to the rest of obs (wire.go stays the single crossing point).
-type ArenaSnapshot struct {
-	Node            int   `json:"node"`
-	FootprintFloats int64 `json:"footprint_floats"`
-	UsedFloats      int64 `json:"used_floats"`
-	HighWaterFloats int64 `json:"highwater_floats"`
-}
-
 // SolverResources is one pull of the always-on device/batch counters — the
 // solver-side half of a sampler tick. All fields are readable whether or
 // not a span recorder was ever installed.
 type SolverResources struct {
-	Arenas []ArenaSnapshot `json:"arenas,omitempty"`
-
 	PoolWorkers    int   `json:"pool_workers"`
 	PoolQueueDepth int   `json:"pool_queue_depth"`
 	PoolClaimed    int64 `json:"pool_chunks_claimed"`
@@ -155,18 +141,10 @@ type SolverResources struct {
 	BatchPlanned  int64 `json:"batch_planned"`
 }
 
-// ReadSolverResources polls the device arenas, the worker pool and the
-// batch scheduler. Cost: a few dozen atomic loads; safe at any frequency.
+// ReadSolverResources polls the worker pool and the batch scheduler.
+// Cost: a few atomic loads; safe at any frequency.
 func ReadSolverResources() SolverResources {
 	res := SolverResources{}
-	for _, a := range device.AllArenaStats() {
-		res.Arenas = append(res.Arenas, ArenaSnapshot{
-			Node:            a.Node,
-			FootprintFloats: a.FootprintFloats,
-			UsedFloats:      a.UsedFloats,
-			HighWaterFloats: a.HighWaterFloats,
-		})
-	}
 	ps := device.PoolStatsNow()
 	res.PoolWorkers = ps.Workers
 	res.PoolQueueDepth = ps.QueueDepth
@@ -176,17 +154,14 @@ func ReadSolverResources() SolverResources {
 	return res
 }
 
-// nodeGauge lazily registers a per-node gauge family member.
-func (m *resourceMetrics) nodeGauge(cache map[int]*Gauge, node int, family, help string) *Gauge {
-	if g, ok := cache[node]; ok {
-		return g
+// numaGauge lazily registers node's member of the qs_mem_numa_bytes family.
+func (m *resourceMetrics) numaGauge(node int) *Gauge {
+	g, ok := m.numaBytes[node]
+	if !ok {
+		g = m.r.Gauge(fmt.Sprintf(`qs_mem_numa_bytes{node="%d"}`, node),
+			"Resident bytes placed on each NUMA node (from /proc/self/numa_maps).")
+		m.numaBytes[node] = g
 	}
-	label := "unattributed"
-	if node >= 0 {
-		label = fmt.Sprintf("%d", node)
-	}
-	g := m.r.Gauge(fmt.Sprintf(`%s{node=%q}`, family, label), help)
-	cache[node] = g
 	return g
 }
 
@@ -208,18 +183,9 @@ func UpdateResourceGauges(mem MemStatus, rt RuntimeStatus, numa *NUMAStatus, res
 	m.heap.Set(rt.HeapBytes)
 	m.goroutines.Set(rt.Goroutines)
 	m.gcPause.Set(rt.GCPauseTotal)
-	for _, a := range res.Arenas {
-		m.nodeGauge(m.arenaFoot, a.Node, "qs_device_arena_footprint_floats",
-			"Total slab capacity of the device arenas, in float64s, by NUMA node.").Set(a.FootprintFloats)
-		m.nodeGauge(m.arenaUsed, a.Node, "qs_device_arena_used_floats",
-			"Live bump occupancy of the device arenas, in float64s, by NUMA node.").Set(a.UsedFloats)
-		m.nodeGauge(m.arenaHi, a.Node, "qs_device_arena_highwater_floats",
-			"High-water bump occupancy of the device arenas, in float64s, by NUMA node.").Set(a.HighWaterFloats)
-	}
 	if numa != nil && numa.Available {
 		for node, b := range numa.NodeBytes {
-			m.nodeGauge(m.numaBytes, node, "qs_mem_numa_bytes",
-				"Resident bytes placed on each NUMA node (from /proc/self/numa_maps).").Set(b)
+			m.numaGauge(node).Set(b)
 		}
 	}
 	m.poolQueue.Set(int64(res.PoolQueueDepth))
@@ -336,9 +302,6 @@ func newSolverMetrics(r *Registry) (*solverMetrics, *sweepMetrics, *resourceMetr
 		heap:       r.Gauge("qs_runtime_heap_bytes", "Go heap object bytes (runtime/metrics)."),
 		goroutines: r.Gauge("qs_runtime_goroutines", "Live goroutine count."),
 		gcPause:    r.GaugeFloat("qs_runtime_gc_pause_seconds", "Approximate cumulative GC stop-the-world pause seconds."),
-		arenaFoot:  map[int]*Gauge{},
-		arenaUsed:  map[int]*Gauge{},
-		arenaHi:    map[int]*Gauge{},
 		numaBytes:  map[int]*Gauge{},
 		poolQueue:  r.Gauge("qs_device_pool_queue_depth", "Batches sitting unclaimed in pool worker queues."),
 		poolSteals: r.Gauge("qs_device_pool_chunks_stolen", "Cumulative chunks executed from a non-home part (work stealing)."),

@@ -42,8 +42,8 @@ type SweepOptions struct {
 	// historical default, byte-for-byte identical to previous releases),
 	// "auto" (per-point adaptive selection — power far from the error
 	// threshold, Chebyshev-filtered restarts and shift-invert Lanczos
-	// inside the critical window), or a forced gear ("chebyshev",
-	// "shiftinvert", "lanczos"). Reduced sweeps map every non-power method
+	// inside the critical window), or a forced gear ("chebyshev" or
+	// "shiftinvert"). Reduced sweeps map every non-power method
 	// onto the dense shift-invert (RQI) path.
 	Method string
 }

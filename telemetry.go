@@ -11,10 +11,9 @@ import (
 // StartTelemetry launches a background sampler that polls — once per
 // period — process memory (RSS, peak RSS, transparent-huge-page adoption
 // from procfs), NUMA page placement, Go runtime state (heap, goroutines,
-// GC pauses), the solver's always-on device counters (arena occupancy and
-// high-water per NUMA node, pool queue depth and steal totals) and batch
-// scheduler progress (inflight, done, points/sec), retaining each signal
-// in a fixed-capacity ring. The rings feed /debug/telemetry on the debug
+// GC pauses), the solver's always-on device counters (pool queue depth and
+// steal totals) and batch scheduler progress (inflight, done, points/sec),
+// retaining each signal in a fixed-capacity ring. The rings feed /debug/telemetry on the debug
 // mux (JSON, or ?format=text for a sparkline table) and flight-recorder
 // bundles (telemetry.jsonl).
 //
