@@ -40,7 +40,7 @@ func main() {
 		steps   = flag.Int("steps", 180, "number of p samples")
 		locate  = flag.Bool("locate", false, "bisect and print the error threshold p_max instead of sweeping")
 		workers = flag.Int("workers", 1, "concurrent eigensolves (0/1 serial, -1 all cores); results are bit-identical at any count")
-		warm    = flag.Bool("warm", false, "warm-start each solve from the previous error rate's solution")
+		warm    = flag.Bool("warm", false, "warm-start each solve from the previous error rates' solutions (with -full, extrapolated through the last three)")
 		full    = flag.Bool("full", false, "solve the full 2^ν eigenproblem per point instead of the exact class reduction")
 		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert (auto adapts per point: power far from the threshold, Krylov gears inside the critical window)")
 

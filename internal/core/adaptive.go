@@ -32,8 +32,7 @@ import (
 // stay bit-identical at every worker count (the batch layer's contract).
 
 // SolveMethod selects the eigensolver gear of a sweep point. The zero
-// value is the plain power iteration, keeping existing sweep paths
-// byte-for-byte unchanged.
+// value is the plain power iteration.
 type SolveMethod int
 
 const (
@@ -101,7 +100,9 @@ func (s *MethodState) Reset() { *s = MethodState{} }
 // AdaptiveWork is the per-worker scratch of adaptive solves: the power
 // iterate pair (which also stages the Right-form result every gear
 // returns), plus lazily allocated Chebyshev, shift-invert, and probe
-// scratch — power-only sweeps never pay for the Krylov buffers.
+// scratch — power-only sweeps never pay for the Krylov buffers — and the
+// two chain-history vectors of ExtrapolateStart, allocated on a chain's
+// first warm point.
 type AdaptiveWork struct {
 	// Power is the power-gear scratch; AdaptiveResult.Vector always
 	// aliases its iterate, whatever gear produced it.
@@ -110,6 +111,9 @@ type AdaptiveWork struct {
 	si    *ShiftInvertWork
 	probe *KrylovWork
 	sym   []float64 // symmetric-form start/result staging
+	// hist holds the chain's converged vectors before the previous one,
+	// newest first (ExtrapolateStart).
+	hist [2][]float64
 }
 
 // NewAdaptiveWork returns scratch for dimension-n adaptive solves.

@@ -119,15 +119,20 @@ type chainOutcome struct {
 	gamma0                         float64
 }
 
+// chainMode selects how runChains solves its points: fullProbe runs the
+// fixed-seed, fixed-length probe, and extrapolate seeds each warm point
+// through ExtrapolateStart instead of with the previous vector alone.
+type chainMode struct{ fullProbe, extrapolate bool }
+
 // runChains solves ps with the auto gear along warm-start chains of
 // chainLen points, as harness.ThresholdSweepFullOpts does: each point's
 // eigenvector, normalized in place to concentrations, is the next point's
-// warm start and aliases the power iterate, and the selector state is
-// chain-local. full selects the fixed-seed, fixed-length probe. With kw
-// non-nil, every point first checks the stop rule of a probe from the seed
-// AdaptiveSolve will use (checkStopRule); stops counts the probes whose
-// Jacobi reference stops.
-func runChains(t *testing.T, l landscape.Landscape, ps []float64, chainLen int, full bool, kw *KrylovWork) (out []chainOutcome, steps, stops int) {
+// warm start (extrapolated in place when mode.extrapolate) and aliases the
+// power iterate, and the selector state and start history are
+// chain-local. With kw non-nil, every point first checks the stop rule of
+// a probe from the seed AdaptiveSolve will use (checkStopRule); stops
+// counts the probes whose Jacobi reference stops.
+func runChains(t *testing.T, l landscape.Landscape, ps []float64, chainLen int, mode chainMode, kw *KrylovWork) (out []chainOutcome, steps, stops int) {
 	t.Helper()
 	nu := l.ChainLen()
 	baseR, err := NewFmmpOperator(mutation.MustUniform(nu, ps[0]), l, Right, nil)
@@ -146,6 +151,9 @@ func runChains(t *testing.T, l landscape.Landscape, ps []float64, chainLen int, 
 			q := mutation.MustUniform(nu, ps[i])
 			opR, _ := baseR.WithProcess(q)
 			opS, _ := baseS.WithProcess(q)
+			if mode.extrapolate && state.HavePrev {
+				work.ExtrapolateStart(start, ps[lo:i], ps[i])
+			}
 			if kw != nil {
 				var seed, weight []float64
 				if state.HavePrev {
@@ -159,7 +167,7 @@ func runChains(t *testing.T, l landscape.Landscape, ps []float64, chainLen int, 
 			}
 			res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
 				Method: SolveAuto, Tol: tol, PowerShift: ConservativeShift(q, l),
-				Start: start, Work: work, State: &state, fullProbe: full,
+				Start: start, Work: work, State: &state, fullProbe: mode.fullProbe,
 			})
 			if err != nil {
 				t.Fatalf("point %d (p = %.6g): %v", i, ps[i], err)
@@ -200,6 +208,86 @@ func singlePeakPC(t *testing.T, nu int, sigma float64) (landscape.Landscape, flo
 	return l, 1 - math.Pow(sigma, -1/float64(nu))
 }
 
+// warmChainCase is one seeded sweep of the warm-chain tests.
+type warmChainCase struct {
+	name     string
+	l        landscape.Landscape
+	ps       []float64
+	chainLen int
+	heavy    bool
+	// exact marks the points whose warm start is an exact eigenvector;
+	// moved is how many of them move from Chebyshev to power.
+	exact func(i int) bool
+	moved int
+	// flips is how many points change gear when the chain's warm starts are
+	// extrapolated; costlier marks the case whose extrapolated sweep costs
+	// more matvecs than the plain one (TestExtrapolatedStartsKeepGears).
+	flips    int
+	costlier bool
+}
+
+// skip reports whether this run leaves the case out: the ν ≥ 16 cases, the
+// critical-nu17 grids among them, under -short, and everything above
+// ν = 12 under the race detector.
+func (c warmChainCase) skip() bool {
+	return c.heavy && testing.Short() || raceDetector && c.l.ChainLen() > 12
+}
+
+// warmChainCases are the seeded sweeps of TestWarmProbeRobustness and
+// TestExtrapolatedStartsKeepGears.
+func warmChainCases(t *testing.T) []warmChainCase {
+	var cases []warmChainCase
+	add := func(c warmChainCase) { cases = append(cases, c) }
+
+	l10, pc10 := singlePeakPC(t, 10, 2)
+	add(warmChainCase{name: "ν=10 σ=2 over [0.3, 1.1]·p_c", l: l10, ps: fracGrid(pc10, 0.3, 1.1, 24, 0), chainLen: 8})
+	l12, pc12 := singlePeakPC(t, 12, 10)
+	add(warmChainCase{name: "ν=12 σ=10 over [0.5, 1.1]·p_c", l: l12, ps: fracGrid(pc12, 0.5, 1.1, 24, 0), chainLen: 8})
+	l14, pc14 := singlePeakPC(t, 14, 2)
+	add(warmChainCase{name: "ν=14 σ=2 over [0.3, 1.1]·p_c", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 32, 0), chainLen: 8, flips: 1})
+	add(warmChainCase{name: "ν=14 σ=2 coarse 8-point grid", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 8, 0), chainLen: 8})
+	l12b, pc12b := singlePeakPC(t, 12, 2)
+	var dup []float64
+	for _, p := range fracGrid(pc12b, 0.9, 1.08, 8, 0) {
+		dup = append(dup, p, p)
+	}
+	add(warmChainCase{name: "ν=12 σ=2 duplicate p", l: l12b, ps: dup, chainLen: 8,
+		exact: func(i int) bool { return i%2 == 1 }, moved: 5})
+	fine := make([]float64, 16)
+	for i := range fine {
+		fine[i] = (0.98 + 1e-4*float64(i)) * pc12b
+	}
+	add(warmChainCase{name: "ν=12 σ=2 1e-4·p_c steps", l: l12b, ps: fine, chainLen: 8})
+	l3, pc3 := singlePeakPC(t, 3, 2)
+	add(warmChainCase{name: "ν=3 σ=2", l: l3, ps: fracGrid(pc3, 0.3, 1.1, 8, 0), chainLen: 8})
+	lin, err := landscape.NewLinear(15, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(warmChainCase{name: "ν=15 linear", l: lin, ps: fracGrid(1, 0.01, 0.2, 16, 0), chainLen: 8, costlier: true})
+	rnd, err := landscape.NewRandom(14, 5, 1, rng.New(23).Uint64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(warmChainCase{name: "ν=14 Eq. 13 random", l: rnd, ps: fracGrid(1, 0.005, 0.05, 16, 0), chainLen: 8})
+	uni, err := landscape.NewUniform(12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(warmChainCase{name: "ν=12 uniform", l: uni, ps: fracGrid(1, 0.01, 0.2, 16, 0), chainLen: 8,
+		exact: func(i int) bool { return i%8 != 0 }, moved: 14})
+	l16, pc16 := singlePeakPC(t, 16, 2)
+	add(warmChainCase{name: "ν=16 σ=2, one 48-point chain", l: l16, ps: fracGrid(pc16, 0.9, 1.08, 48, 0), chainLen: 48, heavy: true})
+	l17, pc17 := singlePeakPC(t, 17, 2)
+	for _, off := range []float64{0, 0.25, 0.5} {
+		add(warmChainCase{name: fmt.Sprintf("critical-nu17 grid, offset %g", off), l: l17, ps: fracGrid(pc17, 0.9, 1.08, 32, off), chainLen: 8, heavy: true})
+	}
+	l18, pc18 := singlePeakPC(t, 18, 2)
+	add(warmChainCase{name: "ν=18 σ=2, 13 points", l: l18, ps: fracGrid(pc18, 0.9, 1.08, 13, 0), chainLen: 8, heavy: true})
+
+	return cases
+}
+
 // Seeded sweeps against the fixed-seed, fixed-length probe the engine ran
 // before. Every case crosses or approaches its error threshold, or has a
 // warm start that is (nearly) an exact eigenvector. Each sweep runs with no
@@ -212,78 +300,15 @@ func singlePeakPC(t *testing.T, nu int, sigma float64) (landscape.Landscape, flo
 // power, which finishes from the warm start at once: such points move from
 // Chebyshev to power and cost 3 matvecs instead of a full probe and its
 // handoff.
-//
-// The ν ≥ 16 cases, the critical-nu17 grids among them, are skipped under
-// -short, and the race detector runs only the ν ≤ 12 cases.
 func TestWarmProbeRobustness(t *testing.T) {
-	type tcase struct {
-		name     string
-		l        landscape.Landscape
-		ps       []float64
-		chainLen int
-		heavy    bool
-		// exact marks the points whose warm start is an exact eigenvector;
-		// moved is how many of them move from Chebyshev to power.
-		exact func(i int) bool
-		moved int
-	}
-	var cases []tcase
-	add := func(c tcase) { cases = append(cases, c) }
-
-	l10, pc10 := singlePeakPC(t, 10, 2)
-	add(tcase{name: "ν=10 σ=2 over [0.3, 1.1]·p_c", l: l10, ps: fracGrid(pc10, 0.3, 1.1, 24, 0), chainLen: 8})
-	l12, pc12 := singlePeakPC(t, 12, 10)
-	add(tcase{name: "ν=12 σ=10 over [0.5, 1.1]·p_c", l: l12, ps: fracGrid(pc12, 0.5, 1.1, 24, 0), chainLen: 8})
-	l14, pc14 := singlePeakPC(t, 14, 2)
-	add(tcase{name: "ν=14 σ=2 over [0.3, 1.1]·p_c", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 32, 0), chainLen: 8})
-	add(tcase{name: "ν=14 σ=2 coarse 8-point grid", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 8, 0), chainLen: 8})
-	l12b, pc12b := singlePeakPC(t, 12, 2)
-	var dup []float64
-	for _, p := range fracGrid(pc12b, 0.9, 1.08, 8, 0) {
-		dup = append(dup, p, p)
-	}
-	add(tcase{name: "ν=12 σ=2 duplicate p", l: l12b, ps: dup, chainLen: 8,
-		exact: func(i int) bool { return i%2 == 1 }, moved: 6})
-	fine := make([]float64, 16)
-	for i := range fine {
-		fine[i] = (0.98 + 1e-4*float64(i)) * pc12b
-	}
-	add(tcase{name: "ν=12 σ=2 1e-4·p_c steps", l: l12b, ps: fine, chainLen: 8})
-	l3, pc3 := singlePeakPC(t, 3, 2)
-	add(tcase{name: "ν=3 σ=2", l: l3, ps: fracGrid(pc3, 0.3, 1.1, 8, 0), chainLen: 8})
-	lin, err := landscape.NewLinear(15, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add(tcase{name: "ν=15 linear", l: lin, ps: fracGrid(1, 0.01, 0.2, 16, 0), chainLen: 8})
-	rnd, err := landscape.NewRandom(14, 5, 1, rng.New(23).Uint64())
-	if err != nil {
-		t.Fatal(err)
-	}
-	add(tcase{name: "ν=14 Eq. 13 random", l: rnd, ps: fracGrid(1, 0.005, 0.05, 16, 0), chainLen: 8})
-	uni, err := landscape.NewUniform(12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add(tcase{name: "ν=12 uniform", l: uni, ps: fracGrid(1, 0.01, 0.2, 16, 0), chainLen: 8,
-		exact: func(i int) bool { return i%8 != 0 }, moved: 14})
-	l16, pc16 := singlePeakPC(t, 16, 2)
-	add(tcase{name: "ν=16 σ=2, one 48-point chain", l: l16, ps: fracGrid(pc16, 0.9, 1.08, 48, 0), chainLen: 48, heavy: true})
-	l17, pc17 := singlePeakPC(t, 17, 2)
-	for _, off := range []float64{0, 0.25, 0.5} {
-		add(tcase{name: fmt.Sprintf("critical-nu17 grid, offset %g", off), l: l17, ps: fracGrid(pc17, 0.9, 1.08, 32, off), chainLen: 8, heavy: true})
-	}
-	l18, pc18 := singlePeakPC(t, 18, 2)
-	add(tcase{name: "ν=18 σ=2, 13 points", l: l18, ps: fracGrid(pc18, 0.9, 1.08, 13, 0), chainLen: 8, heavy: true})
-
-	for _, c := range cases {
-		if c.heavy && testing.Short() || raceDetector && c.l.ChainLen() > 12 {
+	for _, c := range warmChainCases(t) {
+		if c.skip() {
 			continue
 		}
 		t.Run(c.name, func(t *testing.T) {
 			kw := NewKrylovWork(c.l.Dim())
-			ref, _, _ := runChains(t, c.l, c.ps, c.chainLen, true, nil)
-			got, steps, stops := runChains(t, c.l, c.ps, c.chainLen, false, kw)
+			ref, _, _ := runChains(t, c.l, c.ps, c.chainLen, chainMode{fullProbe: true}, nil)
+			got, steps, stops := runChains(t, c.l, c.ps, c.chainLen, chainMode{}, kw)
 			var refTotal, gotTotal, moved int
 			for i := range c.ps {
 				r, g := ref[i], got[i]
@@ -308,6 +333,62 @@ func TestWarmProbeRobustness(t *testing.T) {
 			}
 			if moved != c.moved {
 				t.Errorf("%d points moved from Chebyshev to power, measured %d", moved, c.moved)
+			}
+			t.Logf("%d → %d matvecs (%.0f%%); %d probe steps checked, %d probes stop", refTotal, gotTotal,
+				100*float64(gotTotal-refTotal)/float64(refTotal), steps, stops)
+		})
+	}
+}
+
+// Extrapolated warm starts (ExtrapolateStart) against the plain warm start
+// the chains ran before, both with the warm probe, on the cases of
+// TestWarmProbeRobustness. Each extrapolated sweep runs with no escalation,
+// moves Γ₀ by at most 1e-9 and costs no more matvecs in total; every step
+// of every probe from an extrapolated seed passes checkStopRule. The
+// measured exceptions are listed per case:
+//   - ν=14 σ=2: at 0.455·p_c, on the power/Chebyshev boundary, the better
+//     start lets the probe stop at 10 steps instead of 24, its θ₁ reads
+//     lower, and auto picks power: 27 matvecs instead of Chebyshev's 14.
+//   - ν=15 linear: its first steps are 127%, 56% and 36% of p, and the
+//     additive landscape's product-form Perron vector is far from
+//     quadratic in p over such steps. The extrapolated starts are worse
+//     than the plain ones there, and the sweep costs 215 matvecs against
+//     199; it may cost at most 10% more.
+func TestExtrapolatedStartsKeepGears(t *testing.T) {
+	for _, c := range warmChainCases(t) {
+		if c.skip() {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			kw := NewKrylovWork(c.l.Dim())
+			ref, _, _ := runChains(t, c.l, c.ps, c.chainLen, chainMode{}, nil)
+			got, steps, stops := runChains(t, c.l, c.ps, c.chainLen, chainMode{extrapolate: true}, kw)
+			var refTotal, gotTotal, flips int
+			for i := range c.ps {
+				r, g := ref[i], got[i]
+				refTotal += r.iterations
+				gotTotal += g.iterations
+				label := fmt.Sprintf("point %d (p = %.6g)", i, c.ps[i])
+				if g.escalations != 0 {
+					t.Errorf("%s: %d escalations", label, g.escalations)
+				}
+				if g.method != r.method {
+					flips++
+					t.Logf("%s: %v in %d matvecs, plain warm start %v in %d", label, g.method, g.iterations, r.method, r.iterations)
+				}
+				if d := math.Abs(g.gamma0 - r.gamma0); d > 1e-9 {
+					t.Errorf("%s: Γ₀ = %.12g, %.12g from the plain warm start", label, g.gamma0, r.gamma0)
+				}
+			}
+			if flips != c.flips {
+				t.Errorf("%d points changed gear, measured %d", flips, c.flips)
+			}
+			limit := refTotal
+			if c.costlier {
+				limit += refTotal / 10
+			}
+			if gotTotal > limit {
+				t.Errorf("extrapolated sweep costs %d matvecs, plain %d, limit %d", gotTotal, refTotal, limit)
 			}
 			t.Logf("%d → %d matvecs (%.0f%%); %d probe steps checked, %d probes stop", refTotal, gotTotal,
 				100*float64(gotTotal-refTotal)/float64(refTotal), steps, stops)

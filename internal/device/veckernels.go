@@ -26,8 +26,8 @@ import (
 // ReduceSum(func(i)…) form paid an indirect call per element. Dot, Norm2,
 // ResidualNorm2 and the two power passes reduce over vec's 4-lane kernels
 // (vec.DotLanes, vec.SumSq, vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq),
-// with their AVX2 bodies; the other chunk bodies here (Sum, Norm1, NormInf)
-// are bounds-check-eliminated Go loops unrolled 4-wide in the same order.
+// with their AVX2 bodies; Sum, Norm1 and NormInf over vec.Sum, vec.Norm1
+// and vec.NormInf, bounds-check-eliminated Go loops in the same order.
 //
 // SUMMATION ORDER: every reduction splits [0, n) into the device's chunks,
 // sums each chunk in the 4-lane order of vec's reduction contract
@@ -36,7 +36,7 @@ import (
 // chunk size): bit-identical across runs and across schedules for a fixed
 // Device, independent of which worker executes which chunk, and on a
 // 1-worker Device (one chunk) bit-identical to the serial vec kernel: a
-// serial dot, norm or residual equals a 1-worker device one. More chunks
+// serial dot, sum, norm or residual equals a 1-worker device one. More chunks
 // regroup the sum at chunk boundaries, an O(ε·Σ|xᵢyᵢ|) difference the
 // solver tolerances (≥1e-9) absorb; tests pin the fixed-schedule
 // bit-identity.
@@ -82,54 +82,18 @@ func (d *Device) Dot(x, y []float64) float64 {
 	return s
 }
 
-// sumChunk is Σ x[k] over one chunk in the documented 4-lane order.
-func sumChunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += x[0]
-		s1 += x[1]
-		s2 += x[2]
-		s3 += x[3]
-		x = x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 {
-		s += x[0]
-		x = x[1:]
-	}
-	return s
-}
-
 // Sum returns Σ xᵢ computed with a parallel reduction.
 func (d *Device) Sum(x []float64) float64 {
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return sumChunk(x[lo:hi]), 0
+		return vec.Sum(x[lo:hi]), 0
 	}, addf)
-	return s
-}
-
-// norm1Chunk is Σ |x[k]| over one chunk in the documented 4-lane order.
-func norm1Chunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += math.Abs(x[0])
-		s1 += math.Abs(x[1])
-		s2 += math.Abs(x[2])
-		s3 += math.Abs(x[3])
-		x = x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 {
-		s += math.Abs(x[0])
-		x = x[1:]
-	}
 	return s
 }
 
 // Norm1 returns ‖x‖₁ computed with a parallel reduction.
 func (d *Device) Norm1(x []float64) float64 {
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return norm1Chunk(x[lo:hi]), 0
+		return vec.Norm1(x[lo:hi]), 0
 	}, addf)
 	return s
 }
@@ -144,30 +108,11 @@ func (d *Device) Norm2(x []float64) float64 {
 	return vec.NormFromSumSq(s, nil, x, 0)
 }
 
-// normInfChunk is max |x[k]| over one chunk. Max is associative and
-// commutative, so the 4-lane split is exact, not just deterministic; NaNs
-// propagate through math.Max exactly as in the serial fold.
-func normInfChunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 = math.Max(s0, math.Abs(x[0]))
-		s1 = math.Max(s1, math.Abs(x[1]))
-		s2 = math.Max(s2, math.Abs(x[2]))
-		s3 = math.Max(s3, math.Abs(x[3]))
-		x = x[4:]
-	}
-	s := math.Max(math.Max(s0, s1), math.Max(s2, s3))
-	for len(x) > 0 {
-		s = math.Max(s, math.Abs(x[0]))
-		x = x[1:]
-	}
-	return s
-}
-
-// NormInf returns ‖x‖∞ computed with a parallel max-reduction.
+// NormInf returns ‖x‖∞ computed with a parallel max-reduction; NaN
+// entries are skipped, as in vec.NormInf.
 func (d *Device) NormInf(x []float64) float64 {
 	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return normInfChunk(x[lo:hi]), 0
+		return vec.NormInf(x[lo:hi]), 0
 	}, math.Max)
 	return s
 }

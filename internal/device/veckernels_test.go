@@ -34,11 +34,11 @@ func TestChunkKernelsMatchDocumentedOrder(t *testing.T) {
 		if got, want := vec.DotLanes(x, y), refFourLane(n, func(k int) float64 { return x[k] * y[k] }); got != want {
 			t.Errorf("n=%d: vec.DotLanes = %v, want %v (order contract)", n, got, want)
 		}
-		if got, want := sumChunk(x), refFourLane(n, func(k int) float64 { return x[k] }); got != want {
-			t.Errorf("n=%d: sumChunk = %v, want %v", n, got, want)
+		if got, want := vec.Sum(x), refFourLane(n, func(k int) float64 { return x[k] }); got != want {
+			t.Errorf("n=%d: vec.Sum = %v, want %v", n, got, want)
 		}
-		if got, want := norm1Chunk(x), refFourLane(n, func(k int) float64 { return math.Abs(x[k]) }); got != want {
-			t.Errorf("n=%d: norm1Chunk = %v, want %v", n, got, want)
+		if got, want := vec.Norm1(x), refFourLane(n, func(k int) float64 { return math.Abs(x[k]) }); got != want {
+			t.Errorf("n=%d: vec.Norm1 = %v, want %v", n, got, want)
 		}
 		if got, want := vec.SumSq(x), refFourLane(n, func(k int) float64 { return x[k] * x[k] }); got != want {
 			t.Errorf("n=%d: vec.SumSq = %v, want %v", n, got, want)
@@ -52,9 +52,13 @@ func TestChunkKernelsMatchDocumentedOrder(t *testing.T) {
 		}) {
 			t.Errorf("n=%d: residual chunk = %v, want the 4-lane Σ(x − λy)²", n, got)
 		}
-		// Max is exactly order-independent; still must equal the serial max.
-		if got, want := normInfChunk(x), vec.NormInf(x); got != want {
-			t.Errorf("n=%d: normInfChunk = %v, want %v", n, got, want)
+		// Max is exactly order-independent; still must equal a plain fold.
+		var want float64
+		for _, v := range x {
+			want = math.Max(want, math.Abs(v))
+		}
+		if got := vec.NormInf(x); got != want {
+			t.Errorf("n=%d: vec.NormInf = %v, want %v", n, got, want)
 		}
 	}
 }
@@ -99,8 +103,9 @@ func TestReductionsCloseToSerialVec(t *testing.T) {
 }
 
 // TestSerialMatchesOneWorkerDevice: a 1-worker Device reduces over one
-// chunk, so its Dot, Norm2 and ResidualNorm2 are the serial vec.Dot,
-// vec.Norm2 and pass A's norm with µ = λ (the serial residual) bit for bit,
+// chunk, so its Dot, Sum, Norm1, Norm2, NormInf and ResidualNorm2 are the
+// serial vec.Dot, vec.Sum, vec.Norm1, vec.Norm2, vec.NormInf and pass A's
+// norm with µ = λ (the serial residual) bit for bit,
 // on lengths with every lane tail, across several default chunks, and on a
 // norm that takes the range fallback.
 func TestSerialMatchesOneWorkerDevice(t *testing.T) {
@@ -112,6 +117,9 @@ func TestSerialMatchesOneWorkerDevice(t *testing.T) {
 		huge[n/2] = 1e200
 		for name, pair := range map[string][2]float64{
 			"Dot":            {d.Dot(x, y), vec.Dot(x, y)},
+			"Sum":            {d.Sum(x), vec.Sum(x)},
+			"Norm1":          {d.Norm1(x), vec.Norm1(x)},
+			"NormInf":        {d.NormInf(x), vec.NormInf(x)},
 			"Norm2":          {d.Norm2(x), vec.Norm2(x)},
 			"Norm2 fallback": {d.Norm2(huge), vec.Norm2(huge)},
 			"ResidualNorm2":  {d.ResidualNorm2(x, y, 0.37), func() float64 { _, r := vec.ShiftedDotNorm2(y, x, 0.37); return r }()},

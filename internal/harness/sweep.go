@@ -21,7 +21,10 @@ import (
 // continuation chains (batch.Chains) whose layout depends only on the
 // point count — never on the worker count. Each chain is one schedulable
 // task whose points run in order; within a chain the warm start for point
-// i is exactly the converged vector of point i−1. Because the per-point
+// i is a function of the chain's own converged vectors before it: point
+// i−1's on a reduced sweep, and on a full-space sweep the extrapolation
+// through the chain's last three (core.AdaptiveWork.ExtrapolateStart),
+// whose history resets at every chain head. Because the per-point
 // arithmetic (operator, start, tolerance, shift) is thereby independent of
 // scheduling, a sweep's results are bit-identical at every worker count.
 
@@ -30,8 +33,12 @@ type SweepOptions struct {
 	// Workers is the number of concurrent solves; ≤ 0 selects
 	// GOMAXPROCS. Results are bit-identical at every worker count.
 	Workers int
-	// WarmStart seeds each point (after the first of its chain) with the
-	// previous point's converged eigenvector instead of a cold start.
+	// WarmStart seeds each point after the first of its chain from the
+	// chain's converged vectors instead of a cold start: a reduced sweep
+	// with the previous point's Γ, a full-space sweep with the Lagrange
+	// extrapolation at p through the chain's last three (two at the
+	// chain's third point, the previous vector alone at its second;
+	// core.AdaptiveWork.ExtrapolateStart).
 	WarmStart bool
 	// ChainLen is the number of consecutive points per warm-start chain
 	// (the scheduling granule); ≤ 0 selects batch.DefaultChainLen. The
@@ -58,8 +65,8 @@ type SweepOptions struct {
 	// implementations must be safe for concurrent use.
 	Progress func(i int, p float64, iters int, warm bool, method string)
 	// Method selects the per-point eigensolver gear of the sweep. The zero
-	// value (core.SolvePower) reproduces the historical power-iteration
-	// sweeps byte for byte; core.SolveAuto engages the adaptive selector
+	// value (core.SolvePower) runs the shifted power iteration at every
+	// point; core.SolveAuto engages the adaptive selector
 	// (probe → power/chebyshev/shift-invert escalation ladder), which is
 	// what lets sweeps cross the critical window with bounded per-point
 	// iterations. Reduced sweeps map every non-power method onto the
@@ -200,8 +207,9 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 // worker owns one reusable core.AdaptiveWork, so memory stays at
 // Workers·Θ(N) however long the sweep; each point's operator shares the
 // landscape diagonals of a base operator (FmmpOperator.WithProcess) and,
-// within a chain, is warm-started from the previous point's eigenvector
-// held in the worker's scratch.
+// within a chain, is warm-started from the extrapolation through the
+// chain's last converged eigenvectors, built in place in the worker's
+// scratch next to the two history vectors it owns.
 func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, *SweepStats, error) {
 	baseOp, err := core.NewFmmpOperator(q, l, core.Right, opts.Dev)
 	if err != nil {
@@ -264,7 +272,10 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 			}
 			start := cold
 			if opts.WarmStart && prev != nil {
-				start = prev // aliases the worker's scratch; the solvers self-copy
+				// The extrapolated start overwrites prev, which aliases the
+				// worker's scratch; the solvers self-copy.
+				work.ExtrapolateStart(prev, ps[chains[ci].Lo:i], p)
+				start = prev
 				stats.Warm[i] = true
 			}
 			var observer core.Observer

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -130,9 +131,11 @@ func TestWarmStartMatchesColdWithinTolerance(t *testing.T) {
 
 // A power sweep runs each point through core.AdaptiveSolve, and must be
 // bit-identical to a plain core.PowerIteration chain: one PowerWork reused
-// across points, Shift = ConservativeShift, each warm start the previous
-// point's concentrations in place. Power points report no prediction and
-// no probe.
+// across points, Shift = ConservativeShift, each warm start the Lagrange
+// extrapolation at p through the chain's last k ≤ 3 converged
+// concentration vectors, here formed from copies of those vectors rather
+// than the rotating history. Power points report no prediction and no
+// probe.
 func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 	const nu = 7
 	l, err := landscape.NewSinglePeak(nu, 2, 1)
@@ -152,7 +155,7 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 		want := make([]ThresholdPoint, len(ps))
 		wantIters := make([]int, len(ps))
 		for lo := 0; lo < len(ps); lo += chainLen {
-			var prev []float64
+			var conv [][]float64 // the chain's converged vectors, newest first
 			for i := lo; i < min(lo+chainLen, len(ps)); i++ {
 				qp := mutation.MustUniform(nu, ps[i])
 				op, err := baseOp.WithProcess(qp)
@@ -160,8 +163,8 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 					t.Fatal(err)
 				}
 				start := baseOp.FitnessStart()
-				if warm && prev != nil {
-					start = prev
+				if warm && len(conv) > 0 {
+					start = extrapolated(ps[i], ps[max(lo, i-3):i], conv)
 				}
 				res, err := core.PowerIteration(op, core.PowerOptions{
 					Tol: tol, Start: start, Shift: core.ConservativeShift(qp, l), Work: work,
@@ -176,7 +179,8 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[i], wantIters[i], prev = ThresholdPoint{P: ps[i], Gamma: gamma}, res.Iterations, res.Vector
+				want[i], wantIters[i] = ThresholdPoint{P: ps[i], Gamma: gamma}, res.Iterations
+				conv = append([][]float64{append([]float64(nil), res.Vector...)}, conv...)
 			}
 		}
 		for _, workers := range []int{1, 2} {
@@ -193,6 +197,144 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 			}
 		}
 	}
+}
+
+// plainWarmIterations runs the full-space sweep's chain loop with the
+// plain warm start — each warm point seeded with the previous point's
+// concentrations as they are, the engine before extrapolated starts — and
+// returns its total matvecs.
+func plainWarmIterations(t *testing.T, q *mutation.Process, l landscape.Landscape, ps []float64, chainLen int, method core.SolveMethod) int {
+	t.Helper()
+	baseR, err := core.NewFmmpOperator(q, l, core.Right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseS, err := core.NewFmmpOperator(q, l, core.Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := core.NewAdaptiveWork(q.Dim())
+	total := 0
+	for lo := 0; lo < len(ps); lo += chainLen {
+		var state core.MethodState
+		start := baseR.FitnessStart()
+		for i := lo; i < min(lo+chainLen, len(ps)); i++ {
+			qp := mutation.MustUniform(l.ChainLen(), ps[i])
+			opR, _ := baseR.WithProcess(qp)
+			opS, _ := baseS.WithProcess(qp)
+			res, err := core.AdaptiveSolve(opR, opS, core.AdaptiveOptions{
+				Method: method, Tol: core.DefaultTolerance(l), PowerShift: core.ConservativeShift(qp, l),
+				Start: start, Work: work, State: &state,
+			})
+			if err != nil {
+				t.Fatalf("p = %g: %v", ps[i], err)
+			}
+			if err := core.Concentrations(res.Vector); err != nil {
+				t.Fatal(err)
+			}
+			total += res.Iterations
+			start = res.Vector
+		}
+	}
+	return total
+}
+
+// Extrapolated warm starts keep the sweep contract. A ν=10 warm power sweep
+// and a warm auto sweep are bit-identical at 1, 2 and 3 workers, and each
+// chain's points equal a sweep of that chain's grid alone: the start history
+// resets at every chain head. Every Γ stays within 1e-9 of a cold sweep, and
+// the sweeps cost fewer matvecs than with the plain warm start.
+func TestExtrapolatedSweepDeterministicAndCheaper(t *testing.T) {
+	const nu, chainLen = 10, 8
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mutation.MustUniform(nu, 0.01)
+	pc := 1 - math.Pow(2, -1/float64(nu))
+	for _, tc := range []struct {
+		method core.SolveMethod
+		ps     []float64
+	}{
+		{core.SolvePower, sweepGrid(0.2*pc, 0.9*pc, 20)},
+		{core.SolveAuto, sweepGrid(0.3*pc, 1.1*pc, 20)},
+	} {
+		opts := SweepOptions{Workers: 1, WarmStart: true, ChainLen: chainLen, Method: tc.method}
+		ref, stats, err := ThresholdSweepFullOpts(q, l, tc.ps, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.method, err)
+		}
+		for _, workers := range []int{2, 3} {
+			o := opts
+			o.Workers = workers
+			got, gstats, err := ThresholdSweepFullOpts(q, l, tc.ps, o)
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", tc.method, workers, err)
+			}
+			requireIdentical(t, fmt.Sprintf("%v sweep, %d workers", tc.method, workers), ref, got)
+			for i := range tc.ps {
+				if stats.Iterations[i] != gstats.Iterations[i] || stats.Methods[i] != gstats.Methods[i] {
+					t.Fatalf("%v workers=%d point %d: %d matvecs (%s), %d (%s) on one worker", tc.method, workers, i,
+						gstats.Iterations[i], gstats.Methods[i], stats.Iterations[i], stats.Methods[i])
+				}
+			}
+		}
+		for lo := 0; lo < len(tc.ps); lo += chainLen {
+			hi := min(lo+chainLen, len(tc.ps))
+			alone, _, err := ThresholdSweepFullOpts(q, l, tc.ps[lo:hi], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("%v chain at %d", tc.method, lo), ref[lo:hi], alone)
+		}
+		cold, _, err := ThresholdSweepFullOpts(q, l, tc.ps, SweepOptions{Workers: 1, ChainLen: chainLen, Method: tc.method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cold {
+			for k := range cold[i].Gamma {
+				if d := math.Abs(cold[i].Gamma[k] - ref[i].Gamma[k]); d > 1e-9 {
+					t.Errorf("%v p=%g class %d: |cold − warm| = %g", tc.method, tc.ps[i], k, d)
+				}
+			}
+		}
+		plain := plainWarmIterations(t, q, l, tc.ps, chainLen, tc.method)
+		if got := stats.TotalIterations(); got >= plain {
+			t.Errorf("%v: extrapolated sweep took %d matvecs, plain warm start %d", tc.method, got, plain)
+		} else {
+			t.Logf("%v: %d matvecs, plain warm start %d", tc.method, got, plain)
+		}
+	}
+}
+
+// extrapolated is the documented extrapolated warm start at p, written
+// out: the Lagrange weights of the nodes (oldest first), newest first, each
+// Π_{m≠j} (p − x_m)/(x_j − x_m) with its factors in ascending m, and the
+// sum Σⱼ ℓⱼ·conv[j] of products rounded one by one, in ascending j.
+func extrapolated(p float64, nodes []float64, conv [][]float64) []float64 {
+	k := len(nodes)
+	x := make([]float64, k)
+	for j := range x {
+		x[j] = nodes[k-1-j]
+	}
+	l := make([]float64, k)
+	for j := range l {
+		l[j] = 1 // 1·f = f exactly, so the first factor enters unchanged
+		for m := range x {
+			if m != j {
+				l[j] *= (p - x[m]) / (x[j] - x[m])
+			}
+		}
+	}
+	out := make([]float64, len(conv[0]))
+	for i := range out {
+		s := float64(l[0] * conv[0][i])
+		for j := 1; j < k; j++ {
+			s += float64(l[j] * conv[j][i])
+		}
+		out[i] = s
+	}
+	return out
 }
 
 func TestLocateThresholdOptsMatchesBisection(t *testing.T) {

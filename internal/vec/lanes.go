@@ -1,11 +1,15 @@
 package vec
 
+import "math"
+
 // The 4-lane kernel set: the BLAS-1 work around every matvec — the power
 // step's two passes (pass A is also the residual ‖w − λx‖ of every other
 // solver), the dot of Dot, DotEach and device.Dot, the sum of squares of
 // Norm2 and device.Norm2, the per-chunk AXPY of Combine, LanczosTail and
 // the elementwise product of the butterfly tile pass — each with a Go body
-// here and an AVX2 body in avx_amd64.s.
+// here and an AVX2 body in avx_amd64.s. Sum, Norm1 and NormInf, which no
+// iteration runs, keep the same order in Go bodies only; the device
+// reductions call them per chunk.
 //
 // SUMMATION ORDER (the reduction contract): a sum over a slice is
 // accumulated in four lanes, lane ℓ ∈ {0,1,2,3} summing elements ℓ, ℓ+4,
@@ -244,6 +248,71 @@ func SumSq(x []float64) float64 {
 	var lanes [4]float64
 	sumSqLanes(&lanes, x)
 	return foldSq(&lanes, x[len(x)&^3:])
+}
+
+// Sum returns Σxᵢ in the 4-lane order: device.Sum's per-chunk sum.
+func Sum(x []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 {
+		s0 += x[0]
+		s1 += x[1]
+		s2 += x[2]
+		s3 += x[3]
+		x = x[4:]
+	}
+	s := ((s0 + s1) + s2) + s3
+	for _, v := range x {
+		s += v
+	}
+	return s
+}
+
+// Norm1 returns ‖x‖₁ = Σ|xᵢ| in the 4-lane order: Normalize1's norm and
+// device.Norm1's per-chunk sum.
+func Norm1(x []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 {
+		s0 += math.Abs(x[0])
+		s1 += math.Abs(x[1])
+		s2 += math.Abs(x[2])
+		s3 += math.Abs(x[3])
+		x = x[4:]
+	}
+	s := ((s0 + s1) + s2) + s3
+	for _, v := range x {
+		s += math.Abs(v)
+	}
+	return s
+}
+
+// NormInf returns ‖x‖∞ = max|xᵢ|, skipping NaN entries: device.NormInf's
+// per-chunk max. Max is associative and commutative, so the 4-lane split
+// is exact, not just deterministic. The branch form keeps the running max
+// out of math.Max, which is a call per element on amd64.
+func NormInf(x []float64) float64 {
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 {
+		if a := math.Abs(x[0]); a > s0 {
+			s0 = a
+		}
+		if a := math.Abs(x[1]); a > s1 {
+			s1 = a
+		}
+		if a := math.Abs(x[2]); a > s2 {
+			s2 = a
+		}
+		if a := math.Abs(x[3]); a > s3 {
+			s3 = a
+		}
+		x = x[4:]
+	}
+	s := max(s0, s1, s2, s3)
+	for _, v := range x {
+		if a := math.Abs(v); a > s {
+			s = a
+		}
+	}
+	return s
 }
 
 // foldSq combines the four lane sums of squares in acc and folds the

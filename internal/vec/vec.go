@@ -22,15 +22,6 @@ func Dot(x, y []float64) float64 {
 	return DotLanes(x, y)
 }
 
-// Sum returns the plain sum of the entries of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
 // SumKahan returns the compensated sum of the entries of x.
 func SumKahan(x []float64) float64 {
 	var s, c float64
@@ -39,15 +30,6 @@ func SumKahan(x []float64) float64 {
 		u := s + t
 		c = (u - s) - t
 		s = u
-	}
-	return s
-}
-
-// Norm1 returns ‖x‖₁ = Σ|xᵢ|.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
 	}
 	return s
 }
@@ -191,17 +173,6 @@ func Combine(dst []float64, basis [][]float64, c []float64) float64 {
 		dst, lo = dst[m:], lo+m
 	}
 	return foldSq(&lanes, tail)
-}
-
-// NormInf returns ‖x‖∞ = max|xᵢ|.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Scale multiplies x by a in place.

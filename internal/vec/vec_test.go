@@ -326,6 +326,33 @@ func TestSumVariants(t *testing.T) {
 	}
 }
 
+// Sum and Norm1 sum in the 4-lane order, not as a left fold: for
+// xᵢ = 1/(i+3), n = 1001, the left fold of Norm1 reads 5.988464874514436.
+// NormInf skips NaN entries.
+func TestSumNorm1LaneOrder(t *testing.T) {
+	x := make([]float64, 1001)
+	for i := range x {
+		x[i] = 1 / float64(i+3)
+	}
+	elem := func(k int) float64 { return x[k] }
+	if got, want := Sum(x), laneSum(len(x), elem); got != want || got == leftFold(len(x), elem) {
+		t.Errorf("Sum = %v, 4-lane order %v, left fold %v", got, want, leftFold(len(x), elem))
+	}
+	for i := range x {
+		if i%2 == 1 {
+			x[i] = -x[i]
+		}
+	}
+	abs := func(k int) float64 { return math.Abs(x[k]) }
+	if got, want := Norm1(x), laneSum(len(x), abs); got != want || got == leftFold(len(x), abs) {
+		t.Errorf("Norm1 = %v, 4-lane order %v, left fold %v", got, want, leftFold(len(x), abs))
+	}
+	x[0], x[500] = -7, math.NaN()
+	if got := NormInf(x); got != 7 {
+		t.Errorf("NormInf with a NaN entry = %v, want 7 (NaN skipped)", got)
+	}
+}
+
 func TestNorms(t *testing.T) {
 	x := []float64{3, -4}
 	if Norm1(x) != 7 {

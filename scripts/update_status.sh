@@ -49,7 +49,11 @@ BENCH_critical.tsv	Adaptive critical-window sweep at ν=18 crossing p_c: per-poi
 +the unnormalized Lanczos basis and the Ritz vector accepted on one
 +explicit residual: 277 matvecs, every gear kept, the 0.93·p_c point
 +61 → 19, the 1.02·p_c chain head unchanged at 40, every other point one
-+matvec cheaper.
++matvec cheaper. Then after the extrapolated warm starts (each warm point
++seeded from a Lagrange fit through the chain's last three eigenvectors)
++and the 4-lane Norm1: 273 matvecs, every gear kept, no escalation, the
++0.945–0.99·p_c points 1–2 matvecs cheaper, the 1.005·p_c point 20 → 22
++and the 1.08·p_c point 19 → 20, both chain heads unchanged.
 BENCH_critical.json	JSON form of BENCH_critical.tsv.
 EOF
 )

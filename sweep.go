@@ -24,9 +24,14 @@ type SweepOptions struct {
 	// < 0 selects all available cores. Sweep results are bit-identical at
 	// every worker count.
 	Workers int
-	// WarmStart seeds each solve with the converged solution of the
-	// previous error rate along fixed-length continuation chains — a large
-	// iteration saving on monotone p-grids, at identical accuracy.
+	// WarmStart seeds each solve from the converged solutions of the
+	// previous error rates along fixed-length continuation chains — a large
+	// iteration saving on monotone p-grids, at the same accuracy. The
+	// reduced sweep starts from the previous point's Γ; a full-space sweep
+	// (ThresholdCurveFullWith) starts from the Lagrange extrapolation to p
+	// through the chain's last three solutions, or two at the chain's
+	// third point, falling back to the previous solution alone when grid
+	// points coincide.
 	WarmStart bool
 	// Observe, when non-nil, supplies a convergence-trace observer for
 	// point i (p = ps[i]) of a full-space sweep (ThresholdCurveFullWith);
@@ -39,7 +44,7 @@ type SweepOptions struct {
 	// …). Calls arrive concurrently from the sweep workers.
 	Progress func(i int, p float64, iters int, warm bool, method string)
 	// Method selects the per-point eigensolver: "" or "power" (the
-	// historical default, byte-for-byte identical to previous releases),
+	// default: the paper's shifted power iteration at every point),
 	// "auto" (per-point adaptive selection — power far from the error
 	// threshold, Chebyshev-filtered restarts and shift-invert Lanczos
 	// inside the critical window), or a forced gear ("chebyshev" or
