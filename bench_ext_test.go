@@ -176,8 +176,9 @@ func BenchmarkThresholdLocate(b *testing.B) {
 	}
 }
 
-// BenchmarkSpectralGap estimates λ₀, λ₁ and the convergence rate through
-// the internal gap estimator.
+// BenchmarkSpectralGap estimates λ₀ and λ₁ with the gap probe the
+// adaptive selector runs: 24 Lanczos steps from the fixed start, reusing
+// one Krylov workspace.
 func BenchmarkSpectralGap(b *testing.B) {
 	const nu = 12
 	q := mutation.MustUniform(nu, 0.02)
@@ -189,11 +190,9 @@ func BenchmarkSpectralGap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mu := core.ConservativeShift(q, l)
+	work := core.NewKrylovWork(op.Dim())
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EstimateGap(op, mu, core.PowerOptions{
-			Tol: 1e-11, Start: core.FitnessStart(l),
-		}); err != nil {
+		if _, _, err := core.RitzGap(op, 24, nil, work); err != nil {
 			b.Fatal(err)
 		}
 	}

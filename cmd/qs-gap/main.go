@@ -4,13 +4,17 @@
 // closes as p approaches the error threshold, which is Figure 1's phase
 // transition seen from the spectrum.
 //
+// The estimate is the adaptive selector's gap probe: 24 Lanczos steps from
+// the fixed probe start (core.RitzGap), whose two leading Ritz values
+// stand in for λ₀ and λ₁.
+//
 // Output: p, λ₀, λ₁, rate, shifted rate (with µ = (1−2p)^ν·f_min), the
 // predicted iteration count to reach 1e−10, and a status column. Inside the
 // critical window the two leading eigenvalues collapse below the attainable
 // numerical resolution; such points are reported as "unresolved" (with the
-// reason) instead of a spuriously tiny gap — the same signal that makes the
-// adaptive sweep engine (qs-threshold -method auto) switch off the power
-// iteration there.
+// reason) instead of a spuriously tiny gap — the same rule
+// (core.RitzResolved) that makes the adaptive sweep engine
+// (qs-threshold -method auto) switch off the power iteration there.
 //
 //	qs-gap -nu 14 -pmin 0.005 -pmax 0.08 -steps 16
 package main
@@ -54,27 +58,33 @@ func main() {
 		op, err := core.NewFmmpOperator(q, l, core.Symmetric, nil)
 		exitOn(err)
 		mu := core.ConservativeShift(q, l)
-		gap, err := core.EstimateGap(op, mu, core.PowerOptions{
-			Tol: 1e-11, Start: core.FitnessStart(l),
-		})
-		status := "ok"
+		theta0, theta1, err := core.RitzGap(op, 24, nil, nil)
+		reason := ""
 		var unresolved *core.GapUnresolvedError
-		if errors.As(err, &unresolved) {
-			// λ₀ is still trustworthy; the separation is not. Report the
+		switch {
+		case errors.As(err, &unresolved):
+			reason = unresolved.Reason
+		case err != nil:
+			exitOn(err)
+		case !core.RitzResolved(theta0, theta1):
+			reason = "near_degenerate"
+		}
+		if reason != "" {
+			// θ₀ is still trustworthy; the separation is not. Report the
 			// point instead of aborting the sweep — rate and prediction
 			// columns are meaningless here.
-			status = "unresolved:" + unresolved.Reason
-			fmt.Fprintf(w, "%.5g\t%.8g\t%.8g\tnan\tnan\t-1\t%s\n",
-				p, gap.Lambda0, gap.Lambda1, status)
+			fmt.Fprintf(w, "%.5g\t%.8g\t%.8g\tnan\tnan\t-1\tunresolved:%s\n",
+				p, theta0, theta1, reason)
 			continue
 		}
-		exitOn(err)
-		iters, err := core.PredictIterations(gap.ShiftedRate, 1e-10)
+		rate := theta1 / theta0
+		shifted := (theta1 - mu) / (theta0 - mu)
+		iters, err := core.PredictIterations(shifted, 1e-10)
 		if err != nil {
 			iters = -1
 		}
-		fmt.Fprintf(w, "%.5g\t%.8g\t%.8g\t%.6f\t%.6f\t%d\t%s\n",
-			p, gap.Lambda0, gap.Lambda1, gap.Rate, gap.ShiftedRate, iters, status)
+		fmt.Fprintf(w, "%.5g\t%.8g\t%.8g\t%.6f\t%.6f\t%d\tok\n",
+			p, theta0, theta1, rate, shifted, iters)
 	}
 }
 

@@ -295,7 +295,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	}
 	theta0, theta1 := probe.theta0, probe.theta1
 	res.Probed, res.Theta0, res.Theta1 = true, theta0, theta1
-	resolved := probeErr == nil && ritzResolved(theta0, theta1)
+	resolved := probeErr == nil && RitzResolved(theta0, theta1)
 
 	gear := opts.Method
 	predicted := 0

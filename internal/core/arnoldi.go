@@ -88,7 +88,8 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 	w := device.AllocVector(n)
 
 	res := ArnoldiResult{BasisBytes: (m + 2) * n * 8}
-	prevResidual := math.Inf(1)
+	bestResidual := math.Inf(1)
+	improvedAt := 0 // res.MatVecs at the last residual improvement
 	stalled := 0
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
@@ -159,17 +160,27 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 			res.Vector = q
 			return res, nil
 		}
-		if res.Residual < prevResidual*(1-1e-6) {
-			prevResidual = res.Residual
+		if res.Residual < bestResidual*(1-1e-6) {
+			bestResidual = res.Residual
+			improvedAt = res.MatVecs
 			stalled = 0
 		} else if stalled++; stalled >= 10 {
 			orientPositive(q)
 			res.Vector = q
-			return res, fmt.Errorf("%w: residual %g after %d restarts", ErrStagnated, res.Residual, res.Restarts)
+			return res, arnoldiError(ErrStagnated, res, bestResidual, improvedAt, tol)
 		}
 	}
 	orientPositive(q)
 	res.Vector = q
-	return res, fmt.Errorf("%w after %d restarts (residual %g, tol %g)",
-		ErrNoConvergence, res.Restarts, res.Residual, tol)
+	return res, arnoldiError(ErrNoConvergence, res, bestResidual, improvedAt, tol)
+}
+
+// arnoldiError is Arnoldi's failure exit: the solve runs unshifted and
+// counts operator applications as iterations.
+func arnoldiError(reason error, res ArnoldiResult, best float64, improvedAt int, tol float64) *ConvergenceError {
+	return &ConvergenceError{
+		Reason: reason, Method: "arnoldi",
+		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: best,
+		SinceImprovement: res.MatVecs - improvedAt, Tol: tol,
+	}
 }

@@ -5,121 +5,17 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/device"
 	"repro/internal/span"
 	"repro/internal/vec"
 )
 
-// This file computes the subdominant eigenpair and the spectral gap of W,
-// the quantity that governs the power iteration's convergence rate
-// λ₁/λ₀ (and (λ₁−µ)/(λ₀−µ) with the Section 3 shift). The gap is the
-// paper's implicit cost model: near the error threshold it closes and the
-// iteration count blows up, which is also where the Lanczos alternative
-// pays off.
-
-// SecondEigenpair computes the second eigenpair (λ₁, x₁) of a *symmetric*
-// operator by power iteration deflated against the supplied dominant
-// eigenvector: every iterate is re-orthogonalized against x₀, so the
-// iteration converges to the dominant eigenpair of (I − x₀x₀ᵀ)·A.
-// dominant must hold a unit-2-norm eigenvector from a converged solve of
-// the same operator.
-func SecondEigenpair(op Operator, dominant []float64, opts PowerOptions) (PowerResult, error) {
-	n := op.Dim()
-	if len(dominant) != n {
-		return PowerResult{}, fmt.Errorf("core: dominant vector length %d, want %d", len(dominant), n)
-	}
-	if math.Abs(vec.Norm2(dominant)-1) > 1e-8 {
-		return PowerResult{}, errors.New("core: dominant vector must have unit 2-norm")
-	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-11
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 500000
-	}
-	stallChecks := opts.StallChecks
-	if stallChecks == 0 {
-		stallChecks = 100
-	}
-
-	x := device.AllocVector(n)
-	if opts.Start != nil {
-		if len(opts.Start) != n {
-			return PowerResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
-		}
-		copy(x, opts.Start)
-	} else {
-		// A deterministic start with overlap on all coordinates but not
-		// parallel to the dominant vector.
-		for i := range x {
-			x[i] = 1 + 0.5*math.Sin(float64(3*i+1))
-		}
-	}
-	deflate(x, dominant)
-	if vec.Norm2(x) < 1e-12 {
-		return PowerResult{}, errors.New("core: start vector lies in the dominant direction")
-	}
-	vec.Normalize2(x)
-
-	w := device.AllocVector(n)
-	res := PowerResult{}
-	bestResidual := math.Inf(1)
-	stalled := 0
-	for iter := 1; iter <= maxIter; iter++ {
-		res.Iterations = iter
-		op.Apply(w, x)
-		deflate(w, dominant)
-		lambda := vec.Dot(x, w)
-		res.Lambda = lambda
-		res.Residual = residual(nil, w, x, lambda)
-		if res.Residual <= tol {
-			res.Converged = true
-			break
-		}
-		if stallChecks > 0 {
-			if res.Residual < bestResidual*(1-1e-6) {
-				bestResidual = res.Residual
-				stalled = 0
-			} else if stalled++; stalled >= stallChecks {
-				orientPositive(x)
-				res.Vector = x
-				return res, fmt.Errorf("%w: residual %g after %d iterations", ErrStagnated, res.Residual, iter)
-			}
-		}
-		nrm := vec.Norm2(w)
-		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			return res, fmt.Errorf("core: deflated iteration broke down at step %d", iter)
-		}
-		for i := range x {
-			x[i] = w[i] / nrm
-		}
-	}
-	orientPositive(x)
-	res.Vector = x
-	if !res.Converged {
-		return res, fmt.Errorf("%w after %d deflated iterations (residual %g)",
-			ErrNoConvergence, res.Iterations, res.Residual)
-	}
-	return res, nil
-}
-
-func deflate(v, against []float64) {
-	c := vec.Dot(against, v)
-	vec.AXPY(-c, against, v)
-}
-
-// SpectralGap summarizes the top of the spectrum of W.
-type SpectralGap struct {
-	Lambda0, Lambda1 float64
-	// Rate is the unshifted convergence factor λ₁/λ₀ of the power
-	// iteration; errors shrink by this factor per step asymptotically.
-	Rate float64
-	// ShiftedRate is (λ₁−µ)/(λ₀−µ) for the shift µ used.
-	ShiftedRate float64
-	Mu          float64
-}
+// This file estimates the spectral gap of W, the quantity that governs the
+// power iteration's convergence rate λ₁/λ₀ (and (λ₁−µ)/(λ₀−µ) with the
+// Section 3 shift). The gap is the paper's implicit cost model: near the
+// error threshold it closes and the iteration count blows up, which is
+// where the Krylov and Chebyshev gears pay off. The Lanczos gap probe
+// (RitzGap) is the one estimator: the adaptive selector runs it per point
+// and qs-gap tabulates it.
 
 // ErrGapUnresolved is the sentinel for spectral-gap estimates that cannot
 // distinguish λ₀ from λ₁ at the attained numerical resolution. Callers that
@@ -127,21 +23,20 @@ type SpectralGap struct {
 // "inside the critical window", never as a trustworthy rate.
 var ErrGapUnresolved = errors.New("core: spectral gap unresolved")
 
-// GapUnresolvedError reports why a gap estimate is not trustworthy: either
-// the two leading eigenvalues coincide within the estimate's resolution
-// (near-degenerate avoided crossing), or the subdominant solve terminated
-// with Ritz values whose residual exceeds the separation it claims. It
-// unwraps to ErrGapUnresolved; the partial SpectralGap is still returned
-// alongside it so λ₀ remains usable.
+// GapUnresolvedError reports a gap probe that cannot separate λ₀ from λ₁:
+// its Krylov space closed before a second Ritz value existed. It unwraps to
+// ErrGapUnresolved; RitzGap still returns its θ₀ alongside it. A probe
+// that returns two Ritz values can still fail RitzResolved, which callers
+// check themselves.
 type GapUnresolvedError struct {
-	// Reason is "near_degenerate" or "unconverged_ritz".
+	// Reason is "unconverged_ritz" for a probe.
 	Reason string
 	// Lambda0 and Lambda1 are the estimates that could not be separated.
 	Lambda0, Lambda1 float64
 	// Separation is λ₀ − λ₁ as computed.
 	Separation float64
-	// Resolution is the uncertainty the estimate carries (the subdominant
-	// residual, floored at the floating-point resolution of λ₀).
+	// Resolution is the uncertainty the estimate carries: the probe's
+	// breakdown β.
 	Resolution float64
 }
 
@@ -153,66 +48,16 @@ func (e *GapUnresolvedError) Error() string {
 // Unwrap exposes the sentinel for errors.Is.
 func (e *GapUnresolvedError) Unwrap() error { return ErrGapUnresolved }
 
-// EstimateGap solves for both leading eigenpairs of the *symmetric*
-// operator and derives the convergence rates with and without the shift µ.
-//
-// When the two leading eigenvalues cannot be separated at the attained
-// numerical resolution — the subdominant solve stagnated with a residual
-// larger than the separation it reports, or λ₁ sits within floating-point
-// noise of λ₀ (the near-degenerate avoided crossing of the critical
-// window) — EstimateGap returns the partial SpectralGap together with a
-// *GapUnresolvedError instead of a spuriously tiny (or negative) gap that
-// would mis-trigger a method switch.
-func EstimateGap(op Operator, mu float64, opts PowerOptions) (*SpectralGap, error) {
-	// A stagnated dominant solve has hit the floating-point floor; its
-	// eigenpair is still the best attainable and the gap math stays valid.
-	first, err := PowerIteration(op, opts)
-	if err != nil && !errors.Is(err, ErrStagnated) {
-		return nil, fmt.Errorf("core: dominant solve failed: %w", err)
-	}
-	secondOpts := opts
-	secondOpts.Start = nil
-	secondOpts.Shift = 0
-	second, err := SecondEigenpair(op, first.Vector, secondOpts)
-	if err != nil && !errors.Is(err, ErrStagnated) {
-		return nil, fmt.Errorf("core: subdominant solve failed: %w", err)
-	}
-	g := &SpectralGap{
-		Lambda0: first.Lambda,
-		Lambda1: second.Lambda,
-		Mu:      mu,
-	}
-	g.Rate = second.Lambda / first.Lambda
-	g.ShiftedRate = (second.Lambda - mu) / (first.Lambda - mu)
-	// Resolution of the λ₁ estimate: a Ritz value with residual r can sit
-	// anywhere within r of a true eigenvalue, and no estimate resolves
-	// below the floating-point granularity of λ₀ itself.
-	resolution := math.Max(second.Residual, 64*2.220446049250313e-16*math.Abs(first.Lambda))
-	sep := first.Lambda - second.Lambda
-	if !second.Converged && sep <= resolution {
-		return g, &GapUnresolvedError{
-			Reason: "unconverged_ritz", Lambda0: first.Lambda, Lambda1: second.Lambda,
-			Separation: sep, Resolution: resolution,
-		}
-	}
-	if sep <= resolution {
-		return g, &GapUnresolvedError{
-			Reason: "near_degenerate", Lambda0: first.Lambda, Lambda1: second.Lambda,
-			Separation: sep, Resolution: resolution,
-		}
-	}
-	return g, nil
-}
-
 // RitzGap runs k unrestarted Lanczos steps on the *symmetric* operator and
 // returns the two leading Ritz values (θ₀, θ₁). By Cauchy interlacing both
 // are lower bounds (θ₀ ≤ λ₀, θ₁ ≤ λ₁), and θ₀ converges to λ₀ far faster
 // than a power iteration — which makes this the cheap online gap estimate
 // the adaptive method selector runs per sweep point (k matrix–vector
 // products, no restart, no residual loop). start must be a deterministic
-// vector with broad spectral overlap; nil selects the same pseudo-random
-// deterministic start SecondEigenpair uses. If the Krylov space degenerates
-// before two Ritz values exist, a *GapUnresolvedError is returned.
+// vector with broad spectral overlap; nil selects a fixed pseudo-random
+// deterministic start (ritzStart). If the Krylov space degenerates before
+// two Ritz values exist, a *GapUnresolvedError is returned. RitzResolved is
+// the rule for trusting the pair it returns.
 func RitzGap(op Operator, k int, start []float64, work *KrylovWork) (theta0, theta1 float64, err error) {
 	p, err := ritzGap(op, k, start, nil, 0, work)
 	return p.theta0, p.theta1, err

@@ -24,99 +24,67 @@ func denseSpectrum(t *testing.T, q *mutation.Process, l landscape.Landscape) []f
 	return vals
 }
 
-func TestSecondEigenpairMatchesDenseSpectrum(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		const nu = 7
-		q := mutation.MustUniform(nu, 0.02)
-		l := randLandscape(rng.New(seed), nu)
-		vals := denseSpectrum(t, q, l)
-
-		op, _ := NewFmmpOperator(q, l, Symmetric, nil)
-		first, err := PowerIteration(op, PowerOptions{Tol: 1e-12, Start: FitnessStart(l)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(first.Lambda-vals[0]) > 1e-9 {
-			t.Fatalf("λ₀ = %g, dense %g", first.Lambda, vals[0])
-		}
-		second, err := SecondEigenpair(op, first.Vector, PowerOptions{Tol: 1e-10})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if math.Abs(second.Lambda-vals[1]) > 1e-7 {
-			t.Errorf("seed %d: λ₁ = %.12g, dense %.12g", seed, second.Lambda, vals[1])
-		}
-		// Orthogonality to the dominant vector.
-		var dot float64
-		for i := range second.Vector {
-			dot += second.Vector[i] * first.Vector[i]
-		}
-		if math.Abs(dot) > 1e-8 {
-			t.Errorf("seed %d: x₁ᵀx₀ = %g", seed, dot)
-		}
+// denseProbe runs RitzGap's probe (24 steps from the fixed start) and
+// checks its pair against the dense spectrum vals, with tolerances taken
+// from the probe itself: θ₀ lies within its residual estimate of λ₀, θ₁ is
+// a lower bound on λ₁ (interlacing) that has climbed past λ₂, and the
+// Chebyshev edge the selector builds from the pair separates λ₁ from λ₀. The dense Jacobi oracle's own
+// rounding, about 1e-13·λ₀ at ν = 7, adds a 1e-12·λ₀ slack.
+func denseProbe(t *testing.T, op Operator, vals []float64) (theta0, theta1 float64) {
+	t.Helper()
+	p, err := ritzGap(op, 24, nil, nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSecondEigenpairValidation(t *testing.T) {
-	q := mutation.MustUniform(4, 0.1)
-	l, _ := landscape.NewUniform(4, 1)
-	op, _ := NewFmmpOperator(q, l, Symmetric, nil)
-	if _, err := SecondEigenpair(op, make([]float64, 8), PowerOptions{}); err == nil {
-		t.Error("wrong dominant length must be rejected")
+	theta0, theta1 = p.theta0, p.theta1
+	if !RitzResolved(theta0, theta1) {
+		t.Fatalf("probe pair (%.15g, %.15g) unresolved", theta0, theta1)
 	}
-	notUnit := make([]float64, 16)
-	notUnit[0] = 2
-	if _, err := SecondEigenpair(op, notUnit, PowerOptions{}); err == nil {
-		t.Error("non-unit dominant vector must be rejected")
+	round := 1e-12 * math.Abs(vals[0])
+	if math.Abs(theta0-vals[0]) > p.residual+round {
+		t.Errorf("θ₀ = %.15g, dense λ₀ = %.15g: beyond the residual estimate %g", theta0, vals[0], p.residual)
 	}
-	unit := make([]float64, 16)
-	unit[0] = 1
-	if _, err := SecondEigenpair(op, unit, PowerOptions{Start: unit}); err == nil {
-		t.Error("start parallel to dominant must be rejected")
+	if !(vals[2] < theta1 && theta1 <= vals[1]+round) {
+		t.Errorf("θ₁ = %.15g outside (λ₂, λ₁] = (%.15g, %.15g]", theta1, vals[2], vals[1])
 	}
+	if b := chebyshevEdge(theta0, theta1); !(vals[1] <= b+round && b < vals[0]) {
+		t.Errorf("edge %.15g does not separate λ₁ = %.15g from λ₀ = %.15g", b, vals[1], vals[0])
+	}
+	return theta0, theta1
 }
 
 func TestEstimateGapAndShiftImprovement(t *testing.T) {
-	const nu = 8
+	const nu = 7
 	const p = 0.01
 	q := mutation.MustUniform(nu, p)
 	l := randLandscape(rng.New(5), nu)
 	op, _ := NewFmmpOperator(q, l, Symmetric, nil)
 	mu := ConservativeShift(q, l)
-	gap, err := EstimateGap(op, mu, PowerOptions{Tol: 1e-12, Start: FitnessStart(l)})
-	if err != nil {
-		t.Fatal(err)
+	theta0, theta1 := denseProbe(t, op, denseSpectrum(t, q, l))
+	rate := theta1 / theta0
+	if !(rate > 0 && rate < 1) {
+		t.Fatalf("rate %g outside (0,1)", rate)
 	}
-	if !(gap.Rate > 0 && gap.Rate < 1) {
-		t.Fatalf("rate %g outside (0,1)", gap.Rate)
-	}
-	// The positive shift must strictly improve the rate: both λ are
+	// The positive shift must strictly improve the rate: both θ are
 	// positive here, so subtracting µ > 0 shrinks the ratio.
-	if gap.ShiftedRate >= gap.Rate {
-		t.Errorf("shifted rate %g not better than %g", gap.ShiftedRate, gap.Rate)
-	}
-	// Cross-check λ₁ against the dense spectrum.
-	vals := denseSpectrum(t, q, l)
-	if math.Abs(gap.Lambda1-vals[1]) > 1e-7 {
-		t.Errorf("λ₁ = %g, dense %g", gap.Lambda1, vals[1])
+	if shifted := (theta1 - mu) / (theta0 - mu); shifted >= rate {
+		t.Errorf("shifted rate %g not better than %g", shifted, rate)
 	}
 }
 
 func TestPredictedIterationsMatchMeasured(t *testing.T) {
 	// The gap-based prediction must land within a factor ~2 of the real
 	// iteration count (start-vector overlap shifts the constant).
-	const nu = 9
+	const nu = 7
 	const p = 0.015
 	q := mutation.MustUniform(nu, p)
 	l := randLandscape(rng.New(7), nu)
 	op, _ := NewFmmpOperator(q, l, Symmetric, nil)
 
-	gap, err := EstimateGap(op, 0, PowerOptions{Tol: 1e-12, Start: FitnessStart(l)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	theta0, theta1 := denseProbe(t, op, denseSpectrum(t, q, l))
+	rate := theta1 / theta0
 	const tol = 1e-10
-	predicted, err := PredictIterations(gap.Rate, tol)
+	predicted, err := PredictIterations(rate, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +95,9 @@ func TestPredictedIterationsMatchMeasured(t *testing.T) {
 	lo, hi := predicted/3, predicted*3+10
 	if measured.Iterations < lo || measured.Iterations > hi {
 		t.Errorf("measured %d iterations, predicted %d (accepted [%d, %d], rate %g)",
-			measured.Iterations, predicted, lo, hi, gap.Rate)
+			measured.Iterations, predicted, lo, hi, rate)
 	}
-	t.Logf("rate %.4f: predicted %d, measured %d", gap.Rate, predicted, measured.Iterations)
+	t.Logf("rate %.4f: predicted %d, measured %d", rate, predicted, measured.Iterations)
 }
 
 func TestPredictIterationsValidation(t *testing.T) {
@@ -148,19 +116,16 @@ func TestPredictIterationsValidation(t *testing.T) {
 func TestGapClosesNearThreshold(t *testing.T) {
 	// The paper's Figure 1 phenomenon in spectral terms: the gap of the
 	// single-peak problem shrinks as p approaches p_max.
-	const nu = 8
+	const nu = 7
 	l, _ := landscape.NewSinglePeak(nu, 2, 1)
 	rate := func(p float64) float64 {
 		q := mutation.MustUniform(nu, p)
 		op, _ := NewFmmpOperator(q, l, Symmetric, nil)
-		gap, err := EstimateGap(op, 0, PowerOptions{Tol: 1e-11, Start: FitnessStart(l)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gap.Rate
+		theta0, theta1 := denseProbe(t, op, denseSpectrum(t, q, l))
+		return theta1 / theta0
 	}
 	far := rate(0.01)
-	near := rate(0.07) // p_max ≈ 0.085 at ν = 8
+	near := rate(0.07) // p_max ≈ 0.094 at ν = 7
 	if near <= far {
 		t.Errorf("rate near threshold (%g) should exceed rate far below it (%g)", near, far)
 	}
@@ -178,78 +143,68 @@ func (o diagOp) Apply(dst, src []float64) {
 }
 
 func TestEstimateGapEdgeCases(t *testing.T) {
-	pad := func(d []float64, n int) []float64 {
-		for i := len(d); i < n; i++ {
+	// The probe on a 16-point diagonal spectrum: k = 24 clamps to the
+	// dimension, so a resolved pair is exact up to rounding.
+	pad := func(d []float64) []float64 {
+		for i := len(d); i < 16; i++ {
 			d = append(d, 0.1/float64(i+1))
 		}
 		return d
 	}
 	cases := []struct {
-		name       string
-		d          []float64
-		opts       PowerOptions
-		wantErr    bool
-		wantReason string
+		name string
+		d    []float64
+		k    int
+		// resolved is what RitzResolved must say of the probe pair; a
+		// resolved full-dimension pair must match d[0], d[1] within 1e-12.
+		resolved   bool
+		wantReason string // non-empty: RitzGap itself reports the gap unresolved
 	}{
-		{
-			name: "well_separated",
-			d:    pad([]float64{1, 0.5}, 16),
-			opts: PowerOptions{Tol: 1e-11},
-		},
-		{
-			name: "modest_gap",
-			d:    pad([]float64{1, 0.99}, 16),
-			opts: PowerOptions{Tol: 1e-11},
-		},
-		{
-			name:       "near_degenerate",
-			d:          pad([]float64{1, 1 - 1e-15}, 16),
-			opts:       PowerOptions{Tol: 1e-11},
-			wantErr:    true,
-			wantReason: "near_degenerate",
-		},
+		{name: "well_separated", d: pad([]float64{1, 0.5}), k: 24, resolved: true},
+		{name: "modest_gap", d: pad([]float64{1, 0.99}), k: 24, resolved: true},
+		{name: "exactly_degenerate", d: pad([]float64{1, 1}), k: 24},
+		{name: "near_degenerate", d: pad([]float64{1, 1 - 1e-15}), k: 24},
+		// Separated, but by less than RitzResolved's 1e-10·|θ₀| floor.
+		{name: "below_resolution_floor", d: pad([]float64{1, 1 - 1e-11}), k: 24},
 		{
 			name: "unconverged_ritz",
-			// An unreachable tolerance stalls the deflated solve on the
-			// near-degenerate pair: the Ritz value never resolves λ₁.
-			d:          pad([]float64{1, 1 - 1e-15}, 16),
-			opts:       PowerOptions{Tol: 1e-30, StallChecks: 20},
-			wantErr:    true,
-			wantReason: "unconverged_ritz",
+			// One distinct eigenvalue: the Krylov space closes after one
+			// step and no second Ritz value exists.
+			d: []float64{1, 1, 1, 1, 1, 1, 1, 1}, k: 8, wantReason: "unconverged_ritz",
 		},
 		{
 			name: "stagnated_but_resolved",
-			// Stagnation alone must NOT flag the gap when the separation
-			// dwarfs the attained residual.
-			d:    pad([]float64{1, 0.5}, 16),
-			opts: PowerOptions{Tol: 1e-30, StallChecks: 20},
+			// A probe cut off after 3 steps has not converged θ₁, but a
+			// separation that dwarfs the floor still counts as resolved.
+			d: pad([]float64{1, 0.5}), k: 3, resolved: true,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			g, err := EstimateGap(diagOp{c.d}, 0, c.opts)
-			if !c.wantErr {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
+			theta0, theta1, err := RitzGap(diagOp{c.d}, c.k, nil, nil)
+			if c.wantReason != "" {
+				var ge *GapUnresolvedError
+				if !errors.As(err, &ge) || !errors.Is(err, ErrGapUnresolved) {
+					t.Fatalf("got %v, want *GapUnresolvedError", err)
 				}
-				if math.Abs(g.Lambda0-c.d[0]) > 1e-9 || math.Abs(g.Lambda1-c.d[1]) > 1e-6 {
-					t.Fatalf("eigenvalues (%.12g, %.12g), want (%.12g, %.12g)",
-						g.Lambda0, g.Lambda1, c.d[0], c.d[1])
+				if ge.Reason != c.wantReason {
+					t.Fatalf("reason %q, want %q", ge.Reason, c.wantReason)
+				}
+				if theta0 != c.d[0] {
+					t.Fatalf("θ₀ = %.17g, want %.17g alongside the error", theta0, c.d[0])
 				}
 				return
 			}
-			if !errors.Is(err, ErrGapUnresolved) {
-				t.Fatalf("got %v, want ErrGapUnresolved", err)
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
 			}
-			var ge *GapUnresolvedError
-			if !errors.As(err, &ge) {
-				t.Fatalf("error %T does not unwrap to *GapUnresolvedError", err)
+			if got := RitzResolved(theta0, theta1); got != c.resolved {
+				t.Fatalf("RitzResolved(%.17g, %.17g) = %v, want %v", theta0, theta1, got, c.resolved)
 			}
-			if ge.Reason != c.wantReason {
-				t.Fatalf("reason %q, want %q", ge.Reason, c.wantReason)
-			}
-			if g == nil || math.Abs(g.Lambda0-c.d[0]) > 1e-9 {
-				t.Fatal("partial SpectralGap with λ₀ must still be returned")
+			if c.resolved && c.k >= len(c.d) &&
+				(math.Abs(theta0-c.d[0]) > 1e-12 || math.Abs(theta1-c.d[1]) > 1e-12) {
+				t.Fatalf("Ritz values (%.17g, %.17g), want (%.17g, %.17g)",
+					theta0, theta1, c.d[0], c.d[1])
 			}
 		})
 	}

@@ -297,15 +297,16 @@ func omegaRow(next, cur, prev, alpha, beta []float64, j int, b, normT, n float64
 	return max(worst, next[j])
 }
 
-// ritzResolved is the adaptive engine's rule for a resolved probe pair: the
-// Ritz separation clears the floating-point floor of θ₀ by a safe factor.
-func ritzResolved(theta0, theta1 float64) bool {
+// RitzResolved is the rule for a resolved probe pair (θ₀, θ₁) from RitzGap:
+// the Ritz separation clears the floating-point floor of θ₀ by a safe
+// factor. The adaptive selector and qs-gap both apply it.
+func RitzResolved(theta0, theta1 float64) bool {
 	return theta0-theta1 > 1e-10*math.Abs(theta0)
 }
 
 // ritzConverged is the self-stopping probe's test after step m of the
 // recurrence, on T_m = (alpha[:m], beta[:m-1]) with beta[m-1] the next β:
-// the top Ritz pair is resolved (ritzResolved) and its residual estimate
+// the top Ritz pair is resolved (RitzResolved) and its residual estimate
 // β_m·|y_{m−1}| is at most tol. It takes O(m) flops per bisection step and
 // allocates nothing: θ₀ and θ₁ come from Sturm-count bisection
 // (tridiagTop2) and |y_{m−1}| from a backward recurrence
@@ -314,7 +315,7 @@ func ritzResolved(theta0, theta1 float64) bool {
 func (kw *KrylovWork) ritzConverged(m int, tol float64) bool {
 	alpha, beta := kw.alpha[:m], kw.beta[:m-1]
 	theta0, theta1 := tridiagTop2(alpha, beta)
-	return ritzResolved(theta0, theta1) && kw.beta[m-1]*ritzLastComponent(alpha, beta, theta0) <= tol
+	return RitzResolved(theta0, theta1) && kw.beta[m-1]*ritzLastComponent(alpha, beta, theta0) <= tol
 }
 
 // tridiagTop2 returns the two largest eigenvalues θ₀ ≥ θ₁ of the symmetric

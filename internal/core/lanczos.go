@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/device"
 	"repro/internal/span"
@@ -46,8 +47,8 @@ type LanczosResult struct {
 // Lanczos computes the dominant eigenpair of the *symmetric* operator op
 // (use the Symmetric formulation of Eq. 4) by restarted Lanczos with
 // partial reorthogonalization of the small basis (krylov.go). It returns
-// the partial result with ErrNoConvergence when the restart budget is
-// exhausted.
+// the partial result with a *ConvergenceError (ErrNoConvergence) when the
+// restart budget is exhausted.
 func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	n := op.Dim()
 	tol := opts.Tol
@@ -94,6 +95,8 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 
 	res := LanczosResult{BasisBytes: (m + 2) * n * 8}
 	lastMatVecs := 0
+	bestResidual := math.Inf(1)
+	improvedAt := 0 // res.MatVecs at the last residual improvement
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copy(basis[0], q)
@@ -118,6 +121,10 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		res.MatVecs++
 		res.Residual = residual(nil, w, q, res.Lambda)
 		span.End(ph, int64(res.Restarts), 0)
+		if res.Residual < bestResidual*(1-1e-6) {
+			bestResidual = res.Residual
+			improvedAt = res.MatVecs
+		}
 		if sr != nil {
 			sr.Check(int64(res.MatVecs-lastMatVecs), res.Residual, "")
 		}
@@ -136,6 +143,9 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	orientPositive(q)
 	res.Vector = q
 	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
-	return res, fmt.Errorf("%w after %d restarts (residual %g, tol %g)",
-		ErrNoConvergence, res.Restarts, res.Residual, tol)
+	return res, &ConvergenceError{
+		Reason: ErrNoConvergence, Method: SolveKindLanczos,
+		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
+		SinceImprovement: res.MatVecs - improvedAt, Tol: tol,
+	}
 }

@@ -102,80 +102,3 @@ func TestLanczosBasisLargerThanDim(t *testing.T) {
 		t.Error("full-dimension Lanczos must converge in one cycle")
 	}
 }
-
-func TestInverseIterationQFindsDominant(t *testing.T) {
-	// With µ just above 1 the nearest eigenvalue of Q is λ = 1 (the
-	// dominant one) whose eigenvector is the constant vector.
-	const nu = 8
-	q := mutation.MustUniform(nu, 0.03)
-	res, err := InverseIterationQ(q, 1.1, PowerOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Lambda-1) > 1e-10 {
-		t.Errorf("λ = %g, want 1", res.Lambda)
-	}
-	want := 1 / math.Sqrt(float64(q.Dim()))
-	for i, v := range res.Vector {
-		if math.Abs(v-want) > 1e-8 {
-			t.Fatalf("x[%d] = %g, want constant %g", i, v, want)
-		}
-	}
-}
-
-func TestInverseIterationQFindsInteriorEigenvalue(t *testing.T) {
-	// Target the second eigenvalue (1−2p): any converged eigenpair must
-	// satisfy the residual and have λ = (1−2p).
-	const nu = 6
-	const p = 0.05
-	q := mutation.MustUniform(nu, p)
-	target := 1 - 2*p
-	res, err := InverseIterationQ(q, target+0.003, PowerOptions{Tol: 1e-11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Lambda-target) > 1e-9 {
-		t.Errorf("λ = %g, want %g", res.Lambda, target)
-	}
-}
-
-func TestInverseIterationQRejectsNonUniform(t *testing.T) {
-	ps, err := mutation.NewPerSite([]mutation.Factor2{
-		{A: 0.9, B: 0.2, C: 0.1, D: 0.8}, {A: 0.8, B: 0.1, C: 0.2, D: 0.9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := InverseIterationQ(ps, 0.5, PowerOptions{}); err == nil {
-		t.Error("non-uniform process must be rejected")
-	}
-}
-
-func TestRayleighQuotientIterationQ(t *testing.T) {
-	// Start near the constant vector: RQI must converge to λ = 1 in very
-	// few steps (cubic convergence).
-	const nu = 8
-	q := mutation.MustUniform(nu, 0.02)
-	start := make([]float64, q.Dim())
-	r := rng.New(3)
-	for i := range start {
-		start[i] = 1 + 0.01*(2*r.Float64()-1)
-	}
-	res, err := RayleighQuotientIterationQ(q, start, PowerOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Lambda-1) > 1e-10 {
-		t.Errorf("λ = %g, want 1", res.Lambda)
-	}
-	if res.Iterations > 6 {
-		t.Errorf("RQI took %d steps; cubic convergence expected ≤ 6", res.Iterations)
-	}
-}
-
-func TestRayleighQuotientIterationQBadInput(t *testing.T) {
-	q := mutation.MustUniform(4, 0.1)
-	if _, err := RayleighQuotientIterationQ(q, make([]float64, 3), PowerOptions{}); err == nil {
-		t.Error("wrong start length must error")
-	}
-}

@@ -107,8 +107,8 @@ const (
 type ConvergenceError struct {
 	// Reason is the sentinel cause: ErrNoConvergence or ErrStagnated.
 	Reason error
-	// Method names the eigensolver gear that failed (a SolveKind*
-	// constant: "power", "lanczos", "chebyshev", "shift_invert");
+	// Method names the eigensolver that failed (a SolveKind* constant:
+	// "power", "lanczos", "chebyshev", "shift_invert"; or "arnoldi");
 	// "" for errors predating the field.
 	Method string
 	// Detail is an optional context note (e.g. the Monitor abort).

@@ -194,6 +194,8 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 
 	res := ShiftInvertResult{Vector: q, Mu: mu}
 	lastMatVecs := 0
+	bestResidual := math.Inf(1)
+	improvedAt := 0 // res.MatVecs at the last residual improvement
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copyInto(dev, basis[0], q)
@@ -285,6 +287,10 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		r := residual(dev, w, q, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
+		if r < bestResidual*(1-1e-6) {
+			bestResidual = r
+			improvedAt = res.MatVecs
+		}
 		if sr != nil {
 			sr.Check(int64(res.MatVecs-lastMatVecs), r, "")
 		}
@@ -305,8 +311,8 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindShiftInvert,
-		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: res.Residual,
-		Shift: mu, Tol: tol,
+		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
+		SinceImprovement: res.MatVecs - improvedAt, Shift: mu, Tol: tol,
 	}
 }
 

@@ -41,7 +41,7 @@ func checkStopRule(t *testing.T, label string, op Operator, seed, weight []float
 			t.Errorf("%s, step %d: bisection θ = (%.17g, %.17g), Jacobi (%.17g, %.17g)", label, m, theta0, theta1, vals[0], vals[1])
 		}
 		est := kw.beta[m-1] * math.Abs(y[m-1])
-		want := ritzResolved(vals[0], vals[1]) && est <= tol
+		want := RitzResolved(vals[0], vals[1]) && est <= tol
 		if got := kw.ritzConverged(m, tol); got != want {
 			t.Errorf("%s, step %d: stop %v, Jacobi %v (estimate %.6g, recurrence %.6g, tol %.3g)",
 				label, m, got, want, est, kw.beta[m-1]*ritzLastComponent(alpha, beta, theta0), tol)

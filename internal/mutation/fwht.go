@@ -2,19 +2,19 @@ package mutation
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/bits"
-	"repro/internal/device"
 	"repro/internal/span"
 	"repro/internal/vec"
 )
 
 // This file implements the spectral machinery of Section 2: the fast
 // Walsh–Hadamard transform that realizes multiplication with the
-// eigenvector matrix V(ν) of Q(ν), the closed-form eigenvalues
-// Λ(ν)ᵢᵢ = (1−2p)^dH(i,0), the explicit inverse Q⁻¹ (Eq. 12) and the
-// Θ(N·log₂N) shift-and-invert product (Q − µI)⁻¹·v = V·(Λ−µI)⁻¹·V·v.
+// eigenvector matrix V(ν) of Q(ν), and the Θ(N·log₂N) shift-and-invert
+// product (Q − µI)⁻¹·v = V·(Λ−µI)⁻¹·V·v with the closed-form eigenvalues
+// Λ(ν)ᵢᵢ = (1−2p)^dH(i,0). No solve route runs the product: an inverse of
+// Q alone cannot serve W = Q·F, whose shift-invert gear is core's
+// ShiftInvertLanczos. resolution.WalshMoments is the transform's caller.
 // The transforms run on the cache-blocked kernels of blocked.go, with the
 // Hadamard butterfly specialized to additions; FWHTNaive keeps the
 // one-pass-per-stage loop as the bit-identical reference.
@@ -43,24 +43,6 @@ func FWHTNaive(v []float64) {
 			}
 		}
 	}
-}
-
-// FWHTNormalized performs v ← V(ν)·v with the orthonormal (and involutory)
-// V(ν) = 2^(−ν/2)·H(ν), the eigenvector matrix of Q(ν).
-func FWHTNormalized(v []float64) {
-	FWHT(v)
-	scale := 1 / math.Sqrt(float64(len(v)))
-	for i := range v {
-		v[i] *= scale
-	}
-}
-
-// FWHTDevice performs the unnormalized FWHT on the device runtime with the
-// blocked kernels — one LaunchStages dispatch per fused stage-group
-// instead of one launch per butterfly stage.
-func FWHTDevice(d *device.Device, v []float64) {
-	checkFWHTLen(len(v))
-	fwhtBlockedDevice(d, v, TileBits(), fuseStages)
 }
 
 func checkFWHTLen(n int) {
@@ -97,48 +79,6 @@ func fwhtBlocked(v []float64, tb, fuse int) {
 			m = fuse
 		}
 		fwhtCross(v, B, s, m)
-		s += m
-	}
-}
-
-// fwhtBlockedDevice is fwhtBlocked with one device launch per fused pass.
-func fwhtBlockedDevice(d *device.Device, v []float64, tb, fuse int) {
-	n := len(v)
-	if n <= 1 {
-		return
-	}
-	if fuse < 1 {
-		fuse = 1
-	}
-	if fuse > maxFuseStages {
-		fuse = maxFuseStages
-	}
-	B := 1 << uint(tb)
-	if B > n {
-		B = n
-	}
-	lgB := log2(B)
-	d.LaunchStages(lgB, n/B, B, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			fwhtTile(v[t*B : (t+1)*B])
-		}
-	})
-	lgR := log2(n / B)
-	for s := 0; s < lgR; {
-		m := lgR - s
-		if m > fuse {
-			m = fuse
-		}
-		rb0 := s
-		mm := m
-		lowMask := 1<<uint(rb0) - 1
-		nBases := (n >> uint(lgB)) >> uint(mm)
-		d.LaunchStages(mm, nBases, B<<uint(mm), func(lo, hi int) {
-			for bb := lo; bb < hi; bb++ {
-				base := ((bb &^ lowMask) << uint(mm)) | (bb & lowMask)
-				fwhtCrossGroup(v, B, base, rb0, mm)
-			}
-		})
 		s += m
 	}
 }
@@ -328,42 +268,6 @@ func fwhtCrossQuad(r0, r1, r2, r3 []float64) {
 	}
 }
 
-// Eigenvalue returns the eigenvalue of Q(ν) associated with Walsh index i:
-// Λ(ν)ᵢᵢ = (1−2p)^dH(i,0). Only valid for uniform processes.
-func (q *Process) Eigenvalue(i uint64) float64 {
-	q.requireUniform("Eigenvalue")
-	return math.Pow(1-2*q.p, float64(bits.Weight(i)))
-}
-
-// Eigenvalues returns all N eigenvalues of a uniform Q(ν) in Walsh order.
-// Θ(N) memory — small ν only.
-func (q *Process) Eigenvalues() []float64 {
-	q.requireUniform("Eigenvalues")
-	out := make([]float64, q.n)
-	base := 1 - 2*q.p
-	// (1−2p)^k for k = 0…ν, then scatter by Hamming weight.
-	pow := make([]float64, q.nu+1)
-	pow[0] = 1
-	for k := 1; k <= q.nu; k++ {
-		pow[k] = pow[k-1] * base
-	}
-	for i := range out {
-		out[i] = pow[bits.Weight(uint64(i))]
-	}
-	return out
-}
-
-// EigenvectorEntry returns V(ν)[i][j] = 2^(−ν/2)·(−1)^((dH(i,0)+dH(j,0)−dH(i,j))/2),
-// the componentwise form of the eigenvector matrix given in Section 2.
-func EigenvectorEntry(nu int, i, j uint64) float64 {
-	e := (bits.Weight(i) + bits.Weight(j) - bits.Hamming(i, j)) / 2
-	sign := 1.0
-	if e%2 == 1 {
-		sign = -1
-	}
-	return sign / math.Sqrt(float64(bits.SpaceSize(nu)))
-}
-
 // fillShiftInvertSpectrum fills q.siInv with (Λ−µI)⁻¹ per Hamming weight,
 // or reports the eigenvalue µ collides with.
 func (q *Process) fillShiftInvertSpectrum(mu float64) error {
@@ -403,28 +307,6 @@ func (q *Process) ApplyShiftInvert(v []float64, mu float64) error {
 		v[i] *= inv[bits.Weight(uint64(i))] * scale
 	}
 	FWHT(v)
-	span.End(sp, int64(q.nu), 0)
-	return nil
-}
-
-// ApplyShiftInvertDevice is ApplyShiftInvert with device-parallel
-// transforms and diagonal scaling.
-func (q *Process) ApplyShiftInvertDevice(d *device.Device, v []float64, mu float64) error {
-	q.requireUniform("ApplyShiftInvertDevice")
-	q.checkDim(len(v))
-	if err := q.fillShiftInvertSpectrum(mu); err != nil {
-		return err
-	}
-	sp := span.Begin(span.LayerMutation, KindShiftInvert)
-	inv := q.siInv
-	FWHTDevice(d, v)
-	scale := 1 / float64(q.n)
-	d.LaunchRange(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] *= inv[bits.Weight(uint64(i))] * scale
-		}
-	})
-	FWHTDevice(d, v)
 	span.End(sp, int64(q.nu), 0)
 	return nil
 }

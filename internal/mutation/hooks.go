@@ -11,5 +11,5 @@ const (
 	KindApply       = "apply"        // Process.Apply (serial blocked)
 	KindApplyDevice = "apply_device" // Process.ApplyDevice
 	KindStageGroup  = "stage_group"  // one fused stage-group pass within an Apply
-	KindShiftInvert = "shift_invert" // Process.ApplyShiftInvert[Device]
+	KindShiftInvert = "shift_invert" // Process.ApplyShiftInvert
 )

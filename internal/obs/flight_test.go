@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -319,6 +320,53 @@ func TestDumpOnError(t *testing.T) {
 	dir, ok = f.DumpOnError(gerr)
 	if !ok || !strings.HasSuffix(dir, "-gap_unresolved") {
 		t.Fatalf("DumpOnError gap = (%q, %v)", dir, ok)
+	}
+}
+
+// diagOp is a diagonal operator: a symmetric test problem with a known
+// spectrum for the Krylov solvers.
+type diagOp []float64
+
+func (d diagOp) Dim() int { return len(d) }
+func (d diagOp) Apply(dst, src []float64) {
+	for i := range dst {
+		dst[i] = d[i] * src[i]
+	}
+}
+
+func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
+	// A budget-capped Lanczos, Arnoldi or shift-invert Lanczos solve fails
+	// with a typed *core.ConvergenceError, which a flight recording dumps as
+	// a bundle.
+	f := StartFlight(testFlightManifest("testrun-krylov"), quietConfig(t.TempDir()))
+	defer f.Stop()
+
+	op := make(diagOp, 64)
+	for i := range op {
+		op[i] = 1 / float64(i+1)
+	}
+	_, lerr := core.Lanczos(op, core.LanczosOptions{Tol: 1e-30, BasisSize: 3, MaxRestarts: 2})
+	_, aerr := core.Arnoldi(op, core.ArnoldiOptions{Tol: 1e-30, BasisSize: 2, MaxRestarts: 2})
+	_, serr := core.ShiftInvertLanczos(op, core.ShiftInvertOptions{Tol: 1e-30, Shift: 1.5, BasisSize: 2, MaxRestarts: 2})
+	for _, c := range []struct {
+		err    error
+		method string
+	}{{lerr, core.SolveKindLanczos}, {aerr, "arnoldi"}, {serr, core.SolveKindShiftInvert}} {
+		var ce *core.ConvergenceError
+		if !errors.As(c.err, &ce) {
+			t.Fatalf("%s: err = %v (%T), want *core.ConvergenceError", c.method, c.err, c.err)
+		}
+		if ce.Method != c.method || ce.Iterations == 0 || ce.Tol != 1e-30 ||
+			!(ce.BestResidual <= ce.Residual) || !errors.Is(c.err, core.ErrNoConvergence) {
+			t.Fatalf("%s: ConvergenceError = %+v", c.method, ce)
+		}
+		dir, ok := f.DumpOnError(c.err)
+		if !ok || !strings.HasSuffix(dir, "-convergence_error") {
+			t.Fatalf("%s: DumpOnError = (%q, %v)", c.method, dir, ok)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "error.json")); err != nil {
+			t.Fatalf("%s: error.json: %v", c.method, err)
+		}
 	}
 }
 
