@@ -20,9 +20,9 @@
 //     scratch of `workers` solves, not 500.
 //   - Warm-start friendliness. Continuation along a monotone sweep is
 //     inherently sequential, so the unit of scheduling for warm-started
-//     sweeps is a fixed-length chain of consecutive points (see Chains);
-//     the chain length is independent of the worker count, which keeps
-//     warm-started results worker-count invariant too.
+//     sweeps is a chain of consecutive points (see Chains) whose length
+//     depends on the sweep's point count alone, never on the worker count,
+//     which keeps warm-started results worker-count invariant too.
 package batch
 
 import (
@@ -101,12 +101,19 @@ func LiveStats() (inflight, done, planned int64) {
 	return live.inflight.Load(), live.done.Load(), live.planned.Load()
 }
 
-// DefaultChainLen is the number of consecutive sweep points per warm-start
-// chain when the caller does not choose one. Within a chain, point k seeds
-// the solve of point k+1; across chains solves are independent, which is
-// what the scheduler parallelizes. Eight points per chain keeps most solves
-// warm while still exposing parallelism on ≥ 16-point sweeps.
+// DefaultChainLen is the shortest warm-start chain Chains lays out when the
+// caller does not choose a length. Within a chain, point k seeds the solve
+// of point k+1; across chains solves are independent, which is what the
+// scheduler parallelizes. A chain's first points cost the most (a cold
+// head, then starts extrapolated through too few vectors), so the default
+// layout grows chains past eight points on long sweeps rather than run
+// more than maxDefaultChains of them: sweeps of up to 64 points keep
+// eight-point chains, and longer ones run as eight chains.
 const DefaultChainLen = 8
+
+// maxDefaultChains caps the number of chains of the default layout. It
+// also caps the parallelism of one such sweep at eight workers.
+const maxDefaultChains = 8
 
 // Workers normalizes a requested worker count: n ≤ 0 selects all available
 // cores (the solver convention shared with device.New), anything else is
@@ -222,16 +229,17 @@ func runOne(sr span.Recorder, task func(i, worker int) error, i, worker int) err
 type Chain struct{ Lo, Hi int }
 
 // Chains partitions [0, n) into contiguous chains of chainLen points
-// (the last chain may be shorter). chainLen ≤ 0 selects DefaultChainLen.
-// The partition depends only on n and chainLen — never on the worker
-// count — so scheduling chains in parallel yields results bit-identical
-// to processing them serially.
+// (the last chain may be shorter). chainLen ≤ 0 selects the default
+// layout: chains of max(DefaultChainLen, ⌈n/8⌉) points, so at most eight
+// chains. The partition depends only on n and chainLen — never on the
+// worker count — so scheduling chains in parallel yields results
+// bit-identical to processing them serially.
 func Chains(n, chainLen int) []Chain {
 	if n <= 0 {
 		return nil
 	}
 	if chainLen <= 0 {
-		chainLen = DefaultChainLen
+		chainLen = max(DefaultChainLen, (n+maxDefaultChains-1)/maxDefaultChains)
 	}
 	out := make([]Chain, 0, (n+chainLen-1)/chainLen)
 	for lo := 0; lo < n; lo += chainLen {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,6 +129,36 @@ func TestChainsPartition(t *testing.T) {
 	// Default chain length kicks in for chainLen <= 0.
 	if cs := Chains(DefaultChainLen+1, 0); len(cs) != 2 {
 		t.Errorf("default chain split = %v", cs)
+	}
+	// The default layout: eight-point chains up to 64 points, then at most
+	// eight chains of ⌈n/8⌉ points, the last one holding the remainder.
+	for _, c := range []struct {
+		n    int
+		lens []int
+	}{
+		{1, []int{1}},
+		{8, []int{8}},
+		{64, []int{8, 8, 8, 8, 8, 8, 8, 8}},
+		{65, []int{9, 9, 9, 9, 9, 9, 9, 2}},
+		{200, []int{25, 25, 25, 25, 25, 25, 25, 25}},
+		{256, []int{32, 32, 32, 32, 32, 32, 32, 32}},
+	} {
+		cs := Chains(c.n, 0)
+		lens := make([]int, len(cs))
+		next := 0
+		for i, ch := range cs {
+			if ch.Lo != next {
+				t.Errorf("n=%d: chain %d starts at %d, want %d", c.n, i, ch.Lo, next)
+			}
+			lens[i], next = ch.Hi-ch.Lo, ch.Hi
+		}
+		if next != c.n || !slices.Equal(lens, c.lens) {
+			t.Errorf("n=%d: default chain lengths %v, want %v", c.n, lens, c.lens)
+		}
+	}
+	// An explicit length wins over the default layout.
+	if cs := Chains(200, 8); len(cs) != 25 {
+		t.Errorf("Chains(200, 8) gave %d chains, want 25", len(cs))
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *MethodState) Reset() { *s = MethodState{} }
 // iterate pair (which also stages the Right-form result every gear
 // returns), plus lazily allocated Chebyshev, shift-invert, and probe
 // scratch — power-only sweeps never pay for the Krylov buffers — and the
-// two chain-history vectors of ExtrapolateStart, allocated on a chain's
+// three chain-history vectors of ExtrapolateStart, allocated on a chain's
 // first warm point.
 type AdaptiveWork struct {
 	// Power is the power-gear scratch; AdaptiveResult.Vector always
@@ -113,7 +113,7 @@ type AdaptiveWork struct {
 	sym   []float64 // symmetric-form start/result staging
 	// hist holds the chain's converged vectors before the previous one,
 	// newest first (ExtrapolateStart).
-	hist [2][]float64
+	hist [3][]float64
 }
 
 // NewAdaptiveWork returns scratch for dimension-n adaptive solves.

@@ -37,16 +37,17 @@ import (
 // reads or writes as one stream, a step makes 6 outside the matvec: α
 // reads 2, and the tail reads w, v_j and v_{j−1} and writes v_{j+1}. A
 // 24-step probe of the ν = 17, σ = 2 single peak over [0.90, 1.08]·p_c
-// (about 5 of 23 steps reorthogonalize) streams about 290 vectors: 140 for
-// the recurrence and about 150 for the reorthogonalizations (2j + 5 at
-// step j), which modified Gram–Schmidt made about 340, and every-step full
-// reorthogonalization about 1 400. The residual estimate of the probe's
-// top Ritz pair adds 4 streams, and assembling its Ritz vector for the Ritz
-// handoff about 27. The adaptive engine's probe stops early
-// (ritzConverged, no streams at all), and skips the Gram–Schmidt pass of
-// the step it stops on: on a warm chain point of those grids after about
-// 18 steps, with about 105 streams for the recurrence and about 4
-// reorthogonalizations. The shift-invert outer loop keeps a normalized
+// (about one step in five reorthogonalizes: 340 of the adaptive engine's
+// 1 552 probe steps on the three critical-nu17 grids) streams about 290
+// vectors: 140 for the recurrence and about 150 for the
+// reorthogonalizations (2j + 5 at step j), which modified Gram–Schmidt
+// made about 340, and every-step full reorthogonalization about 1 400. The
+// residual estimate of the probe's top Ritz pair adds 4 streams, and
+// assembling its Ritz vector for the Ritz handoff about 27. The adaptive
+// engine's probe stops early (ritzConverged, no streams at all), and skips
+// the Gram–Schmidt pass of the step it stops on: on a warm chain point of
+// those grids after about 15 steps, with about 90 streams for the
+// recurrence and about 3 reorthogonalizations. The shift-invert outer loop keeps a normalized
 // basis and full reorthogonalization (silanczos.go): its inner CG solves
 // are accurate only to innerTol ≫ ε, outside what the ω model assumes.
 

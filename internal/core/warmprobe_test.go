@@ -240,11 +240,11 @@ func warmChainCases(t *testing.T) []warmChainCase {
 	add := func(c warmChainCase) { cases = append(cases, c) }
 
 	l10, pc10 := singlePeakPC(t, 10, 2)
-	add(warmChainCase{name: "ν=10 σ=2 over [0.3, 1.1]·p_c", l: l10, ps: fracGrid(pc10, 0.3, 1.1, 24, 0), chainLen: 8})
+	add(warmChainCase{name: "ν=10 σ=2 over [0.3, 1.1]·p_c", l: l10, ps: fracGrid(pc10, 0.3, 1.1, 24, 0), chainLen: 8, flips: 1})
 	l12, pc12 := singlePeakPC(t, 12, 10)
 	add(warmChainCase{name: "ν=12 σ=10 over [0.5, 1.1]·p_c", l: l12, ps: fracGrid(pc12, 0.5, 1.1, 24, 0), chainLen: 8})
 	l14, pc14 := singlePeakPC(t, 14, 2)
-	add(warmChainCase{name: "ν=14 σ=2 over [0.3, 1.1]·p_c", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 32, 0), chainLen: 8, flips: 1})
+	add(warmChainCase{name: "ν=14 σ=2 over [0.3, 1.1]·p_c", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 32, 0), chainLen: 8, flips: 2})
 	add(warmChainCase{name: "ν=14 σ=2 coarse 8-point grid", l: l14, ps: fracGrid(pc14, 0.3, 1.1, 8, 0), chainLen: 8})
 	l12b, pc12b := singlePeakPC(t, 12, 2)
 	var dup []float64
@@ -346,14 +346,17 @@ func TestWarmProbeRobustness(t *testing.T) {
 // moves Γ₀ by at most 1e-9 and costs no more matvecs in total; every step
 // of every probe from an extrapolated seed passes checkStopRule. The
 // measured exceptions are listed per case:
-//   - ν=14 σ=2: at 0.455·p_c, on the power/Chebyshev boundary, the better
-//     start lets the probe stop at 10 steps instead of 24, its θ₁ reads
-//     lower, and auto picks power: 27 matvecs instead of Chebyshev's 14.
+//   - ν=14 σ=2: on the power/Chebyshev boundary the better start lets the
+//     probe stop early, its θ₁ reads lower, and auto picks power: at
+//     0.455·p_c (point 6) in 23 matvecs and at 0.48·p_c (point 7) in 24,
+//     against Chebyshev's 14 each. The sweep costs 569 matvecs against 633.
+//   - ν=10 σ=2: the same mechanism at 0.44·p_c (point 4): power in 26
+//     matvecs against Chebyshev's 12. The sweep costs 400 against 404.
 //   - ν=15 linear: its first steps are 127%, 56% and 36% of p, and the
 //     additive landscape's product-form Perron vector is far from
-//     quadratic in p over such steps. The extrapolated starts are worse
-//     than the plain ones there, and the sweep costs 215 matvecs against
-//     199; it may cost at most 10% more.
+//     polynomial in p over such steps. The extrapolated starts lose to the
+//     plain ones there: the sweep costs 203 matvecs against 199 (215 with
+//     a fixed quadratic fit); it may cost at most 10% more.
 func TestExtrapolatedStartsKeepGears(t *testing.T) {
 	for _, c := range warmChainCases(t) {
 		if c.skip() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -59,6 +60,75 @@ func TestExtrapolateStartReproducesPolynomials(t *testing.T) {
 				continue // two nodes reproduce affine vectors only
 			}
 			requireNear(t, "extrapolated start", prev, polyVec(n, ps[i], quad), 1e-13)
+		}
+	}
+}
+
+// cubicVec returns u + p·v + p²·w + p³·z for fixed u, v, w, z of length n.
+func cubicVec(n int, p float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		u, v := 1+0.1*float64(i%7), 0.3-0.05*float64(i%5)
+		w, z := 2-0.4*float64(i%3), 40-9*float64(i%4)
+		out[i] = u + p*(v+p*(w+p*z))
+	}
+	return out
+}
+
+// On a vector family cubic in p, every order predicts better than the one
+// below it, so the order climbs one node per point — plain, secant,
+// quadratic, cubic — and from the fifth chain point on the start is the
+// cubic fit, which reproduces the family. A quadratic start there would
+// miss by about z·Δp³ ≈ 1e-6, far outside the tolerance.
+func TestExtrapolateStartReachesCubic(t *testing.T) {
+	const n = 23
+	ps := []float64{0.01, 0.013, 0.0175, 0.02, 0.026, 0.03, 0.031, 0.0355}
+	aw := NewAdaptiveWork(n)
+	prev := cubicVec(n, ps[0])
+	for i := 1; i < len(ps); i++ {
+		copy(prev, cubicVec(n, ps[i-1])) // the converged vector at ps[i−1]
+		aw.ExtrapolateStart(prev, ps[:i], ps[i])
+		if i >= 4 {
+			requireNear(t, fmt.Sprintf("point %d", i), prev, cubicVec(n, ps[i]), 1e-13)
+		}
+	}
+}
+
+// kinkVec returns u + p·v + w·max(0, p − pk): affine on each side of pk, with
+// a kink of slope w at pk.
+func kinkVec(n int, p, pk float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		u, v, w := 1+0.1*float64(i%7), 0.3-0.05*float64(i%5), 5+float64(i%3)
+		out[i] = u + p*v + w*max(0, p-pk)
+	}
+	return out
+}
+
+// Across a kink in p the higher orders mispredict, and the rule drops them.
+// Once the chain's two newest vectors lie past the kink, the secant through
+// them is exact, while the quadratic and the cubic reach back across the
+// kink: the rule ranks the secant first (j* = 2 of h = 3) and starts from
+// it, so the start reproduces the family, where a fixed cubic through the
+// last four vectors would miss by about w·Δp ≈ 0.01.
+func TestExtrapolateStartDropsOrderAtKink(t *testing.T) {
+	const n, pk = 19, 0.0205
+	ps := []float64{0.01, 0.014, 0.018, 0.022, 0.026, 0.03, 0.034, 0.038}
+	vec := func(p float64) []float64 { return kinkVec(n, p, pk) }
+	aw := NewAdaptiveWork(n)
+	prev := vec(ps[0])
+	for i := 1; i < len(ps); i++ {
+		if i == 6 {
+			// The ranking at this point: prev at ps[5], history at ps[4],
+			// ps[3] and ps[2], the last one before the kink.
+			if j := fitOrder(vec(ps[5]), vec(ps[4]), vec(ps[3]), vec(ps[2]), ps[:6], 3); j > 2 {
+				t.Fatalf("point 6: the rule picks %d history vectors, want at most 2", j)
+			}
+		}
+		copy(prev, vec(ps[i-1]))
+		aw.ExtrapolateStart(prev, ps[:i], ps[i])
+		if i >= 6 {
+			requireNear(t, fmt.Sprintf("point %d", i), prev, vec(ps[i]), 1e-13)
 		}
 	}
 }

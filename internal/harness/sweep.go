@@ -17,16 +17,18 @@ import (
 // scheduler, with warm-start continuation along monotone p-chains and
 // per-worker scratch reuse.
 //
-// Determinism contract: the sweep is partitioned into fixed-length
-// continuation chains (batch.Chains) whose layout depends only on the
-// point count — never on the worker count. Each chain is one schedulable
-// task whose points run in order; within a chain the warm start for point
-// i is a function of the chain's own converged vectors before it: point
-// i−1's on a reduced sweep, and on a full-space sweep the extrapolation
-// through the chain's last three (core.AdaptiveWork.ExtrapolateStart),
-// whose history resets at every chain head. Because the per-point
-// arithmetic (operator, start, tolerance, shift) is thereby independent of
-// scheduling, a sweep's results are bit-identical at every worker count.
+// Determinism contract: the sweep is partitioned into continuation chains
+// (batch.Chains) whose layout depends only on the point count — never on
+// the worker count: eight-point chains up to 64 points, at most eight
+// longer chains beyond. Each chain is one schedulable task whose points run
+// in order; within a chain the warm start for point i is a function of the
+// chain's own converged vectors before it: point i−1's on a reduced sweep,
+// and on a full-space sweep the extrapolation through up to four of them,
+// the order picked by how well each order fitted point i−1
+// (core.AdaptiveWork.ExtrapolateStart), whose history resets at every
+// chain head. Because the per-point arithmetic (operator, start,
+// tolerance, shift) is thereby independent of scheduling, a sweep's
+// results are bit-identical at every worker count.
 
 // SweepOptions configures the batched sweep engine.
 type SweepOptions struct {
@@ -36,13 +38,17 @@ type SweepOptions struct {
 	// WarmStart seeds each point after the first of its chain from the
 	// chain's converged vectors instead of a cold start: a reduced sweep
 	// with the previous point's Γ, a full-space sweep with the Lagrange
-	// extrapolation at p through the chain's last three (two at the
-	// chain's third point, the previous vector alone at its second;
+	// extrapolation at p through up to the chain's last four, the order
+	// picked by each order's fit error at the previous point (the previous
+	// vector alone at the chain's second point, the secant at its third;
 	// core.AdaptiveWork.ExtrapolateStart).
 	WarmStart bool
 	// ChainLen is the number of consecutive points per warm-start chain
-	// (the scheduling granule); ≤ 0 selects batch.DefaultChainLen. The
-	// chain layout is what keeps results independent of Workers.
+	// (the scheduling granule); ≤ 0 selects the default layout of
+	// batch.Chains: batch.DefaultChainLen points per chain up to 64 points,
+	// at most eight chains beyond, so one long sweep runs on at most eight
+	// workers. The chain layout is what keeps results independent of
+	// Workers.
 	ChainLen int
 	// Tol is the residual tolerance for the full-space solves; ≤ 0
 	// selects core.DefaultTolerance for the landscape.
@@ -209,7 +215,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 // landscape diagonals of a base operator (FmmpOperator.WithProcess) and,
 // within a chain, is warm-started from the extrapolation through the
 // chain's last converged eigenvectors, built in place in the worker's
-// scratch next to the two history vectors it owns.
+// scratch next to the three history vectors it owns.
 func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, *SweepStats, error) {
 	baseOp, err := core.NewFmmpOperator(q, l, core.Right, opts.Dev)
 	if err != nil {

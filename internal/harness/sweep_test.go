@@ -132,10 +132,11 @@ func TestWarmStartMatchesColdWithinTolerance(t *testing.T) {
 // A power sweep runs each point through core.AdaptiveSolve, and must be
 // bit-identical to a plain core.PowerIteration chain: one PowerWork reused
 // across points, Shift = ConservativeShift, each warm start the Lagrange
-// extrapolation at p through the chain's last k ≤ 3 converged
-// concentration vectors, here formed from copies of those vectors rather
-// than the rotating history. Power points report no prediction and no
-// probe.
+// extrapolation at p through the chain's last k ≤ 4 converged
+// concentration vectors, k picked by the documented order rule, here
+// formed from copies of those vectors rather than the rotating history.
+// Six-point chains reach the cubic. Power points report no prediction and
+// no probe.
 func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 	const nu = 7
 	l, err := landscape.NewSinglePeak(nu, 2, 1)
@@ -144,7 +145,7 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 	}
 	q := mutation.MustUniform(nu, 0.02)
 	ps := sweepGrid(0.01, 0.08, 11)
-	const chainLen = 4
+	const chainLen = 6
 	for _, warm := range []bool{false, true} {
 		baseOp, err := core.NewFmmpOperator(q, l, core.Right, nil)
 		if err != nil {
@@ -164,7 +165,8 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 				}
 				start := baseOp.FitnessStart()
 				if warm && len(conv) > 0 {
-					start = extrapolated(ps[i], ps[max(lo, i-3):i], conv)
+					k := fitNodes(ps[lo:i], conv)
+					start = extrapolated(ps[i], ps[i-k:i], conv)
 				}
 				res, err := core.PowerIteration(op, core.PowerOptions{
 					Tol: tol, Start: start, Shift: core.ConservativeShift(qp, l), Work: work,
@@ -307,10 +309,63 @@ func TestExtrapolatedSweepDeterministicAndCheaper(t *testing.T) {
 	}
 }
 
+// A long sweep under the default layout runs as eight chains, here of 25
+// points, whose starts climb to the cubic fit: a 200-point ν=10 warm power
+// sweep is bit-identical at 1, 2 and 3 workers, point by point in Γ and in
+// matvecs, and its Γ₀ stays within 1e-9 of cold solves at five points.
+func TestLongChainSweepDeterministic(t *testing.T) {
+	const nu = 10
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mutation.MustUniform(nu, 0.01)
+	pc := 1 - math.Pow(2, -1/float64(nu))
+	ps := sweepGrid(0.2*pc, 0.8*pc, 200)
+	opts := SweepOptions{Workers: 1, WarmStart: true, Method: core.SolvePower}
+	ref, stats, err := ThresholdSweepFullOpts(q, l, ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Chains != 8 || stats.WarmPoints() != len(ps)-8 {
+		t.Fatalf("%d chains, %d warm points; want 8 chains of 25, %d warm points", stats.Chains, stats.WarmPoints(), len(ps)-8)
+	}
+	for _, workers := range []int{2, 3} {
+		o := opts
+		o.Workers = workers
+		got, gstats, err := ThresholdSweepFullOpts(q, l, ps, o)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		requireIdentical(t, fmt.Sprintf("%d workers", workers), ref, got)
+		for i := range ps {
+			if stats.Iterations[i] != gstats.Iterations[i] {
+				t.Fatalf("workers=%d point %d: %d matvecs, %d on one worker", workers, i, gstats.Iterations[i], stats.Iterations[i])
+			}
+		}
+	}
+	idx := []int{0, 24, 25, 111, 199} // chain heads, tails and a mid-chain point
+	sub := make([]float64, len(idx))
+	for j, i := range idx {
+		sub[j] = ps[i]
+	}
+	cold, _, err := ThresholdSweepFullOpts(q, l, sub, SweepOptions{Workers: 1, Method: core.SolvePower})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, i := range idx {
+		if d := math.Abs(cold[j].Gamma[0] - ref[i].Gamma[0]); d > 1e-9 {
+			t.Errorf("p = %g: |cold − warm| Γ₀ = %g", ps[i], d)
+		}
+	}
+	t.Logf("%d matvecs over %d points", stats.TotalIterations(), len(ps))
+}
+
 // extrapolated is the documented extrapolated warm start at p, written
 // out: the Lagrange weights of the nodes (oldest first), newest first, each
 // Π_{m≠j} (p − x_m)/(x_j − x_m) with its factors in ascending m, and the
-// sum Σⱼ ℓⱼ·conv[j] of products rounded one by one, in ascending j.
+// sum Σⱼ ℓⱼ·conv[j] of products rounded one by one, in ascending j. The
+// grids here have distinct nodes, so every weight is finite.
 func extrapolated(p float64, nodes []float64, conv [][]float64) []float64 {
 	k := len(nodes)
 	x := make([]float64, k)
@@ -335,6 +390,37 @@ func extrapolated(p float64, nodes []float64, conv [][]float64) []float64 {
 		out[i] = s
 	}
 	return out
+}
+
+// fitNodes is the documented order rule, written out: nodes are the chain's
+// solved error rates (oldest first) and conv their converged vectors
+// (newest first). With h = min(len(nodes)−1, 3), e_j is the squared error
+// of the fit through conv[1 … j], evaluated at the newest node, against
+// conv[0], each difference and square rounded as the start's products are.
+// j* is the j of the smallest e_j, ties going to the lower j; the start
+// then takes j*+1 nodes if j* = h and j* otherwise.
+func fitNodes(nodes []float64, conv [][]float64) int {
+	m := len(nodes) - 1
+	h := min(m, 3)
+	if h == 0 {
+		return 1
+	}
+	best, bestErr := 1, math.Inf(1)
+	for j := 1; j <= h; j++ {
+		fit := extrapolated(nodes[m], nodes[m-j:m], conv[1:])
+		var e float64
+		for i, a := range conv[0] {
+			d := a - fit[i]
+			e += float64(d * d)
+		}
+		if e < bestErr {
+			best, bestErr = j, e
+		}
+	}
+	if best == h {
+		return h + 1
+	}
+	return best
 }
 
 func TestLocateThresholdOptsMatchesBisection(t *testing.T) {

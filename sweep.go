@@ -25,13 +25,14 @@ type SweepOptions struct {
 	// every worker count.
 	Workers int
 	// WarmStart seeds each solve from the converged solutions of the
-	// previous error rates along fixed-length continuation chains — a large
-	// iteration saving on monotone p-grids, at the same accuracy. The
-	// reduced sweep starts from the previous point's Γ; a full-space sweep
+	// previous error rates along continuation chains (eight points each up
+	// to 64 points, at most eight chains beyond) — a large iteration saving
+	// on monotone p-grids, at the same accuracy. The reduced sweep starts
+	// from the previous point's Γ; a full-space sweep
 	// (ThresholdCurveFullWith) starts from the Lagrange extrapolation to p
-	// through the chain's last three solutions, or two at the chain's
-	// third point, falling back to the previous solution alone when grid
-	// points coincide.
+	// through up to the chain's last four solutions, the order picked by
+	// how well each order predicted the previous solution, falling back to
+	// the previous solution alone when grid points coincide.
 	WarmStart bool
 	// Observe, when non-nil, supplies a convergence-trace observer for
 	// point i (p = ps[i]) of a full-space sweep (ThresholdCurveFullWith);
