@@ -286,16 +286,19 @@ func finish(res *PowerResult, x []float64, work *PowerWork) {
 	}
 }
 
-// orientPositive flips x so its absolutely largest entry is positive.
+// orientPositive flips x so its absolutely largest entry is positive; of
+// several entries of the largest magnitude the first decides. The maximum
+// is vec.NormInf's, and the scan for its first index stops there, at the
+// master sequence for a Perron vector below the error threshold.
 func orientPositive(x []float64) {
-	idx, m := 0, 0.0
-	for i, v := range x {
-		if a := math.Abs(v); a > m {
-			idx, m = i, a
+	m := vec.NormInf(x)
+	for _, v := range x {
+		if math.Abs(v) == m {
+			if v < 0 {
+				vec.Scale(x, -1)
+			}
+			return
 		}
-	}
-	if x[idx] < 0 {
-		vec.Scale(x, -1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/device"
+	"repro/internal/vec"
 )
 
 // ExtrapolateStart turns prev, a warm chain's converged vector at the
@@ -35,18 +36,20 @@ import (
 // then depend on the chain alone, never on which worker runs it. Where two
 // nodes coincide or a Lagrange weight is not finite, the fit of that order
 // is left out of the ranking, and a start whose weights are such stays the
-// plain warm start. Each product is rounded by an explicit float64
-// conversion, so the compiler may not fuse it into an FMA: the ranking and
-// the start are the same on every amd64 level.
+// plain warm start.
 //
-// After the read-only ranking pass, one serial pass over prev writes the
-// start and the history:
+// The two passes are vec kernels with an AVX2 body and a bit-identical Go
+// body, and neither fuses a product into an FMA, so the ranking and the
+// start are the same on every amd64 level and under QS_NOAVX2. The
+// read-only ranking pass is vec.FitErrors, whose three sums run in the
+// 4-lane order of every reduction in the module. Then one pass over prev,
+// vec.Extrapolate, writes the start and the history:
 //
 //	a = prev[i]; prev[i] = ℓ₀·a + ℓ₁·h₁[i] + ℓ₂·h₂[i] + ℓ₃·h₃[i]; h₃[i] = a
 //
-// followed by rotating (h₁, h₂, h₃) to (h₃, h₁, h₂). The three history
-// vectors are allocated on first use and reused, so a warm sweep allocates
-// nothing per point.
+// summed left to right, followed by rotating (h₁, h₂, h₃) to (h₃, h₁, h₂).
+// The three history vectors are allocated on first use and reused, so a
+// warm sweep allocates nothing per point.
 func (aw *AdaptiveWork) ExtrapolateStart(prev, nodes []float64, p float64) {
 	if len(nodes) == 0 {
 		return
@@ -65,24 +68,9 @@ func (aw *AdaptiveWork) ExtrapolateStart(prev, nodes []float64, p float64) {
 			k++
 		}
 	}
-	l, k := lagrangeWeights(p, nodes[len(nodes)-k:])
-	switch k {
-	case 4:
-		for i, a := range prev {
-			prev[i] = float64(l[0]*a) + float64(l[1]*h1[i]) + float64(l[2]*h2[i]) + float64(l[3]*h3[i])
-			h3[i] = a
-		}
-	case 3:
-		for i, a := range prev {
-			prev[i] = float64(l[0]*a) + float64(l[1]*h1[i]) + float64(l[2]*h2[i])
-			h3[i] = a
-		}
-	case 2:
-		for i, a := range prev {
-			prev[i] = float64(l[0]*a) + float64(l[1]*h1[i])
-			h3[i] = a
-		}
-	default:
+	if l, k := lagrangeWeights(p, nodes[len(nodes)-k:]); k > 1 {
+		vec.Extrapolate(prev, h1, h2, h3, l, k)
+	} else {
 		copy(h3, prev)
 	}
 	aw.hist[0], aw.hist[1], aw.hist[2] = h3, h1, h2
@@ -93,7 +81,7 @@ func (aw *AdaptiveWork) ExtrapolateStart(prev, nodes []float64, p float64) {
 // of the h history vectors h₁, h₂, h₃ (newest first), evaluated at x's node
 // nodes[len(nodes)−1], for j = 1 … h. Fits whose weights are not finite
 // are skipped; the plain fit j = 1 never is. For h ≥ 2 it is one
-// read-only pass over x and the history.
+// read-only pass over x and the history, vec.FitErrors.
 func fitOrder(x, h1, h2, h3, nodes []float64, h int) int {
 	if h < 2 {
 		return 1
@@ -103,15 +91,8 @@ func fitOrder(x, h1, h2, h3, nodes []float64, h int) int {
 	// With h = 2 there are two nodes to fit through, so k3 = 2 and the
 	// cubic-history term, computed from whatever h₃ holds, is dropped.
 	w3, k3 := lagrangeWeights(nodes[m], nodes[max(0, m-3):m])
-	var e [3]float64
-	for i, a := range x {
-		d1 := a - h1[i]
-		d2 := a - (float64(w2[0]*h1[i]) + float64(w2[1]*h2[i]))
-		d3 := a - (float64(w3[0]*h1[i]) + float64(w3[1]*h2[i]) + float64(w3[2]*h3[i]))
-		e[0] += float64(d1 * d1)
-		e[1] += float64(d2 * d2)
-		e[2] += float64(d3 * d3)
-	}
+	e1, e2, e3 := vec.FitErrors(x, h1, h2, h3, [2]float64(w2[:2]), [3]float64(w3[:3]))
+	e := [3]float64{e1, e2, e3}
 	// A NaN error never ranks first.
 	if k2 != 2 {
 		e[1] = math.NaN()

@@ -168,3 +168,47 @@ func TestExtrapolateStartFallsBack(t *testing.T) {
 		t.Errorf("ExtrapolateStart allocates %.0f objects per warm point", allocs)
 	}
 }
+
+// A warm ExtrapolateStart allocates nothing at any order. Along the cubic
+// family the order climbs one node per point, so the chain's first four
+// warm points take the plain, secant, quadratic and cubic starts; each is
+// measured from the chain's state before it, restored on every run. The
+// length leaves a tail after the AVX2 prefix.
+func TestExtrapolateStartAllocatesNothing(t *testing.T) {
+	const n = 23
+	ps := []float64{0.01, 0.013, 0.0175, 0.02, 0.026}
+	vecs := make([][]float64, len(ps))
+	for i, p := range ps {
+		vecs[i] = cubicVec(n, p)
+	}
+	aw := NewAdaptiveWork(n)
+	prev := append([]float64(nil), vecs[0]...)
+	aw.ExtrapolateStart(prev, ps[:1], ps[1]) // allocates the history
+	var saved [3][]float64
+	for i := 1; i < len(ps); i++ {
+		hist := aw.hist
+		for j := range hist {
+			saved[j] = append(saved[j][:0], hist[j]...)
+		}
+		k := 1
+		if h := min(i-1, 3); h > 0 {
+			if k = fitOrder(vecs[i-1], hist[0], hist[1], hist[2], ps[:i], h); k == h {
+				k++
+			}
+		}
+		if k != i {
+			t.Fatalf("point %d takes a start of order %d, want %d", i, k, i)
+		}
+		run := func() {
+			aw.hist = hist
+			for j := range hist {
+				copy(hist[j], saved[j])
+			}
+			copy(prev, vecs[i-1])
+			aw.ExtrapolateStart(prev, ps[:i], ps[i])
+		}
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("order %d: ExtrapolateStart allocates %.0f objects per warm point", k, allocs)
+		}
+	}
+}

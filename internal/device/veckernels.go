@@ -165,23 +165,12 @@ func (d *Device) ShiftedResidualScale(x, w []float64, mu, lambda, c float64) flo
 	return math.Sqrt(s)
 }
 
-// Scale multiplies x by a in place with a parallel kernel. The 4-wide
-// unroll touches each element exactly once with the same single multiply,
-// so results are bit-identical to the scalar loop.
+// Scale multiplies x by a in place, vec.Scale on each chunk of the
+// partition. Each element gets the same single multiply, so results are
+// bit-identical to the serial call.
 func (d *Device) Scale(x []float64, a float64) {
 	d.LaunchRange(len(x), func(lo, hi int) {
-		s := x[lo:hi]
-		for len(s) >= 4 {
-			s[0] *= a
-			s[1] *= a
-			s[2] *= a
-			s[3] *= a
-			s = s[4:]
-		}
-		for len(s) > 0 {
-			s[0] *= a
-			s = s[1:]
-		}
+		vec.Scale(x[lo:hi], a)
 	})
 }
 

@@ -66,3 +66,24 @@ func avxAXPY(a float64, x, y *float64, n int)
 
 //go:noescape
 func avxMul(dst, x, y *float64, n int)
+
+//go:noescape
+func avxScale(x *float64, n int, a float64)
+
+//go:noescape
+func avxNorm1(x *float64, n int) float64
+
+//go:noescape
+func avxMaxAbs(x *float64, n int) float64
+
+//go:noescape
+func avxConcentrationScan(lanes *[3][4]float64, x *float64, n int)
+
+//go:noescape
+func avxClampScale(x *float64, n int, a float64)
+
+//go:noescape
+func avxFitErrors(x, h1, h2, h3 *float64, n int, w *[5]float64) (e1, e2, e3 float64)
+
+//go:noescape
+func avxExtrapolate(x, h1, h2, h3 *float64, n, k int, l *[4]float64)

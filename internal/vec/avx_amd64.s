@@ -237,6 +237,253 @@ mulLoop:
 	VZEROUPPER
 	RET
 
+// ABSMASK sets every lane of Y to 0x7FF…F, the mask whose AND clears the
+// sign bit: math.Abs.
+#define ABSMASK(Y) \
+	VPCMPEQQ Y, Y, Y; \
+	VPSRLQ   $1, Y, Y
+
+// func avxScale(x *float64, n int, a float64)
+// x ← x·a.
+TEXT ·avxScale(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VBROADCASTSD a+16(FP), Y7
+
+scLoop:
+	VMULPD  (SI)(AX*1), Y7, Y1
+	VMOVUPD Y1, (SI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     scLoop
+	VZEROUPPER
+	RET
+
+// func avxNorm1(x *float64, n int) float64
+// Σ |x|: lanes in Y0.
+TEXT ·avxNorm1(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), SI
+	MOVQ   n+8(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+	ABSMASK(Y7)
+
+n1Loop:
+	VANDPD (SI)(AX*1), Y7, Y1
+	VADDPD Y1, Y0, Y0
+	ADDQ   $32, AX
+	CMPQ   AX, CX
+	JNE    n1Loop
+	HSUM(Y0, X0, X1, X2)
+	VMOVSD X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func avxMaxAbs(x *float64, n int) float64
+// max |x| with NaN skipped: VMAXPD returns its second source when either
+// source is NaN, and with |x| first and the lane maximum second that is
+// NormInf's "if a > s { s = a }". The lanes start at +0 and never hold a
+// NaN or −0, so the horizontal combine is exact in any order.
+TEXT ·avxMaxAbs(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), SI
+	MOVQ   n+8(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+	ABSMASK(Y7)
+
+maLoop:
+	VANDPD (SI)(AX*1), Y7, Y1
+	VMAXPD Y0, Y1, Y0
+	ADDQ   $32, AX
+	CMPQ   AX, CX
+	JNE    maLoop
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VMAXSD       X1, X0, X0
+	VMOVSD       X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func avxConcentrationScan(lanes *[3][4]float64, x *float64, n int)
+// Per lane: max |x| (NaN skipped) in Y0, min x (NaN skipped: VMINPD with x
+// first, the lane minimum second) in Y1, Σ max(x, 0) in Y2, where the clamp
+// is VMAXPD with 0 first and x second, "0 > x ? 0 : x", which passes NaN
+// and −0 through as the Go body's "if v < 0 { v = 0 }" does. The lanes are
+// loaded from and stored back to lanes uncombined.
+TEXT ·avxConcentrationScan(SB), NOSPLIT, $0-24
+	MOVQ    lanes+0(FP), DX
+	MOVQ    x+8(FP), SI
+	MOVQ    n+16(FP), CX
+	SHLQ    $3, CX
+	XORQ    AX, AX
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VXORPD  Y6, Y6, Y6
+	ABSMASK(Y7)
+
+csLoop:
+	VMOVUPD (SI)(AX*1), Y3
+	VANDPD  Y3, Y7, Y4
+	VMAXPD  Y0, Y4, Y0
+	VMINPD  Y1, Y3, Y1
+	VMAXPD  Y3, Y6, Y5
+	VADDPD  Y5, Y2, Y2
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     csLoop
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VZEROUPPER
+	RET
+
+// func avxClampScale(x *float64, n int, a float64)
+// x ← max(x, 0)·a with the clamp of avxConcentrationScan.
+TEXT ·avxClampScale(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VBROADCASTSD a+16(FP), Y7
+	VXORPD       Y6, Y6, Y6
+
+clLoop:
+	VMAXPD  (SI)(AX*1), Y6, Y1
+	VMULPD  Y7, Y1, Y1
+	VMOVUPD Y1, (SI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     clLoop
+	VZEROUPPER
+	RET
+
+// func avxFitErrors(x, h1, h2, h3 *float64, n int, w *[5]float64) (e1, e2, e3 float64)
+// d1 = x − h1, d2 = x − (w0·h1 + w1·h2), d3 = x − ((w2·h1 + w3·h2) + w4·h3);
+// Σ d1² in Y0, Σ d2² in Y1, Σ d3² in Y2.
+TEXT ·avxFitErrors(SB), NOSPLIT, $0-72
+	MOVQ         x+0(FP), SI
+	MOVQ         h1+8(FP), DI
+	MOVQ         h2+16(FP), R8
+	MOVQ         h3+24(FP), R9
+	MOVQ         n+32(FP), CX
+	MOVQ         w+40(FP), DX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VXORPD       Y0, Y0, Y0
+	VXORPD       Y1, Y1, Y1
+	VXORPD       Y2, Y2, Y2
+	VBROADCASTSD (DX), Y11
+	VBROADCASTSD 8(DX), Y12
+	VBROADCASTSD 16(DX), Y13
+	VBROADCASTSD 24(DX), Y14
+	VBROADCASTSD 32(DX), Y15
+
+feLoop:
+	VMOVUPD (SI)(AX*1), Y3
+	VMOVUPD (DI)(AX*1), Y4
+	VMOVUPD (R8)(AX*1), Y5
+	VSUBPD  Y4, Y3, Y6
+	VMULPD  Y6, Y6, Y6
+	VADDPD  Y6, Y0, Y0
+	VMULPD  Y4, Y11, Y6
+	VMULPD  Y5, Y12, Y7
+	VADDPD  Y7, Y6, Y6
+	VSUBPD  Y6, Y3, Y6
+	VMULPD  Y6, Y6, Y6
+	VADDPD  Y6, Y1, Y1
+	VMULPD  Y4, Y13, Y6
+	VMULPD  Y5, Y14, Y7
+	VADDPD  Y7, Y6, Y6
+	VMULPD  (R9)(AX*1), Y15, Y7
+	VADDPD  Y7, Y6, Y6
+	VSUBPD  Y6, Y3, Y6
+	VMULPD  Y6, Y6, Y6
+	VADDPD  Y6, Y2, Y2
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     feLoop
+	HSUM(Y0, X0, X3, X4)
+	HSUM(Y1, X1, X3, X4)
+	HSUM(Y2, X2, X3, X4)
+	VMOVSD X0, e1+48(FP)
+	VMOVSD X1, e2+56(FP)
+	VMOVSD X2, e3+64(FP)
+	VZEROUPPER
+	RET
+
+// func avxExtrapolate(x, h1, h2, h3 *float64, n, k int, l *[4]float64)
+// t = l0·x + l1·h1 (k = 2), + l2·h2 (k ≥ 3), + l3·h3 (k = 4), summed left
+// to right; h3 ← x, x ← t. Each iteration loads x and h3 before it stores
+// either, so the k = 4 loop reads h3 before overwriting it.
+TEXT ·avxExtrapolate(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), SI
+	MOVQ         h1+8(FP), DI
+	MOVQ         h2+16(FP), R8
+	MOVQ         h3+24(FP), R9
+	MOVQ         n+32(FP), CX
+	MOVQ         k+40(FP), BX
+	MOVQ         l+48(FP), DX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+	VBROADCASTSD (DX), Y12
+	VBROADCASTSD 8(DX), Y13
+	VBROADCASTSD 16(DX), Y14
+	VBROADCASTSD 24(DX), Y15
+	CMPQ         BX, $3
+	JEQ          ex3Loop
+	JGT          ex4Loop
+
+ex2Loop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  Y1, Y12, Y2
+	VMULPD  (DI)(AX*1), Y13, Y3
+	VADDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (SI)(AX*1)
+	VMOVUPD Y1, (R9)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     ex2Loop
+	VZEROUPPER
+	RET
+
+ex3Loop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  Y1, Y12, Y2
+	VMULPD  (DI)(AX*1), Y13, Y3
+	VADDPD  Y3, Y2, Y2
+	VMULPD  (R8)(AX*1), Y14, Y3
+	VADDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (SI)(AX*1)
+	VMOVUPD Y1, (R9)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     ex3Loop
+	VZEROUPPER
+	RET
+
+ex4Loop:
+	VMOVUPD (SI)(AX*1), Y1
+	VMULPD  Y1, Y12, Y2
+	VMULPD  (DI)(AX*1), Y13, Y3
+	VADDPD  Y3, Y2, Y2
+	VMULPD  (R8)(AX*1), Y14, Y3
+	VADDPD  Y3, Y2, Y2
+	VMULPD  (R9)(AX*1), Y15, Y3
+	VADDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (SI)(AX*1)
+	VMOVUPD Y1, (R9)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     ex4Loop
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

@@ -52,6 +52,9 @@ func kernelCases(x, y, z []float64) map[string]func() []float64 {
 			return dst
 		},
 	}
+	for name, f := range pointKernelCases(x, y, z) {
+		cases[name] = f
+	}
 	for _, mu := range []float64{0, 0.41} {
 		cases[fmt.Sprintf("ShiftedDotSumSq/µ=%g", mu)] = func() []float64 {
 			dot, ssq := ShiftedDotSumSq(x, y, mu)
@@ -63,6 +66,95 @@ func kernelCases(x, y, z []float64) map[string]func() []float64 {
 		}
 	}
 	return cases
+}
+
+// pointKernelCases runs the kernels of a sweep point's passes around its
+// solve on fresh copies of the operands, as kernelCases does: Scale, Norm1,
+// NormInf, the concentration scan and clamp, the fit errors and the
+// extrapolation write at each order. x is the vector they act on, y and z
+// stand in for the history.
+func pointKernelCases(x, y, z []float64) map[string]func() []float64 {
+	w := make([]float64, len(x))
+	for i := range w {
+		w[i] = 0.5*y[i] - 0.25*z[i]
+	}
+	cases := map[string]func() []float64{
+		"Scale": func() []float64 {
+			dst := Clone(x)
+			Scale(dst, -0.37)
+			return dst
+		},
+		"Norm1":   func() []float64 { return []float64{Norm1(x)} },
+		"NormInf": func() []float64 { return []float64{NormInf(x)} },
+		"ConcentrationScan": func() []float64 {
+			m, l, s := ConcentrationScan(x)
+			return []float64{m, l, s}
+		},
+		"ClampScale": func() []float64 {
+			dst := Clone(x)
+			ClampScale(dst, 1.7)
+			return dst
+		},
+		"FitErrors": func() []float64 {
+			e1, e2, e3 := FitErrors(x, y, z, w, [2]float64{2, -1}, [3]float64{3, -3, 1})
+			return []float64{e1, e2, e3}
+		},
+	}
+	for k := 2; k <= 4; k++ {
+		cases[fmt.Sprintf("Extrapolate/k=%d", k)] = func() []float64 {
+			dst, h3 := Clone(x), Clone(w)
+			Extrapolate(dst, y, z, h3, [4]float64{4, -6, 4, -1}, k)
+			return append(dst, h3...)
+		}
+	}
+	return cases
+}
+
+// TestPointKernelsSpecialValues compares the AVX2 and Go bodies of the
+// point kernels on operands salted with ±0, subnormals and values near the
+// extremes, at every length from 0 to 67, so each special value meets each
+// lane and the tail. NaN enters only where a kernel defines its result:
+// NormInf and ConcentrationScan's max|x| and min x skip it, and the
+// scan's clamped sum carries it.
+func TestPointKernelsSpecialValues(t *testing.T) {
+	was := SetAVX2(true)
+	defer SetAVX2(was)
+	if !UseAVX2() {
+		t.Skip("host has no AVX2; single code path")
+	}
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1060, -0x1p-1030, 1e300, -1e300}
+	r := rng.New(61)
+	for n := 0; n <= 67; n++ {
+		for _, withNaN := range []bool{false, true} {
+			x, y, z := randVec(r, n), randVec(r, n), randVec(r, n)
+			for i := 0; i < n; i += 3 {
+				x[i] = special[(i+n)%len(special)]
+				y[(i+1)%n] = special[(i+n+3)%len(special)]
+			}
+			cases := pointKernelCases(x, y, z)
+			if withNaN {
+				if n == 0 {
+					continue
+				}
+				x[(5*n)/7] = math.NaN()
+				cases = map[string]func() []float64{
+					"NormInf":           cases["NormInf"],
+					"ConcentrationScan": cases["ConcentrationScan"],
+				}
+			}
+			for name, kernel := range cases {
+				SetAVX2(true)
+				avx := kernel()
+				SetAVX2(false)
+				gold := kernel()
+				for i := range gold {
+					if math.Float64bits(avx[i]) != math.Float64bits(gold[i]) {
+						t.Fatalf("%s n=%d NaN=%v: output %d is %v on AVX2, %v in Go", name, n, withNaN, i, avx[i], gold[i])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestAVX2KernelsBitIdenticalToGo toggles the dispatch gate and requires
@@ -106,8 +198,8 @@ func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
 
 // TestKernelsDoNotAllocate: the assembly keeps its operands off the heap
 // (go:noescape), so the kernels — and Dot, Norm2, the power passes,
-// LanczosTail, Combine and DotEach built on them — allocate nothing, on
-// either path.
+// LanczosTail, Combine and DotEach built on them, and the point kernels —
+// allocate nothing, on either path.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(59)
 	const n = 1<<12 + 3
@@ -126,6 +218,13 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			"Combine":              func() { Combine(w, basis, c) },
 			"DotEach":              func() { DotEach(c, basis, w) },
 			"Mul":                  func() { Mul(z, x, w) },
+			"Scale":                func() { Scale(z, 1) },
+			"Norm1":                func() { Norm1(x) },
+			"NormInf":              func() { NormInf(x) },
+			"ConcentrationScan":    func() { ConcentrationScan(x) },
+			"ClampScale":           func() { ClampScale(z, 1) },
+			"FitErrors":            func() { FitErrors(x, w, z, z, [2]float64{2, -1}, [3]float64{3, -3, 1}) },
+			"Extrapolate":          func() { Extrapolate(z, x, w, z, [4]float64{1, 0, 0, 0}, 4) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 				t.Errorf("avx=%v: %s allocates %v objects per call", UseAVX2(), name, allocs)

@@ -1,15 +1,21 @@
 package vec
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // The 4-lane kernel set: the BLAS-1 work around every matvec — the power
 // step's two passes (pass A is also the residual ‖w − λx‖ of every other
 // solver), the dot of Dot, DotEach and device.Dot, the sum of squares of
 // Norm2 and device.Norm2, the per-chunk AXPY of Combine, LanczosTail and
-// the elementwise product of the butterfly tile pass — each with a Go body
-// here and an AVX2 body in avx_amd64.s. Sum, Norm1 and NormInf, which no
-// iteration runs, keep the same order in Go bodies only; the device
-// reductions call them per chunk.
+// the elementwise product of the butterfly tile pass — and the passes a
+// sweep point makes around its solve: Scale, Norm1 and NormInf (the start's
+// normalization and orientation), the concentration scan and clamp of
+// core.Concentrations, and the fit ranking and write of core's extrapolated
+// warm start — each with a Go body here and an AVX2 body in avx_amd64.s.
+// Sum, which no solver runs, keeps the same order in a Go body only; the
+// device reductions call these per chunk.
 //
 // SUMMATION ORDER (the reduction contract): a sum over a slice is
 // accumulated in four lanes, lane ℓ ∈ {0,1,2,3} summing elements ℓ, ℓ+4,
@@ -270,15 +276,21 @@ func Sum(x []float64) float64 {
 // Norm1 returns ‖x‖₁ = Σ|xᵢ| in the 4-lane order: Normalize1's norm and
 // device.Norm1's per-chunk sum.
 func Norm1(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += math.Abs(x[0])
-		s1 += math.Abs(x[1])
-		s2 += math.Abs(x[2])
-		s3 += math.Abs(x[3])
-		x = x[4:]
+	var s float64
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		s = avxNorm1(&x[0], n)
+		x = x[n:]
+	} else {
+		var s0, s1, s2, s3 float64
+		for len(x) >= 4 {
+			s0 += math.Abs(x[0])
+			s1 += math.Abs(x[1])
+			s2 += math.Abs(x[2])
+			s3 += math.Abs(x[3])
+			x = x[4:]
+		}
+		s = ((s0 + s1) + s2) + s3
 	}
-	s := ((s0 + s1) + s2) + s3
 	for _, v := range x {
 		s += math.Abs(v)
 	}
@@ -286,33 +298,207 @@ func Norm1(x []float64) float64 {
 }
 
 // NormInf returns ‖x‖∞ = max|xᵢ|, skipping NaN entries: device.NormInf's
-// per-chunk max. Max is associative and commutative, so the 4-lane split
-// is exact, not just deterministic. The branch form keeps the running max
-// out of math.Max, which is a call per element on amd64.
+// per-chunk max and the orientation of every solver's result. Max is
+// associative and commutative, so the 4-lane split is exact, not just
+// deterministic. The branch form keeps the running max out of math.Max,
+// which is a call per element on amd64.
 func NormInf(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		if a := math.Abs(x[0]); a > s0 {
-			s0 = a
+	var s float64
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		s = avxMaxAbs(&x[0], n)
+		x = x[n:]
+	} else {
+		var s0, s1, s2, s3 float64
+		for len(x) >= 4 {
+			s0 = maxAbsStep(s0, x[0])
+			s1 = maxAbsStep(s1, x[1])
+			s2 = maxAbsStep(s2, x[2])
+			s3 = maxAbsStep(s3, x[3])
+			x = x[4:]
 		}
-		if a := math.Abs(x[1]); a > s1 {
-			s1 = a
-		}
-		if a := math.Abs(x[2]); a > s2 {
-			s2 = a
-		}
-		if a := math.Abs(x[3]); a > s3 {
-			s3 = a
-		}
-		x = x[4:]
+		s = max(s0, s1, s2, s3)
 	}
-	s := max(s0, s1, s2, s3)
 	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
+		s = maxAbsStep(s, v)
 	}
 	return s
+}
+
+// maxAbsStep is NormInf's per-element step: |v| replaces the running max
+// s when it is larger, so a NaN v leaves s as it is.
+func maxAbsStep(s, v float64) float64 {
+	if a := math.Abs(v); a > s {
+		return a
+	}
+	return s
+}
+
+// ConcentrationScan returns, in one read-only pass, what core.Concentrations
+// checks before it writes: maxAbs = max|xᵢ| as NormInf computes it, least =
+// min xᵢ with NaN entries skipped (+Inf when x has no other entry), and
+// pos = Σ max(xᵢ, 0) in the 4-lane order. The clamp maps a negative entry
+// to +0 and passes −0 and NaN through, so a NaN entry makes pos NaN. For an
+// x without NaN, pos is bit for bit Norm1 of x with its negative entries
+// set to zero: the clamped entries are non-negative and add to the same
+// lanes in the same order.
+func ConcentrationScan(x []float64) (maxAbs, least, pos float64) {
+	inf := math.Inf(1)
+	lanes := [3][4]float64{{}, {inf, inf, inf, inf}, {}}
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		avxConcentrationScan(&lanes, &x[0], n)
+		x = x[n:]
+	} else {
+		m, l, s := &lanes[0], &lanes[1], &lanes[2]
+		for len(x) >= 4 {
+			m[0], l[0], s[0] = scanStep(m[0], l[0], s[0], x[0])
+			m[1], l[1], s[1] = scanStep(m[1], l[1], s[1], x[1])
+			m[2], l[2], s[2] = scanStep(m[2], l[2], s[2], x[2])
+			m[3], l[3], s[3] = scanStep(m[3], l[3], s[3], x[3])
+			x = x[4:]
+		}
+	}
+	m, l, s := &lanes[0], &lanes[1], &lanes[2]
+	maxAbs = max(m[0], m[1], m[2], m[3])
+	least = min(l[0], l[1], l[2], l[3])
+	pos = ((s[0] + s[1]) + s[2]) + s[3]
+	for _, v := range x {
+		maxAbs, least, pos = scanStep(maxAbs, least, pos, v)
+	}
+	return maxAbs, least, pos
+}
+
+// scanStep is ConcentrationScan's per-element step.
+func scanStep(m, l, s, v float64) (float64, float64, float64) {
+	if v < l {
+		l = v
+	}
+	return maxAbsStep(m, v), l, s + clamp0(v)
+}
+
+// clamp0 maps a negative v to +0 and returns any other v, −0 and NaN
+// included, unchanged.
+func clamp0(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+// ClampScale sets xᵢ ← max(xᵢ, 0)·a with ConcentrationScan's clamp: the
+// clamp-and-normalize write of core.Concentrations, one pass in place of
+// zeroing the negatives and a Scale.
+func ClampScale(x []float64, a float64) {
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		avxClampScale(&x[0], n, a)
+		x = x[n:]
+	}
+	for i, v := range x {
+		x[i] = clamp0(v) * a
+	}
+}
+
+// FitErrors returns the squared errors of three fits f to x:
+//
+//	e₁ = Σ(xᵢ − h1ᵢ)²
+//	e₂ = Σ(xᵢ − (w2₀·h1ᵢ + w2₁·h2ᵢ))²
+//	e₃ = Σ(xᵢ − (w3₀·h1ᵢ + w3₁·h2ᵢ + w3₂·h3ᵢ))²
+//
+// each in the 4-lane order, every fit summed left to right and every
+// product rounded before it is added (no FMA): the ranking pass of core's
+// extrapolated warm start, which compares the plain, secant and quadratic
+// predictions of x. It reads its operands and writes nothing. It panics if
+// the lengths differ.
+func FitErrors(x, h1, h2, h3 []float64, w2 [2]float64, w3 [3]float64) (e1, e2, e3 float64) {
+	checkLen("FitErrors", len(x), len(h1))
+	checkLen("FitErrors", len(x), len(h2))
+	checkLen("FitErrors", len(x), len(h3))
+	w := [5]float64{w2[0], w2[1], w3[0], w3[1], w3[2]}
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		e1, e2, e3 = avxFitErrors(&x[0], &h1[0], &h2[0], &h3[0], n, &w)
+		x, h1, h2, h3 = x[n:], h1[n:], h2[n:], h3[n:]
+	} else {
+		var a, b, c [4]float64
+		for len(x) >= 4 && len(h1) >= 4 && len(h2) >= 4 && len(h3) >= 4 {
+			a[0], b[0], c[0] = fitStep(a[0], b[0], c[0], x[0], h1[0], h2[0], h3[0], &w)
+			a[1], b[1], c[1] = fitStep(a[1], b[1], c[1], x[1], h1[1], h2[1], h3[1], &w)
+			a[2], b[2], c[2] = fitStep(a[2], b[2], c[2], x[2], h1[2], h2[2], h3[2], &w)
+			a[3], b[3], c[3] = fitStep(a[3], b[3], c[3], x[3], h1[3], h2[3], h3[3], &w)
+			x, h1, h2, h3 = x[4:], h1[4:], h2[4:], h3[4:]
+		}
+		e1 = ((a[0] + a[1]) + a[2]) + a[3]
+		e2 = ((b[0] + b[1]) + b[2]) + b[3]
+		e3 = ((c[0] + c[1]) + c[2]) + c[3]
+	}
+	for len(x) > 0 && len(h1) > 0 && len(h2) > 0 && len(h3) > 0 {
+		e1, e2, e3 = fitStep(e1, e2, e3, x[0], h1[0], h2[0], h3[0], &w)
+		x, h1, h2, h3 = x[1:], h1[1:], h2[1:], h3[1:]
+	}
+	return e1, e2, e3
+}
+
+// fitStep adds one element's three squared fit errors to e1, e2, e3.
+func fitStep(e1, e2, e3, a, b1, b2, b3 float64, w *[5]float64) (float64, float64, float64) {
+	d1 := a - b1
+	d2 := a - (float64(w[0]*b1) + float64(w[1]*b2))
+	d3 := a - (float64(w[2]*b1) + float64(w[3]*b2) + float64(w[4]*b3))
+	return e1 + float64(d1*d1), e2 + float64(d2*d2), e3 + float64(d3*d3)
+}
+
+// Extrapolate overwrites x with the combination of its k ∈ {2, 3, 4}
+// operands
+//
+//	xᵢ ← l₀·xᵢ + l₁·h1ᵢ (+ l₂·h2ᵢ when k ≥ 3) (+ l₃·h3ᵢ when k = 4)
+//
+// summed left to right with every product rounded (no FMA), and stores the
+// old xᵢ in h3ᵢ, in one pass: the write of core's extrapolated warm start.
+// Each element of h3 is read before it is overwritten, so the k = 4 fit
+// takes h3's old entries. It panics if the lengths differ or k is outside
+// 2 … 4.
+func Extrapolate(x, h1, h2, h3 []float64, l [4]float64, k int) {
+	checkLen("Extrapolate", len(x), len(h1))
+	checkLen("Extrapolate", len(x), len(h2))
+	checkLen("Extrapolate", len(x), len(h3))
+	if k < 2 || k > 4 {
+		panic(fmt.Sprintf("vec: Extrapolate of order %d", k))
+	}
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		avxExtrapolate(&x[0], &h1[0], &h2[0], &h3[0], n, k, &l)
+		x, h1, h2, h3 = x[n:], h1[n:], h2[n:], h3[n:]
+	}
+	switch k {
+	case 2:
+		for len(x) > 0 && len(h1) > 0 && len(h3) > 0 {
+			a := x[0]
+			x[0] = float64(l[0]*a) + float64(l[1]*h1[0])
+			h3[0] = a
+			x, h1, h3 = x[1:], h1[1:], h3[1:]
+		}
+	case 3:
+		for len(x) > 0 && len(h1) > 0 && len(h2) > 0 && len(h3) > 0 {
+			a := x[0]
+			x[0] = float64(l[0]*a) + float64(l[1]*h1[0]) + float64(l[2]*h2[0])
+			h3[0] = a
+			x, h1, h2, h3 = x[1:], h1[1:], h2[1:], h3[1:]
+		}
+	default:
+		for len(x) > 0 && len(h1) > 0 && len(h2) > 0 && len(h3) > 0 {
+			a := x[0]
+			x[0] = float64(l[0]*a) + float64(l[1]*h1[0]) + float64(l[2]*h2[0]) + float64(l[3]*h3[0])
+			h3[0] = a
+			x, h1, h2, h3 = x[1:], h1[1:], h2[1:], h3[1:]
+		}
+	}
+}
+
+// Scale multiplies x by a in place.
+func Scale(x []float64, a float64) {
+	if n := len(x) &^ 3; useAVX2 && n > 0 {
+		avxScale(&x[0], n, a)
+		x = x[n:]
+	}
+	for i := range x {
+		x[i] *= a
+	}
 }
 
 // foldSq combines the four lane sums of squares in acc and folds the

@@ -175,13 +175,6 @@ func Combine(dst []float64, basis [][]float64, c []float64) float64 {
 	return foldSq(&lanes, tail)
 }
 
-// Scale multiplies x by a in place.
-func Scale(x []float64, a float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
 // AXPY computes y ← a·x + y in place. It panics if the lengths differ.
 func AXPY(a float64, x, y []float64) {
 	checkLen("AXPY", len(x), len(y))

@@ -558,3 +558,99 @@ func TestCauchySchwarz(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FitErrors sums each fit's squared errors in the 4-lane order, with the
+// fits and products rounded as the written-out expressions below round
+// them; on this data the left fold of e₃ differs from that order.
+func TestFitErrorsLaneOrder(t *testing.T) {
+	r := rng.New(67)
+	for _, n := range []int{0, 1, 5, 64, 1001} {
+		x, h1, h2, h3 := randVec(r, n), randVec(r, n), randVec(r, n), randVec(r, n)
+		w2, w3 := [2]float64{2, -1}, [3]float64{3, -3, 1}
+		sq := func(d float64) float64 { return float64(d * d) }
+		d := [3]func(k int) float64{
+			func(k int) float64 { return sq(x[k] - h1[k]) },
+			func(k int) float64 { return sq(x[k] - (float64(w2[0]*h1[k]) + float64(w2[1]*h2[k]))) },
+			func(k int) float64 {
+				return sq(x[k] - (float64(w3[0]*h1[k]) + float64(w3[1]*h2[k]) + float64(w3[2]*h3[k])))
+			},
+		}
+		e1, e2, e3 := FitErrors(x, h1, h2, h3, w2, w3)
+		for j, got := range []float64{e1, e2, e3} {
+			if want := laneSum(n, d[j]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d: e%d = %v, 4-lane order %v", n, j+1, got, want)
+			}
+		}
+		if n == 1001 && e3 == leftFold(n, d[2]) {
+			t.Errorf("n=%d: e3 = %v is also the left fold; the data no longer tells the orders apart", n, e3)
+		}
+	}
+}
+
+// Extrapolate writes what the per-element loop of the extrapolated warm
+// start wrote, bit for bit, and leaves the old x in h3, at every order.
+func TestExtrapolateMatchesLoop(t *testing.T) {
+	r := rng.New(71)
+	l := [4]float64{4.1, -6.3, 4.2, -1.05}
+	for k := 2; k <= 4; k++ {
+		for _, n := range []int{0, 3, 64, 67} {
+			x, h1, h2, h3 := randVec(r, n), randVec(r, n), randVec(r, n), randVec(r, n)
+			want, wantH3 := make([]float64, n), Clone(x)
+			for i, a := range x {
+				want[i] = float64(l[0]*a) + float64(l[1]*h1[i])
+				if k >= 3 {
+					want[i] += float64(l[2] * h2[i])
+				}
+				if k == 4 {
+					want[i] += float64(l[3] * h3[i])
+				}
+			}
+			Extrapolate(x, h1, h2, h3, l, k)
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) || h3[i] != wantH3[i] {
+					t.Fatalf("k=%d n=%d: entry %d = %v, h3 %v; want %v, %v", k, n, i, x[i], h3[i], want[i], wantH3[i])
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Extrapolate of order 1 did not panic")
+		}
+	}()
+	Extrapolate(nil, nil, nil, nil, l, 1)
+}
+
+// ConcentrationScan's max|x| is NormInf, its minimum is min x, and its
+// clamped sum is Norm1 of x with the negatives zeroed, bit for bit; a NaN
+// entry is skipped by the first two and carried by the sum.
+func TestConcentrationScan(t *testing.T) {
+	r := rng.New(73)
+	for _, n := range []int{0, 1, 7, 64, 1001} {
+		x := randVec(r, n)
+		clamped := Clone(x)
+		least := math.Inf(1)
+		for i, v := range x {
+			least = min(least, v)
+			if v < 0 {
+				clamped[i] = 0
+			}
+		}
+		m, l, s := ConcentrationScan(x)
+		if m != NormInf(x) || l != least || math.Float64bits(s) != math.Float64bits(Norm1(clamped)) {
+			t.Errorf("n=%d: scan (%v, %v, %v), want (%v, %v, %v)", n, m, l, s, NormInf(x), least, Norm1(clamped))
+		}
+		if n > 0 {
+			x[n/2] = math.NaN()
+			m, l, s = ConcentrationScan(x)
+			if math.IsNaN(m) || math.IsNaN(l) || !math.IsNaN(s) {
+				t.Errorf("n=%d with a NaN entry: scan (%v, %v, %v), want NaN in the sum only", n, m, l, s)
+			}
+		}
+	}
+	x := []float64{0.5, -0.25, math.Copysign(0, -1), 2}
+	ClampScale(x, 0.5)
+	if x[0] != 0.25 || math.Float64bits(x[1]) != 0 || !math.Signbit(x[2]) || x[3] != 1 {
+		t.Errorf("ClampScale = %v, want [0.25 +0 -0 1]", x)
+	}
+}
