@@ -1,9 +1,8 @@
 package quasispecies_test
 
 // Benchmarks for the systems built along the paper's outlook (DESIGN.md
-// rows 15–22): distributed solving, the four-letter alphabet, the
-// localized approximative solver, multi-resolution analysis and
-// checkpoint I/O.
+// rows 15–22): distributed solving, the four-letter alphabet,
+// multi-resolution analysis and checkpoint I/O.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"repro/cluster"
 	"repro/internal/core"
 	"repro/internal/landscape"
-	"repro/internal/localized"
 	"repro/internal/mutation"
 	"repro/internal/resolution"
 	"repro/rna"
@@ -88,23 +86,6 @@ func BenchmarkRNASolve(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkLocalizedSolve runs the sparse-support approximative solver at
-// a chain length whose dense vector would need 8 TB.
-func BenchmarkLocalizedSolve(b *testing.B) {
-	const nu = 40
-	l, err := landscape.NewSinglePeak(nu, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := localized.Solve(nu, 0.002, l, &localized.Options{
-			DMax: 2, MaxSupport: 2000, Tol: 1e-9,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkWalshMoments measures the one-transform marginal/linkage

@@ -73,7 +73,7 @@ func BenchmarkFig2Smvp(b *testing.B) {
 	for _, nu := range []int{8, 10, 12} {
 		b.Run(fmt.Sprintf("nu%d", nu), func(b *testing.B) {
 			l, x, dst := fig2Setup(b, nu)
-			xm := mutation.MustXmvp(nu, 0.01, nu)
+			xm := mustXmvp(nu, 0.01, nu)
 			op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
 			if err != nil {
 				b.Fatal(err)
@@ -91,7 +91,7 @@ func BenchmarkFig2Xmvp1(b *testing.B) {
 	for _, nu := range []int{12, 16, 20} {
 		b.Run(fmt.Sprintf("nu%d", nu), func(b *testing.B) {
 			l, x, dst := fig2Setup(b, nu)
-			xm := mutation.MustXmvp(nu, 0.01, 1)
+			xm := mustXmvp(nu, 0.01, 1)
 			op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
 			if err != nil {
 				b.Fatal(err)
@@ -141,7 +141,7 @@ func fig3Solve(b *testing.B, op core.Operator, l landscape.Landscape, tol float6
 func BenchmarkFig3PiXmvpFull(b *testing.B) {
 	const nu = 10
 	l, _ := landscape.NewRandom(nu, 5, 1, 1)
-	xm := mutation.MustXmvp(nu, 0.01, nu)
+	xm := mustXmvp(nu, 0.01, nu)
 	op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -153,7 +153,7 @@ func BenchmarkFig3PiXmvpFull(b *testing.B) {
 func BenchmarkFig3PiXmvp5(b *testing.B) {
 	const nu = 14
 	l, _ := landscape.NewRandom(nu, 5, 1, 1)
-	xm := mutation.MustXmvp(nu, 0.01, 5)
+	xm := mustXmvp(nu, 0.01, 5)
 	op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -475,4 +475,13 @@ func BenchmarkKroneckerNu100(b *testing.B) {
 		}
 		sol.Gamma()
 	}
+}
+
+// mustXmvp is NewXmvp that panics on error.
+func mustXmvp(nu int, p float64, dmax int) *mutation.Xmvp {
+	x, err := mutation.NewXmvp(nu, p, dmax)
+	if err != nil {
+		panic(err)
+	}
+	return x
 }

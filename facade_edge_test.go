@@ -1,9 +1,11 @@
 package quasispecies
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/landscape"
 	"repro/internal/vec"
 )
 
@@ -33,6 +35,34 @@ func TestLinearLandscapeFacade(t *testing.T) {
 	}
 	if sol.Method != MethodReduced {
 		t.Errorf("method = %v", sol.Method)
+	}
+}
+
+// Every landscape constructor rejects NaN and +Inf fitness with the typed
+// error, instead of building a landscape whose solve fails later with a
+// misleading eigensolver error.
+func TestLandscapeConstructorsRejectNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for name, build := range map[string]func(v float64) (Landscape, error){
+			"SinglePeak peak":      func(v float64) (Landscape, error) { return SinglePeak(8, v, 1) },
+			"SinglePeak base":      func(v float64) (Landscape, error) { return SinglePeak(8, 2, v) },
+			"LinearLandscape f0":   func(v float64) (Landscape, error) { return LinearLandscape(8, v, 1) },
+			"LinearLandscape fEnd": func(v float64) (Landscape, error) { return LinearLandscape(8, 2, v) },
+			"ClassLandscape":       func(v float64) (Landscape, error) { return ClassLandscape([]float64{2, v, 1}) },
+			"RandomLandscape c":    func(v float64) (Landscape, error) { return RandomLandscape(8, v, 1, 1) },
+			"RandomLandscape σ":    func(v float64) (Landscape, error) { return RandomLandscape(8, 5, v, 1) },
+			"ExplicitLandscape":    func(v float64) (Landscape, error) { return ExplicitLandscape([]float64{2, 1, v, 1}) },
+			"FlatLandscape":        func(v float64) (Landscape, error) { return FlatLandscape(8, v) },
+		} {
+			_, err := build(bad)
+			if err == nil {
+				t.Errorf("%s(%g): accepted", name, bad)
+				continue
+			}
+			if name != "RandomLandscape σ" && !errors.Is(err, landscape.ErrNonPositive) {
+				t.Errorf("%s(%g): %v, want landscape.ErrNonPositive", name, bad, err)
+			}
+		}
 	}
 }
 
@@ -93,8 +123,15 @@ func TestLocateErrorThresholdFacade(t *testing.T) {
 	if _, err := LocateErrorThreshold(Landscape{}, 0.01, 0.1, 1e-4); err == nil {
 		t.Error("zero-value landscape must be rejected")
 	}
-	if _, err := TheoreticalErrorThreshold(0.5, 16); err == nil {
-		t.Error("σ ≤ 1 must be rejected")
+	for _, sigma := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		if p, err := TheoreticalErrorThreshold(sigma, 16); err == nil {
+			t.Errorf("σ = %g must be rejected, got p_max = %g", sigma, p)
+		}
+	}
+	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
+		if p, err := LocateErrorThreshold(l, 0.01, 0.1, tol); err == nil {
+			t.Errorf("tol = %g must be rejected, got p_max = %g", tol, p)
+		}
 	}
 }
 

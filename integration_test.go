@@ -1,12 +1,12 @@
 package quasispecies_test
 
 // Cross-validation of every solve route in the repository on one shared
-// problem. Nine independently implemented paths — five facade methods, the
-// distributed cluster, the localized sparse solver, the ODE steady state
-// and a single-block Kronecker system — must agree on the quasispecies of
-// the same model. This is the repository's strongest end-to-end
-// correctness statement: the implementations share no numerical code path
-// beyond the primitive kernels.
+// problem. Eight independently implemented paths — five facade methods, the
+// distributed cluster, the ODE steady state and a single-block Kronecker
+// system — must agree on the quasispecies of the same model. This is the
+// repository's strongest end-to-end correctness statement: the
+// implementations share no numerical code path beyond the primitive
+// kernels.
 
 import (
 	"math"
@@ -16,7 +16,6 @@ import (
 	"repro/cluster"
 	"repro/internal/core"
 	"repro/internal/landscape"
-	"repro/internal/localized"
 	"repro/internal/mutation"
 	"repro/internal/ode"
 )
@@ -87,13 +86,6 @@ func TestAllRoutesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	routes = append(routes, route{"cluster(P=4)", cres.Lambda, cg[0], cx[0]})
-
-	// --- localized sparse solver ---
-	lres, err := localized.Solve(nu, p, il, &localized.Options{DMax: 6, MaxSupport: 1 << nu, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routes = append(routes, route{"localized", lres.Lambda, lres.Gamma[0], lres.Concentration(0)})
 
 	// --- ODE steady state (Eq. 1) ---
 	q := mutation.MustUniform(nu, p)

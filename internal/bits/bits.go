@@ -43,22 +43,6 @@ func Weight(i uint64) int {
 	return mathbits.OnesCount64(i)
 }
 
-// Gray returns the i-th Gray code value. Consecutive Gray codes differ in
-// exactly one bit, so reordering the sequence space by Gray code makes
-// dH(X_i, X_{i+1}) = 1 for all i (footnote 2 of the paper).
-func Gray(i uint64) uint64 {
-	return i ^ (i >> 1)
-}
-
-// GrayInverse returns the rank of the Gray code value g, inverting Gray.
-func GrayInverse(g uint64) uint64 {
-	i := g
-	for shift := uint(1); shift < 64; shift <<= 1 {
-		i ^= i >> shift
-	}
-	return i
-}
-
 // Binomial returns the binomial coefficient C(n, k) as an exact uint64.
 // It panics on overflow, which cannot happen for the n ≤ 62 used with
 // dense sequence spaces. C(n,k)=0 for k<0 or k>n.
@@ -93,32 +77,6 @@ func BinomialFloat(n, k int) float64 {
 	lk, _ := math.Lgamma(float64(k + 1))
 	lnk, _ := math.Lgamma(float64(n - k + 1))
 	return math.Exp(lg - lk - lnk)
-}
-
-// ClassSizes returns the sizes |Γ_k| = C(nu, k) of all nu+1 error classes.
-func ClassSizes(nu int) []uint64 {
-	sizes := make([]uint64, nu+1)
-	for k := 0; k <= nu; k++ {
-		sizes[k] = Binomial(nu, k)
-	}
-	return sizes
-}
-
-// ClassRepresentative returns the canonical representative of error class
-// Γ_k for chain length nu: the sequence 2^k − 1 whose k lowest bits are set
-// (the "natural and most obvious" choice named in Section 5.1).
-func ClassRepresentative(nu, k int) uint64 {
-	if k < 0 || k > nu {
-		panic(fmt.Sprintf("bits: class index %d out of range [0,%d]", k, nu))
-	}
-	return (uint64(1) << uint(k)) - 1
-}
-
-// EnumerateClass calls fn for every sequence j in the error class Γ_{k,i}
-// = {j : dH(X_i, X_j) = k} for chain length nu, in increasing XOR-mask
-// order. It visits exactly C(nu, k) sequences.
-func EnumerateClass(nu, k int, i uint64, fn func(j uint64)) {
-	EnumerateWeight(nu, k, func(mask uint64) { fn(i ^ mask) })
 }
 
 // EnumerateWeight calls fn for every nu-bit value of Hamming weight k in
@@ -183,67 +141,3 @@ func BitIndices(v uint64) []int {
 	}
 	return idx
 }
-
-// SigmaPermutation represents the bit permutation σ_{i,i'} of Section 5.1:
-// for two sequences i, i' in the same error class (dH(i,0) = dH(i',0)),
-// σ maps the set bits of i onto the set bits of i' (as a product of
-// transpositions in cycle notation) and fixes all other bit positions.
-type SigmaPermutation struct {
-	// perm[b] is the image bit position of bit position b.
-	perm []int
-}
-
-// NewSigmaPermutation builds σ_{i,i'} for chain length nu. It panics if
-// i and i' lie in different error classes, mirroring the paper's
-// precondition dH(i,0) = dH(i',0).
-func NewSigmaPermutation(nu int, i, iPrime uint64) *SigmaPermutation {
-	if Weight(i) != Weight(iPrime) {
-		panic(fmt.Sprintf("bits: σ undefined for %d and %d: different error classes (%d vs %d)",
-			i, iPrime, Weight(i), Weight(iPrime)))
-	}
-	perm := make([]int, nu)
-	bi := BitIndices(i)
-	bj := BitIndices(iPrime)
-	// Map the t-th set bit of i to the t-th set bit of i', and the t-th
-	// clear bit of i to the t-th clear bit of i'. This realizes the same
-	// mapping as the paper's product of transpositions: a bit permutation
-	// with σ(i) = i' that therefore preserves Hamming weights (I), fixes
-	// every error class setwise (II), and preserves distances (IV).
-	for t := range bi {
-		perm[bi[t]] = bj[t]
-	}
-	inI, inJ := make([]bool, nu), make([]bool, nu)
-	for _, b := range bi {
-		inI[b] = true
-	}
-	for _, b := range bj {
-		inJ[b] = true
-	}
-	ci, cj := make([]int, 0, nu-len(bi)), make([]int, 0, nu-len(bj))
-	for b := 0; b < nu; b++ {
-		if !inI[b] {
-			ci = append(ci, b)
-		}
-		if !inJ[b] {
-			cj = append(cj, b)
-		}
-	}
-	for t := range ci {
-		perm[ci[t]] = cj[t]
-	}
-	return &SigmaPermutation{perm: perm}
-}
-
-// Apply permutes the bits of the nu-bit vector j according to σ.
-func (s *SigmaPermutation) Apply(j uint64) uint64 {
-	var out uint64
-	for b, img := range s.perm {
-		if j&(1<<uint(b)) != 0 {
-			out |= 1 << uint(img)
-		}
-	}
-	return out
-}
-
-// Len returns the chain length the permutation acts on.
-func (s *SigmaPermutation) Len() int { return len(s.perm) }

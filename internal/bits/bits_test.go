@@ -65,14 +65,14 @@ func TestHammingIsMetric(t *testing.T) {
 func TestGrayAdjacent(t *testing.T) {
 	// Consecutive Gray codes differ in exactly one bit (footnote 2).
 	for i := uint64(0); i < 1<<12; i++ {
-		if d := Hamming(Gray(i), Gray(i+1)); d != 1 {
-			t.Fatalf("Hamming(Gray(%d), Gray(%d)) = %d, want 1", i, i+1, d)
+		if d := Hamming(gray(i), gray(i+1)); d != 1 {
+			t.Fatalf("Hamming(gray(%d), gray(%d)) = %d, want 1", i, i+1, d)
 		}
 	}
 }
 
 func TestGrayInverse(t *testing.T) {
-	f := func(i uint64) bool { return GrayInverse(Gray(i)) == i && Gray(GrayInverse(i)) == i }
+	f := func(i uint64) bool { return grayInverse(gray(i)) == i && gray(grayInverse(i)) == i }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -81,12 +81,12 @@ func TestGrayInverse(t *testing.T) {
 func TestGrayIsPermutation(t *testing.T) {
 	seen := make(map[uint64]bool, 1<<10)
 	for i := uint64(0); i < 1<<10; i++ {
-		g := Gray(i)
+		g := gray(i)
 		if g >= 1<<10 {
-			t.Fatalf("Gray(%d) = %d escapes the 10-bit space", i, g)
+			t.Fatalf("gray(%d) = %d escapes the 10-bit space", i, g)
 		}
 		if seen[g] {
-			t.Fatalf("Gray(%d) = %d repeated", i, g)
+			t.Fatalf("gray(%d) = %d repeated", i, g)
 		}
 		seen[g] = true
 	}
@@ -133,7 +133,7 @@ func TestClassSizesSum(t *testing.T) {
 	// Σ_k |Γ_k| = N.
 	for nu := 0; nu <= 30; nu++ {
 		var sum uint64
-		for _, s := range ClassSizes(nu) {
+		for _, s := range classSizes(nu) {
 			sum += s
 		}
 		if sum != uint64(1)<<uint(nu) {
@@ -145,7 +145,7 @@ func TestClassSizesSum(t *testing.T) {
 func TestClassRepresentative(t *testing.T) {
 	for nu := 0; nu <= 20; nu++ {
 		for k := 0; k <= nu; k++ {
-			r := ClassRepresentative(nu, k)
+			r := classRepresentative(nu, k)
 			if Weight(r) != k {
 				t.Fatalf("representative of Γ_%d has weight %d", k, Weight(r))
 			}
@@ -180,7 +180,7 @@ func TestEnumerateClassXORStructure(t *testing.T) {
 	var center uint64 = 0b10110010
 	for k := 0; k <= nu; k++ {
 		seen := map[uint64]bool{}
-		EnumerateClass(nu, k, center, func(j uint64) {
+		enumerateClass(nu, k, center, func(j uint64) {
 			if Hamming(center, j) != k {
 				t.Fatalf("Γ_{%d,%d} member %d has distance %d", k, center, j, Hamming(center, j))
 			}
@@ -248,7 +248,7 @@ func TestSigmaProperties(t *testing.T) {
 	dst := []uint64{0b1111100000, 0b0101010110, 0b0000011111}
 	for c := range src {
 		i, ip := src[c], dst[c]
-		sigma := NewSigmaPermutation(nu, i, ip)
+		sigma := newSigmaPermutation(nu, i, ip)
 		// (III) σ(i) = i'
 		if got := sigma.Apply(i); got != ip {
 			t.Fatalf("σ(%b) = %b, want %b", i, got, ip)
@@ -283,7 +283,7 @@ func TestSigmaPanicsOnDifferentClasses(t *testing.T) {
 			t.Error("σ for different error classes must panic")
 		}
 	}()
-	NewSigmaPermutation(8, 0b11, 0b111)
+	newSigmaPermutation(8, 0b11, 0b111)
 }
 
 func TestSigmaRandomPairs(t *testing.T) {
@@ -293,7 +293,7 @@ func TestSigmaRandomPairs(t *testing.T) {
 		if Weight(i) != Weight(ip) {
 			return true // precondition not met, skip
 		}
-		s := NewSigmaPermutation(nu, i, ip)
+		s := newSigmaPermutation(nu, i, ip)
 		if s.Apply(i) != ip {
 			return false
 		}

@@ -94,9 +94,6 @@ type MethodState struct {
 	LastMethod SolveMethod
 }
 
-// Reset clears the state (chain head).
-func (s *MethodState) Reset() { *s = MethodState{} }
-
 // AdaptiveWork is the per-worker scratch of adaptive solves: the power
 // iterate pair (which also stages the Right-form result every gear
 // returns), plus lazily allocated Chebyshev, shift-invert, and probe

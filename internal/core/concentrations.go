@@ -93,19 +93,3 @@ func ClassConcentrations(nu int, x []float64) ([]float64, error) {
 	}
 	return gamma, nil
 }
-
-// ClassConcentrationsAbout generalizes ClassConcentrations to the error
-// classes Γ_{k,center} around an arbitrary center sequence (Eq. 6).
-func ClassConcentrationsAbout(nu int, x []float64, center uint64) ([]float64, error) {
-	if len(x) != bits.SpaceSize(nu) {
-		return nil, fmt.Errorf("core: vector length %d does not match 2^%d", len(x), nu)
-	}
-	if center >= uint64(len(x)) {
-		return nil, fmt.Errorf("core: center %d outside sequence space of size %d", center, len(x))
-	}
-	gamma := make([]float64, nu+1)
-	for i, v := range x {
-		gamma[bits.Hamming(uint64(i), center)] += v
-	}
-	return gamma, nil
-}

@@ -93,10 +93,6 @@ const (
 	// PhaseGapProbe is the Lanczos probe of at most k steps that feeds the
 	// adaptive method selector's online gap estimate.
 	PhaseGapProbe = "gap_probe"
-	// PhaseShiftFactor is one LU factorization of (M − λI) inside the
-	// reduced-path Rayleigh-quotient iteration (errorclass emits it under
-	// the core layer with this name).
-	PhaseShiftFactor = "shift_factor"
 )
 
 // ConvergenceError carries the diagnostics of a failed (or stagnated)

@@ -281,38 +281,7 @@ func (op *DenseOperator) Apply(dst, src []float64) {
 }
 
 // ---------------------------------------------------------------------------
-// Shifted operator and eigenvector conversions
-
-// ShiftedOperator applies A − µI for a base operator A. Shifting the
-// spectrum accelerates the power iteration (Section 3).
-type ShiftedOperator struct {
-	Base Operator
-	Mu   float64
-	Dev  *device.Device
-
-	// scratch preserves src across aliased Apply calls; allocated once on
-	// first use instead of cloning src every iteration.
-	scratch []float64
-}
-
-func (op *ShiftedOperator) Dim() int { return op.Base.Dim() }
-
-// Apply computes dst ← A·src − µ·src. dst may alias src.
-func (op *ShiftedOperator) Apply(dst, src []float64) {
-	if &dst[0] == &src[0] {
-		// In-place: need the original src for the shift term.
-		if len(op.scratch) != len(src) {
-			op.scratch = make([]float64, len(src))
-		}
-		tmp := op.scratch
-		copyInto(op.Dev, tmp, src)
-		op.Base.Apply(dst, tmp)
-		axpyInto(op.Dev, -op.Mu, tmp, dst)
-		return
-	}
-	op.Base.Apply(dst, src)
-	axpyInto(op.Dev, -op.Mu, src, dst)
-}
+// Eigenvector conversions
 
 // ConvertEigenvector converts the dominant eigenvector between the three
 // formulations using xR = F^(−½)·xS, xS = F^(−½)·xL, xR = F^(−1)·xL

@@ -75,7 +75,10 @@ func TestXmvpOperatorMatchesDense(t *testing.T) {
 		nu := 1 + int(r.Uint64n(8))
 		p := 0.001 + 0.4*r.Float64()
 		l := randLandscape(r, nu)
-		x := mutation.MustXmvp(nu, p, nu)
+		x, err := mutation.NewXmvp(nu, p, nu)
+		if err != nil {
+			return false
+		}
 		q := mutation.MustUniform(nu, p)
 		v := randVector(r, x.Dim())
 		for _, form := range allForms {
@@ -125,65 +128,6 @@ func TestOperatorsOnDeviceMatchSerial(t *testing.T) {
 		if vec.DistInf(a, b) != 0 {
 			t.Errorf("form %v: device operator differs from serial", form)
 		}
-	}
-}
-
-func TestShiftedOperator(t *testing.T) {
-	r := rng.New(3)
-	const nu = 6
-	q := mutation.MustUniform(nu, 0.02)
-	l := randLandscape(r, nu)
-	base, err := NewFmmpOperator(q, l, Right, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu := 0.37
-	sh := &ShiftedOperator{Base: base, Mu: mu}
-	if sh.Dim() != q.Dim() {
-		t.Fatal("shifted dim wrong")
-	}
-	v := randVector(r, q.Dim())
-	want := make([]float64, q.Dim())
-	base.Apply(want, v)
-	vec.AXPY(-mu, v, want)
-	got := make([]float64, q.Dim())
-	sh.Apply(got, v)
-	if vec.DistInf(got, want) > 1e-13 {
-		t.Error("out-of-place shifted apply wrong")
-	}
-	inPlace := vec.Clone(v)
-	sh.Apply(inPlace, inPlace)
-	if vec.DistInf(inPlace, want) > 1e-13 {
-		t.Error("in-place shifted apply wrong")
-	}
-}
-
-func TestShiftedOperatorAliasedApplyDoesNotAllocate(t *testing.T) {
-	// The shift iteration applies (A − µI) aliased every step; the scratch
-	// that preserves src is allocated once on first use and reused after.
-	r := rng.New(11)
-	const nu = 8
-	q := mutation.MustUniform(nu, 0.02)
-	l := randLandscape(r, nu)
-	base, err := NewFmmpOperator(q, l, Right, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &ShiftedOperator{Base: base, Mu: 0.21}
-	v := randVector(r, q.Dim())
-	sh.Apply(v, v) // first call allocates the scratch
-	if allocs := testing.AllocsPerRun(10, func() { sh.Apply(v, v) }); allocs != 0 {
-		t.Errorf("aliased ShiftedOperator.Apply allocates %.0f objects per call after warm-up", allocs)
-	}
-	// The scratch path must keep producing the same result as a fresh
-	// out-of-place application.
-	w := randVector(r, q.Dim())
-	want := make([]float64, q.Dim())
-	sh.Apply(want, w)
-	got := vec.Clone(w)
-	sh.Apply(got, got)
-	if vec.DistInf(got, want) != 0 {
-		t.Error("aliased apply with reused scratch differs from out-of-place apply")
 	}
 }
 
@@ -264,7 +208,10 @@ func TestOperatorConstructorsRejectMismatch(t *testing.T) {
 	if _, err := NewFmmpOperator(q, l, Right, nil); err == nil {
 		t.Error("ν mismatch must be rejected (Fmmp)")
 	}
-	x := mutation.MustXmvp(4, 0.1, 2)
+	x, err := mutation.NewXmvp(4, 0.1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewXmvpOperator(x, l, Right, nil); err == nil {
 		t.Error("ν mismatch must be rejected (Xmvp)")
 	}

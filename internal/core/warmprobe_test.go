@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/landscape"
@@ -288,6 +289,33 @@ func warmChainCases(t *testing.T) []warmChainCase {
 	return cases
 }
 
+// plainWarmRun is the plain warm-start run of one warm-chain case, with the
+// stop-rule check of every probe: the subject of TestWarmProbeRobustness
+// and the reference of TestExtrapolatedStartsKeepGears. Whichever test
+// reaches a case first computes it, and the other reuses it.
+type plainWarmRun struct {
+	once         sync.Once
+	out          []chainOutcome
+	steps, stops int
+}
+
+// plainWarmRuns maps a case name to its *plainWarmRun.
+var plainWarmRuns sync.Map
+
+// plainWarm returns the case's plain warm run, computing it on first use.
+func (c warmChainCase) plainWarm(t *testing.T) *plainWarmRun {
+	t.Helper()
+	v, _ := plainWarmRuns.LoadOrStore(c.name, new(plainWarmRun))
+	r := v.(*plainWarmRun)
+	r.once.Do(func() {
+		r.out, r.steps, r.stops = runChains(t, c.l, c.ps, c.chainLen, chainMode{}, NewKrylovWork(c.l.Dim()))
+	})
+	if r.out == nil {
+		t.Fatal("the plain warm run of this case failed")
+	}
+	return r
+}
+
 // Seeded sweeps against the fixed-seed, fixed-length probe the engine ran
 // before. Every case crosses or approaches its error threshold, or has a
 // warm start that is (nearly) an exact eigenvector. Each sweep runs with no
@@ -306,9 +334,10 @@ func TestWarmProbeRobustness(t *testing.T) {
 			continue
 		}
 		t.Run(c.name, func(t *testing.T) {
-			kw := NewKrylovWork(c.l.Dim())
+			t.Parallel()
 			ref, _, _ := runChains(t, c.l, c.ps, c.chainLen, chainMode{fullProbe: true}, nil)
-			got, steps, stops := runChains(t, c.l, c.ps, c.chainLen, chainMode{}, kw)
+			plain := c.plainWarm(t)
+			got, steps, stops := plain.out, plain.steps, plain.stops
 			var refTotal, gotTotal, moved int
 			for i := range c.ps {
 				r, g := ref[i], got[i]
@@ -363,9 +392,9 @@ func TestExtrapolatedStartsKeepGears(t *testing.T) {
 			continue
 		}
 		t.Run(c.name, func(t *testing.T) {
-			kw := NewKrylovWork(c.l.Dim())
-			ref, _, _ := runChains(t, c.l, c.ps, c.chainLen, chainMode{}, nil)
-			got, steps, stops := runChains(t, c.l, c.ps, c.chainLen, chainMode{extrapolate: true}, kw)
+			t.Parallel()
+			ref := c.plainWarm(t).out
+			got, steps, stops := runChains(t, c.l, c.ps, c.chainLen, chainMode{extrapolate: true}, NewKrylovWork(c.l.Dim()))
 			var refTotal, gotTotal, flips int
 			for i := range c.ps {
 				r, g := ref[i], got[i]

@@ -54,11 +54,11 @@ func TestMatVecT(t *testing.T) {
 	a := randMatrix(r, 7, 5)
 	x := randVector(r, 7)
 	got := make([]float64, 5)
-	a.MatVecT(got, x)
+	a.matVecT(got, x)
 	want := make([]float64, 5)
 	a.Transpose().MatVec(want, x)
 	if vec.DistInf(got, want) > 1e-14 {
-		t.Errorf("MatVecT disagrees with explicit transpose")
+		t.Errorf("matVecT disagrees with explicit transpose")
 	}
 }
 
@@ -214,8 +214,8 @@ func TestDet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(lu.Det()-(-2)) > 1e-14 {
-		t.Errorf("Det = %g, want -2", lu.Det())
+	if math.Abs(lu.det()-(-2)) > 1e-14 {
+		t.Errorf("Det = %g, want -2", lu.det())
 	}
 }
 
@@ -224,7 +224,7 @@ func TestInverse(t *testing.T) {
 	n := 8
 	a := randMatrix(r, n, n)
 	a.AddDiag(float64(n))
-	inv, err := Inverse(a)
+	inv, err := inverse(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDominantNoConvergence(t *testing.T) {
 func TestInverseIterationFindsInteriorEigenvalue(t *testing.T) {
 	// diag(1,2,5): shift 1.8 must find eigenvalue 2, eigenvector e2.
 	a := FromRows([][]float64{{1, 0, 0}, {0, 2, 0}, {0, 0, 5}})
-	lambda, x, _, err := InverseIteration(a, 1.8, &DominantOptions{Start: []float64{1, 1, 1}})
+	lambda, x, _, err := inverseIteration(a, 1.8, &DominantOptions{Start: []float64{1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestInverseIterationFindsInteriorEigenvalue(t *testing.T) {
 func TestInverseIterationExactShift(t *testing.T) {
 	// Shift equal to an eigenvalue: the perturbation fallback must cope.
 	a := FromRows([][]float64{{1, 0}, {0, 3}})
-	lambda, _, _, err := InverseIteration(a, 3, &DominantOptions{Start: []float64{1, 1}})
+	lambda, _, _, err := inverseIteration(a, 3, &DominantOptions{Start: []float64{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,55 +81,6 @@ func Dominant(a *Matrix, opts *DominantOptions) (lambda float64, x []float64, it
 	return lambda, x, maxIter, ErrNoConvergence
 }
 
-// InverseIteration computes the eigenpair of a nearest to the shift sigma
-// by inverse iteration on (A − σI). The returned eigenvector has unit
-// 2-norm. Convergence is measured by the residual of the original matrix.
-func InverseIteration(a *Matrix, sigma float64, opts *DominantOptions) (lambda float64, x []float64, iters int, err error) {
-	if a.Rows != a.Cols {
-		return 0, nil, 0, fmt.Errorf("dense: InverseIteration needs a square matrix, got %d×%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	tol, maxIter, start := opts.defaults(n)
-	shifted := a.Clone()
-	shifted.AddDiag(-sigma)
-	f, ferr := Factorize(shifted)
-	if ferr != nil {
-		// σ is (numerically) an exact eigenvalue: perturb it slightly.
-		shifted = a.Clone()
-		eps := math.Max(math.Abs(sigma), 1) * 1e-12
-		shifted.AddDiag(-(sigma + eps))
-		if f, ferr = Factorize(shifted); ferr != nil {
-			return 0, nil, 0, ferr
-		}
-	}
-	x = vec.Clone(start)
-	vec.Normalize2(x)
-	w := make([]float64, n)
-	for iters = 1; iters <= maxIter; iters++ {
-		f.Solve(w, x)
-		nrm := vec.Norm2(w)
-		if nrm == 0 || math.IsInf(nrm, 0) || math.IsNaN(nrm) {
-			return 0, nil, iters, ErrSingular
-		}
-		for i := range x {
-			x[i] = w[i] / nrm
-		}
-		a.MatVec(w, x)
-		lambda = vec.Dot(x, w)
-		var rs float64
-		for i, wi := range w {
-			r := wi - lambda*x[i]
-			rs += r * r
-		}
-		if math.Sqrt(rs) <= tol*math.Max(1, math.Abs(lambda)) {
-			orient(x)
-			return lambda, x, iters, nil
-		}
-	}
-	orient(x)
-	return lambda, x, maxIter, ErrNoConvergence
-}
-
 // orient flips the sign of x so that its absolutely largest component is
 // positive, fixing the sign ambiguity of eigenvectors.
 func orient(x []float64) {

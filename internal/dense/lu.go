@@ -15,7 +15,6 @@ var ErrSingular = errors.New("dense: matrix is singular to working precision")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	signP int // determinant sign of P
 }
 
 // Factorize computes the LU factorization of the square matrix a with
@@ -29,7 +28,6 @@ func Factorize(a *Matrix) (*LU, error) {
 	n := a.Rows
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot search in column k.
 		p, best := k, math.Abs(lu.At(k, k))
@@ -47,7 +45,6 @@ func Factorize(a *Matrix) (*LU, error) {
 			for c := range rk {
 				rk[c], rp[c] = rp[c], rk[c]
 			}
-			sign = -sign
 		}
 		inv := 1 / lu.At(k, k)
 		for r := k + 1; r < n; r++ {
@@ -62,7 +59,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signP: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve computes x with A·x = b into dst (dst may alias b).
@@ -98,36 +95,4 @@ func (f *LU) Solve(dst, b []float64) {
 		}
 		dst[r] = s / row[r]
 	}
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.signP)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// Inverse returns A⁻¹ of the matrix a, via LU factorization.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	col := make([]float64, n)
-	for c := 0; c < n; c++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[c] = 1
-		f.Solve(col, e)
-		for r := 0; r < n; r++ {
-			inv.Set(r, c, col[r])
-		}
-	}
-	return inv, nil
 }

@@ -89,21 +89,6 @@ func (m *Matrix) MatVec(dst, x []float64) {
 	}
 }
 
-// MatVecT computes dst ← Aᵀ·x. dst must not alias x.
-func (m *Matrix) MatVecT(dst, x []float64) {
-	if len(x) != m.Rows || len(dst) != m.Cols {
-		panic("dense: MatVecT shape mismatch")
-	}
-	vec.Fill(dst, 0)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		xv := x[r]
-		for c, a := range row {
-			dst[c] += a * xv
-		}
-	}
-}
-
 // Mul returns the product A·B.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {

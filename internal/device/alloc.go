@@ -50,15 +50,6 @@ func AlignedFloat64s(n int) []float64 {
 	return v
 }
 
-// IsAligned reports whether v starts on a CacheLine boundary (true for the
-// trivial empty slice).
-func IsAligned(v []float64) bool {
-	if len(v) == 0 {
-		return true
-	}
-	return uintptr(unsafe.Pointer(&v[0]))%CacheLine == 0
-}
-
 // AllocVector returns an aligned, huge-page-advised vector of n float64s,
 // first-touched serially by the calling goroutine (its pages land on the
 // caller's NUMA node). The solver's Θ(N) vectors all come from here.

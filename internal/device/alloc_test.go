@@ -8,7 +8,7 @@ func TestAlignedFloat64sAlignmentAndShape(t *testing.T) {
 		if len(v) != n || cap(v) != n {
 			t.Fatalf("n=%d: len=%d cap=%d, want both %d", n, len(v), cap(v), n)
 		}
-		if !IsAligned(v) {
+		if !isAligned(v) {
 			t.Fatalf("n=%d: first element not %d-byte aligned", n, CacheLine)
 		}
 		for i, x := range v {
@@ -20,7 +20,7 @@ func TestAlignedFloat64sAlignmentAndShape(t *testing.T) {
 	if AlignedFloat64s(0) != nil || AlignedFloat64s(-3) != nil {
 		t.Error("non-positive n must return nil")
 	}
-	if !IsAligned(nil) {
+	if !isAligned(nil) {
 		t.Error("empty slice counts as aligned")
 	}
 }
@@ -31,7 +31,7 @@ func TestAllocVectorFirstTouchVariants(t *testing.T) {
 	if len(serial) != n {
 		t.Fatal("wrong length")
 	}
-	if !IsAligned(serial) {
+	if !isAligned(serial) {
 		t.Fatal("AllocVector results must be aligned")
 	}
 	for i := 0; i < n; i++ {

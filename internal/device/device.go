@@ -7,16 +7,18 @@
 // an independent body and the host loop forms an implicit barrier between
 // stages. This package reproduces exactly that execution model:
 //
-//   - Launch(n, kernel) runs kernel(id) for every id in [0, n) and returns
-//     only after all logical threads finished (the stage barrier);
+//   - LaunchRange(n, kernel) runs kernel over a partition of [0, n) into
+//     chunks and returns only after all of them finished (the stage
+//     barrier);
 //   - LaunchStages dispatches a whole fused stage-group as one launch with
 //     a single barrier, the dispatch form used by the cache-blocked
 //     butterfly kernels (one barrier per group instead of one per stage);
 //   - logical threads are chunked over a persistent pool of long-lived
 //     worker goroutines parked on a channel (see pool.go), the software
 //     analogue of scheduling thread blocks over resident multiprocessors;
-//   - Reduce implements the parallel reduction tree used for norms and
-//     residuals, which the paper notes "can be relatively well parallelized".
+//   - the vector kernels (veckernels.go) reduce in a fixed chunk order for
+//     the norms and residuals, which the paper notes "can be relatively
+//     well parallelized".
 //
 // A Device with one worker executes everything on the calling goroutine,
 // giving a serial twin with identical semantics for testing. Launch
@@ -84,17 +86,6 @@ func Serial() *Device { return New(1) }
 // Workers returns the worker count of the device.
 func (d *Device) Workers() int { return d.workers }
 
-// Launch runs kernel(id) for every logical thread id in [0, n) and returns
-// after all of them completed — one kernel launch with grid size n in GPU
-// terms. Kernels must not assume any execution order between ids.
-func (d *Device) Launch(n int, kernel func(id int)) {
-	d.LaunchRange(n, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			kernel(id)
-		}
-	})
-}
-
 // plan partitions a grid of n logical threads into contiguous chunks of at
 // least grain threads, at most one chunk per worker.
 func (d *Device) plan(n, grain int) (chunk, nchunks int) {
@@ -109,9 +100,10 @@ func (d *Device) plan(n, grain int) (chunk, nchunks int) {
 }
 
 // LaunchRange runs kernel(lo, hi) over a partition of [0, n) into
-// contiguous chunks. It is the chunked form of Launch for kernels that can
-// amortize per-thread setup over a range, mirroring how real kernels
-// process several elements per thread when profitable.
+// contiguous chunks: one kernel launch with grid size n in GPU terms, each
+// chunk amortizing per-thread setup over a range, as real kernels process
+// several elements per thread when profitable. Kernels must not assume any
+// execution order between chunks.
 func (d *Device) LaunchRange(n int, kernel func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -180,45 +172,6 @@ func (d *Device) dispatch(l launch, measureWait bool) ([][2]float64, time.Durati
 	return b.sums, runPooled(b, d.workers-1, measureWait)
 }
 
-// Reduce computes the combination of f(0) … f(n−1) under the associative
-// operator combine, with identity as the neutral element. Each worker
-// reduces a contiguous chunk locally; partial results are combined in
-// deterministic chunk order, so the result is independent of scheduling and
-// of the worker count (floating-point addition is not associative, and a
-// fixed combination order keeps runs reproducible).
-func (d *Device) Reduce(n int, identity float64, f func(i int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return identity
-	}
-	d.reduceLaunches.Add(1)
-
-	chunk, nchunks := d.plan(n, d.grain)
-	if nchunks == 1 || d.workers == 1 {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = combine(acc, f(i))
-		}
-		return acc
-	}
-	sums := d.run(LaunchKindReduce, launch{reduce: func(lo, hi int) (float64, float64) {
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, f(i))
-		}
-		return acc, 0
-	}, n: n, chunk: chunk, nchunks: nchunks})
-	acc := identity
-	for _, s := range sums {
-		acc = combine(acc, s[0])
-	}
-	return acc
-}
-
-// ReduceSum computes Σ f(i) for i in [0, n) using Reduce.
-func (d *Device) ReduceSum(n int, f func(i int) float64) float64 {
-	return d.Reduce(n, 0, f, func(a, b float64) float64 { return a + b })
-}
-
 // Stats is a snapshot of the launch counters of a Device.
 type Stats struct {
 	Launches       int64 // kernel launches performed (incl. stage-group launches)
@@ -239,16 +192,6 @@ func (d *Device) Stats() Stats {
 		StageLaunches:  d.stageLaunches.Load(),
 		StagesFused:    d.stagesFused.Load(),
 	}
-}
-
-// ResetStats zeroes the device counters.
-func (d *Device) ResetStats() {
-	d.launches.Store(0)
-	d.threadsTotal.Store(0)
-	d.chunksTotal.Store(0)
-	d.reduceLaunches.Store(0)
-	d.stageLaunches.Store(0)
-	d.stagesFused.Store(0)
 }
 
 // String describes the device, e.g. "device(8 workers, grain 4096)".

@@ -31,7 +31,7 @@ func TestLaunchCoversAllIDs(t *testing.T) {
 	for name, d := range devices() {
 		for _, n := range []int{0, 1, 7, 100, 10000} {
 			hits := make([]atomic.Int32, n)
-			d.Launch(n, func(id int) { hits[id].Add(1) })
+			d.launchEach(n, func(id int) { hits[id].Add(1) })
 			for id := range hits {
 				if got := hits[id].Load(); got != 1 {
 					t.Fatalf("%s: id %d executed %d times (n=%d)", name, id, got, n)
@@ -66,9 +66,9 @@ func TestReduceSumMatchesSerial(t *testing.T) {
 	x := randVec(r, 100003)
 	want := vec.Sum(x)
 	for name, d := range devices() {
-		got := d.ReduceSum(len(x), func(i int) float64 { return x[i] })
+		got := d.reduceSum(len(x), func(i int) float64 { return x[i] })
 		if math.Abs(got-want) > 1e-9*math.Abs(want) {
-			t.Errorf("%s: ReduceSum = %g, want %g", name, got, want)
+			t.Errorf("%s: reduceSum = %g, want %g", name, got, want)
 		}
 	}
 }
@@ -79,17 +79,17 @@ func TestReduceDeterministicAcrossRuns(t *testing.T) {
 	r := rng.New(2)
 	x := randVec(r, 50000)
 	d := New(4, WithGrain(16))
-	first := d.ReduceSum(len(x), func(i int) float64 { return x[i] })
+	first := d.reduceSum(len(x), func(i int) float64 { return x[i] })
 	for run := 0; run < 20; run++ {
-		if got := d.ReduceSum(len(x), func(i int) float64 { return x[i] }); got != first {
-			t.Fatalf("run %d: ReduceSum = %v, want bit-identical %v", run, got, first)
+		if got := d.reduceSum(len(x), func(i int) float64 { return x[i] }); got != first {
+			t.Fatalf("run %d: reduceSum = %v, want bit-identical %v", run, got, first)
 		}
 	}
 }
 
 func TestReduceEmptyReturnsIdentity(t *testing.T) {
 	d := New(4)
-	if got := d.Reduce(0, 42, func(int) float64 { return 0 }, math.Max); got != 42 {
+	if got := d.reduce(0, 42, func(int) float64 { return 0 }, math.Max); got != 42 {
 		t.Errorf("empty Reduce = %g, want identity 42", got)
 	}
 }
@@ -170,9 +170,9 @@ func TestResidualNorm2(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	d := New(4, WithGrain(10))
-	d.Launch(100, func(int) {})
-	d.Launch(50, func(int) {})
-	d.ReduceSum(30, func(int) float64 { return 0 })
+	d.launchEach(100, func(int) {})
+	d.launchEach(50, func(int) {})
+	d.reduceSum(30, func(int) float64 { return 0 })
 	s := d.Stats()
 	if s.Launches != 2 {
 		t.Errorf("Launches = %d, want 2", s.Launches)
@@ -183,9 +183,9 @@ func TestStatsAccounting(t *testing.T) {
 	if s.ReduceLaunches != 1 {
 		t.Errorf("ReduceLaunches = %d, want 1", s.ReduceLaunches)
 	}
-	d.ResetStats()
+	d.resetStats()
 	if s := d.Stats(); s.Launches != 0 || s.ThreadsTotal != 0 {
-		t.Error("ResetStats did not zero counters")
+		t.Error("resetStats did not zero counters")
 	}
 }
 

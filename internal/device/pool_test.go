@@ -65,7 +65,7 @@ func TestLaunchStagesWeightScalesGrain(t *testing.T) {
 }
 
 // TestPoolDispatchMatchesChunkReference checks pooled LaunchRange and
-// ReduceSum on 6 workers against a serial reference over the same plan
+// reduceSum on 6 workers against a serial reference over the same plan
 // partition: every element written once, and the reduction equal bit for
 // bit to the chunk partials summed in chunk order.
 func TestPoolDispatchMatchesChunkReference(t *testing.T) {
@@ -99,8 +99,8 @@ func TestPoolDispatchMatchesChunkReference(t *testing.T) {
 		}
 		want += partial
 	}
-	if got := pooled.ReduceSum(n, func(i int) float64 { return x[i] }); got != want {
-		t.Errorf("pooled ReduceSum = %v, chunk-order reference = %v (must be bit-identical)", got, want)
+	if got := pooled.reduceSum(n, func(i int) float64 { return x[i] }); got != want {
+		t.Errorf("pooled reduceSum = %v, chunk-order reference = %v (must be bit-identical)", got, want)
 	}
 }
 

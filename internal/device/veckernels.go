@@ -22,8 +22,8 @@ import (
 //
 // They sit inside every power/Lanczos iteration, so they are written to the
 // same kernel-floor discipline as the butterfly stages (see DESIGN.md §5.6):
-// each launch dispatches CHUNK bodies, not per-element closures — the old
-// ReduceSum(func(i)…) form paid an indirect call per element. Dot, Norm2,
+// each launch dispatches CHUNK bodies, not per-element closures, which
+// would pay an indirect call per element. Dot, Norm2,
 // ResidualNorm2 and the two power passes reduce over vec's 4-lane kernels
 // (vec.DotLanes, vec.SumSq, vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq),
 // with their AVX2 bodies; Sum, Norm1 and NormInf over vec.Sum, vec.Norm1

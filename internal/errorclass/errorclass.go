@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/dense"
-	"repro/internal/landscape"
 	"repro/internal/span"
 	"repro/internal/vec"
 )
@@ -119,24 +118,11 @@ func New(phi []float64, p float64) (*Reduction, error) {
 	return &Reduction{nu: nu, p: p, phi: cp, w: w, qGamma: qg}, nil
 }
 
-// FromLandscape builds the reduction for any class-based landscape,
-// returning an error for landscapes without class structure.
-func FromLandscape(l landscape.Landscape, p float64) (*Reduction, error) {
-	phi, ok := landscape.ClassBased(l)
-	if !ok {
-		return nil, fmt.Errorf("errorclass: landscape %T is not error-class structured", l)
-	}
-	return New(phi, p)
-}
-
 // ChainLen returns ν.
 func (r *Reduction) ChainLen() int { return r.nu }
 
 // Matrix returns the reduced matrix W̃ = QΓ·diag(ϕ) (a copy).
 func (r *Reduction) Matrix() *dense.Matrix { return r.w.Clone() }
-
-// MutationMatrix returns QΓ (a copy).
-func (r *Reduction) MutationMatrix() *dense.Matrix { return r.qGamma.Clone() }
 
 // Result is the solved reduced eigenproblem.
 type Result struct {
@@ -211,22 +197,6 @@ func (r *Reduction) SolveFrom(start []float64) (*Result, error) {
 	vec.Normalize1(v)
 	res.ClassVector = v
 	return res, nil
-}
-
-// RescaleToGamma converts a reduced eigenvector vΓ into cumulative class
-// concentrations [Γ_k] = C(ν,k)·vΓ_k / Σ_j C(ν,j)·vΓ_j.
-func RescaleToGamma(classVector []float64) []float64 {
-	nu := len(classVector) - 1
-	gamma := make([]float64, nu+1)
-	var denom float64
-	for k, v := range classVector {
-		gamma[k] = bits.BinomialFloat(nu, k) * v
-		denom += gamma[k]
-	}
-	for k := range gamma {
-		gamma[k] /= denom
-	}
-	return gamma
 }
 
 // Expand materializes the full 2^ν eigenvector from the reduced one:
@@ -321,7 +291,7 @@ func (r *Reduction) SolveShiftInvertFrom(start []float64) (*Result, error) {
 		// at the current Rayleigh quotient.
 		var sp span.Handle
 		if sr != nil {
-			sp = sr.Begin(span.LayerCore, "shift_factor") // core.PhaseShiftFactor
+			sp = sr.Begin(span.LayerCore, "shift_factor")
 		}
 		a := m.Clone()
 		a.AddDiag(-lambda)

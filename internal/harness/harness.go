@@ -75,12 +75,6 @@ func ModelN2(nu int) float64 {
 	return n * n
 }
 
-// ModelNLogN is the Θ(N·log₂N) cost of Fmmp per product.
-func ModelNLogN(nu int) float64 {
-	n := math.Pow(2, float64(nu))
-	return n * float64(nu)
-}
-
 // ModelNNeighborhood returns the Θ(N·Σ_{k≤dmax}C(ν,k)) cost of Xmvp(dmax).
 func ModelNNeighborhood(dmax int) ScalingModel {
 	return func(nu int) float64 {

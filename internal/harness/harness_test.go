@@ -60,13 +60,9 @@ func TestFitConstantNoSamples(t *testing.T) {
 }
 
 func TestModelsGrowCorrectly(t *testing.T) {
-	// N² model quadruples per +1 of ν; N·log₂N slightly more than doubles.
+	// N² model quadruples per +1 of ν.
 	if r := ModelN2(11) / ModelN2(10); math.Abs(r-4) > 1e-12 {
 		t.Errorf("N² ratio %g", r)
-	}
-	r := ModelNLogN(11) / ModelNLogN(10)
-	if r < 2 || r > 2.5 {
-		t.Errorf("NlogN ratio %g", r)
 	}
 	// Neighborhood model with dmax=ν equals N·(Σ all C) = N·2^ν = N².
 	m := ModelNNeighborhood(10)

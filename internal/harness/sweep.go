@@ -130,17 +130,6 @@ func (s *SweepStats) TotalIterations() int {
 	return t
 }
 
-// WarmPoints counts the warm-started points.
-func (s *SweepStats) WarmPoints() int {
-	n := 0
-	for _, w := range s.Warm {
-		if w {
-			n++
-		}
-	}
-	return n
-}
-
 // ThresholdSweepOpts computes the Figure 1 curves for a class-based
 // landscape: for each error rate the dominant eigenvector, accumulated
 // into the error classes. It runs the exact Section 5.1 reduction, which
@@ -341,7 +330,8 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 // round (k-section search): each round shrinks the bracket by a factor k+1
 // instead of 2, so the round count drops from log₂(Δ/tol) to
 // log_{k+1}(Δ/tol) while every round costs one parallel batch of reduced
-// solves. Workers ≤ 1 reproduces plain bisection exactly.
+// solves. Workers ≤ 1 reproduces plain bisection exactly. A tol ≤ 0
+// selects 1e-5; a NaN or infinite tol is an error.
 func LocateThresholdOpts(l landscape.Landscape, lo, hi, tol float64, opts SweepOptions) (float64, error) {
 	phi, ok := landscape.ClassBased(l)
 	if !ok {
@@ -349,6 +339,9 @@ func LocateThresholdOpts(l landscape.Landscape, lo, hi, tol float64, opts SweepO
 	}
 	if !(lo > 0 && hi > lo && hi <= 0.5) {
 		return 0, fmt.Errorf("harness: invalid bracket [%g, %g]", lo, hi)
+	}
+	if math.IsNaN(tol) || math.IsInf(tol, 0) {
+		return 0, fmt.Errorf("harness: tolerance %g must be finite", tol)
 	}
 	if tol <= 0 {
 		tol = 1e-5

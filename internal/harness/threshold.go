@@ -18,8 +18,8 @@ import (
 //
 //	p_max ≈ 1 − σ^(−1/ν)  (≈ ln(σ)/ν for small p).
 func TheoreticalThreshold(sigma float64, nu int) (float64, error) {
-	if sigma <= 1 {
-		return 0, fmt.Errorf("harness: superiority σ = %g must exceed 1", sigma)
+	if !(sigma > 1) || math.IsInf(sigma, 1) {
+		return 0, fmt.Errorf("harness: superiority σ = %g must be finite and exceed 1", sigma)
 	}
 	if nu < 1 {
 		return 0, fmt.Errorf("harness: ν = %d must be positive", nu)

@@ -20,8 +20,10 @@ func TestTheoreticalThreshold(t *testing.T) {
 	if math.Abs(got-math.Ln2/20) > 0.001 {
 		t.Errorf("p_max = %g far from ln2/ν = %g", got, math.Ln2/20)
 	}
-	if _, err := TheoreticalThreshold(1, 20); err == nil {
-		t.Error("σ ≤ 1 must be rejected")
+	for _, sigma := range []float64{1, math.NaN(), math.Inf(1)} {
+		if p, err := TheoreticalThreshold(sigma, 20); err == nil {
+			t.Errorf("σ = %g must be rejected, got p_max = %g", sigma, p)
+		}
 	}
 	if _, err := TheoreticalThreshold(2, 0); err == nil {
 		t.Error("ν < 1 must be rejected")
@@ -78,6 +80,11 @@ func TestLocateThresholdBracketValidation(t *testing.T) {
 	}
 	if _, err := LocateThresholdOpts(l, -1, 0.1, 1e-4, SweepOptions{Workers: 1}); err == nil {
 		t.Error("invalid bracket must error")
+	}
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if p, err := LocateThresholdOpts(l, 0.01, 0.1, tol, SweepOptions{Workers: 1}); err == nil {
+			t.Errorf("tol = %g must error, got p_max = %g", tol, p)
+		}
 	}
 	// No threshold for the linear landscape within a sensible bracket: the
 	// decay is smooth, but the criterion still crosses somewhere — verify

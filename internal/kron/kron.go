@@ -72,9 +72,6 @@ func NewSystem(factors []Factor) (*System, error) {
 // ChainLen returns the total chain length ν = Σ gᵢ.
 func (s *System) ChainLen() int { return s.nu }
 
-// NumFactors returns g, the number of independent subproblems.
-func (s *System) NumFactors() int { return len(s.factors) }
-
 // SolveOptions configures the per-factor eigensolves.
 type SolveOptions struct {
 	// Tol is the per-factor residual threshold (default: the

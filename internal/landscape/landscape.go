@@ -8,11 +8,12 @@
 //   - the random landscape f₀ = c, fᵢ = σ·(η_rnd(i)+0.5) of Eq. 13
 //     (Section 4's experiments), realized with a counter-based hash so any
 //     fᵢ is random-accessible without storing N values;
-//   - explicit vector landscapes (the fully general diagonal F);
-//   - Kronecker landscapes F = ⊗ᵢ F_{Gᵢ} (Eq. 18, Section 5.2), which stay
-//     implicit and therefore support chain lengths far beyond 2^ν storage.
+//   - explicit vector landscapes (the fully general diagonal F).
 //
-// All fitness values must be strictly positive, as required for the
+// Kronecker landscapes F = ⊗ᵢ F_{Gᵢ} (Eq. 18, Section 5.2) stay factored
+// in internal/kron, which solves them one factor at a time.
+//
+// All fitness values must be positive and finite, as required for the
 // Perron–Frobenius argument that makes the dominant eigenvector unique and
 // non-negative.
 package landscape
@@ -42,8 +43,13 @@ type Landscape interface {
 	Bounds() (lo, hi float64)
 }
 
-// ErrNonPositive is returned by constructors for fitness values ≤ 0.
-var ErrNonPositive = errors.New("landscape: fitness values must be strictly positive")
+// ErrNonPositive is returned by constructors for fitness values that are
+// not positive and finite: ≤ 0, NaN or +Inf.
+var ErrNonPositive = errors.New("landscape: fitness values must be positive and finite")
+
+// positive reports whether v is a valid fitness value: v > 0 and finite.
+// NaN fails the comparison.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Materialize returns the explicit vector diag(F). Θ(N) memory.
 func Materialize(l Landscape) []float64 {
@@ -67,7 +73,7 @@ type SinglePeak struct {
 
 // NewSinglePeak constructs a single-peak landscape.
 func NewSinglePeak(nu int, peak, base float64) (*SinglePeak, error) {
-	if peak <= 0 || base <= 0 {
+	if !positive(peak) || !positive(base) {
 		return nil, fmt.Errorf("%w: peak %g, base %g", ErrNonPositive, peak, base)
 	}
 	bits.SpaceSize(nu) // validates nu
@@ -109,7 +115,7 @@ type Linear struct {
 // NewLinear constructs a linear landscape with f₀ = f0 and f at maximum
 // distance = fnu.
 func NewLinear(nu int, f0, fnu float64) (*Linear, error) {
-	if f0 <= 0 || fnu <= 0 {
+	if !positive(f0) || !positive(fnu) {
 		return nil, fmt.Errorf("%w: f0 %g, fν %g", ErrNonPositive, f0, fnu)
 	}
 	if nu < 1 {
@@ -155,7 +161,7 @@ func NewErrorClass(phi []float64) (*ErrorClass, error) {
 	bits.SpaceSize(nu)
 	lo, hi := phi[0], phi[0]
 	for k, v := range phi {
-		if v <= 0 {
+		if !positive(v) {
 			return nil, fmt.Errorf("%w: ϕ(%d) = %g", ErrNonPositive, k, v)
 		}
 		lo = math.Min(lo, v)
@@ -231,7 +237,7 @@ type Random struct {
 // NewRandom constructs the Eq. 13 landscape. The paper requires c > 0 and
 // σ ∈ (0, c/2), which guarantees f₀ = c is the unique fittest sequence.
 func NewRandom(nu int, c, sigma float64, seed uint64) (*Random, error) {
-	if c <= 0 {
+	if !positive(c) {
 		return nil, fmt.Errorf("%w: c = %g", ErrNonPositive, c)
 	}
 	if !(sigma > 0 && sigma < c/2) {
@@ -293,7 +299,7 @@ func NewVector(f []float64) (*Vector, error) {
 	}
 	lo, hi := f[0], f[0]
 	for i, v := range f {
-		if v <= 0 {
+		if !positive(v) {
 			return nil, fmt.Errorf("%w: f[%d] = %g", ErrNonPositive, i, v)
 		}
 		lo = math.Min(lo, v)
@@ -342,7 +348,7 @@ type Uniform struct {
 
 // NewUniform constructs a flat landscape.
 func NewUniform(nu int, value float64) (*Uniform, error) {
-	if value <= 0 {
+	if !positive(value) {
 		return nil, fmt.Errorf("%w: %g", ErrNonPositive, value)
 	}
 	bits.SpaceSize(nu)

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/bits"
-	"repro/internal/rng"
 )
 
 func checkBounds(t *testing.T, l Landscape) {
@@ -270,83 +268,6 @@ func TestMaterializeMatchesAt(t *testing.T) {
 		if f[i] != r.At(uint64(i)) {
 			t.Fatalf("Materialize differs at %d", i)
 		}
-	}
-}
-
-func TestKroneckerLandscape(t *testing.T) {
-	k, err := NewKronecker([][]float64{{1, 2}, {3, 4, 5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.ChainLen() != 3 || k.Dim() != 8 || k.NumFactors() != 2 {
-		t.Error("shape wrong")
-	}
-	// f(i) = factor0[bit0] * factor1[bits 1..2].
-	want := []float64{1 * 3, 2 * 3, 1 * 4, 2 * 4, 1 * 5, 2 * 5, 1 * 6, 2 * 6}
-	for i := range want {
-		if got := k.At(uint64(i)); got != want[i] {
-			t.Errorf("f[%d] = %g, want %g", i, got, want[i])
-		}
-	}
-	if k.DegreesOfFreedom() != 6 {
-		t.Errorf("DoF = %d, want 6", k.DegreesOfFreedom())
-	}
-	checkBounds(t, k)
-}
-
-func TestKroneckerEqualsExplicitProduct(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		var factors [][]float64
-		total := 0
-		for total < 5 {
-			g := 1 + int(r.Uint64n(2))
-			fac := make([]float64, 1<<g)
-			for i := range fac {
-				fac[i] = 0.5 + r.Float64()
-			}
-			factors = append(factors, fac)
-			total += g
-		}
-		k, err := NewKronecker(factors)
-		if err != nil {
-			return false
-		}
-		// Explicit product over the bits.
-		for i := uint64(0); i < uint64(k.Dim()); i++ {
-			want := 1.0
-			off := 0
-			for _, fac := range factors {
-				g := 0
-				for 1<<g < len(fac) {
-					g++
-				}
-				want *= fac[(i>>uint(off))&uint64(len(fac)-1)]
-				off += g
-			}
-			if math.Abs(k.At(i)-want) > 1e-14*want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKroneckerValidation(t *testing.T) {
-	if _, err := NewKronecker(nil); err == nil {
-		t.Error("empty factor list must be rejected")
-	}
-	if _, err := NewKronecker([][]float64{{1, 2, 3}}); err == nil {
-		t.Error("non-power-of-two factor must be rejected")
-	}
-	if _, err := NewKronecker([][]float64{{1, -2}}); !errors.Is(err, ErrNonPositive) {
-		t.Error("negative factor entry must be rejected")
-	}
-	if _, err := NewKronecker([][]float64{{1}}); err == nil {
-		t.Error("length-1 factor must be rejected")
 	}
 }
 

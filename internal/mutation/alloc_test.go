@@ -75,7 +75,7 @@ func TestFWHTDoesNotAllocate(t *testing.T) {
 }
 
 func TestXmvpApplyDoesNotAllocate(t *testing.T) {
-	x := MustXmvp(12, 0.01, 3)
+	x := mustXmvp(12, 0.01, 3)
 	src := make([]float64, x.Dim())
 	dst := make([]float64, x.Dim())
 	vec.Fill(src, 1)

@@ -18,7 +18,7 @@ func TestGrayReorderedQBandStructure(t *testing.T) {
 	n := bits.SpaceSize(nu)
 	wantOffDiag := qv[1] // p·(1−p)^(ν−1)
 	for i := 0; i < n-1; i++ {
-		gi, gj := bits.Gray(uint64(i)), bits.Gray(uint64(i+1))
+		gi, gj := gray(uint64(i)), gray(uint64(i+1))
 		entry := qv[bits.Hamming(gi, gj)]
 		if math.Abs(entry-wantOffDiag) > 1e-18 {
 			t.Fatalf("Gray-ordered Q[%d][%d] = %g, want constant %g", i, i+1, entry, wantOffDiag)
@@ -44,7 +44,7 @@ func TestGrayPermutationPreservesSpectrum(t *testing.T) {
 	qp := Dense(nu, p)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			qp.Set(i, j, q.At(int(bits.Gray(uint64(i))), int(bits.Gray(uint64(j)))))
+			qp.Set(i, j, q.At(int(gray(uint64(i))), int(gray(uint64(j)))))
 		}
 	}
 	// Both are symmetric stochastic with the same spectrum; compare the
@@ -60,3 +60,6 @@ func TestGrayPermutationPreservesSpectrum(t *testing.T) {
 		t.Errorf("tr(Q²) changed under permutation: %g vs %g", tr, trp)
 	}
 }
+
+// gray returns the i-th Gray code value, i XOR i/2.
+func gray(i uint64) uint64 { return i ^ i>>1 }

@@ -59,15 +59,6 @@ func NewXmvp(nu int, p float64, dmax int) (*Xmvp, error) {
 	return x, nil
 }
 
-// MustXmvp is NewXmvp that panics on error.
-func MustXmvp(nu int, p float64, dmax int) *Xmvp {
-	x, err := NewXmvp(nu, p, dmax)
-	if err != nil {
-		panic(err)
-	}
-	return x
-}
-
 // ChainLen returns ν.
 func (x *Xmvp) ChainLen() int { return x.nu }
 

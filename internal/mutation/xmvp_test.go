@@ -18,7 +18,7 @@ func TestXmvpFullMatchesDense(t *testing.T) {
 		r := rng.New(seed)
 		nu := 1 + int(r.Uint64n(9))
 		p := 0.001 + 0.499*r.Float64()
-		x := MustXmvp(nu, p, nu)
+		x := mustXmvp(nu, p, nu)
 		v := randVector(r, x.Dim())
 		want := make([]float64, x.Dim())
 		Dense(nu, p).MatVec(want, v)
@@ -36,7 +36,7 @@ func TestXmvpFullMatchesFmmp(t *testing.T) {
 	for _, nu := range []int{4, 8, 12} {
 		const p = 0.01
 		q := MustUniform(nu, p)
-		x := MustXmvp(nu, p, nu)
+		x := mustXmvp(nu, p, nu)
 		v := randVector(r, q.Dim())
 		fm := vec.Clone(v)
 		q.Apply(fm)
@@ -65,10 +65,10 @@ func TestXmvpTruncationErrorDecreasesWithDmax(t *testing.T) {
 
 	prevErr := math.Inf(1)
 	for dmax := 0; dmax <= nu; dmax++ {
-		x := MustXmvp(nu, p, dmax)
+		x := mustXmvp(nu, p, dmax)
 		approx := make([]float64, q.Dim())
 		x.Apply(approx, v)
-		errNorm := vec.Dist2(approx, exact)
+		errNorm := dist2(approx, exact)
 		if errNorm > prevErr*(1+1e-12) {
 			t.Errorf("dmax=%d: error %g did not decrease from %g", dmax, errNorm, prevErr)
 		}
@@ -84,7 +84,7 @@ func TestXmvpTruncationErrorDecreasesWithDmax(t *testing.T) {
 
 func TestXmvpMaskCount(t *testing.T) {
 	for _, c := range []struct{ nu, dmax int }{{10, 1}, {10, 3}, {25, 5}, {8, 8}} {
-		x := MustXmvp(c.nu, 0.01, c.dmax)
+		x := mustXmvp(c.nu, 0.01, c.dmax)
 		if got, want := uint64(x.MaskCount()), bits.NeighborhoodSize(c.nu, c.dmax); got != want {
 			t.Errorf("ν=%d dmax=%d: %d masks, want %d", c.nu, c.dmax, got, want)
 		}
@@ -92,7 +92,7 @@ func TestXmvpMaskCount(t *testing.T) {
 }
 
 func TestXmvpDmaxClamped(t *testing.T) {
-	x := MustXmvp(6, 0.01, 100)
+	x := mustXmvp(6, 0.01, 100)
 	if x.DMax() != 6 {
 		t.Errorf("DMax = %d, want clamped 6", x.DMax())
 	}
@@ -100,7 +100,7 @@ func TestXmvpDmaxClamped(t *testing.T) {
 
 func TestXmvpDeviceMatchesSerial(t *testing.T) {
 	r := rng.New(5)
-	x := MustXmvp(10, 0.02, 3)
+	x := mustXmvp(10, 0.02, 3)
 	v := randVector(r, x.Dim())
 	serial := make([]float64, x.Dim())
 	x.Apply(serial, v)
@@ -129,7 +129,7 @@ func TestXmvpValidation(t *testing.T) {
 }
 
 func TestXmvpAliasPanics(t *testing.T) {
-	x := MustXmvp(4, 0.1, 2)
+	x := mustXmvp(4, 0.1, 2)
 	v := make([]float64, 16)
 	defer func() {
 		if recover() == nil {
@@ -137,4 +137,23 @@ func TestXmvpAliasPanics(t *testing.T) {
 		}
 	}()
 	x.Apply(v, v)
+}
+
+// mustXmvp is NewXmvp that panics on error.
+func mustXmvp(nu int, p float64, dmax int) *Xmvp {
+	x, err := NewXmvp(nu, p, dmax)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
+// dist2 returns ‖x − y‖₂ of equal-length x and y.
+func dist2(x, y []float64) float64 {
+	var s float64
+	for i, xv := range x {
+		d := xv - y[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }

@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -96,17 +95,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the seconds elapsed since start, clamped at zero:
-// a wall-clock step backwards (NTP slew, VM migration) must not push a
-// duration histogram's sum below its buckets' implied minimum.
-func (h *Histogram) ObserveSince(start time.Time) {
-	d := time.Since(start)
-	if d < 0 {
-		d = 0
-	}
-	h.Observe(d.Seconds())
 }
 
 // Count returns the number of observations.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -135,15 +134,10 @@ func TestHistogramObserveGuards(t *testing.T) {
 	if h.Count() != 1 || h.Sum() != 0.5 {
 		t.Fatalf("after NaN observe: count=%d sum=%g, want 1, 0.5", h.Count(), h.Sum())
 	}
-	// A start time in the future (clock stepped back) clamps to zero.
-	h.ObserveSince(time.Now().Add(time.Hour))
-	if h.Count() != 2 || h.Sum() != 0.5 {
-		t.Fatalf("after future ObserveSince: count=%d sum=%g, want 2, 0.5", h.Count(), h.Sum())
-	}
 	// -Inf and +Inf still land in buckets without breaking cumulative order.
 	h.Observe(math.Inf(1))
-	if h.Count() != 3 {
-		t.Fatalf("count after +Inf observe = %d, want 3", h.Count())
+	if h.Count() != 2 {
+		t.Fatalf("count after +Inf observe = %d, want 2", h.Count())
 	}
 }
 

@@ -52,7 +52,7 @@ func TestTelemetryEndpointLifecycle(t *testing.T) {
 
 	// Wait for a few ticks so windowed aggregates have ≥ 2 points.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Get("runtime.heap_bytes").Len() < 3 {
+	for len(s.Get("runtime.heap_bytes").Snapshot()) < 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("sampler produced < 3 ticks in 5s")
 		}

@@ -87,15 +87,6 @@ func (s *TimeSeries) Kind() SeriesKind { return s.kind }
 // Capacity returns the ring capacity.
 func (s *TimeSeries) Capacity() int { return len(s.ts) }
 
-// Len returns the number of currently retained points.
-func (s *TimeSeries) Len() int {
-	n := s.n.Load()
-	if n > int64(len(s.ts)) {
-		return len(s.ts)
-	}
-	return int(n)
-}
-
 // Total returns the number of points ever appended.
 func (s *TimeSeries) Total() int64 { return s.n.Load() }
 

@@ -17,8 +17,8 @@ func TestTimeSeriesWrapAround(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Append(ts(int64(i)), float64(i))
 	}
-	if got := s.Len(); got != 16 {
-		t.Fatalf("Len = %d, want 16", got)
+	if got := len(s.Snapshot()); got != 16 {
+		t.Fatalf("retained %d points, want 16", got)
 	}
 	if got := s.Total(); got != 40 {
 		t.Fatalf("Total = %d, want 40", got)
@@ -43,8 +43,8 @@ func TestTimeSeriesCapacityFloorAndNaN(t *testing.T) {
 		t.Fatalf("Capacity = %d, want 16", s.Capacity())
 	}
 	s.Append(ts(1), math.NaN())
-	if s.Len() != 0 {
-		t.Fatalf("NaN was retained: Len = %d", s.Len())
+	if n := len(s.Snapshot()); n != 0 {
+		t.Fatalf("NaN was retained: %d points", n)
 	}
 	s.Append(ts(2), 5)
 	st, ok := s.Window(time.Time{})

@@ -65,15 +65,6 @@ func (s *System) RHS(dst, x []float64) {
 	vec.AXPY(-phi, x, dst)
 }
 
-// LinearRHS evaluates the linearized field dst ← W·x (the Bernoulli
-// transform of the system). dst must not alias x.
-func (s *System) LinearRHS(dst, x []float64) {
-	if &dst[0] == &x[0] {
-		panic("ode: LinearRHS dst must not alias x")
-	}
-	s.op.Apply(dst, x)
-}
-
 // MasterStart returns the model's canonical initial condition x₀ = 1
 // (only the master sequence present), normalized on the simplex.
 func MasterStart(n int) []float64 {

@@ -4,8 +4,7 @@
 // resolution levels"):
 //
 //   - hierarchical coarsening: the distribution aggregated over blocks of
-//     2^s consecutive sequences, for every level s — a full pyramid in
-//     Θ(N) total work;
+//     2^s consecutive sequences at any level s;
 //   - per-position marginals P(bit k = 1) and pairwise joint probabilities
 //     P(bit j = 1 ∧ bit k = 1), obtainable either by direct accumulation
 //     or — fittingly for this paper — from the Walsh spectrum of the
@@ -52,25 +51,6 @@ func Coarsen(x []float64, level int) ([]float64, error) {
 		out[b] = s
 	}
 	return out, nil
-}
-
-// Pyramid returns all coarsening levels 0…ν, computed bottom-up so the
-// total work is Θ(N) (each level halves the previous one).
-func Pyramid(x []float64) ([][]float64, error) {
-	n := len(x)
-	if n == 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("resolution: length %d is not a power of two", n)
-	}
-	levels := [][]float64{append([]float64(nil), x...)}
-	for len(levels[len(levels)-1]) > 1 {
-		prev := levels[len(levels)-1]
-		next := make([]float64, len(prev)/2)
-		for i := range next {
-			next[i] = prev[2*i] + prev[2*i+1]
-		}
-		levels = append(levels, next)
-	}
-	return levels, nil
 }
 
 // Marginals returns P(bit k = 1) for every position k by direct
@@ -192,22 +172,4 @@ func TopK(x []float64, k int) []SequenceConcentration {
 		}
 	}
 	return buf
-}
-
-// ConsensusSequence returns the per-position majority sequence of the
-// distribution: bit k is set iff P(bit k = 1) > ½. For an ordered
-// quasispecies this recovers the master sequence; past the error
-// threshold it is meaningless — a cheap threshold diagnostic.
-func ConsensusSequence(x []float64) (uint64, error) {
-	p1, err := Marginals(x)
-	if err != nil {
-		return 0, err
-	}
-	var seq uint64
-	for k, p := range p1 {
-		if p > 0.5 {
-			seq |= 1 << uint(k)
-		}
-	}
-	return seq, nil
 }

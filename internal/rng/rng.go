@@ -1,8 +1,10 @@
 // Package rng provides a small, deterministic, splittable pseudo-random
-// number generator used for reproducible random fitness landscapes and for
-// property-based tests. It implements xoshiro256** seeded through
-// splitmix64, so streams are identical across platforms and Go releases
-// (unlike math/rand's global source, whose sequence is not guaranteed).
+// number generator for the tests: their random vectors, landscapes and
+// property-based cases. No solver route imports it; the random landscape
+// of Eq. 13 hashes its index instead. It implements xoshiro256** seeded
+// through splitmix64, so streams are identical across platforms and Go
+// releases (unlike math/rand's global source, whose sequence is not
+// guaranteed).
 package rng
 
 import (
@@ -74,14 +76,6 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// IntRange returns a uniform int in [lo, hi]. It panics if hi < lo.
-func (r *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange with hi < lo")
-	}
-	return lo + int(r.Uint64n(uint64(hi-lo+1)))
-}
-
 // Normal returns a standard normal variate via the polar Marsaglia method.
 func (r *Source) Normal() float64 {
 	for {
@@ -91,17 +85,5 @@ func (r *Source) Normal() float64 {
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
-	}
-}
-
-// Perm fills out with a uniform random permutation of 0..len(out)-1
-// using Fisher–Yates.
-func (r *Source) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := int(r.Uint64n(uint64(i + 1)))
-		out[i], out[j] = out[j], out[i]
 	}
 }

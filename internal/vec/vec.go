@@ -230,33 +230,10 @@ func DistInf(x, y []float64) float64 {
 	return m
 }
 
-// Dist2 returns ‖x − y‖₂. It panics if the lengths differ.
-func Dist2(x, y []float64) float64 {
-	checkLen("Dist2", len(x), len(y))
-	var s float64
-	for i, xv := range x {
-		d := xv - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // AllFinite reports whether every entry of x is finite (no NaN or ±Inf).
 func AllFinite(x []float64) bool {
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllNonNegative reports whether every entry of x is ≥ −tol. The Perron
-// eigenvector is mathematically non-negative; tiny negative round-off is
-// tolerated by callers that pass a small tol.
-func AllNonNegative(x []float64, tol float64) bool {
-	for _, v := range x {
-		if v < -tol {
 			return false
 		}
 	}

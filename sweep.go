@@ -134,7 +134,8 @@ func convertThresholdPoints(pts []harness.ThresholdPoint) []ThresholdPoint {
 // LocateErrorThreshold bisects the critical error rate p_max at which the
 // ordered quasispecies of a class-based landscape collapses into the
 // uniform distribution (the Figure 1 phase transition), searching the
-// bracket [lo, hi] to within tol.
+// bracket [lo, hi] to within tol. A tol ≤ 0 selects 1e-5; a NaN or
+// infinite tol is an error.
 func LocateErrorThreshold(l Landscape, lo, hi, tol float64) (float64, error) {
 	return LocateErrorThresholdWith(l, lo, hi, tol, SweepOptions{})
 }
@@ -169,7 +170,7 @@ func normalizeSweepWorkers(n int) int {
 
 // TheoreticalErrorThreshold returns the first-order estimate
 // p_max ≈ 1 − σ^(−1/ν) for a single-peak landscape with superiority
-// σ = f₀/f_base.
+// σ = f₀/f_base, which must be finite and exceed 1.
 func TheoreticalErrorThreshold(sigma float64, chainLen int) (float64, error) {
 	return harness.TheoreticalThreshold(sigma, chainLen)
 }
