@@ -46,14 +46,14 @@ func perronLike(r *rng.Source, n int) []float64 {
 }
 
 // Concentrations gives the bits of the written-out NormInf, clamp and
-// Normalize1 sequence, on both kernel paths, and its significant-negative
+// Normalize1 sequence at every kernel tier, and its significant-negative
 // error names the same entry.
 func TestConcentrationsMatchesSequence(t *testing.T) {
-	was := vec.SetAVX2(true)
-	defer vec.SetAVX2(was)
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
 	r := rng.New(83)
-	for _, avx := range []bool{true, false} {
-		vec.SetAVX2(avx)
+	for _, tier := range vec.Tiers() {
+		vec.SetTier(tier)
 		for _, n := range []int{1, 2, 7, 64, 1001, 4096} {
 			x := perronLike(r, n)
 			want := append([]float64(nil), x...)
@@ -61,18 +61,18 @@ func TestConcentrationsMatchesSequence(t *testing.T) {
 				t.Fatalf("n=%d: reference rejects entry %d", n, i)
 			}
 			if err := Concentrations(x); err != nil {
-				t.Fatalf("avx=%v n=%d: %v", vec.UseAVX2(), n, err)
+				t.Fatalf("tier=%v n=%d: %v", tier, n, err)
 			}
 			for i := range want {
 				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("avx=%v n=%d: entry %d = %v, the sequence gives %v", vec.UseAVX2(), n, i, x[i], want[i])
+					t.Fatalf("tier=%v n=%d: entry %d = %v, the sequence gives %v", tier, n, i, x[i], want[i])
 				}
 			}
 			bad := perronLike(r, n)
 			bad[n/2] = -1e-3
 			i := concentrationsBySequence(append([]float64(nil), bad...))
 			if err := Concentrations(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("entry %d ", i)) {
-				t.Fatalf("avx=%v n=%d: error %v, want one naming entry %d", vec.UseAVX2(), n, err, i)
+				t.Fatalf("tier=%v n=%d: error %v, want one naming entry %d", tier, n, err, i)
 			}
 		}
 	}

@@ -130,14 +130,30 @@ func (s *SweepStats) TotalIterations() int {
 	return t
 }
 
+// ValidateGrid checks every error rate of a sweep grid (finite, in (0, ½])
+// before any solve, so a bad point costs no solve and its error, which
+// wraps mutation.ErrInvalidRate, names the point's index and value.
+func ValidateGrid(ps []float64) error {
+	for i, p := range ps {
+		if err := mutation.ValidateRate(p); err != nil {
+			return fmt.Errorf("harness: point %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // ThresholdSweepOpts computes the Figure 1 curves for a class-based
 // landscape: for each error rate the dominant eigenvector, accumulated
 // into the error classes. It runs the exact Section 5.1 reduction, which
 // the reproduction tests verify against the full Pi(Fmmp) solve, scheduled
 // over opts.Workers concurrent workers, with warm-start continuation along
 // each chain (the reduced iteration runs on M = QΓᵀ·diag(ϕ), so a
-// neighbor's Gamma vector is the exact warm start).
+// neighbor's Gamma vector is the exact warm start). The whole grid is
+// validated first (ValidateGrid).
 func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, *SweepStats, error) {
+	if err := ValidateGrid(ps); err != nil {
+		return nil, nil, err
+	}
 	phi, ok := landscape.ClassBased(l)
 	if !ok {
 		return nil, nil, fmt.Errorf("harness: threshold sweep needs a class-based landscape, got %T", l)
@@ -204,8 +220,12 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 // landscape diagonals of a base operator (FmmpOperator.WithProcess) and,
 // within a chain, is warm-started from the extrapolation through the
 // chain's last converged eigenvectors, built in place in the worker's
-// scratch next to the three history vectors it owns.
+// scratch next to the three history vectors it owns. The whole grid is
+// validated first (ValidateGrid).
 func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []float64, opts SweepOptions) ([]ThresholdPoint, *SweepStats, error) {
+	if err := ValidateGrid(ps); err != nil {
+		return nil, nil, err
+	}
 	baseOp, err := core.NewFmmpOperator(q, l, core.Right, opts.Dev)
 	if err != nil {
 		return nil, nil, err

@@ -14,6 +14,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/vec"
 )
 
 func sweepGrid(lo, hi float64, n int) []float64 {
@@ -784,4 +785,53 @@ func countWarm(s *SweepStats) int {
 		}
 	}
 	return n
+}
+
+// TestSweepBitIdenticalAcrossKernelTiers: CI's trace comparisons see only
+// the default kernel tier and QS_NOAVX2=1, so this switches the tier in
+// process instead. A warm ν = 10 full-space sweep with power, and one with
+// auto across the threshold (power, then Chebyshev), must give byte-identical ThresholdPoints and
+// the same per-point cost and gear at every tier the host has.
+func TestSweepBitIdenticalAcrossKernelTiers(t *testing.T) {
+	const nu = 10
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mutation.MustUniform(nu, 0.01)
+	pc := 1 - math.Pow(2, -1/float64(nu))
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	tiers := vec.Tiers()
+	grids := map[core.SolveMethod][]float64{
+		core.SolvePower: sweepGrid(0.2*pc, 0.8*pc, 16),
+		core.SolveAuto:  sweepGrid(0.3*pc, 1.1*pc, 16),
+	}
+	for method, ps := range grids {
+		var ref []ThresholdPoint
+		var refStats *SweepStats
+		for _, tier := range tiers {
+			vec.SetTier(tier)
+			pts, stats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, WarmStart: true, Method: method})
+			if err != nil {
+				t.Fatalf("%v at %v: %v", method, tier, err)
+			}
+			if ref == nil {
+				ref, refStats = pts, stats
+				continue
+			}
+			for i := range ref {
+				for k := range ref[i].Gamma {
+					if math.Float64bits(pts[i].Gamma[k]) != math.Float64bits(ref[i].Gamma[k]) {
+						t.Fatalf("%v: point %d class %d is %v at %v, %v at %v",
+							method, i, k, pts[i].Gamma[k], tier, ref[i].Gamma[k], tiers[0])
+					}
+				}
+				if stats.Iterations[i] != refStats.Iterations[i] || stats.Methods[i] != refStats.Methods[i] {
+					t.Fatalf("%v: point %d costs %d matvecs (%s) at %v, %d (%s) at %v", method, i,
+						stats.Iterations[i], stats.Methods[i], tier, refStats.Iterations[i], refStats.Methods[i], tiers[0])
+				}
+			}
+		}
+	}
 }

@@ -13,12 +13,17 @@ import (
 // paper's headline property — a per-apply allocation would silently erode
 // it at scale.
 
+// TestFmmpApplyDoesNotAllocate: Apply allocates nothing at any kernel tier
+// (the assembly bodies are go:noescape), nor do its two oracles.
 func TestFmmpApplyDoesNotAllocate(t *testing.T) {
 	q := MustUniform(12, 0.01)
 	v := make([]float64, q.Dim())
 	vec.Fill(v, 1)
-	if allocs := testing.AllocsPerRun(10, func() { q.Apply(v) }); allocs != 0 {
-		t.Errorf("Fmmp Apply allocates %.0f objects per call", allocs)
+	for _, tier := range kernelTiers(t) {
+		vec.SetTier(tier)
+		if allocs := testing.AllocsPerRun(10, func() { q.Apply(v) }); allocs != 0 {
+			t.Errorf("tier=%v: Fmmp Apply allocates %.0f objects per call", tier, allocs)
+		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() { q.ApplyNaive(v) }); allocs != 0 {
 		t.Errorf("ApplyNaive allocates %.0f objects per call", allocs)

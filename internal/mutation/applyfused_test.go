@@ -55,8 +55,7 @@ func scaledDevices() map[string]*device.Device {
 // must reproduce Mul followed by Apply (serial) or
 // ApplyDevice exactly, for every butterfly kind, grouped layouts (the
 // grouped-first fallback and a group after a fused run), tile sizes below,
-// at and above N, in place and out of place, and on both the AVX2 and the
-// pure-Go kernels.
+// at and above N, in place and out of place, and at every kernel tier.
 func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 	r := rng.New(2027)
 	type proc struct {
@@ -73,8 +72,8 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 		proc{"grouped-first", groupedProcess(t, r, []int{2, 1, 1, 1, 3, 1})},
 		proc{"grouped-mid", groupedProcess(t, r, []int{1, 1, 3, 1, 2})})
 
-	for _, useAVX := range avxModes(t) {
-		vec.SetAVX2(useAVX)
+	for _, tier := range kernelTiers(t) {
+		vec.SetTier(tier)
 		for _, p := range procs {
 			q, n := p.q, p.q.Dim()
 			src, d := randVector(r, n), randVector(r, n)
@@ -95,8 +94,8 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 						for i := range want {
 							if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
 								math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("%s ν=%d tb=%d %s avx=%v: entry %d = %v (in place %v), Mul+Apply %v",
-									p.name, q.ChainLen(), tb, name, useAVX, i, got[i], inPlace[i], want[i])
+								t.Fatalf("%s ν=%d tb=%d %s tier=%v: entry %d = %v (in place %v), Mul+Apply %v",
+									p.name, q.ChainLen(), tb, name, tier, i, got[i], inPlace[i], want[i])
 							}
 						}
 					}
@@ -168,8 +167,8 @@ func separateEpilogue(q *Process, dev *device.Device, dst, src, pre []float64, e
 // group (ν ≥ 13, or small tiles) or, for a grouped last factor, its own
 // pass — must reproduce Apply → Mul → three-term bit for bit, for every
 // butterfly kind, every epilogue shape, with and without the leading scale,
-// serially and on 1/2/3 device workers, on the AVX2 and the pure-Go
-// kernels. The GOAMD64=v3 CI leg runs it with FMA contraction enabled.
+// serially and on 1/2/3 device workers, at every kernel tier. The
+// GOAMD64=v3 CI leg runs it with FMA contraction enabled.
 func TestApplyFusedEpilogueBitIdentical(t *testing.T) {
 	r := rng.New(2031)
 	type proc struct {
@@ -186,8 +185,8 @@ func TestApplyFusedEpilogueBitIdentical(t *testing.T) {
 		proc{"grouped-last", groupedProcess(t, r, []int{1, 1, 3, 1, 2})},
 		proc{"grouped-first", groupedProcess(t, r, []int{2, 1, 1, 1, 3, 1})})
 
-	for _, useAVX := range avxModes(t) {
-		vec.SetAVX2(useAVX)
+	for _, tier := range kernelTiers(t) {
+		vec.SetTier(tier)
 		for _, p := range procs {
 			q, n := p.q, p.q.Dim()
 			src, pre, post := randVector(r, n), randVector(r, n), randVector(r, n)
@@ -223,8 +222,8 @@ func TestApplyFusedEpilogueBitIdentical(t *testing.T) {
 								for i := range want {
 									if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
 										(shape.Out != nil && math.Float64bits(gotEp.Out[i]) != math.Float64bits(wantEp.Out[i])) {
-										t.Fatalf("%s ν=%d tb=%d %s %s pre=%v avx=%v: entry %d differs from the separate passes",
-											p.name, q.ChainLen(), tb, dname, sname, withPre, useAVX, i)
+										t.Fatalf("%s ν=%d tb=%d %s %s pre=%v tier=%v: entry %d differs from the separate passes",
+											p.name, q.ChainLen(), tb, dname, sname, withPre, tier, i)
 									}
 								}
 							}

@@ -14,9 +14,12 @@ package mutation
 // (blocked FWHT ≡ naive, fused ≡ radix-2) run against whichever path is
 // active.
 //
-// The dispatch gate is internal/vec's (vec.UseAVX2): one CPUID/XGETBV
-// check for the butterflies and the vector kernels around them, and
-// QS_NOAVX2=1 forces the pure-Go bodies of both.
+// The dispatch gates are internal/vec's (vec.UseAVX2, vec.UseAVX512): one
+// CPUID/XGETBV check for the butterflies and the vector kernels around
+// them, and QS_NOAVX2=1 forces the pure-Go bodies of both. Where AVX-512
+// is on, the four stochastic bodies run eight butterflies per instruction
+// (the avx512* twins below) on the shapes that fill a ZMM register, and the
+// AVX2 bodies take the rest.
 
 // The assembly kernels. n counts float64 elements and must be a positive
 // multiple of 4 (quad forms) resp. of 4·stride (tile forms, stride ≥ 4 a
@@ -48,3 +51,21 @@ func avxFirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64)
 //
 //go:noescape
 func avxPairS(u, w *float64, n int, b float64)
+
+// The AVX-512 twins of avxFirstS, avxTilePairS, avxQuadS and avxPairS: the
+// same arguments and per-element sequence, eight lanes wide. avx512FirstS
+// needs n a positive multiple of 32 and avx512TilePairS stride ≥ 8 a
+// multiple of 8; avx512QuadS and avx512PairS take any positive multiple of
+// 4, running a last four columns on YMM.
+
+//go:noescape
+func avx512FirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64)
+
+//go:noescape
+func avx512TilePairS(p *float64, n, stride int, b1, b2 float64)
+
+//go:noescape
+func avx512QuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
+
+//go:noescape
+func avx512PairS(u, w *float64, n int, b float64)

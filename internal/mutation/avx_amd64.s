@@ -273,3 +273,222 @@ psLoop:
 	JNZ  psLoop
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------------
+// AVX-512 bodies (DESIGN.md §5.6): the ZMM twins of avxFirstS,
+// avxTilePairS, avxQuadS and avxPairS, eight butterflies per instruction.
+// Each applies the per-element VSUBPD/VMULPD/VADDPD sequence of its YMM
+// twin and nothing else, so the three kernel tiers are bit-identical.
+// Layout changes only move data: they are VUNPCKLPD/VUNPCKHPD and
+// VSHUFF64X2, never arithmetic.
+
+// ZBFLYS is BFLYS on Z0..Z3 with temporaries Z4/Z5: stage B1 on the pairs
+// (Z0,Z1), (Z2,Z3), then stage B2 on (Z0,Z2), (Z1,Z3).
+#define ZBFLYS(B1, B2) \
+	BFLY2S(Z0, Z1, B1, Z4); \
+	BFLY2S(Z2, Z3, B1, Z5); \
+	BFLY2S(Z0, Z2, B2, Z4); \
+	BFLY2S(Z1, Z3, B2, Z5)
+
+// ZUNPCK swaps lane bit 0 with the register bit that tells A from B:
+// LO ← [A0 B0 A2 B2 A4 B4 A6 B6], HI ← [A1 B1 A3 B3 A5 B5 A7 B7].
+#define ZUNPCK(A, B, LO, HI) \
+	VUNPCKLPD B, A, LO; \
+	VUNPCKHPD B, A, HI
+
+// ZROT rotates three index bits of a register pair through 128-bit lane
+// moves: with q the 128-bit lane index (q = l1 + 2·l2 over lane bits l1,
+// l2) and r the bit that tells A from B, LO ← [A.q0 A.q2 B.q0 B.q2] and
+// HI ← [A.q1 A.q3 B.q1 B.q3], so the new r is the old l1, the new l1 the
+// old l2 and the new l2 the old r. Applied three times it is the identity.
+#define ZROT(A, B, LO, HI) \
+	VSHUFF64X2 $0x88, B, A, LO; \
+	VSHUFF64X2 $0xDD, B, A, HI
+
+// func avx512FirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64)
+// avxFirstS on 32-element blocks. A block is four rows of eight, element
+// e = 8·r + l with index bits e0..e2 in the lane l and e3, e4 in the row r.
+// A stage is vertical (one BFLY2S per register pair) when its bit is a
+// register bit, so the body moves the stage bits into the registers:
+//
+//	load:            rows R0..R3:          registers (e3, e4), lanes (e0, e1, e2)
+//	ZUNPCK, ZROT:    registers (e0, e1), lanes (e3, e2, e4) → ZBFLYS(b1, b2)
+//	ZUNPCK, ZROT:    registers (e2, e3), lanes (e0, e4, e1) → ZBFLYS(b3, b4)
+//	ZROT:            back to the rows, stored to dst
+//
+// (Zk holds the elements whose first listed register bit is k mod 2 and
+// whose second is k/2, so ZBFLYS pairs them on the first bit, then the
+// second.) Every element goes through Mul → bfly4s(b1, b2) → bfly4s(b3, b4), the Go
+// and AVX2 sequence; pairs = 1 skips the second ZBFLYS but not the layout
+// changes. n > 0, a multiple of 32; dst may equal src.
+TEXT ·avx512FirstS(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ scale+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ pairs+32(FP), R8
+	VBROADCASTSD b1+40(FP), Z12
+	VBROADCASTSD b2+48(FP), Z13
+	VBROADCASTSD b3+56(FP), Z14
+	VBROADCASTSD b4+64(FP), Z15
+	SHLQ $3, CX
+	XORQ AX, AX
+zfsLoop:
+	VMOVUPD (SI)(AX*1), Z0
+	VMOVUPD 64(SI)(AX*1), Z1
+	VMOVUPD 128(SI)(AX*1), Z2
+	VMOVUPD 192(SI)(AX*1), Z3
+	TESTQ DX, DX
+	JZ    zfsStages
+	VMULPD (DX)(AX*1), Z0, Z0
+	VMULPD 64(DX)(AX*1), Z1, Z1
+	VMULPD 128(DX)(AX*1), Z2, Z2
+	VMULPD 192(DX)(AX*1), Z3, Z3
+zfsStages:
+	ZUNPCK(Z0, Z1, Z8, Z9)
+	ZUNPCK(Z2, Z3, Z10, Z11)
+	ZROT(Z8, Z10, Z0, Z2)
+	ZROT(Z9, Z11, Z1, Z3)
+	ZBFLYS(Z12, Z13)
+	ZUNPCK(Z0, Z1, Z8, Z9)
+	ZUNPCK(Z2, Z3, Z10, Z11)
+	ZROT(Z8, Z10, Z0, Z1)
+	ZROT(Z9, Z11, Z2, Z3)
+	CMPQ R8, $2
+	JNE  zfsStore
+	ZBFLYS(Z14, Z15)
+zfsStore:
+	ZROT(Z0, Z1, Z8, Z10)
+	ZROT(Z2, Z3, Z9, Z11)
+	VMOVUPD Z8, (DI)(AX*1)
+	VMOVUPD Z9, 64(DI)(AX*1)
+	VMOVUPD Z10, 128(DI)(AX*1)
+	VMOVUPD Z11, 192(DI)(AX*1)
+	ADDQ $256, AX
+	CMPQ AX, CX
+	JLT  zfsLoop
+	VZEROUPPER
+	RET
+
+// func avx512TilePairS(p *float64, n, stride int, b1, b2 float64)
+// avxTilePairS eight columns per iteration: stride ≥ 8 a multiple of 8, n a
+// multiple of 4·stride.
+TEXT ·avx512TilePairS(SB), NOSPLIT, $0-40
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), SI
+	MOVQ stride+16(FP), DX
+	VBROADCASTSD b1+24(FP), Z6
+	VBROADCASTSD b2+32(FP), Z7
+	SHLQ $3, DX
+	SHLQ $3, SI
+	ADDQ DI, SI
+ztpsBlock:
+	CMPQ DI, SI
+	JGE  ztpsDone
+	MOVQ DI, R8
+	LEAQ (DI)(DX*1), R9
+	LEAQ (DI)(DX*2), R10
+	LEAQ (R9)(DX*2), R11
+	MOVQ DX, CX
+ztpsCol:
+	VMOVUPD (R8), Z0
+	VMOVUPD (R9), Z1
+	VMOVUPD (R10), Z2
+	VMOVUPD (R11), Z3
+	ZBFLYS(Z6, Z7)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R9)
+	VMOVUPD Z2, (R10)
+	VMOVUPD Z3, (R11)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $64, CX
+	JNZ  ztpsCol
+	LEAQ (DI)(DX*4), DI
+	JMP  ztpsBlock
+ztpsDone:
+	VZEROUPPER
+	RET
+
+// func avx512QuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
+// avxQuadS eight columns per iteration, with one four-column YMM step for
+// an n ≡ 4 (mod 8) tail; n > 0, a multiple of 4.
+TEXT ·avx512QuadS(SB), NOSPLIT, $0-56
+	MOVQ r0+0(FP), R8
+	MOVQ r1+8(FP), R9
+	MOVQ r2+16(FP), R10
+	MOVQ r3+24(FP), R11
+	MOVQ n+32(FP), CX
+	VBROADCASTSD b1+40(FP), Z6
+	VBROADCASTSD b2+48(FP), Z7
+	SHLQ $3, CX
+	CMPQ CX, $64
+	JLT  zqsTail
+zqsLoop:
+	VMOVUPD (R8), Z0
+	VMOVUPD (R9), Z1
+	VMOVUPD (R10), Z2
+	VMOVUPD (R11), Z3
+	ZBFLYS(Z6, Z7)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R9)
+	VMOVUPD Z2, (R10)
+	VMOVUPD Z3, (R11)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JGE  zqsLoop
+zqsTail:
+	TESTQ CX, CX
+	JZ    zqsDone
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	VMOVUPD (R10), Y2
+	VMOVUPD (R11), Y3
+	BFLYS(Y6, Y7)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+	VMOVUPD Y2, (R10)
+	VMOVUPD Y3, (R11)
+zqsDone:
+	VZEROUPPER
+	RET
+
+// func avx512PairS(u, w *float64, n int, b float64)
+// avxPairS eight columns per iteration, with one four-column YMM step for
+// an n ≡ 4 (mod 8) tail; n > 0, a multiple of 4.
+TEXT ·avx512PairS(SB), NOSPLIT, $0-32
+	MOVQ u+0(FP), R8
+	MOVQ w+8(FP), R9
+	MOVQ n+16(FP), CX
+	VBROADCASTSD b+24(FP), Z6
+	SHLQ $3, CX
+	CMPQ CX, $64
+	JLT  zpsTail
+zpsLoop:
+	VMOVUPD (R8), Z0
+	VMOVUPD (R9), Z1
+	BFLY2S(Z0, Z1, Z6, Z4)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R9)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JGE  zpsLoop
+zpsTail:
+	TESTQ CX, CX
+	JZ    zpsDone
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	BFLY2S(Y0, Y1, Y6, Y4)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+zpsDone:
+	VZEROUPPER
+	RET

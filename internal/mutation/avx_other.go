@@ -4,7 +4,7 @@ package mutation
 
 // Non-amd64 builds always take the pure-Go kernel paths; the stubs below
 // exist only to satisfy the dispatch call sites, which are all guarded by
-// vec.UseAVX2.
+// vec.UseAVX2 or vec.UseAVX512.
 
 func avxQuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64) {
 	panic("mutation: avxQuadS called without AVX2")
@@ -28,4 +28,20 @@ func avxFirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64) {
 
 func avxPairS(u, w *float64, n int, b float64) {
 	panic("mutation: avxPairS called without AVX2")
+}
+
+func avx512FirstS(dst, src, scale *float64, n, pairs int, b1, b2, b3, b4 float64) {
+	panic("mutation: avx512FirstS called without AVX-512")
+}
+
+func avx512TilePairS(p *float64, n, stride int, b1, b2 float64) {
+	panic("mutation: avx512TilePairS called without AVX-512")
+}
+
+func avx512QuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64) {
+	panic("mutation: avx512QuadS called without AVX-512")
+}
+
+func avx512PairS(u, w *float64, n int, b float64) {
+	panic("mutation: avx512PairS called without AVX-512")
 }

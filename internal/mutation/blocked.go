@@ -246,14 +246,16 @@ func firstTile(v, src, scale []float64, lo, hi, off0 int, small []Factor2) {
 	tileStages(tile, off0, small)
 }
 
-// firstPass is the AVX2 first tile pass (avxFirstS): tile ← in, times sc
-// when sc is non-nil, then stages 0–1 and, when stages 2 and 3 are
-// stochastic too, stages 2–3, all in registers per 16-element block. It
-// returns the number of stages applied and the stages left, or 0 when it
-// does not apply: without AVX2, off the first bit, on a tile that is not a
-// whole number of blocks, or when stages 0 and 1 are not both stochastic.
-// Every element goes through the same Mul and bfly4s sequence as on the Go
-// path, so the two are bit-identical.
+// firstPass is the SIMD first tile pass (avx512FirstS on 32-element blocks
+// where AVX-512 is on and the tile holds whole blocks, avxFirstS on
+// 16-element blocks otherwise): tile ← in, times sc when sc is non-nil,
+// then stages 0–1 and, when stages 2 and 3 are stochastic too, stages 2–3,
+// all in registers per block. It returns the number of stages applied and
+// the stages left, or 0 when it does not apply: without AVX2, off the first
+// bit, on a tile that is not a whole number of 16-element blocks, or when
+// stages 0 and 1 are not both stochastic. Every element goes through the
+// same Mul and bfly4s sequence as on the Go path, so the tiers are
+// bit-identical.
 func firstPass(tile, in, sc []float64, off0 int, fs []Factor2) (done int, rest []Factor2) {
 	if !vec.UseAVX2() || off0 != 0 || len(tile) < 16 || len(tile)&15 != 0 || len(in) != len(tile) || len(fs) < 2 {
 		return 0, fs
@@ -271,7 +273,11 @@ func firstPass(tile, in, sc []float64, off0 int, fs []Factor2) (done int, rest [
 	if len(sc) > 0 {
 		scp = &sc[0]
 	}
-	avxFirstS(&tile[0], &in[0], scp, len(tile), pairs, fs[0].B, fs[1].B, b3, b4)
+	if vec.UseAVX512() && len(tile)&31 == 0 {
+		avx512FirstS(&tile[0], &in[0], scp, len(tile), pairs, fs[0].B, fs[1].B, b3, b4)
+	} else {
+		avxFirstS(&tile[0], &in[0], scp, len(tile), pairs, fs[0].B, fs[1].B, b3, b4)
+	}
 	return done, rest
 }
 
@@ -420,10 +426,16 @@ func tileStage(tile []float64, stride int, f *Factor2) {
 // stride and 2·stride, off-diagonal entries b1 and b2) in one radix-4 pass.
 func tilePairStochastic(tile []float64, stride int, b1, b2 float64) {
 	if vec.UseAVX2() && stride >= 4 && len(tile) >= 4*stride {
-		// Same block/column traversal and per-element op sequence, four
-		// butterflies per instruction (avx_amd64.s); the Go loop below
-		// likewise leaves any partial trailing block untouched.
-		avxTilePairS(&tile[0], len(tile)&^(4*stride-1), stride, b1, b2)
+		// Same block/column traversal and per-element op sequence, eight
+		// (AVX-512, stride ≥ 8) or four butterflies per instruction
+		// (avx_amd64.s); the Go loop below likewise leaves any partial
+		// trailing block untouched.
+		p, n := &tile[0], len(tile)&^(4*stride-1)
+		if vec.UseAVX512() && stride >= 8 {
+			avx512TilePairS(p, n, stride, b1, b2)
+		} else {
+			avxTilePairS(p, n, stride, b1, b2)
+		}
 		return
 	}
 	if stride == 1 {
@@ -546,14 +558,18 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 
 // crossQuadStochastic applies a fused pair of stochastic stages radix-4
 // across four gathered row chunks: column i of the four rows is one
-// butterfly, and the column loop runs 4-wide.
+// butterfly, and the column loop runs 4-wide (eight-wide on AVX-512 from
+// eight columns on).
 func crossQuadStochastic(r0, r1, r2, r3 []float64, b1, b2 float64) {
 	if vec.UseAVX2() {
 		n := min(len(r0), len(r1), len(r2), len(r3)) &^ 3
-		if n > 0 {
+		switch {
+		case n >= 8 && vec.UseAVX512():
+			avx512QuadS(&r0[0], &r1[0], &r2[0], &r3[0], n, b1, b2)
+		case n > 0:
 			avxQuadS(&r0[0], &r1[0], &r2[0], &r3[0], n, b1, b2)
-			r0, r1, r2, r3 = r0[n:], r1[n:], r2[n:], r3[n:]
 		}
+		r0, r1, r2, r3 = r0[n:], r1[n:], r2[n:], r3[n:]
 	}
 	for len(r0) >= 4 && len(r1) >= 4 && len(r2) >= 4 && len(r3) >= 4 {
 		a0, a1, a2, a3 := bfly4s(r0[0], r1[0], r2[0], r3[0], b1, b2)
@@ -574,8 +590,8 @@ func crossQuadStochastic(r0, r1, r2, r3 []float64, b1, b2 float64) {
 
 // crossStage applies one radix-2 stage (row bit s) over the column chunk
 // [c0, c1) of the gathered rows. On AVX2 the stochastic kind runs four
-// butterflies per instruction (avxPairS) with the Go loop on the sub-vector
-// tail.
+// butterflies per instruction (avxPairS), on AVX-512 eight from eight
+// columns on (avx512PairS), with the Go loop on the sub-vector tail.
 func crossStage(rp [][]float64, c0, c1, s int, f *Factor2) {
 	bit := 1 << uint(s)
 	switch butterflyKind(f) {
@@ -587,7 +603,11 @@ func crossStage(rp [][]float64, c0, c1, s int, f *Factor2) {
 			}
 			u, w := rp[t][c0:c1], rp[t|bit][c0:c1]
 			if n := len(u) &^ 3; vec.UseAVX2() && n > 0 && n <= len(w) {
-				avxPairS(&u[0], &w[0], n, b)
+				if n >= 8 && vec.UseAVX512() {
+					avx512PairS(&u[0], &w[0], n, b)
+				} else {
+					avxPairS(&u[0], &w[0], n, b)
+				}
 				u, w = u[n:], w[n:]
 			}
 			for len(u) >= 4 && len(w) >= 4 {

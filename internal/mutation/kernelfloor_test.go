@@ -1,6 +1,7 @@
 package mutation
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -217,12 +218,15 @@ func TestFWHTBitIdenticalAllNuOddTiles(t *testing.T) {
 }
 
 // FuzzStageEngine fuzzes the blocked stage engine against the naive loop
-// over (seed, ν, tile bits, fuse depth, butterfly kind).
+// over (seed, ν, tile bits, fuse depth, butterfly kind), and requires every
+// kernel tier the host has to give the Go tier's bits.
 func FuzzStageEngine(f *testing.F) {
+	tiers := kernelTiers(f)
 	f.Add(uint64(1), byte(3), byte(1), byte(2), byte(0))
 	f.Add(uint64(2), byte(10), byte(5), byte(4), byte(1))
 	f.Add(uint64(3), byte(14), byte(13), byte(3), byte(2))
 	f.Add(uint64(4), byte(1), byte(1), byte(1), byte(1))
+	f.Add(uint64(5), byte(12), byte(3), byte(3), byte(1)) // 16-element tiles: the AVX2 first pass at every tier
 	f.Fuzz(func(t *testing.T, seed uint64, nuB, tbB, fuseB, kindB byte) {
 		nu := 1 + int(nuB)%14
 		tb := 1 + int(tbB)%16
@@ -231,6 +235,9 @@ func FuzzStageEngine(f *testing.F) {
 		r := rng.New(seed)
 		fs := factorsForKind(r, kind, nu)
 		v := randVector(r, 1<<uint(nu))
+		acrossTiers(t, tiers, fmt.Sprintf("ν=%d tb=%d fuse=%d kind=%d", nu, tb, fuse, kind), v, func(x []float64) {
+			applyStagesBlocked(x, 0, fs, tb, fuse)
+		})
 		got := vec.Clone(v)
 		applyStagesBlocked(got, 0, fs, tb, fuse)
 		want := vec.Clone(v)

@@ -61,9 +61,13 @@ type Manifest struct {
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	NUMANodes  [][]int `json:"numa_node_cpus"`
 
-	// Fast-path availability with degradation reasons.
+	// Fast-path availability with degradation reasons: whether the AVX2
+	// kernels run and why not, and the active kernel tier ("avx512",
+	// "avx2" or "go") with the reason the next higher tier is off.
 	AVX2       bool   `json:"avx2"`
 	AVX2Reason string `json:"avx2_reason,omitempty"`
+	SIMD       string `json:"simd"`
+	SIMDReason string `json:"simd_reason,omitempty"`
 
 	// Workload parameters (zero values when not applicable to the tool).
 	Nu      int       `json:"nu,omitempty"`
@@ -116,7 +120,12 @@ func NewManifest(w ManifestWorkload) *Manifest {
 
 		Nu: w.Nu, Method: w.Method, Workers: w.Workers, PGrid: w.PGrid,
 	}
-	m.AVX2, m.AVX2Reason = vec.AVX2()
+	tier, reason := vec.SIMD()
+	m.SIMD, m.SIMDReason = tier.String(), reason
+	m.AVX2 = tier >= vec.TierAVX2
+	if !m.AVX2 {
+		m.AVX2Reason = reason
+	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		m.Module = bi.Main.Path
 		m.Version = bi.Main.Version

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/vec"
 )
 
 func TestNewManifestStampsIdentity(t *testing.T) {
@@ -28,6 +31,37 @@ func TestNewManifestStampsIdentity(t *testing.T) {
 	// The fast-path probe must state a reason whenever unavailable.
 	if !m.AVX2 && m.AVX2Reason == "" {
 		t.Error("AVX2 unavailable without a degradation reason")
+	}
+}
+
+// TestManifestNamesKernelTier logs the tier the process started at (CI
+// prints it), then checks that the manifest names the active kernel tier at
+// every tier the host can run, says why the next higher tier is off below
+// the top one, and keeps avx2 and avx2_reason consistent with the tier.
+func TestManifestNamesKernelTier(t *testing.T) {
+	tier, reason := vec.SIMD()
+	t.Logf("kernel tier: %v (%s)", tier, reason)
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	for _, tier := range vec.Tiers() {
+		vec.SetTier(tier)
+		m := NewManifest(ManifestWorkload{Tool: "qs-test"})
+		if m.SIMD != tier.String() {
+			t.Errorf("tier %v: manifest simd %q", tier, m.SIMD)
+		}
+		if (m.SIMDReason == "") != (tier == vec.TierAVX512) {
+			t.Errorf("tier %v: simd_reason %q", tier, m.SIMDReason)
+		}
+		if m.AVX2 != (tier >= vec.TierAVX2) || (m.AVX2Reason == "") != m.AVX2 {
+			t.Errorf("tier %v: avx2 %v, avx2_reason %q", tier, m.AVX2, m.AVX2Reason)
+		}
+	}
+	data, err := json.Marshal(NewManifest(ManifestWorkload{Tool: "qs-test"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"simd":"`) {
+		t.Errorf("manifest JSON has no simd field: %s", data)
 	}
 }
 

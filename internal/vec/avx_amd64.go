@@ -2,40 +2,42 @@
 
 package vec
 
-import "os"
-
 // Go never auto-vectorizes, so a 4-lane Go loop executes one scalar FP op
-// per element while the machine's 4-lane float64 units sit idle. The
-// kernels therefore dispatch to the AVX2 assembly in avx_amd64.s when the
-// CPU and OS support it; QS_NOAVX2=1 forces the Go bodies (diagnostics and
-// A/B timing). internal/mutation's butterflies read the same gate.
+// per element while the machine's float64 vector units sit idle. The
+// kernels therefore dispatch to the assembly in avx_amd64.s (and
+// internal/mutation's butterflies to theirs) when the CPU and OS support
+// it; QS_NOAVX2=1 forces the Go bodies (diagnostics and A/B timing).
 
-// avx2Detected reports hardware and OS support; useAVX2 is the dispatch
-// gate (SetAVX2 lets tests compare both paths on one host).
-var (
-	avx2Detected = detectAVX2()
-	useAVX2      = avx2Detected && os.Getenv("QS_NOAVX2") == ""
-)
+// detectedTier is the widest tier CPUID and XGETBV allow.
+var detectedTier = detectTier()
 
-// detectAVX2 is the standard CPUID/XGETBV dance: AVX needs OSXSAVE and
-// XMM+YMM state enabled by the OS in XCR0, AVX2 is leaf-7 EBX bit 5.
-func detectAVX2() bool {
+// detectTier is the standard CPUID/XGETBV dance. AVX needs OSXSAVE and
+// XMM+YMM state enabled by the OS in XCR0, AVX2 is leaf-7 EBX bit 5;
+// AVX-512 needs AVX512F (leaf-7 EBX bit 16) and the opmask, ZMM_Hi256 and
+// Hi16_ZMM state (XCR0 bits 5–7) on top.
+func detectTier() Tier {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return TierGo
 	}
 	_, _, c, _ := cpuid(1, 0)
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
 	if c&osxsaveBit == 0 || c&avxBit == 0 {
-		return false
+		return TierGo
 	}
 	xcr0, _ := xgetbv()
 	if xcr0&0x6 != 0x6 { // XMM and YMM state
-		return false
+		return TierGo
 	}
 	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
+	if b&(1<<5) == 0 {
+		return TierGo
+	}
+	if b&(1<<16) == 0 || xcr0&0xe0 != 0xe0 { // AVX512F; opmask and ZMM state
+		return TierAVX2
+	}
+	return TierAVX512
 }
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

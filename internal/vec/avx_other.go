@@ -6,10 +6,7 @@ package vec
 // only to satisfy the dispatch call sites, which are all guarded by
 // useAVX2.
 
-var (
-	avx2Detected = false
-	useAVX2      = false
-)
+var detectedTier = TierGo
 
 func avxDot(x, y *float64, n int) float64 {
 	panic("vec: avxDot called without AVX2")

@@ -8,6 +8,34 @@ import (
 	"repro/internal/rng"
 )
 
+// kernelTiers returns the kernel tiers this host can run, fastest first,
+// and restores the active tier when the test ends. These kernels have no
+// AVX-512 body, so TierAVX512 runs their AVX2 bodies; it is in the list
+// because the tier switch must leave them untouched.
+func kernelTiers(t testing.TB) []Tier {
+	was := SetTier(TierAVX512)
+	t.Cleanup(func() { SetTier(was) })
+	return Tiers()
+}
+
+// acrossTiers runs kernel at every tier of tiers (which ends with TierGo)
+// and returns the first tier whose output differs from the Go tier's bit
+// for bit, with the index and both values; TierGo when all agree.
+func acrossTiers(tiers []Tier, kernel func() []float64) (Tier, int, float64, float64) {
+	SetTier(TierGo)
+	gold := kernel()
+	for _, tier := range tiers[:len(tiers)-1] {
+		SetTier(tier)
+		got := kernel()
+		for i := range gold {
+			if math.Float64bits(got[i]) != math.Float64bits(gold[i]) {
+				return tier, i, got[i], gold[i]
+			}
+		}
+	}
+	return TierGo, 0, 0, 0
+}
+
 // kernelCases runs every kernel with an AVX2 body on fresh copies of the
 // operands and returns, per kernel, everything it produced: returned sums
 // and every element it wrote.
@@ -110,16 +138,15 @@ func pointKernelCases(x, y, z []float64) map[string]func() []float64 {
 	return cases
 }
 
-// TestPointKernelsSpecialValues compares the AVX2 and Go bodies of the
-// point kernels on operands salted with ±0, subnormals and values near the
+// TestPointKernelsSpecialValues compares the point kernels at every tier
+// with their Go bodies on operands salted with ±0, subnormals and values near the
 // extremes, at every length from 0 to 67, so each special value meets each
 // lane and the tail. NaN enters only where a kernel defines its result:
 // NormInf and ConcentrationScan's max|x| and min x skip it, and the
 // scan's clamped sum carries it.
 func TestPointKernelsSpecialValues(t *testing.T) {
-	was := SetAVX2(true)
-	defer SetAVX2(was)
-	if !UseAVX2() {
+	tiers := kernelTiers(t)
+	if len(tiers) == 1 {
 		t.Skip("host has no AVX2; single code path")
 	}
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1060, -0x1p-1030, 1e300, -1e300}
@@ -143,32 +170,25 @@ func TestPointKernelsSpecialValues(t *testing.T) {
 				}
 			}
 			for name, kernel := range cases {
-				SetAVX2(true)
-				avx := kernel()
-				SetAVX2(false)
-				gold := kernel()
-				for i := range gold {
-					if math.Float64bits(avx[i]) != math.Float64bits(gold[i]) {
-						t.Fatalf("%s n=%d NaN=%v: output %d is %v on AVX2, %v in Go", name, n, withNaN, i, avx[i], gold[i])
-					}
+				if tier, i, got, gold := acrossTiers(tiers, kernel); tier != TierGo {
+					t.Fatalf("%s n=%d NaN=%v: output %d is %v at %v, %v in Go", name, n, withNaN, i, got, tier, gold)
 				}
 			}
 		}
 	}
 }
 
-// TestAVX2KernelsBitIdenticalToGo toggles the dispatch gate and requires
-// every AVX2 body to reproduce its Go body bit for bit: every length from 0
+// TestAVX2KernelsBitIdenticalToGo switches the kernel tier and requires
+// every tier to reproduce the Go bodies bit for bit: every length from 0
 // to 67, so each body length meets each tail length, plus 2¹² and 2¹⁷; the
 // power passes at µ = 0 and µ ≠ 0; LanczosTail with c ≠ 1, into a separate
 // dst and with dst aliasing w, as the Lanczos step and the probe's last
 // tail call it; and Mul with dst aliasing its first operand, the epilogue's
-// in-place post-scale. A −0 entry checks that µ = 0 reads w itself. Skipped on hosts without AVX2, where only the Go bodies
-// exist.
+// in-place post-scale. A −0 entry checks that µ = 0 reads w itself.
+// Skipped on hosts without AVX2, where only the Go bodies exist.
 func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
-	was := SetAVX2(true)
-	defer SetAVX2(was)
-	if !UseAVX2() {
+	tiers := kernelTiers(t)
+	if len(tiers) == 1 {
 		t.Skip("host has no AVX2; single code path")
 	}
 	r := rng.New(53)
@@ -183,14 +203,8 @@ func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
 			y[n/3] = math.Copysign(0, -1)
 		}
 		for name, kernel := range kernelCases(x, y, z) {
-			SetAVX2(true)
-			avx := kernel()
-			SetAVX2(false)
-			gold := kernel()
-			for i := range gold {
-				if math.Float64bits(avx[i]) != math.Float64bits(gold[i]) {
-					t.Fatalf("%s n=%d: output %d is %v on AVX2, %v in Go", name, n, i, avx[i], gold[i])
-				}
+			if tier, i, got, gold := acrossTiers(tiers, kernel); tier != TierGo {
+				t.Fatalf("%s n=%d: output %d is %v at %v, %v in Go", name, n, i, got, tier, gold)
 			}
 		}
 	}
@@ -199,16 +213,14 @@ func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
 // TestKernelsDoNotAllocate: the assembly keeps its operands off the heap
 // (go:noescape), so the kernels — and Dot, Norm2, the power passes,
 // LanczosTail, Combine and DotEach built on them, and the point kernels —
-// allocate nothing, on either path.
+// allocate nothing, at any tier.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(59)
 	const n = 1<<12 + 3
 	x, w, z := randVec(r, n), randVec(r, n), randVec(r, n)
 	basis, c := [][]float64{x, z}, []float64{1e-3, -1e-3}
-	was := SetAVX2(true)
-	defer SetAVX2(was)
-	for _, avx := range []bool{true, false} {
-		SetAVX2(avx)
+	for _, tier := range kernelTiers(t) {
+		SetTier(tier)
 		for name, f := range map[string]func(){
 			"Dot":                  func() { Dot(x, w) },
 			"Norm2":                func() { Norm2(x) },
@@ -227,7 +239,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			"Extrapolate":          func() { Extrapolate(z, x, w, z, [4]float64{1, 0, 0, 0}, 4) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-				t.Errorf("avx=%v: %s allocates %v objects per call", UseAVX2(), name, allocs)
+				t.Errorf("tier=%v: %s allocates %v objects per call", tier, name, allocs)
 			}
 		}
 	}

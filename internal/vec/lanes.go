@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"os"
 )
 
 // The 4-lane kernel set: the BLAS-1 work around every matvec — the power
@@ -36,32 +37,94 @@ import (
 // ≤ 3 trailing elements in Go; the Go bodies are slice-advance loops the
 // prover clears of bounds checks (scripts/check_bce.sh).
 
-// AVX2 reports whether the AVX2 kernels — these and internal/mutation's
-// butterflies — are active for this process, with the reason when they are
-// not ("" when active). It tells a host without the instruction set from an
-// operator-forced Go run (QS_NOAVX2=1), the two causes a run manifest must
-// tell apart.
-func AVX2() (active bool, reason string) {
+// Tier is a kernel tier: the widest SIMD bodies the kernels dispatch to.
+type Tier int
+
+const (
+	// TierGo runs the Go bodies everywhere.
+	TierGo Tier = iota
+	// TierAVX2 runs the 4-lane YMM bodies of these kernels and of
+	// internal/mutation's butterflies.
+	TierAVX2
+	// TierAVX512 runs the stochastic butterflies on 8-lane ZMM bodies
+	// wherever their shape fills a register; everything else, these
+	// kernels included, stays on AVX2.
+	TierAVX512
+)
+
+// String returns the tier's manifest name: "go", "avx2" or "avx512".
+func (t Tier) String() string {
+	switch t {
+	case TierAVX512:
+		return "avx512"
+	case TierAVX2:
+		return "avx2"
+	}
+	return "go"
+}
+
+// The dispatch state: detectedTier is what the CPU and OS allow
+// (avx_amd64.go), tier the active one, and useAVX2 the gate these kernels
+// read.
+var (
+	noAVX2  = os.Getenv("QS_NOAVX2") != ""
+	tier    = startTier()
+	useAVX2 = tier >= TierAVX2
+)
+
+// startTier is the detected tier, or TierGo under QS_NOAVX2.
+func startTier() Tier {
+	if noAVX2 {
+		return TierGo
+	}
+	return detectedTier
+}
+
+// SIMD reports the active kernel tier with the reason the next higher tier
+// is off ("" at TierAVX512). It tells a host without the instruction set
+// from an operator-forced Go run (QS_NOAVX2=1), the causes a run manifest
+// must tell apart.
+func SIMD() (Tier, string) {
 	switch {
-	case useAVX2:
-		return true, ""
-	case !avx2Detected:
-		return false, "cpu or build lacks AVX2"
+	case tier == TierAVX512:
+		return tier, ""
+	case tier == detectedTier && tier == TierAVX2:
+		return tier, "cpu or OS lacks AVX-512"
+	case tier == detectedTier:
+		return tier, "cpu or build lacks AVX2"
+	case tier == TierGo && noAVX2:
+		return tier, "disabled by QS_NOAVX2"
 	default:
-		return false, "disabled by QS_NOAVX2"
+		return tier, "lowered by SetTier"
 	}
 }
 
-// UseAVX2 is the one dispatch gate of the module's AVX2 kernels: CPUID and
+// UseAVX2 is the dispatch gate of the module's AVX2 kernels: CPUID and
 // XGETBV report AVX2 with OS-enabled YMM state, and QS_NOAVX2 is unset.
 func UseAVX2() bool { return useAVX2 }
 
-// SetAVX2 sets the dispatch gate, which can only be on where AVX2 was
-// detected, and returns its previous value. Tests use it to run both kernel
-// paths on one host; solver code never calls it.
-func SetAVX2(on bool) (was bool) {
-	was, useAVX2 = useAVX2, on && avx2Detected
+// UseAVX512 is the dispatch gate of internal/mutation's ZMM butterflies:
+// UseAVX2 holds, and CPUID and XGETBV report AVX512F with OS-enabled
+// opmask and ZMM state.
+func UseAVX512() bool { return tier == TierAVX512 }
+
+// SetTier sets the active tier, capped at the detected one, and returns the
+// previous tier. Tests use it to run every tier on one host; solver code
+// never calls it.
+func SetTier(t Tier) (was Tier) {
+	was, tier = tier, min(t, detectedTier)
+	useAVX2 = tier >= TierAVX2
 	return was
+}
+
+// Tiers returns the tiers this host can run, fastest first: the detected
+// tier and every tier below it.
+func Tiers() []Tier {
+	var ts []Tier
+	for t := detectedTier; t >= TierGo; t-- {
+		ts = append(ts, t)
+	}
+	return ts
 }
 
 // DotLanes returns Σ x[k]·y[k] over the common prefix of x and y in the

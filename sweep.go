@@ -96,6 +96,9 @@ func ThresholdCurveFullWith(l Landscape, ps []float64, opts SweepOptions) ([]Thr
 	if len(ps) == 0 {
 		return nil, nil
 	}
+	if err := harness.ValidateGrid(ps); err != nil {
+		return nil, err
+	}
 	q, err := mutation.NewUniform(l.ChainLen(), ps[0])
 	if err != nil {
 		return nil, fmt.Errorf("quasispecies: %w", err)

@@ -1,8 +1,14 @@
 package quasispecies
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/mutation"
 )
 
 func TestThresholdCurveWithWorkersBitIdentical(t *testing.T) {
@@ -137,4 +143,43 @@ func rampFitness(n int, lo, hi float64) []float64 {
 		f[i] = hi - (hi-lo)*float64(i)/float64(n-1)
 	}
 	return f
+}
+
+// TestThresholdCurveValidatesGridFirst: an invalid p anywhere in the grid
+// fails both sweep routes before any point is solved, with an error that
+// wraps mutation.ErrInvalidRate and names the point's index and value.
+func TestThresholdCurveValidatesGridFirst(t *testing.T) {
+	land, err := SinglePeak(10, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := map[string]func([]float64, SweepOptions) ([]ThresholdPoint, error){
+		"reduced": func(ps []float64, o SweepOptions) ([]ThresholdPoint, error) {
+			return ThresholdCurveWith(land, ps, o)
+		},
+		"full": func(ps []float64, o SweepOptions) ([]ThresholdPoint, error) {
+			return ThresholdCurveFullWith(land, ps, o)
+		},
+	}
+	for _, bad := range []float64{math.NaN(), 0, -0.01, 0.6, math.Inf(1)} {
+		ps := make([]float64, 64)
+		for i := range ps {
+			ps[i] = 0.005 + 0.0005*float64(i)
+		}
+		ps[63] = bad
+		for name, run := range routes {
+			var solved atomic.Int32
+			_, err := run(ps, SweepOptions{Workers: 2, WarmStart: true,
+				Progress: func(int, float64, int, bool, string) { solved.Add(1) }})
+			if !errors.Is(err, mutation.ErrInvalidRate) {
+				t.Fatalf("%s p=%v: error %v, want one wrapping ErrInvalidRate", name, bad, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "point 63") || !strings.Contains(msg, fmt.Sprint(bad)) {
+				t.Errorf("%s p=%v: error %q does not name point 63 and its value", name, bad, msg)
+			}
+			if n := solved.Load(); n != 0 {
+				t.Errorf("%s p=%v: %d points solved before the grid was rejected", name, bad, n)
+			}
+		}
+	}
 }
