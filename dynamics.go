@@ -39,7 +39,7 @@ func (mo *Model) Evolve(x0 []float64, t float64, opts EvolveOptions) (*Trajector
 	if t <= 0 {
 		return nil, fmt.Errorf("%w: horizon t = %g must be positive", ErrInvalidModel, t)
 	}
-	op, err := core.NewFmmpOperator(mo.mut.q, mo.land.l, core.Right, mo.dev)
+	op, err := mo.fmmpOperator(core.Right)
 	if err != nil {
 		return nil, err
 	}

@@ -67,18 +67,9 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 	}
 
 	q := device.AllocVector(n)
-	if opts.Start != nil {
-		if len(opts.Start) != n {
-			return ArnoldiResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
-		}
-		copy(q, opts.Start)
-	} else {
-		vec.Fill(q, 1)
+	if err := loadStart(nil, q, opts.Start); err != nil {
+		return ArnoldiResult{}, err
 	}
-	if vec.Norm2(q) == 0 {
-		return ArnoldiResult{}, errors.New("core: start vector is zero")
-	}
-	vec.Normalize2(q)
 
 	basis := make([][]float64, m)
 	for i := range basis {
@@ -87,10 +78,9 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 	h := dense.NewMatrix(m, m)
 	w := device.AllocVector(n)
 
+	// Ten restarts without improvement end the solve as stagnated.
+	led := openLedger(SolveKindArnoldi, n, nil, 0, tol, 10)
 	res := ArnoldiResult{BasisBytes: (m + 2) * n * 8}
-	bestResidual := math.Inf(1)
-	improvedAt := 0 // res.MatVecs at the last residual improvement
-	stalled := 0
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
 		for i := range h.Data {
@@ -134,6 +124,7 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 		}
 		lam, y, _, err := dense.Dominant(hk, &dense.DominantOptions{Tol: 1e-13, MaxIter: 200000})
 		if err != nil && !errors.Is(err, dense.ErrNoConvergence) {
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: Hessenberg eigensolve failed: %w", err)
 		}
 		res.Lambda = lam
@@ -143,6 +134,7 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 		}
 		nrm := vec.Norm2(q)
 		if nrm == 0 {
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, errors.New("core: Arnoldi produced a zero Ritz vector")
 		}
 		vec.Scale(q, 1/nrm)
@@ -154,33 +146,21 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 			rs += r * r
 		}
 		res.Residual = math.Sqrt(rs)
+		stalled := led.check(res.MatVecs, lam, res.Residual)
 		if res.Residual <= tol {
 			res.Converged = true
 			orientPositive(q)
 			res.Vector = q
+			led.end(EventConverged, res.MatVecs, lam, res.Residual)
 			return res, nil
 		}
-		if res.Residual < bestResidual*(1-1e-6) {
-			bestResidual = res.Residual
-			improvedAt = res.MatVecs
-			stalled = 0
-		} else if stalled++; stalled >= 10 {
+		if stalled {
 			orientPositive(q)
 			res.Vector = q
-			return res, arnoldiError(ErrStagnated, res, bestResidual, improvedAt, tol)
+			return res, led.fail(EventStagnated, "", res.MatVecs, lam, res.Residual)
 		}
 	}
 	orientPositive(q)
 	res.Vector = q
-	return res, arnoldiError(ErrNoConvergence, res, bestResidual, improvedAt, tol)
-}
-
-// arnoldiError is Arnoldi's failure exit: the solve runs unshifted and
-// counts operator applications as iterations.
-func arnoldiError(reason error, res ArnoldiResult, best float64, improvedAt int, tol float64) *ConvergenceError {
-	return &ConvergenceError{
-		Reason: reason, Method: "arnoldi",
-		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: best,
-		SinceImprovement: res.MatVecs - improvedAt, Tol: tol,
-	}
+	return res, led.fail(EventBudgetExhausted, "", res.MatVecs, res.Lambda, res.Residual)
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/device"
 	"repro/internal/span"
-	"repro/internal/vec"
 )
 
 // Chebyshev-accelerated power iteration: the middle gear of the adaptive
@@ -176,19 +174,9 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		z = device.AllocVector(n)
 		w = device.AllocVector(n)
 	}
-	if opts.Start != nil {
-		if len(opts.Start) != n {
-			return ChebyshevResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
-		}
-		copy(x, opts.Start) // self-copy when Start aliases the scratch iterate
-	} else {
-		vec.Fill(x, 1)
+	if err := loadStart(dev, x, opts.Start); err != nil {
+		return ChebyshevResult{}, err
 	}
-	nrm := norm2(dev, x)
-	if nrm == 0 {
-		return ChebyshevResult{}, errors.New("core: start vector is zero")
-	}
-	scale(dev, x, 1/nrm)
 
 	// Interval map: λ ↦ (2λ − (b+a))/(b−a) sends [a, b] to [−1, 1].
 	center := (b + a) / 2
@@ -197,12 +185,8 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	// not bounded well below the rescale threshold (see chebGrowthBound).
 	stepNorm := !(2*chebGrowthBound(op, center, halfWidth, deg) < chebRescale)
 
-	sr := span.Installed()
-	sp := beginSpan(sr, SolveKindChebyshev)
-	if opts.Observer != nil {
-		notifyMethod(opts.Observer, SolveKindChebyshev)
-		opts.Observer.Event(EventStart, 0, b, 0)
-	}
+	led := openLedger(SolveKindChebyshev, n, opts.Observer, b, tol, stallRestarts)
+	sr := led.sr
 
 	// The uniform Fmmp operator runs each recurrence step as one fused call
 	// (see FmmpOperator.applyThreeTerm); other operators apply, then map.
@@ -210,10 +194,6 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	twoOverE := 2 / halfWidth
 
 	res := ChebyshevResult{Vector: x, Residual: math.Inf(1)}
-	bestResidual := math.Inf(1)
-	stalled := 0
-	improvedAt := 0 // res.MatVecs at the last residual improvement
-	lastMatVecs := 0
 	// A Ritz-vector start whose estimate already meets tol is checked as it
 	// is, by the Rayleigh matvec and explicit residual alone; one that fails
 	// the check goes on to filter restarts sized from (λ, r).
@@ -240,7 +220,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			// z ← A'·x (degree 1), previous iterate is x (degree 0).
 			op.Apply(w, x)
 			res.MatVecs++
-			chebMap(dev, z, w, x, center, halfWidth, nil)
+			chebMap(dev, z, w, x, center, halfWidth)
 			for j := 1; j < steps; j++ {
 				// x ← 2·A'·z − x, then swap roles of x and z.
 				if fused {
@@ -266,11 +246,11 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			span.End(ph, int64(res.Restarts), int64(steps))
 
 			ph = beginSpan(sr, PhaseNormalize)
-			nrm = norm2(dev, x)
+			nrm := norm2(dev, x)
 			if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 				span.End(ph, int64(res.Restarts), 0)
 				finishCheb(&res, x, opts.Work)
-				powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+				led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 				return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
 			}
 			scale(dev, x, 1/nrm)
@@ -289,42 +269,23 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		r := residual(dev, w, x, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
-		if sr != nil {
-			sr.Check(int64(res.MatVecs-lastMatVecs), r, "")
-		}
-		lastMatVecs = res.MatVecs
-		if opts.Observer != nil {
-			opts.Observer.Step(res.MatVecs, lambda, r)
-		}
+		stalled := led.check(res.MatVecs, lambda, r)
 		if r <= tol {
 			res.Converged = true
 			finishCheb(&res, x, opts.Work)
-			powerDone(sr, sp, opts.Observer, EventConverged, n, res.MatVecs, lambda, r)
+			led.end(EventConverged, res.MatVecs, lambda, r)
 			return res, nil
 		}
-		if r < bestResidual*(1-1e-6) {
-			bestResidual = r
-			stalled = 0
-			improvedAt = res.MatVecs
-		} else if stalled++; stallRestarts > 0 && stalled >= stallRestarts {
+		if stalled {
 			finishCheb(&res, x, opts.Work)
-			powerDone(sr, sp, opts.Observer, EventStagnated, n, res.MatVecs, lambda, r)
-			return res, &ConvergenceError{
-				Reason: ErrStagnated, Method: SolveKindChebyshev,
-				Detail:     fmt.Sprintf("damping interval [%g, %g] may not separate λ₁ from λ₀", a, b),
-				Iterations: res.MatVecs, Residual: r, BestResidual: bestResidual,
-				SinceImprovement: res.MatVecs - improvedAt, Shift: b, Tol: tol,
-			}
+			return res, led.fail(EventStagnated,
+				fmt.Sprintf("damping interval [%g, %g] may not separate λ₁ from λ₀", a, b),
+				res.MatVecs, lambda, r)
 		}
 		steps = chebRestartDegree(deg, lambda, r, tol, a, b)
 	}
 	finishCheb(&res, x, opts.Work)
-	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
-	return res, &ConvergenceError{
-		Reason: ErrNoConvergence, Method: SolveKindChebyshev,
-		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
-		SinceImprovement: res.MatVecs - improvedAt, Shift: b, Tol: tol,
-	}
+	return res, led.fail(EventBudgetExhausted, "", res.MatVecs, res.Lambda, res.Residual)
 }
 
 // chebRestartDegree is the filter degree of the next restart: the filter
@@ -396,9 +357,8 @@ func finishCheb(res *ChebyshevResult, x []float64, work *ChebyshevWork) {
 }
 
 // chebMap computes out ← (w − c·x)/e, the degree-1 Chebyshev step
-// T₁(A')·x with w = W·x. prev is unused (kept for symmetry with chebMap2).
-func chebMap(dev *device.Device, out, w, x []float64, c, e float64, prev []float64) {
-	_ = prev
+// T₁(A')·x with w = W·x.
+func chebMap(dev *device.Device, out, w, x []float64, c, e float64) {
 	inv := 1 / e
 	if dev != nil {
 		od, wd, xd := out, w, x

@@ -58,7 +58,7 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 		steps = min(steps, maxMatVecs-res.MatVecs-1)
 		op.Apply(w, x)
 		res.MatVecs++
-		chebMap(dev, z, w, x, center, halfWidth, nil)
+		chebMap(dev, z, w, x, center, halfWidth)
 		for j := 1; j < steps; j++ {
 			op.Apply(w, z)
 			res.MatVecs++

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"repro/internal/device"
 	"repro/internal/span"
 	"repro/internal/vec"
@@ -68,35 +64,16 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	}
 
 	q := device.AllocVector(n)
-	if opts.Start != nil {
-		if len(opts.Start) != n {
-			return LanczosResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
-		}
-		copy(q, opts.Start)
-	} else {
-		vec.Fill(q, 1)
+	if err := loadStart(nil, q, opts.Start); err != nil {
+		return LanczosResult{}, err
 	}
-	if vec.Norm2(q) == 0 {
-		return LanczosResult{}, errors.New("core: start vector is zero")
-	}
-	vec.Normalize2(q)
 
 	kw := NewKrylovWork(n)
 	basis, alpha, beta, w := kw.krylov(n, m) // beta[j] couples basis[j] and basis[j+1]
 
-	// Same hook discipline as PowerIteration: a hoisted load, no deferred
-	// closures, every exit path reports through powerDone.
-	sr := span.Installed()
-	sp := beginSpan(sr, SolveKindLanczos)
-	if opts.Observer != nil {
-		notifyMethod(opts.Observer, SolveKindLanczos)
-		opts.Observer.Event(EventStart, 0, 0, 0)
-	}
-
+	led := openLedger(SolveKindLanczos, n, opts.Observer, 0, tol, 0)
+	sr := led.sr
 	res := LanczosResult{BasisBytes: (m + 2) * n * 8}
-	lastMatVecs := 0
-	bestResidual := math.Inf(1)
-	improvedAt := 0 // res.MatVecs at the last residual improvement
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copy(basis[0], q)
@@ -108,7 +85,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		vals, ritz, err := tridiagEigenpairs(alpha[:k], beta[:max(k-1, 0)])
 		span.End(ph, int64(res.Restarts), int64(k))
 		if err != nil {
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, err
 		}
 		res.Lambda = vals[0]
@@ -121,31 +98,16 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		res.MatVecs++
 		res.Residual = residual(nil, w, q, res.Lambda)
 		span.End(ph, int64(res.Restarts), 0)
-		if res.Residual < bestResidual*(1-1e-6) {
-			bestResidual = res.Residual
-			improvedAt = res.MatVecs
-		}
-		if sr != nil {
-			sr.Check(int64(res.MatVecs-lastMatVecs), res.Residual, "")
-		}
-		lastMatVecs = res.MatVecs
-		if opts.Observer != nil {
-			opts.Observer.Step(res.MatVecs, res.Lambda, res.Residual)
-		}
+		led.check(res.MatVecs, res.Lambda, res.Residual)
 		if res.Residual <= tol {
 			res.Converged = true
 			orientPositive(q)
 			res.Vector = q
-			powerDone(sr, sp, opts.Observer, EventConverged, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventConverged, res.MatVecs, res.Lambda, res.Residual)
 			return res, nil
 		}
 	}
 	orientPositive(q)
 	res.Vector = q
-	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
-	return res, &ConvergenceError{
-		Reason: ErrNoConvergence, Method: SolveKindLanczos,
-		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
-		SinceImprovement: res.MatVecs - improvedAt, Tol: tol,
-	}
+	return res, led.fail(EventBudgetExhausted, "", res.MatVecs, res.Lambda, res.Residual)
 }

@@ -2,13 +2,16 @@ package core
 
 import "fmt"
 
-// Observability hooks for the eigensolvers. Two independent mechanisms:
+// Observability hooks for the eigensolvers. Every solve reports through
+// one emitter, its convergence ledger (ledger.go), which feeds two
+// independent mechanisms:
 //
-//   - PowerOptions.Observer is the per-solve convergence-trace hook: it
-//     receives every residual check (iteration, λ̃, R) plus lifecycle
-//     events, exactly the stream needed to plot stalls near the error
-//     threshold where the spectral gap collapses. obs.TraceRecorder
-//     satisfies it structurally.
+//   - The Observer field of the options structs is the per-solve
+//     convergence-trace hook: it receives every residual check
+//     (iteration, λ̃, R) plus lifecycle events, exactly the stream needed
+//     to plot stalls near the error threshold where the spectral gap
+//     collapses. obs.TraceRecorder satisfies it structurally. Arnoldi
+//     takes no Observer.
 //   - The process-wide span recorder (internal/span): every solve opens a
 //     core-layer span named by its SolveKind*, reports each residual check
 //     and its final outcome through Recorder.Check, and wraps its iteration
@@ -54,22 +57,14 @@ const (
 	SolveKindLanczos     = "lanczos"
 	SolveKindShiftInvert = "shift_invert"
 	SolveKindChebyshev   = "chebyshev"
+	SolveKindArnoldi     = "arnoldi"
 )
 
 // methodReporter is the optional Observer extension implemented by
 // recorders that label their rows with the solve method (obs.TraceRecorder
-// does, via its Method setter); plain observers are unaffected.
+// does, via its Method setter); plain observers are unaffected. The ledger
+// calls it once per solve, just before the start event.
 type methodReporter interface{ Method(kind string) }
-
-// notifyMethod tells an observer which solve method is about to run, when
-// it implements the optional methodReporter extension. Called once per
-// solve at the EventStart site — so adaptive sweeps that fall through
-// several gears on one point relabel the recorder per attempt.
-func notifyMethod(o Observer, kind string) {
-	if m, ok := o.(methodReporter); ok {
-		m.Method(kind)
-	}
-}
 
 // Iteration phase names reported as core-layer spans (internal/span) inside
 // a solve span: one span per phase per iteration while a recorder is
@@ -104,7 +99,7 @@ type ConvergenceError struct {
 	// Reason is the sentinel cause: ErrNoConvergence or ErrStagnated.
 	Reason error
 	// Method names the eigensolver that failed (a SolveKind* constant:
-	// "power", "lanczos", "chebyshev", "shift_invert"; or "arnoldi");
+	// "power", "lanczos", "chebyshev", "shift_invert" or "arnoldi");
 	// "" for errors predating the field.
 	Method string
 	// Detail is an optional context note (e.g. the Monitor abort).

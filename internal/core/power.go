@@ -143,33 +143,12 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		x = device.AllocVector(n)
 		w = device.AllocVector(n)
 	}
-	if opts.Start != nil {
-		if len(opts.Start) != n {
-			return PowerResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
-		}
-		copy(x, opts.Start) // self-copy when Start aliases the scratch iterate
-	} else {
-		vec.Fill(x, 1)
+	if err := loadStart(dev, x, opts.Start); err != nil {
+		return PowerResult{}, err
 	}
-	nrm := norm2(dev, x)
-	if nrm == 0 {
-		return PowerResult{}, errors.New("core: start vector is zero")
-	}
-	scale(dev, x, 1/nrm)
-	// The span hook is hoisted: one atomic load per solve, then plain nil
-	// checks in the loop. The solve span closes in powerDone so every exit
-	// path ends it without a deferred closure (which would allocate).
-	sr := span.Installed()
-	sp := beginSpan(sr, SolveKindPower)
-	if opts.Observer != nil {
-		notifyMethod(opts.Observer, SolveKindPower)
-		opts.Observer.Event(EventStart, 0, mu, 0)
-	}
+	led := openLedger(SolveKindPower, n, opts.Observer, mu, tol, stallChecks)
+	sr := led.sr
 	res := PowerResult{Vector: x}
-	bestResidual := math.Inf(1)
-	bestIter := 0 // iteration at which bestResidual last improved
-	lastCheck := 0
-	stalled := 0
 	// Each iteration is one operator application and two fused passes over
 	// x and w = W·x (DESIGN.md §5.10); neither pass materializes the shifted
 	// product t = (W − µI)·x. Pass B writes the next iterate t/‖t‖ into w,
@@ -195,74 +174,31 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		span.End(ph, int64(iter), 0)
 		if iter%checkEvery == 0 || iter == maxIter {
 			res.Residual = r
-			if sr != nil {
-				sr.Check(int64(iter-lastCheck), r, "")
-			}
-			lastCheck = iter
-			if opts.Observer != nil {
-				opts.Observer.Step(iter, res.Lambda, r)
-			}
-			if r < bestResidual*(1-1e-6) {
-				bestResidual = r
-				bestIter = iter
-				stalled = 0
-			} else {
-				stalled++
-			}
+			stalled := led.check(iter, res.Lambda, r)
 			if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
 				finish(&res, x, opts.Work)
-				powerDone(sr, sp, opts.Observer, EventAborted, n, iter, res.Lambda, r)
-				return res, &ConvergenceError{
-					Reason: ErrNoConvergence, Method: SolveKindPower,
-					Detail:     fmt.Sprintf("aborted by monitor at iteration %d", iter),
-					Iterations: iter, Residual: r, BestResidual: bestResidual,
-					SinceImprovement: iter - bestIter, Shift: mu, Tol: tol,
-				}
+				return res, led.fail(EventAborted, fmt.Sprintf("aborted by monitor at iteration %d", iter), iter, res.Lambda, r)
 			}
 			if r <= tol {
 				res.Converged = true
 				finish(&res, x, opts.Work)
-				powerDone(sr, sp, opts.Observer, EventConverged, n, iter, res.Lambda, r)
+				led.end(EventConverged, iter, res.Lambda, r)
 				return res, nil
 			}
-			if stallChecks > 0 && stalled >= stallChecks {
+			if stalled {
 				finish(&res, x, opts.Work)
-				powerDone(sr, sp, opts.Observer, EventStagnated, n, iter, res.Lambda, r)
-				return res, &ConvergenceError{
-					Reason: ErrStagnated, Method: SolveKindPower,
-					Iterations: iter, Residual: r, BestResidual: bestResidual,
-					SinceImprovement: iter - bestIter, Shift: mu, Tol: tol,
-				}
+				return res, led.fail(EventStagnated, "", iter, res.Lambda, r)
 			}
 		}
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			finish(&res, x, opts.Work)
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, iter, res.Lambda, res.Residual)
+			led.end(EventBreakdown, iter, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
 		}
 		x, w = w, x
 	}
 	finish(&res, x, opts.Work)
-	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.Iterations, res.Lambda, res.Residual)
-	return res, &ConvergenceError{
-		Reason: ErrNoConvergence, Method: SolveKindPower,
-		Iterations: res.Iterations, Residual: res.Residual, BestResidual: bestResidual,
-		SinceImprovement: res.Iterations - bestIter, Shift: mu, Tol: tol,
-	}
-}
-
-// powerDone emits the end-of-solve notifications: the convergence
-// observer's outcome event and the span recorder's final residual check,
-// then closes the solve span last so the callbacks are charged to it. sr
-// and sp are nil when no recorder was installed at solve start.
-func powerDone(sr span.Recorder, sp span.Handle, obs Observer, outcome string, dim, iter int, lambda, residual float64) {
-	if obs != nil {
-		obs.Event(outcome, iter, lambda, residual)
-	}
-	if sr != nil {
-		sr.Check(0, residual, outcome)
-	}
-	span.End(sp, int64(dim), int64(iter))
+	return res, led.fail(EventBudgetExhausted, "", res.Iterations, res.Lambda, res.Residual)
 }
 
 // beginSpan opens a core-layer span — a solve or one of its phases — when a

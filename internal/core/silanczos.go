@@ -53,12 +53,6 @@ type ShiftInvertOptions struct {
 	BasisSize int
 	// MaxRestarts caps the outer restart cycles (default 40).
 	MaxRestarts int
-	// InnerTol is the relative residual threshold of the inner CG solves.
-	// Default: two decades below the outer Tol, floored at 1e-15 — the
-	// attainable outer residual is limited by the inner solve accuracy.
-	InnerTol float64
-	// InnerMaxIter caps each inner CG solve. Default 10·√N + 100.
-	InnerMaxIter int
 	// Start is the starting vector; copied, not mutated. Default: uniform.
 	// May alias the Work iterate (warm-start continuation).
 	Start []float64
@@ -154,14 +148,11 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 	if maxRestarts <= 0 {
 		maxRestarts = 40
 	}
-	innerTol := opts.InnerTol
-	if innerTol <= 0 {
-		innerTol = math.Max(tol*1e-2, 1e-15)
-	}
-	innerMaxIter := opts.InnerMaxIter
-	if innerMaxIter <= 0 {
-		innerMaxIter = 10*int(math.Sqrt(float64(n))) + 100
-	}
+	// The inner CG solves stop two decades below the outer Tol, floored at
+	// 1e-15 (the attainable outer residual is limited by the inner solve
+	// accuracy), or after 10·√N + 100 iterations.
+	innerTol := math.Max(tol*1e-2, 1e-15)
+	innerMaxIter := 10*int(math.Sqrt(float64(n))) + 100
 	dev := opts.Dev
 
 	work := opts.Work
@@ -171,31 +162,13 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 	cgR, cgP, cgAp, q := work.vectors(n)
 	basis, alpha, beta, w := work.kry.krylov(n, m)
 
-	if opts.Start != nil {
-		if len(opts.Start) != n {
-			return ShiftInvertResult{}, fmt.Errorf("core: start vector length %d, want %d", len(opts.Start), n)
-		}
-		copy(q, opts.Start) // self-copy when Start aliases the scratch buffer
-	} else {
-		vec.Fill(q, 1)
-	}
-	nrm := norm2(dev, q)
-	if nrm == 0 {
-		return ShiftInvertResult{}, errors.New("core: start vector is zero")
-	}
-	scale(dev, q, 1/nrm)
-
-	sr := span.Installed()
-	sp := beginSpan(sr, SolveKindShiftInvert)
-	if opts.Observer != nil {
-		notifyMethod(opts.Observer, SolveKindShiftInvert)
-		opts.Observer.Event(EventStart, 0, mu, 0)
+	if err := loadStart(dev, q, opts.Start); err != nil {
+		return ShiftInvertResult{}, err
 	}
 
+	led := openLedger(SolveKindShiftInvert, n, opts.Observer, mu, tol, 0)
+	sr := led.sr
 	res := ShiftInvertResult{Vector: q, Mu: mu}
-	lastMatVecs := 0
-	bestResidual := math.Inf(1)
-	improvedAt := 0 // res.MatVecs at the last residual improvement
 	for restart := 0; restart < maxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copyInto(dev, basis[0], q)
@@ -243,11 +216,11 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 			}
 		}
 		if badShift {
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("%w: µ = %g", ErrBadShift, mu)
 		}
 		if k == 0 {
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, errors.New("core: shift-invert Lanczos built an empty basis")
 		}
 		// Dominant Ritz pair of the k×k tridiagonal (of the transformed
@@ -256,14 +229,14 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		vals, vecs, err := tridiagEigenpairs(alpha[:k], beta[:max(k-1, 0)])
 		span.End(ph, int64(res.Restarts), int64(k))
 		if err != nil {
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, err
 		}
 		theta := vals[0]
 		if theta <= 0 {
 			// The transformed operator is SPD when µ > λ₀; a non-positive
 			// dominant Ritz value means the shift is unusable.
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("%w: transformed Ritz value θ = %g ≤ 0 at µ = %g", ErrBadShift, theta, mu)
 		}
 		res.Lambda = mu - 1/theta
@@ -272,9 +245,9 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		for j := 0; j < k; j++ {
 			axpyInto(dev, vecs[j], basis[j], q)
 		}
-		nrm = norm2(dev, q)
+		nrm := norm2(dev, q)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			powerDone(sr, sp, opts.Observer, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
+			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: shift-invert Ritz vector collapsed at restart %d", res.Restarts)
 		}
 		scale(dev, q, 1/nrm)
@@ -287,33 +260,18 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		r := residual(dev, w, q, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
-		if r < bestResidual*(1-1e-6) {
-			bestResidual = r
-			improvedAt = res.MatVecs
-		}
-		if sr != nil {
-			sr.Check(int64(res.MatVecs-lastMatVecs), r, "")
-		}
-		lastMatVecs = res.MatVecs
-		if opts.Observer != nil {
-			opts.Observer.Step(res.MatVecs, lambda, r)
-		}
+		led.check(res.MatVecs, lambda, r)
 		if r <= tol {
 			res.Converged = true
 			orientPositive(q)
 			res.Vector = q
-			powerDone(sr, sp, opts.Observer, EventConverged, n, res.MatVecs, lambda, r)
+			led.end(EventConverged, res.MatVecs, lambda, r)
 			return res, nil
 		}
 	}
 	orientPositive(q)
 	res.Vector = q
-	powerDone(sr, sp, opts.Observer, EventBudgetExhausted, n, res.MatVecs, res.Lambda, res.Residual)
-	return res, &ConvergenceError{
-		Reason: ErrNoConvergence, Method: SolveKindShiftInvert,
-		Iterations: res.MatVecs, Residual: res.Residual, BestResidual: bestResidual,
-		SinceImprovement: res.MatVecs - improvedAt, Shift: mu, Tol: tol,
-	}
+	return res, led.fail(EventBudgetExhausted, "", res.MatVecs, res.Lambda, res.Residual)
 }
 
 // innerCG solves (µI − S)·y = rhs to relative tolerance rtol by conjugate

@@ -285,3 +285,42 @@ func TestStopUninstallsRecorder(t *testing.T) {
 		t.Errorf("wall moved after Stop: %v -> %v", w1, w2)
 	}
 }
+
+// TestArnoldiSolveReports: an Arnoldi solve reports through the same
+// ledger as the other eigensolvers — a core/arnoldi solve span, its kind
+// counter, one residual check per restart and its outcome.
+func TestArnoldiSolveReports(t *testing.T) {
+	EnableSolverMetrics()
+	const nu = 8
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := core.NewFmmpOperator(mutation.MustUniform(nu, 0.01), l, core.Right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := metricDeltas(t,
+		`qs_power_solves_total{kind="arnoldi"}`,
+		`qs_power_outcomes_total{outcome="converged"}`,
+		"qs_power_residual_checks_total",
+		"qs_power_iterations_total")
+	p := StartSpanProfiler(0)
+	res, err := core.Arnoldi(op, core.ArnoldiOptions{})
+	p.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := spanStat(t, p, span.LayerCore, core.SolveKindArnoldi); s.Count != 1 {
+		t.Errorf("arnoldi solve spans = %d, want 1", s.Count)
+	}
+	want := map[string]float64{
+		`qs_power_solves_total{kind="arnoldi"}`:        1,
+		`qs_power_outcomes_total{outcome="converged"}`: 1,
+		"qs_power_residual_checks_total":               float64(res.Restarts),
+		"qs_power_iterations_total":                    float64(res.MatVecs),
+	}
+	if got := delta(); !reflect.DeepEqual(got, want) {
+		t.Errorf("metric deltas = %v, want %v", got, want)
+	}
+}

@@ -269,12 +269,12 @@ func newSolverMetrics(r *Registry) (*solverMetrics, *sweepMetrics, *resourceMetr
 
 	for _, kind := range []string{
 		core.SolveKindPower, core.SolveKindLanczos,
-		core.SolveKindShiftInvert, core.SolveKindChebyshev,
+		core.SolveKindShiftInvert, core.SolveKindChebyshev, core.SolveKindArnoldi,
 	} {
 		sm.sites[spanKey{span.LayerCore, kind}] = &metricSite{
 			started: r.Counter(
 				`qs_power_solves_total{kind="`+kind+`"}`,
-				"Eigensolves started by kind (power, lanczos, shift_invert, chebyshev)."),
+				"Eigensolves started by kind (power, lanczos, shift_invert, chebyshev, arnoldi)."),
 		}
 	}
 	for _, outcome := range []string{

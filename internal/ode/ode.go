@@ -156,19 +156,12 @@ func renormalizeSimplex(x []float64) {
 type AdaptiveOptions struct {
 	// Tol is the local error tolerance per unit step (default 1e-9).
 	Tol float64
-	// InitialStep seeds the step size (default (t1−t0)/100).
-	InitialStep float64
-	// MinStep aborts the integration when the controller demands smaller
-	// steps (default 1e-12·(t1−t0)).
-	MinStep float64
-	// MaxSteps caps the number of accepted steps (default 10_000_000).
-	MaxSteps int
 	// Renormalize projects back onto the simplex after accepted steps.
 	Renormalize bool
 }
 
 // ErrStepUnderflow is returned when the adaptive controller cannot meet
-// the tolerance with the minimum step size.
+// the tolerance with the minimum step size, 1e-12·(t1−t0).
 var ErrStepUnderflow = errors.New("ode: adaptive step size underflow")
 
 // rkf45 coefficients (Fehlberg).
@@ -187,7 +180,8 @@ var (
 
 // IntegrateAdaptive advances x (in place) from t0 to t1 with the
 // Runge–Kutta–Fehlberg 4(5) pair and PI step-size control, returning the
-// number of accepted steps.
+// number of accepted steps. The first step is (t1−t0)/100, and the run
+// stops with an error after 10 000 000 accepted steps.
 func (s *System) IntegrateAdaptive(x []float64, t0, t1 float64, opts AdaptiveOptions) (int, error) {
 	if len(x) != s.Dim() {
 		return 0, fmt.Errorf("ode: state length %d, want %d", len(x), s.Dim())
@@ -199,18 +193,9 @@ func (s *System) IntegrateAdaptive(x []float64, t0, t1 float64, opts AdaptiveOpt
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	h := opts.InitialStep
-	if h <= 0 {
-		h = (t1 - t0) / 100
-	}
-	minStep := opts.MinStep
-	if minStep <= 0 {
-		minStep = 1e-12 * (t1 - t0)
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 10000000
-	}
+	h := (t1 - t0) / 100
+	minStep := 1e-12 * (t1 - t0)
+	const maxSteps = 10000000
 
 	n := s.Dim()
 	var k [6][]float64

@@ -1,6 +1,7 @@
 package quasispecies
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -197,11 +198,11 @@ func WithStart(x []float64) Option {
 	}
 }
 
-// SolveObserver receives the convergence trace of a power-method solve:
-// Step after every residual check and Event at lifecycle transitions
-// ("start", "converged", "stagnated", …). obs.Trace recorders satisfy it;
-// so does core.Observer, which it mirrors. Krylov and reduced backends do
-// not report traces and ignore the observer.
+// SolveObserver receives the convergence trace of a power-method or
+// Lanczos solve: Step after every residual check and Event at lifecycle
+// transitions ("start", "converged", "stagnated", …). obs.Trace recorders
+// satisfy it; so does core.Observer, which it mirrors. The Arnoldi and
+// reduced backends do not report traces and ignore the observer.
 type SolveObserver interface {
 	Step(iter int, lambda, residual float64)
 	Event(event string, iter int, lambda, residual float64)
@@ -279,18 +280,33 @@ func (s *Solution) MasterConcentration() float64 {
 	return s.Gamma[0] // Γ₀ = {master} alone
 }
 
-// Solve computes the quasispecies distribution.
+// Solve computes the quasispecies distribution: SolveContext with a
+// context that is never cancelled.
 func (mo *Model) Solve() (*Solution, error) {
+	return mo.SolveContext(context.Background())
+}
+
+// SolveContext is Solve with cooperative cancellation. A context that is
+// already cancelled or past its deadline returns ctx.Err() before any
+// work. The power-method backends (Fmmp, Xmvp) also check ctx at every
+// residual evaluation and abort with ctx.Err() when it is cancelled or
+// times out; large-ν solves can run for minutes, and this is the supported
+// way to bound them. The reduced, Lanczos and Arnoldi backends check ctx
+// only before they start.
+func (mo *Model) SolveContext(ctx context.Context) (*Solution, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// The facade span brackets everything a solve does — operator build,
 	// eigensolve, concentration post-processing — so the per-phase table
 	// accounts setup time that the core-layer solve span cannot see.
 	sp := span.Begin(span.LayerFacade, "solve")
-	sol, err := mo.solve()
+	sol, err := mo.solve(ctx)
 	span.End(sp, int64(mo.Dim()), 0)
 	return sol, err
 }
 
-func (mo *Model) solve() (*Solution, error) {
+func (mo *Model) solve(ctx context.Context) (*Solution, error) {
 	method := mo.method
 	if method == MethodAuto {
 		if _, ok := mo.mut.q.Uniform(); ok && mo.land.IsClassBased() {
@@ -303,13 +319,17 @@ func (mo *Model) solve() (*Solution, error) {
 	case MethodReduced:
 		return mo.solveReduced()
 	case MethodFmmp:
-		return mo.solvePower()
+		op, err := mo.fmmpOperator(core.Right)
+		if err != nil {
+			return nil, err
+		}
+		return mo.solveWithOperator(ctx, op, MethodFmmp)
 	case MethodXmvp:
 		op, err := mo.buildXmvpOperator()
 		if err != nil {
 			return nil, err
 		}
-		return mo.solveWithOperator(op, MethodXmvp)
+		return mo.solveWithOperator(ctx, op, MethodXmvp)
 	case MethodLanczos:
 		return mo.solveLanczos()
 	case MethodArnoldi:
@@ -331,32 +351,30 @@ func (mo *Model) buildXmvpOperator() (core.Operator, error) {
 	return core.NewXmvpOperator(x, mo.land.l, core.Right, mo.dev)
 }
 
-func (mo *Model) solvePower() (*Solution, error) {
-	op, err := mo.fmmpOperator(core.Right)
-	if err != nil {
-		return nil, err
-	}
-	return mo.solveWithOperator(op, MethodFmmp)
-}
-
-func (mo *Model) solveWithOperator(op core.Operator, method Method) (*Solution, error) {
+// solveWithOperator runs the power method on op. Only a cancellable ctx
+// installs the cancellation Monitor, so Solve runs the bare iteration.
+func (mo *Model) solveWithOperator(ctx context.Context, op core.Operator, method Method) (*Solution, error) {
 	start, err := mo.startVector(core.Right, op)
 	if err != nil {
 		return nil, err
 	}
 	popts := core.PowerOptions{
 		Tol: mo.effectiveTol(), MaxIter: mo.maxIter,
-		Start: start,
-		Dev:   mo.dev,
-	}
-	if mo.observer != nil {
-		popts.Observer = mo.observer
+		Start:    start,
+		Dev:      mo.dev,
+		Observer: mo.observer,
 	}
 	if mo.useShift {
 		popts.Shift = core.ConservativeShift(mo.mut.q, mo.land.l)
 	}
+	if ctx.Done() != nil {
+		popts.Monitor = func(int, float64, float64) bool { return ctx.Err() == nil }
+	}
 	res, err := core.PowerIteration(op, popts)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
 		return nil, err
 	}
 	return mo.finishSolution(res.Lambda, res.Vector, res.Iterations, res.Residual, method)
@@ -371,7 +389,9 @@ func (mo *Model) solveLanczos() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Lanczos(op, core.LanczosOptions{Tol: mo.effectiveTol(), Start: start})
+	res, err := core.Lanczos(op, core.LanczosOptions{
+		Tol: mo.effectiveTol(), Start: start, Observer: mo.observer,
+	})
 	if err != nil {
 		return nil, err
 	}
