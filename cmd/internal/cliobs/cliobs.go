@@ -64,7 +64,7 @@ type Run struct {
 func (f *Flags) Start(tool string) (*Run, error) {
 	r := &Run{tool: tool, flags: f}
 	if f.Telemetry {
-		r.tm = quasispecies.StartTelemetry(quasispecies.TelemetryOptions{})
+		r.tm = quasispecies.StartTelemetry()
 	}
 	if f.DebugAddr != "" {
 		srv, err := obs.StartDebugServer(f.DebugAddr)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/harness"
 )
@@ -17,10 +16,10 @@ import (
 // go to stdout as TSV; -json additionally writes the machine-readable
 // baseline (results/BENCH_critical.json is produced this way).
 
-// criticalReport is the JSON baseline document.
+// criticalReport is the JSON baseline document; the result's host block
+// records the machine it ran on.
 type criticalReport struct {
-	GOMAXPROCS int                          `json:"gomaxprocs"`
-	Result     *harness.CriticalBenchResult `json:"result"`
+	Result *harness.CriticalBenchResult `json:"result"`
 }
 
 func runCriticalBench(w io.Writer, nu, points, workers int, sigma, fracMin, fracMax, tol float64, jsonPath string) error {
@@ -38,7 +37,7 @@ func runCriticalBench(w io.Writer, nu, points, workers int, sigma, fracMin, frac
 		return err
 	}
 	if jsonPath != "" {
-		rep := criticalReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Result: res}
+		rep := criticalReport{Result: res}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err

@@ -65,14 +65,16 @@ func main() {
 	}
 	run, err := obsFlags.Start("qs-solverbench")
 	exitOn(err)
-	mode := "fig3"
+	// -nu is the chain length of -critical and -shift-study only; Figure 3
+	// spans -numin…-numax.
+	flight := quasispecies.FlightOptions{Method: "fig3", Workers: *workers}
 	switch {
 	case *critical:
-		mode = "critical"
+		flight.Method, flight.Nu = "critical", *nu
 	case *shiftStudy:
-		mode = "shift-study"
+		flight.Method, flight.Nu = "shift-study", *nu
 	}
-	run.StartFlight(quasispecies.FlightOptions{Nu: *nu, Method: mode, Workers: *workers})
+	run.StartFlight(flight)
 	run.StartSpans()
 
 	w := bufio.NewWriter(os.Stdout)

@@ -130,9 +130,6 @@ func main() {
 	var trace *obs.Trace
 	if *traceFile != "" {
 		trace = obs.NewTrace(*traceEvery)
-		if fl != nil {
-			trace.SetRunID(fl.RunID())
-		}
 	}
 	if trace != nil || fl != nil {
 		opts.Observe = func(i int, p float64) quasispecies.SolveObserver {

@@ -53,8 +53,13 @@ func main() {
 
 	run, err := obsFlags.Start("qsolve")
 	exitOn(err)
+	// -persite overrides -p, so the run has no p grid to record then.
+	var pGrid []float64
+	if *perSite == "" {
+		pGrid = []float64{*p}
+	}
 	fl := run.StartFlight(quasispecies.FlightOptions{
-		Nu: *nu, Method: *method, Workers: *workers, PGrid: []float64{*p},
+		Nu: *nu, Method: *method, Workers: *workers, PGrid: pGrid,
 	})
 
 	if *load != "" {
@@ -99,9 +104,6 @@ func main() {
 		observer = trace.Recorder(fmt.Sprintf("p=%g", *p))
 	}
 	if fl != nil {
-		if trace != nil {
-			trace.SetRunID(fl.RunID())
-		}
 		observer = quasispecies.TeeSolveObservers(observer, fl.Observer(fmt.Sprintf("p=%g", *p)))
 	}
 	if observer != nil {

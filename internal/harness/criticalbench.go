@@ -11,6 +11,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/obs"
 )
 
 // Critical-window benchmark: a full-space sweep across the error threshold
@@ -41,28 +42,6 @@ type CriticalBenchConfig struct {
 	// whole benchmark — that failure is the benchmark's point.
 	PowerMaxIter int
 	Dev          *device.Device
-}
-
-// HostInfo records the execution environment of a benchmark run so stored
-// result files stay interpretable: timings from a 1-core CI runner and a
-// 32-core workstation must not be compared as if equivalent.
-type HostInfo struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// CollectHostInfo snapshots the current process's execution environment.
-func CollectHostInfo() HostInfo {
-	return HostInfo{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
 }
 
 // CriticalPoint is one solved grid point of the adaptive sweep.
@@ -99,14 +78,21 @@ type CriticalBenchVariant struct {
 
 // CriticalBenchResult is the outcome of RunCriticalBench.
 type CriticalBenchResult struct {
-	Nu      int      `json:"nu"`
-	Sigma   float64  `json:"sigma"`
-	PC      float64  `json:"p_c"`
-	Points  int      `json:"points"`
-	Workers int      `json:"workers"`
-	PMin    float64  `json:"p_min"`
-	PMax    float64  `json:"p_max"`
-	Host    HostInfo `json:"host"`
+	Nu      int     `json:"nu"`
+	Sigma   float64 `json:"sigma"`
+	PC      float64 `json:"p_c"`
+	Points  int     `json:"points"`
+	Workers int     `json:"workers"`
+	PMin    float64 `json:"p_min"`
+	PMax    float64 `json:"p_max"`
+	// Host is the run's host block (the machine shape and kernel tier,
+	// as in a flight manifest) with the Go version that ran it, so stored
+	// results stay interpretable: timings from a 1-core CI runner and a
+	// 32-core workstation must not be compared as if equivalent.
+	Host struct {
+		GoVersion string `json:"go_version"`
+		obs.Host
+	} `json:"host"`
 	// Grid holds the per-point outcomes of the serial adaptive sweep.
 	Grid     []CriticalPoint        `json:"grid"`
 	Variants []CriticalBenchVariant `json:"variants"`
@@ -173,8 +159,8 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 		Nu: cfg.Nu, Sigma: cfg.Sigma, PC: pc,
 		Points: cfg.Points, Workers: cfg.Workers,
 		PMin: pMin, PMax: pMax,
-		Host: CollectHostInfo(),
 	}
+	res.Host.GoVersion, res.Host.Host = runtime.Version(), obs.CurrentHost()
 	run := func(name string, workers int, method core.SolveMethod, maxIter int) ([]ThresholdPoint, *SweepStats, error) {
 		opts := SweepOptions{
 			Workers: workers, WarmStart: true, Method: method,
@@ -261,7 +247,7 @@ func (r *CriticalBenchResult) WriteTSV(w io.Writer) error {
 		r.Nu, r.Sigma, r.PC, r.PMin, r.PMax, r.Points, r.Workers, r.BitIdentical, r.PowerCrossed, r.Escalations); err != nil {
 		return err
 	}
-	if r.Host != (HostInfo{}) {
+	if r.Host.GoVersion != "" {
 		if _, err := fmt.Fprintf(w, "# host: %s %s/%s cpus=%d gomaxprocs=%d\n",
 			r.Host.GoVersion, r.Host.GOOS, r.Host.GOARCH, r.Host.NumCPU, r.Host.GOMAXPROCS); err != nil {
 			return err

@@ -14,6 +14,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
@@ -754,7 +755,7 @@ func TestCommittedBenchWorkersWithinHost(t *testing.T) {
 		}
 		var doc struct {
 			Result struct {
-				Host     HostInfo `json:"host"`
+				Host     obs.Host `json:"host"`
 				Variants []struct {
 					Name    string `json:"name"`
 					Workers int    `json:"workers"`

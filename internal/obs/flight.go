@@ -72,9 +72,6 @@ type ring[T any] struct {
 }
 
 func newRing[T any](size int) *ring[T] {
-	if size < 1 {
-		size = 1
-	}
 	return &ring[T]{buf: make([]T, size)}
 }
 
@@ -116,97 +113,44 @@ func (r *ring[T]) totals() (retained int, allTime int64) {
 	return r.count, r.total
 }
 
-// WatchdogConfig tunes the numerical-health watchdog.
-type WatchdogConfig struct {
-	// Interval between health scans; 0 selects 500ms, < 0 disables the
-	// watchdog goroutine entirely.
-	Interval time.Duration
-	// StallWall flags a live solve whose best residual has not improved
-	// for this much wall time; 0 selects 30s, < 0 disables the criterion.
-	StallWall time.Duration
-	// StallChecks flags a live solve with this many residual checks since
-	// the last improvement; 0 selects 5000, < 0 disables the criterion.
-	StallChecks int
-	// WarnAfter and DumpAfter are the escalation rungs, in consecutive
-	// detections (watchdog ticks for stalls): the counter
-	// increments on every detection, the structured warning fires at
-	// WarnAfter (0 selects 2), the bundle dump at DumpAfter (0 selects 4).
-	WarnAfter int
-	DumpAfter int
-	// Log receives structured warning lines (JSON objects); nil writes
-	// them to stderr.
-	Log func(line string)
+// The flight recorder's constants: ring capacities, the trace ring's
+// thinning, the metric-snapshot cadence, the per-run bundle cap, the span
+// event bound of the profiler a flight installs, and the watchdog ladder —
+// scan interval, stall bounds (wall time since the last relative residual
+// improvement ≥ 1e-6, or residual checks since it) and the escalation
+// rungs in consecutive stalled scans.
+const (
+	flightSpanRing      = 4096
+	flightTraceRing     = 4096
+	flightDecisionRing  = 1024
+	flightMetricRing    = 256
+	flightTraceEvery    = 16
+	flightMetricPeriod  = 2 * time.Second
+	flightMaxBundles    = 8
+	flightSpanEvents    = 1 << 16
+	watchdogInterval    = 500 * time.Millisecond
+	watchdogStallWall   = 30 * time.Second
+	watchdogStallChecks = 5000
+	watchdogWarnAfter   = 2
+	watchdogDumpAfter   = 4
+)
+
+// flightConfig is what a flight runs with: the constants above, except
+// where the in-package tests shrink cadences and bounds. A zero interval,
+// metric period, stall wall or stall-check bound turns that part off.
+type flightConfig struct {
+	traceEvery           int
+	metricPeriod         time.Duration
+	maxBundles           int
+	interval             time.Duration
+	stallWall            time.Duration
+	stallChecks          int
+	warnAfter, dumpAfter int
+	log                  func(line string) // warning sink; nil writes to stderr
 }
 
-// FlightConfig configures a flight recording. The zero value is usable:
-// default ring sizes, watchdog defaults, bundles under "flight-bundles".
-type FlightConfig struct {
-	// Dir is where diagnostic bundles are dumped; "" selects
-	// "flight-bundles" under the current directory.
-	Dir string
-	// Ring capacities; 0 selects the defaults (spans 4096, trace 4096,
-	// decisions 1024, metrics 256).
-	SpanRing, TraceRing, DecisionRing, MetricRing int
-	// TraceEvery thins Step rows entering the trace ring (every ≤ 1 keeps
-	// all; 0 selects 16). Event rows are never thinned.
-	TraceEvery int
-	// MetricPeriod is the metric-snapshot cadence; 0 selects 2s, < 0
-	// disables snapshots.
-	MetricPeriod time.Duration
-	// MaxBundles caps dumped bundles per run (0 selects 8).
-	MaxBundles int
-	Watchdog   WatchdogConfig
-	// DisableSignals skips the SIGUSR1/SIGQUIT dump handler;
-	// DisablePanicHook skips the batch-worker recover hook.
-	DisableSignals   bool
-	DisablePanicHook bool
-}
-
-func (c *FlightConfig) fill() {
-	if c.Dir == "" {
-		c.Dir = "flight-bundles"
-	}
-	if c.SpanRing == 0 {
-		c.SpanRing = 4096
-	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 4096
-	}
-	if c.DecisionRing == 0 {
-		c.DecisionRing = 1024
-	}
-	if c.MetricRing == 0 {
-		c.MetricRing = 256
-	}
-	if c.TraceEvery == 0 {
-		c.TraceEvery = 16
-	}
-	if c.MetricPeriod == 0 {
-		c.MetricPeriod = 2 * time.Second
-	}
-	if c.MaxBundles == 0 {
-		c.MaxBundles = 8
-	}
-	w := &c.Watchdog
-	if w.Interval == 0 {
-		w.Interval = 500 * time.Millisecond
-	}
-	if w.StallWall == 0 {
-		w.StallWall = 30 * time.Second
-	}
-	if w.StallChecks == 0 {
-		w.StallChecks = 5000
-	}
-	if w.WarnAfter == 0 {
-		w.WarnAfter = 2
-	}
-	if w.DumpAfter == 0 {
-		w.DumpAfter = 4
-	}
-}
-
-// BundleReasons is the fixed label set of qs_flight_bundles_total.
-var BundleReasons = []string{
+// bundleReasons is the fixed label set of qs_flight_bundles_total.
+var bundleReasons = []string{
 	"stall", "nan", "convergence_error", "gap_unresolved",
 	"panic", "signal", "manual", "other",
 }
@@ -215,8 +159,10 @@ var BundleReasons = []string{
 // safe for concurrent use.
 type FlightRecorder struct {
 	manifest *Manifest
-	cfg      FlightConfig
+	dir      string
+	cfg      flightConfig
 	epoch    time.Time
+	prof     *SpanProfiler // the profiler StartFlight installed, nil if one was recording
 
 	spans     *ring[FlightSpan]
 	trace     *ring[TraceRow]
@@ -243,51 +189,70 @@ var activeFlight atomic.Pointer[FlightRecorder]
 // is active. The disabled cost at every tee point is this one atomic load.
 func ActiveFlight() *FlightRecorder { return activeFlight.Load() }
 
-// StartFlight installs a flight recording for the run described by m and
-// returns it. Only one flight is active at a time; starting a new one
-// supersedes the previous. Call Stop when the run ends.
-func StartFlight(m *Manifest, cfg FlightConfig) *FlightRecorder {
-	cfg.fill()
+// StartFlight installs a flight recording for the run described by m,
+// dumping bundles under dir, and returns it. Only one flight is active at
+// a time; starting a new one supersedes the previous. The flight owns its
+// span feed: when no span profile is recording it installs a bounded one,
+// which Stop removes; a profile already recording (e.g. -spans) is
+// stamped with the run ID instead. The batch panic hook and the
+// SIGUSR1/SIGQUIT dump handler are installed for the flight's lifetime.
+// Call Stop when the run ends.
+func StartFlight(m *Manifest, dir string) *FlightRecorder {
+	return startFlight(m, dir, flightConfig{
+		traceEvery:   flightTraceEvery,
+		metricPeriod: flightMetricPeriod,
+		maxBundles:   flightMaxBundles,
+		interval:     watchdogInterval,
+		stallWall:    watchdogStallWall,
+		stallChecks:  watchdogStallChecks,
+		warnAfter:    watchdogWarnAfter,
+		dumpAfter:    watchdogDumpAfter,
+	})
+}
+
+func startFlight(m *Manifest, dir string, cfg flightConfig) *FlightRecorder {
 	r := Default()
 	f := &FlightRecorder{
 		manifest:  m,
+		dir:       dir,
 		cfg:       cfg,
 		epoch:     time.Now(),
-		spans:     newRing[FlightSpan](cfg.SpanRing),
-		trace:     newRing[TraceRow](cfg.TraceRing),
-		decisions: newRing[Decision](cfg.DecisionRing),
-		metrics:   newRing[MetricSnapshot](cfg.MetricRing),
+		spans:     newRing[FlightSpan](flightSpanRing),
+		trace:     newRing[TraceRow](flightTraceRing),
+		decisions: newRing[Decision](flightDecisionRing),
+		metrics:   newRing[MetricSnapshot](flightMetricRing),
 		solves:    make(map[*FlightSolveRecorder]struct{}),
 		onceDump:  make(map[string]bool),
 		stopCh:    make(chan struct{}),
 		mStalls:   r.Counter("qs_flight_watchdog_stalls_total", "Watchdog stall detections (one per scan of a stalled solve)."),
 		mNaNs:     r.Counter("qs_flight_watchdog_nan_total", "Watchdog NaN/Inf residual detections."),
-		mBundles:  make(map[string]*Counter, len(BundleReasons)),
+		mBundles:  make(map[string]*Counter, len(bundleReasons)),
 	}
-	for _, reason := range BundleReasons {
+	for _, reason := range bundleReasons {
 		f.mBundles[reason] = r.Counter(
 			`qs_flight_bundles_total{reason="`+reason+`"}`,
 			"Diagnostic bundles dumped by trigger reason.")
 	}
 	r.Gauge(`qs_flight_run_info{run_id="`+EscapeLabel(m.RunID)+`"}`,
 		"Identity of the flight-recorded run (1 while its process runs).").Set(1)
+	activeFlight.Store(f)
 	if p := InstalledProfiler(); p != nil {
 		p.SetRunID(m.RunID)
+	} else {
+		// A modest event bound: the flight needs a span feed for its ring
+		// and a profile table for bundles, not the full timeline a -spans
+		// run keeps. NewSpanProfiler stamps it with the run ID.
+		f.prof = StartSpanProfiler(flightSpanEvents)
 	}
-	activeFlight.Store(f)
-	if !cfg.DisablePanicHook {
-		batch.SetPanicHook(func(task int, recovered any, stack []byte) {
-			f.dumpPanic(task, recovered, stack)
-		})
-	}
-	if !cfg.DisableSignals {
-		f.watchSignals()
-	}
-	if cfg.Watchdog.Interval > 0 {
+	batch.SetPanicHook(func(task int, recovered any, stack []byte) {
+		f.dumpPanic(task, recovered, stack)
+	})
+	f.watchSignals()
+	if cfg.interval > 0 {
 		f.wg.Add(1)
 		go f.watchdogLoop()
 	}
-	if cfg.MetricPeriod > 0 {
+	if cfg.metricPeriod > 0 {
 		f.wg.Add(1)
 		go f.metricLoop()
 	}
@@ -295,27 +260,25 @@ func StartFlight(m *Manifest, cfg FlightConfig) *FlightRecorder {
 }
 
 // Stop ends the recording: uninstalls the flight (if it is the active
-// one), stops the watchdog and snapshot goroutines, and releases the
-// signal and panic hooks. Safe to call more than once. The rings stay
-// readable after Stop.
+// one) and its panic hook, stops the watchdog, snapshot and signal
+// goroutines, and removes the span profiler StartFlight installed. Safe to
+// call more than once. The rings stay readable after Stop.
 func (f *FlightRecorder) Stop() {
 	f.stopOnce.Do(func() {
 		if activeFlight.Load() == f {
 			activeFlight.Store(nil)
-			if !f.cfg.DisablePanicHook {
-				batch.SetPanicHook(nil)
-			}
+			batch.SetPanicHook(nil)
 		}
 		close(f.stopCh)
+		if f.prof != nil {
+			f.prof.Stop()
+		}
 	})
 	f.wg.Wait()
 }
 
 // RunID returns the run identifier of the flight's manifest.
 func (f *FlightRecorder) RunID() string { return f.manifest.RunID }
-
-// Manifest returns the run manifest.
-func (f *FlightRecorder) Manifest() *Manifest { return f.manifest }
 
 // Bundles returns the directories of the bundles dumped so far.
 func (f *FlightRecorder) Bundles() []string {
@@ -348,16 +311,16 @@ func (f *FlightRecorder) offsetMS() float64 {
 }
 
 // Observer returns a per-solve recorder for the labelled solve (e.g.
-// "p=0.0312"): it feeds the trace ring (thinned) and registers the solve
-// with the watchdog until a terminal event arrives. The recorder's method
-// set matches core.Observer plus the optional Method extension, so it tees
-// into PowerOptions.Observer and SweepOptions.Observe directly.
+// "p=0.0312"): it feeds the trace ring through a TraceRecorder, thinned
+// like a -trace file, and registers the solve with the watchdog until a
+// terminal event arrives. The recorder's method set matches core.Observer
+// plus the optional Method extension, so it tees into
+// PowerOptions.Observer and SweepOptions.Observe directly.
 func (f *FlightRecorder) Observer(label string) *FlightSolveRecorder {
 	r := &FlightSolveRecorder{
 		f: f, label: label,
-		best:        math.Inf(1),
-		started:     time.Now(),
-		lastImprove: time.Now(),
+		rows: &TraceRecorder{sink: f.trace, every: f.cfg.traceEvery, runID: f.manifest.RunID, label: label},
+		best: math.Inf(1), lastImprove: time.Now(),
 	}
 	f.register(r)
 	return r
@@ -377,12 +340,15 @@ func (f *FlightRecorder) unregister(r *FlightSolveRecorder) {
 }
 
 // FlightSolveRecorder records one solve's convergence stream into the
-// flight rings and exposes its progress to the watchdog. Step/Event match
-// core.Observer; Method matches the optional methodReporter extension.
+// flight's trace ring and exposes its progress to the watchdog. Step/Event
+// match core.Observer; Method matches the optional methodReporter
+// extension.
 type FlightSolveRecorder struct {
 	f     *FlightRecorder
 	label string
+	rows  *TraceRecorder // the solve goroutine's alone
 
+	// Watchdog state, read by the scan goroutine under mu.
 	mu           sync.Mutex
 	method       string
 	steps        int
@@ -390,10 +356,7 @@ type FlightSolveRecorder struct {
 	residual     float64
 	best         float64
 	sinceImprove int
-	started      time.Time
 	lastImprove  time.Time
-	pending      TraceRow
-	hasPend      bool
 	done         bool
 	nanSeen      bool
 	stallTicks   int
@@ -403,6 +366,7 @@ type FlightSolveRecorder struct {
 // Method labels subsequent rows with the solve gear and retains the
 // method decision.
 func (r *FlightSolveRecorder) Method(kind string) {
+	r.rows.Method(kind)
 	r.mu.Lock()
 	r.method = kind
 	iter := r.iter
@@ -410,9 +374,10 @@ func (r *FlightSolveRecorder) Method(kind string) {
 	r.f.NoteDecision("method", r.label, kind, iter)
 }
 
-// Step records a residual check: watchdog progress bookkeeping plus a
-// thinned trace-ring row. NaN/Inf residuals escalate immediately.
+// Step records a residual check: a thinned trace-ring row plus watchdog
+// progress bookkeeping. NaN/Inf residuals escalate immediately.
 func (r *FlightSolveRecorder) Step(iter int, lambda, residual float64) {
+	r.rows.Step(iter, lambda, residual)
 	bad := math.IsNaN(residual) || math.IsInf(residual, 0) ||
 		math.IsNaN(lambda) || math.IsInf(lambda, 0)
 	r.mu.Lock()
@@ -426,50 +391,32 @@ func (r *FlightSolveRecorder) Step(iter int, lambda, residual float64) {
 	} else {
 		r.sinceImprove++
 	}
-	row := TraceRow{
-		RunID: r.f.manifest.RunID, Label: r.label,
-		Iter: iter, Lambda: lambda, Residual: residual, Method: r.method,
-	}
-	thin := r.f.cfg.TraceEvery > 1 && r.steps%r.f.cfg.TraceEvery != 0
-	if thin {
-		r.pending = row
-		r.hasPend = true
-	} else {
-		r.hasPend = false
-	}
 	escalate := bad && !r.nanSeen
 	if bad {
 		r.nanSeen = true
 	}
 	r.mu.Unlock()
-	if !thin {
-		r.f.trace.push(row)
-	}
 	if escalate {
 		r.f.escalateNaN(r.label, iter, residual)
 	}
 }
 
-// Event records a lifecycle event (never thinned), flushing the pending
-// thinned step first on terminal events, and unregisters the solve from
-// the watchdog when the event terminates it.
+// Event records a lifecycle event and unregisters the solve from the
+// watchdog when the event terminates it. A start after a terminal event
+// re-arms the watchdog state for the next solve on the same observer.
 func (r *FlightSolveRecorder) Event(event string, iter int, lambda, residual float64) {
-	r.mu.Lock()
-	method := r.method
-	flush := r.hasPend && event != core.EventStart
-	pending := r.pending
-	r.hasPend = false
 	terminal := event != core.EventStart
+	r.mu.Lock()
 	if terminal {
 		r.done = true
 	} else if r.done {
-		// The observer is being reused for a fresh solve (repeated
-		// benchmark reps on one model): re-arm the watchdog state.
+		// The observer is being reused for a fresh solve (the next gear
+		// of a sweep point, repeated benchmark reps on one model).
 		r.done, r.nanSeen = false, false
 		r.steps, r.sinceImprove, r.stallTicks = 0, 0, 0
 		r.stallWarned = false
 		r.best = math.Inf(1)
-		r.started, r.lastImprove = time.Now(), time.Now()
+		r.lastImprove = time.Now()
 	}
 	r.mu.Unlock()
 	if !terminal {
@@ -477,13 +424,7 @@ func (r *FlightSolveRecorder) Event(event string, iter int, lambda, residual flo
 		// that a previous solve's terminal event unregistered.
 		r.f.register(r)
 	}
-	if flush {
-		r.f.trace.push(pending)
-	}
-	r.f.trace.push(TraceRow{
-		RunID: r.f.manifest.RunID, Label: r.label,
-		Iter: iter, Lambda: lambda, Residual: residual, Event: event, Method: method,
-	})
+	r.rows.Event(event, iter, lambda, residual)
 	if terminal {
 		r.f.NoteDecision("outcome", r.label, event, iter)
 		r.f.unregister(r)
@@ -509,8 +450,8 @@ func (f *FlightRecorder) warn(fields map[string]any) {
 	if err != nil {
 		line = []byte(fmt.Sprintf(`{"run_id":%q,"kind":"warn_marshal_failed"}`, f.manifest.RunID))
 	}
-	if f.cfg.Watchdog.Log != nil {
-		f.cfg.Watchdog.Log(string(line))
+	if f.cfg.log != nil {
+		f.cfg.log(string(line))
 	} else {
 		fmt.Fprintf(os.Stderr, "qs-flight: %s\n", line)
 	}
@@ -531,11 +472,11 @@ func (f *FlightRecorder) dumpOnce(reason string, extra map[string]any) {
 	_, _ = f.DumpBundle(reason, extra)
 }
 
-// watchdogLoop is the health scan: every Interval it checks live solves
+// watchdogLoop is the health scan: every interval it checks live solves
 // for stalls, climbing the escalation ladder per solve.
 func (f *FlightRecorder) watchdogLoop() {
 	defer f.wg.Done()
-	t := time.NewTicker(f.cfg.Watchdog.Interval)
+	t := time.NewTicker(f.cfg.interval)
 	defer t.Stop()
 	for {
 		select {
@@ -548,7 +489,7 @@ func (f *FlightRecorder) watchdogLoop() {
 }
 
 func (f *FlightRecorder) scanSolves() {
-	w := f.cfg.Watchdog
+	c := f.cfg
 	f.mu.Lock()
 	live := make([]*FlightSolveRecorder, 0, len(f.solves))
 	for r := range f.solves {
@@ -559,18 +500,14 @@ func (f *FlightRecorder) scanSolves() {
 		r.mu.Lock()
 		stalled := false
 		if !r.done && r.steps > 0 {
-			if w.StallChecks > 0 && r.sinceImprove >= w.StallChecks {
-				stalled = true
-			}
-			if w.StallWall > 0 && time.Since(r.lastImprove) >= w.StallWall {
-				stalled = true
-			}
+			stalled = c.stallChecks > 0 && r.sinceImprove >= c.stallChecks ||
+				c.stallWall > 0 && time.Since(r.lastImprove) >= c.stallWall
 		}
 		var warnFields map[string]any
 		dump := false
 		if stalled {
 			r.stallTicks++
-			if r.stallTicks == w.WarnAfter || (r.stallTicks >= w.WarnAfter && !r.stallWarned) {
+			if r.stallTicks == c.warnAfter || (r.stallTicks >= c.warnAfter && !r.stallWarned) {
 				r.stallWarned = true
 				warnFields = map[string]any{
 					"kind": "stall", "label": r.label, "iter": r.iter,
@@ -580,7 +517,7 @@ func (f *FlightRecorder) scanSolves() {
 					"method":               r.method,
 				}
 			}
-			dump = r.stallTicks >= w.DumpAfter
+			dump = r.stallTicks >= c.dumpAfter
 		} else {
 			r.stallTicks = 0
 		}
@@ -601,7 +538,7 @@ func (f *FlightRecorder) scanSolves() {
 // metricLoop captures periodic registry snapshots into the metric ring.
 func (f *FlightRecorder) metricLoop() {
 	defer f.wg.Done()
-	t := time.NewTicker(f.cfg.MetricPeriod)
+	t := time.NewTicker(f.cfg.metricPeriod)
 	defer t.Stop()
 	for {
 		select {
@@ -681,14 +618,14 @@ type dumpSummary struct {
 // reached.
 func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string, error) {
 	f.mu.Lock()
-	if len(f.bundles) >= f.cfg.MaxBundles {
+	if len(f.bundles) >= f.cfg.maxBundles {
 		f.mu.Unlock()
 		f.NoteDecision("bundle", "", "bundle cap reached, dump skipped: "+reason, 0)
 		return "", nil
 	}
 	f.seq++
 	seq := f.seq
-	dir := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s-%03d-%s", f.manifest.RunID, seq, reason))
+	dir := filepath.Join(f.dir, fmt.Sprintf("%s-%03d-%s", f.manifest.RunID, seq, reason))
 	f.bundles = append(f.bundles, dir)
 	f.mu.Unlock()
 
@@ -810,12 +747,3 @@ func (f *FlightRecorder) status() flightStatus {
 	}
 	return st
 }
-
-// TraceRows returns a copy of the retained trace-ring rows.
-func (f *FlightRecorder) TraceRows() []TraceRow { return f.trace.snapshot() }
-
-// Spans returns a copy of the retained span-ring events.
-func (f *FlightRecorder) Spans() []FlightSpan { return f.spans.snapshot() }
-
-// Decisions returns a copy of the retained decision rows.
-func (f *FlightRecorder) Decisions() []Decision { return f.decisions.snapshot() }

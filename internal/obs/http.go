@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -39,20 +38,16 @@ func Handler() http.Handler {
 	return mux
 }
 
-// healthzPayload identifies the deployment: build provenance (module
-// version, VCS revision, dirty flag), uptime, and — when a flight is
-// active — the run ID. Status stays "ok"/200 whenever the process can
-// answer at all, so existing `curl -sf /healthz` probes keep working.
+// healthzPayload identifies the deployment: the manifest's build block
+// (Go version, module version, VCS revision, dirty flag), uptime, and —
+// when a flight is active — the run ID. Status stays "ok"/200 whenever
+// the process can answer at all, so existing `curl -sf /healthz` probes
+// keep working.
 type healthzPayload struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	GoVersion     string  `json:"go_version"`
-	Module        string  `json:"module,omitempty"`
-	Version       string  `json:"module_version,omitempty"`
-	Revision      string  `json:"vcs_revision,omitempty"`
-	VCSTime       string  `json:"vcs_time,omitempty"`
-	Dirty         bool    `json:"vcs_dirty,omitempty"`
-	RunID         string  `json:"run_id,omitempty"`
+	Build
+	RunID string `json:"run_id,omitempty"`
 
 	// Memory summary, so a health probe doubles as a cheap resource check.
 	// RSS fields come from procfs and are omitted (with MemReason set) when
@@ -70,6 +65,7 @@ func serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	p := healthzPayload{
 		Status:        "ok",
 		UptimeSeconds: time.Since(procStart).Seconds(),
+		Build:         readBuild(),
 		Goroutines:    runtime.NumGoroutine(),
 		Telemetry:     ActiveSampler() != nil,
 	}
@@ -84,21 +80,6 @@ func serveHealthz(w http.ResponseWriter, _ *http.Request) {
 		p.PeakRSSBytes = mem.PeakRSSBytes
 	} else {
 		p.MemReason = mem.Reason
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		p.GoVersion = bi.GoVersion
-		p.Module = bi.Main.Path
-		p.Version = bi.Main.Version
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				p.Revision = s.Value
-			case "vcs.time":
-				p.VCSTime = s.Value
-			case "vcs.modified":
-				p.Dirty = s.Value == "true"
-			}
-		}
 	}
 	if fl := ActiveFlight(); fl != nil {
 		p.RunID = fl.RunID()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -98,5 +99,27 @@ func TestDebugSpansEndpoint(t *testing.T) {
 	code, body = get("/debug/spans?format=text")
 	if code != http.StatusOK || !strings.Contains(body, "matvec") || !strings.Contains(body, "layer") {
 		t.Errorf("text format: status=%d body:\n%s", code, body)
+	}
+}
+
+// TestHealthzBuildMatchesManifest: /healthz serves the manifest's build
+// block, field for field.
+func TestHealthzBuildMatchesManifest(t *testing.T) {
+	rec := httptest.NewRecorder()
+	serveHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
+	var p healthzPayload
+	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+	want := NewManifest(ManifestWorkload{Tool: "qs-test"}).Build
+	if p.Build != want || p.GoVersion == "" {
+		t.Fatalf("/healthz build = %+v, manifest build = %+v", p.Build, want)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["go_version"]; !ok {
+		t.Fatalf("/healthz has no go_version key: %s", rec.Body.Bytes())
 	}
 }

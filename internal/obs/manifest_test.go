@@ -12,9 +12,7 @@ import (
 
 func TestNewManifestStampsIdentity(t *testing.T) {
 	m := NewManifest(ManifestWorkload{
-		Tool: "qs-test", Args: []string{"-nu", "14"},
-		Flags: map[string]string{"nu": "14"},
-		Nu:    14, Method: "power", Workers: 2, PGrid: []float64{0.01, 0.02},
+		Tool: "qs-test", Nu: 14, Method: "power", Workers: 2, PGrid: []float64{0.01, 0.02},
 	})
 	if m.Schema != ManifestSchema {
 		t.Fatalf("schema %d, want %d", m.Schema, ManifestSchema)
@@ -28,16 +26,21 @@ func TestNewManifestStampsIdentity(t *testing.T) {
 	if m.NumCPU < 1 || m.GOMAXPROCS < 1 {
 		t.Fatalf("host shape not probed: %+v", m)
 	}
-	// The fast-path probe must state a reason whenever unavailable.
-	if !m.AVX2 && m.AVX2Reason == "" {
-		t.Error("AVX2 unavailable without a degradation reason")
+	// The kernel-tier probe must state a reason below the top tier.
+	if m.SIMD != vec.TierAVX512.String() && m.SIMDReason == "" {
+		t.Errorf("kernel tier %s without a degradation reason", m.SIMD)
+	}
+	// The command line is always recorded: the test binary's flags are
+	// registered on flag.CommandLine.
+	if _, ok := m.Flags["test.run"]; !ok {
+		t.Errorf("flag set not recorded: %v", m.Flags)
 	}
 }
 
 // TestManifestNamesKernelTier logs the tier the process started at (CI
 // prints it), then checks that the manifest names the active kernel tier at
 // every tier the host can run, says why the next higher tier is off below
-// the top one, and keeps avx2 and avx2_reason consistent with the tier.
+// the top one, and states the tier once: simd/simd_reason, no avx2 keys.
 func TestManifestNamesKernelTier(t *testing.T) {
 	tier, reason := vec.SIMD()
 	t.Logf("kernel tier: %v (%s)", tier, reason)
@@ -52,9 +55,6 @@ func TestManifestNamesKernelTier(t *testing.T) {
 		if (m.SIMDReason == "") != (tier == vec.TierAVX512) {
 			t.Errorf("tier %v: simd_reason %q", tier, m.SIMDReason)
 		}
-		if m.AVX2 != (tier >= vec.TierAVX2) || (m.AVX2Reason == "") != m.AVX2 {
-			t.Errorf("tier %v: avx2 %v, avx2_reason %q", tier, m.AVX2, m.AVX2Reason)
-		}
 	}
 	data, err := json.Marshal(NewManifest(ManifestWorkload{Tool: "qs-test"}))
 	if err != nil {
@@ -62,6 +62,67 @@ func TestManifestNamesKernelTier(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"simd":"`) {
 		t.Errorf("manifest JSON has no simd field: %s", data)
+	}
+	if strings.Contains(string(data), `"avx2`) {
+		t.Errorf("manifest JSON still states the tier as avx2: %s", data)
+	}
+}
+
+// TestManifestKeys pins manifest.json's key set: the schema-1 keys minus
+// avx2 and avx2_reason, with the build and host blocks flattened in.
+func TestManifestKeys(t *testing.T) {
+	data, err := json.Marshal(NewManifest(ManifestWorkload{
+		Tool: "qs-test", Nu: 10, Method: "power", Workers: 1, PGrid: []float64{0.01},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	always := []string{
+		"schema", "run_id", "time", "tool", "flags", "go_version",
+		"goos", "goarch", "num_cpu", "gomaxprocs", "numa_node_cpus", "simd",
+		"nu", "method", "workers", "p_grid",
+	}
+	optional := []string{
+		"args", "module", "module_version", "vcs_revision", "vcs_time",
+		"vcs_dirty", "simd_reason",
+	}
+	for _, k := range always {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("manifest lacks %q: %s", k, data)
+		}
+		delete(keys, k)
+	}
+	for _, k := range optional {
+		delete(keys, k)
+	}
+	for k := range keys {
+		t.Errorf("manifest has unexpected key %q", k)
+	}
+}
+
+// TestReadManifestSchema1: a schema-1 manifest, which still carries avx2
+// and avx2_reason next to simd, reads into the schema-2 record.
+func TestReadManifestSchema1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ManifestName)
+	body := `{"schema": 1, "run_id": "20260101T000000-00000000", "time": "2026-01-01T00:00:00Z",
+		"tool": "qs-threshold", "go_version": "go1.24.0", "vcs_revision": "abc",
+		"goos": "linux", "goarch": "amd64", "num_cpu": 2, "gomaxprocs": 2,
+		"numa_node_cpus": [[0, 1]], "avx2": false, "avx2_reason": "QS_NOAVX2 set",
+		"simd": "go", "simd_reason": "QS_NOAVX2 set", "nu": 14}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifestFile(path)
+	if err != nil {
+		t.Fatalf("schema-1 manifest rejected: %v", err)
+	}
+	if m.Schema != 1 || m.GoVersion != "go1.24.0" || m.Revision != "abc" ||
+		m.GOMAXPROCS != 2 || m.SIMD != "go" || m.SIMDReason != "QS_NOAVX2 set" || m.Nu != 14 {
+		t.Fatalf("schema-1 manifest read as %+v", m)
 	}
 }
 

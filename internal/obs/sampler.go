@@ -17,18 +17,11 @@ import (
 // atomic the solver already maintains, so a running sweep is bit-identical
 // and allocation-free with the sampler on or off.
 
-// SamplerConfig configures StartResourceSampler. The zero value selects a
-// 1 s period and 600 retained points per series (10 minutes at 1 Hz).
-type SamplerConfig struct {
-	// Period is the sampling interval (minimum 10 ms enforced).
-	Period time.Duration
-	// Capacity is the per-series ring size.
-	Capacity int
-}
-
+// The sampler polls every samplerPeriod and retains samplerCapacity
+// points per series: ten minutes at 1 Hz.
 const (
-	defaultSamplerPeriod   = time.Second
-	defaultSamplerCapacity = 600
+	samplerPeriod   = time.Second
+	samplerCapacity = 600
 	// numaEvery spaces out /proc/self/numa_maps reads: the kernel walks the
 	// whole address space under mmap_sem to produce it, so once every 5
 	// ticks is plenty for a placement signal that changes slowly.
@@ -77,12 +70,18 @@ func ActiveSampler() *Sampler { return activeSampler.Load() }
 // StartResourceSampler starts the process-wide resource sampler (calling
 // EnableSolverMetrics first, so the gauges it refreshes exist). Idempotent:
 // a second call returns the already-running sampler unchanged.
-func StartResourceSampler(cfg SamplerConfig) *Sampler {
+func StartResourceSampler() *Sampler {
+	return startSampler(samplerPeriod, samplerCapacity)
+}
+
+// startSampler is StartResourceSampler at a given period and per-series
+// capacity; the in-package tests sample faster.
+func startSampler(period time.Duration, capacity int) *Sampler {
 	if s := activeSampler.Load(); s != nil {
 		return s
 	}
 	EnableSolverMetrics()
-	s := newSampler(cfg)
+	s := newSampler(period, capacity)
 	if !activeSampler.CompareAndSwap(nil, s) {
 		return activeSampler.Load()
 	}
@@ -90,18 +89,7 @@ func StartResourceSampler(cfg SamplerConfig) *Sampler {
 	return s
 }
 
-func newSampler(cfg SamplerConfig) *Sampler {
-	period := cfg.Period
-	if period <= 0 {
-		period = defaultSamplerPeriod
-	}
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = defaultSamplerCapacity
-	}
+func newSampler(period time.Duration, capacity int) *Sampler {
 	s := &Sampler{
 		period:     period,
 		started:    time.Now(),

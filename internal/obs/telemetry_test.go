@@ -44,9 +44,9 @@ func TestTelemetryEndpointLifecycle(t *testing.T) {
 		t.Fatalf("inactive text = %q", got)
 	}
 
-	s := StartResourceSampler(SamplerConfig{Period: 20 * time.Millisecond, Capacity: 64})
+	s := startSampler(20*time.Millisecond, 64)
 	defer s.Stop()
-	if StartResourceSampler(SamplerConfig{}) != s {
+	if StartResourceSampler() != s {
 		t.Fatal("second StartResourceSampler did not return the running sampler")
 	}
 
@@ -188,7 +188,7 @@ func tableRow(t *testing.T, table, name string) string {
 // TestTelemetryTableTrendHonorsWindow: ?window= restricts every column,
 // the TREND sparkline included, to the points at or after the cutoff.
 func TestTelemetryTableTrendHonorsWindow(t *testing.T) {
-	s := newSampler(SamplerConfig{Capacity: 16})
+	s := newSampler(samplerPeriod, 16)
 	ts := s.Get("runtime.goroutines")
 	base := time.Now()
 	for i, v := range []float64{100, 0, 100, 0} {
@@ -214,7 +214,7 @@ func TestTelemetryTableTrendHonorsWindow(t *testing.T) {
 // failure by its reason and the scheduler's task progress once tasks
 // are planned.
 func TestTelemetryTableStateLines(t *testing.T) {
-	s := newSampler(SamplerConfig{Capacity: 16})
+	s := newSampler(samplerPeriod, 16)
 	s.last.Store(&SamplerState{
 		Mem:    MemStatus{Reason: "no /proc/self/status"},
 		Solver: SolverResources{BatchPlanned: 10, BatchDone: 4, BatchInflight: 2},

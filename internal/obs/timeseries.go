@@ -13,7 +13,7 @@ import (
 
 // Continuous telemetry: fixed-capacity time-series rings fed by a
 // background sampler goroutine (sampler.go). A TimeSeries retains the most
-// recent Capacity (timestamp, value) points with a lock-free single-writer
+// recent capacity (timestamp, value) points with a lock-free single-writer
 // append — the sampler tick stores two atomics per point — and serves
 // windowed aggregate queries (min/max/mean/quantile, and for cumulative
 // series a per-second rate) to /debug/telemetry and the flight-recorder
@@ -83,9 +83,6 @@ func (s *TimeSeries) Unit() string { return s.unit }
 
 // Kind returns the series kind.
 func (s *TimeSeries) Kind() SeriesKind { return s.kind }
-
-// Capacity returns the ring capacity.
-func (s *TimeSeries) Capacity() int { return len(s.ts) }
 
 // Total returns the number of points ever appended.
 func (s *TimeSeries) Total() int64 { return s.n.Load() }

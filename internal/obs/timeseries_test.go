@@ -11,7 +11,7 @@ import (
 func ts(sec int64) time.Time { return time.Unix(sec, 0) }
 
 // TestTimeSeriesWrapAround guards the ring contract: a series filled past
-// capacity retains exactly the newest Capacity points, in append order.
+// capacity retains exactly the newest capacity points, in append order.
 func TestTimeSeriesWrapAround(t *testing.T) {
 	s := NewTimeSeries("x", "1", SeriesGauge, 16)
 	for i := 0; i < 40; i++ {
@@ -39,8 +39,8 @@ func TestTimeSeriesWrapAround(t *testing.T) {
 // and NaN values are dropped rather than poisoning the aggregates.
 func TestTimeSeriesCapacityFloorAndNaN(t *testing.T) {
 	s := NewTimeSeries("x", "1", SeriesGauge, 2)
-	if s.Capacity() != 16 {
-		t.Fatalf("Capacity = %d, want 16", s.Capacity())
+	if len(s.ts) != 16 {
+		t.Fatalf("capacity = %d, want 16", len(s.ts))
 	}
 	s.Append(ts(1), math.NaN())
 	if n := len(s.Snapshot()); n != 0 {

@@ -45,30 +45,25 @@ type Trace struct {
 	rows  []TraceRow
 }
 
-// SetRunID stamps every subsequently appended row with the flight run
-// identity, tying exported trace files to their manifest.
-func (t *Trace) SetRunID(id string) {
-	t.mu.Lock()
-	t.runID = id
-	t.mu.Unlock()
-}
-
 // NewTrace returns a trace that keeps every `every`-th Step row of each
 // recorder (and all Event rows); every ≤ 1 keeps all steps. Thinning keeps
 // trace files of slowly converging solves near the error threshold at
-// plottable size without losing the stagnation signature.
+// plottable size without losing the stagnation signature. A trace created
+// during a flight belongs to that run: its rows carry the flight's run
+// ID, tying exported trace files to their manifest.
 func NewTrace(every int) *Trace {
 	if every < 1 {
 		every = 1
 	}
-	return &Trace{every: every}
+	t := &Trace{every: every}
+	if fl := ActiveFlight(); fl != nil {
+		t.runID = fl.RunID()
+	}
+	return t
 }
 
-func (t *Trace) append(row TraceRow) {
+func (t *Trace) push(row TraceRow) {
 	t.mu.Lock()
-	if row.RunID == "" {
-		row.RunID = t.runID
-	}
 	t.rows = append(t.rows, row)
 	t.mu.Unlock()
 }
@@ -86,13 +81,15 @@ func (t *Trace) Rows() []TraceRow {
 // (e.g. "p=0.0312"). The recorder is not safe for concurrent use — one
 // recorder per solve, as PowerOptions.Observer prescribes.
 func (t *Trace) Recorder(label string) *TraceRecorder {
-	return &TraceRecorder{t: t, label: label}
+	return &TraceRecorder{sink: t, every: t.every, runID: t.runID, label: label}
 }
 
-// TraceRecorder records one solve's convergence stream into its Trace.
-// Its method set matches core.Observer.
+// TraceRecorder records one solve's convergence stream into its sink: a
+// Trace, or a flight's trace ring. Its method set matches core.Observer.
 type TraceRecorder struct {
-	t       *Trace
+	sink    interface{ push(TraceRow) }
+	every   int
+	runID   string
 	label   string
 	method  string
 	steps   int
@@ -106,19 +103,26 @@ type TraceRecorder struct {
 // relabel the stream mid-trace.
 func (r *TraceRecorder) Method(kind string) { r.method = kind }
 
-// Step records a residual check, thinned to the Trace's every-N setting.
-// A thinned-away step is held as pending so the trace never loses the final
+func (r *TraceRecorder) row(iter int, lambda, residual float64, event string) TraceRow {
+	return TraceRow{
+		RunID: r.runID, Label: r.label, Iter: iter, Lambda: lambda,
+		Residual: residual, Event: event, Method: r.method,
+	}
+}
+
+// Step records a residual check, thinned to the every-N setting. A
+// thinned-away step is held as pending so the trace never loses the final
 // pre-convergence residual: when a terminal Event arrives, the last step is
 // flushed even if it fell between every-N samples.
 func (r *TraceRecorder) Step(iter int, lambda, residual float64) {
 	r.steps++
-	if r.t.every > 1 && r.steps%r.t.every != 0 {
-		r.pending = TraceRow{Label: r.label, Iter: iter, Lambda: lambda, Residual: residual, Method: r.method}
+	if r.every > 1 && r.steps%r.every != 0 {
+		r.pending = r.row(iter, lambda, residual, "")
 		r.hasPend = true
 		return
 	}
 	r.hasPend = false
-	r.t.append(TraceRow{Label: r.label, Iter: iter, Lambda: lambda, Residual: residual, Method: r.method})
+	r.sink.push(r.row(iter, lambda, residual, ""))
 }
 
 // Event records a solver lifecycle event (never thinned). Any event other
@@ -126,10 +130,10 @@ func (r *TraceRecorder) Step(iter int, lambda, residual float64) {
 // pending thinned step — the residual check the outcome was decided on.
 func (r *TraceRecorder) Event(event string, iter int, lambda, residual float64) {
 	if r.hasPend && event != "start" {
-		r.t.append(r.pending)
+		r.sink.push(r.pending)
 		r.hasPend = false
 	}
-	r.t.append(TraceRow{Label: r.label, Iter: iter, Lambda: lambda, Residual: residual, Event: event, Method: r.method})
+	r.sink.push(r.row(iter, lambda, residual, event))
 }
 
 // WriteTSV renders the trace as tab-separated values with a header row.

@@ -163,3 +163,29 @@ func TestTraceWriteFileByExtension(t *testing.T) {
 		t.Fatalf("jsonl file content = %q", b)
 	}
 }
+
+// TestNewTraceStampsFlightRunID: a Trace created during a flight stamps
+// the flight's run ID on every row; one created outside a flight stamps
+// none.
+func TestNewTraceStampsFlightRunID(t *testing.T) {
+	outside := NewTrace(1)
+	f := startFlight(testFlightManifest("testrun-trace"), t.TempDir(), quietConfig())
+	inside := NewTrace(1)
+	f.Stop()
+	for _, tr := range []*Trace{outside, inside} {
+		rec := tr.Recorder("p=0.01")
+		rec.Event("start", 0, 0, 0)
+		rec.Step(1, 1, 0.5)
+		rec.Event("converged", 1, 1, 0.5)
+	}
+	for _, r := range inside.Rows() {
+		if r.RunID != "testrun-trace" {
+			t.Fatalf("row of a trace created during the flight: %+v", r)
+		}
+	}
+	for _, r := range outside.Rows() {
+		if r.RunID != "" {
+			t.Fatalf("row of a trace created outside a flight: %+v", r)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package quasispecies
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -24,28 +23,16 @@ import (
 // under restricted procfs the memory/NUMA series degrade to unavailable
 // with a single notice line; runtime and solver series work everywhere.
 
-// TelemetryOptions configures StartTelemetry. The zero value samples every
-// second and retains 600 points per series (10 minutes at 1 Hz).
-type TelemetryOptions struct {
-	// Period is the sampling interval (minimum 10ms; 0 selects 1s).
-	Period time.Duration
-	// Capacity is the per-series ring size (0 selects 600).
-	Capacity int
-}
-
 // Telemetry is the running resource sampler. One per process: a second
 // StartTelemetry returns the same instance.
 type Telemetry struct{ s *obs.Sampler }
 
 // StartTelemetry starts (or returns the already-running) process-wide
-// resource sampler. It enables the solver metrics first, so the qs_*
+// resource sampler: one point per second per series, the last 600 (ten
+// minutes) retained. It enables the solver metrics first, so the qs_*
 // resource gauges the sampler refreshes appear on /metrics too.
-func StartTelemetry(opts TelemetryOptions) *Telemetry {
-	s := obs.StartResourceSampler(obs.SamplerConfig{
-		Period:   opts.Period,
-		Capacity: opts.Capacity,
-	})
-	return &Telemetry{s: s}
+func StartTelemetry() *Telemetry {
+	return &Telemetry{s: obs.StartResourceSampler()}
 }
 
 // Notice returns the single degradation line to print when part of the
