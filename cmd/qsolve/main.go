@@ -31,8 +31,7 @@ func main() {
 		c       = flag.Float64("c", 5, "random landscape: master fitness c (Eq. 13)")
 		sigma   = flag.Float64("sigma", 1, "random landscape: scale σ ∈ (0, c/2) (Eq. 13)")
 		seed    = flag.Uint64("seed", 1, "random landscape seed")
-		method  = flag.String("method", "auto", "solver: auto | fmmp | lanczos | xmvp | reduced | arnoldi")
-		dmax    = flag.Int("dmax", 5, "Xmvp truncation radius")
+		method  = flag.String("method", "auto", "solver: auto | fmmp | lanczos | reduced | arnoldi")
 		tol     = flag.Float64("tol", 1e-12, "residual tolerance τ")
 		workers = flag.Int("workers", 1, "compute workers (0 = all cores, 1 = serial)")
 		noShift = flag.Bool("no-shift", false, "disable the convergence shift µ = (1−2p)^ν·f_min")
@@ -95,7 +94,6 @@ func main() {
 		quasispecies.WithTolerance(*tol),
 		quasispecies.WithWorkers(*workers),
 		quasispecies.WithShift(!*noShift),
-		quasispecies.WithXmvpRadius(*dmax),
 	}
 	var observer quasispecies.SolveObserver
 	var trace *obs.Trace
@@ -195,8 +193,6 @@ func methodFromName(name string) (quasispecies.Method, error) {
 		return quasispecies.MethodFmmp, nil
 	case "lanczos":
 		return quasispecies.MethodLanczos, nil
-	case "xmvp":
-		return quasispecies.MethodXmvp, nil
 	case "reduced":
 		return quasispecies.MethodReduced, nil
 	case "arnoldi":

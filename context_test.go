@@ -74,22 +74,6 @@ func TestSolveContextReducedPath(t *testing.T) {
 	}
 }
 
-func TestSolveContextXmvpPath(t *testing.T) {
-	mut, _ := UniformMutation(8, 0.01)
-	land, _ := RandomLandscape(8, 5, 1, 3)
-	model, err := New(mut, land, WithMethod(MethodXmvp), WithXmvpRadius(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := model.SolveContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Method != MethodXmvp {
-		t.Errorf("method = %v", sol.Method)
-	}
-}
-
 // traceLog is a SolveObserver that keeps the method label, the event names
 // and the number of Step rows.
 type traceLog struct {

@@ -2,6 +2,7 @@ package quasispecies
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/ode"
@@ -12,7 +13,8 @@ import (
 
 // EvolveOptions configures time integration of the model.
 type EvolveOptions struct {
-	// Tol is the adaptive local error tolerance (default 1e-9).
+	// Tol is the adaptive local error tolerance; ≤ 0 selects the default
+	// 1e-9. It must be finite.
 	Tol float64
 	// Snapshots, when > 0, records that many evenly spaced states.
 	Snapshots int
@@ -34,10 +36,14 @@ func (tr *Trajectory) Final() []float64 { return tr.States[len(tr.States)-1] }
 
 // Evolve integrates the replicator–mutator dynamics from the initial
 // distribution x0 (Σ = 1; nil selects the canonical x₀ = master-only
-// start) over [0, t] and returns the trajectory.
+// start) over [0, t] and returns the trajectory. The horizon must be
+// positive and finite, and opts.Tol finite.
 func (mo *Model) Evolve(x0 []float64, t float64, opts EvolveOptions) (*Trajectory, error) {
-	if t <= 0 {
-		return nil, fmt.Errorf("%w: horizon t = %g must be positive", ErrInvalidModel, t)
+	if !(t > 0) || math.IsInf(t, 1) {
+		return nil, fmt.Errorf("%w: horizon t = %g must be positive and finite", ErrInvalidModel, t)
+	}
+	if math.IsNaN(opts.Tol) || math.IsInf(opts.Tol, 0) {
+		return nil, fmt.Errorf("%w: tolerance %g must be finite", ErrInvalidModel, opts.Tol)
 	}
 	op, err := mo.fmmpOperator(core.Right)
 	if err != nil {

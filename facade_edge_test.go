@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/landscape"
 	"repro/internal/vec"
@@ -171,6 +172,35 @@ func TestEvolveValidation(t *testing.T) {
 	}
 	if _, err := model.Evolve(make([]float64, 3), 1, EvolveOptions{}); err == nil {
 		t.Error("wrong x0 length must be rejected")
+	}
+	// A NaN or infinite horizon and a non-finite tolerance fail before
+	// integrating, not by returning the start state or integrating forever;
+	// each call runs under a timeout so a hang fails the test.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		t    float64
+		opts EvolveOptions
+	}{
+		{"t=NaN", nan, EvolveOptions{}},
+		{"t=+Inf", inf, EvolveOptions{}},
+		{"Tol=NaN", 1, EvolveOptions{Tol: nan}},
+		{"Tol=+Inf", 1, EvolveOptions{Tol: inf}},
+		{"Tol=-Inf", 1, EvolveOptions{Tol: -inf}},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := model.Evolve(nil, c.t, c.opts)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrInvalidModel) {
+				t.Errorf("%s: err = %v, want ErrInvalidModel", c.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Evolve still running after 5 s", c.name)
+		}
 	}
 	if _, err := model.MeanFitness(make([]float64, 3)); err == nil {
 		t.Error("wrong state length must be rejected")

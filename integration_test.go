@@ -1,9 +1,10 @@
 package quasispecies_test
 
 // Cross-validation of every solve route in the repository on one shared
-// problem. Eight independently implemented paths — five facade methods, the
-// distributed cluster, the ODE steady state and a single-block Kronecker
-// system — must agree on the quasispecies of the same model. This is the
+// problem. Eight independently implemented paths — four facade methods, the
+// Θ(N²) Xmvp product at full radius, the distributed cluster, the ODE
+// steady state and a single-block Kronecker system — must agree on the
+// quasispecies of the same model. This is the
 // repository's strongest end-to-end correctness statement: the
 // implementations share no numerical code path beyond the primitive
 // kernels.
@@ -47,13 +48,8 @@ func TestAllRoutesAgree(t *testing.T) {
 		quasispecies.MethodFmmp,
 		quasispecies.MethodLanczos,
 		quasispecies.MethodArnoldi,
-		quasispecies.MethodXmvp,
 	} {
-		opts := []quasispecies.Option{quasispecies.WithMethod(m), quasispecies.WithTolerance(1e-12)}
-		if m == quasispecies.MethodXmvp {
-			opts = append(opts, quasispecies.WithXmvpRadius(nu)) // exact radius
-		}
-		model, err := quasispecies.New(mut, land, opts...)
+		model, err := quasispecies.New(mut, land, quasispecies.WithMethod(m), quasispecies.WithTolerance(1e-12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +60,37 @@ func TestAllRoutesAgree(t *testing.T) {
 		routes = append(routes, route{m.String(), sol.Lambda, sol.Gamma[0], sol.MasterConcentration()})
 	}
 
-	// --- distributed cluster ---
+	// --- Θ(N²) Xmvp product at the exact radius ν, shifted power method ---
 	il, err := landscape.NewSinglePeak(nu, peak, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := mutation.MustUniform(nu, p)
+	xm, err := mutation.NewXmvp(nu, p, nu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xop, err := core.NewXmvpOperator(xm, il, core.Right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xres, err := core.PowerIteration(xop, core.PowerOptions{
+		Tol: 1e-12, Start: core.FitnessStart(il), Shift: core.ConservativeShift(q, il),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xx := xres.Vector
+	if err := core.Concentrations(xx); err != nil {
+		t.Fatal(err)
+	}
+	xg, err := core.ClassConcentrations(nu, xx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes = append(routes, route{"Pi(Xmvp(nu))", xres.Lambda, xg[0], xx[0]})
+
+	// --- distributed cluster ---
 	c, err := cluster.NewCluster(4, 1<<nu)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +110,6 @@ func TestAllRoutesAgree(t *testing.T) {
 	routes = append(routes, route{"cluster(P=4)", cres.Lambda, cg[0], cx[0]})
 
 	// --- ODE steady state (Eq. 1) ---
-	q := mutation.MustUniform(nu, p)
 	op, err := core.NewFmmpOperator(q, il, core.Right, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -157,13 +157,11 @@ type AdaptiveOptions struct {
 	// State, when non-nil, carries selector state along a warm-start chain
 	// and is updated in place on success.
 	State *MethodState
-	// ProbeSteps caps the Lanczos gap probe. The probe stops earlier, before
-	// its next matvec, once its top Ritz pair is resolved and the pair's
-	// residual estimate is at most Tol. Default 24.
-	ProbeSteps int
+	// probeSteps overrides probeCap; only this package's tests set it.
+	probeSteps int
 	// fullProbe runs the probe as the engine did before it was warm and
-	// self-stopping: from the fixed start, all ProbeSteps steps. Tests
-	// compare against it.
+	// self-stopping: from the fixed start, all of its steps. Tests compare
+	// against it.
 	fullProbe bool
 }
 
@@ -182,7 +180,7 @@ type AdaptiveResult struct {
 	// probe and every gear attempt.
 	Iterations int
 	// ProbeMatVecs is the part of Iterations the gap probe took: the
-	// Lanczos steps it built, ProbeSteps when it ran to the cap.
+	// Lanczos steps it built, probeCap when it ran to the cap.
 	ProbeMatVecs int
 	// Residual is the accepted gear's final residual (in its own
 	// formulation).
@@ -205,6 +203,11 @@ type AdaptiveResult struct {
 
 // predictEps is the error reduction both gear predictors are asked for.
 const predictEps = 1e-10
+
+// probeCap caps the Lanczos gap probe. The probe stops earlier, before its
+// next matvec, once its top Ritz pair is resolved and the pair's residual
+// estimate is at most the tolerance.
+const probeCap = 24
 
 // selectGear is the auto selector's cost rule on a resolved probe pair
 // (θ₀, θ₁): it predicts the power gear's matvecs (PredictIterations at the
@@ -253,10 +256,7 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	if work.Power == nil {
 		work.Power = NewPowerWork(n)
 	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-13
-	}
+	tol := tolerance(opts.Tol)
 	res := AdaptiveResult{}
 	if opts.Method == SolvePower {
 		_, _, err := powerGear(opR, opts, work, tol, opts.Start, &res)
@@ -266,9 +266,9 @@ func AdaptiveSolve(opR, opS *FmmpOperator, opts AdaptiveOptions) (AdaptiveResult
 	// The other three gears need the probe: forced Chebyshev needs filter
 	// edges, forced shift-invert needs a λ₀ bound for its shift ladder, and
 	// auto needs the rate estimates.
-	probeSteps := opts.ProbeSteps
+	probeSteps := opts.probeSteps
 	if probeSteps <= 0 {
-		probeSteps = 24
+		probeSteps = probeCap
 	}
 
 	// The probe starts on a warm chain point from the warm start in its

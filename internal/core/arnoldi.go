@@ -22,14 +22,21 @@ import (
 // small Hessenberg matrix is safely extracted with the dense real
 // power method.
 
+const (
+	// arnoldiBasis is the Krylov basis per restart cycle (clamped to the
+	// dimension).
+	arnoldiBasis = 24
+	// arnoldiMaxRestarts caps the restart cycles.
+	arnoldiMaxRestarts = 1000
+	// arnoldiStallRestarts restarts without improvement end the solve as
+	// stagnated.
+	arnoldiStallRestarts = 10
+)
+
 // ArnoldiOptions configures the restarted Arnoldi solver.
 type ArnoldiOptions struct {
-	// Tol is the residual threshold on ‖W·x − λ·x‖₂. Default 1e-12.
+	// Tol is the residual threshold on ‖W·x − λ·x‖₂. Default 1e-13.
 	Tol float64
-	// BasisSize is the Krylov basis per restart cycle (default 24).
-	BasisSize int
-	// MaxRestarts caps the restart cycles (default 1000).
-	MaxRestarts int
 	// Start is the starting vector (copied). Default: uniform.
 	Start []float64
 }
@@ -50,21 +57,8 @@ type ArnoldiResult struct {
 // orthogonalization.
 func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 	n := op.Dim()
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	m := opts.BasisSize
-	if m <= 0 {
-		m = 24
-	}
-	if m > n {
-		m = n
-	}
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 1000
-	}
+	tol := tolerance(opts.Tol)
+	m := min(arnoldiBasis, n)
 
 	q := device.AllocVector(n)
 	if err := loadStart(nil, q, opts.Start); err != nil {
@@ -78,10 +72,9 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 	h := dense.NewMatrix(m, m)
 	w := device.AllocVector(n)
 
-	// Ten restarts without improvement end the solve as stagnated.
-	led := openLedger(SolveKindArnoldi, n, nil, 0, tol, 10)
+	led := openLedger(SolveKindArnoldi, n, nil, 0, tol, arnoldiStallRestarts)
 	res := ArnoldiResult{BasisBytes: (m + 2) * n * 8}
-	for restart := 0; restart < maxRestarts; restart++ {
+	for restart := 0; restart < arnoldiMaxRestarts; restart++ {
 		res.Restarts = restart + 1
 		for i := range h.Data {
 			h.Data[i] = 0

@@ -138,7 +138,7 @@ func TestChebyshevBudgetCoversRayleighMatVec(t *testing.T) {
 	}
 	for _, budget := range []int{1, 2, 3, 31, 32, 40, 41, 62, 70} {
 		res, err := ChebyshevIteration(opS, ChebyshevOptions{
-			Tol: 1e-30, MaxMatVecs: budget, StallRestarts: -1,
+			Tol: 1e-30, MaxMatVecs: budget,
 			LowerEdge: ConservativeShift(opS.Q, opS.F), UpperEdge: chebyshevEdge(theta0, theta1),
 		})
 		var ce *ConvergenceError
@@ -164,7 +164,7 @@ func TestChebyshevSinceImprovementCountsMatVecs(t *testing.T) {
 	for _, edge := range []float64{chebyshevEdge(theta0, theta1), 1.01 * theta0} {
 		steps := &stepLog{}
 		_, err := ChebyshevIteration(opS, ChebyshevOptions{
-			Tol: 1e-30, MaxMatVecs: 2000, Degree: 9, Observer: steps,
+			Tol: 1e-30, MaxMatVecs: 2000, degree: 9, Observer: steps,
 			LowerEdge: ConservativeShift(opS.Q, opS.F), UpperEdge: edge,
 		})
 		var ce *ConvergenceError

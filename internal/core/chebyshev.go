@@ -33,28 +33,23 @@ import (
 //
 // Each restart is the filter's degree-d recurrence followed by one Rayleigh
 // matvec; both count against MaxMatVecs. The first restart runs the full
-// Degree; later ones are sized to the residual (chebRestartDegree): with
-// the Rayleigh quotient λ in place of λ₀, about ln(r/tol)/acosh γ steps
-// reach the tolerance, so the last restart stops short instead of running
-// all Degree steps. A start that is the gap probe's top Ritz vector comes
-// with θ₀ and a residual estimate: an estimate at or below the tolerance
-// is checked by one Rayleigh matvec and the explicit residual before any
-// filter step, and otherwise sizes the first restart the same way. For the
-// Fmmp operator each recurrence step z_{j+1} = 2·A′z_j − z_{j−1} is a
-// single mutation call whose last butterfly pass also applies the trailing
-// √f scale and the three-term update (FmmpOperator.applyThreeTerm),
-// bit-identical to Apply followed by chebMap2.
+// degree defaultChebDegree; later ones are sized to the residual
+// (chebRestartDegree): with the Rayleigh quotient λ in place of λ₀, about
+// ln(r/tol)/acosh γ steps reach the tolerance, so the last restart stops
+// short instead of running all defaultChebDegree steps. A start that is
+// the gap probe's top Ritz vector comes with θ₀ and a residual estimate:
+// an estimate at or below the tolerance is checked by one Rayleigh matvec
+// and the explicit residual before any filter step, and otherwise sizes
+// the first restart the same way. For the Fmmp operator each recurrence
+// step z_{j+1} = 2·A′z_j − z_{j−1} is a single mutation call whose last
+// butterfly pass also applies the trailing √f scale and the three-term
+// update (FmmpOperator.applyThreeTerm), bit-identical to Apply followed by
+// chebMap2.
 
 // ChebyshevOptions configures the Chebyshev-filtered iteration.
 type ChebyshevOptions struct {
 	// Tol is the residual threshold on ‖W·x − λ·x‖₂. Default 1e-13.
 	Tol float64
-	// Degree is the maximum filter polynomial degree per restart (filter
-	// matrix–vector products per restart, before its Rayleigh matvec).
-	// The first restart runs it in full (unless Start is the probe's Ritz
-	// vector, see startRitz); later restarts run fewer steps when the
-	// residual shows fewer suffice. Default 30.
-	Degree int
 	// MaxMatVecs caps the total operator applications, filter and Rayleigh
 	// matvecs together; a restart starts only when at least one filter
 	// step and its Rayleigh matvec fit. Default 500000.
@@ -73,21 +68,20 @@ type ChebyshevOptions struct {
 	Start []float64
 	// Dev selects device-parallel BLAS-1 operations; nil runs serially.
 	Dev *device.Device
-	// StallRestarts is the number of consecutive restarts without residual
-	// improvement (relative 1e-6) after which the solve stops with
-	// ErrStagnated. Default 6; negative disables the guard.
-	StallRestarts int
 	// Observer, when non-nil, receives one Step per restart plus lifecycle
 	// events — same contract as PowerOptions.Observer.
 	Observer Observer
 	// Work supplies reusable scratch; the returned Vector aliases its
 	// iterate. Nil allocates fresh scratch.
 	Work *ChebyshevWork
+	// degree overrides defaultChebDegree, the maximum filter degree per
+	// restart; only this package's tests set it.
+	degree int
 	// startRitz, when set, marks Start as the top Ritz vector of this gap
 	// probe. An estimate at or below Tol runs no filter first: the vector is
 	// checked by the Rayleigh matvec and explicit residual alone. Otherwise
 	// the Ritz value θ₀ and the estimate size the first restart by
-	// chebRestartDegree like a later one, instead of the full Degree. Only
+	// chebRestartDegree like a later one, instead of the full degree. Only
 	// AdaptiveSolve sets it (the Ritz handoff).
 	startRitz *ritzProbe
 }
@@ -140,21 +134,14 @@ type ChebyshevResult struct {
 // (typically a mis-set UpperEdge ≥ λ₀).
 func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, error) {
 	n := op.Dim()
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-13
-	}
-	deg := opts.Degree
+	tol := tolerance(opts.Tol)
+	deg := opts.degree
 	if deg <= 0 {
 		deg = defaultChebDegree
 	}
 	maxMatVecs := opts.MaxMatVecs
 	if maxMatVecs <= 0 {
 		maxMatVecs = 500000
-	}
-	stallRestarts := opts.StallRestarts
-	if stallRestarts == 0 {
-		stallRestarts = 6
 	}
 	a := opts.LowerEdge
 	if a < 0 {
@@ -185,7 +172,7 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	// not bounded well below the rescale threshold (see chebGrowthBound).
 	stepNorm := !(2*chebGrowthBound(op, center, halfWidth, deg) < chebRescale)
 
-	led := openLedger(SolveKindChebyshev, n, opts.Observer, b, tol, stallRestarts)
+	led := openLedger(SolveKindChebyshev, n, opts.Observer, b, tol, chebStallRestarts)
 	sr := led.sr
 
 	// The uniform Fmmp operator runs each recurrence step as one fused call
@@ -309,10 +296,13 @@ func chebRestartDegree(deg int, lambda, r, tol, a, b float64) int {
 }
 
 const (
-	// defaultChebDegree is the filter degree per restart when
-	// ChebyshevOptions.Degree is unset; the adaptive engine's cost model
-	// predicts with the same degree.
+	// defaultChebDegree is the maximum filter degree per restart (filter
+	// matvecs before its Rayleigh matvec); the adaptive engine's cost
+	// model predicts with the same degree.
 	defaultChebDegree = 30
+	// chebStallRestarts is the number of consecutive restarts without
+	// residual improvement after which the solve stops with ErrStagnated.
+	chebStallRestarts = 6
 	// chebRescale is the recurrence's overflow guard: an iterate whose norm
 	// leaves [1/chebRescale, chebRescale] is rescaled jointly with its
 	// predecessor.

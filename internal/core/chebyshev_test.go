@@ -26,7 +26,7 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 	if tol <= 0 {
 		tol = 1e-13
 	}
-	deg := opts.Degree
+	deg := opts.degree
 	if deg <= 0 {
 		deg = 30
 	}
@@ -34,10 +34,7 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 	if maxMatVecs <= 0 {
 		maxMatVecs = 500000
 	}
-	stallRestarts := opts.StallRestarts
-	if stallRestarts == 0 {
-		stallRestarts = 6
-	}
+	const stallRestarts = 6
 	a := math.Max(opts.LowerEdge, 0)
 	b := opts.UpperEdge
 	dev := opts.Dev
@@ -124,11 +121,11 @@ func TestChebyshevSkippedStepNormBitIdentical(t *testing.T) {
 		{name: "budget-40", edge: probeEdge, opts: ChebyshevOptions{MaxMatVecs: 40}, provable: true, skip: true},
 		{name: "lower-edge", edge: probeEdge, opts: ChebyshevOptions{LowerEdge: 0.1}, skip: true},
 		{name: "provable-lower-edge", edge: probeEdge, provable: true, skip: true},
-		{name: "degree-7", edge: probeEdge, opts: ChebyshevOptions{Degree: 7}, provable: true, skip: true},
+		{name: "degree-7", edge: probeEdge, opts: ChebyshevOptions{degree: 7}, provable: true, skip: true},
 		{name: "mis-set-edge", edge: func(t0, _ float64) float64 { return 1.01 * t0 }, skip: true},
 		// T_300(g) overflows the rescale threshold: the per-step norm stays
 		// and does rescale.
-		{name: "degree-300", edge: probeEdge, opts: ChebyshevOptions{Degree: 300}},
+		{name: "degree-300", edge: probeEdge, opts: ChebyshevOptions{degree: 300}},
 		{name: "opaque-operator", edge: probeEdge, op: func(opS *FmmpOperator) Operator { return opaqueOp{opS} }},
 	}
 	for _, nu := range []int{8, 12} {
@@ -162,7 +159,7 @@ func TestChebyshevSkippedStepNormBitIdentical(t *testing.T) {
 							opts.LowerEdge = ConservativeShift(opS.Q, opS.F)
 						}
 						a := math.Max(opts.LowerEdge, 0)
-						deg := opts.Degree
+						deg := opts.degree
 						if deg == 0 {
 							deg = defaultChebDegree
 						}

@@ -135,7 +135,7 @@ func TestAdaptiveChebyshevStartsFromRitzVector(t *testing.T) {
 	for _, method := range []SolveMethod{SolveAuto, SolveChebyshev} {
 		for _, start := range [][]float64{nil, cold, warm} {
 			got, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
-				Method: method, Tol: tol, Start: start, ProbeSteps: probeSteps,
+				Method: method, Tol: tol, Start: start, probeSteps: probeSteps,
 				PowerShift: ConservativeShift(q, l),
 			})
 			if err != nil {

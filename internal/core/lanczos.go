@@ -10,17 +10,21 @@ import (
 // as the main alternative to the power iteration. The paper dismisses
 // Lanczos/Arnoldi for the very largest instances because they "require
 // storing more intermediate vectors"; this implementation makes that
-// trade-off explicit and measurable: memory is (BasisSize+2)·N floats
+// trade-off explicit and measurable: memory is (lanczosBasis+2)·N floats
 // against the power iteration's 2·N.
+
+const (
+	// lanczosBasis is the Krylov basis length per restart cycle (clamped
+	// to the dimension).
+	lanczosBasis = 24
+	// lanczosMaxRestarts caps the restart cycles.
+	lanczosMaxRestarts = 1000
+)
 
 // LanczosOptions configures the restarted Lanczos solver.
 type LanczosOptions struct {
 	// Tol is the residual threshold on ‖W·x − λ·x‖₂. Default 1e-13.
 	Tol float64
-	// BasisSize is the Krylov basis length per restart cycle (default 24).
-	BasisSize int
-	// MaxRestarts caps the number of restart cycles (default 1000).
-	MaxRestarts int
 	// Start is the starting vector (copied). Default: uniform.
 	Start []float64
 	// Observer, when non-nil, receives one Step per restart (iter counts
@@ -47,21 +51,8 @@ type LanczosResult struct {
 // restart budget is exhausted.
 func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	n := op.Dim()
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-13
-	}
-	m := opts.BasisSize
-	if m <= 0 {
-		m = 24
-	}
-	if m > n {
-		m = n
-	}
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 1000
-	}
+	tol := tolerance(opts.Tol)
+	m := min(lanczosBasis, n)
 
 	q := device.AllocVector(n)
 	if err := loadStart(nil, q, opts.Start); err != nil {
@@ -74,7 +65,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	led := openLedger(SolveKindLanczos, n, opts.Observer, 0, tol, 0)
 	sr := led.sr
 	res := LanczosResult{BasisBytes: (m + 2) * n * 8}
-	for restart := 0; restart < maxRestarts; restart++ {
+	for restart := 0; restart < lanczosMaxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copy(basis[0], q)
 		ph := beginSpan(sr, PhaseMatvec)

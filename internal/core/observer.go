@@ -111,7 +111,7 @@ type ConvergenceError struct {
 	// BestResidual is the smallest residual seen over the whole solve.
 	BestResidual float64
 	// SinceImprovement is the number of iterations since BestResidual
-	// last improved (relative 1e-6; see PowerOptions.StallChecks).
+	// last improved (relative 1e-6; see the ledger's check).
 	SinceImprovement int
 	// Shift is the spectral shift µ the iteration ran with.
 	Shift float64

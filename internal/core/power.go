@@ -28,7 +28,8 @@ var ErrStagnated = errors.New("core: residual stagnated above the tolerance (flo
 type PowerOptions struct {
 	// Tol is the residual threshold τ: the iteration stops when
 	// R(λ̃, x̃) = ‖W·x̃ − λ̃·x̃‖₂ ≤ τ for the 2-norm-normalized iterate,
-	// matching the paper's stopping criterion. Default 1e-13.
+	// matching the paper's stopping criterion; the residual is checked at
+	// every iteration. Default 1e-13.
 	Tol float64
 	// MaxIter caps the number of matrix–vector products. Default 500000.
 	MaxIter int
@@ -42,17 +43,6 @@ type PowerOptions struct {
 	// Dev selects device-parallel BLAS-1 operations; nil runs serially.
 	// (The operator's own device is configured on the operator.)
 	Dev *device.Device
-	// CheckEvery controls how often the residual is evaluated (every
-	// iteration by default). Residual checks cost one pass over the
-	// vectors but no extra operator application.
-	CheckEvery int
-	// StallChecks is the number of consecutive residual checks without
-	// measurable improvement (relative 1e-6 — at the floating-point floor
-	// the residual is flat to machine precision, while even a barely
-	// converging iteration improves faster) after which the iteration
-	// stops with ErrStagnated instead of burning the remaining budget.
-	// Default 100; negative disables the guard.
-	StallChecks int
 	// Monitor, when non-nil, receives (iteration, λ̃, residual) after each
 	// residual check. Returning false aborts with ErrNoConvergence.
 	Monitor func(iter int, lambda, residual float64) bool
@@ -69,6 +59,25 @@ type PowerOptions struct {
 	// (the warm-start continuation pattern) but not the product vector.
 	Work *PowerWork
 }
+
+// defaultTol is the residual threshold of every eigensolver whose Tol is
+// unset (≤ 0).
+const defaultTol = 1e-13
+
+// tolerance returns tol, or defaultTol when it is unset.
+func tolerance(tol float64) float64 {
+	if tol <= 0 {
+		return defaultTol
+	}
+	return tol
+}
+
+// powerStallChecks is the number of consecutive residual checks without
+// measurable improvement (relative 1e-6 — at the floating-point floor the
+// residual is flat to machine precision, while even a barely converging
+// iteration improves faster) after which PowerIteration stops with
+// ErrStagnated instead of burning the remaining budget.
+const powerStallChecks = 100
 
 // PowerWork is the reusable scratch of a power iteration: the iterate and
 // the operator-product vector. Allocate once per solve slot with
@@ -117,21 +126,10 @@ type PowerResult struct {
 // MaxIter is exhausted.
 func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	n := op.Dim()
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-13
-	}
+	tol := tolerance(opts.Tol)
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 500000
-	}
-	checkEvery := opts.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	stallChecks := opts.StallChecks
-	if stallChecks == 0 {
-		stallChecks = 100
 	}
 	mu := opts.Shift
 	dev := opts.Dev
@@ -146,7 +144,7 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	if err := loadStart(dev, x, opts.Start); err != nil {
 		return PowerResult{}, err
 	}
-	led := openLedger(SolveKindPower, n, opts.Observer, mu, tol, stallChecks)
+	led := openLedger(SolveKindPower, n, opts.Observer, mu, tol, powerStallChecks)
 	sr := led.sr
 	res := PowerResult{Vector: x}
 	// Each iteration is one operator application and two fused passes over
@@ -167,28 +165,24 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		res.Lambda = lamShifted + mu
 		// Pass B: the residual of the shifted pair, which equals that of
 		// the unshifted pair (Wx − λx = (W−µI)x − (λ−µ)x), and w ← t/‖t‖.
-		// A check-free iteration discards the residual; it rides on the
-		// same stream.
 		ph = beginSpan(sr, PhaseResidual)
 		r := shiftedResidualScale(dev, x, w, mu, lamShifted, 1/nrm)
 		span.End(ph, int64(iter), 0)
-		if iter%checkEvery == 0 || iter == maxIter {
-			res.Residual = r
-			stalled := led.check(iter, res.Lambda, r)
-			if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
-				finish(&res, x, opts.Work)
-				return res, led.fail(EventAborted, fmt.Sprintf("aborted by monitor at iteration %d", iter), iter, res.Lambda, r)
-			}
-			if r <= tol {
-				res.Converged = true
-				finish(&res, x, opts.Work)
-				led.end(EventConverged, iter, res.Lambda, r)
-				return res, nil
-			}
-			if stalled {
-				finish(&res, x, opts.Work)
-				return res, led.fail(EventStagnated, "", iter, res.Lambda, r)
-			}
+		res.Residual = r
+		stalled := led.check(iter, res.Lambda, r)
+		if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
+			finish(&res, x, opts.Work)
+			return res, led.fail(EventAborted, fmt.Sprintf("aborted by monitor at iteration %d", iter), iter, res.Lambda, r)
+		}
+		if r <= tol {
+			res.Converged = true
+			finish(&res, x, opts.Work)
+			led.end(EventConverged, iter, res.Lambda, r)
+			return res, nil
+		}
+		if stalled {
+			finish(&res, x, opts.Work)
+			return res, led.fail(EventStagnated, "", iter, res.Lambda, r)
 		}
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			finish(&res, x, opts.Work)

@@ -282,23 +282,32 @@ func TestPowerIterationBadStart(t *testing.T) {
 	}
 }
 
-func TestPowerIterationCheckEvery(t *testing.T) {
+// TestPowerIterationChecksEveryIteration: the residual is checked at every
+// iteration, so the Monitor sees each one, in order, and convergence is
+// observed at the first iteration that meets the tolerance.
+func TestPowerIterationChecksEveryIteration(t *testing.T) {
 	q := mutation.MustUniform(8, 0.01)
 	l := randLandscape(rng.New(9), 8)
 	op, _ := NewFmmpOperator(q, l, Right, nil)
-	checks := 0
+	var iters []int
+	var last float64
 	res, err := PowerIteration(op, PowerOptions{
-		Tol: 1e-11, Start: FitnessStart(l), CheckEvery: 10,
-		Monitor: func(int, float64, float64) bool { checks++; return true },
+		Tol: 1e-11, Start: FitnessStart(l),
+		Monitor: func(iter int, _, r float64) bool { iters = append(iters, iter); last = r; return true },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iterations%10 != 0 {
-		t.Errorf("with CheckEvery=10 convergence can only be observed on multiples of 10, got %d", res.Iterations)
+	if len(iters) != res.Iterations {
+		t.Fatalf("monitor called %d times for %d iterations", len(iters), res.Iterations)
 	}
-	if checks != res.Iterations/10 {
-		t.Errorf("monitor called %d times for %d iterations", checks, res.Iterations)
+	for i, it := range iters {
+		if it != i+1 {
+			t.Fatalf("check %d reported iteration %d", i, it)
+		}
+	}
+	if last != res.Residual || !(last <= 1e-11) {
+		t.Errorf("last checked residual %g, result %g", last, res.Residual)
 	}
 }
 

@@ -40,6 +40,15 @@ import (
 // (e.g. UpperBoundLambda).
 var ErrBadShift = errors.New("core: shift µ is not above the dominant eigenvalue (µI − S not positive definite)")
 
+const (
+	// siBasis is the outer Krylov basis length per restart (clamped to the
+	// dimension): the transformed spectrum is so skewed that tiny bases
+	// converge.
+	siBasis = 8
+	// siMaxRestarts caps the outer restart cycles.
+	siMaxRestarts = 40
+)
+
 // ShiftInvertOptions configures the shift-invert Lanczos solver.
 type ShiftInvertOptions struct {
 	// Tol is the residual threshold on ‖S·x − λ·x‖₂ of the *original*
@@ -48,11 +57,6 @@ type ShiftInvertOptions struct {
 	// Shift is the spectral shift µ, required to satisfy µ > λ₀. Mandatory
 	// (there is no safe default: too low is indefinite, too high is slow).
 	Shift float64
-	// BasisSize is the outer Krylov basis length per restart (default 8 —
-	// the transformed spectrum is so skewed that tiny bases converge).
-	BasisSize int
-	// MaxRestarts caps the outer restart cycles (default 40).
-	MaxRestarts int
 	// Start is the starting vector; copied, not mutated. Default: uniform.
 	// May alias the Work iterate (warm-start continuation).
 	Start []float64
@@ -129,25 +133,12 @@ type ShiftInvertResult struct {
 // partial result with ErrNoConvergence when restarts run out.
 func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult, error) {
 	n := op.Dim()
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = 1e-13
-	}
+	tol := tolerance(opts.Tol)
 	mu := opts.Shift
 	if math.IsNaN(mu) || math.IsInf(mu, 0) || mu == 0 {
 		return ShiftInvertResult{}, fmt.Errorf("core: shift-invert needs an explicit shift µ > λ₀, got %g", mu)
 	}
-	m := opts.BasisSize
-	if m <= 0 {
-		m = 8
-	}
-	if m > n {
-		m = n
-	}
-	maxRestarts := opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 40
-	}
+	m := min(siBasis, n)
 	// The inner CG solves stop two decades below the outer Tol, floored at
 	// 1e-15 (the attainable outer residual is limited by the inner solve
 	// accuracy), or after 10·√N + 100 iterations.
@@ -169,7 +160,7 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 	led := openLedger(SolveKindShiftInvert, n, opts.Observer, mu, tol, 0)
 	sr := led.sr
 	res := ShiftInvertResult{Vector: q, Mu: mu}
-	for restart := 0; restart < maxRestarts; restart++ {
+	for restart := 0; restart < siMaxRestarts; restart++ {
 		res.Restarts = restart + 1
 		copyInto(dev, basis[0], q)
 		k := 0

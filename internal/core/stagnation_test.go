@@ -35,19 +35,34 @@ func TestStagnationDetected(t *testing.T) {
 	}
 }
 
-func TestStagnationGuardDisabled(t *testing.T) {
+// TestStagnationGuardWindow: the guard needs powerStallChecks checks
+// without improvement after the last one that improved, so a budget of
+// that many iterations always ends on the budget, and a longer one on the
+// guard.
+func TestStagnationGuardWindow(t *testing.T) {
 	const nu = 6
 	q := mutation.MustUniform(nu, 0.01)
 	l := randLandscape(rng.New(2), nu)
 	op, _ := NewFmmpOperator(q, l, Right, nil)
 	res, err := PowerIteration(op, PowerOptions{
-		Tol: 1e-30, MaxIter: 300, Start: FitnessStart(l), StallChecks: -1,
+		Tol: 1e-30, MaxIter: powerStallChecks, Start: FitnessStart(l),
 	})
 	if !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("err = %v, want ErrNoConvergence with the guard disabled", err)
+		t.Fatalf("err = %v, want ErrNoConvergence within the guard's window", err)
 	}
-	if res.Iterations != 300 {
-		t.Errorf("iterations = %d, want the full budget 300", res.Iterations)
+	if res.Iterations != powerStallChecks {
+		t.Errorf("iterations = %d, want the full budget %d", res.Iterations, powerStallChecks)
+	}
+	res, err = PowerIteration(op, PowerOptions{
+		Tol: 1e-30, MaxIter: 100000, Start: FitnessStart(l),
+	})
+	var ce *ConvergenceError
+	if !errors.As(err, &ce) || ce.Reason != ErrStagnated {
+		t.Fatalf("err = %v, want ErrStagnated past the window", err)
+	}
+	if ce.SinceImprovement != powerStallChecks || res.Iterations <= powerStallChecks {
+		t.Errorf("stagnated at iteration %d, %d after the last improvement; want %d after it",
+			res.Iterations, ce.SinceImprovement, powerStallChecks)
 	}
 }
 

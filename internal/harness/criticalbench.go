@@ -8,7 +8,6 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
 	"repro/internal/obs"
@@ -34,15 +33,13 @@ type CriticalBenchConfig struct {
 	FracMin, FracMax float64
 	Workers          int // parallel worker count (default runtime.GOMAXPROCS(0))
 	Tol              float64
-	// MaxIter caps matrix–vector products per adaptive gear attempt
-	// (0 = solver defaults).
-	MaxIter int
-	// PowerMaxIter caps the baseline power sweep (default 20000); hitting
-	// the cap marks the baseline variant failed rather than erroring the
-	// whole benchmark — that failure is the benchmark's point.
-	PowerMaxIter int
-	Dev          *device.Device
 }
+
+// powerBaselineCap caps the baseline power sweep's iterations per point;
+// hitting it marks the baseline variant failed rather than erroring the
+// whole benchmark — that failure is the benchmark's point. The adaptive
+// sweeps run on the solver defaults.
+const powerBaselineCap = 20000
 
 // CriticalPoint is one solved grid point of the adaptive sweep.
 type CriticalPoint struct {
@@ -127,9 +124,6 @@ func (cfg *CriticalBenchConfig) defaults() error {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.PowerMaxIter <= 0 {
-		cfg.PowerMaxIter = 20000
-	}
 	return nil
 }
 
@@ -164,7 +158,7 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 	run := func(name string, workers int, method core.SolveMethod, maxIter int) ([]ThresholdPoint, *SweepStats, error) {
 		opts := SweepOptions{
 			Workers: workers, WarmStart: true, Method: method,
-			Tol: cfg.Tol, MaxIter: maxIter, Dev: cfg.Dev,
+			Tol: cfg.Tol, MaxIter: maxIter,
 		}
 		var pts []ThresholdPoint
 		var stats *SweepStats
@@ -188,7 +182,7 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 		return pts, stats, runErr
 	}
 
-	serial, serialStats, err := run("auto-serial", 1, core.SolveAuto, cfg.MaxIter)
+	serial, serialStats, err := run("auto-serial", 1, core.SolveAuto, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harness: adaptive critical sweep failed: %w", err)
 	}
@@ -205,7 +199,7 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 		}
 	}
 
-	parallel, _, err := run("auto-parallel", cfg.Workers, core.SolveAuto, cfg.MaxIter)
+	parallel, _, err := run("auto-parallel", cfg.Workers, core.SolveAuto, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harness: parallel adaptive sweep failed: %w", err)
 	}
@@ -214,7 +208,7 @@ func RunCriticalBench(cfg CriticalBenchConfig) (*CriticalBenchResult, error) {
 	// The baseline: the historical power sweep, capped. Convergence errors
 	// are the expected outcome inside the window and are recorded, not
 	// returned.
-	_, _, err = run("power-capped", 1, core.SolvePower, cfg.PowerMaxIter)
+	_, _, err = run("power-capped", 1, core.SolvePower, powerBaselineCap)
 	if err != nil && !errors.Is(err, core.ErrNoConvergence) && !errors.Is(err, core.ErrStagnated) {
 		return nil, fmt.Errorf("harness: power baseline failed unexpectedly: %w", err)
 	}

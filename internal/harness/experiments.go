@@ -123,7 +123,6 @@ type SolverConfig struct {
 	MaxSparse int
 	Dev       *device.Device // nil = serial ("CPU"); workers>1 = "GPU" analogue
 	Seed      uint64
-	UseShift  bool
 }
 
 func (cfg *SolverConfig) defaults() {
@@ -150,12 +149,13 @@ func (cfg *SolverConfig) defaults() {
 	}
 }
 
-// solveOne runs a full power iteration on op and returns (seconds, iters).
-func solveOne(op core.Operator, l landscape.Landscape, tol float64, shift float64, dev *device.Device) (float64, int, error) {
+// solveOne runs a full power iteration on op, without a shift, and returns
+// (seconds, iters).
+func solveOne(op core.Operator, l landscape.Landscape, tol float64, dev *device.Device) (float64, int, error) {
 	var iters int
 	secs := MeasureSeconds(func() {
 		res, err := core.PowerIteration(op, core.PowerOptions{
-			Tol: tol, Start: core.FitnessStart(l), Shift: shift, Dev: dev,
+			Tol: tol, Start: core.FitnessStart(l), Dev: dev,
 		})
 		if err != nil {
 			iters = -1
@@ -186,16 +186,11 @@ func SolverRuntimes(cfg SolverConfig) ([]*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		shift := 0.0
-		if cfg.UseShift {
-			shift = core.ConservativeShift(q, l)
-		}
-
 		op, err := core.NewFmmpOperator(q, l, core.Right, cfg.Dev)
 		if err != nil {
 			return nil, err
 		}
-		secs, iters, err := solveOne(op, l, cfg.TolExact, shift, cfg.Dev)
+		secs, iters, err := solveOne(op, l, cfg.TolExact, cfg.Dev)
 		if err != nil {
 			return nil, fmt.Errorf("Fmmp ν=%d: %w", nu, err)
 		}
@@ -210,7 +205,7 @@ func SolverRuntimes(cfg SolverConfig) ([]*Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs, iters, err = solveOne(o5, l, cfg.TolApprox, shift, cfg.Dev)
+			secs, iters, err = solveOne(o5, l, cfg.TolApprox, cfg.Dev)
 			if err != nil {
 				return nil, fmt.Errorf("Xmvp(5) ν=%d: %w", nu, err)
 			}
@@ -226,7 +221,7 @@ func SolverRuntimes(cfg SolverConfig) ([]*Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			secs, iters, err = solveOne(of, l, cfg.TolExact, shift, cfg.Dev)
+			secs, iters, err = solveOne(of, l, cfg.TolExact, cfg.Dev)
 			if err != nil {
 				return nil, fmt.Errorf("Xmvp(ν) ν=%d: %w", nu, err)
 			}

@@ -150,7 +150,7 @@ func TestThresholdSweepFullMatchesReduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullDev, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, Dev: device.New(4, device.WithGrain(16))})
+	fullDev, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, dev: device.New(4, device.WithGrain(16))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,22 +43,11 @@ type SweepOptions struct {
 	// vector alone at the chain's second point, the secant at its third;
 	// core.AdaptiveWork.ExtrapolateStart).
 	WarmStart bool
-	// ChainLen is the number of consecutive points per warm-start chain
-	// (the scheduling granule); ≤ 0 selects the default layout of
-	// batch.Chains: batch.DefaultChainLen points per chain up to 64 points,
-	// at most eight chains beyond, so one long sweep runs on at most eight
-	// workers. The chain layout is what keeps results independent of
-	// Workers.
-	ChainLen int
 	// Tol is the residual tolerance for the full-space solves; ≤ 0
 	// selects core.DefaultTolerance for the landscape.
 	Tol float64
 	// MaxIter caps iterations per solve (0 = solver default).
 	MaxIter int
-	// Dev is the shared device runtime for the full-space solves; one
-	// Device serves all workers (concurrent launches are pooled). Nil
-	// runs each solve serially.
-	Dev *device.Device
 	// Observe, when non-nil, supplies the convergence-trace observer for
 	// point i (p = ps[i]) of a full-space sweep; return nil to skip a
 	// point. Observers for different points may be invoked concurrently
@@ -78,6 +67,18 @@ type SweepOptions struct {
 	// iterations. Reduced sweeps map every non-power method onto the
 	// RQI/LU shift-invert path (errorclass.SolveShiftInvertFrom).
 	Method core.SolveMethod
+	// dev is a shared device runtime for the full-space solves' BLAS-1
+	// work and operators; one Device serves all workers (concurrent
+	// launches are pooled). Nil, what every production sweep runs, solves
+	// serially. Only this package's tests set it.
+	dev *device.Device
+	// chainLen overrides the chain layout of batch.Chains (DefaultChainLen
+	// points per chain up to 64 points, at most eight chains beyond, so one
+	// long sweep runs on at most eight workers) with chains of this many
+	// points; only this package's tests set it. The layout depends on the
+	// point count alone, which is what keeps results independent of
+	// Workers.
+	chainLen int
 }
 
 // SweepStats instruments one sweep run.
@@ -173,7 +174,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 		Iterations: make([]int, len(ps)), Warm: make([]bool, len(ps)),
 		Methods: make([]string, len(ps)),
 	}
-	chains := batch.Chains(len(ps), opts.ChainLen)
+	chains := batch.Chains(len(ps), opts.chainLen)
 	stats.Chains = len(chains)
 	err := batch.Run(len(chains), opts.Workers, func(ci, _ int) error {
 		var prev []float64
@@ -226,7 +227,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 	if err := ValidateGrid(ps); err != nil {
 		return nil, nil, err
 	}
-	baseOp, err := core.NewFmmpOperator(q, l, core.Right, opts.Dev)
+	baseOp, err := core.NewFmmpOperator(q, l, core.Right, opts.dev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -235,7 +236,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 	// sweep like the Right one. Power sweeps never touch it.
 	var baseOpS *core.FmmpOperator
 	if opts.Method != core.SolvePower {
-		baseOpS, err = core.NewFmmpOperator(q, l, core.Symmetric, opts.Dev)
+		baseOpS, err = core.NewFmmpOperator(q, l, core.Symmetric, opts.dev)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -253,7 +254,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 		Probe: make([]int, len(ps)), Warm: make([]bool, len(ps)),
 		Methods: make([]string, len(ps)),
 	}
-	chains := batch.Chains(len(ps), opts.ChainLen)
+	chains := batch.Chains(len(ps), opts.chainLen)
 	stats.Chains = len(chains)
 	// Escalations accumulate per chain and are summed after the run, so the
 	// total never depends on worker interleaving.
@@ -303,7 +304,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 				MaxIter:    opts.MaxIter,
 				PowerShift: core.ConservativeShift(qp, l),
 				Start:      start,
-				Dev:        opts.Dev,
+				Dev:        opts.dev,
 				Observer:   observer,
 				Work:       work,
 				State:      &state,

@@ -109,7 +109,7 @@ func TestWarmStartMatchesColdWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, warmStats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, WarmStart: true, ChainLen: len(ps)})
+	warm, warmStats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, WarmStart: true, chainLen: len(ps)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPowerSweepMatchesPowerIterationChain(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2} {
-			got, stats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: workers, WarmStart: warm, ChainLen: chainLen})
+			got, stats, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: workers, WarmStart: warm, chainLen: chainLen})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestExtrapolatedSweepDeterministicAndCheaper(t *testing.T) {
 		{core.SolvePower, sweepGrid(0.2*pc, 0.9*pc, 20)},
 		{core.SolveAuto, sweepGrid(0.3*pc, 1.1*pc, 20)},
 	} {
-		opts := SweepOptions{Workers: 1, WarmStart: true, ChainLen: chainLen, Method: tc.method}
+		opts := SweepOptions{Workers: 1, WarmStart: true, chainLen: chainLen, Method: tc.method}
 		ref, stats, err := ThresholdSweepFullOpts(q, l, tc.ps, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", tc.method, err)
@@ -291,7 +291,7 @@ func TestExtrapolatedSweepDeterministicAndCheaper(t *testing.T) {
 			}
 			requireIdentical(t, fmt.Sprintf("%v chain at %d", tc.method, lo), ref[lo:hi], alone)
 		}
-		cold, _, err := ThresholdSweepFullOpts(q, l, tc.ps, SweepOptions{Workers: 1, ChainLen: chainLen, Method: tc.method})
+		cold, _, err := ThresholdSweepFullOpts(q, l, tc.ps, SweepOptions{Workers: 1, chainLen: chainLen, Method: tc.method})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,12 +468,12 @@ func TestThresholdSweepFullOptsWithDevice(t *testing.T) {
 	// sweep-level concurrency must not change a single bit for a fixed
 	// shared device.
 	dev := device.New(4, device.WithGrain(16))
-	ref, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, WarmStart: true, Dev: dev})
+	ref, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: 1, WarmStart: true, dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		got, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: workers, WarmStart: true, Dev: dev})
+		got, _, err := ThresholdSweepFullOpts(q, l, ps, SweepOptions{Workers: workers, WarmStart: true, dev: dev})
 		if err != nil {
 			t.Fatal(err)
 		}

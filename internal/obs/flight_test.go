@@ -202,12 +202,15 @@ func TestFlightStallAcceptance(t *testing.T) {
 	start := time.Now()
 	_, serr := core.PowerIteration(op, core.PowerOptions{
 		Tol: 1e-30, MaxIter: 50_000_000,
-		Start:       exact,
-		StallChecks: -1, // disable the core guard; the watchdog is under test
-		Observer:    fl.Observer("p=pc"),
+		Start:    exact,
+		Observer: fl.Observer("p=pc"),
 		Monitor: func(iter int, lambda, residual float64) bool {
-			// Keep iterating until the watchdog has dumped (or a generous
-			// wall deadline expires and the test fails below).
+			// Pace the solve so the core's own stall guard, 100 flat
+			// checks, needs half a second or more: the watchdog, scanning
+			// every 2 ms, sees its 3 flat checks long before. Stop once it
+			// has dumped (or a generous wall deadline expires and the test
+			// fails below).
+			time.Sleep(5 * time.Millisecond)
 			return len(fl.Bundles()) == 0 && time.Since(start) < 60*time.Second
 		},
 	})
@@ -582,41 +585,42 @@ func TestDumpOnError(t *testing.T) {
 	}
 }
 
-// diagOp is a diagonal operator: a symmetric test problem with a known
-// spectrum for the Krylov solvers.
-type diagOp []float64
-
-func (d diagOp) Dim() int { return len(d) }
-func (d diagOp) Apply(dst, src []float64) {
-	for i := range dst {
-		dst[i] = d[i] * src[i]
-	}
-}
-
 func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
-	// A budget-capped Lanczos, Arnoldi or shift-invert Lanczos solve fails
+	// Under an unattainable tolerance a Lanczos or shift-invert Lanczos
+	// solve exhausts its restarts and an Arnoldi solve stagnates; each fails
 	// with a typed *core.ConvergenceError, which a flight recording dumps as
 	// a bundle.
 	f := startFlight(testFlightManifest("testrun-krylov"), t.TempDir(), quietConfig())
 	defer f.Stop()
 
-	op := make(diagOp, 64)
-	for i := range op {
-		op[i] = 1 / float64(i+1)
+	// N = 8 keeps Lanczos's thousand restarts cheap; the shift 2.5 lies
+	// above f_max = 2 ≥ λ₀.
+	l, err := landscape.NewSinglePeak(3, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, lerr := core.Lanczos(op, core.LanczosOptions{Tol: 1e-30, BasisSize: 3, MaxRestarts: 2})
-	_, aerr := core.Arnoldi(op, core.ArnoldiOptions{Tol: 1e-30, BasisSize: 2, MaxRestarts: 2})
-	_, serr := core.ShiftInvertLanczos(op, core.ShiftInvertOptions{Tol: 1e-30, Shift: 1.5, BasisSize: 2, MaxRestarts: 2})
+	op, err := core.NewFmmpOperator(mutation.MustUniform(3, 0.01), l, core.Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lerr := core.Lanczos(op, core.LanczosOptions{Tol: 1e-30})
+	_, aerr := core.Arnoldi(op, core.ArnoldiOptions{Tol: 1e-30})
+	_, serr := core.ShiftInvertLanczos(op, core.ShiftInvertOptions{Tol: 1e-30, Shift: 2.5})
 	for _, c := range []struct {
 		err    error
 		method string
-	}{{lerr, core.SolveKindLanczos}, {aerr, "arnoldi"}, {serr, core.SolveKindShiftInvert}} {
+		reason error
+	}{
+		{lerr, core.SolveKindLanczos, core.ErrNoConvergence},
+		{aerr, "arnoldi", core.ErrStagnated},
+		{serr, core.SolveKindShiftInvert, core.ErrNoConvergence},
+	} {
 		var ce *core.ConvergenceError
 		if !errors.As(c.err, &ce) {
 			t.Fatalf("%s: err = %v (%T), want *core.ConvergenceError", c.method, c.err, c.err)
 		}
 		if ce.Method != c.method || ce.Iterations == 0 || ce.Tol != 1e-30 ||
-			!(ce.BestResidual <= ce.Residual) || !errors.Is(c.err, core.ErrNoConvergence) {
+			!(ce.BestResidual <= ce.Residual) || !errors.Is(c.err, c.reason) {
 			t.Fatalf("%s: ConvergenceError = %+v", c.method, ce)
 		}
 		dir, ok := f.DumpOnError(c.err)

@@ -109,7 +109,7 @@ func pinSolverMetrics(t *testing.T) {
 		delta := metricDeltas(t, names...)
 		checks := 0
 		res, err := core.PowerIteration(op, core.PowerOptions{
-			Tol: 1e-10, CheckEvery: 3,
+			Tol:     1e-10,
 			Monitor: func(int, float64, float64) bool { checks++; return true },
 		})
 		if err != nil {

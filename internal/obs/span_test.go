@@ -306,7 +306,7 @@ func TestArnoldiSolveReports(t *testing.T) {
 		"qs_power_residual_checks_total",
 		"qs_power_iterations_total")
 	p := StartSpanProfiler(0)
-	res, err := core.Arnoldi(op, core.ArnoldiOptions{})
+	res, err := core.Arnoldi(op, core.ArnoldiOptions{Tol: 1e-12})
 	p.Stop()
 	if err != nil {
 		t.Fatal(err)

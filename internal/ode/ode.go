@@ -81,9 +81,10 @@ type RK4Options struct {
 	// Renormalize projects the state back onto the simplex (Σx = 1) after
 	// every step, compensating integrator drift of the conserved quantity.
 	Renormalize bool
-	// Monitor, when non-nil, receives (step, t, x) after each step;
-	// returning false stops the integration early.
-	Monitor func(step int, t float64, x []float64) bool
+	// monitor, when non-nil, receives (step, t, x) after each step;
+	// returning false stops the integration early. Only this package's
+	// tests set it.
+	monitor func(step int, t float64, x []float64) bool
 }
 
 // IntegrateRK4 advances x (in place) by steps fixed RK4 steps of size dt,
@@ -121,7 +122,7 @@ func (s *System) IntegrateRK4(x []float64, t0, dt float64, steps int, opts RK4Op
 		if !vec.AllFinite(x) {
 			return t, fmt.Errorf("ode: state became non-finite at step %d (dt too large?)", step)
 		}
-		if opts.Monitor != nil && !opts.Monitor(step, t, x) {
+		if opts.monitor != nil && !opts.monitor(step, t, x) {
 			return t, nil
 		}
 	}

@@ -222,7 +222,7 @@ func TestSimplexPreservation(t *testing.T) {
 	x := MasterStart(s.Dim())
 	sumDrift := 0.0
 	_, err := s.IntegrateRK4(x, 0, 0.01, 500, RK4Options{
-		Monitor: func(step int, tt float64, state []float64) bool {
+		monitor: func(step int, tt float64, state []float64) bool {
 			d := math.Abs(vec.SumKahan(state) - 1)
 			if d > sumDrift {
 				sumDrift = d
@@ -251,7 +251,7 @@ func TestMonitorEarlyStop(t *testing.T) {
 	x := MasterStart(s.Dim())
 	calls := 0
 	tEnd, err := s.IntegrateRK4(x, 0, 0.01, 1000, RK4Options{
-		Monitor: func(step int, tt float64, state []float64) bool {
+		monitor: func(step int, tt float64, state []float64) bool {
 			calls++
 			return step < 5
 		},

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/mutation"
 	"repro/internal/vec"
 )
 
@@ -45,15 +47,10 @@ func TestAllMethodsAgree(t *testing.T) {
 	const nu = 9
 	mut, _ := UniformMutation(nu, 0.01)
 	land, _ := SinglePeak(nu, 2, 1)
-	methods := []Method{MethodFmmp, MethodLanczos, MethodXmvp, MethodReduced}
+	methods := []Method{MethodFmmp, MethodLanczos, MethodArnoldi, MethodReduced}
 	var ref *Solution
 	for _, m := range methods {
-		opts := []Option{WithMethod(m), WithTolerance(1e-12)}
-		if m == MethodXmvp {
-			// Full radius makes the baseline exact for the comparison.
-			opts = append(opts, WithXmvpRadius(nu))
-		}
-		model, err := New(mut, land, opts...)
+		model, err := New(mut, land, WithMethod(m), WithTolerance(1e-12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +72,8 @@ func TestAllMethodsAgree(t *testing.T) {
 }
 
 func TestXmvpTruncationLosesAccuracy(t *testing.T) {
-	// MethodXmvp with the paper's dmax = 5 must be close to, but
+	// The Xmvp baseline with the paper's dmax = 5, solved as the Fmmp
+	// route is (fitness start, conservative shift), must be close to, but
 	// measurably different from, the exact solution (≈1e-10 per [10]).
 	const nu = 12
 	mut, _ := UniformMutation(nu, 0.01)
@@ -84,11 +82,24 @@ func TestXmvpTruncationLosesAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := mustSolve(t, mut, land, WithMethod(MethodXmvp), WithTolerance(1e-13))
+	xm, err := mutation.NewXmvp(nu, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := vec.DistInf(exact.Concentrations, approx.Concentrations)
+	op, err := core.NewXmvpOperator(xm, land.l, core.Right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err := core.PowerIteration(op, core.PowerOptions{
+		Tol: 1e-13, Start: core.FitnessStart(land.l), Shift: core.ConservativeShift(mut.q, land.l),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Concentrations(approx.Vector); err != nil {
+		t.Fatal(err)
+	}
+	d := vec.DistInf(exact.Concentrations, approx.Vector)
 	if d == 0 {
 		t.Error("truncated Xmvp result is suspiciously identical to the exact one")
 	}
@@ -274,14 +285,19 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("zero-value Mutation must be rejected")
 	}
 	land5, _ := SinglePeak(5, 2, 1)
-	if _, err := New(mut, land5, WithTolerance(-1)); err == nil {
-		t.Error("negative tolerance must be rejected")
+	// τ must be positive and finite, for New and SolveKronecker alike: a
+	// NaN τ used to spin until the stall guard, +Inf to accept the first
+	// iterate.
+	for _, tol := range []float64{-1, 0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(mut, land5, WithTolerance(tol)); err == nil {
+			t.Errorf("tolerance %g must be rejected", tol)
+		}
+		if _, err := SolveKronecker([]KroneckerBlock{{ChainLen: 1, ErrorRate: 0.01, Fitness: []float64{2, 1}}}, WithTolerance(tol)); err == nil {
+			t.Errorf("SolveKronecker: tolerance %g must be rejected", tol)
+		}
 	}
 	if _, err := New(mut, land5, WithMaxIterations(0)); err == nil {
 		t.Error("zero max iterations must be rejected")
-	}
-	if _, err := New(mut, land5, WithXmvpRadius(0)); err == nil {
-		t.Error("zero Xmvp radius must be rejected")
 	}
 	if _, err := New(mut, land5, WithMethod(Method(42))); err == nil {
 		t.Error("unknown method must be rejected")
@@ -319,7 +335,7 @@ func TestReducedRefusesUnstructured(t *testing.T) {
 }
 
 func TestMethodStrings(t *testing.T) {
-	for _, m := range []Method{MethodAuto, MethodFmmp, MethodLanczos, MethodXmvp, MethodReduced} {
+	for _, m := range []Method{MethodAuto, MethodFmmp, MethodLanczos, MethodReduced, MethodArnoldi} {
 		if m.String() == "" {
 			t.Error("empty method name")
 		}

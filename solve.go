@@ -3,12 +3,13 @@ package quasispecies
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/errorclass"
 	"repro/internal/landscape"
-	"repro/internal/mutation"
 	"repro/internal/span"
 	"repro/internal/vec"
 )
@@ -27,9 +28,6 @@ const (
 	// F^½QF^½ — fewer matrix products near the error threshold, at the
 	// cost of storing a Krylov basis.
 	MethodLanczos
-	// MethodXmvp is the sparsified XOR-based baseline of the authors'
-	// earlier work; accuracy is bounded by the truncation radius.
-	MethodXmvp
 	// MethodReduced forces the exact (ν+1)×(ν+1) error-class reduction
 	// (fails for landscapes without class structure).
 	MethodReduced
@@ -47,8 +45,6 @@ func (m Method) String() string {
 		return "Pi(Fmmp)"
 	case MethodLanczos:
 		return "Lanczos(Fmmp)"
-	case MethodXmvp:
-		return "Pi(Xmvp)"
 	case MethodReduced:
 		return "reduced"
 	case MethodArnoldi:
@@ -64,16 +60,15 @@ type Model struct {
 	mut  Mutation
 	land Landscape
 
-	method     Method
-	tol        float64
-	tolSet     bool
-	maxIter    int
-	useShift   bool
-	workers    int
-	xmvpRadius int
-	start      []float64
-	observer   SolveObserver
-	dev        *device.Device
+	method   Method
+	tol      float64
+	tolSet   bool
+	maxIter  int
+	useShift bool
+	workers  int // ≥ 1 once configured
+	start    []float64
+	observer SolveObserver
+	dev      *device.Device
 
 	// Operator cache: the Fmmp operators (and their landscape diagonals)
 	// are immutable once built, so repeated Solve/Residual calls on the
@@ -125,14 +120,14 @@ func WithMethod(m Method) Option {
 	}
 }
 
-// WithTolerance sets the residual threshold τ on ‖W·x − λ·x‖₂. The
-// default adapts to the problem's floating-point floor,
-// max(1e−12, 64·ε·f_max·√N), so large chain lengths do not request an
-// unattainable residual.
+// WithTolerance sets the residual threshold τ on ‖W·x − λ·x‖₂, which
+// must be positive and finite. The default adapts to the problem's
+// floating-point floor, max(1e−12, 64·ε·f_max·√N), so large chain lengths
+// do not request an unattainable residual.
 func WithTolerance(tol float64) Option {
 	return func(mo *Model) error {
-		if tol <= 0 {
-			return fmt.Errorf("quasispecies: tolerance %g must be positive", tol)
+		if !(tol > 0) || math.IsInf(tol, 1) {
+			return fmt.Errorf("quasispecies: tolerance %g must be positive and finite", tol)
 		}
 		mo.tol = tol
 		mo.tolSet = true
@@ -166,18 +161,6 @@ func WithShift(enabled bool) Option {
 func WithWorkers(n int) Option {
 	return func(mo *Model) error {
 		mo.workers = n
-		return nil
-	}
-}
-
-// WithXmvpRadius sets the truncation radius dmax for MethodXmvp
-// (default 5, the paper's ≈1e-10-accuracy setting).
-func WithXmvpRadius(dmax int) Option {
-	return func(mo *Model) error {
-		if dmax < 1 {
-			return fmt.Errorf("quasispecies: Xmvp radius %d must be ≥ 1", dmax)
-		}
-		mo.xmvpRadius = dmax
 		return nil
 	}
 }
@@ -228,18 +211,29 @@ func New(m Mutation, l Landscape, opts ...Option) (*Model, error) {
 		return nil, fmt.Errorf("%w: mutation ν = %d but landscape ν = %d",
 			ErrInvalidModel, m.ChainLen(), l.ChainLen())
 	}
-	mo := &Model{
-		mut: m, land: l,
-		method: MethodAuto, tol: 1e-12, maxIter: 500000,
-		useShift: true, workers: 1, xmvpRadius: 5,
+	mo, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
+	mo.mut, mo.land = m, l
+	if mo.workers != 1 {
+		mo.dev = device.New(mo.workers)
+	}
+	return mo, nil
+}
+
+// configure returns the option defaults with opts applied, the worker
+// count resolved: WithWorkers' n ≤ 0 becomes GOMAXPROCS. New and
+// SolveKronecker both start here.
+func configure(opts []Option) (*Model, error) {
+	mo := &Model{method: MethodAuto, maxIter: 500000, useShift: true, workers: 1}
 	for _, o := range opts {
 		if err := o(mo); err != nil {
 			return nil, err
 		}
 	}
-	if mo.workers != 1 {
-		mo.dev = device.New(mo.workers)
+	if mo.workers <= 0 {
+		mo.workers = runtime.GOMAXPROCS(0)
 	}
 	return mo, nil
 }
@@ -288,7 +282,7 @@ func (mo *Model) Solve() (*Solution, error) {
 
 // SolveContext is Solve with cooperative cancellation. A context that is
 // already cancelled or past its deadline returns ctx.Err() before any
-// work. The power-method backends (Fmmp, Xmvp) also check ctx at every
+// work. The power-method backend (Fmmp) also checks ctx at every
 // residual evaluation and abort with ctx.Err() when it is cancelled or
 // times out; large-ν solves can run for minutes, and this is the supported
 // way to bound them. The reduced, Lanczos and Arnoldi backends check ctx
@@ -319,17 +313,7 @@ func (mo *Model) solve(ctx context.Context) (*Solution, error) {
 	case MethodReduced:
 		return mo.solveReduced()
 	case MethodFmmp:
-		op, err := mo.fmmpOperator(core.Right)
-		if err != nil {
-			return nil, err
-		}
-		return mo.solveWithOperator(ctx, op, MethodFmmp)
-	case MethodXmvp:
-		op, err := mo.buildXmvpOperator()
-		if err != nil {
-			return nil, err
-		}
-		return mo.solveWithOperator(ctx, op, MethodXmvp)
+		return mo.solveFmmp(ctx)
 	case MethodLanczos:
 		return mo.solveLanczos()
 	case MethodArnoldi:
@@ -339,21 +323,14 @@ func (mo *Model) solve(ctx context.Context) (*Solution, error) {
 	}
 }
 
-func (mo *Model) buildXmvpOperator() (core.Operator, error) {
-	p, ok := mo.mut.q.Uniform()
-	if !ok {
-		return nil, fmt.Errorf("%w: MethodXmvp requires the uniform-rate process", ErrInvalidModel)
-	}
-	x, err := mutation.NewXmvp(mo.ChainLen(), p, mo.xmvpRadius)
+// solveFmmp runs the power method on the Right-form Fmmp operator. Only a
+// cancellable ctx installs the cancellation Monitor, so Solve runs the bare
+// iteration.
+func (mo *Model) solveFmmp(ctx context.Context) (*Solution, error) {
+	op, err := mo.fmmpOperator(core.Right)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewXmvpOperator(x, mo.land.l, core.Right, mo.dev)
-}
-
-// solveWithOperator runs the power method on op. Only a cancellable ctx
-// installs the cancellation Monitor, so Solve runs the bare iteration.
-func (mo *Model) solveWithOperator(ctx context.Context, op core.Operator, method Method) (*Solution, error) {
 	start, err := mo.startVector(core.Right, op)
 	if err != nil {
 		return nil, err
@@ -377,7 +354,7 @@ func (mo *Model) solveWithOperator(ctx context.Context, op core.Operator, method
 		}
 		return nil, err
 	}
-	return mo.finishSolution(res.Lambda, res.Vector, res.Iterations, res.Residual, method)
+	return mo.finishSolution(res.Lambda, res.Vector, res.Iterations, res.Residual, MethodFmmp)
 }
 
 func (mo *Model) solveLanczos() (*Solution, error) {
@@ -437,13 +414,14 @@ func (mo *Model) solveArnoldi() (*Solution, error) {
 
 // startVector returns the starting iterate in the requested formulation:
 // a converted copy of the WithStart vector when one was set, else the
-// fitness start of op's problem.
-func (mo *Model) startVector(form core.Formulation, op core.Operator) ([]float64, error) {
+// fitness start, built from op's materialized diagonal so the landscape is
+// materialized once per operator rather than again for every solve.
+func (mo *Model) startVector(form core.Formulation, op *core.FmmpOperator) ([]float64, error) {
 	if mo.start == nil {
 		// The fitness start serves every formulation as-is (any positive
 		// vector is an admissible iterate); converting it here would
 		// perturb long-standing bit-identical baselines.
-		return mo.fitnessStart(op), nil
+		return op.FitnessStart(), nil
 	}
 	if len(mo.start) != mo.Dim() {
 		return nil, fmt.Errorf("%w: start vector length %d, want %d",
@@ -455,16 +433,6 @@ func (mo *Model) startVector(form core.Formulation, op core.Operator) ([]float64
 		return nil, err
 	}
 	return x, nil
-}
-
-// fitnessStart returns the fitness start, built from op's materialized
-// diagonal when op is an Fmmp operator so the landscape is materialized
-// once per operator rather than again for every solve.
-func (mo *Model) fitnessStart(op core.Operator) []float64 {
-	if fop, ok := op.(*core.FmmpOperator); ok {
-		return fop.FitnessStart()
-	}
-	return core.FitnessStart(mo.land.l)
 }
 
 // effectiveTol returns the user's tolerance, or the floating-point-floor

@@ -231,12 +231,10 @@ func SolveKronecker(blocks []KroneckerBlock, opts ...Option) (*KroneckerSolution
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("%w: no blocks", ErrInvalidModel)
 	}
-	// Reuse Model option parsing for tolerance/shift settings.
-	cfg := &Model{maxIter: 500000, useShift: true, workers: 1, xmvpRadius: 5}
-	for _, o := range opts {
-		if err := o(cfg); err != nil {
-			return nil, err
-		}
+	// Reuse Model option parsing for the tolerance, shift and worker settings.
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
 	factors := make([]kron.Factor, len(blocks))
 	total := 0

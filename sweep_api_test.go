@@ -1,9 +1,12 @@
 package quasispecies
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -133,6 +136,53 @@ func TestSolveKroneckerWithWorkersMatchesSerial(t *testing.T) {
 	for k := range sg {
 		if sg[k] != pg[k] {
 			t.Errorf("class %d: parallel Γ deviates from serial", k)
+		}
+	}
+}
+
+// TestSolveKroneckerAllCoresWorkers: WithWorkers(n ≤ 0) means all cores for
+// SolveKronecker as for New. With GOMAXPROCS pinned to 2 the batch run
+// span of the block solves reports 2 workers for n = 0 and n = −1 alike.
+func TestSolveKroneckerAllCoresWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	blocks := []KroneckerBlock{
+		{ChainLen: 4, ErrorRate: 0.01, Fitness: rampFitness(16, 1, 3)},
+		{ChainLen: 5, ErrorRate: 0.02, Fitness: rampFitness(32, 1, 2)},
+		{ChainLen: 3, ErrorRate: 0.015, Fitness: rampFitness(8, 1, 4)},
+	}
+	for _, n := range []int{0, -1, 2, 1} {
+		want := 2
+		if n == 1 {
+			want = 1
+		}
+		prof := StartSpanProfile(0)
+		_, err := SolveKronecker(blocks, WithWorkers(n))
+		prof.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := prof.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var tr struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Cat  string         `json:"cat"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+			t.Fatal(err)
+		}
+		var got []any
+		for _, ev := range tr.TraceEvents {
+			if ev.Cat == "batch" && ev.Name == "run" {
+				got = append(got, ev.Args["workers"])
+			}
+		}
+		if len(got) != 1 || got[0] != float64(want) {
+			t.Errorf("WithWorkers(%d): batch run span workers = %v, want [%d]", n, got, want)
 		}
 	}
 }
