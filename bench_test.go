@@ -411,6 +411,47 @@ func BenchmarkKernelFmmpBlockedVsNaive(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelFmmpKinds times one serial ApplyFused (pre scale, out of
+// place, as the Fmmp operator runs it) for the uniform process (the
+// stochastic butterfly kind) and an asymmetric per-site one (the general
+// kind) at every kernel tier the host has, so the two kinds' per-apply
+// costs can be compared tier by tier (EXPERIMENTS.md, Claim §2.2).
+func BenchmarkKernelFmmpKinds(b *testing.B) {
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	for _, nu := range []int{12, 14, 20} {
+		factors := make([]mutation.Factor2, nu)
+		for k := range factors {
+			stay0, stay1 := 0.98+0.0005*float64(k), 0.975+0.001*float64(k)
+			factors[k] = mutation.Factor2{A: stay0, B: 1 - stay1, C: 1 - stay0, D: stay1}
+		}
+		general, err := mutation.NewPerSite(factors)
+		if err != nil {
+			b.Fatal(err)
+		}
+		procs := []struct {
+			name string
+			q    *mutation.Process
+		}{{"uniform", mutation.MustUniform(nu, 0.01)}, {"asymmetric", general}}
+		n := 1 << uint(nu)
+		src, pre, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range src {
+			src[i], pre[i] = 1/float64(1+i%7), 1+float64(i%3)
+		}
+		for _, tier := range vec.Tiers() {
+			for _, p := range procs {
+				b.Run(fmt.Sprintf("%s/nu%d/%v", p.name, nu, tier), func(b *testing.B) {
+					vec.SetTier(tier)
+					b.SetBytes(int64(8 * n))
+					for i := 0; i < b.N; i++ {
+						p.q.ApplyFused(nil, dst, src, pre, mutation.Epilogue{})
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkKernelFWHTBlockedVsNaive is the same comparison for the
 // Walsh–Hadamard transform backing the shift-invert product.
 func BenchmarkKernelFWHTBlockedVsNaive(b *testing.B) {

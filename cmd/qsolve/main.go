@@ -34,7 +34,7 @@ func main() {
 		method  = flag.String("method", "auto", "solver: auto | fmmp | lanczos | reduced | arnoldi")
 		tol     = flag.Float64("tol", 1e-12, "residual tolerance τ")
 		workers = flag.Int("workers", 1, "compute workers (0 = all cores, 1 = serial)")
-		noShift = flag.Bool("no-shift", false, "disable the convergence shift µ = (1−2p)^ν·f_min")
+		noShift = flag.Bool("no-shift", false, "disable the convergence shift µ = Π_k(1−2p_k)·f_min (p_k = p, or the -persite rates)")
 		gamma   = flag.Bool("dump-gamma", false, "print all class concentrations [Γk]")
 		topN    = flag.Int("top", 5, "print the N most concentrated sequences")
 		perSite = flag.String("persite", "", "comma-separated per-position error rates (overrides -p; enables the Section 2.2 general process)")

@@ -219,8 +219,10 @@ func TestChebRestartDegree(t *testing.T) {
 }
 
 // λ_min(W_S) ≥ ConservativeShift = (1−2p)^ν·f_min, the Chebyshev lower
-// edge, for uniform processes, checked against the dense spectrum;
-// per-site and grouped processes get the edge 0.
+// edge, for uniform processes, checked against the dense spectrum; a
+// per-site process with two-way factors gets a positive edge (checked
+// against its dense spectrum by TestShiftIsBelowSmallestEigenvalue) and
+// grouped processes the edge 0.
 func TestChebLowerEdgeBelowDenseSpectrum(t *testing.T) {
 	for _, nu := range []int{3, 5, 7} {
 		single, err := landscape.NewSinglePeak(nu, 10, 1)
@@ -256,7 +258,11 @@ func TestChebLowerEdgeBelowDenseSpectrum(t *testing.T) {
 		}
 		r := rng.New(uint64(nu))
 		for _, p := range fusedTestProcesses(t, r, nu)[1:] {
-			if edge := ConservativeShift(p.q, single); edge != 0 {
+			edge := ConservativeShift(p.q, single)
+			if p.name == "per-site" && !(edge > 0) {
+				t.Errorf("ν=%d %s process: lower edge %g, want > 0", nu, p.name, edge)
+			}
+			if p.name != "per-site" && edge != 0 {
 				t.Errorf("ν=%d %s process: lower edge %g, want 0", nu, p.name, edge)
 			}
 		}

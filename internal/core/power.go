@@ -232,29 +232,32 @@ func orientPositive(x []float64) {
 	}
 }
 
-// ConservativeShift returns the paper's provably safe shift
-// µ = (1−2p)^ν · f_min for W = Q·F with a uniform-rate process: Section 3
-// shows λ_min(W) ≥ (1−2p)^ν·f_min via ‖W⁻¹‖₁ ≤ ‖F⁻¹‖₁·‖Q⁻¹‖₁, so
-// subtracting µ keeps λ₀ − µ the dominant eigenvalue. A positive lower
-// bound on f_min (from Landscape.Bounds) yields a smaller, still-valid
+// ConservativeShift returns a provably safe shift µ ≤ λ_min(W) for
+// W = Q·F, so subtracting µ keeps λ₀ − µ the dominant eigenvalue. For a
+// uniform-rate process it is the paper's µ = (1−2p)^ν · f_min: Section 3
+// shows λ_min(W) ≥ (1−2p)^ν·f_min via ‖W⁻¹‖₁ ≤ ‖F⁻¹‖₁·‖Q⁻¹‖₁. A positive
+// lower bound on f_min (from Landscape.Bounds) yields a smaller, still-valid
 // shift.
 //
-// The bound holds for the Symmetric form W_S = F^½·Q·F^½ as well, where it
-// is the Chebyshev filter's lower edge: for p ≤ ½, Q is a Kronecker product
-// of 2×2 factors with eigenvalues 1 and 1−2p, so its spectrum is
-// {(1−2p)^k : 0 ≤ k ≤ ν} and
+// The bound is that of the Rayleigh quotient of a symmetric form, and it
+// carries over to per-site processes. Q = D·S·D⁻¹ with D diagonal and S
+// symmetric with smallest eigenvalue s = q.SpectralFloor() (Π_k(A_k+D_k−1)
+// over the factors [[A_k,B_k],[C_k,D_k]], (1−2p)^ν for the uniform
+// process), so W = D·(S·F)·D⁻¹ is similar to F^½·S·F^½ and
 //
-//	xᵀW_S·x = (F^½x)ᵀQ(F^½x) ≥ (1−2p)^ν·‖F^½x‖² ≥ (1−2p)^ν·f_min·‖x‖².
+//	xᵀF^½·S·F^½x ≥ s·‖F^½x‖² ≥ s·f_min·‖x‖².
 //
-// Without a uniform rate it returns 0.
+// The same holds for the Symmetric form W_S = F^½·Q·F^½, which is similar
+// to W; there µ is the Chebyshev filter's lower edge. Grouped processes,
+// and per-site ones with a one-way factor (B_k or C_k zero) or
+// A_k+D_k ≤ 1, get 0: no shift is justified.
 func ConservativeShift(q *mutation.Process, f landscape.Landscape) float64 {
-	p, ok := q.Uniform()
+	s, ok := q.SpectralFloor()
 	if !ok {
-		// Without the closed-form inverse bound no shift is justified.
 		return 0
 	}
 	fmin, _ := f.Bounds()
-	return math.Pow(1-2*p, float64(q.ChainLen())) * fmin
+	return s * fmin
 }
 
 // FitnessStart returns the paper's starting vector

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -151,7 +152,7 @@ func TestConservativeShiftFormula(t *testing.T) {
 	if got := ConservativeShift(q, l); math.Abs(got-want) > 1e-15 {
 		t.Errorf("shift = %g, want %g", got, want)
 	}
-	// Non-uniform processes get no shift.
+	// A per-site process gets Π_k(A_k+D_k−1)·f_min.
 	ps, err := mutation.NewPerSite([]mutation.Factor2{
 		{A: 0.9, B: 0.2, C: 0.1, D: 0.8}, {A: 0.8, B: 0.1, C: 0.2, D: 0.9},
 	})
@@ -159,8 +160,26 @@ func TestConservativeShiftFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2, _ := landscape.NewUniform(2, 1)
-	if got := ConservativeShift(ps, l2); got != 0 {
-		t.Errorf("non-uniform shift = %g, want 0", got)
+	if got := ConservativeShift(ps, l2); math.Abs(got-0.7*0.7) > 1e-15 {
+		t.Errorf("per-site shift = %g, want %g", got, 0.7*0.7)
+	}
+	// A one-way factor (B = 0) and a grouped factor get no shift.
+	oneWay, err := mutation.NewPerSite([]mutation.Factor2{
+		{A: 0.9, B: 0.2, C: 0.1, D: 0.8}, {A: 1, B: 0.1, C: 0, D: 0.9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := mutation.NewGrouped([]*dense.Matrix{dense.FromRows([][]float64{
+		{0.7, 0.1, 0.1, 0.1}, {0.1, 0.7, 0.1, 0.1}, {0.1, 0.1, 0.7, 0.1}, {0.1, 0.1, 0.1, 0.7},
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]*mutation.Process{"one-way": oneWay, "grouped": grouped} {
+		if got := ConservativeShift(q, l2); got != 0 {
+			t.Errorf("%s shift = %g, want 0", name, got)
+		}
 	}
 }
 
@@ -185,6 +204,120 @@ func TestShiftIsBelowSmallestEigenvalue(t *testing.T) {
 		if lamMin < mu*(1-1e-10) {
 			t.Errorf("λ_min = %g < µ = %g (ν=%d, p=%g)", lamMin, mu, nu, p)
 		}
+	}
+
+	// Per-site processes, asymmetric (Stay0 ≠ Stay1) and symmetric, ν ≤ 8:
+	// with D = ⊗_k diag(1, √(C_k/B_k)), S = D⁻¹·Q·D must be symmetric, and
+	// λ_min of F^½·S·F^½, which W = Q·F is similar to, must be ≥ µ. On a
+	// flat landscape (W = c·Q) µ is λ_min itself.
+	for trial := 0; trial < 14; trial++ {
+		nu, asymmetric, flat := 2+trial%7, trial%2 == 0, trial%3 == 0
+		factors := make([]mutation.Factor2, nu)
+		for k := range factors {
+			stay0, stay1 := 0.55+0.45*r.Float64(), 0.0
+			if stay1 = stay0; asymmetric {
+				stay1 = 0.55 + 0.45*r.Float64()
+			}
+			factors[k] = mutation.Factor2{A: stay0, B: 1 - stay1, C: 1 - stay0, D: stay1}
+		}
+		q, err := mutation.NewPerSite(factors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := randLandscape(r, nu)
+		if flat {
+			l, _ = landscape.NewUniform(nu, 1+r.Float64())
+		}
+		label := fmt.Sprintf("ν=%d asymmetric=%v flat=%v", nu, asymmetric, flat)
+		mu := ConservativeShift(q, l)
+		if !(mu > 0) {
+			t.Fatalf("%s: µ = %g, want a positive shift", label, mu)
+		}
+		n := q.Dim()
+		d, invD, sqrtF := make([]float64, n), make([]float64, n), landscape.Materialize(l)
+		for i := range d {
+			d[i] = 1
+			for k, f := range factors {
+				if i>>uint(k)&1 == 1 {
+					d[i] *= math.Sqrt(f.C / f.B)
+				}
+			}
+			invD[i], sqrtF[i] = 1/d[i], math.Sqrt(sqrtF[i])
+		}
+		m := q.Dense()
+		m.ScaleRows(invD)
+		m.ScaleColumns(d)
+		if !m.IsSymmetric(1e-12) {
+			t.Fatalf("%s: D⁻¹·Q·D is not symmetric", label)
+		}
+		m.ScaleRows(sqrtF)
+		m.ScaleColumns(sqrtF)
+		vals, _, err := dense.JacobiEigen(m, 1e-14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lamMin := vals[len(vals)-1]
+		if lamMin < mu*(1-1e-10) {
+			t.Errorf("%s: λ_min = %g < µ = %g", label, lamMin, mu)
+		}
+		if flat && math.Abs(lamMin-mu) > 1e-10*mu {
+			t.Errorf("%s: λ_min = %.17g, want µ = %.17g on a flat landscape", label, lamMin, mu)
+		}
+	}
+}
+
+// TestAsymmetricPowerSolveBitIdenticalAcrossTiers: a shifted power solve on
+// an asymmetric per-site operator (the general butterfly kind, on the
+// first-pass, tile pair, cross quad and lone cross stage bodies at ν = 13
+// and 14) gives the same λ, vector and iteration count bit for bit at every
+// kernel tier the host has, serially and on 1- and 2-worker devices; the
+// serial solve also matches the 1-worker device.
+func TestAsymmetricPowerSolveBitIdenticalAcrossTiers(t *testing.T) {
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	r := rng.New(4242)
+	for _, nu := range []int{13, 14} {
+		factors := make([]mutation.Factor2, nu)
+		for k := range factors {
+			stay0, stay1 := 0.98+0.015*r.Float64(), 0.97+0.025*r.Float64()
+			factors[k] = mutation.Factor2{A: stay0, B: 1 - stay1, C: 1 - stay0, D: stay1}
+		}
+		q, err := mutation.NewPerSite(factors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := randLandscape(r, nu)
+		devs := []struct {
+			name string
+			dev  *device.Device
+		}{{"serial", nil}, {"1-worker", device.New(1)}, {"2-workers", device.New(2, device.WithGrain(64))}}
+		results := make(map[string]PowerResult)
+		for _, tier := range vec.Tiers() {
+			vec.SetTier(tier)
+			for _, d := range devs {
+				op, err := NewFmmpOperator(q, l, Right, d.dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := PowerIteration(op, PowerOptions{
+					Tol: 1e-12, Start: op.FitnessStart(), Shift: ConservativeShift(q, l), Dev: d.dev,
+				})
+				if err != nil {
+					t.Fatalf("ν=%d %s tier=%v: %v", nu, d.name, tier, err)
+				}
+				res.Vector = vec.Clone(res.Vector)
+				results[fmt.Sprint(d.name, tier)] = res
+			}
+		}
+		for _, d := range devs {
+			want := results[fmt.Sprint(d.name, vec.TierGo)]
+			for _, tier := range vec.Tiers() {
+				comparePower(t, fmt.Sprintf("ν=%d %s tier=%v", nu, d.name, tier),
+					results[fmt.Sprint(d.name, tier)], want, nil, nil, &callLog{}, &callLog{})
+			}
+		}
+		comparePower(t, fmt.Sprintf("ν=%d serial vs 1-worker", nu),
+			results[fmt.Sprint("serial", vec.TierGo)], results[fmt.Sprint("1-worker", vec.TierGo)], nil, nil, &callLog{}, &callLog{})
 	}
 }
 

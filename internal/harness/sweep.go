@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -181,7 +182,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 		for i := chains[ci].Lo; i < chains[ci].Hi; i++ {
 			red, err := errorclass.New(phi, ps[i])
 			if err != nil {
-				return err
+				return &pointError{i, ps[i], err}
 			}
 			var start []float64
 			if opts.WarmStart && prev != nil {
@@ -195,7 +196,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 				res, err = red.SolveFrom(start)
 			}
 			if err != nil {
-				return fmt.Errorf("p = %g: %w", ps[i], err)
+				return &pointError{i, ps[i], err}
 			}
 			out[i] = ThresholdPoint{P: ps[i], Gamma: res.Gamma}
 			stats.Iterations[i] = res.Iterations
@@ -208,7 +209,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %w", err)
+		return nil, nil, sweepError(err)
 	}
 	return out, stats, nil
 }
@@ -274,16 +275,16 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 			p := ps[i]
 			qp, err := mutation.NewUniform(q.ChainLen(), p)
 			if err != nil {
-				return err
+				return &pointError{i, p, err}
 			}
 			op, err := baseOp.WithProcess(qp)
 			if err != nil {
-				return err
+				return &pointError{i, p, err}
 			}
 			var opS *core.FmmpOperator
 			if baseOpS != nil {
 				if opS, err = baseOpS.WithProcess(qp); err != nil {
-					return err
+					return &pointError{i, p, err}
 				}
 			}
 			start := cold
@@ -310,7 +311,7 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 				State:      &state,
 			})
 			if err != nil {
-				return fmt.Errorf("p = %g: %w", p, err)
+				return &pointError{i, p, err}
 			}
 			stats.Iterations[i] = res.Iterations
 			stats.Predicted[i] = res.PredictedMatVecs
@@ -324,11 +325,11 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 			// concentrations in place keeps its direction, so it stays a
 			// valid warm start.
 			if err := core.Concentrations(res.Vector); err != nil {
-				return err
+				return &pointError{i, p, err}
 			}
 			gamma, err := core.ClassConcentrations(l.ChainLen(), res.Vector)
 			if err != nil {
-				return err
+				return &pointError{i, p, err}
 			}
 			out[i] = ThresholdPoint{P: p, Gamma: gamma}
 			prev = res.Vector
@@ -336,12 +337,37 @@ func ThresholdSweepFullOpts(q *mutation.Process, l landscape.Landscape, ps []flo
 		return nil
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %w", err)
+		return nil, nil, sweepError(err)
 	}
 	for _, e := range escalations {
 		stats.Escalations += e
 	}
 	return out, stats, nil
+}
+
+// pointError is the failure of sweep point i (error rate p): a sweep
+// reports the grid point, not the batch task that ran its chain.
+type pointError struct {
+	i   int
+	p   float64
+	err error
+}
+
+func (e *pointError) Error() string { return fmt.Sprintf("point %d (p = %g): %v", e.i, e.p, e.err) }
+
+func (e *pointError) Unwrap() error { return e.err }
+
+// sweepError wraps a failed sweep's error for the caller. batch.Run returns
+// the lowest-indexed failing chain, and a chain stops at its first failing
+// point, so a point error inside is the failing point of lowest grid index
+// that was attempted; it replaces batch's "task k" prefix, which counts
+// chains.
+func sweepError(err error) error {
+	var pe *pointError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("harness: %w", pe)
+	}
+	return fmt.Errorf("harness: %w", err)
 }
 
 // LocateThresholdOpts locates the error rate p_max at which the master

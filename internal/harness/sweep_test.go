@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -834,5 +835,46 @@ func TestSweepBitIdenticalAcrossKernelTiers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSweepErrorNamesGridPoint: a failed sweep names the failing point by
+// its grid index and p, not by the batch task that ran its chain. The
+// budget is the head point's own iteration count, so the head converges and
+// the first point that needs more fails further down the chain.
+func TestSweepErrorNamesGridPoint(t *testing.T) {
+	const nu = 8
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mutation.MustUniform(nu, 0.01)
+	ps := sweepGrid(0.01, 0.08, 8)
+	opts := SweepOptions{Workers: 1, chainLen: len(ps)}
+	_, stats, err := ThresholdSweepFullOpts(q, l, ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := -1
+	for i, it := range stats.Iterations {
+		if it > stats.Iterations[0] {
+			fail = i
+			break
+		}
+	}
+	if fail < 1 {
+		t.Fatalf("iterations %v: no point after the head needs more than the head", stats.Iterations)
+	}
+	opts.MaxIter = stats.Iterations[0]
+	_, _, err = ThresholdSweepFullOpts(q, l, ps, opts)
+	if err == nil {
+		t.Fatalf("budget %d: sweep succeeded, want point %d to fail", opts.MaxIter, fail)
+	}
+	want := fmt.Sprintf("harness: point %d (p = %g): ", fail, ps[fail])
+	if !strings.HasPrefix(err.Error(), want) || strings.Contains(err.Error(), "task") {
+		t.Errorf("error %q, want it to start %q and name no batch task", err, want)
+	}
+	if !errors.Is(err, core.ErrNoConvergence) {
+		t.Errorf("error %v does not wrap core.ErrNoConvergence", err)
 	}
 }

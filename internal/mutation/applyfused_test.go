@@ -107,32 +107,47 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 
 // TestApplyScaledDoesNotAllocate: the serial ApplyFused allocates nothing,
 // with a pre scale, with an epilogue and with a nil pre out of place (the
-// copy the first tile pass reads through). On a 2-worker device a launch
-// allocates its closure, so there the pre scale and the folded copy must
-// add nothing to what ApplyDevice allocates for the same launches.
+// copy the first tile pass reads through), for the uniform process and for
+// an asymmetric per-site one (the general butterfly kind), at every kernel
+// tier. On a 2-worker device a launch allocates its closure, so there the
+// pre scale and the folded copy must add nothing to what ApplyDevice
+// allocates for the same launches.
 func TestApplyScaledDoesNotAllocate(t *testing.T) {
-	q := MustUniform(12, 0.01)
-	n := q.Dim()
-	src, d, dst := make([]float64, n), make([]float64, n), make([]float64, n)
-	vec.Fill(src, 1)
-	vec.Fill(d, 2)
-	if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(nil, dst, src, d, Epilogue{}) }); allocs != 0 {
-		t.Errorf("serial ApplyFused allocates %.0f objects per call", allocs)
+	asym := make([]Factor2, 12)
+	for k := range asym {
+		stay0, stay1 := 0.98+0.001*float64(k), 0.97+0.0015*float64(k)
+		asym[k] = Factor2{A: stay0, B: 1 - stay1, C: 1 - stay0, D: stay1}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(nil, dst, src, nil, Epilogue{}) }); allocs != 0 {
-		t.Errorf("serial ApplyFused with a nil pre out of place allocates %.0f objects per call", allocs)
+	general, err := NewPerSite(asym)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out, z := make([]float64, n), make([]float64, n)
-	ep := Epilogue{Post: d, Out: out, Z: z, S: 0.5, C: 0.25}
-	if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(nil, dst, src, d, ep) }); allocs != 0 {
-		t.Errorf("serial ApplyFused with an epilogue allocates %.0f objects per call", allocs)
-	}
-
-	dev := device.New(2)
-	launches := testing.AllocsPerRun(10, func() { q.ApplyDevice(dev, dst) })
-	for name, pre := range map[string][]float64{"pre": d, "nil pre": nil} {
-		if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(dev, dst, src, pre, Epilogue{}) }); allocs > launches {
-			t.Errorf("2-worker ApplyFused (%s) allocates %.0f objects per call, ApplyDevice %.0f", name, allocs, launches)
+	tiers := kernelTiers(t)
+	for name, q := range map[string]*Process{"uniform": MustUniform(12, 0.01), "asymmetric": general} {
+		n := q.Dim()
+		src, d, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+		vec.Fill(src, 1)
+		vec.Fill(d, 2)
+		out, z := make([]float64, n), make([]float64, n)
+		ep := Epilogue{Post: d, Out: out, Z: z, S: 0.5, C: 0.25}
+		dev := device.New(2)
+		for _, tier := range tiers {
+			vec.SetTier(tier)
+			for what, run := range map[string]func(){
+				"pre":                  func() { q.ApplyFused(nil, dst, src, d, Epilogue{}) },
+				"nil pre out of place": func() { q.ApplyFused(nil, dst, src, nil, Epilogue{}) },
+				"epilogue":             func() { q.ApplyFused(nil, dst, src, d, ep) },
+			} {
+				if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+					t.Errorf("%s tier=%v: serial ApplyFused (%s) allocates %.0f objects per call", name, tier, what, allocs)
+				}
+			}
+			launches := testing.AllocsPerRun(10, func() { q.ApplyDevice(dev, dst) })
+			for what, pre := range map[string][]float64{"pre": d, "nil pre": nil} {
+				if allocs := testing.AllocsPerRun(10, func() { q.ApplyFused(dev, dst, src, pre, Epilogue{}) }); allocs > launches {
+					t.Errorf("%s tier=%v: 2-worker ApplyFused (%s) allocates %.0f objects per call, ApplyDevice %.0f", name, tier, what, allocs, launches)
+				}
+			}
 		}
 	}
 }

@@ -17,9 +17,9 @@ package mutation
 // The dispatch gates are internal/vec's (vec.UseAVX2, vec.UseAVX512): one
 // CPUID/XGETBV check for the butterflies and the vector kernels around
 // them, and QS_NOAVX2=1 forces the pure-Go bodies of both. Where AVX-512
-// is on, the four stochastic bodies run eight butterflies per instruction
-// (the avx512* twins below) on the shapes that fill a ZMM register, and the
-// AVX2 bodies take the rest.
+// is on, the four stochastic (S) and four general (G) bodies run eight
+// butterflies per instruction (the avx512* twins below) on the shapes that
+// fill a ZMM register, and the AVX2 bodies take the rest.
 
 // The assembly kernels. n counts float64 elements and must be a positive
 // multiple of 4 (quad forms) resp. of 4·stride (tile forms, stride ≥ 4 a
@@ -69,3 +69,34 @@ func avx512QuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
 
 //go:noescape
 func avx512PairS(u, w *float64, n int, b float64)
+
+// The general-kind bodies: the S bodies' shapes and traversals with the
+// four-multiply butterfly u′ = a·t1 + b·t2, w′ = c·t1 + d·t2 (bfly4g)
+// computed by VMULPD/VADDPD alone. fs points at the first of the stage
+// factors, consecutive in their slice: one for the Pair forms, two for the
+// TilePair and Quad forms, and 2·pairs for the First forms. Shape
+// requirements are those of the matching S body.
+
+//go:noescape
+func avxFirstG(dst, src, scale *float64, n, pairs int, fs *Factor2)
+
+//go:noescape
+func avxTilePairG(p *float64, n, stride int, fs *Factor2)
+
+//go:noescape
+func avxQuadG(r0, r1, r2, r3 *float64, n int, fs *Factor2)
+
+//go:noescape
+func avxPairG(u, w *float64, n int, fs *Factor2)
+
+//go:noescape
+func avx512FirstG(dst, src, scale *float64, n, pairs int, fs *Factor2)
+
+//go:noescape
+func avx512TilePairG(p *float64, n, stride int, fs *Factor2)
+
+//go:noescape
+func avx512QuadG(r0, r1, r2, r3 *float64, n int, fs *Factor2)
+
+//go:noescape
+func avx512PairG(u, w *float64, n int, fs *Factor2)

@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // AVX2 butterfly kernels (see DESIGN.md §5.6). Each routine applies the
-// SAME per-element operation sequence as its scalar twin (bfly4s / bfly4h
-// in blocked.go / fwht.go), just four butterflies per instruction:
+// SAME per-element operation sequence as its scalar twin (bfly4s, bfly4g /
+// bfly4h in blocked.go / fwht.go), just four butterflies per instruction:
 // only VADDPD/VSUBPD/VMULPD are used — which round per lane exactly like
 // the scalar ADDSD/SUBSD/MULSD — and no FMA is ever emitted (the Go spec
 // does not license contraction and neither do we), so every result is
@@ -13,7 +13,9 @@
 //
 // Lane layout shared by all bodies: Y0..Y3 hold e0..e3 of four independent
 // butterflies (one column each), Y6/Y7 (Y12..Y15 in the first-pass kernel)
-// the broadcast stage factors, Y4/Y5 are temporaries.
+// the broadcast stage factors, Y4/Y5 are temporaries. The general-kind
+// bodies at the end need four entries per stage and say where they keep
+// them.
 
 // One radix-2 stage on the lane pair (U, W) with factor register B and
 // temporary T. Stochastic (a+b = 1):  d = b·(w−u); u += d; w −= d.
@@ -490,5 +492,390 @@ zpsTail:
 	VMOVUPD Y0, (R8)
 	VMOVUPD Y1, (R9)
 zpsDone:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// General-kind bodies (DESIGN.md §5.6): the S bodies' traversals and layout
+// moves with the four-multiply butterfly of bfly4g, u′ = a·u + b·w and
+// w′ = c·u + d·w, for factors [[a,b],[c,d]] with no stochastic identity.
+// Each product is rounded by its own VMULPD and each sum by its own VADDPD,
+// as the Go expression a*t1 + b*t2 rounds them (no FMA, and VADDPD's
+// operand order differs from it only by add commutativity, exact in
+// IEEE-754), so the G bodies are bit-identical to the Go path at both
+// widths. A factor is four consecutive float64s (Factor2: A, B, C, D), a
+// pair of them eight.
+
+// One radix-2 general stage on the lane pair (U, W) with the broadcast
+// factor registers A, B, C, D and temporaries T1, T2.
+#define BFLY2G(U, W, A, B, C, D, T1, T2) \
+	VMULPD A, U, T1; \
+	VMULPD C, U, U; \
+	VMULPD B, W, T2; \
+	VMULPD D, W, W; \
+	VADDPD U, W, W; \
+	VADDPD T2, T1, U
+
+// Two fused general stages, the sequence of bfly4g: stage (A1, B1, C1, D1)
+// on the pairs (E0,E1), (E2,E3), then stage (A2, B2, C2, D2) on (E0,E2),
+// (E1,E3); T0..T3 are temporaries.
+#define BFLYG(E0, E1, E2, E3, A1, B1, C1, D1, A2, B2, C2, D2, T0, T1, T2, T3) \
+	BFLY2G(E0, E1, A1, B1, C1, D1, T0, T1); \
+	BFLY2G(E2, E3, A1, B1, C1, D1, T2, T3); \
+	BFLY2G(E0, E2, A2, B2, C2, D2, T0, T1); \
+	BFLY2G(E1, E3, A2, B2, C2, D2, T2, T3)
+
+// Broadcasts the factor pair at P into A1..D2 (YMM or ZMM).
+#define BCASTG2(P, A1, B1, C1, D1, A2, B2, C2, D2) \
+	VBROADCASTSD 0(P), A1; \
+	VBROADCASTSD 8(P), B1; \
+	VBROADCASTSD 16(P), C1; \
+	VBROADCASTSD 24(P), D1; \
+	VBROADCASTSD 32(P), A2; \
+	VBROADCASTSD 40(P), B2; \
+	VBROADCASTSD 48(P), C2; \
+	VBROADCASTSD 56(P), D2
+
+// The first-pass stage of the AVX2 body, where sixteen YMM registers hold
+// the block, its transpose temporaries and the butterfly temporaries but
+// not every factor: broadcast the factor at F into Y12..Y15, then one
+// general stage on the pairs (P0,P1) and (P2,P3).
+#define GSTAGE(F, P0, P1, P2, P3) \
+	VBROADCASTSD 0(F), Y12; \
+	VBROADCASTSD 8(F), Y13; \
+	VBROADCASTSD 16(F), Y14; \
+	VBROADCASTSD 24(F), Y15; \
+	BFLY2G(P0, P1, Y12, Y13, Y14, Y15, Y4, Y5); \
+	BFLY2G(P2, P3, Y12, Y13, Y14, Y15, Y6, Y7)
+
+// func avxFirstG(dst, src, scale *float64, n, pairs int, fs *Factor2)
+// avxFirstS with general stages: per 16-element block, the loads (times
+// scale), the transpose, stages fs[0] and fs[1], the transpose back, for
+// pairs = 2 stages fs[2] and fs[3] on the rows, and the stores. Every
+// element sees Mul → bfly4g(fs[0], fs[1]) → bfly4g(fs[2], fs[3]), the Go
+// sequence. n > 0, a multiple of 16; dst may equal src.
+TEXT ·avxFirstG(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ scale+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ pairs+32(FP), R8
+	MOVQ fs+40(FP), R9
+	LEAQ 32(R9), R10
+	LEAQ 64(R9), R11
+	LEAQ 96(R9), R12
+	SHLQ $3, CX
+	XORQ AX, AX
+fgLoop:
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD 32(SI)(AX*1), Y1
+	VMOVUPD 64(SI)(AX*1), Y2
+	VMOVUPD 96(SI)(AX*1), Y3
+	TESTQ DX, DX
+	JZ    fgStages
+	VMULPD (DX)(AX*1), Y0, Y0
+	VMULPD 32(DX)(AX*1), Y1, Y1
+	VMULPD 64(DX)(AX*1), Y2, Y2
+	VMULPD 96(DX)(AX*1), Y3, Y3
+fgStages:
+	TRANSPOSE
+	GSTAGE(R9, Y0, Y1, Y2, Y3)
+	GSTAGE(R10, Y0, Y2, Y1, Y3)
+	TRANSPOSE
+	CMPQ R8, $2
+	JNE  fgStore
+	GSTAGE(R11, Y0, Y1, Y2, Y3)
+	GSTAGE(R12, Y0, Y2, Y1, Y3)
+fgStore:
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	ADDQ $128, AX
+	CMPQ AX, CX
+	JLT  fgLoop
+	VZEROUPPER
+	RET
+
+// func avxTilePairG(p *float64, n, stride int, fs *Factor2)
+// avxTilePairS with the general stages fs[0] and fs[1]: stride ≥ 4 a
+// multiple of 4, n a multiple of 4·stride.
+TEXT ·avxTilePairG(SB), NOSPLIT, $0-32
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), SI
+	MOVQ stride+16(FP), DX
+	MOVQ fs+24(FP), AX
+	BCASTG2(AX, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	SHLQ $3, DX
+	SHLQ $3, SI
+	ADDQ DI, SI
+tpgBlock:
+	CMPQ DI, SI
+	JGE  tpgDone
+	MOVQ DI, R8
+	LEAQ (DI)(DX*1), R9
+	LEAQ (DI)(DX*2), R10
+	LEAQ (R9)(DX*2), R11
+	MOVQ DX, CX
+tpgCol:
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	VMOVUPD (R10), Y2
+	VMOVUPD (R11), Y3
+	BFLYG(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+	VMOVUPD Y2, (R10)
+	VMOVUPD Y3, (R11)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	SUBQ $32, CX
+	JNZ  tpgCol
+	LEAQ (DI)(DX*4), DI
+	JMP  tpgBlock
+tpgDone:
+	VZEROUPPER
+	RET
+
+// func avxQuadG(r0, r1, r2, r3 *float64, n int, fs *Factor2)
+// avxQuadS with the general stages fs[0] and fs[1]; n > 0, a multiple of 4.
+TEXT ·avxQuadG(SB), NOSPLIT, $0-48
+	MOVQ r0+0(FP), R8
+	MOVQ r1+8(FP), R9
+	MOVQ r2+16(FP), R10
+	MOVQ r3+24(FP), R11
+	MOVQ n+32(FP), CX
+	MOVQ fs+40(FP), DX
+	BCASTG2(DX, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	SHLQ $3, CX
+qgLoop:
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	VMOVUPD (R10), Y2
+	VMOVUPD (R11), Y3
+	BFLYG(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+	VMOVUPD Y2, (R10)
+	VMOVUPD Y3, (R11)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	SUBQ $32, CX
+	JNZ  qgLoop
+	VZEROUPPER
+	RET
+
+// func avxPairG(u, w *float64, n int, fs *Factor2)
+// avxPairS with the general stage fs[0]; n > 0, a multiple of 4.
+TEXT ·avxPairG(SB), NOSPLIT, $0-32
+	MOVQ u+0(FP), R8
+	MOVQ w+8(FP), R9
+	MOVQ n+16(FP), CX
+	MOVQ fs+24(FP), DX
+	VBROADCASTSD 0(DX), Y12
+	VBROADCASTSD 8(DX), Y13
+	VBROADCASTSD 16(DX), Y14
+	VBROADCASTSD 24(DX), Y15
+	SHLQ $3, CX
+pgLoop:
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	BFLY2G(Y0, Y1, Y12, Y13, Y14, Y15, Y4, Y5)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	SUBQ $32, CX
+	JNZ  pgLoop
+	VZEROUPPER
+	RET
+
+// func avx512FirstG(dst, src, scale *float64, n, pairs int, fs *Factor2)
+// avx512FirstS with general stages: the same layout moves, with
+// BFLYG(fs[0], fs[1]) and, for pairs = 2, BFLYG(fs[2], fs[3]) in place of
+// the two ZBFLYS. The factors stay in Z16..Z31 for the whole call (fs[2]
+// and fs[3] are read only for pairs = 2). n > 0, a multiple of 32; dst may
+// equal src.
+TEXT ·avx512FirstG(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ scale+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ pairs+32(FP), R8
+	MOVQ fs+40(FP), R9
+	BCASTG2(R9, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	CMPQ R8, $2
+	JNE  zfgInit
+	LEAQ 64(R9), R9
+	BCASTG2(R9, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
+zfgInit:
+	SHLQ $3, CX
+	XORQ AX, AX
+zfgLoop:
+	VMOVUPD (SI)(AX*1), Z0
+	VMOVUPD 64(SI)(AX*1), Z1
+	VMOVUPD 128(SI)(AX*1), Z2
+	VMOVUPD 192(SI)(AX*1), Z3
+	TESTQ DX, DX
+	JZ    zfgStages
+	VMULPD (DX)(AX*1), Z0, Z0
+	VMULPD 64(DX)(AX*1), Z1, Z1
+	VMULPD 128(DX)(AX*1), Z2, Z2
+	VMULPD 192(DX)(AX*1), Z3, Z3
+zfgStages:
+	ZUNPCK(Z0, Z1, Z8, Z9)
+	ZUNPCK(Z2, Z3, Z10, Z11)
+	ZROT(Z8, Z10, Z0, Z2)
+	ZROT(Z9, Z11, Z1, Z3)
+	BFLYG(Z0, Z1, Z2, Z3, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z4, Z5, Z6, Z7)
+	ZUNPCK(Z0, Z1, Z8, Z9)
+	ZUNPCK(Z2, Z3, Z10, Z11)
+	ZROT(Z8, Z10, Z0, Z1)
+	ZROT(Z9, Z11, Z2, Z3)
+	CMPQ R8, $2
+	JNE  zfgStore
+	BFLYG(Z0, Z1, Z2, Z3, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31, Z4, Z5, Z6, Z7)
+zfgStore:
+	ZROT(Z0, Z1, Z8, Z10)
+	ZROT(Z2, Z3, Z9, Z11)
+	VMOVUPD Z8, (DI)(AX*1)
+	VMOVUPD Z9, 64(DI)(AX*1)
+	VMOVUPD Z10, 128(DI)(AX*1)
+	VMOVUPD Z11, 192(DI)(AX*1)
+	ADDQ $256, AX
+	CMPQ AX, CX
+	JLT  zfgLoop
+	VZEROUPPER
+	RET
+
+// func avx512TilePairG(p *float64, n, stride int, fs *Factor2)
+// avxTilePairG eight columns per iteration: stride ≥ 8 a multiple of 8, n a
+// multiple of 4·stride.
+TEXT ·avx512TilePairG(SB), NOSPLIT, $0-32
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), SI
+	MOVQ stride+16(FP), DX
+	MOVQ fs+24(FP), AX
+	BCASTG2(AX, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	SHLQ $3, DX
+	SHLQ $3, SI
+	ADDQ DI, SI
+ztpgBlock:
+	CMPQ DI, SI
+	JGE  ztpgDone
+	MOVQ DI, R8
+	LEAQ (DI)(DX*1), R9
+	LEAQ (DI)(DX*2), R10
+	LEAQ (R9)(DX*2), R11
+	MOVQ DX, CX
+ztpgCol:
+	VMOVUPD (R8), Z0
+	VMOVUPD (R9), Z1
+	VMOVUPD (R10), Z2
+	VMOVUPD (R11), Z3
+	BFLYG(Z0, Z1, Z2, Z3, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z4, Z5, Z6, Z7)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R9)
+	VMOVUPD Z2, (R10)
+	VMOVUPD Z3, (R11)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $64, CX
+	JNZ  ztpgCol
+	LEAQ (DI)(DX*4), DI
+	JMP  ztpgBlock
+ztpgDone:
+	VZEROUPPER
+	RET
+
+// func avx512QuadG(r0, r1, r2, r3 *float64, n int, fs *Factor2)
+// avxQuadG eight columns per iteration, with one four-column YMM step for
+// an n ≡ 4 (mod 8) tail (the factors sit in Z8..Z15, whose low halves the
+// VEX-encoded tail reads); n > 0, a multiple of 4.
+TEXT ·avx512QuadG(SB), NOSPLIT, $0-48
+	MOVQ r0+0(FP), R8
+	MOVQ r1+8(FP), R9
+	MOVQ r2+16(FP), R10
+	MOVQ r3+24(FP), R11
+	MOVQ n+32(FP), CX
+	MOVQ fs+40(FP), DX
+	BCASTG2(DX, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	SHLQ $3, CX
+	CMPQ CX, $64
+	JLT  zqgTail
+zqgLoop:
+	VMOVUPD (R8), Z0
+	VMOVUPD (R9), Z1
+	VMOVUPD (R10), Z2
+	VMOVUPD (R11), Z3
+	BFLYG(Z0, Z1, Z2, Z3, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z4, Z5, Z6, Z7)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R9)
+	VMOVUPD Z2, (R10)
+	VMOVUPD Z3, (R11)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JGE  zqgLoop
+zqgTail:
+	TESTQ CX, CX
+	JZ    zqgDone
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	VMOVUPD (R10), Y2
+	VMOVUPD (R11), Y3
+	BFLYG(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15, Y4, Y5, Y6, Y7)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+	VMOVUPD Y2, (R10)
+	VMOVUPD Y3, (R11)
+zqgDone:
+	VZEROUPPER
+	RET
+
+// func avx512PairG(u, w *float64, n int, fs *Factor2)
+// avxPairG eight columns per iteration, with one four-column YMM step for
+// an n ≡ 4 (mod 8) tail; n > 0, a multiple of 4.
+TEXT ·avx512PairG(SB), NOSPLIT, $0-32
+	MOVQ u+0(FP), R8
+	MOVQ w+8(FP), R9
+	MOVQ n+16(FP), CX
+	MOVQ fs+24(FP), DX
+	VBROADCASTSD 0(DX), Z12
+	VBROADCASTSD 8(DX), Z13
+	VBROADCASTSD 16(DX), Z14
+	VBROADCASTSD 24(DX), Z15
+	SHLQ $3, CX
+	CMPQ CX, $64
+	JLT  zpgTail
+zpgLoop:
+	VMOVUPD (R8), Z0
+	VMOVUPD (R9), Z1
+	BFLY2G(Z0, Z1, Z12, Z13, Z14, Z15, Z4, Z5)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R9)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	SUBQ $64, CX
+	CMPQ CX, $64
+	JGE  zpgLoop
+zpgTail:
+	TESTQ CX, CX
+	JZ    zpgDone
+	VMOVUPD (R8), Y0
+	VMOVUPD (R9), Y1
+	BFLY2G(Y0, Y1, Y12, Y13, Y14, Y15, Y4, Y5)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, (R9)
+zpgDone:
 	VZEROUPPER
 	RET

@@ -45,3 +45,35 @@ func avx512QuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64) {
 func avx512PairS(u, w *float64, n int, b float64) {
 	panic("mutation: avx512PairS called without AVX-512")
 }
+
+func avxFirstG(dst, src, scale *float64, n, pairs int, fs *Factor2) {
+	panic("mutation: avxFirstG called without AVX2")
+}
+
+func avxTilePairG(p *float64, n, stride int, fs *Factor2) {
+	panic("mutation: avxTilePairG called without AVX2")
+}
+
+func avxQuadG(r0, r1, r2, r3 *float64, n int, fs *Factor2) {
+	panic("mutation: avxQuadG called without AVX2")
+}
+
+func avxPairG(u, w *float64, n int, fs *Factor2) {
+	panic("mutation: avxPairG called without AVX2")
+}
+
+func avx512FirstG(dst, src, scale *float64, n, pairs int, fs *Factor2) {
+	panic("mutation: avx512FirstG called without AVX-512")
+}
+
+func avx512TilePairG(p *float64, n, stride int, fs *Factor2) {
+	panic("mutation: avx512TilePairG called without AVX-512")
+}
+
+func avx512QuadG(r0, r1, r2, r3 *float64, n int, fs *Factor2) {
+	panic("mutation: avx512QuadG called without AVX-512")
+}
+
+func avx512PairG(u, w *float64, n int, fs *Factor2) {
+	panic("mutation: avx512PairG called without AVX-512")
+}

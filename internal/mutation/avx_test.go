@@ -52,9 +52,10 @@ func acrossTiers(t *testing.T, tiers []vec.Tier, name string, v []float64, f fun
 
 // TestAVX2KernelsBitIdenticalToScalar switches the kernel tier and asserts
 // that every tier the host has (AVX-512, AVX2, Go) produces bit-identical
-// results for every transform that dispatches to assembly: Apply
-// (stochastic pairs) and FWHT (Hadamard pairs), across sizes that exercise
-// the first-pass, tile pair, cross quad and lone cross stage code shapes;
+// results for every transform that dispatches to assembly: Apply of the
+// uniform and of a general process and FWHT (Hadamard pairs), across sizes
+// that exercise the first-pass, tile pair, cross quad and lone cross stage
+// code shapes;
 // then each butterfly body on the shapes either side of its ZMM guard (see
 // checkZMMGuards) and ApplyFused (see checkApplyFusedAVX2MatchesGo).
 // Skipped on hosts without AVX2, where only the Go path exists.
@@ -64,6 +65,7 @@ func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 		t.Skip("host has no AVX2; single code path")
 	}
 
+	gen := rng.New(73)
 	rng := rand.New(rand.NewSource(71))
 	for _, nu := range []int{2, 3, 5, 8, 11, 13, 14, 15} {
 		n := 1 << uint(nu)
@@ -75,20 +77,24 @@ func TestAVX2KernelsBitIdenticalToScalar(t *testing.T) {
 
 		q := MustUniform(nu, p)
 		acrossTiers(t, tiers, fmt.Sprintf("ν=%d Apply", nu), v, q.Apply)
+		g := processOfKind(gen, kindGeneral, nu)
+		acrossTiers(t, tiers, fmt.Sprintf("ν=%d general Apply", nu), v, g.Apply)
 		acrossTiers(t, tiers, fmt.Sprintf("ν=%d FWHT", nu), v, FWHT)
 	}
 	checkZMMGuards(t, tiers)
 	checkApplyFusedAVX2MatchesGo(t, tiers)
 }
 
-// checkZMMGuards runs each stochastic butterfly body on the shapes either
-// side of its ZMM guard, on inputs with −0 pairs, subnormals, NaN and ±Inf:
-// first passes on tiles of 16 (AVX2 only), 32 and 48 (AVX2 on the last
-// block set), of both pair counts and with and without a pre scale; tile
-// pairs at strides 4 (AVX2 only), 8 and 16; cross quads and lone cross
-// stages on n = 4, 8, 12 and 44 columns (n ≡ 4 mod 8 takes the YMM tail
-// step); and a blocked run starting at bit 2 or 3, whose tile pairs start
-// at stride 4 or 8.
+// checkZMMGuards runs each butterfly body of both kinds, stochastic (S)
+// and general (G), on the shapes either side of its ZMM guard, on inputs
+// with −0 pairs, subnormals, NaN and ±Inf: first passes on tiles of 16
+// (AVX2 only), 32 and 48 (AVX2 on the last block set), of both pair counts
+// (pairs=1 where stages 2–3 are of the other kind) and with and without a
+// pre scale; tile pairs at strides 1 and 2 (Go), 4 (AVX2 only), 8 and 16;
+// lone tile stages at the same strides; cross quads and lone cross stages
+// on n = 4, 8, 12 and 44 columns (n ≡ 4 mod 8 takes the YMM tail step); a
+// blocked run starting at bit 2 or 3, whose tile pairs start at stride 4 or
+// 8; and a run whose kinds alternate, so every stage runs radix-2.
 func checkZMMGuards(t *testing.T, tiers []vec.Tier) {
 	t.Helper()
 	r := rng.New(2039)
@@ -108,41 +114,62 @@ func checkZMMGuards(t *testing.T, tiers []vec.Tier) {
 		}
 		return v
 	}
-	fs := factorsForKind(r, kindStochastic, 8)
-	mixed := append(factorsForKind(r, kindStochastic, 2), factorsForKind(r, kindGeneral, 2)...)
-	for _, n := range []int{16, 32, 48, 96} {
-		src, pre := special(n), special(n)
-		for name, stages := range map[string][]Factor2{"pairs=2": fs[:4], "pairs=1": mixed} {
-			for _, sc := range [][]float64{pre, nil} {
-				acrossTiers(t, tiers, fmt.Sprintf("first pass n=%d %s pre=%v", n, name, sc != nil), src, func(v []float64) {
-					firstTile(v, src, sc, 0, n, 0, stages)
+	for _, kind := range []int{kindStochastic, kindGeneral} {
+		name := map[int]string{kindStochastic: "S", kindGeneral: "G"}[kind]
+		other := kindStochastic + kindGeneral - kind
+		fs := factorsForKind(r, kind, 8)
+		mixed := append(factorsForKind(r, kind, 2), factorsForKind(r, other, 2)...)
+		pair, quad := (*[2]Factor2)(fs[0:2]), (*[2]Factor2)(fs[2:4])
+		for _, n := range []int{16, 32, 48, 96} {
+			src, pre := special(n), special(n)
+			for pairs, stages := range map[string][]Factor2{"pairs=2": fs[:4], "pairs=1": mixed} {
+				for _, sc := range [][]float64{pre, nil} {
+					acrossTiers(t, tiers, fmt.Sprintf("%s first pass n=%d %s pre=%v", name, n, pairs, sc != nil), src, func(v []float64) {
+						firstTile(v, src, sc, 0, n, 0, stages)
+					})
+				}
+			}
+		}
+		for _, stride := range []int{1, 2, 4, 8, 16} {
+			for _, blocks := range []int{1, 3} {
+				v := special(4 * stride * blocks)
+				acrossTiers(t, tiers, fmt.Sprintf("%s tile pair stride=%d blocks=%d", name, stride, blocks), v, func(v []float64) {
+					tilePair(v, stride, pair, kind)
 				})
 			}
 		}
-	}
-	for _, stride := range []int{1, 2, 4, 8, 16} {
-		for _, blocks := range []int{1, 3} {
-			v := special(4 * stride * blocks)
-			acrossTiers(t, tiers, fmt.Sprintf("tile pair stride=%d blocks=%d", stride, blocks), v, func(v []float64) {
-				tilePairStochastic(v, stride, fs[0].B, fs[1].B)
+		for _, stride := range []int{1, 2, 4, 8, 16} {
+			v := special(6 * stride)
+			acrossTiers(t, tiers, fmt.Sprintf("%s tile stage stride=%d", name, stride), v, func(v []float64) {
+				tileStage(v, stride, &fs[5])
+			})
+		}
+		for _, n := range []int{4, 8, 12, 44} {
+			v := special(4 * n)
+			acrossTiers(t, tiers, fmt.Sprintf("%s cross quad n=%d", name, n), v, func(v []float64) {
+				crossQuad(v[:n], v[n:2*n], v[2*n:3*n], v[3*n:], quad, kind)
+			})
+			acrossTiers(t, tiers, fmt.Sprintf("%s cross stage n=%d", name, n), v, func(v []float64) {
+				crossStage([][]float64{v[:n], v[n : 2*n]}, 0, n, 0, &fs[4])
+			})
+		}
+		for _, off0 := range []int{2, 3} {
+			v := special(1 << 10)
+			acrossTiers(t, tiers, fmt.Sprintf("%s blocked run from bit %d", name, off0), v, func(v []float64) {
+				applyStagesBlocked(v, off0, fs[:10-off0], 6, fuseStages)
 			})
 		}
 	}
-	for _, n := range []int{4, 8, 12, 44} {
-		v := special(4 * n)
-		acrossTiers(t, tiers, fmt.Sprintf("cross quad n=%d", n), v, func(v []float64) {
-			crossQuadStochastic(v[:n], v[n:2*n], v[2*n:3*n], v[3*n:], fs[2].B, fs[3].B)
-		})
-		acrossTiers(t, tiers, fmt.Sprintf("cross stage n=%d", n), v, func(v []float64) {
-			crossStage([][]float64{v[:n], v[n : 2*n]}, 0, n, 0, &fs[4])
-		})
+	// Kinds alternating stage by stage: every pair is mixed, so every stage
+	// runs radix-2, in the tile and across it.
+	var alternating []Factor2
+	for k := 0; k < 5; k++ {
+		alternating = append(alternating, factorsForKind(r, kindStochastic, 1)[0], factorsForKind(r, kindGeneral, 1)[0])
 	}
-	for _, off0 := range []int{2, 3} {
-		v := special(1 << 10)
-		acrossTiers(t, tiers, fmt.Sprintf("blocked run from bit %d", off0), v, func(v []float64) {
-			applyStagesBlocked(v, off0, fs[:10-off0], 6, fuseStages)
-		})
-	}
+	v := special(1 << 10)
+	acrossTiers(t, tiers, "alternating kinds blocked run", v, func(v []float64) {
+		applyStagesBlocked(v, 0, alternating, 6, fuseStages)
+	})
 }
 
 // checkApplyFusedAVX2MatchesGo runs ApplyFused at every kernel tier and

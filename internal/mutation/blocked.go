@@ -246,26 +246,28 @@ func firstTile(v, src, scale []float64, lo, hi, off0 int, small []Factor2) {
 	tileStages(tile, off0, small)
 }
 
-// firstPass is the SIMD first tile pass (avx512FirstS on 32-element blocks
-// where AVX-512 is on and the tile holds whole blocks, avxFirstS on
-// 16-element blocks otherwise): tile ← in, times sc when sc is non-nil,
-// then stages 0–1 and, when stages 2 and 3 are stochastic too, stages 2–3,
-// all in registers per block. It returns the number of stages applied and
-// the stages left, or 0 when it does not apply: without AVX2, off the first
-// bit, on a tile that is not a whole number of 16-element blocks, or when
-// stages 0 and 1 are not both stochastic. Every element goes through the
-// same Mul and bfly4s sequence as on the Go path, so the tiers are
-// bit-identical.
+// firstPass is the SIMD first tile pass (the avx512First* bodies on
+// 32-element blocks where AVX-512 is on and the tile holds whole blocks, the
+// avxFirst* bodies on 16-element blocks otherwise): tile ← in, times sc when
+// sc is non-nil, then stages 0–1 and, when stages 2 and 3 are of the same
+// kind, stages 2–3, all in registers per block. Stochastic stages run the S
+// bodies and general ones the G bodies. It returns the number of stages
+// applied and the stages left, or 0 when it does not apply: without AVX2,
+// off the first bit, on a tile that is not a whole number of 16-element
+// blocks, or when stages 0 and 1 differ in kind. Every element goes through
+// the same Mul and bfly4s (resp. bfly4g) sequence as on the Go path, so the
+// tiers are bit-identical.
 func firstPass(tile, in, sc []float64, off0 int, fs []Factor2) (done int, rest []Factor2) {
 	if !vec.UseAVX2() || off0 != 0 || len(tile) < 16 || len(tile)&15 != 0 || len(in) != len(tile) || len(fs) < 2 {
 		return 0, fs
 	}
-	if butterflyKind(&fs[0]) != kindStochastic || butterflyKind(&fs[1]) != kindStochastic {
+	kind := butterflyKind(&fs[0])
+	if butterflyKind(&fs[1]) != kind {
 		return 0, fs
 	}
 	pairs, b3, b4 := 1, 0.0, 0.0
 	done, rest = 2, fs[2:]
-	if len(fs) >= 4 && butterflyKind(&fs[2]) == kindStochastic && butterflyKind(&fs[3]) == kindStochastic {
+	if len(fs) >= 4 && butterflyKind(&fs[2]) == kind && butterflyKind(&fs[3]) == kind {
 		pairs, b3, b4 = 2, fs[2].B, fs[3].B
 		done, rest = 4, fs[4:]
 	}
@@ -273,9 +275,15 @@ func firstPass(tile, in, sc []float64, off0 int, fs []Factor2) (done int, rest [
 	if len(sc) > 0 {
 		scp = &sc[0]
 	}
-	if vec.UseAVX512() && len(tile)&31 == 0 {
+	zmm := vec.UseAVX512() && len(tile)&31 == 0
+	switch {
+	case kind == kindGeneral && zmm:
+		avx512FirstG(&tile[0], &in[0], scp, len(tile), pairs, &fs[0])
+	case kind == kindGeneral:
+		avxFirstG(&tile[0], &in[0], scp, len(tile), pairs, &fs[0])
+	case zmm:
 		avx512FirstS(&tile[0], &in[0], scp, len(tile), pairs, fs[0].B, fs[1].B, b3, b4)
-	} else {
+	default:
 		avxFirstS(&tile[0], &in[0], scp, len(tile), pairs, fs[0].B, fs[1].B, b3, b4)
 	}
 	return done, rest
@@ -318,25 +326,37 @@ func bfly4s(e0, e1, e2, e3, b1, b2 float64) (float64, float64, float64, float64)
 	return e0, e1, e2, e3
 }
 
+// bfly4g is bfly4s for the general kind: stage [[a1,b1],[c1,d1]] on the
+// pairs (e0,e1), (e2,e3), then stage [[a2,b2],[c2,d2]] on (e0,e2), (e1,e3),
+// each butterfly the four-multiply u′ = a·t1 + b·t2, w′ = c·t1 + d·t2 of
+// tileStage's general loop, so the fusion is bit-identical to two radix-2
+// passes. The entries come as scalars, which keeps it inlinable.
+func bfly4g(e0, e1, e2, e3, a1, b1, c1, d1, a2, b2, c2, d2 float64) (float64, float64, float64, float64) {
+	e0, e1 = a1*e0+b1*e1, c1*e0+d1*e1
+	e2, e3 = a1*e2+b1*e3, c1*e2+d1*e3
+	e0, e2 = a2*e0+b2*e2, c2*e0+d2*e2
+	e1, e3 = a2*e1+b2*e3, c2*e1+d2*e3
+	return e0, e1, e2, e3
+}
+
 // tileStages applies stages fs (fs[i] on bit off0+i, all with
 // 2·stride ≤ len(tile)) inside one cache-resident tile. Consecutive stage
-// PAIRS of the stochastic kind run as one radix-4 pass: four elements are
+// PAIRS of one kind run as one radix-4 pass (tilePair): four elements are
 // loaded into registers, both stages applied, four stored — halving the
 // load/store and loop traffic of the L1-resident sweep. The per-element
 // rounding sequence is exactly that of two radix-2 passes, so the fusion is
-// bit-identical to the unfused blocked path.
+// bit-identical to the unfused blocked path. Mixed-kind pairs and an odd
+// last stage run radix-2.
 func tileStages(tile []float64, off0 int, fs []Factor2) {
 	s := 0
 	for ; s+1 < len(fs); s += 2 {
-		f1, f2 := &fs[s], &fs[s+1]
+		g := (*[2]Factor2)(fs[s : s+2])
 		stride := 1 << uint(off0+s)
-		k1, k2 := butterflyKind(f1), butterflyKind(f2)
-		switch {
-		case k1 == kindStochastic && k2 == kindStochastic:
-			tilePairStochastic(tile, stride, f1.B, f2.B)
-		default:
-			tileStage(tile, stride, f1)
-			tileStage(tile, 2*stride, f2)
+		if kind := butterflyKind(&g[0]); kind == butterflyKind(&g[1]) {
+			tilePair(tile, stride, g, kind)
+		} else {
+			tileStage(tile, stride, &g[0])
+			tileStage(tile, 2*stride, &g[1])
 		}
 	}
 	if s < len(fs) {
@@ -344,100 +364,103 @@ func tileStages(tile []float64, off0 int, fs []Factor2) {
 	}
 }
 
-// tileStage applies one butterfly stage with the given stride inside a tile.
-// The two lanes of each 2·stride block are hoisted as exact-length
-// subslices (BCE) and the element loop runs 4-wide.
+// tileStage applies one butterfly stage with the given stride inside a tile:
+// each 2·stride block's two lanes are a stagePair, and stride 1 is a
+// slice-advance loop of its own.
 func tileStage(tile []float64, stride int, f *Factor2) {
-	switch butterflyKind(f) {
-	case kindStochastic:
+	if stride > 1 {
+		for j := 0; j+2*stride <= len(tile); j += 2 * stride {
+			stagePair(tile[j:j+stride:j+stride], tile[j+stride:j+2*stride:j+2*stride], f)
+		}
+		return
+	}
+	// Slice-advance with constant indexes: the one loop form the go1.24
+	// prover discharges completely (scripts/check_bce.sh).
+	if butterflyKind(f) == kindStochastic {
 		b := f.B
-		if stride == 1 {
-			// Slice-advance with constant indexes: the one loop form the
-			// go1.24 prover discharges completely (scripts/check_bce.sh).
-			for t := tile; len(t) >= 2; t = t[2:] {
-				t1, t2 := t[0], t[1]
-				d := b * (t2 - t1)
-				t[0] = t1 + d
-				t[1] = t2 - d
-			}
-			return
+		for t := tile; len(t) >= 2; t = t[2:] {
+			t1, t2 := t[0], t[1]
+			d := b * (t2 - t1)
+			t[0] = t1 + d
+			t[1] = t2 - d
 		}
-		for j := 0; j+2*stride <= len(tile); j += 2 * stride {
-			u := tile[j : j+stride : j+stride]
-			w := tile[j+stride : j+2*stride : j+2*stride]
-			for len(u) >= 4 && len(w) >= 4 {
-				t1a, t2a := u[0], w[0]
-				t1b, t2b := u[1], w[1]
-				t1c, t2c := u[2], w[2]
-				t1d, t2d := u[3], w[3]
-				da := b * (t2a - t1a)
-				db := b * (t2b - t1b)
-				dc := b * (t2c - t1c)
-				dd := b * (t2d - t1d)
-				u[0], w[0] = t1a+da, t2a-da
-				u[1], w[1] = t1b+db, t2b-db
-				u[2], w[2] = t1c+dc, t2c-dc
-				u[3], w[3] = t1d+dd, t2d-dd
-				u, w = u[4:], w[4:]
-			}
-			for len(u) > 0 && len(w) > 0 {
-				t1, t2 := u[0], w[0]
-				d := b * (t2 - t1)
-				u[0] = t1 + d
-				w[0] = t2 - d
-				u, w = u[1:], w[1:]
-			}
+		return
+	}
+	a, b, c, dd := f.A, f.B, f.C, f.D
+	for t := tile; len(t) >= 2; t = t[2:] {
+		t1, t2 := t[0], t[1]
+		t[0] = a*t1 + b*t2
+		t[1] = c*t1 + dd*t2
+	}
+}
+
+// tilePair applies two consecutive stages of one kind, g[0] at stride and
+// g[1] at 2·stride, in one radix-4 pass: on the avx{,512}TilePair{S,G}
+// bodies from stride 4 on where AVX2 is on, else in Go over the four lanes
+// of each 4·stride block (tileQuads{Stochastic,General} at strides 1 and
+// 2).
+func tilePair(tile []float64, stride int, g *[2]Factor2, kind int) {
+	if vec.UseAVX2() && stride >= 4 && len(tile) >= 4*stride {
+		// Same block/column traversal and per-element op sequence, eight
+		// (AVX-512, stride ≥ 8) or four butterflies per instruction
+		// (avx_amd64.s); the Go loops below likewise leave any partial
+		// trailing block untouched.
+		p, n := &tile[0], len(tile)&^(4*stride-1)
+		zmm := vec.UseAVX512() && stride >= 8
+		switch {
+		case kind == kindGeneral && zmm:
+			avx512TilePairG(p, n, stride, &g[0])
+		case kind == kindGeneral:
+			avxTilePairG(p, n, stride, &g[0])
+		case zmm:
+			avx512TilePairS(p, n, stride, g[0].B, g[1].B)
+		default:
+			avxTilePairS(p, n, stride, g[0].B, g[1].B)
 		}
+		return
+	}
+	switch {
+	case stride <= 2 && kind == kindGeneral:
+		tileQuadsGeneral(tile, stride, g)
+	case stride <= 2:
+		tileQuadsStochastic(tile, stride, g[0].B, g[1].B)
 	default:
-		a, b, c, dd := f.A, f.B, f.C, f.D
-		if stride == 1 {
-			for t := tile; len(t) >= 2; t = t[2:] {
-				t1, t2 := t[0], t[1]
-				t[0] = a*t1 + b*t2
-				t[1] = c*t1 + dd*t2
+		// stride ≥ 4 (a power of two): hoist the four lanes of each
+		// 4·stride block; a general pair runs them as a cross quad, a
+		// stochastic one runs its column loop 4-wide in place.
+		b1, b2 := g[0].B, g[1].B
+		for j := 0; j+4*stride <= len(tile); j += 4 * stride {
+			s0 := tile[j : j+stride : j+stride]
+			s1 := tile[j+stride : j+2*stride : j+2*stride]
+			s2 := tile[j+2*stride : j+3*stride : j+3*stride]
+			s3 := tile[j+3*stride : j+4*stride : j+4*stride]
+			if kind == kindGeneral {
+				crossQuadGeneral(s0, s1, s2, s3, g)
+				continue
 			}
-			return
-		}
-		for j := 0; j+2*stride <= len(tile); j += 2 * stride {
-			u := tile[j : j+stride : j+stride]
-			w := tile[j+stride : j+2*stride : j+2*stride]
-			for len(u) >= 4 && len(w) >= 4 {
-				t1a, t2a := u[0], w[0]
-				t1b, t2b := u[1], w[1]
-				t1c, t2c := u[2], w[2]
-				t1d, t2d := u[3], w[3]
-				u[0], w[0] = a*t1a+b*t2a, c*t1a+dd*t2a
-				u[1], w[1] = a*t1b+b*t2b, c*t1b+dd*t2b
-				u[2], w[2] = a*t1c+b*t2c, c*t1c+dd*t2c
-				u[3], w[3] = a*t1d+b*t2d, c*t1d+dd*t2d
-				u, w = u[4:], w[4:]
+			for len(s0) >= 4 && len(s1) >= 4 && len(s2) >= 4 && len(s3) >= 4 {
+				a0, a1, a2, a3 := bfly4s(s0[0], s1[0], s2[0], s3[0], b1, b2)
+				c0, c1, c2, c3 := bfly4s(s0[1], s1[1], s2[1], s3[1], b1, b2)
+				e0, e1, e2, e3 := bfly4s(s0[2], s1[2], s2[2], s3[2], b1, b2)
+				g0, g1, g2, g3 := bfly4s(s0[3], s1[3], s2[3], s3[3], b1, b2)
+				s0[0], s1[0], s2[0], s3[0] = a0, a1, a2, a3
+				s0[1], s1[1], s2[1], s3[1] = c0, c1, c2, c3
+				s0[2], s1[2], s2[2], s3[2] = e0, e1, e2, e3
+				s0[3], s1[3], s2[3], s3[3] = g0, g1, g2, g3
+				s0, s1, s2, s3 = s0[4:], s1[4:], s2[4:], s3[4:]
 			}
-			for len(u) > 0 && len(w) > 0 {
-				t1, t2 := u[0], w[0]
-				u[0] = a*t1 + b*t2
-				w[0] = c*t1 + dd*t2
-				u, w = u[1:], w[1:]
+			for len(s0) > 0 && len(s1) > 0 && len(s2) > 0 && len(s3) > 0 {
+				s0[0], s1[0], s2[0], s3[0] = bfly4s(s0[0], s1[0], s2[0], s3[0], b1, b2)
+				s0, s1, s2, s3 = s0[1:], s1[1:], s2[1:], s3[1:]
 			}
 		}
 	}
 }
 
-// tilePairStochastic applies two consecutive stochastic stages (strides
-// stride and 2·stride, off-diagonal entries b1 and b2) in one radix-4 pass.
-func tilePairStochastic(tile []float64, stride int, b1, b2 float64) {
-	if vec.UseAVX2() && stride >= 4 && len(tile) >= 4*stride {
-		// Same block/column traversal and per-element op sequence, eight
-		// (AVX-512, stride ≥ 8) or four butterflies per instruction
-		// (avx_amd64.s); the Go loop below likewise leaves any partial
-		// trailing block untouched.
-		p, n := &tile[0], len(tile)&^(4*stride-1)
-		if vec.UseAVX512() && stride >= 8 {
-			avx512TilePairS(p, n, stride, b1, b2)
-		} else {
-			avxTilePairS(p, n, stride, b1, b2)
-		}
-		return
-	}
+// tileQuadsStochastic is tilePair's Go body for a stochastic pair at
+// stride 1 or 2 (off-diagonal entries b1 and b2), where the four elements
+// of a butterfly sit within eight consecutive ones.
+func tileQuadsStochastic(tile []float64, stride int, b1, b2 float64) {
 	if stride == 1 {
 		// Contiguous quads: two independent butterflies per iteration.
 		t := tile
@@ -453,38 +476,38 @@ func tilePairStochastic(tile []float64, stride int, b1, b2 float64) {
 		}
 		return
 	}
-	if stride == 2 {
-		// Blocks of 8: butterflies (k, k+2, k+4, k+6) and (k+1, k+3, k+5, k+7).
-		for t := tile; len(t) >= 8; t = t[8:] {
-			a0, a1, a2, a3 := bfly4s(t[0], t[2], t[4], t[6], b1, b2)
-			c0, c1, c2, c3 := bfly4s(t[1], t[3], t[5], t[7], b1, b2)
-			t[0], t[2], t[4], t[6] = a0, a1, a2, a3
-			t[1], t[3], t[5], t[7] = c0, c1, c2, c3
+	// Blocks of 8: butterflies (k, k+2, k+4, k+6) and (k+1, k+3, k+5, k+7).
+	for t := tile; len(t) >= 8; t = t[8:] {
+		a0, a1, a2, a3 := bfly4s(t[0], t[2], t[4], t[6], b1, b2)
+		c0, c1, c2, c3 := bfly4s(t[1], t[3], t[5], t[7], b1, b2)
+		t[0], t[2], t[4], t[6] = a0, a1, a2, a3
+		t[1], t[3], t[5], t[7] = c0, c1, c2, c3
+	}
+}
+
+// tileQuadsGeneral is tileQuadsStochastic for the general pair g, with
+// bfly4g.
+func tileQuadsGeneral(tile []float64, stride int, g *[2]Factor2) {
+	a1, b1, c1, d1, a2, b2, c2, d2 := g[0].A, g[0].B, g[0].C, g[0].D, g[1].A, g[1].B, g[1].C, g[1].D
+	if stride == 1 {
+		t := tile
+		for len(t) >= 8 {
+			x0, x1, x2, x3 := bfly4g(t[0], t[1], t[2], t[3], a1, b1, c1, d1, a2, b2, c2, d2)
+			y0, y1, y2, y3 := bfly4g(t[4], t[5], t[6], t[7], a1, b1, c1, d1, a2, b2, c2, d2)
+			t[0], t[1], t[2], t[3] = x0, x1, x2, x3
+			t[4], t[5], t[6], t[7] = y0, y1, y2, y3
+			t = t[8:]
+		}
+		if len(t) >= 4 {
+			t[0], t[1], t[2], t[3] = bfly4g(t[0], t[1], t[2], t[3], a1, b1, c1, d1, a2, b2, c2, d2)
 		}
 		return
 	}
-	// stride ≥ 4 (a power of two): hoist the four lanes of each 4·stride
-	// block and run the column loop 4-wide.
-	for j := 0; j+4*stride <= len(tile); j += 4 * stride {
-		s0 := tile[j : j+stride : j+stride]
-		s1 := tile[j+stride : j+2*stride : j+2*stride]
-		s2 := tile[j+2*stride : j+3*stride : j+3*stride]
-		s3 := tile[j+3*stride : j+4*stride : j+4*stride]
-		for len(s0) >= 4 && len(s1) >= 4 && len(s2) >= 4 && len(s3) >= 4 {
-			a0, a1, a2, a3 := bfly4s(s0[0], s1[0], s2[0], s3[0], b1, b2)
-			c0, c1, c2, c3 := bfly4s(s0[1], s1[1], s2[1], s3[1], b1, b2)
-			e0, e1, e2, e3 := bfly4s(s0[2], s1[2], s2[2], s3[2], b1, b2)
-			g0, g1, g2, g3 := bfly4s(s0[3], s1[3], s2[3], s3[3], b1, b2)
-			s0[0], s1[0], s2[0], s3[0] = a0, a1, a2, a3
-			s0[1], s1[1], s2[1], s3[1] = c0, c1, c2, c3
-			s0[2], s1[2], s2[2], s3[2] = e0, e1, e2, e3
-			s0[3], s1[3], s2[3], s3[3] = g0, g1, g2, g3
-			s0, s1, s2, s3 = s0[4:], s1[4:], s2[4:], s3[4:]
-		}
-		for len(s0) > 0 && len(s1) > 0 && len(s2) > 0 && len(s3) > 0 {
-			s0[0], s1[0], s2[0], s3[0] = bfly4s(s0[0], s1[0], s2[0], s3[0], b1, b2)
-			s0, s1, s2, s3 = s0[1:], s1[1:], s2[1:], s3[1:]
-		}
+	for t := tile; len(t) >= 8; t = t[8:] {
+		x0, x1, x2, x3 := bfly4g(t[0], t[2], t[4], t[6], a1, b1, c1, d1, a2, b2, c2, d2)
+		y0, y1, y2, y3 := bfly4g(t[1], t[3], t[5], t[7], a1, b1, c1, d1, a2, b2, c2, d2)
+		t[0], t[2], t[4], t[6] = x0, x1, x2, x3
+		t[1], t[3], t[5], t[7] = y0, y1, y2, y3
 	}
 }
 
@@ -522,26 +545,24 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 		if c1 > B {
 			c1 = B
 		}
-		// Stage pairs of the stochastic kind run radix-4 over the chunk
-		// (see tileStages); odd or general stages fall back to radix-2.
+		// Stage pairs of one kind run radix-4 over the chunk (see
+		// tileStages); odd or mixed-kind stages fall back to radix-2.
 		s := 0
 		for ; s+1 < m; s += 2 {
-			f1, f2 := &fs[s], &fs[s+1]
-			k1, k2 := butterflyKind(f1), butterflyKind(f2)
+			g := (*[2]Factor2)(fs[s : s+2])
+			kind := butterflyKind(&g[0])
+			if kind != butterflyKind(&g[1]) {
+				crossStage(rp[:size], c0, c1, s, &g[0])
+				crossStage(rp[:size], c0, c1, s+1, &g[1])
+				continue
+			}
 			bit1, bit2 := 1<<uint(s), 2<<uint(s)
-			switch {
-			case k1 == kindStochastic && k2 == kindStochastic:
-				b1, b2 := f1.B, f2.B
-				for t := 0; t < size; t++ {
-					if t&(bit1|bit2) != 0 {
-						continue
-					}
-					crossQuadStochastic(rp[t][c0:c1], rp[t|bit1][c0:c1],
-						rp[t|bit2][c0:c1], rp[t|bit1|bit2][c0:c1], b1, b2)
+			for t := 0; t < size; t++ {
+				if t&(bit1|bit2) != 0 {
+					continue
 				}
-			default:
-				crossStage(rp[:size], c0, c1, s, f1)
-				crossStage(rp[:size], c0, c1, s+1, f2)
+				crossQuad(rp[t][c0:c1], rp[t|bit1][c0:c1],
+					rp[t|bit2][c0:c1], rp[t|bit1|bit2][c0:c1], g, kind)
 			}
 		}
 		if s < m {
@@ -553,6 +574,16 @@ func crossGroup(v []float64, B, baseRow, rb0 int, fs []Factor2, ep *Epilogue) {
 				ep.run(v, lo, lo+c1-c0)
 			}
 		}
+	}
+}
+
+// crossQuad applies the fused stage pair g, both of the given kind,
+// radix-4 across four gathered row chunks.
+func crossQuad(r0, r1, r2, r3 []float64, g *[2]Factor2, kind int) {
+	if kind == kindGeneral {
+		crossQuadGeneral(r0, r1, r2, r3, g)
+	} else {
+		crossQuadStochastic(r0, r1, r2, r3, g[0].B, g[1].B)
 	}
 }
 
@@ -588,76 +619,114 @@ func crossQuadStochastic(r0, r1, r2, r3 []float64, b1, b2 float64) {
 	}
 }
 
+// crossQuadGeneral is crossQuadStochastic for a fused pair of general
+// stages g[0], g[1]: bfly4g per column, on avx{,512}QuadG where AVX2 is on.
+func crossQuadGeneral(r0, r1, r2, r3 []float64, g *[2]Factor2) {
+	if vec.UseAVX2() {
+		n := min(len(r0), len(r1), len(r2), len(r3)) &^ 3
+		switch {
+		case n >= 8 && vec.UseAVX512():
+			avx512QuadG(&r0[0], &r1[0], &r2[0], &r3[0], n, &g[0])
+		case n > 0:
+			avxQuadG(&r0[0], &r1[0], &r2[0], &r3[0], n, &g[0])
+		}
+		r0, r1, r2, r3 = r0[n:], r1[n:], r2[n:], r3[n:]
+	}
+	a1, b1, c1, d1, a2, b2, c2, d2 := g[0].A, g[0].B, g[0].C, g[0].D, g[1].A, g[1].B, g[1].C, g[1].D
+	for len(r0) >= 4 && len(r1) >= 4 && len(r2) >= 4 && len(r3) >= 4 {
+		x0, x1, x2, x3 := bfly4g(r0[0], r1[0], r2[0], r3[0], a1, b1, c1, d1, a2, b2, c2, d2)
+		y0, y1, y2, y3 := bfly4g(r0[1], r1[1], r2[1], r3[1], a1, b1, c1, d1, a2, b2, c2, d2)
+		z0, z1, z2, z3 := bfly4g(r0[2], r1[2], r2[2], r3[2], a1, b1, c1, d1, a2, b2, c2, d2)
+		w0, w1, w2, w3 := bfly4g(r0[3], r1[3], r2[3], r3[3], a1, b1, c1, d1, a2, b2, c2, d2)
+		r0[0], r1[0], r2[0], r3[0] = x0, x1, x2, x3
+		r0[1], r1[1], r2[1], r3[1] = y0, y1, y2, y3
+		r0[2], r1[2], r2[2], r3[2] = z0, z1, z2, z3
+		r0[3], r1[3], r2[3], r3[3] = w0, w1, w2, w3
+		r0, r1, r2, r3 = r0[4:], r1[4:], r2[4:], r3[4:]
+	}
+	for len(r0) > 0 && len(r1) > 0 && len(r2) > 0 && len(r3) > 0 {
+		r0[0], r1[0], r2[0], r3[0] = bfly4g(r0[0], r1[0], r2[0], r3[0], a1, b1, c1, d1, a2, b2, c2, d2)
+		r0, r1, r2, r3 = r0[1:], r1[1:], r2[1:], r3[1:]
+	}
+}
+
 // crossStage applies one radix-2 stage (row bit s) over the column chunk
-// [c0, c1) of the gathered rows. On AVX2 the stochastic kind runs four
-// butterflies per instruction (avxPairS), on AVX-512 eight from eight
-// columns on (avx512PairS), with the Go loop on the sub-vector tail.
+// [c0, c1) of the gathered rows: each row pair is a stagePair.
 func crossStage(rp [][]float64, c0, c1, s int, f *Factor2) {
 	bit := 1 << uint(s)
-	switch butterflyKind(f) {
-	case kindStochastic:
+	for t := 0; t < len(rp); t++ {
+		if t&bit != 0 {
+			continue
+		}
+		stagePair(rp[t][c0:c1], rp[t|bit][c0:c1], f)
+	}
+}
+
+// stagePair applies one radix-2 stage with factor f to the lane pair
+// (u, w), element i of each forming one butterfly: the lone stage of a tile
+// or a cross group, and each stage of a mixed-kind pair. On AVX2 either kind
+// runs four butterflies per instruction (avxPairS, avxPairG), on AVX-512
+// eight from eight columns on (avx512PairS, avx512PairG), with the 4-wide
+// Go loop on the sub-vector tail and everywhere without AVX2.
+func stagePair(u, w []float64, f *Factor2) {
+	kind := butterflyKind(f)
+	if n := len(u) &^ 3; vec.UseAVX2() && n > 0 && n <= len(w) {
+		zmm := n >= 8 && vec.UseAVX512()
+		switch {
+		case kind == kindGeneral && zmm:
+			avx512PairG(&u[0], &w[0], n, f)
+		case kind == kindGeneral:
+			avxPairG(&u[0], &w[0], n, f)
+		case zmm:
+			avx512PairS(&u[0], &w[0], n, f.B)
+		default:
+			avxPairS(&u[0], &w[0], n, f.B)
+		}
+		u, w = u[n:], w[n:]
+	}
+	if kind == kindStochastic {
 		b := f.B
-		for t := 0; t < len(rp); t++ {
-			if t&bit != 0 {
-				continue
-			}
-			u, w := rp[t][c0:c1], rp[t|bit][c0:c1]
-			if n := len(u) &^ 3; vec.UseAVX2() && n > 0 && n <= len(w) {
-				if n >= 8 && vec.UseAVX512() {
-					avx512PairS(&u[0], &w[0], n, b)
-				} else {
-					avxPairS(&u[0], &w[0], n, b)
-				}
-				u, w = u[n:], w[n:]
-			}
-			for len(u) >= 4 && len(w) >= 4 {
-				t1a, t2a := u[0], w[0]
-				t1b, t2b := u[1], w[1]
-				t1c, t2c := u[2], w[2]
-				t1d, t2d := u[3], w[3]
-				da := b * (t2a - t1a)
-				db := b * (t2b - t1b)
-				dc := b * (t2c - t1c)
-				dd := b * (t2d - t1d)
-				u[0], w[0] = t1a+da, t2a-da
-				u[1], w[1] = t1b+db, t2b-db
-				u[2], w[2] = t1c+dc, t2c-dc
-				u[3], w[3] = t1d+dd, t2d-dd
-				u, w = u[4:], w[4:]
-			}
-			for len(u) > 0 && len(w) > 0 {
-				t1, t2 := u[0], w[0]
-				d := b * (t2 - t1)
-				u[0] = t1 + d
-				w[0] = t2 - d
-				u, w = u[1:], w[1:]
-			}
+		for len(u) >= 4 && len(w) >= 4 {
+			t1a, t2a := u[0], w[0]
+			t1b, t2b := u[1], w[1]
+			t1c, t2c := u[2], w[2]
+			t1d, t2d := u[3], w[3]
+			da := b * (t2a - t1a)
+			db := b * (t2b - t1b)
+			dc := b * (t2c - t1c)
+			dd := b * (t2d - t1d)
+			u[0], w[0] = t1a+da, t2a-da
+			u[1], w[1] = t1b+db, t2b-db
+			u[2], w[2] = t1c+dc, t2c-dc
+			u[3], w[3] = t1d+dd, t2d-dd
+			u, w = u[4:], w[4:]
 		}
-	default:
-		a, b, c, dd := f.A, f.B, f.C, f.D
-		for t := 0; t < len(rp); t++ {
-			if t&bit != 0 {
-				continue
-			}
-			u, w := rp[t][c0:c1], rp[t|bit][c0:c1]
-			for len(u) >= 4 && len(w) >= 4 {
-				t1a, t2a := u[0], w[0]
-				t1b, t2b := u[1], w[1]
-				t1c, t2c := u[2], w[2]
-				t1d, t2d := u[3], w[3]
-				u[0], w[0] = a*t1a+b*t2a, c*t1a+dd*t2a
-				u[1], w[1] = a*t1b+b*t2b, c*t1b+dd*t2b
-				u[2], w[2] = a*t1c+b*t2c, c*t1c+dd*t2c
-				u[3], w[3] = a*t1d+b*t2d, c*t1d+dd*t2d
-				u, w = u[4:], w[4:]
-			}
-			for len(u) > 0 && len(w) > 0 {
-				t1, t2 := u[0], w[0]
-				u[0] = a*t1 + b*t2
-				w[0] = c*t1 + dd*t2
-				u, w = u[1:], w[1:]
-			}
+		for len(u) > 0 && len(w) > 0 {
+			t1, t2 := u[0], w[0]
+			d := b * (t2 - t1)
+			u[0] = t1 + d
+			w[0] = t2 - d
+			u, w = u[1:], w[1:]
 		}
+		return
+	}
+	a, b, c, dd := f.A, f.B, f.C, f.D
+	for len(u) >= 4 && len(w) >= 4 {
+		t1a, t2a := u[0], w[0]
+		t1b, t2b := u[1], w[1]
+		t1c, t2c := u[2], w[2]
+		t1d, t2d := u[3], w[3]
+		u[0], w[0] = a*t1a+b*t2a, c*t1a+dd*t2a
+		u[1], w[1] = a*t1b+b*t2b, c*t1b+dd*t2b
+		u[2], w[2] = a*t1c+b*t2c, c*t1c+dd*t2c
+		u[3], w[3] = a*t1d+b*t2d, c*t1d+dd*t2d
+		u, w = u[4:], w[4:]
+	}
+	for len(u) > 0 && len(w) > 0 {
+		t1, t2 := u[0], w[0]
+		u[0] = a*t1 + b*t2
+		w[0] = c*t1 + dd*t2
+		u, w = u[1:], w[1:]
 	}
 }
 

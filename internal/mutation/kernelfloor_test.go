@@ -145,28 +145,27 @@ func TestStageEngineBitIdenticalToReducedLoop(t *testing.T) {
 }
 
 func TestRadix4PairBitIdenticalToTwoStages(t *testing.T) {
-	// Direct unit test of the pair kernels at every stride and a ragged
-	// tile length: fused two-stage tile pass vs two sequential tileStage
-	// calls.
+	// Direct unit test of the pair kernels of both kinds at every stride
+	// and a ragged tile length: fused two-stage tile pass vs two sequential
+	// tileStage calls.
 	r := rng.New(31)
-	for _, tileLen := range []int{4, 8, 12, 64, 96, 1 << 10} {
-		for stride := 1; 4*stride <= tileLen; stride *= 2 {
-			if tileLen%(4*stride) != 0 {
-				continue
-			}
-			p1 := dyadicRate(r)
-			p2 := dyadicRate(r)
-			fs1 := Factor2{A: 1 - p1, B: p1, C: p1, D: 1 - p1}
-			fs2 := Factor2{A: 1 - p2, B: p2, C: p2, D: 1 - p2}
-			v := randVector(r, tileLen)
+	for _, kind := range []int{kindStochastic, kindGeneral} {
+		for _, tileLen := range []int{4, 8, 12, 64, 96, 1 << 10} {
+			for stride := 1; 4*stride <= tileLen; stride *= 2 {
+				if tileLen%(4*stride) != 0 {
+					continue
+				}
+				g := (*[2]Factor2)(factorsForKind(r, kind, 2))
+				v := randVector(r, tileLen)
 
-			got := vec.Clone(v)
-			tilePairStochastic(got, stride, fs1.B, fs2.B)
-			want := vec.Clone(v)
-			tileStage(want, stride, &fs1)
-			tileStage(want, 2*stride, &fs2)
-			if vec.DistInf(got, want) != 0 {
-				t.Fatalf("tileLen=%d stride=%d: tilePairStochastic not bit-identical to two tileStage calls", tileLen, stride)
+				got := vec.Clone(v)
+				tilePair(got, stride, g, kind)
+				want := vec.Clone(v)
+				tileStage(want, stride, &g[0])
+				tileStage(want, 2*stride, &g[1])
+				if vec.DistInf(got, want) != 0 {
+					t.Fatalf("kind=%d tileLen=%d stride=%d: tilePair not bit-identical to two tileStage calls", kind, tileLen, stride)
+				}
 			}
 		}
 	}
@@ -174,26 +173,25 @@ func TestRadix4PairBitIdenticalToTwoStages(t *testing.T) {
 
 func TestCrossQuadBitIdenticalToTwoCrossStages(t *testing.T) {
 	r := rng.New(77)
-	for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 129} {
-		p1 := dyadicRate(r)
-		p2 := dyadicRate(r)
-		rows := func() [][]float64 {
-			m := make([][]float64, 4)
-			for i := range m {
-				m[i] = randVector(rng.New(uint64(1000+i)), cols)
+	for _, kind := range []int{kindStochastic, kindGeneral} {
+		for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 129} {
+			g := (*[2]Factor2)(factorsForKind(r, kind, 2))
+			rows := func() [][]float64 {
+				m := make([][]float64, 4)
+				for i := range m {
+					m[i] = randVector(rng.New(uint64(1000+i)), cols)
+				}
+				return m
 			}
-			return m
-		}
 
-		fs1 := Factor2{A: 1 - p1, B: p1, C: p1, D: 1 - p1}
-		fs2 := Factor2{A: 1 - p2, B: p2, C: p2, D: 1 - p2}
-		got, want := rows(), rows()
-		crossQuadStochastic(got[0], got[1], got[2], got[3], p1, p2)
-		crossStage(want, 0, cols, 0, &fs1)
-		crossStage(want, 0, cols, 1, &fs2)
-		for i := range got {
-			if vec.DistInf(got[i], want[i]) != 0 {
-				t.Fatalf("cols=%d row %d: crossQuadStochastic not bit-identical to two crossStage calls", cols, i)
+			got, want := rows(), rows()
+			crossQuad(got[0], got[1], got[2], got[3], g, kind)
+			crossStage(want, 0, cols, 0, &g[0])
+			crossStage(want, 0, cols, 1, &g[1])
+			for i := range got {
+				if vec.DistInf(got[i], want[i]) != 0 {
+					t.Fatalf("kind=%d cols=%d row %d: crossQuad not bit-identical to two crossStage calls", kind, cols, i)
+				}
 			}
 		}
 	}

@@ -297,6 +297,30 @@ func (q *Process) Dim() int { return q.n }
 // and if so returns its error rate.
 func (q *Process) Uniform() (p float64, ok bool) { return q.p, q.uniform }
 
+// SpectralFloor returns the smallest eigenvalue of the symmetric matrix S
+// that Q is diagonally similar to (Q = D·S·D⁻¹ with D diagonal and
+// positive), and whether it is known and non-negative. A single-bit factor [[A,B],[C,D]] with B, C > 0 is conjugated by
+// diag(1, √(C/B)) into the symmetric [[A,√(BC)],[√(BC),D]], whose
+// eigenvalues are 1 and A+D−1 for a column-stochastic factor; S is the
+// Kronecker product of those, so its smallest eigenvalue is Π_k(A_k+D_k−1)
+// when every A_k+D_k > 1. The uniform process gives (1−2p)^ν, computed as
+// that power (0 at p = ½). Grouped factors, and single-bit ones with B or C
+// zero or A+D ≤ 1, report false.
+func (q *Process) SpectralFloor() (float64, bool) {
+	if q.uniform {
+		return math.Pow(1-2*q.p, float64(q.nu)), true
+	}
+	floor := 1.0
+	for _, g := range q.groups {
+		f := g.f2
+		if g.bitsLen != 1 || !(f.B > 0 && f.C > 0 && f.A+f.D > 1) {
+			return 0, false
+		}
+		floor *= f.A + f.D - 1
+	}
+	return floor, true
+}
+
 // GroupSizes returns the gᵢ of the Kronecker structure (all 1 for the
 // standard and per-site models).
 func (q *Process) GroupSizes() []int {

@@ -46,9 +46,9 @@ const (
 	// TierAVX2 runs the 4-lane YMM bodies of these kernels and of
 	// internal/mutation's butterflies.
 	TierAVX2
-	// TierAVX512 runs the stochastic butterflies on 8-lane ZMM bodies
-	// wherever their shape fills a register; everything else, these
-	// kernels included, stays on AVX2.
+	// TierAVX512 runs internal/mutation's stochastic and general
+	// butterflies on 8-lane ZMM bodies wherever their shape fills a
+	// register; everything else, these kernels included, stays on AVX2.
 	TierAVX512
 )
 

@@ -146,8 +146,11 @@ func WithMaxIterations(n int) Option {
 	}
 }
 
-// WithShift toggles the conservative convergence shift
-// µ = (1−2p)^ν·f_min (default on; ignored for non-uniform processes).
+// WithShift toggles the conservative convergence shift µ ≤ λ_min(W)
+// (default on): (1−2p)^ν·f_min for the uniform process,
+// Π_k(Stay0_k + Stay1_k − 1)·f_min for a per-site one whose factors all
+// mutate both ways and have Stay0 + Stay1 > 1, and 0 otherwise
+// (core.ConservativeShift).
 func WithShift(enabled bool) Option {
 	return func(mo *Model) error {
 		mo.useShift = enabled
