@@ -18,9 +18,9 @@ import (
 	"repro/rna"
 )
 
-// BenchmarkClusterSolve runs the distributed power iteration across node
-// counts; on a multicore host the wall time drops with P, and the traffic
-// counters scale as 8·N·log₂P per matvec.
+// BenchmarkClusterSolve runs core's power iteration on the cluster
+// operator across node counts; the traffic counters scale as 8·N·log₂P
+// per matvec.
 func BenchmarkClusterSolve(b *testing.B) {
 	const nu = 12
 	l, err := landscape.NewRandom(nu, 5, 1, 1)
@@ -30,11 +30,12 @@ func BenchmarkClusterSolve(b *testing.B) {
 	for _, nodes := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("nodes%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := cluster.NewCluster(nodes, 1<<nu)
+				c, err := cluster.NewCluster(nodes, 0.01, l)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.Solve(0.01, l, cluster.SolveOptions{Tol: 1e-11}); err != nil {
+				opts := core.PowerOptions{Tol: 1e-11, Start: core.FitnessStart(l)}
+				if _, err := core.PowerIteration(c, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

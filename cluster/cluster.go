@@ -4,33 +4,45 @@
 // memory requirements. Consequently, in the future we will focus on
 // distributed memory approaches."
 //
-// The package simulates a cluster of P nodes (P a power of two), each
-// owning a contiguous block of N/P vector entries in private storage.
-// Nodes run as goroutines and exchange data exclusively through counted
-// message channels — no shared vector memory — so the implementation is a
-// faithful software model of an MPI-style port and its statistics report
-// exactly the traffic such a port would generate.
+// A Cluster models P nodes (P a power of two) as the operator
+// W = Q·F of a uniform mutation process over one N-vector, a
+// core.Operator that core's eigensolvers drive like any other.
+//
+// Block ownership. Node r owns the contiguous block [r·N/P, (r+1)·N/P) of
+// every vector Apply sees, and of the fitness diagonal. Apply runs the
+// nodes as goroutines of one SPMD region; each reads and writes only its
+// own block, and data crosses between nodes only through counted
+// messages, whose payload is copied so no node reads another's memory.
 //
 // The butterfly structure of Fmmp maps onto this layout as it does for
-// the distributed FFT: stages with stride < N/P are node-local, and the
-// log₂P stages with stride ≥ N/P pair each node with the partner whose
-// rank differs in one bit — a hypercube exchange of one block per node
-// per stage. A matvec therefore communicates exactly 8·N·log₂P bytes in
-// total, and norms/dots use a recursive-doubling allreduce.
+// the distributed FFT. Q = Q_high ⊗ Q_low, so the ν − log₂P stages with
+// stride < N/P are node-local: each node runs them on its block with the
+// production kernel of a ν − log₂P bit process, the fitness pre-scale
+// fused into its first pass. The log₂P stages with stride ≥ N/P pair each
+// node with the partner whose rank differs in one bit, a hypercube
+// exchange of one block per node per stage, updated with the stochastic
+// butterfly's expression. Every element therefore goes through the
+// operations of the serial kernel in the same order, so Apply is bit-for-bit
+// the serial core.FmmpOperator (Right form) at every P, and so is a power
+// solve on it.
+//
+// Traffic. One Apply sends P·log₂P messages of N/P floats, exactly
+// 8·N·log₂P bytes (ExpectedMatvecBytes); Stats counts them. The reductions
+// of a solve are not simulated, only counted by rule: a power step's two
+// fused passes each need one allreduce (pass A reduces 2 scalars, the
+// Rayleigh quotient and ‖t‖², and pass B 1, the residual), and normalizing
+// the start needs one more, so core.PowerIteration makes 1 + 2·Iterations
+// allreduces of recursive doubling over log₂P rounds.
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	mathbits "math/bits"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
-	"repro/internal/vec"
 )
 
 // Stats counts the simulated network traffic of a Cluster.
@@ -42,65 +54,66 @@ type Stats struct {
 	// CrossStages is the number of butterfly stages that required
 	// communication.
 	CrossStages int64
-	// Allreduces is the number of collective reductions performed.
-	Allreduces int64
 }
 
-// Cluster is a simulated distributed-memory machine dedicated to one
-// vector distribution: P nodes each holding N/P contiguous entries.
+// Cluster is a simulated distributed-memory machine applying W = Q·F with
+// each of its P nodes owning N/P contiguous entries. Like every
+// core.Operator it must not be applied concurrently with itself.
 type Cluster struct {
 	nodes    int
 	logNodes int
 	n        int
 	blockLen int
+	p        float64
+
+	local *mutation.Process // the ν − log₂P node-local stages
+	fdiag []float64
 
 	// mailbox[to][from] carries one block-sized message at a time.
 	mailbox [][]chan []float64
-	// reduceBox[to][from] carries scalar contributions for allreduce.
-	reduceBox [][]chan float64
 
 	messages    atomic.Int64
 	bytes       atomic.Int64
 	crossStages atomic.Int64
-	allreduces  atomic.Int64
 }
 
-// NewCluster builds a cluster of nodes ranks for vectors of length n.
-// Both must be powers of two with nodes ≤ n.
-func NewCluster(nodes, n int) (*Cluster, error) {
+// NewCluster builds a cluster of nodes ranks applying Q·F for the uniform
+// process of rate p over the landscape l. nodes must be a power of two no
+// larger than l.Dim().
+func NewCluster(nodes int, p float64, l landscape.Landscape) (*Cluster, error) {
+	n := l.Dim()
 	if nodes < 1 || nodes&(nodes-1) != 0 {
 		return nil, fmt.Errorf("cluster: node count %d is not a power of two", nodes)
-	}
-	if n < 1 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("cluster: vector length %d is not a power of two", n)
 	}
 	if nodes > n {
 		return nil, fmt.Errorf("cluster: more nodes (%d) than vector entries (%d)", nodes, n)
 	}
+	logNodes := bits.TrailingZeros(uint(nodes))
+	local, err := mutation.NewUniform(l.ChainLen()-logNodes, p)
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		nodes:    nodes,
-		logNodes: mathbits.TrailingZeros(uint(nodes)),
+		logNodes: logNodes,
 		n:        n,
 		blockLen: n / nodes,
+		p:        p,
+		local:    local,
+		fdiag:    landscape.Materialize(l),
+		mailbox:  make([][]chan []float64, nodes),
 	}
-	c.mailbox = make([][]chan []float64, nodes)
-	c.reduceBox = make([][]chan float64, nodes)
-	for to := 0; to < nodes; to++ {
+	for to := range c.mailbox {
 		c.mailbox[to] = make([]chan []float64, nodes)
-		c.reduceBox[to] = make([]chan float64, nodes)
-		for from := 0; from < nodes; from++ {
+		for from := range c.mailbox[to] {
 			c.mailbox[to][from] = make(chan []float64, 1)
-			c.reduceBox[to][from] = make(chan float64, 1)
 		}
 	}
 	return c, nil
 }
 
-// Nodes returns P.
-func (c *Cluster) Nodes() int { return c.nodes }
-
-// BlockLen returns N/P, the entries per node.
-func (c *Cluster) BlockLen() int { return c.blockLen }
+// Dim returns N.
+func (c *Cluster) Dim() int { return c.n }
 
 // Stats returns a snapshot of the traffic counters.
 func (c *Cluster) Stats() Stats {
@@ -108,16 +121,47 @@ func (c *Cluster) Stats() Stats {
 		Messages:    c.messages.Load(),
 		Bytes:       c.bytes.Load(),
 		CrossStages: c.crossStages.Load(),
-		Allreduces:  c.allreduces.Load(),
 	}
 }
 
-// ResetStats zeroes the traffic counters.
-func (c *Cluster) ResetStats() {
-	c.messages.Store(0)
-	c.bytes.Store(0)
-	c.crossStages.Store(0)
-	c.allreduces.Store(0)
+// ExpectedMatvecBytes returns the exact communication volume of one
+// Apply: P nodes each send one block of N/P floats in each of the log₂P
+// cross stages, i.e. 8·N·log₂P bytes.
+func (c *Cluster) ExpectedMatvecBytes() int64 {
+	return int64(8 * c.n * c.logNodes)
+}
+
+// Apply computes dst ← Q·F·src, each node on its own block: the local
+// stages by the production kernel, then the log₂P cross stages as
+// hypercube exchanges. dst may alias src.
+func (c *Cluster) Apply(dst, src []float64) {
+	if len(dst) != c.n || len(src) != c.n {
+		panic(fmt.Sprintf("cluster: Apply lengths %d, %d, want %d", len(dst), len(src), c.n))
+	}
+	b := c.p
+	c.runSPMD(func(rank int) {
+		lo, hi := rank*c.blockLen, (rank+1)*c.blockLen
+		blk := dst[lo:hi]
+		c.local.ApplyFused(nil, blk, src[lo:hi], c.fdiag[lo:hi], mutation.Epilogue{})
+		// Cross stage s has stride blockLen·2^s and pairs rank with
+		// rank^2^s; the node whose bit is clear holds the pair's t1.
+		for s := 0; s < c.logNodes; s++ {
+			bit := 1 << s
+			partner := rank ^ bit
+			c.send(rank, partner, blk)
+			other := c.recv(rank, partner)
+			if rank&bit == 0 {
+				for k, t1 := range blk {
+					blk[k] = t1 + b*(other[k]-t1)
+				}
+			} else {
+				for k, t2 := range blk {
+					blk[k] = t2 - b*(t2-other[k])
+				}
+			}
+		}
+	})
+	c.crossStages.Add(int64(c.logNodes))
 }
 
 // send delivers payload from rank `from` to rank `to`, counting traffic.
@@ -134,45 +178,6 @@ func (c *Cluster) recv(at, from int) []float64 {
 	return <-c.mailbox[at][from]
 }
 
-// sendScalar/recvScalar carry reduction contributions (8 bytes each).
-func (c *Cluster) sendScalar(from, to int, v float64) {
-	c.messages.Add(1)
-	c.bytes.Add(8)
-	c.reduceBox[to][from] <- v
-}
-
-func (c *Cluster) recvScalar(at, from int) float64 {
-	return <-c.reduceBox[at][from]
-}
-
-// Scatter splits a global vector into per-node private blocks.
-func (c *Cluster) Scatter(global []float64) ([][]float64, error) {
-	if len(global) != c.n {
-		return nil, fmt.Errorf("cluster: vector length %d, want %d", len(global), c.n)
-	}
-	blocks := make([][]float64, c.nodes)
-	for r := 0; r < c.nodes; r++ {
-		blocks[r] = make([]float64, c.blockLen)
-		copy(blocks[r], global[r*c.blockLen:(r+1)*c.blockLen])
-	}
-	return blocks, nil
-}
-
-// Gather reassembles a global vector from per-node blocks.
-func (c *Cluster) Gather(blocks [][]float64) ([]float64, error) {
-	if len(blocks) != c.nodes {
-		return nil, fmt.Errorf("cluster: %d blocks, want %d", len(blocks), c.nodes)
-	}
-	out := make([]float64, c.n)
-	for r, b := range blocks {
-		if len(b) != c.blockLen {
-			return nil, fmt.Errorf("cluster: block %d has %d entries, want %d", r, len(b), c.blockLen)
-		}
-		copy(out[r*c.blockLen:], b)
-	}
-	return out, nil
-}
-
 // runSPMD executes body(rank) on one goroutine per node and waits for all
 // of them — one SPMD region.
 func (c *Cluster) runSPMD(body func(rank int)) {
@@ -185,287 +190,4 @@ func (c *Cluster) runSPMD(body func(rank int)) {
 		}(r)
 	}
 	wg.Wait()
-}
-
-// FmmpApply computes blocks ← Q·blocks in place for a uniform mutation
-// process with error rate p over ν = log₂N positions. Local stages touch
-// only private memory; each of the log₂P cross stages performs one
-// block-sized hypercube exchange per node.
-func (c *Cluster) FmmpApply(blocks [][]float64, p float64) error {
-	if err := mutation.ValidateRate(p); err != nil {
-		return err
-	}
-	if len(blocks) != c.nodes {
-		return fmt.Errorf("cluster: %d blocks, want %d", len(blocks), c.nodes)
-	}
-	a, b := 1-p, p
-	c.runSPMD(func(rank int) {
-		blk := blocks[rank]
-		// Local stages: stride < blockLen.
-		for stride := 1; stride < c.blockLen; stride <<= 1 {
-			for j := 0; j < c.blockLen; j += 2 * stride {
-				for k := j; k < j+stride; k++ {
-					t1, t2 := blk[k], blk[k+stride]
-					blk[k] = a*t1 + b*t2
-					blk[k+stride] = b*t1 + a*t2
-				}
-			}
-		}
-		// Cross stages: stride = blockLen·2^s pairs rank with rank^2^s.
-		for s := 0; s < c.logNodes; s++ {
-			partner := rank ^ (1 << uint(s))
-			c.send(rank, partner, blk)
-			other := c.recv(rank, partner)
-			if rank&(1<<uint(s)) == 0 {
-				// This node holds the t1 ("upper") entries.
-				for k := range blk {
-					blk[k] = a*blk[k] + b*other[k]
-				}
-			} else {
-				for k := range blk {
-					blk[k] = b*other[k] + a*blk[k]
-				}
-			}
-		}
-	})
-	c.crossStages.Add(int64(c.logNodes))
-	return nil
-}
-
-// ScaleByFitness multiplies each block entrywise by the local slice of
-// the fitness landscape — no communication (F is diagonal).
-func (c *Cluster) ScaleByFitness(blocks [][]float64, fBlocks [][]float64) {
-	c.runSPMD(func(rank int) {
-		blk, f := blocks[rank], fBlocks[rank]
-		for i := range blk {
-			blk[i] *= f[i]
-		}
-	})
-}
-
-// AllreduceSum returns Σ over all nodes of local(rank), computed with the
-// recursive-doubling butterfly: log₂P rounds of pairwise scalar exchange,
-// after which every node holds the global value. Every node combines
-// partial sums in the same (rank-bit) order, so the result is
-// deterministic and identical on all nodes.
-func (c *Cluster) AllreduceSum(local func(rank int) float64) float64 {
-	results := make([]float64, c.nodes)
-	c.runSPMD(func(rank int) {
-		acc := local(rank)
-		for s := 0; s < c.logNodes; s++ {
-			partner := rank ^ (1 << uint(s))
-			c.sendScalar(rank, partner, acc)
-			other := c.recvScalar(rank, partner)
-			// Deterministic order: lower rank's contribution first.
-			if rank&(1<<uint(s)) == 0 {
-				acc = acc + other
-			} else {
-				acc = other + acc
-			}
-		}
-		results[rank] = acc
-	})
-	c.allreduces.Add(1)
-	// All nodes agree; return rank 0's copy.
-	for r := 1; r < c.nodes; r++ {
-		if results[r] != results[0] {
-			// Cannot happen with the deterministic combine order; guard
-			// against future edits breaking the invariant.
-			panic("cluster: allreduce produced divergent values across nodes")
-		}
-	}
-	return results[0]
-}
-
-// Norm2 returns the global ‖x‖₂ of the distributed vector.
-func (c *Cluster) Norm2(blocks [][]float64) float64 {
-	return math.Sqrt(c.AllreduceSum(func(rank int) float64 {
-		var s float64
-		for _, v := range blocks[rank] {
-			s += v * v
-		}
-		return s
-	}))
-}
-
-// Dot returns the global xᵀy of two distributed vectors.
-func (c *Cluster) Dot(x, y [][]float64) float64 {
-	return c.AllreduceSum(func(rank int) float64 {
-		var s float64
-		bx, by := x[rank], y[rank]
-		for i := range bx {
-			s += bx[i] * by[i]
-		}
-		return s
-	})
-}
-
-// Scale multiplies the distributed vector by a — purely local.
-func (c *Cluster) Scale(blocks [][]float64, a float64) {
-	c.runSPMD(func(rank int) {
-		vec.Scale(blocks[rank], a)
-	})
-}
-
-// SolveResult is the outcome of the distributed power iteration.
-type SolveResult struct {
-	Lambda     float64
-	Vector     []float64 // gathered, unit 2-norm, non-negative orientation
-	Iterations int
-	Residual   float64
-	Traffic    Stats
-}
-
-// ErrNoConvergence mirrors core.ErrNoConvergence for the distributed path.
-var ErrNoConvergence = errors.New("cluster: iteration budget exhausted before convergence")
-
-// SolveOptions configures the distributed solve.
-type SolveOptions struct {
-	// Tol is the residual threshold (default: the problem's
-	// floating-point-floor tolerance, max(1e−12, 64·ε·f_max·√N)).
-	Tol     float64
-	MaxIter int     // default 500000
-	Shift   float64 // spectral shift µ (0 = none)
-}
-
-// Solve runs the distributed power iteration for W = Q·F with a uniform
-// process (rate p) and the given landscape: the distributed twin of
-// core.PowerIteration. Every vector operation is node-local except the
-// Fmmp cross stages and the scalar allreduces.
-func (c *Cluster) Solve(p float64, l landscape.Landscape, opts SolveOptions) (*SolveResult, error) {
-	if l.Dim() != c.n {
-		return nil, fmt.Errorf("cluster: landscape dimension %d, want %d", l.Dim(), c.n)
-	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = core.DefaultTolerance(l)
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 500000
-	}
-	mu := opts.Shift
-
-	// Distribute the fitness diagonal and the start vector
-	// s = diag(F)/‖diag F‖₁ (each node materializes only its slice).
-	fBlocks := make([][]float64, c.nodes)
-	x := make([][]float64, c.nodes)
-	c.runSPMD(func(rank int) {
-		f := make([]float64, c.blockLen)
-		base := uint64(rank * c.blockLen)
-		for i := range f {
-			f[i] = l.At(base + uint64(i))
-		}
-		fBlocks[rank] = f
-		xb := make([]float64, c.blockLen)
-		copy(xb, f)
-		x[rank] = xb
-	})
-	norm1 := c.AllreduceSum(func(rank int) float64 {
-		var s float64
-		for _, v := range x[rank] {
-			s += math.Abs(v)
-		}
-		return s
-	})
-	c.Scale(x, 1/norm1)
-	n2 := c.Norm2(x)
-	c.Scale(x, 1/n2)
-
-	// w buffers, one per node.
-	w := make([][]float64, c.nodes)
-	for r := range w {
-		w[r] = make([]float64, c.blockLen)
-	}
-
-	res := &SolveResult{}
-	bestResidual := math.Inf(1)
-	stalled := 0
-	for iter := 1; iter <= maxIter; iter++ {
-		res.Iterations = iter
-		// w ← Q·(F⊙x) − µ·x
-		c.runSPMD(func(rank int) {
-			wb, xb, fb := w[rank], x[rank], fBlocks[rank]
-			for i := range wb {
-				wb[i] = xb[i] * fb[i]
-			}
-		})
-		if err := c.FmmpApply(w, p); err != nil {
-			return nil, err
-		}
-		if mu != 0 {
-			c.runSPMD(func(rank int) {
-				wb, xb := w[rank], x[rank]
-				for i := range wb {
-					wb[i] -= mu * xb[i]
-				}
-			})
-		}
-		lamShifted := c.Dot(x, w)
-		res.Lambda = lamShifted + mu
-		// Residual ‖w − λ̃x‖₂ via one more allreduce.
-		res.Residual = math.Sqrt(c.AllreduceSum(func(rank int) float64 {
-			var s float64
-			wb, xb := w[rank], x[rank]
-			for i := range wb {
-				d := wb[i] - lamShifted*xb[i]
-				s += d * d
-			}
-			return s
-		}))
-		if res.Residual <= tol {
-			break
-		}
-		// Stagnation guard: stop burning the budget once the residual has
-		// hit the floating-point floor (mirrors core.PowerIteration).
-		if res.Residual < bestResidual*(1-1e-6) {
-			bestResidual = res.Residual
-			stalled = 0
-		} else if stalled++; stalled >= 100 {
-			break
-		}
-		nrm := c.Norm2(w)
-		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			return res, fmt.Errorf("cluster: iteration broke down at step %d", iter)
-		}
-		inv := 1 / nrm
-		c.runSPMD(func(rank int) {
-			wb, xb := w[rank], x[rank]
-			for i := range wb {
-				xb[i] = wb[i] * inv
-			}
-		})
-	}
-
-	gathered, err := c.Gather(x)
-	if err != nil {
-		return nil, err
-	}
-	vec.Normalize2(gathered)
-	orientPositive(gathered)
-	res.Vector = gathered
-	res.Traffic = c.Stats()
-	if res.Residual > tol {
-		return res, fmt.Errorf("%w after %d iterations (residual %g)", ErrNoConvergence, res.Iterations, res.Residual)
-	}
-	return res, nil
-}
-
-func orientPositive(x []float64) {
-	idx, m := 0, 0.0
-	for i, v := range x {
-		if a := math.Abs(v); a > m {
-			idx, m = i, a
-		}
-	}
-	if x[idx] < 0 {
-		vec.Scale(x, -1)
-	}
-}
-
-// ExpectedMatvecBytes returns the exact communication volume of one
-// distributed Fmmp matvec: P nodes each send one block of N/P floats in
-// each of the log₂P cross stages, i.e. 8·N·log₂P bytes.
-func (c *Cluster) ExpectedMatvecBytes() int64 {
-	return int64(8 * c.n * c.logNodes)
 }

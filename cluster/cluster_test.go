@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -20,89 +23,112 @@ func randVector(r *rng.Source, n int) []float64 {
 	return v
 }
 
+// serialOperator is the shared-memory W = Q·F every cluster is held to.
+func serialOperator(t testing.TB, p float64, l landscape.Landscape) *core.FmmpOperator {
+	t.Helper()
+	q, err := mutation.NewUniform(l.ChainLen(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := core.NewFmmpOperator(q, l, core.Right, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// samePower reports whether two power solves agree bit for bit.
+func samePower(a, b core.PowerResult) bool {
+	return math.Float64bits(a.Lambda) == math.Float64bits(b.Lambda) &&
+		math.Float64bits(a.Residual) == math.Float64bits(b.Residual) &&
+		a.Iterations == b.Iterations && a.Converged == b.Converged &&
+		sameBits(a.Vector, b.Vector)
+}
+
 func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(3, 8); err == nil {
+	l3, _ := landscape.NewUniform(3, 1)
+	if _, err := NewCluster(3, 0.01, l3); err == nil {
 		t.Error("non-power-of-two node count must be rejected")
 	}
-	if _, err := NewCluster(4, 12); err == nil {
-		t.Error("non-power-of-two vector length must be rejected")
-	}
-	if _, err := NewCluster(16, 8); err == nil {
+	if _, err := NewCluster(16, 0.01, l3); err == nil {
 		t.Error("more nodes than entries must be rejected")
 	}
-	if _, err := NewCluster(0, 8); err == nil {
+	if _, err := NewCluster(0, 0.01, l3); err == nil {
 		t.Error("zero nodes must be rejected")
 	}
-	c, err := NewCluster(4, 64)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []float64{0, -0.1, 0.9, math.NaN()} {
+		if _, err := NewCluster(2, p, l3); !errors.Is(err, mutation.ErrInvalidRate) {
+			t.Errorf("p = %g: err = %v, want ErrInvalidRate", p, err)
+		}
 	}
-	if c.Nodes() != 4 || c.BlockLen() != 16 {
-		t.Errorf("cluster shape %d×%d", c.Nodes(), c.BlockLen())
+	c, err := NewCluster(8, 0.01, l3)
+	if err != nil {
+		t.Fatalf("P = N must be accepted: %v", err)
+	}
+	if c.Dim() != 8 {
+		t.Errorf("Dim = %d, want 8", c.Dim())
 	}
 }
 
-func TestScatterGatherRoundTrip(t *testing.T) {
-	r := rng.New(1)
-	c, _ := NewCluster(8, 128)
-	x := randVector(r, 128)
-	blocks, err := c.Scatter(x)
+func TestFmmpApplyValidation(t *testing.T) {
+	l, _ := landscape.NewUniform(4, 1)
+	c, err := NewCluster(2, 0.01, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blocks are private copies.
-	blocks[0][0] = 99
-	if x[0] == 99 {
-		t.Error("Scatter aliases the global vector")
-	}
-	blocks[0][0] = x[0]
-	back, err := c.Gather(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vec.DistInf(back, x) != 0 {
-		t.Error("Scatter/Gather round trip failed")
-	}
-	if _, err := c.Scatter(make([]float64, 64)); err == nil {
-		t.Error("wrong global length must be rejected")
-	}
-	if _, err := c.Gather(blocks[:4]); err == nil {
-		t.Error("wrong block count must be rejected")
+	for _, lens := range [][2]int{{15, 16}, {16, 15}, {32, 32}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Apply with lengths %v did not panic", lens)
+				}
+			}()
+			c.Apply(make([]float64, lens[0]), make([]float64, lens[1]))
+		}()
 	}
 }
 
+// TestDistributedFmmpMatchesSerial applies random vectors through clusters
+// of every node count, into a fresh dst and in place, and requires the
+// serial operator's bits.
 func TestDistributedFmmpMatchesSerial(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		nu := 3 + int(r.Uint64n(8)) // ν in [3, 10]
 		n := 1 << nu
-		maxLogP := nu
-		if maxLogP > 4 {
-			maxLogP = 4
+		p := 0.001 + 0.499*r.Float64()
+		l, err := landscape.NewRandom(nu, 5, 1, r.Uint64())
+		if err != nil {
+			return false
 		}
-		p := 0.001 + 0.45*r.Float64()
 		x := randVector(r, n)
+		want := make([]float64, n)
+		serialOperator(t, p, l).Apply(want, x)
 
-		want := vec.Clone(x)
-		mutation.MustUniform(nu, p).Apply(want)
-
-		for logP := 0; logP <= maxLogP; logP++ {
-			c, err := NewCluster(1<<logP, n)
+		for logP := 0; logP <= min(nu, 4); logP++ {
+			c, err := NewCluster(1<<logP, p, l)
 			if err != nil {
 				return false
 			}
-			blocks, err := c.Scatter(x)
-			if err != nil {
-				return false
-			}
-			if err := c.FmmpApply(blocks, p); err != nil {
-				return false
-			}
-			got, err := c.Gather(blocks)
-			if err != nil {
-				return false
-			}
-			if vec.DistInf(got, want) > 1e-12 {
+			got := make([]float64, n)
+			c.Apply(got, x)
+			inPlace := append([]float64(nil), x...)
+			c.Apply(inPlace, inPlace)
+			if !sameBits(got, want) || !sameBits(inPlace, want) {
+				t.Logf("ν=%d p=%g P=%d differs from the serial operator", nu, p, 1<<logP)
 				return false
 			}
 		}
@@ -113,110 +139,192 @@ func TestDistributedFmmpMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestCommunicationVolumeExact(t *testing.T) {
-	// One matvec must move exactly 8·N·log₂P bytes of block traffic.
-	for _, cfg := range []struct{ nodes, n int }{{1, 256}, {2, 256}, {4, 256}, {8, 256}, {16, 256}} {
-		c, err := NewCluster(cfg.nodes, cfg.n)
+// TestClusterBitIdenticalToSerial is the cluster's contract: at every node
+// count and every kernel tier the host has, Apply and a whole power solve
+// are bit for bit the serial Right-form Fmmp operator's.
+func TestClusterBitIdenticalToSerial(t *testing.T) {
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	for _, tier := range vec.Tiers() {
+		vec.SetTier(tier)
+		for _, nu := range []int{4, 9, 12, 16} {
+			checkBitIdentical(t, tier, nu)
+		}
+	}
+}
+
+// checkBitIdentical compares clusters of 1…16 nodes with the serial
+// operator at chain length nu, on a random and a single-peak landscape.
+func checkBitIdentical(t *testing.T, tier vec.Tier, nu int) {
+	const p = 0.01
+	random, err := landscape.NewRandom(nu, 5, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []landscape.Landscape{random, peak} {
+		op := serialOperator(t, p, l)
+		x := randVector(rng.New(uint64(nu)), l.Dim())
+		want := make([]float64, l.Dim())
+		op.Apply(want, x)
+		opts := core.PowerOptions{
+			Tol:   core.DefaultTolerance(l),
+			Shift: core.ConservativeShift(op.Q, l),
+			Start: core.FitnessStart(l),
+		}
+		ref, err := core.PowerIteration(op, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks, _ := c.Scatter(make([]float64, cfg.n))
-		if err := c.FmmpApply(blocks, 0.01); err != nil {
+		// P = 16 at ν = 4 is P = N: every stage is a cross stage.
+		for _, nodes := range []int{1, 2, 4, 8, 16} {
+			name := fmt.Sprintf("%v/nu%d/%T/P%d", tier, nu, l, nodes)
+			c, err := NewCluster(nodes, p, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, l.Dim())
+			c.Apply(got, x)
+			if !sameBits(got, want) {
+				t.Errorf("%s: Apply differs from the serial operator", name)
+			}
+			res, err := core.PowerIteration(c, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !samePower(res, ref) {
+				t.Errorf("%s: λ %v r %v in %d iterations, serial λ %v r %v in %d",
+					name, res.Lambda, res.Residual, res.Iterations,
+					ref.Lambda, ref.Residual, ref.Iterations)
+			}
+		}
+	}
+}
+
+func TestCommunicationVolumeExact(t *testing.T) {
+	// Every Apply of a solve moves exactly 8·N·log₂P bytes of block
+	// traffic in P·log₂P messages, and nothing else is sent.
+	const nu = 8
+	const n = 1 << nu
+	l, err := landscape.NewRandom(nu, 5, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range []int{1, 2, 4, 8, 16} {
+		c, err := NewCluster(nodes, 0.01, l)
+		if err != nil {
 			t.Fatal(err)
 		}
+		res, err := core.PowerIteration(c, core.PowerOptions{Tol: 1e-12, Start: core.FitnessStart(l)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logP := int64(bits.TrailingZeros(uint(nodes)))
+		iters := int64(res.Iterations)
 		st := c.Stats()
-		if st.Bytes != c.ExpectedMatvecBytes() {
-			t.Errorf("P=%d: %d bytes moved, want %d", cfg.nodes, st.Bytes, c.ExpectedMatvecBytes())
+		if want := int64(8*n) * logP; c.ExpectedMatvecBytes() != want {
+			t.Errorf("P=%d: ExpectedMatvecBytes %d, want %d", nodes, c.ExpectedMatvecBytes(), want)
 		}
-		logP := 0
-		for 1<<logP < cfg.nodes {
-			logP++
+		if st.Bytes != iters*c.ExpectedMatvecBytes() {
+			t.Errorf("P=%d: %d bytes moved in %d matvecs, want %d", nodes, st.Bytes, iters, iters*c.ExpectedMatvecBytes())
 		}
-		if st.CrossStages != int64(logP) {
-			t.Errorf("P=%d: %d cross stages, want %d", cfg.nodes, st.CrossStages, logP)
+		if want := iters * int64(nodes) * logP; st.Messages != want {
+			t.Errorf("P=%d: %d messages, want %d", nodes, st.Messages, want)
 		}
-		wantMsgs := int64(cfg.nodes * logP)
-		if st.Messages != wantMsgs {
-			t.Errorf("P=%d: %d messages, want %d", cfg.nodes, st.Messages, wantMsgs)
+		if want := iters * logP; st.CrossStages != want {
+			t.Errorf("P=%d: %d cross stages, want %d", nodes, st.CrossStages, want)
+		}
+		if nodes == 1 && st != (Stats{}) {
+			t.Errorf("P=1 cluster communicated: %+v", st)
 		}
 	}
 }
 
-func TestAllreduceSum(t *testing.T) {
-	c, _ := NewCluster(8, 64)
-	got := c.AllreduceSum(func(rank int) float64 { return float64(rank + 1) })
-	if got != 36 {
-		t.Errorf("allreduce = %g, want 36", got)
+// stepCounter counts the Steps an observer receives.
+type stepCounter struct{ steps int }
+
+func (s *stepCounter) Step(int, float64, float64)          { s.steps++ }
+func (s *stepCounter) Event(string, int, float64, float64) {}
+
+func TestDistributedSolveErrors(t *testing.T) {
+	l, _ := landscape.NewRandom(4, 5, 1, 1)
+	c, err := NewCluster(2, 0.01, l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Stats().Allreduces != 1 {
-		t.Error("allreduce not counted")
+	if _, err := core.PowerIteration(c, core.PowerOptions{Start: make([]float64, 8)}); err == nil {
+		t.Error("a start of the wrong length must be rejected")
+	}
+	// An exhausted budget is core's typed failure, with the partial result.
+	obs := &stepCounter{}
+	res, err := core.PowerIteration(c, core.PowerOptions{Tol: 1e-30, MaxIter: 2, Observer: obs})
+	var ce *core.ConvergenceError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *core.ConvergenceError", err)
+	}
+	if ce.Method != core.SolveKindPower || !errors.Is(err, core.ErrNoConvergence) || ce.Iterations != 2 {
+		t.Errorf("ConvergenceError %+v, want method %q, ErrNoConvergence, 2 iterations", ce, core.SolveKindPower)
+	}
+	if res.Iterations != 2 || len(res.Vector) != l.Dim() || res.Lambda <= 0 {
+		t.Errorf("partial result %+v, want 2 iterations, a λ and a vector", res)
+	}
+	if obs.steps != res.Iterations {
+		t.Errorf("observer got %d Steps for %d matvecs", obs.steps, res.Iterations)
 	}
 }
 
-func TestDistributedBLAS(t *testing.T) {
-	r := rng.New(2)
-	c, _ := NewCluster(4, 256)
-	x := randVector(r, 256)
-	y := randVector(r, 256)
-	bx, _ := c.Scatter(x)
-	by, _ := c.Scatter(y)
-	if got, want := c.Dot(bx, by), vec.Dot(x, y); math.Abs(got-want) > 1e-10 {
-		t.Errorf("Dot = %g, want %g", got, want)
+func TestSingleNodeClusterIsSerial(t *testing.T) {
+	// P = 1: the whole vector is one node's block, no communication.
+	const nu = 6
+	l, _ := landscape.NewRandom(nu, 5, 1, 4)
+	c, err := NewCluster(1, 0.03, l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := c.Norm2(bx), vec.Norm2(x); math.Abs(got-want) > 1e-10 {
-		t.Errorf("Norm2 = %g, want %g", got, want)
+	x := randVector(rng.New(4), 1<<nu)
+	want := make([]float64, 1<<nu)
+	serialOperator(t, 0.03, l).Apply(want, x)
+	got := make([]float64, 1<<nu)
+	c.Apply(got, x)
+	if !sameBits(got, want) {
+		t.Error("P=1 result differs from serial")
 	}
-	c.Scale(bx, 2)
-	back, _ := c.Gather(bx)
-	vec.Scale(x, 2)
-	if vec.DistInf(back, x) != 0 {
-		t.Error("Scale mismatch")
-	}
-}
-
-func TestAllreduceDeterministicAcrossRuns(t *testing.T) {
-	r := rng.New(3)
-	c, _ := NewCluster(8, 1024)
-	x := randVector(r, 1024)
-	bx, _ := c.Scatter(x)
-	first := c.Norm2(bx)
-	for i := 0; i < 10; i++ {
-		if got := c.Norm2(bx); got != first {
-			t.Fatalf("run %d: Norm2 = %v, want bit-identical %v", i, got, first)
-		}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Errorf("P=1 cluster communicated: %+v", st)
 	}
 }
 
 func TestDistributedSolveMatchesSerial(t *testing.T) {
+	// The unshifted solve from the uniform start, the options a caller
+	// gets by default, is the serial solve's too.
 	const nu = 9
 	const p = 0.01
 	l, err := landscape.NewRandom(nu, 5, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serial reference.
-	q := mutation.MustUniform(nu, p)
-	op, _ := core.NewFmmpOperator(q, l, core.Right, nil)
-	ref, err := core.PowerIteration(op, core.PowerOptions{Tol: 1e-12, Start: core.FitnessStart(l)})
+	opts := core.PowerOptions{Tol: 1e-12}
+	ref, err := core.PowerIteration(serialOperator(t, p, l), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, nodes := range []int{1, 2, 4, 8} {
-		c, err := NewCluster(nodes, 1<<nu)
+		c, err := NewCluster(nodes, p, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Solve(p, l, SolveOptions{Tol: 1e-12})
+		res, err := core.PowerIteration(c, opts)
 		if err != nil {
 			t.Fatalf("P=%d: %v", nodes, err)
 		}
-		if math.Abs(res.Lambda-ref.Lambda) > 1e-10 {
-			t.Errorf("P=%d: λ = %.15g, want %.15g", nodes, res.Lambda, ref.Lambda)
+		if !samePower(res, ref) {
+			t.Errorf("P=%d: λ = %.17g in %d iterations, serial %.17g in %d",
+				nodes, res.Lambda, res.Iterations, ref.Lambda, ref.Iterations)
 		}
-		if d := vec.DistInf(res.Vector, ref.Vector); d > 1e-8 {
-			t.Errorf("P=%d: eigenvector deviates by %g", nodes, d)
-		}
-		if nodes > 1 && res.Traffic.Bytes == 0 {
+		if nodes > 1 && c.Stats().Bytes == 0 {
 			t.Errorf("P=%d: no traffic recorded", nodes)
 		}
 	}
@@ -226,15 +334,17 @@ func TestDistributedSolveWithShift(t *testing.T) {
 	const nu = 8
 	const p = 0.01
 	l, _ := landscape.NewRandom(nu, 5, 1, 9)
-	q := mutation.MustUniform(nu, p)
-	mu := core.ConservativeShift(q, l)
-	c, _ := NewCluster(4, 1<<nu)
-	plain, err := c.Solve(p, l, SolveOptions{Tol: 1e-11})
+	c, err := NewCluster(4, p, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _ := NewCluster(4, 1<<nu)
-	shifted, err := c2.Solve(p, l, SolveOptions{Tol: 1e-11, Shift: mu})
+	start := core.FitnessStart(l)
+	plain, err := core.PowerIteration(c, core.PowerOptions{Tol: 1e-11, Start: start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu := core.ConservativeShift(mutation.MustUniform(nu, p), l)
+	shifted, err := core.PowerIteration(c, core.PowerOptions{Tol: 1e-11, Start: start, Shift: mu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,57 +354,5 @@ func TestDistributedSolveWithShift(t *testing.T) {
 	if shifted.Iterations >= plain.Iterations {
 		t.Errorf("shift did not reduce distributed iterations: %d vs %d",
 			shifted.Iterations, plain.Iterations)
-	}
-}
-
-func TestDistributedSolveErrors(t *testing.T) {
-	c, _ := NewCluster(2, 16)
-	l, _ := landscape.NewUniform(5, 1) // dimension 32 ≠ 16
-	if _, err := c.Solve(0.01, l, SolveOptions{}); err == nil {
-		t.Error("dimension mismatch must be rejected")
-	}
-	l4, _ := landscape.NewUniform(4, 1)
-	if _, err := c.Solve(0, l4, SolveOptions{}); err == nil {
-		t.Error("invalid p must be rejected")
-	}
-	lr, _ := landscape.NewRandom(4, 5, 1, 1)
-	res, err := c.Solve(0.01, lr, SolveOptions{Tol: 1e-30, MaxIter: 2})
-	if err == nil {
-		t.Error("budget exhaustion must surface as error")
-	}
-	if res == nil || res.Iterations != 2 {
-		t.Error("partial result must be returned on exhaustion")
-	}
-}
-
-func TestFmmpApplyValidation(t *testing.T) {
-	c, _ := NewCluster(2, 16)
-	blocks, _ := c.Scatter(make([]float64, 16))
-	if err := c.FmmpApply(blocks[:1], 0.01); err == nil {
-		t.Error("wrong block count must be rejected")
-	}
-	if err := c.FmmpApply(blocks, 0.9); err == nil {
-		t.Error("invalid rate must be rejected")
-	}
-}
-
-func TestSingleNodeClusterIsSerial(t *testing.T) {
-	// P = 1: no communication at all, identical results.
-	r := rng.New(4)
-	const nu = 6
-	c, _ := NewCluster(1, 1<<nu)
-	x := randVector(r, 1<<nu)
-	want := vec.Clone(x)
-	mutation.MustUniform(nu, 0.03).Apply(want)
-	blocks, _ := c.Scatter(x)
-	if err := c.FmmpApply(blocks, 0.03); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.Gather(blocks)
-	if vec.DistInf(got, want) > 1e-13 {
-		t.Error("P=1 result differs from serial")
-	}
-	if st := c.Stats(); st.Bytes != 0 || st.Messages != 0 {
-		t.Errorf("P=1 cluster communicated: %+v", st)
 	}
 }

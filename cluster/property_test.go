@@ -1,21 +1,17 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/landscape"
-	"repro/internal/mutation"
 	"repro/internal/rng"
-	"repro/internal/vec"
 )
 
 // Property-based cross-validation: for random problem sizes, error rates,
-// landscapes and node counts, the distributed solve must reproduce the
-// shared-memory eigenpair, and the distributed norms must match the
-// serial ones.
+// landscapes and node counts, the power solve on the cluster must be the
+// shared-memory solve bit for bit.
 
 func TestSolveMatchesSerialProperty(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -23,76 +19,26 @@ func TestSolveMatchesSerialProperty(t *testing.T) {
 		nu := 4 + int(r.Uint64n(5)) // ν ∈ [4, 8]
 		p := 0.002 + 0.05*r.Float64()
 		nodes := 1 << r.Uint64n(4) // P ∈ {1, 2, 4, 8}
-		if nodes > 1<<nu {
-			nodes = 1 << nu
-		}
 		l, err := landscape.NewRandom(nu, 5, 1, r.Uint64())
 		if err != nil {
 			return false
 		}
-		q, err := mutation.NewUniform(nu, p)
+		opts := core.PowerOptions{Tol: 1e-11, Start: core.FitnessStart(l)}
+		ref, err := core.PowerIteration(serialOperator(t, p, l), opts)
 		if err != nil {
 			return false
 		}
-		op, err := core.NewFmmpOperator(q, l, core.Right, nil)
+		c, err := NewCluster(nodes, p, l)
 		if err != nil {
 			return false
 		}
-		ref, err := core.PowerIteration(op, core.PowerOptions{Tol: 1e-11, Start: core.FitnessStart(l)})
+		res, err := core.PowerIteration(c, opts)
 		if err != nil {
 			return false
 		}
-		c, err := NewCluster(nodes, 1<<nu)
-		if err != nil {
-			return false
-		}
-		res, err := c.Solve(p, l, SolveOptions{Tol: 1e-11})
-		if err != nil {
-			return false
-		}
-		if math.Abs(res.Lambda-ref.Lambda) > 1e-8 {
-			return false
-		}
-		return vec.DistInf(res.Vector, ref.Vector) < 1e-6
+		return samePower(res, ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDistributedNormsProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		nu := 3 + int(r.Uint64n(8))
-		n := 1 << nu
-		nodes := 1 << r.Uint64n(4)
-		if nodes > n {
-			nodes = n
-		}
-		c, err := NewCluster(nodes, n)
-		if err != nil {
-			return false
-		}
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = 2*r.Float64() - 1
-			y[i] = 2*r.Float64() - 1
-		}
-		bx, err := c.Scatter(x)
-		if err != nil {
-			return false
-		}
-		by, err := c.Scatter(y)
-		if err != nil {
-			return false
-		}
-		if math.Abs(c.Norm2(bx)-vec.Norm2(x)) > 1e-9 {
-			return false
-		}
-		return math.Abs(c.Dot(bx, by)-vec.Dot(x, y)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

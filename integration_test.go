@@ -1,13 +1,14 @@
 package quasispecies_test
 
 // Cross-validation of every solve route in the repository on one shared
-// problem. Eight independently implemented paths — four facade methods, the
-// Θ(N²) Xmvp product at full radius, the distributed cluster, the ODE
-// steady state and a single-block Kronecker system — must agree on the
-// quasispecies of the same model. This is the
-// repository's strongest end-to-end correctness statement: the
-// implementations share no numerical code path beyond the primitive
-// kernels.
+// problem. Eight paths — four facade methods, the Θ(N²) Xmvp product at
+// full radius, the distributed cluster, the ODE steady state and a
+// single-block Kronecker system — must agree on the quasispecies of the
+// same model. This is the repository's strongest end-to-end correctness
+// statement: apart from the cluster, the implementations share no
+// numerical code path beyond the primitive kernels. The cluster route runs
+// core's power loop on the cluster operator, so it checks the node block
+// layout and the hypercube exchange, not an independent loop.
 
 import (
 	"math"
@@ -91,11 +92,11 @@ func TestAllRoutesAgree(t *testing.T) {
 	routes = append(routes, route{"Pi(Xmvp(nu))", xres.Lambda, xg[0], xx[0]})
 
 	// --- distributed cluster ---
-	c, err := cluster.NewCluster(4, 1<<nu)
+	c, err := cluster.NewCluster(4, p, il)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := c.Solve(p, il, cluster.SolveOptions{Tol: 1e-12})
+	cres, err := core.PowerIteration(c, core.PowerOptions{Tol: 1e-12, Start: core.FitnessStart(il)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,8 +326,8 @@ func shiftedResidualScale(dev *device.Device, x, w []float64, mu, lambda, c floa
 	return vec.ShiftedResidualScale(x, w, mu, lambda, c)
 }
 
-// residual is ‖w − λx‖₂ in one read-only pass: pass A's norm with µ = λ,
-// serial or on dev (ResidualNorm2), so the two agree bit for bit.
+// residual is ‖w − λx‖₂ in one read-only pass: pass A's shiftedDotNorm2
+// with µ = λ, serial or on dev, whose t = w + (−λ)·x is w − λ·x bit for bit.
 func residual(dev *device.Device, w, x []float64, lambda float64) float64 {
 	_, r := shiftedDotNorm2(dev, x, w, lambda)
 	return r

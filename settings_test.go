@@ -32,9 +32,9 @@ var oracleSettings = []string{
 // they fill defaults in, they do not choose a value. A value only tests
 // need is a constant, or an unexported field that its package's tests set.
 //
-// The public packages (the facade, rna, cluster) are left out: their
-// settings are API for importers outside the module, which no check here
-// can see. Inside internal/ and in commands the module is the only caller.
+// The public packages (the facade and rna) are left out: their settings
+// are API for importers outside the module, which no check here can see.
+// Inside internal/ and in commands the module is the only caller.
 func TestEverySettingHasACaller(t *testing.T) {
 	pkgs := loadModule(t)
 	fields := map[*types.Var]string{} // every tracked field → "dir.Struct.Field"
