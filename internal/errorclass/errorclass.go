@@ -199,25 +199,97 @@ func (r *Reduction) SolveFrom(start []float64) (*Result, error) {
 	return res, nil
 }
 
+// MaxExpandChainLen bounds ν for Expand: 2^30 float64 entries are 8 GiB,
+// and the facade leaves a longer chain's concentrations unmaterialized.
+const MaxExpandChainLen = 30
+
+// tileBits is the class expansion's tile: the low tileBits bits of an
+// index, whose weights loWeight tabulates.
+const tileBits = 12
+
+// loWeight[j] is the Hamming weight of j.
+var loWeight = func() (t [1 << tileBits]uint8) {
+	for j := range t {
+		t[j] = uint8(bits.Weight(uint64(j)))
+	}
+	return t
+}()
+
 // Expand materializes the full 2^ν eigenvector from the reduced one:
 // x[i] = vΓ_{dH(i,0)}, normalized to Σ xᵢ = 1 so it is directly the
 // quasispecies concentration vector of the Right formulation. Θ(N)
-// memory — requires ν within dense range.
+// memory — requires ν ≤ MaxExpandChainLen. It rejects a class vector with
+// a negative or non-finite entry, or one that sums to zero, before it
+// allocates, and one whose expansion's sum overflows.
+//
+// The result is bit for bit vec.Normalize1 of the per-element fill
+// x[i] = vΓ_{w(i)}: each xᵢ is vΓ_{w(i)}·(1/S), with S that fill's Norm1.
+// Split i = q·T + j with T = 2^min(ν, tileBits): w(i) = w(q) + w(j), so
+// output tile q is tile_{w(q)}, with tile_h[j] = vΓ_{h+w(j)}. Expand fills
+// the ν − tileBits + 1 distinct tiles (one, x itself, for ν ≤ tileBits)
+// in place, at the first output tile of each weight, q = 2^h − 1; sums S
+// from them with Norm1's lanes, output tile by output tile in index order,
+// each tile a multiple of 4 long, so the lanes see Norm1's additions from
+// cache-resident data; scales them by 1/S; and copies every other output
+// tile from its weight's tile, so that the rest of x is written once.
 func Expand(classVector []float64) ([]float64, error) {
 	nu := len(classVector) - 1
 	if nu < 0 {
 		return nil, errors.New("errorclass: empty class vector")
 	}
-	if nu > 30 {
+	if nu > MaxExpandChainLen {
 		return nil, fmt.Errorf("errorclass: refusing to materialize 2^%d entries", nu)
 	}
-	n := bits.SpaceSize(nu)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = classVector[bits.Weight(uint64(i))]
+	var sum float64
+	for k, v := range classVector {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("errorclass: class vector entry %d = %g is negative or not finite", k, v)
+		}
+		sum += v
 	}
-	vec.Normalize1(x)
+	if sum == 0 {
+		return nil, errors.New("errorclass: class vector is zero")
+	}
+	x := make([]float64, 1<<nu)
+	hi := max(nu-tileBits, 0) // the high part's bits, and its largest weight
+	t := len(x) >> hi         // the tile length
+	tile := func(h int) []float64 {
+		lo := (1<<h - 1) * t
+		return x[lo : lo+t]
+	}
+	for h := 0; h <= hi; h++ {
+		fillTile(tile(h), classVector[h:])
+	}
+	var lanes [4]float64
+	for q := range 1 << hi {
+		vec.Norm1Lanes(&lanes, tile(bits.Weight(uint64(q))))
+	}
+	s := vec.FoldNorm1(&lanes, x[len(x)&^3:]) // a tail only for N < 4
+	if math.IsInf(s, 1) {
+		return nil, errors.New("errorclass: class expansion's sum overflows")
+	}
+	for h := 0; h <= hi; h++ {
+		vec.Scale(tile(h), 1/s)
+	}
+	for q := range 1 << hi {
+		if h := bits.Weight(uint64(q)); q != 1<<h-1 {
+			copy(x[q*t:], tile(h))
+		}
+	}
 	return x, nil
+}
+
+// fillTile sets t[j] = v[w(j)] for j < len(t) ≤ 2^tileBits, reading v's
+// first tileBits+1 entries at most.
+func fillTile(t, v []float64) {
+	// The weights index a 16-entry copy of v under a mask, so the gather
+	// needs no bounds check.
+	var vv [16]float64
+	copy(vv[:], v)
+	lw := loWeight[:len(t)]
+	for j, w := range lw {
+		t[j] = vv[w&15]
+	}
 }
 
 // SolveShiftInvert computes the dominant eigenpair of the reduced problem

@@ -300,8 +300,112 @@ func TestExpandValidation(t *testing.T) {
 	if _, err := Expand(nil); err == nil {
 		t.Error("empty class vector must be rejected")
 	}
-	if _, err := Expand(make([]float64, 40)); err == nil {
+	if _, err := Expand(make([]float64, MaxExpandChainLen+2)); err == nil {
 		t.Error("oversized expansion must be rejected")
+	}
+	for name, v := range map[string][]float64{
+		"zero":     make([]float64, 5),
+		"NaN":      {0.5, math.NaN(), 0.25, 0.25},
+		"+Inf":     {0.5, math.Inf(1), 0.25},
+		"negative": {0.5, 0.75, -0.25},
+		"overflow": {math.MaxFloat64, math.MaxFloat64},
+	} {
+		if x, err := Expand(v); err == nil {
+			t.Errorf("%s class vector %v expanded to %d entries; want an error", name, v, len(x))
+		}
+	}
+}
+
+// expandReference is Expand's oracle: the per-element fill
+// x[i] = vΓ_{w(i)} followed by vec.Normalize1, as Expand computed it
+// before its tiled fill.
+func expandReference(classVector []float64) []float64 {
+	x := make([]float64, bits.SpaceSize(len(classVector)-1))
+	for i := range x {
+		x[i] = classVector[bits.Weight(uint64(i))]
+	}
+	vec.Normalize1(x)
+	return x
+}
+
+// TestExpandBitIdenticalToReference: Expand reproduces its oracle bit for
+// bit at every ν from 0 (N < 4, where Norm1 is all tail) through the
+// one-tile fill at ν ≤ tileBits to ν = 22's 1024 output tiles, at every
+// kernel tier. Each ν gets two random positive class vectors: one whose entries
+// are within a factor 3 of each other, so every addition of the sum rounds,
+// and one spanning 300 decades, with an entry of 1e-300.
+func TestExpandBitIdenticalToReference(t *testing.T) {
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	r := rng.New(67)
+	for nu := 0; nu <= 22; nu++ {
+		for _, wide := range []bool{false, true} {
+			v := make([]float64, nu+1)
+			for k := range v {
+				v[k] = 0.5 + r.Float64()
+				if wide {
+					v[k] *= math.Pow(10, -300*r.Float64())
+				}
+			}
+			if wide {
+				v[r.Uint64n(uint64(nu+1))] = 1e-300
+			}
+			expandAcrossTiers(t, nu, v)
+		}
+	}
+}
+
+// expandAcrossTiers compares Expand(v) with expandReference(v) bit for bit
+// at every kernel tier.
+func expandAcrossTiers(t *testing.T, nu int, v []float64) {
+	t.Helper()
+	for _, tier := range vec.Tiers() {
+		vec.SetTier(tier)
+		want := expandReference(v)
+		got, err := Expand(v)
+		if err != nil {
+			t.Fatalf("ν=%d %v: %v", nu, tier, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ν=%d %v: %d entries, want %d", nu, tier, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("ν=%d %v: x[%d] = %v, reference %v", nu, tier, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestExpandAllocations: Expand builds its tiles inside the output, so the
+// output is its one allocation, at any ν.
+func TestExpandAllocations(t *testing.T) {
+	for _, nu := range []int{1, 8, 16} {
+		v := make([]float64, nu+1)
+		for k := range v {
+			v[k] = 1 / float64(k+1)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = Expand(v) }); allocs != 1 {
+			t.Errorf("ν=%d: Expand allocates %v objects per call, want 1", nu, allocs)
+		}
+	}
+}
+
+// BenchmarkExpand times Expand on a fixed class vector at the ν of
+// mixed-routes' class units.
+func BenchmarkExpand(b *testing.B) {
+	for _, nu := range []int{12, 16, 18, 20, 22} {
+		v := make([]float64, nu+1)
+		for k := range v {
+			v[k] = math.Pow(0.3, float64(k))
+		}
+		b.Run(fmt.Sprintf("nu=%d", nu), func(b *testing.B) {
+			for range b.N {
+				if _, err := Expand(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -73,7 +73,7 @@ func avxMul(dst, x, y *float64, n int)
 func avxScale(x *float64, n int, a float64)
 
 //go:noescape
-func avxNorm1(x *float64, n int) float64
+func avxNorm1Lanes(acc *[4]float64, x *float64, n int)
 
 //go:noescape
 func avxMaxAbs(x *float64, n int) float64

@@ -261,24 +261,24 @@ scLoop:
 	VZEROUPPER
 	RET
 
-// func avxNorm1(x *float64, n int) float64
-// Σ |x|: lanes in Y0.
-TEXT ·avxNorm1(SB), NOSPLIT, $0-24
-	MOVQ   x+0(FP), SI
-	MOVQ   n+8(FP), CX
-	SHLQ   $3, CX
-	XORQ   AX, AX
-	VXORPD Y0, Y0, Y0
+// func avxNorm1Lanes(acc *[4]float64, x *float64, n int)
+// acc[ℓ] += Σ |x| over lane ℓ; the lanes stay uncombined.
+TEXT ·avxNorm1Lanes(SB), NOSPLIT, $0-24
+	MOVQ    acc+0(FP), DX
+	MOVQ    x+8(FP), SI
+	MOVQ    n+16(FP), CX
+	SHLQ    $3, CX
+	XORQ    AX, AX
+	VMOVUPD (DX), Y0
 	ABSMASK(Y7)
 
 n1Loop:
-	VANDPD (SI)(AX*1), Y7, Y1
-	VADDPD Y1, Y0, Y0
-	ADDQ   $32, AX
-	CMPQ   AX, CX
-	JNE    n1Loop
-	HSUM(Y0, X0, X1, X2)
-	VMOVSD X0, ret+16(FP)
+	VANDPD  (SI)(AX*1), Y7, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     n1Loop
+	VMOVUPD Y0, (DX)
 	VZEROUPPER
 	RET
 

@@ -40,8 +40,8 @@ func avxScale(x *float64, n int, a float64) {
 	panic("vec: avxScale called without AVX2")
 }
 
-func avxNorm1(x *float64, n int) float64 {
-	panic("vec: avxNorm1 called without AVX2")
+func avxNorm1Lanes(acc *[4]float64, x *float64, n int) {
+	panic("vec: avxNorm1Lanes called without AVX2")
 }
 
 func avxMaxAbs(x *float64, n int) float64 {

@@ -79,6 +79,7 @@ func kernelCases(x, y, z []float64) map[string]func() []float64 {
 			Mul(dst, dst, y)
 			return dst
 		},
+		"Norm1Lanes": func() []float64 { return norm1Chunked(x) },
 	}
 	for name, f := range pointKernelCases(x, y, z) {
 		cases[name] = f
@@ -94,6 +95,20 @@ func kernelCases(x, y, z []float64) map[string]func() []float64 {
 		}
 	}
 	return cases
+}
+
+// norm1Chunked runs Norm1Lanes over the 4-aligned prefix of x in chunks of
+// 4, 8, 12, … entries, then FoldNorm1 over its tail, and returns the four
+// lanes and the folded sum, which must be Norm1(x).
+func norm1Chunked(x []float64) []float64 {
+	var lanes [4]float64
+	body := x[:len(x)&^3]
+	for m := 4; len(body) > 0; m += 4 {
+		m = min(m, len(body))
+		Norm1Lanes(&lanes, body[:m])
+		body = body[m:]
+	}
+	return append(lanes[:], FoldNorm1(&lanes, x[len(x)&^3:]))
 }
 
 // pointKernelCases runs the kernels of a sweep point's passes around its
@@ -212,13 +227,14 @@ func TestAVX2KernelsBitIdenticalToGo(t *testing.T) {
 
 // TestKernelsDoNotAllocate: the assembly keeps its operands off the heap
 // (go:noescape), so the kernels — and Dot, Norm2, the power passes,
-// LanczosTail, Combine and DotEach built on them, and the point kernels —
-// allocate nothing, at any tier.
+// LanczosTail, Combine and DotEach built on them, the point kernels and
+// Norm1's lane accumulator — allocate nothing, at any tier.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	r := rng.New(59)
 	const n = 1<<12 + 3
 	x, w, z := randVec(r, n), randVec(r, n), randVec(r, n)
 	basis, c := [][]float64{x, z}, []float64{1e-3, -1e-3}
+	var lanes [4]float64
 	for _, tier := range kernelTiers(t) {
 		SetTier(tier)
 		for name, f := range map[string]func(){
@@ -232,6 +248,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			"Mul":                  func() { Mul(z, x, w) },
 			"Scale":                func() { Scale(z, 1) },
 			"Norm1":                func() { Norm1(x) },
+			"Norm1Lanes":           func() { Norm1Lanes(&lanes, x) },
 			"NormInf":              func() { NormInf(x) },
 			"ConcentrationScan":    func() { ConcentrationScan(x) },
 			"ClampScale":           func() { ClampScale(z, 1) },

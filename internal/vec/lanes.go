@@ -13,8 +13,9 @@ import (
 // the elementwise product of the butterfly tile pass — and the passes a
 // sweep point makes around its solve: Scale, Norm1 and NormInf (the start's
 // normalization and orientation), the concentration scan and clamp of
-// core.Concentrations, and the fit ranking and write of core's extrapolated
-// warm start — each with a Go body here and an AVX2 body in avx_amd64.s.
+// core.Concentrations, the fit ranking and write of core's extrapolated
+// warm start, and the sum of errorclass's tiled class expansion (Norm1's
+// lanes) — each with a Go body here and an AVX2 body in avx_amd64.s.
 // Sum, which no solver runs, keeps the same order in a Go body only; the
 // device reductions call these per chunk.
 //
@@ -339,22 +340,39 @@ func Sum(x []float64) float64 {
 // Norm1 returns ‖x‖₁ = Σ|xᵢ| in the 4-lane order: Normalize1's norm and
 // device.Norm1's per-chunk sum.
 func Norm1(x []float64) float64 {
-	var s float64
+	var lanes [4]float64
+	Norm1Lanes(&lanes, x)
+	return FoldNorm1(&lanes, x[len(x)&^3:])
+}
+
+// Norm1Lanes adds |xᵢ| over the 4-aligned prefix of x to the four lane
+// sums in acc, lane ℓ taking elements ℓ, ℓ+4, …. The lanes run on across
+// calls, so pieces whose lengths are multiples of 4, passed in index
+// order, sum exactly as Norm1 sums the vector they make up: the class
+// expansion of internal/errorclass sums its output from per-weight tiles
+// this way.
+func Norm1Lanes(acc *[4]float64, x []float64) {
 	if n := len(x) &^ 3; useAVX2 && n > 0 {
-		s = avxNorm1(&x[0], n)
-		x = x[n:]
-	} else {
-		var s0, s1, s2, s3 float64
-		for len(x) >= 4 {
-			s0 += math.Abs(x[0])
-			s1 += math.Abs(x[1])
-			s2 += math.Abs(x[2])
-			s3 += math.Abs(x[3])
-			x = x[4:]
-		}
-		s = ((s0 + s1) + s2) + s3
+		avxNorm1Lanes(acc, &x[0], n)
+		return
 	}
-	for _, v := range x {
+	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+	for len(x) >= 4 {
+		s0 += math.Abs(x[0])
+		s1 += math.Abs(x[1])
+		s2 += math.Abs(x[2])
+		s3 += math.Abs(x[3])
+		x = x[4:]
+	}
+	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
+}
+
+// FoldNorm1 combines the four lane sums of Norm1Lanes in acc and folds
+// |x| of the ≤ 3 tail elements onto them in index order: Norm1's result
+// for the vector whose 4-aligned prefix went through Norm1Lanes.
+func FoldNorm1(acc *[4]float64, tail []float64) float64 {
+	s := ((acc[0] + acc[1]) + acc[2]) + acc[3]
+	for _, v := range tail {
 		s += math.Abs(v)
 	}
 	return s

@@ -347,6 +347,11 @@ func TestSumNorm1LaneOrder(t *testing.T) {
 	if got, want := Norm1(x), laneSum(len(x), abs); got != want || got == leftFold(len(x), abs) {
 		t.Errorf("Norm1 = %v, 4-lane order %v, left fold %v", got, want, leftFold(len(x), abs))
 	}
+	// Norm1Lanes carries the lanes across chunks whose lengths are
+	// multiples of 4, so a chunked sum folds to Norm1 itself.
+	if got, want := norm1Chunked(x)[4], Norm1(x); got != want {
+		t.Errorf("Norm1Lanes over chunks folds to %v, Norm1 %v", got, want)
+	}
 	x[0], x[500] = -7, math.NaN()
 	if got := NormInf(x); got != 7 {
 		t.Errorf("NormInf with a NaN entry = %v, want 7 (NaN skipped)", got)

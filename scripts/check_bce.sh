@@ -1,14 +1,18 @@
 #!/bin/sh
 # check_bce.sh — bounds-check-elimination regression lint for the kernel floor.
 #
-# Builds the hot-kernel packages with the SSA prover's check_bce debug pass
+# Builds the hot-kernel packages, and internal/errorclass, whose class
+# expansion writes 2^ν entries, with the SSA prover's check_bce debug pass
 # and diffs the findings against the committed allowlist. Every entry in the
 # allowlist is a KNOWN, amortized check: per-tile/per-row-block slice headers,
 # per-stage factor loads, data-dependent gathers (Xmvp's v[i^mask]), panic
-# guards — checks that execute once per block or launch, not once per element.
+# guards, errorclass's per-tile slices and its (ν+1)-sized reduced-matrix
+# loops (ReducedQ, the ϕ scaling, the class rescale) — checks that execute
+# once per block, launch, tile or class, not once per element.
 # The per-element inner loops of blocked.go / fwht.go / xmvp.go /
 # veckernels.go / vec's lanes.go are written in the slice-advance idiom
-# (constant indexes on a shrinking slice), which the go1.24 prover discharges
+# (constant indexes on a shrinking slice), and errorclass's tile fill indexes
+# a 16-entry array under a mask; the go1.24 prover discharges both
 # completely, so NO finding in this lint sits inside a hot element loop.
 #
 # A new finding means an edit re-introduced a bounds check — rewrite the loop
@@ -22,7 +26,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/mutation/ ./internal/vec/ ./internal/device/"
+PKGS="./internal/mutation/ ./internal/vec/ ./internal/device/ ./internal/errorclass/"
 ALLOW=scripts/bce_allowlist.txt
 GOFLAGS_BCE='-gcflags=-d=ssa/check_bce'
 

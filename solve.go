@@ -254,7 +254,7 @@ type Solution struct {
 	Lambda float64
 	// Concentrations holds the relative concentration xᵢ of every
 	// sequence, Σxᵢ = 1. Nil when the reduced method solved a chain too
-	// long to materialize; Gamma is always populated.
+	// long to materialize, ν > 30; Gamma is always populated.
 	Concentrations []float64
 	// Gamma holds the cumulative error-class concentrations
 	// [Γ_0] … [Γ_ν] around the master sequence (the Figure 1 curves).
@@ -468,8 +468,10 @@ func (mo *Model) solveReduced() (*Solution, error) {
 		Lambda: res.Lambda, Gamma: res.Gamma,
 		Iterations: res.Iterations, Method: MethodReduced,
 	}
-	if mo.ChainLen() <= 30 {
+	if mo.ChainLen() <= errorclass.MaxExpandChainLen {
+		sp := span.Begin(span.LayerFacade, "expand")
 		x, err := errorclass.Expand(res.ClassVector)
+		span.End(sp, int64(mo.Dim()), 0)
 		if err != nil {
 			return nil, err
 		}

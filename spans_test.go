@@ -171,3 +171,56 @@ func TestSpanProfileBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// The reduced route's 2^ν expansion is its own facade span, nested in the
+// solve span, with the vector length N as its first argument.
+func TestSpanProfileReducedExpand(t *testing.T) {
+	const nu = 12
+	mut, _ := UniformMutation(nu, 0.01)
+	land, _ := SinglePeak(nu, 2, 1)
+	model, err := New(mut, land, WithMethod(MethodReduced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := StartSpanProfile(0)
+	defer prof.Stop()
+	if _, err := model.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	prof.Stop()
+	phases := prof.Phases()
+	solve, ok := phase(phases, "facade", "solve")
+	if !ok {
+		t.Fatalf("no facade solve span; phases: %+v", phases)
+	}
+	expand, ok := phase(phases, "facade", "expand")
+	if !ok || expand.Count != 1 {
+		t.Fatalf("want one facade expand span; phases: %+v", phases)
+	}
+	if expand.Total > solve.Total || solve.Self > solve.Total-expand.Total {
+		t.Errorf("expand span %v is not nested in the solve span %v (self %v)", expand.Total, solve.Total, solve.Self)
+	}
+	var buf bytes.Buffer
+	if err := prof.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tr.TraceEvents {
+		if ev.Cat == "facade" && ev.Name == "expand" {
+			if dim, _ := ev.Args["dim"].(float64); dim != 1<<nu {
+				t.Errorf("expand span args %v, want dim %d", ev.Args, 1<<nu)
+			}
+			return
+		}
+	}
+	t.Error("no facade expand event in the export")
+}
