@@ -453,23 +453,37 @@ func BenchmarkKernelFmmpKinds(b *testing.B) {
 }
 
 // BenchmarkKernelFWHTBlockedVsNaive is the same comparison for the
-// Walsh–Hadamard transform backing the shift-invert product.
+// Walsh–Hadamard transform behind resolution.WalshMoments and the
+// shift-invert product: the blocked transform at every kernel tier the
+// host has, the naive loop (pure Go) once. Each iteration copies a fixed
+// input first, on both sides, so every call transforms the same finite
+// data rather than its own growing output.
 func BenchmarkKernelFWHTBlockedVsNaive(b *testing.B) {
-	for _, nu := range []int{16, 20, 22} {
-		v := make([]float64, 1<<uint(nu))
-		vec.Fill(v, 1)
+	was := vec.SetTier(vec.TierAVX512)
+	defer vec.SetTier(was)
+	for _, nu := range []int{12, 16, 17, 20, 22} {
+		n := 1 << uint(nu)
+		in, v := make([]float64, n), make([]float64, n)
+		for i := range in {
+			in[i] = 1 / float64(1+i%7)
+		}
 		b.Run(fmt.Sprintf("naive/nu%d", nu), func(b *testing.B) {
-			b.SetBytes(int64(8 * len(v)))
+			b.SetBytes(int64(8 * n))
 			for i := 0; i < b.N; i++ {
+				copy(v, in)
 				mutation.FWHTNaive(v)
 			}
 		})
-		b.Run(fmt.Sprintf("blocked/nu%d", nu), func(b *testing.B) {
-			b.SetBytes(int64(8 * len(v)))
-			for i := 0; i < b.N; i++ {
-				mutation.FWHT(v)
-			}
-		})
+		for _, tier := range vec.Tiers() {
+			b.Run(fmt.Sprintf("blocked/nu%d/%v", nu, tier), func(b *testing.B) {
+				vec.SetTier(tier)
+				b.SetBytes(int64(8 * n))
+				for i := 0; i < b.N; i++ {
+					copy(v, in)
+					mutation.FWHT(v)
+				}
+			})
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/harness"
-	"repro/internal/mutation"
 )
 
 func main() {
@@ -29,12 +28,8 @@ func main() {
 		reps    = flag.Int("reps", 3, "repetitions per measurement (best-of)")
 		maxFull = flag.Int("maxfull", 14, "largest ν measured for the Θ(N²) method (larger are extrapolated)")
 		seed    = flag.Uint64("seed", 1, "random landscape seed")
-		tile    = flag.Int("tile", 0, "log2 of the kernel tile size in float64 elements (0 = default)")
 	)
 	flag.Parse()
-	if *tile > 0 {
-		mutation.SetTileBits(*tile)
-	}
 	if *nuMin < 1 || *nuMax < *nuMin || *nuMax > 30 {
 		fmt.Fprintf(os.Stderr, "qs-matvec: invalid ν range [%d, %d]\n", *nuMin, *nuMax)
 		os.Exit(1)

@@ -31,7 +31,6 @@ import (
 	"repro/cmd/internal/cliobs"
 	"repro/internal/device"
 	"repro/internal/harness"
-	"repro/internal/mutation"
 )
 
 func main() {
@@ -50,7 +49,6 @@ func main() {
 		shiftStudy = flag.Bool("shift-study", false, "run the shifted-vs-plain iteration comparison instead")
 		nu         = flag.Int("nu", 16, "chain length for -shift-study")
 		seeds      = flag.Int("seeds", 8, "number of random landscapes for -shift-study")
-		tile       = flag.Int("tile", 0, "log2 of the kernel tile size in float64 elements (0 = default)")
 		jsonPath   = flag.String("json", "", "with -critical: also write the results as JSON to this file")
 		points     = flag.Int("points", 16, "sweep points for -critical")
 		sweepSigma = flag.Float64("sweep-sigma", 2, "single-peak superiority f0/f1 for -critical")
@@ -60,9 +58,6 @@ func main() {
 	)
 	obsFlags := cliobs.Register(cliobs.Help{})
 	flag.Parse()
-	if *tile > 0 {
-		mutation.SetTileBits(*tile)
-	}
 	run, err := obsFlags.Start("qs-solverbench")
 	exitOn(err)
 	// -nu is the chain length of -critical and -shift-study only; Figure 3

@@ -17,12 +17,16 @@ import (
 // partial result is still returned alongside it.
 var ErrNoConvergence = errors.New("core: iteration budget exhausted before convergence")
 
-// ErrStagnated is returned when the residual stops improving above the
-// tolerance — the iterate has hit the floating-point floor of the
-// operator. The returned result holds the best attained eigenpair, which
-// is typically accurate to near machine precision; callers that find the
-// attained residual acceptable can use it directly.
-var ErrStagnated = errors.New("core: residual stagnated above the tolerance (floating-point floor reached)")
+// ErrStagnated is returned when a solver's stall guard sees the residual
+// go a whole window of checks without improving on its best (for the power
+// iteration, powerStallChecks checks without a 1e-6 relative improvement)
+// while still above the tolerance. That is all the guard observes: the
+// iterate may sit at the floating-point floor of the operator, or its
+// residual may still be far above it and not monotone, as near the error
+// threshold. The returned result holds the last iterate; the
+// *ConvergenceError reports its residual next to the best one seen, and
+// callers that find that residual acceptable can use the result directly.
+var ErrStagnated = errors.New("core: residual stopped improving on its best above the tolerance")
 
 // PowerOptions configures the power iteration.
 type PowerOptions struct {

@@ -61,11 +61,8 @@ func TestBlockedApplySmallTilesDoNotAllocate(t *testing.T) {
 	q := MustUniform(12, 0.01)
 	v := make([]float64, q.Dim())
 	vec.Fill(v, 1)
-	old := TileBits()
-	defer SetTileBits(old)
 	for _, tb := range []int{1, 4, 20} {
-		SetTileBits(tb)
-		if allocs := testing.AllocsPerRun(10, func() { q.Apply(v) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { q.apply(v, nil, nil, tb, nil) }); allocs != 0 {
 			t.Errorf("tileBits=%d: blocked Apply allocates %.0f objects per call", tb, allocs)
 		}
 	}

@@ -77,29 +77,27 @@ func TestApplyScaledBitIdenticalToMulThenApply(t *testing.T) {
 		for _, p := range procs {
 			q, n := p.q, p.q.Dim()
 			src, d := randVector(r, n), randVector(r, n)
-			for _, tb := range []int{1, 3, q.ChainLen(), defaultTileBits} {
-				withTileBits(t, tb, func() {
-					for name, dev := range scaledDevices() {
-						want := make([]float64, n)
-						vec.Mul(want, src, d)
-						if dev != nil {
-							q.ApplyDevice(dev, want)
-						} else {
-							q.Apply(want)
-						}
-						got := make([]float64, n)
-						q.ApplyFused(dev, got, src, d, Epilogue{})
-						inPlace := vec.Clone(src)
-						q.ApplyFused(dev, inPlace, inPlace, d, Epilogue{})
-						for i := range want {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
-								math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("%s ν=%d tb=%d %s tier=%v: entry %d = %v (in place %v), Mul+Apply %v",
-									p.name, q.ChainLen(), tb, name, tier, i, got[i], inPlace[i], want[i])
-							}
+			for _, tb := range []int{1, 3, q.ChainLen(), tileBits} {
+				for name, dev := range scaledDevices() {
+					want := make([]float64, n)
+					vec.Mul(want, src, d)
+					if dev != nil {
+						q.applyDevice(dev, want, nil, nil, tb, nil)
+					} else {
+						q.apply(want, nil, nil, tb, nil)
+					}
+					got := make([]float64, n)
+					q.applyFused(dev, got, src, d, tb, Epilogue{})
+					inPlace := vec.Clone(src)
+					q.applyFused(dev, inPlace, inPlace, d, tb, Epilogue{})
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+							math.Float64bits(inPlace[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s ν=%d tb=%d %s tier=%v: entry %d = %v (in place %v), Mul+Apply %v",
+								p.name, q.ChainLen(), tb, name, tier, i, got[i], inPlace[i], want[i])
 						}
 					}
-				})
+				}
 			}
 		}
 	}
@@ -153,9 +151,9 @@ func TestApplyScaledDoesNotAllocate(t *testing.T) {
 }
 
 // separateEpilogue is the unfused reference of ApplyFused: Mul, then Apply
-// or ApplyDevice, then Mul by post, then the three-term pass in the
-// expression shape of core's chebMap2.
-func separateEpilogue(q *Process, dev *device.Device, dst, src, pre []float64, ep Epilogue) {
+// or ApplyDevice with 2^tb-element tiles, then Mul by post, then the
+// three-term pass in the expression shape of core's chebMap2.
+func separateEpilogue(q *Process, dev *device.Device, dst, src, pre []float64, tb int, ep Epilogue) {
 	switch {
 	case pre != nil:
 		vec.Mul(dst, src, pre)
@@ -163,9 +161,9 @@ func separateEpilogue(q *Process, dev *device.Device, dst, src, pre []float64, e
 		copy(dst, src)
 	}
 	if dev != nil {
-		q.ApplyDevice(dev, dst)
+		q.applyDevice(dev, dst, nil, nil, tb, nil)
 	} else {
-		q.Apply(dst)
+		q.apply(dst, nil, nil, tb, nil)
 	}
 	if ep.Post != nil {
 		vec.Mul(dst, dst, ep.Post)
@@ -211,40 +209,38 @@ func TestApplyFusedEpilogueBitIdentical(t *testing.T) {
 				"three-term": {Out: out0, Z: z, S: 2 / 0.37, C: 0.61},
 				"post+three": {Post: post, Out: out0, Z: z, S: 2 / 0.37, C: 0.61},
 			}
-			tbs := []int{defaultTileBits}
+			tbs := []int{tileBits}
 			if q.ChainLen() <= 12 {
 				tbs = append(tbs, 3) // small tiles: the last pass is a cross group
 			}
 			for _, tb := range tbs {
-				withTileBits(t, tb, func() {
-					for dname, dev := range scaledDevices() {
-						for sname, shape := range shapes {
-							for _, withPre := range []bool{true, false} {
-								var d []float64
-								if withPre {
-									d = pre
-								}
-								want, wantEp := make([]float64, n), shape
-								if shape.Out != nil {
-									wantEp.Out = vec.Clone(out0)
-								}
-								separateEpilogue(q, dev, want, src, d, wantEp)
-								got, gotEp := make([]float64, n), shape
-								if shape.Out != nil {
-									gotEp.Out = vec.Clone(out0)
-								}
-								q.ApplyFused(dev, got, src, d, gotEp)
-								for i := range want {
-									if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
-										(shape.Out != nil && math.Float64bits(gotEp.Out[i]) != math.Float64bits(wantEp.Out[i])) {
-										t.Fatalf("%s ν=%d tb=%d %s %s pre=%v tier=%v: entry %d differs from the separate passes",
-											p.name, q.ChainLen(), tb, dname, sname, withPre, tier, i)
-									}
+				for dname, dev := range scaledDevices() {
+					for sname, shape := range shapes {
+						for _, withPre := range []bool{true, false} {
+							var d []float64
+							if withPre {
+								d = pre
+							}
+							want, wantEp := make([]float64, n), shape
+							if shape.Out != nil {
+								wantEp.Out = vec.Clone(out0)
+							}
+							separateEpilogue(q, dev, want, src, d, tb, wantEp)
+							got, gotEp := make([]float64, n), shape
+							if shape.Out != nil {
+								gotEp.Out = vec.Clone(out0)
+							}
+							q.applyFused(dev, got, src, d, tb, gotEp)
+							for i := range want {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) ||
+									(shape.Out != nil && math.Float64bits(gotEp.Out[i]) != math.Float64bits(wantEp.Out[i])) {
+									t.Fatalf("%s ν=%d tb=%d %s %s pre=%v tier=%v: entry %d differs from the separate passes",
+										p.name, q.ChainLen(), tb, dname, sname, withPre, tier, i)
 								}
 							}
 						}
 					}
-				})
+				}
 			}
 		}
 	}

@@ -11,8 +11,9 @@ package mutation
 // (per-lane IEEE-754 semantics, no FMA contraction), so results are
 // bit-identical to the pure-Go path; TestAVX2KernelsBitIdenticalToScalar
 // asserts that equality directly and the exact-equality transform suites
-// (blocked FWHT ≡ naive, fused ≡ radix-2) run against whichever path is
-// active.
+// (general kind ≡ naive, which FWHT ≡ FWHTNaive rides on; fused ≡
+// radix-2) run against whichever path is active. There is no Hadamard
+// body: FWHT runs the general (G) bodies on its ±1 factors.
 //
 // The dispatch gates are internal/vec's (vec.UseAVX2, vec.UseAVX512): one
 // CPUID/XGETBV check for the butterflies and the vector kernels around
@@ -30,13 +31,7 @@ package mutation
 func avxQuadS(r0, r1, r2, r3 *float64, n int, b1, b2 float64)
 
 //go:noescape
-func avxQuadH(r0, r1, r2, r3 *float64, n int)
-
-//go:noescape
 func avxTilePairS(p *float64, n, stride int, b1, b2 float64)
-
-//go:noescape
-func avxTileHad(p *float64, n, stride int)
 
 // The stochastic first-pass kernel: dst[:n] ← src[:n] (⊙ scale[:n] when
 // scale is non-nil), then one (pairs = 1) or two (pairs = 2) radix-4 stage

@@ -3,9 +3,9 @@
 #include "textflag.h"
 
 // AVX2 butterfly kernels (see DESIGN.md §5.6). Each routine applies the
-// SAME per-element operation sequence as its scalar twin (bfly4s, bfly4g /
-// bfly4h in blocked.go / fwht.go), just four butterflies per instruction:
-// only VADDPD/VSUBPD/VMULPD are used — which round per lane exactly like
+// SAME per-element operation sequence as its scalar twin (bfly4s or
+// bfly4g in blocked.go), just four butterflies per instruction: only
+// VADDPD/VSUBPD/VMULPD are used — which round per lane exactly like
 // the scalar ADDSD/SUBSD/MULSD — and no FMA is ever emitted (the Go spec
 // does not license contraction and neither do we), so every result is
 // BIT-IDENTICAL to the pure-Go path. The exact-equality kernel tests run
@@ -34,20 +34,6 @@
 	BFLY2S(Y2, Y3, B1, Y5); \
 	BFLY2S(Y0, Y2, B2, Y4); \
 	BFLY2S(Y1, Y3, B2, Y5)
-
-// Two fused Hadamard stages, the sequence of bfly4h:
-// e0,e1 = e0+e1, e0−e1;  e2,e3 = e2+e3, e2−e3;
-// e0,e2 = e0+e2, e0−e2;  e1,e3 = e1+e3, e1−e3.
-// Registers rename through the flow: afterwards e0=Y2, e1=Y0, e2=Y3, e3=Y1.
-#define BFLYH \
-	VADDPD Y1, Y0, Y4; \
-	VSUBPD Y1, Y0, Y5; \
-	VADDPD Y3, Y2, Y0; \
-	VSUBPD Y3, Y2, Y1; \
-	VADDPD Y0, Y4, Y2; \
-	VSUBPD Y0, Y4, Y3; \
-	VADDPD Y1, Y5, Y0; \
-	VSUBPD Y1, Y5, Y1
 
 // 4×4 transpose of the rows Y0..Y3 (temporaries Y8..Y11): afterwards Yc
 // holds column c. It only moves data, and applied twice it is the identity.
@@ -88,33 +74,6 @@ qsLoop:
 	ADDQ $32, R11
 	SUBQ $32, CX
 	JNZ  qsLoop
-	VZEROUPPER
-	RET
-
-// func avxQuadH(r0, r1, r2, r3 *float64, n int)
-TEXT ·avxQuadH(SB), NOSPLIT, $0-40
-	MOVQ r0+0(FP), R8
-	MOVQ r1+8(FP), R9
-	MOVQ r2+16(FP), R10
-	MOVQ r3+24(FP), R11
-	MOVQ n+32(FP), CX
-	SHLQ $3, CX
-qhLoop:
-	VMOVUPD (R8), Y0
-	VMOVUPD (R9), Y1
-	VMOVUPD (R10), Y2
-	VMOVUPD (R11), Y3
-	BFLYH
-	VMOVUPD Y2, (R8)
-	VMOVUPD Y0, (R9)
-	VMOVUPD Y3, (R10)
-	VMOVUPD Y1, (R11)
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $32, CX
-	JNZ  qhLoop
 	VZEROUPPER
 	RET
 
@@ -160,46 +119,6 @@ tpsCol:
 	LEAQ (DI)(DX*4), DI
 	JMP  tpsBlock
 tpsDone:
-	VZEROUPPER
-	RET
-
-// func avxTileHad(p *float64, n, stride int)
-// Whole-tile fused Hadamard stage pair, same block/column structure as
-// avxTilePairS.
-TEXT ·avxTileHad(SB), NOSPLIT, $0-24
-	MOVQ p+0(FP), DI
-	MOVQ n+8(FP), SI
-	MOVQ stride+16(FP), DX
-	SHLQ $3, DX
-	SHLQ $3, SI
-	ADDQ DI, SI
-thBlock:
-	CMPQ DI, SI
-	JGE  thDone
-	MOVQ DI, R8
-	LEAQ (DI)(DX*1), R9
-	LEAQ (DI)(DX*2), R10
-	LEAQ (R9)(DX*2), R11
-	MOVQ DX, CX
-thCol:
-	VMOVUPD (R8), Y0
-	VMOVUPD (R9), Y1
-	VMOVUPD (R10), Y2
-	VMOVUPD (R11), Y3
-	BFLYH
-	VMOVUPD Y2, (R8)
-	VMOVUPD Y0, (R9)
-	VMOVUPD Y3, (R10)
-	VMOVUPD Y1, (R11)
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $32, CX
-	JNZ  thCol
-	LEAQ (DI)(DX*4), DI
-	JMP  thBlock
-thDone:
 	VZEROUPPER
 	RET
 

@@ -53,7 +53,7 @@ func acrossTiers(t *testing.T, tiers []vec.Tier, name string, v []float64, f fun
 // TestAVX2KernelsBitIdenticalToScalar switches the kernel tier and asserts
 // that every tier the host has (AVX-512, AVX2, Go) produces bit-identical
 // results for every transform that dispatches to assembly: Apply of the
-// uniform and of a general process and FWHT (Hadamard pairs), across sizes
+// uniform and of a general process and FWHT (general pairs on ±1), across sizes
 // that exercise the first-pass, tile pair, cross quad and lone cross stage
 // code shapes;
 // then each butterfly body on the shapes either side of its ZMM guard (see
@@ -206,24 +206,22 @@ func checkApplyFusedAVX2MatchesGo(t *testing.T, tiers []vec.Tier) {
 					src[r.Uint64n(uint64(n))] = p.special
 					pre[r.Uint64n(uint64(n))] = p.special
 				}
-				for _, tb := range []int{3, 4, 5, defaultTileBits} {
-					withTileBits(t, tb, func() {
-						for dname, dev := range devs {
-							for _, d := range [][]float64{pre, nil} {
-								for _, inPlace := range []bool{false, true} {
-									name := fmt.Sprintf("ApplyFused %s ν=%d tb=%d %s special=%v pre=%v in-place=%v",
-										p.name, nu, tb, dname, withSpecial, d != nil, inPlace)
-									acrossTiers(t, tiers, name, src, func(dst []float64) {
-										in := src
-										if inPlace {
-											in = dst
-										}
-										p.q.ApplyFused(dev, dst, in, d, Epilogue{})
-									})
-								}
+				for _, tb := range []int{3, 4, 5, tileBits} {
+					for dname, dev := range devs {
+						for _, d := range [][]float64{pre, nil} {
+							for _, inPlace := range []bool{false, true} {
+								name := fmt.Sprintf("ApplyFused %s ν=%d tb=%d %s special=%v pre=%v in-place=%v",
+									p.name, nu, tb, dname, withSpecial, d != nil, inPlace)
+								acrossTiers(t, tiers, name, src, func(dst []float64) {
+									in := src
+									if inPlace {
+										in = dst
+									}
+									p.q.applyFused(dev, dst, in, d, tb, Epilogue{})
+								})
 							}
 						}
-					})
+					}
 				}
 			}
 		}

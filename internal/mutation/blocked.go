@@ -1,8 +1,6 @@
 package mutation
 
 import (
-	"sync/atomic"
-
 	"repro/internal/device"
 	"repro/internal/vec"
 )
@@ -54,11 +52,12 @@ import (
 // `-gcflags=-d=ssa/check_bce` lint against scripts/bce_allowlist.txt.
 
 const (
-	// defaultTileBits selects B = 2^12 float64s = 32 KiB per tile: one more
+	// tileBits fixes the tile at B = 2^12 float64s = 32 KiB: one more
 	// butterfly stage is absorbed into the single L1/L2-resident tile pass,
 	// which at ν ≥ 18 saves a full-vector cross pass — worth more than the
-	// tighter L1 fit of a 16 KiB tile on every host measured.
-	defaultTileBits = 12
+	// tighter L1 fit of a 16 KiB tile on every host measured. Tests reach
+	// other tile sizes through the drivers' tb parameter.
+	tileBits = 12
 	// fuseStages is the number of large-stride stages fused per pass: 2^4
 	// row streams per pass is the fewest-passes point that still keeps the
 	// hardware prefetchers effective (16 concurrent streams).
@@ -70,29 +69,6 @@ const (
 	// amortize loop overhead even for tiny tiles.
 	minColChunk = 64
 )
-
-var tileBitsVar atomic.Int32
-
-func init() { tileBitsVar.Store(defaultTileBits) }
-
-// TileBits returns log₂ of the current kernel tile size B (in float64
-// elements). The default (12, i.e. B = 4096 elements = 32 KiB) trades L1
-// residency for one more fused stage per tile pass; see defaultTileBits.
-func TileBits() int { return int(tileBitsVar.Load()) }
-
-// SetTileBits sets the kernel tile size to B = 2^bits float64 elements for
-// all subsequent blocked transforms, clamped to [1, 30]. It is a process-
-// wide tuning knob (like GOMAXPROCS); call it once at startup, not
-// concurrently with running kernels.
-func SetTileBits(bits int) {
-	if bits < 1 {
-		bits = 1
-	}
-	if bits > 30 {
-		bits = 30
-	}
-	tileBitsVar.Store(int32(bits))
-}
 
 // splitStages returns the tile size B for a vector of length n and the
 // number of leading stages of fs that are tile-local: stage i acts on bit

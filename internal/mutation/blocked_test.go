@@ -26,24 +26,15 @@ func naiveTol(nStages int, v []float64) float64 {
 	return 4e-16 * float64(nStages+1) * (1 + vec.NormInf(v))
 }
 
-// withTileBits runs f under a temporary global tile size.
-func withTileBits(t *testing.T, bits int, f func()) {
-	t.Helper()
-	old := TileBits()
-	SetTileBits(bits)
-	defer SetTileBits(old)
-	f()
-}
-
 // tileSizes spans the interesting regimes for a vector of 2^nu elements:
 // the degenerate B = 2 tile, tiles smaller than, equal to and larger than
-// the vector, and the default.
+// the vector, and the production tile.
 func tileSizes(nu int) []int {
 	sizes := []int{1, 2, 3}
 	if nu > 1 {
 		sizes = append(sizes, nu-1, nu)
 	}
-	sizes = append(sizes, nu+2, defaultTileBits)
+	sizes = append(sizes, nu+2, tileBits)
 	return sizes
 }
 
@@ -54,16 +45,14 @@ func TestBlockedApplyMatchesNaiveUniform(t *testing.T) {
 		q := MustUniform(nu, p)
 		v := randVector(r, q.Dim())
 		for _, tb := range tileSizes(nu) {
-			withTileBits(t, tb, func() {
-				got := vec.Clone(v)
-				q.Apply(got)
-				want := vec.Clone(v)
-				q.ApplyNaive(want)
-				if d := vec.DistInf(got, want); d > naiveTol(nu, v) {
-					t.Errorf("ν=%d p=%g tileBits=%d: blocked Apply deviates from naive by %g (tol %g)",
-						nu, p, tb, d, naiveTol(nu, v))
-				}
-			})
+			got := vec.Clone(v)
+			q.apply(got, nil, nil, tb, nil)
+			want := vec.Clone(v)
+			q.ApplyNaive(want)
+			if d := vec.DistInf(got, want); d > naiveTol(nu, v) {
+				t.Errorf("ν=%d p=%g tileBits=%d: blocked Apply deviates from naive by %g (tol %g)",
+					nu, p, tb, d, naiveTol(nu, v))
+			}
 		}
 	}
 }
@@ -81,15 +70,13 @@ func TestBlockedApplyMatchesNaivePerSite(t *testing.T) {
 		}
 		v := randVector(r, q.Dim())
 		for _, tb := range tileSizes(nu) {
-			withTileBits(t, tb, func() {
-				got := vec.Clone(v)
-				q.Apply(got)
-				want := vec.Clone(v)
-				q.ApplyNaive(want)
-				if d := vec.DistInf(got, want); d > naiveTol(nu, v) {
-					t.Errorf("ν=%d tileBits=%d: per-site blocked Apply deviates from naive by %g", nu, tb, d)
-				}
-			})
+			got := vec.Clone(v)
+			q.apply(got, nil, nil, tb, nil)
+			want := vec.Clone(v)
+			q.ApplyNaive(want)
+			if d := vec.DistInf(got, want); d > naiveTol(nu, v) {
+				t.Errorf("ν=%d tileBits=%d: per-site blocked Apply deviates from naive by %g", nu, tb, d)
+			}
 		}
 	}
 }
@@ -119,15 +106,13 @@ func TestBlockedApplyMatchesNaiveGrouped(t *testing.T) {
 		}
 		v := randVector(r, q.Dim())
 		for _, tb := range tileSizes(nu) {
-			withTileBits(t, tb, func() {
-				got := vec.Clone(v)
-				q.Apply(got)
-				want := vec.Clone(v)
-				q.ApplyNaive(want)
-				if d := vec.DistInf(got, want); d > naiveTol(nu, v) {
-					t.Errorf("layout %v tileBits=%d: grouped blocked Apply deviates from naive by %g", layout, tb, d)
-				}
-			})
+			got := vec.Clone(v)
+			q.apply(got, nil, nil, tb, nil)
+			want := vec.Clone(v)
+			q.ApplyNaive(want)
+			if d := vec.DistInf(got, want); d > naiveTol(nu, v) {
+				t.Errorf("layout %v tileBits=%d: grouped blocked Apply deviates from naive by %g", layout, tb, d)
+			}
 		}
 	}
 }
@@ -161,7 +146,7 @@ func TestBlockedFWHTMatchesNaive(t *testing.T) {
 		for _, tb := range tileSizes(nu) {
 			for fuse := 1; fuse <= maxFuseStages; fuse++ {
 				got := vec.Clone(v)
-				fwhtBlocked(got, tb, fuse)
+				applyStagesBlocked(got, 0, hadamard[:nu], tb, fuse)
 				want := vec.Clone(v)
 				FWHTNaive(want)
 				if vec.DistInf(got, want) != 0 {
@@ -191,25 +176,23 @@ func TestBlockedDeviceBitIdenticalAcrossWorkers(t *testing.T) {
 		v := randVector(r, q.Dim())
 		wantNaive := vec.Clone(v)
 		q.ApplyNaive(wantNaive)
-		for _, tb := range []int{2, defaultTileBits} {
-			withTileBits(t, tb, func() {
-				want := vec.Clone(v)
-				q.Apply(want) // serial blocked reference at this tile size
-				for _, d := range devs {
-					got := vec.Clone(v)
-					q.ApplyDevice(d, got)
-					if vec.DistInf(got, want) != 0 {
-						t.Errorf("ν=%d tileBits=%d %v: ApplyDevice not bit-identical to serial", nu, tb, d)
-					}
-					got = vec.Clone(v)
-					for _, g := range q.groups {
-						q.applyGroupDeviceNaive(d, g, got)
-					}
-					if vec.DistInf(got, wantNaive) != 0 {
-						t.Errorf("ν=%d tileBits=%d %v: device naive kernel not bit-identical to serial naive", nu, tb, d)
-					}
+		for _, tb := range []int{2, tileBits} {
+			want := vec.Clone(v)
+			q.apply(want, nil, nil, tb, nil) // serial blocked reference at this tile size
+			for _, d := range devs {
+				got := vec.Clone(v)
+				q.applyDevice(d, got, nil, nil, tb, nil)
+				if vec.DistInf(got, want) != 0 {
+					t.Errorf("ν=%d tileBits=%d %v: ApplyDevice not bit-identical to serial", nu, tb, d)
 				}
-			})
+				got = vec.Clone(v)
+				for _, g := range q.groups {
+					q.applyGroupDeviceNaive(d, g, got)
+				}
+				if vec.DistInf(got, wantNaive) != 0 {
+					t.Errorf("ν=%d tileBits=%d %v: device naive kernel not bit-identical to serial naive", nu, tb, d)
+				}
+			}
 		}
 	}
 }
@@ -236,18 +219,5 @@ func TestBlockedDeviceGroupedMatchesSerial(t *testing.T) {
 		if vec.DistInf(got, want) != 0 {
 			t.Errorf("workers=%d: grouped ApplyDevice not bit-identical to serial", workers)
 		}
-	}
-}
-
-func TestSetTileBitsClamps(t *testing.T) {
-	old := TileBits()
-	defer SetTileBits(old)
-	SetTileBits(-5)
-	if TileBits() != 1 {
-		t.Errorf("SetTileBits(-5) → %d, want clamp to 1", TileBits())
-	}
-	SetTileBits(99)
-	if TileBits() != 30 {
-		t.Errorf("SetTileBits(99) → %d, want clamp to 30", TileBits())
 	}
 }

@@ -25,7 +25,7 @@ import (
 // result is bit-identical to ApplyNaive. It panics if len(v) != 2^ν.
 func (q *Process) Apply(v []float64) {
 	q.checkDim(len(v))
-	q.apply(v, nil, nil, nil)
+	q.apply(v, nil, nil, tileBits, nil)
 }
 
 // ApplyFused computes dst ← Q·(src ⊙ pre) and then the elementwise tail ep
@@ -37,6 +37,11 @@ func (q *Process) Apply(v []float64) {
 // Apply(dst) resp. ApplyDevice(dev, dst), then ep as separate passes. dst may
 // alias src.
 func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epilogue) {
+	q.applyFused(dev, dst, src, pre, tileBits, ep)
+}
+
+// applyFused is ApplyFused with 2^tb-element tiles.
+func (q *Process) applyFused(dev *device.Device, dst, src, pre []float64, tb int, ep Epilogue) {
 	q.checkDim(len(dst))
 	q.checkDim(len(src))
 	if pre != nil {
@@ -77,30 +82,29 @@ func (q *Process) ApplyFused(dev *device.Device, dst, src, pre []float64, ep Epi
 			tail = new(Epilogue)
 			*tail = ep
 		}
-		q.applyDevice(dev, dst, src, pre, tail)
+		q.applyDevice(dev, dst, src, pre, tb, tail)
 	} else {
 		var tail *Epilogue
 		if fuseTail {
 			tail = &ep
 		}
-		q.apply(dst, src, pre, tail)
+		q.apply(dst, src, pre, tb, tail)
 	}
 	if ep.active() && !fuseTail {
 		ep.runPass(dev, dst)
 	}
 }
 
-// apply is Apply on v ← src ⊙ scale (v ← src when only scale is nil) when
-// src is non-nil, with ep fused into the last segment's last pass when
-// non-nil; the caller guarantees the first (resp. last) segment is a
-// blocked one in those cases.
-func (q *Process) apply(v, src, scale []float64, ep *Epilogue) {
+// apply is Apply with 2^tb-element tiles on v ← src ⊙ scale (v ← src when
+// only scale is nil) when src is non-nil, with ep fused into the last
+// segment's last pass when non-nil; the caller guarantees the first (resp.
+// last) segment is a blocked one in those cases.
+func (q *Process) apply(v, src, scale []float64, tb int, ep *Epilogue) {
 	sr := span.Installed()
 	var sp span.Handle
 	if sr != nil {
 		sp = sr.Begin(span.LayerMutation, KindApply)
 	}
-	tb := TileBits()
 	for i, s := range q.segs {
 		var gsp span.Handle
 		if sr != nil {
@@ -184,14 +188,14 @@ func (q *Process) recurse(v []float64, level int) []float64 {
 // the serial blocked path bit-identically.
 func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	q.checkDim(len(v))
-	q.applyDevice(d, v, nil, nil, nil)
+	q.applyDevice(d, v, nil, nil, tileBits, nil)
 }
 
-// applyDevice is ApplyDevice on v ← src ⊙ scale (or v ← src) when src is
-// non-nil, with ep fused into the last launch when non-nil; see apply.
-func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, ep *Epilogue) {
+// applyDevice is ApplyDevice with 2^tb-element tiles on v ← src ⊙ scale
+// (or v ← src) when src is non-nil, with ep fused into the last launch when
+// non-nil; see apply.
+func (q *Process) applyDevice(d *device.Device, v, src, scale []float64, tb int, ep *Epilogue) {
 	sp := span.Begin(span.LayerMutation, KindApplyDevice)
-	tb := TileBits()
 	for i, s := range q.segs {
 		if s.grp < 0 {
 			applyStagesBlockedDevice(d, v, src, scale, s.off0, s.fs, tb, fuseStages, lastPass(ep, i == len(q.segs)-1))

@@ -160,13 +160,67 @@ func TestShiftInvertRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShiftInvertRejectsEigenvalueShift: a µ on the spectrum, NaN or ±Inf
+// returns an error and leaves v as it was.
 func TestShiftInvertRejectsEigenvalueShift(t *testing.T) {
 	q := MustUniform(4, 0.1)
-	if err := q.ApplyShiftInvert(make([]float64, 16), 1.0); err == nil {
-		t.Error("µ = 1 is an eigenvalue of Q and must be rejected")
+	v := randVector(rng.New(11), 16)
+	for name, mu := range map[string]float64{
+		"µ = 1":       1.0,
+		"µ = (1−2p)²": math.Pow(0.8, 2),
+		"µ = NaN":     math.NaN(),
+		"µ = +Inf":    math.Inf(1),
+		"µ = −Inf":    math.Inf(-1),
+	} {
+		w := vec.Clone(v)
+		if err := q.ApplyShiftInvert(w, mu); err == nil {
+			t.Errorf("%s must be rejected", name)
+		}
+		if i, ok := sameBits(w, v); !ok {
+			t.Errorf("%s: rejected shift changed entry %d from %v to %v", name, i, v[i], w[i])
+		}
 	}
-	if err := q.ApplyShiftInvert(make([]float64, 16), math.Pow(0.8, 2)); err == nil {
-		t.Error("µ = (1−2p)² is an eigenvalue of Q and must be rejected")
+}
+
+// naiveShiftInvert is ApplyShiftInvert's reference: FWHTNaive, the
+// per-weight scaling by (Λ − µI)⁻¹/N, FWHTNaive again.
+func naiveShiftInvert(nu int, p float64, v []float64, mu float64) {
+	inv := make([]float64, nu+1)
+	lam := 1.0
+	for k := range inv {
+		inv[k] = 1 / (lam - mu)
+		lam *= 1 - 2*p
+	}
+	FWHTNaive(v)
+	scale := 1 / float64(len(v))
+	for i := range v {
+		v[i] *= inv[bits.Weight(uint64(i))] * scale
+	}
+	FWHTNaive(v)
+}
+
+// TestApplyShiftInvertBitIdenticalToNaive: the product on the blocked FWHT
+// gives naiveShiftInvert's bits at ν = 1…16 on every kernel tier.
+func TestApplyShiftInvertBitIdenticalToNaive(t *testing.T) {
+	tiers := kernelTiers(t)
+	r := rng.New(1616)
+	for nu := 1; nu <= 16; nu++ {
+		p := 0.001 + 0.45*r.Float64()
+		q := MustUniform(nu, p)
+		mu := -0.5 - r.Float64()
+		v := randVector(r, q.Dim())
+		want := vec.Clone(v)
+		naiveShiftInvert(nu, p, want, mu)
+		for _, tier := range tiers {
+			vec.SetTier(tier)
+			got := vec.Clone(v)
+			if err := q.ApplyShiftInvert(got, mu); err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := sameBits(got, want); !ok {
+				t.Fatalf("ν=%d tier=%v: entry %d = %v, naive composition %v", nu, tier, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mutation
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -20,7 +21,8 @@ import (
 //     literal butterfly within naiveTol (≈ ULPs per stage);
 //   - radix-4 fusion is BIT-IDENTICAL to the two radix-2 reduced stages it
 //     replaces, at every stride and tail shape;
-//   - FWHT is BIT-IDENTICAL to FWHTNaive.
+//   - FWHT, the general kind on the ±1 Hadamard factors, is BIT-IDENTICAL
+//     to FWHTNaive.
 
 // naiveStageLoop is the literal Algorithm-1 stage loop for an arbitrary
 // factor list: stage s applies fs[s] at stride 2^(off0+s) with the
@@ -197,22 +199,63 @@ func TestCrossQuadBitIdenticalToTwoCrossStages(t *testing.T) {
 	}
 }
 
+// TestFWHTBitIdenticalAllNuOddTiles: FWHT, one run of the production stage
+// engine on the Hadamard table, gives FWHTNaive's bits at ν = 0…22 on every
+// kernel tier, for a random input, one spread over 600 decades (so sums
+// round at every scale) and one with −0 and subnormal entries. Up to ν = 14 the
+// stage driver also runs at the odd tile sizes, whose ragged splits put
+// the stages on every tile, cross, radix-2 and tail shape. A -race build
+// stops at ν = 16.
 func TestFWHTBitIdenticalAllNuOddTiles(t *testing.T) {
+	tiers := kernelTiers(t)
 	r := rng.New(808)
-	for nu := 0; nu <= 14; nu++ {
-		v := randVector(r, 1<<uint(nu))
-		for _, tb := range oddTileBits {
-			withTileBits(t, tb, func() {
-				got := vec.Clone(v)
-				FWHT(got)
-				want := vec.Clone(v)
-				FWHTNaive(want)
-				if d := vec.DistInf(got, want); d != 0 {
-					t.Fatalf("ν=%d tb=%d: FWHT differs from FWHTNaive by %g, want bit-identity", nu, tb, d)
+	maxNu := 22
+	if raceDetector {
+		maxNu = 16
+	}
+	for nu := 0; nu <= maxNu; nu++ {
+		n := 1 << uint(nu)
+		for _, in := range []struct {
+			name string
+			v    []float64
+		}{{"random", randVector(r, n)}, {"600 decades", spreadVector(r, n)}, {"−0 and subnormals", parityVector(r, n)}} {
+			want := vec.Clone(in.v)
+			FWHTNaive(want)
+			check := func(what string, tier vec.Tier, got []float64) {
+				t.Helper()
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("ν=%d %s %s tier=%v: entry %d = %v, FWHTNaive %v", nu, in.name, what, tier, i, got[i], want[i])
 				}
-			})
+			}
+			for _, tier := range tiers {
+				vec.SetTier(tier)
+				got := vec.Clone(in.v)
+				FWHT(got)
+				check("FWHT", tier, got)
+				if nu > 14 {
+					continue
+				}
+				for _, tb := range oddTileBits {
+					got := vec.Clone(in.v)
+					applyStagesBlocked(got, 0, hadamard[:nu], tb, fuseStages)
+					check(fmt.Sprintf("tb=%d", tb), tier, got)
+				}
+			}
 		}
 	}
+}
+
+// spreadVector returns n entries of random sign and magnitude in
+// [2^−996, 2^997), about 10^±300, with uniformly drawn binary exponents.
+func spreadVector(r *rng.Source, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Ldexp(1+r.Float64(), int(r.Uint64n(1993))-996)
+		if r.Uint64n(2) == 0 {
+			v[i] = -v[i]
+		}
+	}
+	return v
 }
 
 // FuzzStageEngine fuzzes the blocked stage engine against the naive loop

@@ -11,8 +11,9 @@
 //   - generalized processes: independent per-site 2×2 column-stochastic
 //     factors and grouped 2^gᵢ×2^gᵢ factors (Eq. 11, Section 2.2);
 //   - the closed-form eigendecomposition Q = V·Λ·V with V the normalized
-//     Hadamard matrix (Section 2): the fast Walsh–Hadamard transform and
-//     the Θ(N·log₂N) shift-and-invert product (Q − µI)⁻¹·v (Section 3);
+//     Hadamard matrix (Section 2): the fast Walsh–Hadamard transform, run
+//     by Fmmp's stage engine on the factor [[1, 1],[1, −1]], and the
+//     Θ(N·log₂N) shift-and-invert product (Q − µI)⁻¹·v (Section 3);
 //   - the sparse XOR-based product Xmvp(dmax) of the authors' earlier work
 //     [Niederbrucker & Gansterer, Procedia CS 4 (2011) 126–135], which the
 //     paper uses as its accuracy/performance baseline.

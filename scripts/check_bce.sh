@@ -9,11 +9,14 @@
 # guards, errorclass's per-tile slices and its (ν+1)-sized reduced-matrix
 # loops (ReducedQ, the ϕ scaling, the class rescale) — checks that execute
 # once per block, launch, tile or class, not once per element.
-# The per-element inner loops of blocked.go / fwht.go / xmvp.go /
-# veckernels.go / vec's lanes.go are written in the slice-advance idiom
-# (constant indexes on a shrinking slice), and errorclass's tile fill indexes
-# a 16-entry array under a mask; the go1.24 prover discharges both
-# completely, so NO finding in this lint sits inside a hot element loop.
+# The per-element inner loops of blocked.go / xmvp.go / veckernels.go /
+# vec's lanes.go are written in the slice-advance idiom (constant indexes on
+# a shrinking slice), and errorclass's tile fill indexes a 16-entry array
+# under a mask; the go1.24 prover discharges both completely, so NO finding
+# in this lint sits inside a hot element loop. fwht.go has no kernel of its
+# own: FWHT runs blocked.go's stage engine, and its entries are the
+# reference loop FWHTNaive, the (ν+1)-entry shift-invert spectrum and
+# ApplyShiftInvert's per-weight scaling, none on a solve path.
 #
 # A new finding means an edit re-introduced a bounds check — rewrite the loop
 # (see DESIGN.md §5.6) or, if the check is genuinely amortized, regenerate
