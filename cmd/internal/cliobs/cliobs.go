@@ -1,8 +1,8 @@
 // Package cliobs is the observability flag set the solver CLIs share —
-// -debug-addr, -spans, -span-out, -flight, -flight-dir and -telemetry —
-// with the code that starts what the flags ask for and, via Run.Finish,
-// reports on it when the run ends. Tool-specific checks (such as
-// qs-threshold's "requires -full") stay in the tools.
+// -debug-addr, -spans, -span-out, -flight and -flight-dir — with the code
+// that starts what the flags ask for and, via Run.Finish, reports on it
+// when the run ends. Tool-specific checks (such as qs-threshold's
+// "requires -full") stay in the tools.
 package cliobs
 
 import (
@@ -22,25 +22,23 @@ type Flags struct {
 	SpanOut   string
 	Flight    bool
 	FlightDir string
-	Telemetry bool
 }
 
 // Help overrides the help text of the flags whose wording depends on the
 // tool; an empty field keeps the default.
 type Help struct {
-	Spans, SpanOut, Flight, Telemetry string
+	Spans, SpanOut, Flight string
 }
 
 // Register defines the observability flags on the default flag set; call
 // it before flag.Parse.
 func Register(h Help) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
+	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/spans, /debug/flight, /debug/vars, /debug/pprof/ and /healthz on this address (e.g. 127.0.0.1:9190)")
 	flag.BoolVar(&f.Spans, "spans", false, cmp.Or(h.Spans, "profile the run with hierarchical spans and print the per-phase time table to stderr"))
 	flag.StringVar(&f.SpanOut, "span-out", "", cmp.Or(h.SpanOut, "write the span timeline as Chrome trace-event JSON to this file (implies -spans)"))
 	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure"))
 	flag.StringVar(&f.FlightDir, "flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
-	flag.BoolVar(&f.Telemetry, "telemetry", false, cmp.Or(h.Telemetry, "sample resource telemetry (RSS, NUMA placement) at 1 Hz; served on /debug/telemetry"))
 	return f
 }
 
@@ -53,26 +51,21 @@ type Run struct {
 	tool  string
 	flags *Flags
 	srv   *obs.DebugServer
-	tm    *quasispecies.Telemetry
 	fl    *quasispecies.Flight
 	prof  *quasispecies.SpanProfile
 }
 
-// Start starts the resource sampler (-telemetry) and the debug server
-// (-debug-addr). tool prefixes every line the run prints to stderr and
-// names the tool in flight manifests.
+// Start starts the debug server (-debug-addr). tool prefixes every line
+// the run prints to stderr and names the tool in flight manifests.
 func (f *Flags) Start(tool string) (*Run, error) {
 	r := &Run{tool: tool, flags: f}
-	if f.Telemetry {
-		r.tm = quasispecies.StartTelemetry()
-	}
 	if f.DebugAddr != "" {
 		srv, err := obs.StartDebugServer(f.DebugAddr)
 		if err != nil {
 			return nil, err
 		}
 		r.srv = srv
-		r.logf("debug server on http://%s (/metrics, /debug/vars, /debug/pprof)", srv.Addr())
+		r.logf("debug server on http://%s (/metrics, /debug/spans, /debug/flight, /debug/vars, /debug/pprof/, /healthz)", srv.Addr())
 	}
 	return r, nil
 }
@@ -100,10 +93,9 @@ func (r *Run) StartSpans() {
 
 // Finish ends the run's observability. It stops the span profile, prints
 // its per-phase table and writes the -span-out Chrome trace; dumps a
-// flight bundle when err is non-nil; prints the telemetry notice; and
-// stops the flight recorder, the sampler and the debug server. The profile
-// is reported even when the run failed — where the time went is most
-// interesting then.
+// flight bundle when err is non-nil; and stops the flight recorder and the
+// debug server. The profile is reported even when the run failed — where
+// the time went is most interesting then.
 func (r *Run) Finish(err error) {
 	if r.prof != nil {
 		r.prof.Stop()
@@ -126,12 +118,6 @@ func (r *Run) Finish(err error) {
 			}
 		}
 		r.fl.Stop()
-	}
-	if r.tm != nil {
-		if n := r.tm.Notice(); n != "" {
-			r.logf("%s", n)
-		}
-		r.tm.Stop()
 	}
 	if r.srv != nil {
 		r.srv.Close()

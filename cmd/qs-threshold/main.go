@@ -49,9 +49,8 @@ func main() {
 		progress   = flag.Bool("progress", false, "print one line per solved point to stderr")
 	)
 	obsFlags := cliobs.Register(cliobs.Help{
-		Spans:     "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)",
-		Flight:    "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)",
-		Telemetry: "sample resource telemetry (RSS, NUMA placement, points/sec) at 1 Hz; served on /debug/telemetry",
+		Spans:  "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)",
+		Flight: "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)",
 	})
 	flag.Parse()
 

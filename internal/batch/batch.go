@@ -84,23 +84,6 @@ func runHooked(hook PanicHook, task func(i, worker int) error, i, worker int) (e
 	return task(i, worker)
 }
 
-// Live scheduler counters for the telemetry sampler: unlike the spans
-// these are always on (a task is a whole eigensolve, so two atomic adds per
-// task are free) and therefore readable even when no span recorder was
-// installed. Planned accumulates the task count of every Run;
-// done/planned is the sweep's chain-progress signal.
-var live struct {
-	inflight atomic.Int64
-	done     atomic.Int64
-	planned  atomic.Int64
-}
-
-// LiveStats reads the always-on scheduler counters: tasks currently
-// executing, tasks completed, and tasks ever submitted across all runs.
-func LiveStats() (inflight, done, planned int64) {
-	return live.inflight.Load(), live.done.Load(), live.planned.Load()
-}
-
 // DefaultChainLen is the shortest warm-start chain Chains lays out when the
 // caller does not choose a length. Within a chain, point k seeds the solve
 // of point k+1; across chains solves are independent, which is what the
@@ -147,7 +130,6 @@ func Run(n, workers int, task func(i, worker int) error) error {
 	if sr != nil {
 		sp = sr.Begin(span.LayerBatch, SpanRun)
 	}
-	live.planned.Add(int64(n))
 	if workers == 1 {
 		// Serial fast path: no goroutines, no synchronization — the
 		// reference execution the parallel path is tested against.
@@ -205,11 +187,6 @@ func runOne(sr span.Recorder, task func(i, worker int) error, i, worker int) err
 	if sr != nil {
 		sp = sr.Begin(span.LayerBatch, SpanTask)
 	}
-	live.inflight.Add(1)
-	defer func() {
-		live.inflight.Add(-1)
-		live.done.Add(1)
-	}()
 	var err error
 	if ph := panicHook.Load(); ph != nil {
 		err = runHooked(ph.h, task, i, worker)

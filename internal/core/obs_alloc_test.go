@@ -73,14 +73,20 @@ func (r *recordingObserver) Event(event string, iter int, lambda, residual float
 	r.events++
 }
 
-// metricValue reads one qs_* value from the default registry.
+// metricValue reads one qs_* value from the default registry's snapshot (a
+// histogram reads as its observation count).
 func metricValue(t *testing.T, name string) float64 {
 	t.Helper()
-	v, ok := obs.Default().Value(name)
-	if !ok {
-		t.Fatalf("metric %s is not registered", name)
+	switch v := obs.Default().Snapshot()[name].(type) {
+	case int64:
+		return float64(v)
+	case float64:
+		return v
+	case map[string]any:
+		return float64(v["count"].(int64))
 	}
-	return v
+	t.Fatalf("metric %s is not registered", name)
+	return 0
 }
 
 // TestInstrumentationIsBitIdentical runs the same solve bare, under the

@@ -125,7 +125,6 @@ func (b *batch) partBounds(p int) (lo, hi int) {
 // pool worker that received the batch; a worker arriving after completion
 // scans nparts drained cursors and returns.
 func (b *batch) runPart(home int) {
-	var claimed, stolen int64
 	for q := 0; q < b.nparts; q++ {
 		p := home + q
 		if p >= b.nparts {
@@ -137,22 +136,9 @@ func (b *batch) runPart(home int) {
 			if c >= hi {
 				break
 			}
-			if q == 0 {
-				claimed++
-			} else {
-				stolen++
-			}
 			b.exec(c)
 			b.wg.Done()
 		}
-	}
-	// Telemetry: one amortized atomic add per participant per launch, far
-	// below the per-chunk cursor traffic above.
-	if claimed != 0 {
-		poolAcct.claimed.Add(claimed)
-	}
-	if stolen != 0 {
-		poolAcct.stolen.Add(stolen)
 	}
 }
 
@@ -216,7 +202,6 @@ func poolWorkers() []*poolWorker {
 				}
 			}()
 		}
-		poolAcct.started.Store(true)
 	})
 	return pool.workers
 }

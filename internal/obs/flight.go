@@ -651,14 +651,6 @@ func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string
 	keep(writeJSONL(filepath.Join(dir, "decisions.jsonl"), f.decisions.snapshot()))
 	keep(writeJSONL(filepath.Join(dir, "metrics.jsonl"), f.metrics.snapshot()))
 	keep(os.WriteFile(filepath.Join(dir, "goroutines.txt"), allStacks(), 0o644))
-	if s := ActiveSampler(); s != nil {
-		if tf, err := os.Create(filepath.Join(dir, "telemetry.jsonl")); err == nil {
-			keep(s.WriteJSONL(tf))
-			keep(tf.Close())
-		} else {
-			keep(err)
-		}
-	}
 	if p := InstalledProfiler(); p != nil {
 		if tf, err := os.Create(filepath.Join(dir, "profile.txt")); err == nil {
 			keep(p.WriteTable(tf))

@@ -27,7 +27,6 @@ func Handler() http.Handler {
 	})
 	mux.HandleFunc("/debug/spans", serveSpans)
 	mux.HandleFunc("/debug/flight", serveFlight)
-	mux.HandleFunc("/debug/telemetry", serveTelemetry)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -58,7 +57,6 @@ type healthzPayload struct {
 	HeapBytes     uint64 `json:"heap_bytes"`
 	Goroutines    int    `json:"goroutines"`
 	LastGCPauseNS uint64 `json:"last_gc_pause_ns"`
-	Telemetry     bool   `json:"telemetry_active"`
 }
 
 func serveHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -67,7 +65,6 @@ func serveHealthz(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(procStart).Seconds(),
 		Build:         readBuild(),
 		Goroutines:    runtime.NumGoroutine(),
-		Telemetry:     ActiveSampler() != nil,
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

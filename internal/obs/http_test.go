@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -121,5 +122,57 @@ func TestHealthzBuildMatchesManifest(t *testing.T) {
 	}
 	if _, ok := keys["go_version"]; !ok {
 		t.Fatalf("/healthz has no go_version key: %s", rec.Body.Bytes())
+	}
+}
+
+// TestHealthzMemorySummary: /healthz doubles as a cheap resource probe —
+// runtime fields everywhere, RSS fields (or one reason) from procfs — and
+// reports nothing beyond its build block and that summary.
+func TestHealthzMemorySummary(t *testing.T) {
+	rec := httptest.NewRecorder()
+	serveHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	var p healthzPayload
+	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Status != "ok" {
+		t.Fatalf("status = %q", p.Status)
+	}
+	if p.HeapBytes == 0 || p.Goroutines < 1 {
+		t.Fatalf("runtime summary: heap=%d goroutines=%d", p.HeapBytes, p.Goroutines)
+	}
+	if runtime.GOOS == "linux" {
+		if p.RSSBytes <= 0 || p.PeakRSSBytes < p.RSSBytes {
+			t.Fatalf("rss summary: rss=%d peak=%d (reason %q)", p.RSSBytes, p.PeakRSSBytes, p.MemReason)
+		}
+	} else if p.MemReason == "" {
+		t.Fatal("no RSS and no reason")
+	}
+	// The payload's keys are exactly the build block's plus the summary
+	// above: nothing else rides along.
+	allowed := map[string]bool{
+		"status": true, "uptime_seconds": true, "run_id": true,
+		"rss_bytes": true, "rss_peak_bytes": true, "mem_reason": true,
+		"heap_bytes": true, "goroutines": true, "last_gc_pause_ns": true,
+	}
+	var keys map[string]json.RawMessage
+	build, _ := json.Marshal(p.Build)
+	if err := json.Unmarshal(build, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		allowed[k] = true
+	}
+	keys = nil
+	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		if !allowed[k] {
+			t.Errorf("/healthz reports unexpected key %q: %s", k, rec.Body.Bytes())
+		}
 	}
 }

@@ -19,11 +19,16 @@ import (
 // observation count).
 func metricValue(t *testing.T, name string) float64 {
 	t.Helper()
-	v, ok := Default().Value(name)
-	if !ok {
-		t.Fatalf("metric %s is not registered", name)
+	switch v := Default().Snapshot()[name].(type) {
+	case int64:
+		return float64(v)
+	case float64:
+		return v
+	case map[string]any:
+		return float64(v["count"].(int64))
 	}
-	return v
+	t.Fatalf("metric %s is not registered", name)
+	return 0
 }
 
 // metricDeltas snapshots a set of metrics and, via the returned function,

@@ -318,30 +318,6 @@ func EscapeLabel(v string) string {
 	return b.String()
 }
 
-// Value returns the current scalar value of the named metric: counters and
-// gauges report their value, histograms their observation count. ok is
-// false for names that were never registered — the resource sampler uses
-// this to poll qs_* families without keeping handles.
-func (r *Registry) Value(name string) (v float64, ok bool) {
-	r.mu.Lock()
-	e, ok := r.entries[name]
-	r.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	switch e.kind {
-	case kindCounter:
-		return float64(e.c.Value()), true
-	case kindGauge:
-		return float64(e.g.Value()), true
-	case kindGaugeFloat:
-		return e.gf.Value(), true
-	case kindHistogram:
-		return float64(e.h.Count()), true
-	}
-	return 0, false
-}
-
 // Snapshot returns a flat name→value map of the registry, the form
 // published under /debug/vars. Histograms appear as {count, sum}.
 func (r *Registry) Snapshot() map[string]any {

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"math"
 	"os"
 	"path/filepath"
-	"runtime/metrics"
 	"strings"
 	"testing"
 )
@@ -57,94 +55,12 @@ func TestParseProcStatusMissingVmRSSErrors(t *testing.T) {
 	}
 }
 
-func TestParseSMapsRollup(t *testing.T) {
-	in := `00400000-7fff9d8f3000 ---p 00000000 00:00 0      [rollup]
-Rss:	   40960 kB
-Pss:	   39000 kB
-Anonymous:	   30720 kB
-AnonHugePages:	   16384 kB
-Shared_Clean:	     512 kB
-`
-	sm, err := ParseSMapsRollup([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.RSSBytes != 40960*1024 || sm.PSSBytes != 39000*1024 {
-		t.Fatalf("rss/pss = %d/%d", sm.RSSBytes, sm.PSSBytes)
-	}
-	if sm.AnonBytes != 30720*1024 || sm.AnonHugeBytes != 16384*1024 {
-		t.Fatalf("anon/anonHuge = %d/%d", sm.AnonBytes, sm.AnonHugeBytes)
-	}
-}
-
-func TestParseSMapsRollupTruncatedMidLineKeepsParsedFields(t *testing.T) {
-	in := "Rss:\t 1024 kB\nAnonHugePages:\t 51" // cut mid-value: no kB suffix needed, still parses
-	sm, err := ParseSMapsRollup([]byte(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.RSSBytes != 1024*1024 {
-		t.Fatalf("RSSBytes = %d", sm.RSSBytes)
-	}
-	// A line truncated to just "AnonHugePages:" contributes nothing but
-	// doesn't discard the fields that did parse.
-	in2 := "Rss:\t 1024 kB\nAnonHugePages:"
-	sm2, err := ParseSMapsRollup([]byte(in2))
-	if err != nil || sm2.RSSBytes != 1024*1024 || sm2.AnonHugeBytes != 0 {
-		t.Fatalf("truncated field line: %+v err=%v", sm2, err)
-	}
-}
-
-func TestParseSMapsRollupForeignFileErrors(t *testing.T) {
-	if _, err := ParseSMapsRollup([]byte("totally: not procfs\n")); err == nil {
-		t.Fatal("foreign file parsed without error")
-	}
-	if _, err := ParseSMapsRollup(nil); err == nil {
-		t.Fatal("empty file parsed without error")
-	}
-}
-
-func TestParseNUMAMaps(t *testing.T) {
-	in := `7f0000000000 default anon=256 dirty=256 N0=192 N1=64 kernelpagesize_kB=4
-7f0100000000 default file=/usr/lib/libc.so mapped=10 N0=10 kernelpagesize_kB=4
-7f0200000000 default huge anon=2 dirty=2 N1=2 kernelpagesize_kB=2048
-7fff00000000 default stack
-`
-	st := ParseNUMAMaps([]byte(in))
-	if !st.Available {
-		t.Fatalf("not available: %s", st.Reason)
-	}
-	wantN0 := int64((192 + 10) * 4096)
-	wantN1 := int64(64*4096 + 2*2048*1024)
-	if st.NodeBytes[0] != wantN0 || st.NodeBytes[1] != wantN1 {
-		t.Fatalf("NodeBytes = %v, want N0=%d N1=%d", st.NodeBytes, wantN0, wantN1)
-	}
-	if st.TotalBytes != wantN0+wantN1 {
-		t.Fatalf("TotalBytes = %d, want %d", st.TotalBytes, wantN0+wantN1)
-	}
-	if st.HugeBytes != 2*2048*1024 {
-		t.Fatalf("HugeBytes = %d, want %d", st.HugeBytes, 2*2048*1024)
-	}
-}
-
-func TestParseNUMAMapsNoParsableMappings(t *testing.T) {
-	st := ParseNUMAMaps([]byte("7fff00000000 default stack\n\n"))
-	if st.Available {
-		t.Fatal("zeros masquerading as data: Available = true with no mappings")
-	}
-	if st.Reason == "" {
-		t.Fatal("degraded without a reason")
-	}
-}
-
 // TestReadMemStatusFromFixtureTree drives the collector against t.TempDir()
-// procfs trees: a full tree, one without smaps_rollup (old kernel), and a
-// missing status file (hidepid) — the first two succeed, the last degrades
-// with one reason.
+// procfs trees: a full tree succeeds, and a missing (hidepid) or unparsable
+// status file degrades with one reason.
 func TestReadMemStatusFromFixtureTree(t *testing.T) {
 	dir := t.TempDir()
 	writeFixture(t, dir, "status", procStatusFixture)
-	writeFixture(t, dir, "smaps_rollup", "Rss:\t 40960 kB\nAnonHugePages:\t 20480 kB\n")
 
 	m := readMemStatusFrom(dir)
 	if !m.Available {
@@ -152,20 +68,6 @@ func TestReadMemStatusFromFixtureTree(t *testing.T) {
 	}
 	if m.RSSBytes != 40960*1024 || m.PeakRSSBytes != 81920*1024 {
 		t.Fatalf("rss/peak = %d/%d", m.RSSBytes, m.PeakRSSBytes)
-	}
-	if m.AnonHugeBytes != 20480*1024 {
-		t.Fatalf("AnonHugeBytes = %d", m.AnonHugeBytes)
-	}
-	if want := 0.5; math.Abs(m.HugeRatio-want) > 1e-12 {
-		t.Fatalf("HugeRatio = %g, want %g", m.HugeRatio, want)
-	}
-
-	// Kernel without smaps_rollup: RSS columns still available, huge = 0.
-	old := t.TempDir()
-	writeFixture(t, old, "status", procStatusFixture)
-	m = readMemStatusFrom(old)
-	if !m.Available || m.AnonHugeBytes != 0 || m.HugeRatio != 0 {
-		t.Fatalf("old-kernel read = %+v", m)
 	}
 
 	// No status at all: degraded, reason names the path.
@@ -183,50 +85,9 @@ func TestReadMemStatusFromFixtureTree(t *testing.T) {
 	}
 }
 
-func TestReadNUMAStatusFromFixtureTree(t *testing.T) {
-	dir := t.TempDir()
-	writeFixture(t, dir, "numa_maps", "7f00 default anon=4 N0=4 kernelpagesize_kB=4\n")
-	st := readNUMAStatusFrom(dir)
-	if !st.Available || st.NodeBytes[0] != 4*4096 {
-		t.Fatalf("fixture read = %+v", st)
-	}
-	st = readNUMAStatusFrom(t.TempDir())
-	if st.Available || !strings.Contains(st.Reason, "numa_maps") {
-		t.Fatalf("missing numa_maps: %+v", st)
-	}
-}
-
 func writeFixture(t *testing.T, dir, name, content string) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogramApproxSum(t *testing.T) {
-	if got := histogramApproxSum(nil); got != 0 {
-		t.Fatalf("nil = %g", got)
-	}
-	h := &metrics.Float64Histogram{
-		Counts:  []uint64{0, 2, 1},
-		Buckets: []float64{math.Inf(-1), 1, 3, math.Inf(1)},
-	}
-	// (-Inf,1]: empty. [1,3): 2 × midpoint 2 = 4. [3,+Inf): 1 × finite bound 3.
-	if got, want := histogramApproxSum(h), 7.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sum = %g, want %g", got, want)
-	}
-}
-
-func TestRuntimeSamplerReadsLiveState(t *testing.T) {
-	rs := newRuntimeSampler()
-	st := rs.read()
-	if st.HeapBytes <= 0 {
-		t.Fatalf("HeapBytes = %d", st.HeapBytes)
-	}
-	if st.Goroutines < 1 {
-		t.Fatalf("Goroutines = %d", st.Goroutines)
-	}
-	if st.RuntimeTotalBytes < st.HeapBytes {
-		t.Fatalf("RuntimeTotalBytes %d < HeapBytes %d", st.RuntimeTotalBytes, st.HeapBytes)
 	}
 }

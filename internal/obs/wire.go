@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 // wire.go is where obs reaches into the solver packages for metrics:
 // EnableSolverMetrics builds the qs_* metric families in the default
 // registry and subscribes them to the span recorder (hook.go), keyed by
-// the span names the solver packages export; ReadSolverResources polls
-// their always-on counters. The solver packages never import obs.
+// the span names the solver packages export. The solver packages never
+// import obs.
 
 // metricSite is what the spans of one site (layer, name) move in the qs_*
 // families; a nil field is a family the site does not feed.
@@ -94,108 +93,9 @@ type sweepMetrics struct {
 	planned  *Counter
 }
 
-// resourceMetrics backs UpdateResourceGauges: pull-based qs_* gauges the
-// telemetry sampler refreshes once per tick, covering process memory,
-// Go runtime state, NUMA placement and pool pressure. Per-node families
-// are registered lazily at the first tick that sees the node.
-type resourceMetrics struct {
-	r *Registry
-
-	memRSS    *Gauge
-	memPeak   *Gauge
-	memHuge   *Gauge
-	hugeRatio *GaugeFloat
-
-	heap       *Gauge
-	goroutines *Gauge
-	gcPause    *GaugeFloat
-
-	numaBytes map[int]*Gauge
-
-	poolQueue  *Gauge
-	poolSteals *Gauge
-	poolClaims *Gauge
-
-	inflight *Gauge
-	planned  *Gauge
-	progress *GaugeFloat
-}
-
 var wire struct {
-	once     sync.Once
-	sweep    *sweepMetrics
-	resource *resourceMetrics
-}
-
-// SolverResources is one pull of the always-on device/batch counters — the
-// solver-side half of a sampler tick. All fields are readable whether or
-// not a span recorder was ever installed.
-type SolverResources struct {
-	PoolWorkers    int   `json:"pool_workers"`
-	PoolQueueDepth int   `json:"pool_queue_depth"`
-	PoolClaimed    int64 `json:"pool_chunks_claimed"`
-	PoolStolen     int64 `json:"pool_chunks_stolen"`
-
-	BatchInflight int64 `json:"batch_inflight"`
-	BatchDone     int64 `json:"batch_done"`
-	BatchPlanned  int64 `json:"batch_planned"`
-}
-
-// ReadSolverResources polls the worker pool and the batch scheduler.
-// Cost: a few atomic loads; safe at any frequency.
-func ReadSolverResources() SolverResources {
-	res := SolverResources{}
-	ps := device.PoolStatsNow()
-	res.PoolWorkers = ps.Workers
-	res.PoolQueueDepth = ps.QueueDepth
-	res.PoolClaimed = ps.ChunksClaimed
-	res.PoolStolen = ps.ChunksStolen
-	res.BatchInflight, res.BatchDone, res.BatchPlanned = batch.LiveStats()
-	return res
-}
-
-// numaGauge lazily registers node's member of the qs_mem_numa_bytes family.
-func (m *resourceMetrics) numaGauge(node int) *Gauge {
-	g, ok := m.numaBytes[node]
-	if !ok {
-		g = m.r.Gauge(fmt.Sprintf(`qs_mem_numa_bytes{node="%d"}`, node),
-			"Resident bytes placed on each NUMA node (from /proc/self/numa_maps).")
-		m.numaBytes[node] = g
-	}
-	return g
-}
-
-// UpdateResourceGauges refreshes the pull-based resource gauges from one
-// sampler tick's reads. numa may be nil (NUMA is sampled less often than
-// the rest). A no-op until EnableSolverMetrics has run. Not safe for
-// concurrent callers (the sampler goroutine is the only caller).
-func UpdateResourceGauges(mem MemStatus, rt RuntimeStatus, numa *NUMAStatus, res SolverResources) {
-	m := wire.resource
-	if m == nil {
-		return
-	}
-	if mem.Available {
-		m.memRSS.Set(mem.RSSBytes)
-		m.memPeak.Set(mem.PeakRSSBytes)
-		m.memHuge.Set(mem.AnonHugeBytes)
-		m.hugeRatio.Set(mem.HugeRatio)
-	}
-	m.heap.Set(rt.HeapBytes)
-	m.goroutines.Set(rt.Goroutines)
-	m.gcPause.Set(rt.GCPauseTotal)
-	if numa != nil && numa.Available {
-		for node, b := range numa.NodeBytes {
-			m.numaGauge(node).Set(b)
-		}
-	}
-	m.poolQueue.Set(int64(res.PoolQueueDepth))
-	m.poolSteals.Set(res.PoolStolen)
-	m.poolClaims.Set(res.PoolClaimed)
-	m.inflight.Set(res.BatchInflight)
-	m.planned.Set(res.BatchPlanned)
-	if res.BatchPlanned > 0 {
-		m.progress.Set(float64(res.BatchDone) / float64(res.BatchPlanned))
-	}
+	once  sync.Once
+	sweep *sweepMetrics
 }
 
 // EnableSolverMetrics registers the qs_* metric families in the default
@@ -204,16 +104,15 @@ func UpdateResourceGauges(mem MemStatus, rt RuntimeStatus, numa *NUMAStatus, res
 // call once at tool startup — StartDebugServer calls it for you.
 func EnableSolverMetrics() {
 	wire.once.Do(func() {
-		sm, sweep, resource := newSolverMetrics(Default())
+		sm, sweep := newSolverMetrics(Default())
 		subscribe(func(f *fanout) { f.met = sm })
-		wire.sweep, wire.resource = sweep, resource
+		wire.sweep = sweep
 	})
 }
 
 // newSolverMetrics registers the qs_* families in r: the span subscriber's
-// sites and the sweep and resource gauges behind RecordSweep* and
-// UpdateResourceGauges.
-func newSolverMetrics(r *Registry) (*solverMetrics, *sweepMetrics, *resourceMetrics) {
+// sites and the sweep families behind RecordSweep*.
+func newSolverMetrics(r *Registry) (*solverMetrics, *sweepMetrics) {
 	sb := SecondsBuckets()
 	sm := &solverMetrics{
 		sites:    map[spanKey]*metricSite{},
@@ -293,24 +192,7 @@ func newSolverMetrics(r *Registry) (*solverMetrics, *sweepMetrics, *resourceMetr
 		planned:  r.Counter("qs_sweep_points_planned_total", "Sweep points announced by sweep drivers before solving."),
 	}
 
-	resource := &resourceMetrics{
-		r:          r,
-		memRSS:     r.Gauge("qs_mem_rss_bytes", "Resident set size (VmRSS), refreshed by the resource sampler."),
-		memPeak:    r.Gauge("qs_mem_rss_peak_bytes", "Peak resident set size (VmHWM)."),
-		memHuge:    r.Gauge("qs_mem_anon_huge_bytes", "RSS backed by transparent huge pages (AnonHugePages)."),
-		hugeRatio:  r.GaugeFloat("qs_mem_huge_ratio", "Share of RSS backed by transparent huge pages."),
-		heap:       r.Gauge("qs_runtime_heap_bytes", "Go heap object bytes (runtime/metrics)."),
-		goroutines: r.Gauge("qs_runtime_goroutines", "Live goroutine count."),
-		gcPause:    r.GaugeFloat("qs_runtime_gc_pause_seconds", "Approximate cumulative GC stop-the-world pause seconds."),
-		numaBytes:  map[int]*Gauge{},
-		poolQueue:  r.Gauge("qs_device_pool_queue_depth", "Batches sitting unclaimed in pool worker queues."),
-		poolSteals: r.Gauge("qs_device_pool_chunks_stolen", "Cumulative chunks executed from a non-home part (work stealing)."),
-		poolClaims: r.Gauge("qs_device_pool_chunks_claimed", "Cumulative chunks executed from a participant's home part."),
-		inflight:   r.Gauge("qs_batch_live_inflight", "Scheduler tasks currently executing (always-on counter, no observer needed)."),
-		planned:    r.Gauge("qs_batch_tasks_planned", "Scheduler tasks ever submitted across all runs."),
-		progress:   r.GaugeFloat("qs_batch_chain_progress", "Completed fraction of all submitted scheduler tasks."),
-	}
-	return sm, sweep, resource
+	return sm, sweep
 }
 
 // RecordSweepStart announces a sweep of n points before any of them solve,
