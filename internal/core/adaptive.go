@@ -542,8 +542,8 @@ func acceptRightForm(opR, opS *FmmpOperator, opts AdaptiveOptions, work *Adaptiv
 	opR.Apply(w, x)
 	res.Iterations++
 	mu := opts.PowerShift
-	lamShifted, nrm := shiftedDotNorm2(opts.Dev, x, w, mu)
-	r := shiftedResidualScale(opts.Dev, x, w, mu, lamShifted, 1/nrm)
+	lamShifted, nrm := opts.Dev.ShiftedDotNorm2(x, w, mu)
+	r := opts.Dev.ShiftedResidualScale(x, w, mu, lamShifted, 1/nrm)
 	if !(r <= tol) {
 		return false, nil
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/vec"
 )
 
 // criticalProblem returns a single-peak problem near its error threshold
@@ -465,8 +466,8 @@ func TestAdaptiveChebyshevStallFallsBackToPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	opR.Apply(w, x)
-	lam, nrm := shiftedDotNorm2(nil, x, w, mu)
-	if r := shiftedResidualScale(nil, x, w, mu, lam, 1/nrm); r <= tol {
+	lam, nrm := vec.ShiftedDotNorm2(x, w, mu)
+	if r := vec.ShiftedResidualScale(x, w, mu, lam, 1/nrm); r <= tol {
 		t.Fatalf("the stalled iterate's Right-form residual %g meets tol %g; the check would accept it", r, tol)
 	}
 	want, err := PowerIteration(opR, PowerOptions{Tol: tol, Start: start, Shift: mu})

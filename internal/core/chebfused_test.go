@@ -21,11 +21,11 @@ import (
 func unfusedApply(op *FmmpOperator, dst, src []float64) {
 	switch op.Form {
 	case Right:
-		mulInto(op.Dev, dst, src, op.fdiag)
+		op.Dev.Mul(dst, src, op.fdiag)
 	case Symmetric:
-		mulInto(op.Dev, dst, src, op.fsqrt)
+		op.Dev.Mul(dst, src, op.fsqrt)
 	case Left:
-		copyInto(op.Dev, dst, src)
+		op.Dev.Copy(dst, src)
 	}
 	if op.Dev != nil {
 		op.Q.ApplyDevice(op.Dev, dst)
@@ -34,9 +34,9 @@ func unfusedApply(op *FmmpOperator, dst, src []float64) {
 	}
 	switch op.Form {
 	case Symmetric:
-		mulInto(op.Dev, dst, dst, op.fsqrt)
+		op.Dev.Mul(dst, dst, op.fsqrt)
 	case Left:
-		mulInto(op.Dev, dst, dst, op.fdiag)
+		op.Dev.Mul(dst, dst, op.fdiag)
 	}
 }
 

@@ -221,10 +221,10 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 				if !stepNorm {
 					continue
 				}
-				if m := norm2(dev, x); m > chebRescale || (m < 1/chebRescale && m > 0) {
+				if m := dev.Norm2(x); m > chebRescale || (m < 1/chebRescale && m > 0) {
 					inv := 1 / m
-					scale(dev, x, inv)
-					scale(dev, z, inv)
+					dev.Scale(x, inv)
+					dev.Scale(z, inv)
 				}
 			}
 			// The in-loop swap leaves the newest iterate z_steps in z; swap
@@ -233,14 +233,14 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			span.End(ph, int64(res.Restarts), int64(steps))
 
 			ph = beginSpan(sr, PhaseNormalize)
-			nrm := norm2(dev, x)
+			nrm := dev.Norm2(x)
 			if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 				span.End(ph, int64(res.Restarts), 0)
 				finishCheb(&res, x, opts.Work)
 				led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 				return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
 			}
-			scale(dev, x, 1/nrm)
+			dev.Scale(x, 1/nrm)
 			span.End(ph, int64(res.Restarts), 0)
 		}
 		filter = true
@@ -249,11 +249,11 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		ph := beginSpan(sr, PhaseRayleigh)
 		op.Apply(w, x)
 		res.MatVecs++
-		lambda := dot(dev, x, w)
+		lambda := dev.Dot(x, w)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Lambda = lambda
 		ph = beginSpan(sr, PhaseResidual)
-		r := residual(dev, w, x, lambda)
+		r := dev.ResidualNorm2(w, x, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
 		stalled := led.check(res.MatVecs, lambda, r)

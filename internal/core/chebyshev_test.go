@@ -40,7 +40,7 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 	dev := opts.Dev
 	x, z, w := make([]float64, n), make([]float64, n), make([]float64, n)
 	copy(x, opts.Start)
-	scale(dev, x, 1/norm2(dev, x))
+	dev.Scale(x, 1/dev.Norm2(x))
 	center, halfWidth := (b+a)/2, (b-a)/2
 	res := ChebyshevResult{Residual: math.Inf(1)}
 	bestResidual := math.Inf(1)
@@ -61,23 +61,23 @@ func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, 
 			res.MatVecs++
 			chebMap2(dev, x, w, z, center, halfWidth)
 			x, z = z, x
-			if m := norm2(dev, x); m > 1e100 || (m < 1e-100 && m > 0) {
+			if m := dev.Norm2(x); m > 1e100 || (m < 1e-100 && m > 0) {
 				inv := 1 / m
-				scale(dev, x, inv)
-				scale(dev, z, inv)
+				dev.Scale(x, inv)
+				dev.Scale(z, inv)
 			}
 		}
 		x, z = z, x
-		nrm := norm2(dev, x)
+		nrm := dev.Norm2(x)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			finish()
 			return res, errors.New("breakdown")
 		}
-		scale(dev, x, 1/nrm)
+		dev.Scale(x, 1/nrm)
 		op.Apply(w, x)
 		res.MatVecs++
-		res.Lambda = dot(dev, x, w)
-		res.Residual = residual(dev, w, x, res.Lambda)
+		res.Lambda = dev.Dot(x, w)
+		res.Residual = dev.ResidualNorm2(w, x, res.Lambda)
 		if res.Residual <= tol {
 			res.Converged = true
 			finish()

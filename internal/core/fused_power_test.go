@@ -33,7 +33,7 @@ type unfusedFmmpOp struct {
 func (op *unfusedFmmpOp) Dim() int { return op.q.Dim() }
 
 func (op *unfusedFmmpOp) Apply(dst, src []float64) {
-	mulInto(op.dev, dst, src, op.f)
+	op.dev.Mul(dst, src, op.f)
 	if op.dev != nil {
 		op.q.ApplyDevice(op.dev, dst)
 	} else {
@@ -79,7 +79,7 @@ func refNorm2(dev *device.Device, x []float64) float64 {
 // check, as pass B does.
 func refResidual(dev *device.Device, w, x []float64, lambda float64) float64 {
 	r := vec.Clone(w)
-	axpyInto(dev, -lambda, x, r)
+	dev.AXPY(-lambda, x, r)
 	return math.Sqrt(refDot(dev, r, r))
 }
 
@@ -117,7 +117,7 @@ func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) 
 	if nrm == 0 {
 		return PowerResult{}, errors.New("core: start vector is zero")
 	}
-	scale(dev, x, 1/nrm)
+	dev.Scale(x, 1/nrm)
 	if opts.Observer != nil {
 		opts.Observer.Event(EventStart, 0, mu, 0)
 	}
@@ -135,7 +135,7 @@ func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) 
 	for iter := 1; iter <= maxIter; iter++ {
 		op.Apply(w, x)
 		if mu != 0 {
-			axpyInto(dev, -mu, x, w)
+			dev.AXPY(-mu, x, w)
 		}
 		res.Iterations = iter
 		lamShifted := refDot(dev, x, w)
@@ -432,28 +432,40 @@ func TestFusedPowerIterationBitIdenticalToUnfused(t *testing.T) {
 	t.Logf("exit paths taken: %v", taken)
 }
 
-// TestPowerIterationSerialMatchesOneWorkerDevice: the serial passes sum in
-// the device's 4-lane order and apply the same range check, and a 1-worker
-// device reduces in one chunk, so a serial solve (Dev nil) and a solve on a
-// 1-worker device agree bit for bit — λ, residual, iteration count, iterate
-// and every Observer callback — from a fitness start, shifted and not, on
-// every exit path.
+// TestPowerIterationSerialMatchesOneWorkerDevice: the serial passes and
+// the device reductions sum on the same vec.ReduceChunk pieces in the same
+// 4-lane order and apply the same range check, so a serial solve (Dev nil)
+// and solves on 1-, 2- and 3-worker devices agree bit for bit — λ,
+// residual, iteration count, iterate and every Observer callback — from a
+// fitness start, shifted and not, on every exit path. ν = 18 spans two
+// pieces, which 3 workers reduce in one launch; it runs the uniform process
+// only, to keep the test to seconds, and not under the race detector.
 func TestPowerIterationSerialMatchesOneWorkerDevice(t *testing.T) {
 	r := rng.New(1214)
-	one := device.New(1)
-	for _, nu := range []int{1, 5, 11, 12, 13} {
+	devs := []*device.Device{device.New(1), device.New(2, device.WithGrain(64)), device.New(3, device.WithGrain(64))}
+	sizes := []int{1, 5, 11, 12, 13, 18}
+	if raceDetector || testing.Short() {
+		sizes = sizes[:len(sizes)-1]
+	}
+	for _, nu := range sizes {
 		l, err := landscape.NewRandom(nu, 5, 1, r.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range fusedTestProcesses(t, r, nu) {
+		procs := fusedTestProcesses(t, r, nu)
+		if nu == 18 {
+			procs = procs[:1]
+		}
+		for _, p := range procs {
 			serialOp, err := NewFmmpOperator(p.q, l, Right, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			devOp, err := NewFmmpOperator(p.q, l, Right, one)
-			if err != nil {
-				t.Fatal(err)
+			devOps := make([]*FmmpOperator, len(devs))
+			for i, dev := range devs {
+				if devOps[i], err = NewFmmpOperator(p.q, l, Right, dev); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for _, mu := range []float64{0, ConservativeShift(p.q, l)} {
 				for _, path := range exitPaths {
@@ -468,8 +480,10 @@ func TestPowerIterationSerialMatchesOneWorkerDevice(t *testing.T) {
 						return res, err, log
 					}
 					got, gotErr, gotLog := run(serialOp, nil)
-					want, wantErr, wantLog := run(devOp, one)
-					comparePower(t, fmt.Sprintf("ν=%d %s µ=%g %s", nu, p.name, mu, path.name), got, want, gotErr, wantErr, gotLog, wantLog)
+					for i, dev := range devs {
+						want, wantErr, wantLog := run(devOps[i], dev)
+						comparePower(t, fmt.Sprintf("ν=%d %s %v µ=%g %s", nu, p.name, dev, mu, path.name), got, want, gotErr, wantErr, gotLog, wantLog)
+					}
 				}
 			}
 		}

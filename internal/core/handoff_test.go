@@ -28,7 +28,8 @@ func measuredRitzResidual(op Operator, kw *KrylovWork, p ritzProbe) float64 {
 	kw.ritzVector(x, p.y)
 	vec.Normalize2(x)
 	op.Apply(w, x)
-	return residual(nil, w, x, p.theta0)
+	_, r := vec.ShiftedDotNorm2(x, w, p.theta0)
+	return r
 }
 
 // The estimate tracks the measured residual to 1e-6 relative wherever the

@@ -87,7 +87,7 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 		ph = beginSpan(sr, PhaseResidual)
 		op.Apply(w, q)
 		res.MatVecs++
-		res.Residual = residual(nil, w, q, res.Lambda)
+		_, res.Residual = vec.ShiftedDotNorm2(q, w, res.Lambda) // ‖w − λq‖₂
 		span.End(ph, int64(res.Restarts), 0)
 		led.check(res.MatVecs, res.Lambda, res.Residual)
 		if res.Residual <= tol {

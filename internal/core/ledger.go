@@ -124,10 +124,10 @@ func loadStart(dev *device.Device, x, start []float64) error {
 	} else {
 		vec.Fill(x, 1)
 	}
-	nrm := norm2(dev, x)
+	nrm := dev.Norm2(x)
 	if nrm == 0 {
 		return errors.New("core: start vector is zero")
 	}
-	scale(dev, x, 1/nrm)
+	dev.Scale(x, 1/nrm)
 	return nil
 }

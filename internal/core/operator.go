@@ -200,16 +200,16 @@ func (op *XmvpOperator) Apply(dst, src []float64) {
 	}
 	switch op.Form {
 	case Right:
-		mulInto(op.Dev, op.scratch, src, op.fdiag)
+		op.Dev.Mul(op.scratch, src, op.fdiag)
 		op.applyQ(dst, op.scratch)
 	case Symmetric:
-		mulInto(op.Dev, op.scratch, src, op.fsqrt)
+		op.Dev.Mul(op.scratch, src, op.fsqrt)
 		op.applyQ(dst, op.scratch)
-		mulInto(op.Dev, dst, dst, op.fsqrt)
+		op.Dev.Mul(dst, dst, op.fsqrt)
 	case Left:
-		copyInto(op.Dev, op.scratch, src)
+		op.Dev.Copy(op.scratch, src)
 		op.applyQ(dst, op.scratch)
-		mulInto(op.Dev, dst, dst, op.fdiag)
+		op.Dev.Mul(dst, dst, op.fdiag)
 	default:
 		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
 	}
@@ -306,31 +306,4 @@ func ConvertEigenvector(x []float64, from, to Formulation, f landscape.Landscape
 		x[i] *= math.Pow(f.At(uint64(i)), d)
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// small helpers (serial or device execution)
-
-func mulInto(dev *device.Device, dst, a, b []float64) {
-	if dev != nil {
-		dev.Mul(dst, a, b)
-	} else {
-		vec.Mul(dst, a, b)
-	}
-}
-
-func copyInto(dev *device.Device, dst, src []float64) {
-	if dev != nil {
-		dev.Copy(dst, src)
-	} else {
-		copy(dst, src)
-	}
-}
-
-func axpyInto(dev *device.Device, a float64, x, y []float64) {
-	if dev != nil {
-		dev.AXPY(a, x, y)
-	} else {
-		vec.AXPY(a, x, y)
-	}
 }

@@ -164,13 +164,13 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		// Pass A: Rayleigh quotient of the *shifted* operator for unit x,
 		// and ‖t‖ for the normalization.
 		ph = beginSpan(sr, PhaseRayleigh)
-		lamShifted, nrm := shiftedDotNorm2(dev, x, w, mu)
+		lamShifted, nrm := dev.ShiftedDotNorm2(x, w, mu)
 		span.End(ph, int64(iter), 0)
 		res.Lambda = lamShifted + mu
 		// Pass B: the residual of the shifted pair, which equals that of
 		// the unshifted pair (Wx − λx = (W−µI)x − (λ−µ)x), and w ← t/‖t‖.
 		ph = beginSpan(sr, PhaseResidual)
-		r := shiftedResidualScale(dev, x, w, mu, lamShifted, 1/nrm)
+		r := dev.ShiftedResidualScale(x, w, mu, lamShifted, 1/nrm)
 		span.End(ph, int64(iter), 0)
 		res.Residual = r
 		stalled := led.check(iter, res.Lambda, r)
@@ -289,50 +289,4 @@ func DefaultTolerance(f landscape.Landscape) float64 {
 	_, fmax := f.Bounds()
 	floor := 64 * 2.220446049250313e-16 * fmax * math.Sqrt(float64(f.Dim()))
 	return math.Max(1e-12, floor)
-}
-
-// ---------------------------------------------------------------------------
-// device-or-serial BLAS-1 helpers
-
-func dot(dev *device.Device, x, y []float64) float64 {
-	if dev != nil {
-		return dev.Dot(x, y)
-	}
-	return vec.Dot(x, y)
-}
-
-func norm2(dev *device.Device, x []float64) float64 {
-	if dev != nil {
-		return dev.Norm2(x)
-	}
-	return vec.Norm2(x)
-}
-
-func scale(dev *device.Device, x []float64, a float64) {
-	if dev != nil {
-		dev.Scale(x, a)
-	} else {
-		vec.Scale(x, a)
-	}
-}
-
-func shiftedDotNorm2(dev *device.Device, x, w []float64, mu float64) (dot, norm float64) {
-	if dev != nil {
-		return dev.ShiftedDotNorm2(x, w, mu)
-	}
-	return vec.ShiftedDotNorm2(x, w, mu)
-}
-
-func shiftedResidualScale(dev *device.Device, x, w []float64, mu, lambda, c float64) float64 {
-	if dev != nil {
-		return dev.ShiftedResidualScale(x, w, mu, lambda, c)
-	}
-	return vec.ShiftedResidualScale(x, w, mu, lambda, c)
-}
-
-// residual is ‖w − λx‖₂ in one read-only pass: pass A's shiftedDotNorm2
-// with µ = λ, serial or on dev, whose t = w + (−λ)·x is w − λ·x bit for bit.
-func residual(dev *device.Device, w, x []float64, lambda float64) float64 {
-	_, r := shiftedDotNorm2(dev, x, w, lambda)
-	return r
 }

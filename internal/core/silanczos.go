@@ -162,7 +162,7 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 	res := ShiftInvertResult{Vector: q, Mu: mu}
 	for restart := 0; restart < siMaxRestarts; restart++ {
 		res.Restarts = restart + 1
-		copyInto(dev, basis[0], q)
+		dev.Copy(basis[0], q)
 		k := 0
 		badShift := false
 		for j := 0; j < m; j++ {
@@ -174,19 +174,19 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 				badShift = true
 				break
 			}
-			alpha[j] = dot(dev, basis[j], w)
-			axpyInto(dev, -alpha[j], basis[j], w)
+			alpha[j] = dev.Dot(basis[j], w)
+			dev.AXPY(-alpha[j], basis[j], w)
 			if j > 0 {
-				axpyInto(dev, -beta[j-1], basis[j-1], w)
+				dev.AXPY(-beta[j-1], basis[j-1], w)
 			}
 			// Full reorthogonalization of the small outer basis.
 			for t := 0; t <= j; t++ {
-				c := dot(dev, basis[t], w)
-				axpyInto(dev, -c, basis[t], w)
+				c := dev.Dot(basis[t], w)
+				dev.AXPY(-c, basis[t], w)
 			}
 			k = j + 1
 			if j+1 < m {
-				b := norm2(dev, w)
+				b := dev.Norm2(w)
 				if b < 1e-300 {
 					break // invariant subspace of the transformed operator
 				}
@@ -234,21 +234,21 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 		// Ritz vector x = Σ_j vecs[j][0]·basis[j] (built in q, normalized).
 		vec.Fill(q, 0)
 		for j := 0; j < k; j++ {
-			axpyInto(dev, vecs[j], basis[j], q)
+			dev.AXPY(vecs[j], basis[j], q)
 		}
-		nrm := norm2(dev, q)
+		nrm := dev.Norm2(q)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: shift-invert Ritz vector collapsed at restart %d", res.Restarts)
 		}
-		scale(dev, q, 1/nrm)
+		dev.Scale(q, 1/nrm)
 		// Explicit residual on the original operator.
 		ph = beginSpan(sr, PhaseResidual)
 		op.Apply(w, q)
 		res.MatVecs++
-		lambda := dot(dev, q, w) // Rayleigh quotient beats µ − 1/θ once close
+		lambda := dev.Dot(q, w) // Rayleigh quotient beats µ − 1/θ once close
 		res.Lambda = lambda
-		r := residual(dev, w, q, lambda)
+		r := dev.ResidualNorm2(w, q, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
 		led.check(res.MatVecs, lambda, r)
@@ -273,9 +273,9 @@ func ShiftInvertLanczos(op Operator, opts ShiftInvertOptions) (ShiftInvertResult
 func innerCG(op Operator, dev *device.Device, y, rhs []float64, mu, rtol float64, maxIter int, r, p, ap []float64, matvecs, inner *int) bool {
 	n := len(y)
 	vec.Fill(y, 0)
-	copyInto(dev, r, rhs) // r = rhs − (µI−S)·0
-	copyInto(dev, p, r)
-	rs := dot(dev, r, r)
+	dev.Copy(r, rhs) // r = rhs − (µI−S)·0
+	dev.Copy(p, r)
+	rs := dev.Dot(r, r)
 	bnorm := math.Sqrt(rs)
 	if bnorm == 0 {
 		return true
@@ -298,14 +298,14 @@ func innerCG(op Operator, dev *device.Device, y, rhs []float64, mu, rtol float64
 				ap[i] = mu*p[i] - ap[i]
 			}
 		}
-		curv := dot(dev, p, ap)
+		curv := dev.Dot(p, ap)
 		if curv <= 0 || math.IsNaN(curv) {
 			return false // (µI − S) not positive definite along p: µ ≤ λ₀
 		}
 		a := rs / curv
-		axpyInto(dev, a, p, y)
-		axpyInto(dev, -a, ap, r)
-		rsNew := dot(dev, r, r)
+		dev.AXPY(a, p, y)
+		dev.AXPY(-a, ap, r)
+		rsNew := dev.Dot(r, r)
 		if math.Sqrt(rsNew) <= threshold {
 			return true
 		}

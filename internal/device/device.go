@@ -16,19 +16,18 @@
 //   - logical threads are chunked over a persistent pool of long-lived
 //     worker goroutines parked on a channel (see pool.go), the software
 //     analogue of scheduling thread blocks over resident multiprocessors;
-//   - the vector kernels (veckernels.go) reduce in a fixed chunk order for
-//     the norms and residuals, which the paper notes "can be relatively
-//     well parallelized".
+//   - the vector kernels (veckernels.go) reduce the norms and residuals,
+//     which the paper notes "can be relatively well parallelized", on
+//     chunks fixed by the vector length alone, so they return the serial
+//     bits at every worker count.
 //
 // A Device with one worker executes everything on the calling goroutine,
-// giving a serial twin with identical semantics for testing. Launch
-// statistics are recorded so benchmarks can report grid sizes.
+// and a nil *Device is the serial device of the vector kernels.
 package device
 
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/span"
@@ -41,13 +40,6 @@ import (
 type Device struct {
 	workers int
 	grain   int
-
-	launches       atomic.Int64
-	threadsTotal   atomic.Int64
-	chunksTotal    atomic.Int64
-	reduceLaunches atomic.Int64
-	stageLaunches  atomic.Int64
-	stagesFused    atomic.Int64
 }
 
 // Option configures a Device.
@@ -83,9 +75,6 @@ func New(workers int, opts ...Option) *Device {
 // It is the bit-identical reference for the parallel paths.
 func Serial() *Device { return New(1) }
 
-// Workers returns the worker count of the device.
-func (d *Device) Workers() int { return d.workers }
-
 // plan partitions a grid of n logical threads into contiguous chunks of at
 // least grain threads, at most one chunk per worker.
 func (d *Device) plan(n, grain int) (chunk, nchunks int) {
@@ -108,11 +97,7 @@ func (d *Device) LaunchRange(n int, kernel func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	d.launches.Add(1)
-	d.threadsTotal.Add(int64(n))
-
 	chunk, nchunks := d.plan(n, d.grain)
-	d.chunksTotal.Add(int64(nchunks))
 	d.run(LaunchKindRange, launch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks})
 }
 
@@ -127,16 +112,10 @@ func (d *Device) LaunchStages(stages, n, weight int, kernel func(lo, hi int)) {
 	if n <= 0 || stages <= 0 {
 		return
 	}
-	d.launches.Add(1)
-	d.stageLaunches.Add(1)
-	d.stagesFused.Add(int64(stages))
-	d.threadsTotal.Add(int64(n))
-
 	if weight < 1 {
 		weight = 1
 	}
 	chunk, nchunks := d.plan(n, d.grain/weight)
-	d.chunksTotal.Add(int64(nchunks))
 	d.run(LaunchKindStages, launch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks})
 }
 
@@ -170,28 +149,6 @@ func (d *Device) dispatch(l launch, measureWait bool) ([][2]float64, time.Durati
 	}
 	b := newBatch(l)
 	return b.sums, runPooled(b, d.workers-1, measureWait)
-}
-
-// Stats is a snapshot of the launch counters of a Device.
-type Stats struct {
-	Launches       int64 // kernel launches performed (incl. stage-group launches)
-	ReduceLaunches int64 // reduction launches performed
-	ThreadsTotal   int64 // sum of grid sizes over all launches
-	ChunksTotal    int64 // dispatched chunks over all launches
-	StageLaunches  int64 // fused stage-group launches (LaunchStages calls)
-	StagesFused    int64 // butterfly stages covered by stage-group launches
-}
-
-// Stats returns a snapshot of the device counters.
-func (d *Device) Stats() Stats {
-	return Stats{
-		Launches:       d.launches.Load(),
-		ReduceLaunches: d.reduceLaunches.Load(),
-		ThreadsTotal:   d.threadsTotal.Load(),
-		ChunksTotal:    d.chunksTotal.Load(),
-		StageLaunches:  d.stageLaunches.Load(),
-		StagesFused:    d.stagesFused.Load(),
-	}
 }
 
 // String describes the device, e.g. "device(8 workers, grain 4096)".

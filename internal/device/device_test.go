@@ -63,7 +63,7 @@ func TestLaunchRangePartition(t *testing.T) {
 
 func TestReduceSumMatchesSerial(t *testing.T) {
 	r := rng.New(1)
-	x := randVec(r, 100003)
+	x := randVec(r, 3*vec.ReduceChunk+5)
 	want := vec.Sum(x)
 	for name, d := range devices() {
 		got := d.reduceSum(len(x), func(i int) float64 { return x[i] })
@@ -77,7 +77,7 @@ func TestReduceDeterministicAcrossRuns(t *testing.T) {
 	// The combination order is fixed by chunk index, so repeated runs must
 	// produce bit-identical results despite goroutine scheduling.
 	r := rng.New(2)
-	x := randVec(r, 50000)
+	x := randVec(r, 3*vec.ReduceChunk+5)
 	d := New(4, WithGrain(16))
 	first := d.reduceSum(len(x), func(i int) float64 { return x[i] })
 	for run := 0; run < 20; run++ {
@@ -88,31 +88,33 @@ func TestReduceDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestReduceEmptyReturnsIdentity(t *testing.T) {
-	d := New(4)
-	if got := d.reduce(0, 42, func(int) float64 { return 0 }, math.Max); got != 42 {
-		t.Errorf("empty Reduce = %g, want identity 42", got)
+	for name, d := range devices() {
+		if got := d.reduceSum(0, func(int) float64 { return 1 }); got != 0 {
+			t.Errorf("%s: empty reduceSum = %g, want 0", name, got)
+		}
+		dot, norm := d.ShiftedDotNorm2(nil, nil, 0.5)
+		for what, got := range map[string]float64{
+			"Dot": d.Dot(nil, nil), "Norm2": d.Norm2(nil), "pass A dot": dot, "pass A norm": norm,
+			"ShiftedResidualScale": d.ShiftedResidualScale(nil, nil, 0.5, 1, 1),
+		} {
+			if got != 0 {
+				t.Errorf("%s: empty %s = %g, want 0", name, what, got)
+			}
+		}
 	}
 }
 
 func TestVecKernelsMatchSerial(t *testing.T) {
 	r := rng.New(3)
-	n := 12345
-	x, y := randVec(r, n), randVec(r, n)
-	for name, d := range devices() {
-		if got, want := d.Dot(x, y), vec.Dot(x, y); math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s Dot = %g want %g", name, got, want)
-		}
-		if got, want := d.Norm1(x), vec.Norm1(x); math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s Norm1 = %g want %g", name, got, want)
-		}
-		if got, want := d.Norm2(x), vec.Norm2(x); math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s Norm2 = %g want %g", name, got, want)
-		}
-		if got, want := d.NormInf(x), vec.NormInf(x); got != want {
-			t.Errorf("%s NormInf = %g want %g", name, got, want)
-		}
-		if got, want := d.Sum(x), vec.Sum(x); math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s Sum = %g want %g", name, got, want)
+	for _, n := range []int{12345, 2*vec.ReduceChunk + 12345} {
+		x, y := randVec(r, n), randVec(r, n)
+		for name, d := range devices() {
+			if got, want := d.Dot(x, y), vec.Dot(x, y); got != want {
+				t.Errorf("%s n=%d: Dot = %g want %g", name, n, got, want)
+			}
+			if got, want := d.Norm2(x), vec.Norm2(x); got != want {
+				t.Errorf("%s n=%d: Norm2 = %g want %g", name, n, got, want)
+			}
 		}
 	}
 }
@@ -168,35 +170,14 @@ func TestResidualNorm2(t *testing.T) {
 	}
 }
 
-func TestStatsAccounting(t *testing.T) {
-	d := New(4, WithGrain(10))
-	d.launchEach(100, func(int) {})
-	d.launchEach(50, func(int) {})
-	d.reduceSum(30, func(int) float64 { return 0 })
-	s := d.Stats()
-	if s.Launches != 2 {
-		t.Errorf("Launches = %d, want 2", s.Launches)
-	}
-	if s.ThreadsTotal != 150 {
-		t.Errorf("ThreadsTotal = %d, want 150", s.ThreadsTotal)
-	}
-	if s.ReduceLaunches != 1 {
-		t.Errorf("ReduceLaunches = %d, want 1", s.ReduceLaunches)
-	}
-	d.resetStats()
-	if s := d.Stats(); s.Launches != 0 || s.ThreadsTotal != 0 {
-		t.Error("resetStats did not zero counters")
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
-	if New(0).Workers() < 1 {
+	if New(0).workers < 1 {
 		t.Error("New(0) must select at least one worker")
 	}
-	if New(3).Workers() != 3 {
+	if New(3).workers != 3 {
 		t.Error("explicit worker count not honored")
 	}
-	if Serial().Workers() != 1 {
+	if Serial().workers != 1 {
 		t.Error("Serial must have one worker")
 	}
 }
@@ -204,11 +185,9 @@ func TestWorkersDefault(t *testing.T) {
 func TestParallelMatchesSerialProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		n := 1 + int(r.Uint64n(5000))
-		x := randVec(r, n)
-		serial := Serial().Sum(x)
-		par := New(7, WithGrain(13)).Sum(x)
-		return math.Abs(serial-par) <= 1e-9*(1+math.Abs(serial))
+		n := 1 + int(r.Uint64n(3*vec.ReduceChunk))
+		x, y := randVec(r, n), randVec(r, n)
+		return New(7, WithGrain(13)).Dot(x, y) == Serial().Dot(x, y)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -1,6 +1,10 @@
 package device
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/vec"
+)
 
 // launchEach runs kernel(id) for every logical thread id in [0, n) through
 // LaunchRange.
@@ -12,32 +16,27 @@ func (d *Device) launchEach(n int, kernel func(id int)) {
 	})
 }
 
-// reduce folds f(0) … f(n−1) with combine through reduceChunks, the
-// chunk-ordered reduction behind Dot, Norm2 and the power passes.
-func (d *Device) reduce(n int, identity float64, f func(i int) float64, combine func(a, b float64) float64) float64 {
-	s, _ := d.reduceChunks(n, identity, func(lo, hi int) (float64, float64) {
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, f(i))
-		}
-		return acc, identity
-	}, combine)
-	return s
-}
-
-// reduceSum is Σ f(i) for i in [0, n) through reduce.
+// reduceSum is Σ f(i) for i in [0, n): each vec.ReduceChunk piece folded
+// left to right, the piece sums added in ascending order, through
+// reduceChunks when the reduction launches and on the caller otherwise.
 func (d *Device) reduceSum(n int, f func(i int) float64) float64 {
-	return d.reduce(n, 0, f, addf)
-}
-
-// resetStats zeroes the device counters.
-func (d *Device) resetStats() {
-	d.launches.Store(0)
-	d.threadsTotal.Store(0)
-	d.chunksTotal.Store(0)
-	d.reduceLaunches.Store(0)
-	d.stageLaunches.Store(0)
-	d.stagesFused.Store(0)
+	piece := func(lo, hi int) (float64, float64) {
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += f(i)
+		}
+		return s, 0
+	}
+	if !d.serial(n) {
+		s, _ := d.reduceChunks(n, piece)
+		return s
+	}
+	s, _ := piece(0, min(n, vec.ReduceChunk))
+	for lo := vec.ReduceChunk; lo < n; lo += vec.ReduceChunk {
+		p, _ := piece(lo, min(n, lo+vec.ReduceChunk))
+		s += p
+	}
+	return s
 }
 
 // isAligned reports whether v starts on a CacheLine boundary (true for the

@@ -32,27 +32,6 @@ func TestLaunchStagesCoversAllItems(t *testing.T) {
 	}
 }
 
-func TestLaunchStagesStatsAccounting(t *testing.T) {
-	d := New(4, WithGrain(64))
-	d.LaunchStages(3, 100, 16, func(lo, hi int) {})
-	d.LaunchStages(2, 50, 1, func(lo, hi int) {})
-	d.LaunchStages(2, 0, 1, func(lo, hi int) {})  // empty grid: not counted
-	d.LaunchStages(0, 10, 1, func(lo, hi int) {}) // no stages: not counted
-	s := d.Stats()
-	if s.StageLaunches != 2 {
-		t.Errorf("StageLaunches = %d, want 2", s.StageLaunches)
-	}
-	if s.StagesFused != 5 {
-		t.Errorf("StagesFused = %d, want 5", s.StagesFused)
-	}
-	if s.Launches != 2 {
-		t.Errorf("Launches = %d, want 2", s.Launches)
-	}
-	if s.ThreadsTotal != 150 {
-		t.Errorf("ThreadsTotal = %d, want 150", s.ThreadsTotal)
-	}
-}
-
 func TestLaunchStagesWeightScalesGrain(t *testing.T) {
 	// With grain 4096 and weight 2048, a grid of 8 items must split across
 	// workers (effective grain 2), not run as one serial chunk.
@@ -65,12 +44,12 @@ func TestLaunchStagesWeightScalesGrain(t *testing.T) {
 }
 
 // TestPoolDispatchMatchesChunkReference checks pooled LaunchRange and
-// reduceSum on 6 workers against a serial reference over the same plan
-// partition: every element written once, and the reduction equal bit for
-// bit to the chunk partials summed in chunk order.
+// reduceSum on 6 workers against serial references: every element written
+// once, and the reduction equal bit for bit to the vec.ReduceChunk pieces'
+// partials summed in piece order.
 func TestPoolDispatchMatchesChunkReference(t *testing.T) {
 	r := rng.New(21)
-	n := 100000
+	n := 3*vec.ReduceChunk + 5
 	x := randVec(r, n)
 	pooled := New(6, WithGrain(32))
 
@@ -87,17 +66,18 @@ func TestPoolDispatchMatchesChunkReference(t *testing.T) {
 		t.Error("pooled LaunchRange differs from the serial loop")
 	}
 
-	chunk, nchunks := pooled.plan(n, pooled.grain)
-	if nchunks < 2 {
-		t.Fatalf("plan gave %d chunk(s); the test needs a multi-chunk reduction", nchunks)
-	}
-	want := 0.0
-	for c := 0; c < nchunks; c++ {
+	const chunk = vec.ReduceChunk
+	var want float64
+	for c := 0; c*chunk < n; c++ {
 		partial := 0.0
 		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
 			partial += x[i]
 		}
-		want += partial
+		if c == 0 {
+			want = partial
+		} else {
+			want += partial
+		}
 	}
 	if got := pooled.reduceSum(n, func(i int) float64 { return x[i] }); got != want {
 		t.Errorf("pooled reduceSum = %v, chunk-order reference = %v (must be bit-identical)", got, want)

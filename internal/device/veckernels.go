@@ -23,98 +23,81 @@ import (
 // They sit inside every power/Lanczos iteration, so they are written to the
 // same kernel-floor discipline as the butterfly stages (see DESIGN.md §5.6):
 // each launch dispatches CHUNK bodies, not per-element closures, which
-// would pay an indirect call per element. Dot, Norm2,
-// ResidualNorm2 and the two power passes reduce over vec's 4-lane kernels
-// (vec.DotLanes, vec.SumSq, vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq),
-// with their AVX2 bodies; Sum, Norm1 and NormInf over vec.Sum, vec.Norm1
-// and vec.NormInf, bounds-check-eliminated Go loops in the same order.
+// would pay an indirect call per element. Dot, Norm2, ResidualNorm2 and the
+// two power passes reduce over vec's 4-lane kernels (vec.DotLanes,
+// vec.SumSq, vec.ShiftedDotSumSq, vec.ShiftedResidualSumSq), with their
+// AVX2 bodies.
 //
-// SUMMATION ORDER: every reduction splits [0, n) into the device's chunks,
-// sums each chunk in the 4-lane order of vec's reduction contract
-// (internal/vec/lanes.go) and combines the chunk partials in ascending
-// chunk order. The result is therefore a pure function of (operands, n,
-// chunk size): bit-identical across runs and across schedules for a fixed
-// Device, independent of which worker executes which chunk, and on a
-// 1-worker Device (one chunk) bit-identical to the serial vec kernel: a
-// serial dot, sum, norm or residual equals a 1-worker device one. More chunks
-// regroup the sum at chunk boundaries, an O(ε·Σ|xᵢyᵢ|) difference the
-// solver tolerances (≥1e-9) absorb; tests pin the fixed-schedule
-// bit-identity.
+// SUMMATION ORDER: a reduction's bits depend only on its operands and
+// their length. Every reduction splits [0, n) into the vec.ReduceChunk
+// (2^17-element) pieces of vec's reduction contract (internal/vec/lanes.go),
+// one launch chunk per piece whatever the worker count, sums each in the
+// 4-lane order and adds the piece partials in ascending order, exactly as
+// the serial vec call walks them. So a reduction returns the serial bits on
+// every Device, independent of which worker executes which piece. With one
+// piece (ν ≤ 17), one worker or a nil receiver it is the serial vec call on
+// the caller, without a launch; a nil *Device is the serial device of every
+// method in this file, and those calls return before any closure is built,
+// so the serial path allocates nothing. The elementwise kernels keep the
+// device's grain/worker plan, since each element gets the same operations
+// in any partition.
+
+// serial reports whether a reduction over n elements runs as the serial vec
+// call: on a nil or 1-worker Device, or over a single vec.ReduceChunk
+// piece.
+func (d *Device) serial(n int) bool {
+	return d == nil || d.workers == 1 || n <= vec.ReduceChunk
+}
 
 // reduceChunks reduces chunkFn, which returns two independent partials per
-// chunk, over the device's chunk partition of [0, n): each component is
-// folded from identity with combine in ascending chunk order. The partials
-// live in the launch's own batch, so a reduction allocates no more than a
+// vec.ReduceChunk piece of [0, n), in one launch, and adds the partials of
+// each component in ascending piece order, the first one seeding the sum.
+// n must span more than one piece (serial(n) is false). The partials live
+// in the launch's own batch, so a reduction allocates no more than a
 // LaunchRange.
-func (d *Device) reduceChunks(n int, identity float64, chunkFn func(lo, hi int) (float64, float64), combine func(a, b float64) float64) (float64, float64) {
-	if n <= 0 {
-		return identity, identity
-	}
-	d.reduceLaunches.Add(1)
-	chunk, nchunks := d.plan(n, d.grain)
-	if nchunks == 1 || d.workers == 1 {
-		a, b := chunkFn(0, n)
-		return combine(identity, a), combine(identity, b)
-	}
-	sums := d.run(LaunchKindReduce, launch{reduce: chunkFn, n: n, chunk: chunk, nchunks: nchunks})
-	a, b := identity, identity
-	for _, s := range sums {
-		a, b = combine(a, s[0]), combine(b, s[1])
+func (d *Device) reduceChunks(n int, chunkFn func(lo, hi int) (float64, float64)) (a, b float64) {
+	const chunk = vec.ReduceChunk
+	sums := d.run(LaunchKindReduce, launch{reduce: chunkFn, n: n, chunk: chunk, nchunks: (n + chunk - 1) / chunk})
+	for c, s := range sums {
+		if c == 0 {
+			a, b = s[0], s[1]
+			continue
+		}
+		a, b = a+s[0], b+s[1]
 	}
 	return a, b
 }
-
-func addf(a, b float64) float64 { return a + b }
 
 // chunk2 returns the [lo, hi) chunk of two equal-length operands.
 func chunk2(x, y []float64, lo, hi int) ([]float64, []float64) {
 	return x[lo:hi], y[lo:hi]
 }
 
-// Dot returns xᵀy computed with a parallel reduction.
+// Dot returns xᵀy, bit-identical to vec.Dot.
 func (d *Device) Dot(x, y []float64) float64 {
+	if d.serial(len(x)) {
+		return vec.Dot(x, y)
+	}
 	if len(x) != len(y) {
 		panic("device: Dot length mismatch")
 	}
-	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+	s, _ := d.reduceChunks(len(x), func(lo, hi int) (float64, float64) {
 		return vec.DotLanes(chunk2(x, y, lo, hi)), 0
-	}, addf)
+	})
 	return s
 }
 
-// Sum returns Σ xᵢ computed with a parallel reduction.
-func (d *Device) Sum(x []float64) float64 {
-	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return vec.Sum(x[lo:hi]), 0
-	}, addf)
-	return s
-}
-
-// Norm1 returns ‖x‖₁ computed with a parallel reduction.
-func (d *Device) Norm1(x []float64) float64 {
-	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return vec.Norm1(x[lo:hi]), 0
-	}, addf)
-	return s
-}
-
-// Norm2 returns ‖x‖₂ computed with a parallel reduction over vec.SumSq. A
-// sum that leaves [2⁻⁹⁰⁰, 2⁹⁰⁰] is recomputed scaled (vec.NormFromSumSq), so
-// it neither over- nor underflows.
+// Norm2 returns ‖x‖₂, bit-identical to vec.Norm2: a sum that leaves
+// [2⁻⁹⁰⁰, 2⁹⁰⁰] is recomputed scaled (vec.NormFromSumSq), so it neither
+// over- nor underflows.
 func (d *Device) Norm2(x []float64) float64 {
-	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+	if d.serial(len(x)) {
+		return vec.Norm2(x)
+	}
+	s, _ := d.reduceChunks(len(x), func(lo, hi int) (float64, float64) {
 		return vec.SumSq(x[lo:hi]), 0
-	}, addf)
+	})
 	return vec.NormFromSumSq(s, nil, x, 0)
-}
-
-// NormInf returns ‖x‖∞ computed with a parallel max-reduction; NaN
-// entries are skipped, as in vec.NormInf.
-func (d *Device) NormInf(x []float64) float64 {
-	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
-		return vec.NormInf(x[lo:hi]), 0
-	}, math.Max)
-	return s
 }
 
 // ResidualNorm2 returns ‖w − λx‖₂, the power-iteration residual
@@ -138,30 +121,37 @@ func (d *Device) ResidualNorm2(w, x []float64, lambda float64) float64 {
 
 // ShiftedDotNorm2 is pass A of the fused power step: for t = w − µ·x it
 // returns x·t and ‖t‖₂ in one read-only pass, bit-identical to AXPY(−µ, x,
-// w) (skipped for µ = 0) followed by Dot(x, w) and Norm2(w).
+// w) (skipped for µ = 0) followed by Dot(x, w) and Norm2(w), and to
+// vec.ShiftedDotNorm2.
 func (d *Device) ShiftedDotNorm2(x, w []float64, mu float64) (dot, norm float64) {
+	if d.serial(len(x)) {
+		return vec.ShiftedDotNorm2(x, w, mu)
+	}
 	if len(x) != len(w) {
 		panic("device: ShiftedDotNorm2 length mismatch")
 	}
-	dot, sq := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+	dot, sq := d.reduceChunks(len(x), func(lo, hi int) (float64, float64) {
 		xs, ws := chunk2(x, w, lo, hi)
 		return vec.ShiftedDotSumSq(xs, ws, mu)
-	}, addf)
+	})
 	return dot, vec.NormFromSumSq(sq, x, w, mu)
 }
 
 // ShiftedResidualScale is pass B of the fused power step: for t = w − µ·x
 // it returns ‖t − λ·x‖₂ and overwrites w ← c·t in the same pass,
 // bit-identical to AXPY(−µ, x, w) (skipped for µ = 0), ResidualNorm2(w, x,
-// λ) and Scale(w, c).
+// λ) and Scale(w, c), and to vec.ShiftedResidualScale.
 func (d *Device) ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
+	if d.serial(len(x)) {
+		return vec.ShiftedResidualScale(x, w, mu, lambda, c)
+	}
 	if len(x) != len(w) {
 		panic("device: ShiftedResidualScale length mismatch")
 	}
-	s, _ := d.reduceChunks(len(x), 0, func(lo, hi int) (float64, float64) {
+	s, _ := d.reduceChunks(len(x), func(lo, hi int) (float64, float64) {
 		xs, ws := chunk2(x, w, lo, hi)
 		return vec.ShiftedResidualSumSq(xs, ws, mu, lambda, c), 0
-	}, addf)
+	})
 	return math.Sqrt(s)
 }
 
@@ -169,35 +159,35 @@ func (d *Device) ShiftedResidualScale(x, w []float64, mu, lambda, c float64) flo
 // partition. Each element gets the same single multiply, so results are
 // bit-identical to the serial call.
 func (d *Device) Scale(x []float64, a float64) {
+	if d == nil {
+		vec.Scale(x, a)
+		return
+	}
 	d.LaunchRange(len(x), func(lo, hi int) {
 		vec.Scale(x[lo:hi], a)
 	})
 }
 
-// AXPY computes y ← a·x + y in place with a parallel kernel. Element-wise,
-// so the unroll is bit-identical to the scalar loop.
+// AXPY computes y ← a·x + y in place, vec.AXPY on each chunk.
 func (d *Device) AXPY(a float64, x, y []float64) {
+	if d == nil {
+		vec.AXPY(a, x, y)
+		return
+	}
 	if len(x) != len(y) {
 		panic("device: AXPY length mismatch")
 	}
 	d.LaunchRange(len(x), func(lo, hi int) {
-		xs, ys := x[lo:hi], y[lo:hi]
-		for len(xs) >= 4 && len(ys) >= 4 {
-			ys[0] += a * xs[0]
-			ys[1] += a * xs[1]
-			ys[2] += a * xs[2]
-			ys[3] += a * xs[3]
-			xs, ys = xs[4:], ys[4:]
-		}
-		for len(xs) > 0 && len(ys) > 0 {
-			ys[0] += a * xs[0]
-			xs, ys = xs[1:], ys[1:]
-		}
+		vec.AXPY(a, x[lo:hi], y[lo:hi])
 	})
 }
 
-// Copy copies src into dst with a parallel kernel.
+// Copy copies src into dst, one copy per chunk.
 func (d *Device) Copy(dst, src []float64) {
+	if d == nil {
+		vec.Copy(dst, src)
+		return
+	}
 	if len(dst) != len(src) {
 		panic("device: Copy length mismatch")
 	}
@@ -206,24 +196,17 @@ func (d *Device) Copy(dst, src []float64) {
 	})
 }
 
-// Mul computes dst ← x ⊙ y elementwise with a parallel kernel.
-// dst may alias x or y.
+// Mul computes dst ← x ⊙ y elementwise, vec.Mul on each chunk. dst may
+// alias x or y.
 func (d *Device) Mul(dst, x, y []float64) {
+	if d == nil {
+		vec.Mul(dst, x, y)
+		return
+	}
 	if len(x) != len(y) || len(dst) != len(x) {
 		panic("device: Mul length mismatch")
 	}
 	d.LaunchRange(len(dst), func(lo, hi int) {
-		ds, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-		for len(ds) >= 4 && len(xs) >= 4 && len(ys) >= 4 {
-			ds[0] = xs[0] * ys[0]
-			ds[1] = xs[1] * ys[1]
-			ds[2] = xs[2] * ys[2]
-			ds[3] = xs[3] * ys[3]
-			ds, xs, ys = ds[4:], xs[4:], ys[4:]
-		}
-		for len(ds) > 0 && len(xs) > 0 && len(ys) > 0 {
-			ds[0] = xs[0] * ys[0]
-			ds, xs, ys = ds[1:], xs[1:], ys[1:]
-		}
+		vec.Mul(dst[lo:hi], x[lo:hi], y[lo:hi])
 	})
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -65,14 +66,13 @@ func TestChunkKernelsMatchDocumentedOrder(t *testing.T) {
 
 func TestReductionsBitIdenticalAcrossRuns(t *testing.T) {
 	r := rng.New(11)
-	n := 100003 // odd: exercises chunk tails
+	n := 2*vec.ReduceChunk + 3 // odd: exercises piece and lane tails
 	x, y := randVec(r, n), randVec(r, n)
 	for name, d := range devices() {
-		dot, sum, n1, n2, ninf := d.Dot(x, y), d.Sum(x), d.Norm1(x), d.Norm2(x), d.NormInf(x)
+		dot, n2 := d.Dot(x, y), d.Norm2(x)
 		res := d.ResidualNorm2(x, y, 0.4)
 		for run := 0; run < 20; run++ {
-			if d.Dot(x, y) != dot || d.Sum(x) != sum || d.Norm1(x) != n1 ||
-				d.Norm2(x) != n2 || d.NormInf(x) != ninf || d.ResidualNorm2(x, y, 0.4) != res {
+			if d.Dot(x, y) != dot || d.Norm2(x) != n2 || d.ResidualNorm2(x, y, 0.4) != res {
 				t.Fatalf("%s: reduction not bit-identical across runs (run %d)", name, run)
 			}
 		}
@@ -83,49 +83,74 @@ func TestReductionsCloseToSerialVec(t *testing.T) {
 	r := rng.New(13)
 	n := 1 << 16
 	x, y := randVec(r, n), randVec(r, n)
+	want := 0.0
+	for i := range x {
+		rr := x[i] - 0.25*y[i]
+		want += rr * rr
+	}
+	want = math.Sqrt(want)
 	for name, d := range devices() {
-		if got, want := d.Dot(x, y), vec.Dot(x, y); math.Abs(got-want) > 1e-9*math.Abs(want)+1e-12 {
-			t.Errorf("%s: Dot = %v, want ≈ %v", name, got, want)
+		if got, want := d.Dot(x, y), vec.Dot(x, y); got != want {
+			t.Errorf("%s: Dot = %v, serial %v", name, got, want)
 		}
-		if got, want := d.Norm2(x), vec.Norm2(x); math.Abs(got-want) > 1e-9*want+1e-12 {
-			t.Errorf("%s: Norm2 = %v, want ≈ %v", name, got, want)
+		if got, want := d.Norm2(x), vec.Norm2(x); got != want {
+			t.Errorf("%s: Norm2 = %v, serial %v", name, got, want)
 		}
-		want := 0.0
-		for i := range x {
-			rr := x[i] - 0.25*y[i]
-			want += rr * rr
-		}
-		want = math.Sqrt(want)
 		if got := d.ResidualNorm2(x, y, 0.25); math.Abs(got-want) > 1e-9*want+1e-12 {
 			t.Errorf("%s: ResidualNorm2 = %v, want ≈ %v", name, got, want)
 		}
 	}
 }
 
-// TestSerialMatchesOneWorkerDevice: a 1-worker Device reduces over one
-// chunk, so its Dot, Sum, Norm1, Norm2, NormInf and ResidualNorm2 are the
-// serial vec.Dot, vec.Sum, vec.Norm1, vec.Norm2, vec.NormInf and pass A's
-// norm with µ = λ (the serial residual) bit for bit,
-// on lengths with every lane tail, across several default chunks, and on a
-// norm that takes the range fallback.
-func TestSerialMatchesOneWorkerDevice(t *testing.T) {
+// reductionDevices returns a nil Device and devices of 1, 2, 3 and 8
+// workers, each at the default grain and at grain 1.
+func reductionDevices() map[string]*Device {
+	ds := map[string]*Device{"nil": nil}
+	for _, w := range []int{1, 2, 3, 8} {
+		ds[fmt.Sprintf("%d-workers", w)] = New(w)
+		ds[fmt.Sprintf("%d-workers grain 1", w)] = New(w, WithGrain(1))
+	}
+	return ds
+}
+
+// TestReductionsMatchSerialAtEveryWorkerCount: every reduction splits its
+// operands on the same vec.ReduceChunk pieces as the serial vec call, so a
+// nil Device and devices of 1, 2, 3 and 8 workers, at any grain, return
+// vec's Dot, Norm2 (also through its range fallback), pass A and pass B
+// bit for bit, and pass B writes the same w, on lengths of one piece and of
+// several, with ragged piece and lane tails.
+func TestReductionsMatchSerialAtEveryWorkerCount(t *testing.T) {
 	r := rng.New(31)
-	d := New(1)
-	for _, n := range []int{1, 3, 4, 7, 1000, 4099, 100003} {
+	const c = vec.ReduceChunk
+	for _, n := range []int{1, 7, c - 1, c, c + 1, 3*c + 5} {
 		x, y := randVec(r, n), randVec(r, n)
 		huge := append([]float64(nil), x...)
 		huge[n/2] = 1e200
-		for name, pair := range map[string][2]float64{
-			"Dot":            {d.Dot(x, y), vec.Dot(x, y)},
-			"Sum":            {d.Sum(x), vec.Sum(x)},
-			"Norm1":          {d.Norm1(x), vec.Norm1(x)},
-			"NormInf":        {d.NormInf(x), vec.NormInf(x)},
-			"Norm2":          {d.Norm2(x), vec.Norm2(x)},
-			"Norm2 fallback": {d.Norm2(huge), vec.Norm2(huge)},
-			"ResidualNorm2":  {d.ResidualNorm2(x, y, 0.37), func() float64 { _, r := vec.ShiftedDotNorm2(y, x, 0.37); return r }()},
-		} {
-			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-				t.Errorf("n=%d: 1-worker %s = %v, serial %v", n, name, pair[0], pair[1])
+		wantDot, wantNorm := vec.Dot(x, y), vec.Norm2(x)
+		wantHuge := vec.Norm2(huge)
+		wantADot, wantANorm := vec.ShiftedDotNorm2(x, y, 0.37)
+		wantW := append([]float64(nil), y...)
+		wantB := vec.ShiftedResidualScale(x, wantW, 0.37, 0.29, 1.5)
+		for name, d := range reductionDevices() {
+			aDot, aNorm := d.ShiftedDotNorm2(x, y, 0.37)
+			w := append([]float64(nil), y...)
+			b := d.ShiftedResidualScale(x, w, 0.37, 0.29, 1.5)
+			for what, pair := range map[string][2]float64{
+				"Dot":            {d.Dot(x, y), wantDot},
+				"Norm2":          {d.Norm2(x), wantNorm},
+				"Norm2 fallback": {d.Norm2(huge), wantHuge},
+				"pass A dot":     {aDot, wantADot},
+				"pass A norm":    {aNorm, wantANorm},
+				"pass B":         {b, wantB},
+			} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Errorf("n=%d %s: %s = %v, serial %v", n, name, what, pair[0], pair[1])
+				}
+			}
+			for i := range w {
+				if math.Float64bits(w[i]) != math.Float64bits(wantW[i]) {
+					t.Fatalf("n=%d %s: pass B wrote %v at %d, serial %v", n, name, w[i], i, wantW[i])
+				}
 			}
 		}
 	}
@@ -137,7 +162,7 @@ func TestSerialMatchesOneWorkerDevice(t *testing.T) {
 // vec.Norm2 and vec.ShiftedDotNorm2 bit for bit instead of reading +Inf.
 func TestNorm2RangeCheckMatchesSerial(t *testing.T) {
 	r := rng.New(29)
-	const n = 100003 // two chunks at the default grain
+	const n = 2*vec.ReduceChunk + 3 // three pieces, so the sum launches
 	x, w := randVec(r, n), randVec(r, n)
 	w[n/2] = 1e200
 	d := New(2)
@@ -160,7 +185,7 @@ func TestNorm2RangeCheckMatchesSerial(t *testing.T) {
 // skips the AXPY, as the power iteration does.
 func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 	r := rng.New(19)
-	for _, n := range []int{1, 3, 4, 7, 1000, 4099, 100003} {
+	for _, n := range []int{1, 3, 4, 7, 1000, 4099, 2*vec.ReduceChunk + 3} {
 		x, w := randVec(r, n), randVec(r, n)
 		for name, d := range devices() {
 			for _, mu := range []float64{0, 0.37} {
@@ -190,28 +215,44 @@ func TestFusedPowerPassesBitIdenticalToUnfused(t *testing.T) {
 	}
 }
 
-// TestReductionsAllocateNoMoreThanALaunch: a reduction keeps its chunk
+// TestReductionsAllocateNoMoreThanALaunch: a reduction keeps its piece
 // partials in the launch's own batch, so Dot, Norm2, ResidualNorm2 and the
-// fused passes allocate no more than a plain LaunchRange kernel (Scale).
+// fused passes allocate no more than a plain LaunchRange kernel (Scale). On
+// a nil or 1-worker Device, or over one piece, they are the serial vec call
+// and allocate nothing.
 func TestReductionsAllocateNoMoreThanALaunch(t *testing.T) {
 	r := rng.New(23)
-	const n = 1 << 15
+	const n = 2*vec.ReduceChunk + 5
 	x, w := randVec(r, n), randVec(r, n)
-	for _, workers := range []int{1, 2, 3} {
-		d := New(workers)
-		launch := testing.AllocsPerRun(20, func() { d.Scale(x, 1) })
-		for name, f := range map[string]func(){
+	reductions := func(d *Device, x, w []float64) map[string]func() {
+		return map[string]func(){
 			"Dot":                  func() { sink = d.Dot(x, w) },
 			"Norm2":                func() { sink = d.Norm2(x) },
 			"ResidualNorm2":        func() { sink = d.ResidualNorm2(w, x, 0.5) },
 			"ShiftedDotNorm2":      func() { sink, _ = d.ShiftedDotNorm2(x, w, 0.5) },
 			"ShiftedResidualScale": func() { sink = d.ShiftedResidualScale(x, w, 0, 0.5, 1) },
-		} {
+		}
+	}
+	for _, workers := range []int{2, 3} {
+		d := New(workers)
+		launch := testing.AllocsPerRun(20, func() { d.Scale(x, 1) })
+		for name, f := range reductions(d, x, w) {
 			got := testing.AllocsPerRun(20, f)
 			if got > launch {
 				t.Errorf("%d workers: %s allocates %.0f objects per call, a LaunchRange %.0f", workers, name, got, launch)
 			}
 			t.Logf("%d workers: %s %.0f allocs, LaunchRange %.0f", workers, name, got, launch)
+		}
+	}
+	for name, d := range map[string]*Device{"nil": nil, "1-worker": New(1), "2-worker one-piece": New(2)} {
+		xs, ws := x, w
+		if d != nil && d.workers > 1 {
+			xs, ws = x[:vec.ReduceChunk], w[:vec.ReduceChunk]
+		}
+		for what, f := range reductions(d, xs, ws) {
+			if got := testing.AllocsPerRun(20, f); got != 0 {
+				t.Errorf("%s device: %s allocates %.0f objects per call, want 0", name, what, got)
+			}
 		}
 	}
 }

@@ -160,7 +160,7 @@ func TestThresholdSweepFullMatchesReduced(t *testing.T) {
 				t.Errorf("p=%g class %d: reduced %g vs full %g",
 					ps[i], k, reduced[i].Gamma[k], fullSerial[i].Gamma[k])
 			}
-			if math.Abs(fullDev[i].Gamma[k]-fullSerial[i].Gamma[k]) > 1e-10 {
+			if math.Float64bits(fullDev[i].Gamma[k]) != math.Float64bits(fullSerial[i].Gamma[k]) {
 				t.Errorf("p=%g class %d: device full sweep deviates", ps[i], k)
 			}
 		}

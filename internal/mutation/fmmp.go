@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/span"
-	"repro/internal/vec"
 )
 
 // This file implements the paper's central contribution: the fast mutation
@@ -60,15 +59,10 @@ func (q *Process) applyFused(dev *device.Device, dst, src, pre []float64, tb int
 	case !first:
 		// A grouped first factor gathers strided elements instead of
 		// sweeping tiles, so the scale or the copy gets its own pass.
-		switch {
-		case pre != nil && dev != nil:
+		if pre != nil {
 			dev.Mul(dst, src, pre)
-		case pre != nil:
-			vec.Mul(dst, src, pre)
-		case dev != nil:
+		} else {
 			dev.Copy(dst, src)
-		default:
-			copy(dst, src)
 		}
 		src, pre = nil, nil
 	}

@@ -16,18 +16,22 @@ import (
 // core.Concentrations, the fit ranking and write of core's extrapolated
 // warm start, and the sum of errorclass's tiled class expansion (Norm1's
 // lanes) — each with a Go body here and an AVX2 body in avx_amd64.s.
-// Sum, which no solver runs, keeps the same order in a Go body only; the
-// device reductions call these per chunk.
+// Sum, which no solver runs, keeps the same order in a Go body only.
 //
 // SUMMATION ORDER (the reduction contract): a sum over a slice is
 // accumulated in four lanes, lane ℓ ∈ {0,1,2,3} summing elements ℓ, ℓ+4,
 // ℓ+8, …; the lanes combine as ((s0+s1)+s2)+s3, and the ≤ 3 tail elements
 // fold onto that in index order. Every dot, norm and residual in the module
 // sums in this order; there is no strict left fold and no scaled loop
-// outside NormFromSumSq's range fallback. The device reductions apply it to
-// each chunk of their partition and add the chunk partials in ascending
-// chunk order, so a 1-worker Device, whose partition is one chunk, computes
-// exactly what the serial call computes.
+// outside NormFromSumSq's range fallback. Dot, Norm2 and the two power
+// passes apply it to each ReduceChunk (2^17-element) piece of their
+// operands and add the piece partials in ascending order, the first one
+// seeding the sum; the device reductions run one piece per launch chunk and
+// add the partials in the same order. The partition depends on the length
+// alone, so serial, 1-worker and N-worker reductions return the same bits,
+// and a vector of at most ReduceChunk entries sums exactly as one kernel
+// call (Demmel & Nguyen, "Fast reproducible floating-point summation",
+// ARITH 2013: a reduction tree fixed independently of the processor count).
 //
 // The AVX2 bodies hold the four lanes of a sum in one YMM register and use
 // only VMULPD, VADDPD and VSUBPD, which round each lane exactly like the
@@ -129,7 +133,7 @@ func Tiers() []Tier {
 }
 
 // DotLanes returns Σ x[k]·y[k] over the common prefix of x and y in the
-// 4-lane order: the per-chunk dot of DotEach and device.Dot.
+// 4-lane order: the per-piece dot of Dot, DotEach and device.Dot.
 func DotLanes(x, y []float64) float64 {
 	var s float64
 	if n := min(len(x), len(y)) &^ 3; useAVX2 && n > 0 {
@@ -312,15 +316,15 @@ func LanczosTail(dst, w, v, u []float64, c, alpha, beta float64) float64 {
 	return s
 }
 
-// SumSq returns Σxᵢ² in the 4-lane order, unscaled: Norm2's sum before its
-// range check, and device.Norm2's per-chunk sum.
+// SumSq returns Σxᵢ² in the 4-lane order, unscaled: the per-piece sum of
+// Norm2 and device.Norm2 before their range check.
 func SumSq(x []float64) float64 {
 	var lanes [4]float64
 	sumSqLanes(&lanes, x)
 	return foldSq(&lanes, x[len(x)&^3:])
 }
 
-// Sum returns Σxᵢ in the 4-lane order: device.Sum's per-chunk sum.
+// Sum returns Σxᵢ in the 4-lane order.
 func Sum(x []float64) float64 {
 	var s0, s1, s2, s3 float64
 	for len(x) >= 4 {
@@ -337,8 +341,7 @@ func Sum(x []float64) float64 {
 	return s
 }
 
-// Norm1 returns ‖x‖₁ = Σ|xᵢ| in the 4-lane order: Normalize1's norm and
-// device.Norm1's per-chunk sum.
+// Norm1 returns ‖x‖₁ = Σ|xᵢ| in the 4-lane order: Normalize1's norm.
 func Norm1(x []float64) float64 {
 	var lanes [4]float64
 	Norm1Lanes(&lanes, x)
@@ -378,8 +381,8 @@ func FoldNorm1(acc *[4]float64, tail []float64) float64 {
 	return s
 }
 
-// NormInf returns ‖x‖∞ = max|xᵢ|, skipping NaN entries: device.NormInf's
-// per-chunk max and the orientation of every solver's result. Max is
+// NormInf returns ‖x‖∞ = max|xᵢ|, skipping NaN entries: the orientation
+// of every solver's result. Max is
 // associative and commutative, so the 4-lane split is exact, not just
 // deterministic. The branch form keeps the running max out of math.Max,
 // which is a call per element on amd64.

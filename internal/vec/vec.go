@@ -15,11 +15,46 @@ import (
 	"math"
 )
 
-// Dot returns the Euclidean inner product xᵀy in the 4-lane order
-// (DotLanes). It panics if the lengths differ.
+// ReduceChunk is the length of the pieces a chunked reduction sums one at a
+// time: Dot, Norm2, ShiftedDotNorm2 and ShiftedResidualScale here, and
+// their internal/device twins, which hand one piece to each chunk of a
+// launch. Piece k covers [k·ReduceChunk, min((k+1)·ReduceChunk, n)); it is
+// summed in the 4-lane order, and the piece partials are added in
+// ascending k, the first one seeding the sum. The partition depends on the
+// length alone, so a reduction's bits do not depend on the worker count
+// (lanes.go). At 2^17 every vector of ν ≤ 17 is one piece.
+const ReduceChunk = 1 << 17
+
+// reduceChunks returns the two partials f returns on each ReduceChunk
+// piece of x and w, each added in ascending piece order. f sees the pieces
+// of x and w at the same offset, and w's piece runs to the end of w when
+// w is longer.
+func reduceChunks(x, w []float64, f func(x, w []float64) (float64, float64)) (a, b float64) {
+	a, b = f(firstPiece(x), w)
+	for len(x) > ReduceChunk && len(w) > ReduceChunk {
+		x, w = x[ReduceChunk:], w[ReduceChunk:]
+		p, q := f(firstPiece(x), w)
+		a, b = a+p, b+q
+	}
+	return a, b
+}
+
+// firstPiece returns the first ReduceChunk piece of x.
+func firstPiece(x []float64) []float64 {
+	if len(x) > ReduceChunk {
+		return x[:ReduceChunk]
+	}
+	return x
+}
+
+// Dot returns the Euclidean inner product xᵀy, DotLanes on each
+// ReduceChunk piece. It panics if the lengths differ.
 func Dot(x, y []float64) float64 {
 	checkLen("Dot", len(x), len(y))
-	return DotLanes(x, y)
+	s, _ := reduceChunks(x, y, func(x, y []float64) (float64, float64) {
+		return DotLanes(x, y), 0
+	})
+	return s
 }
 
 // SumKahan returns the compensated sum of the entries of x.
@@ -34,10 +69,14 @@ func SumKahan(x []float64) float64 {
 	return s
 }
 
-// Norm2 returns ‖x‖₂: the 4-lane sum of squares (SumSq) through
-// NormFromSumSq's range check, so it neither over- nor underflows.
+// Norm2 returns ‖x‖₂: the sum of squares, SumSq on each ReduceChunk
+// piece, through NormFromSumSq's range check, so it neither over- nor
+// underflows.
 func Norm2(x []float64) float64 {
-	return NormFromSumSq(SumSq(x), nil, x, 0)
+	s, _ := reduceChunks(x, x, func(x, _ []float64) (float64, float64) {
+		return SumSq(x), 0
+	})
+	return NormFromSumSq(s, nil, x, 0)
 }
 
 // scaledSq folds v into NormFromSumSq's scaled sum of squares:
@@ -56,22 +95,28 @@ func scaledSq(scale, ssq, v float64) (float64, float64) {
 }
 
 // ShiftedDotNorm2 returns x·t and ‖t‖₂ for t = w − µ·x in one read-only
-// pass: pass A of the power iteration's fused step (ShiftedDotSumSq), with
-// the norm through NormFromSumSq's range check. A 1-worker
-// device.ShiftedDotNorm2 returns the same bits.
+// pass: pass A of the power iteration's fused step (ShiftedDotSumSq on
+// each ReduceChunk piece), with the norm through NormFromSumSq's range
+// check. device.ShiftedDotNorm2 returns the same bits at every worker
+// count.
 func ShiftedDotNorm2(x, w []float64, mu float64) (dot, norm float64) {
 	checkLen("ShiftedDotNorm2", len(x), len(w))
-	dot, ssq := ShiftedDotSumSq(x, w, mu)
+	dot, ssq := reduceChunks(x, w, func(x, w []float64) (float64, float64) {
+		return ShiftedDotSumSq(x, w, mu)
+	})
 	return dot, NormFromSumSq(ssq, x, w, mu)
 }
 
 // ShiftedResidualScale returns ‖t − λ·x‖₂ for t = w − µ·x and overwrites
 // w ← c·t in the same pass: pass B of the power iteration's fused step
-// (ShiftedResidualSumSq). A 1-worker device.ShiftedResidualScale returns
-// the same bits.
+// (ShiftedResidualSumSq on each ReduceChunk piece).
+// device.ShiftedResidualScale returns the same bits at every worker count.
 func ShiftedResidualScale(x, w []float64, mu, lambda, c float64) float64 {
 	checkLen("ShiftedResidualScale", len(x), len(w))
-	return math.Sqrt(ShiftedResidualSumSq(x, w, mu, lambda, c))
+	s, _ := reduceChunks(x, w, func(x, w []float64) (float64, float64) {
+		return ShiftedResidualSumSq(x, w, mu, lambda, c), 0
+	})
+	return math.Sqrt(s)
 }
 
 // NormFromSumSq returns ‖t‖₂ for t = w − µ·x from Σtᵢ², summed unscaled by

@@ -304,6 +304,60 @@ func TestDot(t *testing.T) {
 	}
 }
 
+// TestReductionsSumOnFixedPieces: Dot, Norm2 and the two power passes sum
+// each ReduceChunk piece with their 4-lane kernel and add the piece
+// partials in ascending order, the first one seeding the sum, so a vector
+// of at most ReduceChunk entries is one kernel call.
+func TestReductionsSumOnFixedPieces(t *testing.T) {
+	r := rng.New(61)
+	const c = ReduceChunk
+	for _, n := range []int{1, c - 1, c, c + 1, 3*c + 5} {
+		x, w := randVec(r, n), randVec(r, n)
+		var dot, ssq, aDot, aSsq, bSsq float64
+		wantW := Clone(w)
+		for lo := 0; lo < n; lo += c {
+			hi := min(lo+c, n)
+			d, q := DotLanes(x[lo:hi], w[lo:hi]), SumSq(x[lo:hi])
+			ad, aq := ShiftedDotSumSq(x[lo:hi], w[lo:hi], 0.41)
+			bq := ShiftedResidualSumSq(x[lo:hi], wantW[lo:hi], 0.41, 0.3, 1.5)
+			if lo == 0 {
+				dot, ssq, aDot, aSsq, bSsq = d, q, ad, aq, bq
+				continue
+			}
+			dot, ssq, aDot, aSsq, bSsq = dot+d, ssq+q, aDot+ad, aSsq+aq, bSsq+bq
+		}
+		gotADot, gotANorm := ShiftedDotNorm2(x, w, 0.41)
+		gotW := Clone(w)
+		for name, pair := range map[string][2]float64{
+			"Dot":         {Dot(x, w), dot},
+			"Norm2":       {Norm2(x), math.Sqrt(ssq)},
+			"pass A dot":  {gotADot, aDot},
+			"pass A norm": {gotANorm, math.Sqrt(aSsq)},
+			"pass B":      {ShiftedResidualScale(x, gotW, 0.41, 0.3, 1.5), math.Sqrt(bSsq)},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Errorf("n=%d: %s = %v, piecewise %v", n, name, pair[0], pair[1])
+			}
+		}
+		if DistInf(gotW, wantW) != 0 {
+			t.Errorf("n=%d: pass B wrote a w that differs from the piecewise kernels'", n)
+		}
+		if n <= c && Dot(x, w) != DotLanes(x, w) {
+			t.Errorf("n=%d: a one-piece Dot is not the kernel call", n)
+		}
+		for name, f := range map[string]func(){
+			"Dot":                  func() { Dot(x, w) },
+			"Norm2":                func() { Norm2(x) },
+			"ShiftedDotNorm2":      func() { ShiftedDotNorm2(x, w, 0.41) },
+			"ShiftedResidualScale": func() { ShiftedResidualScale(x, gotW, 0.41, 0.3, 1) },
+		} {
+			if allocs := testing.AllocsPerRun(5, f); allocs != 0 {
+				t.Errorf("n=%d: %s allocates %v objects per call", n, name, allocs)
+			}
+		}
+	}
+}
+
 func TestKahanBeatsNaiveOnAdversarialSum(t *testing.T) {
 	// 1 followed by many tiny values that a naive sum absorbs to nothing.
 	n := 1 << 20

@@ -1,6 +1,7 @@
 package quasispecies
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -129,11 +130,60 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(serial.Lambda-par.Lambda) > 1e-10 {
-		t.Errorf("λ: serial %.15g vs parallel %.15g", serial.Lambda, par.Lambda)
+	if math.Float64bits(serial.Lambda) != math.Float64bits(par.Lambda) {
+		t.Errorf("λ: serial %.17g vs parallel %.17g", serial.Lambda, par.Lambda)
 	}
-	if d := vec.DistInf(serial.Concentrations, par.Concentrations); d > 1e-9 {
+	if d := vec.DistInf(serial.Concentrations, par.Concentrations); d != 0 {
 		t.Errorf("concentrations deviate by %g", d)
+	}
+}
+
+// TestSolveBitIdenticalAcrossWorkers: the device sums every reduction on
+// the fixed vec.ReduceChunk pieces the serial kernels walk, so Fmmp and
+// Lanczos solves under WithWorkers 1, 2 and 3 return the same λ,
+// iteration count, residual and concentrations bit for bit, on one piece
+// (ν = 17) and on two (ν = 18), where the parallel reductions launch.
+func TestSolveBitIdenticalAcrossWorkers(t *testing.T) {
+	for _, nu := range []int{17, 18} {
+		land, err := RandomLandscape(nu, 5, 1, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []float64{0.005, 0.02} {
+			mut, err := UniformMutation(nu, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, method := range []Method{MethodFmmp, MethodLanczos} {
+				var want *Solution
+				for _, workers := range []int{1, 2, 3} {
+					got, err := mustSolve(t, mut, land, WithMethod(method), WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("ν=%d p=%g %v workers=%d: %v", nu, p, method, workers, err)
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					label := fmt.Sprintf("ν=%d p=%g %v: %d workers", nu, p, method, workers)
+					if math.Float64bits(got.Lambda) != math.Float64bits(want.Lambda) ||
+						got.Iterations != want.Iterations ||
+						math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+						t.Errorf("%s: (λ %.17g, %d iterations, residual %g), 1 worker (λ %.17g, %d, %g)",
+							label, got.Lambda, got.Iterations, got.Residual, want.Lambda, want.Iterations, want.Residual)
+					}
+					diff := 0
+					for i, x := range got.Concentrations {
+						if math.Float64bits(x) != math.Float64bits(want.Concentrations[i]) {
+							diff++
+						}
+					}
+					if diff != 0 {
+						t.Errorf("%s: %d concentrations differ from 1 worker's", label, diff)
+					}
+				}
+			}
+		}
 	}
 }
 
