@@ -14,8 +14,9 @@
 //     a single barrier, the dispatch form used by the cache-blocked
 //     butterfly kernels (one barrier per group instead of one per stage);
 //   - logical threads are chunked over a persistent pool of long-lived
-//     worker goroutines parked on a channel (see pool.go), the software
-//     analogue of scheduling thread blocks over resident multiprocessors;
+//     worker goroutines parked on one shared queue, which claim a launch's
+//     chunks from one atomic cursor (see pool.go), the software analogue
+//     of scheduling thread blocks over resident multiprocessors;
 //   - the vector kernels (veckernels.go) reduce the norms and residuals,
 //     which the paper notes "can be relatively well parallelized", on
 //     chunks fixed by the vector length alone, so they return the serial
@@ -101,15 +102,15 @@ func (d *Device) LaunchRange(n int, kernel func(lo, hi int)) {
 	d.run(LaunchKindRange, launch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks})
 }
 
-// LaunchStages dispatches a fused group of `stages` dependent butterfly
-// stages as ONE data-parallel launch over n independent work items: the
-// kernel applies the whole stage-group to each item it receives, so the
-// only barrier is the launch's own completion — one barrier per group
-// instead of one per stage. weight is the number of scalar elements each
-// work item touches (e.g. the tile length); the dispatch grain is scaled by
-// it so heavyweight items still spread across workers.
-func (d *Device) LaunchStages(stages, n, weight int, kernel func(lo, hi int)) {
-	if n <= 0 || stages <= 0 {
+// LaunchStages dispatches a fused group of dependent butterfly stages as
+// ONE data-parallel launch over n independent work items: the kernel
+// applies the whole stage-group to each item it receives, so the only
+// barrier is the launch's own completion — one barrier per group instead
+// of one per stage. weight is the number of scalar elements each work item
+// touches (e.g. the tile length); the dispatch grain is scaled by it so
+// heavyweight items still spread across workers.
+func (d *Device) LaunchStages(n, weight int, kernel func(lo, hi int)) {
+	if n <= 0 {
 		return
 	}
 	if weight < 1 {

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,44 +13,27 @@ import (
 // matvec, thousands of matvecs per solve — would pay the scheduler cost of
 // goroutine creation millions of times per run. Real devices do not
 // re-create their multiprocessors per launch; they keep them parked and
-// hand them work. The pool reproduces that: a process-wide
-// set of GOMAXPROCS long-lived workers, woken with one pointer-sized send
-// per launch, and work-stealing chunk claiming so load balances without
-// per-chunk goroutines.
+// hand them work. The pool reproduces that: a process-wide set of
+// GOMAXPROCS long-lived workers parked on one shared task queue, woken
+// with one pointer-sized send per invited helper.
 //
-// Two topology refinements sit on top of the original design:
-//
-//   - Sticky chunk→worker affinity. The chunk index space of a batch is
-//     split into contiguous PARTS, one per invited participant, and worker
-//     w always starts on part w+1 (the caller on part 0). Because a given
-//     Device produces the same chunk geometry for the same grid, worker w
-//     re-visits the same rows launch after launch — the stage passes of a
-//     matvec, and the matvecs of an iteration, stay cache- and (via
-//     first-touch, see alloc.go) NUMA-node-warm. Each part has its own
-//     atomic cursor; a participant that drains its part steals from the
-//     others in ring order, so the worst-case balance of the old single
-//     counter is preserved. Which worker executes a chunk never affects
-//     results — kernels write disjoint ranges and reductions combine in
-//     chunk order — so stickiness is invisible to the determinism
-//     guarantees.
-//
-//   - Topology pinning. On hosts with multiple NUMA nodes (or when forced
-//     with QS_PIN=1) each worker locks its goroutine to an OS thread and
-//     pins that thread to the CPUs of its node (contiguous worker blocks
-//     per node, matching Topology.NodeOf). Strictly best-effort: any
-//     failure leaves the worker unpinned and correct. QS_PIN=0 disables
-//     pinning even on multi-node hosts.
+// A launch in flight is a batch with one atomic cursor: the submitting
+// goroutine and every helper that picks the batch off the queue claim
+// chunks from that cursor in index order until the grid is exhausted, so
+// load balances without per-chunk goroutines or per-worker state. Which
+// participant executes a chunk never affects results — kernels write
+// disjoint ranges and reductions add their partials in piece order.
 //
 // The submitting goroutine always participates in its own batch, so a
-// launch completes even if every pool worker is busy (or its queue is
+// launch completes even if every pool worker is busy (or the queue is
 // full): in the worst case the caller runs all chunks itself. This also
 // makes nested launches deadlock-free by construction.
 
-// maxBatchParts caps how many sticky parts a batch is split into; workers
-// beyond the cap share parts round-robin. 32 unpadded cursors keep the
-// batch header at a few cache lines — cursor contention is one atomic add
-// per chunk, far below the kernel work per chunk (≥ grain elements).
-const maxBatchParts = 32
+// inlinePartials is how many piece partials a reduce batch holds inline,
+// so a reduction over up to that many pieces costs the same single heap
+// object as a plain launch. 32 vec.ReduceChunk pieces cover vectors of up
+// to 2^22 elements (ν ≤ 22).
+const inlinePartials = 32
 
 // launch is one planned kernel launch: a grid of n logical threads in
 // nchunks contiguous chunks of chunk threads. Exactly one of kernel and
@@ -65,24 +47,20 @@ type launch struct {
 	nchunks int
 }
 
-// batch is one kernel launch in flight: the launch's chunks, split into
-// nparts contiguous parts claimed via per-part atomic cursors by however
-// many workers join in.
+// batch is one kernel launch in flight: the launch's chunks, claimed in
+// index order through one atomic cursor by however many participants join.
 type batch struct {
 	launch
-	nparts int
-	wg     sync.WaitGroup
-	parts  [maxBatchParts]atomic.Int64
+	next atomic.Int64
+	wg   sync.WaitGroup
 	// sums[c] receives chunk c's two partials in a reduce launch.
 	sums [][2]float64
 }
 
-// reduceBatch is a reduce launch's batch with inline partial storage, so a
-// reduction over up to maxBatchParts chunks costs the same single heap
-// object as a plain launch.
+// reduceBatch is a reduce launch's batch with inline partial storage.
 type reduceBatch struct {
 	batch
-	buf [maxBatchParts][2]float64
+	buf [inlinePartials][2]float64
 }
 
 // newBatch allocates the in-flight state of a multi-chunk launch.
@@ -114,128 +92,65 @@ func (b *batch) exec(c int) {
 	b.sums[c] = [2]float64{s, t}
 }
 
-// partBounds returns the chunk-index range [lo, hi) of part p.
-func (b *batch) partBounds(p int) (lo, hi int) {
-	return p * b.nchunks / b.nparts, (p + 1) * b.nchunks / b.nparts
-}
-
-// runPart claims and executes chunks starting from part home, stealing from
-// the other parts in ring order once home is drained, until the batch is
-// exhausted. It is called by the submitting goroutine (home 0) and by any
-// pool worker that received the batch; a worker arriving after completion
-// scans nparts drained cursors and returns.
-func (b *batch) runPart(home int) {
-	for q := 0; q < b.nparts; q++ {
-		p := home + q
-		if p >= b.nparts {
-			p -= b.nparts
+// claim executes chunks taken from the batch's cursor until the batch is
+// exhausted. A worker that picks up an already finished batch claims past
+// the end once and returns.
+func (b *batch) claim() {
+	for {
+		c := int(b.next.Add(1)) - 1
+		if c >= b.nchunks {
+			return
 		}
-		lo, hi := b.partBounds(p)
-		for {
-			c := lo + int(b.parts[p].Add(1)) - 1
-			if c >= hi {
-				break
-			}
-			b.exec(c)
-			b.wg.Done()
-		}
+		b.exec(c)
+		b.wg.Done()
 	}
-}
-
-// poolWorker is one persistent worker: a parked goroutine with its own
-// queue (so launches can address workers individually — the sticky map) and
-// a fixed home node from the detected topology.
-type poolWorker struct {
-	id    int
-	tasks chan *batch
 }
 
 var pool struct {
-	once    sync.Once
-	workers []*poolWorker
+	once  sync.Once
+	size  int
+	tasks chan *batch
 }
 
-// pinningWanted decides whether pool workers pin to their node's CPUs:
-// QS_PIN=1 forces it, QS_PIN=0 forbids it, and the default is to pin
-// exactly when the host has more than one NUMA node (where placement pays
-// for the loss of scheduler freedom).
-func pinningWanted(t *Topology) bool {
-	switch os.Getenv("QS_PIN") {
-	case "1":
-		return true
-	case "0":
-		return false
-	}
-	return t.Nodes() > 1
-}
-
-// poolWorkers lazily starts the process-wide worker pool. The pool is sized
-// to runtime.GOMAXPROCS(0) at first use — the software analogue of "all
+// poolQueue lazily starts the process-wide worker pool and returns its
+// shared task queue and worker count. The pool is sized to
+// runtime.GOMAXPROCS(0) at first use — the software analogue of "all
 // multiprocessors on the card" — and lives for the remainder of the
 // process; per-Device worker counts below that merely cap how many workers
 // are invited to a given batch.
-func poolWorkers() []*poolWorker {
+func poolQueue() (chan<- *batch, int) {
 	pool.once.Do(func() {
-		w := runtime.GOMAXPROCS(0)
-		if w < 1 {
-			w = 1
-		}
-		t := Topo()
-		pin := pinningWanted(t)
-		pool.workers = make([]*poolWorker, w)
-		for i := 0; i < w; i++ {
-			pw := &poolWorker{id: i, tasks: make(chan *batch, 8)}
-			pool.workers[i] = pw
+		pool.size = max(runtime.GOMAXPROCS(0), 1)
+		pool.tasks = make(chan *batch, 8*pool.size)
+		for i := 0; i < pool.size; i++ {
 			go func() {
-				if pin {
-					// Dedicated worker: locking the goroutine to its
-					// thread for the process lifetime is the point.
-					runtime.LockOSThread()
-					pinThreadToCPUs(t.NodeCPUs[t.NodeOf(pw.id, w)])
-				}
-				for b := range pw.tasks {
-					home := 0
-					if b.nparts > 1 {
-						home = 1 + pw.id%(b.nparts-1)
-					}
-					b.runPart(home)
+				for b := range pool.tasks {
+					b.claim()
 				}
 			}()
 		}
 	})
-	return pool.workers
+	return pool.tasks, pool.size
 }
 
 // runPooled executes the batch on the persistent pool: up to helpers pool
-// workers are invited with non-blocking sends to their own queues (a busy
-// worker just means the caller and the others cover its part via
-// stealing), the caller joins the batch itself on part 0, and the barrier
-// is the batch's own WaitGroup. With measureWait it returns how long the
-// caller was blocked on that barrier after finishing its own chunks — the
-// straggler/queue-wait tail reported as the queue_wait span.
+// workers are invited with non-blocking sends to the shared queue (a full
+// queue just means the caller and the others claim more chunks), the
+// caller joins the batch itself, and the barrier is the batch's own
+// WaitGroup. With measureWait it returns how long the caller was blocked
+// on that barrier after the cursor ran out — the straggler/queue-wait tail
+// reported as the queue_wait span.
 func runPooled(b *batch, helpers int, measureWait bool) time.Duration {
 	b.wg.Add(b.nchunks)
-	if helpers > b.nchunks-1 {
-		helpers = b.nchunks - 1
-	}
-	ws := poolWorkers()
-	if helpers > len(ws) {
-		helpers = len(ws)
-	}
-	b.nparts = helpers + 1
-	if b.nparts > maxBatchParts {
-		b.nparts = maxBatchParts
-	}
-	if b.nparts < 1 {
-		b.nparts = 1
-	}
+	tasks, size := poolQueue()
+	helpers = min(helpers, b.nchunks-1, size)
 	for i := 0; i < helpers; i++ {
 		select {
-		case ws[i].tasks <- b:
+		case tasks <- b:
 		default:
 		}
 	}
-	b.runPart(0)
+	b.claim()
 	if measureWait {
 		start := time.Now()
 		b.wg.Wait()

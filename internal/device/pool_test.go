@@ -18,7 +18,7 @@ func TestLaunchStagesCoversAllItems(t *testing.T) {
 	for name, d := range devices() {
 		for _, n := range []int{0, 1, 63, 4096} {
 			hits := make([]atomic.Int32, n)
-			d.LaunchStages(3, n, 128, func(lo, hi int) {
+			d.LaunchStages(n, 128, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
 				}
@@ -37,7 +37,7 @@ func TestLaunchStagesWeightScalesGrain(t *testing.T) {
 	// workers (effective grain 2), not run as one serial chunk.
 	d := New(4) // default grain 4096
 	var chunks atomic.Int32
-	d.LaunchStages(1, 8, 2048, func(lo, hi int) { chunks.Add(1) })
+	d.LaunchStages(8, 2048, func(lo, hi int) { chunks.Add(1) })
 	if chunks.Load() < 2 {
 		t.Errorf("weighted stage launch ran %d chunks, want ≥ 2", chunks.Load())
 	}
@@ -148,25 +148,6 @@ func TestPoolDispatchDoesNotLoseChunksUnderLoad(t *testing.T) {
 		})
 		if want := int64(n*(n-1)) / 2; sum.Load() != want {
 			t.Fatalf("round %d: sum = %d, want %d", round, sum.Load(), want)
-		}
-	}
-}
-
-func TestBatchPartBoundsPartitionChunks(t *testing.T) {
-	for _, nchunks := range []int{1, 2, 7, 31, 32, 33, 1000} {
-		for _, nparts := range []int{1, 2, 5, maxBatchParts} {
-			b := &batch{launch: launch{nchunks: nchunks}, nparts: nparts}
-			prev := 0
-			for p := 0; p < nparts; p++ {
-				lo, hi := b.partBounds(p)
-				if lo != prev || hi < lo {
-					t.Fatalf("nchunks=%d nparts=%d: part %d = [%d,%d), prev end %d", nchunks, nparts, p, lo, hi, prev)
-				}
-				prev = hi
-			}
-			if prev != nchunks {
-				t.Fatalf("nchunks=%d nparts=%d: parts cover %d chunks", nchunks, nparts, prev)
-			}
 		}
 	}
 }

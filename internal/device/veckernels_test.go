@@ -118,11 +118,16 @@ func reductionDevices() map[string]*Device {
 // nil Device and devices of 1, 2, 3 and 8 workers, at any grain, return
 // vec's Dot, Norm2 (also through its range fallback), pass A and pass B
 // bit for bit, and pass B writes the same w, on lengths of one piece and of
-// several, with ragged piece and lane tails.
+// several, with ragged piece and lane tails. 32·c + 5 is 33 pieces, more
+// than a reduce batch holds inline, so its partials live on the heap; it
+// is skipped under -short and -race.
 func TestReductionsMatchSerialAtEveryWorkerCount(t *testing.T) {
 	r := rng.New(31)
 	const c = vec.ReduceChunk
-	for _, n := range []int{1, 7, c - 1, c, c + 1, 3*c + 5} {
+	for _, n := range []int{1, 7, c - 1, c, c + 1, 3*c + 5, 32*c + 5} {
+		if n > inlinePartials*c && (testing.Short() || raceDetector) {
+			continue
+		}
 		x, y := randVec(r, n), randVec(r, n)
 		huge := append([]float64(nil), x...)
 		huge[n/2] = 1e200

@@ -165,7 +165,7 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 	B, nSmall := splitStages(n, off0, len(fs), tb)
 	if nSmall > 0 {
 		small, tileEp := fs[:nSmall], lastPass(ep, nSmall == len(fs))
-		d.LaunchStages(nSmall, n/B, B, func(lo, hi int) {
+		d.LaunchStages(n/B, B, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
 				firstTile(v, src, scale, t*B, (t+1)*B, off0, small)
 				if tileEp != nil {
@@ -185,7 +185,7 @@ func applyStagesBlockedDevice(d *device.Device, v, src, scale []float64, off0 in
 		lowMask := 1<<uint(rb0) - 1
 		nBases := (n >> uint(log2(B))) >> uint(m)
 		groupEp := lastPass(ep, s+m == len(fs))
-		d.LaunchStages(m, nBases, B<<uint(m), func(lo, hi int) {
+		d.LaunchStages(nBases, B<<uint(m), func(lo, hi int) {
 			for bb := lo; bb < hi; bb++ {
 				base := ((bb &^ lowMask) << uint(m)) | (bb & lowMask)
 				crossGroup(v, B, base, rb0, group, groupEp)

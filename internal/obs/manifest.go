@@ -12,7 +12,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/vec"
 )
 
@@ -156,7 +155,7 @@ func CurrentHost() Host {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NUMANodes:  device.Topo().NodeCPUs,
+		NUMANodes:  readNUMANodes(sysNodeDir),
 		SIMD:       tier.String(),
 		SIMDReason: reason,
 	}

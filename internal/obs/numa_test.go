@@ -1,4 +1,4 @@
-package device
+package obs
 
 import (
 	"os"
@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Fixture-driven tests for detectTopology: each case builds a sysfs-style
+// Fixture-driven tests for readNUMANodes: each case builds a sysfs-style
 // node tree in a temp dir and checks the parsed node → CPU map. These run
 // everywhere, so the parser's behaviour on multi-node, single-node and
 // malformed layouts is pinned even when CI hosts are single-socket.
@@ -43,44 +43,44 @@ func sameCPUs(a, b []int) bool {
 	return true
 }
 
-func TestDetectTopologyMultiNode(t *testing.T) {
+func TestReadNUMANodesMultiNode(t *testing.T) {
 	// A two-socket box with interleaved cpulists (SMT siblings enumerated
 	// after the physical cores, as real kernels do): 0-7,16-23 / 8-15,24-31.
 	dir := writeSysfsNodes(t, map[string]string{
 		"node0": "0-7,16-23\n",
 		"node1": "8-15,24-31\n",
 	})
-	topo := detectTopology(dir)
-	if topo.Nodes() != 2 {
-		t.Fatalf("nodes = %d, want 2", topo.Nodes())
+	nodes := readNUMANodes(dir)
+	if len(nodes) != 2 {
+		t.Fatalf("nodes = %d, want 2", len(nodes))
 	}
 	want0 := []int{0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23}
 	want1 := []int{8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 27, 28, 29, 30, 31}
-	if !sameCPUs(topo.NodeCPUs[0], want0) || !sameCPUs(topo.NodeCPUs[1], want1) {
-		t.Fatalf("cpu map = %v", topo.NodeCPUs)
+	if !sameCPUs(nodes[0], want0) || !sameCPUs(nodes[1], want1) {
+		t.Fatalf("cpu map = %v", nodes)
 	}
 }
 
-func TestDetectTopologyNodeOrderIsNumeric(t *testing.T) {
+func TestReadNUMANodesNodeOrderIsNumeric(t *testing.T) {
 	// Directory listings sort lexically ("node10" < "node2"); the parser
 	// must order nodes numerically so NodeCPUs[k] is node k's list.
-	nodes := map[string]string{}
+	tree := map[string]string{}
 	for _, id := range []string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"} {
-		nodes["node"+id] = id + "\n"
+		tree["node"+id] = id + "\n"
 	}
-	dir := writeSysfsNodes(t, nodes)
-	topo := detectTopology(dir)
-	if topo.Nodes() != 12 {
-		t.Fatalf("nodes = %d, want 12", topo.Nodes())
+	dir := writeSysfsNodes(t, tree)
+	nodes := readNUMANodes(dir)
+	if len(nodes) != 12 {
+		t.Fatalf("nodes = %d, want 12", len(nodes))
 	}
 	for k := 0; k < 12; k++ {
-		if !sameCPUs(topo.NodeCPUs[k], []int{k}) {
-			t.Fatalf("NodeCPUs[%d] = %v, want [%d]", k, topo.NodeCPUs[k], k)
+		if !sameCPUs(nodes[k], []int{k}) {
+			t.Fatalf("nodes[%d] = %v, want [%d]", k, nodes[k], k)
 		}
 	}
 }
 
-func TestDetectTopologySingleNode(t *testing.T) {
+func TestReadNUMANodesSingleNode(t *testing.T) {
 	// The common laptop/VM layout: one node holding every CPU. Also checks
 	// that non-node sysfs entries (has_cpu, possible, online…) are ignored.
 	dir := writeSysfsNodes(t, map[string]string{"node0": "0-15\n"})
@@ -89,24 +89,21 @@ func TestDetectTopologySingleNode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	topo := detectTopology(dir)
-	if topo.Nodes() != 1 {
-		t.Fatalf("nodes = %d, want 1", topo.Nodes())
+	nodes := readNUMANodes(dir)
+	if len(nodes) != 1 {
+		t.Fatalf("nodes = %d, want 1", len(nodes))
 	}
-	if len(topo.NodeCPUs[0]) != 16 {
-		t.Fatalf("node0 cpus = %v, want 16 CPUs", topo.NodeCPUs[0])
-	}
-	if topo.NodeOf(3, 8) != 0 {
-		t.Error("single-node topology must map every worker to node 0")
+	if len(nodes[0]) != 16 {
+		t.Fatalf("node0 cpus = %v, want 16 CPUs", nodes[0])
 	}
 }
 
-func TestDetectTopologyMalformed(t *testing.T) {
+func TestReadNUMANodesMalformed(t *testing.T) {
 	cases := []struct {
 		name      string
 		nodes     map[string]string
 		wantNodes int
-		// wantCPUs is checked against NodeCPUs[0] when non-nil.
+		// wantCPUs is checked against nodes[0] when non-nil.
 		wantCPUs []int
 	}{
 		{
@@ -125,7 +122,7 @@ func TestDetectTopologyMalformed(t *testing.T) {
 		},
 		{
 			// Every cpulist unreadable/garbled → single-node fallback, so
-			// node-keyed behaviour still has its node 0.
+			// the host record still has its node 0.
 			name:      "all garbled",
 			nodes:     map[string]string{"node0": ",,,\n", "node1": "a-b\n"},
 			wantNodes: 1,
@@ -157,12 +154,12 @@ func TestDetectTopologyMalformed(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			topo := detectTopology(writeSysfsNodes(t, c.nodes))
-			if topo.Nodes() != c.wantNodes {
-				t.Fatalf("nodes = %d, want %d (map %v)", topo.Nodes(), c.wantNodes, topo.NodeCPUs)
+			nodes := readNUMANodes(writeSysfsNodes(t, c.nodes))
+			if len(nodes) != c.wantNodes {
+				t.Fatalf("nodes = %d, want %d (map %v)", len(nodes), c.wantNodes, nodes)
 			}
-			if c.wantCPUs != nil && !sameCPUs(topo.NodeCPUs[0], c.wantCPUs) {
-				t.Fatalf("NodeCPUs[0] = %v, want %v", topo.NodeCPUs[0], c.wantCPUs)
+			if c.wantCPUs != nil && !sameCPUs(nodes[0], c.wantCPUs) {
+				t.Fatalf("nodes[0] = %v, want %v", nodes[0], c.wantCPUs)
 			}
 		})
 	}
@@ -196,7 +193,7 @@ func TestParseCPUList(t *testing.T) {
 	}
 }
 
-func TestDetectTopologyFromFakeSysfs(t *testing.T) {
+func TestReadNUMANodesFromFakeSysfs(t *testing.T) {
 	dir := t.TempDir()
 	for node, cpulist := range map[string]string{"node0": "0-1", "node1": "2-3"} {
 		if err := os.MkdirAll(filepath.Join(dir, node), 0o755); err != nil {
@@ -206,25 +203,21 @@ func TestDetectTopologyFromFakeSysfs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	topo := detectTopology(dir)
-	if topo.Nodes() != 2 {
-		t.Fatalf("detected %d nodes, want 2", topo.Nodes())
+	nodes := readNUMANodes(dir)
+	if len(nodes) != 2 {
+		t.Fatalf("detected %d nodes, want 2", len(nodes))
 	}
-	if len(topo.NodeCPUs[0]) != 2 || topo.NodeCPUs[0][0] != 0 || topo.NodeCPUs[1][0] != 2 {
-		t.Errorf("wrong cpu map: %v", topo.NodeCPUs)
-	}
-	// Workers split into contiguous per-node blocks.
-	if topo.NodeOf(0, 4) != 0 || topo.NodeOf(1, 4) != 0 || topo.NodeOf(2, 4) != 1 || topo.NodeOf(3, 4) != 1 {
-		t.Error("NodeOf must assign contiguous worker blocks to nodes")
+	if len(nodes[0]) != 2 || nodes[0][0] != 0 || nodes[1][0] != 2 {
+		t.Errorf("wrong cpu map: %v", nodes)
 	}
 }
 
-func TestDetectTopologyFallback(t *testing.T) {
-	topo := detectTopology("/definitely/not/a/sysfs/path")
-	if topo.Nodes() != 1 {
-		t.Fatalf("missing sysfs must fall back to 1 node, got %d", topo.Nodes())
+func TestReadNUMANodesFallback(t *testing.T) {
+	nodes := readNUMANodes("/definitely/not/a/sysfs/path")
+	if len(nodes) != 1 {
+		t.Fatalf("missing sysfs must fall back to 1 node, got %d", len(nodes))
 	}
-	if topo.NodeOf(5, 8) != 0 {
-		t.Error("single-node topology must map every worker to node 0")
+	if !sameCPUs(nodes[0], []int{0}) {
+		t.Errorf("fallback node 0 = %v, want [0]", nodes[0])
 	}
 }
