@@ -37,7 +37,7 @@ func Register(h Help) *Flags {
 	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/spans, /debug/flight, /debug/vars, /debug/pprof/ and /healthz on this address (e.g. 127.0.0.1:9190)")
 	flag.BoolVar(&f.Spans, "spans", false, cmp.Or(h.Spans, "profile the run with hierarchical spans and print the per-phase time table to stderr"))
 	flag.StringVar(&f.SpanOut, "span-out", "", cmp.Or(h.SpanOut, "write the span timeline as Chrome trace-event JSON to this file (implies -spans)"))
-	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure"))
+	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, a diagnostic bundle when the solver fails"))
 	flag.StringVar(&f.FlightDir, "flight-dir", "flight-bundles", "directory receiving flight diagnostic bundles")
 	return f
 }

@@ -50,7 +50,7 @@ func main() {
 	)
 	obsFlags := cliobs.Register(cliobs.Help{
 		Spans:  "profile the sweep with hierarchical spans and print the per-phase time table (requires -full)",
-		Flight: "flight-record the sweep: manifest, black-box rings, numerical-health watchdog, diagnostic bundles on failure (requires -full)",
+		Flight: "flight-record the sweep: manifest, black-box rings, a diagnostic bundle when the solver fails (requires -full)",
 	})
 	flag.Parse()
 
@@ -63,7 +63,7 @@ func main() {
 		exitOn(fmt.Errorf("-trace records full-space convergence traces; add -full (the class reduction is exact and does not iterate per point)"))
 	}
 	if obsFlags.Flight && !*full {
-		exitOn(fmt.Errorf("-flight watches the full-space solver; add -full (the class reduction is exact and has nothing to stall)"))
+		exitOn(fmt.Errorf("-flight records the full-space solver; add -full (the class reduction is exact and has no convergence failure to bundle)"))
 	}
 
 	var l quasispecies.Landscape

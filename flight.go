@@ -6,12 +6,14 @@ import "repro/internal/obs"
 // flag of every CLI. StartFlight stamps a run manifest (run ID, build
 // revision, command line and flag set, host shape and kernel tier,
 // workload), threads the run ID through span profiles, trace rows and
-// /metrics, retains recent history in bounded rings, and starts the
-// numerical-health watchdog. On stalls, NaN residuals, solver errors,
-// worker panics, or SIGUSR1/SIGQUIT, a diagnostic
-// bundle — manifest, ring dumps, goroutine dump, profile table, Chrome
-// trace — lands as a tar-friendly directory under FlightOptions.Dir.
-// Ring sizes, thinning and the watchdog's bounds are fixed (DESIGN §5.8).
+// /metrics, and retains recent history in bounded rings. The flight
+// detects nothing itself: on what the solver decided — a
+// ConvergenceError (stagnation, exhausted budget, breakdown) or a
+// GapUnresolvedError passed to DumpOnError — and on worker panics,
+// SIGUSR1/SIGQUIT or Dump, a diagnostic bundle — manifest, ring dumps,
+// metric snapshot, goroutine dump, profile table, Chrome trace — lands as
+// a tar-friendly directory under FlightOptions.Dir. Ring sizes, thinning
+// and the bundle cap are fixed (DESIGN §5.8).
 //
 // With no flight active the solver's hot paths pay one atomic pointer
 // load at the existing hook points and allocate nothing; numerics are
@@ -35,9 +37,9 @@ type FlightOptions struct {
 // when the run ends (dumped bundles and rings stay readable).
 type Flight struct{ f *obs.FlightRecorder }
 
-// StartFlight begins a flight recording: manifest, rings, watchdog,
-// signal handler, batch panic hook, and a bounded span profile when none
-// is recording (a profile the caller started earlier, e.g. -spans, is
+// StartFlight begins a flight recording: manifest, rings, signal
+// handler, batch panic hook, and a bounded span profile when none is
+// recording (a profile the caller started earlier, e.g. -spans, is
 // stamped with the run ID instead).
 func StartFlight(opts FlightOptions) *Flight {
 	m := obs.NewManifest(obs.ManifestWorkload{
@@ -49,14 +51,14 @@ func StartFlight(opts FlightOptions) *Flight {
 // RunID returns the run identifier stamped in the manifest.
 func (fl *Flight) RunID() string { return fl.f.RunID() }
 
-// Observer returns a per-solve convergence observer for the labelled
-// solve: it feeds the flight's trace ring and registers the solve with
-// the watchdog. Plug it into WithObserver or tee it next to a trace
-// recorder with TeeSolveObservers.
+// Observer returns a convergence observer for the labelled solve: it
+// feeds the flight's trace ring, thinned like a -trace file, whose start
+// and terminal rows carry the solve's method and outcome. Plug it into
+// WithObserver or tee it next to a trace recorder with TeeSolveObservers.
 func (fl *Flight) Observer(label string) SolveObserver { return fl.f.Observer(label) }
 
-// NoteDecision retains one method/escalation decision row in the flight's
-// decision ring (kind e.g. "point", label e.g. "p=0.0312").
+// NoteDecision retains one decision row in the flight's decision ring
+// (kind e.g. "point", label e.g. "p=0.0312").
 func (fl *Flight) NoteDecision(kind, label, detail string, iter int) {
 	fl.f.NoteDecision(kind, label, detail, iter)
 }
@@ -76,8 +78,8 @@ func (fl *Flight) Dump() (string, error) {
 // Bundles returns the directories of the bundles dumped so far.
 func (fl *Flight) Bundles() []string { return fl.f.Bundles() }
 
-// Stop ends the recording, releasing the watchdog, signal handler, and
-// panic hook — and the span profiler, when StartFlight installed one.
+// Stop ends the recording, releasing the signal handler and panic hook —
+// and the span profiler, when StartFlight installed one.
 func (fl *Flight) Stop() { fl.f.Stop() }
 
 // TeeSolveObservers combines solve observers: every Step/Event (and
@@ -107,8 +109,8 @@ func (t *teeObserver) Event(event string, iter int, lambda, residual float64) {
 }
 
 // Method forwards the solver's gear report to the observers that accept
-// it (the optional extension obs.TraceRecorder and flight recorders
-// implement).
+// it (the optional extension obs.TraceRecorder implements, a flight's
+// observer among them).
 func (t *teeObserver) Method(kind string) {
 	if m, ok := t.a.(interface{ Method(string) }); ok {
 		m.Method(kind)

@@ -237,8 +237,9 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 				span.End(ph, int64(res.Restarts), 0)
 				finishCheb(&res, x, opts.Work)
-				led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
-				return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
+				return res, led.fail(EventBreakdown,
+					fmt.Sprintf("‖x‖ = %g after the filter of restart %d", nrm, res.Restarts),
+					res.MatVecs, res.Lambda, res.Residual)
 			}
 			dev.Scale(x, 1/nrm)
 			span.End(ph, int64(res.Restarts), 0)

@@ -4,31 +4,57 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 )
 
 // Lossless JSON forms of the solver's diagnostic errors, so flight
 // bundles and service responses can carry them without flattening to a
 // message string. The sentinel Reason of a ConvergenceError maps to a
-// stable token ("no_convergence", "stagnated") rather than its message,
-// which keeps serialized errors comparable across versions that reword
-// the sentinel text.
+// stable token ("no_convergence", "stagnated", "breakdown") rather than
+// its message, which keeps serialized errors comparable across versions
+// that reword the sentinel text. The float fields are jsonFloat, so the
+// NaN residual of a breakdown survives the round trip.
 
 const (
 	reasonNoConvergence = "no_convergence"
 	reasonStagnated     = "stagnated"
+	reasonBreakdown     = "breakdown"
 )
 
 // convergenceErrorJSON is the wire shape of ConvergenceError.
 type convergenceErrorJSON struct {
-	Reason           string  `json:"reason"`
-	Method           string  `json:"method,omitempty"`
-	Detail           string  `json:"detail,omitempty"`
-	Iterations       int     `json:"iterations"`
-	Residual         float64 `json:"residual"`
-	BestResidual     float64 `json:"best_residual"`
-	SinceImprovement int     `json:"since_improvement"`
-	Shift            float64 `json:"shift"`
-	Tol              float64 `json:"tol"`
+	Reason           string    `json:"reason"`
+	Method           string    `json:"method,omitempty"`
+	Detail           string    `json:"detail,omitempty"`
+	Iterations       int       `json:"iterations"`
+	Residual         jsonFloat `json:"residual"`
+	BestResidual     jsonFloat `json:"best_residual"`
+	SinceImprovement int       `json:"since_improvement"`
+	Shift            jsonFloat `json:"shift"`
+	Tol              jsonFloat `json:"tol"`
+}
+
+// jsonFloat is a float64 whose JSON form survives NaN and ±Inf, which
+// encoding/json refuses: finite values encode as a float64 does, the
+// others as the strings "NaN", "+Inf" and "-Inf".
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+func (f *jsonFloat) UnmarshalJSON(data []byte) error {
+	var s string
+	if json.Unmarshal(data, &s) == nil {
+		v, err := strconv.ParseFloat(s, 64)
+		*f = jsonFloat(v)
+		return err
+	}
+	return json.Unmarshal(data, (*float64)(f))
 }
 
 // MarshalJSON serializes the error losslessly; see UnmarshalJSON for the
@@ -40,13 +66,15 @@ func (e *ConvergenceError) MarshalJSON() ([]byte, error) {
 		reason = reasonNoConvergence
 	case errors.Is(e.Reason, ErrStagnated):
 		reason = reasonStagnated
+	case errors.Is(e.Reason, ErrBreakdown):
+		reason = reasonBreakdown
 	case e.Reason != nil:
 		reason = e.Reason.Error()
 	}
 	return json.Marshal(convergenceErrorJSON{
 		Reason: reason, Method: e.Method, Detail: e.Detail,
-		Iterations: e.Iterations, Residual: e.Residual, BestResidual: e.BestResidual,
-		SinceImprovement: e.SinceImprovement, Shift: e.Shift, Tol: e.Tol,
+		Iterations: e.Iterations, Residual: jsonFloat(e.Residual), BestResidual: jsonFloat(e.BestResidual),
+		SinceImprovement: e.SinceImprovement, Shift: jsonFloat(e.Shift), Tol: jsonFloat(e.Tol),
 	})
 }
 
@@ -63,14 +91,16 @@ func (e *ConvergenceError) UnmarshalJSON(data []byte) error {
 		e.Reason = ErrNoConvergence
 	case reasonStagnated:
 		e.Reason = ErrStagnated
+	case reasonBreakdown:
+		e.Reason = ErrBreakdown
 	case "":
 		e.Reason = nil
 	default:
 		e.Reason = errors.New(w.Reason)
 	}
 	e.Method, e.Detail = w.Method, w.Detail
-	e.Iterations, e.Residual, e.BestResidual = w.Iterations, w.Residual, w.BestResidual
-	e.SinceImprovement, e.Shift, e.Tol = w.SinceImprovement, w.Shift, w.Tol
+	e.Iterations, e.Residual, e.BestResidual = w.Iterations, float64(w.Residual), float64(w.BestResidual)
+	e.SinceImprovement, e.Shift, e.Tol = w.SinceImprovement, float64(w.Shift), float64(w.Tol)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,14 @@ func TestConvergenceErrorJSONRoundTrip(t *testing.T) {
 			},
 		},
 		{
+			name: "breakdown with non-finite residuals",
+			err: ConvergenceError{
+				Reason: ErrBreakdown, Method: SolveKindLanczos,
+				Detail: "Ritz residual NaN at restart 1", Iterations: 25,
+				Residual: math.NaN(), BestResidual: math.Inf(1), Shift: math.Inf(-1), Tol: 1e-13,
+			},
+		},
+		{
 			name: "custom reason survives as text",
 			err: ConvergenceError{
 				Reason: errors.New("some future cause"), Iterations: 1,
@@ -64,6 +73,10 @@ func TestConvergenceErrorJSONRoundTrip(t *testing.T) {
 				if !errors.Is(back.Reason, ErrStagnated) {
 					t.Errorf("reason did not restore to ErrStagnated: %v", back.Reason)
 				}
+			case errors.Is(c.err.Reason, ErrBreakdown):
+				if !errors.Is(back.Reason, ErrBreakdown) {
+					t.Errorf("reason did not restore to ErrBreakdown: %v", back.Reason)
+				}
 			default:
 				if back.Reason == nil || back.Reason.Error() != c.err.Reason.Error() {
 					t.Errorf("custom reason %v round-tripped to %v", c.err.Reason, back.Reason)
@@ -74,10 +87,10 @@ func TestConvergenceErrorJSONRoundTrip(t *testing.T) {
 					back.Method, back.Detail, c.err.Method, c.err.Detail)
 			}
 			if back.Iterations != c.err.Iterations ||
-				back.Residual != c.err.Residual ||
-				back.BestResidual != c.err.BestResidual ||
+				!sameBits(back.Residual, c.err.Residual) ||
+				!sameBits(back.BestResidual, c.err.BestResidual) ||
 				back.SinceImprovement != c.err.SinceImprovement ||
-				back.Shift != c.err.Shift || back.Tol != c.err.Tol {
+				!sameBits(back.Shift, c.err.Shift) || !sameBits(back.Tol, c.err.Tol) {
 				t.Errorf("numeric fields drifted: got %+v want %+v", back, c.err)
 			}
 		})
@@ -99,6 +112,13 @@ func TestConvergenceErrorJSONTokens(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"reason":"no_convergence"`) {
 		t.Fatalf("wire form %s does not use the no_convergence token", data)
+	}
+	data, err = json.Marshal(&ConvergenceError{Reason: ErrBreakdown, Residual: math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"reason":"breakdown"`) || !strings.Contains(string(data), `"residual":"NaN"`) {
+		t.Fatalf("wire form %s does not use the breakdown token and a NaN string", data)
 	}
 }
 

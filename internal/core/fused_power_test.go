@@ -176,8 +176,13 @@ func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) 
 		}
 		nrm = refNorm2(dev, w)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			done(&res, EventBreakdown, iter, res.Residual)
-			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
+			done(&res, EventBreakdown, iter, r)
+			return res, &ConvergenceError{
+				Reason: ErrBreakdown, Method: SolveKindPower,
+				Detail:     fmt.Sprintf("‖w‖ = %g at step %d", nrm, iter),
+				Iterations: iter, Residual: r, BestResidual: bestResidual,
+				SinceImprovement: iter - bestIter, Shift: mu, Tol: tol,
+			}
 		}
 		inv := 1 / nrm
 		if dev != nil {
@@ -252,11 +257,8 @@ var exitPaths = []exitPath{
 	{name: "budget", opts: func(o *PowerOptions, _ *callLog) { o.Tol = 1e-30; o.MaxIter = 8 },
 		check: func(err error) bool { return errors.Is(err, ErrNoConvergence) }},
 	{name: "breakdown", opts: func(o *PowerOptions, _ *callLog) { o.Tol = 1e-30 },
-		wrap: func(op Operator) Operator { return &breakingOp{Operator: op, after: 5} },
-		check: func(err error) bool {
-			var ce *ConvergenceError
-			return err != nil && !errors.As(err, &ce)
-		}},
+		wrap:  func(op Operator) Operator { return &breakingOp{Operator: op, after: 5} },
+		check: func(err error) bool { return errors.Is(err, ErrBreakdown) }},
 }
 
 // namedProcess is one mutation process of the suite.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/device"
 	"repro/internal/span"
 	"repro/internal/vec"
@@ -48,7 +51,8 @@ type LanczosResult struct {
 // (use the Symmetric formulation of Eq. 4) by restarted Lanczos with
 // partial reorthogonalization of the small basis (krylov.go). It returns
 // the partial result with a *ConvergenceError (ErrNoConvergence) when the
-// restart budget is exhausted.
+// restart budget is exhausted, and (ErrBreakdown) at the first non-finite
+// Ritz residual.
 func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 	n := op.Dim()
 	tol := tolerance(opts.Tol)
@@ -96,6 +100,15 @@ func Lanczos(op Operator, opts LanczosOptions) (LanczosResult, error) {
 			res.Vector = q
 			led.end(EventConverged, res.MatVecs, res.Lambda, res.Residual)
 			return res, nil
+		}
+		if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
+			// A non-finite Ritz pair restarts from a non-finite vector:
+			// every later cycle would be the same.
+			orientPositive(q)
+			res.Vector = q
+			return res, led.fail(EventBreakdown,
+				fmt.Sprintf("Ritz residual %g at restart %d", res.Residual, res.Restarts),
+				res.MatVecs, res.Lambda, res.Residual)
 		}
 	}
 	orientPositive(q)

@@ -97,13 +97,16 @@ func (l *ledger) end(outcome string, iter int, lambda, r float64) {
 }
 
 // fail ends the solve with outcome and returns its error: ErrStagnated for
-// EventStagnated, ErrNoConvergence otherwise, with detail as the context
-// note.
+// EventStagnated, ErrBreakdown for EventBreakdown, ErrNoConvergence
+// otherwise, with detail as the context note.
 func (l *ledger) fail(outcome, detail string, iter int, lambda, r float64) *ConvergenceError {
 	l.end(outcome, iter, lambda, r)
 	reason := ErrNoConvergence
-	if outcome == EventStagnated {
+	switch outcome {
+	case EventStagnated:
 		reason = ErrStagnated
+	case EventBreakdown:
+		reason = ErrBreakdown
 	}
 	return &ConvergenceError{
 		Reason: reason, Method: l.kind, Detail: detail,

@@ -44,7 +44,8 @@ const (
 	// EventBudgetExhausted: MaxIter reached (ErrNoConvergence).
 	EventBudgetExhausted = "budget_exhausted"
 	// EventBreakdown: the iterate collapsed or left the representable
-	// range (‖w‖ zero, NaN or Inf).
+	// range (‖w‖ zero, NaN or Inf; ErrBreakdown when the solver fails
+	// through the ledger).
 	EventBreakdown = "breakdown"
 	// EventAborted: a Monitor callback requested termination.
 	EventAborted = "aborted"
@@ -94,9 +95,11 @@ const (
 // power iteration: everything needed to understand a stall near the
 // critical window without rerunning — the shift in effect, the best
 // residual attained, and how long ago it stopped improving. It unwraps to
-// ErrNoConvergence or ErrStagnated, so errors.Is checks keep working.
+// ErrNoConvergence, ErrStagnated or ErrBreakdown, so errors.Is checks keep
+// working.
 type ConvergenceError struct {
-	// Reason is the sentinel cause: ErrNoConvergence or ErrStagnated.
+	// Reason is the sentinel cause: ErrNoConvergence, ErrStagnated or
+	// ErrBreakdown.
 	Reason error
 	// Method names the eigensolver that failed (a SolveKind* constant:
 	// "power", "lanczos", "chebyshev", "shift_invert" or "arnoldi");

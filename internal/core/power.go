@@ -28,6 +28,13 @@ var ErrNoConvergence = errors.New("core: iteration budget exhausted before conve
 // callers that find that residual acceptable can use the result directly.
 var ErrStagnated = errors.New("core: residual stopped improving on its best above the tolerance")
 
+// ErrBreakdown is returned when a solve's iterate collapses or leaves the
+// representable range: a zero, NaN or infinite norm, or (Lanczos) a
+// non-finite Ritz residual. Nothing a further iteration does can recover
+// it, so the solver stops at the first such check; the returned result
+// holds the iterate it stopped on.
+var ErrBreakdown = errors.New("core: iterate collapsed or left the representable range")
+
 // PowerOptions configures the power iteration.
 type PowerOptions struct {
 	// Tol is the residual threshold τ: the iteration stops when
@@ -190,8 +197,7 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 		}
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			finish(&res, x, opts.Work)
-			led.end(EventBreakdown, iter, res.Lambda, res.Residual)
-			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
+			return res, led.fail(EventBreakdown, fmt.Sprintf("‖w‖ = %g at step %d", nrm, iter), iter, res.Lambda, r)
 		}
 		x, w = w, x
 	}

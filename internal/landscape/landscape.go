@@ -315,10 +315,6 @@ func (v *Vector) Dim() int                 { return len(v.f) }
 func (v *Vector) At(i uint64) float64      { return v.f[i] }
 func (v *Vector) Bounds() (lo, hi float64) { return v.lo, v.hi }
 
-// Values returns the underlying fitness vector (not a copy; treat as
-// read-only).
-func (v *Vector) Values() []float64 { return v.f }
-
 // classTable returns (ϕ, true) when the vector depends only on Hamming
 // weight.
 func (v *Vector) classTable() ([]float64, bool) {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,17 +27,11 @@ func testFlightManifest(runID string) *Manifest {
 	}
 }
 
-// quietConfig is a watchdog-off, snapshot-off flight config that keeps
-// every trace row, for ring and bundle tests.
-func quietConfig() flightConfig {
-	return flightConfig{traceEvery: 1, maxBundles: flightMaxBundles}
-}
-
 // TraceRows returns a copy of the retained trace-ring rows.
 func (f *FlightRecorder) TraceRows() []TraceRow { return f.trace.snapshot() }
 
 // Spans returns a copy of the retained span-ring events.
-func (f *FlightRecorder) Spans() []FlightSpan { return f.spans.snapshot() }
+func (f *FlightRecorder) Spans() []SpanRow { return f.spans.snapshot() }
 
 func TestRingOverwriteOldest(t *testing.T) {
 	r := newRing[int](4)
@@ -71,81 +64,14 @@ func TestRingPartialFill(t *testing.T) {
 	}
 }
 
-func TestFlightWatchdogStallEscalation(t *testing.T) {
-	dir := t.TempDir()
-	var mu sync.Mutex
-	var warns []string
-	cfg := quietConfig()
-	cfg.interval = 2 * time.Millisecond
-	cfg.stallChecks = 3
-	cfg.warnAfter, cfg.dumpAfter = 1, 2
-	cfg.log = func(line string) {
-		mu.Lock()
-		warns = append(warns, line)
-		mu.Unlock()
-	}
-	f := startFlight(testFlightManifest("testrun-stall"), dir, cfg)
-	defer f.Stop()
-
-	o := f.Observer("p=stall")
-	o.Method(core.SolveKindPower)
-	o.Event(core.EventStart, 0, 0, 0)
-	o.Step(1, 2.0, 1e-3) // first check improves over +Inf
-	for i := 2; i <= 12; i++ {
-		o.Step(i, 2.0, 1e-3) // flat residual: no improvement
-	}
-
-	// A bundle is listed as soon as its directory is claimed; dump.json is
-	// written last, so wait for it before reading the bundle.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if b := f.Bundles(); len(b) > 0 {
-			if _, err := os.Stat(filepath.Join(b[0], "dump.json")); err == nil {
-				break
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	bundles := f.Bundles()
-	if len(bundles) == 0 {
-		t.Fatal("watchdog did not dump a stall bundle")
-	}
-	if !strings.HasSuffix(bundles[0], "-stall") {
-		t.Fatalf("bundle dir %q does not name reason stall", bundles[0])
-	}
-
-	man, err := ReadManifestFile(filepath.Join(bundles[0], ManifestName))
-	if err != nil {
-		t.Fatalf("bundle manifest: %v", err)
-	}
-	if man.RunID != "testrun-stall" {
-		t.Fatalf("bundle manifest run ID %q, want testrun-stall", man.RunID)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(warns) == 0 {
-		t.Fatal("no structured warning emitted before the dump")
-	}
-	var fields map[string]any
-	if err := json.Unmarshal([]byte(warns[0]), &fields); err != nil {
-		t.Fatalf("warning %q is not a JSON object: %v", warns[0], err)
-	}
-	if fields["kind"] != "stall" || fields["run_id"] != "testrun-stall" {
-		t.Fatalf("warning fields = %v, want kind=stall run_id=testrun-stall", fields)
-	}
-	if fields["method"] != core.SolveKindPower {
-		t.Fatalf("warning method = %v, want %q", fields["method"], core.SolveKindPower)
-	}
-}
-
 // TestFlightStallAcceptance is the flight recorder's end-to-end check: a
-// capped-iteration power solve pinned at the error threshold (ν = 14,
-// p ≈ p_c) is forced to stall — it starts from the already-converged
-// eigenvector with an unattainable tolerance, so the residual sits at the
-// floating-point floor from the first check — and the watchdog must
-// notice, emit a structured warning, and dump a diagnostic bundle whose
-// run ID matches the manifest, the span profile and the trace rows.
+// power solve pinned at the error threshold (ν = 14, p ≈ p_c) is forced
+// to stall — it starts from the already-converged eigenvector with an
+// unattainable tolerance, so the residual sits at the floating-point
+// floor from the first check — and the convergence ledger stops it with
+// ErrStagnated. DumpOnError must turn that decision into one
+// convergence_error bundle whose run ID matches the manifest, the span
+// profile and the trace rows, and whose trace ends on the stagnated event.
 func TestFlightStallAcceptance(t *testing.T) {
 	const nu = 14
 	pc := 1 - math.Pow(2, -1/float64(nu))
@@ -181,70 +107,36 @@ func TestFlightStallAcceptance(t *testing.T) {
 		t.Fatal("reduced solve did not materialize concentrations")
 	}
 
-	tmp := t.TempDir()
-	// The production ladder and cadences, with a fast scan, a 3-check
-	// stall bound and the wall-clock criterion off.
-	cfg := flightConfig{
-		traceEvery: 1, metricPeriod: flightMetricPeriod, maxBundles: flightMaxBundles,
-		interval: 2 * time.Millisecond, stallChecks: 3,
-		warnAfter: watchdogWarnAfter, dumpAfter: watchdogDumpAfter,
-	}
-	fl := startFlight(NewManifest(ManifestWorkload{
+	fl := StartFlight(NewManifest(ManifestWorkload{
 		Tool: "go-test", Nu: nu, Method: "power", PGrid: []float64{pc},
-	}), filepath.Join(tmp, "bundles"), cfg)
+	}), filepath.Join(t.TempDir(), "bundles"))
 	defer fl.Stop()
 
 	op, err := core.NewFmmpOperator(qm, ql, core.Right, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	start := time.Now()
 	_, serr := core.PowerIteration(op, core.PowerOptions{
-		Tol: 1e-30, MaxIter: 50_000_000,
-		Start:    exact,
-		Observer: fl.Observer("p=pc"),
-		Monitor: func(iter int, lambda, residual float64) bool {
-			// Pace the solve so the core's own stall guard, 100 flat
-			// checks, needs half a second or more: the watchdog, scanning
-			// every 2 ms, sees its 3 flat checks long before. Stop once it
-			// has dumped (or a generous wall deadline expires and the test
-			// fails below).
-			time.Sleep(5 * time.Millisecond)
-			return len(fl.Bundles()) == 0 && time.Since(start) < 60*time.Second
-		},
+		Tol: 1e-30, Start: exact, Observer: fl.Observer("p=pc"),
 	})
-	if serr == nil {
-		t.Fatal("the forced-stall solve converged; the fixture is broken")
+	if !errors.Is(serr, core.ErrStagnated) {
+		t.Fatalf("the forced-stall solve returned %v, want ErrStagnated", serr)
 	}
-	var cerr *core.ConvergenceError
-	if !errors.As(serr, &cerr) {
-		t.Fatalf("solve error %v is not a ConvergenceError", serr)
+	dir, ok := fl.DumpOnError(serr)
+	if !ok || !strings.HasSuffix(dir, "-001-convergence_error") {
+		t.Fatalf("DumpOnError = (%q, %v), want the first convergence_error bundle", dir, ok)
 	}
-
-	var stallDir string
-	for _, b := range fl.Bundles() {
-		if strings.HasSuffix(b, "-stall") {
-			stallDir = b
+	for _, name := range []string{
+		ManifestName, "spans.jsonl", "trace.jsonl", "decisions.jsonl", "metrics.json",
+		"goroutines.txt", "profile.txt", "chrome_trace.json", "error.json", "dump.json",
+	} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("bundle %s missing or empty (err=%v)", name, err)
 		}
-	}
-	if stallDir == "" {
-		t.Fatalf("watchdog did not dump a stall bundle; bundles = %v", fl.Bundles())
-	}
-	// The bundle is registered before its files land (the monitor aborted
-	// the solve on registration); dump.json is written last, so wait for it.
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if fi, err := os.Stat(filepath.Join(stallDir, "dump.json")); err == nil && fi.Size() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stall bundle never finished writing")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	// Run-ID consistency: manifest ↔ span profile ↔ trace rows.
-	man, err := ReadManifestFile(filepath.Join(stallDir, "manifest.json"))
+	man, err := ReadManifestFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		t.Fatalf("bundle manifest: %v", err)
 	}
@@ -254,7 +146,6 @@ func TestFlightStallAcceptance(t *testing.T) {
 	if man.Nu != nu || len(man.PGrid) != 1 {
 		t.Fatalf("manifest workload = %+v", man)
 	}
-
 	prof := InstalledProfiler()
 	if prof == nil {
 		t.Fatal("StartFlight did not install a span profiler")
@@ -262,141 +153,159 @@ func TestFlightStallAcceptance(t *testing.T) {
 	if prof.RunID() != fl.RunID() {
 		t.Fatalf("span profile run ID %q != flight run ID %q", prof.RunID(), fl.RunID())
 	}
-
-	traceFile, err := os.Open(filepath.Join(stallDir, "trace.jsonl"))
-	if err != nil {
-		t.Fatalf("bundle trace: %v", err)
-	}
-	defer traceFile.Close()
-	sc := bufio.NewScanner(traceFile)
-	rows := 0
-	for sc.Scan() {
-		var row struct {
-			RunID string `json:"run_id"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("trace row %d: %v", rows, err)
-		}
-		if row.RunID != fl.RunID() {
-			t.Fatalf("trace row %d run ID %q != %q", rows, row.RunID, fl.RunID())
-		}
-		rows++
-	}
-	if rows == 0 {
+	rows := readTraceJSONL(t, filepath.Join(dir, "trace.jsonl"))
+	if len(rows) == 0 {
 		t.Fatal("bundle trace.jsonl is empty")
 	}
-
-	for _, name := range []string{"spans.jsonl", "decisions.jsonl", "goroutines.txt", "dump.json", "profile.txt", "chrome_trace.json"} {
-		if fi, err := os.Stat(filepath.Join(stallDir, name)); err != nil || fi.Size() == 0 {
-			t.Errorf("bundle %s missing or empty (err=%v)", name, err)
+	for i, r := range rows {
+		if r.RunID != fl.RunID() {
+			t.Fatalf("trace row %d run ID %q != %q", i, r.RunID, fl.RunID())
 		}
+	}
+	if last := rows[len(rows)-1]; last.Event != core.EventStagnated || last.Method != core.SolveKindPower {
+		t.Fatalf("last trace row = %+v, want the power solve's stagnated event", last)
+	}
+	var back core.ConvergenceError
+	data, err := os.ReadFile(filepath.Join(dir, "error.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &back); err != nil || !errors.Is(&back, core.ErrStagnated) {
+		t.Fatalf("error.json = %s (err %v), want reason stagnated", data, err)
 	}
 }
 
-// TestFlightWatchdogStallWall exercises the wall-clock stall criterion
-// alone: with the check-count bound off, a solve whose residual has not
-// improved for longer than the wall bound climbs the ladder to a
-// structured warning and a stall bundle.
-func TestFlightWatchdogStallWall(t *testing.T) {
-	var mu sync.Mutex
-	var warns []string
-	cfg := quietConfig()
-	cfg.interval = 2 * time.Millisecond
-	cfg.stallWall = 20 * time.Millisecond
-	cfg.warnAfter, cfg.dumpAfter = 1, 2
-	cfg.log = func(line string) {
-		mu.Lock()
-		warns = append(warns, line)
-		mu.Unlock()
+// bundleTraceRow is the part of a bundle's trace.jsonl row the tests read
+// (a breakdown's residual is the string "NaN", which TraceRow's float
+// fields cannot decode).
+type bundleTraceRow struct {
+	RunID  string `json:"run_id"`
+	Label  string `json:"label"`
+	Event  string `json:"event"`
+	Method string `json:"method"`
+}
+
+// readTraceJSONL decodes a bundle's trace.jsonl.
+func readTraceJSONL(t *testing.T, path string) []bundleTraceRow {
+	t.Helper()
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := startFlight(testFlightManifest("testrun-wall"), t.TempDir(), cfg)
-	defer f.Stop()
-
-	o := f.Observer("p=wall")
-	o.Event(core.EventStart, 0, 0, 0)
-	o.Step(1, 2.0, 1e-3) // one improving check, then silence
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if b := f.Bundles(); len(b) > 0 {
-			if _, err := os.Stat(filepath.Join(b[0], "dump.json")); err == nil {
-				break
-			}
+	defer fh.Close()
+	var rows []bundleTraceRow
+	sc := bufio.NewScanner(fh)
+	for sc.Scan() {
+		var r bundleTraceRow
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("trace row %d: %v", len(rows), err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		rows = append(rows, r)
 	}
-	bundles := f.Bundles()
-	if len(bundles) == 0 || !strings.HasSuffix(bundles[0], "-stall") {
-		t.Fatalf("wall-clock stall dumped bundles %v, want one stall bundle", bundles)
-	}
+	return rows
+}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(warns) == 0 {
-		t.Fatal("no structured warning emitted before the dump")
-	}
-	var fields map[string]any
-	if err := json.Unmarshal([]byte(warns[0]), &fields); err != nil {
-		t.Fatalf("warning %q is not a JSON object: %v", warns[0], err)
-	}
-	if fields["kind"] != "stall" || fields["run_id"] != "testrun-wall" {
-		t.Fatalf("warning fields = %v, want kind=stall run_id=testrun-wall", fields)
-	}
-	if ms, _ := fields["since_improvement_ms"].(float64); ms < 20 {
-		t.Fatalf("stall flagged %vms after the last improvement, want ≥ 20ms", fields["since_improvement_ms"])
-	}
-	if n, _ := fields["since_improvement"].(float64); n != 0 {
-		t.Fatalf("since_improvement = %v, want 0: the check-count criterion is off", fields["since_improvement"])
+// nanOp writes one NaN into its output from application `after` on.
+type nanOp struct {
+	core.Operator
+	after, applied int
+}
+
+func (o *nanOp) Apply(dst, src []float64) {
+	o.Operator.Apply(dst, src)
+	if o.applied++; o.applied >= o.after {
+		dst[0] = math.NaN()
 	}
 }
 
-func TestFlightNaNEscalatesImmediately(t *testing.T) {
-	dir := t.TempDir()
-	var mu sync.Mutex
-	var warns []string
-	cfg := quietConfig()
-	cfg.log = func(line string) {
-		mu.Lock()
-		warns = append(warns, line)
-		mu.Unlock()
-	}
-	f := startFlight(testFlightManifest("testrun-nan"), dir, cfg)
-	defer f.Stop()
+// TestBreakdownIsTypedAndDumped: a NaN in the iterate is a breakdown,
+// which power, Chebyshev and Lanczos report through the ledger as a
+// *core.ConvergenceError with reason ErrBreakdown at the first non-finite
+// check. The error survives its JSON round trip with the NaN residual, and
+// DumpOnError dumps a bundle whose trace ends on the breakdown event.
+func TestBreakdownIsTypedAndDumped(t *testing.T) {
+	EnableSolverMetrics() // the bundle's metrics.json then holds a non-finite last residual
+	fl := StartFlight(testFlightManifest("testrun-breakdown"), t.TempDir())
+	defer fl.Stop()
 
-	o := f.Observer("p=nan")
-	o.Event(core.EventStart, 0, 0, 0)
-	o.Step(1, 1.0, 1e-3)
-	nan := 0.0
-	nan /= nan // NaN without math.NaN, keeps the import list short
-	o.Step(2, 1.0, nan)
-	o.Step(3, 1.0, nan) // second NaN must not dump a second bundle
-
-	bundles := f.Bundles()
-	if len(bundles) != 1 {
-		t.Fatalf("NaN escalation dumped %d bundles, want exactly 1", len(bundles))
+	const nu = 6 // a 64-dimension operator
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasSuffix(bundles[0], "-nan") {
-		t.Fatalf("bundle dir %q does not name reason nan", bundles[0])
+	sym, err := core.NewFmmpOperator(mutation.MustUniform(nu, 0.01), l, core.Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(warns) != 1 || !strings.Contains(warns[0], `"kind":"nan"`) {
-		t.Fatalf("warnings = %v, want one nan warning", warns)
+	for _, c := range []struct {
+		method string
+		solve  func(op core.Operator, o core.Observer) error
+	}{
+		{core.SolveKindPower, func(op core.Operator, o core.Observer) error {
+			_, err := core.PowerIteration(op, core.PowerOptions{Tol: 1e-30, Observer: o})
+			return err
+		}},
+		{core.SolveKindChebyshev, func(op core.Operator, o core.Observer) error {
+			_, err := core.ChebyshevIteration(op, core.ChebyshevOptions{
+				Tol: 1e-30, LowerEdge: 0, UpperEdge: 1.5, Observer: o,
+			})
+			return err
+		}},
+		{core.SolveKindLanczos, func(op core.Operator, o core.Observer) error {
+			_, err := core.Lanczos(op, core.LanczosOptions{Tol: 1e-30, Observer: o})
+			return err
+		}},
+	} {
+		serr := c.solve(&nanOp{Operator: sym, after: 3}, fl.Observer("p="+c.method))
+		var ce *core.ConvergenceError
+		if !errors.As(serr, &ce) || !errors.Is(serr, core.ErrBreakdown) {
+			t.Fatalf("%s: err = %v, want a ConvergenceError with ErrBreakdown", c.method, serr)
+		}
+		if ce.Method != c.method || ce.Iterations > 100 {
+			t.Fatalf("%s: ConvergenceError = %+v, want its method, stopped at once", c.method, ce)
+		}
+		data, err := json.Marshal(ce)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", c.method, err)
+		}
+		var back core.ConvergenceError
+		if err := json.Unmarshal(data, &back); err != nil || !errors.Is(&back, core.ErrBreakdown) ||
+			!strings.Contains(string(data), `"reason":"breakdown"`) ||
+			math.Float64bits(back.Residual) != math.Float64bits(ce.Residual) {
+			t.Fatalf("%s: JSON round trip %s → %+v (err %v)", c.method, data, back, err)
+		}
+		dir, ok := fl.DumpOnError(serr)
+		if !ok {
+			t.Fatalf("%s: DumpOnError dumped no bundle", c.method)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "error.json")); err != nil {
+			t.Fatalf("%s: error.json: %v", c.method, err)
+		}
+		rows := readTraceJSONL(t, filepath.Join(dir, "trace.jsonl"))
+		if last := rows[len(rows)-1]; last.Event != core.EventBreakdown || last.Label != "p="+c.method {
+			t.Fatalf("%s: last trace row = %+v, want its breakdown event", c.method, last)
+		}
+		var snap map[string]any
+		if data, err := os.ReadFile(filepath.Join(dir, "metrics.json")); err != nil || json.Unmarshal(data, &snap) != nil {
+			t.Fatalf("%s: metrics.json unreadable: %v", c.method, err)
+		}
+		if got, ok := snap["qs_power_last_residual"].(string); !ok || (got != "NaN" && got != "+Inf") {
+			t.Fatalf("%s: metrics.json last residual = %v, want the non-finite string", c.method, snap["qs_power_last_residual"])
+		}
 	}
 }
 
 func TestFlightTraceThinning(t *testing.T) {
-	cfg := quietConfig()
-	cfg.traceEvery = 4
-	f := startFlight(testFlightManifest("testrun-thin"), t.TempDir(), cfg)
+	f := StartFlight(testFlightManifest("testrun-thin"), t.TempDir())
 	defer f.Stop()
 
 	o := f.Observer("p=thin")
+	o.Method(core.SolveKindPower)
 	o.Event(core.EventStart, 0, 0, 0)
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= 40; i++ {
 		o.Step(i, 1.0, 1.0/float64(i))
 	}
-	o.Event(core.EventConverged, 10, 1.0, 0.1)
+	o.Event(core.EventConverged, 40, 1.0, 1.0/40)
 
 	rows := f.TraceRows()
 	var iters []int
@@ -404,13 +313,13 @@ func TestFlightTraceThinning(t *testing.T) {
 		if r.Event == "" {
 			iters = append(iters, r.Iter)
 		}
-		if r.RunID != "testrun-thin" {
-			t.Fatalf("trace row missing run ID: %+v", r)
+		if r.RunID != "testrun-thin" || r.Method != core.SolveKindPower {
+			t.Fatalf("trace row missing run ID or method: %+v", r)
 		}
 	}
-	// Kept: every 4th step (4, 8) plus the pending step 10 flushed by the
-	// terminal event.
-	want := []int{4, 8, 10}
+	// Kept: every 16th step (16, 32) plus the pending step 40 flushed by
+	// the terminal event; the start and terminal rows are never thinned.
+	want := []int{16, 32, 40}
 	if len(iters) != len(want) {
 		t.Fatalf("retained step iters %v, want %v", iters, want)
 	}
@@ -419,36 +328,36 @@ func TestFlightTraceThinning(t *testing.T) {
 			t.Fatalf("retained step iters %v, want %v", iters, want)
 		}
 	}
+	if first := rows[0]; first.Event != core.EventStart {
+		t.Fatalf("first row = %+v, want the start event", first)
+	}
 	last := rows[len(rows)-1]
-	if last.Event != core.EventConverged || last.Iter != 10 {
-		t.Fatalf("last row = %+v, want converged event at iter 10", last)
+	if last.Event != core.EventConverged || last.Iter != 40 {
+		t.Fatalf("last row = %+v, want converged event at iter 40", last)
 	}
 }
 
 // TestFlightTraceThinningSpansGearAttempts: when a sweep point falls
-// through to another gear on the same observer, the ring's every-N
+// through to another gear on the same observer, the ring's every-16
 // thinning phase runs on across the attempts, as a -trace file's does.
 func TestFlightTraceThinningSpansGearAttempts(t *testing.T) {
-	cfg := quietConfig()
-	cfg.traceEvery = 4
-	f := startFlight(testFlightManifest("testrun-gears"), t.TempDir(), cfg)
+	f := StartFlight(testFlightManifest("testrun-gears"), t.TempDir())
 	defer f.Stop()
-	tr := NewTrace(4)
+	tr := NewTrace(flightTraceEvery)
 
-	for _, o := range []interface {
-		Step(int, float64, float64)
-		Event(string, int, float64, float64)
-	}{f.Observer("p=gears"), tr.Recorder("p=gears")} {
+	for _, o := range []*TraceRecorder{f.Observer("p=gears"), tr.Recorder("p=gears")} {
+		o.Method(core.SolveKindPower)
 		o.Event(core.EventStart, 0, 0, 0)
-		for i := 1; i <= 6; i++ {
+		for i := 1; i <= 20; i++ {
 			o.Step(i, 1.0, 1e-3)
 		}
-		o.Event(core.EventStagnated, 6, 1.0, 1e-3)
+		o.Event(core.EventStagnated, 20, 1.0, 1e-3)
+		o.Method(core.SolveKindChebyshev)
 		o.Event(core.EventStart, 0, 0, 0)
-		for i := 1; i <= 6; i++ {
+		for i := 1; i <= 20; i++ {
 			o.Step(i, 1.0, 1.0/float64(i))
 		}
-		o.Event(core.EventConverged, 6, 1.0, 1.0/6)
+		o.Event(core.EventConverged, 20, 1.0, 1.0/20)
 	}
 
 	ring, file := f.TraceRows(), tr.Rows()
@@ -460,7 +369,7 @@ func TestFlightTraceThinningSpansGearAttempts(t *testing.T) {
 			t.Fatalf("row %d: ring %+v, trace %+v", i, ring[i], file[i])
 		}
 	}
-	// Steps 4, 6 (flushed) of the first gear; 2 (the 8th step), 6
+	// Steps 16, 20 (flushed) of the first gear; 12 (the 32nd step), 20
 	// (flushed) of the second.
 	var iters []int
 	for _, r := range ring {
@@ -468,52 +377,25 @@ func TestFlightTraceThinningSpansGearAttempts(t *testing.T) {
 			iters = append(iters, r.Iter)
 		}
 	}
-	if want := []int{4, 6, 2, 6}; len(iters) != len(want) ||
+	if want := []int{16, 20, 12, 20}; len(iters) != len(want) ||
 		iters[0] != want[0] || iters[1] != want[1] || iters[2] != want[2] || iters[3] != want[3] {
 		t.Fatalf("retained step iters %v, want %v", iters, want)
 	}
 }
 
-func TestFlightObserverReuseRearms(t *testing.T) {
-	f := startFlight(testFlightManifest("testrun-reuse"), t.TempDir(), quietConfig())
-	defer f.Stop()
-
-	o := f.Observer("p=reuse")
-	o.Event(core.EventStart, 0, 0, 0)
-	o.Step(1, 1.0, 1e-3)
-	o.Event(core.EventConverged, 1, 1.0, 1e-3)
-	f.mu.Lock()
-	n := len(f.solves)
-	f.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d solves registered after terminal event, want 0", n)
-	}
-
-	o.Event(core.EventStart, 0, 0, 0) // rep 2 on the same model/observer
-	f.mu.Lock()
-	n = len(f.solves)
-	done := o.done
-	f.mu.Unlock()
-	if n != 1 || done {
-		t.Fatalf("reused observer not re-armed: registered=%d done=%v", n, done)
-	}
-}
-
 func TestDumpBundleContentsAndCap(t *testing.T) {
 	dir := t.TempDir()
-	cfg := quietConfig()
-	cfg.maxBundles = 2
-	f := startFlight(testFlightManifest("testrun-dump"), dir, cfg)
+	f := StartFlight(testFlightManifest("testrun-dump"), dir)
 	defer f.Stop()
 
-	f.NoteDecision("method", "p=0.03", "power", 0)
+	f.NoteDecision("point", "p=0.03", "method=power start=cold", 0)
 	first, err := f.DumpBundle("manual", map[string]any{"trigger": "test"})
 	if err != nil {
 		t.Fatalf("DumpBundle: %v", err)
 	}
 	for _, name := range []string{
 		ManifestName, "spans.jsonl", "trace.jsonl", "decisions.jsonl",
-		"metrics.jsonl", "goroutines.txt", "dump.json",
+		"metrics.json", "goroutines.txt", "dump.json",
 	} {
 		if _, err := os.Stat(filepath.Join(first, name)); err != nil {
 			t.Errorf("bundle missing %s: %v", name, err)
@@ -531,23 +413,25 @@ func TestDumpBundleContentsAndCap(t *testing.T) {
 		t.Fatalf("dump summary = %+v", sum)
 	}
 
-	if _, err := f.DumpBundle("manual", nil); err != nil {
-		t.Fatalf("second DumpBundle: %v", err)
+	for i := 2; i <= flightMaxBundles; i++ {
+		if _, err := f.DumpBundle("manual", nil); err != nil {
+			t.Fatalf("DumpBundle %d: %v", i, err)
+		}
 	}
-	third, err := f.DumpBundle("manual", nil)
+	capped, err := f.DumpBundle("manual", nil)
 	if err != nil {
 		t.Fatalf("capped DumpBundle: %v", err)
 	}
-	if third != "" {
-		t.Fatalf("third bundle %q dumped past MaxBundles=2", third)
+	if capped != "" {
+		t.Fatalf("bundle %q dumped past the cap of %d", capped, flightMaxBundles)
 	}
-	if got := len(f.Bundles()); got != 2 {
-		t.Fatalf("Bundles() has %d entries, want 2", got)
+	if got := len(f.Bundles()); got != flightMaxBundles {
+		t.Fatalf("Bundles() has %d entries, want %d", got, flightMaxBundles)
 	}
 }
 
 func TestDumpOnError(t *testing.T) {
-	f := startFlight(testFlightManifest("testrun-err"), t.TempDir(), quietConfig())
+	f := StartFlight(testFlightManifest("testrun-err"), t.TempDir())
 	defer f.Stop()
 
 	if dir, ok := f.DumpOnError(nil); ok || dir != "" {
@@ -590,7 +474,7 @@ func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
 	// solve exhausts its restarts and an Arnoldi solve stagnates; each fails
 	// with a typed *core.ConvergenceError, which a flight recording dumps as
 	// a bundle.
-	f := startFlight(testFlightManifest("testrun-krylov"), t.TempDir(), quietConfig())
+	f := StartFlight(testFlightManifest("testrun-krylov"), t.TempDir())
 	defer f.Stop()
 
 	// N = 8 keeps Lanczos's thousand restarts cheap; the shift 2.5 lies
@@ -634,7 +518,7 @@ func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
 }
 
 func TestFlightSpanTeeAndRunIDStamping(t *testing.T) {
-	f := startFlight(testFlightManifest("testrun-spans"), t.TempDir(), quietConfig())
+	f := StartFlight(testFlightManifest("testrun-spans"), t.TempDir())
 	defer f.Stop()
 
 	// A profiler born during the flight is stamped with its run ID.
@@ -663,9 +547,9 @@ func TestFlightSpanTeeAndRunIDStamping(t *testing.T) {
 }
 
 func TestFlightStatus(t *testing.T) {
-	f := startFlight(testFlightManifest("testrun-status"), t.TempDir(), quietConfig())
+	f := StartFlight(testFlightManifest("testrun-status"), t.TempDir())
 	defer f.Stop()
-	f.NoteDecision("method", "p=0.01", "power", 3)
+	f.NoteDecision("point", "p=0.01", "method=power start=warm", 3)
 	st := f.status()
 	if !st.Active || st.RunID != "testrun-status" {
 		t.Fatalf("status = %+v", st)

@@ -22,8 +22,8 @@ func metricValue(t *testing.T, name string) float64 {
 	switch v := Default().Snapshot()[name].(type) {
 	case int64:
 		return float64(v)
-	case float64:
-		return v
+	case jsonFloat:
+		return float64(v)
 	case map[string]any:
 		return float64(v["count"].(int64))
 	}

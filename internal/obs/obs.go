@@ -319,7 +319,9 @@ func EscapeLabel(v string) string {
 }
 
 // Snapshot returns a flat name→value map of the registry, the form
-// published under /debug/vars. Histograms appear as {count, sum}.
+// published under /debug/vars and written into flight bundles. Histograms
+// appear as {count, sum}; float gauges are jsonFloat, so a breakdown's
+// NaN last residual still encodes.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	for _, e := range r.sorted() {
@@ -329,7 +331,7 @@ func (r *Registry) Snapshot() map[string]any {
 		case kindGauge:
 			out[e.name] = e.g.Value()
 		case kindGaugeFloat:
-			out[e.name] = e.gf.Value()
+			out[e.name] = jsonFloat(e.gf.Value())
 		case kindHistogram:
 			out[e.name] = map[string]any{"count": e.h.Count(), "sum": e.h.Sum()}
 		}

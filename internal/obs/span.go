@@ -38,15 +38,16 @@ import (
 // own events; post-hoc spans become trace log messages.
 
 // SpanRow is one recorded span event. Start is relative to the profiler's
-// epoch; TID is the recording goroutine's id, the Chrome trace track.
+// epoch; TID is the recording goroutine's id, the Chrome trace track. The
+// JSON form is a flight bundle's spans.jsonl row (durations in ns).
 type SpanRow struct {
-	Layer string
-	Name  string
-	TID   int64
-	Start time.Duration
-	Dur   time.Duration
-	A1    int64
-	A2    int64
+	Layer string        `json:"layer"`
+	Name  string        `json:"name"`
+	TID   int64         `json:"tid"`
+	Start time.Duration `json:"start_ns"`
+	Dur   time.Duration `json:"dur_ns"`
+	A1    int64         `json:"a1,omitempty"`
+	A2    int64         `json:"a2,omitempty"`
 }
 
 // SpanStat is the aggregate of one span site (layer, name).

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -33,6 +35,38 @@ type TraceRow struct {
 	Residual float64 `json:"residual"`
 	Event    string  `json:"event,omitempty"`
 	Method   string  `json:"method,omitempty"`
+}
+
+// traceRowJSON is TraceRow's wire shape: the same keys, with λ and the
+// residual as jsonFloat so the NaN rows of a breakdown encode.
+type traceRowJSON struct {
+	RunID    string    `json:"run_id,omitempty"`
+	Label    string    `json:"label,omitempty"`
+	Iter     int       `json:"iter"`
+	Lambda   jsonFloat `json:"lambda"`
+	Residual jsonFloat `json:"residual"`
+	Event    string    `json:"event,omitempty"`
+	Method   string    `json:"method,omitempty"`
+}
+
+func (r TraceRow) MarshalJSON() ([]byte, error) {
+	return json.Marshal(traceRowJSON{
+		RunID: r.RunID, Label: r.Label, Iter: r.Iter, Lambda: jsonFloat(r.Lambda),
+		Residual: jsonFloat(r.Residual), Event: r.Event, Method: r.Method,
+	})
+}
+
+// jsonFloat is a float64 whose JSON form survives NaN and ±Inf, which
+// encoding/json refuses: finite values encode as a float64 does, the
+// others as the strings "NaN", "+Inf" and "-Inf". Trace exports and
+// bundles are write-only, so there is no decoder.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(float64(f))
 }
 
 // Trace accumulates convergence rows from one or more solves. Recorders

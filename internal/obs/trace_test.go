@@ -169,7 +169,7 @@ func TestTraceWriteFileByExtension(t *testing.T) {
 // none.
 func TestNewTraceStampsFlightRunID(t *testing.T) {
 	outside := NewTrace(1)
-	f := startFlight(testFlightManifest("testrun-trace"), t.TempDir(), quietConfig())
+	f := StartFlight(testFlightManifest("testrun-trace"), t.TempDir())
 	inside := NewTrace(1)
 	f.Stop()
 	for _, tr := range []*Trace{outside, inside} {
