@@ -42,7 +42,7 @@ func main() {
 		workers = flag.Int("workers", 1, "concurrent eigensolves (0/1 serial, -1 all cores); results are bit-identical at any count")
 		warm    = flag.Bool("warm", false, "warm-start each solve from the previous error rates' solutions (with -full, extrapolated through up to four, order by fit)")
 		full    = flag.Bool("full", false, "solve the full 2^ν eigenproblem per point instead of the exact class reduction")
-		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert (auto adapts per point: power far from the threshold, Krylov gears inside the critical window)")
+		method  = flag.String("method", "power", "per-point eigensolver gear of -full sweeps: power | auto | chebyshev | shiftinvert (auto adapts per point: power far from the threshold, Krylov gears inside the critical window); the class reduction has one solver, dense power, whatever the method")
 
 		traceFile  = flag.String("trace", "", "write per-point convergence traces to this file (.tsv or .jsonl; requires -full)")
 		traceEvery = flag.Int("trace-every", 1, "keep every Nth residual check per point in the trace")
@@ -60,10 +60,10 @@ func main() {
 		exitOn(fmt.Errorf("-spans profiles the full-space solver; add -full (the class reduction has no instrumented phases)"))
 	}
 	if *traceFile != "" && !*full {
-		exitOn(fmt.Errorf("-trace records full-space convergence traces; add -full (the class reduction is exact and does not iterate per point)"))
+		exitOn(fmt.Errorf("-trace records full-space convergence traces; add -full (the class reduction's dense solve records no convergence trace)"))
 	}
 	if obsFlags.Flight && !*full {
-		exitOn(fmt.Errorf("-flight records the full-space solver; add -full (the class reduction is exact and has no convergence failure to bundle)"))
+		exitOn(fmt.Errorf("-flight records the full-space solver; add -full (the class reduction's dense solve has no trace or spans to bundle)"))
 	}
 
 	var l quasispecies.Landscape

@@ -67,6 +67,31 @@ func TestLandscapeConstructorsRejectNonFinite(t *testing.T) {
 	}
 }
 
+// TestLandscapeConstructorsRejectChainLength: a chain length whose 2^ν
+// sequences an index cannot address is an error from every landscape
+// constructor, not a panic.
+func TestLandscapeConstructorsRejectChainLength(t *testing.T) {
+	for name, build := range map[string]func(nu int) (Landscape, error){
+		"SinglePeak":      func(nu int) (Landscape, error) { return SinglePeak(nu, 2, 1) },
+		"LinearLandscape": func(nu int) (Landscape, error) { return LinearLandscape(nu, 2, 1) },
+		"RandomLandscape": func(nu int) (Landscape, error) { return RandomLandscape(nu, 5, 1, 1) },
+		"FlatLandscape":   func(nu int) (Landscape, error) { return FlatLandscape(nu, 1) },
+		"ClassLandscape": func(nu int) (Landscape, error) {
+			phi := make([]float64, max(nu+1, 0))
+			for k := range phi {
+				phi[k] = 1
+			}
+			return ClassLandscape(phi)
+		},
+	} {
+		for _, nu := range []int{-1, MaxChainLen + 1, 100} {
+			if _, err := build(nu); err == nil {
+				t.Errorf("%s(ν = %d): accepted", name, nu)
+			}
+		}
+	}
+}
+
 func TestClassLandscapeFacade(t *testing.T) {
 	phi := []float64{3, 2, 1, 1, 1}
 	l, err := ClassLandscape(phi)

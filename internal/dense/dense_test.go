@@ -108,16 +108,6 @@ func TestScaleRowsColumns(t *testing.T) {
 	}
 }
 
-func TestAddDiag(t *testing.T) {
-	a := NewMatrix(3, 3)
-	a.AddDiag(2.5)
-	for i := 0; i < 3; i++ {
-		if a.At(i, i) != 2.5 {
-			t.Fatal("AddDiag failed")
-		}
-	}
-}
-
 func TestKroneckerShapeAndValues(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{0, 5}, {6, 7}})
@@ -160,81 +150,6 @@ func TestColumnSums(t *testing.T) {
 	}
 }
 
-func TestLUSolve(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + int(r.Uint64n(30))
-		a := randMatrix(r, n, n)
-		a.AddDiag(float64(n)) // diagonally dominant → well conditioned
-		x := randVector(r, n)
-		b := make([]float64, n)
-		a.MatVec(b, x)
-		lu, err := Factorize(a)
-		if err != nil {
-			return false
-		}
-		got := make([]float64, n)
-		lu.Solve(got, b)
-		return vec.DistInf(got, x) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLUSolveInPlace(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	lu, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := []float64{3, 4} // solution (1,1)
-	lu.Solve(b, b)
-	if vec.DistInf(b, []float64{1, 1}) > 1e-14 {
-		t.Errorf("in-place solve = %v", b)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Factorize(a); !errors.Is(err, ErrSingular) {
-		t.Errorf("Factorize(singular) err = %v, want ErrSingular", err)
-	}
-}
-
-func TestLUNonSquare(t *testing.T) {
-	if _, err := Factorize(NewMatrix(2, 3)); err == nil {
-		t.Error("Factorize of non-square matrix must fail")
-	}
-}
-
-func TestDet(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	lu, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.det()-(-2)) > 1e-14 {
-		t.Errorf("Det = %g, want -2", lu.det())
-	}
-}
-
-func TestInverse(t *testing.T) {
-	r := rng.New(3)
-	n := 8
-	a := randMatrix(r, n, n)
-	a.AddDiag(float64(n))
-	inv, err := inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := a.Mul(inv)
-	id := Identity(n)
-	if vec.DistInf(prod.Data, id.Data) > 1e-10 {
-		t.Errorf("A·A⁻¹ deviates from I by %g", vec.DistInf(prod.Data, id.Data))
-	}
-}
-
 func TestDominantSimpleMatrix(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1; dominant vector (1,1)/√2.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
@@ -274,33 +189,6 @@ func TestDominantNoConvergence(t *testing.T) {
 	_, _, _, err := Dominant(a, &DominantOptions{MaxIter: 50, Start: start})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
-	}
-}
-
-func TestInverseIterationFindsInteriorEigenvalue(t *testing.T) {
-	// diag(1,2,5): shift 1.8 must find eigenvalue 2, eigenvector e2.
-	a := FromRows([][]float64{{1, 0, 0}, {0, 2, 0}, {0, 0, 5}})
-	lambda, x, _, err := inverseIteration(a, 1.8, &DominantOptions{Start: []float64{1, 1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lambda-2) > 1e-10 {
-		t.Errorf("λ = %g, want 2", lambda)
-	}
-	if math.Abs(math.Abs(x[1])-1) > 1e-8 {
-		t.Errorf("x = %v, want ±e₂", x)
-	}
-}
-
-func TestInverseIterationExactShift(t *testing.T) {
-	// Shift equal to an eigenvalue: the perturbation fallback must cope.
-	a := FromRows([][]float64{{1, 0}, {0, 3}})
-	lambda, _, _, err := inverseIteration(a, 3, &DominantOptions{Start: []float64{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lambda-3) > 1e-8 {
-		t.Errorf("λ = %g, want 3", lambda)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package dense implements the small dense linear-algebra substrate the
 // solver needs: a row-major matrix type with matrix–vector products (the
-// Smvp baseline of the paper), LU factorization with partial pivoting,
-// inverse iteration, a Jacobi eigensolver for symmetric matrices and a
-// dominant-eigenpair power method for small general matrices.
+// Smvp baseline of the paper), a Jacobi eigensolver for symmetric
+// matrices and a dominant-eigenpair power method for small general
+// matrices, the one solver of the reduced problems.
 //
 // Dense storage grows as Θ(N²) and is only viable for small chain lengths;
 // that is precisely the point of the paper, and this package exists both as
@@ -131,17 +131,6 @@ func (m *Matrix) ScaleRows(d []float64) {
 	}
 	for r := 0; r < m.Rows; r++ {
 		vec.Scale(m.Row(r), d[r])
-	}
-}
-
-// AddDiag adds s to every diagonal entry in place: A ← A + s·I.
-func (m *Matrix) AddDiag(s float64) {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	for i := 0; i < n; i++ {
-		m.Data[i*m.Cols+i] += s
 	}
 }
 

@@ -19,6 +19,15 @@
 //
 // Because the reduction never touches the 2^ν space, it works for chain
 // lengths far beyond dense storage (ν in the thousands).
+//
+// The same reduction serves any alphabet of a letters under the
+// Jukes–Cantor process (NewAlphabet; the four-letter RNA alphabet of
+// Section 5.2 is a = 4): a correct position goes wrong with probability p,
+// a wrong one returns to the master letter with probability p/(a−1), and
+// class Γ_k has C(ν,k)·(a−1)^k members. New is the paper's binary case.
+//
+// The reduction has one eigensolver, Solve/SolveFrom: the dense power
+// method in class-total coordinates.
 package errorclass
 
 import (
@@ -28,7 +37,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/dense"
-	"repro/internal/span"
 	"repro/internal/vec"
 )
 
@@ -37,9 +45,10 @@ import (
 const MaxChainLen = 1 << 14
 
 // Reduction is the reduced (ν+1)×(ν+1) eigenproblem for an error-class
-// landscape ϕ at error rate p.
+// landscape ϕ at error rate p over an alphabet of a letters.
 type Reduction struct {
 	nu  int
+	a   int
 	p   float64
 	phi []float64
 	// w is the reduced matrix W̃[d][k] = QΓ[d][k]·ϕ(k).
@@ -48,20 +57,31 @@ type Reduction struct {
 	qGamma *dense.Matrix
 }
 
-// ReducedQ returns the reduced mutation matrix QΓ of Eq. 14 for chain
-// length nu and error rate p. Row d, column k is the probability that a
-// fixed sequence of class Γ_d mutates into any sequence of class Γ_k.
-func ReducedQ(nu int, p float64) (*dense.Matrix, error) {
+// ReducedQ returns the reduced mutation matrix QΓ for chain length nu,
+// alphabet size a and Jukes–Cantor error rate p (Eq. 14 for a = 2). Row
+// d, column k is the probability that a fixed sequence of class Γ_d
+// mutates into any sequence of class Γ_k: of its d wrong positions j stay
+// wrong (each with probability 1−p/(a−1)) and d−j return (p/(a−1)), and
+// k−j of its ν−d correct positions go wrong (p each).
+func ReducedQ(nu, a int, p float64) (*dense.Matrix, error) {
 	if nu < 0 || nu > MaxChainLen {
 		return nil, fmt.Errorf("errorclass: chain length %d out of range [0,%d]", nu, MaxChainLen)
 	}
-	if !(p > 0 && p <= 0.5) {
-		return nil, fmt.Errorf("errorclass: error rate p = %g outside (0, 1/2]", p)
+	if a < 2 {
+		return nil, fmt.Errorf("errorclass: alphabet size %d must be at least 2", a)
+	}
+	if !(p > 0 && p <= float64(a-1)/float64(a)) {
+		return nil, fmt.Errorf("errorclass: error rate p = %g outside (0, %d/%d]", p, a-1, a)
 	}
 	m := dense.NewMatrix(nu+1, nu+1)
 	// log-space accumulation keeps entries finite for very long chains,
 	// where C(ν,·) overflows float64 mid-product.
 	logP, logQ := math.Log(p), math.Log1p(-p) // log(1−p)
+	// The alphabet's corrections to the binary term, both exactly 0 at
+	// a = 2: a returning position has probability p/(a−1), not p, and a
+	// wrong position that stays wrong 1−p/(a−1), not 1−p.
+	logA1 := math.Log(float64(a - 1))
+	logStay := math.Log1p(-p/float64(a-1)) - logQ
 	logFact := make([]float64, nu+2)
 	for i := 2; i <= nu+1; i++ {
 		logFact[i] = logFact[i-1] + math.Log(float64(i))
@@ -86,7 +106,8 @@ func ReducedQ(nu int, p float64) (*dense.Matrix, error) {
 			for j := lo; j <= hi; j++ {
 				h := k + d - 2*j // Hamming distance of this transition
 				logTerm := logBin(nu-d, k-j) + logBin(d, j) +
-					float64(h)*logP + float64(nu-h)*logQ
+					float64(h)*logP + float64(nu-h)*logQ -
+					float64(d-j)*logA1 + float64(j)*logStay
 				sum += math.Exp(logTerm)
 			}
 			m.Set(d, k, sum)
@@ -95,9 +116,16 @@ func ReducedQ(nu int, p float64) (*dense.Matrix, error) {
 	return m, nil
 }
 
-// New builds the reduction for the class fitness table phi (length ν+1,
-// all positive) and error rate p.
+// New builds the binary reduction for the class fitness table phi (length
+// ν+1, all positive) and error rate p ∈ (0, 1/2].
 func New(phi []float64, p float64) (*Reduction, error) {
+	return NewAlphabet(2, phi, p)
+}
+
+// NewAlphabet builds the reduction over an alphabet of a ≥ 2 letters for
+// the class fitness table phi (length ν+1, all positive) and Jukes–Cantor
+// error rate p ∈ (0, (a−1)/a].
+func NewAlphabet(a int, phi []float64, p float64) (*Reduction, error) {
 	nu := len(phi) - 1
 	if nu < 0 {
 		return nil, errors.New("errorclass: empty ϕ table")
@@ -107,7 +135,7 @@ func New(phi []float64, p float64) (*Reduction, error) {
 			return nil, fmt.Errorf("errorclass: ϕ(%d) = %g must be positive", k, v)
 		}
 	}
-	qg, err := ReducedQ(nu, p)
+	qg, err := ReducedQ(nu, a, p)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +143,7 @@ func New(phi []float64, p float64) (*Reduction, error) {
 	w.ScaleColumns(phi)
 	cp := make([]float64, len(phi))
 	copy(cp, phi)
-	return &Reduction{nu: nu, p: p, phi: cp, w: w, qGamma: qg}, nil
+	return &Reduction{nu: nu, a: a, p: p, phi: cp, w: w, qGamma: qg}, nil
 }
 
 // ChainLen returns ν.
@@ -133,7 +161,7 @@ type Result struct {
 	// concentrations, normalized to Σ vΓ_k = 1.
 	ClassVector []float64
 	// Gamma holds the cumulative class concentrations [Γ_k] obtained by
-	// the C(ν,k) rescaling; Σ [Γ_k] = 1.
+	// the class-size rescaling; Σ [Γ_k] = 1.
 	Gamma []float64
 	// Iterations used by the dense eigensolver.
 	Iterations int
@@ -143,13 +171,19 @@ type Result struct {
 // dense power method (the matrix is (ν+1)² — trivially small).
 //
 // Numerically the iteration runs on the similarity-transformed matrix
-// M = D·W̃·D⁻¹ with D = diag(C(ν,k)), which by the symmetry
-// C(ν,d)·QΓ[d][k] = C(ν,k)·QΓ[k][d] equals QΓᵀ·diag(ϕ). Its dominant
+// M = D·W̃·D⁻¹ with D = diag(|Γ_k|), which by the symmetry
+// |Γ_d|·QΓ[d][k] = |Γ_k|·QΓ[k][d] equals QΓᵀ·diag(ϕ). Its dominant
 // eigenvector is the class-total distribution [Γ_k] directly. This is the
 // same mathematics as the paper's representative-form rescaling, but it
 // avoids amplifying the eigensolver's round-off floor by C(ν,ν/2) — which
 // reaches 10^299 at ν = 1000 and would otherwise drown the true tail of
 // the distribution.
+//
+// This is the reduction's one eigensolver. From a non-negative start the
+// power iterate stays in the cone of the non-negative M, so it reaches
+// the Perron pair at every ν and p. Near the error threshold λ₁/λ₀ → 1
+// and the solve takes more iterations, but it never locks onto another
+// pair.
 func (r *Reduction) Solve() (*Result, error) {
 	return r.SolveFrom(nil)
 }
@@ -187,12 +221,12 @@ func (r *Reduction) SolveFrom(start []float64) (*Result, error) {
 	}
 	vec.Normalize1(u)
 	res := &Result{Lambda: lam, Gamma: u, Iterations: iters}
-	// Representative concentrations vΓ_k = [Γ_k]/C(ν,k); entries may
+	// Representative concentrations vΓ_k = [Γ_k]/|Γ_k|; entries may
 	// underflow to zero for very long chains, where only Gamma is
 	// representable in float64.
 	v := make([]float64, n)
 	for k := range v {
-		v[k] = u[k] / bits.BinomialFloat(r.nu, k)
+		v[k] = u[k] / (bits.BinomialFloat(r.nu, k) * math.Pow(float64(r.a-1), float64(k)))
 	}
 	vec.Normalize1(v)
 	res.ClassVector = v
@@ -215,7 +249,7 @@ var loWeight = func() (t [1 << tileBits]uint8) {
 	return t
 }()
 
-// Expand materializes the full 2^ν eigenvector from the reduced one:
+// Expand materializes the full 2^ν eigenvector from a binary reduction:
 // x[i] = vΓ_{dH(i,0)}, normalized to Σ xᵢ = 1 so it is directly the
 // quasispecies concentration vector of the Right formulation. Θ(N)
 // memory — requires ν ≤ MaxExpandChainLen. It rejects a class vector with
@@ -290,133 +324,4 @@ func fillTile(t, v []float64) {
 	for j, w := range lw {
 		t[j] = vv[w&15]
 	}
-}
-
-// SolveShiftInvert computes the dominant eigenpair of the reduced problem
-// by Rayleigh-quotient iteration with dense LU shift factorizations — the
-// reduced-space sibling of the full-space shift-invert Lanczos gear. Each
-// step factorizes (M − λI) and solves one linear system, converging
-// quadratically where the power method's rate degrades to λ₁/λ₀ → 1 near
-// the error threshold. See SolveShiftInvertFrom for warm starts.
-func (r *Reduction) SolveShiftInvert() (*Result, error) {
-	return r.SolveShiftInvertFrom(nil)
-}
-
-// SolveShiftInvertFrom is SolveShiftInvert seeded with a Γ-space starting
-// guess (a neighboring error rate's Gamma vector, exactly like SolveFrom).
-// A handful of shifted power steps first steer the iterate into the
-// dominant basin; the RQI loop then takes over. Results match SolveFrom to
-// the same tolerance; iteration counts stay O(10) at any distance from the
-// threshold.
-func (r *Reduction) SolveShiftInvertFrom(start []float64) (*Result, error) {
-	n := r.nu + 1
-	m := r.qGamma.Transpose()
-	m.ScaleColumns(r.phi)
-	x := make([]float64, n)
-	if start == nil {
-		vec.Fill(x, 1/float64(n))
-	} else if len(start) != n {
-		return nil, fmt.Errorf("errorclass: start vector length %d, want %d", len(start), n)
-	} else {
-		copy(x, start)
-	}
-	nrm := vec.Norm2(x)
-	if nrm == 0 {
-		return nil, errors.New("errorclass: start vector is zero")
-	}
-	vec.Scale(x, 1/nrm)
-
-	w := make([]float64, n)
-	y := make([]float64, n)
-	const tol = 1e-14
-	iters := 0
-	// Power pre-steps: cheap insurance that RQI locks onto the Perron
-	// eigenpair, not an interior one, from cold or stale starts.
-	lambda := 0.0
-	for k := 0; k < 20; k++ {
-		m.MatVec(w, x)
-		iters++
-		lambda = vec.Dot(x, w)
-		nrm = vec.Norm2(w)
-		if nrm == 0 {
-			return nil, errors.New("errorclass: power pre-step broke down")
-		}
-		for i := range x {
-			x[i] = w[i] / nrm
-		}
-	}
-	sr := span.Installed()
-	converged := false
-	for k := 0; k < 60; k++ {
-		m.MatVec(w, x)
-		lambda = vec.Dot(x, w)
-		var rs float64
-		for i, wi := range w {
-			d := wi - lambda*x[i]
-			rs += d * d
-		}
-		if math.Sqrt(rs) <= tol*math.Max(1, math.Abs(lambda)) {
-			converged = true
-			break
-		}
-		// Factorize the shifted matrix and take one inverse-iteration step
-		// at the current Rayleigh quotient.
-		var sp span.Handle
-		if sr != nil {
-			sp = sr.Begin(span.LayerCore, "shift_factor")
-		}
-		a := m.Clone()
-		a.AddDiag(-lambda)
-		lu, err := dense.Factorize(a)
-		span.End(sp, int64(n), int64(k))
-		if err != nil {
-			// λ is an eigenvalue to machine precision — the shifted matrix
-			// is singular, i.e. we are done.
-			converged = true
-			break
-		}
-		lu.Solve(y, x)
-		iters++
-		nrm = vec.Norm2(y)
-		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			converged = true // solution blew up: λ numerically exact
-			break
-		}
-		for i := range x {
-			x[i] = y[i] / nrm
-		}
-	}
-	if !converged {
-		return nil, fmt.Errorf("errorclass: shift-invert RQI did not converge at p = %g", r.p)
-	}
-	// Orient the Perron vector positive, clamp round-off, normalize — the
-	// same post-processing as SolveFrom.
-	pos, neg := 0, 0
-	for _, v := range x {
-		if v > 0 {
-			pos++
-		} else if v < 0 {
-			neg++
-		}
-	}
-	if neg > pos {
-		vec.Scale(x, -1)
-	}
-	for i, v := range x {
-		if v < 0 {
-			if v < -1e-9 {
-				return nil, fmt.Errorf("errorclass: reduced eigenvector entry %d = %g is negative", i, v)
-			}
-			x[i] = 0
-		}
-	}
-	vec.Normalize1(x)
-	res := &Result{Lambda: lambda, Gamma: x, Iterations: iters}
-	v := make([]float64, n)
-	for k := range v {
-		v[k] = x[k] / bits.BinomialFloat(r.nu, k)
-	}
-	vec.Normalize1(v)
-	res.ClassVector = v
-	return res, nil
 }

@@ -24,9 +24,10 @@ func randPhi(r *rng.Source, nu int) []float64 {
 
 func TestReducedQRowsAreStochastic(t *testing.T) {
 	// Row d of QΓ sums over all possible target classes: Σ_k QΓ[d][k] = 1.
+	// The four-letter rows are checked in rna's TestReducedQRowsStochastic.
 	for _, nu := range []int{1, 5, 20, 100} {
 		for _, p := range []float64{0.001, 0.01, 0.1, 0.5} {
-			m, err := ReducedQ(nu, p)
+			m, err := ReducedQ(nu, 2, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,11 +41,37 @@ func TestReducedQRowsAreStochastic(t *testing.T) {
 	}
 }
 
+// TestReducedQClassSymmetry: |Γd|·QΓ[d][k] = |Γk|·QΓ[k][d] with
+// |Γk| = C(ν,k)·(a−1)^k, the detailed balance of the symmetric Q that
+// Solve's class-total coordinates rest on.
+func TestReducedQClassSymmetry(t *testing.T) {
+	const nu = 12
+	const p = 0.04
+	for _, a := range []int{2, 4} {
+		m, err := ReducedQ(nu, a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := func(k int) float64 {
+			return bits.BinomialFloat(nu, k) * math.Pow(float64(a-1), float64(k))
+		}
+		for d := 0; d <= nu; d++ {
+			for k := 0; k <= nu; k++ {
+				lhs := size(d) * m.At(d, k)
+				rhs := size(k) * m.At(k, d)
+				if math.Abs(lhs-rhs) > 1e-12*(lhs+rhs+1e-300) {
+					t.Fatalf("a=%d: symmetry violated at (%d,%d): %g vs %g", a, d, k, lhs, rhs)
+				}
+			}
+		}
+	}
+}
+
 func TestReducedQMatchesExplicitSum(t *testing.T) {
 	// QΓ[d][k] must equal Σ_{j∈Γk} Q[rep_d][j] computed from the full Q.
 	const nu = 8
 	const p = 0.03
-	m, err := ReducedQ(nu, p)
+	m, err := ReducedQ(nu, 2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +91,23 @@ func TestReducedQMatchesExplicitSum(t *testing.T) {
 }
 
 func TestReducedQValidation(t *testing.T) {
-	if _, err := ReducedQ(5, 0); err == nil {
+	if _, err := ReducedQ(5, 2, 0); err == nil {
 		t.Error("p = 0 must be rejected")
 	}
-	if _, err := ReducedQ(-1, 0.1); err == nil {
+	if _, err := ReducedQ(-1, 2, 0.1); err == nil {
 		t.Error("negative ν must be rejected")
 	}
-	if _, err := ReducedQ(MaxChainLen+1, 0.1); err == nil {
+	if _, err := ReducedQ(MaxChainLen+1, 2, 0.1); err == nil {
 		t.Error("oversized ν must be rejected")
+	}
+	if _, err := ReducedQ(5, 1, 0.1); err == nil {
+		t.Error("a one-letter alphabet must be rejected")
+	}
+	if _, err := ReducedQ(5, 4, 0.8); err == nil {
+		t.Error("p > 3/4 must be rejected for four letters")
+	}
+	if _, err := ReducedQ(5, 4, 0.75); err != nil {
+		t.Errorf("p = 3/4 is the four-letter uniform limit: %v", err)
 	}
 }
 
@@ -418,60 +454,6 @@ func TestMatrixAccessorsReturnCopies(t *testing.T) {
 	m.Set(0, 0, 999)
 	if red.Matrix().At(0, 0) == 999 {
 		t.Error("Matrix() must return a copy")
-	}
-}
-
-func TestSolveShiftInvertMatchesPowerSolve(t *testing.T) {
-	// The RQI shift-invert path must agree with the dense power path at
-	// every distance from the threshold, warm or cold, in a few dozen
-	// factorizations at most.
-	phi := make([]float64, 15)
-	phi[0] = 8
-	for k := 1; k < len(phi); k++ {
-		phi[k] = 1
-	}
-	nu := len(phi) - 1
-	pc := 1 - math.Pow(8, -1/float64(nu))
-	var warm []float64
-	for _, frac := range []float64{0.3, 0.8, 0.99, 1.01, 1.3} {
-		p := frac * pc
-		red, err := New(phi, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := red.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := red.SolveShiftInvertFrom(warm)
-		if err != nil {
-			t.Fatalf("p = %g: %v", p, err)
-		}
-		if math.Abs(got.Lambda-want.Lambda) > 1e-10*want.Lambda {
-			t.Fatalf("p = %g: λ = %.15g, power path %.15g", p, got.Lambda, want.Lambda)
-		}
-		for k := range want.Gamma {
-			if math.Abs(got.Gamma[k]-want.Gamma[k]) > 1e-9 {
-				t.Fatalf("p = %g: Gamma[%d] = %.12g, power path %.12g", p, k, got.Gamma[k], want.Gamma[k])
-			}
-		}
-		if got.Iterations > 200 {
-			t.Fatalf("p = %g: %d iterations — shift-invert should be O(10)", p, got.Iterations)
-		}
-		warm = got.Gamma
-	}
-}
-
-func TestSolveShiftInvertValidation(t *testing.T) {
-	red, err := New([]float64{2, 1, 1, 1}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := red.SolveShiftInvertFrom([]float64{1, 2}); err == nil {
-		t.Error("mis-sized start must be rejected")
-	}
-	if _, err := red.SolveShiftInvertFrom(make([]float64, 4)); err == nil {
-		t.Error("zero start must be rejected")
 	}
 }
 

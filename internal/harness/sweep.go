@@ -65,8 +65,9 @@ type SweepOptions struct {
 	// point; core.SolveAuto engages the adaptive selector
 	// (probe → power/chebyshev/shift-invert escalation ladder), which is
 	// what lets sweeps cross the critical window with bounded per-point
-	// iterations. Reduced sweeps map every non-power method onto the
-	// RQI/LU shift-invert path (errorclass.SolveShiftInvertFrom).
+	// iterations. It selects the gear of full-space sweeps only: a reduced
+	// sweep runs its one solver (errorclass.Reduction.SolveFrom, dense
+	// power) and reports "power" whatever Method says.
 	Method core.SolveMethod
 	// dev is a shared device runtime for the full-space solves' BLAS-1
 	// work and operators; one Device serves all workers (concurrent
@@ -84,9 +85,9 @@ type SweepOptions struct {
 
 // SweepStats instruments one sweep run.
 type SweepStats struct {
-	// Iterations[i] is the solver cost at point i: power/RQI iterations on
-	// the classic paths, total matrix–vector products (probe included) on
-	// the adaptive path.
+	// Iterations[i] is the solver cost at point i: power iterations on
+	// reduced sweeps and the power path, total matrix–vector products
+	// (probe included) on the adaptive path.
 	Iterations []int
 	// Predicted[i] is the adaptive selector's predicted cost at point i:
 	// the probe plus the first gear's predicted matvecs, 0 where that gear
@@ -160,16 +161,10 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 	if !ok {
 		return nil, nil, fmt.Errorf("harness: threshold sweep needs a class-based landscape, got %T", l)
 	}
-	// The reduced matrix is dense and (ν+1)²-small, so the method map is
-	// two-valued: the historical dense power path, or the RQI/LU
-	// shift-invert path whose factorization count stays O(10) across the
-	// critical window (every non-power method selects it — there is no
-	// Krylov machinery worth running at this size).
-	shiftInvert := opts.Method != core.SolvePower
+	// The reduced matrix is dense and (ν+1)²-small: every Method runs the
+	// reduction's one solver, the dense power method, which returns the
+	// Perron pair at every ν (no shift can steer it onto another pair).
 	methodName := core.SolvePower.String()
-	if shiftInvert {
-		methodName = core.SolveShiftInvert.String()
-	}
 	out := make([]ThresholdPoint, len(ps))
 	stats := &SweepStats{
 		Iterations: make([]int, len(ps)), Warm: make([]bool, len(ps)),
@@ -189,12 +184,7 @@ func ThresholdSweepOpts(l landscape.Landscape, ps []float64, opts SweepOptions) 
 				start = prev
 				stats.Warm[i] = true
 			}
-			var res *errorclass.Result
-			if shiftInvert {
-				res, err = red.SolveShiftInvertFrom(start)
-			} else {
-				res, err = red.SolveFrom(start)
-			}
+			res, err := red.SolveFrom(start)
 			if err != nil {
 				return &pointError{i, ps[i], err}
 			}
@@ -377,8 +367,9 @@ func sweepError(err error) error {
 // round (k-section search): each round shrinks the bracket by a factor k+1
 // instead of 2, so the round count drops from log₂(Δ/tol) to
 // log_{k+1}(Δ/tol) while every round costs one parallel batch of reduced
-// solves. Workers ≤ 1 reproduces plain bisection exactly. A tol ≤ 0
-// selects 1e-5; a NaN or infinite tol is an error.
+// solves. Workers ≤ 1 reproduces plain bisection exactly. Every
+// opts.Method runs the reduction's one solver. A tol ≤ 0 selects 1e-5; a
+// NaN or infinite tol is an error.
 func LocateThresholdOpts(l landscape.Landscape, lo, hi, tol float64, opts SweepOptions) (float64, error) {
 	phi, ok := landscape.ClassBased(l)
 	if !ok {
@@ -404,12 +395,7 @@ func LocateThresholdOpts(l landscape.Landscape, lo, hi, tol float64, opts SweepO
 		if err != nil {
 			return false, err
 		}
-		var res *errorclass.Result
-		if opts.Method != core.SolvePower {
-			res, err = red.SolveShiftInvert()
-		} else {
-			res, err = red.Solve()
-		}
+		res, err := red.Solve()
 		if err != nil {
 			return false, err
 		}

@@ -618,9 +618,9 @@ func TestAdaptiveSweepAutoMatchesForcedShiftInvert(t *testing.T) {
 	}
 }
 
-// The reduced sweep maps non-power methods onto the RQI/LU shift-invert
-// path; its curves must match the dense power path to solver tolerance and
-// stay bit-identical across worker counts.
+// The reduced sweep has one solver: every Method runs the dense power path,
+// so its curves are bit-identical to the power sweep's at every worker
+// count and every point reports "power".
 func TestReducedSweepShiftInvertMatchesPower(t *testing.T) {
 	const nu = 20
 	l, err := landscape.NewSinglePeak(nu, 3, 1)
@@ -632,37 +632,26 @@ func TestReducedSweepShiftInvertMatchesPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, stats, err := ThresholdSweepOpts(l, ps, SweepOptions{
-		Workers: 1, WarmStart: true, Method: core.SolveShiftInvert,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range power {
-		for k := range power[i].Gamma {
-			if d := math.Abs(power[i].Gamma[k] - si[i].Gamma[k]); d > 1e-9 {
-				t.Errorf("p=%g class %d: |power−shiftinvert| = %g", ps[i], k, d)
+	for _, m := range []core.SolveMethod{core.SolveAuto, core.SolveChebyshev, core.SolveShiftInvert} {
+		for _, workers := range []int{1, 2, 5} {
+			got, stats, err := ThresholdSweepOpts(l, ps, SweepOptions{
+				Workers: workers, WarmStart: true, Method: m,
+			})
+			if err != nil {
+				t.Fatalf("%v, workers=%d: %v", m, workers, err)
+			}
+			requireIdentical(t, fmt.Sprintf("reduced %v sweep, workers=%d", m, workers), power, got)
+			for i, name := range stats.Methods {
+				if name != "power" {
+					t.Errorf("%v: point %d recorded method %q, want power", m, i, name)
+				}
 			}
 		}
 	}
-	for i, m := range stats.Methods {
-		if m != "shiftinvert" {
-			t.Errorf("point %d recorded method %q, want shiftinvert", i, m)
-		}
-	}
-	for _, workers := range []int{2, 5} {
-		got, _, err := ThresholdSweepOpts(l, ps, SweepOptions{
-			Workers: workers, WarmStart: true, Method: core.SolveShiftInvert,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireIdentical(t, "reduced shift-invert sweep", si, got)
-	}
 }
 
-// LocateThresholdOpts must find the same transition whichever reduced
-// solver evaluates the order parameter.
+// LocateThresholdOpts finds the same transition whatever Method asks for:
+// the reduction's one solver evaluates the order parameter.
 func TestLocateThresholdMethodAgreement(t *testing.T) {
 	const nu = 20
 	l, err := landscape.NewSinglePeak(nu, 4, 1)
@@ -673,12 +662,14 @@ func TestLocateThresholdMethodAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := LocateThresholdOpts(l, 0.001, 0.4, 1e-4, SweepOptions{Workers: 2, Method: core.SolveShiftInvert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(power-si) > 2e-4 {
-		t.Errorf("p_max: power %g vs shift-invert %g", power, si)
+	for _, m := range []core.SolveMethod{core.SolveAuto, core.SolveChebyshev, core.SolveShiftInvert} {
+		got, err := LocateThresholdOpts(l, 0.001, 0.4, 1e-4, SweepOptions{Workers: 2, Method: m})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if got != power {
+			t.Errorf("p_max: power %v vs %v %v", power, m, got)
+		}
 	}
 }
 

@@ -47,6 +47,15 @@ type Landscape interface {
 // not positive and finite: ≤ 0, NaN or +Inf.
 var ErrNonPositive = errors.New("landscape: fitness values must be positive and finite")
 
+// checkChainLen rejects a chain length ν outside [0, bits.MaxChainLen],
+// whose 2^ν sequences an index cannot address.
+func checkChainLen(nu int) error {
+	if nu < 0 || nu > bits.MaxChainLen {
+		return fmt.Errorf("landscape: chain length %d out of range [0,%d]", nu, bits.MaxChainLen)
+	}
+	return nil
+}
+
 // positive reports whether v is a valid fitness value: v > 0 and finite.
 // NaN fails the comparison.
 func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
@@ -76,7 +85,9 @@ func NewSinglePeak(nu int, peak, base float64) (*SinglePeak, error) {
 	if !positive(peak) || !positive(base) {
 		return nil, fmt.Errorf("%w: peak %g, base %g", ErrNonPositive, peak, base)
 	}
-	bits.SpaceSize(nu) // validates nu
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
 	return &SinglePeak{nu: nu, Peak: peak, Base: base}, nil
 }
 
@@ -121,7 +132,9 @@ func NewLinear(nu int, f0, fnu float64) (*Linear, error) {
 	if nu < 1 {
 		return nil, fmt.Errorf("landscape: linear landscape needs ν ≥ 1, got %d", nu)
 	}
-	bits.SpaceSize(nu)
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
 	return &Linear{nu: nu, F0: f0, FNu: fnu}, nil
 }
 
@@ -158,7 +171,9 @@ func NewErrorClass(phi []float64) (*ErrorClass, error) {
 	if nu < 0 {
 		return nil, errors.New("landscape: empty ϕ table")
 	}
-	bits.SpaceSize(nu)
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
 	lo, hi := phi[0], phi[0]
 	for k, v := range phi {
 		if !positive(v) {
@@ -243,7 +258,9 @@ func NewRandom(nu int, c, sigma float64, seed uint64) (*Random, error) {
 	if !(sigma > 0 && sigma < c/2) {
 		return nil, fmt.Errorf("landscape: σ = %g outside (0, c/2) = (0, %g)", sigma, c/2)
 	}
-	bits.SpaceSize(nu)
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
 	return &Random{nu: nu, C: c, Sigma: sigma, Seed: seed}, nil
 }
 
@@ -347,7 +364,9 @@ func NewUniform(nu int, value float64) (*Uniform, error) {
 	if !positive(value) {
 		return nil, fmt.Errorf("%w: %g", ErrNonPositive, value)
 	}
-	bits.SpaceSize(nu)
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
 	return &Uniform{nu: nu, Value: value}, nil
 }
 

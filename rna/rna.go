@@ -14,8 +14,9 @@
 // Substitution models provided: Jukes–Cantor (uniform), Kimura
 // two-parameter (transitions A↔G, C↔U vs. transversions) and arbitrary
 // column-stochastic matrices. For Jukes–Cantor with a nucleotide-class
-// landscape the package also implements the four-letter analogue of the
-// paper's Section 5.1 reduction: an exact (L+1)×(L+1) eigenproblem.
+// landscape the package also solves the four-letter analogue of the
+// paper's Section 5.1 reduction, an exact (L+1)×(L+1) eigenproblem, through
+// the class reduction of internal/errorclass.
 package rna
 
 import (
@@ -26,9 +27,9 @@ import (
 	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/dense"
+	"repro/internal/errorclass"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
-	"repro/internal/vec"
 )
 
 // Nucleotide codes.
@@ -295,85 +296,24 @@ func (m *Model) ClassConcentrations(x []float64) ([]float64, error) {
 // ---------------------------------------------------------------------------
 // Exact class reduction for Jukes–Cantor models (four-letter Section 5.1)
 
-// ReducedQ returns the (L+1)×(L+1) reduced mutation matrix for the
-// Jukes–Cantor model: entry (d, k) is the probability that a fixed
-// sequence at nucleotide distance d from the master mutates into any
-// sequence at distance k. The closed form sums over b corrected positions:
-//
-//	QΓ[d][k] = Σ_b C(d,b)·(p/3)^b·(1−p/3)^(d−b)
-//	              · C(L−d, k−d+b)·p^(k−d+b)·(1−p)^(L−k−b),
-//
-// where a correct position goes wrong with probability p (three wrong
-// letters) and a wrong position becomes correct with probability p/3
-// (stays wrong — same or different letter — with 1−p/3).
-func ReducedQ(l int, p float64) (*dense.Matrix, error) {
-	if l < 1 {
-		return nil, fmt.Errorf("rna: chain length %d must be positive", l)
-	}
-	if !(p > 0 && p <= 0.75) {
-		return nil, fmt.Errorf("rna: Jukes–Cantor rate p = %g outside (0, 3/4]", p)
-	}
-	m := dense.NewMatrix(l+1, l+1)
-	for d := 0; d <= l; d++ {
-		for k := 0; k <= l; k++ {
-			var sum float64
-			for b := 0; b <= d; b++ {
-				a := k - d + b // newly wrong positions among the L−d correct ones
-				if a < 0 || a > l-d {
-					continue
-				}
-				term := bits.BinomialFloat(d, b) * math.Pow(p/3, float64(b)) *
-					math.Pow(1-p/3, float64(d-b)) *
-					bits.BinomialFloat(l-d, a) * math.Pow(p, float64(a)) *
-					math.Pow(1-p, float64(l-d-a))
-				sum += term
-			}
-			m.Set(d, k, sum)
-		}
-	}
-	return m, nil
-}
-
 // SolveReduced solves a Jukes–Cantor model with a nucleotide-class
-// landscape ϕ(0..L) through the exact (L+1)×(L+1) reduction, exactly as
-// Section 5.1 does for the binary alphabet. As in the binary case the
-// solve runs in class-total coordinates (similarity transform by
-// diag(|Γ_k|)), so the returned Gamma is well-scaled at any chain length.
+// landscape ϕ(0..L) through the exact (L+1)×(L+1) reduction of Section
+// 5.1, the four-letter case of errorclass.NewAlphabet. The solve runs in
+// class-total coordinates, so the returned Gamma is well-scaled at any
+// chain length.
 func SolveReduced(l int, p float64, phi []float64) (*Solution, error) {
 	if len(phi) != l+1 {
 		return nil, fmt.Errorf("rna: ϕ table has %d entries, want %d", len(phi), l+1)
 	}
-	for k, v := range phi {
-		if v <= 0 {
-			return nil, fmt.Errorf("rna: ϕ(%d) = %g must be positive", k, v)
-		}
-	}
-	qg, err := ReducedQ(l, p)
+	red, err := errorclass.NewAlphabet(4, phi, p)
 	if err != nil {
 		return nil, err
 	}
-	// Class-total coordinates: M = QΓᵀ·diag(ϕ) by the symmetry
-	// |Γ_d|·QΓ[d][k] = |Γ_k|·QΓ[k][d].
-	m := qg.Transpose()
-	m.ScaleColumns(phi)
-	start := make([]float64, l+1)
-	vec.Fill(start, 1/float64(l+1))
-	lam, u, iters, err := dense.Dominant(m, &dense.DominantOptions{
-		Tol: 1e-14, MaxIter: 5000000, Start: start,
-	})
+	res, err := red.Solve()
 	if err != nil {
-		return nil, fmt.Errorf("rna: reduced eigensolve failed: %w", err)
+		return nil, err
 	}
-	for i, v := range u {
-		if v < 0 {
-			if v < -1e-9 {
-				return nil, fmt.Errorf("rna: reduced eigenvector entry %d = %g negative", i, v)
-			}
-			u[i] = 0
-		}
-	}
-	vec.Normalize1(u)
-	return &Solution{Lambda: lam, Gamma: u, Iterations: iters, Reduced: true}, nil
+	return &Solution{Lambda: res.Lambda, Gamma: res.Gamma, Iterations: res.Iterations, Reduced: true}, nil
 }
 
 // CanReduce reports whether the model qualifies for SolveReduced (uniform

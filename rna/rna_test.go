@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dense"
+	"repro/internal/errorclass"
 	"repro/internal/landscape"
 	"repro/internal/rng"
 	"repro/internal/vec"
@@ -168,9 +169,11 @@ func TestModelSolveMatchesDense(t *testing.T) {
 }
 
 func TestReducedQRowsStochastic(t *testing.T) {
+	// Every row of the four-letter QΓ sums to 1, up to the uniform limit
+	// p = 3/4.
 	for _, l := range []int{1, 4, 10, 50, 200} {
 		for _, p := range []float64{0.001, 0.05, 0.3, 0.75} {
-			m, err := ReducedQ(l, p)
+			m, err := errorclass.ReducedQ(l, 4, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,14 +187,15 @@ func TestReducedQRowsStochastic(t *testing.T) {
 }
 
 func TestReducedQMatchesExplicitAggregation(t *testing.T) {
-	// QΓ[d][k] must equal the dense class aggregation Σ_{j∈Γk} Q[rep_d][j].
+	// The four-letter QΓ[d][k] of the class reduction must equal the
+	// dense class aggregation Σ_{j∈Γk} Q[rep_d][j] over the 4^L states.
 	const l = 4
 	const p = 0.07
 	jc, _ := JukesCantor(p)
 	land, _ := SinglePeakLandscape(l, 2, 1)
 	m, _ := New(l, jc, land)
 	q := m.process.Dense()
-	red, err := ReducedQ(l, p)
+	red, err := errorclass.ReducedQ(l, 4, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,25 +215,6 @@ func TestReducedQMatchesExplicitAggregation(t *testing.T) {
 			}
 			if got := red.At(d, k); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("QΓ[%d][%d] = %.15g, want %.15g", d, k, got, want)
-			}
-		}
-	}
-}
-
-func TestReducedQClassSymmetry(t *testing.T) {
-	// |Γd|·QΓ[d][k] = |Γk|·QΓ[k][d] (detailed-balance of the symmetric Q).
-	const l = 12
-	const p = 0.04
-	m, err := ReducedQ(l, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d <= l; d++ {
-		for k := 0; k <= l; k++ {
-			lhs := ClassSize(l, d) * m.At(d, k)
-			rhs := ClassSize(l, k) * m.At(k, d)
-			if math.Abs(lhs-rhs) > 1e-12*(lhs+rhs+1e-300) {
-				t.Fatalf("symmetry violated at (%d,%d): %g vs %g", d, k, lhs, rhs)
 			}
 		}
 	}

@@ -44,13 +44,16 @@ type SweepOptions struct {
 	// solve method that produced it ("power", "chebyshev", "shiftinvert",
 	// …). Calls arrive concurrently from the sweep workers.
 	Progress func(i int, p float64, iters int, warm bool, method string)
-	// Method selects the per-point eigensolver: "" or "power" (the
-	// default: the paper's shifted power iteration at every point),
-	// "auto" (per-point adaptive selection — power far from the error
-	// threshold, Chebyshev-filtered restarts and shift-invert Lanczos
-	// inside the critical window), or a forced gear ("chebyshev" or
-	// "shiftinvert"). Reduced sweeps map every non-power method
-	// onto the dense shift-invert (RQI) path.
+	// Method selects the per-point eigensolver gear of a full-space sweep
+	// (ThresholdCurveFullWith): "" or "power" (the default: the paper's
+	// shifted power iteration at every point), "auto" (per-point adaptive
+	// selection — power far from the error threshold, Chebyshev-filtered
+	// restarts and shift-invert Lanczos inside the critical window), or a
+	// forced gear ("chebyshev" or "shiftinvert"). The class reduction
+	// behind ThresholdCurveWith and LocateErrorThresholdWith has one
+	// solver, the dense power method, which returns the Perron pair at
+	// every chain length; it runs that under every valid Method and
+	// reports "power".
 	Method string
 }
 

@@ -75,6 +75,57 @@ func TestLocateErrorThresholdWithWorkers(t *testing.T) {
 	}
 }
 
+// TestReducedSweepEveryMethodMatchesPower: the class reduction has one
+// solver, so a reduced sweep and threshold search succeed under every
+// Method and are bit-identical to the power path's, at 1 and 2 workers.
+// The chain lengths are those from which a shift-invert (RQI) reduced
+// solve returned a negative eigenvector on qs-threshold's default grid.
+func TestReducedSweepEveryMethodMatchesPower(t *testing.T) {
+	const pMin, pMax, steps = 0.0005, 0.09, 180 // qs-threshold's default grid
+	ps := make([]float64, steps)
+	for i := range ps {
+		ps[i] = pMin + (pMax-pMin)*float64(i)/float64(steps-1)
+	}
+	for _, nu := range []int{33, 40, 62} {
+		land, err := SinglePeak(nu, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ThresholdCurveWith(land, ps, SweepOptions{Method: "power"})
+		if err != nil {
+			t.Fatalf("ν=%d power: %v", nu, err)
+		}
+		for _, workers := range []int{1, 2} {
+			refLoc, err := LocateErrorThresholdWith(land, pMin, pMax, 1e-6, SweepOptions{Workers: workers, Method: "power"})
+			if err != nil {
+				t.Fatalf("ν=%d workers=%d power locate: %v", nu, workers, err)
+			}
+			for _, method := range []string{"", "power", "auto", "chebyshev", "shiftinvert"} {
+				opts := SweepOptions{Workers: workers, Method: method}
+				tag := fmt.Sprintf("ν=%d workers=%d method=%q", nu, workers, method)
+				got, err := ThresholdCurveWith(land, ps, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for i := range ref {
+					for k := range ref[i].Gamma {
+						if got[i].Gamma[k] != ref[i].Gamma[k] {
+							t.Fatalf("%s: p=%g class %d: %v, power %v", tag, ps[i], k, got[i].Gamma[k], ref[i].Gamma[k])
+						}
+					}
+				}
+				loc, err := LocateErrorThresholdWith(land, pMin, pMax, 1e-6, opts)
+				if err != nil {
+					t.Fatalf("%s locate: %v", tag, err)
+				}
+				if loc != refLoc {
+					t.Errorf("%s: located p_max %v, power %v", tag, loc, refLoc)
+				}
+			}
+		}
+	}
+}
+
 // The Model caches its Fmmp operator: after the first Solve, a Residual
 // check must not rebuild the Θ(N) landscape diagonals (satellite of the
 // batched-sweep PR; this is the regression guard).
