@@ -34,7 +34,7 @@ type Help struct {
 // it before flag.Parse.
 func Register(h Help) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /metrics, /debug/spans, /debug/flight, /debug/vars, /debug/pprof/ and /healthz on this address (e.g. 127.0.0.1:9190)")
+	flag.StringVar(&f.DebugAddr, "debug-addr", "", "serve /debug/spans, /debug/flight, /debug/pprof/ and /healthz on this address (e.g. 127.0.0.1:9190)")
 	flag.BoolVar(&f.Spans, "spans", false, cmp.Or(h.Spans, "profile the run with hierarchical spans and print the per-phase time table to stderr"))
 	flag.StringVar(&f.SpanOut, "span-out", "", cmp.Or(h.SpanOut, "write the span timeline as Chrome trace-event JSON to this file (implies -spans)"))
 	flag.BoolVar(&f.Flight, "flight", false, cmp.Or(h.Flight, "flight-record the run: manifest, black-box rings, a diagnostic bundle when the solver fails"))
@@ -60,12 +60,12 @@ type Run struct {
 func (f *Flags) Start(tool string) (*Run, error) {
 	r := &Run{tool: tool, flags: f}
 	if f.DebugAddr != "" {
-		srv, err := obs.StartDebugServer(f.DebugAddr)
+		srv, err := obs.Serve(f.DebugAddr)
 		if err != nil {
 			return nil, err
 		}
 		r.srv = srv
-		r.logf("debug server on http://%s (/metrics, /debug/spans, /debug/flight, /debug/vars, /debug/pprof/, /healthz)", srv.Addr())
+		r.logf("debug server on http://%s (/debug/spans, /debug/flight, /debug/pprof/, /healthz)", srv.Addr())
 	}
 	return r, nil
 }

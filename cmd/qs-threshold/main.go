@@ -13,9 +13,9 @@
 // By default each point is solved with the exact (ν+1)×(ν+1) class
 // reduction; -full switches to full 2^ν Pi(Fmmp) solves, the mode that
 // exercises the instrumented solver core and supports -trace convergence
-// dumps and live -debug-addr metrics:
+// dumps and a span profile that -debug-addr serves live:
 //
-//	qs-threshold -full -nu 14 -steps 24 -warm -trace trace.tsv -debug-addr 127.0.0.1:9190
+//	qs-threshold -full -nu 14 -steps 24 -warm -trace trace.tsv -spans -debug-addr 127.0.0.1:9190
 package main
 
 import (
@@ -102,12 +102,10 @@ func main() {
 		Nu: *nu, Method: *method, Workers: *workers, PGrid: ps,
 	})
 
-	obs.RecordSweepStart(len(ps))
 	opts := quasispecies.SweepOptions{Workers: *workers, WarmStart: *warm, Method: *method}
-	if *progress || obsFlags.DebugAddr != "" || fl != nil {
+	if *progress || fl != nil {
 		pr := *progress
 		opts.Progress = func(i int, p float64, iters int, warmStarted bool, solveMethod string) {
-			obs.RecordSweepPoint(p, iters, warmStarted)
 			if fl != nil {
 				tag := "cold"
 				if warmStarted {

@@ -5,13 +5,13 @@ import "repro/internal/obs"
 // Flight recording: the black box of a solver run, behind the -flight
 // flag of every CLI. StartFlight stamps a run manifest (run ID, build
 // revision, command line and flag set, host shape and kernel tier,
-// workload), threads the run ID through span profiles, trace rows and
-// /metrics, and retains recent history in bounded rings. The flight
+// workload), threads the run ID through span profiles, trace rows,
+// /healthz and /debug/flight, and retains recent history in bounded rings. The flight
 // detects nothing itself: on what the solver decided — a
 // ConvergenceError (stagnation, exhausted budget, breakdown) or a
 // GapUnresolvedError passed to DumpOnError — and on worker panics,
 // SIGUSR1/SIGQUIT or Dump, a diagnostic bundle — manifest, ring dumps,
-// metric snapshot, goroutine dump, profile table, Chrome trace — lands as
+// goroutine dump, profile table, Chrome trace — lands as
 // a tar-friendly directory under FlightOptions.Dir. Ring sizes, thinning
 // and the bundle cap are fixed (DESIGN §5.8).
 //

@@ -36,15 +36,13 @@ import (
 
 // Batch-layer span names (internal/span): SpanRun covers a whole Run call,
 // SpanTask one task execution (its End args are worker and task index, so
-// the exported trace shows worker occupancy over time). SpanTaskFailed is a
-// zero-length post-hoc record inside the task span of a task that returned
-// an error: it carries no time, only the failure for the qs_batch_*
-// metrics. The span recorder is the scheduler's only observer; the
-// disabled cost is one atomic pointer load per Run.
+// the exported trace shows worker occupancy over time). A failed task
+// reports through its returned error, not a span. The span recorder is the
+// scheduler's only observer; the disabled cost is one atomic pointer load
+// per Run.
 const (
-	SpanRun        = "run"
-	SpanTask       = "task"
-	SpanTaskFailed = "task_failed"
+	SpanRun  = "run"
+	SpanTask = "task"
 )
 
 // PanicHook receives a task panic caught in a scheduler worker: the task
@@ -192,9 +190,6 @@ func runOne(sr span.Recorder, task func(i, worker int) error, i, worker int) err
 		err = runHooked(ph.h, task, i, worker)
 	} else {
 		err = task(i, worker)
-	}
-	if err != nil && sr != nil {
-		sr.Record(span.LayerBatch, SpanTaskFailed, 0, int64(worker), int64(i))
 	}
 	span.End(sp, int64(worker), int64(i))
 	return err

@@ -127,8 +127,9 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 		}
 		nrm := vec.Norm2(q)
 		if nrm == 0 {
-			led.end(EventBreakdown, res.MatVecs, res.Lambda, res.Residual)
-			return res, errors.New("core: Arnoldi produced a zero Ritz vector")
+			return res, led.fail(EventBreakdown,
+				fmt.Sprintf("zero Ritz vector at restart %d", res.Restarts),
+				res.MatVecs, res.Lambda, res.Residual)
 		}
 		vec.Scale(q, 1/nrm)
 		op.Apply(w, q)
@@ -146,6 +147,15 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 			res.Vector = q
 			led.end(EventConverged, res.MatVecs, lam, res.Residual)
 			return res, nil
+		}
+		if math.IsNaN(res.Residual) || math.IsInf(res.Residual, 0) {
+			// A non-finite Ritz pair restarts from a non-finite vector:
+			// every later cycle would be the same.
+			orientPositive(q)
+			res.Vector = q
+			return res, led.fail(EventBreakdown,
+				fmt.Sprintf("Ritz residual %g at restart %d", res.Residual, res.Restarts),
+				res.MatVecs, lam, res.Residual)
 		}
 		if stalled {
 			orientPositive(q)

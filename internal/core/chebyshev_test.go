@@ -18,7 +18,7 @@ import (
 
 // perStepNormChebyshev is ChebyshevIteration with the overflow norm taken
 // after every recurrence step and every step run as Apply + chebMap2 (never
-// the fused three-term call), with the span and metrics hooks left out. It
+// the fused three-term call), with the span hook left out. It
 // keeps the same budget reservation and residual-sized restart degrees.
 func perStepNormChebyshev(op Operator, opts ChebyshevOptions) (ChebyshevResult, error) {
 	n := op.Dim()

@@ -84,7 +84,7 @@ func refResidual(dev *device.Device, w, x []float64, lambda float64) float64 {
 }
 
 // unfusedPowerIteration is the power loop before the fused step, with the
-// span and metrics hooks left out (they only watch).
+// span hook left out (it only watches).
 func unfusedPowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	n := op.Dim()
 	tol := opts.Tol

@@ -12,9 +12,9 @@ import (
 
 // ledger is one solve's convergence ledger: the single place where the
 // eigensolvers report progress and decide to give up. It opens the solve
-// span and the observer's trace, takes every residual check (the span
-// recorder's Check, the observer's Step, the best residual, where it last
-// improved and the stall count), emits the terminal outcome, and builds
+// span and the observer's trace, takes every residual check (the
+// observer's Step, the best residual, where it last improved and the
+// stall count), emits the terminal outcome, and builds
 // the *ConvergenceError of a failed solve. The solvers keep only their
 // arithmetic; each passes its own iteration unit (operator applications,
 // or power iterations) and its own stall rule.
@@ -37,7 +37,6 @@ type ledger struct {
 
 	best    float64 // smallest residual checked so far
 	bestAt  int     // iteration at which best last improved
-	last    int     // iteration of the previous check
 	stalled int     // consecutive checks without improvement
 }
 
@@ -68,10 +67,6 @@ func openLedger(kind string, dim int, obs Observer, shift, tol float64, stallLim
 // floor it is flat to machine precision while even a barely converging
 // iteration improves faster.
 func (l *ledger) check(iter int, lambda, r float64) (stalled bool) {
-	if l.sr != nil {
-		l.sr.Check(int64(iter-l.last), r, "")
-	}
-	l.last = iter
 	if l.obs != nil {
 		l.obs.Step(iter, lambda, r)
 	}
@@ -83,15 +78,11 @@ func (l *ledger) check(iter int, lambda, r float64) (stalled bool) {
 	return l.stallLimit > 0 && l.stalled >= l.stallLimit
 }
 
-// end emits the terminal outcome (an Event* constant): the observer's
-// event and the span recorder's final check, then closes the solve span
-// last so the callbacks are charged to it.
+// end emits the terminal outcome (an Event* constant) as the observer's
+// event, then closes the solve span last so the callback is charged to it.
 func (l *ledger) end(outcome string, iter int, lambda, r float64) {
 	if l.obs != nil {
 		l.obs.Event(outcome, iter, lambda, r)
-	}
-	if l.sr != nil {
-		l.sr.Check(0, r, outcome)
 	}
 	span.End(l.sp, int64(l.dim), int64(iter))
 }

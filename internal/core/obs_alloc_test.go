@@ -16,8 +16,8 @@ import (
 // with no span recorder installed, the solver hot paths must not allocate
 // and must produce bit-identical results whether or not instrumentation
 // ran before. The alloc guards below are the enforcement. The file is an
-// external test package so the solves can run under the real qs_* metric
-// subscriber of internal/obs.
+// external test package so the solves can run under the real span
+// profiler of internal/obs.
 
 func obsTestOperator(t *testing.T, nu int, p float64) *core.FmmpOperator {
 	t.Helper()
@@ -73,25 +73,9 @@ func (r *recordingObserver) Event(event string, iter int, lambda, residual float
 	r.events++
 }
 
-// metricValue reads one qs_* value from the default registry's snapshot (a
-// histogram reads as its observation count).
-func metricValue(t *testing.T, name string) float64 {
-	t.Helper()
-	switch v := obs.Default().Snapshot()[name].(type) {
-	case int64:
-		return float64(v)
-	case float64:
-		return v
-	case map[string]any:
-		return float64(v["count"].(int64))
-	}
-	t.Fatalf("metric %s is not registered", name)
-	return 0
-}
-
 // TestInstrumentationIsBitIdentical runs the same solve bare, under the
-// full observer stack — a convergence observer plus the qs_* metric
-// subscriber on the span hook — and bare again, and requires the three
+// full observer stack — a convergence observer plus the span profiler on
+// the span hook — and bare again, and requires the three
 // results to agree to the last bit: instrumentation must only watch, never
 // steer.
 func TestInstrumentationIsBitIdentical(t *testing.T) {
@@ -112,21 +96,10 @@ func TestInstrumentationIsBitIdentical(t *testing.T) {
 
 	bare := solve(nil)
 
-	obs.EnableSolverMetrics()
-	metrics := []string{
-		`qs_power_solves_total{kind="power"}`,
-		"qs_power_residual_checks_total",
-		`qs_power_outcomes_total{outcome="converged"}`,
-	}
-	before := make([]float64, len(metrics))
-	for i, name := range metrics {
-		before[i] = metricValue(t, name)
-	}
 	ro := &recordingObserver{}
+	prof := obs.StartSpanProfiler(0)
 	instrumented := solve(ro)
-	// Metrics stay subscribed once enabled; uninstall the recorder itself
-	// so the last solve runs bare again.
-	span.SetRecorder(nil)
+	prof.Stop()
 
 	bareAgain := solve(nil)
 
@@ -141,9 +114,17 @@ func TestInstrumentationIsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	for i, want := range []float64{1, float64(instrumented.Iterations), 1} {
-		if got := metricValue(t, metrics[i]) - before[i]; got != want {
-			t.Errorf("%s moved by %g, want %g", metrics[i], got, want)
+	for name, want := range map[string]int64{
+		core.SolveKindPower: 1, core.PhaseResidual: int64(instrumented.Iterations),
+	} {
+		var got int64
+		for _, s := range prof.Stats() {
+			if s.Layer == span.LayerCore && s.Name == name {
+				got = s.Count
+			}
+		}
+		if got != want {
+			t.Errorf("core/%s spans = %d, want %d", name, got, want)
 		}
 	}
 	if ro.steps != instrumented.Iterations {
@@ -161,9 +142,8 @@ type countingSpanHandle struct{ r *countingSpanRecorder }
 func (h *countingSpanHandle) End(a1, a2 int64) { h.r.ends++ }
 
 type countingSpanRecorder struct {
-	begins, ends, records, checks int
-	outcome                       string
-	byName                        map[string]int
+	begins, ends, records int
+	byName                map[string]int
 }
 
 func (r *countingSpanRecorder) Begin(layer, name string) span.Handle {
@@ -177,13 +157,6 @@ func (r *countingSpanRecorder) Begin(layer, name string) span.Handle {
 
 func (r *countingSpanRecorder) Record(layer, name string, d time.Duration, a1, a2 int64) {
 	r.records++
-}
-
-func (r *countingSpanRecorder) Check(iters int64, residual float64, outcome string) {
-	r.checks++
-	if outcome != "" {
-		r.outcome = outcome
-	}
 }
 
 // TestSpanRecorderIsBitIdentical runs the same solve bare, under a span
@@ -249,10 +222,6 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 	}
 	if got := sr.byName["mutation/apply"]; got != iters {
 		t.Errorf("mutation apply spans = %d, want %d", got, iters)
-	}
-	// One residual check per iteration, then the outcome.
-	if sr.checks != iters+1 || sr.outcome != core.EventConverged {
-		t.Errorf("residual checks = %d (outcome %q), want %d ending %q", sr.checks, sr.outcome, iters+1, core.EventConverged)
 	}
 }
 

@@ -4,19 +4,18 @@ import "fmt"
 
 // Observability hooks for the eigensolvers. Every solve reports through
 // one emitter, its convergence ledger (ledger.go), which feeds two
-// independent mechanisms:
+// independent mechanisms, each answering its own question:
 //
-//   - The Observer field of the options structs is the per-solve
-//     convergence-trace hook: it receives every residual check
-//     (iteration, λ̃, R) plus lifecycle events, exactly the stream needed
-//     to plot stalls near the error threshold where the spectral gap
-//     collapses. obs.TraceRecorder satisfies it structurally. Arnoldi
-//     takes no Observer.
-//   - The process-wide span recorder (internal/span): every solve opens a
-//     core-layer span named by its SolveKind*, reports each residual check
-//     and its final outcome through Recorder.Check, and wraps its iteration
-//     phases in spans. internal/obs feeds the qs_power_* metric families
-//     from that stream.
+//   - How did the solve converge? The Observer field of the options
+//     structs is the per-solve convergence-trace hook and the one receiver
+//     of residual checks: every check (iteration, λ̃, R) plus lifecycle
+//     events, exactly the stream needed to plot stalls near the error
+//     threshold where the spectral gap collapses. obs.TraceRecorder
+//     satisfies it structurally. Arnoldi takes no Observer.
+//   - Where did the time go? The process-wide span recorder
+//     (internal/span): every solve opens a core-layer span named by its
+//     SolveKind* (ending with its dimension and iteration count) and wraps
+//     its iteration phases in spans; internal/obs profiles them.
 //
 // Both are nil by default; the disabled cost is a nil check (Observer) and
 // one atomic pointer load per solve (span). No allocations either way —
@@ -31,8 +30,7 @@ type Observer interface {
 	Event(event string, iter int, lambda, residual float64)
 }
 
-// Lifecycle events reported to Observer.Event and, as the outcome of the
-// final span.Recorder.Check, to the span recorder.
+// Lifecycle events reported to Observer.Event.
 const (
 	// EventStart opens a solve; lambda carries the shift µ in use.
 	EventStart = "start"

@@ -133,8 +133,11 @@ func (d *Device) run(kind string, l launch) [][2]float64 {
 	sp := sr.Begin(span.LayerDevice, kind)
 	sums, wait := d.dispatch(l, true)
 	// The barrier tail is reported post hoc inside the still-open launch
-	// span, so it shows as the launch's child in the profile.
-	sr.Record(span.LayerDevice, SpanQueueWait, wait, int64(l.nchunks), 0)
+	// span, so it shows as the launch's child in the profile; a launch that
+	// waited for no one records none.
+	if wait > 0 {
+		sr.Record(span.LayerDevice, SpanQueueWait, wait, int64(l.nchunks), 0)
+	}
 	span.End(sp, int64(l.n), int64(l.nchunks))
 	return sums
 }

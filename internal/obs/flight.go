@@ -19,8 +19,8 @@ import (
 // active it retains — in fixed-size rings, with zero allocation on the
 // hot paths — the most recent span events, thinned convergence-trace rows
 // and the callers' decision rows. It detects nothing itself: a bundle
-// (manifest + ring contents + registry snapshot + goroutine dump +
-// profile table + Chrome trace) is dumped into a tar-friendly directory
+// (manifest + ring contents + goroutine dump + profile table + Chrome
+// trace) is dumped into a tar-friendly directory
 // on what the solver already decided — a ConvergenceError or
 // GapUnresolvedError (DumpOnError) — and on worker panics (the batch
 // recover hook), SIGQUIT/SIGUSR1 (flight_signal_unix.go) and on demand.
@@ -29,7 +29,7 @@ import (
 //
 // Nothing here runs unless a flight is installed: the only always-on cost
 // is one atomic pointer load at the existing hook points, the same
-// nil-by-default discipline as wire.go.
+// nil-by-default discipline as the span hook.
 
 // Decision is one retained decision row: a caller's (a sweep point's gear
 // and start) or the flight's own (a bundle dumped or skipped).
@@ -105,11 +105,6 @@ const (
 	flightSpanEvents   = 1 << 16
 )
 
-// bundleReasons is the fixed label set of qs_flight_bundles_total.
-var bundleReasons = []string{
-	"convergence_error", "gap_unresolved", "panic", "signal", "manual", "other",
-}
-
 // FlightRecorder is one active flight recording. Create with StartFlight;
 // safe for concurrent use.
 type FlightRecorder struct {
@@ -128,8 +123,6 @@ type FlightRecorder struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	mBundles map[string]*Counter
 }
 
 var activeFlight atomic.Pointer[FlightRecorder]
@@ -148,7 +141,6 @@ func ActiveFlight() *FlightRecorder { return activeFlight.Load() }
 // the signal watcher is the flight's only goroutine. Call Stop when the
 // run ends.
 func StartFlight(m *Manifest, dir string) *FlightRecorder {
-	r := Default()
 	f := &FlightRecorder{
 		manifest:  m,
 		dir:       dir,
@@ -157,15 +149,7 @@ func StartFlight(m *Manifest, dir string) *FlightRecorder {
 		trace:     newRing[TraceRow](flightTraceRing),
 		decisions: newRing[Decision](flightDecisionRing),
 		stopCh:    make(chan struct{}),
-		mBundles:  make(map[string]*Counter, len(bundleReasons)),
 	}
-	for _, reason := range bundleReasons {
-		f.mBundles[reason] = r.Counter(
-			`qs_flight_bundles_total{reason="`+reason+`"}`,
-			"Diagnostic bundles dumped by trigger reason.")
-	}
-	r.Gauge(`qs_flight_run_info{run_id="`+EscapeLabel(m.RunID)+`"}`,
-		"Identity of the flight-recorded run (1 while its process runs).").Set(1)
 	activeFlight.Store(f)
 	if p := InstalledProfiler(); p != nil {
 		p.SetRunID(m.RunID)
@@ -293,9 +277,9 @@ type dumpSummary struct {
 	Extra     map[string]any `json:"extra,omitempty"`
 }
 
-// DumpBundle writes a diagnostic bundle — manifest, ring contents, a
-// registry snapshot taken now, goroutine dump, and (when a span profiler
-// is installed) the profile table and Chrome trace — into a fresh directory under the flight's
+// DumpBundle writes a diagnostic bundle — manifest, ring contents,
+// goroutine dump, and (when a span profiler is installed) the profile
+// table and Chrome trace — into a fresh directory under the flight's
 // bundle dir, named "<runID>-<seq>-<reason>". It returns the directory
 // path; an empty path with nil error means the per-run bundle cap was
 // reached.
@@ -310,11 +294,6 @@ func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string
 	f.bundles = append(f.bundles, dir)
 	f.mu.Unlock()
 
-	if c := f.mBundles[reason]; c != nil {
-		c.Inc()
-	} else {
-		f.mBundles["other"].Inc()
-	}
 	f.NoteDecision("bundle", "", reason+" → "+dir, 0)
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -330,7 +309,6 @@ func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string
 	keep(writeJSONL(filepath.Join(dir, "spans.jsonl"), f.spans.snapshot()))
 	keep(writeJSONL(filepath.Join(dir, "trace.jsonl"), f.trace.snapshot()))
 	keep(writeJSONL(filepath.Join(dir, "decisions.jsonl"), f.decisions.snapshot()))
-	keep(writeJSON(filepath.Join(dir, "metrics.json"), Default().Snapshot()))
 	keep(os.WriteFile(filepath.Join(dir, "goroutines.txt"), allStacks(), 0o644))
 	if p := InstalledProfiler(); p != nil {
 		if tf, err := os.Create(filepath.Join(dir, "profile.txt")); err == nil {

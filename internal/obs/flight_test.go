@@ -127,7 +127,7 @@ func TestFlightStallAcceptance(t *testing.T) {
 		t.Fatalf("DumpOnError = (%q, %v), want the first convergence_error bundle", dir, ok)
 	}
 	for _, name := range []string{
-		ManifestName, "spans.jsonl", "trace.jsonl", "decisions.jsonl", "metrics.json",
+		ManifestName, "spans.jsonl", "trace.jsonl", "decisions.jsonl",
 		"goroutines.txt", "profile.txt", "chrome_trace.json", "error.json", "dump.json",
 	} {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
@@ -224,7 +224,6 @@ func (o *nanOp) Apply(dst, src []float64) {
 // check. The error survives its JSON round trip with the NaN residual, and
 // DumpOnError dumps a bundle whose trace ends on the breakdown event.
 func TestBreakdownIsTypedAndDumped(t *testing.T) {
-	EnableSolverMetrics() // the bundle's metrics.json then holds a non-finite last residual
 	fl := StartFlight(testFlightManifest("testrun-breakdown"), t.TempDir())
 	defer fl.Stop()
 
@@ -285,13 +284,41 @@ func TestBreakdownIsTypedAndDumped(t *testing.T) {
 		if last := rows[len(rows)-1]; last.Event != core.EventBreakdown || last.Label != "p="+c.method {
 			t.Fatalf("%s: last trace row = %+v, want its breakdown event", c.method, last)
 		}
-		var snap map[string]any
-		if data, err := os.ReadFile(filepath.Join(dir, "metrics.json")); err != nil || json.Unmarshal(data, &snap) != nil {
-			t.Fatalf("%s: metrics.json unreadable: %v", c.method, err)
-		}
-		if got, ok := snap["qs_power_last_residual"].(string); !ok || (got != "NaN" && got != "+Inf") {
-			t.Fatalf("%s: metrics.json last residual = %v, want the non-finite string", c.method, snap["qs_power_last_residual"])
-		}
+	}
+}
+
+// TestArnoldiBreakdownIsTypedAndDumped: Arnoldi stops at the first
+// non-finite Ritz residual as a typed breakdown too — within its first
+// restart cycle (one basis of 24 applications plus the residual's), not
+// after ten cycles of a NaN iterate reported as a stall — and the error
+// dumps a bundle with its error.json.
+func TestArnoldiBreakdownIsTypedAndDumped(t *testing.T) {
+	fl := StartFlight(testFlightManifest("testrun-arnoldi-breakdown"), t.TempDir())
+	defer fl.Stop()
+
+	const nu = 6
+	l, err := landscape.NewSinglePeak(nu, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, err := core.NewFmmpOperator(mutation.MustUniform(nu, 0.01), l, core.Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, serr := core.Arnoldi(&nanOp{Operator: sym, after: 3}, core.ArnoldiOptions{Tol: 1e-30})
+	var ce *core.ConvergenceError
+	if !errors.As(serr, &ce) || !errors.Is(serr, core.ErrBreakdown) {
+		t.Fatalf("err = %v, want a ConvergenceError with ErrBreakdown", serr)
+	}
+	if ce.Method != core.SolveKindArnoldi || res.MatVecs > 26 || ce.Iterations != res.MatVecs {
+		t.Fatalf("ConvergenceError = %+v after %d matvecs, want arnoldi's, stopped in its first cycle", ce, res.MatVecs)
+	}
+	dir, ok := fl.DumpOnError(serr)
+	if !ok {
+		t.Fatal("DumpOnError dumped no bundle")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "error.json")); err != nil {
+		t.Fatalf("error.json: %v", err)
 	}
 }
 
@@ -395,7 +422,7 @@ func TestDumpBundleContentsAndCap(t *testing.T) {
 	}
 	for _, name := range []string{
 		ManifestName, "spans.jsonl", "trace.jsonl", "decisions.jsonl",
-		"metrics.json", "goroutines.txt", "dump.json",
+		"goroutines.txt", "dump.json",
 	} {
 		if _, err := os.Stat(filepath.Join(first, name)); err != nil {
 			t.Errorf("bundle missing %s: %v", name, err)

@@ -2,32 +2,24 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
 	"time"
 )
 
 // procStart anchors the /healthz uptime report.
 var procStart = time.Now()
 
-// Handler returns the debug mux: /metrics (Prometheus text exposition of
-// the default registry), /debug/vars (expvar, including the registry
-// snapshot under "qs_solver"), /debug/spans, /debug/flight, the
-// net/http/pprof endpoints under /debug/pprof/, and /healthz.
+// Handler returns the debug mux: /debug/spans (the live span profile),
+// /debug/flight (the live flight recorder), the net/http/pprof endpoints
+// under /debug/pprof/, and /healthz.
 func Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = Default().WritePrometheus(w)
-	})
 	mux.HandleFunc("/debug/spans", serveSpans)
 	mux.HandleFunc("/debug/flight", serveFlight)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -152,16 +144,6 @@ func serveSpans(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(payload)
 }
 
-var expvarOnce sync.Once
-
-// publishExpvar exposes the default registry under /debug/vars exactly
-// once (expvar.Publish panics on duplicates).
-func publishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("qs_solver", expvar.Func(func() any { return Default().Snapshot() }))
-	})
-}
-
 // DebugServer is a running debug HTTP server. Close releases its listener
 // and in-flight connections; earlier versions leaked the listener for the
 // life of the process, which made repeated starts in one process (tests,
@@ -179,23 +161,15 @@ func (s *DebugServer) Addr() string { return s.addr }
 func (s *DebugServer) Close() error { return s.srv.Close() }
 
 // Serve starts the debug HTTP server on addr (host:port; port 0 picks a
-// free port). The caller owns the returned server and should Close it when
+// free port); it is the tool entry point behind the shared -debug-addr
+// flag. The caller owns the returned server and should Close it when
 // done; tools that serve for the life of the process may ignore it.
 func Serve(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug server: %w", err)
 	}
-	publishExpvar()
 	srv := &http.Server{Handler: Handler()}
 	go func() { _ = srv.Serve(ln) }()
 	return &DebugServer{addr: ln.Addr().String(), srv: srv}, nil
-}
-
-// StartDebugServer is the one-call tool entry point behind the shared
-// -debug-addr flag: it enables the solver metrics (EnableSolverMetrics) and
-// starts the debug server.
-func StartDebugServer(addr string) (*DebugServer, error) {
-	EnableSolverMetrics()
-	return Serve(addr)
 }

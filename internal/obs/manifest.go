@@ -21,8 +21,8 @@ import (
 // version, VCS revision, dirty tree), which machine shape (GOMAXPROCS,
 // NUMA node map), which kernel tier ran (and why not the next higher
 // one), and which workload (tool, flags, p-grid). Its RunID is threaded
-// through span profiles, trace rows, flight bundles and /metrics, so every
-// artifact of a run names the same identity. The build and host blocks
+// through span profiles, trace rows, flight bundles, /debug/spans and
+// /healthz, so every artifact of a run names the same identity. The build and host blocks
 // are the only definition of a run's identity: /healthz serves the same
 // Build, and benchmark results embed the same Host.
 

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	rttrace "runtime/trace"
+
+	"repro/internal/span"
 )
 
 // Hierarchical span profiler: answers "where does the time go inside one
@@ -76,10 +78,10 @@ type spanAgg struct {
 // buffer trades completeness of the exported timeline for bounded memory.
 const DefaultMaxSpanEvents = 1 << 20
 
-// SpanProfiler records the solver's span stream. StartSpanProfiler
-// attaches it to the recorder obs installs on the span hook (hook.go);
-// NewSpanProfiler alone gives an unattached profiler to feed with Record.
-// Safe for concurrent use.
+// SpanProfiler records the solver's span stream; it is the span.Recorder
+// StartSpanProfiler installs on the hook. NewSpanProfiler alone gives an
+// uninstalled profiler to feed with Begin and Record. Safe for concurrent
+// use.
 type SpanProfiler struct {
 	epoch time.Time
 
@@ -121,25 +123,38 @@ func NewSpanProfiler(maxEvents int) *SpanProfiler {
 	return p
 }
 
-// StartSpanProfiler creates a profiler and attaches it to the span
-// recorder, superseding any profile recording before. Call Stop to detach
-// and freeze it.
+// installMu orders the installs and uninstalls of profilers on the span
+// hook, so that Stop never uninstalls a newer profile.
+var installMu sync.Mutex
+
+// StartSpanProfiler creates a profiler and installs it as the span
+// recorder, superseding any profile recording before. Call Stop to
+// uninstall and freeze it.
 func StartSpanProfiler(maxEvents int) *SpanProfiler {
 	p := NewSpanProfiler(maxEvents)
-	subscribe(func(f *fanout) { f.prof = p })
+	installMu.Lock()
+	span.SetRecorder(p)
+	installMu.Unlock()
 	return p
 }
 
-// Stop detaches the profiler (if it is the attached one), ends its
+// InstalledProfiler returns the span profiler installed on the hook (the
+// live profile the debug endpoints serve), nil otherwise.
+func InstalledProfiler() *SpanProfiler {
+	p, _ := span.Installed().(*SpanProfiler)
+	return p
+}
+
+// Stop uninstalls the profiler (if it is the installed one), ends its
 // runtime/trace task and freezes the recording's wall time. Safe to call
 // more than once; already-open spans may still End into the profiler
 // afterwards and are accounted normally.
 func (p *SpanProfiler) Stop() {
-	subscribe(func(f *fanout) {
-		if f.prof == p {
-			f.prof = nil
-		}
-	})
+	installMu.Lock()
+	if InstalledProfiler() == p {
+		span.SetRecorder(nil)
+	}
+	installMu.Unlock()
 	p.mu.Lock()
 	if p.stopped == 0 {
 		p.stopped = time.Since(p.epoch)
@@ -189,7 +204,6 @@ func (p *SpanProfiler) Dropped() int64 {
 
 type activeSpan struct {
 	p           *SpanProfiler
-	site        *metricSite // the span's qs_* sink, nil when metrics are off
 	layer, name string
 	gid         int64
 	start       time.Time
@@ -198,9 +212,10 @@ type activeSpan struct {
 	region      *rttrace.Region
 }
 
-// begin opens a span on the calling goroutine; its End also feeds site.
-func (p *SpanProfiler) begin(layer, name string, site *metricSite) *activeSpan {
-	a := &activeSpan{p: p, site: site, layer: layer, name: name, gid: goid(), start: time.Now()}
+// Begin implements span.Recorder: it opens a span on the calling
+// goroutine.
+func (p *SpanProfiler) Begin(layer, name string) span.Handle {
+	a := &activeSpan{p: p, layer: layer, name: name, gid: goid(), start: time.Now()}
 	if p.ctx != nil && rttrace.IsEnabled() {
 		a.region = rttrace.StartRegion(p.ctx, layer+":"+name)
 	}
@@ -218,9 +233,6 @@ func (a *activeSpan) End(a1, a2 int64) {
 	}
 	p := a.p
 	d := time.Since(a.start)
-	if a.site != nil {
-		a.site.end(d, a1, a2)
-	}
 	p.mu.Lock()
 	if p.cur[a.gid] == a {
 		if a.parent != nil {
@@ -240,8 +252,9 @@ func (a *activeSpan) End(a1, a2 int64) {
 	p.mu.Unlock()
 }
 
-// Record reports a completed leaf span of duration d ending now, charged
-// as a child of the calling goroutine's open span.
+// Record implements span.Recorder: it reports a completed leaf span of
+// duration d ending now, charged as a child of the calling goroutine's
+// open span.
 func (p *SpanProfiler) Record(layer, name string, d time.Duration, a1, a2 int64) {
 	if d < 0 {
 		d = 0

@@ -2,12 +2,12 @@
 // Spans cross package boundaries — a batch task contains a solve, which
 // contains kernel passes, which contain device launches — so nesting
 // requires ONE process-wide recorder that every instrumented layer reports
-// into, and every consumer of solver events subscribes to that recorder:
-// internal/obs installs it and fans its events out to the span profiler
-// and the qs_* metric families. This package holds that single
-// nil-by-default atomic.Pointer hook and nothing else; it depends only on
-// the standard library, so every solver package (and internal/obs, which
-// implements Recorder) can import it without cycles.
+// into: internal/obs installs its span profiler there. How a solve
+// converged is not a span event; it goes to the solve's own Observer
+// (internal/core). This package holds that single nil-by-default
+// atomic.Pointer hook and nothing else; it depends only on the standard
+// library, so every solver package (and internal/obs, which implements
+// Recorder) can import it without cycles.
 //
 // Zero-overhead contract (enforced by the alloc tests in internal/core and
 // internal/mutation): with no recorder installed, Begin is one atomic
@@ -43,17 +43,11 @@ type Handle interface {
 // goroutine and may return nil for a site it does not time; Record reports
 // a span post hoc — one that already finished, with the given duration,
 // ending at the time of the call (the device queue-wait tail is measured
-// this way; a zero-length Record is an event with no time, such as a
-// failed batch task). Check reports one residual check of the solve span
-// open on the calling goroutine: iters iterations ran since the previous
-// check and residual is the residual just evaluated; outcome is "" while
-// the solve runs, and when it ends one last Check with iters 0 names the
-// outcome (a core Event* constant). Implementations must be safe for
-// concurrent use: spans arrive from pool workers and batch slots.
+// this way). Implementations must be safe for concurrent use: spans
+// arrive from pool workers and batch slots.
 type Recorder interface {
 	Begin(layer, name string) Handle
 	Record(layer, name string, d time.Duration, a1, a2 int64)
-	Check(iters int64, residual float64, outcome string)
 }
 
 type hook struct{ r Recorder }
