@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/landscape"
 	"repro/internal/vec"
 )
@@ -161,11 +162,15 @@ func TestLocateErrorThresholdFacade(t *testing.T) {
 	}
 }
 
+// TestWithMaxIterationsEnforced: a solve that needs more iterations than
+// its budget fails. The start is pinned to the fitness start: on this
+// single peak the default class-projected start converges inside 2
+// iterations, which would leave the budget untested.
 func TestWithMaxIterationsEnforced(t *testing.T) {
 	mut, _ := UniformMutation(10, 0.04)
 	land, _ := SinglePeak(10, 2, 1)
-	model, err := New(mut, land,
-		WithMethod(MethodFmmp), WithMaxIterations(2), WithTolerance(1e-14))
+	model, err := New(mut, land, WithMethod(MethodFmmp), WithMaxIterations(2),
+		WithTolerance(1e-14), WithStart(core.FitnessStart(land.l)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,9 @@ type PowerOptions struct {
 	// ConservativeShift for the paper's provably safe choice. Default 0.
 	Shift float64
 	// Start is the starting vector; it is copied, not mutated. The paper
-	// recommends diag(F)/‖diag(F)‖₁ (see FitnessStart). Default: uniform.
+	// recommends diag(F)/‖diag(F)‖₁ (see FitnessStart), which the harness,
+	// kron and rna pass; the root facade passes a class-projected start
+	// for Right-form solves of the uniform-rate process. Default: uniform.
 	Start []float64
 	// Dev selects device-parallel BLAS-1 operations; nil runs serially.
 	// (The operator's own device is configured on the operator.)

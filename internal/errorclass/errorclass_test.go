@@ -413,6 +413,85 @@ func expandAcrossTiers(t *testing.T, nu int, v []float64) {
 	}
 }
 
+// classMeansReference is ClassMeans's oracle: the per-element sums
+// Σ_{w(i)=k} xᵢ in index order, each divided by C(ν,k), and x's maximum.
+func classMeansReference(x []float64) ([]float64, float64) {
+	nu := bits.Weight(uint64(len(x) - 1))
+	means := make([]float64, nu+1)
+	xmax := math.Inf(-1)
+	for i, v := range x {
+		means[bits.Weight(uint64(i))] += v
+		xmax = math.Max(xmax, v)
+	}
+	for k := range means {
+		means[k] /= bits.BinomialFloat(nu, k)
+	}
+	return means, xmax
+}
+
+// TestClassMeansBitIdenticalToReference: ClassMeans reproduces its oracle
+// bit for bit from one tile (ν ≤ tileBits) to ν = 20's 256 tiles, on a
+// random positive vector whose entries are within a factor 3 of each
+// other, so every addition of a class sum rounds, and the maximum it
+// finds is x's.
+func TestClassMeansBitIdenticalToReference(t *testing.T) {
+	r := rng.New(71)
+	for _, nu := range []int{0, 1, 4, 12, 13, 20} {
+		x := make([]float64, 1<<nu)
+		for i := range x {
+			x[i] = 0.5 + r.Float64()
+		}
+		wantMeans, wantMax := classMeansReference(x)
+		got, gotMax, err := ClassMeans(x)
+		if err != nil {
+			t.Fatalf("ν=%d: %v", nu, err)
+		}
+		if len(got) != nu+1 {
+			t.Fatalf("ν=%d: %d class means, want %d", nu, len(got), nu+1)
+		}
+		for k := range wantMeans {
+			if math.Float64bits(got[k]) != math.Float64bits(wantMeans[k]) {
+				t.Errorf("ν=%d: mean[%d] = %v, reference %v", nu, k, got[k], wantMeans[k])
+			}
+		}
+		if gotMax != wantMax {
+			t.Errorf("ν=%d: max %v, reference %v", nu, gotMax, wantMax)
+		}
+	}
+}
+
+// TestClassMeansInvertsExpand: the class means of an expanded class vector
+// are that vector scaled by Expand's 1/S, so a class-function input comes
+// back as itself up to that scale and its round-off.
+func TestClassMeansInvertsExpand(t *testing.T) {
+	v := []float64{5, 1.5, 1.25, 1, 0.75, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+	x, err := Expand(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	means, xmax, err := ClassMeans(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xmax != x[0] {
+		t.Errorf("max %v, want the master's %v", xmax, x[0])
+	}
+	scale := means[0] / v[0]
+	for k := range v {
+		if got := means[k] / scale; math.Abs(got-v[k]) > 1e-12*v[k] {
+			t.Errorf("mean[%d]/scale = %v, want %v", k, got, v[k])
+		}
+	}
+}
+
+func TestClassMeansValidation(t *testing.T) {
+	for _, n := range []int{0, 3, 6} {
+		if _, _, err := ClassMeans(make([]float64, n)); err == nil {
+			t.Errorf("length %d must be rejected", n)
+		}
+	}
+}
+
 // TestExpandAllocations: Expand builds its tiles inside the output, so the
 // output is its one allocation, at any ν.
 func TestExpandAllocations(t *testing.T) {
@@ -438,6 +517,26 @@ func BenchmarkExpand(b *testing.B) {
 		b.Run(fmt.Sprintf("nu=%d", nu), func(b *testing.B) {
 			for range b.N {
 				if _, err := Expand(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClassMeans times ClassMeans on an Eq. 13-like diagonal at the
+// ν of the solve-nu20 workload's class-projected starts.
+func BenchmarkClassMeans(b *testing.B) {
+	for _, nu := range []int{16, 20} {
+		r := rng.New(5)
+		x := make([]float64, 1<<nu)
+		for i := range x {
+			x[i] = 0.5 + r.Float64()
+		}
+		x[0] = 5
+		b.Run(fmt.Sprintf("nu=%d", nu), func(b *testing.B) {
+			for range b.N {
+				if _, _, err := ClassMeans(x); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -142,7 +142,8 @@ func TestParallelWorkersMatchSerial(t *testing.T) {
 // the fixed vec.ReduceChunk pieces the serial kernels walk, so Fmmp and
 // Lanczos solves under WithWorkers 1, 2 and 3 return the same λ,
 // iteration count, residual and concentrations bit for bit, on one piece
-// (ν = 17) and on two (ν = 18), where the parallel reductions launch.
+// (ν = 17) and on two (ν = 18), where the parallel reductions launch. The
+// Fmmp solves run from the class-projected start, which is built serially.
 func TestSolveBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, nu := range []int{17, 18} {
 		land, err := RandomLandscape(nu, 5, 1, 11)

@@ -22,7 +22,9 @@ const (
 	// permits it, Pi(Fmmp) otherwise.
 	MethodAuto Method = iota
 	// MethodFmmp is the paper's fast solver: power iteration on the
-	// Θ(N·log₂N) implicit product.
+	// Θ(N·log₂N) implicit product. Under the uniform-rate process it starts
+	// by default from a class-projected start, not the paper's fitness
+	// start (Model.startVector).
 	MethodFmmp
 	// MethodLanczos is restarted Lanczos on the symmetric formulation
 	// F^½QF^½ — fewer matrix products near the error threshold, at the
@@ -169,7 +171,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithStart seeds the iterative solvers with the given concentration
-// vector (length 2^ν, Right-form) instead of the fitness start — e.g. the
+// vector (length 2^ν, Right-form) instead of the default start — the
+// class-projected start of a Right-form solve under the uniform-rate
+// process, the fitness start otherwise (Model.startVector) — e.g. the
 // Concentrations of a checkpointed Solution, so an interrupted sweep
 // resumes where it stopped. The slice is copied at solve time and never
 // mutated; formulations other than Right (MethodLanczos) convert the copy.
@@ -415,17 +419,36 @@ func (mo *Model) solveArnoldi() (*Solution, error) {
 	return mo.finishSolution(res.Lambda, res.Vector, res.MatVecs, res.Residual, MethodArnoldi)
 }
 
-// startVector returns the starting iterate in the requested formulation:
-// a converted copy of the WithStart vector when one was set, else the
-// fitness start, built from op's materialized diagonal so the landscape is
-// materialized once per operator rather than again for every solve.
+// startVector returns the starting iterate in the requested formulation,
+// chosen in this one place: a converted copy of the WithStart vector when
+// one was set; else, for a Right-form solve (MethodFmmp, MethodArnoldi,
+// Auto's full-space route), the class-projected start where classStart
+// builds one; else the fitness start. Both defaults are built from op's
+// materialized diagonal, so the landscape is materialized once per
+// operator rather than again for every solve. The facade span "start"
+// times the construction (a1 = N).
 func (mo *Model) startVector(form core.Formulation, op *core.FmmpOperator) ([]float64, error) {
-	if mo.start == nil {
+	sp := span.Begin(span.LayerFacade, "start")
+	var x []float64
+	var err error
+	switch {
+	case mo.start != nil:
+		x, err = mo.userStart(form)
+	case form == core.Right:
+		x = mo.classStart(op)
+	}
+	if x == nil && err == nil {
 		// The fitness start serves every formulation as-is (any positive
 		// vector is an admissible iterate); converting it here would
 		// perturb long-standing bit-identical baselines.
-		return op.FitnessStart(), nil
+		x = op.FitnessStart()
 	}
+	span.End(sp, int64(mo.Dim()), 0)
+	return x, err
+}
+
+// userStart returns a copy of the WithStart vector converted to form.
+func (mo *Model) userStart(form core.Formulation) ([]float64, error) {
 	if len(mo.start) != mo.Dim() {
 		return nil, fmt.Errorf("%w: start vector length %d, want %d",
 			ErrInvalidModel, len(mo.start), mo.Dim())
@@ -436,6 +459,41 @@ func (mo *Model) startVector(form core.Formulation, op *core.FmmpOperator) ([]fl
 		return nil, err
 	}
 	return x, nil
+}
+
+// classStart returns the class-projected start of a Right-form solve, or
+// nil where it does not apply. It departs from the paper's fitness start
+// (§3; DESIGN, "Start vector"): the Perron vector of a landscape peaked at
+// index 0 is a master plus a mutant cloud that is nearly a function of the
+// Hamming class, and the §5.1 reduction solves that class shape in
+// microseconds. classStart averages op's diagonal over the classes around
+// index 0, solves the reduction at the same p and expands its eigenvector.
+// It returns nil for a process without one uniform rate, for a landscape
+// whose fittest value is not at index 0, and on any reduction or
+// expansion error: a start is a heuristic and must never fail a solve.
+func (mo *Model) classStart(op *core.FmmpOperator) []float64 {
+	p, ok := mo.mut.q.Uniform()
+	if !ok {
+		return nil
+	}
+	f := op.Fitness()
+	phi, fmax, err := errorclass.ClassMeans(f)
+	if err != nil || f[0] < fmax {
+		return nil
+	}
+	red, err := errorclass.New(phi, p)
+	if err != nil {
+		return nil
+	}
+	res, err := red.Solve()
+	if err != nil {
+		return nil
+	}
+	x, err := errorclass.Expand(res.ClassVector)
+	if err != nil {
+		return nil
+	}
+	return x
 }
 
 // effectiveTol returns the user's tolerance, or the floating-point-floor

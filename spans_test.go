@@ -5,10 +5,15 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // solveProfiled runs one Pi(Fmmp) solve under a fresh span profile and
-// returns the stopped profile.
+// returns the stopped profile. The solve starts from the fitness start:
+// on this single peak the default class-projected start converges in one
+// iteration, too few for the per-iteration phases to dominate the power
+// span.
 func solveProfiled(t *testing.T, nu int, workers int) *SpanProfile {
 	t.Helper()
 	mut, err := UniformMutation(nu, 0.05)
@@ -19,7 +24,8 @@ func solveProfiled(t *testing.T, nu int, workers int) *SpanProfile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := New(mut, land, WithMethod(MethodFmmp), WithWorkers(workers))
+	model, err := New(mut, land, WithMethod(MethodFmmp), WithWorkers(workers),
+		WithStart(core.FitnessStart(land.l)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +65,9 @@ func TestSpanProfileCoversSolve(t *testing.T) {
 	}
 	if _, ok := phase(phases, "mutation", "apply"); !ok {
 		t.Errorf("no mutation apply span; phases: %+v", phases)
+	}
+	if start, ok := phase(phases, "facade", "start"); !ok || start.Count != 1 || start.Total > facade.Total {
+		t.Errorf("want one facade start span inside the solve span %v; phases: %+v", facade.Total, phases)
 	}
 
 	// The iteration phases partition the loop body: their totals are
