@@ -74,7 +74,7 @@ func BenchmarkFig2Smvp(b *testing.B) {
 		b.Run(fmt.Sprintf("nu%d", nu), func(b *testing.B) {
 			l, x, dst := fig2Setup(b, nu)
 			xm := mustXmvp(nu, 0.01, nu)
-			op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
+			op, err := core.NewXmvpOperator(xm, l, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func BenchmarkFig2Xmvp1(b *testing.B) {
 		b.Run(fmt.Sprintf("nu%d", nu), func(b *testing.B) {
 			l, x, dst := fig2Setup(b, nu)
 			xm := mustXmvp(nu, 0.01, 1)
-			op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
+			op, err := core.NewXmvpOperator(xm, l, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func BenchmarkFig3PiXmvpFull(b *testing.B) {
 	const nu = 10
 	l, _ := landscape.NewRandom(nu, 5, 1, 1)
 	xm := mustXmvp(nu, 0.01, nu)
-	op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
+	op, err := core.NewXmvpOperator(xm, l, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func BenchmarkFig3PiXmvp5(b *testing.B) {
 	const nu = 14
 	l, _ := landscape.NewRandom(nu, 5, 1, 1)
 	xm := mustXmvp(nu, 0.01, 5)
-	op, err := core.NewXmvpOperator(xm, l, core.Right, nil)
+	op, err := core.NewXmvpOperator(xm, l, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,13 +308,18 @@ func BenchmarkAblationStartVector(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLanczosVsPower compares the two eigensolvers near the
-// error threshold, where the spectral gap closes.
+// BenchmarkAblationLanczosVsPower compares the power iteration with the
+// forced Krylov ladder MethodLanczos runs (core.AdaptiveSolve with
+// SolveChebyshev) near the error threshold, where the spectral gap closes.
 func BenchmarkAblationLanczosVsPower(b *testing.B) {
 	const nu = 12
 	l, _ := landscape.NewSinglePeak(nu, 2, 1)
 	q := mutation.MustUniform(nu, 0.04)
 	op, err := core.NewFmmpOperator(q, l, core.Symmetric, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opR, err := core.NewFmmpOperator(q, l, core.Right, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,8 +334,8 @@ func BenchmarkAblationLanczosVsPower(b *testing.B) {
 	})
 	b.Run("lanczos", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Lanczos(op, core.LanczosOptions{
-				Tol: 1e-11, Start: core.FitnessStart(l),
+			if _, err := core.AdaptiveSolve(opR, op, core.AdaptiveOptions{
+				Method: core.SolveChebyshev, Tol: 1e-11, Start: core.FitnessStart(l),
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -31,7 +31,7 @@ func main() {
 		c       = flag.Float64("c", 5, "random landscape: master fitness c (Eq. 13)")
 		sigma   = flag.Float64("sigma", 1, "random landscape: scale σ ∈ (0, c/2) (Eq. 13)")
 		seed    = flag.Uint64("seed", 1, "random landscape seed")
-		method  = flag.String("method", "auto", "solver: auto | fmmp | lanczos | reduced | arnoldi")
+		method  = flag.String("method", "auto", "solver: auto | fmmp | lanczos (Krylov ladder; symmetric, positive semidefinite processes) | reduced | arnoldi")
 		tol     = flag.Float64("tol", 1e-12, "residual tolerance τ")
 		workers = flag.Int("workers", 1, "compute workers (0 = all cores, 1 = serial)")
 		noShift = flag.Bool("no-shift", false, "disable the convergence shift µ = Π_k(1−2p_k)·f_min (p_k = p, or the -persite rates)")

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestSolveContextCompletes(t *testing.T) {
@@ -142,8 +144,9 @@ func TestSolveContextReportsToObserver(t *testing.T) {
 	}
 }
 
-// TestLanczosSolveTraces: the facade hands its observer to the Lanczos
-// backend, which reports Step rows and a converged event labelled lanczos.
+// TestLanczosSolveTraces: the facade hands its observer to the Krylov
+// ladder MethodLanczos runs, which reports Step rows and a final converged
+// event labelled with the gear that converged, here Chebyshev.
 func TestLanczosSolveTraces(t *testing.T) {
 	mut, _ := UniformMutation(10, 0.01)
 	land, _ := RandomLandscape(10, 5, 1, 1)
@@ -155,8 +158,8 @@ func TestLanczosSolveTraces(t *testing.T) {
 	if _, err := model.Solve(); err != nil {
 		t.Fatal(err)
 	}
-	if log.steps == 0 || log.method != "lanczos" {
-		t.Errorf("steps = %d, method %q; want rows labelled lanczos", log.steps, log.method)
+	if log.steps == 0 || log.method != core.SolveKindChebyshev {
+		t.Errorf("steps = %d, method %q; want rows labelled %s", log.steps, log.method, core.SolveKindChebyshev)
 	}
 	if n := len(log.events); n == 0 || log.events[n-1] != "converged" {
 		t.Errorf("events = %v, want a final converged", log.events)

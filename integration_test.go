@@ -71,7 +71,7 @@ func TestAllRoutesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xop, err := core.NewXmvpOperator(xm, il, core.Right, nil)
+	xop, err := core.NewXmvpOperator(xm, il, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,11 @@ func ParseSolveMethod(s string) (SolveMethod, error) {
 // the next point's spectrum automatically). Chain-local by construction —
 // reset it at every chain head to keep sweeps worker-count independent.
 type MethodState struct {
-	// HavePrev reports whether PrevLambda holds the previous point's λ₀.
+	// HavePrev reports whether Start is a warm start, which then seeds
+	// the gap probe, and PrevLambda the previous point's λ₀.
 	HavePrev bool
-	// PrevLambda is λ₀ of the previous chain point.
+	// PrevLambda is λ₀ of the previous chain point; one at or below the
+	// probe's top Ritz value leaves shift-invert at its cold shift.
 	PrevLambda float64
 	// LastMethod is the gear that solved the previous point.
 	LastMethod SolveMethod
@@ -476,8 +478,7 @@ func powerGear(opR *FmmpOperator, opts AdaptiveOptions, work *AdaptiveWork, tol 
 
 // stageSymmetric writes the unit Symmetric-form start x_S = F^½·x_R/‖·‖
 // for the Right-form start into dst; a nil or mis-sized start selects the
-// fitness start. The product with the operator's √f is ConvertEigenvector's
-// (math.Pow(f, ½) is math.Sqrt(f)) without its per-element landscape calls.
+// fitness start. The product goes through the operator's cached √f.
 func stageSymmetric(dst []float64, opS *FmmpOperator, start []float64) {
 	if len(start) == len(dst) {
 		vec.Mul(dst, start, opS.fsqrt)
@@ -506,9 +507,7 @@ func acceptSymmetric(res *AdaptiveResult, work *AdaptiveWork, opS *FmmpOperator,
 
 // rightForm writes the unit, positively oriented Right-form vector of the
 // Symmetric-form symVec into dst. The product with F^(−½) goes through the
-// operator's cached √f: ConvertEigenvector's factor math.Pow(f, −½) is
-// 1/math.Sqrt(f), so the bits are the same without its per-element
-// landscape calls.
+// operator's cached √f.
 func rightForm(dst []float64, opS *FmmpOperator, symVec []float64) error {
 	for i, v := range symVec {
 		dst[i] = v * (1 / opS.fsqrt[i])

@@ -9,6 +9,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/rng"
 	"repro/internal/vec"
 )
 
@@ -65,6 +66,29 @@ func TestChebyshevMatchesPower(t *testing.T) {
 	}
 	if res.Residual > 1e-12 {
 		t.Fatalf("residual %g above tolerance", res.Residual)
+	}
+}
+
+// TestLanczosBasisLargerThanDim: the forced Krylov ladder (facade
+// MethodLanczos) on N = 8, below the probe's 24-step cap, clamps the probe
+// to the dimension and still converges to the power reference.
+func TestLanczosBasisLargerThanDim(t *testing.T) {
+	q := mutation.MustUniform(3, 0.1)
+	l := randLandscape(rng.New(2), 3)
+	want, _ := referenceLambda(t, q, l)
+	opR, _ := NewFmmpOperator(q, l, Right, nil)
+	opS, _ := NewFmmpOperator(q, l, Symmetric, nil)
+	res, err := AdaptiveSolve(opR, opS, AdaptiveOptions{
+		Method: SolveChebyshev, Tol: 1e-12, Start: FitnessStart(l),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.ProbeMatVecs > opS.Dim() {
+		t.Fatalf("converged %v, probe %d matvecs on N = %d", res.Converged, res.ProbeMatVecs, opS.Dim())
+	}
+	if math.Abs(res.Lambda-want) > 1e-9 {
+		t.Fatalf("λ = %.15g, power reference %.15g", res.Lambda, want)
 	}
 }
 

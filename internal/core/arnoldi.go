@@ -43,13 +43,12 @@ type ArnoldiOptions struct {
 
 // ArnoldiResult is the outcome of the Arnoldi solver.
 type ArnoldiResult struct {
-	Lambda     float64
-	Vector     []float64
-	MatVecs    int
-	Restarts   int
-	Residual   float64
-	Converged  bool
-	BasisBytes int
+	Lambda    float64
+	Vector    []float64
+	MatVecs   int
+	Restarts  int
+	Residual  float64
+	Converged bool
 }
 
 // Arnoldi computes the dominant eigenpair of op (any square operator, no
@@ -73,7 +72,7 @@ func Arnoldi(op Operator, opts ArnoldiOptions) (ArnoldiResult, error) {
 	w := device.AllocVector(n)
 
 	led := openLedger(SolveKindArnoldi, n, nil, 0, tol, arnoldiStallRestarts)
-	res := ArnoldiResult{BasisBytes: (m + 2) * n * 8}
+	res := ArnoldiResult{}
 	for restart := 0; restart < arnoldiMaxRestarts; restart++ {
 		res.Restarts = restart + 1
 		for i := range h.Data {

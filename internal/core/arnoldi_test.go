@@ -60,7 +60,9 @@ func TestArnoldiOnSymmetricAgreesWithLanczos(t *testing.T) {
 	q := mutation.MustUniform(nu, 0.02)
 	l := randLandscape(rng.New(3), nu)
 	op, _ := NewFmmpOperator(q, l, Symmetric, nil)
-	lz, err := Lanczos(op, LanczosOptions{Tol: 1e-11, Start: FitnessStart(l)})
+	lz, err := ShiftInvertLanczos(op, ShiftInvertOptions{
+		Tol: 1e-11, Shift: UpperBoundLambda(l), Start: FitnessStart(l),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,19 +24,14 @@ func unfusedApply(op *FmmpOperator, dst, src []float64) {
 		op.Dev.Mul(dst, src, op.fdiag)
 	case Symmetric:
 		op.Dev.Mul(dst, src, op.fsqrt)
-	case Left:
-		op.Dev.Copy(dst, src)
 	}
 	if op.Dev != nil {
 		op.Q.ApplyDevice(op.Dev, dst)
 	} else {
 		op.Q.Apply(dst)
 	}
-	switch op.Form {
-	case Symmetric:
+	if op.Form == Symmetric {
 		op.Dev.Mul(dst, dst, op.fsqrt)
-	case Left:
-		op.Dev.Mul(dst, dst, op.fdiag)
 	}
 }
 
@@ -57,7 +52,7 @@ func TestFmmpApplyAndThreeTermBitIdenticalToPasses(t *testing.T) {
 		src, z, out0 := randVector(r, n), randVector(r, n), randVector(r, n)
 		const c, e = 0.7, 0.45
 		for _, p := range procs {
-			for _, form := range []Formulation{Right, Symmetric, Left} {
+			for _, form := range []Formulation{Right, Symmetric} {
 				for dname, dev := range map[string]*device.Device{
 					"serial": nil, "1-worker": device.New(1),
 					"2-workers": device.New(2, device.WithGrain(64)), "3-workers": device.New(3, device.WithGrain(64)),

@@ -40,7 +40,7 @@ func TestConvergenceErrorJSONRoundTrip(t *testing.T) {
 		{
 			name: "breakdown with non-finite residuals",
 			err: ConvergenceError{
-				Reason: ErrBreakdown, Method: SolveKindLanczos,
+				Reason: ErrBreakdown, Method: SolveKindChebyshev,
 				Detail: "Ritz residual NaN at restart 1", Iterations: 25,
 				Residual: math.NaN(), BestResidual: math.Inf(1), Shift: math.Inf(-1), Tol: 1e-13,
 			},

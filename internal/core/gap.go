@@ -123,7 +123,7 @@ func ritzGap(op Operator, k int, start, weight []float64, stop float64, work *Kr
 		return ritzProbe{}, errors.New("core: start vector is zero")
 	}
 	vec.Scale(q, 1/nrm)
-	built := work.lanczosSteps(op, k, stop, nil)
+	built := work.lanczosSteps(op, k, stop)
 	span.End(sp, int64(n), int64(built))
 	p := ritzProbe{built: built}
 	if built < 2 {

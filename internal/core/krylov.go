@@ -7,12 +7,11 @@ import (
 	"repro/internal/vec"
 )
 
-// Shared Krylov-subspace plumbing for the Lanczos-family solvers (Lanczos
-// restarts, the shift-invert outer iteration, and the RitzGap probe): a
+// Shared Krylov-subspace plumbing for the Lanczos-family solvers (the
+// shift-invert outer iteration and the RitzGap probe): a
 // reusable basis/tridiagonal scratch block and the single-cycle Lanczos
 // three-term recurrence. Keeping the step loop in one place means every
-// caller inherits the same breakdown handling and the same memory
-// trade-off accounting.
+// caller inherits the same breakdown handling.
 //
 // The recurrence keeps its basis semi-orthogonal by partial
 // reorthogonalization (H. D. Simon, "The Lanczos algorithm with partial
@@ -174,8 +173,7 @@ const (
 // before the next matvec once the top Ritz pair of T_built is resolved and
 // its residual estimate is at most stop (ritzConverged). beta[built-1] is
 // then that step's own norm, the β the next step would have used, and 0
-// after a full run. matvecs, when non-nil, is incremented once per operator
-// application.
+// after a full run. Each step is one operator application.
 //
 // basis[j] holds ṽ_j = v_j/s_j. Step j applies op to it, w = W·ṽ_j, takes
 // α_j = s_j²·ṽ_jᵀw, and in one fused pass writes the three-term residual
@@ -198,7 +196,7 @@ const (
 // the pre-pass estimate skips the pass. The last step stops after α: its w
 // is never used. The ω rows live in kw, so a warm KrylovWork allocates
 // nothing.
-func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *int) int {
+func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64) int {
 	n := op.Dim()
 	basis, alpha, beta, w := kw.krylov(n, k)
 	s := kw.scale[:k]
@@ -212,9 +210,6 @@ func (kw *KrylovWork) lanczosSteps(op Operator, k int, stop float64, matvecs *in
 	for j := 0; j < k; j++ {
 		v, sv := basis[j], s[j]
 		op.Apply(w, v)
-		if matvecs != nil {
-			*matvecs++
-		}
 		alpha[j] = sv * sv * vec.Dot(v, w)
 		if j+1 == k {
 			beta[j] = 0

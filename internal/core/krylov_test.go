@@ -258,7 +258,7 @@ func restartCycles(t *testing.T, op Operator, m, cycles int) {
 	start := make([]float64, n)
 	for cycle := 0; cycle < cycles; cycle++ {
 		copy(start, basis[0])
-		k := kw.lanczosSteps(op, m, 0, nil)
+		k := kw.lanczosSteps(op, m, 0)
 		if k != m {
 			t.Fatalf("n=%d cycle %d built %d of %d steps", n, cycle, k, m)
 		}
@@ -479,13 +479,13 @@ func TestLanczosStepsZeroAllocs(t *testing.T) {
 	// tolerance of 1e-300 is never met. The third stops.
 	allocs := testing.AllocsPerRun(5, func() {
 		probeStart(basis[0])
-		kw.lanczosSteps(opS, 24, 0, nil)
+		kw.lanczosSteps(opS, 24, 0)
 		probeStart(basis[0])
-		if built := kw.lanczosSteps(opS, 24, 1e-300, nil); built != 24 {
+		if built := kw.lanczosSteps(opS, 24, 1e-300); built != 24 {
 			t.Fatalf("the recurrence stopped after %d steps at tolerance 1e-300", built)
 		}
 		probeStart(basis[0])
-		if built := kw.lanczosSteps(opS, 24, 1e-6, nil); built >= 24 {
+		if built := kw.lanczosSteps(opS, 24, 1e-6); built >= 24 {
 			t.Fatalf("the recurrence ran all %d steps at tolerance 1e-6", built)
 		}
 	})

@@ -53,7 +53,6 @@ const (
 // stamped on convergence traces and errors.
 const (
 	SolveKindPower       = "power"
-	SolveKindLanczos     = "lanczos"
 	SolveKindShiftInvert = "shift_invert"
 	SolveKindChebyshev   = "chebyshev"
 	SolveKindArnoldi     = "arnoldi"
@@ -100,7 +99,7 @@ type ConvergenceError struct {
 	// ErrBreakdown.
 	Reason error
 	// Method names the eigensolver that failed (a SolveKind* constant:
-	// "power", "lanczos", "chebyshev", "shift_invert" or "arnoldi");
+	// "power", "chebyshev", "shift_invert" or "arnoldi");
 	// "" for errors predating the field.
 	Method string
 	// Detail is an optional context note (e.g. the Monitor abort).

@@ -1,11 +1,13 @@
 // Package core implements the paper's fast quasispecies solver: implicit
-// linear operators for the three equivalent eigenproblem formulations
-// (Eqs. 3–5), the residual-monitored power iteration with the provably safe
-// convergence shift µ = (1−2p)^ν·f_min (Section 3), a restarted Lanczos
-// alternative, and the shift-and-invert iteration for pure mutation
-// matrices. Operators can run serially or on a device (the GPU analogue),
-// and can be backed by any of the matrix–vector products the paper
-// compares: Fmmp, Xmvp(dmax) or dense Smvp.
+// linear operators for the Right and Symmetric eigenproblem formulations
+// (Eqs. 3–4), the residual-monitored power iteration with the provably safe
+// convergence shift µ = (1−2p)^ν·f_min (Section 3), and the Krylov
+// alternatives Section 3 names: the adaptive engine's Lanczos probe,
+// Chebyshev and shift-invert Lanczos gears (symmetric problems) and
+// restarted Arnoldi (any process). Operators can run serially or on a
+// device (the GPU analogue), and can be backed by any of the
+// matrix–vector products the paper compares: Fmmp, Xmvp(dmax) or dense
+// Smvp.
 package core
 
 import (
@@ -19,9 +21,10 @@ import (
 	"repro/internal/vec"
 )
 
-// Formulation selects among the three mathematically equivalent
+// Formulation selects between two of the mathematically equivalent
 // eigenproblems of Eqs. 3–5. Their dominant eigenvalues coincide; the
-// eigenvectors are related by diagonal scalings (see ConvertEigenvector).
+// eigenvectors are related by the diagonal scaling xS = F^½·xR (the
+// adaptive engine's stageSymmetric and rightForm).
 type Formulation int
 
 const (
@@ -29,10 +32,8 @@ const (
 	// concentrations of the quasispecies directly.
 	Right Formulation = iota
 	// Symmetric is F^½·Q·F^½·x = λx (Eq. 4), the symmetric positive
-	// definite form used by Lanczos.
+	// definite form used by the Krylov gears.
 	Symmetric
-	// Left is F·Q·x = λx (Eq. 5).
-	Left
 )
 
 func (f Formulation) String() string {
@@ -41,8 +42,6 @@ func (f Formulation) String() string {
 		return "Q·F"
 	case Symmetric:
 		return "F^1/2·Q·F^1/2"
-	case Left:
-		return "F·Q"
 	default:
 		return fmt.Sprintf("Formulation(%d)", int(f))
 	}
@@ -131,9 +130,6 @@ func (op *FmmpOperator) apply(dst, src []float64, ep mutation.Epilogue) {
 	case Symmetric: // F^½·Q·F^½
 		ep.Post = op.fsqrt
 		op.Q.ApplyFused(op.Dev, dst, src, op.fsqrt, ep)
-	case Left: // F·Q
-		ep.Post = op.fdiag
-		op.Q.ApplyFused(op.Dev, dst, src, nil, ep)
 	default:
 		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
 	}
@@ -160,66 +156,41 @@ func (op *FmmpOperator) fitnessStartInto(dst []float64) {
 // ---------------------------------------------------------------------------
 // Xmvp-backed operator (the baseline of [10])
 
-// XmvpOperator applies W through the XOR-based (sparsified) product.
-// With DMax = ν it is the paper's Smvp-equivalent Θ(N²) reference; smaller
-// DMax gives the approximative baseline.
+// XmvpOperator applies the Right-form W = Q·F through the XOR-based
+// (sparsified) product. With DMax = ν it is the paper's Smvp-equivalent
+// Θ(N²) reference; smaller DMax gives the approximative baseline.
 type XmvpOperator struct {
-	X    *mutation.Xmvp
-	F    landscape.Landscape
-	Form Formulation
-	Dev  *device.Device
+	X   *mutation.Xmvp
+	F   landscape.Landscape
+	Dev *device.Device
 
 	fdiag   []float64
-	fsqrt   []float64
 	scratch []float64
 }
 
 // NewXmvpOperator builds the operator around an existing Xmvp product.
-func NewXmvpOperator(x *mutation.Xmvp, f landscape.Landscape, form Formulation, dev *device.Device) (*XmvpOperator, error) {
+func NewXmvpOperator(x *mutation.Xmvp, f landscape.Landscape, dev *device.Device) (*XmvpOperator, error) {
 	if x.ChainLen() != f.ChainLen() {
 		return nil, fmt.Errorf("core: Xmvp ν = %d but landscape ν = %d", x.ChainLen(), f.ChainLen())
 	}
-	op := &XmvpOperator{X: x, F: f, Form: form, Dev: dev}
-	op.fdiag = landscape.Materialize(f)
-	if form == Symmetric {
-		op.fsqrt = make([]float64, len(op.fdiag))
-		for i, v := range op.fdiag {
-			op.fsqrt[i] = math.Sqrt(v)
-		}
-	}
-	op.scratch = make([]float64, x.Dim())
-	return op, nil
+	return &XmvpOperator{
+		X: x, F: f, Dev: dev,
+		fdiag: landscape.Materialize(f), scratch: make([]float64, x.Dim()),
+	}, nil
 }
 
 func (op *XmvpOperator) Dim() int { return op.X.Dim() }
 
-// Apply computes dst ← W·src per the selected formulation.
+// Apply computes dst ← Q·F·src.
 func (op *XmvpOperator) Apply(dst, src []float64) {
 	if len(dst) != op.Dim() || len(src) != op.Dim() {
 		panic("core: XmvpOperator.Apply dimension mismatch")
 	}
-	switch op.Form {
-	case Right:
-		op.Dev.Mul(op.scratch, src, op.fdiag)
-		op.applyQ(dst, op.scratch)
-	case Symmetric:
-		op.Dev.Mul(op.scratch, src, op.fsqrt)
-		op.applyQ(dst, op.scratch)
-		op.Dev.Mul(dst, dst, op.fsqrt)
-	case Left:
-		op.Dev.Copy(op.scratch, src)
-		op.applyQ(dst, op.scratch)
-		op.Dev.Mul(dst, dst, op.fdiag)
-	default:
-		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
-	}
-}
-
-func (op *XmvpOperator) applyQ(dst, src []float64) {
+	op.Dev.Mul(op.scratch, src, op.fdiag)
 	if op.Dev != nil {
-		op.X.ApplyDevice(op.Dev, dst, src)
+		op.X.ApplyDevice(op.Dev, dst, op.scratch)
 	} else {
-		op.X.Apply(dst, src)
+		op.X.Apply(dst, op.scratch)
 	}
 }
 
@@ -260,8 +231,6 @@ func NewDenseW(q *mutation.Process, f landscape.Landscape, form Formulation) (*D
 		}
 		m.ScaleColumns(s)
 		m.ScaleRows(s)
-	case Left:
-		m.ScaleRows(fd)
 	default:
 		return nil, fmt.Errorf("core: unknown formulation %d", form)
 	}
@@ -278,32 +247,4 @@ func (op *DenseOperator) Apply(dst, src []float64) {
 		return
 	}
 	op.M.MatVec(dst, src)
-}
-
-// ---------------------------------------------------------------------------
-// Eigenvector conversions
-
-// ConvertEigenvector converts the dominant eigenvector between the three
-// formulations using xR = F^(−½)·xS, xS = F^(−½)·xL, xR = F^(−1)·xL
-// (Section 1.1). The conversion happens in place on x.
-func ConvertEigenvector(x []float64, from, to Formulation, f landscape.Landscape) error {
-	if len(x) != f.Dim() {
-		return fmt.Errorf("core: eigenvector length %d does not match landscape dimension %d", len(x), f.Dim())
-	}
-	if from == to {
-		return nil
-	}
-	// Express both forms on the exponent scale of F: xR ~ F^0·xR,
-	// xS = F^(½)·xR, xL = F^1·xR ⇒ x_to = F^(e_to − e_from)·x_from.
-	exp := map[Formulation]float64{Right: 0, Symmetric: 0.5, Left: 1}
-	eFrom, okF := exp[from]
-	eTo, okT := exp[to]
-	if !okF || !okT {
-		return fmt.Errorf("core: unknown formulation in conversion %v→%v", from, to)
-	}
-	d := eTo - eFrom
-	for i := range x {
-		x[i] *= math.Pow(f.At(uint64(i)), d)
-	}
-	return nil
 }

@@ -28,7 +28,7 @@ func randLandscape(r *rng.Source, nu int) landscape.Landscape {
 	return l
 }
 
-var allForms = []Formulation{Right, Symmetric, Left}
+var allForms = []Formulation{Right, Symmetric}
 
 func TestFmmpOperatorMatchesDense(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -81,25 +81,20 @@ func TestXmvpOperatorMatchesDense(t *testing.T) {
 		}
 		q := mutation.MustUniform(nu, p)
 		v := randVector(r, x.Dim())
-		for _, form := range allForms {
-			want := make([]float64, x.Dim())
-			dw, err := NewDenseW(q, l, form)
-			if err != nil {
-				return false
-			}
-			dw.Apply(want, v)
-
-			op, err := NewXmvpOperator(x, l, form, nil)
-			if err != nil {
-				return false
-			}
-			got := make([]float64, x.Dim())
-			op.Apply(got, v)
-			if vec.DistInf(got, want) > 1e-11 {
-				return false
-			}
+		want := make([]float64, x.Dim())
+		dw, err := NewDenseW(q, l, Right)
+		if err != nil {
+			return false
 		}
-		return true
+		dw.Apply(want, v)
+
+		op, err := NewXmvpOperator(x, l, nil)
+		if err != nil {
+			return false
+		}
+		got := make([]float64, x.Dim())
+		op.Apply(got, v)
+		return vec.DistInf(got, want) <= 1e-11
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -132,14 +127,16 @@ func TestOperatorsOnDeviceMatchSerial(t *testing.T) {
 }
 
 func TestConvertEigenvectorConsistency(t *testing.T) {
-	// Solve the same problem in all three formulations; after conversion
-	// to Right, all eigenvectors must agree up to scale.
+	// Solve the same problem in both formulations; the Symmetric
+	// eigenvector converted by rightForm (the adaptive engine's conversion)
+	// must agree with the Right one up to scale.
 	r := rng.New(7)
 	const nu = 7
 	q := mutation.MustUniform(nu, 0.01)
 	l := randLandscape(r, nu)
-	ref := make([]float64, 0)
-	for _, form := range allForms {
+	var vecs [2][]float64
+	var opS *FmmpOperator
+	for i, form := range allForms {
 		op, err := NewFmmpOperator(q, l, form, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -148,46 +145,47 @@ func TestConvertEigenvectorConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("form %v: %v", form, err)
 		}
-		x := res.Vector
-		if err := ConvertEigenvector(x, form, Right, l); err != nil {
-			t.Fatal(err)
+		vecs[i] = res.Vector
+		if form == Symmetric {
+			opS = op
 		}
-		vec.Normalize1(x)
-		if form == Right {
-			ref = vec.Clone(x)
-			continue
-		}
-		if d := vec.DistInf(x, ref); d > 1e-8 {
-			t.Errorf("form %v converted eigenvector differs from Right by %g", form, d)
-		}
+	}
+	got := make([]float64, q.Dim())
+	if err := rightForm(got, opS, vecs[1]); err != nil {
+		t.Fatal(err)
+	}
+	vec.Normalize1(got)
+	vec.Normalize1(vecs[0])
+	if d := vec.DistInf(got, vecs[0]); d > 1e-8 {
+		t.Errorf("converted Symmetric eigenvector differs from Right by %g", d)
 	}
 }
 
 func TestConvertEigenvectorRoundTrip(t *testing.T) {
+	// stageSymmetric (Right → Symmetric) then rightForm (back) returns the
+	// unit Right-form vector; a collapsed vector is an error.
 	r := rng.New(8)
 	l := randLandscape(r, 5)
-	x := randVector(r, 32)
-	orig := vec.Clone(x)
-	for _, a := range allForms {
-		for _, b := range allForms {
-			y := vec.Clone(orig)
-			if err := ConvertEigenvector(y, a, b, l); err != nil {
-				t.Fatal(err)
-			}
-			if err := ConvertEigenvector(y, b, a, l); err != nil {
-				t.Fatal(err)
-			}
-			if vec.DistInf(y, orig) > 1e-11 {
-				t.Errorf("round trip %v→%v→%v deviates by %g", a, b, a, vec.DistInf(y, orig))
-			}
-		}
+	opS, err := NewFmmpOperator(mutation.MustUniform(5, 0.01), l, Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestConvertEigenvectorLengthMismatch(t *testing.T) {
-	l, _ := landscape.NewUniform(4, 1)
-	if err := ConvertEigenvector(make([]float64, 8), Right, Left, l); err == nil {
-		t.Error("length mismatch must error")
+	x := make([]float64, 32)
+	for i := range x {
+		x[i] = r.Float64() + 0.1
+	}
+	want := vec.Clone(x)
+	vec.Normalize2(want)
+	sym, got := make([]float64, 32), make([]float64, 32)
+	stageSymmetric(sym, opS, x)
+	if err := rightForm(got, opS, sym); err != nil {
+		t.Fatal(err)
+	}
+	if d := vec.DistInf(got, want); d > 1e-14 {
+		t.Errorf("round trip deviates by %g", d)
+	}
+	if err := rightForm(got, opS, make([]float64, 32)); err == nil {
+		t.Error("a zero vector must not convert")
 	}
 }
 
@@ -212,7 +210,7 @@ func TestOperatorConstructorsRejectMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewXmvpOperator(x, l, Right, nil); err == nil {
+	if _, err := NewXmvpOperator(x, l, nil); err == nil {
 		t.Error("ν mismatch must be rejected (Xmvp)")
 	}
 	if _, err := NewDenseW(q, l, Right); err == nil {

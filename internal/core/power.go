@@ -29,7 +29,7 @@ var ErrNoConvergence = errors.New("core: iteration budget exhausted before conve
 var ErrStagnated = errors.New("core: residual stopped improving on its best above the tolerance")
 
 // ErrBreakdown is returned when a solve's iterate collapses or leaves the
-// representable range: a zero, NaN or infinite norm, or (Lanczos) a
+// representable range: a zero, NaN or infinite norm, or (Arnoldi) a
 // non-finite Ritz residual. Nothing a further iteration does can recover
 // it, so the solver stops at the first such check; the returned result
 // holds the iterate it stopped on.

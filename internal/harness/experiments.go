@@ -77,7 +77,7 @@ func MatvecRuntimes(cfg MatvecConfig) ([]*Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		o1, err := core.NewXmvpOperator(x1, l, core.Right, nil)
+		o1, err := core.NewXmvpOperator(x1, l, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func MatvecRuntimes(cfg MatvecConfig) ([]*Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			of, err := core.NewXmvpOperator(xf, l, core.Right, nil)
+			of, err := core.NewXmvpOperator(xf, l, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -201,7 +201,7 @@ func SolverRuntimes(cfg SolverConfig) ([]*Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			o5, err := core.NewXmvpOperator(x5, l, core.Right, cfg.Dev)
+			o5, err := core.NewXmvpOperator(x5, l, cfg.Dev)
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +217,7 @@ func SolverRuntimes(cfg SolverConfig) ([]*Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			of, err := core.NewXmvpOperator(xf, l, core.Right, cfg.Dev)
+			of, err := core.NewXmvpOperator(xf, l, cfg.Dev)
 			if err != nil {
 				return nil, err
 			}
@@ -343,7 +343,7 @@ func AccuracyStudy(nu int, p float64, seed uint64, maxD int) ([]AccuracyPoint, e
 		if err != nil {
 			return nil, err
 		}
-		o, err := core.NewXmvpOperator(x, l, core.Right, nil)
+		o, err := core.NewXmvpOperator(x, l, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -298,6 +298,18 @@ func (q *Process) Dim() int { return q.n }
 // and if so returns its error rate.
 func (q *Process) Uniform() (p float64, ok bool) { return q.p, q.uniform }
 
+// Symmetric reports whether Q = Qᵀ, which holds exactly when every factor
+// is symmetric (B = C for a single-bit factor). Then F^½·Q·F^½ is
+// symmetric too, the precondition of the Lanczos-family solvers.
+func (q *Process) Symmetric() bool {
+	for _, g := range q.groups {
+		if g.bitsLen == 1 && g.f2.B != g.f2.C || g.bitsLen > 1 && !g.mat.IsSymmetric(0) {
+			return false
+		}
+	}
+	return true
+}
+
 // SpectralFloor returns the smallest eigenvalue of the symmetric matrix S
 // that Q is diagonally similar to (Q = D·S·D⁻¹ with D diagonal and
 // positive), and whether it is known and non-negative. A single-bit factor [[A,B],[C,D]] with B, C > 0 is conjugated by

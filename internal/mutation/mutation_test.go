@@ -246,6 +246,41 @@ func TestPerSiteUniformDetection(t *testing.T) {
 	}
 }
 
+// TestSymmetricMatchesDense: Symmetric reports exactly whether the dense Q
+// equals its transpose, for uniform, per-site and grouped processes.
+func TestSymmetricMatchesDense(t *testing.T) {
+	r := rng.New(12)
+	perSite := func(fs ...Factor2) *Process {
+		q, err := NewPerSite(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	grouped := func(ms ...*dense.Matrix) *Process {
+		q, err := NewGrouped(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for _, c := range []struct {
+		name string
+		q    *Process
+		want bool
+	}{
+		{"uniform", MustUniform(5, 0.03), true},
+		{"per-site symmetric", perSite(UniformFactor(0.1), UniformFactor(0.3)), true},
+		{"per-site asymmetric", perSite(UniformFactor(0.1), Factor2{A: 0.99, B: 0.1, C: 0.01, D: 0.9}), false},
+		{"grouped symmetric", grouped(UniformFactor(0.2).Dense(), Dense(2, 0.1)), true},
+		{"grouped asymmetric", grouped(Dense(2, 0.1), randStochasticMatrix(r, 4)), false},
+	} {
+		if got := c.q.Symmetric(); got != c.want || got != c.q.Dense().IsSymmetric(0) {
+			t.Errorf("%s: Symmetric() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestPerSiteRejectsNonStochastic(t *testing.T) {
 	if _, err := NewPerSite([]Factor2{{A: 0.5, B: 0.5, C: 0.6, D: 0.5}}); err == nil {
 		t.Error("non-stochastic factor must be rejected")

@@ -59,7 +59,7 @@ func spanArgNames(layer, name string) (string, string) {
 		return "slot", "task"
 	case span.LayerCore:
 		switch name {
-		case core.SolveKindPower, core.SolveKindLanczos, core.SolveKindShiftInvert, core.SolveKindChebyshev, core.SolveKindArnoldi:
+		case core.SolveKindPower, core.SolveKindShiftInvert, core.SolveKindChebyshev, core.SolveKindArnoldi:
 			return "dim", "matvecs"
 		case core.PhaseGapProbe:
 			return "dim", "steps"

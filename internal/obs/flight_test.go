@@ -219,7 +219,7 @@ func (o *nanOp) Apply(dst, src []float64) {
 }
 
 // TestBreakdownIsTypedAndDumped: a NaN in the iterate is a breakdown,
-// which power, Chebyshev and Lanczos report through the ledger as a
+// which power and Chebyshev report through the ledger as a
 // *core.ConvergenceError with reason ErrBreakdown at the first non-finite
 // check. The error survives its JSON round trip with the NaN residual, and
 // DumpOnError dumps a bundle whose trace ends on the breakdown event.
@@ -248,10 +248,6 @@ func TestBreakdownIsTypedAndDumped(t *testing.T) {
 			_, err := core.ChebyshevIteration(op, core.ChebyshevOptions{
 				Tol: 1e-30, LowerEdge: 0, UpperEdge: 1.5, Observer: o,
 			})
-			return err
-		}},
-		{core.SolveKindLanczos, func(op core.Operator, o core.Observer) error {
-			_, err := core.Lanczos(op, core.LanczosOptions{Tol: 1e-30, Observer: o})
 			return err
 		}},
 	} {
@@ -497,15 +493,16 @@ func TestDumpOnError(t *testing.T) {
 }
 
 func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
-	// Under an unattainable tolerance a Lanczos or shift-invert Lanczos
-	// solve exhausts its restarts and an Arnoldi solve stagnates; each fails
+	// Under an unattainable tolerance a shift-invert Lanczos solve exhausts
+	// its restarts and a Chebyshev or Arnoldi solve stagnates; each fails
 	// with a typed *core.ConvergenceError, which a flight recording dumps as
 	// a bundle.
 	f := StartFlight(testFlightManifest("testrun-krylov"), t.TempDir())
 	defer f.Stop()
 
-	// N = 8 keeps Lanczos's thousand restarts cheap; the shift 2.5 lies
-	// above f_max = 2 ≥ λ₀.
+	// N = 8 keeps the restarts cheap. The shift 2.5 lies above
+	// f_max = 2 ≥ λ₀; the Chebyshev filter's upper edge 1.5 lies between
+	// λ₁ and λ₀.
 	l, err := landscape.NewSinglePeak(3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +511,7 @@ func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lerr := core.Lanczos(op, core.LanczosOptions{Tol: 1e-30})
+	_, cerr := core.ChebyshevIteration(op, core.ChebyshevOptions{Tol: 1e-30, UpperEdge: 1.5})
 	_, aerr := core.Arnoldi(op, core.ArnoldiOptions{Tol: 1e-30})
 	_, serr := core.ShiftInvertLanczos(op, core.ShiftInvertOptions{Tol: 1e-30, Shift: 2.5})
 	for _, c := range []struct {
@@ -522,7 +519,7 @@ func TestDumpOnErrorFromKrylovSolves(t *testing.T) {
 		method string
 		reason error
 	}{
-		{lerr, core.SolveKindLanczos, core.ErrNoConvergence},
+		{cerr, core.SolveKindChebyshev, core.ErrStagnated},
 		{aerr, "arnoldi", core.ErrStagnated},
 		{serr, core.SolveKindShiftInvert, core.ErrNoConvergence},
 	} {

@@ -203,8 +203,8 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 		}
 	}
 
-	// A real Lanczos solve and gap probe: the solve span closes with
-	// (dim, matvecs) and the probe with (dim, steps built).
+	// A real shift-invert Lanczos solve and gap probe: the solve span closes
+	// with (dim, matvecs) and the probe with (dim, steps built).
 	const nu, probeSteps = 8, 6
 	l, err := landscape.NewSinglePeak(nu, 2, 1)
 	if err != nil {
@@ -215,7 +215,7 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = StartSpanProfiler(0)
-	res, err := core.Lanczos(op, core.LanczosOptions{Tol: 1e-10})
+	res, err := core.ShiftInvertLanczos(op, core.ShiftInvertOptions{Tol: 1e-10, Shift: core.UpperBoundLambda(l)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +224,8 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	}
 	p.Stop()
 	want := map[string]map[string]any{
-		core.SolveKindLanczos: {"dim": float64(op.Dim()), "matvecs": float64(res.MatVecs)},
-		core.PhaseGapProbe:    {"dim": float64(op.Dim()), "steps": float64(probeSteps)},
+		core.SolveKindShiftInvert: {"dim": float64(op.Dim()), "matvecs": float64(res.MatVecs)},
+		core.PhaseGapProbe:        {"dim": float64(op.Dim()), "steps": float64(probeSteps)},
 	}
 	seen := map[string]bool{}
 	for _, ev := range readChromeTrace(t, p) {

@@ -87,7 +87,7 @@ func TestXmvpTruncationLosesAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := core.NewXmvpOperator(xm, land.l, core.Right, nil)
+	op, err := core.NewXmvpOperator(xm, land.l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,15 @@ const (
 	// by default from a class-projected start, not the paper's fitness
 	// start (Model.startVector).
 	MethodFmmp
-	// MethodLanczos is restarted Lanczos on the symmetric formulation
-	// F^½QF^½ — fewer matrix products near the error threshold, at the
-	// cost of storing a Krylov basis.
+	// MethodLanczos is the symmetric Krylov ladder of the sweep engine
+	// (core.AdaptiveSolve forced to Chebyshev) on F^½QF^½: a self-stopping
+	// Lanczos gap probe, Chebyshev-filtered restarts from its top Ritz
+	// vector, then shift-invert Lanczos — fewer matrix products near the
+	// error threshold, at the cost of storing Krylov vectors. It never
+	// runs power; the start (WithStart, else Model.startVector's default)
+	// seeds the gap probe. It needs a symmetric mutation process (Q = Qᵀ)
+	// with a non-negative spectral floor (every site Stay0 = Stay1 in
+	// (½, 1)) and returns ErrInvalidModel otherwise.
 	MethodLanczos
 	// MethodReduced forces the exact (ν+1)×(ν+1) error-class reduction
 	// (fails for landscapes without class structure).
@@ -172,12 +178,11 @@ func WithWorkers(n int) Option {
 
 // WithStart seeds the iterative solvers with the given concentration
 // vector (length 2^ν, Right-form) instead of the default start — the
-// class-projected start of a Right-form solve under the uniform-rate
-// process, the fitness start otherwise (Model.startVector) — e.g. the
+// class-projected start under the uniform-rate process, the fitness start
+// otherwise (Model.startVector) — e.g. the
 // Concentrations of a checkpointed Solution, so an interrupted sweep
 // resumes where it stopped. The slice is copied at solve time and never
-// mutated; formulations other than Right (MethodLanczos) convert the copy.
-// The reduced method, which is direct, ignores it.
+// mutated. The reduced method, which is direct, ignores it.
 func WithStart(x []float64) Option {
 	return func(mo *Model) error {
 		if len(x) == 0 {
@@ -190,7 +195,8 @@ func WithStart(x []float64) Option {
 
 // SolveObserver receives the convergence trace of a power-method or
 // Lanczos solve: Step after every residual check and Event at lifecycle
-// transitions ("start", "converged", "stagnated", …). obs.Trace recorders
+// transitions ("start", "converged", "stagnated", …), once per gear a
+// Lanczos solve runs. obs.Trace recorders
 // satisfy it; so does core.Observer, which it mirrors. The Arnoldi and
 // reduced backends do not report traces and ignore the observer.
 type SolveObserver interface {
@@ -338,7 +344,7 @@ func (mo *Model) solveFmmp(ctx context.Context) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	start, err := mo.startVector(core.Right, op)
+	start, err := mo.startVector(op)
 	if err != nil {
 		return nil, err
 	}
@@ -364,27 +370,46 @@ func (mo *Model) solveFmmp(ctx context.Context) (*Solution, error) {
 	return mo.finishSolution(res.Lambda, res.Vector, res.Iterations, res.Residual, MethodFmmp)
 }
 
+// solveLanczos runs the sweep engine's forced Krylov ladder on one point:
+// core.AdaptiveSolve with SolveChebyshev. The ladder needs F^½QF^½
+// symmetric (Q = Qᵀ) for Lanczos and CG, and a known non-negative
+// spectral floor of Q, so that ConservativeShift is a lower bound on its
+// spectrum and a safe lower Chebyshev edge; a process that lacks either
+// fails before the first matvec. The start is treated as a warm one
+// (State.HavePrev): the gap probe starts from F^½·start, so a good start —
+// the class-projected one, or a checkpointed Solution — shortens the
+// probe. PrevLambda stays 0, below every Ritz value, so shift-invert keeps
+// its cold shift f_max.
 func (mo *Model) solveLanczos() (*Solution, error) {
-	op, err := mo.fmmpOperator(core.Symmetric)
+	if _, ok := mo.mut.q.SpectralFloor(); !ok || !mo.mut.q.Symmetric() {
+		return nil, fmt.Errorf("%w: MethodLanczos needs a symmetric mutation process with a non-negative spectral floor (every site Stay0 = Stay1 in (½, 1)); use MethodFmmp or MethodArnoldi", ErrInvalidModel)
+	}
+	opR, err := mo.fmmpOperator(core.Right)
 	if err != nil {
 		return nil, err
 	}
-	start, err := mo.startVector(core.Symmetric, op)
+	opS, err := mo.fmmpOperator(core.Symmetric)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Lanczos(op, core.LanczosOptions{
-		Tol: mo.effectiveTol(), Start: start, Observer: mo.observer,
-	})
+	start, err := mo.startVector(opR)
 	if err != nil {
 		return nil, err
 	}
-	// Convert the symmetric-form eigenvector back to concentrations.
-	x := res.Vector
-	if err := core.ConvertEigenvector(x, core.Symmetric, core.Right, mo.land.l); err != nil {
+	aopts := core.AdaptiveOptions{
+		Method: core.SolveChebyshev,
+		Tol:    mo.effectiveTol(), MaxIter: mo.maxIter,
+		Start: start, Dev: mo.dev, Observer: mo.observer,
+		State: &core.MethodState{HavePrev: true},
+	}
+	if mo.useShift {
+		aopts.PowerShift = core.ConservativeShift(mo.mut.q, mo.land.l)
+	}
+	res, err := core.AdaptiveSolve(opR, opS, aopts)
+	if err != nil {
 		return nil, err
 	}
-	return mo.finishSolution(res.Lambda, x, res.MatVecs, res.Residual, MethodLanczos)
+	return mo.finishSolution(res.Lambda, res.Vector, res.Iterations, res.Residual, MethodLanczos)
 }
 
 func (mo *Model) finishSolution(lambda float64, x []float64, iters int, residual float64, method Method) (*Solution, error) {
@@ -406,7 +431,7 @@ func (mo *Model) solveArnoldi() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	start, err := mo.startVector(core.Right, op)
+	start, err := mo.startVector(op)
 	if err != nil {
 		return nil, err
 	}
@@ -419,46 +444,27 @@ func (mo *Model) solveArnoldi() (*Solution, error) {
 	return mo.finishSolution(res.Lambda, res.Vector, res.MatVecs, res.Residual, MethodArnoldi)
 }
 
-// startVector returns the starting iterate in the requested formulation,
-// chosen in this one place: a converted copy of the WithStart vector when
-// one was set; else, for a Right-form solve (MethodFmmp, MethodArnoldi,
-// Auto's full-space route), the class-projected start where classStart
-// builds one; else the fitness start. Both defaults are built from op's
-// materialized diagonal, so the landscape is materialized once per
-// operator rather than again for every solve. The facade span "start"
-// times the construction (a1 = N).
-func (mo *Model) startVector(form core.Formulation, op *core.FmmpOperator) ([]float64, error) {
+// startVector returns the Right-form starting iterate of every iterative
+// facade solve, chosen in this one place: a copy of the WithStart vector
+// when one was set; else the class-projected start where classStart
+// builds one; else the fitness start. Both defaults are built from the
+// Right-form op's materialized diagonal, so the landscape is materialized
+// once per operator rather than again for every solve. The facade span
+// "start" times the construction (a1 = N).
+func (mo *Model) startVector(op *core.FmmpOperator) ([]float64, error) {
 	sp := span.Begin(span.LayerFacade, "start")
-	var x []float64
-	var err error
-	switch {
-	case mo.start != nil:
-		x, err = mo.userStart(form)
-	case form == core.Right:
-		x = mo.classStart(op)
+	defer span.End(sp, int64(mo.Dim()), 0)
+	if mo.start != nil {
+		if len(mo.start) != mo.Dim() {
+			return nil, fmt.Errorf("%w: start vector length %d, want %d",
+				ErrInvalidModel, len(mo.start), mo.Dim())
+		}
+		return append([]float64(nil), mo.start...), nil
 	}
-	if x == nil && err == nil {
-		// The fitness start serves every formulation as-is (any positive
-		// vector is an admissible iterate); converting it here would
-		// perturb long-standing bit-identical baselines.
-		x = op.FitnessStart()
+	if x := mo.classStart(op); x != nil {
+		return x, nil
 	}
-	span.End(sp, int64(mo.Dim()), 0)
-	return x, err
-}
-
-// userStart returns a copy of the WithStart vector converted to form.
-func (mo *Model) userStart(form core.Formulation) ([]float64, error) {
-	if len(mo.start) != mo.Dim() {
-		return nil, fmt.Errorf("%w: start vector length %d, want %d",
-			ErrInvalidModel, len(mo.start), mo.Dim())
-	}
-	x := make([]float64, len(mo.start))
-	copy(x, mo.start)
-	if err := core.ConvertEigenvector(x, core.Right, form, mo.land.l); err != nil {
-		return nil, err
-	}
-	return x, nil
+	return op.FitnessStart(), nil
 }
 
 // classStart returns the class-projected start of a Right-form solve, or
