@@ -92,8 +92,6 @@ type MethodState struct {
 	// PrevLambda is λ₀ of the previous chain point; one at or below the
 	// probe's top Ritz value leaves shift-invert at its cold shift.
 	PrevLambda float64
-	// LastMethod is the gear that solved the previous point.
-	LastMethod SolveMethod
 }
 
 // AdaptiveWork is the per-worker scratch of adaptive solves: the power
@@ -561,7 +559,6 @@ func finishAdaptive(res *AdaptiveResult, st *MethodState) {
 	}
 	st.HavePrev = true
 	st.PrevLambda = res.Lambda
-	st.LastMethod = res.Method
 }
 
 func (aw *AdaptiveWork) probeWork() *KrylovWork {

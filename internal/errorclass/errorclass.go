@@ -36,6 +36,7 @@ import (
 	"math"
 
 	"repro/internal/bits"
+	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/vec"
 )
@@ -327,54 +328,26 @@ func fillTile(t, v []float64) {
 }
 
 // ClassMeans is the adjoint of Expand: it averages a 2^ν vector over the
-// Hamming classes around index 0, means[k] = Σ_{w(i)=k} xᵢ / C(ν,k), and
-// returns x's maximum from the same pass. ν must not exceed
-// MaxExpandChainLen. The facade projects the fitness diagonal with it to
-// build the class-projected start of a full-space solve.
-//
-// The class sums are bit for bit the per-element ones, which add each xᵢ
-// to class w(i) in index order: ClassMeans walks x in index order, in
-// Expand's tiles of T = 2^min(ν, tileBits) entries, and adds entry j of
-// tile q to class w(q) + w(j).
-func ClassMeans(x []float64) (means []float64, xmax float64, err error) {
+// Hamming classes around index 0, means[k] = Σ_{w(i)=k} xᵢ / C(ν,k). ν
+// must not exceed MaxExpandChainLen. The facade projects the fitness
+// diagonal with it to build the class-projected start of a full-space
+// solve. The class sums are core.ClassConcentrations', which add each xᵢ
+// to class w(i) in index order.
+func ClassMeans(x []float64) ([]float64, error) {
 	n := len(x)
 	if n == 0 || n&(n-1) != 0 {
-		return nil, 0, fmt.Errorf("errorclass: vector length %d is not a power of two", n)
+		return nil, fmt.Errorf("errorclass: vector length %d is not a power of two", n)
 	}
 	nu := bits.Weight(uint64(n - 1))
 	if nu > MaxExpandChainLen {
-		return nil, 0, fmt.Errorf("errorclass: refusing to project 2^%d entries", nu)
+		return nil, fmt.Errorf("errorclass: refusing to project 2^%d entries", nu)
 	}
-	var sums [classSlots]float64
-	t := min(n, 1<<tileBits)
-	xmax = math.Inf(-1)
-	for q := 0; len(x) >= t; q++ {
-		xmax = max(xmax, sumTile(&sums, bits.Weight(uint64(q)), x[:t]))
-		x = x[t:]
+	means, err := core.ClassConcentrations(nu, x)
+	if err != nil {
+		return nil, err
 	}
-	means = make([]float64, nu+1)
-	copy(means, sums[:])
 	for k := range means {
 		means[k] /= bits.BinomialFloat(nu, k)
 	}
-	return means, xmax, nil
-}
-
-// classSlots is a power of two above MaxExpandChainLen: ClassMeans's class
-// sums index an array of this length under a mask.
-const classSlots = 32
-
-// sumTile adds t[j] to s[h+w(j)] for j < len(t) ≤ 2^tileBits, in index
-// order, and returns t's maximum.
-func sumTile(s *[classSlots]float64, h int, t []float64) float64 {
-	// The weight lookup and the class sums both index fixed arrays under a
-	// mask, so the loop needs no bounds check.
-	m := math.Inf(-1)
-	for j, v := range t {
-		s[(h+int(loWeight[j&(1<<tileBits-1)]))&(classSlots-1)] += v
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return means, nil
 }

@@ -125,7 +125,7 @@ func (s *System) Solve(opts SolveOptions) (*Result, error) {
 		if tol <= 0 {
 			tol = core.DefaultTolerance(f.F)
 		}
-		po := core.PowerOptions{Tol: tol, MaxIter: opts.MaxIter, Start: core.FitnessStart(f.F)}
+		po := core.PowerOptions{Tol: tol, MaxIter: opts.MaxIter, Start: op.FitnessStart()}
 		if opts.UseShift {
 			po.Shift = core.ConservativeShift(f.Q, f.F)
 		}

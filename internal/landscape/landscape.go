@@ -1,14 +1,17 @@
 // Package landscape implements the fitness landscapes F = diag(f₀ … f_{N−1})
-// of the quasispecies model, covering every family used in the paper:
+// of the quasispecies model, covering every family used in the paper with
+// three types:
 //
-//   - the single-peak landscape f₀ = a, fᵢ = b (Figure 1 left);
-//   - the linear landscape fᵢ = f₀ − (f₀−f_ν)·dH(i,0)/ν (Figure 1 right);
-//   - general error-class (Hamming distance based) landscapes
-//     fᵢ = ϕ(dH(i,0)) (Section 5.1);
-//   - the random landscape f₀ = c, fᵢ = σ·(η_rnd(i)+0.5) of Eq. 13
+//   - ErrorClass, the Hamming-distance-based landscapes fᵢ = ϕ(dH(i,0))
+//     of Section 5.1, held as their ϕ table. The single-peak landscape
+//     ϕ = [a, b, …, b] (Figure 1 left), the linear landscape
+//     ϕ(k) = f₀ − (f₀−f_ν)·k/ν (Figure 1 right) and the flat landscape
+//     ϕ ≡ c are particular tables, built by NewSinglePeak, NewLinear and
+//     NewUniform;
+//   - Random, the landscape f₀ = c, fᵢ = σ·(η_rnd(i)+0.5) of Eq. 13
 //     (Section 4's experiments), realized with a counter-based hash so any
 //     fᵢ is random-accessible without storing N values;
-//   - explicit vector landscapes (the fully general diagonal F).
+//   - Vector, explicit vector landscapes (the fully general diagonal F).
 //
 // Kronecker landscapes F = ⊗ᵢ F_{Gᵢ} (Eq. 18, Section 5.2) stay factored
 // in internal/kron, which solves them one factor at a time.
@@ -71,93 +74,12 @@ func Materialize(l Landscape) []float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Single peak
+// Error-class landscapes
 
-// SinglePeak is the classic landscape with a fitter master sequence:
-// f₀ = Peak, fᵢ = Base for i ≠ 0. Figure 1 (left) uses Peak=2, Base=1.
-type SinglePeak struct {
-	nu         int
-	Peak, Base float64
-}
-
-// NewSinglePeak constructs a single-peak landscape.
-func NewSinglePeak(nu int, peak, base float64) (*SinglePeak, error) {
-	if !positive(peak) || !positive(base) {
-		return nil, fmt.Errorf("%w: peak %g, base %g", ErrNonPositive, peak, base)
-	}
-	if err := checkChainLen(nu); err != nil {
-		return nil, err
-	}
-	return &SinglePeak{nu: nu, Peak: peak, Base: base}, nil
-}
-
-func (s *SinglePeak) ChainLen() int { return s.nu }
-func (s *SinglePeak) Dim() int      { return bits.SpaceSize(s.nu) }
-
-func (s *SinglePeak) At(i uint64) float64 {
-	if i == 0 {
-		return s.Peak
-	}
-	return s.Base
-}
-
-func (s *SinglePeak) Bounds() (lo, hi float64) {
-	return math.Min(s.Peak, s.Base), math.Max(s.Peak, s.Base)
-}
-
-// Phi returns ϕ(k) of the equivalent error-class landscape.
-func (s *SinglePeak) Phi(k int) float64 {
-	if k == 0 {
-		return s.Peak
-	}
-	return s.Base
-}
-
-// ---------------------------------------------------------------------------
-// Linear
-
-// Linear is the landscape fᵢ = F0 − (F0−FNu)·dH(i,0)/ν from Figure 1
-// (right): fitness decays linearly with distance from the master sequence.
-type Linear struct {
-	nu      int
-	F0, FNu float64
-}
-
-// NewLinear constructs a linear landscape with f₀ = f0 and f at maximum
-// distance = fnu.
-func NewLinear(nu int, f0, fnu float64) (*Linear, error) {
-	if !positive(f0) || !positive(fnu) {
-		return nil, fmt.Errorf("%w: f0 %g, fν %g", ErrNonPositive, f0, fnu)
-	}
-	if nu < 1 {
-		return nil, fmt.Errorf("landscape: linear landscape needs ν ≥ 1, got %d", nu)
-	}
-	if err := checkChainLen(nu); err != nil {
-		return nil, err
-	}
-	return &Linear{nu: nu, F0: f0, FNu: fnu}, nil
-}
-
-func (l *Linear) ChainLen() int { return l.nu }
-func (l *Linear) Dim() int      { return bits.SpaceSize(l.nu) }
-
-func (l *Linear) At(i uint64) float64 { return l.Phi(bits.Weight(i)) }
-
-// Phi returns ϕ(k) = F0 − (F0−FNu)·k/ν.
-func (l *Linear) Phi(k int) float64 {
-	return l.F0 - (l.F0-l.FNu)*float64(k)/float64(l.nu)
-}
-
-func (l *Linear) Bounds() (lo, hi float64) {
-	return math.Min(l.F0, l.FNu), math.Max(l.F0, l.FNu)
-}
-
-// ---------------------------------------------------------------------------
-// General error-class landscapes
-
-// ErrorClass is the general Hamming-distance-based landscape
-// fᵢ = ϕ(dH(i,0)) given by an arbitrary table ϕ(0..ν) — the family for
-// which Section 5.1 reduces the N×N problem exactly to (ν+1)×(ν+1).
+// ErrorClass is the Hamming-distance-based landscape fᵢ = ϕ(dH(i,0))
+// given by a table ϕ(0..ν) — the family for which Section 5.1 reduces the
+// N×N problem exactly to (ν+1)×(ν+1). The single-peak, linear and flat
+// landscapes are particular tables (NewSinglePeak, NewLinear, NewUniform).
 type ErrorClass struct {
 	nu  int
 	phi []float64
@@ -167,13 +89,73 @@ type ErrorClass struct {
 
 // NewErrorClass constructs the landscape from the ν+1 class fitness values.
 func NewErrorClass(phi []float64) (*ErrorClass, error) {
-	nu := len(phi) - 1
-	if nu < 0 {
+	if len(phi) == 0 {
 		return nil, errors.New("landscape: empty ϕ table")
+	}
+	if err := checkChainLen(len(phi) - 1); err != nil {
+		return nil, err
+	}
+	return fromTable(append([]float64(nil), phi...))
+}
+
+// NewSinglePeak constructs the classic landscape with a fitter master
+// sequence: ϕ(0) = peak, ϕ(k) = base for k ≥ 1. Figure 1 (left) uses
+// peak 2, base 1.
+func NewSinglePeak(nu int, peak, base float64) (*ErrorClass, error) {
+	if !positive(peak) || !positive(base) {
+		return nil, fmt.Errorf("%w: peak %g, base %g", ErrNonPositive, peak, base)
 	}
 	if err := checkChainLen(nu); err != nil {
 		return nil, err
 	}
+	phi := make([]float64, nu+1)
+	for k := range phi {
+		phi[k] = base
+	}
+	phi[0] = peak
+	return fromTable(phi)
+}
+
+// NewLinear constructs the landscape of Figure 1 (right), whose fitness
+// decays linearly with distance from the master sequence:
+// ϕ(k) = f0 − (f0−fnu)·k/ν.
+func NewLinear(nu int, f0, fnu float64) (*ErrorClass, error) {
+	if !positive(f0) || !positive(fnu) {
+		return nil, fmt.Errorf("%w: f0 %g, fν %g", ErrNonPositive, f0, fnu)
+	}
+	if nu < 1 {
+		return nil, fmt.Errorf("landscape: linear landscape needs ν ≥ 1, got %d", nu)
+	}
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
+	phi := make([]float64, nu+1)
+	for k := range phi {
+		phi[k] = f0 - (f0-fnu)*float64(k)/float64(nu)
+	}
+	return fromTable(phi)
+}
+
+// NewUniform constructs the flat landscape ϕ ≡ value. With equal fitness
+// W is a positive multiple of the bistochastic Q, whose Perron vector is
+// the uniform distribution (Section 1.1).
+func NewUniform(nu int, value float64) (*ErrorClass, error) {
+	if !positive(value) {
+		return nil, fmt.Errorf("%w: %g", ErrNonPositive, value)
+	}
+	if err := checkChainLen(nu); err != nil {
+		return nil, err
+	}
+	phi := make([]float64, nu+1)
+	for k := range phi {
+		phi[k] = value
+	}
+	return fromTable(phi)
+}
+
+// fromTable returns the landscape that owns phi (1 ≤ len(phi) ≤
+// bits.MaxChainLen+1), with Bounds the table's exact minimum and maximum.
+func fromTable(phi []float64) (*ErrorClass, error) {
 	lo, hi := phi[0], phi[0]
 	for k, v := range phi {
 		if !positive(v) {
@@ -182,9 +164,7 @@ func NewErrorClass(phi []float64) (*ErrorClass, error) {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
 	}
-	cp := make([]float64, len(phi))
-	copy(cp, phi)
-	return &ErrorClass{nu: nu, phi: cp, lo: lo, hi: hi}, nil
+	return &ErrorClass{nu: len(phi) - 1, phi: phi, lo: lo, hi: hi}, nil
 }
 
 func (e *ErrorClass) ChainLen() int            { return e.nu }
@@ -203,31 +183,12 @@ func (e *ErrorClass) PhiTable() []float64 {
 }
 
 // ClassBased reports whether l is an error-class landscape, returning its
-// ϕ table when it is. SinglePeak, Linear and ErrorClass qualify; explicit
-// vectors are scanned and qualify when their values depend only on the
-// Hamming weight.
+// ϕ table when it is. ErrorClass qualifies; explicit vectors are scanned
+// and qualify when their values depend only on the Hamming weight.
 func ClassBased(l Landscape) ([]float64, bool) {
 	switch t := l.(type) {
-	case *SinglePeak:
-		phi := make([]float64, t.nu+1)
-		for k := range phi {
-			phi[k] = t.Phi(k)
-		}
-		return phi, true
-	case *Linear:
-		phi := make([]float64, t.nu+1)
-		for k := range phi {
-			phi[k] = t.Phi(k)
-		}
-		return phi, true
 	case *ErrorClass:
 		return t.PhiTable(), true
-	case *Uniform:
-		phi := make([]float64, t.nu+1)
-		for k := range phi {
-			phi[k] = t.Value
-		}
-		return phi, true
 	case *Vector:
 		return t.classTable()
 	default:
@@ -347,33 +308,3 @@ func (v *Vector) classTable() ([]float64, bool) {
 	}
 	return phi, true
 }
-
-// ---------------------------------------------------------------------------
-// Uniform landscape
-
-// Uniform is the flat landscape fᵢ = Value for all i. With equal fitness W
-// is a positive multiple of the bistochastic Q, whose Perron vector is the
-// uniform distribution (Section 1.1).
-type Uniform struct {
-	nu    int
-	Value float64
-}
-
-// NewUniform constructs a flat landscape.
-func NewUniform(nu int, value float64) (*Uniform, error) {
-	if !positive(value) {
-		return nil, fmt.Errorf("%w: %g", ErrNonPositive, value)
-	}
-	if err := checkChainLen(nu); err != nil {
-		return nil, err
-	}
-	return &Uniform{nu: nu, Value: value}, nil
-}
-
-func (u *Uniform) ChainLen() int            { return u.nu }
-func (u *Uniform) Dim() int                 { return bits.SpaceSize(u.nu) }
-func (u *Uniform) At(i uint64) float64      { return u.Value }
-func (u *Uniform) Bounds() (lo, hi float64) { return u.Value, u.Value }
-
-// Phi returns the constant class fitness.
-func (u *Uniform) Phi(k int) float64 { return u.Value }

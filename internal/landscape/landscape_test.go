@@ -8,21 +8,32 @@ import (
 	"repro/internal/bits"
 )
 
+// checkBounds checks lo ≤ fᵢ ≤ hi with lo > 0 on the first 2^16 sequences
+// and on one sequence 2^k − 1 of every class k. For a class landscape,
+// whose Bounds are its ϕ table's minimum and maximum, it also checks that
+// both are attained.
 func checkBounds(t *testing.T, l Landscape) {
 	t.Helper()
 	lo, hi := l.Bounds()
 	if lo <= 0 {
 		t.Fatalf("lower bound %g not positive", lo)
 	}
-	n := l.Dim()
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	for i := 0; i < n; i++ {
-		f := l.At(uint64(i))
+	fmin, fmax := math.Inf(1), math.Inf(-1)
+	check := func(i uint64) {
+		f := l.At(i)
 		if f < lo || f > hi {
 			t.Fatalf("f[%d] = %g outside bounds [%g, %g]", i, f, lo, hi)
 		}
+		fmin, fmax = math.Min(fmin, f), math.Max(fmax, f)
+	}
+	for i := 0; i < min(l.Dim(), 1<<16); i++ {
+		check(uint64(i))
+	}
+	for k := 0; k <= l.ChainLen(); k++ {
+		check(1<<k - 1)
+	}
+	if _, ok := l.(*ErrorClass); ok && (fmin != lo || fmax != hi) {
+		t.Fatalf("class landscape attains [%g, %g], bounds [%g, %g]", fmin, fmax, lo, hi)
 	}
 }
 
@@ -271,13 +282,15 @@ func TestMaterializeMatchesAt(t *testing.T) {
 	}
 }
 
+// TestBoundsAreValidEnvelopes: Bounds enclose every fitness value, and a
+// class landscape's are the values it attains, also for a linear landscape
+// whose far end rounds below f_ν (f[1023] = 0.09999999999999998 for f₀ = 1,
+// f_ν = 0.1) and for a ν = 0 single peak, whose one sequence is the peak.
 func TestBoundsAreValidEnvelopes(t *testing.T) {
 	r, _ := NewRandom(14, 5, 2, 11)
-	lo, hi := r.Bounds()
-	for i := uint64(0); i < uint64(r.Dim()); i++ {
-		f := r.At(i)
-		if f < lo || f > hi {
-			t.Fatalf("f[%d] = %g escapes [%g,%g]", i, f, lo, hi)
-		}
+	lin, _ := NewLinear(10, 1, 0.1)
+	sp, _ := NewSinglePeak(0, 2, 1)
+	for _, l := range []Landscape{r, lin, sp} {
+		checkBounds(t, l)
 	}
 }

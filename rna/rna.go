@@ -261,7 +261,7 @@ func (m *Model) Solve(opts SolveOptions) (*Solution, error) {
 		return nil, err
 	}
 	res, err := core.PowerIteration(op, core.PowerOptions{
-		Tol: tol, MaxIter: opts.MaxIter, Start: core.FitnessStart(m.land),
+		Tol: tol, MaxIter: opts.MaxIter, Start: op.FitnessStart(),
 	})
 	if err != nil {
 		return nil, err

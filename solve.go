@@ -313,18 +313,28 @@ func (mo *Model) SolveContext(ctx context.Context) (*Solution, error) {
 	return sol, err
 }
 
+// solve routes the solve. Auto takes the reduction when classProblem
+// finds one and Fmmp otherwise, so the landscape's ϕ table is built, and
+// an explicit vector scanned for class structure, once per solve.
 func (mo *Model) solve(ctx context.Context) (*Solution, error) {
 	method := mo.method
-	if method == MethodAuto {
-		if _, ok := mo.mut.q.Uniform(); ok && mo.land.IsClassBased() {
+	var p float64
+	var phi []float64
+	if method == MethodAuto || method == MethodReduced {
+		var err error
+		p, phi, err = mo.classProblem()
+		switch {
+		case err == nil:
 			method = MethodReduced
-		} else {
+		case method == MethodReduced:
+			return nil, err
+		default:
 			method = MethodFmmp
 		}
 	}
 	switch method {
 	case MethodReduced:
-		return mo.solveReduced()
+		return mo.solveReduced(p, phi)
 	case MethodFmmp:
 		return mo.solveFmmp(ctx)
 	case MethodLanczos:
@@ -475,16 +485,21 @@ func (mo *Model) startVector(op *core.FmmpOperator) ([]float64, error) {
 // microseconds. classStart averages op's diagonal over the classes around
 // index 0, solves the reduction at the same p and expands its eigenvector.
 // It returns nil for a process without one uniform rate, for a landscape
-// whose fittest value is not at index 0, and on any reduction or
-// expansion error: a start is a heuristic and must never fail a solve.
+// whose f₀ is below the upper bound of its Bounds (on every facade
+// landscape that bound is the maximum, so index 0 is not the fittest), and
+// on any reduction or expansion error: a start is a heuristic and must
+// never fail a solve.
 func (mo *Model) classStart(op *core.FmmpOperator) []float64 {
 	p, ok := mo.mut.q.Uniform()
 	if !ok {
 		return nil
 	}
 	f := op.Fitness()
-	phi, fmax, err := errorclass.ClassMeans(f)
-	if err != nil || f[0] < fmax {
+	if _, hi := mo.land.l.Bounds(); f[0] < hi {
+		return nil
+	}
+	phi, err := errorclass.ClassMeans(f)
+	if err != nil {
 		return nil
 	}
 	red, err := errorclass.New(phi, p)
@@ -511,15 +526,22 @@ func (mo *Model) effectiveTol() float64 {
 	return core.DefaultTolerance(mo.land.l)
 }
 
-func (mo *Model) solveReduced() (*Solution, error) {
+// classProblem returns the uniform error rate p and the landscape's ϕ
+// table of the §5.1 reduction, or why the model has none.
+func (mo *Model) classProblem() (float64, []float64, error) {
 	p, ok := mo.mut.q.Uniform()
 	if !ok {
-		return nil, fmt.Errorf("%w: the error-class reduction requires the uniform-rate process", ErrInvalidModel)
+		return 0, nil, fmt.Errorf("%w: the error-class reduction requires the uniform-rate process", ErrInvalidModel)
 	}
 	phi, ok := landscape.ClassBased(mo.land.l)
 	if !ok {
-		return nil, fmt.Errorf("%w: the error-class reduction requires a class-based landscape", ErrInvalidModel)
+		return 0, nil, fmt.Errorf("%w: the error-class reduction requires a class-based landscape", ErrInvalidModel)
 	}
+	return p, phi, nil
+}
+
+// solveReduced solves the reduction of error rate p and class table phi.
+func (mo *Model) solveReduced(p float64, phi []float64) (*Solution, error) {
 	red, err := errorclass.New(phi, p)
 	if err != nil {
 		return nil, err
